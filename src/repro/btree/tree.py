@@ -46,6 +46,35 @@ BatchOp = tuple[str, int, int, bytes | None]
 
 _BATCH_KINDS = frozenset(("insert", "delete", "replace"))
 
+#: :attr:`ScanFence.below` of a scan that started in the first leaf of
+#: the chain with nothing before it: smaller than every real key.
+CHAIN_START: CompositeKey = (-1, 0)
+
+
+class ScanFence:
+    """The keys one :meth:`BPlusTree.scan_chunks` call saw around its range.
+
+    A scan of ``[lo, hi]`` lands on the leaf holding the first entry
+    ``>= lo`` and stops on the first entry ``> hi``; both leaves are in
+    hand, so the entries bracketing the range are known for free, and
+    with them a proof that the tree holds nothing between the brackets
+    except what the scan yielded.  Valid once the scan is exhausted.
+
+    Attributes:
+        below: greatest entry ``< lo``; :data:`CHAIN_START` when the
+            chain has none; None when ``lo`` fell on a leaf edge (the
+            predecessor lives in a leaf the scan never read).
+        above: least entry ``> hi``, or a key past every representable
+            one when the scan ran off the end of the chain; None only
+            for an empty ``lo > hi`` range.
+    """
+
+    __slots__ = ("below", "above")
+
+    def __init__(self):
+        self.below: CompositeKey | None = None
+        self.above: CompositeKey | None = None
+
 
 @dataclass
 class BatchApplyStats:
@@ -239,7 +268,7 @@ class BPlusTree:
                 yield key, uid, payload[i * vb : (i + 1) * vb]
 
     def scan_chunks(
-        self, lo: CompositeKey, hi: CompositeKey
+        self, lo: CompositeKey, hi: CompositeKey, fence: ScanFence | None = None
     ) -> Iterator[tuple[list[CompositeKey], bytes]]:
         """Per-leaf contiguous runs of an inclusive composite interval.
 
@@ -249,7 +278,8 @@ class BPlusTree:
         bytes in key order, ready for a batched decode
         (``struct.iter_unpack``) with no per-entry slicing.  Page
         traffic is identical to the per-entry scan: same descent, same
-        leaf-chain walk, same stopping leaf.
+        leaf-chain walk, same stopping leaf — a ``fence`` is filled from
+        the leaves the walk touches anyway and never reads another.
         """
         if lo > hi:
             return
@@ -258,14 +288,26 @@ class BPlusTree:
         while leaf_id != NO_PAGE:
             leaf: LeafNode = self.pool.get(leaf_id)
             keys = leaf.keys
-            start = bisect_left(keys, lo) if first else 0
-            first = False
+            if first:
+                first = False
+                start = bisect_left(keys, lo)
+                if fence is not None:
+                    if start:
+                        fence.below = keys[start - 1]
+                    elif leaf_id == self.first_leaf_id:
+                        fence.below = CHAIN_START
+            else:
+                start = 0
             stop = bisect_right(keys, hi, start)
             if stop > start:
                 yield keys[start:stop], leaf.payload_slice(start, stop)
             if stop < len(keys):
+                if fence is not None:
+                    fence.above = keys[stop]
                 return
             leaf_id = leaf.next_leaf
+        if fence is not None:
+            fence.above = (1 << (8 * self.config.key_bytes), 0)
 
     def leaf_runs(self) -> Iterator[tuple[list[CompositeKey], bytes]]:
         """Every leaf's ``(keys, payload run)`` in chain order.

@@ -42,8 +42,9 @@ class PEBKeyCodec:
 
     #: Key layout marker: True when the SV field sits above the ZV field
     #: (Equation 5), so all entries of one quantized SV are key-contiguous
-    #: and ordered by ZV.  Layout-dependent optimizations — the engine's
-    #: batch prefetch store subdivides scans by ZV — must check this;
+    #: and ordered by ZV.  Layout-dependent optimizations — band scans
+    #: report fence proofs and the engine's stratum residency subdivides
+    #: scans by ZV — must check this;
     #: the ZV-first ablation codec overrides it to False.
     sv_major: ClassVar[bool] = True
 

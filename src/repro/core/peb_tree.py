@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from repro.btree.tree import MAX_UID, BatchOp, BPlusTree, BTreeConfig
+from repro.btree.tree import MAX_UID, BatchOp, BPlusTree, BTreeConfig, ScanFence
 from repro.core.peb_key import DEFAULT_SV_BITS, DEFAULT_SV_SCALE, PEBKeyCodec
 from repro.motion.objects import MovingObject, ObjectRecordCodec
 from repro.motion.rows import BandRows
@@ -436,17 +436,40 @@ class PEBTree:
         entries a consumer actually touches.  The engine's band scanner
         uses this end to end; :meth:`scan_band` remains the per-entry
         reference path.
+
+        A single-SV band on the SV-major layout additionally reports
+        how much of its ``(tid, sv_q)`` stratum the scan *proved*
+        (:attr:`BandRows.proven`): the stratum is key-contiguous and
+        ordered by ZV, so the entries the touched leaves hold just
+        below and just above the band bound an interval that contains
+        exactly the returned rows.  A bracket in another stratum (or
+        past either end of the leaf chain) extends the proof to the
+        stratum's edge; a band that starts on a leaf edge proves
+        nothing below what was asked.  Multi-SV spans and the ZV-first
+        ablation layout, where a stratum is not key-contiguous, report
+        no proof.
         """
-        lo = self.codec.compose_quantized(tid, sv_lo_q, z_lo)
-        hi = self.codec.compose_quantized(tid, sv_hi_q, z_hi)
+        codec = self.codec
+        lo = codec.compose_quantized(tid, sv_lo_q, z_lo)
+        hi = codec.compose_quantized(tid, sv_hi_q, z_hi)
+        fence = ScanFence() if sv_lo_q == sv_hi_q and codec.sv_major else None
         zvs: list[int] = []
         records: list[tuple] = []
-        zvs_of = self.codec.zvs_of
+        zvs_of = codec.zvs_of
         unpack_records = self.records.unpack_records
-        for keys, run in self.btree.scan_chunks((lo, 0), (hi, MAX_UID)):
+        for keys, run in self.btree.scan_chunks((lo, 0), (hi, MAX_UID), fence):
             zvs += zvs_of(keys)
             records += unpack_records(run)
-        return BandRows(zvs, records)
+        rows = BandRows(zvs, records)
+        if fence is not None and fence.above is not None:
+            stratum_lo = lo - z_lo
+            stratum_hi = hi | ((1 << codec.zv_bits) - 1)
+            below, above = fence.below, fence.above[0]
+            if below is not None:
+                z_lo = below[0] - stratum_lo + 1 if below[0] >= stratum_lo else 0
+            z_hi = (above if above <= stratum_hi else stratum_hi + 1) - stratum_lo - 1
+            rows.proven = (z_lo, z_hi)
+        return rows
 
     def scan_sv_zrange(self, tid: int, sv: float, z_lo: int, z_hi: int):
         """Yield object states with this exact (quantized) SV and a

@@ -26,14 +26,21 @@ every friend has been located — no spatial window can reveal more.
 The adaptive control flow (the matrix traversal) lives here, but all
 index access and verification route through :mod:`repro.engine`: the
 planner supplies the friend list and partition contexts, the band
-scanner executes every cell's Z-interval pieces (memoized, and — inside
-a batch — served from the cross-query prefetch store), and the verifier
+scanner executes every cell's Z-interval pieces, and the verifier
 centralizes locate + policy evaluation + the once-per-user skip rule.
+
+A friend's row revisits one ``(tid, sv_q)`` stratum per live partition
+round after round, and almost every annulus piece is empty.  The search
+therefore asks the scanner once per (friend, partition) for that
+stratum's *residency* — the Z-intervals earlier scans (this query's, or
+the batch's prefetch) proved, with their rows — and answers a piece a
+proof covers from it; only an unproven piece becomes a band request.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, field
 
 from repro.core.peb_tree import PEBTree
@@ -62,6 +69,10 @@ class PKNNResult:
     @property
     def uids(self) -> list[int]:
         return [obj.uid for _, obj in self.neighbors]
+
+
+def _distance_of(candidate: tuple[float, MovingObject]) -> float:
+    return candidate[0]
 
 
 class _MatrixSearch:
@@ -93,7 +104,9 @@ class _MatrixSearch:
         self.t_query = t_query
         self.friends = self.planner.friends(q_uid)
         self.verifier = CandidateVerifier(tree.store, q_uid, t_query)
-        self.candidates: dict[int, tuple[float, MovingObject]] = {}
+        # Qualifying candidates as (distance, state), nearest first; a
+        # user is verified once, so no entry is ever replaced.
+        self.candidates: list[tuple[float, MovingObject]] = []
         self.result = PKNNResult()
         self.contexts = self.planner.contexts(t_query)
         # Radius step rq = Dk / k, shared with the batch executor's
@@ -113,6 +126,12 @@ class _MatrixSearch:
         # tests assert the cache never exceeds it.
         self._span_cache: dict[tuple[int, int], ZInterval | None] = {}
         self._span_cache_capacity = max(1, len(self.contexts)) * (self.max_rounds + 1)
+        # A round's annulus pieces per live partition are the same for
+        # every friend row; at most max_rounds entries.
+        self._pieces: dict[int, list[tuple[int, int, list[ZInterval]]]] = {}
+        # Per friend row: its strata's residencies, one per context
+        # (None entries where the scanner keeps none), asked on first use.
+        self._strata: list[list | None] = [None] * len(self.friends)
 
     # ------------------------------------------------------------------
     # Scan plumbing
@@ -129,6 +148,35 @@ class _MatrixSearch:
             )
         return self._span_cache[cache_key]
 
+    def _round_pieces(
+        self, round_index: int
+    ) -> list[tuple[int, int, list[ZInterval]]]:
+        """``(context index, tid, Z pieces)`` per live partition: the
+        round's window minus the previous round's ("the region
+        R'q2 - R'q1 is searched")."""
+        pieces = self._pieces.get(round_index)
+        if pieces is None:
+            pieces = self._pieces[round_index] = []
+            for context_index, context in enumerate(self.contexts):
+                span = self._span(round_index, context_index)
+                if span is None:
+                    continue
+                previous = (
+                    self._span(round_index - 1, context_index)
+                    if round_index > 1
+                    else None
+                )
+                pieces.append(
+                    (
+                        context_index,
+                        context.tid,
+                        [span]
+                        if previous is None
+                        else subtract_interval(span, previous),
+                    )
+                )
+        return pieces
+
     def _consider(self, obj: MovingObject) -> None:
         """Locate, verify, and (if qualifying) admit one scanned entry."""
         hit = self.verifier.admit(obj)
@@ -136,40 +184,51 @@ class _MatrixSearch:
             return
         x, y, qualifies = hit
         if qualifies:
-            distance = euclidean(self.qx, self.qy, x, y)
-            self.candidates[obj.uid] = (distance, obj)
+            self._admit_qualifying(obj, x, y)
 
     def _admit_qualifying(self, obj: MovingObject, x: float, y: float) -> bool:
         """admit_rows callback: rank one qualifying candidate, never stop."""
         distance = euclidean(self.qx, self.qy, x, y)
-        self.candidates[obj.uid] = (distance, obj)
+        insort(self.candidates, (distance, obj), key=_distance_of)
         return False
 
-    def _scan_pieces(self, sv: float, pieces: list[ZInterval], tid: int) -> None:
-        for z_lo, z_hi in pieces:
-            rows = self.scanner.scan(self.planner.band(tid, sv, z_lo, z_hi))
-            if isinstance(rows, BandRows):
-                self.verifier.admit_rows(rows, on_qualify=self._admit_qualifying)
-            else:
-                for _, obj in rows:
-                    self._consider(obj)
+    def _scan_row(
+        self, row: int, partitions: list[tuple[int, int, list[ZInterval]]]
+    ) -> None:
+        """Scan one friend's stratum in each given partition's Z pieces.
+
+        A piece the stratum's residency has proven is answered from it
+        (an empty one costs a bisection); only an unproven piece becomes
+        a band request.
+        """
+        strata = self._strata[row]
+        if strata is None:
+            sv_q = self.tree.codec.quantize_sv(self.friends[row][0])
+            residency = self.scanner.residency
+            strata = self._strata[row] = [
+                residency(context.tid, sv_q) for context in self.contexts
+            ]
+        for context_index, tid, pieces in partitions:
+            resident = strata[context_index]
+            for z_lo, z_hi in pieces:
+                rows = resident.serve(z_lo, z_hi) if resident is not None else None
+                if rows is None:
+                    rows = self.scanner.scan(
+                        self.planner.band(tid, self.friends[row][0], z_lo, z_hi)
+                    )
+                if isinstance(rows, BandRows):
+                    if rows.records:
+                        self.verifier.admit_rows(
+                            rows, on_qualify=self._admit_qualifying
+                        )
+                else:
+                    for _, obj in rows:
+                        self._consider(obj)
 
     def scan_cell(self, row: int, round_index: int) -> None:
         """Scan matrix cell (friend ``row``, column ``round_index``)."""
-        sv, friend_uid = self.friends[row]
-        if self.verifier.seen(friend_uid):
-            return
-        for context_index, context in enumerate(self.contexts):
-            span = self._span(round_index, context_index)
-            if span is None:
-                continue
-            previous = (
-                self._span(round_index - 1, context_index)
-                if round_index > 1
-                else None
-            )
-            pieces = [span] if previous is None else subtract_interval(span, previous)
-            self._scan_pieces(sv, pieces, context.tid)
+        if self.friends[row][1] not in self.verifier.located:
+            self._scan_row(row, self._round_pieces(round_index))
 
     def vertical_scan(self, start_row: int, kth_distance: float) -> None:
         """Sweep the remaining rows with the window shrunk to 2 * d_k."""
@@ -177,41 +236,47 @@ class _MatrixSearch:
         # The Z-span of the shrunk square is row-invariant; compute it
         # once per partition context instead of once per remaining row.
         spans = []
-        for context in self.contexts:
+        for context_index, context in enumerate(self.contexts):
             span = self.tree.grid.z_span(context.enlarged(square))
             if span is not None:
-                spans.append((context.tid, span))
+                spans.append((context_index, context.tid, [span]))
+        located = self.verifier.located
         for row in range(start_row, len(self.friends)):
-            sv, friend_uid = self.friends[row]
-            if self.verifier.seen(friend_uid):
-                continue
-            for tid, span in spans:
-                self._scan_pieces(sv, [span], tid)
+            if self.friends[row][1] not in located:
+                self._scan_row(row, spans)
 
     # ------------------------------------------------------------------
     # Control flow
     # ------------------------------------------------------------------
-
-    def within(self, radius: float) -> list[tuple[float, MovingObject]]:
-        """Verified candidates inside the inscribed circle, sorted."""
-        inside = [entry for entry in self.candidates.values() if entry[0] <= radius]
-        inside.sort(key=lambda entry: entry[0])
-        return inside
 
     def run(self, order: str = "triangular") -> PKNNResult:
         rows = len(self.friends)
         if rows == 0 or self.k <= 0:
             return self.result
         friend_uids = {uid for _, uid in self.friends}
+        located = self.verifier.located
+        located_checked = 0  # len(located) when the friends were last checked
+        candidates = self.candidates
+        k = self.k
+        rounds = 0
         for row, round_index in self._cell_order(rows, order):
             self.scan_cell(row, round_index)
-            self.result.rounds = max(self.result.rounds, round_index)
-            inside = self.within(round_index * self.rq)
-            if len(inside) >= self.k:
-                self.vertical_scan(row + 1, inside[self.k - 1][0])
-                return self._finish()
-            if friend_uids <= self.verifier.located:
-                break  # every friend located; no window can add more
+            if round_index > rounds:
+                rounds = round_index
+            # k verified candidates inside the column's inscribed circle:
+            # the k-th nearest of all is then one of them.
+            if len(candidates) >= k:
+                kth_distance = candidates[k - 1][0]
+                if kth_distance <= round_index * self.rq:
+                    self.vertical_scan(row + 1, kth_distance)
+                    break
+            # The located set only grows, and only a cell that grew it
+            # can have completed the friend list.
+            if len(located) != located_checked:
+                located_checked = len(located)
+                if friend_uids <= located:
+                    break  # every friend located; no window can add more
+        self.result.rounds = rounds
         return self._finish()
 
     def _cell_order(self, rows: int, order: str):
@@ -235,8 +300,7 @@ class _MatrixSearch:
             raise ValueError(f"unknown search order {order!r}")
 
     def _finish(self) -> PKNNResult:
-        ranked = sorted(self.candidates.values(), key=lambda entry: entry[0])
-        self.result.neighbors = ranked[: self.k]
+        self.result.neighbors = self.candidates[: self.k]
         self.result.candidates_examined = self.verifier.candidates_examined
         return self.result
 

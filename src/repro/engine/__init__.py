@@ -11,12 +11,15 @@ pipeline exactly once, in four layers (plus the write-path twin):
    :class:`~repro.engine.plan.QueryPlan` of band requests out, with the
    paper's skip rules expressed once as plan metadata.
 2. :mod:`repro.engine.scanner` — the **band scanner**: executes band
-   requests against the tree with per-``(tid, sv, z-range)``
-   memoization inside a batch, plus a prefetch store that merges
-   overlapping requests across issuers; :mod:`repro.engine.policy`
-   supplies the optional **prefetch policy** that decides per stratum
-   whether merging pays under the active device profile, tuned online
-   by executor and service feedback.
+   requests against the tree, keeping per ``(tid, sv_q)`` stratum what
+   its scans have *proven* (the Z-intervals they covered, widened to
+   the keys the touched leaves showed around them, with their rows) so
+   later requests inside a proof never reach the tree — whether the
+   proof came from a batch prefetch that merged overlapping requests
+   across issuers or from an earlier on-demand scan;
+   :mod:`repro.engine.policy` supplies the optional **prefetch policy**
+   that decides per stratum whether merging pays under the active
+   device profile, tuned online by executor and service feedback.
 3. :mod:`repro.engine.executor` — the **executor**: drives plans in the
    paper's iteration order, and batches many concurrent query specs so
    one physical scan serves every query that needs it, returning

@@ -7,7 +7,7 @@ the Figure 7 span-scan ablation (:mod:`repro.core.ablation`), the
 continuous-query registration scan (:mod:`repro.core.continuous`), and
 the adaptive PkNN matrix search (:mod:`repro.core.pknn`) — is a thin
 adapter over this engine: the planner decides *what* to scan, the
-scanner decides *how* (memoized, prefetched, or physical), the verifier
+scanner decides *how* (from a proven interval, or physically), the verifier
 decides *who qualifies*, and this module drives the three in the
 paper's iteration order with the skip rule applied in one place.
 
@@ -15,8 +15,8 @@ Batching (:meth:`QueryEngine.execute_batch`) is the throughput path the
 ROADMAP's north star asks for: many concurrent query specs are planned
 up front, their band requests are merged across issuers, each merged
 band is physically scanned once (:meth:`BandScanner.prefetch`), and
-every query is then replayed against the in-memory band store with
-*zero additional index I/O*.  Per-query results are bit-identical to
+every query is then replayed against the resident rows with *zero
+additional index I/O*.  Per-query results are bit-identical to
 running the queries one at a time — the replay applies the identical
 iteration order and skip rules — while the physical reads per query
 drop by the cross-query overlap, reported as
@@ -58,8 +58,11 @@ class ExecutionStats:
             rounds), so the dedup ratio compares like with like.
         bands_scanned: physical scans that reached the tree, including
             batch prefetch merges.
-        bands_deduped: requests served from the scanner's memo or the
-            prefetched band store instead of the tree.
+        bands_deduped: requests served from the scanner's stratum
+            residency or its memo instead of the tree.
+        residency_hits: the deduped requests a proven stratum interval
+            answered (the rest were memo hits: multi-SV spans and
+            ZV-first layouts, which keep no residency).
         candidates_examined: entries located and verified.
         physical_reads: page-level reads the buffer pool could not
             serve, measured across the execution.
@@ -95,6 +98,7 @@ class ExecutionStats:
     bands_requested: int = 0
     bands_scanned: int = 0
     bands_deduped: int = 0
+    residency_hits: int = 0
     candidates_examined: int = 0
     physical_reads: int = 0
     shard_stats: "ShardStats | None" = None
@@ -137,6 +141,7 @@ class ExecutionStats:
         registry.counter("engine.bands_requested", self.bands_requested, **labels)
         registry.counter("engine.bands_scanned", self.bands_scanned, **labels)
         registry.counter("engine.bands_deduped", self.bands_deduped, **labels)
+        registry.counter("engine.residency_hits", self.residency_hits, **labels)
         registry.counter(
             "engine.candidates_examined", self.candidates_examined, **labels
         )
@@ -272,6 +277,7 @@ class QueryEngine:
         requests_before = scanner.requests
         scans_before = scanner.physical_scans
         deduped_before = scanner.deduped
+        hits_before = scanner.residency_hits
         stopped = False
         located = verifier.located
         for planned in plan.bands:
@@ -298,6 +304,7 @@ class QueryEngine:
             bands_requested=scanner.requests - requests_before,
             bands_scanned=scanner.physical_scans - scans_before,
             bands_deduped=scanner.deduped - deduped_before,
+            residency_hits=scanner.residency_hits - hits_before,
             candidates_examined=verifier.candidates_examined,
             physical_reads=self.tree.stats.physical_reads - reads_before,
             virtual_time_us=(
@@ -358,8 +365,8 @@ class QueryEngine:
             specs: ``RangeQuerySpec`` / ``KnnQuerySpec`` instances (the
                 :mod:`repro.workloads.queries` types), in any mix.
             prefetch: merge and pre-scan the range plans' bands (the
-                cross-query dedup); disable to measure the memo tier
-                alone.
+                cross-query dedup); disable to measure on-demand
+                scanning alone.
 
         Range plans are static, so their bands are known up front and
         prefetched; the skip rule can only *remove* bands, so the
@@ -368,8 +375,8 @@ class QueryEngine:
         ``Dk``-estimate square around the query point — so its bands
         (:meth:`QueryPlanner.plan_knn_probe`) join the prefetch set and
         concurrent kNN queries share the batch's physical scans instead
-        of joining it only via the scanner memo; later rounds still run
-        adaptively against the same shared scanner.
+        of each scanning its first round on demand; later rounds still
+        run adaptively against the same shared scanner.
         """
         # Imported here: repro.core.{prq,pknn} are adapters over this
         # module, so importing them at module scope would cycle.
@@ -481,6 +488,7 @@ class QueryEngine:
         report.stats.bands_requested = scanner.requests
         report.stats.bands_scanned = scanner.physical_scans
         report.stats.bands_deduped = scanner.deduped
+        report.stats.residency_hits = scanner.residency_hits
         report.stats.physical_reads = self.tree.stats.physical_reads - reads_before
         if clock is not None:
             report.stats.virtual_time_us = clock.elapsed - elapsed_before

@@ -154,8 +154,8 @@ class QueryPlanner:
         count stays finite when ``k / N`` is tiny.  Single source of
         the value for the adaptive matrix search *and* the batch
         prefetch probe below — the probe is only a prefetch hint, but
-        it must name the exact bands round one will request or the
-        prefetch store never serves them.
+        it must cover the bands round one will request or the prefetch
+        proves nothing the search asks for.
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
@@ -248,8 +248,8 @@ class QueryPlanner:
         query point, enlarged per live partition, one band per
         (partition, friend).  The batch executor adds these to the
         cross-query prefetch set so concurrent kNN queries share
-        physical scans with the whole batch instead of joining it only
-        via the scanner memo.  A probe is a prefetch superset hint:
+        physical scans with the whole batch instead of each scanning
+        its first round on demand.  A probe is a prefetch superset hint:
         bands the search never requests cost prefetch I/O but can
         never change results.
         """

@@ -10,9 +10,13 @@ pages a per-band scan would have skipped.
 
 :class:`PrefetchPolicy` closes that loop online.  It decides
 
-* **per batch** whether the speculative kNN probe bands join the
-  prefetch set at all (a deterministic two-armed explore/exploit choice
-  scored by observed cost per request), and
+* **per batch** whether the speculative kNN probe bands may widen the
+  prefetch coverage of strata that firm requests already pay a seek
+  for (a deterministic two-armed explore/exploit choice scored by
+  observed cost per request) — a stratum only the probes name is never
+  prefetched: one on-demand scan proves as much of it as the prefetch
+  scan would (stratum residency), and costs nothing if the search
+  never gets there — and
 * **per stratum** whether the firm requests of one ``(tid, sv_q)``
   group are served by a merged prefetch, by exact on-demand band scans,
   or by a hybrid coverage whose runs are coalesced only while the gap's
@@ -22,15 +26,16 @@ seeded from :class:`repro.core.cost_model.BandScanCostModel` (the
 Section 6 pricing, per scan) under the deployment's active
 :class:`~repro.simio.model.DeviceProfile`, then corrected by feedback:
 the executor reports per-stratum outcomes (entries prefetched vs dead,
-coverage runs, requested widths) plus batch-level physical reads and
+coverage runs, requested widths, the on-demand scans that actually
+reached the tree) plus batch-level physical reads and
 ``virtual_time_us`` after every batch, and the service worker adds the
 per-class signal the SLO bench actually measures (service time and
 reads per request).
 
 Every decision is *observationally safe by construction*: the policy
-only chooses which coverage (if any) lands in the scanner's prefetch
-store, and the store serves requests by exact bisection of the stored
-rows.  Results, ``candidates_examined``, and post-run tree state are
+only chooses which coverage (if any) the scanner prefetches into its
+stratum residency, which serves requests by exact bisection of rows
+the tree returned.  Results, ``candidates_examined``, and post-run tree state are
 bit-identical under any policy — only I/O and virtual-time counters
 move.  Decisions are also deterministic: the explore/exploit arm is a
 pure function of observed counters (no randomness, no wall clock), and
@@ -80,10 +85,12 @@ class StratumOutcome:
         prefetched_entries: entries transferred by the prefetch scans.
         dead_entries: prefetched entries outside every requested
             interval — the merge waste, measurable even untimed.
-        observed_entries: entries returned by on-demand physical scans
-            of this stratum (the density signal when nothing was
-            prefetched).
-        observed_zv: ZV width those on-demand scans covered.
+        demand_scans: on-demand band scans of this stratum that reached
+            the tree — what serving it exact actually cost.  Requests a
+            proven interval already answered never get here.
+        observed_entries: entries returned by those on-demand scans
+            (the density signal when nothing was prefetched).
+        observed_zv: ZV width those on-demand scans asked for.
     """
 
     tid: int
@@ -95,6 +102,7 @@ class StratumOutcome:
     coverage_zv: int = 0
     prefetched_entries: int = 0
     dead_entries: int = 0
+    demand_scans: int = 0
     observed_entries: int = 0
     observed_zv: int = 0
     #: Raw requested intervals; consumed by the scanner's finalizer to
@@ -122,11 +130,11 @@ class _Ewma:
 class _StratumState:
     """Smoothed per-stratum observations driving the merge/exact flip."""
 
-    __slots__ = ("density", "unique_bands", "requested_zv", "samples")
+    __slots__ = ("density", "exact_scans", "requested_zv", "samples")
 
     def __init__(self):
         self.density = _Ewma()  # entries per unit of ZV width
-        self.unique_bands = _Ewma()
+        self.exact_scans = _Ewma()  # tree scans serving the stratum exact costs
         self.requested_zv = _Ewma()
         self.samples = 0
 
@@ -285,19 +293,26 @@ class PrefetchPolicy:
         can only remove requests, so they are an upper bound on what
         will be asked); ``speculative`` intervals are kNN probe hints
         that the adaptive search may never touch.  The returned
-        coverage only feeds the prefetch store — requests are always
-        served by exact bisection — so any return value is safe.
+        coverage only feeds the scanner's stratum residency — requests
+        are always served by exact bisection — so any return value is
+        safe.
         """
         if self.mode == "merge":
             intervals = firm + speculative
             return merge_intervals(sorted(intervals)) if intervals else None
         if self.mode == "exact":
             return None
+        if not firm:
+            # Probe hints alone never earn a prefetch: one on-demand scan
+            # proves as much of the stratum as the prefetch scan would
+            # (stratum residency), so exact costs the same seek if the
+            # search gets there and nothing if it does not.
+            return None
         intervals = list(firm)
         if self._arm_speculative:
+            # Here the probe only widens a scan whose seek the firm
+            # requests already pay.
             intervals += speculative
-        if not intervals:
-            return None
         coverage = merge_intervals(sorted(intervals))
         with self._lock:
             state = self._strata.get((scope, tid, sv_q))
@@ -310,7 +325,7 @@ class PrefetchPolicy:
             # Fractional expected scans: a stratum requested in half
             # its observed batches prices half a seek per batch, which
             # is what lets rarely-requested strata flip to exact.
-            exact_scans = state.unique_bands.value
+            exact_scans = state.exact_scans.value
             exact_entries = density * state.requested_zv.value
             if not self.cost.prefer_merge(
                 merged_entries, len(coverage), exact_entries, exact_scans
@@ -376,7 +391,15 @@ class PrefetchPolicy:
                     # observation too — of zero demand.  Those strata
                     # (skip-rule casualties, unused probe superset) are
                     # precisely the ones that must flip to exact.
-                    state.unique_bands.update(out.unique_bands)
+                    # Served exact, the stratum shows what exact costs:
+                    # the on-demand scans that reached the tree (a scan
+                    # proves more than it was asked, so later bands are
+                    # often free).  Served from a prefetch it shows
+                    # nothing of the kind; the distinct requested bands
+                    # remain the upper bound.
+                    state.exact_scans.update(
+                        out.unique_bands if out.coverage_runs else out.demand_scans
+                    )
                     state.requested_zv.update(out.requested_zv)
                     state.samples += 1
             if self._batch_arm is not None:

@@ -1,43 +1,48 @@
 """Band scanning with cross-request deduplication (engine layer 2).
 
 The scanner is the only component that touches the index during query
-execution.  It serves :class:`repro.engine.plan.BandRequest` objects
-from three tiers, cheapest first:
+execution.  It answers :class:`repro.engine.plan.BandRequest` objects
+from what it already knows before it goes to the tree:
 
-1. **Memo** — an exact-identity cache: a band already scanned in this
-   scanner's lifetime (one query, or one whole batch) is replayed from
-   memory.  Two friends sharing a quantized SV, or two queries asking
-   for the identical band, cost one physical scan.  The memo is
-   bounded (:data:`DEFAULT_MEMO_ENTRIES` entries, LRU): a long-lived
-   batch scanner over a huge stratum evicts its coldest bands and
-   re-scans them on a later request — eviction can only cost I/O,
-   never change a result.
-2. **Prefetch store** — :meth:`BandScanner.prefetch` takes the union of
-   many plans' band requests, groups the single-SV ones by
-   ``(tid, sv_q)``, merges their overlapping Z-intervals, and scans
-   each merged interval *once*.  Later requests contained in the
-   prefetched coverage are answered by bisecting the in-memory entries
-   — this is the cross-query sharing that makes batch execution cheap.
-   When a :class:`~repro.engine.policy.PrefetchPolicy` is attached, it
-   decides per stratum whether that merge happens at all, which
-   intervals join it (speculative kNN probes are segregated from firm
-   plan bands), and whether coverage runs are coalesced across gaps —
-   the store always serves by exact bisection, so the policy can only
-   move I/O counters, never results.
+1. **Stratum residency** — per ``(tid, sv_q)`` stratum, the Z-intervals
+   this scanner has *proven* and every row inside them
+   (:class:`StratumResidency`).  A physical scan of a single-SV band
+   holds, in the leaves it touched, the entries just below and just
+   above the band, so it proves more than it was asked
+   (:attr:`BandRows.proven`): in a sparse stratum — one friend, one or
+   two entries — the first scan usually proves the whole stratum, and
+   every later band of it is answered by bisection, the empty ones
+   without allocating.  Both fills feed the same structure:
+   :meth:`BandScanner.prefetch` takes the union of many plans' band
+   requests, groups the single-SV ones by stratum, merges their
+   overlapping Z-intervals and scans each merged interval *once* (the
+   cross-query sharing that makes batch execution cheap); on-demand
+   scans add what they prove as replay goes.  When a
+   :class:`~repro.engine.policy.PrefetchPolicy` is attached, it decides
+   per stratum whether that merge happens at all, which intervals join
+   it (speculative kNN probes are segregated from firm plan bands), and
+   whether coverage runs are coalesced across gaps — residency always
+   serves by exact bisection of rows the tree returned, so the policy
+   can only move I/O counters, never results.
+2. **Memo** — an exact-identity cache for the bands residency cannot
+   serve: multi-SV spans (the Figure 7 ablation) and every band of the
+   ZV-first ablation layout, where a stratum is not key-contiguous and
+   no proof may be recorded.  Bounded (:data:`DEFAULT_MEMO_ENTRIES`
+   entries, LRU): eviction can only cost I/O, never change a result.
 3. **Physical scan** — anything else goes to the tree.
 
 The scanner assumes the tree is not mutated while it is alive (queries
-and updates are phase-separated in all the harnesses).  The prefetch
-store's Z-subdivision additionally requires the SV-major key layout of
-Equation 5 (all entries of one quantized SV key-contiguous, ordered by
-ZV); :meth:`BandScanner.prefetch` checks the codec's ``sv_major``
-marker and becomes a no-op on the ZV-first ablation layout, whose
-scans fall through to the memo/physical tiers — those are
-layout-agnostic, so batch results stay identical to sequential on any
-codec.
+and updates are phase-separated in all the harnesses), which is why
+residency needs no invalidation: it lives and dies with its scanner.
+Residency additionally requires the SV-major key layout of Equation 5
+(all entries of one quantized SV key-contiguous, ordered by ZV); the
+scanner checks the codec's ``sv_major`` marker, and on the ZV-first
+layout :meth:`BandScanner.prefetch` is a no-op and every band goes
+through the layout-agnostic memo, so batch results stay identical to
+sequential on any codec.
 
 By default the scanner runs *packed*: physical scans go through the
-tree's ``scan_band_rows`` and every tier stores and serves
+tree's ``scan_band_rows`` and residency and memo store and serve
 :class:`repro.motion.rows.BandRows` — parallel (zv, record) columns
 whose ``MovingObject`` states materialize lazily, only for entries a
 verifier actually admits.  ``BandRows`` iterates as ``(zv, object)``
@@ -46,15 +51,16 @@ would yield, so replaying a plan against the scanner is observationally
 identical to scanning the tree whether a consumer uses the columns or
 the legacy pair protocol.  Constructing with ``packed=False`` (or a
 tree without ``scan_band_rows``) restores the per-entry generator path,
-kept as the benchmark reference.
+kept as the benchmark reference: it uses the same residency structure
+but proves only the interval it asked for, so it keeps per-band I/O.
 
-Alongside the tiers the scanner keeps per-stratum accounting
-(:class:`~repro.engine.policy.StratumOutcome`): how much each
-``(tid, sv_q)`` group prefetched, how much of that coverage the
-replayed queries actually requested, and how many transferred entries
-were *dead* (outside every requested interval).  The executor surfaces
-the totals on :class:`~repro.engine.executor.ExecutionStats` and feeds
-the per-stratum detail back to the policy.
+Each residency carries its stratum's accounting
+(:class:`~repro.engine.policy.StratumOutcome`): how much the stratum
+prefetched, how much of that the replayed queries actually requested,
+how many on-demand scans reached the tree, and how many transferred
+entries were *dead* (outside every requested interval).  The executor
+surfaces the totals on :class:`~repro.engine.executor.ExecutionStats`
+and feeds the per-stratum detail back to the policy.
 """
 
 from __future__ import annotations
@@ -74,13 +80,119 @@ if TYPE_CHECKING:
 
 #: Default bound on the exact-identity memo, in stored entries.  Large
 #: enough that no in-repo workload evicts (the pins stay exact-cost),
-#: small enough that a pathological stratum cannot hold the whole
-#: dataset in the memo on top of the prefetch store.
+#: small enough that a pathological span cannot hold the whole dataset.
 DEFAULT_MEMO_ENTRIES = 262_144
+
+#: What :meth:`StratumResidency.serve` returns for a provably empty
+#: interval: shared, so an empty answer allocates nothing.
+NO_ROWS = BandRows.empty()
+
+
+class _Tally:
+    """The request counters a scanner shares with its residencies.
+
+    A residency must not point back at its scanner: the cycle would
+    keep a whole batch's resident rows alive until a full collection.
+    """
+
+    __slots__ = ("requests", "residency_hits")
+
+    def __init__(self):
+        self.requests = 0
+        self.residency_hits = 0
+
+
+class StratumResidency:
+    """What one scanner knows about one ``(tid, sv_q)`` stratum.
+
+    A set of disjoint *proven* Z-intervals plus every row the tree
+    holds inside them.  Each physical scan of the stratum — a prefetch
+    coverage run or an on-demand band — adds the interval it proved
+    (:attr:`BandRows.proven`: the band widened to the keys the touched
+    leaves showed around it) with its rows; any later request that
+    falls inside one proven interval is answered by bisection, an
+    empty one without allocating.  The residency lives and dies with
+    its scanner, which assumes an unmutated tree, so there is nothing
+    to invalidate.
+
+    Searches that revisit a stratum many times (the PkNN matrix walk)
+    hold the residency itself and call :meth:`serve` directly; a hit
+    is accounted exactly as a :meth:`BandScanner.scan` hit would be.
+
+    Attributes:
+        outcome: the stratum's request/prefetch accounting.
+        rows: the resident rows in key order — :class:`BandRows`, or a
+            ``(zv, object)`` list under an unpacked scanner.  Never
+            mutated: a new proof builds a new container.
+    """
+
+    __slots__ = ("outcome", "rows", "_tally", "_packed", "_zvs", "_edges")
+
+    def __init__(self, tally: _Tally, packed: bool, tid: int, sv_q: int):
+        self.outcome = StratumOutcome(tid, sv_q)
+        self.rows: "BandRows | list" = NO_ROWS if packed else []
+        self._tally = tally
+        self._packed = packed
+        # Bisection column: the packed rows' own ZV column, or a mirror.
+        self._zvs: list[int] = self.rows.zvs if packed else []
+        # The proven intervals as one ascending list of half-open edges
+        # [lo0, hi0 + 1, lo1, hi1 + 1, ...]: z is proven iff an odd
+        # number of edges lie at or below it.
+        self._edges: list[int] = []
+
+    def serve(self, z_lo: int, z_hi: int) -> "BandRows | list | None":
+        """Rows of ``[z_lo, z_hi]`` if a proof covers it, else None.
+
+        A hit is a served request: it is counted on the scanner and on
+        the stratum's outcome.  A miss counts nothing — the caller
+        falls back to :meth:`BandScanner.scan`, which does.
+        """
+        edges = self._edges
+        i = bisect_right(edges, z_lo)
+        if not i & 1 or edges[i] <= z_hi:
+            return None
+        tally = self._tally
+        tally.requests += 1
+        tally.residency_hits += 1
+        self.outcome.requested.append((z_lo, z_hi))
+        zvs = self._zvs
+        lo = bisect_left(zvs, z_lo)
+        hi = bisect_right(zvs, z_hi, lo)
+        if self._packed:
+            return self.rows.slice(lo, hi) if lo < hi else NO_ROWS
+        return self.rows[lo:hi]
+
+    def _add(self, z_lo: int, z_hi: int, rows: "BandRows | list") -> None:
+        """Record that ``[z_lo, z_hi]`` holds exactly ``rows``.
+
+        Rows already resident inside the interval are a subset of
+        ``rows`` (same tree, unmutated), so they are replaced; touching
+        or overlapping proven intervals fuse.  The first proof's rows
+        are adopted as they are.
+        """
+        edges = self._edges
+        if edges:
+            zvs = self._zvs
+            lo = bisect_left(zvs, z_lo)
+            hi = bisect_right(zvs, z_hi, lo)
+            old = self.rows
+            if self._packed:
+                rows = BandRows.concat((old[:lo], rows, old[hi:]))
+            else:
+                rows = old[:lo] + rows + old[hi:]
+            # Edges inside or touching the new interval vanish; an end
+            # of it that lands outside every proven interval is new.
+            i = bisect_left(edges, z_lo)
+            j = bisect_right(edges, z_hi + 1)
+            edges[i:j] = ([] if i & 1 else [z_lo]) + ([] if j & 1 else [z_hi + 1])
+        else:
+            edges += (z_lo, z_hi + 1)
+        self.rows = rows
+        self._zvs = rows.zvs if self._packed else [zv for zv, _ in rows]
 
 
 class BandScanner:
-    """Executes band requests with memoization and batch prefetching.
+    """Executes band requests with stratum residency and batch prefetching.
 
     One scanner instance defines one deduplication scope: the single
     query adapters create a fresh scanner per query, the batch executor
@@ -101,11 +213,14 @@ class BandScanner:
             shard index, so concurrent shards never share a stratum key.
 
     Attributes:
-        requests: band requests received via :meth:`scan`.
+        requests: band requests answered — :meth:`scan` calls plus
+            requests a residency handle served directly.
+        scan_calls: the requests that arrived through :meth:`scan`.
         physical_scans: scans that reached the tree (including prefetch
-            merges).
+            coverage runs).
+        residency_hits: requests answered from a stratum's proven
+            intervals without touching the tree.
         memo_hits: requests served from the exact-identity cache.
-        store_hits: requests served from the prefetched band store.
         memo_evictions: bands evicted from the memo by the LRU bound.
         entries_prefetched: entries transferred by prefetch scans.
     """
@@ -123,56 +238,73 @@ class BandScanner:
         self.policy = policy
         self.memo_entries = memo_entries
         self.scope = scope
-        self.requests = 0
         self.physical_scans = 0
+        self.scan_calls = 0
         self.memo_hits = 0
-        self.store_hits = 0
         self.memo_evictions = 0
         self.entries_prefetched = 0
+        # Residency needs a key-contiguous, ZV-ordered stratum.
+        self._sv_major = bool(getattr(tree.codec, "sv_major", False))
+        self._tally = _Tally()
+        self._residency: dict[tuple[int, int], StratumResidency] = {}
         self._memo: "OrderedDict[tuple, BandRows | list]" = OrderedDict()
         self._memo_size = 0
-        # (tid, sv_q) -> (coverage intervals, sorted zvs, rows); the
-        # zvs list mirrors the rows for bisection.
-        self._store: dict[
-            tuple[int, int], tuple[list[ZInterval], list[int], "BandRows | list"]
-        ] = {}
-        self._outcomes: dict[tuple[int, int], StratumOutcome] = {}
+
+    @property
+    def requests(self) -> int:
+        return self._tally.requests
+
+    @property
+    def residency_hits(self) -> int:
+        return self._tally.residency_hits
 
     @property
     def deduped(self) -> int:
         """Requests served without a physical scan."""
-        return self.memo_hits + self.store_hits
+        return self.memo_hits + self.residency_hits
+
+    @property
+    def direct_hits(self) -> int:
+        """Requests a residency handle answered without a :meth:`scan`
+        call (:meth:`StratumResidency.serve` by a search holding it)."""
+        return self.requests - self.scan_calls
 
     # ------------------------------------------------------------------
     # Scanning
     # ------------------------------------------------------------------
 
+    def residency(self, tid: int, sv_q: int) -> "StratumResidency | None":
+        """The live residency of one stratum, or None where none can exist.
+
+        The handle stays current for the scanner's lifetime: later
+        prefetches and on-demand scans of the stratum extend it.
+        """
+        if not self._sv_major:
+            return None
+        resident = self._residency.get((tid, sv_q))
+        if resident is None:
+            resident = self._residency[(tid, sv_q)] = StratumResidency(
+                self._tally, self.packed, tid, sv_q
+            )
+        return resident
+
     def scan(self, band: BandRequest) -> "BandRows | list":
         """All entries of one band, as ``(zv, object)`` rows in key order."""
-        self.requests += 1
-        single_sv = band.sv_lo_q == band.sv_hi_q
-        outcome = None
-        if single_sv:
-            outcome = self._outcome(band.tid, band.sv_lo_q)
-            outcome.requests += 1
-            outcome.requested.append((band.z_lo, band.z_hi))
-        key = band.key
-        cached = self._memo.get(key)
-        if cached is not None:
-            self.memo_hits += 1
-            self._memo.move_to_end(key)
-            return cached
-        if single_sv:
-            served = self._from_store(band)
-            if served is not None:
-                self.store_hits += 1
-                self._memo_put(key, served)
-                return served
-        rows = self._physical_scan(band)
-        if outcome is not None:
-            outcome.observed_entries += len(rows)
-            outcome.observed_zv += band.z_hi - band.z_lo + 1
-        self._memo_put(key, rows)
+        self.scan_calls += 1
+        tid, sv_q, sv_hi_q, z_lo, z_hi = band
+        if sv_q != sv_hi_q or not self._sv_major:
+            return self._scan_memoized(band)
+        resident = self.residency(tid, sv_q)
+        rows = resident.serve(z_lo, z_hi)
+        if rows is not None:
+            return rows
+        self._tally.requests += 1
+        outcome = resident.outcome
+        outcome.requested.append((z_lo, z_hi))
+        rows = self._scan_stratum(resident, z_lo, z_hi)
+        outcome.demand_scans += 1
+        outcome.observed_entries += len(rows)
+        outcome.observed_zv += z_hi - z_lo + 1
         return rows
 
     def prefetch(
@@ -185,9 +317,9 @@ class BandScanner:
         Single-SV bands are grouped by ``(tid, sv_q)`` and their
         Z-intervals merged, so overlapping requests from different
         issuers share one physical scan.  Multi-SV bands are left to the
-        memo/physical tiers, and non-SV-major key layouts skip
-        prefetching entirely (subdividing their scans by ZV would
-        return entries a direct scan excludes).
+        memo, and non-SV-major key layouts skip prefetching entirely
+        (subdividing their scans by ZV would return entries a direct
+        scan excludes).
 
         Args:
             bands: firm band requests — static range plans whose bands
@@ -197,7 +329,7 @@ class BandScanner:
                 the merge unconditionally, preserving the legacy
                 behavior; with one, the policy decides per stratum.
         """
-        if not getattr(self.tree.codec, "sv_major", False):
+        if not self._sv_major:
             return
         grouped: dict[tuple[int, int], tuple[list[ZInterval], list[ZInterval]]] = {}
         for band in bands:
@@ -217,26 +349,13 @@ class BandScanner:
                     continue
             else:
                 coverage = merge_intervals(sorted(firm + spec))
-            parts = [
-                self._physical_scan(BandRequest(tid, sv_q, sv_q, z_lo, z_hi))
+            resident = self.residency(tid, sv_q)
+            prefetched = sum(
+                len(self._scan_stratum(resident, z_lo, z_hi))
                 for z_lo, z_hi in coverage
-            ]
-            # Physical scan order is key order, so the concatenation is
-            # already sorted by (zv, uid) and bisectable by zv.
-            if self.packed:
-                rows = BandRows.concat(parts) if parts else BandRows.empty()
-                self._store[(tid, sv_q)] = (coverage, rows.zvs, rows)
-                prefetched = len(rows)
-            else:
-                entries = [entry for part in parts for entry in part]
-                self._store[(tid, sv_q)] = (
-                    coverage,
-                    [zv for zv, _ in entries],
-                    entries,
-                )
-                prefetched = len(entries)
+            )
             self.entries_prefetched += prefetched
-            outcome = self._outcome(tid, sv_q)
+            outcome = resident.outcome
             outcome.coverage_runs += len(coverage)
             outcome.coverage_zv += sum(hi - lo + 1 for lo, hi in coverage)
             outcome.prefetched_entries += prefetched
@@ -245,40 +364,30 @@ class BandScanner:
     # Accounting
     # ------------------------------------------------------------------
 
-    def _outcome(self, tid: int, sv_q: int) -> StratumOutcome:
-        outcome = self._outcomes.get((tid, sv_q))
-        if outcome is None:
-            outcome = self._outcomes[(tid, sv_q)] = StratumOutcome(tid, sv_q)
-        return outcome
-
     def stratum_outcomes(self) -> dict[tuple[int, int], StratumOutcome]:
         """Finalized per-stratum accounting for this scanner's lifetime.
 
         Derives the summary fields from the raw requested intervals:
-        the distinct-band count, the requested-union width, and — for
-        prefetched strata — how many stored entries fell outside every
-        requested interval (:attr:`StratumOutcome.dead_entries`).
-        Idempotent; call after the batch's replay loop.
+        the request and distinct-band counts, the requested-union
+        width, and how many resident entries fell outside every
+        requested interval (:attr:`StratumOutcome.dead_entries` —
+        on-demand scans only bring in rows of the band they were asked
+        for, so the dead ones are all prefetch over-scan).  Idempotent;
+        call after the batch's replay loop.
         """
-        for (tid, sv_q), outcome in self._outcomes.items():
-            if outcome.requested:
-                merged = merge_intervals(sorted(outcome.requested))
-                outcome.unique_bands = len(set(outcome.requested))
-                outcome.requested_zv = sum(hi - lo + 1 for lo, hi in merged)
-            else:
-                merged = []
-                outcome.unique_bands = 0
-                outcome.requested_zv = 0
-            stored = self._store.get((tid, sv_q))
-            if stored is None:
-                outcome.dead_entries = 0
-                continue
-            _, zvs, _ = stored
+        outcomes = {}
+        for key, resident in self._residency.items():
+            outcome = outcomes[key] = resident.outcome
+            merged = merge_intervals(sorted(outcome.requested))
+            outcome.requests = len(outcome.requested)
+            outcome.unique_bands = len(set(outcome.requested))
+            outcome.requested_zv = sum(hi - lo + 1 for lo, hi in merged)
+            zvs = resident._zvs
             used = sum(
                 bisect_right(zvs, hi) - bisect_left(zvs, lo) for lo, hi in merged
             )
             outcome.dead_entries = len(zvs) - used
-        return self._outcomes
+        return outcomes
 
     def policy_outcomes(
         self,
@@ -300,8 +409,36 @@ class BandScanner:
         return sum(o.dead_entries for o in self.stratum_outcomes().values())
 
     # ------------------------------------------------------------------
-    # Tiers
+    # Physical scans
     # ------------------------------------------------------------------
+
+    def _scan_stratum(
+        self, resident: StratumResidency, z_lo: int, z_hi: int
+    ) -> "BandRows | list":
+        """Scan one single-SV band and make what it proved resident.
+
+        The unpacked reference path has no fence to read, so it records
+        only the interval it asked for — it keeps per-band I/O.
+        """
+        tid, sv_q = resident.outcome.tid, resident.outcome.sv_q
+        rows = self._physical_scan(tid, sv_q, sv_q, z_lo, z_hi)
+        if self.packed and rows.proven is not None:
+            z_lo, z_hi = rows.proven
+        resident._add(z_lo, z_hi, rows)
+        return rows
+
+    def _scan_memoized(self, band: BandRequest) -> "BandRows | list":
+        """Exact-identity memo for the bands residency cannot serve:
+        multi-SV spans, and every band of a ZV-first layout."""
+        self._tally.requests += 1
+        cached = self._memo.get(band)
+        if cached is not None:
+            self.memo_hits += 1
+            self._memo.move_to_end(band)
+            return cached
+        rows = self._physical_scan(*band)
+        self._memo_put(band, rows)
+        return rows
 
     def _memo_put(self, key: tuple, rows: "BandRows | list") -> None:
         """Insert into the memo, evicting LRU bands past the entry bound.
@@ -317,30 +454,13 @@ class BandScanner:
             self._memo_size -= len(evicted)
             self.memo_evictions += 1
 
-    def _from_store(self, band: BandRequest) -> "BandRows | list | None":
-        """Serve a band from the prefetched store, or None if uncovered."""
-        stored = self._store.get((band.tid, band.sv_lo_q))
-        if stored is None:
-            return None
-        coverage, zvs, rows = stored
-        for z_lo, z_hi in coverage:
-            if z_lo <= band.z_lo and band.z_hi <= z_hi:
-                lo = bisect_left(zvs, band.z_lo)
-                hi = bisect_right(zvs, band.z_hi)
-                return rows[lo:hi]
-        return None
-
-    def _physical_scan(self, band: BandRequest) -> "BandRows | list":
+    def _physical_scan(
+        self, tid: int, sv_lo_q: int, sv_hi_q: int, z_lo: int, z_hi: int
+    ) -> "BandRows | list":
         self.physical_scans += 1
         if self.packed:
-            return self.tree.scan_band_rows(
-                band.tid, band.sv_lo_q, band.sv_hi_q, band.z_lo, band.z_hi
-            )
-        return list(
-            self.tree.scan_band(
-                band.tid, band.sv_lo_q, band.sv_hi_q, band.z_lo, band.z_hi
-            )
-        )
+            return self.tree.scan_band_rows(tid, sv_lo_q, sv_hi_q, z_lo, z_hi)
+        return list(self.tree.scan_band(tid, sv_lo_q, sv_hi_q, z_lo, z_hi))
 
 
-__all__ = ["BandScanner", "DEFAULT_MEMO_ENTRIES"]
+__all__ = ["BandScanner", "DEFAULT_MEMO_ENTRIES", "NO_ROWS", "StratumResidency"]

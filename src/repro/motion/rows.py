@@ -29,9 +29,14 @@ class BandRows:
         zvs: Z-value per row, ascending (scan order is key order).
         records: raw decoded record tuple per row —
             ``(uid, x, y, vx, vy, t_update, pntp)``.
+        proven: set by a single-SV tree scan only — the widest Z-interval
+            ``(z_lo, z_hi)`` of the scanned ``(tid, sv_q)`` stratum that
+            the scan proved to hold exactly these rows (it contains the
+            requested band; see ``PEBTree.scan_band_rows``).  None on
+            slices, concatenations, and scans that prove nothing.
     """
 
-    __slots__ = ("zvs", "records", "_objects")
+    __slots__ = ("zvs", "records", "_objects", "proven")
 
     def __init__(
         self,
@@ -44,6 +49,7 @@ class BandRows:
         self._objects = (
             _objects if _objects is not None else [None] * len(records)
         )
+        self.proven: "tuple[int, int] | None" = None
 
     @classmethod
     def empty(cls) -> "BandRows":

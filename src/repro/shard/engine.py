@@ -54,8 +54,9 @@ class ShardScatterScanner:
     the batch executor shares one across the whole batch.
 
     Attributes:
-        requests: band requests received via :meth:`scan` (the
-            scatter-level count the executor reports).
+        requests: band requests answered (the scatter-level count the
+            executor reports): :meth:`scan` calls plus the requests the
+            shard scanners' residency handles served directly.
         scheduler: runs the per-shard prefetch jobs (fork/join virtual
             time when the deployment is timed, optional real threads).
         shard_ends: per-shard virtual finish instants of the last
@@ -102,7 +103,7 @@ class ShardScatterScanner:
             BandScanner(tree, packed=packed, policy=policy, scope=i)
             for i, tree in enumerate(sharded.trees)
         ]
-        self.requests = 0
+        self.scan_calls = 0
         self.dropped_subbands = 0
         self.shard_ends: dict[int, float] = {}
         self.prefetch_base = 0.0
@@ -123,17 +124,21 @@ class ShardScatterScanner:
         return sum(scanner.physical_scans for scanner in self.scanners)
 
     @property
+    def requests(self) -> int:
+        return self.scan_calls + sum(scanner.direct_hits for scanner in self.scanners)
+
+    @property
     def memo_hits(self) -> int:
         return sum(scanner.memo_hits for scanner in self.scanners)
 
     @property
-    def store_hits(self) -> int:
-        return sum(scanner.store_hits for scanner in self.scanners)
+    def residency_hits(self) -> int:
+        return sum(scanner.residency_hits for scanner in self.scanners)
 
     @property
     def deduped(self) -> int:
         """Sub-requests served without a physical scan."""
-        return self.memo_hits + self.store_hits
+        return self.memo_hits + self.residency_hits
 
     @property
     def entries_prefetched(self) -> int:
@@ -165,6 +170,19 @@ class ShardScatterScanner:
             self._parts_memo[band.key] = parts
         return parts
 
+    def residency(self, tid: int, sv_q: int):
+        """The owning shard scanner's live residency of one stratum.
+
+        None under a supervisor: a quarantined shard's strata must be
+        dropped and counted request by request, which only :meth:`scan`
+        does — its per-shard scanners still answer from residency.
+        """
+        if self.supervisor is not None:
+            return None
+        return self.scanners[self.tree.router.shard_of(tid, sv_q)].residency(
+            tid, sv_q
+        )
+
     def scan(self, band: BandRequest) -> "BandRows | list":
         """All entries of one band, gathered across shards in key order.
 
@@ -173,7 +191,7 @@ class ShardScatterScanner:
         ``bands_dropped``) and the remaining shards' entries are
         returned — a degraded, never wrong-by-inclusion result.
         """
-        self.requests += 1
+        self.scan_calls += 1
         parts = self._split(band)
         if self.supervisor is None:
             if len(parts) == 1:

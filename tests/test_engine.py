@@ -9,6 +9,7 @@ from repro.bench.oracle import brute_force_pknn, brute_force_prq
 from repro.core.pknn import pknn
 from repro.core.prq import prq
 from repro.engine import BandScanner, QueryEngine
+from repro.engine.plan import BandRequest
 from repro.spatial.geometry import Rect
 from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
 
@@ -84,8 +85,16 @@ def test_scanner_memoizes_identical_bands(small_world):
     second = scanner.scan(band)
     assert first == second
     assert scanner.physical_scans == 1
-    assert scanner.memo_hits == 1
+    # A single-SV band is answered from its stratum's residency ...
+    assert scanner.residency_hits == 1 and scanner.memo_hits == 0
     assert scanner.requests == 2
+
+    # ... a multi-SV span, which no residency can serve, from the memo.
+    span = BandRequest(0, band.sv_lo_q, band.sv_lo_q + 1, 0, world.grid.max_z)
+    assert scanner.scan(span) == scanner.scan(span)
+    assert scanner.physical_scans == 2
+    assert scanner.memo_hits == 1 and scanner.residency_hits == 1
+    assert scanner.deduped == 2 and scanner.requests == 4
 
 
 def test_scanner_entries_match_direct_tree_scan(small_world):
@@ -122,7 +131,7 @@ def test_prefetch_serves_contained_requests_without_new_scans(small_world):
         for planned in plan.bands:
             scanner.scan(planned.band)
     assert scanner.physical_scans == after_prefetch
-    assert scanner.store_hits > 0
+    assert scanner.residency_hits > 0
 
 
 def test_prefetch_store_returns_exact_band_contents(small_world):
@@ -251,8 +260,8 @@ def test_batch_knn_matches_brute_force(small_world):
 
 def test_batch_knn_first_round_joins_the_prefetch_set(small_world):
     """Batch-aware kNN: the Dk-estimate probe bands are prefetched, so
-    kNN queries share the batch's physical scans instead of joining it
-    only via the scanner memo — with identical results."""
+    kNN queries share the batch's physical scans instead of each
+    scanning its first round on demand — with identical results."""
     world = small_world
     specs = world.query_generator().knn_queries(world.states, 12, 4, 5.0)
     engine = QueryEngine(world.peb)
@@ -263,10 +272,37 @@ def test_batch_knn_first_round_joins_the_prefetch_set(small_world):
             round(d, 9) for d, _ in expected.neighbors
         ]
         assert got.candidates_examined == expected.candidates_examined
-    # The probe turned first-round requests into store hits: fewer
-    # post-prefetch physical scans than the memo tier alone needed.
-    assert prefetched.stats.bands_scanned < plain.stats.bands_scanned
+    # The searches ask for the same bands either way; without the probe
+    # every request is an on-demand scan or a residency hit.
+    assert prefetched.stats.bands_requested == plain.stats.bands_requested
+    assert plain.stats.entries_prefetched == 0
+    assert (
+        plain.stats.bands_scanned + plain.stats.bands_deduped
+        == plain.stats.bands_requested
+    )
+    # (Stratum residency turned the old strict "fewer scans with the
+    # probe" into a near-equality: one on-demand scan proves as much of
+    # a sparse stratum as the probe's prefetch scan does.)
+    assert prefetched.stats.entries_prefetched > 0
     assert prefetched.stats.bands_deduped > plain.stats.bands_deduped
+
+    # The probe's strata are resident after the prefetch: every first-
+    # round band is answered without another physical scan.
+    probe = [
+        band
+        for spec in specs
+        for band in engine.planner.plan_knn_probe(
+            spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query
+        )
+    ]
+    scanner = BandScanner(world.peb)
+    scanner.prefetch((), speculative=probe)
+    after_prefetch = scanner.physical_scans
+    assert 0 < after_prefetch <= len(set(probe))
+    for band in probe:
+        scanner.scan(band)
+    assert scanner.physical_scans == after_prefetch
+    assert scanner.residency_hits == len(probe)
 
 
 def test_knn_probe_bands_match_first_round_requests(small_world):

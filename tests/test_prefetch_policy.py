@@ -108,12 +108,26 @@ def _stratum_bands(world, n_queries=12):
     return bands
 
 
+def _span_bands(world, n_queries=12):
+    """Multi-SV span bands — what the memo is kept for: stratum
+    residency answers every single-SV band of this SV-major tree, so
+    only spans (Figure 7's coarse friend-range scans) still enter it."""
+    planner = QueryPlanner(world.peb)
+    bands = []
+    for spec in world.query_generator().range_queries(
+        world.uids, n_queries, 320.0, 5.0
+    ):
+        plan = planner.plan_span_scan(spec.q_uid, spec.window, spec.t_query)
+        bands.extend(p.band for p in plan.bands if not p.band.is_single_sv)
+    return bands
+
+
 def _rows_signature(rows):
     return [(zv, obj.uid) for zv, obj in rows]
 
 
 def test_memo_eviction_never_changes_scan_results(world):
-    bands = _stratum_bands(world)
+    bands = _span_bands(world)
     assert bands
     unbounded = BandScanner(world.peb)
     tiny = BandScanner(world.peb, memo_entries=4)
@@ -129,9 +143,21 @@ def test_memo_eviction_never_changes_scan_results(world):
     assert tiny.physical_scans > unbounded.physical_scans
 
 
+def test_single_sv_bands_never_enter_the_memo(world):
+    scanner = BandScanner(world.peb, memo_entries=0)
+    bands = _stratum_bands(world)
+    for _ in range(2):
+        for band in bands:
+            scanner.scan(band)
+    assert not scanner._memo
+    assert scanner.memo_evictions == 0 and scanner.memo_hits == 0
+    # The second pass was answered entirely from residency.
+    assert scanner.residency_hits >= len(bands)
+
+
 def test_memo_always_keeps_the_newest_band(world):
     scanner = BandScanner(world.peb, memo_entries=0)
-    for band in _stratum_bands(world):
+    for band in _span_bands(world):
         rows = scanner.scan(band)
         # The band that just populated the memo survives even a zero
         # bound; eviction only reaches colder entries.
@@ -168,7 +194,7 @@ def test_dead_entries_count_unrequested_prefetched_rows(world):
     )
     served = scanner.scan(narrow)
     assert _rows_signature(served) == [r for r in rows if r[0] == first_zv]
-    assert scanner.store_hits == 1
+    assert scanner.residency_hits == 1
     used = sum(1 for zv, _ in rows if zv == first_zv)
     assert scanner.dead_entries == len(rows) - used
     assert scanner.dead_entries > 0
