@@ -72,12 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workload", choices=("uniform", "hotspot"), default="hotspot"
     )
     parser.add_argument(
-        "--no-threads",
-        action="store_true",
-        help="skip the real thread pool (virtual times are identical; "
-        "this only changes what gets exercised)",
-    )
-    parser.add_argument(
         "--gate-shards",
         dest="gate_shards",
         type=int,
@@ -165,7 +159,6 @@ def main(argv: list[str] | None = None) -> int:
                 n_updates=args.updates,
                 n_queries=args.queries,
                 batch_size=args.batch_size,
-                parallel_io=not args.no_threads,
             )
             rows.append(costs.snapshot())
             table.add_row(
@@ -214,7 +207,6 @@ def main(argv: list[str] | None = None) -> int:
                 "n_queries": args.queries,
                 "batch_size": args.batch_size,
                 "workload": args.workload,
-                "parallel_io": not args.no_threads,
             },
             "rows": rows,
             "gates": {

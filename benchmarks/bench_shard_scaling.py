@@ -75,11 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", choices=("sv", "tid"), default="sv", help="shard key policy"
     )
     parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="per-shard prefetch on a thread pool (identical I/O counts)",
-    )
-    parser.add_argument(
         "--gate-shards",
         dest="gate_shards",
         type=int,
@@ -155,7 +150,6 @@ def main(argv: list[str] | None = None) -> int:
                 n_queries=args.queries,
                 batch_size=args.batch_size,
                 policy=args.policy,
-                parallel_prefetch=args.parallel,
             )
             rows.append(
                 {
@@ -228,7 +222,6 @@ def main(argv: list[str] | None = None) -> int:
                 "n_queries": args.queries,
                 "batch_size": args.batch_size,
                 "policy": args.policy,
-                "parallel": args.parallel,
             },
             "rows": rows,
             "gates": {

@@ -58,7 +58,6 @@ def main():
             workload="hotspot",
             n_updates=800,
             n_queries=32,
-            parallel_io=False,  # virtual overlap alone; threads change nothing
         )
         print(
             f"{name:<8} {profile.seek_us:>8.0f} {profile.read_us:>8.0f} "

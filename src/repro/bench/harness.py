@@ -333,9 +333,6 @@ class OverlapCosts:
         profile: latency profile name (``hdd`` / ``ssd`` / ``nvme``).
         n_shards: shard count of the overlapped deployment.
         workload: ``"uniform"`` or ``"hotspot"``.
-        parallel_io: whether the sharded run also used real threads
-            (virtual times are identical either way; this records the
-            mode exercised).
         ops_applied: distinct states applied (identical in all runs).
         n_queries: query batch size.
         baseline_update_us / baseline_query_us: virtual elapsed time of
@@ -361,7 +358,6 @@ class OverlapCosts:
     profile: str
     n_shards: int
     workload: str
-    parallel_io: bool
     ops_applied: int
     n_queries: int
     baseline_update_us: float
@@ -437,7 +433,6 @@ class OverlapCosts:
             "profile": self.profile,
             "n_shards": self.n_shards,
             "workload": self.workload,
-            "parallel_io": self.parallel_io,
             "ops_applied": self.ops_applied,
             "n_queries": self.n_queries,
             "baseline_update_us": self.baseline_update_us,
@@ -1071,7 +1066,6 @@ class ExperimentHarness:
         batch_size: int = 256,
         policy: str = "sv",
         shard_buffer_pages: int | None = None,
-        parallel_prefetch: bool = False,
         workload_seed: int = 0,
     ) -> ShardScalingCosts:
         """Measure one workload on a sharded deployment vs the single tree.
@@ -1153,9 +1147,7 @@ class ExperimentHarness:
         sharded_update_reads = sharded.stats.physical_reads
         sharded_update_writes = sharded.stats.physical_writes
         reads_before = sharded.stats.physical_reads
-        sharded_report = ShardedQueryEngine(
-            sharded, parallel_prefetch=parallel_prefetch
-        ).execute_batch(queries)
+        sharded_report = ShardedQueryEngine(sharded).execute_batch(queries)
         sharded_query_reads = sharded.stats.physical_reads - reads_before
 
         if single_pipeline.stats.ops != sharded_pipeline.stats.ops:
@@ -1200,7 +1192,6 @@ class ExperimentHarness:
         batch_size: int = 256,
         policy: str = "sv",
         shard_buffer_pages: int | None = None,
-        parallel_io: bool = True,
         workload_seed: int = 0,
     ) -> OverlapCosts:
         """Measure virtual-time overlap: N timed shards vs one timed shard.
@@ -1217,8 +1208,7 @@ class ExperimentHarness:
         * an **N-shard timed deployment** with overlapped scheduling
           (per-shard prefetch scans and update sweeps fork/join on the
           shared clock, verification pipelines against still-running
-          scans; ``parallel_io`` additionally exercises the real
-          thread pool, which must not change any number).
+          scans).
 
         Physical I/O counts stay comparable to :meth:`run_sharded`;
         what this method adds is the *time* axis: the virtual elapsed
@@ -1259,7 +1249,6 @@ class ExperimentHarness:
                 buffer_pages=self.config.build_buffer_pages,
                 buffer_policy=self.config.buffer_policy,
                 latency=latency,
-                parallel_io=overlapped and parallel_io,
             )
             for uid in sorted(self.states):
                 deployment.insert(self.states[uid])
@@ -1336,7 +1325,6 @@ class ExperimentHarness:
             profile=latency if isinstance(latency, str) else latency.name,
             n_shards=n_shards,
             workload=workload,
-            parallel_io=parallel_io,
             ops_applied=reference_pipeline.stats.ops,
             n_queries=len(queries),
             baseline_update_us=base_update_us,
@@ -1374,7 +1362,6 @@ class ExperimentHarness:
         batch_size: int = 256,
         policy: str = "sv",
         shard_buffer_pages: int | None = None,
-        parallel_io: bool = True,
         workload_seed: int = 0,
         pin: bool = True,
         disk_factory=None,
@@ -1473,7 +1460,6 @@ class ExperimentHarness:
             buffer_pages=self.config.build_buffer_pages,
             buffer_policy=self.config.buffer_policy,
             latency=latency,
-            parallel_io=parallel_io,
             disk_factory=disk_factory,
             fault_policy=fault_policy,
             breaker_policy=breaker_policy,

@@ -120,13 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         "from --shards, default 4)",
     )
     batch.add_argument(
-        "--parallel-io",
-        dest="parallel_io",
-        action="store_true",
-        help="run the overlapped deployment's per-shard work on a real "
-        "thread pool too (virtual times and results are identical)",
-    )
-    batch.add_argument(
         "--prefetch",
         choices=("auto", "merge", "exact"),
         default=None,
@@ -175,13 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         "latency subsystem and report virtual elapsed time next to the "
         "read/write counts (N-shard overlapped vs 1-shard serial; N "
         "from --shards, default 4)",
-    )
-    batch_update.add_argument(
-        "--parallel-io",
-        dest="parallel_io",
-        action="store_true",
-        help="run the overlapped deployment's per-shard work on a real "
-        "thread pool too (virtual times and results are identical)",
     )
     batch_update.add_argument("--seed", type=int, default=7)
 
@@ -314,12 +300,10 @@ def _print_latency_table(harness, args, n_updates: int, n_queries: int) -> None:
         workload="hotspot",
         n_updates=n_updates,
         n_queries=n_queries,
-        parallel_io=args.parallel_io,
     )
-    mode = "thread pool" if args.parallel_io else "virtual overlap only"
     table = SeriesTable(
         f"Simulated latency, {costs.profile} profile ({costs.ops_applied} "
-        f"updates + {costs.n_queries} queries, {mode})",
+        f"updates + {costs.n_queries} queries, virtual overlap)",
         ["metric", "1 shard serial", f"{n_shards} shards overlapped"],
     )
     table.add_row(
@@ -451,7 +435,6 @@ def run_batch_query(args) -> int:
             args.shards,
             workload="uniform",
             n_queries=args.queries,
-            parallel_prefetch=args.parallel_io,
         )
         shard_table = SeriesTable(
             f"Sharded scatter/gather ({args.shards} shards, "
@@ -525,7 +508,6 @@ def run_batch_update(args) -> int:
             args.shards,
             workload="uniform",
             batch_size=max(batch_sizes),
-            parallel_prefetch=args.parallel_io,
         )
         shard_table = SeriesTable(
             f"Sharded update routing ({args.shards} shards, "

@@ -492,16 +492,17 @@ class QueryEngine:
         report.stats.physical_reads = self.tree.stats.physical_reads - reads_before
         if clock is not None:
             report.stats.virtual_time_us = clock.elapsed - elapsed_before
-        outcomes = scanner.policy_outcomes()
         report.stats.entries_prefetched = scanner.entries_prefetched
-        report.stats.dead_entries = sum(o.dead_entries for o in outcomes.values())
+        report.stats.dead_entries = scanner.dead_entries
         report.stats.memo_evictions = scanner.memo_evictions
         if latency is not None:
             report.stats.seeks = latency.seeks - seeks_before
             report.stats.sequential_hits = latency.sequential_hits - seq_before
         if policy is not None:
+            # The finalized per-stratum outcomes are policy feedback
+            # only; nothing else pays for building them.
             policy.observe_batch(
-                outcomes,
+                scanner.policy_outcomes(),
                 physical_reads=report.stats.physical_reads,
                 virtual_time_us=report.stats.virtual_time_us,
                 n_requests=len(specs),

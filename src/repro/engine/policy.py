@@ -39,7 +39,7 @@ the tree returned.  Results, ``candidates_examined``, and post-run tree state ar
 bit-identical under any policy — only I/O and virtual-time counters
 move.  Decisions are also deterministic: the explore/exploit arm is a
 pure function of observed counters (no randomness, no wall clock), and
-it is fixed before a batch forks any shard threads.
+it is fixed before a batch forks any shard jobs.
 """
 
 from __future__ import annotations
@@ -149,10 +149,10 @@ class PrefetchPolicy:
             (never prefetch; every band is scanned on demand).
 
     One policy instance serves one engine — including a sharded engine,
-    whose per-shard scanners call :meth:`decide` concurrently from I/O
-    threads with disjoint ``scope`` values; all shared state is behind
-    a lock, and the per-batch arm is fixed in :meth:`begin_batch`
-    before any thread forks.
+    whose per-shard scanners call :meth:`decide` from their prefetch
+    jobs with disjoint ``scope`` values; all shared state is behind a
+    lock (callers may drive engines from their own threads), and the
+    per-batch arm is fixed in :meth:`begin_batch` before any job forks.
     """
 
     def __init__(

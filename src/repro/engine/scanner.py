@@ -162,6 +162,23 @@ class StratumResidency:
             return self.rows.slice(lo, hi) if lo < hi else NO_ROWS
         return self.rows[lo:hi]
 
+    def dead_entries(self, requested: "list[ZInterval] | None" = None) -> int:
+        """Resident rows outside every requested interval.
+
+        On-demand scans only bring in rows of the band they were asked
+        for, so the dead ones are all prefetch over-scan.  ``requested``
+        is the merged union of :attr:`outcome`'s requested intervals,
+        for a caller that already has it.
+        """
+        zvs = self._zvs
+        if not zvs:
+            return 0
+        if requested is None:
+            requested = merge_intervals(sorted(set(self.outcome.requested)))
+        return len(zvs) - sum(
+            bisect_right(zvs, hi) - bisect_left(zvs, lo) for lo, hi in requested
+        )
+
     def _add(self, z_lo: int, z_hi: int, rows: "BandRows | list") -> None:
         """Record that ``[z_lo, z_hi]`` holds exactly ``rows``.
 
@@ -370,10 +387,10 @@ class BandScanner:
         Derives the summary fields from the raw requested intervals:
         the request and distinct-band counts, the requested-union
         width, and how many resident entries fell outside every
-        requested interval (:attr:`StratumOutcome.dead_entries` —
-        on-demand scans only bring in rows of the band they were asked
-        for, so the dead ones are all prefetch over-scan).  Idempotent;
-        call after the batch's replay loop.
+        requested interval (:attr:`StratumOutcome.dead_entries`).
+        Only policy feedback needs this much; the batch total alone is
+        :attr:`dead_entries`.  Idempotent; call after the batch's
+        replay loop.
         """
         outcomes = {}
         for key, resident in self._residency.items():
@@ -382,11 +399,7 @@ class BandScanner:
             outcome.requests = len(outcome.requested)
             outcome.unique_bands = len(set(outcome.requested))
             outcome.requested_zv = sum(hi - lo + 1 for lo, hi in merged)
-            zvs = resident._zvs
-            used = sum(
-                bisect_right(zvs, hi) - bisect_left(zvs, lo) for lo, hi in merged
-            )
-            outcome.dead_entries = len(zvs) - used
+            outcome.dead_entries = resident.dead_entries(merged)
         return outcomes
 
     def policy_outcomes(
@@ -405,8 +418,10 @@ class BandScanner:
 
     @property
     def dead_entries(self) -> int:
-        """Prefetched entries no replayed request asked for (finalized)."""
-        return sum(o.dead_entries for o in self.stratum_outcomes().values())
+        """Prefetched entries no replayed request asked for."""
+        return sum(
+            resident.dead_entries() for resident in self._residency.values()
+        )
 
     # ------------------------------------------------------------------
     # Physical scans

@@ -12,9 +12,9 @@ succeeds (possibly after retries, with the backoff priced in virtual
 time) or reports ``(False, None)`` and the shard is quarantined —
 degradation, not failure.
 
-Thread-safety: jobs run on the I/O scheduler's worker threads, so all
-breaker transitions and counter increments happen under one lock; the
-retry loop itself (and the job body) runs unlocked.
+Thread-safety: library callers may drive a deployment from their own
+threads, so all breaker transitions and counter increments happen
+under one lock; the retry loop itself (and the job body) runs unlocked.
 """
 
 from __future__ import annotations

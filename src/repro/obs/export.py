@@ -13,10 +13,10 @@ top-level ``otherData`` object carries the run's stats snapshot,
 metrics-registry snapshot, and config, which ``repro trace-report``
 cross-checks against the spans.
 
-Export sorts events by (timestamp, track, name) so traces from
-thread-pool runs serialize identically regardless of worker
-interleaving: the *events* are deterministic (virtual time is), only
-their append order is not.
+Export sorts events by (timestamp, track, name), so a trace
+serializes identically whatever order its spans were appended in: the
+*events* are deterministic (virtual time is), append order need not
+be.
 """
 
 from __future__ import annotations

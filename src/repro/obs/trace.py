@@ -219,7 +219,7 @@ def attach_recorder(tree, recorder) -> None:
 
     Layers discover it via ``getattr(tree, "trace_recorder", None)``;
     the fault supervisor keeps its own reference because its retry
-    loop runs inside scheduler worker threads, away from the tree.
+    loop runs inside scheduler jobs, away from the tree.
     """
     tree.trace_recorder = recorder
     supervisor = getattr(tree, "supervisor", None)

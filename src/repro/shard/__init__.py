@@ -17,8 +17,8 @@ the single tree:
   per-shard ready-to-apply runs, merges I/O counters into one live
   :class:`repro.storage.stats.StatsView`.
 * :class:`~repro.shard.engine.ShardedQueryEngine` — scatter/gather
-  batch execution with per-shard prefetching (sequential or
-  thread-pooled) through the inherited executor and verifier, plus
+  batch execution with per-shard prefetching through the inherited
+  executor and verifier, plus
   verification pipelined against still-running shard scans when the
   deployment runs on simulated-latency devices (:mod:`repro.simio`).
 * :class:`~repro.shard.stats.ShardStats` — per-shard entry/I/O

@@ -15,8 +15,7 @@ single-tree engine.  The substituted
   pool as one job of a :class:`repro.simio.scheduler.IOScheduler` —
   shards share no mutable state (separate trees, pools, disks, and
   counter bundles; the shared store/grid/codec are read-only during
-  queries), so the jobs may run on a real thread pool, and on timed
-  devices they *overlap in virtual time* either way,
+  queries), so on timed devices the jobs *overlap in virtual time*,
 * **gathers** sub-scans back in ascending shard order, which inside a
   time partition is ascending key order, so a replayed band is
   byte-identical to a single tree's scan.
@@ -43,7 +42,6 @@ from repro.engine.plan import BandRequest
 from repro.engine.scanner import BandScanner
 from repro.motion.rows import BandRows
 from repro.shard.tree import ShardedPEBTree
-from repro.simio.scheduler import IOScheduler
 
 
 class ShardScatterScanner:
@@ -57,8 +55,9 @@ class ShardScatterScanner:
         requests: band requests answered (the scatter-level count the
             executor reports): :meth:`scan` calls plus the requests the
             shard scanners' residency handles served directly.
-        scheduler: runs the per-shard prefetch jobs (fork/join virtual
-            time when the deployment is timed, optional real threads).
+        scheduler: the deployment's scheduler; runs the per-shard
+            prefetch jobs (fork/join virtual time when the deployment
+            is timed).
         shard_ends: per-shard virtual finish instants of the last
             prefetch, when the deployment is timed (the pipelining
             input); empty otherwise.
@@ -78,22 +77,11 @@ class ShardScatterScanner:
     def __init__(
         self,
         sharded: ShardedPEBTree,
-        parallel: bool = False,
-        max_workers: int | None = None,
-        scheduler: IOScheduler | None = None,
         packed: bool = True,
         policy=None,
     ):
         self.tree = sharded
-        self.scheduler = (
-            scheduler
-            if scheduler is not None
-            else IOScheduler(
-                getattr(sharded, "sim_clock", None),
-                use_threads=parallel,
-                max_workers=max_workers,
-            )
-        )
+        self.scheduler = sharded.io
         self.packed = packed
         self.supervisor = getattr(sharded, "supervisor", None)
         # Each per-shard scanner gets its shard index as the policy
@@ -108,11 +96,6 @@ class ShardScatterScanner:
         self.shard_ends: dict[int, float] = {}
         self.prefetch_base = 0.0
         self._parts_memo: dict[tuple, list] = {}
-
-    @property
-    def parallel(self) -> bool:
-        """True when per-shard prefetches run on a real thread pool."""
-        return self.scheduler.use_threads
 
     # ------------------------------------------------------------------
     # Aggregated counters (the executor's reporting surface)
@@ -147,6 +130,10 @@ class ShardScatterScanner:
     @property
     def memo_evictions(self) -> int:
         return sum(scanner.memo_evictions for scanner in self.scanners)
+
+    @property
+    def dead_entries(self) -> int:
+        return sum(scanner.dead_entries for scanner in self.scanners)
 
     def policy_outcomes(self) -> dict:
         """Per-stratum accounting across every shard scanner.
@@ -239,8 +226,7 @@ class ShardScatterScanner:
         speculative split the attached policy arbitrates).  The shard
         jobs run through the scheduler: they touch disjoint trees,
         pools, and counters, so the resulting stores and I/O counts are
-        identical to a sequential loop whether the scheduler uses
-        threads, virtual overlap, both, or neither.  On a timed
+        identical with or without virtual overlap.  On a timed
         deployment each shard's virtual finish instant is recorded in
         :attr:`shard_ends` for the engine's verify pipelining.
         """
@@ -328,11 +314,6 @@ class ShardedQueryEngine(QueryEngine):
 
     Args:
         sharded: the deployment to query.
-        parallel_prefetch: run per-shard batch prefetches on a real
-            thread pool; None (default) inherits the deployment's
-            ``parallel_io`` setting.
-        max_workers: thread-pool size cap (defaults to one per
-            involved shard).
         pipeline_verify: overlap verification CPU with shard scans in
             virtual time (timed deployments only; timing-neutral
             everywhere else).
@@ -345,8 +326,6 @@ class ShardedQueryEngine(QueryEngine):
     def __init__(
         self,
         sharded: ShardedPEBTree,
-        parallel_prefetch: bool | None = None,
-        max_workers: int | None = None,
         pipeline_verify: bool = True,
         packed_scan: bool = True,
         prefetch_policy=None,
@@ -354,10 +333,6 @@ class ShardedQueryEngine(QueryEngine):
         super().__init__(
             sharded, packed_scan=packed_scan, prefetch_policy=prefetch_policy
         )
-        if parallel_prefetch is None:
-            parallel_prefetch = sharded.io.use_threads
-        self.parallel_prefetch = parallel_prefetch
-        self.max_workers = max_workers
         self.pipeline_verify = pipeline_verify
         self._cpu_cursor: float | None = None
 
@@ -373,8 +348,6 @@ class ShardedQueryEngine(QueryEngine):
         )
         return ShardScatterScanner(
             self.tree,
-            parallel=self.parallel_prefetch,
-            max_workers=self.max_workers,
             packed=self.packed_scan,
             policy=self.prefetch_policy,
         )

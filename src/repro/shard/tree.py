@@ -67,20 +67,18 @@ class ShardedPEBTree:
             a key composed by one shard must mean the same thing in
             every other.
         router: the key-space partitioning.
-        parallel_io: run independent per-shard work (scatter prefetch,
-            update sweeps) on a real thread pool; shards share no
-            mutable state, so results and counters are identical to
-            sequential execution.
-        max_workers: thread-pool size cap (defaults to one per
-            involved shard).
+        parallel_io: accepted and ignored — per-shard jobs always run
+            inline on the virtual fork/join.  Present only because
+            ``perf/workloads.py`` still passes it; it goes when that
+            call does.
 
     When the shard disks are :class:`repro.simio.disk.TimedDisk`
     instances (see :meth:`build`'s ``latency``), the deployment also
     surfaces the shared virtual clock (:attr:`sim_clock`), the pricing
     model (:attr:`latency_model`), and a merged
     :class:`repro.simio.stats.LatencyView` riding on :attr:`stats` —
-    and the same per-shard work *overlaps in virtual time* whether or
-    not real threads are in play.
+    and independent per-shard work (scatter prefetch, update sweeps)
+    *overlaps in virtual time*.
     """
 
     def __init__(
@@ -88,7 +86,6 @@ class ShardedPEBTree:
         trees: Sequence[PEBTree],
         router: ShardRouter,
         parallel_io: bool = False,
-        max_workers: int | None = None,
         fault_policy: RetryPolicy | None = None,
         breaker_policy: BreakerPolicy | None = None,
     ):
@@ -115,9 +112,7 @@ class ShardedPEBTree:
         timed = [disk for disk in disks if isinstance(disk, TimedDisk)]
         self.sim_clock: SimClock | None = timed[0].clock if timed else None
         self.latency_model: LatencyModel | None = timed[0].model if timed else None
-        self.io = IOScheduler(
-            self.sim_clock, use_threads=parallel_io, max_workers=max_workers
-        )
+        self.io = IOScheduler(self.sim_clock)
         self._stats = merge_stats(
             (tree.btree.pool.stats for tree in self.trees),
             latency=LatencyView([disk.latency for disk in timed]) if timed else None,
@@ -155,7 +150,6 @@ class ShardedPEBTree:
         sv_scale: int = DEFAULT_SV_SCALE,
         latency: "LatencyModel | str | None" = None,
         parallel_io: bool = False,
-        max_workers: int | None = None,
         disk_factory=None,
         fault_policy: RetryPolicy | None = None,
         breaker_policy: BreakerPolicy | None = None,
@@ -185,7 +179,8 @@ class ShardedPEBTree:
         :class:`repro.simio.clock.SimClock` (so a
         :class:`repro.storage.faults.FaultWindowSchedule` can watch the
         same timeline a ``disk_factory`` disk faults on); a fresh clock
-        is created otherwise.
+        is created otherwise.  ``parallel_io`` is a no-op (see the
+        class docstring).
         """
         codec = PEBKeyCodec(
             tid_count=partitioner.num_partitions,
@@ -226,8 +221,6 @@ class ShardedPEBTree:
         return cls(
             trees,
             router,
-            parallel_io=parallel_io,
-            max_workers=max_workers,
             fault_policy=fault_policy,
             breaker_policy=breaker_policy,
         )
@@ -361,8 +354,7 @@ class ShardedPEBTree:
         old-key sweep runs before its new-key sweep (the ordering the
         single tree's two global sweeps guarantee within any one
         shard's key range), and different shards' jobs touch disjoint
-        trees and pools, so they overlap in virtual time and may run
-        on the thread pool without changing any observable state.
+        trees and pools, so they overlap in virtual time.
         Under the SV policy a user's shard never changes, so every
         move stays shard-local; under the TID policy a rollover
         migrates the entry — the delete lands in the old key's shard,

@@ -10,20 +10,19 @@ overlapped scheduling visible at all (overlap never changes a count):
 * :mod:`repro.simio.clock` — :class:`~repro.simio.clock.SimClock`:
   thread-safe virtual time where concurrent accesses to distinct
   devices overlap and same-device accesses serialize on a per-device
-  timeline; fork/join contexts make overlap deterministic and
-  independent of real thread scheduling.
+  timeline; fork/join contexts make overlap deterministic without
+  any real concurrency.
 * :mod:`repro.simio.disk` — :class:`~repro.simio.disk.TimedDisk`: a
   delegating wrapper composing with ``SimulatedDisk`` / ``FaultyDisk``
   / ``ChecksummedDisk``, charging completed accesses into
   :class:`~repro.simio.stats.LatencyStats`.
 * :mod:`repro.simio.scheduler` —
   :class:`~repro.simio.scheduler.IOScheduler`: fork/join execution of
-  independent per-shard jobs (prefetch scans, update sweeps), with an
-  optional real thread pool that changes nothing about the virtual
-  schedule.
+  independent per-shard jobs (prefetch scans, update sweeps), run
+  inline in job order and overlapped on the virtual schedule only.
 
 The shard layer (:mod:`repro.shard`) is the subsystem's main consumer:
-``ShardedPEBTree.build(..., latency="hdd", parallel_io=True)`` gives
+``ShardedPEBTree.build(..., latency="hdd")`` gives
 every shard its own timed device on one shared clock, and the
 scatter/gather engine and batch updater drive them overlapped.
 """

@@ -23,14 +23,15 @@ models time the way a discrete-event simulator does, but driven
 Fork/join (:meth:`fork` / :meth:`join`) is what makes overlap
 *measurable without real parallelism*: the scheduler captures the
 parent cursor, starts every job's context there, and joins the parent
-to the maximum job end.  Virtual elapsed time is then identical
-whether the jobs ran on a thread pool or one after another on a single
-thread — and deterministic, as long as concurrent jobs touch disjoint
-devices (which is how the shard layer uses it: one disk per shard).
+to the maximum job end.  The jobs run one after another on the calling
+thread, yet virtual elapsed time is the max over them, not the sum —
+and independent of the order they ran in, as long as concurrent jobs
+touch disjoint devices (which is how the shard layer uses it: one disk
+per shard).
 
-All device state is guarded by one lock, so charging is safe from the
-scheduler's worker threads; the cursors are thread-local and need no
-locking.
+All device state is guarded by one lock, so charging is safe when
+library callers drive trees on one clock from their own threads; the
+cursors are thread-local and need no locking.
 """
 
 from __future__ import annotations

@@ -7,30 +7,30 @@ the write side — with fork/join virtual-time semantics on a shared
 
 1. **fork** — capture the calling context's cursor; every job's
    context starts there;
-2. **run** — each job executes, charging its own device timeline (real
-   concurrency via a ``ThreadPoolExecutor`` is optional and changes
-   nothing about the virtual schedule when jobs touch disjoint
-   devices, which is the shard layer's invariant: one disk per shard);
+2. **run** — each job executes in job order on the calling thread,
+   charging its own device timeline (jobs touch disjoint devices —
+   the shard layer's invariant: one disk per shard — so the order
+   they run in changes nothing about the virtual schedule);
 3. **join** — the caller's cursor advances to the latest job end, so
    the measured elapsed time is ``max`` over jobs, not their sum.
 
-Without a clock the scheduler degrades gracefully to a plain
-sequential loop (or a bare thread pool when ``use_threads`` is set) —
-the shard layer runs one code path whether or not latency is being
-simulated.
+The overlap is entirely virtual: the per-device timelines model
+independent servers, which real threads sharing one interpreter lock
+would not.  Without a clock the scheduler degrades gracefully to a
+plain sequential loop — the shard layer runs one code path whether or
+not latency is being simulated.
 
 Exception discipline: every job runs to completion or failure, ends
 are joined (time passed even for the failing job), and then the first
-failure *in job order* is re-raised — deterministic regardless of real
-thread interleaving, and transparent to the fault-injection layer:
-a :class:`repro.storage.faults.DiskFaultError` raised by one shard's
+failure *in job order* is re-raised — deterministic, and transparent
+to the fault-injection layer: a
+:class:`repro.storage.faults.DiskFaultError` raised by one shard's
 disk surfaces from :meth:`run` exactly as it would from a sequential
 loop.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 from repro.simio.clock import SimClock
@@ -43,20 +43,10 @@ class IOScheduler:
 
     Args:
         clock: the shared virtual clock; None disables virtual timing.
-        use_threads: additionally run jobs on a real thread pool (the
-            shard layer's fast path; virtual results are identical).
-        max_workers: thread-pool size cap (defaults to one per job).
     """
 
-    def __init__(
-        self,
-        clock: SimClock | None = None,
-        use_threads: bool = False,
-        max_workers: int | None = None,
-    ):
+    def __init__(self, clock: SimClock | None = None):
         self.clock = clock
-        self.use_threads = use_threads
-        self.max_workers = max_workers
 
     @property
     def overlapped(self) -> bool:
@@ -102,39 +92,29 @@ class IOScheduler:
         clock = self.clock
         base = clock.cursor() if clock is not None else 0.0
 
-        def invoke(job: Callable[[], T]) -> tuple[T | None, Exception | None, float]:
+        results: list[T] = []
+        failures: list[Exception] = []
+        ends: list[float] = []
+        for job in jobs:
             if clock is not None:
                 clock.set_cursor(base)
             try:
-                result: T | None = job()
-                failure: Exception | None = None
+                results.append(job())
             except Exception as exc:
                 # Ordinary failures are deferred so every job settles
-                # and the raise order stays deterministic;
+                # before the first one re-raises;
                 # KeyboardInterrupt/SystemExit propagate immediately.
-                result, failure = None, exc
-            end = clock.cursor() if clock is not None else 0.0
-            return result, failure, end
+                failures.append(exc)
+            ends.append(clock.cursor() if clock is not None else 0.0)
 
-        if self.use_threads and len(jobs) > 1:
-            with ThreadPoolExecutor(
-                max_workers=self.max_workers or len(jobs)
-            ) as pool:
-                futures = [pool.submit(invoke, job) for job in jobs]
-                outcomes = [future.result() for future in futures]
-        else:
-            outcomes = [invoke(job) for job in jobs]
-
-        ends = [end for _, _, end in outcomes]
         if clock is not None:
             clock.join(ends)
             if recorder is not None and recorder.enabled and labels is not None:
                 for label, end in zip(labels, ends):
                     recorder.span(label, span_name, base, end, category=category)
-        for _, failure, _ in outcomes:
-            if failure is not None:
-                raise failure
-        return [result for result, _, _ in outcomes], ends
+        if failures:
+            raise failures[0]
+        return results, ends
 
 
 __all__ = ["IOScheduler"]

@@ -252,7 +252,6 @@ def test_batch_query_with_latency(capsys):
             "--policies", "8",
             "--queries", "8",
             "--latency", "ssd",
-            "--parallel-io",
         ]
     )
     out = capsys.readouterr().out

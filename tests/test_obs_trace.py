@@ -181,7 +181,7 @@ def test_chrome_trace_structure_and_metadata():
 def test_chrome_trace_is_deterministic_under_append_order():
     first = _small_recorder()
     second = TraceRecorder()
-    # Same events, reversed append order (as a thread pool might).
+    # Same events, reversed append order.
     for event in reversed(first.events):
         second.events.append(event)
         second.register_track(event.track, first.tracks[event.track])

@@ -22,6 +22,7 @@ from repro.engine import PrefetchPolicy, QueryEngine, StratumOutcome
 from repro.engine.plan import BandRequest, QueryPlanner
 from repro.engine.policy import MIN_STRATUM_SAMPLES, REEXPLORE_EVERY
 from repro.engine.scanner import BandScanner
+from repro.shard import ShardedPEBTree, ShardedQueryEngine
 from repro.workloads import QueryGenerator
 
 from tests.conftest import build_world
@@ -216,6 +217,50 @@ def test_execution_stats_surface_prefetch_accounting(world):
     )
     assert stats.memo_evictions == 0  # default bound never evicts here
     assert stats.seeks == 0 and stats.sequential_hits == 0  # untimed tree
+
+
+@pytest.mark.parametrize("n_shards", (1, 4))
+def test_lean_dead_entry_total_equals_the_finalized_outcomes(world, n_shards):
+    """The executor reports the scanner's lean total and finalizes
+    ``stratum_outcomes()`` only for a policy; the two must agree."""
+    specs = world.query_generator().mixed_queries(world.states, 16, 300.0, 3, 5.0)
+    if n_shards == 1:
+        engine = QueryEngine(world.peb)
+    else:
+        sharded = ShardedPEBTree.build(
+            n_shards, world.grid, world.partitioner, world.store, uids=world.uids,
+            page_size=1024,
+        )
+        for uid in world.uids:
+            sharded.insert(world.states[uid])
+        engine = ShardedQueryEngine(sharded)
+    # Whole-stratum prefetches ahead of the batch: guaranteed over-scan,
+    # so the totals compared below are not all zero.
+    full_strata = [
+        BandRequest(band.tid, band.sv_lo_q, band.sv_hi_q, 0, world.peb.grid.max_z)
+        for band in _stratum_bands(world, n_queries=20)
+    ]
+    captured = []
+    make_scanner = engine._batch_scanner
+
+    def capturing_scanner():
+        captured.append(make_scanner())
+        captured[-1].prefetch(full_strata)
+        return captured[-1]
+
+    engine._batch_scanner = capturing_scanner
+    report = engine.execute_batch(specs)
+    (scanner,) = captured
+    finalized = sum(
+        outcome.dead_entries
+        for shard_scanner in getattr(scanner, "scanners", [scanner])
+        for outcome in shard_scanner.stratum_outcomes().values()
+    )
+    assert report.stats.dead_entries == scanner.dead_entries == finalized
+    assert finalized > 0
+    # "merge" is the same coverage under a policy, so the same count.
+    engine.prefetch_policy = PrefetchPolicy("merge")
+    assert engine.execute_batch(specs).stats.dead_entries == finalized
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,9 @@ is identical to applying the same recorded batches directly through
 ``UpdatePipeline`` + ``execute_batch`` on a twin deployment.
 """
 
+import gc
 import random
+import threading
 
 import pytest
 
@@ -361,7 +363,6 @@ def test_timed_sharded_run_pins_to_direct_replay(arrival):
             page_size=1024,
             buffer_pages=256,
             latency="ssd",
-            parallel_io=True,
         )
         for uid in w.uids:
             sharded.insert(w.states[uid])
@@ -437,7 +438,6 @@ def test_smaller_batches_trade_reads_for_latency():
             page_size=1024,
             buffer_pages=256,
             latency="ssd",
-            parallel_io=True,
         )
         for uid in world.uids:
             sharded.insert(world.states[uid])
@@ -457,6 +457,92 @@ def test_smaller_batches_trade_reads_for_latency():
     assert solo.stats.mean_batch_size == 1.0
     assert batched.stats.mean_batch_size > 1.5
     assert batched.stats.n_batches < solo.stats.n_batches
+
+
+def test_serving_path_starts_no_thread(monkeypatch):
+    """Per-shard jobs overlap on the virtual fork/join only: a served
+    mixed stream — on a deployment built the way the benchmark builds
+    its, ``parallel_io=True`` included — never starts an OS thread."""
+    world = build_world(n_users=200, n_policies=8, seed=52)
+    sharded = ShardedPEBTree.build(
+        4,
+        world.grid,
+        world.partitioner,
+        world.store,
+        uids=world.uids,
+        page_size=1024,
+        buffer_pages=64,
+        latency="ssd",
+        parallel_io=True,
+    )
+    for uid in world.uids:
+        sharded.insert(world.states[uid])
+    for pool in sharded.pools:
+        pool.clear()
+    requests = OpenLoopGenerator(world.query_generator(), world.states).generate(
+        64, rate_per_sec=4000.0, update_fraction=0.5, knn_fraction=0.25
+    )
+    assert {request.kind for request in requests} == {"range", "knn", "update"}
+
+    fan_outs = []
+    run_timed = sharded.io.run_timed
+
+    def counting_run_timed(jobs, **kwargs):
+        fan_outs.append(len(jobs))
+        return run_timed(jobs, **kwargs)
+
+    def no_threads(self):
+        raise AssertionError("the serving path started a thread")
+
+    monkeypatch.setattr(sharded.io, "run_timed", counting_run_timed)
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
+    service = SimulatedService(
+        ShardedQueryEngine(sharded),
+        UpdatePipeline(sharded, capacity=256),
+        BatchPolicy(max_batch=16, max_wait_us=4000.0),
+    )
+    report = service.run(requests)
+    assert max(fan_outs) > 1  # the fork really had several shard jobs
+    assert report.stats.physical_reads > 0
+    assert sum(s.count for s in report.stats.per_class.values()) == 64
+
+
+def test_run_freezes_the_older_heap_only_for_the_call(monkeypatch):
+    """Collections inside a run skip what existed before it; a heap the
+    process froze itself stays frozen afterwards."""
+    world = build_world(n_users=80, n_policies=6, seed=21)
+    requests = OpenLoopGenerator(world.query_generator(), world.states).generate(
+        20, rate_per_sec=5000.0, update_fraction=0.4
+    )
+    service = make_service(world.peb, BatchPolicy(max_batch=8, max_wait_us=1500.0))
+    frozen_while_serving = []
+    serve = service._serve
+
+    def probing_serve(batch, base):
+        frozen_while_serving.append(gc.get_freeze_count())
+        return serve(batch, base)
+
+    monkeypatch.setattr(service, "_serve", probing_serve)
+    assert gc.get_freeze_count() == 0
+    service.run(requests)
+    assert frozen_while_serving and min(frozen_while_serving) > 0
+    assert gc.get_freeze_count() == 0
+
+    def failing_serve(batch, base):
+        raise RuntimeError("device lost")
+
+    monkeypatch.setattr(service, "_serve", failing_serve)
+    with pytest.raises(RuntimeError):
+        service.run(requests)
+    assert gc.get_freeze_count() == 0
+
+    monkeypatch.setattr(service, "_serve", serve)
+    gc.freeze()
+    try:
+        service.run(requests)
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
 
 
 # ----------------------------------------------------------------------

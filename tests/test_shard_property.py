@@ -67,8 +67,7 @@ def test_sharded_batch_identical_to_single_tree(world, n_shards):
     specs = world.query_generator().mixed_queries(world.states, 30, 260.0, 4, 5.0)
 
     single = QueryEngine(world.peb).execute_batch(specs)
-    parallel = n_shards > 1  # exercise the thread-pool fast path too
-    shard = ShardedQueryEngine(sharded, parallel_prefetch=parallel).execute_batch(specs)
+    shard = ShardedQueryEngine(sharded).execute_batch(specs)
 
     assert len(shard.results) == len(specs)
     for spec, expected, got in zip(specs, single.results, shard.results):
@@ -197,20 +196,18 @@ def test_tid_policy_migrates_entries_between_shards(world):
 
 @pytest.mark.parametrize("n_shards", (2, 4))
 def test_parallel_io_timed_identical_to_sequential(world, n_shards):
-    """--parallel-io is a schedule change, never a different index.
+    """Timing a deployment is a schedule change, never a different index.
 
-    A timed deployment with overlapped scheduling (virtual fork/join,
-    real thread pool, pipelined verification) must produce the same
-    query results, ``candidates_examined``, physical I/O counters, and
-    post-update tree state as the plain sequential deployment and the
-    single tree — only the virtual clock may differ.
+    A timed deployment (virtual fork/join over per-shard devices,
+    pipelined verification) must produce the same query results,
+    ``candidates_examined``, physical I/O counters, and post-update
+    tree state as the plain untimed deployment and the single tree —
+    only the virtual clock may differ.
     """
     # Small per-shard buffers so the workload does real physical I/O —
     # a fully resident tree would make virtual time trivially zero.
     sequential = build_sharded(world, n_shards, buffer_pages=8)
-    overlapped = build_sharded(
-        world, n_shards, buffer_pages=8, latency="ssd", parallel_io=True
-    )
+    overlapped = build_sharded(world, n_shards, buffer_pages=8, latency="ssd")
     generator = world.query_generator()
     stream = generator.update_stream(world.states, 450, 3.0, 0.0, 130.0)
 
@@ -254,9 +251,7 @@ def test_parallel_io_timed_identical_to_sequential(world, n_shards):
 
     specs = generator.mixed_queries(world.states, 24, 260.0, 4, 130.0)
     single_report = QueryEngine(world.peb).execute_batch(specs)
-    sequential_report = ShardedQueryEngine(
-        sequential, parallel_prefetch=False
-    ).execute_batch(specs)
+    sequential_report = ShardedQueryEngine(sequential).execute_batch(specs)
     overlapped_report = ShardedQueryEngine(overlapped).execute_batch(specs)
 
     for spec, expected, seq, par in zip(

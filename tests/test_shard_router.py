@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.peb_key import PEBKeyCodec
+from repro.engine import UpdatePipeline
 from repro.engine.plan import BandRequest
 from repro.motion.objects import MovingObject
 from repro.shard import ShardRouter, ShardStats, ShardedPEBTree, ShardedQueryEngine
@@ -256,10 +257,13 @@ def test_facade_rejects_mismatched_router():
         ShardedPEBTree(sharded.trees, other)
 
 
-def test_parallel_prefetch_matches_sequential_exactly():
+def test_timed_prefetch_fork_join_matches_untimed_exactly():
+    """The scatter prefetch's fork/join on a timed deployment against
+    the plain loop on an untimed clone: same results, candidates,
+    per-shard physical counters, and post-update state."""
     world = build_world(n_users=220, n_policies=8, seed=13)
 
-    def deployment():
+    def deployment(latency):
         sharded = ShardedPEBTree.build(
             4,
             world.grid,
@@ -268,6 +272,7 @@ def test_parallel_prefetch_matches_sequential_exactly():
             uids=world.uids,
             page_size=1024,
             buffer_pages=64,
+            latency=latency,
         )
         for uid in world.uids:
             sharded.insert(world.states[uid])
@@ -275,22 +280,26 @@ def test_parallel_prefetch_matches_sequential_exactly():
             pool.clear()
         return sharded
 
-    specs = world.query_generator().range_queries(world.uids, 24, 240.0, 5.0)
-    sequential_tree = deployment()
-    sequential = ShardedQueryEngine(sequential_tree, parallel_prefetch=False)
-    sequential_report = sequential.execute_batch(specs)
-    parallel_tree = deployment()
-    parallel = ShardedQueryEngine(parallel_tree, parallel_prefetch=True)
-    parallel_report = parallel.execute_batch(specs)
+    generator = world.query_generator()
+    stream = generator.update_stream(world.states, 200, 3.0, 0.0, 5.0)
+    specs = generator.range_queries(world.uids, 24, 240.0, 5.0)
+    untimed_tree, timed_tree = deployment(None), deployment("hdd")
+    reports = []
+    for tree in (untimed_tree, timed_tree):
+        with UpdatePipeline(tree, capacity=64) as pipeline:
+            pipeline.extend(stream)
+        reports.append(ShardedQueryEngine(tree).execute_batch(specs))
+    untimed_report, timed_report = reports
 
-    for expected, got in zip(sequential_report.results, parallel_report.results):
+    for expected, got in zip(untimed_report.results, timed_report.results):
         assert got.uids == expected.uids
-    assert parallel_report.stats.physical_reads == sequential_report.stats.physical_reads
-    assert parallel_report.stats.bands_scanned == sequential_report.stats.bands_scanned
-    assert (
-        parallel_tree.shard_stats().physical_reads
-        == sequential_tree.shard_stats().physical_reads
-    )
+        assert got.candidates_examined == expected.candidates_examined
+    assert timed_report.stats.physical_reads == untimed_report.stats.physical_reads
+    assert timed_report.stats.bands_scanned == untimed_report.stats.bands_scanned
+    assert timed_tree.shard_stats() == untimed_tree.shard_stats()
+    assert list(timed_tree.items()) == list(untimed_tree.items())
+    assert timed_report.stats.virtual_time_us > 0
+    assert untimed_report.stats.virtual_time_us == 0
 
 
 def test_scatter_scanner_memoizes_band_splits():

@@ -1,5 +1,7 @@
 """Unit tests for the simulated-latency I/O subsystem (repro.simio)."""
 
+import threading
+
 import pytest
 
 from repro.simio import (
@@ -228,14 +230,34 @@ def test_scheduler_overlaps_distinct_devices():
     assert overlapped_cost * 3 == pytest.approx(serial_cost)
 
 
-def test_scheduler_threads_and_sequential_agree_in_virtual_time():
-    ends = {}
-    for use_threads in (False, True):
-        clock, disks = scheduler_world(4)
-        scheduler = IOScheduler(clock, use_threads=use_threads)
-        scheduler.run([touch(disk) for disk in disks])
-        ends[use_threads] = clock.elapsed
-    assert ends[False] == ends[True]
+def test_scheduler_runs_jobs_in_order_on_the_calling_thread():
+    """The fork/join is virtual only: every job runs inline, in job
+    order, yet each starts at the fork cursor — per-job ends are each
+    job's own cost and the joined elapsed time is their max, not sum."""
+    clock, disks = scheduler_world(4)
+    ran = []
+
+    def job(tag, times):
+        def run():
+            ran.append((tag, threading.get_ident()))
+            for _ in range(times):
+                disks[tag].read(0)
+            return tag
+
+        return run
+
+    base = clock.cursor()
+    results, ends = IOScheduler(clock).run_timed(
+        [job(tag, times) for tag, times in enumerate((1, 4, 2, 3))]
+    )
+    assert results == [0, 1, 2, 3]
+    assert ran == [(tag, threading.get_ident()) for tag in range(4)]
+    transfer = PROFILES["hdd"].read_us  # page 0 again: sequential, no seek
+    assert [end - base for end in ends] == pytest.approx(
+        [transfer * times for times in (1, 4, 2, 3)]
+    )
+    assert clock.cursor() == max(ends)
+    assert clock.elapsed - base == pytest.approx(4 * transfer)
 
 
 def test_scheduler_runs_every_job_and_raises_the_first_failure():
@@ -255,10 +277,12 @@ def test_scheduler_runs_every_job_and_raises_the_first_failure():
     def boom2():
         raise ValueError("second")
 
+    before = clock.elapsed
     with pytest.raises(RuntimeError, match="first"):
         IOScheduler(clock).run([ok(0), boom, ok(2), boom2])
     assert seen == [0, 2]  # later jobs still ran (and charged time)
-    assert clock.elapsed > 0
+    assert clock.elapsed > before
+    assert clock.cursor() == clock.elapsed  # ends joined before the raise
 
 
 def test_scheduler_without_clock_degrades_to_plain_execution():
@@ -268,44 +292,6 @@ def test_scheduler_without_clock_degrades_to_plain_execution():
     results, ends = scheduler.run_timed([lambda: 1, lambda: 2])
     assert results == [1, 2]
     assert ends == [0.0, 0.0]
-
-
-def test_bounded_thread_pool_matches_unbounded_and_sequential():
-    """``max_workers`` smaller than the job count only queues real
-    threads; the virtual schedule — per-job ends, results, and the
-    joined horizon — is identical to an unbounded pool and to a plain
-    sequential loop."""
-    outcomes = {}
-    for label, kwargs in (
-        ("sequential", dict(use_threads=False)),
-        ("unbounded", dict(use_threads=True)),
-        ("bounded", dict(use_threads=True, max_workers=2)),
-        ("single", dict(use_threads=True, max_workers=1)),
-    ):
-        clock, disks = scheduler_world(6)
-        scheduler = IOScheduler(clock, **kwargs)
-        results, ends = scheduler.run_timed([touch(disk) for disk in disks])
-        outcomes[label] = (results, ends, clock.elapsed)
-    for label in ("unbounded", "bounded", "single"):
-        assert outcomes[label] == outcomes["sequential"], label
-
-
-def test_bounded_pool_keeps_deterministic_failure_order():
-    clock, disks = scheduler_world(4)
-
-    def boom(tag, exc_type):
-        def job():
-            disks[tag].read(0)
-            raise exc_type(f"job {tag}")
-
-        return job
-
-    # Two failures; with max_workers=1 the pool serializes the jobs,
-    # and the first failure in *job order* must still be the one raised.
-    with pytest.raises(RuntimeError, match="job 1"):
-        IOScheduler(clock, use_threads=True, max_workers=1).run(
-            [touch(disks[0], 1), boom(1, RuntimeError), boom(2, ValueError)]
-        )
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,8 @@ The simulated-latency wrapper must be *transparent to dishonesty*: a
 :class:`repro.storage.faults.ChecksummedDisk` detecting corruption
 underneath a :class:`repro.simio.disk.TimedDisk` must surface its
 error unchanged through the whole sharded stack — per-shard buffer
-pools, the scatter/gather scanner, and the I/O scheduler's fork/join
-(thread pool included).  And because the paper's cost discipline only
+pools, the scatter/gather scanner, and the I/O scheduler's fork/join.
+And because the paper's cost discipline only
 counts completed transfers, a failed access charges no virtual time.
 """
 
@@ -41,7 +41,6 @@ def build_timed_sharded(world, disk_factory, buffer_pages=64):
         page_size=1024,
         buffer_pages=512,
         latency="ssd",
-        parallel_io=True,
         disk_factory=disk_factory,
     )
     for uid in world.uids:
@@ -76,7 +75,7 @@ def test_injected_fault_surfaces_through_the_timed_parallel_stack(world):
     elapsed_before = clock.elapsed
     accesses_before = sharded.latency_stats.accesses
     reads_before = sharded.stats.physical_reads
-    engine = ShardedQueryEngine(sharded, parallel_prefetch=True)
+    engine = ShardedQueryEngine(sharded)
     with pytest.raises(DiskFaultError):
         engine.execute_batch(specs)
     assert sum(disk.injected_faults for disk in faulty) > 0
@@ -89,7 +88,7 @@ def test_injected_fault_surfaces_through_the_timed_parallel_stack(world):
     # no partial state was kept anywhere in the stack.
     for disk in faulty:
         disk.heal()
-    report = ShardedQueryEngine(sharded, parallel_prefetch=True).execute_batch(specs)
+    report = ShardedQueryEngine(sharded).execute_batch(specs)
     expected = QueryEngine(world.peb).execute_batch(specs)
     for spec, single, shard in zip(specs, expected.results, report.results):
         assert single.uids == shard.uids, spec
@@ -116,9 +115,7 @@ def test_corruption_surfaces_through_the_timed_parallel_stack(world):
         timed.inner.corrupt(tree.btree.root_id, bit=3)
 
     with pytest.raises(CorruptPageError):
-        ShardedQueryEngine(sharded, parallel_prefetch=True).execute_batch(
-            batch_specs(world)
-        )
+        ShardedQueryEngine(sharded).execute_batch(batch_specs(world))
     # The corrupted transfer was detected after the inner read, before
     # the timed layer charged it: no virtual time for a failed access.
     assert sharded.latency_stats.accesses == latency_before
@@ -128,7 +125,7 @@ def test_fault_free_timed_fault_stack_matches_the_single_tree(world):
     """The full composition (Timed over Faulty), healthy, is a no-op."""
     sharded = build_timed_sharded(world, lambda shard: FaultyDisk(page_size=1024))
     specs = batch_specs(world)
-    report = ShardedQueryEngine(sharded, parallel_prefetch=True).execute_batch(specs)
+    report = ShardedQueryEngine(sharded).execute_batch(specs)
     expected = QueryEngine(world.peb).execute_batch(specs)
     for spec, single, shard in zip(specs, expected.results, report.results):
         assert single.uids == shard.uids, spec
