@@ -23,6 +23,7 @@ from repro.core.checkpoint import clone_peb_tree
 from repro.core.peb_tree import PEBTree
 from repro.core.pknn import pknn
 from repro.core.prq import prq
+from repro.counters import CounterSet, derived
 from repro.engine import QueryEngine, UpdatePipeline
 from repro.core.sequencing import EncodingReport, assign_sequence_values
 from repro.obs import MetricsRegistry, attach_recorder
@@ -317,7 +318,7 @@ class ShardScalingCosts:
 
 
 @dataclass
-class OverlapCosts:
+class OverlapCosts(CounterSet):
     """Simulated-latency comparison: overlapped N-shard vs serial 1-shard.
 
     Both deployments run on :class:`repro.simio.disk.TimedDisk` devices
@@ -383,26 +384,26 @@ class OverlapCosts:
     def sharded_elapsed_us(self) -> float:
         return self.sharded_update_us + self.sharded_query_us
 
-    @property
+    @derived
     def speedup(self) -> float:
         """Virtual wall-clock gain of the overlapped deployment."""
         if self.sharded_elapsed_us <= 0:
             return float("inf") if self.baseline_elapsed_us > 0 else 1.0
         return self.baseline_elapsed_us / self.sharded_elapsed_us
 
-    @property
+    @derived
     def update_speedup(self) -> float:
         if self.sharded_update_us <= 0:
             return float("inf") if self.baseline_update_us > 0 else 1.0
         return self.baseline_update_us / self.sharded_update_us
 
-    @property
+    @derived
     def query_speedup(self) -> float:
         if self.sharded_query_us <= 0:
             return float("inf") if self.baseline_query_us > 0 else 1.0
         return self.baseline_query_us / self.sharded_query_us
 
-    @property
+    @derived
     def overlap_factor(self) -> float:
         """Device busy time over elapsed time on the sharded run.
 
@@ -415,51 +416,21 @@ class OverlapCosts:
             return 1.0
         return self.sharded_busy_us / self.sharded_elapsed_us
 
-    @property
+    @derived
     def baseline_sequential_ratio(self) -> float:
         """Fraction of baseline accesses that skipped the seek."""
         total = self.baseline_seeks + self.baseline_sequential_hits
         return self.baseline_sequential_hits / total if total else 0.0
 
-    @property
+    @derived
     def sharded_sequential_ratio(self) -> float:
         """Fraction of sharded accesses that skipped the seek."""
         total = self.sharded_seeks + self.sharded_sequential_hits
         return self.sharded_sequential_hits / total if total else 0.0
 
-    def snapshot(self) -> dict:
-        """JSON-ready form for benchmark reports."""
-        return {
-            "profile": self.profile,
-            "n_shards": self.n_shards,
-            "workload": self.workload,
-            "ops_applied": self.ops_applied,
-            "n_queries": self.n_queries,
-            "baseline_update_us": self.baseline_update_us,
-            "baseline_query_us": self.baseline_query_us,
-            "sharded_update_us": self.sharded_update_us,
-            "sharded_query_us": self.sharded_query_us,
-            "baseline_reads": self.baseline_reads,
-            "baseline_writes": self.baseline_writes,
-            "sharded_reads": self.sharded_reads,
-            "sharded_writes": self.sharded_writes,
-            "baseline_busy_us": self.baseline_busy_us,
-            "sharded_busy_us": self.sharded_busy_us,
-            "speedup": self.speedup,
-            "update_speedup": self.update_speedup,
-            "query_speedup": self.query_speedup,
-            "overlap_factor": self.overlap_factor,
-            "baseline_seeks": self.baseline_seeks,
-            "baseline_sequential_hits": self.baseline_sequential_hits,
-            "baseline_sequential_ratio": self.baseline_sequential_ratio,
-            "sharded_seeks": self.sharded_seeks,
-            "sharded_sequential_hits": self.sharded_sequential_hits,
-            "sharded_sequential_ratio": self.sharded_sequential_ratio,
-        }
-
 
 @dataclass
-class ServiceCosts:
+class ServiceCosts(CounterSet):
     """One open-loop service run: offered load in, tail latency out.
 
     Produced by :meth:`ExperimentHarness.run_service`.  A stamped
@@ -505,22 +476,6 @@ class ServiceCosts:
     @property
     def throughput_per_sec(self) -> float:
         return self.stats.throughput_per_sec
-
-    def snapshot(self) -> dict:
-        """JSON-ready form for benchmark reports."""
-        return {
-            "rate_per_sec": self.rate_per_sec,
-            "arrival": self.arrival,
-            "n_shards": self.n_shards,
-            "profile": self.profile,
-            "max_batch": self.max_batch,
-            "max_wait_us": self.max_wait_us,
-            "n_requests": self.n_requests,
-            "pinned": self.pinned,
-            "prefetch": self.prefetch,
-            "policy_state": self.policy_state,
-            "stats": self.stats.snapshot(),
-        }
 
 
 class ExperimentHarness:
@@ -1107,9 +1062,7 @@ class ExperimentHarness:
         clone.btree.pool.flush()
         single_update_reads = clone.stats.physical_reads
         single_update_writes = clone.stats.physical_writes
-        reads_before = clone.stats.physical_reads
         single_report = QueryEngine(clone).execute_batch(queries)
-        single_query_reads = clone.stats.physical_reads - reads_before
 
         # Sharded deployment over the same population, built warm then
         # shrunk to its per-shard query/update buffers.
@@ -1146,9 +1099,7 @@ class ExperimentHarness:
             pool.flush()
         sharded_update_reads = sharded.stats.physical_reads
         sharded_update_writes = sharded.stats.physical_writes
-        reads_before = sharded.stats.physical_reads
         sharded_report = ShardedQueryEngine(sharded).execute_batch(queries)
-        sharded_query_reads = sharded.stats.physical_reads - reads_before
 
         if single_pipeline.stats.ops != sharded_pipeline.stats.ops:
             raise AssertionError(
@@ -1173,8 +1124,8 @@ class ExperimentHarness:
             single_update_writes=single_update_writes,
             sharded_update_reads=sharded_update_reads,
             sharded_update_writes=sharded_update_writes,
-            single_query_reads=single_query_reads,
-            sharded_query_reads=sharded_query_reads,
+            single_query_reads=single_report.stats.physical_reads,
+            sharded_query_reads=sharded_report.stats.physical_reads,
             balance_skew=sharded.shard_stats().balance_skew,
         )
 
@@ -1237,7 +1188,8 @@ class ExperimentHarness:
             else self.config.buffer_pages
         )
 
-        def timed_run(shards: int, overlapped: bool):
+        def timed_run(side: str, shards: int, overlapped: bool) -> dict:
+            """One timed deployment's ``<side>_*`` fields of the costs."""
             deployment = ShardedPEBTree.build(
                 shards,
                 self.grid,
@@ -1277,11 +1229,16 @@ class ExperimentHarness:
             # Counters snapshot *before* the pin checks below: the
             # full-index audit scan is timed too, and must not leak
             # into the measured window.
-            reads = deployment.stats.physical_reads
-            writes = deployment.stats.physical_writes
-            busy_us = deployment.latency_stats.busy_us
-            seeks = deployment.latency_stats.seeks
-            sequential_hits = deployment.latency_stats.sequential_hits
+            io, devices = deployment.stats, deployment.latency_stats
+            measured = {
+                f"{side}_update_us": update_us,
+                f"{side}_query_us": query_us,
+                f"{side}_reads": io.physical_reads,
+                f"{side}_writes": io.physical_writes,
+                f"{side}_busy_us": devices.busy_us,
+                f"{side}_seeks": devices.seeks,
+                f"{side}_sequential_hits": devices.sequential_hits,
+            }
 
             if pipeline.stats.ops != reference_pipeline.stats.ops:
                 raise AssertionError(
@@ -1300,26 +1257,7 @@ class ExperimentHarness:
                 raise AssertionError(
                     "timed deployment end state diverged from the reference"
                 )
-            return update_us, query_us, reads, writes, busy_us, seeks, sequential_hits
-
-        (
-            base_update_us,
-            base_query_us,
-            base_reads,
-            base_writes,
-            base_busy,
-            base_seeks,
-            base_seq_hits,
-        ) = timed_run(1, overlapped=False)
-        (
-            shard_update_us,
-            shard_query_us,
-            shard_reads,
-            shard_writes,
-            shard_busy,
-            shard_seeks,
-            shard_seq_hits,
-        ) = timed_run(n_shards, overlapped=True)
+            return measured
 
         return OverlapCosts(
             profile=latency if isinstance(latency, str) else latency.name,
@@ -1327,20 +1265,8 @@ class ExperimentHarness:
             workload=workload,
             ops_applied=reference_pipeline.stats.ops,
             n_queries=len(queries),
-            baseline_update_us=base_update_us,
-            baseline_query_us=base_query_us,
-            sharded_update_us=shard_update_us,
-            sharded_query_us=shard_query_us,
-            baseline_reads=base_reads,
-            baseline_writes=base_writes,
-            sharded_reads=shard_reads,
-            sharded_writes=shard_writes,
-            baseline_busy_us=base_busy,
-            sharded_busy_us=shard_busy,
-            baseline_seeks=base_seeks,
-            baseline_sequential_hits=base_seq_hits,
-            sharded_seeks=shard_seeks,
-            sharded_sequential_hits=shard_seq_hits,
+            **timed_run("baseline", 1, overlapped=False),
+            **timed_run("sharded", n_shards, overlapped=True),
         )
 
     # ------------------------------------------------------------------
@@ -1489,10 +1415,15 @@ class ExperimentHarness:
         if trace_recorder is not None and getattr(trace_recorder, "enabled", False):
             # One queryable snapshot across every layer's stats dialect,
             # embedded in the trace (read before the pin's audit scan
-            # touches the counters).
+            # touches the counters).  The run-level fault.* and shard.*
+            # series come from the report and the deployment; the
+            # pipeline's own breakdowns cover only its flushes and would
+            # land on the same series a second time.
             registry = MetricsRegistry()
             report.stats.publish(registry)
-            pipeline.stats.publish(registry)
+            replace(pipeline.stats, shard_stats=None, fault_stats=None).publish(
+                registry
+            )
             deployment.shard_stats().publish(registry)
             deployment.stats.publish(registry)
             trace_recorder.metadata("metrics", registry.snapshot())

@@ -620,6 +620,7 @@ def run_serve_sim(args) -> int:
 
 def run_trace_report(args) -> int:
     from repro.obs import load_trace, render_trace_report
+    from repro.obs.report import summarize_trace
 
     try:
         trace = load_trace(args.path)
@@ -627,7 +628,8 @@ def run_trace_report(args) -> int:
         print(f"cannot read trace {args.path}: {exc}", file=sys.stderr)
         return 1
     print(render_trace_report(trace))
-    return 0
+    # A trace whose cross-checks disagree is a failed sanity step.
+    return 0 if summarize_trace(trace)["consistent"] else 1
 
 
 def run_encode(args) -> int:

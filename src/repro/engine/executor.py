@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from repro.counters import CounterSet, counter, derived, nested
 from repro.engine.plan import QueryPlan, QueryPlanner
 from repro.engine.policy import PrefetchPolicy
 from repro.engine.scanner import BandScanner
@@ -48,7 +49,7 @@ OnMatch = Callable[["MovingObject", float, float], bool]
 
 
 @dataclass
-class ExecutionStats:
+class ExecutionStats(CounterSet, prefix="engine."):
     """Scan-level accounting of one execution (query or whole batch).
 
     Attributes:
@@ -101,16 +102,16 @@ class ExecutionStats:
     residency_hits: int = 0
     candidates_examined: int = 0
     physical_reads: int = 0
-    shard_stats: "ShardStats | None" = None
-    fault_stats: "FaultStats | None" = None
-    virtual_time_us: float = 0.0
+    shard_stats: "ShardStats | None" = nested()
+    fault_stats: "FaultStats | None" = nested()
+    virtual_time_us: float = counter(0.0, as_gauge=True)
     entries_prefetched: int = 0
     dead_entries: int = 0
     memo_evictions: int = 0
     seeks: int = 0
     sequential_hits: int = 0
 
-    @property
+    @derived
     def dedup_ratio(self) -> float:
         """Fraction of band requests that did not cost a physical scan.
 
@@ -124,42 +125,12 @@ class ExecutionStats:
             return 0.0
         return max(0.0, 1.0 - self.bands_scanned / self.bands_requested)
 
-    @property
+    @derived
     def overscan_ratio(self) -> float:
         """Fraction of prefetched entries that no request consumed."""
         if self.entries_prefetched == 0:
             return 0.0
         return self.dead_entries / self.entries_prefetched
-
-    def publish(self, registry, **labels) -> None:
-        """Publish this execution into a ``MetricsRegistry``.
-
-        Names follow the ``engine.<field>`` convention documented in
-        ``docs/OBSERVABILITY.md``; nested shard/fault stats publish
-        under their own prefixes with the same labels.
-        """
-        registry.counter("engine.bands_requested", self.bands_requested, **labels)
-        registry.counter("engine.bands_scanned", self.bands_scanned, **labels)
-        registry.counter("engine.bands_deduped", self.bands_deduped, **labels)
-        registry.counter("engine.residency_hits", self.residency_hits, **labels)
-        registry.counter(
-            "engine.candidates_examined", self.candidates_examined, **labels
-        )
-        registry.counter("engine.physical_reads", self.physical_reads, **labels)
-        registry.counter(
-            "engine.entries_prefetched", self.entries_prefetched, **labels
-        )
-        registry.counter("engine.dead_entries", self.dead_entries, **labels)
-        registry.counter("engine.memo_evictions", self.memo_evictions, **labels)
-        registry.counter("engine.seeks", self.seeks, **labels)
-        registry.counter("engine.sequential_hits", self.sequential_hits, **labels)
-        registry.gauge("engine.virtual_time_us", self.virtual_time_us, **labels)
-        registry.gauge("engine.dedup_ratio", self.dedup_ratio, **labels)
-        registry.gauge("engine.overscan_ratio", self.overscan_ratio, **labels)
-        if self.shard_stats is not None:
-            self.shard_stats.publish(registry, **labels)
-        if self.fault_stats is not None:
-            self.fault_stats.publish(registry, **labels)
 
 
 @dataclass
@@ -271,13 +242,7 @@ class QueryEngine:
             else BandScanner(self.tree, packed=self.packed_scan)
         )
         verifier = CandidateVerifier(self.tree.store, plan.q_uid, plan.t_query)
-        clock = getattr(self.tree, "sim_clock", None)
-        elapsed_before = clock.elapsed if clock is not None else 0.0
-        reads_before = self.tree.stats.physical_reads
-        requests_before = scanner.requests
-        scans_before = scanner.physical_scans
-        deduped_before = scanner.deduped
-        hits_before = scanner.residency_hits
+        before = self._progress(scanner)
         stopped = False
         located = verifier.located
         for planned in plan.bands:
@@ -300,17 +265,8 @@ class QueryEngine:
                         break
             if stopped:
                 break
-        stats = ExecutionStats(
-            bands_requested=scanner.requests - requests_before,
-            bands_scanned=scanner.physical_scans - scans_before,
-            bands_deduped=scanner.deduped - deduped_before,
-            residency_hits=scanner.residency_hits - hits_before,
-            candidates_examined=verifier.candidates_examined,
-            physical_reads=self.tree.stats.physical_reads - reads_before,
-            virtual_time_us=(
-                clock.elapsed - elapsed_before if clock is not None else 0.0
-            ),
-        )
+        stats = self._progress(scanner).delta_from(before)
+        stats.candidates_examined = verifier.candidates_examined
         return RangeExecution(
             candidates_examined=verifier.candidates_examined,
             stopped_early=stopped,
@@ -408,11 +364,7 @@ class QueryEngine:
             n_knn = sum(1 for plan in plans if plan is None)
             policy.begin_batch(len(plans) - n_knn, n_knn)
         clock = getattr(self.tree, "sim_clock", None)
-        elapsed_before = clock.elapsed if clock is not None else 0.0
-        reads_before = self.tree.stats.physical_reads
-        latency = getattr(self.tree.stats, "latency", None)
-        seeks_before = latency.seeks if latency is not None else 0
-        seq_before = latency.sequential_hits if latency is not None else 0
+        before = self._batch_progress(scanner)
         recorder = getattr(self.tree, "trace_recorder", None)
         tracing = recorder is not None and recorder.enabled
         if prefetch:
@@ -485,19 +437,12 @@ class QueryEngine:
                 },
             )
 
-        report.stats.bands_requested = scanner.requests
-        report.stats.bands_scanned = scanner.physical_scans
-        report.stats.bands_deduped = scanner.deduped
-        report.stats.residency_hits = scanner.residency_hits
-        report.stats.physical_reads = self.tree.stats.physical_reads - reads_before
-        if clock is not None:
-            report.stats.virtual_time_us = clock.elapsed - elapsed_before
+        examined = report.stats.candidates_examined
+        report.stats = self._batch_progress(scanner).delta_from(before)
+        report.stats.candidates_examined = examined
         report.stats.entries_prefetched = scanner.entries_prefetched
         report.stats.dead_entries = scanner.dead_entries
         report.stats.memo_evictions = scanner.memo_evictions
-        if latency is not None:
-            report.stats.seeks = latency.seeks - seeks_before
-            report.stats.sequential_hits = latency.sequential_hits - seq_before
         if policy is not None:
             # The finalized per-stratum outcomes are policy feedback
             # only; nothing else pays for building them.
@@ -508,7 +453,6 @@ class QueryEngine:
                 n_requests=len(specs),
                 seeks=report.stats.seeks,
             )
-        self._finish_batch_stats(report)
         return report
 
     def _batch_scanner(self):
@@ -523,6 +467,32 @@ class QueryEngine:
         return BandScanner(
             self.tree, packed=self.packed_scan, policy=self.prefetch_policy
         )
+
+    def _progress(self, scanner) -> ExecutionStats:
+        """The cumulative counters an execution is measured between.
+
+        Two of these bracket a query or a batch; their
+        :meth:`~ExecutionStats.delta_from` is what it cost.  Only
+        counters that are plain reads belong here — this runs twice per
+        query.
+        """
+        clock = getattr(self.tree, "sim_clock", None)
+        latency = getattr(self.tree.stats, "latency", None)
+        return ExecutionStats(
+            bands_requested=scanner.requests,
+            bands_scanned=scanner.physical_scans,
+            bands_deduped=scanner.deduped,
+            residency_hits=scanner.residency_hits,
+            physical_reads=self.tree.stats.physical_reads,
+            virtual_time_us=clock.elapsed if clock is not None else 0.0,
+            seeks=latency.seeks if latency is not None else 0,
+            sequential_hits=latency.sequential_hits if latency is not None else 0,
+        )
+
+    def _batch_progress(self, scanner) -> ExecutionStats:
+        """:meth:`_progress` plus whatever breakdowns a deployment
+        attaches per batch (override point; none on a single tree)."""
+        return self._progress(scanner)
 
     def _timing(self):
         """``(clock, model)`` when the tree runs on timed devices."""
@@ -562,9 +532,6 @@ class QueryEngine:
 
     def _end_replay(self, scanner) -> None:
         """Hook after the batch's replay loop (timing join point)."""
-
-    def _finish_batch_stats(self, report: BatchReport) -> None:
-        """Attach deployment-specific stats to a finished batch (hook)."""
 
 
 __all__ = [

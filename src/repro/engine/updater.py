@@ -35,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Protocol
 
+from repro.counters import CounterSet, counter, derived, nested
+
 if TYPE_CHECKING:
     from repro.core.peb_tree import PEBTree
     from repro.fault.stats import FaultStats
@@ -49,7 +51,7 @@ class UpdateMonitor(Protocol):
 
 
 @dataclass
-class UpdateStats:
+class UpdateStats(CounterSet, prefix="update."):
     """Write-path accounting across one pipeline's lifetime.
 
     Attributes:
@@ -69,11 +71,11 @@ class UpdateStats:
             quarantined (each re-buffering counts; the state applies —
             and lands in ``ops`` — on a later flush once the shard
             recovers).
-        shard_stats: per-shard I/O since the pipeline's first flush
-            when it writes to a sharded deployment (None on a single
-            tree); entries are point-in-time.
-        fault_stats: fault-handling events since the pipeline's first
-            flush (:class:`repro.fault.stats.FaultStats` delta) when
+        shard_stats: per-shard I/O of the pipeline's flushes when it
+            writes to a sharded deployment (None on a single tree);
+            entries are point-in-time.
+        fault_stats: fault-handling events of the pipeline's flushes
+            (:class:`repro.fault.stats.FaultStats` deltas, summed) when
             the deployment carries a shard supervisor; None otherwise.
         virtual_time_us: simulated elapsed time of the flushes in
             virtual microseconds, when the tree runs on timed devices
@@ -92,49 +94,33 @@ class UpdateStats:
     deferred: int = 0
     physical_reads: int = 0
     physical_writes: int = 0
-    shard_stats: "ShardStats | None" = None
-    fault_stats: "FaultStats | None" = None
-    virtual_time_us: float = 0.0
+    shard_stats: "ShardStats | None" = nested()
+    fault_stats: "FaultStats | None" = nested()
+    virtual_time_us: float = counter(0.0, as_gauge=True)
 
     @property
     def total_io(self) -> int:
         """Physical reads plus writes across all flushes."""
         return self.physical_reads + self.physical_writes
 
-    @property
+    @derived
     def io_per_update(self) -> float:
         """Amortized physical I/O per applied update (0.0 when idle)."""
         if self.ops == 0:
             return 0.0
         return self.total_io / self.ops
 
-    @property
+    @derived
     def in_place_ratio(self) -> float:
         """Fraction of ops that never left their leaf (0.0 when idle)."""
         if self.ops == 0:
             return 0.0
         return self.in_place_hits / self.ops
 
-    def publish(self, registry, **labels) -> None:
-        """Publish the write path into a ``MetricsRegistry`` as
-        ``update.<field>`` (see ``docs/OBSERVABILITY.md``)."""
-        registry.counter("update.ops", self.ops, **labels)
-        registry.counter("update.in_place_hits", self.in_place_hits, **labels)
-        registry.counter("update.moved", self.moved, **labels)
-        registry.counter("update.inserted", self.inserted, **labels)
-        registry.counter("update.flushes", self.flushes, **labels)
-        registry.counter("update.leaves_visited", self.leaves_visited, **labels)
-        registry.counter("update.descents_saved", self.descents_saved, **labels)
-        registry.counter("update.deferred", self.deferred, **labels)
-        registry.counter("update.physical_reads", self.physical_reads, **labels)
-        registry.counter("update.physical_writes", self.physical_writes, **labels)
-        registry.gauge("update.virtual_time_us", self.virtual_time_us, **labels)
-        registry.gauge("update.io_per_update", self.io_per_update, **labels)
-        registry.gauge("update.in_place_ratio", self.in_place_ratio, **labels)
-        if self.shard_stats is not None:
-            self.shard_stats.publish(registry, **labels)
-        if self.fault_stats is not None:
-            self.fault_stats.publish(registry, **labels)
+
+def _accrued(delta, so_far):
+    """One flush's breakdown added onto the earlier flushes'."""
+    return delta if so_far is None else delta + so_far
 
 
 class UpdateBuffer:
@@ -214,8 +200,6 @@ class UpdatePipeline:
         self.stats = UpdateStats()
         self._monitors: list[UpdateMonitor] = []
         self._last_tid: int | None = None
-        self._shard_stats_base = None
-        self._fault_stats_base = None
 
     # ------------------------------------------------------------------
     # Submission
@@ -283,14 +267,12 @@ class UpdatePipeline:
         writes_before = stats.physical_writes
         clock = getattr(self.tree, "sim_clock", None)
         elapsed_before = clock.elapsed if clock is not None else 0.0
+        # Baselined at every flush: whatever runs between two flushes
+        # (a served stream's query batches) is not this pipeline's I/O.
         shard_stats = getattr(self.tree, "shard_stats", None)
-        if callable(shard_stats) and self._shard_stats_base is None:
-            # Baseline the per-shard counters before the first flush so
-            # the attached breakdown covers exactly this pipeline's I/O.
-            self._shard_stats_base = shard_stats()
+        shards_before = shard_stats() if callable(shard_stats) else None
         supervisor = getattr(self.tree, "supervisor", None)
-        if supervisor is not None and self._fault_stats_base is None:
-            self._fault_stats_base = supervisor.stats.copy()
+        faults_before = supervisor.stats.copy() if supervisor is not None else None
         recorder = getattr(self.tree, "trace_recorder", None)
         tracing = recorder is not None and recorder.enabled
         if tracing:
@@ -333,11 +315,14 @@ class UpdatePipeline:
         self.stats.physical_writes += stats.physical_writes - writes_before
         if clock is not None:
             self.stats.virtual_time_us += clock.elapsed - elapsed_before
-        if callable(shard_stats):
-            self.stats.shard_stats = shard_stats().delta_from(self._shard_stats_base)
-        if supervisor is not None:
-            self.stats.fault_stats = supervisor.stats.delta_from(
-                self._fault_stats_base
+        if shards_before is not None:
+            # Delta on the left: its entries are the current ones.
+            self.stats.shard_stats = _accrued(
+                shard_stats().delta_from(shards_before), self.stats.shard_stats
+            )
+        if faults_before is not None:
+            self.stats.fault_stats = _accrued(
+                supervisor.stats.delta_from(faults_before), self.stats.fault_stats
             )
         for obj, _ in batch:
             if obj.uid in deferred_uids:

@@ -10,11 +10,13 @@ physical I/O counters are read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+from repro.counters import CounterSet
 
 
 @dataclass
-class FaultStats:
+class FaultStats(CounterSet, prefix="fault."):
     """What the fault-tolerance layer saw and did.
 
     Attributes:
@@ -45,56 +47,10 @@ class FaultStats:
     bands_dropped: int = 0
     updates_deferred: int = 0
 
-    def copy(self) -> "FaultStats":
-        """A point-in-time snapshot (the delta baseline)."""
-        return replace(self)
-
-    def delta_from(self, before: "FaultStats") -> "FaultStats":
-        """Events since ``before`` (a :meth:`copy` taken earlier)."""
-        return FaultStats(
-            faults=self.faults - before.faults,
-            retries=self.retries - before.retries,
-            backoff_us=self.backoff_us - before.backoff_us,
-            exhausted=self.exhausted - before.exhausted,
-            quarantines=self.quarantines - before.quarantines,
-            probes=self.probes - before.probes,
-            recoveries=self.recoveries - before.recoveries,
-            bands_dropped=self.bands_dropped - before.bands_dropped,
-            updates_deferred=self.updates_deferred - before.updates_deferred,
-        )
-
     @property
     def any_degradation(self) -> bool:
         """True when any result was served incomplete or deferred."""
         return self.bands_dropped > 0 or self.updates_deferred > 0
-
-    def publish(self, registry, **labels) -> None:
-        """Publish into a ``MetricsRegistry`` as ``fault.<field>``."""
-        registry.counter("fault.faults", self.faults, **labels)
-        registry.counter("fault.retries", self.retries, **labels)
-        registry.counter("fault.backoff_us", self.backoff_us, **labels)
-        registry.counter("fault.exhausted", self.exhausted, **labels)
-        registry.counter("fault.quarantines", self.quarantines, **labels)
-        registry.counter("fault.probes", self.probes, **labels)
-        registry.counter("fault.recoveries", self.recoveries, **labels)
-        registry.counter("fault.bands_dropped", self.bands_dropped, **labels)
-        registry.counter(
-            "fault.updates_deferred", self.updates_deferred, **labels
-        )
-
-    def snapshot(self) -> dict:
-        """JSON-ready form for benchmark reports."""
-        return {
-            "faults": self.faults,
-            "retries": self.retries,
-            "backoff_us": self.backoff_us,
-            "exhausted": self.exhausted,
-            "quarantines": self.quarantines,
-            "probes": self.probes,
-            "recoveries": self.recoveries,
-            "bands_dropped": self.bands_dropped,
-            "updates_deferred": self.updates_deferred,
-        }
 
 
 __all__ = ["FaultStats"]

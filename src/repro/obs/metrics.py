@@ -29,11 +29,22 @@ def _render(key: tuple) -> str:
     return ",".join(f"{k}={v}" for k, v in key)
 
 
-def _nearest_rank(ordered: list[float], fraction: float) -> float:
-    if not ordered:
+def nearest_rank(n: int, fraction: float) -> int:
+    """1-based nearest-rank position of ``fraction`` in ``n`` ordered
+    samples: ``ceil(fraction * n)``, at least 1.  The one percentile
+    rule of the repository — sojourn summaries, histogram snapshots and
+    trace exemplars all index through it."""
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+    return max(1, math.ceil(fraction * n))
+
+
+def percentile(values: list[float], fraction: float) -> float:
+    """Nearest-rank percentile of an unsorted sample (0 when empty)."""
+    rank = nearest_rank(len(values), fraction)
+    if not values:
         return 0.0
-    rank = max(1, min(len(ordered), math.ceil(fraction * len(ordered))))
-    return ordered[rank - 1]
+    return sorted(values)[rank - 1]
 
 
 class MetricsRegistry:
@@ -107,9 +118,9 @@ class MetricsRegistry:
                     "min": ordered[0] if ordered else 0.0,
                     "max": ordered[-1] if ordered else 0.0,
                     "mean": sum(ordered) / len(ordered) if ordered else 0.0,
-                    "p50": _nearest_rank(ordered, 0.5),
-                    "p95": _nearest_rank(ordered, 0.95),
-                    "p99": _nearest_rank(ordered, 0.99),
+                    "p50": percentile(ordered, 0.5),
+                    "p95": percentile(ordered, 0.95),
+                    "p99": percentile(ordered, 0.99),
                 }
         return {
             "counters": counters,
@@ -118,4 +129,4 @@ class MetricsRegistry:
         }
 
 
-__all__ = ["MetricsRegistry"]
+__all__ = ["MetricsRegistry", "nearest_rank", "percentile"]

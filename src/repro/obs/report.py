@@ -11,7 +11,12 @@ written by :mod:`repro.obs.export` and prints:
   serving I/O);
 * a cross-check that the worker's ``batch.serve`` spans sum to the
   ``ServiceStats.busy_us`` embedded in ``otherData`` — the trace and
-  the stats must tell one story.
+  the stats must tell one story;
+* a cross-check that the per-shard ``shard.physical_*`` series of the
+  embedded metrics sum to the merged ``io.physical_*`` counters — a
+  breakdown published twice, or billed someone else's I/O, shows here.
+
+``repro trace-report`` exits 1 when either check fails.
 
 Only standard-library formatting: the report must stay loadable in
 contexts where the bench reporting stack is not.
@@ -96,6 +101,21 @@ def summarize_trace(trace: dict) -> dict:
             "matches": abs(worker_busy - expected) <= 1e-6 * max(1.0, expected),
         }
 
+    counters = trace.get("otherData", {}).get("metrics", {}).get("counters", {})
+    shard_check = None
+    if "shard.physical_reads" in counters:
+        shard_check = {
+            kind: {
+                "shards": sum(counters.get(f"shard.physical_{kind}", {}).values()),
+                "io": sum(counters.get(f"io.physical_{kind}", {}).values()),
+            }
+            for kind in ("reads", "writes")
+        }
+        shard_check["matches"] = all(
+            shard_check[kind]["shards"] == shard_check[kind]["io"]
+            for kind in ("reads", "writes")
+        )
+
     return {
         "horizon_us": horizon_us,
         "n_spans": len(spans),
@@ -104,6 +124,12 @@ def summarize_trace(trace: dict) -> dict:
         "devices": devices,
         "instants": dict(sorted(instants.items())),
         "busy_check": busy_check,
+        "shard_check": shard_check,
+        "consistent": all(
+            check["matches"]
+            for check in (busy_check, shard_check)
+            if check is not None
+        ),
     }
 
 
@@ -145,6 +171,17 @@ def render_trace_report(trace: dict) -> str:
         lines.append(
             f"  worker busy vs ServiceStats.busy_us: "
             f"{check['trace_us']:.1f} vs {check['stats_us']:.1f} -> {verdict}"
+        )
+    check = summary["shard_check"]
+    if check is not None:
+        verdict = "OK" if check["matches"] else "MISMATCH"
+        lines.append(
+            "  per-shard sums vs io.physical_*: "
+            + ", ".join(
+                f"{kind} {check[kind]['shards']:.0f} vs {check[kind]['io']:.0f}"
+                for kind in ("reads", "writes")
+            )
+            + f" -> {verdict}"
         )
     return "\n".join(lines)
 

@@ -29,9 +29,10 @@ construction, so the disabled path costs one attribute probe.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from repro.obs.metrics import nearest_rank
 
 #: Default track groups, in display order.  Unknown groups sort after.
 GROUP_ORDER = ("service", "engine", "devices", "faults")
@@ -249,9 +250,7 @@ def record_exemplars(
     n = len(by_sojourn)
     seen: set[int] = set()
     for fraction in quantiles:
-        # Nearest-rank: ceil(fraction * n), clamped into [1, n].
-        rank = max(1, min(n, math.ceil(fraction * n)))
-        request, dispatch_us, finish_us = by_sojourn[rank - 1]
+        request, dispatch_us, finish_us = by_sojourn[nearest_rank(n, fraction) - 1]
         if request.seq in seen:
             continue
         seen.add(request.seq)

@@ -21,31 +21,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.counters import CounterSet, counter, derived, gauge, nested
+from repro.obs.metrics import percentile
 from repro.service.queue import BatchPolicy
 from repro.service.requests import REQUEST_KINDS
 
 
-def percentile(values: list[float], fraction: float) -> float:
-    """Nearest-rank percentile of an unsorted sample (0 when empty)."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(1, -(-len(ordered) * fraction // 1))  # ceil without math
-    return ordered[int(rank) - 1]
-
-
 @dataclass(frozen=True)
-class SojournSummary:
+class SojournSummary(CounterSet, prefix="service.sojourn_"):
     """Five-number summary of one request class's sojourn times (µs)."""
 
-    count: int = 0
-    mean_us: float = 0.0
-    p50_us: float = 0.0
-    p95_us: float = 0.0
-    p99_us: float = 0.0
-    max_us: float = 0.0
+    count: int = gauge(0)
+    mean_us: float = gauge(0.0)
+    p50_us: float = gauge(0.0)
+    p95_us: float = gauge(0.0)
+    p99_us: float = gauge(0.0)
+    max_us: float = gauge(0.0)
 
     @classmethod
     def of(cls, sojourns: list[float]) -> "SojournSummary":
@@ -60,19 +51,9 @@ class SojournSummary:
             max_us=max(sojourns),
         )
 
-    def snapshot(self) -> dict:
-        return {
-            "count": self.count,
-            "mean_us": self.mean_us,
-            "p50_us": self.p50_us,
-            "p95_us": self.p95_us,
-            "p99_us": self.p99_us,
-            "max_us": self.max_us,
-        }
-
 
 @dataclass
-class ServiceStats:
+class ServiceStats(CounterSet, prefix="service."):
     """Everything one simulated service run measured.
 
     Attributes:
@@ -109,33 +90,33 @@ class ServiceStats:
             deployment carries a shard supervisor; None otherwise.
     """
 
-    n_requests: int = 0
-    n_batches: int = 0
+    n_requests: int = counter(0, name="requests")
+    n_batches: int = counter(0, name="batches")
     overall: SojournSummary = field(default_factory=SojournSummary)
     per_class: dict[str, SojournSummary] = field(default_factory=dict)
     batch_size_hist: dict[int, int] = field(default_factory=dict)
-    queue_depth_max: int = 0
-    queue_depth_mean: float = 0.0
-    backlog_at_last_arrival: int = 0
-    makespan_us: float = 0.0
-    busy_us: float = 0.0
-    utilization: float = 0.0
-    throughput_per_sec: float = 0.0
-    saturated: bool = False
+    queue_depth_max: int = gauge(0)
+    queue_depth_mean: float = gauge(0.0)
+    backlog_at_last_arrival: int = gauge(0)
+    makespan_us: float = gauge(0.0)
+    busy_us: float = gauge(0.0)
+    utilization: float = gauge(0.0)
+    throughput_per_sec: float = gauge(0.0)
+    saturated: bool = gauge(False)
     physical_reads: int = 0
     physical_writes: int = 0
-    n_shed: int = 0
+    n_shed: int = counter(0, name="shed")
     degraded_queries: int = 0
     unapplied_updates: int = 0
-    fault_stats: object = None
+    fault_stats: object = nested()
 
-    @property
+    @derived
     def mean_batch_size(self) -> float:
         if self.n_batches == 0:
             return 0.0
         return self.n_requests / self.n_batches
 
-    @property
+    @derived
     def availability(self) -> float:
         """Fraction of offered requests fully honored.
 
@@ -151,7 +132,7 @@ class ServiceStats:
         honored = self.n_requests - self.unapplied_updates
         return max(0.0, honored / offered)
 
-    @property
+    @derived
     def reads_per_request(self) -> float:
         """Amortized physical reads per admitted request."""
         if self.n_requests == 0:
@@ -168,96 +149,11 @@ class ServiceStats:
         """Publish this run into a ``MetricsRegistry`` as
         ``service.<field>``; per-class sojourn summaries become gauges
         labelled ``kind=<class>`` (``kind=all`` for the overall one)."""
-        registry.counter("service.requests", self.n_requests, **labels)
-        registry.counter("service.batches", self.n_batches, **labels)
-        registry.counter("service.physical_reads", self.physical_reads, **labels)
-        registry.counter("service.physical_writes", self.physical_writes, **labels)
-        registry.counter("service.shed", self.n_shed, **labels)
-        registry.counter(
-            "service.degraded_queries", self.degraded_queries, **labels
-        )
-        registry.counter(
-            "service.unapplied_updates", self.unapplied_updates, **labels
-        )
-        registry.gauge("service.queue_depth_max", self.queue_depth_max, **labels)
-        registry.gauge("service.queue_depth_mean", self.queue_depth_mean, **labels)
-        registry.gauge(
-            "service.backlog_at_last_arrival",
-            self.backlog_at_last_arrival,
-            **labels,
-        )
-        registry.gauge("service.makespan_us", self.makespan_us, **labels)
-        registry.gauge("service.busy_us", self.busy_us, **labels)
-        registry.gauge("service.utilization", self.utilization, **labels)
-        registry.gauge(
-            "service.throughput_per_sec", self.throughput_per_sec, **labels
-        )
-        registry.gauge("service.saturated", float(self.saturated), **labels)
-        registry.gauge("service.availability", self.availability, **labels)
-        registry.gauge("service.mean_batch_size", self.mean_batch_size, **labels)
-        registry.gauge(
-            "service.reads_per_request", self.reads_per_request, **labels
-        )
+        super().publish(registry, **labels)
         for kind, summary in [("all", self.overall), *sorted(self.per_class.items())]:
-            registry.gauge(
-                "service.sojourn_count", summary.count, kind=kind, **labels
-            )
-            registry.gauge(
-                "service.sojourn_mean_us", summary.mean_us, kind=kind, **labels
-            )
-            registry.gauge(
-                "service.sojourn_p50_us", summary.p50_us, kind=kind, **labels
-            )
-            registry.gauge(
-                "service.sojourn_p95_us", summary.p95_us, kind=kind, **labels
-            )
-            registry.gauge(
-                "service.sojourn_p99_us", summary.p99_us, kind=kind, **labels
-            )
-            registry.gauge(
-                "service.sojourn_max_us", summary.max_us, kind=kind, **labels
-            )
+            summary.publish(registry, kind=kind, **labels)
         for size, count in sorted(self.batch_size_hist.items()):
-            registry.counter(
-                "service.batch_size", count, size=size, **labels
-            )
-        if self.fault_stats is not None:
-            self.fault_stats.publish(registry, **labels)
-
-    def snapshot(self) -> dict:
-        """JSON-ready form for benchmark reports."""
-        return {
-            "n_requests": self.n_requests,
-            "n_batches": self.n_batches,
-            "mean_batch_size": self.mean_batch_size,
-            "overall": self.overall.snapshot(),
-            "per_class": {
-                kind: summary.snapshot()
-                for kind, summary in sorted(self.per_class.items())
-            },
-            "batch_size_hist": {
-                str(size): count
-                for size, count in sorted(self.batch_size_hist.items())
-            },
-            "queue_depth_max": self.queue_depth_max,
-            "queue_depth_mean": self.queue_depth_mean,
-            "backlog_at_last_arrival": self.backlog_at_last_arrival,
-            "makespan_us": self.makespan_us,
-            "busy_us": self.busy_us,
-            "utilization": self.utilization,
-            "throughput_per_sec": self.throughput_per_sec,
-            "saturated": self.saturated,
-            "physical_reads": self.physical_reads,
-            "physical_writes": self.physical_writes,
-            "reads_per_request": self.reads_per_request,
-            "n_shed": self.n_shed,
-            "degraded_queries": self.degraded_queries,
-            "unapplied_updates": self.unapplied_updates,
-            "availability": self.availability,
-            "fault_stats": (
-                self.fault_stats.snapshot() if self.fault_stats is not None else None
-            ),
-        }
+            registry.counter("service.batch_size", count, size=size, **labels)
 
 
 def detect_saturation(
@@ -291,12 +187,7 @@ def build_stats(
     batches: "list",
     policy: BatchPolicy,
     backlog_at_last_arrival: int,
-    physical_reads: int = 0,
-    physical_writes: int = 0,
-    n_shed: int = 0,
-    degraded_queries: int = 0,
-    unapplied_updates: int = 0,
-    fault_stats=None,
+    **counted,
 ) -> ServiceStats:
     """Assemble :class:`ServiceStats` from a finished run.
 
@@ -308,10 +199,11 @@ def build_stats(
             ``queue_depth`` attributes).
         policy: the batching policy the run used.
         backlog_at_last_arrival: probe taken by the worker.
-        physical_reads / physical_writes: deployment counter deltas.
-        n_shed / degraded_queries / unapplied_updates / fault_stats:
-            the worker's degradation accounting (see
-            :class:`ServiceStats`).
+        counted: the :class:`ServiceStats` fields the worker counted
+            rather than derived from the records — ``physical_reads`` /
+            ``physical_writes`` (deployment counter deltas) and its
+            degradation accounting (``n_shed``, ``degraded_queries``,
+            ``unapplied_updates``, ``fault_stats``).
     """
     sojourns = [finish - request.arrival_us for request, _, finish in records]
     by_class: dict[str, list[float]] = {kind: [] for kind in REQUEST_KINDS}
@@ -337,7 +229,7 @@ def build_stats(
     makespan_us = max(0.0, last_finish - first_arrival)
     work_span = max(0.0, last_finish - first_dispatch)
 
-    stats = ServiceStats(
+    return ServiceStats(
         n_requests=len(records),
         n_batches=len(batches),
         overall=SojournSummary.of(sojourns),
@@ -357,14 +249,8 @@ def build_stats(
             len(records) / (makespan_us / 1e6) if makespan_us > 0 else 0.0
         ),
         saturated=detect_saturation(sojourns, backlog_at_last_arrival, policy),
-        physical_reads=physical_reads,
-        physical_writes=physical_writes,
-        n_shed=n_shed,
-        degraded_queries=degraded_queries,
-        unapplied_updates=unapplied_updates,
-        fault_stats=fault_stats,
+        **counted,
     )
-    return stats
 
 
 __all__ = [

@@ -202,9 +202,9 @@ class SimulatedService:
             recorder = NULL_RECORDER
         if recorder.enabled:
             recorder.set_origin(base)
-        stats = getattr(self.engine.tree, "stats", None)
-        reads_before = stats.physical_reads if stats is not None else 0
-        writes_before = stats.physical_writes if stats is not None else 0
+        stats = self.engine.tree.stats
+        reads_before = stats.physical_reads
+        writes_before = stats.physical_writes
 
         supervisor = getattr(self.engine.tree, "supervisor", None)
         faults_before = supervisor.stats.copy() if supervisor is not None else None
@@ -240,12 +240,8 @@ class SimulatedService:
             report.batches,
             self.policy,
             backlog_at_last_arrival=backlog_probe,
-            physical_reads=(
-                stats.physical_reads - reads_before if stats is not None else 0
-            ),
-            physical_writes=(
-                stats.physical_writes - writes_before if stats is not None else 0
-            ),
+            physical_reads=stats.physical_reads - reads_before,
+            physical_writes=stats.physical_writes - writes_before,
             n_shed=len(report.shed),
             degraded_queries=sum(
                 sum(1 for flag in outcome.degraded if flag)
@@ -344,8 +340,8 @@ class SimulatedService:
         clock = self.clock
         if clock is not None:
             clock.set_cursor(base + batch.dispatch_us)
-        stats = getattr(self.engine.tree, "stats", None)
-        reads_before = stats.physical_reads if stats is not None else 0
+        stats = self.engine.tree.stats
+        reads_before = stats.physical_reads
 
         outcome = BatchOutcome(
             requests=list(batch.requests),
@@ -382,9 +378,7 @@ class SimulatedService:
                 n_knn=n_knn,
                 n_updates=outcome.n_updates,
                 service_us=outcome.finish_us - outcome.dispatch_us,
-                physical_reads=(
-                    stats.physical_reads - reads_before if stats is not None else 0
-                ),
+                physical_reads=stats.physical_reads - reads_before,
             )
         return outcome
 

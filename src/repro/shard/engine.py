@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.engine.executor import BatchReport, QueryEngine
+from repro.engine.executor import ExecutionStats, QueryEngine
 from repro.engine.plan import BandRequest
 from repro.engine.scanner import BandScanner
 from repro.motion.rows import BandRows
@@ -337,20 +337,22 @@ class ShardedQueryEngine(QueryEngine):
         self._cpu_cursor: float | None = None
 
     def _batch_scanner(self) -> ShardScatterScanner:
-        # The scanner hook runs at the start of every batch: the right
-        # moment to baseline the per-shard counters, so the ShardStats
-        # attached at the end describes *this* batch's I/O and sums to
-        # the delta counters it rides with.
-        self._batch_stats_before = self.tree.shard_stats()
-        supervisor = getattr(self.tree, "supervisor", None)
-        self._batch_faults_before = (
-            supervisor.stats.copy() if supervisor is not None else None
-        )
         return ShardScatterScanner(
             self.tree,
             packed=self.packed_scan,
             policy=self.prefetch_policy,
         )
+
+    def _batch_progress(self, scanner) -> ExecutionStats:
+        # The per-shard and fault counters ride along, so a batch's
+        # delta carries breakdowns of *this* batch's I/O that sum to
+        # the counters they sit beside.
+        seen = self._progress(scanner)
+        seen.shard_stats = self.tree.shard_stats()
+        supervisor = getattr(self.tree, "supervisor", None)
+        if supervisor is not None:
+            seen.fault_stats = supervisor.stats.copy()
+        return seen
 
     def _drop_marker(self, scanner) -> int:
         return getattr(scanner, "dropped_subbands", 0)
@@ -406,16 +408,6 @@ class ShardedQueryEngine(QueryEngine):
                     category="engine",
                 )
             clock.join([self._cpu_cursor])
-
-    def _finish_batch_stats(self, report: BatchReport) -> None:
-        report.stats.shard_stats = self.tree.shard_stats().delta_from(
-            self._batch_stats_before
-        )
-        supervisor = getattr(self.tree, "supervisor", None)
-        if supervisor is not None and self._batch_faults_before is not None:
-            report.stats.fault_stats = supervisor.stats.delta_from(
-                self._batch_faults_before
-            )
 
 
 __all__ = ["ShardScatterScanner", "ShardedQueryEngine"]

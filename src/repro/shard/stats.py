@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.counters import CounterSet, counter, derived, gauge, snapshot_only
+
 
 @dataclass(frozen=True)
-class ShardStats:
+class ShardStats(CounterSet, prefix="shard."):
     """A point-in-time per-shard breakdown of one sharded deployment.
 
     All tuples are indexed by shard, in router order.
@@ -33,9 +35,9 @@ class ShardStats:
         physical_writes: physical page writes per shard's pool.
     """
 
-    entries: tuple[int, ...]
-    physical_reads: tuple[int, ...]
-    physical_writes: tuple[int, ...]
+    entries: tuple[int, ...] = gauge()
+    physical_reads: tuple[int, ...] = counter()
+    physical_writes: tuple[int, ...] = counter()
 
     def __post_init__(self):
         if not self.entries:
@@ -45,7 +47,7 @@ class ShardStats:
         ):
             raise ValueError("per-shard tuples must have equal length")
 
-    @property
+    @snapshot_only
     def n_shards(self) -> int:
         return len(self.entries)
 
@@ -61,7 +63,7 @@ class ShardStats:
     def total_writes(self) -> int:
         return sum(self.physical_writes)
 
-    @property
+    @derived
     def balance_skew(self) -> float:
         """Largest shard's entry count over the even-split ideal.
 
@@ -73,56 +75,6 @@ class ShardStats:
         if total == 0:
             return 1.0
         return max(self.entries) / (total / self.n_shards)
-
-    def delta_from(self, before: "ShardStats") -> "ShardStats":
-        """The I/O accrued since ``before``; entries stay point-in-time."""
-        if before.n_shards != self.n_shards:
-            raise ValueError(
-                f"cannot delta {self.n_shards}-shard stats from "
-                f"{before.n_shards}-shard stats"
-            )
-        return ShardStats(
-            entries=self.entries,
-            physical_reads=tuple(
-                now - then
-                for now, then in zip(self.physical_reads, before.physical_reads)
-            ),
-            physical_writes=tuple(
-                now - then
-                for now, then in zip(self.physical_writes, before.physical_writes)
-            ),
-        )
-
-    def publish(self, registry, **labels) -> None:
-        """Publish into a ``MetricsRegistry`` as ``shard.<field>``;
-        the per-shard tuples become series labelled ``shard=<i>``."""
-        for shard in range(self.n_shards):
-            registry.gauge(
-                "shard.entries", self.entries[shard], shard=shard, **labels
-            )
-            registry.counter(
-                "shard.physical_reads",
-                self.physical_reads[shard],
-                shard=shard,
-                **labels,
-            )
-            registry.counter(
-                "shard.physical_writes",
-                self.physical_writes[shard],
-                shard=shard,
-                **labels,
-            )
-        registry.gauge("shard.balance_skew", self.balance_skew, **labels)
-
-    def snapshot(self) -> dict:
-        """JSON-ready form for benchmark reports."""
-        return {
-            "n_shards": self.n_shards,
-            "entries": list(self.entries),
-            "physical_reads": list(self.physical_reads),
-            "physical_writes": list(self.physical_writes),
-            "balance_skew": self.balance_skew,
-        }
 
 
 __all__ = ["ShardStats"]

@@ -20,11 +20,12 @@ means N devices were genuinely kept busy concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+
+from repro.counters import CounterSet, LiveSum, derived
 
 
 @dataclass
-class LatencyStats:
+class LatencyStats(CounterSet, prefix="device."):
     """Mutable virtual-time counters for one simulated device.
 
     Attributes:
@@ -43,7 +44,7 @@ class LatencyStats:
     seeks: int = 0
     sequential_hits: int = 0
 
-    @property
+    @derived
     def busy_us(self) -> float:
         """Total device-serialized virtual time (reads plus writes)."""
         return self.read_us + self.write_us
@@ -52,7 +53,7 @@ class LatencyStats:
     def accesses(self) -> int:
         return self.reads + self.writes
 
-    @property
+    @derived
     def sequential_ratio(self) -> float:
         """Fraction of accesses that skipped the seek (0.0 when idle)."""
         total = self.accesses
@@ -73,119 +74,14 @@ class LatencyStats:
         else:
             self.seeks += 1
 
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.reads = 0
-        self.writes = 0
-        self.read_us = 0.0
-        self.write_us = 0.0
-        self.seeks = 0
-        self.sequential_hits = 0
 
-    def snapshot(self) -> dict:
-        """JSON-ready form for benchmark reports."""
-        return {
-            "reads": self.reads,
-            "writes": self.writes,
-            "read_us": self.read_us,
-            "write_us": self.write_us,
-            "busy_us": self.busy_us,
-            "seeks": self.seeks,
-            "sequential_hits": self.sequential_hits,
-            "sequential_ratio": self.sequential_ratio,
-        }
-
-    def publish(self, registry, **labels) -> None:
-        """Publish into a ``MetricsRegistry`` as ``device.<field>``."""
-        _publish_latency(self, registry, labels)
-
-
-class LatencyView:
+class LatencyView(LiveSum):
     """A live aggregate over several :class:`LatencyStats` bundles.
 
     Every property access recomputes the sum, so a view taken once (a
     sharded deployment's merged latency surface) stays current as the
     member devices keep charging time.
     """
-
-    def __init__(self, parts: Sequence[LatencyStats] | Iterable[LatencyStats]):
-        self._parts = tuple(parts)
-        if not self._parts:
-            raise ValueError("LatencyView needs at least one LatencyStats bundle")
-
-    @property
-    def parts(self) -> tuple[LatencyStats, ...]:
-        return self._parts
-
-    @property
-    def reads(self) -> int:
-        return sum(part.reads for part in self._parts)
-
-    @property
-    def writes(self) -> int:
-        return sum(part.writes for part in self._parts)
-
-    @property
-    def read_us(self) -> float:
-        return sum(part.read_us for part in self._parts)
-
-    @property
-    def write_us(self) -> float:
-        return sum(part.write_us for part in self._parts)
-
-    @property
-    def busy_us(self) -> float:
-        return sum(part.busy_us for part in self._parts)
-
-    @property
-    def accesses(self) -> int:
-        return self.reads + self.writes
-
-    @property
-    def seeks(self) -> int:
-        return sum(part.seeks for part in self._parts)
-
-    @property
-    def sequential_hits(self) -> int:
-        return sum(part.sequential_hits for part in self._parts)
-
-    @property
-    def sequential_ratio(self) -> float:
-        total = self.accesses
-        if total == 0:
-            return 0.0
-        return self.sequential_hits / total
-
-    def reset(self) -> None:
-        for part in self._parts:
-            part.reset()
-
-    def snapshot(self) -> dict:
-        return {
-            "reads": self.reads,
-            "writes": self.writes,
-            "read_us": self.read_us,
-            "write_us": self.write_us,
-            "busy_us": self.busy_us,
-            "seeks": self.seeks,
-            "sequential_hits": self.sequential_hits,
-            "sequential_ratio": self.sequential_ratio,
-        }
-
-    def publish(self, registry, **labels) -> None:
-        """Publish the aggregate (same ``device.<field>`` names)."""
-        _publish_latency(self, registry, labels)
-
-
-def _publish_latency(stats, registry, labels: dict) -> None:
-    registry.counter("device.reads", stats.reads, **labels)
-    registry.counter("device.writes", stats.writes, **labels)
-    registry.counter("device.read_us", stats.read_us, **labels)
-    registry.counter("device.write_us", stats.write_us, **labels)
-    registry.counter("device.seeks", stats.seeks, **labels)
-    registry.counter("device.sequential_hits", stats.sequential_hits, **labels)
-    registry.gauge("device.busy_us", stats.busy_us, **labels)
-    registry.gauge("device.sequential_ratio", stats.sequential_ratio, **labels)
 
 
 __all__ = ["LatencyStats", "LatencyView"]

@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from repro.counters import CounterSet, LiveSum, published_only
+
 
 @dataclass
-class IOStats:
+class IOStats(CounterSet, prefix="io."):
     """Mutable bundle of I/O counters.
 
     The paper's experiments report the *average I/O cost per query*, where
@@ -34,16 +36,11 @@ class IOStats:
     physical_writes: int = 0
     logical_reads: int = 0
     logical_writes: int = 0
-    _marks: dict[str, tuple[int, int, int, int]] = field(
-        default_factory=dict, repr=False
-    )
+    _marks: dict[str, tuple[int, int]] = field(default_factory=dict, repr=False)
 
     def reset(self) -> None:
         """Zero every counter (marks survive so old deltas become invalid)."""
-        self.physical_reads = 0
-        self.physical_writes = 0
-        self.logical_reads = 0
-        self.logical_writes = 0
+        super().reset()
         self._marks.clear()
 
     @property
@@ -51,7 +48,7 @@ class IOStats:
         """Physical reads plus physical writes."""
         return self.physical_reads + self.physical_writes
 
-    @property
+    @published_only
     def hit_ratio(self) -> float:
         """Fraction of logical reads served by the buffer (1.0 if idle)."""
         if self.logical_reads == 0:
@@ -60,40 +57,18 @@ class IOStats:
 
     def mark(self, label: str = "default") -> None:
         """Remember the current counters under ``label`` for later deltas."""
-        self._marks[label] = (
-            self.physical_reads,
-            self.physical_writes,
-            self.logical_reads,
-            self.logical_writes,
-        )
+        self._marks[label] = (self.physical_reads, self.physical_writes)
 
     def reads_since(self, label: str = "default") -> int:
         """Physical reads accumulated since :meth:`mark` was called."""
-        return self.physical_reads - self._marks.get(label, (0, 0, 0, 0))[0]
+        return self.physical_reads - self._marks.get(label, (0, 0))[0]
 
     def writes_since(self, label: str = "default") -> int:
         """Physical writes accumulated since :meth:`mark` was called."""
-        return self.physical_writes - self._marks.get(label, (0, 0, 0, 0))[1]
-
-    def snapshot(self) -> dict[str, int]:
-        """Return an immutable view of the counters for reporting."""
-        return {
-            "physical_reads": self.physical_reads,
-            "physical_writes": self.physical_writes,
-            "logical_reads": self.logical_reads,
-            "logical_writes": self.logical_writes,
-        }
-
-    def publish(self, registry, **labels) -> None:
-        """Publish into a ``MetricsRegistry`` as ``io.<field>``."""
-        registry.counter("io.physical_reads", self.physical_reads, **labels)
-        registry.counter("io.physical_writes", self.physical_writes, **labels)
-        registry.counter("io.logical_reads", self.logical_reads, **labels)
-        registry.counter("io.logical_writes", self.logical_writes, **labels)
-        registry.gauge("io.hit_ratio", self.hit_ratio, **labels)
+        return self.physical_writes - self._marks.get(label, (0, 0))[1]
 
 
-class StatsView:
+class StatsView(LiveSum):
     """A live aggregate over several :class:`IOStats` bundles.
 
     Every counter access recomputes the sum from the underlying
@@ -121,60 +96,18 @@ class StatsView:
         parts: Sequence[IOStats] | Iterable[IOStats],
         latency=None,
     ):
-        self._parts = tuple(parts)
-        if not self._parts:
-            raise ValueError("StatsView needs at least one IOStats bundle")
+        super().__init__(parts)
         self.latency = latency
-
-    @property
-    def parts(self) -> tuple[IOStats, ...]:
-        """The member bundles, in aggregation order."""
-        return self._parts
-
-    @property
-    def physical_reads(self) -> int:
-        return sum(part.physical_reads for part in self._parts)
-
-    @property
-    def physical_writes(self) -> int:
-        return sum(part.physical_writes for part in self._parts)
-
-    @property
-    def logical_reads(self) -> int:
-        return sum(part.logical_reads for part in self._parts)
-
-    @property
-    def logical_writes(self) -> int:
-        return sum(part.logical_writes for part in self._parts)
-
-    @property
-    def total_io(self) -> int:
-        """Physical reads plus physical writes across every member."""
-        return self.physical_reads + self.physical_writes
-
-    @property
-    def hit_ratio(self) -> float:
-        """Fraction of logical reads served by the buffers (1.0 if idle)."""
-        logical = self.logical_reads
-        if logical == 0:
-            return 1.0
-        return 1.0 - self.physical_reads / logical
 
     def reset(self) -> None:
         """Zero every member bundle's counters (latency bundles too)."""
-        for part in self._parts:
-            part.reset()
+        super().reset()
         if self.latency is not None:
             self.latency.reset()
 
     def snapshot(self) -> dict:
         """Return an immutable merged view of the counters for reporting."""
-        merged: dict = {
-            "physical_reads": self.physical_reads,
-            "physical_writes": self.physical_writes,
-            "logical_reads": self.logical_reads,
-            "logical_writes": self.logical_writes,
-        }
+        merged = super().snapshot()
         if self.latency is not None:
             merged["latency"] = self.latency.snapshot()
         return merged
@@ -182,12 +115,8 @@ class StatsView:
     def publish(self, registry, **labels) -> None:
         """Publish the merged counters (same ``io.<field>`` names a
         single bundle uses; the latency aggregate rides along)."""
-        registry.counter("io.physical_reads", self.physical_reads, **labels)
-        registry.counter("io.physical_writes", self.physical_writes, **labels)
-        registry.counter("io.logical_reads", self.logical_reads, **labels)
-        registry.counter("io.logical_writes", self.logical_writes, **labels)
-        registry.gauge("io.hit_ratio", self.hit_ratio, **labels)
-        if self.latency is not None and hasattr(self.latency, "publish"):
+        super().publish(registry, **labels)
+        if self.latency is not None:
             self.latency.publish(registry, **labels)
 
 

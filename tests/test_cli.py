@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 import repro.bench.experiments as experiments_module
@@ -331,3 +333,58 @@ def test_serve_sim_burst_without_pin(capsys):
 def test_parser_rejects_unknown_arrival_process():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["serve-sim", "--arrival", "uniform"])
+
+
+def _hand_trace(busy_us=120.0, shard_reads=(3.0, 4.0), io_reads=7.0):
+    """A minimal exported trace: one served batch, a two-shard registry."""
+    metrics = {
+        "counters": {
+            "shard.physical_reads": {
+                f"shard={shard}": reads for shard, reads in enumerate(shard_reads)
+            },
+            "shard.physical_writes": {"shard=0": 1.0, "shard=1": 0.0},
+            "io.physical_reads": {"": io_reads},
+            "io.physical_writes": {"": 1.0},
+        },
+        "gauges": {},
+        "histograms": {},
+    }
+    return {
+        "traceEvents": [
+            {"ph": "M", "name": "process_name", "pid": 1, "args": {"name": "service"}},
+            {"ph": "M", "name": "thread_name", "pid": 1, "tid": 1,
+             "args": {"name": "worker"}},
+            {"ph": "X", "name": "batch.serve", "pid": 1, "tid": 1,
+             "ts": 10.0, "dur": 120.0},
+        ],
+        "otherData": {"service_stats": {"busy_us": busy_us}, "metrics": metrics},
+    }
+
+
+@pytest.mark.parametrize(
+    "edits, code, verdicts",
+    [
+        ({}, 0, ("-> OK", "-> OK")),
+        ({"busy_us": 121.0}, 1, ("-> MISMATCH", "-> OK")),
+        ({"shard_reads": (3.0, 8.0)}, 1, ("-> OK", "-> MISMATCH")),
+        ({"io_reads": 3.0}, 1, ("-> OK", "-> MISMATCH")),
+    ],
+)
+def test_trace_report_exit_code_follows_the_cross_checks(
+    tmp_path, capsys, edits, code, verdicts
+):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(_hand_trace(**edits)))
+    assert main(["trace-report", str(path)]) == code
+    checks = [line for line in capsys.readouterr().out.splitlines() if "->" in line]
+    assert [line[line.index("->"):] for line in checks] == list(verdicts)
+
+
+def test_trace_report_skips_the_shard_check_without_metrics(tmp_path, capsys):
+    trace = _hand_trace()
+    del trace["otherData"]["metrics"]
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(trace))
+    assert main(["trace-report", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "ServiceStats.busy_us" in out and "per-shard" not in out

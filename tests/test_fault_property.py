@@ -138,6 +138,42 @@ def test_transient_schedule_runs_bit_identical(fail_reads, fail_writes):
     assert supervisor.stats.retries == supervisor.stats.faults
 
 
+def test_pipeline_fault_stats_exclude_faults_between_flushes():
+    """Faults a query batch retried through between two flushes are the
+    engine's, not the updater's: the pipeline's ``fault_stats`` is the
+    sum of what the supervisor counted *during* its flushes."""
+    sharded = deploy(supervised=True)
+    for pool in sharded.pools:
+        pool.resize(2)  # smaller than a shard: the queries read too
+    # Sparse enough that no retried job exhausts, spread so that both
+    # flushes and both query batches run into some (asserted below).
+    schedule = TransientFaultSchedule(
+        fail_reads={2, 12, 20, 27, 31, 36, 40, 45, 50, 70},
+        fail_writes={3, 9, 12, 15},
+    )
+    for disk in shard_disks(sharded):
+        disk.heal()
+        disk.schedule = schedule
+    supervisor = sharded.supervisor
+    pipeline = UpdatePipeline(sharded, capacity=1000, flush_on_rollover=False)
+    during_flushes = []
+
+    for part in (BATCH[:60], BATCH[60:]):
+        pipeline.extend(list(part))
+        before = supervisor.stats.copy()
+        pipeline.flush()
+        during_flushes.append(supervisor.stats.delta_from(before))
+        between = supervisor.stats.copy()
+        ShardedQueryEngine(sharded).execute_batch(SPECS)
+        assert supervisor.stats.delta_from(between).faults > 0
+
+    assert pipeline.stats.flushes == 2 and pipeline.pending == 0
+    assert during_flushes[0].faults > 0 and during_flushes[1].faults > 0
+    billed = pipeline.stats.fault_stats
+    assert billed.faults == sum(delta.faults for delta in during_flushes)
+    assert billed.retries == sum(delta.retries for delta in during_flushes)
+
+
 def test_supervised_fault_free_run_is_identical_to_unsupervised():
     """The opt-in invariant: with a supervisor attached but no faults,
     nothing observable changes."""

@@ -362,6 +362,69 @@ def test_trace_report_matches_service_stats(tmp_path):
     assert "-> OK" in text
 
 
+def test_embedded_metrics_publish_each_run_level_series_once():
+    """One registry rides in the trace: its per-shard series must sum
+    to the merged ``io.*`` counters and its ``fault.*`` series must be
+    the run's ``ServiceStats.fault_stats`` — not that plus the update
+    pipeline's copy of the same events."""
+    from repro.fault import BreakerPolicy, RetryPolicy
+    from repro.storage.faults import FaultyDisk, TransientFaultSchedule
+    from tests.test_service_faults import shard_disks
+
+    def arm(deployment):
+        for disk in shard_disks(deployment):
+            disk.heal()
+            disk.schedule = TransientFaultSchedule(
+                fail_reads=(3, 20, 50), fail_writes=(2,)
+            )
+
+    recorder = TraceRecorder()
+    costs = _run(
+        recorder=recorder,
+        n_requests=48,
+        update_fraction=0.5,
+        shard_buffer_pages=12,  # small: reads go physical, faults fire
+        disk_factory=lambda shard: FaultyDisk(page_size=TINY.page_size),
+        fault_policy=RetryPolicy(max_attempts=6),
+        breaker_policy=BreakerPolicy(),
+        arm_faults=arm,
+    )
+    counters = chrome_trace(recorder)["otherData"]["metrics"]["counters"]
+
+    def total(name):
+        return sum(counters[name].values())
+
+    assert total("io.physical_reads") > 0 and total("io.physical_writes") > 0
+    assert total("shard.physical_reads") == total("io.physical_reads")
+    assert total("shard.physical_writes") == total("io.physical_writes")
+    faults = costs.stats.fault_stats
+    assert faults.faults > 0
+    for field in ("faults", "retries", "backoff_us", "exhausted", "quarantines"):
+        assert total(f"fault.{field}") == getattr(faults, field), field
+    assert summarize_trace(chrome_trace(recorder))["shard_check"]["matches"]
+
+
+def test_trace_report_flags_tampered_metrics_and_busy_time():
+    recorder = TraceRecorder()
+    _run(recorder=recorder)
+    trace = chrome_trace(recorder)
+    assert summarize_trace(trace)["consistent"]
+
+    reads = trace["otherData"]["metrics"]["counters"]["shard.physical_reads"]
+    reads[next(iter(reads))] += 1
+    summary = summarize_trace(trace)
+    assert not summary["shard_check"]["matches"] and not summary["consistent"]
+    assert summary["busy_check"]["matches"]
+    assert "per-shard sums vs io.physical_*" in render_trace_report(trace)
+    assert "-> MISMATCH" in render_trace_report(trace)
+
+    reads[next(iter(reads))] -= 1
+    trace["otherData"]["service_stats"]["busy_us"] += 5.0
+    summary = summarize_trace(trace)
+    assert summary["shard_check"]["matches"]
+    assert not summary["busy_check"]["matches"] and not summary["consistent"]
+
+
 def test_trace_report_renders_loaded_file(tmp_path):
     recorder = TraceRecorder()
     _run(recorder=recorder)

@@ -171,6 +171,31 @@ def test_sharded_updates_identical_to_single_tree(world, n_shards):
         assert got.candidates_examined == expected.candidates_examined, spec
 
 
+def test_pipeline_breakdown_excludes_io_between_flushes(world):
+    """A query batch served between two flushes is not the updater's
+    I/O: the per-shard breakdown still sums to the sibling counters."""
+    sharded = build_sharded(world, 2, buffer_pages=4)
+    for pool in sharded.pools:
+        pool.clear()
+    generator = world.query_generator()
+    stream = generator.update_stream(world.states, 200, 3.0, 0.0, 50.0)
+    pipeline = UpdatePipeline(sharded, capacity=1000, flush_on_rollover=False)
+
+    pipeline.extend(stream[:100])
+    pipeline.flush()
+    specs = generator.range_queries(world.uids, 20, 240.0, 50.0)
+    report = ShardedQueryEngine(sharded).execute_batch(specs)
+    assert report.stats.physical_reads > 0  # the interloper did real I/O
+    pipeline.extend(stream[100:])
+    pipeline.flush()
+
+    stats = pipeline.stats
+    assert stats.flushes == 2
+    assert stats.shard_stats.total_reads == stats.physical_reads
+    assert stats.shard_stats.total_writes == stats.physical_writes
+    assert stats.shard_stats.entries == sharded.shard_stats().entries
+
+
 def test_tid_policy_migrates_entries_between_shards(world):
     """Under TID sharding a rollover moves an entry to another shard."""
     sharded = build_sharded(world, 3, policy="tid")

@@ -56,6 +56,19 @@ def test_percentile_nearest_rank_matches_definition():
     assert percentile(values, 0.501) == 51
 
 
+def test_registry_histogram_quantiles_are_the_same_percentile():
+    from repro.obs.metrics import MetricsRegistry
+
+    sample = [float((7 * i) % 53) for i in range(1, 38)]  # unsorted, with ties
+    registry = MetricsRegistry()
+    for value in sample:
+        registry.observe("sojourn_us", value, kind="range")
+    summary = registry.snapshot()["histograms"]["sojourn_us"]["kind=range"]
+    assert summary["p50"] == percentile(sample, 0.50)
+    assert summary["p95"] == percentile(sample, 0.95)
+    assert summary["p99"] == percentile(sample, 0.99)
+
+
 # ----------------------------------------------------------------------
 # SojournSummary.of
 # ----------------------------------------------------------------------
@@ -163,6 +176,12 @@ def test_merge_stats_view_is_live_and_snapshot_round_trips():
     # Per-member snapshots are unaffected by aggregation.
     assert first.snapshot()["physical_reads"] == 6
     assert second.snapshot()["physical_reads"] == 10
+    # Derived ratios come from the summed parts, never an average of
+    # the members' own ratios (0.0 and 1.0 here would average to 0.5).
+    busy = IOStats(physical_reads=4, logical_reads=4)
+    idle = IOStats(physical_reads=0, logical_reads=12)
+    assert merge_stats([busy, idle]).hit_ratio == 0.75
+    assert merge_stats([busy, idle]).total_io == 4
 
 
 def test_stats_view_reset_fans_out():
@@ -190,3 +209,15 @@ def test_stats_view_latency_rides_along():
     assert snapshot["latency"]["sequential_ratio"] == 0.5
     view.reset()
     assert device.busy_us == 0.0
+    # The latency rider is itself live, takes its ratio from the summed
+    # parts (the members alone say 0.0 and 1.0), and fans reset() out.
+    other = LatencyStats()
+    pair = LatencyView([device, other])
+    device.record("read", 100.0, sequential=False)
+    for _ in range(3):
+        other.record("write", 50.0, sequential=True)
+    assert pair.busy_us == 250.0 and pair.accesses == 4
+    assert pair.sequential_ratio == 0.75
+    assert pair.snapshot()["sequential_ratio"] == 0.75
+    pair.reset()
+    assert device.seeks == 0 and other.writes == 0 and pair.busy_us == 0.0
