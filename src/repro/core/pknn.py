@@ -35,6 +35,21 @@ therefore asks the scanner once per (friend, partition) for that
 stratum's *residency* — the Z-intervals earlier scans (this query's, or
 the batch's prefetch) proved, with their rows — and answers a piece a
 proof covers from it; only an unproven piece becomes a band request.
+
+Nor does it poll what is already settled.  After a cell has served or
+scanned a stratum, the search keeps that stratum's *quiet interval*
+(:meth:`repro.engine.scanner.StratumResidency.quiet_around`): the widest
+proven interval around the query point that holds nobody it has not
+located.  Proofs and the located set only grow, so the interval stays
+true for the rest of the search, and a later cell whose pieces all fall
+inside it — in a sparse stratum every cell until the window reaches the
+friend — could only be handed rows it would ignore.  The walk skips
+such a cell before entering :meth:`_MatrixSearch.scan_cell`; the same
+cells admit the same rows in the same order as a walk that polled every
+piece, and the skipped pieces, still requests a proof answered, reach
+the scanner's counters as one sum when the search finishes.  The
+within-search half of the *known region* of incremental kNN: remember
+where the answer is complete instead of re-deriving it per step.
 """
 
 from __future__ import annotations
@@ -45,6 +60,7 @@ from dataclasses import dataclass, field
 
 from repro.core.peb_tree import PEBTree
 from repro.engine import BandScanner, CandidateVerifier, QueryPlanner
+from repro.engine.scanner import NOT_QUIET
 from repro.motion.objects import MovingObject
 from repro.motion.rows import BandRows
 from repro.spatial.decompose import ZInterval, subtract_interval
@@ -73,6 +89,15 @@ class PKNNResult:
 
 def _distance_of(candidate: tuple[float, MovingObject]) -> float:
     return candidate[0]
+
+
+#: One live partition's share of a cell: ``(context index, tid, Z pieces
+#: in ascending order, hull lo, hull hi)``.
+_Partition = tuple[int, int, list[ZInterval], int, int]
+
+
+def _partition(context_index: int, tid: int, pieces: list[ZInterval]) -> _Partition:
+    return context_index, tid, pieces, pieces[0][0], pieces[-1][1]
 
 
 class _MatrixSearch:
@@ -117,65 +142,71 @@ class _MatrixSearch:
         self.max_rounds = math.ceil(
             tree.grid.space_side * math.sqrt(2.0) / self.rq
         ) + 1
-        # Span cache keyed by (round_index, context_index).  Both axes
-        # are bounded — rounds never exceed max_rounds (enforced by
-        # _cell_order) and contexts is the fixed live-partition list —
-        # so the cache holds at most |contexts| * (max_rounds + 1)
-        # entries for the lifetime of this one query; it dies with the
-        # search.  ``_span_cache_capacity`` states the bound, and the
-        # tests assert the cache never exceeds it.
-        self._span_cache: dict[tuple[int, int], ZInterval | None] = {}
+        # Per round, the square's Z window under each partition's
+        # enlargement.  Rounds never exceed max_rounds (enforced by
+        # _cell_order) and contexts is the fixed live-partition list, so
+        # the cache holds at most |contexts| * (max_rounds + 1) spans
+        # for the lifetime of this one query; it dies with the search.
+        # ``_span_cache_capacity`` states the bound, and the tests
+        # assert the cache never exceeds it.
+        self._span_cache: dict[int, list[ZInterval | None]] = {}
         self._span_cache_capacity = max(1, len(self.contexts)) * (self.max_rounds + 1)
         # A round's annulus pieces per live partition are the same for
         # every friend row; at most max_rounds entries.
-        self._pieces: dict[int, list[tuple[int, int, list[ZInterval]]]] = {}
+        self._pieces: dict[int, list[_Partition]] = {}
         # Per friend row: its strata's residencies, one per context
         # (None entries where the scanner keeps none), asked on first use.
         self._strata: list[list | None] = [None] * len(self.friends)
+        # Per friend row and context: the quiet interval of that
+        # stratum, as of the last cell that served or scanned it.  It
+        # is taken around the query point's Z-value, which every
+        # round's window holds.
+        self._anchor = tree.grid.z_value(qx, qy)
+        self._quiet = [[NOT_QUIET] * len(self.contexts) for _ in self.friends]
+        # ... and the pieces skipped inside it, which the scanner is
+        # told of when the search finishes.
+        self._skipped = [[0] * len(self.contexts) for _ in self.friends]
 
     # ------------------------------------------------------------------
     # Scan plumbing
     # ------------------------------------------------------------------
 
-    def _span(self, round_index: int, context_index: int) -> ZInterval | None:
-        """Z window of the round's square under one partition's enlargement."""
-        cache_key = (round_index, context_index)
-        if cache_key not in self._span_cache:
-            context = self.contexts[context_index]
+    def _spans(self, round_index: int) -> list[ZInterval | None]:
+        """Z window of the round's square under each partition's enlargement."""
+        spans = self._span_cache.get(round_index)
+        if spans is None:
             square = Rect.from_center(self.qx, self.qy, round_index * self.rq)
-            self._span_cache[cache_key] = self.tree.grid.z_span(
-                context.enlarged(square)
-            )
-        return self._span_cache[cache_key]
+            z_span = self.tree.grid.z_span
+            spans = self._span_cache[round_index] = [
+                z_span(context.enlarged(square)) for context in self.contexts
+            ]
+        return spans
 
-    def _round_pieces(
-        self, round_index: int
-    ) -> list[tuple[int, int, list[ZInterval]]]:
-        """``(context index, tid, Z pieces)`` per live partition: the
-        round's window minus the previous round's ("the region
-        R'q2 - R'q1 is searched")."""
-        pieces = self._pieces.get(round_index)
-        if pieces is None:
-            pieces = self._pieces[round_index] = []
-            for context_index, context in enumerate(self.contexts):
-                span = self._span(round_index, context_index)
-                if span is None:
-                    continue
-                previous = (
-                    self._span(round_index - 1, context_index)
-                    if round_index > 1
-                    else None
-                )
-                pieces.append(
-                    (
-                        context_index,
-                        context.tid,
-                        [span]
-                        if previous is None
-                        else subtract_interval(span, previous),
+    def _round_pieces(self, round_index: int) -> list[_Partition]:
+        """Per live partition with something to scan: the round's window
+        minus the previous round's ("the region R'q2 - R'q1 is
+        searched"), with the pieces' hull."""
+        partitions = self._pieces.get(round_index)
+        if partitions is None:
+            partitions = self._pieces[round_index] = []
+            spans = self._spans(round_index)
+            previous = (
+                self._spans(round_index - 1)
+                if round_index > 1
+                else [None] * len(spans)
+            )
+            for context_index, (context, span, before) in enumerate(
+                zip(self.contexts, spans, previous)
+            ):
+                if span is not None:
+                    pieces = (
+                        [span] if before is None else subtract_interval(span, before)
                     )
-                )
-        return pieces
+                    if pieces:
+                        partitions.append(
+                            _partition(context_index, context.tid, pieces)
+                        )
+        return partitions
 
     def _consider(self, obj: MovingObject) -> None:
         """Locate, verify, and (if qualifying) admit one scanned entry."""
@@ -192,14 +223,34 @@ class _MatrixSearch:
         insort(self.candidates, (distance, obj), key=_distance_of)
         return False
 
-    def _scan_row(
-        self, row: int, partitions: list[tuple[int, int, list[ZInterval]]]
-    ) -> None:
+    def _all_quiet(self, row: int, partitions: list[_Partition]) -> bool:
+        """True when every piece lies inside its stratum's quiet interval.
+
+        Such a cell can do no work — each piece would be served from a
+        proof and hold only users already located — so its pieces are
+        tallied as the served requests they are and nothing is asked.
+        Only the hull of the round's own pieces is compared: nothing
+        here relies on consecutive rounds' windows nesting, which the
+        coarsened spans of a curve like Hilbert's do not promise.
+        """
+        quiet = self._quiet[row]
+        for context_index, _, _, z_lo, z_hi in partitions:
+            q_lo, q_hi = quiet[context_index]
+            if z_lo < q_lo or q_hi < z_hi:
+                return False
+        skipped = self._skipped[row]
+        for context_index, _, pieces, _, _ in partitions:
+            skipped[context_index] += len(pieces)
+        return True
+
+    def _scan_row(self, row: int, partitions: list[_Partition]) -> None:
         """Scan one friend's stratum in each given partition's Z pieces.
 
-        A piece the stratum's residency has proven is answered from it
-        (an empty one costs a bisection); only an unproven piece becomes
-        a band request.
+        A partition whose pieces all lie inside the stratum's quiet
+        interval is skipped; elsewhere a piece the stratum's residency
+        has proven is answered from it (an empty one costs a
+        bisection), only an unproven piece becomes a band request, and
+        the quiet interval is taken afresh.
         """
         strata = self._strata[row]
         if strata is None:
@@ -208,7 +259,12 @@ class _MatrixSearch:
             strata = self._strata[row] = [
                 residency(context.tid, sv_q) for context in self.contexts
             ]
-        for context_index, tid, pieces in partitions:
+        quiet = self._quiet[row]
+        for context_index, tid, pieces, hull_lo, hull_hi in partitions:
+            q_lo, q_hi = quiet[context_index]
+            if q_lo <= hull_lo and hull_hi <= q_hi:
+                self._skipped[row][context_index] += len(pieces)
+                continue
             resident = strata[context_index]
             for z_lo, z_hi in pieces:
                 rows = resident.serve(z_lo, z_hi) if resident is not None else None
@@ -224,11 +280,14 @@ class _MatrixSearch:
                 else:
                     for _, obj in rows:
                         self._consider(obj)
+            if resident is not None:
+                quiet[context_index] = resident.quiet_around(
+                    self._anchor, self.verifier.located
+                )
 
     def scan_cell(self, row: int, round_index: int) -> None:
         """Scan matrix cell (friend ``row``, column ``round_index``)."""
-        if self.friends[row][1] not in self.verifier.located:
-            self._scan_row(row, self._round_pieces(round_index))
+        self._scan_row(row, self._round_pieces(round_index))
 
     def vertical_scan(self, start_row: int, kth_distance: float) -> None:
         """Sweep the remaining rows with the window shrunk to 2 * d_k."""
@@ -239,10 +298,12 @@ class _MatrixSearch:
         for context_index, context in enumerate(self.contexts):
             span = self.tree.grid.z_span(context.enlarged(square))
             if span is not None:
-                spans.append((context_index, context.tid, [span]))
+                spans.append(_partition(context_index, context.tid, [span]))
         located = self.verifier.located
         for row in range(start_row, len(self.friends)):
-            if self.friends[row][1] not in located:
+            if self.friends[row][1] not in located and not self._all_quiet(
+                row, spans
+            ):
                 self._scan_row(row, spans)
 
     # ------------------------------------------------------------------
@@ -259,8 +320,14 @@ class _MatrixSearch:
         candidates = self.candidates
         k = self.k
         rounds = 0
+        friends = self.friends
         for row, round_index in self._cell_order(rows, order):
-            self.scan_cell(row, round_index)
+            # Only a cell that can do work is scanned: its friend is
+            # not located yet and some piece may hold somebody new.
+            if friends[row][1] not in located and not self._all_quiet(
+                row, self._round_pieces(round_index)
+            ):
+                self.scan_cell(row, round_index)
             if round_index > rounds:
                 rounds = round_index
             # k verified candidates inside the column's inscribed circle:
@@ -300,6 +367,10 @@ class _MatrixSearch:
             raise ValueError(f"unknown search order {order!r}")
 
     def _finish(self) -> PKNNResult:
+        for strata, skipped in zip(self._strata, self._skipped):
+            for resident, pieces in zip(strata or (), skipped):
+                if pieces:
+                    resident.count_quiet(pieces)
         self.result.neighbors = self.candidates[: self.k]
         self.result.candidates_examined = self.verifier.candidates_examined
         return self.result

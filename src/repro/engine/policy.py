@@ -76,7 +76,9 @@ class StratumOutcome:
     Attributes:
         tid: partition id of the stratum.
         sv_q: quantized sequence value of the stratum.
-        requests: ``scan()`` calls that targeted this stratum.
+        requests: requests put to this stratum — ``scan()`` calls and
+            direct residency hits, not the pieces a PkNN search skipped
+            inside a quiet interval.
         unique_bands: distinct requested Z-intervals among them.
         requested_zv: ZV width of the union of requested intervals.
         coverage_runs: contiguous coverage intervals the prefetch

@@ -61,6 +61,15 @@ how many on-demand scans reached the tree, and how many transferred
 entries were *dead* (outside every requested interval).  The executor
 surfaces the totals on :class:`~repro.engine.executor.ExecutionStats`
 and feeds the per-stratum detail back to the policy.
+
+A residency also answers one question without serving anything:
+:meth:`StratumResidency.quiet_around` — how far around a point its
+proofs reach before a row of somebody the asking search has not located
+yet.  The PkNN matrix walk skips the requests that fall inside that
+*quiet interval* and reports them in bulk
+(:meth:`StratumResidency.count_quiet`): they count as ``requests`` and
+``residency_hits`` like the served ones, but a stratum's ``requested``
+list holds only the intervals that were really put to it.
 """
 
 from __future__ import annotations
@@ -86,6 +95,10 @@ DEFAULT_MEMO_ENTRIES = 262_144
 #: What :meth:`StratumResidency.serve` returns for a provably empty
 #: interval: shared, so an empty answer allocates nothing.
 NO_ROWS = BandRows.empty()
+
+#: What :meth:`StratumResidency.quiet_around` returns for an unproven
+#: point: the empty interval, which contains no request.
+NOT_QUIET: ZInterval = (1, 0)
 
 
 class _Tally:
@@ -162,6 +175,53 @@ class StratumResidency:
             return self.rows.slice(lo, hi) if lo < hi else NO_ROWS
         return self.rows[lo:hi]
 
+    def quiet_around(self, z: int, located: "set[int]") -> ZInterval:
+        """The widest proven interval around ``z`` with nobody left to find.
+
+        Every row inside it belongs to a user in ``located``, so a
+        search that has located those users learns nothing from any
+        request inside it — and never will: proofs and ``located`` only
+        grow, so the interval stays valid for the search's lifetime.
+        :data:`NOT_QUIET` when ``z`` is unproven or an un-located row
+        sits on it.  Read-only; nothing is counted.  The unpacked
+        reference residency reports none, so it stays the per-piece
+        path the pins compare against.
+        """
+        edges = self._edges
+        i = bisect_right(edges, z)
+        if not i & 1 or not self._packed:
+            return NOT_QUIET
+        z_lo = edges[i - 1]
+        z_hi = edges[i] - 1
+        zvs = self._zvs
+        records = self.rows.records
+        above = bisect_left(zvs, z)
+        for row in range(above, len(zvs)):
+            if zvs[row] > z_hi:
+                break
+            if records[row][0] not in located:
+                z_hi = zvs[row] - 1
+                break
+        for row in range(above - 1, -1, -1):
+            if zvs[row] < z_lo:
+                break
+            if records[row][0] not in located:
+                z_lo = zvs[row] + 1
+                break
+        return (z_lo, z_hi) if z <= z_hi else NOT_QUIET
+
+    def count_quiet(self, pieces: int) -> None:
+        """Account ``pieces`` requests a quiet interval answered.
+
+        They are requests a proof served, counted on the scanner like
+        :meth:`serve` hits; they are not listed in the outcome's
+        ``requested`` — each row inside them already sits in the
+        recorded request that located it, so no entry turns dead.
+        """
+        tally = self._tally
+        tally.requests += pieces
+        tally.residency_hits += pieces
+
     def dead_entries(self, requested: "list[ZInterval] | None" = None) -> int:
         """Resident rows outside every requested interval.
 
@@ -231,12 +291,12 @@ class BandScanner:
 
     Attributes:
         requests: band requests answered — :meth:`scan` calls plus
-            requests a residency handle served directly.
+            requests a residency handle served directly or proved quiet.
         scan_calls: the requests that arrived through :meth:`scan`.
         physical_scans: scans that reached the tree (including prefetch
             coverage runs).
         residency_hits: requests answered from a stratum's proven
-            intervals without touching the tree.
+            intervals without touching the tree (quiet ones included).
         memo_hits: requests served from the exact-identity cache.
         memo_evictions: bands evicted from the memo by the LRU bound.
         entries_prefetched: entries transferred by prefetch scans.
@@ -283,7 +343,8 @@ class BandScanner:
     @property
     def direct_hits(self) -> int:
         """Requests a residency handle answered without a :meth:`scan`
-        call (:meth:`StratumResidency.serve` by a search holding it)."""
+        call (:meth:`StratumResidency.serve` by a search holding it,
+        or a piece inside a quiet interval it never had to serve)."""
         return self.requests - self.scan_calls
 
     # ------------------------------------------------------------------
@@ -478,4 +539,10 @@ class BandScanner:
         return list(self.tree.scan_band(tid, sv_lo_q, sv_hi_q, z_lo, z_hi))
 
 
-__all__ = ["BandScanner", "DEFAULT_MEMO_ENTRIES", "NO_ROWS", "StratumResidency"]
+__all__ = [
+    "BandScanner",
+    "DEFAULT_MEMO_ENTRIES",
+    "NO_ROWS",
+    "NOT_QUIET",
+    "StratumResidency",
+]

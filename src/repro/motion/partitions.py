@@ -13,6 +13,7 @@ Worked example from Section 2.1: with ``n = 2``, objects updated in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 #: Tolerance when deciding whether a timestamp sits exactly on a label.
@@ -73,15 +74,14 @@ class TimePartitioner:
         """Label timestamps that may still hold live entries at ``now``.
 
         An entry with label ``L`` was updated at ``tu in (L - 2*phase,
-        L - phase]`` and is replaced by ``tu + Δt_mu``; it can be live at
-        ``now`` only if ``now - (n-1)*phase < L < now + 2*phase``.  That
-        window holds at most ``n + 1`` labels — one per partition id — and
-        is exactly what query processing iterates ("The search stops after
-        all n time partitions are checked", Figure 7).
+        L - phase]`` and is replaced no later than ``tu + Δt_mu`` — a
+        query at exactly that deadline must still see it — so it can be
+        live at ``now`` only if ``now - (n-1)*phase <= L < now +
+        2*phase``.  That half-open window holds exactly ``n + 1``
+        labels — one per partition id; fewer only while it still
+        reaches below the first label — and is exactly what query
+        processing iterates ("The search stops after all n time
+        partitions are checked", Figure 7).
         """
-        lo_exclusive = now - (self.n - 1) * self.phase
-        k_min = int(lo_exclusive / self.phase + _EPS) + 1
-        k_min = max(k_min, 1)
-        hi_exclusive = now + 2.0 * self.phase
-        k_max = int(hi_exclusive / self.phase - _EPS)
-        return [k * self.phase for k in range(k_min, k_max + 1)]
+        k_min = math.ceil(now / self.phase - (self.n - 1) - _EPS)
+        return [k * self.phase for k in range(max(k_min, 1), k_min + self.n + 1)]

@@ -54,7 +54,8 @@ class ShardScatterScanner:
     Attributes:
         requests: band requests answered (the scatter-level count the
             executor reports): :meth:`scan` calls plus the requests the
-            shard scanners' residency handles served directly.
+            shard scanners' residency handles served directly or
+            proved quiet.
         scheduler: the deployment's scheduler; runs the per-shard
             prefetch jobs (fork/join virtual time when the deployment
             is timed).

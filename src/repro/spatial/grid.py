@@ -42,6 +42,9 @@ class Grid:
         self.curve = curve
         self.cells_per_axis = 1 << bits
         self.cell_size = self.space_side / self.cells_per_axis
+        #: The full space domain as a rectangle; every ``z_span`` and
+        #: ``decompose`` clips against it.
+        self.bounds = Rect(0.0, self.space_side, 0.0, self.space_side)
 
     @property
     def zv_bits(self) -> int:
@@ -52,11 +55,6 @@ class Grid:
     def max_z(self) -> int:
         """Largest curve value on this grid."""
         return (1 << self.zv_bits) - 1
-
-    @property
-    def bounds(self) -> Rect:
-        """The full space domain as a rectangle."""
-        return Rect(0.0, self.space_side, 0.0, self.space_side)
 
     def cell_of(self, coordinate: float) -> int:
         """Cell index of one axis coordinate, clamped into the grid."""

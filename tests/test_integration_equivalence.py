@@ -132,6 +132,43 @@ def test_equivalence_through_full_update_cycle():
             assert [round(d, 9) for d, _ in result.neighbors] == expected
 
 
+@pytest.mark.parametrize("slack", (1e-6, 0.0))
+def test_equivalence_up_to_the_update_deadline(small_world, slack):
+    """A user last heard of at ``t_u`` stays in contract until exactly
+    ``t_u + Δt_mu``: a query at the deadline (and just before it) sees
+    the whole population inserted at ``t = 0``.  Past the deadline a
+    user who has not re-updated is out of contract, so nothing is
+    asserted there."""
+    world = small_world
+    t_query = world.partitioner.max_update_interval - slack
+    generator = world.query_generator()
+    found = 0
+    for query in generator.range_queries(world.uids, 12, 400.0, t_query):
+        expected = brute_force_prq(
+            world.states, world.store, query.q_uid, query.window, t_query
+        )
+        found += len(expected)
+        assert prq(world.peb, query.q_uid, query.window, t_query).uids == expected
+        assert {
+            obj.uid
+            for obj in world.baseline.range_query(query.q_uid, query.window, t_query)
+        } == expected
+    assert found > 0
+    for query in generator.knn_queries(world.states, 8, 4, t_query):
+        expected = [
+            round(d, 9)
+            for d, _ in brute_force_pknn(
+                world.states, world.store, query.q_uid, query.qx, query.qy, 4, t_query
+            )
+        ]
+        peb_result = pknn(world.peb, query.q_uid, query.qx, query.qy, 4, t_query)
+        base_result = world.baseline.knn_query(
+            query.q_uid, query.qx, query.qy, 4, t_query
+        )
+        assert [round(d, 9) for d, _ in peb_result.neighbors] == expected
+        assert [round(d, 9) for d, _ in base_result] == expected
+
+
 def test_io_advantage_shows_at_scale():
     """The headline claim at test scale: the PEB-tree answers
     privacy-aware queries with less I/O than the spatial-filter

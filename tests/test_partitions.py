@@ -46,6 +46,28 @@ def test_live_labels_mid_phase():
     assert len(set(partitions)) == len(partitions)
 
 
+def test_live_labels_keep_the_deadline_inclusive():
+    """An object updated at ``t_u`` may go un-updated until exactly
+    ``t_u + Δt_mu``; a query at that instant must still scan its label."""
+    partitioner = TimePartitioner(120.0, 2)
+    assert partitioner.live_labels(119.999) == [60.0, 120.0, 180.0]
+    assert partitioner.live_labels(120.0) == [60.0, 120.0, 180.0]
+    assert partitioner.live_labels(120.001) == [120.0, 180.0, 240.0]
+    assert partitioner.live_labels(60.0) == [60.0, 120.0]
+    assert partitioner.live_labels(180.0) == [120.0, 180.0, 240.0]
+    for n in range(1, 6):
+        partitioner = TimePartitioner(120.0, n)
+        for multiple in range(n, 4 * n + 1):
+            now = multiple * partitioner.phase
+            # Updated exactly Δt_mu ago: label one phase after the update.
+            label = partitioner.label_timestamp(now - 120.0)
+            live = partitioner.live_labels(now)
+            assert live[0] == pytest.approx(label)
+            assert len(live) == partitioner.num_partitions
+            partitions = [partitioner.partition_of_label(lab) for lab in live]
+            assert sorted(partitions) == list(range(partitioner.num_partitions))
+
+
 def test_live_labels_bounded_by_partition_count():
     partitioner = TimePartitioner(120.0, 4)
     for now in (0.0, 10.0, 59.0, 140.0, 1234.5):

@@ -10,40 +10,100 @@ keeps scanning band by band.  Against it, on a single tree and on
 with mixed range+kNN specs: neighbours, ``candidates_examined`` and
 ``rounds`` are identical and physical reads are never higher.
 
+The search also keeps, per (friend, partition), the stratum's *quiet
+interval* — proven, and holding nobody it has not located — and skips
+the cells that fall inside it, counting their pieces in bulk.  The
+reference never reports a quiet interval, so it is also the per-piece
+walk the skipping one is pinned to: same requests counted, on a Z-curve
+and a Hilbert grid (coarsened windows; the quiet test never assumes that
+rounds nest), with users in one live partition or two, with ``k`` above
+the friend-list length, and with a friend whose only entry sits in a
+partition no query scans (the row that walks to ``max_rounds``).
+
 With a shard supervisor attached the search gets no residency handle at
 all — a quarantined shard's strata must be dropped and counted request
 by request — so degraded runs stay exactly what they were.
 """
 
+from dataclasses import dataclass, replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.peb_tree import PEBTree
 from repro.core.pknn import _MatrixSearch
 from repro.engine import BandScanner, QueryEngine
-from repro.engine.scanner import StratumResidency, _Tally
+from repro.engine.scanner import NOT_QUIET, StratumResidency, _Tally
 from repro.fault import BreakerPolicy, RetryPolicy
 from repro.motion.rows import BandRows
 from repro.shard import ShardedPEBTree, ShardedQueryEngine
 from repro.shard.engine import ShardScatterScanner
+from repro.spatial import Grid
+from repro.spatial.curves import HILBERT
 from repro.spatial.decompose import merge_intervals
+from repro.storage import BufferPool, SimulatedDisk
 from repro.storage.faults import FaultyDisk
 from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
 
-from tests.conftest import build_world
+from tests.conftest import World, build_world
 from tests.test_shard_property import build_sharded
 
 ORDERS = ("triangular", "column")
 SHARD_COUNTS = (1, 2, 4)
+T_QUERY = 5.0  # live labels 60 and 120: partitions 0 and 1; 2 is not scanned
 
 
-@pytest.fixture(scope="module", params=(5, 31))
+@dataclass
+class PinWorld(World):
+    """One pin input: a 260-user world and the ``k`` its searches ask."""
+
+    k: int = 4
+
+
+def pin_world(seed, k=4, curve=None, reported_at=None):
+    """``build_world``'s population, optionally on another curve's grid
+    and with each user's state re-stamped as reported at
+    ``reported_at(uid)`` (which moves it to that instant's partition)."""
+    world = PinWorld(**vars(build_world(n_users=260, n_policies=8, seed=seed)), k=k)
+    if curve is None and reported_at is None:
+        return world
+    if curve is not None:
+        world.grid = Grid(world.space_side, world.grid.bits, curve=curve)
+    if reported_at is not None:
+        world.states = {
+            uid: replace(obj, t_update=reported_at(uid))
+            for uid, obj in world.states.items()
+        }
+    pool = BufferPool(SimulatedDisk(page_size=1024), capacity=512)
+    world.peb = PEBTree(pool, world.grid, world.partitioner, world.store)
+    for uid in world.uids:
+        world.peb.insert(world.states[uid])
+    return world
+
+
+PIN_WORLDS = {
+    "5": dict(seed=5),
+    "31": dict(seed=31),
+    "hilbert": dict(seed=5, curve=HILBERT),
+    "two-partitions": dict(seed=31, reported_at=lambda uid: 30.0 * (uid % 2)),
+    "k-above-friends": dict(seed=5, k=20),
+    # Reported at t = 100: label 180, partition 2 — not live at T_QUERY.
+    "expired-entry": dict(
+        seed=31, k=20, reported_at=lambda uid: 0.0 if uid % 7 else 100.0
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=list(PIN_WORLDS))
 def world(request):
-    return build_world(n_users=260, n_policies=8, seed=request.param)
+    return pin_world(**PIN_WORLDS[request.param])
 
 
-def knn_specs(world, n=8, k=4):
-    return world.query_generator().knn_queries(world.states, n, k, 5.0)
+def knn_specs(world, n=8, k=None):
+    return world.query_generator().knn_queries(
+        world.states, n, world.k if k is None else k, T_QUERY
+    )
 
 
 def pools_of(tree):
@@ -121,7 +181,9 @@ def test_sharded_search_matches_the_per_band_reference(world, n_shards, order):
 
 @pytest.mark.parametrize("n_shards", (0,) + SHARD_COUNTS)
 def test_mixed_batch_matches_the_per_band_reference(world, n_shards):
-    specs = world.query_generator().mixed_queries(world.states, 24, 260.0, 4, 5.0)
+    specs = world.query_generator().mixed_queries(
+        world.states, 24, 260.0, world.k, T_QUERY
+    )
     assert any(isinstance(s, KnnQuerySpec) for s in specs)
     assert any(isinstance(s, RangeQuerySpec) for s in specs)
     if n_shards:
@@ -143,6 +205,24 @@ def test_mixed_batch_matches_the_per_band_reference(world, n_shards):
             assert mine.uids == theirs.uids, spec
         else:
             assert knn_signature(mine) == knn_signature(theirs), spec
+
+
+def test_quiet_cells_are_counted_without_being_served(world, monkeypatch):
+    """Almost every request of a PkNN batch is a piece inside a quiet
+    interval: counted, but never put to the residency."""
+    served = []
+    serve = StratumResidency.serve
+
+    def counted_serve(self, z_lo, z_hi):
+        served.append((z_lo, z_hi))
+        return serve(self, z_lo, z_hi)
+
+    monkeypatch.setattr(StratumResidency, "serve", counted_serve)
+    report = QueryEngine(world.peb).execute_batch(knn_specs(world, n=12))
+    # A coarsened Hilbert window often repeats the previous round's, and
+    # such a round asks nothing: the same few served cells weigh more.
+    share = 0.35 if world.grid.curve is HILBERT else 0.25
+    assert 0 < len(served) <= share * report.stats.bands_requested
 
 
 # ----------------------------------------------------------------------
@@ -188,6 +268,51 @@ def test_residency_serves_exactly_what_its_proofs_cover(zvs, proofs, probes, pac
             assert served is None
     assert tally.requests == tally.residency_hits == hits
     assert len(resident.outcome.requested) == hits
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    zvs=st.lists(Z, max_size=30),
+    proofs=INTERVALS,
+    located=st.sets(st.integers(min_value=0, max_value=29)),
+    probes=st.lists(Z, min_size=1, max_size=12),
+    packed=st.booleans(),
+)
+def test_quiet_interval_is_the_widest_with_nobody_left_to_find(
+    zvs, proofs, located, probes, packed
+):
+    stratum = sorted(zvs)  # row i belongs to user i
+
+    def rows_of(lo, hi):
+        inside = [(uid, zv) for uid, zv in enumerate(stratum) if lo <= zv <= hi]
+        if packed:
+            return BandRows(
+                [zv for _, zv in inside],
+                [(uid, 0.0, 0.0, 0.0, 0.0, 0.0, 0) for uid, _ in inside],
+            )
+        return [(zv, None) for _, zv in inside]
+
+    tally = _Tally()
+    resident = StratumResidency(tally, packed, tid=0, sv_q=0)
+    proven = set()
+    for a, b in proofs:
+        lo, hi = min(a, b), max(a, b)
+        resident._add(lo, hi, rows_of(lo, hi))
+        proven.update(range(lo, hi + 1))
+    # Where a search that has located ``located`` can still learn something.
+    loud = {zv for uid, zv in enumerate(stratum) if uid not in located}
+    for z in probes:
+        lo, hi = resident.quiet_around(z, located)
+        if not packed or z not in proven or z in loud:
+            assert (lo, hi) == NOT_QUIET
+            continue
+        assert lo <= z <= hi
+        inside = set(range(lo, hi + 1))
+        assert inside <= proven and not inside & loud
+        # Maximal: one more Z on either side is unproven or loud.
+        assert all(edge not in proven or edge in loud for edge in (lo - 1, hi + 1))
+    assert tally.requests == tally.residency_hits == 0
+    assert not resident.outcome.requested
 
 
 # ----------------------------------------------------------------------
