@@ -10,6 +10,10 @@ experiments report.  The tree supports:
 * ``search(key, uid)`` point lookups;
 * ``scan_range(lo_key, hi_key)`` — the leaf-chain walk used by the Bx-tree
   and PEB-tree query algorithms (Figure 7, lines 11–18);
+* ``scan_chunks(lo, hi)`` / ``scan_fenced(lo, hi)`` — the same walk as
+  per-leaf packed runs: lazily, or whole and together with the keys the
+  touched leaves hold just below and just above the range (the *fence*
+  the PEB-tree's band sweep turns into stratum proofs);
 * ``check_invariants()`` — a structural validator used heavily by the
   property-based tests.
 
@@ -46,34 +50,10 @@ BatchOp = tuple[str, int, int, bytes | None]
 
 _BATCH_KINDS = frozenset(("insert", "delete", "replace"))
 
-#: :attr:`ScanFence.below` of a scan that started in the first leaf of
-#: the chain with nothing before it: smaller than every real key.
+#: The ``below`` bracket :meth:`BPlusTree.scan_fenced` reports for a scan
+#: that started in the first leaf of the chain with nothing before it:
+#: smaller than every real key.
 CHAIN_START: CompositeKey = (-1, 0)
-
-
-class ScanFence:
-    """The keys one :meth:`BPlusTree.scan_chunks` call saw around its range.
-
-    A scan of ``[lo, hi]`` lands on the leaf holding the first entry
-    ``>= lo`` and stops on the first entry ``> hi``; both leaves are in
-    hand, so the entries bracketing the range are known for free, and
-    with them a proof that the tree holds nothing between the brackets
-    except what the scan yielded.  Valid once the scan is exhausted.
-
-    Attributes:
-        below: greatest entry ``< lo``; :data:`CHAIN_START` when the
-            chain has none; None when ``lo`` fell on a leaf edge (the
-            predecessor lives in a leaf the scan never read).
-        above: least entry ``> hi``, or a key past every representable
-            one when the scan ran off the end of the chain; None only
-            for an empty ``lo > hi`` range.
-    """
-
-    __slots__ = ("below", "above")
-
-    def __init__(self):
-        self.below: CompositeKey | None = None
-        self.above: CompositeKey | None = None
 
 
 @dataclass
@@ -268,7 +248,7 @@ class BPlusTree:
                 yield key, uid, payload[i * vb : (i + 1) * vb]
 
     def scan_chunks(
-        self, lo: CompositeKey, hi: CompositeKey, fence: ScanFence | None = None
+        self, lo: CompositeKey, hi: CompositeKey
     ) -> Iterator[tuple[list[CompositeKey], bytes]]:
         """Per-leaf contiguous runs of an inclusive composite interval.
 
@@ -278,8 +258,10 @@ class BPlusTree:
         bytes in key order, ready for a batched decode
         (``struct.iter_unpack``) with no per-entry slicing.  Page
         traffic is identical to the per-entry scan: same descent, same
-        leaf-chain walk, same stopping leaf — a ``fence`` is filled from
-        the leaves the walk touches anyway and never reads another.
+        leaf-chain walk, same stopping leaf.  Lazy per leaf — a consumer
+        that stops early never reads the leaves it did not reach;
+        :meth:`scan_fenced` is the eager form that also reports what
+        lies around the range.
         """
         if lo > hi:
             return
@@ -288,26 +270,72 @@ class BPlusTree:
         while leaf_id != NO_PAGE:
             leaf: LeafNode = self.pool.get(leaf_id)
             keys = leaf.keys
-            if first:
-                first = False
-                start = bisect_left(keys, lo)
-                if fence is not None:
-                    if start:
-                        fence.below = keys[start - 1]
-                    elif leaf_id == self.first_leaf_id:
-                        fence.below = CHAIN_START
-            else:
-                start = 0
+            start = bisect_left(keys, lo) if first else 0
+            first = False
             stop = bisect_right(keys, hi, start)
             if stop > start:
                 yield keys[start:stop], leaf.payload_slice(start, stop)
             if stop < len(keys):
-                if fence is not None:
-                    fence.above = keys[stop]
                 return
             leaf_id = leaf.next_leaf
-        if fence is not None:
-            fence.above = (1 << (8 * self.config.key_bytes), 0)
+
+    def scan_fenced(
+        self, lo: CompositeKey, hi: CompositeKey
+    ) -> tuple[
+        list[tuple[list[CompositeKey], bytes]],
+        CompositeKey | None,
+        CompositeKey | None,
+    ]:
+        """One inclusive interval, whole, with the keys seen around it.
+
+        Returns ``(chunks, below, above)``: the per-leaf runs
+        :meth:`scan_chunks` would yield, as a list, and the *fence* — a
+        scan of ``[lo, hi]`` lands on the leaf holding the first entry
+        ``>= lo`` and stops on the first entry ``> hi``; both leaves are
+        in hand, so the entries bracketing the range are known for free,
+        and with them a proof that the tree holds nothing between the
+        brackets except what the scan returned.
+
+        * ``below``: greatest entry ``< lo``; :data:`CHAIN_START` when
+          the chain has none; None when ``lo`` fell on a leaf edge (the
+          predecessor lives in a leaf the scan never read).
+        * ``above``: least entry ``> hi``, or a key past every
+          representable one when the scan ran off the end of the chain;
+          None only for an empty ``lo > hi`` range, which touches no
+          page.
+
+        A plain function, not a generator: the band sweep
+        (:meth:`repro.core.peb_tree.PEBTree.scan_bands_rows`) calls it
+        once per band of a shard job.  The page touches are those of
+        :meth:`scan_chunks` run to exhaustion, in the same order — the
+        descent's root, interior nodes and landing leaf, the landing
+        leaf again as the walk's first, then each next leaf — so buffer
+        order, logical and physical reads cannot tell the two apart, and
+        the fence never reads a page of its own.
+        """
+        if lo > hi:
+            return [], None, None
+        get = self.pool.get
+        leaf_id = self._descend_low(lo)
+        leaf: LeafNode = get(leaf_id)
+        keys = leaf.keys
+        start = bisect_left(keys, lo)
+        if start:
+            below = keys[start - 1]
+        else:
+            below = CHAIN_START if leaf_id == self.first_leaf_id else None
+        chunks = []
+        while True:
+            stop = bisect_right(keys, hi, start)
+            if stop > start:
+                chunks.append((keys[start:stop], leaf.payload_slice(start, stop)))
+            if stop < len(keys):
+                return chunks, below, keys[stop]
+            if leaf.next_leaf == NO_PAGE:
+                return chunks, below, (1 << (8 * self.config.key_bytes), 0)
+            leaf = get(leaf.next_leaf)
+            keys = leaf.keys
+            start = 0
 
     def leaf_runs(self) -> Iterator[tuple[list[CompositeKey], bytes]]:
         """Every leaf's ``(keys, payload run)`` in chain order.

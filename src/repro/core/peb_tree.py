@@ -9,14 +9,22 @@ Insertion and deletion are plain B+-tree operations — "the PEB-tree has
 similarly efficient update performance as the B+-tree" — with the same
 in-memory update memo the Bx-tree keeps (uid -> current key) so an update
 deletes exactly the stale entry.
+
+Queries read the tree through two scan primitives.  The per-entry
+:meth:`PEBTree.scan_band` is the reference path; the engine runs on
+:meth:`PEBTree.scan_bands_rows`, a lazy sweep that answers many
+single-SV search ranges ``[TID ⊕ SV ⊕ ZV_lo ; TID ⊕ SV ⊕ ZV_hi]`` in one
+call — a batch prefetch hands it every band of a shard job — returning
+each as packed columns together with the Z-interval of the stratum the
+scan proved (:meth:`PEBTree.scan_band_rows` is its one-band form).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
-from repro.btree.tree import MAX_UID, BatchOp, BPlusTree, BTreeConfig, ScanFence
+from repro.btree.tree import MAX_UID, BatchOp, BPlusTree, BTreeConfig
 from repro.core.peb_key import DEFAULT_SV_BITS, DEFAULT_SV_SCALE, PEBKeyCodec
 from repro.motion.objects import MovingObject, ObjectRecordCodec
 from repro.motion.rows import BandRows
@@ -433,43 +441,81 @@ class PEBTree:
         the ZV column from each key slice, one ``struct.iter_unpack``
         pass decodes the payload run — and the returned rows
         materialize :class:`MovingObject` states lazily, only for
-        entries a consumer actually touches.  The engine's band scanner
-        uses this end to end; :meth:`scan_band` remains the per-entry
-        reference path.
+        entries a consumer actually touches.  :meth:`scan_band` remains
+        the per-entry reference path.
 
-        A single-SV band on the SV-major layout additionally reports
-        how much of its ``(tid, sv_q)`` stratum the scan *proved*
+        A single-SV band is :meth:`scan_bands_rows` over that one band,
+        fence proof included — what the engine's on-demand scans call;
+        a batch prefetch hands the sweep a whole shard job instead.  A
+        multi-SV span (the Figure 7 ablation) is not one stratum and
+        reports no proof.
+        """
+        if sv_lo_q == sv_hi_q:
+            return next(self.scan_bands_rows(((tid, sv_lo_q, z_lo, z_hi),)))
+        lo = self.codec.compose_quantized(tid, sv_lo_q, z_lo)
+        hi = self.codec.compose_quantized(tid, sv_hi_q, z_hi)
+        return self._decode(self.btree.scan_chunks((lo, 0), (hi, MAX_UID)))
+
+    def scan_bands_rows(
+        self, bands: Iterable[tuple[int, int, int, int]]
+    ) -> Iterator[BandRows]:
+        """Sweep many single-SV bands: one :class:`BandRows` per band.
+
+        ``bands`` are ``(tid, sv_q, z_lo, z_hi)`` — one search range
+        ``[TID ⊕ SV ⊕ ZV_lo ; TID ⊕ SV ⊕ ZV_hi]`` of Section 5.3 each —
+        and are scanned in the order given, each from the root through
+        :meth:`repro.btree.BPlusTree.scan_fenced`: the rows, the page
+        touches and their order are those of one :meth:`scan_band_rows`
+        call per band.  What the sweep saves is the call chain — a
+        shard job's hundred bands are one loop here instead of a
+        hundred trips down from the scanner.
+
+        Lazy: a band is scanned when its result is pulled, so the
+        consumer accounts for each result as it arrives and a disk
+        fault at band *k* leaves exactly bands ``< k`` scanned.
+
+        On the SV-major layout each result also reports how much of its
+        ``(tid, sv_q)`` stratum the scan *proved*
         (:attr:`BandRows.proven`): the stratum is key-contiguous and
         ordered by ZV, so the entries the touched leaves hold just
         below and just above the band bound an interval that contains
         exactly the returned rows.  A bracket in another stratum (or
         past either end of the leaf chain) extends the proof to the
         stratum's edge; a band that starts on a leaf edge proves
-        nothing below what was asked.  Multi-SV spans and the ZV-first
-        ablation layout, where a stratum is not key-contiguous, report
-        no proof.
+        nothing below what was asked, and an empty ``z_lo > z_hi`` band
+        proves nothing.  On the ZV-first ablation layout a stratum is
+        not key-contiguous and no proof is reported.
         """
         codec = self.codec
-        lo = codec.compose_quantized(tid, sv_lo_q, z_lo)
-        hi = codec.compose_quantized(tid, sv_hi_q, z_hi)
-        fence = ScanFence() if sv_lo_q == sv_hi_q and codec.sv_major else None
+        compose = codec.compose_quantized
+        scan_fenced = self.btree.scan_fenced
+        decode = self._decode
+        prove = codec.sv_major
+        stratum_size = 1 << codec.zv_bits
+        for tid, sv_q, z_lo, z_hi in bands:
+            lo = compose(tid, sv_q, z_lo)
+            hi = compose(tid, sv_q, z_hi)
+            chunks, below, above = scan_fenced((lo, 0), (hi, MAX_UID))
+            rows = decode(chunks) if chunks else BandRows([], [])
+            if prove and above is not None:
+                stratum_lo = lo - z_lo
+                stratum_end = stratum_lo + stratum_size
+                if below is not None:
+                    z_lo = below[0] - stratum_lo + 1 if below[0] >= stratum_lo else 0
+                end = above[0] if above[0] < stratum_end else stratum_end
+                rows.proven = (z_lo, end - stratum_lo - 1)
+            yield rows
+
+    def _decode(self, chunks: Iterable[tuple[list, bytes]]) -> BandRows:
+        """Per-leaf ``(keys, payload run)`` chunks as one :class:`BandRows`."""
+        zvs_of = self.codec.zvs_of
+        unpack_records = self.records.unpack_records
         zvs: list[int] = []
         records: list[tuple] = []
-        zvs_of = codec.zvs_of
-        unpack_records = self.records.unpack_records
-        for keys, run in self.btree.scan_chunks((lo, 0), (hi, MAX_UID), fence):
+        for keys, run in chunks:
             zvs += zvs_of(keys)
             records += unpack_records(run)
-        rows = BandRows(zvs, records)
-        if fence is not None and fence.above is not None:
-            stratum_lo = lo - z_lo
-            stratum_hi = hi | ((1 << codec.zv_bits) - 1)
-            below, above = fence.below, fence.above[0]
-            if below is not None:
-                z_lo = below[0] - stratum_lo + 1 if below[0] >= stratum_lo else 0
-            z_hi = (above if above <= stratum_hi else stratum_hi + 1) - stratum_lo - 1
-            rows.proven = (z_lo, z_hi)
-        return rows
+        return BandRows(zvs, records)
 
     def scan_sv_zrange(self, tid: int, sv: float, z_lo: int, z_hi: int):
         """Yield object states with this exact (quantized) SV and a

@@ -119,6 +119,8 @@ class _MatrixSearch:
         planner: QueryPlanner | None = None,
         scanner: BandScanner | None = None,
     ):
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         self.tree = tree
         self.scanner = scanner if scanner is not None else BandScanner(tree)
         self.planner = planner if planner is not None else QueryPlanner(tree)
@@ -389,6 +391,7 @@ def pknn(
 
     ``order`` selects the search-matrix traversal: the paper's
     ``"triangular"`` (Figure 9) or the naive ``"column"`` sweep kept for
-    the ablation benchmark.
+    the ablation benchmark.  ``k = 0`` is the empty answer; a negative
+    ``k`` raises :class:`ValueError` before anything is planned or read.
     """
     return _MatrixSearch(tree, q_uid, qx, qy, k, t_query).run(order)

@@ -251,7 +251,9 @@ class QueryEngine:
                 continue
             rows = scanner.scan(planned.band)
             if isinstance(rows, BandRows):
-                stopped = verifier.admit_rows(rows, plan.window, on_match)
+                # Most bands come back empty: nothing to admit.
+                if rows.records:
+                    stopped = verifier.admit_rows(rows, plan.window, on_match)
             else:
                 for _, obj in rows:
                     hit = verifier.admit(obj, within=plan.window)
@@ -333,6 +335,9 @@ class QueryEngine:
         concurrent kNN queries share the batch's physical scans instead
         of each scanning its first round on demand; later rounds still
         run adaptively against the same shared scanner.
+
+        A spec of an unsupported type, or a kNN spec with a negative
+        ``k``, raises before anything is scanned or counted.
         """
         # Imported here: repro.core.{prq,pknn} are adapters over this
         # module, so importing them at module scope would cycle.
@@ -345,6 +350,8 @@ class QueryEngine:
             if isinstance(spec, RangeQuerySpec):
                 plans.append(self.planner.plan_range(spec.q_uid, spec.window, spec.t_query))
             elif isinstance(spec, KnnQuerySpec):
+                if spec.k < 0:
+                    raise ValueError(f"k must be >= 0, got {spec.k} in {spec!r}")
                 plans.append(None)
                 if prefetch and spec.k > 0:
                     probe_bands.extend(

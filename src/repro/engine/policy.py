@@ -44,7 +44,6 @@ it is fixed before a batch forks any shard jobs.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from repro.core.cost_model import BandScanCostModel
@@ -69,9 +68,11 @@ EWMA_ALPHA = 0.5
 class StratumOutcome:
     """One scanner's accounting for one ``(tid, sv_q)`` prefetch stratum.
 
-    Filled by :class:`~repro.engine.scanner.BandScanner` over its
-    lifetime (one batch in the executor) and fed back verbatim through
-    :meth:`PrefetchPolicy.observe_batch`.
+    Derived from the raw tallies a
+    :class:`~repro.engine.scanner.StratumResidency` keeps over its
+    scanner's lifetime (one batch in the executor), when policy
+    feedback asks (:meth:`BandScanner.stratum_outcomes`), and fed back
+    verbatim through :meth:`PrefetchPolicy.observe_batch`.
 
     Attributes:
         tid: partition id of the stratum.
@@ -107,8 +108,8 @@ class StratumOutcome:
     demand_scans: int = 0
     observed_entries: int = 0
     observed_zv: int = 0
-    #: Raw requested intervals; consumed by the scanner's finalizer to
-    #: derive the summary fields above, not part of the feedback API.
+    #: Raw requested intervals the summary fields above were derived
+    #: from; not part of the feedback API.
     requested: list[ZInterval] = field(default_factory=list, repr=False)
 
 
@@ -152,9 +153,9 @@ class PrefetchPolicy:
 
     One policy instance serves one engine — including a sharded engine,
     whose per-shard scanners call :meth:`decide` from their prefetch
-    jobs with disjoint ``scope`` values; all shared state is behind a
-    lock (callers may drive engines from their own threads), and the
-    per-batch arm is fixed in :meth:`begin_batch` before any job forks.
+    jobs with disjoint ``scope`` values.  Those jobs run inline, one at
+    a time, so the shared state is plain attributes; the per-batch arm
+    is fixed in :meth:`begin_batch` before any job forks.
     """
 
     def __init__(
@@ -166,7 +167,6 @@ class PrefetchPolicy:
             )
         self.cost = cost if cost is not None else BandScanCostModel()
         self.mode = mode
-        self._lock = threading.Lock()
         self._strata: dict[tuple[int, int, int], _StratumState] = {}
         # Two-armed explore/exploit over "do kNN probe bands join the
         # prefetch?": True = speculative prefetch on, False = off.
@@ -239,31 +239,30 @@ class PrefetchPolicy:
         with the lower observed cost per request, re-running the loser
         every :data:`REEXPLORE_EVERY` kNN batches to track drift.
         """
-        with self._lock:
-            total = n_range + n_knn
-            if total > 0:
-                self.knn_share.update(n_knn / total)
-            self._batch_arm = None
-            if self.mode == "merge":
-                self._arm_speculative = True
-                return
-            if self.mode == "exact":
-                self._arm_speculative = False
-                return
-            if n_knn == 0:
-                self._arm_speculative = True
-                return
-            self._knn_batches += 1
-            if self._arm_scores[True].samples == 0:
-                arm = True
-            elif self._arm_scores[False].samples == 0:
-                arm = False
-            elif self._knn_batches % REEXPLORE_EVERY == 0:
-                arm = not self._best_arm()
-            else:
-                arm = self._best_arm()
-            self._arm_speculative = arm
-            self._batch_arm = arm
+        total = n_range + n_knn
+        if total > 0:
+            self.knn_share.update(n_knn / total)
+        self._batch_arm = None
+        if self.mode == "merge":
+            self._arm_speculative = True
+            return
+        if self.mode == "exact":
+            self._arm_speculative = False
+            return
+        if n_knn == 0:
+            self._arm_speculative = True
+            return
+        self._knn_batches += 1
+        if self._arm_scores[True].samples == 0:
+            arm = True
+        elif self._arm_scores[False].samples == 0:
+            arm = False
+        elif self._knn_batches % REEXPLORE_EVERY == 0:
+            arm = not self._best_arm()
+        else:
+            arm = self._best_arm()
+        self._arm_speculative = arm
+        self._batch_arm = arm
 
     def _best_arm(self) -> bool:
         """The arm with the lower smoothed cost per request.
@@ -316,28 +315,27 @@ class PrefetchPolicy:
             # requests already pay.
             intervals += speculative
         coverage = merge_intervals(sorted(intervals))
-        with self._lock:
-            state = self._strata.get((scope, tid, sv_q))
-            if state is None or state.samples < MIN_STRATUM_SAMPLES:
-                # Cold stratum: behave like the static merge policy.
-                self.merged_strata += 1
-                return coverage
-            density = max(state.density.value, 1e-9)
-            merged_entries = density * sum(hi - lo + 1 for lo, hi in coverage)
-            # Fractional expected scans: a stratum requested in half
-            # its observed batches prices half a seek per batch, which
-            # is what lets rarely-requested strata flip to exact.
-            exact_scans = state.exact_scans.value
-            exact_entries = density * state.requested_zv.value
-            if not self.cost.prefer_merge(
-                merged_entries, len(coverage), exact_entries, exact_scans
-            ):
-                self.exact_strata += 1
-                return None
+        state = self._strata.get((scope, tid, sv_q))
+        if state is None or state.samples < MIN_STRATUM_SAMPLES:
+            # Cold stratum: behave like the static merge policy.
             self.merged_strata += 1
-            coalesced = self._coalesce(coverage, density)
-            self.coalesced_runs += len(coverage) - len(coalesced)
-            return coalesced
+            return coverage
+        density = max(state.density.value, 1e-9)
+        merged_entries = density * sum(hi - lo + 1 for lo, hi in coverage)
+        # Fractional expected scans: a stratum requested in half its
+        # observed batches prices half a seek per batch, which is what
+        # lets rarely-requested strata flip to exact.
+        exact_scans = state.exact_scans.value
+        exact_entries = density * state.requested_zv.value
+        if not self.cost.prefer_merge(
+            merged_entries, len(coverage), exact_entries, exact_scans
+        ):
+            self.exact_strata += 1
+            return None
+        self.merged_strata += 1
+        coalesced = self._coalesce(coverage, density)
+        self.coalesced_runs += len(coverage) - len(coalesced)
+        return coalesced
 
     def _coalesce(
         self, coverage: list[ZInterval], density: float
@@ -378,40 +376,36 @@ class PrefetchPolicy:
                 untimed); tracked for introspection — the time signal
                 already prices them through the device profile.
         """
-        with self._lock:
-            self.seeks_observed += seeks
-            for (scope, tid, sv_q), out in outcomes.items():
-                state = self._strata.setdefault(
-                    (scope, tid, sv_q), _StratumState()
+        self.seeks_observed += seeks
+        for (scope, tid, sv_q), out in outcomes.items():
+            state = self._strata.setdefault((scope, tid, sv_q), _StratumState())
+            if out.coverage_zv > 0:
+                state.density.update(out.prefetched_entries / out.coverage_zv)
+            elif out.observed_zv > 0:
+                state.density.update(out.observed_entries / out.observed_zv)
+            if out.requests > 0 or out.coverage_zv > 0:
+                # A prefetched-but-unrequested batch is an observation
+                # too — of zero demand.  Those strata (skip-rule
+                # casualties, unused probe superset) are precisely the
+                # ones that must flip to exact.  Served exact, the
+                # stratum shows what exact costs: the on-demand scans
+                # that reached the tree (a scan proves more than it was
+                # asked, so later bands are often free).  Served from a
+                # prefetch it shows nothing of the kind; the distinct
+                # requested bands remain the upper bound.
+                state.exact_scans.update(
+                    out.unique_bands if out.coverage_runs else out.demand_scans
                 )
-                if out.coverage_zv > 0:
-                    state.density.update(out.prefetched_entries / out.coverage_zv)
-                elif out.observed_zv > 0:
-                    state.density.update(out.observed_entries / out.observed_zv)
-                if out.requests > 0 or out.coverage_zv > 0:
-                    # A prefetched-but-unrequested batch is an
-                    # observation too — of zero demand.  Those strata
-                    # (skip-rule casualties, unused probe superset) are
-                    # precisely the ones that must flip to exact.
-                    # Served exact, the stratum shows what exact costs:
-                    # the on-demand scans that reached the tree (a scan
-                    # proves more than it was asked, so later bands are
-                    # often free).  Served from a prefetch it shows
-                    # nothing of the kind; the distinct requested bands
-                    # remain the upper bound.
-                    state.exact_scans.update(
-                        out.unique_bands if out.coverage_runs else out.demand_scans
-                    )
-                    state.requested_zv.update(out.requested_zv)
-                    state.samples += 1
-            if self._batch_arm is not None:
-                per_request = max(1, n_requests)
-                if virtual_time_us > 0.0:
-                    score = virtual_time_us / per_request
-                else:
-                    score = physical_reads / per_request
-                self._arm_scores[self._batch_arm].update(score)
-                self._batch_arm = None
+                state.requested_zv.update(out.requested_zv)
+                state.samples += 1
+        if self._batch_arm is not None:
+            per_request = max(1, n_requests)
+            if virtual_time_us > 0.0:
+                score = virtual_time_us / per_request
+            else:
+                score = physical_reads / per_request
+            self._arm_scores[self._batch_arm].update(score)
+            self._batch_arm = None
 
     def observe_service(
         self,
@@ -432,13 +426,12 @@ class PrefetchPolicy:
         requests = n_range + n_knn
         if requests == 0:
             return
-        with self._lock:
-            self.knn_share.update(n_knn / requests)
-            arm = self._arm_speculative
-            if service_us > 0.0:
-                self._service_scores[arm].update(service_us / requests)
-            else:
-                self._service_scores[arm].update(physical_reads / requests)
+        self.knn_share.update(n_knn / requests)
+        arm = self._arm_speculative
+        if service_us > 0.0:
+            self._service_scores[arm].update(service_us / requests)
+        else:
+            self._service_scores[arm].update(physical_reads / requests)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -446,20 +439,19 @@ class PrefetchPolicy:
 
     def snapshot(self) -> dict:
         """Current decision state, for benches and debugging."""
-        with self._lock:
-            return {
-                "mode": self.mode,
-                "knn_share": self.knn_share.value,
-                "arm_speculative": self._arm_speculative,
-                "arm_scores": {
-                    "on": self._arm_scores[True].value,
-                    "off": self._arm_scores[False].value,
-                },
-                "strata_tracked": len(self._strata),
-                "merged_strata": self.merged_strata,
-                "exact_strata": self.exact_strata,
-                "coalesced_runs": self.coalesced_runs,
-            }
+        return {
+            "mode": self.mode,
+            "knn_share": self.knn_share.value,
+            "arm_speculative": self._arm_speculative,
+            "arm_scores": {
+                "on": self._arm_scores[True].value,
+                "off": self._arm_scores[False].value,
+            },
+            "strata_tracked": len(self._strata),
+            "merged_strata": self.merged_strata,
+            "exact_strata": self.exact_strata,
+            "coalesced_runs": self.coalesced_runs,
+        }
 
 
 __all__ = [

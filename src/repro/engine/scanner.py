@@ -16,7 +16,9 @@ from what it already knows before it goes to the tree:
    :meth:`BandScanner.prefetch` takes the union of many plans' band
    requests, groups the single-SV ones by stratum, merges their
    overlapping Z-intervals and scans each merged interval *once* (the
-   cross-query sharing that makes batch execution cheap); on-demand
+   cross-query sharing that makes batch execution cheap) — all of them
+   in one call into the tree, ``scan_bands_rows``, whose results it
+   makes resident one by one as the sweep yields them; on-demand
    scans add what they prove as replay goes.  When a
    :class:`~repro.engine.policy.PrefetchPolicy` is attached, it decides
    per stratum whether that merge happens at all, which intervals join
@@ -42,7 +44,9 @@ through the layout-agnostic memo, so batch results stay identical to
 sequential on any codec.
 
 By default the scanner runs *packed*: physical scans go through the
-tree's ``scan_band_rows`` and residency and memo store and serve
+tree's ``scan_bands_rows`` sweep (a prefetch: one call per batch, or
+per shard job) or its one-band form ``scan_band_rows`` (on demand), and
+residency and memo store and serve
 :class:`repro.motion.rows.BandRows` — parallel (zv, record) columns
 whose ``MovingObject`` states materialize lazily, only for entries a
 verifier actually admits.  ``BandRows`` iterates as ``(zv, object)``
@@ -52,15 +56,19 @@ identical to scanning the tree whether a consumer uses the columns or
 the legacy pair protocol.  Constructing with ``packed=False`` (or a
 tree without ``scan_band_rows``) restores the per-entry generator path,
 kept as the benchmark reference: it uses the same residency structure
-but proves only the interval it asked for, so it keeps per-band I/O.
+but proves only the interval it asked for, so it keeps per-band I/O —
+and it is the one prefetch that still calls the tree once per band.
 
-Each residency carries its stratum's accounting
-(:class:`~repro.engine.policy.StratumOutcome`): how much the stratum
-prefetched, how much of that the replayed queries actually requested,
-how many on-demand scans reached the tree, and how many transferred
-entries were *dead* (outside every requested interval).  The executor
-surfaces the totals on :class:`~repro.engine.executor.ExecutionStats`
-and feeds the per-stratum detail back to the policy.
+Each residency carries its stratum's accounting as raw tallies: how
+much the stratum prefetched, which intervals the replayed queries
+actually requested, how many on-demand scans reached the tree.  The
+executor reads the batch totals off them
+(:class:`~repro.engine.executor.ExecutionStats`, with
+:attr:`BandScanner.dead_entries` — transferred entries outside every
+requested interval); the per-stratum
+:class:`~repro.engine.policy.StratumOutcome` objects are built only
+when a policy asks for its feedback
+(:meth:`BandScanner.stratum_outcomes`).
 
 A residency also answers one question without serving anything:
 :meth:`StratumResidency.quiet_around` — how far around a point its
@@ -132,18 +140,53 @@ class StratumResidency:
     hold the residency itself and call :meth:`serve` directly; a hit
     is accounted exactly as a :meth:`BandScanner.scan` hit would be.
 
+    The stratum's accounting is kept as raw tallies — nobody reads it
+    unless a policy asks for feedback — and :attr:`outcome` derives the
+    :class:`~repro.engine.policy.StratumOutcome` from them on demand.
+
     Attributes:
-        outcome: the stratum's request/prefetch accounting.
+        tid, sv_q: the stratum.
         rows: the resident rows in key order — :class:`BandRows`, or a
             ``(zv, object)`` list under an unpacked scanner.  Never
             mutated: a new proof builds a new container.
+        requested: every Z-interval put to the stratum, in request
+            order — ``scan()`` calls and direct :meth:`serve` hits, not
+            the pieces counted by :meth:`count_quiet`.
+        coverage_runs, coverage_zv, prefetched_entries: what prefetch
+            scanned here — runs, their total ZV width, entries brought.
+        demand_scans, observed_entries, observed_zv: the on-demand
+            scans that reached the tree — how many, the entries they
+            returned, the ZV width they asked for.
     """
 
-    __slots__ = ("outcome", "rows", "_tally", "_packed", "_zvs", "_edges")
+    __slots__ = (
+        "tid",
+        "sv_q",
+        "rows",
+        "requested",
+        "coverage_runs",
+        "coverage_zv",
+        "prefetched_entries",
+        "demand_scans",
+        "observed_entries",
+        "observed_zv",
+        "_tally",
+        "_packed",
+        "_zvs",
+        "_edges",
+    )
 
     def __init__(self, tally: _Tally, packed: bool, tid: int, sv_q: int):
-        self.outcome = StratumOutcome(tid, sv_q)
+        self.tid = tid
+        self.sv_q = sv_q
         self.rows: "BandRows | list" = NO_ROWS if packed else []
+        self.requested: list[ZInterval] = []
+        self.coverage_runs = 0
+        self.coverage_zv = 0
+        self.prefetched_entries = 0
+        self.demand_scans = 0
+        self.observed_entries = 0
+        self.observed_zv = 0
         self._tally = tally
         self._packed = packed
         # Bisection column: the packed rows' own ZV column, or a mirror.
@@ -153,11 +196,38 @@ class StratumResidency:
         # number of edges lie at or below it.
         self._edges: list[int] = []
 
+    @property
+    def outcome(self) -> StratumOutcome:
+        """The stratum's accounting as policy feedback reads it.
+
+        Built from the raw tallies at the moment of asking: the request
+        and distinct-band counts, the width of the requested union, and
+        how many resident entries fell outside every requested interval
+        (:attr:`StratumOutcome.dead_entries`).
+        """
+        requested = self.requested
+        merged = self._requested_union()
+        return StratumOutcome(
+            self.tid,
+            self.sv_q,
+            requests=len(requested),
+            unique_bands=len(set(requested)),
+            requested_zv=sum(hi - lo + 1 for lo, hi in merged),
+            coverage_runs=self.coverage_runs,
+            coverage_zv=self.coverage_zv,
+            prefetched_entries=self.prefetched_entries,
+            dead_entries=self.dead_entries(merged),
+            demand_scans=self.demand_scans,
+            observed_entries=self.observed_entries,
+            observed_zv=self.observed_zv,
+            requested=requested,
+        )
+
     def serve(self, z_lo: int, z_hi: int) -> "BandRows | list | None":
         """Rows of ``[z_lo, z_hi]`` if a proof covers it, else None.
 
-        A hit is a served request: it is counted on the scanner and on
-        the stratum's outcome.  A miss counts nothing — the caller
+        A hit is a served request: it is counted on the scanner and
+        listed in :attr:`requested`.  A miss counts nothing — the caller
         falls back to :meth:`BandScanner.scan`, which does.
         """
         edges = self._edges
@@ -167,7 +237,7 @@ class StratumResidency:
         tally = self._tally
         tally.requests += 1
         tally.residency_hits += 1
-        self.outcome.requested.append((z_lo, z_hi))
+        self.requested.append((z_lo, z_hi))
         zvs = self._zvs
         lo = bisect_left(zvs, z_lo)
         hi = bisect_right(zvs, z_hi, lo)
@@ -214,9 +284,9 @@ class StratumResidency:
         """Account ``pieces`` requests a quiet interval answered.
 
         They are requests a proof served, counted on the scanner like
-        :meth:`serve` hits; they are not listed in the outcome's
-        ``requested`` — each row inside them already sits in the
-        recorded request that located it, so no entry turns dead.
+        :meth:`serve` hits; they are not listed in :attr:`requested` —
+        each row inside them already sits in the recorded request that
+        located it, so no entry turns dead.
         """
         tally = self._tally
         tally.requests += pieces
@@ -227,26 +297,38 @@ class StratumResidency:
 
         On-demand scans only bring in rows of the band they were asked
         for, so the dead ones are all prefetch over-scan.  ``requested``
-        is the merged union of :attr:`outcome`'s requested intervals,
-        for a caller that already has it.
+        is the merged union of :attr:`requested`, for a caller that
+        already has it.
         """
         zvs = self._zvs
         if not zvs:
             return 0
         if requested is None:
-            requested = merge_intervals(sorted(set(self.outcome.requested)))
+            requested = self._requested_union()
         return len(zvs) - sum(
             bisect_right(zvs, hi) - bisect_left(zvs, lo) for lo, hi in requested
         )
 
-    def _add(self, z_lo: int, z_hi: int, rows: "BandRows | list") -> None:
-        """Record that ``[z_lo, z_hi]`` holds exactly ``rows``.
+    def _requested_union(self) -> list[ZInterval]:
+        """:attr:`requested` as disjoint ascending intervals."""
+        requested = self.requested
+        if len(requested) < 2:  # the rule: one band per stratum and batch
+            return requested
+        return merge_intervals(sorted(requested))
 
+    def _add(self, z_lo: int, z_hi: int, rows: "BandRows | list") -> None:
+        """Record what a scan of ``[z_lo, z_hi]`` that returned ``rows`` proved.
+
+        The interval the rows report (:attr:`BandRows.proven`) when a
+        fence was read, else just the interval asked — the unpacked
+        reference path has no fence to read, so it keeps per-band I/O.
         Rows already resident inside the interval are a subset of
         ``rows`` (same tree, unmutated), so they are replaced; touching
         or overlapping proven intervals fuse.  The first proof's rows
         are adopted as they are.
         """
+        if self._packed and rows.proven is not None:
+            z_lo, z_hi = rows.proven
         edges = self._edges
         if edges:
             zvs = self._zvs
@@ -377,12 +459,12 @@ class BandScanner:
         if rows is not None:
             return rows
         self._tally.requests += 1
-        outcome = resident.outcome
-        outcome.requested.append((z_lo, z_hi))
-        rows = self._scan_stratum(resident, z_lo, z_hi)
-        outcome.demand_scans += 1
-        outcome.observed_entries += len(rows)
-        outcome.observed_zv += z_hi - z_lo + 1
+        resident.requested.append((z_lo, z_hi))
+        rows = self._physical_scan(tid, sv_q, sv_q, z_lo, z_hi)
+        resident._add(z_lo, z_hi, rows)
+        resident.demand_scans += 1
+        resident.observed_entries += len(rows)
+        resident.observed_zv += z_hi - z_lo + 1
         return rows
 
     def prefetch(
@@ -399,6 +481,13 @@ class BandScanner:
         (subdividing their scans by ZV would return entries a direct
         scan excludes).
 
+        The coverage runs of every stratum go to the tree in one call
+        (``scan_bands_rows``), in the order a loop over the strata
+        would have scanned them: strata by first appearance among the
+        requests, runs ascending inside a stratum.  The sweep is lazy,
+        so the page touches interleave with the accounting here exactly
+        as they would in that loop.
+
         Args:
             bands: firm band requests — static range plans whose bands
                 are known to be (an upper bound on) what replay asks.
@@ -409,59 +498,71 @@ class BandScanner:
         """
         if not self._sv_major:
             return
+        # stratum -> (firm intervals, speculative intervals)
         grouped: dict[tuple[int, int], tuple[list[ZInterval], list[ZInterval]]] = {}
-        for band in bands:
-            if band.is_single_sv:
-                grouped.setdefault((band.tid, band.sv_lo_q), ([], []))[0].append(
-                    (band.z_lo, band.z_hi)
-                )
-        for band in speculative:
-            if band.is_single_sv:
-                grouped.setdefault((band.tid, band.sv_lo_q), ([], []))[1].append(
-                    (band.z_lo, band.z_hi)
-                )
+        for kind, requests in enumerate((bands, speculative)):
+            for tid, sv_q, sv_hi_q, z_lo, z_hi in requests:
+                if sv_q == sv_hi_q:
+                    group = grouped.get((tid, sv_q))
+                    if group is None:
+                        group = grouped[(tid, sv_q)] = ([], [])
+                    group[kind].append((z_lo, z_hi))
+        strata: list[tuple[int, int, list[ZInterval]]] = []
         for (tid, sv_q), (firm, spec) in grouped.items():
             if self.policy is not None:
                 coverage = self.policy.decide(self.scope, tid, sv_q, firm, spec)
                 if coverage is None:
                     continue
             else:
-                coverage = merge_intervals(sorted(firm + spec))
-            resident = self.residency(tid, sv_q)
-            prefetched = sum(
-                len(self._scan_stratum(resident, z_lo, z_hi))
-                for z_lo, z_hi in coverage
+                coverage = firm + spec if spec else firm
+                if len(coverage) > 1:
+                    coverage = merge_intervals(sorted(coverage))
+            strata.append((tid, sv_q, coverage))
+        runs = [
+            (tid, sv_q, z_lo, z_hi)
+            for tid, sv_q, coverage in strata
+            for z_lo, z_hi in coverage
+        ]
+        if self.packed:
+            scans = self.tree.scan_bands_rows(runs)
+        else:
+            scan_band = self.tree.scan_band
+            scans = (
+                list(scan_band(tid, sv_q, sv_q, z_lo, z_hi))
+                for tid, sv_q, z_lo, z_hi in runs
             )
+        # Either source scans a run only when its result is pulled.  A
+        # scan is counted as it is issued, a stratum's entries once its
+        # last run has landed: a disk fault mid-sweep leaves the earlier
+        # runs resident and counted, which is what the supervisor's
+        # retry of the job starts from.
+        for tid, sv_q, coverage in strata:
+            resident = self.residency(tid, sv_q)
+            prefetched = width = 0
+            for z_lo, z_hi in coverage:
+                self.physical_scans += 1
+                rows = next(scans)
+                resident._add(z_lo, z_hi, rows)
+                prefetched += len(rows)
+                width += z_hi - z_lo + 1
             self.entries_prefetched += prefetched
-            outcome = resident.outcome
-            outcome.coverage_runs += len(coverage)
-            outcome.coverage_zv += sum(hi - lo + 1 for lo, hi in coverage)
-            outcome.prefetched_entries += prefetched
+            resident.coverage_runs += len(coverage)
+            resident.coverage_zv += width
+            resident.prefetched_entries += prefetched
 
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
 
     def stratum_outcomes(self) -> dict[tuple[int, int], StratumOutcome]:
-        """Finalized per-stratum accounting for this scanner's lifetime.
+        """Per-stratum accounting for this scanner's lifetime so far.
 
-        Derives the summary fields from the raw requested intervals:
-        the request and distinct-band counts, the requested-union
-        width, and how many resident entries fell outside every
-        requested interval (:attr:`StratumOutcome.dead_entries`).
-        Only policy feedback needs this much; the batch total alone is
-        :attr:`dead_entries`.  Idempotent; call after the batch's
-        replay loop.
+        One :attr:`StratumResidency.outcome` per stratum the scanner
+        keeps a residency for.  Only policy feedback needs this much;
+        the batch total alone is :attr:`dead_entries`.  Call after the
+        batch's replay loop.
         """
-        outcomes = {}
-        for key, resident in self._residency.items():
-            outcome = outcomes[key] = resident.outcome
-            merged = merge_intervals(sorted(outcome.requested))
-            outcome.requests = len(outcome.requested)
-            outcome.unique_bands = len(set(outcome.requested))
-            outcome.requested_zv = sum(hi - lo + 1 for lo, hi in merged)
-            outcome.dead_entries = resident.dead_entries(merged)
-        return outcomes
+        return {key: resident.outcome for key, resident in self._residency.items()}
 
     def policy_outcomes(
         self,
@@ -481,27 +582,14 @@ class BandScanner:
     def dead_entries(self) -> int:
         """Prefetched entries no replayed request asked for."""
         return sum(
-            resident.dead_entries() for resident in self._residency.values()
+            resident.dead_entries()
+            for resident in self._residency.values()
+            if resident._zvs  # most strata hold no row, so none is dead
         )
 
     # ------------------------------------------------------------------
     # Physical scans
     # ------------------------------------------------------------------
-
-    def _scan_stratum(
-        self, resident: StratumResidency, z_lo: int, z_hi: int
-    ) -> "BandRows | list":
-        """Scan one single-SV band and make what it proved resident.
-
-        The unpacked reference path has no fence to read, so it records
-        only the interval it asked for — it keeps per-band I/O.
-        """
-        tid, sv_q = resident.outcome.tid, resident.outcome.sv_q
-        rows = self._physical_scan(tid, sv_q, sv_q, z_lo, z_hi)
-        if self.packed and rows.proven is not None:
-            z_lo, z_hi = rows.proven
-        resident._add(z_lo, z_hi, rows)
-        return rows
 
     def _scan_memoized(self, band: BandRequest) -> "BandRows | list":
         """Exact-identity memo for the bands residency cannot serve:

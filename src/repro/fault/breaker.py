@@ -16,9 +16,9 @@ Time is whatever the caller's ``now`` means — virtual microseconds
 from a :class:`repro.simio.clock.SimClock` horizon when one exists,
 or a plain admission-call counter otherwise
 (:class:`BreakerPolicy.cooldown_calls`); the state machine only
-compares differences.  The breaker itself is not thread-safe: the
-owning :class:`repro.fault.supervisor.ShardSupervisor` serializes
-access under its lock.
+compares differences.  Plain state, like its owning
+:class:`repro.fault.supervisor.ShardSupervisor`: shard jobs run one at
+a time on the calling thread.
 """
 
 from __future__ import annotations

@@ -12,14 +12,13 @@ succeeds (possibly after retries, with the backoff priced in virtual
 time) or reports ``(False, None)`` and the shard is quarantined —
 degradation, not failure.
 
-Thread-safety: library callers may drive a deployment from their own
-threads, so all breaker transitions and counter increments happen
-under one lock; the retry loop itself (and the job body) runs unlocked.
+Not synchronized: shard jobs run inline, one at a time, on the calling
+thread (:class:`repro.simio.scheduler.IOScheduler`), so breaker
+transitions and counters are plain state.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, TypeVar
 
 from repro.fault.breaker import BreakerPolicy, CircuitBreaker
@@ -55,13 +54,12 @@ class ShardSupervisor:
         self.breaker_policy = breaker if breaker is not None else BreakerPolicy()
         self.clock = clock
         self.stats = FaultStats()
-        self._lock = threading.RLock()
         self._breakers = [CircuitBreaker(self.breaker_policy) for _ in range(n_shards)]
         self._ticks = 0
         #: A :class:`repro.obs.trace.TraceRecorder` (set via
         #: ``attach_recorder``); retries and breaker transitions then
         #: land on the trace's fault track as instants.  Tracing only
-        #: reads the thread's clock cursor — never the retry RNG.
+        #: reads the clock's cursor — never the retry RNG.
         self.recorder = None
 
     def _mark(self, name: str, shard: int, **extra) -> None:
@@ -78,7 +76,7 @@ class ShardSupervisor:
     def n_shards(self) -> int:
         return len(self._breakers)
 
-    def _now_locked(self) -> float:
+    def _now(self) -> float:
         if self.clock is not None:
             return self.clock.elapsed
         return float(self._ticks)
@@ -96,15 +94,12 @@ class ShardSupervisor:
         """May this shard serve right now?  Opens the half-open probe
         window after a cooldown (the call that returns True *is* the
         probe — follow it with :meth:`run`)."""
-        with self._lock:
-            self._ticks += 1
-            allowed, probing = self._breakers[shard].allow(
-                self._now_locked(), self._cooldown()
-            )
-            if probing:
-                self.stats.probes += 1
-                self._mark("breaker.probe", shard)
-            return allowed
+        self._ticks += 1
+        allowed, probing = self._breakers[shard].allow(self._now(), self._cooldown())
+        if probing:
+            self.stats.probes += 1
+            self._mark("breaker.probe", shard)
+        return allowed
 
     def run(self, shard: int, fn: Callable[[], T]) -> tuple[bool, "T | None"]:
         """Run one shard job under retry + breaker; ``(ok, result)``.
@@ -120,8 +115,7 @@ class ShardSupervisor:
             try:
                 result = fn()
             except RETRYABLE_ERRORS:
-                with self._lock:
-                    self.stats.faults += 1
+                self.stats.faults += 1
                 self._mark("fault", shard, attempt=attempt)
                 if attempt >= self.retry.max_attempts:
                     self._record_failure(shard)
@@ -129,9 +123,8 @@ class ShardSupervisor:
                 backoff = self.retry.backoff_us(attempt, token=shard)
                 if self.clock is not None and backoff > 0:
                     self.clock.advance(backoff)
-                with self._lock:
-                    self.stats.retries += 1
-                    self.stats.backoff_us += backoff
+                self.stats.retries += 1
+                self.stats.backoff_us += backoff
                 self._mark("retry", shard, attempt=attempt, backoff_us=backoff)
                 attempt += 1
             else:
@@ -139,20 +132,14 @@ class ShardSupervisor:
                 return True, result
 
     def _record_failure(self, shard: int) -> None:
-        with self._lock:
-            self.stats.exhausted += 1
-            opened = self._breakers[shard].record_failure(self._now_locked())
-            if opened:
-                self.stats.quarantines += 1
-        if opened:
+        self.stats.exhausted += 1
+        if self._breakers[shard].record_failure(self._now()):
+            self.stats.quarantines += 1
             self._mark("breaker.open", shard)
 
     def _record_success(self, shard: int) -> None:
-        with self._lock:
-            closed = self._breakers[shard].record_success()
-            if closed:
-                self.stats.recoveries += 1
-        if closed:
+        if self._breakers[shard].record_success():
+            self.stats.recoveries += 1
             self._mark("breaker.close", shard)
 
     # ------------------------------------------------------------------
@@ -161,35 +148,30 @@ class ShardSupervisor:
 
     def quarantined(self) -> list[int]:
         """Shards currently open or probing, ascending."""
-        with self._lock:
-            return [
-                shard
-                for shard, breaker in enumerate(self._breakers)
-                if breaker.quarantined
-            ]
+        return [
+            shard
+            for shard, breaker in enumerate(self._breakers)
+            if breaker.quarantined
+        ]
 
     def is_quarantined(self, shard: int) -> bool:
-        with self._lock:
-            return self._breakers[shard].quarantined
+        return self._breakers[shard].quarantined
 
     def reset(self, shard: int) -> None:
         """Close a shard's breaker after an out-of-band rebuild
         (:class:`repro.shard.recovery.ShardCheckpointer`)."""
-        with self._lock:
-            if self._breakers[shard].reset():
-                self.stats.recoveries += 1
+        if self._breakers[shard].reset():
+            self.stats.recoveries += 1
 
     # ------------------------------------------------------------------
     # Degradation accounting (incremented by the scatter/write layers)
     # ------------------------------------------------------------------
 
     def note_dropped_band(self, n: int = 1) -> None:
-        with self._lock:
-            self.stats.bands_dropped += n
+        self.stats.bands_dropped += n
 
     def note_deferred_updates(self, n: int) -> None:
-        with self._lock:
-            self.stats.updates_deferred += n
+        self.stats.updates_deferred += n
 
 
 __all__ = ["ShardSupervisor"]

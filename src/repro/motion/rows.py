@@ -32,7 +32,7 @@ class BandRows:
         proven: set by a single-SV tree scan only — the widest Z-interval
             ``(z_lo, z_hi)`` of the scanned ``(tid, sv_q)`` stratum that
             the scan proved to hold exactly these rows (it contains the
-            requested band; see ``PEBTree.scan_band_rows``).  None on
+            requested band; see ``PEBTree.scan_bands_rows``).  None on
             slices, concatenations, and scans that prove nothing.
     """
 

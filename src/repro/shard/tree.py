@@ -609,6 +609,19 @@ class ShardedPEBTree:
         ]
         return BandRows.concat(parts) if parts else BandRows.empty()
 
+    def scan_bands_rows(self, bands: Iterable[tuple[int, int, int, int]]):
+        """Sweep many single-SV bands, each routed to its owning shard.
+
+        Mirrors :meth:`repro.core.peb_tree.PEBTree.scan_bands_rows`:
+        lazy, one :class:`BandRows` per ``(tid, sv_q, z_lo, z_hi)`` in
+        the order given.  A single-SV band lives whole in one shard
+        under either routing policy, so its fence proof is the owning
+        tree's, unchanged.
+        """
+        shard_of = self.router.shard_of
+        for band in bands:
+            yield from self.trees[shard_of(band[0], band[1])].scan_bands_rows((band,))
+
     def scan_sv_zrange(self, tid: int, sv: float, z_lo: int, z_hi: int):
         """Single-SV convenience scan, mirroring the single tree's."""
         sv_q = self.codec.quantize_sv(sv)

@@ -8,10 +8,10 @@ overlapped scheduling visible at all (overlap never changes a count):
   over hdd/ssd/nvme :class:`~repro.simio.model.DeviceProfile`\\ s: seek
   plus per-page transfer, with a sequential-run discount.
 * :mod:`repro.simio.clock` — :class:`~repro.simio.clock.SimClock`:
-  thread-safe virtual time where concurrent accesses to distinct
-  devices overlap and same-device accesses serialize on a per-device
-  timeline; fork/join contexts make overlap deterministic without
-  any real concurrency.
+  virtual time where concurrent accesses to distinct devices overlap
+  and same-device accesses serialize on a per-device timeline;
+  fork/join contexts make overlap deterministic without any real
+  concurrency.
 * :mod:`repro.simio.disk` — :class:`~repro.simio.disk.TimedDisk`: a
   delegating wrapper composing with ``SimulatedDisk`` / ``FaultyDisk``
   / ``ChecksummedDisk``, charging completed accesses into

@@ -4,10 +4,12 @@
 models time the way a discrete-event simulator does, but driven
 *inline* by the code under measurement instead of by an event queue:
 
-* Every executing **context** (a thread, or one job of an
-  :class:`repro.simio.scheduler.IOScheduler` fan-out) carries a cursor
-  of virtual microseconds, stored thread-locally.  CPU work advances
-  only the local cursor (:meth:`advance`).
+* The executing **context** (the caller, or one job of an
+  :class:`repro.simio.scheduler.IOScheduler` fan-out) has a cursor of
+  virtual microseconds.  Jobs run one at a time, so the clock keeps a
+  single cursor and the scheduler repositions it per job
+  (:meth:`set_cursor`).  CPU work advances only the cursor
+  (:meth:`advance`).
 * Every **device** owns a timeline: the instant it next becomes free,
   plus the last page it accessed (the sequential-run state the
   :class:`repro.simio.model.LatencyModel` discounts against).  A page
@@ -20,7 +22,7 @@ models time the way a discrete-event simulator does, but driven
   deltas of the horizon, exactly like the counter deltas the I/O stats
   already support.
 
-Fork/join (:meth:`fork` / :meth:`join`) is what makes overlap
+Fork/join (:meth:`set_cursor` / :meth:`join`) is what makes overlap
 *measurable without real parallelism*: the scheduler captures the
 parent cursor, starts every job's context there, and joins the parent
 to the maximum job end.  The jobs run one after another on the calling
@@ -29,22 +31,20 @@ and independent of the order they ran in, as long as concurrent jobs
 touch disjoint devices (which is how the shard layer uses it: one disk
 per shard).
 
-All device state is guarded by one lock, so charging is safe when
-library callers drive trees on one clock from their own threads; the
-cursors are thread-local and need no locking.
+Nothing here is synchronized: the whole stack is single-threaded by
+design (``tests/test_service.py::test_serving_path_starts_no_thread``
+pins that no layer starts a thread), and a clock shared between real
+threads would interleave their cursors.
 """
 
 from __future__ import annotations
 
-import threading
-
 
 class SimClock:
-    """Thread-safe virtual time over any number of simulated devices."""
+    """Virtual time over any number of simulated devices."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._local = threading.local()
+        self._cursor = 0.0
         self._device_free: list[float] = []
         self._device_last_page: list[int | None] = []
         self._device_names: list[str] = []
@@ -56,12 +56,11 @@ class SimClock:
 
     def register_device(self, name: str | None = None) -> int:
         """Add a device timeline; returns its handle."""
-        with self._lock:
-            handle = len(self._device_free)
-            self._device_free.append(0.0)
-            self._device_last_page.append(None)
-            self._device_names.append(name if name is not None else f"dev{handle}")
-            return handle
+        handle = len(self._device_free)
+        self._device_free.append(0.0)
+        self._device_last_page.append(None)
+        self._device_names.append(name if name is not None else f"dev{handle}")
+        return handle
 
     @property
     def device_count(self) -> int:
@@ -72,8 +71,7 @@ class SimClock:
 
     def device_free_at(self, device: int) -> float:
         """The instant the device's timeline next becomes free."""
-        with self._lock:
-            return self._device_free[device]
+        return self._device_free[device]
 
     # ------------------------------------------------------------------
     # Contexts
@@ -81,11 +79,11 @@ class SimClock:
 
     def cursor(self) -> float:
         """The calling context's current virtual instant."""
-        return getattr(self._local, "t", 0.0)
+        return self._cursor
 
     def set_cursor(self, t: float) -> None:
         """Reposition the calling context (the scheduler's fork)."""
-        self._local.t = t
+        self._cursor = t
 
     def advance(self, dt: float) -> float:
         """Charge CPU work to the calling context; returns the new cursor.
@@ -95,20 +93,16 @@ class SimClock:
         """
         if dt < 0:
             raise ValueError(f"dt must be >= 0, got {dt}")
-        t = self.cursor() + dt
-        self._local.t = t
-        with self._lock:
-            if t > self._horizon:
-                self._horizon = t
+        t = self._cursor = self._cursor + dt
+        if t > self._horizon:
+            self._horizon = t
         return t
 
     def join(self, ends: "list[float] | tuple[float, ...]") -> float:
         """Advance the calling context to the latest of several ends."""
-        t = max(self.cursor(), *ends) if ends else self.cursor()
-        self._local.t = t
-        with self._lock:
-            if t > self._horizon:
-                self._horizon = t
+        t = self._cursor = max(self._cursor, *ends) if ends else self._cursor
+        if t > self._horizon:
+            self._horizon = t
         return t
 
     # ------------------------------------------------------------------
@@ -120,22 +114,19 @@ class SimClock:
 
         The access starts when both the calling context and the device
         are free, runs for the model's cost (computed against the
-        device's sequential-run state under the same lock), and
-        advances context, device timeline, and horizon to the finish
-        instant.
+        device's sequential-run state), and advances context, device
+        timeline, and horizon to the finish instant.
         """
-        t = self.cursor()
-        with self._lock:
-            cost, sequential = model.access_cost(
-                kind, page_id, self._device_last_page[device]
-            )
-            start = t if t > self._device_free[device] else self._device_free[device]
-            end = start + cost
-            self._device_free[device] = end
-            self._device_last_page[device] = page_id
-            if end > self._horizon:
-                self._horizon = end
-        self._local.t = end
+        cost, sequential = model.access_cost(
+            kind, page_id, self._device_last_page[device]
+        )
+        free = self._device_free[device]
+        end = (self._cursor if self._cursor > free else free) + cost
+        self._device_free[device] = end
+        self._device_last_page[device] = page_id
+        if end > self._horizon:
+            self._horizon = end
+        self._cursor = end
         return cost, sequential
 
     # ------------------------------------------------------------------
@@ -149,8 +140,7 @@ class SimClock:
         Monotonic for the clock's lifetime; measure phases as deltas,
         the way the I/O counters are read.
         """
-        with self._lock:
-            return self._horizon
+        return self._horizon
 
 
 __all__ = ["SimClock"]

@@ -340,6 +340,24 @@ def test_batch_rejects_unknown_spec_types(small_world):
         engine.execute_batch(["not a query spec"])
 
 
+def test_batch_rejects_a_negative_k_before_any_read(small_world):
+    """The bad spec sits behind a good one: nothing of the batch may
+    have been scanned or counted when it is refused."""
+    world = small_world
+    engine = QueryEngine(world.peb)
+    good = world.query_generator().range_queries(world.uids, 1, 300.0, 5.0)[0]
+    bad = KnnQuerySpec(q_uid=world.uids[0], qx=500.0, qy=500.0, k=-1, t_query=5.0)
+    stats = world.peb.stats
+    before = (stats.logical_reads, stats.physical_reads)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        engine.execute_batch([good, bad])
+    assert (stats.logical_reads, stats.physical_reads) == before
+    # k = 0 stays the empty answer, not an error.
+    zero = KnnQuerySpec(q_uid=world.uids[0], qx=500.0, qy=500.0, k=0, t_query=5.0)
+    (result,) = engine.execute_batch([zero]).results
+    assert result.neighbors == []
+
+
 def test_batch_without_prefetch_still_deduplicates(small_world):
     world = small_world
     spec = world.query_generator().range_queries(world.uids, 1, 300.0, 5.0)[0]

@@ -73,6 +73,15 @@ def test_zero_k(small_world):
     assert result.neighbors == []
 
 
+def test_negative_k_raises_before_any_read(small_world):
+    world = small_world
+    stats = world.peb.stats
+    before = (stats.logical_reads, stats.physical_reads)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        pknn(world.peb, world.uids[0], 500.0, 500.0, -1, 5.0)
+    assert (stats.logical_reads, stats.physical_reads) == before
+
+
 def test_neighbors_are_policy_qualified(small_world):
     world = small_world
     for query in world.query_generator().knn_queries(world.states, 10, 5, 5.0):
