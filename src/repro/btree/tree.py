@@ -916,16 +916,14 @@ class BPlusTree:
         del parent.children[i + 1]
         self.pool.put(left_id, left)
         self.pool.put(parent_id, parent)
-        self.pool.discard(right_id)
-        self.pool.disk.free(right_id)
+        self.pool.free(right_id)
 
     def _collapse_root(self) -> None:
         root = self.pool.get(self.root_id)
         while not root.is_leaf and len(root.children) == 1:
             old_root = self.root_id
             self.root_id = root.children[0]
-            self.pool.discard(old_root)
-            self.pool.disk.free(old_root)
+            self.pool.free(old_root)
             self.height -= 1
             root = self.pool.get(self.root_id)
 

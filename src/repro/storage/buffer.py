@@ -12,6 +12,30 @@ counters before replaying queries.
 Victim selection is delegated to a pluggable
 :class:`repro.storage.replacement.ReplacementPolicy` (LRU by default, per
 the paper; FIFO/CLOCK/LFU available for the buffer-policy ablation).
+
+**Decode once, not once per miss.**  Which pages are resident is the
+modelled quantity; turning a page image back into a Python node is a
+cost of this simulator alone.  So the pool remembers, per page id, the
+last ``(image, node)`` pair it *exchanged with its disk* — recorded when
+a miss parses, rewritten when a write-back packs (after ``disk.write``
+returned) — and a miss whose ``disk.read`` comes back with that same
+image admits the remembered node instead of parsing it again.  Nothing
+about residency changes: the physical read runs through the whole disk
+stack first (it is timed, counted, checksummed and may fault exactly as
+before), victims, replacement order and write-backs are decided as
+before, and the image comparison (an identity test in CPython when the
+disk hands back the object it was given) sends every page rewritten
+behind the pool's back — recovery, a second pool on the same disk,
+:meth:`repro.storage.faults.ChecksummedDisk.corrupt` — down the parse
+path.  A pair is dropped where its node stops describing the disk's
+image: :meth:`BufferPool.discard` (and with it sweep-guard rollback),
+:meth:`BufferPool.invalidate`, and a write-back whose ``disk.write``
+raised.  :meth:`BufferPool.clear` therefore means cold *residency*, not
+cold decode; and while ``capacity`` bounds the simulated memory, the
+process holds one decoded node per page the pool has read or written —
+the same order as the images :class:`SimulatedDisk` keeps anyway.  A
+pool that writes back already assumes one serializer for all its pages;
+retention assumes the same of a page id's reads.
 """
 
 from __future__ import annotations
@@ -55,6 +79,9 @@ class BufferPool:
         self._frames: dict[int, Any] = {}
         self._dirty: set[int] = set()
         self._guard_base: int | None = None
+        self._guard_freed: list[int] = []
+        # page id -> the (image, node) pair last exchanged with the disk.
+        self._exchanged: dict[int, tuple[bytes, Any]] = {}
 
     @property
     def stats(self):
@@ -78,7 +105,11 @@ class BufferPool:
     # ------------------------------------------------------------------
 
     def get(self, page_id: int, serializer: PageSerializer | None = None) -> Any:
-        """Return the cached object for ``page_id``, reading disk on a miss."""
+        """Return the cached object for ``page_id``, reading disk on a miss.
+
+        A miss always pays the physical read; it parses only when the
+        image read is not the one this pool last exchanged for the page.
+        """
         self.stats.logical_reads += 1
         if page_id in self._frames:
             self.policy.on_access(page_id)
@@ -86,7 +117,13 @@ class BufferPool:
         codec = serializer if serializer is not None else self.serializer
         if codec is None:
             raise RuntimeError("BufferPool has no serializer configured")
-        obj = codec.parse(self.disk.read(page_id))
+        image = self.disk.read(page_id)
+        pair = self._exchanged.get(page_id)
+        if pair is not None and pair[0] == image:
+            obj = pair[1]
+        else:
+            obj = codec.parse(image)
+            self._exchanged[page_id] = (image, obj)
         self._admit(page_id, obj)
         return obj
 
@@ -108,10 +145,27 @@ class BufferPool:
         self._dirty.add(page_id)
 
     def discard(self, page_id: int) -> None:
-        """Drop a page from the pool without writing it back (for deletes)."""
+        """Drop a page from the pool without writing it back (for deletes).
+
+        The remembered decode goes too: a discarded frame may have been
+        modified, and it is the same object the pair holds.
+        """
         if self._frames.pop(page_id, None) is not None:
             self.policy.on_remove(page_id)
         self._dirty.discard(page_id)
+        self._exchanged.pop(page_id, None)
+
+    def free(self, page_id: int) -> None:
+        """Discard a page and release it on the disk (a merged-away node).
+
+        Under a sweep guard the disk keeps the image until commit: it is
+        the undo state a rollback re-reads.
+        """
+        self.discard(page_id)
+        if self._guard_base is not None:
+            self._guard_freed.append(page_id)
+        else:
+            self.disk.free(page_id)
 
     def flush(self) -> None:
         """Write back every dirty page; the pool stays populated."""
@@ -120,7 +174,8 @@ class BufferPool:
         self._dirty.clear()
 
     def clear(self) -> None:
-        """Flush and then empty the pool (a cold cache)."""
+        """Flush and then empty the pool (cold residency: every next
+        access is a physical read, though not necessarily a parse)."""
         self.flush()
         for page_id in list(self._frames):
             self.policy.on_remove(page_id)
@@ -141,13 +196,16 @@ class BufferPool:
         disk: the cached objects no longer describe any on-disk page, so
         flushing them (as :meth:`clear` would) would clobber the
         restored state.  Any active sweep guard is abandoned with the
-        frames it was protecting.
+        frames it was protecting, and every remembered decode is
+        forgotten with the frames it may share a node with.
         """
         for page_id in list(self._frames):
             self.policy.on_remove(page_id)
         self._frames.clear()
         self._dirty.clear()
+        self._exchanged.clear()
         self._guard_base = None
+        self._guard_freed.clear()
 
     # ------------------------------------------------------------------
     # Sweep guard: a no-steal window for retryable write sweeps
@@ -159,7 +217,8 @@ class BufferPool:
     # frames are never evicted (clean frames still are; the pool may
     # exceed capacity when everything resident is dirty), so the disk
     # keeps its pre-sweep images for every *pre-existing* page and only
-    # guard-allocated pages (splits) carry new images.  Rollback then
+    # guard-allocated pages (splits) carry new images; a page the sweep
+    # frees (merges) keeps its image until commit.  Rollback then
     # discards every dirtied frame and frees the guard allocations,
     # restoring the exact pre-sweep logical state; commit flushes.
 
@@ -183,6 +242,7 @@ class BufferPool:
             raise RuntimeError("no sweep guard active")
         base = self._guard_base
         self._guard_base = None
+        self._guard_freed.clear()
         for page_id in list(self._dirty):
             self.discard(page_id)
         for page_id in range(base, self.disk.allocated_count):
@@ -201,6 +261,9 @@ class BufferPool:
             raise RuntimeError("no sweep guard active")
         self.flush()
         self._guard_base = None
+        for page_id in self._guard_freed:
+            self.disk.free(page_id)
+        self._guard_freed.clear()
         while len(self._frames) > self.capacity:
             self._evict()
 
@@ -251,16 +314,22 @@ class BufferPool:
 
     def _evict(self) -> None:
         page_id = self.policy.victim()
-        obj = self._frames.pop(page_id)
-        self.policy.on_remove(page_id)
         if page_id in self._dirty:
-            self._write_back(page_id, obj)
+            # Write back first: a write fault must leave the frame, its
+            # dirty mark and its place in the policy where they were.
+            self._write_back(page_id)
             self._dirty.discard(page_id)
+        del self._frames[page_id]
+        self.policy.on_remove(page_id)
 
-    def _write_back(self, page_id: int, obj: Any | None = None) -> None:
+    def _write_back(self, page_id: int) -> None:
         codec = self.serializer
         if codec is None:
             raise RuntimeError("BufferPool has no serializer configured")
-        if obj is None:
-            obj = self._frames[page_id]
-        self.disk.write(page_id, codec.pack(obj))
+        obj = self._frames[page_id]
+        image = codec.pack(obj)
+        # The old pair's node has moved on from the old image, which is
+        # what the disk still holds if this write raises.
+        self._exchanged.pop(page_id, None)
+        self.disk.write(page_id, image)
+        self._exchanged[page_id] = (image, obj)

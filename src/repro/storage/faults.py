@@ -35,7 +35,12 @@ cached is masked until the frame is evicted and re-read — detection is
 a property of the physical read path, not of every logical access.
 The fault-tolerance tests pin this invariant; recovery paths that need
 a verified image must drop the cached frame (``pool.invalidate()`` /
-``pool.discard``) before re-reading.
+``pool.discard``) before re-reading.  The decode the pool remembers for
+a page it evicted does not widen that window: every miss still runs the
+physical read through this stack first, so an injected fault or a
+checksum mismatch raises before the remembered pair is looked at, and a
+page altered on disk no longer compares equal to the remembered image
+(``tests/test_storage_buffer.py`` pins both).
 """
 
 from __future__ import annotations

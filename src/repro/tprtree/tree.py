@@ -399,8 +399,7 @@ class TPRTree:
             child_node = self._node(child)
             if len(child_node) == 0:
                 del node.entries[slot]
-                self.pool.discard(child)
-                self.pool.disk.free(child)
+                self.pool.free(child)
             else:
                 node.entries[slot] = (child, child_node.tpbr())
             self._store(page_id, node)
@@ -417,12 +416,10 @@ class TPRTree:
             child = self._node(child_id)
             if child.is_leaf and len(root) == 1:
                 # Promote the leaf to root only when the root is trivial.
-                self.pool.discard(self.root_id)
-                self.pool.disk.free(self.root_id)
+                self.pool.free(self.root_id)
                 self.root_id = child_id
                 return
-            self.pool.discard(self.root_id)
-            self.pool.disk.free(self.root_id)
+            self.pool.free(self.root_id)
             self.root_id = child_id
 
 

@@ -312,6 +312,57 @@ def test_sweep_guard_rollback_restores_pre_sweep_state():
     assert split not in pool
 
 
+def test_sweep_guard_keeps_a_freed_page_until_commit():
+    """A merge frees a pre-existing page mid-sweep; its image is undo
+    state, so the disk gives it up at commit, never before a rollback
+    (the tree used to free it on the disk directly and a rolled-back
+    sweep then read a page that no longer existed)."""
+    pool = make_pool()
+    disk = pool.disk
+    kept, merged = disk.allocate(), disk.allocate()
+    pool.put(kept, b"left")
+    pool.put(merged, b"right")
+    pool.flush()
+
+    pool.begin_sweep_guard()
+    pool.put(kept, b"left+right")
+    pool.free(merged)
+    assert merged not in pool
+    pool.rollback_sweep_guard()
+    assert pool.get(kept) == b"left" and pool.get(merged) == b"right"
+
+    pool.begin_sweep_guard()
+    pool.put(kept, b"left+right")
+    pool.free(merged)
+    pool.commit_sweep_guard()
+    assert disk.read(kept) == b"left+right"
+    assert not disk.contains(merged)
+
+    pool.free(kept)  # no guard: released at once
+    assert kept not in pool and not disk.contains(kept)
+
+
+def test_rolled_back_sweep_that_merged_leaves_restores_the_tree():
+    from repro.btree.tree import BPlusTree, BTreeConfig
+
+    pool = BufferPool(SimulatedDisk(page_size=256), capacity=2)
+    tree = BPlusTree(pool, BTreeConfig(key_bytes=8, value_bytes=16, page_size=256))
+    for key in range(9):  # one split: two leaves under a root
+        tree.insert(key, 0, b"v" * 16)
+    before = list(tree.items())
+    pool.flush()
+
+    pool.begin_sweep_guard()
+    shape = (tree.root_id, tree.height, tree.leaf_count, tree.entry_count)
+    tree.apply_sorted_batch([("delete", key, 0, None) for key in (0, 1, 4)])
+    assert tree.leaf_count == 1  # the sweep merged the leaves
+    pool.rollback_sweep_guard()
+    tree.root_id, tree.height, tree.leaf_count, tree.entry_count = shape
+
+    tree.check_invariants()
+    assert list(tree.items()) == before
+
+
 def test_sweep_guard_never_steals_dirty_frames():
     pool = make_pool(capacity=2)
     disk = pool.disk

@@ -319,3 +319,36 @@ def test_buffer_cache_hit_masks_later_on_disk_corruption():
     pool.discard(page)
     with pytest.raises(CorruptPageError):
         pool.get(page)
+
+
+@pytest.mark.parametrize("writes_until_fault", [1, 2, 3])
+def test_write_fault_during_dirty_eviction_loses_nothing(writes_until_fault):
+    """A dirty victim whose write-back faults stays resident and dirty.
+
+    The pool used to drop the frame before writing it back, so the
+    fault took the page's modifications with it: acknowledged inserts
+    vanished, ``flush()`` raised ``KeyError`` on the orphaned dirty id
+    and the leaf chain broke.  The fault lands on a descent's miss, so
+    the failed insert itself changed nothing and is simply retried.
+    """
+    disk = FaultyDisk(page_size=256)
+    tree = build_tree(disk)
+    tree.pool.resize(3)
+    for key in range(200):
+        tree.insert(key, key, key.to_bytes(16, "big"))
+    tree.pool.flush()
+    disk.schedule = TransientFaultSchedule(
+        fail_writes=[disk._write_attempts + writes_until_fault]
+    )
+    faults = 0
+    for key in range(200, 230):
+        try:
+            tree.insert(key, key, key.to_bytes(16, "big"))
+        except DiskFaultError:
+            faults += 1
+            tree.insert(key, key, key.to_bytes(16, "big"))  # the fault cleared
+    assert faults == 1
+    tree.pool.flush()
+    tree.check_invariants()
+    tree.pool.clear()
+    assert [key for key, _, _ in tree.items()] == list(range(230))

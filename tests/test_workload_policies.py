@@ -1,10 +1,15 @@
 """Tests for grouped policy generation (grouping factor θ, Section 6)."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from repro.core.sequencing import assign_sequence_values
 from repro.workloads.policies import PolicyGenerator
+
+GOLDEN = Path(__file__).with_name("policy_generator_golden.json")
 
 
 def make(seed=5):
@@ -151,6 +156,71 @@ def test_time_coverage_uniform_across_the_day():
     at_noon = sum(1 for tint in intervals if tint.contains(720.0))
     assert at_midnight > 0.7 * at_noon
     assert at_noon > 0.7 * at_midnight
+
+
+def generated_population():
+    """Everything a generated population decides, JSON-shaped.
+
+    46 users in groups of 12 (the last group is short), θ = 0.6 of 6
+    policies: 4 in-group targets and 2 outsiders per user, so every
+    user draws from its group's complement.
+    """
+    uids = list(range(46))
+    store = PolicyGenerator(1000.0, 1440.0, random.Random(19)).generate(
+        uids, n_policies=6, grouping_factor=0.6
+    )
+    policies = []
+    for owner in uids:
+        for viewer in sorted(store.viewers_of(owner)):
+            policy = store.policy_for(owner, viewer)
+            pieces = getattr(policy.tint, "intervals", (policy.tint,))
+            policies.append(
+                {
+                    "owner": owner,
+                    "viewer": viewer,
+                    "role": policy.role,
+                    "region": [
+                        policy.locr.x_lo,
+                        policy.locr.x_hi,
+                        policy.locr.y_lo,
+                        policy.locr.y_hi,
+                    ],
+                    "interval": [[piece.start, piece.end] for piece in pieces],
+                }
+            )
+    encoding = assign_sequence_values(uids, store, 1000.0**2)
+    return {
+        "policies": policies,
+        "sequence_values": [encoding.sequence_values[uid] for uid in uids],
+    }
+
+
+def test_generated_population_matches_golden():
+    """Grantee lists, roles, regions, intervals and the sequence values
+    they induce equal ``policy_generator_golden.json``, dumped from
+    :func:`generated_population` at commit ``9709692`` — when every
+    user's outsider list was still rebuilt from the whole population —
+    so the draws the benchmark's population rests on cannot drift."""
+    assert generated_population() == json.loads(GOLDEN.read_text())
+
+
+def test_outsider_view_is_the_list_it_replaces():
+    """The per-group view reads, and samples, exactly like the list of
+    non-members in population order that each user used to rebuild."""
+    from repro.workloads.policies import _Outsiders
+
+    rng = random.Random(3)
+    for _ in range(50):
+        population = rng.sample(range(1000), rng.randint(2, 60))
+        positions = sorted(
+            rng.sample(range(len(population)), rng.randint(0, len(population)))
+        )
+        members = {population[position] for position in positions}
+        expected = [uid for uid in population if uid not in members]
+        view = _Outsiders(population, positions)
+        assert list(view) == expected and len(view) == len(expected)
+        k = rng.randint(0, len(expected))
+        assert random.Random(8).sample(view, k) == random.Random(8).sample(expected, k)
 
 
 # ----------------------------------------------------------------------
