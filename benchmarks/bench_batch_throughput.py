@@ -14,23 +14,14 @@ are verified identical inside :meth:`ExperimentHarness.run_batched_prq`
 — a mismatch raises, so a green run certifies correctness as well as
 the speedup.
 
-``--micro`` instead measures the packed columnar leaf scan against the
-object-at-a-time reference on one built index: the band-scan inner loop
-(per-entry ``scan_band`` vs ``scan_band_rows`` on a warm buffer) and 64
-concurrent PRQs batch-executed with ``packed_scan`` on and off from cold
-buffers, with result sets, ``candidates_examined``, and physical reads
-asserted identical.  It exits non-zero unless the inner loop is ≥ 3x and
-the end-to-end batch ≥ 1.3x, and writes ``BENCH_micro.json``.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_batch_throughput.py
     PYTHONPATH=src python benchmarks/bench_batch_throughput.py --smoke
-    PYTHONPATH=src python benchmarks/bench_batch_throughput.py --micro
 
-``--json PATH`` (default ``BENCH_batch.json``, or ``BENCH_micro.json``
-under ``--micro``) writes the rows and configuration as machine-readable
-JSON for the perf trajectory; pass ``--json ''`` to skip.
+``--json PATH`` (default ``BENCH_batch.json``) writes the rows and
+configuration as machine-readable JSON for the perf trajectory; pass
+``--json ''`` to skip.
 
 Exits non-zero when the largest batch fails to beat sequential I/O.
 """
@@ -54,11 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="tiny configuration for CI (seconds, not minutes)",
     )
-    parser.add_argument(
-        "--micro",
-        action="store_true",
-        help="packed-scan micro gate: inner loop >= 3x, batch >= 1.3x",
-    )
     parser.add_argument("--users", type=int, default=6000)
     parser.add_argument("--policies", type=int, default=20)
     parser.add_argument("--theta", type=float, default=0.7)
@@ -78,109 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Packed inner loop must beat the object-at-a-time scan by this much.
-MICRO_INNER_GATE = 3.0
-#: Packed end-to-end batch wall-clock gate at 64 concurrent PRQs.
-MICRO_BATCH_GATE = 1.3
-
-
-def run_micro(args: argparse.Namespace) -> int:
-    # Fixed dense workload: big policy groups and full-space windows give
-    # band scans enough rows per band that the timing is dominated by the
-    # per-row work the packed path vectorizes, not by per-band descents.
-    config = ExperimentConfig(
-        n_users=6000,
-        n_policies=100,
-        grouping_factor=0.7,
-        window_side=1000.0,
-        page_size=1024,
-        seed=args.seed,
-    )
-    print(
-        f"Building {config.n_users} users, {config.n_policies} policies/user "
-        f"for the packed-scan micro gate ...",
-        flush=True,
-    )
-    harness = ExperimentHarness(config)
-    costs = harness.run_packed_scan_micro(n_queries=64, batch_repeats=5)
-
-    print(
-        f"\nBand-scan inner loop over {costs.rows} rows: "
-        f"legacy {costs.legacy_scan_seconds * 1e3:.1f} ms, "
-        f"packed {costs.packed_scan_seconds * 1e3:.1f} ms "
-        f"-> {costs.inner_speedup:.2f}x"
-    )
-    print(
-        f"{costs.n_queries} concurrent PRQs end to end: "
-        f"legacy {costs.legacy_batch_seconds * 1e3:.1f} ms, "
-        f"packed {costs.packed_batch_seconds * 1e3:.1f} ms "
-        f"-> {costs.batch_speedup:.2f}x "
-        f"({costs.physical_reads} reads, "
-        f"{costs.candidates_examined} candidates, both modes)"
-    )
-
-    if args.json_path:
-        payload = {
-            "benchmark": "packed_scan_micro",
-            "config": {
-                "n_users": config.n_users,
-                "n_policies": config.n_policies,
-                "grouping_factor": config.grouping_factor,
-                "window_side": config.window_side,
-                "page_size": config.page_size,
-                "buffer_pages": config.buffer_pages,
-                "seed": config.seed,
-                "n_queries": costs.n_queries,
-            },
-            "rows": [
-                {
-                    "scan_rows": costs.rows,
-                    "legacy_scan_seconds": costs.legacy_scan_seconds,
-                    "packed_scan_seconds": costs.packed_scan_seconds,
-                    "inner_speedup": costs.inner_speedup,
-                    "legacy_batch_seconds": costs.legacy_batch_seconds,
-                    "packed_batch_seconds": costs.packed_batch_seconds,
-                    "batch_speedup": costs.batch_speedup,
-                    "physical_reads": costs.physical_reads,
-                    "candidates_examined": costs.candidates_examined,
-                }
-            ],
-        }
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        print(f"Wrote {args.json_path}")
-
-    failed = False
-    if costs.inner_speedup < MICRO_INNER_GATE:
-        print(
-            f"FAIL: packed inner loop {costs.inner_speedup:.2f}x "
-            f"< {MICRO_INNER_GATE}x gate",
-            file=sys.stderr,
-        )
-        failed = True
-    if costs.batch_speedup < MICRO_BATCH_GATE:
-        print(
-            f"FAIL: packed batch {costs.batch_speedup:.2f}x "
-            f"< {MICRO_BATCH_GATE}x gate",
-            file=sys.stderr,
-        )
-        failed = True
-    if failed:
-        return 1
-    print(
-        "\nPacked results verified identical to object-at-a-time "
-        "(uids, candidates, physical reads). OK"
-    )
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.micro:
-        if args.json_path == "BENCH_batch.json":
-            args.json_path = "BENCH_micro.json"
-        return run_micro(args)
     if args.smoke:
         # Small enough for CI seconds, large enough that the tree
         # overflows the 50-page query buffer and the I/O comparison

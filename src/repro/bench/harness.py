@@ -11,7 +11,6 @@ the reported figure is the paper's "average I/O cost of N queries".
 
 from __future__ import annotations
 
-import gc
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -139,60 +138,6 @@ class BatchQueryCosts:
         if self.batched_seconds <= 0:
             return float("inf")
         return self.n_queries / self.batched_seconds
-
-
-@dataclass
-class PackedScanCosts:
-    """Packed columnar band scan vs the object-at-a-time reference.
-
-    Two measurements on one built index:
-
-    * **Inner loop** — the same full band consumed through the legacy
-      per-entry ``scan_band`` generator (one ``struct.unpack`` and one
-      ``MovingObject`` per row) and through ``scan_band_rows`` (one
-      ``iter_unpack`` run per leaf, lazy objects), on a warm buffer so
-      the ratio isolates decode CPU.
-    * **End to end** — the same ``n_queries`` concurrent PRQs batch-
-      executed with ``packed_scan=True`` and ``False``, each from a
-      cold query buffer; result sets, per-query and total
-      ``candidates_examined``, and physical reads are asserted
-      identical before the wall-clock ratio is reported.
-
-    Attributes:
-        rows: entries in the inner-loop band (sanity: > 0).
-        legacy_scan_seconds, packed_scan_seconds: total inner-loop time
-            across all repeats, per mode.
-        n_queries: end-to-end batch size.
-        legacy_batch_seconds, packed_batch_seconds: best-of-repeats
-            wall-clock of each end-to-end mode.
-        physical_reads: cold-buffer reads of either end-to-end mode
-            (asserted equal across modes).
-        candidates_examined: total candidates of either mode (asserted
-            equal).
-    """
-
-    rows: int
-    legacy_scan_seconds: float
-    packed_scan_seconds: float
-    n_queries: int
-    legacy_batch_seconds: float
-    packed_batch_seconds: float
-    physical_reads: int
-    candidates_examined: int
-
-    @property
-    def inner_speedup(self) -> float:
-        """Legacy over packed inner-loop time (>1 means packed wins)."""
-        if self.packed_scan_seconds <= 0:
-            return float("inf")
-        return self.legacy_scan_seconds / self.packed_scan_seconds
-
-    @property
-    def batch_speedup(self) -> float:
-        """Legacy over packed end-to-end wall-clock."""
-        if self.packed_batch_seconds <= 0:
-            return float("inf")
-        return self.legacy_batch_seconds / self.packed_batch_seconds
 
 
 @dataclass
@@ -740,103 +685,6 @@ class ExperimentHarness:
             dedup_ratio=report.stats.dedup_ratio,
             sequential_seconds=sequential_seconds,
             batched_seconds=batched_seconds,
-        )
-
-    def run_packed_scan_micro(
-        self,
-        n_queries: int = 64,
-        scan_repeats: int = 20,
-        batch_repeats: int = 3,
-        window_side: float | None = None,
-    ) -> PackedScanCosts:
-        """Measure the packed columnar scan against the per-entry path.
-
-        The inner loop times a full-band scan (every SV, the whole Z
-        range of the current partition) on a warm buffer, alternating
-        modes per repeat so neither benefits from cache drift.  The end
-        to end part batch-executes the same PRQ specs through
-        ``QueryEngine(tree, packed_scan=...)`` in both modes from cold
-        buffers (best of ``batch_repeats``), asserting identical
-        results, ``candidates_examined``, and physical reads first —
-        the packed path is a CPU optimization, never an approximation.
-        """
-        tree = self.peb_tree
-        tid = self.partitioner.partition_of_label(
-            self.partitioner.label_timestamp(self.now)
-        )
-        sv_hi_q = (1 << tree.codec.sv_bits) - 1
-        z_hi = self.grid.max_z
-        rows = tree.scan_band_rows(tid, 0, sv_hi_q, 0, z_hi)  # warm the buffer
-        n_rows = len(rows)
-        legacy_scan = packed_scan = 0.0
-        for _ in range(scan_repeats):
-            started = time.perf_counter()
-            for _zv, _obj in tree.scan_band(tid, 0, sv_hi_q, 0, z_hi):
-                pass
-            legacy_scan += time.perf_counter() - started
-            started = time.perf_counter()
-            tree.scan_band_rows(tid, 0, sv_hi_q, 0, z_hi)
-            packed_scan += time.perf_counter() - started
-
-        side = window_side if window_side is not None else self.config.window_side
-        specs = self.query_generator.range_queries(
-            sorted(self.states), n_queries, side, self.now
-        )
-
-        def run_mode(packed: bool) -> tuple:
-            self._start_measuring(self.peb_pool)
-            self.peb_pool.clear()
-            # Start each mode from a freshly-collected heap so a GC
-            # cycle inherited from the *previous* mode's garbage never
-            # lands inside this mode's measurement; collections a mode
-            # triggers through its own allocations still count against
-            # it, which is exactly the allocation-pressure difference
-            # the packed layout is designed to reduce.
-            gc.collect()
-            started = time.perf_counter()
-            report = QueryEngine(tree, packed_scan=packed).execute_batch(specs)
-            seconds = time.perf_counter() - started
-            reads = self._stop_measuring(self.peb_pool)
-            return report, seconds, reads
-
-        legacy_report, legacy_batch, legacy_reads = run_mode(False)
-        packed_report, packed_batch, packed_reads = run_mode(True)
-        if packed_reads != legacy_reads:
-            raise AssertionError(
-                f"packed batch read {packed_reads} pages, legacy {legacy_reads}"
-            )
-        if (
-            packed_report.stats.candidates_examined
-            != legacy_report.stats.candidates_examined
-        ):
-            raise AssertionError(
-                f"packed examined {packed_report.stats.candidates_examined} "
-                f"candidates, legacy {legacy_report.stats.candidates_examined}"
-            )
-        for spec, legacy_result, packed_result in zip(
-            specs, legacy_report.results, packed_report.results
-        ):
-            if (
-                legacy_result.uids != packed_result.uids
-                or legacy_result.candidates_examined
-                != packed_result.candidates_examined
-            ):
-                raise AssertionError(f"packed batch mismatch for {spec}")
-        for _ in range(batch_repeats - 1):
-            _, seconds, _ = run_mode(False)
-            legacy_batch = min(legacy_batch, seconds)
-            _, seconds, _ = run_mode(True)
-            packed_batch = min(packed_batch, seconds)
-
-        return PackedScanCosts(
-            rows=n_rows,
-            legacy_scan_seconds=legacy_scan,
-            packed_scan_seconds=packed_scan,
-            n_queries=len(specs),
-            legacy_batch_seconds=legacy_batch,
-            packed_batch_seconds=packed_batch,
-            physical_reads=legacy_reads,
-            candidates_examined=legacy_report.stats.candidates_examined,
         )
 
     # ------------------------------------------------------------------

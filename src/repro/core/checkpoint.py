@@ -23,6 +23,7 @@ import gzip
 import json
 import os
 import tempfile
+import zlib
 
 from repro.btree.tree import BPlusTree, BTreeConfig
 from repro.core.peb_key import PEBKeyCodec
@@ -59,7 +60,10 @@ def _read_meta(directory: str) -> dict:
             meta = json.loads(gzip.decompress(handle.read()))
     except FileNotFoundError:
         raise CheckpointError(f"no checkpoint metadata at {path}") from None
-    except (OSError, EOFError, gzip.BadGzipFile, json.JSONDecodeError) as exc:
+    except (
+        OSError, EOFError, gzip.BadGzipFile, zlib.error,
+        UnicodeDecodeError, json.JSONDecodeError,
+    ) as exc:
         raise CheckpointError(
             f"unreadable checkpoint metadata at {path}: {exc}"
         ) from exc
@@ -199,7 +203,9 @@ def restore_peb_tree_state(directory: str, tree: PEBTree) -> None:
     (:class:`repro.shard.recovery.ShardCheckpointer`): a shard whose
     on-disk state is corrupt gets its images rewritten wholesale.
     Raises :class:`CheckpointError` for an unreadable or mismatched
-    checkpoint; write faults from a still-unhealthy disk propagate.
+    checkpoint and :class:`~repro.storage.persistence.SnapshotError`
+    for a page snapshot that fails its digest, both before the live
+    tree is touched; write faults from a still-unhealthy disk propagate.
     """
     meta = _read_meta(directory)
     codec_meta = meta["codec"]

@@ -10,13 +10,14 @@ similarly efficient update performance as the B+-tree" — with the same
 in-memory update memo the Bx-tree keeps (uid -> current key) so an update
 deletes exactly the stale entry.
 
-Queries read the tree through two scan primitives.  The per-entry
-:meth:`PEBTree.scan_band` is the reference path; the engine runs on
-:meth:`PEBTree.scan_bands_rows`, a lazy sweep that answers many
-single-SV search ranges ``[TID ⊕ SV ⊕ ZV_lo ; TID ⊕ SV ⊕ ZV_hi]`` in one
-call — a batch prefetch hands it every band of a shard job — returning
-each as packed columns together with the Z-interval of the stratum the
-scan proved (:meth:`PEBTree.scan_band_rows` is its one-band form).
+Queries read the tree through :meth:`PEBTree.scan_bands_rows`, a lazy
+sweep that answers many single-SV search ranges
+``[TID ⊕ SV ⊕ ZV_lo ; TID ⊕ SV ⊕ ZV_hi]`` in one call — a batch prefetch
+hands it every band of a shard job — returning each as packed columns
+together with the Z-interval of the stratum the scan proved
+(:meth:`PEBTree.scan_band_rows` is its one-band form).  The per-entry
+:meth:`PEBTree.scan_band` is the paper-literal primitive: no engine
+path calls it, the tests pin the rows to it.
 """
 
 from __future__ import annotations
@@ -420,8 +421,9 @@ class PEBTree:
         ``[TID ⊕ SV_lo ⊕ ZV_lo ; TID ⊕ SV_hi ⊕ ZV_hi]`` over *quantized*
         sequence-value bounds: equal bounds give the per-friend ranges
         of Section 5.3, distinct bounds the coarse whole-friend-list
-        span of Figure 7's pseudo-code.  The engine's band scanner uses
-        the returned curve values to subdivide prefetched scans.
+        span of Figure 7's pseudo-code.  One ``struct.unpack`` and one
+        :class:`MovingObject` per entry: what :meth:`scan_band_rows`
+        must equal row for row, and what nothing in the engine calls.
         """
         lo = self.codec.compose_quantized(tid, sv_lo_q, z_lo)
         hi = self.codec.compose_quantized(tid, sv_hi_q, z_hi)
@@ -435,14 +437,12 @@ class PEBTree:
     ) -> BandRows:
         """One band as packed columns (:class:`repro.motion.rows.BandRows`).
 
-        The batched twin of :meth:`scan_band`: same entries, same
-        order, same page traffic (both walk the identical leaf chain),
-        but decoded per leaf run — one masked comprehension extracts
-        the ZV column from each key slice, one ``struct.iter_unpack``
-        pass decodes the payload run — and the returned rows
-        materialize :class:`MovingObject` states lazily, only for
-        entries a consumer actually touches.  :meth:`scan_band` remains
-        the per-entry reference path.
+        The entries, order and page traffic of :meth:`scan_band` (both
+        walk the identical leaf chain), but decoded per leaf run — one
+        masked comprehension extracts the ZV column from each key
+        slice, one ``struct.iter_unpack`` pass decodes the payload run
+        — and the returned rows materialize :class:`MovingObject`
+        states lazily, only for entries a consumer actually touches.
 
         A single-SV band is :meth:`scan_bands_rows` over that one band,
         fence proof included — what the engine's on-demand scans call;

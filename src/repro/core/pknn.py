@@ -62,7 +62,6 @@ from repro.core.peb_tree import PEBTree
 from repro.engine import BandScanner, CandidateVerifier, QueryPlanner
 from repro.engine.scanner import NOT_QUIET
 from repro.motion.objects import MovingObject
-from repro.motion.rows import BandRows
 from repro.spatial.decompose import ZInterval, subtract_interval
 from repro.spatial.geometry import Rect, euclidean
 
@@ -210,15 +209,6 @@ class _MatrixSearch:
                         )
         return partitions
 
-    def _consider(self, obj: MovingObject) -> None:
-        """Locate, verify, and (if qualifying) admit one scanned entry."""
-        hit = self.verifier.admit(obj)
-        if hit is None:
-            return
-        x, y, qualifies = hit
-        if qualifies:
-            self._admit_qualifying(obj, x, y)
-
     def _admit_qualifying(self, obj: MovingObject, x: float, y: float) -> bool:
         """admit_rows callback: rank one qualifying candidate, never stop."""
         distance = euclidean(self.qx, self.qy, x, y)
@@ -274,14 +264,10 @@ class _MatrixSearch:
                     rows = self.scanner.scan(
                         self.planner.band(tid, self.friends[row][0], z_lo, z_hi)
                     )
-                if isinstance(rows, BandRows):
-                    if rows.records:
-                        self.verifier.admit_rows(
-                            rows, on_qualify=self._admit_qualifying
-                        )
-                else:
-                    for _, obj in rows:
-                        self._consider(obj)
+                if rows.records:
+                    self.verifier.admit_rows(
+                        rows, on_qualify=self._admit_qualifying
+                    )
             if resident is not None:
                 quiet[context_index] = resident.quiet_around(
                     self._anchor, self.verifier.located

@@ -33,7 +33,6 @@ from repro.engine.plan import QueryPlan, QueryPlanner
 from repro.engine.policy import PrefetchPolicy
 from repro.engine.scanner import BandScanner
 from repro.engine.verify import CandidateVerifier
-from repro.motion.rows import BandRows
 from repro.spatial.geometry import Rect
 from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
 
@@ -169,12 +168,6 @@ class QueryEngine:
 
     Args:
         tree: the index to query.
-        packed_scan: scan bands as packed :class:`BandRows` columns and
-            verify candidates in batched form (the default).  False
-            restores the per-entry object-at-a-time path — kept as the
-            reference the benchmarks and property tests pin the packed
-            path against; results and every counter are identical
-            either way.
         prefetch_policy: how batch execution prefetches merged bands —
             a :class:`PrefetchPolicy`, a mode string (``"auto"`` /
             ``"merge"`` / ``"exact"``, priced for this tree's device
@@ -186,11 +179,9 @@ class QueryEngine:
     def __init__(
         self,
         tree: "PEBTree",
-        packed_scan: bool = True,
         prefetch_policy: "PrefetchPolicy | str | None" = None,
     ):
         self.tree = tree
-        self.packed_scan = packed_scan
         self.prefetch_policy = PrefetchPolicy.coerce(prefetch_policy, tree)
         self.planner = QueryPlanner(tree)
 
@@ -236,11 +227,8 @@ class QueryEngine:
         ``on_match`` may stop the whole execution early by returning
         True (the ``at_least`` aggregate).
         """
-        scanner = (
-            scanner
-            if scanner is not None
-            else BandScanner(self.tree, packed=self.packed_scan)
-        )
+        if scanner is None:
+            scanner = BandScanner(self.tree)
         verifier = CandidateVerifier(self.tree.store, plan.q_uid, plan.t_query)
         before = self._progress(scanner)
         stopped = False
@@ -250,22 +238,9 @@ class QueryEngine:
             if friend_uid is not None and friend_uid in located:
                 continue
             rows = scanner.scan(planned.band)
-            if isinstance(rows, BandRows):
-                # Most bands come back empty: nothing to admit.
-                if rows.records:
-                    stopped = verifier.admit_rows(rows, plan.window, on_match)
-            else:
-                for _, obj in rows:
-                    hit = verifier.admit(obj, within=plan.window)
-                    if hit is None:
-                        continue
-                    x, y, qualifies = hit
-                    if not qualifies:
-                        continue
-                    if on_match is not None and on_match(obj, x, y):
-                        stopped = True
-                        break
-            if stopped:
+            # Most bands come back empty: nothing to admit.
+            if rows.records and verifier.admit_rows(rows, plan.window, on_match):
+                stopped = True
                 break
         stats = self._progress(scanner).delta_from(before)
         stats.candidates_examined = verifier.candidates_examined
@@ -285,11 +260,8 @@ class QueryEngine:
         Only users actually holding a policy about the issuer are
         returned — entries merely sharing a quantized SV are dropped.
         """
-        scanner = (
-            scanner
-            if scanner is not None
-            else BandScanner(self.tree, packed=self.packed_scan)
-        )
+        if scanner is None:
+            scanner = BandScanner(self.tree)
         plan = self.planner.plan_seed(q_uid)
         store = self.tree.store
         tracked: dict[int, "MovingObject"] = {}
@@ -297,17 +269,12 @@ class QueryEngine:
             if planned.friend_uid in tracked:
                 continue
             rows = scanner.scan(planned.band)
-            if isinstance(rows, BandRows):
-                # Columnar fast path: the policy probe needs only the
-                # uid, so states materialize just for tracked friends.
-                for i, rec in enumerate(rows.records):
-                    uid = rec[0]
-                    if uid not in tracked and store.policies_for(uid, q_uid):
-                        tracked[uid] = rows.object_at(i)
-            else:
-                for _, obj in rows:
-                    if obj.uid not in tracked and store.policies_for(obj.uid, q_uid):
-                        tracked[obj.uid] = obj
+            # The policy probe needs only the uid, so states
+            # materialize just for tracked friends.
+            for i, rec in enumerate(rows.records):
+                uid = rec[0]
+                if uid not in tracked and store.policies_for(uid, q_uid):
+                    tracked[uid] = rows.object_at(i)
         return tracked
 
     # ------------------------------------------------------------------
@@ -471,9 +438,7 @@ class QueryEngine:
         identical, which is what keeps sharded results pinned to the
         single-tree path.
         """
-        return BandScanner(
-            self.tree, packed=self.packed_scan, policy=self.prefetch_policy
-        )
+        return BandScanner(self.tree, policy=self.prefetch_policy)
 
     def _progress(self, scanner) -> ExecutionStats:
         """The cumulative counters an execution is measured between.

@@ -43,21 +43,18 @@ layout :meth:`BandScanner.prefetch` is a no-op and every band goes
 through the layout-agnostic memo, so batch results stay identical to
 sequential on any codec.
 
-By default the scanner runs *packed*: physical scans go through the
-tree's ``scan_bands_rows`` sweep (a prefetch: one call per batch, or
-per shard job) or its one-band form ``scan_band_rows`` (on demand), and
-residency and memo store and serve
+Physical scans go through the tree's ``scan_bands_rows`` sweep (a
+prefetch: one call per batch, or per shard job) or its one-band form
+``scan_band_rows`` (on demand), and residency and memo store and serve
 :class:`repro.motion.rows.BandRows` — parallel (zv, record) columns
 whose ``MovingObject`` states materialize lazily, only for entries a
-verifier actually admits.  ``BandRows`` iterates as ``(zv, object)``
-pairs in key order, exactly the sequence a direct ``scan_sv_zrange``
-would yield, so replaying a plan against the scanner is observationally
-identical to scanning the tree whether a consumer uses the columns or
-the legacy pair protocol.  Constructing with ``packed=False`` (or a
-tree without ``scan_band_rows``) restores the per-entry generator path,
-kept as the benchmark reference: it uses the same residency structure
-but proves only the interval it asked for, so it keeps per-band I/O —
-and it is the one prefetch that still calls the tree once per band.
+verifier actually admits — in key order, exactly the sequence a direct
+``scan_sv_zrange`` would yield, so replaying a plan against the scanner
+is observationally identical to scanning the tree.  There is no second
+mode: the object-at-a-time, per-band, per-piece reference the pins
+compare against is test equipment (``tests/reference_scan.py``, a
+subclass that decodes entry by entry and forgets what a scan proved
+beyond the interval it was asked).
 
 Each residency carries its stratum's accounting as raw tallies: how
 much the stratum prefetched, which intervals the replayed queries
@@ -146,9 +143,8 @@ class StratumResidency:
 
     Attributes:
         tid, sv_q: the stratum.
-        rows: the resident rows in key order — :class:`BandRows`, or a
-            ``(zv, object)`` list under an unpacked scanner.  Never
-            mutated: a new proof builds a new container.
+        rows: the resident rows in key order.  Never mutated: a new
+            proof builds a new container.
         requested: every Z-interval put to the stratum, in request
             order — ``scan()`` calls and direct :meth:`serve` hits, not
             the pieces counted by :meth:`count_quiet`.
@@ -171,15 +167,13 @@ class StratumResidency:
         "observed_entries",
         "observed_zv",
         "_tally",
-        "_packed",
-        "_zvs",
         "_edges",
     )
 
-    def __init__(self, tally: _Tally, packed: bool, tid: int, sv_q: int):
+    def __init__(self, tally: _Tally, tid: int, sv_q: int):
         self.tid = tid
         self.sv_q = sv_q
-        self.rows: "BandRows | list" = NO_ROWS if packed else []
+        self.rows = NO_ROWS
         self.requested: list[ZInterval] = []
         self.coverage_runs = 0
         self.coverage_zv = 0
@@ -188,9 +182,6 @@ class StratumResidency:
         self.observed_entries = 0
         self.observed_zv = 0
         self._tally = tally
-        self._packed = packed
-        # Bisection column: the packed rows' own ZV column, or a mirror.
-        self._zvs: list[int] = self.rows.zvs if packed else []
         # The proven intervals as one ascending list of half-open edges
         # [lo0, hi0 + 1, lo1, hi1 + 1, ...]: z is proven iff an odd
         # number of edges lie at or below it.
@@ -223,7 +214,7 @@ class StratumResidency:
             requested=requested,
         )
 
-    def serve(self, z_lo: int, z_hi: int) -> "BandRows | list | None":
+    def serve(self, z_lo: int, z_hi: int) -> "BandRows | None":
         """Rows of ``[z_lo, z_hi]`` if a proof covers it, else None.
 
         A hit is a served request: it is counted on the scanner and
@@ -238,12 +229,11 @@ class StratumResidency:
         tally.requests += 1
         tally.residency_hits += 1
         self.requested.append((z_lo, z_hi))
-        zvs = self._zvs
+        rows = self.rows
+        zvs = rows.zvs
         lo = bisect_left(zvs, z_lo)
         hi = bisect_right(zvs, z_hi, lo)
-        if self._packed:
-            return self.rows.slice(lo, hi) if lo < hi else NO_ROWS
-        return self.rows[lo:hi]
+        return rows.slice(lo, hi) if lo < hi else NO_ROWS
 
     def quiet_around(self, z: int, located: "set[int]") -> ZInterval:
         """The widest proven interval around ``z`` with nobody left to find.
@@ -253,17 +243,15 @@ class StratumResidency:
         request inside it — and never will: proofs and ``located`` only
         grow, so the interval stays valid for the search's lifetime.
         :data:`NOT_QUIET` when ``z`` is unproven or an un-located row
-        sits on it.  Read-only; nothing is counted.  The unpacked
-        reference residency reports none, so it stays the per-piece
-        path the pins compare against.
+        sits on it.  Read-only; nothing is counted.
         """
         edges = self._edges
         i = bisect_right(edges, z)
-        if not i & 1 or not self._packed:
+        if not i & 1:
             return NOT_QUIET
         z_lo = edges[i - 1]
         z_hi = edges[i] - 1
-        zvs = self._zvs
+        zvs = self.rows.zvs
         records = self.rows.records
         above = bisect_left(zvs, z)
         for row in range(above, len(zvs)):
@@ -300,7 +288,7 @@ class StratumResidency:
         is the merged union of :attr:`requested`, for a caller that
         already has it.
         """
-        zvs = self._zvs
+        zvs = self.rows.zvs
         if not zvs:
             return 0
         if requested is None:
@@ -316,29 +304,27 @@ class StratumResidency:
             return requested
         return merge_intervals(sorted(requested))
 
-    def _add(self, z_lo: int, z_hi: int, rows: "BandRows | list") -> None:
+    def _add(self, z_lo: int, z_hi: int, rows: BandRows) -> None:
         """Record what a scan of ``[z_lo, z_hi]`` that returned ``rows`` proved.
 
         The interval the rows report (:attr:`BandRows.proven`) when a
-        fence was read, else just the interval asked — the unpacked
-        reference path has no fence to read, so it keeps per-band I/O.
-        Rows already resident inside the interval are a subset of
-        ``rows`` (same tree, unmutated), so they are replaced; touching
-        or overlapping proven intervals fuse.  The first proof's rows
-        are adopted as they are.
+        fence was read, else just the interval asked.  Rows already
+        resident inside the interval are a subset of ``rows`` (same
+        tree, unmutated), so they are replaced; touching or overlapping
+        proven intervals fuse.  The first proof's rows are adopted as
+        they are.
         """
-        if self._packed and rows.proven is not None:
+        if rows.proven is not None:
             z_lo, z_hi = rows.proven
         edges = self._edges
         if edges:
-            zvs = self._zvs
+            old = self.rows
+            zvs = old.zvs
             lo = bisect_left(zvs, z_lo)
             hi = bisect_right(zvs, z_hi, lo)
-            old = self.rows
-            if self._packed:
-                rows = BandRows.concat((old[:lo], rows, old[hi:]))
-            else:
-                rows = old[:lo] + rows + old[hi:]
+            rows = BandRows.concat(
+                (old.slice(0, lo), rows, old.slice(hi, len(zvs)))
+            )
             # Edges inside or touching the new interval vanish; an end
             # of it that lands outside every proven interval is new.
             i = bisect_left(edges, z_lo)
@@ -347,7 +333,6 @@ class StratumResidency:
         else:
             edges += (z_lo, z_hi + 1)
         self.rows = rows
-        self._zvs = rows.zvs if self._packed else [zv for zv, _ in rows]
 
 
 class BandScanner:
@@ -359,9 +344,6 @@ class BandScanner:
 
     Args:
         tree: the index to scan.
-        packed: serve scans as :class:`BandRows` columns (the default);
-            trees without a ``scan_band_rows`` fast path fall back to
-            the per-entry protocol automatically.
         policy: optional :class:`PrefetchPolicy` consulted per stratum
             during :meth:`prefetch`; None keeps the unconditional-merge
             behavior.
@@ -387,13 +369,11 @@ class BandScanner:
     def __init__(
         self,
         tree: "PEBTree",
-        packed: bool = True,
         policy: "PrefetchPolicy | None" = None,
         memo_entries: int = DEFAULT_MEMO_ENTRIES,
         scope: int = 0,
     ):
         self.tree = tree
-        self.packed = bool(packed) and hasattr(tree, "scan_band_rows")
         self.policy = policy
         self.memo_entries = memo_entries
         self.scope = scope
@@ -406,7 +386,7 @@ class BandScanner:
         self._sv_major = bool(getattr(tree.codec, "sv_major", False))
         self._tally = _Tally()
         self._residency: dict[tuple[int, int], StratumResidency] = {}
-        self._memo: "OrderedDict[tuple, BandRows | list]" = OrderedDict()
+        self._memo: "OrderedDict[tuple, BandRows]" = OrderedDict()
         self._memo_size = 0
 
     @property
@@ -444,12 +424,12 @@ class BandScanner:
         resident = self._residency.get((tid, sv_q))
         if resident is None:
             resident = self._residency[(tid, sv_q)] = StratumResidency(
-                self._tally, self.packed, tid, sv_q
+                self._tally, tid, sv_q
             )
         return resident
 
-    def scan(self, band: BandRequest) -> "BandRows | list":
-        """All entries of one band, as ``(zv, object)`` rows in key order."""
+    def scan(self, band: BandRequest) -> BandRows:
+        """All entries of one band, in key order."""
         self.scan_calls += 1
         tid, sv_q, sv_hi_q, z_lo, z_hi = band
         if sv_q != sv_hi_q or not self._sv_major:
@@ -523,15 +503,8 @@ class BandScanner:
             for tid, sv_q, coverage in strata
             for z_lo, z_hi in coverage
         ]
-        if self.packed:
-            scans = self.tree.scan_bands_rows(runs)
-        else:
-            scan_band = self.tree.scan_band
-            scans = (
-                list(scan_band(tid, sv_q, sv_q, z_lo, z_hi))
-                for tid, sv_q, z_lo, z_hi in runs
-            )
-        # Either source scans a run only when its result is pulled.  A
+        scans = self.tree.scan_bands_rows(runs)
+        # The sweep scans a run only when its result is pulled.  A
         # scan is counted as it is issued, a stratum's entries once its
         # last run has landed: a disk fault mid-sweep leaves the earlier
         # runs resident and counted, which is what the supervisor's
@@ -584,14 +557,14 @@ class BandScanner:
         return sum(
             resident.dead_entries()
             for resident in self._residency.values()
-            if resident._zvs  # most strata hold no row, so none is dead
+            if resident.rows.zvs  # most strata hold no row, so none is dead
         )
 
     # ------------------------------------------------------------------
     # Physical scans
     # ------------------------------------------------------------------
 
-    def _scan_memoized(self, band: BandRequest) -> "BandRows | list":
+    def _scan_memoized(self, band: BandRequest) -> BandRows:
         """Exact-identity memo for the bands residency cannot serve:
         multi-SV spans, and every band of a ZV-first layout."""
         self._tally.requests += 1
@@ -604,7 +577,7 @@ class BandScanner:
         self._memo_put(band, rows)
         return rows
 
-    def _memo_put(self, key: tuple, rows: "BandRows | list") -> None:
+    def _memo_put(self, key: tuple, rows: BandRows) -> None:
         """Insert into the memo, evicting LRU bands past the entry bound.
 
         The newest band is always kept, even when it alone exceeds the
@@ -620,11 +593,9 @@ class BandScanner:
 
     def _physical_scan(
         self, tid: int, sv_lo_q: int, sv_hi_q: int, z_lo: int, z_hi: int
-    ) -> "BandRows | list":
+    ) -> BandRows:
         self.physical_scans += 1
-        if self.packed:
-            return self.tree.scan_band_rows(tid, sv_lo_q, sv_hi_q, z_lo, z_hi)
-        return list(self.tree.scan_band(tid, sv_lo_q, sv_hi_q, z_lo, z_hi))
+        return self.tree.scan_band_rows(tid, sv_lo_q, sv_hi_q, z_lo, z_hi)
 
 
 __all__ = [

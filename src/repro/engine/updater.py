@@ -33,6 +33,7 @@ schedule changes.  Queries and updates remain phase-separated: flush
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import TYPE_CHECKING, Iterable, Protocol
 
 from repro.counters import CounterSet, counter, derived, nested
@@ -206,7 +207,24 @@ class UpdatePipeline:
     # ------------------------------------------------------------------
 
     def submit(self, obj: "MovingObject", pntp: int = 0) -> None:
-        """Buffer one update, flushing first if a trigger fires."""
+        """Buffer one update, flushing first if a trigger fires.
+
+        A state with a NaN or infinite coordinate, velocity or
+        ``t_update`` raises :class:`ValueError` here, before any
+        trigger or the buffer sees it: buffered, it would fail every
+        flush in key planning and be restored with the batch each time.
+        """
+        # NaN and the infinities survive addition, so a finite sum
+        # clears all five fields at once; only a rejection pays for
+        # finding the field (a finite state whose sum overflows has
+        # none, and passes).
+        if not isfinite(obj.x + obj.y + obj.vx + obj.vy + obj.t_update):
+            for name in ("x", "y", "vx", "vy", "t_update"):
+                if not isfinite(getattr(obj, name)):
+                    raise ValueError(
+                        f"update for user {obj.uid} rejected: "
+                        f"{name}={getattr(obj, name)!r} is not finite"
+                    )
         if self.flush_on_rollover:
             tid = self.tree.partitioner.partition(obj.t_update)
             if self._last_tid is not None and tid != self._last_tid and len(

@@ -55,6 +55,10 @@ class CandidateVerifier:
     ) -> tuple[float, float, bool] | None:
         """Locate and verify one scanned entry.
 
+        The per-entry Definition 2 check.  Every engine path verifies
+        a band at a time through :meth:`admit_rows`; this is what the
+        tests pin that pass to, entry for entry.
+
         Returns None when the user was already located (the entry is
         skipped without counting); otherwise marks the user located,
         counts the candidate, and returns ``(x, y, qualifies)`` where

@@ -9,10 +9,11 @@ a :class:`~repro.motion.objects.MovingObject` only when a consumer asks
 for one (:meth:`object_at`), caching it so repeated access across a
 batch's replays builds each object at most once.
 
-The class still iterates as ``(zv, object)`` pairs in key order, so any
-legacy consumer that loops over a scan result sees exactly the sequence
-the per-entry generator produced; slicing returns another
-:class:`BandRows` sharing the already-materialized objects.
+The engine reads the columns; iterating a :class:`BandRows` yields the
+``(zv, object)`` pairs of the paper-literal per-entry scan
+(``PEBTree.scan_band``) in key order, which is how the tests compare
+the two.  :meth:`BandRows.slice` returns another :class:`BandRows`
+sharing the already-materialized objects.
 """
 
 from __future__ import annotations
@@ -101,30 +102,17 @@ class BandRows:
         """Rows ``[lo, hi)`` as a new view sharing cached objects."""
         return BandRows(self.zvs[lo:hi], self.records[lo:hi], self._objects[lo:hi])
 
-    # ------------------------------------------------------------------
-    # Legacy sequence protocol: (zv, object) pairs in key order
-    # ------------------------------------------------------------------
-
     def __len__(self) -> int:
         return len(self.records)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            start, stop, step = i.indices(len(self.records))
-            if step != 1:
-                raise ValueError("band rows support unit-step slices only")
-            return self.slice(start, max(start, stop))
-        return self.zvs[i], self.object_at(i)
-
     def __iter__(self) -> Iterator[tuple[int, MovingObject]]:
+        """``(zv, object)`` pairs in key order, as a per-entry scan yields."""
         for i in range(len(self.records)):
             yield self.zvs[i], self.object_at(i)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, BandRows):
             return self.zvs == other.zvs and self.records == other.records
-        if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
         return NotImplemented
 
     __hash__ = None  # mutable object cache

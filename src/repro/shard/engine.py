@@ -78,18 +78,16 @@ class ShardScatterScanner:
     def __init__(
         self,
         sharded: ShardedPEBTree,
-        packed: bool = True,
         policy=None,
     ):
         self.tree = sharded
         self.scheduler = sharded.io
-        self.packed = packed
         self.supervisor = getattr(sharded, "supervisor", None)
         # Each per-shard scanner gets its shard index as the policy
         # scope: concurrent prefetch jobs then touch disjoint stratum
         # keys, so the shared policy's feedback never mixes shards.
         self.scanners = [
-            BandScanner(tree, packed=packed, policy=policy, scope=i)
+            BandScanner(tree, policy=policy, scope=i)
             for i, tree in enumerate(sharded.trees)
         ]
         self.scan_calls = 0
@@ -171,7 +169,7 @@ class ShardScatterScanner:
             tid, sv_q
         )
 
-    def scan(self, band: BandRequest) -> "BandRows | list":
+    def scan(self, band: BandRequest) -> BandRows:
         """All entries of one band, gathered across shards in key order.
 
         Under a supervisor, a quarantined shard's sub-band is dropped
@@ -199,16 +197,7 @@ class ShardScatterScanner:
                     results.append(rows)
                 else:
                     self._drop(shard)
-            if not results:
-                return BandRows.empty() if self.packed else []
-            if len(results) == 1:
-                return results[0]
-        if all(isinstance(result, BandRows) for result in results):
-            return BandRows.concat(results)
-        rows: list = []
-        for result in results:
-            rows.extend(result)
-        return rows
+        return BandRows.concat(results)  # no rows when every shard dropped
 
     def _drop(self, shard: int) -> None:
         self.dropped_subbands += 1
@@ -308,10 +297,10 @@ class ShardedQueryEngine(QueryEngine):
     """The unified query engine over a sharded deployment.
 
     Single-query execution works through the inherited paths (the
-    facade's ``scan_band`` routes each band); batch execution swaps in
-    the scatter scanner so prefetching happens per shard through the
-    deployment's I/O scheduler, and — on timed devices — verification
-    pipelines against still-running shard scans.
+    facade's ``scan_band_rows`` routes each band); batch execution
+    swaps in the scatter scanner so prefetching happens per shard
+    through the deployment's I/O scheduler, and — on timed devices —
+    verification pipelines against still-running shard scans.
 
     Args:
         sharded: the deployment to query.
@@ -328,21 +317,14 @@ class ShardedQueryEngine(QueryEngine):
         self,
         sharded: ShardedPEBTree,
         pipeline_verify: bool = True,
-        packed_scan: bool = True,
         prefetch_policy=None,
     ):
-        super().__init__(
-            sharded, packed_scan=packed_scan, prefetch_policy=prefetch_policy
-        )
+        super().__init__(sharded, prefetch_policy=prefetch_policy)
         self.pipeline_verify = pipeline_verify
         self._cpu_cursor: float | None = None
 
     def _batch_scanner(self) -> ShardScatterScanner:
-        return ShardScatterScanner(
-            self.tree,
-            packed=self.packed_scan,
-            policy=self.prefetch_policy,
-        )
+        return ShardScatterScanner(self.tree, policy=self.prefetch_policy)
 
     def _batch_progress(self, scanner) -> ExecutionStats:
         # The per-shard and fault counters ride along, so a batch's

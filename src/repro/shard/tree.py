@@ -4,9 +4,10 @@
 :class:`repro.core.peb_tree.PEBTree` instances, each with its own
 buffer pool and simulated disk, partitioned by a
 :class:`repro.shard.router.ShardRouter`.  The facade duck-types the
-single tree everywhere the engine touches one — ``scan_band``,
-``update_batch``, ``insert``, ``stats``, the planner's shared geometry
-(``grid`` / ``partitioner`` / ``store`` / ``codec`` / speed maxima) —
+single tree everywhere the engine touches one — ``scan_band_rows`` /
+``scan_bands_rows``, ``update_batch``, ``insert``, ``stats``, the
+planner's shared geometry (``grid`` / ``partitioner`` / ``store`` /
+``codec`` / speed maxima) —
 so :class:`repro.engine.QueryEngine`, the batch executor, and
 :class:`repro.engine.UpdatePipeline` run unchanged on a sharded
 deployment, observationally identical to a single tree.
@@ -577,28 +578,16 @@ class ShardedPEBTree:
     # Scan primitives (the engine's view)
     # ------------------------------------------------------------------
 
-    def scan_band(self, tid: int, sv_lo_q: int, sv_hi_q: int, z_lo: int, z_hi: int):
-        """Yield ``(zv, object)`` for one band, scattered across shards.
-
-        Sub-scans run in ascending shard order, which inside one TID is
-        ascending key order — concatenation reproduces a single tree's
-        scan exactly, boundary-straddling bands included.
-        """
-        band = BandRequest(tid, sv_lo_q, sv_hi_q, z_lo, z_hi)
-        for shard, sub in self.router.split_band(band):
-            yield from self.trees[shard].scan_band(
-                sub.tid, sub.sv_lo_q, sub.sv_hi_q, sub.z_lo, sub.z_hi
-            )
-
     def scan_band_rows(
         self, tid: int, sv_lo_q: int, sv_hi_q: int, z_lo: int, z_hi: int
     ) -> BandRows:
         """One band as packed columns, gathered across shards.
 
-        Sub-scans run per shard through each tree's batched fast path
-        and concatenate in ascending shard order — inside one TID that
-        is ascending key order, so the result is row-identical to a
-        single tree's :meth:`repro.core.peb_tree.PEBTree.scan_band_rows`.
+        Sub-scans run per shard and concatenate in ascending shard
+        order — inside one TID that is ascending key order, so the
+        result is row-identical to a single tree's
+        :meth:`repro.core.peb_tree.PEBTree.scan_band_rows`,
+        boundary-straddling bands included.
         """
         band = BandRequest(tid, sv_lo_q, sv_hi_q, z_lo, z_hi)
         parts = [

@@ -7,8 +7,12 @@ because the disk itself is a flat page map:
 
     magic:8s  version:u32  page_size:u32  next_page_id:u64  page_count:u64
     page_count * [page_id:u64  length:u32  image:length bytes]
+    digest:32 bytes           -- SHA-256 of every byte before it
 
-Integers are big-endian.  The *buffer pool* is not part of a snapshot:
+Integers are big-endian.  The page images carry no redundancy of their
+own — one flipped bit inside a record is a different, perfectly
+parseable motion function — so :func:`load_disk` refuses any file whose
+digest does not match.  The *buffer pool* is not part of a snapshot:
 callers flush before saving (:func:`save_disk` refuses dirty state it
 cannot see, so use :func:`save_pool` when a pool is in play) and start
 cold after loading.
@@ -16,6 +20,7 @@ cold after loading.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 from repro.storage.buffer import BufferPool
@@ -26,11 +31,14 @@ MAGIC = b"REPRODSK"
 #: Snapshot format version.  Bumped to 2 when leaf pages switched from
 #: interleaved entries to packed key/uid/value columns: raw page images
 #: written by version-1 builds parse into garbage under the columnar
-#: layout, so old snapshots must be rejected, not misread.
-VERSION = 2
+#: layout, so old snapshots must be rejected, not misread.  Bumped to 3
+#: when the trailing digest was added: a version-2 file has none, and is
+#: refused here rather than loaded unverified.
+VERSION = 3
 
 _HEADER = struct.Struct(">8sIIQQ")
 _PAGE_HEADER = struct.Struct(">QI")
+_DIGEST_SIZE = hashlib.sha256().digest_size
 
 
 class SnapshotError(ValueError):
@@ -58,6 +66,7 @@ def save_disk(disk: SimulatedDisk, path: str) -> int:
         parts.append(_PAGE_HEADER.pack(page_id, len(image)))
         parts.append(image)
     blob = b"".join(parts)
+    blob += hashlib.sha256(blob).digest()
     with open(path, "wb") as handle:
         handle.write(blob)
     return len(blob)
@@ -74,7 +83,9 @@ def load_disk(path: str, stats: IOStats | None = None) -> SimulatedDisk:
 
     The returned disk has fresh (or caller-supplied) I/O counters; the
     restore itself charges nothing, as with a machine rebooting with its
-    disk intact.
+    disk intact.  Raises :class:`SnapshotError` for a file that is
+    malformed, of another version, or whose digest does not match its
+    contents (a flipped bit, a truncation).
     """
     with open(path, "rb") as handle:
         blob = handle.read()
@@ -105,7 +116,14 @@ def load_disk(path: str, stats: IOStats | None = None) -> SimulatedDisk:
             )
         disk._pages[page_id] = blob[offset : offset + length]
         offset += length
-    if offset != len(blob):
-        raise SnapshotError(f"{path}: {len(blob) - offset} trailing bytes")
+    digest = blob[offset:]
+    if len(digest) < _DIGEST_SIZE:
+        raise SnapshotError(f"{path}: truncated digest")
+    if len(digest) > _DIGEST_SIZE:
+        raise SnapshotError(
+            f"{path}: {len(digest) - _DIGEST_SIZE} trailing bytes"
+        )
+    if digest != hashlib.sha256(memoryview(blob)[:offset]).digest():
+        raise SnapshotError(f"{path}: digest mismatch, the snapshot is corrupt")
     disk._next_page_id = next_page_id
     return disk

@@ -1,0 +1,89 @@
+"""The object-at-a-time, per-band, per-piece reference scanner.
+
+Test equipment, not a mode of the engine: the shipped scanner decodes a
+band per leaf run, keeps what the touched leaves *prove* around it and
+lets the PkNN walk skip what is proven quiet.  The reference does none
+of that, through override points the engine already has:
+
+* every band is decoded one entry at a time off
+  ``BPlusTree.scan_range`` + ``ObjectRecordCodec.unpack`` — one
+  ``struct.unpack`` and one ``MovingObject`` per row, no fence read;
+* so its rows carry no proof (``rows.proven is None``): a residency
+  learns only the interval that was asked, and I/O stays per band;
+* its residencies never report a quiet interval, so the matrix search
+  asks for every annulus piece;
+* its prefetch pulls the same merged coverage runs, one band at a time.
+
+Results, ``candidates_examined``, ``rounds`` and ``requests`` must equal
+the shipped scanner's; physical scans and reads may only be higher.
+"""
+
+from repro.engine import BandScanner, QueryEngine
+from repro.engine.scanner import NOT_QUIET, StratumResidency
+from repro.motion.rows import BandRows
+from repro.shard import ShardedQueryEngine
+from repro.shard.engine import ShardScatterScanner
+
+
+class EntryAtATimeTree:
+    """What a :class:`BandScanner` asks of its tree, answered per entry."""
+
+    def __init__(self, tree):
+        self.codec = tree.codec
+        self.btree = tree.btree
+        self.unpack = tree.records.unpack
+
+    def scan_band_rows(self, tid, sv_lo_q, sv_hi_q, z_lo, z_hi):
+        lo = self.codec.compose_quantized(tid, sv_lo_q, z_lo)
+        hi = self.codec.compose_quantized(tid, sv_hi_q, z_hi)
+        zvs, records, objects = [], [], []
+        for key, _, payload in self.btree.scan_range(lo, hi):
+            obj, pntp = self.unpack(payload)
+            zvs.append(self.codec.zv_of(key))
+            records.append((obj.uid, obj.x, obj.y, obj.vx, obj.vy, obj.t_update, pntp))
+            objects.append(obj)
+        return BandRows(zvs, records, objects)
+
+    def scan_bands_rows(self, bands):
+        for tid, sv_q, z_lo, z_hi in bands:
+            yield self.scan_band_rows(tid, sv_q, sv_q, z_lo, z_hi)
+
+
+class NeverQuietResidency(StratumResidency):
+    __slots__ = ()
+
+    def quiet_around(self, z, located):
+        return NOT_QUIET
+
+
+class ReferenceScanner(BandScanner):
+    """A :class:`BandScanner` that scans per entry and forgets proofs."""
+
+    def __init__(self, tree, **kwargs):
+        super().__init__(EntryAtATimeTree(tree), **kwargs)
+
+    def residency(self, tid, sv_q):
+        resident = super().residency(tid, sv_q)
+        if resident is not None:
+            resident.__class__ = NeverQuietResidency  # same slots, one override
+        return resident
+
+
+def reference_scatter(sharded, policy=None):
+    """A scatter scanner whose per-shard scanners are the reference."""
+    scatter = ShardScatterScanner(sharded, policy=policy)
+    scatter.scanners = [
+        ReferenceScanner(tree, policy=policy, scope=shard)
+        for shard, tree in enumerate(sharded.trees)
+    ]
+    return scatter
+
+
+class ReferenceEngine(QueryEngine):
+    def _batch_scanner(self):
+        return ReferenceScanner(self.tree, policy=self.prefetch_policy)
+
+
+class ShardedReferenceEngine(ShardedQueryEngine):
+    def _batch_scanner(self):
+        return reference_scatter(self.tree, self.prefetch_policy)

@@ -14,10 +14,12 @@ recompute_speeds=True)`` heal it, and a faithful round-trip through
 import gzip
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.core.checkpoint import (
+    DISK_FILE,
     META_FILE,
     VERSION,
     CheckpointError,
@@ -26,8 +28,14 @@ from repro.core.checkpoint import (
     restore_peb_tree_state,
     save_peb_tree,
 )
+from repro.core.peb_tree import PEBTree
 from repro.core.prq import prq
+from repro.policy.serialization import store_to_dict
 from repro.spatial.geometry import Rect
+from repro.storage.buffer import BufferPool
+from repro.storage.faults import ChecksummedDisk
+from repro.storage.persistence import SnapshotError
+from tests.conftest import build_world
 from tests.test_peb_tree import make_peb, mover
 
 
@@ -222,3 +230,117 @@ def test_restore_rejects_mismatched_codec_geometry(tmp_path):
         restore_peb_tree_state(str(tmp_path), tree)
     # The mismatch is detected before anything is rewritten.
     assert list(tree.btree.items()) == before
+
+
+# ----------------------------------------------------------------------
+# Bit flips: a damaged checkpoint never restores, silently or otherwise
+# ----------------------------------------------------------------------
+
+
+def _whole_tree(tree):
+    """Everything a checkpoint carries, comparably."""
+    return (
+        list(tree.btree.items()),
+        dict(tree._live_keys),
+        (tree.max_speed_x, tree.max_speed_y),
+        store_to_dict(tree.store),
+        tree.check_consistency(),
+    )
+
+
+def bit_flips(path, step=97, also=()):
+    """Write ``path`` with one bit flipped — the lowest, then the
+    highest, of every ``step``-th byte and of the ``also`` offsets that
+    exist — yielding after each; the intact file is written last."""
+    blob = open(path, "rb").read()
+    offsets = {*range(0, len(blob), step), *(o for o in also if o < len(blob))}
+    for offset in sorted(offsets):
+        for mask in (0x01, 0x80):
+            damaged = bytearray(blob)
+            damaged[offset] ^= mask
+            with open(path, "wb") as handle:
+                handle.write(damaged)
+            yield offset, mask
+    with open(path, "wb") as handle:
+        handle.write(blob)
+
+
+def test_a_bit_flipped_disk_snapshot_never_loads(tmp_path):
+    """Byte 6001 sits inside user 98's ``vx``: flipped, the checkpoint
+    used to load, pass ``check_consistency()`` with ``[]`` and move the
+    user — and every policy decision about them — ever after."""
+    world = build_world(120, 6, seed=5)
+    save_peb_tree(world.peb, str(tmp_path))
+    path = os.path.join(str(tmp_path), DISK_FILE)
+    for _ in bit_flips(path, also=(6001,)):
+        with pytest.raises(SnapshotError):
+            load_peb_tree(str(tmp_path))
+    assert _whole_tree(load_peb_tree(str(tmp_path))) == _whole_tree(world.peb)
+
+
+def test_a_bit_flipped_metadata_file_never_loads_a_different_tree(tmp_path):
+    """Deflate data and the gzip trailer are covered by gzip's own CRC;
+    what it raises must surface as ``CheckpointError``.  A header byte
+    that carries no data (mtime, OS) may load — the identical tree."""
+    world = build_world(120, 6, seed=5)
+    save_peb_tree(world.peb, str(tmp_path))
+    saved = _whole_tree(world.peb)
+    path = os.path.join(str(tmp_path), META_FILE)
+    rejected = loaded = 0
+    for offset, _ in bit_flips(path, also=range(10)):
+        try:
+            restored = load_peb_tree(str(tmp_path))
+        except CheckpointError:
+            rejected += 1
+        else:
+            loaded += 1
+            assert offset < 10, "only a gzip header byte may go unnoticed"
+            assert _whole_tree(restored) == saved
+    assert rejected > loaded
+
+
+def test_load_rejects_metadata_that_is_not_text(tmp_path):
+    save_peb_tree(populated_tree(), str(tmp_path))
+    with open(os.path.join(str(tmp_path), META_FILE), "wb") as handle:
+        handle.write(gzip.compress(b'{"format": "\xff"}'))
+    with pytest.raises(CheckpointError, match="unreadable checkpoint metadata"):
+        load_peb_tree(str(tmp_path))
+
+
+@pytest.mark.parametrize("damaged", (DISK_FILE, META_FILE))
+def test_a_failed_restore_leaves_the_live_tree_untouched(tmp_path, damaged):
+    """Recovery must not launder corruption: ``restore_peb_tree_state``
+    used to accept a flipped ``disk.bin`` and rewrite it *through* the
+    checksumming disk, which stamped the damage with a valid CRC."""
+    world = build_world(120, 6, seed=5)
+    disk = ChecksummedDisk(page_size=1024)
+    live = PEBTree(
+        BufferPool(disk, capacity=64), world.grid, world.partitioner, world.store
+    )
+    for uid in sorted(world.states):
+        live.insert(world.states[uid])
+    save_peb_tree(live, str(tmp_path))
+    # The live tree moves on after its checkpoint.
+    for uid in sorted(world.states)[:20]:
+        live.update(replace(world.states[uid], x=500.0, y=500.0, t_update=3.0))
+    live.btree.pool.flush()
+
+    def state():
+        return (
+            _whole_tree(live),
+            dict(disk._pages),
+            dict(disk._checksums),
+            disk.allocated_count,
+            live.btree.root_id,
+            live.btree.entry_count,
+        )
+
+    before = state()
+    path = os.path.join(str(tmp_path), damaged)
+    for flip in bit_flips(path, also=(6001,)):
+        with pytest.raises((SnapshotError, CheckpointError)):
+            restore_peb_tree_state(str(tmp_path), live)
+        assert state() == before, flip
+    # Intact again, the same checkpoint does restore.
+    restore_peb_tree_state(str(tmp_path), live)
+    assert _whole_tree(live) == _whole_tree(world.peb)

@@ -9,10 +9,10 @@ Two layers, both against the simplest possible model:
   full ``pool.clear()`` (every page re-parsed from its serialized
   image), and incur *identical* physical reads on the cold re-scan —
   page traffic is part of the contract, not an implementation detail.
-* Engine layer: the packed :class:`repro.engine.QueryEngine` against
-  the object-at-a-time reference on the same world — per-query
-  results, ``candidates_examined``, and physical reads all pinned
-  equal over randomized mixed range/kNN batches.
+* Engine layer: :class:`repro.engine.QueryEngine` against the
+  object-at-a-time reference (:mod:`tests.reference_scan`) on the same
+  world — per-query results, ``candidates_examined``, and physical
+  reads all pinned equal over randomized mixed range/kNN batches.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.spatial.geometry import Rect
 from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
 
 from tests.conftest import build_world, make_tree
+from tests.reference_scan import ReferenceEngine
 
 VALUE_BYTES = 16
 
@@ -183,12 +184,12 @@ def test_packed_engine_pins_reference(seed, picks, half, center, k, t_query):
 
     pool.clear()
     base = pool.stats.physical_reads
-    packed = QueryEngine(world.peb, packed_scan=True).execute_batch(specs)
+    packed = QueryEngine(world.peb).execute_batch(specs)
     packed_reads = pool.stats.physical_reads - base
 
     pool.clear()
     base = pool.stats.physical_reads
-    legacy = QueryEngine(world.peb, packed_scan=False).execute_batch(specs)
+    legacy = ReferenceEngine(world.peb).execute_batch(specs)
     legacy_reads = pool.stats.physical_reads - base
 
     assert packed_reads == legacy_reads

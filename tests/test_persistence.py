@@ -3,6 +3,7 @@ full PEB-tree checkpoint/restore path."""
 
 import json
 import random
+import struct
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.storage.persistence import SnapshotError, load_disk, save_disk, save_
 from repro.workloads.policies import MultiPolicyGenerator, PolicyGenerator
 from repro.workloads.queries import QueryGenerator
 from repro.workloads.uniform import UniformMovement
+from tests.test_checkpoint_consistency import bit_flips
 
 
 # ----------------------------------------------------------------------
@@ -87,6 +89,32 @@ def test_load_rejects_trailing_garbage(tmp_path):
     save_disk(disk, str(path))
     path.write_bytes(path.read_bytes() + b"zz")
     with pytest.raises(SnapshotError, match="trailing"):
+        load_disk(str(path))
+
+
+def test_load_rejects_a_flipped_bit_anywhere(tmp_path):
+    """Header, page table, images, digest: no byte may change unseen."""
+    disk = SimulatedDisk(page_size=64)
+    for index in range(3):
+        disk.write(disk.allocate(), bytes([index + 1]) * (20 + index))
+    path = tmp_path / "disk.bin"
+    save_disk(disk, str(path))
+    for _ in bit_flips(str(path), step=1):
+        with pytest.raises(SnapshotError):
+            load_disk(str(path))
+
+
+def test_load_refuses_an_undigested_version_2_file(tmp_path):
+    """What a version-2 build wrote — no digest — is refused by the
+    version test, never loaded unverified."""
+    disk = SimulatedDisk(page_size=64)
+    disk.write(disk.allocate(), b"x" * 40)
+    path = tmp_path / "disk.bin"
+    save_disk(disk, str(path))
+    blob = bytearray(path.read_bytes()[:-32])
+    struct.pack_into(">I", blob, 8, 2)
+    path.write_bytes(blob)
+    with pytest.raises(SnapshotError, match="version 2, this build reads"):
         load_disk(str(path))
 
 

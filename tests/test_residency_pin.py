@@ -3,9 +3,10 @@
 The matrix search holds each friend stratum's residency and answers
 every annulus piece a fence proof covers without going back to the
 scanner (:mod:`repro.core.pknn`, :mod:`repro.engine.scanner`).  The
-per-band reference is the unpacked scanner (``packed_scan=False``),
-which records only the interval it asked for as proven and therefore
-keeps scanning band by band.  Against it, on a single tree and on
+per-band reference is the test-local scanner of
+:mod:`tests.reference_scan`, which decodes entry by entry, records only
+the interval it asked for as proven and therefore keeps scanning band
+by band.  Against it, on a single tree and on
 1/2/4 shards, in both traversal orders and inside ``execute_batch``
 with mixed range+kNN specs: neighbours, ``candidates_examined`` and
 ``rounds`` are identical and physical reads are never higher.
@@ -47,6 +48,12 @@ from repro.storage.faults import FaultyDisk
 from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
 
 from tests.conftest import World, build_world
+from tests.reference_scan import (
+    ReferenceEngine,
+    ReferenceScanner,
+    ShardedReferenceEngine,
+    reference_scatter,
+)
 from tests.test_shard_property import build_sharded
 
 ORDERS = ("triangular", "column")
@@ -146,7 +153,7 @@ def test_single_tree_search_matches_the_per_band_reference(world, order):
     got, got_reads = cold_reads(
         tree, lambda: search_all(tree, specs, resident, order)
     )
-    reference = BandScanner(tree, packed=False)
+    reference = ReferenceScanner(tree)
     expected, expected_reads = cold_reads(
         tree, lambda: search_all(tree, specs, reference, order)
     )
@@ -167,7 +174,7 @@ def test_sharded_search_matches_the_per_band_reference(world, n_shards, order):
     got, got_reads = cold_reads(
         sharded, lambda: search_all(sharded, specs, resident, order)
     )
-    reference = ShardScatterScanner(sharded, packed=False)
+    reference = reference_scatter(sharded)
     expected, expected_reads = cold_reads(
         sharded, lambda: search_all(sharded, specs, reference, order)
     )
@@ -188,13 +195,13 @@ def test_mixed_batch_matches_the_per_band_reference(world, n_shards):
     assert any(isinstance(s, RangeQuerySpec) for s in specs)
     if n_shards:
         tree = build_sharded(world, n_shards)
-        engine = ShardedQueryEngine
+        engine, reference = ShardedQueryEngine, ShardedReferenceEngine
     else:
         tree = world.peb
-        engine = QueryEngine
+        engine, reference = QueryEngine, ReferenceEngine
     got, got_reads = cold_reads(tree, lambda: engine(tree).execute_batch(specs))
     expected, expected_reads = cold_reads(
-        tree, lambda: engine(tree, packed_scan=False).execute_batch(specs)
+        tree, lambda: reference(tree).execute_batch(specs)
     )
     assert got_reads <= expected_reads
     assert got.stats.bands_requested == expected.stats.bands_requested
@@ -238,19 +245,16 @@ INTERVALS = st.lists(st.tuples(Z, Z), min_size=1, max_size=12)
     zvs=st.lists(Z, max_size=30),
     proofs=INTERVALS,
     probes=INTERVALS,
-    packed=st.booleans(),
 )
-def test_residency_serves_exactly_what_its_proofs_cover(zvs, proofs, probes, packed):
+def test_residency_serves_exactly_what_its_proofs_cover(zvs, proofs, probes):
     stratum = sorted(zvs)  # the tree's rows of one stratum, by ZV
 
     def rows_of(lo, hi):
         inside = [zv for zv in stratum if lo <= zv <= hi]
-        if packed:
-            return BandRows(inside, [(zv, 0.0, 0.0, 0.0, 0.0, 0.0, 0) for zv in inside])
-        return [(zv, None) for zv in inside]
+        return BandRows(inside, [(zv, 0.0, 0.0, 0.0, 0.0, 0.0, 0) for zv in inside])
 
     tally = _Tally()
-    resident = StratumResidency(tally, packed, tid=0, sv_q=0)
+    resident = StratumResidency(tally, tid=0, sv_q=0)
     proven = []
     for a, b in proofs:
         lo, hi = min(a, b), max(a, b)
@@ -276,24 +280,21 @@ def test_residency_serves_exactly_what_its_proofs_cover(zvs, proofs, probes, pac
     proofs=INTERVALS,
     located=st.sets(st.integers(min_value=0, max_value=29)),
     probes=st.lists(Z, min_size=1, max_size=12),
-    packed=st.booleans(),
 )
 def test_quiet_interval_is_the_widest_with_nobody_left_to_find(
-    zvs, proofs, located, probes, packed
+    zvs, proofs, located, probes
 ):
     stratum = sorted(zvs)  # row i belongs to user i
 
     def rows_of(lo, hi):
         inside = [(uid, zv) for uid, zv in enumerate(stratum) if lo <= zv <= hi]
-        if packed:
-            return BandRows(
-                [zv for _, zv in inside],
-                [(uid, 0.0, 0.0, 0.0, 0.0, 0.0, 0) for uid, _ in inside],
-            )
-        return [(zv, None) for _, zv in inside]
+        return BandRows(
+            [zv for _, zv in inside],
+            [(uid, 0.0, 0.0, 0.0, 0.0, 0.0, 0) for uid, _ in inside],
+        )
 
     tally = _Tally()
-    resident = StratumResidency(tally, packed, tid=0, sv_q=0)
+    resident = StratumResidency(tally, tid=0, sv_q=0)
     proven = set()
     for a, b in proofs:
         lo, hi = min(a, b), max(a, b)
@@ -303,7 +304,7 @@ def test_quiet_interval_is_the_widest_with_nobody_left_to_find(
     loud = {zv for uid, zv in enumerate(stratum) if uid not in located}
     for z in probes:
         lo, hi = resident.quiet_around(z, located)
-        if not packed or z not in proven or z in loud:
+        if z not in proven or z in loud:
             assert (lo, hi) == NOT_QUIET
             continue
         assert lo <= z <= hi
@@ -355,14 +356,16 @@ def kill_shard(sharded, dead):
 def test_quarantined_strata_are_never_served_from_residency(world, dead):
     specs = knn_specs(world, n=4, k=3)
     reports = []
-    for packed in (True, False):
+    for engine, scatter in (
+        (ShardedQueryEngine, ShardScatterScanner),
+        (ShardedReferenceEngine, reference_scatter),
+    ):
         sharded = deploy_supervised(world)
         kill_shard(sharded, dead)
-        engine = ShardedQueryEngine(sharded, packed_scan=packed)
-        reports.append(engine.execute_batch(specs))
+        reports.append(engine(sharded).execute_batch(specs))
         assert sharded.supervisor.is_quarantined(dead)
         # The search is handed no residency under a supervisor.
-        scanner = ShardScatterScanner(sharded, packed=packed)
+        scanner = scatter(sharded)
         assert all(
             scanner.residency(tid, sv_q) is None
             for tid in range(world.partitioner.num_partitions)

@@ -102,7 +102,7 @@ def test_boundary_straddling_band_scans_identically(world, n_shards):
         ]
         sharded_rows = [
             (zv, obj.uid)
-            for zv, obj in sharded.scan_band(tid, sv_lo, sv_hi, 0, world.grid.max_z)
+            for zv, obj in sharded.scan_band_rows(tid, sv_lo, sv_hi, 0, world.grid.max_z)
         ]
         assert sharded_rows == single
         band_checked += len(single)

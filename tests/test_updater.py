@@ -7,6 +7,8 @@ integration (``apply_update_round(pipeline=...)`` and
 ``run_batched_updates``).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.harness import ExperimentConfig, ExperimentHarness
@@ -19,6 +21,7 @@ from repro.motion.partitions import TimePartitioner
 from repro.spatial.grid import Grid
 from repro.storage.buffer import BufferPool
 from repro.storage.faults import DiskFaultError, FaultyDisk
+from tests.conftest import build_world
 from tests.test_update_batch_property import _twin_trees
 from tests.test_peb_tree import make_peb, make_store, mover
 
@@ -389,3 +392,71 @@ def test_run_batched_updates_rejects_bad_batch_size():
     harness = ExperimentHarness(TINY)
     with pytest.raises(ValueError):
         harness.run_batched_updates(batch_size=0)
+
+
+# ----------------------------------------------------------------------
+# Non-finite states are rejected at the door
+# ----------------------------------------------------------------------
+
+NON_FINITE = [
+    (field, value)
+    for field in ("x", "y", "vx", "vy", "t_update")
+    for value in (float("nan"), float("inf"), float("-inf"))
+]
+
+
+def _poison_world():
+    world = build_world(120, 6, seed=5)
+    uids = sorted(world.states)
+    good = [replace(world.states[uid], x=500.0, y=400.0 + uid) for uid in uids[:10]]
+    return world, good
+
+
+@pytest.mark.parametrize("field,value", NON_FINITE)
+@pytest.mark.parametrize("flush_on_rollover", (True, False))
+def test_submit_rejects_a_non_finite_state_and_keeps_working(
+    field, value, flush_on_rollover
+):
+    """One poison state used to wedge the pipeline for good: buffered
+    unseen, it killed every flush in key planning, was restored with
+    the batch, and every later submit raised while the buffer grew."""
+    world, good = _poison_world()
+    pipeline = UpdatePipeline(
+        world.peb, capacity=4, flush_on_rollover=flush_on_rollover
+    )
+    monitor = RecordingMonitor()
+    pipeline.attach_monitor(monitor)
+    pipeline.submit(good[0])
+    poison = replace(good[1], **{field: value})
+    with pytest.raises(ValueError, match=rf"user {poison.uid}\b.*\b{field}\b"):
+        pipeline.submit(poison)
+    # Rejected before the rollover test, the buffer and any flush.
+    assert pipeline.pending == 1
+    assert pipeline.stats.flushes == 0 and monitor.seen == []
+    for obj in good[1:]:
+        pipeline.submit(obj)  # none of these raises
+    assert pipeline.flush() == 2  # 4 + 4 went on capacity
+    assert pipeline.pending == 0 and pipeline.stats.ops == len(good)
+    assert [obj.uid for obj in monitor.seen] == [obj.uid for obj in good]
+    by_uid = {obj.uid: obj for obj in world.peb.fetch_all()}
+    assert all(by_uid[obj.uid] == obj for obj in good)
+    assert world.peb.check_consistency() == []
+    world.peb.btree.check_invariants()
+
+
+def test_extend_stops_at_a_non_finite_state_in_the_middle():
+    """Items before the bad one are buffered or applied, the bad one
+    raises, nothing after it is looked at — and the pipeline goes on."""
+    world, good = _poison_world()
+    pipeline = UpdatePipeline(world.peb, capacity=4)
+    poison = replace(good[6], y=float("inf"))
+    with pytest.raises(ValueError, match=rf"user {poison.uid}\b.*\by\b"):
+        pipeline.extend(good[:6] + [(poison, 3)] + good[7:])
+    assert pipeline.stats.ops == 4 and pipeline.pending == 2
+    assert poison.uid not in pipeline.buffer
+    pipeline.extend(good[6:])
+    pipeline.flush()
+    assert pipeline.pending == 0 and pipeline.stats.ops == len(good)
+    by_uid = {obj.uid: obj for obj in world.peb.fetch_all()}
+    assert all(by_uid[obj.uid] == obj for obj in good)
+    assert world.peb.check_consistency() == []
