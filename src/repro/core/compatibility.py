@@ -59,33 +59,63 @@ def compatibility(
         space_area: S, the area of the space domain.
         time_domain: T, the duration of the time domain.
     """
+    check_domains(space_area, time_domain)
+    weight12 = one_way_weight(p12, space_area, time_domain)
+    weight21 = one_way_weight(p21, space_area, time_domain)
+    return CompatibilityResult(
+        *equation4(p12, p21, weight12, weight21, space_area, time_domain)
+    )
+
+
+def check_domains(space_area: float, time_domain: float) -> None:
+    """Reject a normalization Equation 4 cannot divide by."""
     if space_area <= 0 or time_domain <= 0:
         raise ValueError("space_area and time_domain must be positive")
-    if p12 is None and p21 is None:
-        return CompatibilityResult(alpha=0.0, degree=0.0, mutual=False)
 
+
+def one_way_weight(
+    policy: LocationPrivacyPolicy | None, space_area: float, time_domain: float
+) -> float:
+    """A policy's term ``|locr|/S · |tint|/T`` of the non-simultaneous α.
+
+    A missing policy's term is omitted, i.e. weighs 0.
+    """
+    if policy is None:
+        return 0.0
+    return (policy.region_area / space_area) * (policy.time_duration / time_domain)
+
+
+def equation4(
+    p12: LocationPrivacyPolicy | None,
+    p21: LocationPrivacyPolicy | None,
+    weight12: float,
+    weight21: float,
+    space_area: float,
+    time_domain: float,
+) -> tuple[float, float, bool]:
+    """``(α, C, mutual)`` from the two policies and their one-way weights.
+
+    The scalar core shared by :func:`compatibility` and the store's edge
+    pass (:meth:`repro.policy.store.PolicyStore.compatibility_edges`),
+    which validates S and T once and computes each weight once per policy
+    instead of once per pair.
+    """
     if p12 is not None and p21 is not None:
         region_overlap = p12.locr.overlap_area(p21.locr)
-        time_overlap = _time_overlap(p12, p21)
-        if region_overlap > 0.0 and time_overlap > 0.0:
-            alpha = (region_overlap / space_area) * (time_overlap / time_domain)
-            degree = (1.0 + alpha) / 2.0
-            if degree <= 0.5:
-                # alpha below the double-precision ulp of 1.0 rounds
-                # (1 + alpha)/2 to exactly 0.5; keep the documented
-                # invariant that mutual pairs rank strictly above every
-                # non-simultaneous pair (whose degree caps at 0.5).
-                degree = math.nextafter(0.5, 1.0)
-            return CompatibilityResult(alpha=alpha, degree=degree, mutual=True)
-
-    alpha = 0.0
-    for policy in (p12, p21):
-        if policy is not None:
-            alpha += (policy.region_area / space_area) * (
-                policy.time_duration / time_domain
-            )
-    alpha /= 2.0
-    return CompatibilityResult(alpha=alpha, degree=alpha, mutual=False)
+        if region_overlap > 0.0:
+            time_overlap = _time_overlap(p12, p21)
+            if time_overlap > 0.0:
+                alpha = (region_overlap / space_area) * (time_overlap / time_domain)
+                degree = (1.0 + alpha) / 2.0
+                if degree <= 0.5:
+                    # alpha below the double-precision ulp of 1.0 rounds
+                    # (1 + alpha)/2 to exactly 0.5; keep the documented
+                    # invariant that mutual pairs rank strictly above every
+                    # non-simultaneous pair (whose degree caps at 0.5).
+                    degree = math.nextafter(0.5, 1.0)
+                return alpha, degree, True
+    alpha = (weight12 + weight21) / 2.0
+    return alpha, alpha, False
 
 
 def _time_overlap(p12: LocationPrivacyPolicy, p21: LocationPrivacyPolicy) -> float:

@@ -32,7 +32,6 @@ I/O costs differ (measured in ``benchmarks/bench_ablations.py``).
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 from typing import Protocol
 
 from repro.core.sequencing import (
@@ -40,6 +39,7 @@ from repro.core.sequencing import (
     DEFAULT_INITIAL_SV,
     EncodingReport,
     assign_sequence_values,
+    compatibility_graph,
 )
 from repro.obs.timer import timer
 from repro.policy.store import PolicyStore
@@ -61,23 +61,8 @@ class SequenceEncoder(Protocol):
         ...
 
 
-def _compatibility_graph(
-    users: list[int], store: PolicyStore, space_area: float
-) -> tuple[dict[tuple[int, int], float], dict[int, list[int]]]:
-    """Edges (C > 0) and adjacency of the compatibility graph."""
-    degree: dict[tuple[int, int], float] = {}
-    adjacency: dict[int, list[int]] = defaultdict(list)
-    for u, v in store.related_pairs():
-        result = store.pair_compatibility(u, v, space_area)
-        if result.degree > 0.0:
-            degree[(u, v) if u < v else (v, u)] = result.degree
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-    return degree, adjacency
-
-
-def _edge(degree: dict[tuple[int, int], float], u: int, v: int) -> float:
-    return degree.get((u, v) if u < v else (v, u), 0.0)
+def _edge(adjacency: dict[int, dict[int, float]], u: int, v: int) -> float:
+    return adjacency.get(u, {}).get(v, 0.0)
 
 
 class Figure5Encoder:
@@ -127,7 +112,7 @@ class BFSEncoder:
         self, users: list[int], store: PolicyStore, space_area: float
     ) -> EncodingReport:
         watch = timer()
-        degree, adjacency = _compatibility_graph(users, store, space_area)
+        adjacency, pair_count = compatibility_graph(store, space_area)
 
         seeds = sorted(users, key=lambda uid: -len(adjacency.get(uid, ())))
         values: dict[int, float] = {}
@@ -141,7 +126,7 @@ class BFSEncoder:
             values[seed] = cursor
             # Max-heap on compatibility; ties broken by uid for determinism.
             frontier = [
-                (-_edge(degree, seed, peer), peer)
+                (-_edge(adjacency, seed, peer), peer)
                 for peer in adjacency.get(seed, ())
                 if peer not in values
             ]
@@ -155,7 +140,7 @@ class BFSEncoder:
                 for peer in adjacency.get(uid, ()):
                     if peer not in values:
                         heapq.heappush(
-                            frontier, (-_edge(degree, uid, peer), peer)
+                            frontier, (-_edge(adjacency, uid, peer), peer)
                         )
 
         elapsed = watch.stop()
@@ -163,8 +148,7 @@ class BFSEncoder:
             sequence_values=values,
             elapsed_seconds=elapsed,
             group_count=group_count,
-            related_pair_count=len(degree),
-            compatibilities=degree,
+            related_pair_count=pair_count,
         )
 
 
@@ -197,7 +181,7 @@ class SpectralEncoder:
         self, users: list[int], store: PolicyStore, space_area: float
     ) -> EncodingReport:
         watch = timer()
-        degree, adjacency = _compatibility_graph(users, store, space_area)
+        adjacency, pair_count = compatibility_graph(store, space_area)
 
         components = _connected_components(users, adjacency)
         # Descending size mirrors Figure 5's "higher priority to larger
@@ -207,11 +191,11 @@ class SpectralEncoder:
         values: dict[int, float] = {}
         cursor = self.initial_sv - self.delta
         for component in components:
-            ordering = _component_order(component, adjacency, degree)
+            ordering = _component_order(component, adjacency)
             cursor += self.delta
             values[ordering[0]] = cursor
             for previous, uid in zip(ordering, ordering[1:]):
-                compat = _edge(degree, previous, uid)
+                compat = _edge(adjacency, previous, uid)
                 step = (1.0 - compat) if compat > 0.0 else self.delta
                 cursor += step
                 values[uid] = cursor
@@ -221,13 +205,12 @@ class SpectralEncoder:
             sequence_values=values,
             elapsed_seconds=elapsed,
             group_count=len(components),
-            related_pair_count=len(degree),
-            compatibilities=degree,
+            related_pair_count=pair_count,
         )
 
 
 def _connected_components(
-    users: list[int], adjacency: dict[int, list[int]]
+    users: list[int], adjacency: dict[int, dict[int, float]]
 ) -> list[list[int]]:
     """Connected components; isolated users are singleton components."""
     seen: set[int] = set()
@@ -251,14 +234,13 @@ def _connected_components(
 
 def _component_order(
     component: list[int],
-    adjacency: dict[int, list[int]],
-    degree: dict[tuple[int, int], float],
+    adjacency: dict[int, dict[int, float]],
 ) -> list[int]:
     """Fiedler ordering of one component (BFS fallback when oversized)."""
     if len(component) <= 2:
         return sorted(component)
     if len(component) > SPECTRAL_COMPONENT_LIMIT:
-        return _bfs_order(component, adjacency, degree)
+        return _bfs_order(component, adjacency)
 
     import numpy as np
 
@@ -267,7 +249,7 @@ def _component_order(
     laplacian = np.zeros((len(nodes), len(nodes)))
     for uid in nodes:
         for peer in adjacency.get(uid, ()):
-            weight = _edge(degree, uid, peer)
+            weight = _edge(adjacency, uid, peer)
             i, j = index[uid], index[peer]
             laplacian[i, j] -= weight
             laplacian[i, i] += weight
@@ -281,15 +263,14 @@ def _component_order(
 
 def _bfs_order(
     component: list[int],
-    adjacency: dict[int, list[int]],
-    degree: dict[tuple[int, int], float],
+    adjacency: dict[int, dict[int, float]],
 ) -> list[int]:
     """Compatibility-greedy BFS order (fallback for huge components)."""
     start = max(component, key=lambda uid: (len(adjacency.get(uid, ())), -uid))
     order = [start]
     seen = {start}
     frontier = [
-        (-_edge(degree, start, peer), peer) for peer in adjacency.get(start, ())
+        (-_edge(adjacency, start, peer), peer) for peer in adjacency.get(start, ())
     ]
     heapq.heapify(frontier)
     while frontier:
@@ -300,7 +281,7 @@ def _bfs_order(
         order.append(uid)
         for peer in adjacency.get(uid, ()):
             if peer not in seen:
-                heapq.heappush(frontier, (-_edge(degree, uid, peer), peer))
+                heapq.heappush(frontier, (-_edge(adjacency, uid, peer), peer))
     # A component is connected by construction, but guard regardless.
     for uid in sorted(component):
         if uid not in seen:

@@ -24,7 +24,7 @@ duration so the Figure 11 preprocessing experiment can be regenerated.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.obs.timer import timer
 from repro.policy.store import PolicyStore
@@ -49,7 +49,24 @@ class EncodingReport:
     elapsed_seconds: float
     group_count: int
     related_pair_count: int
-    compatibilities: dict[tuple[int, int], float] = field(default_factory=dict)
+
+
+def compatibility_graph(
+    store: PolicyStore, space_area: float
+) -> tuple[dict[int, dict[int, float]], int]:
+    """Lines 1-4 of Figure 5: the groups ``G(u)`` as ``{u: {member: C}}``.
+
+    Adjacency of the compatibility graph — both directions of every edge
+    of the store's pass — and the number of edges.  The pass dispatches
+    on the store, so multi-policy directories (Section 8 future work)
+    plug in their set semantics.
+    """
+    groups: dict[int, dict[int, float]] = defaultdict(dict)
+    pair_count = 0
+    for u, v, degree in store.compatibility_edges(space_area):
+        groups[u][v] = groups[v][u] = degree
+        pair_count += 1
+    return groups, pair_count
 
 
 def assign_sequence_values(
@@ -81,17 +98,7 @@ def assign_sequence_values(
 
     watch = timer()
 
-    # Lines 1-4 of Figure 5: compatibility per related pair, groups G(u).
-    # The comparison dispatches through the store so multi-policy
-    # directories (Section 8 future work) plug in their set semantics.
-    degree: dict[tuple[int, int], float] = {}
-    groups: dict[int, list[int]] = defaultdict(list)
-    for u, v in store.related_pairs():
-        result = store.pair_compatibility(u, v, space_area)
-        if result.degree > 0.0:
-            degree[(u, v)] = result.degree
-            groups[u].append(v)
-            groups[v].append(u)
+    groups, pair_count = compatibility_graph(store, space_area)
 
     # Line 5: sort users by group size, descending; Python's sort is
     # stable, so ties keep registration order.
@@ -106,10 +113,9 @@ def assign_sequence_values(
             leader_sv = previous_sv + delta
             sequence_values[uid] = leader_sv
             group_count += 1
-            for member in groups.get(uid, ()):
+            for member, degree in groups.get(uid, {}).items():
                 if member not in sequence_values:
-                    pair = (uid, member) if uid < member else (member, uid)
-                    sequence_values[member] = leader_sv + (1.0 - degree[pair])
+                    sequence_values[member] = leader_sv + (1.0 - degree)
         previous_sv = sequence_values[uid]
 
     elapsed = watch.stop()
@@ -117,6 +123,5 @@ def assign_sequence_values(
         sequence_values=sequence_values,
         elapsed_seconds=elapsed,
         group_count=group_count,
-        related_pair_count=len(degree),
-        compatibilities=degree,
+        related_pair_count=pair_count,
     )

@@ -17,95 +17,24 @@ space-time position.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterator
 
-from repro.policy.lpp import LocationPrivacyPolicy
 from repro.policy.store import PolicyStore
 
 
 class MultiPolicyStore(PolicyStore):
     """Policy directory with policy *lists* per (owner, viewer) pair.
 
-    The friend lists, sequence values, and role registry behave exactly
-    as in the base store; only policy storage, evaluation, and pair
-    compatibility change.
+    Storage, lookups, friend lists, sequence values, and the role
+    registry are the base store's — its directory already holds a tuple
+    of policies per pair; only the duplicate rule and the compatibility
+    of a pair change.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # Same key space as the base store, but each value is the full
-        # list of policies the owner holds about the viewer.
-        self._policies: dict[tuple[int, int], list[LocationPrivacyPolicy]] = {}
-
-    # ------------------------------------------------------------------
-    # Registration
-    # ------------------------------------------------------------------
-
-    def add_policy(
-        self, policy: LocationPrivacyPolicy, members: Iterable[int]
-    ) -> None:
-        """Install a policy for every member; duplicates stack up.
-
-        Unlike the base store, a second policy for the same (owner,
-        viewer) pair is appended rather than rejected.
-        """
-        locr = self.locations.resolve(policy.locr)
-        if locr is not policy.locr:
-            policy = LocationPrivacyPolicy(
-                owner=policy.owner, role=policy.role, locr=locr, tint=policy.tint
-            )
-        for viewer in members:
-            if viewer == policy.owner:
-                raise ValueError(f"user {viewer} cannot hold a policy about itself")
-            self.roles.assign(policy.owner, policy.role, viewer)
-            self._policies.setdefault((policy.owner, viewer), []).append(policy)
-            by_owner = self._policies_by_viewer[viewer]
-            by_owner[policy.owner] = by_owner.get(policy.owner, ()) + (policy,)
-            self._owners_by_viewer[viewer].add(policy.owner)
-            self._viewers_by_owner[policy.owner].add(viewer)
-
-    # ------------------------------------------------------------------
-    # Lookup
-    # ------------------------------------------------------------------
-
-    def policies_for(
-        self, owner: int, viewer: int
-    ) -> tuple[LocationPrivacyPolicy, ...]:
-        """All policies ``owner`` holds about ``viewer`` (may be empty)."""
-        return tuple(self._policies.get((owner, viewer), ()))
-
-    def policy_for(self, owner: int, viewer: int) -> LocationPrivacyPolicy | None:
-        """The single policy for the pair — refuses to pick among several.
-
-        Retained for drop-in compatibility with single-policy callers;
-        code aware of this store should use :meth:`policies_for`.
-        """
-        policies = self._policies.get((owner, viewer))
-        if policies is None:
-            return None
-        if len(policies) > 1:
-            raise LookupError(
-                f"user {owner} holds {len(policies)} policies about "
-                f"{viewer}; use policies_for()"
-            )
-        return policies[0]
-
-    def evaluate(self, owner: int, viewer: int, x: float, y: float, t: float) -> bool:
-        """Definition-2 check: any of the owner's policies may admit."""
-        policies = self._policies.get((owner, viewer))
-        if not policies:
-            return False
-        return any(
-            policy.admits(x, y, t, self.time_domain) for policy in policies
-        )
-
-    def policy_count(self) -> int:
-        """Total number of installed policies (not pairs)."""
-        return sum(len(policies) for policies in self._policies.values())
-
-    def pair_count(self) -> int:
-        """Number of directed (owner, viewer) pairs holding policies."""
-        return len(self._policies)
+    #: A second policy for the same (owner, viewer) pair stacks up
+    #: instead of being rejected; ``policy_count`` counts policies,
+    #: ``pair_count`` the pairs holding them.
+    ONE_POLICY_PER_PAIR = False
 
     def pair_compatibility(self, u: int, v: int, space_area: float):
         """Set-compatibility over all policies between ``u`` and ``v``."""
@@ -119,3 +48,16 @@ class MultiPolicyStore(PolicyStore):
             space_area,
             self.time_domain,
         )
+
+    def compatibility_edges(
+        self, space_area: float
+    ) -> Iterator[tuple[int, int, float]]:
+        """The base store's edge pass under set-compatibility."""
+        from repro.core.multipolicy import set_compatibility
+
+        for u, v, granted_by_u, granted_by_v in self._related():
+            degree = set_compatibility(
+                granted_by_u, granted_by_v, space_area, self.time_domain
+            ).degree
+            if degree > 0.0:
+                yield u, v, degree

@@ -10,6 +10,7 @@ this registry.
 from __future__ import annotations
 
 from collections import defaultdict
+from typing import Iterable
 
 
 class RoleRegistry:
@@ -25,6 +26,10 @@ class RoleRegistry:
     def assign(self, owner: int, role: str, member: int) -> None:
         """Put ``member`` into the owner's role."""
         self._members[(owner, role)].add(member)
+
+    def assign_all(self, owner: int, role: str, members: Iterable[int]) -> None:
+        """Put every one of ``members`` into the owner's role."""
+        self._members[(owner, role)].update(members)
 
     def revoke(self, owner: int, role: str, member: int) -> None:
         """Remove ``member`` from the owner's role (no-op if absent)."""

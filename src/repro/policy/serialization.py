@@ -19,9 +19,10 @@ restore profile otherwise.
 
 Policies are stored *resolved* (semantic locations were translated on
 entry), so the semantic-location registry is not part of the payload.
-Role membership is rebuilt by replaying ``add_policy``.  A ``TimeSet``
-of one piece deserializes as a plain ``TimeInterval`` — the two are
-behaviourally identical for evaluation, duration, and overlap.
+Role membership is rebuilt with the edges, by the store's one install
+step.  A ``TimeSet`` of one piece deserializes as a plain
+``TimeInterval`` — the two are behaviourally identical for evaluation,
+duration, and overlap.
 """
 
 from __future__ import annotations
@@ -40,21 +41,21 @@ def store_to_dict(store: PolicyStore) -> dict:
     """Serialize a policy directory (single- or multi-policy)."""
     multi = isinstance(store, MultiPolicyStore)
     records = []
-    for (owner, viewer), value in sorted(store._policies.items()):
-        policies = value if multi else [value]
-        for policy in policies:
-            records.append(
-                [
-                    owner,
-                    viewer,
-                    policy.role,
-                    policy.locr.x_lo,
-                    policy.locr.x_hi,
-                    policy.locr.y_lo,
-                    policy.locr.y_hi,
-                    _tint_to_flat(policy.tint),
-                ]
-            )
+    for owner in sorted(store.all_users()):
+        for viewer in sorted(store.viewers_of(owner)):
+            for policy in store.policies_for(owner, viewer):
+                records.append(
+                    [
+                        owner,
+                        viewer,
+                        policy.role,
+                        policy.locr.x_lo,
+                        policy.locr.x_hi,
+                        policy.locr.y_lo,
+                        policy.locr.y_hi,
+                        _tint_to_flat(policy.tint),
+                    ]
+                )
     return {
         "format": FORMAT,
         "version": VERSION,
@@ -85,11 +86,9 @@ def store_from_dict(payload: dict) -> PolicyStore:
     else:
         raise ValueError(f"unknown store kind {kind!r}")
 
-    # Reconstruct the directory structures directly instead of replaying
-    # add_policy record by record: the payload was produced by a store
-    # whose invariants already held, and the replay's per-record checks
-    # triple the restore time of a large checkpoint.
-    multi = kind == "multi"
+    # One install per record, not a replay of add_policy: the payload
+    # holds resolved policies already bucketed per pair, so only the
+    # edge checks (self-policy, duplicate pair) are paid on restore.
     for owner, viewer, role, x_lo, x_hi, y_lo, y_hi, tint_flat in payload[
         "policies"
     ]:
@@ -99,20 +98,7 @@ def store_from_dict(payload: dict) -> PolicyStore:
             locr=Rect(x_lo, x_hi, y_lo, y_hi),
             tint=_tint_from_flat(tint_flat),
         )
-        pair = (owner, viewer)
-        if multi:
-            store._policies.setdefault(pair, []).append(policy)
-        else:
-            if pair in store._policies:
-                raise ValueError(
-                    f"duplicate policy for pair {pair} in a single-policy payload"
-                )
-            store._policies[pair] = policy
-        store.roles.assign(owner, policy.role, viewer)
-        by_owner = store._policies_by_viewer[viewer]
-        by_owner[owner] = by_owner.get(owner, ()) + (policy,)
-        store._owners_by_viewer[viewer].add(owner)
-        store._viewers_by_owner[owner].add(viewer)
+        store._install(policy, [viewer])
 
     store.set_sequence_values(
         {int(uid): sv for uid, sv in payload["sequence_values"].items()}

@@ -2,10 +2,12 @@
 
 The server "has access to all users' privacy policies" (Section 3).  The
 store resolves roles once so queries can ask directly for the policy one
-user holds about another, and it maintains the per-user *friend lists*
-of Section 5.3: "we maintain a list for each user that stores the SV
-values of users who have policies with respect to the list owner",
-sorted ascending by SV.
+user holds about another.  Every policy edge owner -> viewer is stored
+once, in the viewer-major directory ``{viewer: {owner: (policy, ...)}}``
+written by :meth:`PolicyStore._install`; the per-user *friend lists* of
+Section 5.3 ("a list for each user that stores the SV values of users
+who have policies with respect to the list owner") are derived from a
+viewer's row of it and sorted ascending by SV on each call.
 
 Following Section 7.4 we assume at most one policy per (owner, viewer)
 pair; :meth:`add_policy` rejects duplicates so experiments cannot
@@ -14,7 +16,6 @@ silently double-count.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Iterable, Iterator
 
 from repro.policy.lpp import LocationPrivacyPolicy
@@ -33,6 +34,9 @@ class PolicyStore:
             already Euclidean.
     """
 
+    #: Section 7.4's assumption; the multi-policy store lifts it.
+    ONE_POLICY_PER_PAIR = True
+
     def __init__(
         self,
         time_domain: float = DEFAULT_TIME_DOMAIN,
@@ -41,17 +45,13 @@ class PolicyStore:
         self.time_domain = time_domain
         self.locations = locations if locations is not None else SemanticLocationRegistry()
         self.roles = RoleRegistry()
-        self._policies: dict[tuple[int, int], LocationPrivacyPolicy] = {}
-        self._owners_by_viewer: dict[int, set[int]] = defaultdict(set)
-        self._viewers_by_owner: dict[int, set[int]] = defaultdict(set)
-        # Viewer-major mirror of _policies (owner -> policy tuple per
-        # viewer): the query-time directory.  A verifier resolves one
-        # viewer's visibility over thousands of candidates, so probing a
-        # small per-viewer dict replaces hashing a (owner, viewer) tuple
-        # into the full policy table for every candidate.
-        self._policies_by_viewer: dict[
-            int, dict[int, tuple[LocationPrivacyPolicy, ...]]
-        ] = defaultdict(dict)
+        # The one policy table, viewer-major: a verifier resolves one
+        # viewer's visibility over thousands of candidates, so it probes
+        # that viewer's small row instead of hashing an (owner, viewer)
+        # tuple into one big table for every candidate.
+        self._directory: dict[int, dict[int, tuple[LocationPrivacyPolicy, ...]]] = {}
+        # Owner-major index of the same edges, for viewers_of().
+        self._viewers_by_owner: dict[int, set[int]] = {}
         self._sequence_values: dict[int, float] = {}
 
     # ------------------------------------------------------------------
@@ -73,20 +73,34 @@ class PolicyStore:
             policy = LocationPrivacyPolicy(
                 owner=policy.owner, role=policy.role, locr=locr, tint=policy.tint
             )
-        for viewer in members:
-            if viewer == policy.owner:
-                raise ValueError(f"user {viewer} cannot hold a policy about itself")
-            pair = (policy.owner, viewer)
-            if pair in self._policies:
-                raise ValueError(
-                    f"duplicate policy: user {policy.owner} already has a "
-                    f"policy for viewer {viewer}"
-                )
-            self.roles.assign(policy.owner, policy.role, viewer)
-            self._policies[pair] = policy
-            self._policies_by_viewer[viewer][policy.owner] = (policy,)
-            self._owners_by_viewer[viewer].add(policy.owner)
-            self._viewers_by_owner[policy.owner].add(viewer)
+        self._install(policy, list(members))
+
+    def _install(self, policy: LocationPrivacyPolicy, viewers: list[int]) -> None:
+        """Write the edges ``policy.owner -> viewer`` — the only writer.
+
+        Every edge is validated before the first is written, so a
+        rejected call leaves the directory as it was.
+        """
+        owner = policy.owner
+        if not viewers:
+            return
+        if owner in viewers:
+            raise ValueError(f"user {owner} cannot hold a policy about itself")
+        if self.ONE_POLICY_PER_PAIR:
+            taken: set[int] = set()
+            for viewer in viewers:
+                if viewer in taken or owner in self._directory.get(viewer, ()):
+                    raise ValueError(
+                        f"duplicate policy: user {owner} already has a "
+                        f"policy for viewer {viewer}"
+                    )
+                taken.add(viewer)
+        self.roles.assign_all(owner, policy.role, viewers)
+        self._viewers_by_owner.setdefault(owner, set()).update(viewers)
+        edge = (policy,)  # one tuple shared by every row it enters
+        for viewer in viewers:
+            row = self._directory.setdefault(viewer, {})
+            row[owner] = row[owner] + edge if owner in row else edge
 
     def set_sequence_values(self, sequence_values: dict[int, float]) -> None:
         """Attach the SV assignment produced by the policy encoder."""
@@ -96,31 +110,40 @@ class PolicyStore:
     # Lookup
     # ------------------------------------------------------------------
 
-    def policy_for(self, owner: int, viewer: int) -> LocationPrivacyPolicy | None:
-        """The policy ``P(owner -> viewer)``, or None."""
-        return self._policies.get((owner, viewer))
-
     def policies_for(self, owner: int, viewer: int) -> tuple[LocationPrivacyPolicy, ...]:
-        """All policies for the pair — zero or one in the base store.
+        """All policies ``owner`` holds about ``viewer`` (may be empty).
 
-        Uniform access shared with the multi-policy store so query code
-        (e.g. the continuous monitor) need not care which directory it
-        runs against.
+        Zero or one in the base store.  Query code (e.g. the continuous
+        monitor) uses this so it need not care which directory it runs
+        against.
         """
-        policy = self._policies.get((owner, viewer))
-        return () if policy is None else (policy,)
+        return self._directory.get(viewer, {}).get(owner, ())
+
+    def policy_for(self, owner: int, viewer: int) -> LocationPrivacyPolicy | None:
+        """The policy ``P(owner -> viewer)``, or None.
+
+        Refuses to pick among several (multi-policy store): code aware
+        of stacked policies should use :meth:`policies_for`.
+        """
+        policies = self.policies_for(owner, viewer)
+        if len(policies) > 1:
+            raise LookupError(
+                f"user {owner} holds {len(policies)} policies about "
+                f"{viewer}; use policies_for()"
+            )
+        return policies[0] if policies else None
 
     def evaluate(self, owner: int, viewer: int, x: float, y: float, t: float) -> bool:
         """Full Definition-2 policy condition for ``owner`` seen by ``viewer``.
 
         True when the owner has a policy whose role covers the viewer, the
         owner's location ``(x, y)`` is inside ``locr``, and ``t`` falls in
-        ``tint``.
+        ``tint`` — any of the owner's policies toward the viewer may admit.
         """
-        policy = self._policies.get((owner, viewer))
-        if policy is None:
-            return False
-        return policy.admits(x, y, t, self.time_domain)
+        for policy in self.policies_for(owner, viewer):
+            if policy.admits(x, y, t, self.time_domain):
+                return True
+        return False
 
     def visibility_map(
         self, viewer: int, t: float
@@ -140,10 +163,7 @@ class PolicyStore:
         """
         folded = fold(t, self.time_domain)
         visible: dict[int, tuple[tuple[float, float, float, float], ...]] = {}
-        directory = self._policies_by_viewer.get(viewer)
-        if directory is None:
-            return visible
-        for owner, policies in directory.items():
+        for owner, policies in self._directory.get(viewer, {}).items():
             bounds = []
             for policy in policies:
                 if policy.tint.contains(folded):
@@ -158,9 +178,8 @@ class PolicyStore:
 
         The base store applies the single-policy Equation 4 of
         Section 5.1; :class:`repro.policy.multistore.MultiPolicyStore`
-        overrides this with the set-compatibility generalization.  The
-        sequence-value encoder dispatches through this method so the same
-        Figure 5 algorithm serves both stores.
+        overrides this, and :meth:`compatibility_edges`, with the
+        set-compatibility generalization.
         """
         # Imported here: repro.core.compatibility imports repro.policy.lpp,
         # so a module-level import would cycle through the packages.
@@ -169,6 +188,39 @@ class PolicyStore:
         return compatibility(
             self.policy_for(u, v), self.policy_for(v, u), space_area, self.time_domain
         )
+
+    def compatibility_edges(
+        self, space_area: float
+    ) -> Iterator[tuple[int, int, float]]:
+        """``(u, v, C(u, v))`` per related pair: once, ``u < v``, ``C > 0``.
+
+        The compatibility graph every sequence-value encoder linearizes,
+        in one pass over the directory: S and T are validated once and a
+        policy's one-way weight is computed once however many edges
+        share the policy.  Degrees equal :meth:`pair_compatibility`'s.
+        """
+        from repro.core.compatibility import check_domains, equation4, one_way_weight
+
+        time_domain = self.time_domain
+        check_domains(space_area, time_domain)
+        weights: dict[int, float] = {}  # by id(): policies outlive the pass
+
+        def weight(policy):
+            known = weights.get(id(policy))
+            if known is None:
+                known = weights[id(policy)] = one_way_weight(
+                    policy, space_area, time_domain
+                )
+            return known
+
+        for u, v, granted_by_u, granted_by_v in self._related():
+            p12 = granted_by_u[0] if granted_by_u else None
+            p21 = granted_by_v[0] if granted_by_v else None
+            degree = equation4(
+                p12, p21, weight(p12), weight(p21), space_area, time_domain
+            )[1]
+            if degree > 0.0:
+                yield u, v, degree
 
     def sequence_value(self, uid: int) -> float:
         """SV of a user (KeyError until the encoder ran)."""
@@ -180,14 +232,14 @@ class PolicyStore:
         Returns ``(sv, owner_uid)`` pairs — the friend list the PRQ and
         PkNN algorithms consume (Figures 7 and 10).
         """
-        owners = self._owners_by_viewer.get(viewer, ())
+        owners = self._directory.get(viewer, ())
         pairs = [(self._sequence_values[owner], owner) for owner in owners]
         pairs.sort()
         return pairs
 
     def owners_granting(self, viewer: int) -> frozenset[int]:
         """Uids holding a policy about ``viewer`` (unsorted, no SVs)."""
-        return frozenset(self._owners_by_viewer.get(viewer, ()))
+        return frozenset(self._directory.get(viewer, ()))
 
     def viewers_of(self, owner: int) -> frozenset[int]:
         """Uids the owner has granted (possibly conditional) visibility."""
@@ -200,21 +252,34 @@ class PolicyStore:
         pairs with non-zero compatibility, so the policy encoder iterates
         them instead of the full N^2 pair space.
         """
-        seen: set[tuple[int, int]] = set()
-        for owner, viewer in self._policies:
-            pair = (owner, viewer) if owner < viewer else (viewer, owner)
-            if pair not in seen:
-                seen.add(pair)
-                yield pair
+        return ((u, v) for u, v, _, _ in self._related())
+
+    def _related(self) -> Iterator[tuple[int, int, tuple, tuple]]:
+        """``(u, v, u's policies about v, v's about u)`` per related pair.
+
+        An edge owner -> viewer yields its pair unless the reverse edge
+        exists and owns the pair (the edge whose owner is the smaller
+        uid does), so no pair repeats and none has to be remembered.
+        """
+        directory = self._directory
+        for viewer, row in directory.items():
+            for owner, policies in row.items():
+                reverse = directory.get(owner, {}).get(viewer, ())
+                if owner < viewer:
+                    yield owner, viewer, policies, reverse
+                elif not reverse:
+                    yield viewer, owner, reverse, policies
 
     def policy_count(self) -> int:
-        """Total number of (owner, viewer) policy edges."""
-        return len(self._policies)
+        """Total number of policy edges (owner, viewer, policy)."""
+        return sum(
+            len(policies) for row in self._directory.values() for policies in row.values()
+        )
+
+    def pair_count(self) -> int:
+        """Number of directed (owner, viewer) pairs holding policies."""
+        return sum(len(row) for row in self._directory.values())
 
     def all_users(self) -> frozenset[int]:
         """Every uid appearing as owner or viewer of some policy."""
-        users: set[int] = set()
-        for owner, viewer in self._policies:
-            users.add(owner)
-            users.add(viewer)
-        return frozenset(users)
+        return frozenset(self._directory) | frozenset(self._viewers_by_owner)

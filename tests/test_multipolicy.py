@@ -311,3 +311,17 @@ def test_base_store_pair_compatibility_matches_direct_call():
     via_store = store.pair_compatibility(1, 2, S)
     assert via_store.alpha == pytest.approx(direct.alpha)
     assert via_store.degree == pytest.approx(direct.degree)
+
+
+def test_rejected_multistore_add_policy_leaves_no_partial_state():
+    """The self check covers the whole member list before the first
+    write: the members ahead of the owner are not installed."""
+    from tests.test_policy_store import snapshot
+
+    store = make_store()
+    region = Rect(0, 100, 0, 100)
+    store.add_policy(policy(1, region, TimeInterval(0, 360)), [2])
+    before = snapshot(store), store.pair_count()
+    with pytest.raises(ValueError):
+        store.add_policy(policy(1, region, TimeInterval(0, 100)), [3, 4, 1])
+    assert (snapshot(store), store.pair_count()) == before

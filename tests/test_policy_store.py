@@ -3,6 +3,8 @@
 import pytest
 
 from repro.policy.lpp import LocationPrivacyPolicy
+from repro.policy.multistore import MultiPolicyStore
+from repro.policy.serialization import store_from_dict, store_to_dict
 from repro.policy.store import PolicyStore
 from repro.policy.timeset import TimeInterval
 from repro.spatial.geometry import Rect
@@ -109,3 +111,103 @@ def test_sequence_value_lookup():
     assert store.sequence_value(7) == 3.25
     with pytest.raises(KeyError):
         store.sequence_value(8)
+
+
+# ----------------------------------------------------------------------
+# A rejected call or payload leaves no state behind
+# ----------------------------------------------------------------------
+
+
+def snapshot(store, users=range(1, 9), roles=("friend", "family")):
+    """Everything the accessors say about the directory."""
+    store.set_sequence_values({uid: float(uid) for uid in users})
+    return {
+        "policy_count": store.policy_count(),
+        "owners_granting": {uid: store.owners_granting(uid) for uid in users},
+        "viewers_of": {uid: store.viewers_of(uid) for uid in users},
+        "friend_list": {uid: store.friend_list(uid) for uid in users},
+        "members": {
+            (uid, role): store.roles.members(uid, role)
+            for uid in users
+            for role in roles
+        },
+        "all_users": store.all_users(),
+        "payload": store_to_dict(store),
+    }
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        [3, 4, 1],  # the owner herself, after two valid members
+        [3, 2, 4],  # a pair the directory already holds, in the middle
+        [3, 4, 3],  # the same member twice in one call
+    ],
+    ids=["self", "held-pair", "repeated-member"],
+)
+def test_rejected_add_policy_leaves_no_partial_state(members):
+    store = PolicyStore()
+    store.add_policy(policy(1, role="family"), members=[2])
+    store.add_policy(policy(5), members=[1, 3])
+    before = snapshot(store)
+    with pytest.raises(ValueError):
+        store.add_policy(policy(1, role="friend"), members)
+    assert snapshot(store) == before
+
+
+def test_empty_member_list_installs_nothing():
+    store = PolicyStore()
+    store.add_policy(policy(1), members=[])
+    assert store.policy_count() == 0
+    assert store.all_users() == frozenset()
+    assert store.roles.roles_of(1) == []
+
+
+def valid_payload(kind="single"):
+    store = PolicyStore() if kind == "single" else MultiPolicyStore()
+    store.add_policy(policy(1), members=[2, 3])
+    store.add_policy(policy(2, role="family"), members=[1])
+    store.set_sequence_values({1: 2.0, 2: 2.5, 3: 2.75})
+    return store_to_dict(store)
+
+
+SELF_RECORD = [7, 7, "friend", 0, 10, 0, 10, [0, 100]]
+DUPLICATE_RECORD = [1, 2, "family", 0, 10, 0, 10, [0, 100]]
+
+
+@pytest.mark.parametrize(
+    "kind, corrupt",
+    [
+        ("single", lambda payload: payload["policies"].append(SELF_RECORD)),
+        ("multi", lambda payload: payload["policies"].append(SELF_RECORD)),
+        ("single", lambda payload: payload["policies"].append(DUPLICATE_RECORD)),
+        ("single", lambda payload: payload.update(store="triple")),
+        ("single", lambda payload: payload.update(version=2)),
+        ("single", lambda payload: payload.update(format="something-else")),
+    ],
+    ids=[
+        "self-policy",
+        "self-policy-multi",
+        "duplicate-pair",
+        "unknown-kind",
+        "wrong-version",
+        "wrong-format",
+    ],
+)
+def test_store_from_dict_rejects_a_bad_payload(kind, corrupt):
+    """A checkpointed payload cannot make a user her own friend, stack a
+    second policy on a single-policy pair, or load as a store this build
+    does not know."""
+    payload = valid_payload(kind)
+    assert store_from_dict(payload).policy_count() == 3
+    corrupt(payload)
+    with pytest.raises(ValueError):
+        store_from_dict(payload)
+
+
+def test_multi_payload_stacks_a_repeated_pair():
+    payload = valid_payload("multi")
+    payload["policies"].append(DUPLICATE_RECORD)
+    restored = store_from_dict(payload)
+    assert len(restored.policies_for(1, 2)) == 2
+    assert restored.pair_count() == 3 and restored.policy_count() == 4
