@@ -23,10 +23,9 @@ Two things to watch in the output:
   scheduler genuinely keeping several devices busy at once — it is
   1.0 by construction on the serial baseline;
 * the **seeks** and **seq ratio** columns count, per device, how many
-  accesses paid the positioning cost versus rode a sequential run —
-  the signal the adaptive prefetch policy feeds on: merged band scans
-  and leaf-ordered sweeps keep the ratio high, and the device profile
-  decides how much each avoided seek is worth.
+  accesses paid the positioning cost versus rode a sequential run:
+  merged band scans and leaf-ordered sweeps keep the ratio high, and
+  the device profile decides how much each avoided seek is worth.
 
 Every timed run's query results and final index contents are pinned
 identical to untimed single-tree execution inside ``run_overlap`` —

@@ -396,10 +396,6 @@ class ServiceCosts(CounterSet):
         stats: the run's :class:`repro.service.ServiceStats`.
         pinned: True when the direct-replay equivalence check ran (and
             passed — a mismatch raises instead of reporting).
-        prefetch: the engine's prefetch policy mode for the run
-            (``auto`` / ``merge`` / ``exact``; None = legacy merge).
-        policy_state: the policy's final decision snapshot (mode, arm
-            scores, stratum counts) when a policy ran; None otherwise.
     """
 
     rate_per_sec: float
@@ -411,8 +407,6 @@ class ServiceCosts(CounterSet):
     n_requests: int
     stats: ServiceStats
     pinned: bool
-    prefetch: str | None = None
-    policy_state: dict | None = None
 
     @property
     def p99_us(self) -> float:
@@ -606,7 +600,6 @@ class ExperimentHarness:
         self,
         n_queries: int | None = None,
         window_side: float | None = None,
-        prefetch: str | None = None,
         trace_recorder=None,
     ) -> BatchQueryCosts:
         """Measure one PRQ workload one-at-a-time vs batch-executed.
@@ -621,11 +614,6 @@ class ExperimentHarness:
         cache warming to batching.  Result sets are asserted identical
         — the batch path is an I/O optimization, never an
         approximation.
-
-        ``prefetch`` selects the batch engine's prefetch-policy mode
-        (``"auto"`` / ``"merge"`` / ``"exact"``; None = legacy merge);
-        the sequential reference never prefetches, so the identity
-        assertion doubles as the policy's safety check.
         """
         count = n_queries if n_queries is not None else self.config.n_queries
         if count < 1:
@@ -654,9 +642,7 @@ class ExperimentHarness:
             attach_recorder(self.peb_tree, trace_recorder)
         started = time.perf_counter()
         try:
-            report = QueryEngine(
-                self.peb_tree, prefetch_policy=prefetch
-            ).execute_batch(specs)
+            report = QueryEngine(self.peb_tree).execute_batch(specs)
         finally:
             if trace_recorder is not None:
                 self.peb_tree.trace_recorder = None
@@ -668,7 +654,7 @@ class ExperimentHarness:
             trace_recorder.metadata("metrics", registry.snapshot())
             trace_recorder.metadata(
                 "run_config",
-                {"verb": "batch-query", "n_queries": count, "prefetch": prefetch},
+                {"verb": "batch-query", "n_queries": count},
             )
 
         for spec, single, batched in zip(specs, sequential, report.results):
@@ -1143,7 +1129,6 @@ class ExperimentHarness:
         breaker_policy=None,
         shed_after_us: float | None = None,
         arm_faults=None,
-        prefetch: str | None = None,
         trace_recorder=None,
     ) -> ServiceCosts:
         """Serve one open-loop request stream and report sojourn SLOs.
@@ -1179,12 +1164,6 @@ class ExperimentHarness:
         returns a callable, that is invoked after the run and before
         the pin's audit scan (heal the disks there so the audit reads
         clean).
-
-        ``prefetch`` selects the engine's band-prefetch policy mode
-        (``"auto"`` / ``"merge"`` / ``"exact"``; None keeps the legacy
-        unconditional merge).  The pin replays on a policy-free
-        reference engine, so a passing pinned run *is* the proof that
-        the policy changed only I/O, never results.
 
         ``trace_recorder`` (a :class:`repro.obs.trace.TraceRecorder`)
         attaches to the freshly built deployment before the run:
@@ -1252,7 +1231,7 @@ class ExperimentHarness:
             max_wait_us=max_wait_us,
             shed_after_us=shed_after_us,
         )
-        engine = ShardedQueryEngine(deployment, prefetch_policy=prefetch)
+        engine = ShardedQueryEngine(deployment)
         pipeline = UpdatePipeline(deployment, capacity=batch_size)
         service = SimulatedService(engine, pipeline, admission)
         disarm = arm_faults(deployment) if arm_faults is not None else None
@@ -1288,7 +1267,6 @@ class ExperimentHarness:
                     "update_fraction": update_fraction,
                     "knn_fraction": knn_fraction,
                     "policy": policy,
-                    "prefetch": prefetch,
                     "workload_seed": workload_seed,
                 },
             )
@@ -1340,12 +1318,6 @@ class ExperimentHarness:
             n_requests=n_requests,
             stats=report.stats,
             pinned=pin,
-            prefetch=prefetch,
-            policy_state=(
-                engine.prefetch_policy.snapshot()
-                if engine.prefetch_policy is not None
-                else None
-            ),
         )
 
     # ------------------------------------------------------------------

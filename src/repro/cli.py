@@ -120,15 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         "from --shards, default 4)",
     )
     batch.add_argument(
-        "--prefetch",
-        choices=("auto", "merge", "exact"),
-        default=None,
-        help="band prefetch policy for the batched phase: merge "
-        "(unconditional, the default behavior), exact (no prefetch), "
-        "or auto (cost-model + feedback driven); results are identical "
-        "under every setting",
-    )
-    batch.add_argument(
         "--trace",
         default=None,
         metavar="OUT.json",
@@ -208,14 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="pin",
         action="store_false",
         help="skip the direct-replay equivalence check (faster sweeps)",
-    )
-    serve.add_argument(
-        "--prefetch",
-        choices=("auto", "merge", "exact"),
-        default=None,
-        help="band prefetch policy of the serving engine (auto adapts "
-        "per stratum and batch from cost-model + latency feedback; "
-        "results are identical under every setting)",
     )
     serve.add_argument(
         "--trace",
@@ -398,15 +381,12 @@ def run_batch_query(args) -> int:
         from repro.obs import TraceRecorder
 
         recorder = TraceRecorder()
-    costs = harness.run_batched_prq(
-        prefetch=args.prefetch, trace_recorder=recorder
-    )
+    costs = harness.run_batched_prq(trace_recorder=recorder)
 
-    policy_note = f", prefetch={args.prefetch}" if args.prefetch else ""
     table = SeriesTable(
         f"Cross-query band-scan batching ({costs.n_queries} PRQs, "
         f"window {config.window_side:.0f}, {config.buffer_pages}-page "
-        f"buffer{policy_note})",
+        "buffer)",
         ["metric", "one-at-a-time", "batched"],
     )
     table.add_row(
@@ -552,11 +532,10 @@ def run_serve_sim(args) -> int:
     )
     harness = ExperimentHarness(config)
 
-    policy_note = f", prefetch={args.prefetch}" if args.prefetch else ""
     table = SeriesTable(
         f"Open-loop service ({args.arrival} arrivals, {args.requests} requests"
         f"/point, B={args.max_batch}, T={args.max_wait_us:.0f}us, "
-        f"{args.shards} shards, {args.latency}{policy_note})",
+        f"{args.shards} shards, {args.latency})",
         [
             "rate (req/s)",
             "throughput (req/s)",
@@ -587,7 +566,6 @@ def run_serve_sim(args) -> int:
             latency=args.latency,
             update_fraction=args.update_fraction,
             pin=args.pin,
-            prefetch=args.prefetch,
             trace_recorder=recorder if trace_this else None,
         )
         stats = costs.stats

@@ -106,102 +106,3 @@ def _validate(n_policies: int, theta: float, n_leaves: int) -> None:
         raise ValueError(f"theta must be in [0, 1], got {theta}")
     if n_leaves < 1:
         raise ValueError(f"n_leaves must be positive, got {n_leaves}")
-
-
-@dataclass(frozen=True)
-class BandScanCostModel:
-    """Merge-vs-exact band-scan pricing (the Section 6 model, per scan).
-
-    Equation 7 prices a whole query; the adaptive prefetch layer needs
-    the *marginal* trade-off underneath it: a merged prefetch pays one
-    positioning cost per contiguous coverage run and then transfers
-    every page under the coverage — dead pages included — while exact
-    band scans pay one positioning cost per requested band but transfer
-    only requested pages.  The crossover is governed by the device's
-    seek/transfer ratio (huge on hdd, small on nvme) and by how much of
-    the merged coverage the queries actually consume.
-
-    Costs are in virtual microseconds so they are directly comparable
-    to :class:`repro.simio.model.DeviceProfile` pricing; on untimed
-    storage the *ratios* still order the alternatives correctly.
-
-    Attributes:
-        seek_us: positioning cost paid before each non-sequential scan.
-        read_us: per-page transfer cost once positioned.
-        entries_per_page: expected index entries per leaf page — the
-            unit converter between entry counts (what the scanner
-            observes) and page counts (what the device charges).
-    """
-
-    seek_us: float = 60.0
-    read_us: float = 10.0
-    entries_per_page: float = 16.0
-
-    def __post_init__(self):
-        if self.seek_us < 0:
-            raise ValueError(f"seek_us must be >= 0, got {self.seek_us}")
-        if self.read_us <= 0:
-            raise ValueError(f"read_us must be positive, got {self.read_us}")
-        if self.entries_per_page <= 0:
-            raise ValueError(
-                f"entries_per_page must be positive, got {self.entries_per_page}"
-            )
-
-    @classmethod
-    def from_device(
-        cls, profile, entries_per_page: float = 16.0
-    ) -> "BandScanCostModel":
-        """Derive pricing from a :class:`DeviceProfile`-shaped object."""
-        return cls(
-            seek_us=profile.seek_us,
-            read_us=profile.read_us,
-            entries_per_page=entries_per_page,
-        )
-
-    def pages(self, entries: float) -> float:
-        """Expected page transfers for ``entries`` scanned entries."""
-        if entries <= 0:
-            return 0.0
-        return max(1.0, entries / self.entries_per_page)
-
-    def scan_cost_us(self, entries: float, runs: float = 1.0) -> float:
-        """Cost of scanning ``entries`` entries in ``runs`` contiguous runs.
-
-        Each run pays one seek; transfers are per page, with at least
-        one page per non-empty run (a run exists because something in
-        it was requested).  ``runs`` may be fractional — an *expected*
-        scan count, e.g. a stratum requested in half its observed
-        batches prices half a seek.
-        """
-        if runs < 0:
-            raise ValueError(f"runs must be >= 0, got {runs}")
-        if runs == 0 or entries <= 0:
-            return 0.0
-        return runs * self.seek_us + max(float(runs), self.pages(entries)) * self.read_us
-
-    def gap_entry_budget(self) -> float:
-        """Dead entries worth transferring through to save one seek.
-
-        Coalescing two coverage runs scans the gap between them
-        sequentially instead of re-positioning: profitable while the
-        gap's page transfers cost less than the seek they replace.
-        """
-        return (self.seek_us / self.read_us) * self.entries_per_page
-
-    def prefer_merge(
-        self,
-        merged_entries: float,
-        merged_runs: float,
-        exact_entries: float,
-        exact_scans: float,
-    ) -> bool:
-        """True when the merged prefetch prices at or below exact scans.
-
-        ``merged_entries``/``merged_runs`` describe the prefetched
-        coverage (dead entries included); ``exact_entries`` /
-        ``exact_scans`` the expected on-demand alternative (requested
-        entries only, one positioning per distinct band).
-        """
-        return self.scan_cost_us(merged_entries, merged_runs) <= self.scan_cost_us(
-            exact_entries, exact_scans
-        )

@@ -90,6 +90,20 @@ def _distance_of(candidate: tuple[float, MovingObject]) -> float:
     return candidate[0]
 
 
+def check_knn_arguments(k: int, qx: float, qy: float, t_query: float) -> None:
+    """Refuse a kNN query no search can answer, naming the field.
+
+    A finite query point outside the space is not refused: Definition 3
+    has no "inside the grid" clause, and clients ask from predicted
+    positions, which leave the space.
+    """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    for name, value in (("qx", qx), ("qy", qy), ("t_query", t_query)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 #: One live partition's share of a cell: ``(context index, tid, Z pieces
 #: in ascending order, hull lo, hull hi)``.
 _Partition = tuple[int, int, list[ZInterval], int, int]
@@ -118,8 +132,7 @@ class _MatrixSearch:
         planner: QueryPlanner | None = None,
         scanner: BandScanner | None = None,
     ):
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
+        check_knn_arguments(k, qx, qy, t_query)
         self.tree = tree
         self.scanner = scanner if scanner is not None else BandScanner(tree)
         self.planner = planner if planner is not None else QueryPlanner(tree)
@@ -140,9 +153,12 @@ class _MatrixSearch:
         # first-round bands are exactly the ones round one requests.
         # (k <= 0 short-circuits in run() before the step is used.)
         self.rq = self.planner.knn_step(k) if k > 0 else tree.grid.cell_size
-        self.max_rounds = math.ceil(
-            tree.grid.space_side * math.sqrt(2.0) / self.rq
-        ) + 1
+        # The walk ends once a round's square holds the whole space:
+        # the space's diagonal, plus how far outside it the query point
+        # lies (0 inside, so an in-space search keeps its bound).
+        grid = tree.grid
+        reach = grid.space_side * math.sqrt(2.0) + grid.bounds.min_distance(qx, qy)
+        self.max_rounds = math.ceil(reach / self.rq) + 1
         # Per round, the square's Z window under each partition's
         # enlargement.  Rounds never exceed max_rounds (enforced by
         # _cell_order) and contexts is the fixed live-partition list, so
@@ -378,6 +394,8 @@ def pknn(
     ``order`` selects the search-matrix traversal: the paper's
     ``"triangular"`` (Figure 9) or the naive ``"column"`` sweep kept for
     the ablation benchmark.  ``k = 0`` is the empty answer; a negative
-    ``k`` raises :class:`ValueError` before anything is planned or read.
+    ``k`` or a non-finite ``qx``/``qy``/``t_query`` raises
+    :class:`ValueError` before anything is planned or read.  A finite
+    query point outside the space is answered like any other.
     """
     return _MatrixSearch(tree, q_uid, qx, qy, k, t_query).run(order)

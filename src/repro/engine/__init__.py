@@ -16,10 +16,7 @@ pipeline exactly once, in four layers (plus the write-path twin):
    the keys the touched leaves showed around them, with their rows) so
    later requests inside a proof never reach the tree — whether the
    proof came from a batch prefetch that merged overlapping requests
-   across issuers or from an earlier on-demand scan;
-   :mod:`repro.engine.policy` supplies the optional **prefetch policy**
-   that decides per stratum whether merging pays under the active
-   device profile, tuned online by executor and service feedback.
+   across issuers or from an earlier on-demand scan.
 3. :mod:`repro.engine.executor` — the **executor**: drives plans in the
    paper's iteration order, and batches many concurrent query specs so
    one physical scan serves every query that needs it, returning
@@ -51,7 +48,6 @@ from repro.engine.plan import (
     QueryPlan,
     QueryPlanner,
 )
-from repro.engine.policy import PrefetchPolicy, StratumOutcome
 from repro.engine.scanner import BandScanner
 from repro.engine.updater import UpdateBuffer, UpdatePipeline, UpdateStats
 from repro.engine.verify import CandidateVerifier
@@ -64,12 +60,10 @@ __all__ = [
     "ExecutionStats",
     "PartitionContext",
     "PlannedBand",
-    "PrefetchPolicy",
     "QueryPlan",
     "QueryPlanner",
     "QueryEngine",
     "RangeExecution",
-    "StratumOutcome",
     "UpdateBuffer",
     "UpdatePipeline",
     "UpdateStats",

@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.counters import CounterSet, counter, derived, nested
 from repro.engine.plan import QueryPlan, QueryPlanner
-from repro.engine.policy import PrefetchPolicy
 from repro.engine.scanner import BandScanner
 from repro.engine.verify import CandidateVerifier
 from repro.spatial.geometry import Rect
@@ -85,7 +84,7 @@ class ExecutionStats(CounterSet, prefix="engine."):
         entries_prefetched: index entries transferred by batch prefetch
             scans (0 when prefetching was off or skipped).
         dead_entries: prefetched entries outside every band actually
-            requested during replay — the merge policy's over-scan,
+            requested during replay — the merged prefetch's over-scan,
             measurable even on untimed storage.
         memo_evictions: bands dropped from the scanner's exact-identity
             memo by its LRU entry bound (0 unless a batch outgrew it).
@@ -168,21 +167,10 @@ class QueryEngine:
 
     Args:
         tree: the index to query.
-        prefetch_policy: how batch execution prefetches merged bands —
-            a :class:`PrefetchPolicy`, a mode string (``"auto"`` /
-            ``"merge"`` / ``"exact"``, priced for this tree's device
-            via :meth:`PrefetchPolicy.for_tree`), or None for the
-            legacy unconditional merge.  Results are identical under
-            every setting; only I/O and virtual-time counters differ.
     """
 
-    def __init__(
-        self,
-        tree: "PEBTree",
-        prefetch_policy: "PrefetchPolicy | str | None" = None,
-    ):
+    def __init__(self, tree: "PEBTree"):
         self.tree = tree
-        self.prefetch_policy = PrefetchPolicy.coerce(prefetch_policy, tree)
         self.planner = QueryPlanner(tree)
 
     # ------------------------------------------------------------------
@@ -304,11 +292,12 @@ class QueryEngine:
         run adaptively against the same shared scanner.
 
         A spec of an unsupported type, or a kNN spec with a negative
-        ``k``, raises before anything is scanned or counted.
+        ``k`` or a non-finite ``qx``/``qy``/``t_query``, raises before
+        anything is scanned or counted.
         """
         # Imported here: repro.core.{prq,pknn} are adapters over this
         # module, so importing them at module scope would cycle.
-        from repro.core.pknn import _MatrixSearch
+        from repro.core.pknn import _MatrixSearch, check_knn_arguments
         from repro.core.prq import prq_from_plan
 
         plans: list[QueryPlan | None] = []
@@ -317,8 +306,7 @@ class QueryEngine:
             if isinstance(spec, RangeQuerySpec):
                 plans.append(self.planner.plan_range(spec.q_uid, spec.window, spec.t_query))
             elif isinstance(spec, KnnQuerySpec):
-                if spec.k < 0:
-                    raise ValueError(f"k must be >= 0, got {spec.k} in {spec!r}")
+                check_knn_arguments(spec.k, spec.qx, spec.qy, spec.t_query)
                 plans.append(None)
                 if prefetch and spec.k > 0:
                     probe_bands.extend(
@@ -333,20 +321,19 @@ class QueryEngine:
                 )
 
         scanner = self._batch_scanner()
-        policy = self.prefetch_policy
-        if policy is not None:
-            n_knn = sum(1 for plan in plans if plan is None)
-            policy.begin_batch(len(plans) - n_knn, n_knn)
         clock = getattr(self.tree, "sim_clock", None)
         before = self._batch_progress(scanner)
         recorder = getattr(self.tree, "trace_recorder", None)
         tracing = recorder is not None and recorder.enabled
         if prefetch:
-            def firm_bands():
+            def batch_bands():
+                # Range plans first, kNN probes after: strata keep
+                # their first-appearance order in the sweep.
                 for plan in plans:
                     if plan is not None:
                         for planned in plan.bands:
                             yield planned.band
+                yield from probe_bands
 
             if tracing:
                 t_scan0 = clock.cursor() if clock is not None else 0.0
@@ -360,7 +347,7 @@ class QueryEngine:
                         "knn_probe_bands": len(probe_bands),
                     },
                 )
-            scanner.prefetch(firm_bands(), speculative=probe_bands)
+            scanner.prefetch(batch_bands())
             if tracing:
                 recorder.span(
                     "engine/scan",
@@ -417,16 +404,6 @@ class QueryEngine:
         report.stats.entries_prefetched = scanner.entries_prefetched
         report.stats.dead_entries = scanner.dead_entries
         report.stats.memo_evictions = scanner.memo_evictions
-        if policy is not None:
-            # The finalized per-stratum outcomes are policy feedback
-            # only; nothing else pays for building them.
-            policy.observe_batch(
-                scanner.policy_outcomes(),
-                physical_reads=report.stats.physical_reads,
-                virtual_time_us=report.stats.virtual_time_us,
-                n_requests=len(specs),
-                seeks=report.stats.seeks,
-            )
         return report
 
     def _batch_scanner(self):
@@ -438,7 +415,7 @@ class QueryEngine:
         identical, which is what keeps sharded results pinned to the
         single-tree path.
         """
-        return BandScanner(self.tree, policy=self.prefetch_policy)
+        return BandScanner(self.tree)
 
     def _progress(self, scanner) -> ExecutionStats:
         """The cumulative counters an execution is measured between.

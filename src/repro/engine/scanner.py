@@ -19,13 +19,7 @@ from what it already knows before it goes to the tree:
    cross-query sharing that makes batch execution cheap) — all of them
    in one call into the tree, ``scan_bands_rows``, whose results it
    makes resident one by one as the sweep yields them; on-demand
-   scans add what they prove as replay goes.  When a
-   :class:`~repro.engine.policy.PrefetchPolicy` is attached, it decides
-   per stratum whether that merge happens at all, which intervals join
-   it (speculative kNN probes are segregated from firm plan bands), and
-   whether coverage runs are coalesced across gaps — residency always
-   serves by exact bisection of rows the tree returned, so the policy
-   can only move I/O counters, never results.
+   scans add what they prove as replay goes.
 2. **Memo** — an exact-identity cache for the bands residency cannot
    serve: multi-SV spans (the Figure 7 ablation) and every band of the
    ZV-first ablation layout, where a stratum is not key-contiguous and
@@ -56,16 +50,11 @@ compare against is test equipment (``tests/reference_scan.py``, a
 subclass that decodes entry by entry and forgets what a scan proved
 beyond the interval it was asked).
 
-Each residency carries its stratum's accounting as raw tallies: how
-much the stratum prefetched, which intervals the replayed queries
-actually requested, how many on-demand scans reached the tree.  The
-executor reads the batch totals off them
-(:class:`~repro.engine.executor.ExecutionStats`, with
+Each residency keeps the intervals the replayed queries actually
+requested of its stratum; the executor reads the batch's over-scan off
+them (:class:`~repro.engine.executor.ExecutionStats`, with
 :attr:`BandScanner.dead_entries` — transferred entries outside every
-requested interval); the per-stratum
-:class:`~repro.engine.policy.StratumOutcome` objects are built only
-when a policy asks for its feedback
-(:meth:`BandScanner.stratum_outcomes`).
+requested interval).
 
 A residency also answers one question without serving anything:
 :meth:`StratumResidency.quiet_around` — how far around a point its
@@ -84,13 +73,11 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Iterable
 
 from repro.engine.plan import BandRequest
-from repro.engine.policy import StratumOutcome
 from repro.motion.rows import BandRows
 from repro.spatial.decompose import ZInterval, merge_intervals
 
 if TYPE_CHECKING:
     from repro.core.peb_tree import PEBTree
-    from repro.engine.policy import PrefetchPolicy
 
 #: Default bound on the exact-identity memo, in stored entries.  Large
 #: enough that no in-repo workload evicts (the pins stay exact-cost),
@@ -137,10 +124,6 @@ class StratumResidency:
     hold the residency itself and call :meth:`serve` directly; a hit
     is accounted exactly as a :meth:`BandScanner.scan` hit would be.
 
-    The stratum's accounting is kept as raw tallies — nobody reads it
-    unless a policy asks for feedback — and :attr:`outcome` derives the
-    :class:`~repro.engine.policy.StratumOutcome` from them on demand.
-
     Attributes:
         tid, sv_q: the stratum.
         rows: the resident rows in key order.  Never mutated: a new
@@ -148,11 +131,6 @@ class StratumResidency:
         requested: every Z-interval put to the stratum, in request
             order — ``scan()`` calls and direct :meth:`serve` hits, not
             the pieces counted by :meth:`count_quiet`.
-        coverage_runs, coverage_zv, prefetched_entries: what prefetch
-            scanned here — runs, their total ZV width, entries brought.
-        demand_scans, observed_entries, observed_zv: the on-demand
-            scans that reached the tree — how many, the entries they
-            returned, the ZV width they asked for.
     """
 
     __slots__ = (
@@ -160,12 +138,6 @@ class StratumResidency:
         "sv_q",
         "rows",
         "requested",
-        "coverage_runs",
-        "coverage_zv",
-        "prefetched_entries",
-        "demand_scans",
-        "observed_entries",
-        "observed_zv",
         "_tally",
         "_edges",
     )
@@ -175,44 +147,11 @@ class StratumResidency:
         self.sv_q = sv_q
         self.rows = NO_ROWS
         self.requested: list[ZInterval] = []
-        self.coverage_runs = 0
-        self.coverage_zv = 0
-        self.prefetched_entries = 0
-        self.demand_scans = 0
-        self.observed_entries = 0
-        self.observed_zv = 0
         self._tally = tally
         # The proven intervals as one ascending list of half-open edges
         # [lo0, hi0 + 1, lo1, hi1 + 1, ...]: z is proven iff an odd
         # number of edges lie at or below it.
         self._edges: list[int] = []
-
-    @property
-    def outcome(self) -> StratumOutcome:
-        """The stratum's accounting as policy feedback reads it.
-
-        Built from the raw tallies at the moment of asking: the request
-        and distinct-band counts, the width of the requested union, and
-        how many resident entries fell outside every requested interval
-        (:attr:`StratumOutcome.dead_entries`).
-        """
-        requested = self.requested
-        merged = self._requested_union()
-        return StratumOutcome(
-            self.tid,
-            self.sv_q,
-            requests=len(requested),
-            unique_bands=len(set(requested)),
-            requested_zv=sum(hi - lo + 1 for lo, hi in merged),
-            coverage_runs=self.coverage_runs,
-            coverage_zv=self.coverage_zv,
-            prefetched_entries=self.prefetched_entries,
-            dead_entries=self.dead_entries(merged),
-            demand_scans=self.demand_scans,
-            observed_entries=self.observed_entries,
-            observed_zv=self.observed_zv,
-            requested=requested,
-        )
 
     def serve(self, z_lo: int, z_hi: int) -> "BandRows | None":
         """Rows of ``[z_lo, z_hi]`` if a proof covers it, else None.
@@ -280,29 +219,21 @@ class StratumResidency:
         tally.requests += pieces
         tally.residency_hits += pieces
 
-    def dead_entries(self, requested: "list[ZInterval] | None" = None) -> int:
+    def dead_entries(self) -> int:
         """Resident rows outside every requested interval.
 
         On-demand scans only bring in rows of the band they were asked
-        for, so the dead ones are all prefetch over-scan.  ``requested``
-        is the merged union of :attr:`requested`, for a caller that
-        already has it.
+        for, so the dead ones are all prefetch over-scan.
         """
         zvs = self.rows.zvs
         if not zvs:
             return 0
-        if requested is None:
-            requested = self._requested_union()
+        requested = self.requested
+        if len(requested) > 1:  # the rule: one band per stratum and batch
+            requested = merge_intervals(sorted(requested))
         return len(zvs) - sum(
             bisect_right(zvs, hi) - bisect_left(zvs, lo) for lo, hi in requested
         )
-
-    def _requested_union(self) -> list[ZInterval]:
-        """:attr:`requested` as disjoint ascending intervals."""
-        requested = self.requested
-        if len(requested) < 2:  # the rule: one band per stratum and batch
-            return requested
-        return merge_intervals(sorted(requested))
 
     def _add(self, z_lo: int, z_hi: int, rows: BandRows) -> None:
         """Record what a scan of ``[z_lo, z_hi]`` that returned ``rows`` proved.
@@ -344,14 +275,8 @@ class BandScanner:
 
     Args:
         tree: the index to scan.
-        policy: optional :class:`PrefetchPolicy` consulted per stratum
-            during :meth:`prefetch`; None keeps the unconditional-merge
-            behavior.
         memo_entries: LRU bound on the exact-identity memo, counted in
             stored entries (not bands).
-        scope: opaque id namespacing this scanner's strata in policy
-            state — the sharded engine gives each per-shard scanner its
-            shard index, so concurrent shards never share a stratum key.
 
     Attributes:
         requests: band requests answered — :meth:`scan` calls plus
@@ -369,14 +294,10 @@ class BandScanner:
     def __init__(
         self,
         tree: "PEBTree",
-        policy: "PrefetchPolicy | None" = None,
         memo_entries: int = DEFAULT_MEMO_ENTRIES,
-        scope: int = 0,
     ):
         self.tree = tree
-        self.policy = policy
         self.memo_entries = memo_entries
-        self.scope = scope
         self.physical_scans = 0
         self.scan_calls = 0
         self.memo_hits = 0
@@ -442,16 +363,9 @@ class BandScanner:
         resident.requested.append((z_lo, z_hi))
         rows = self._physical_scan(tid, sv_q, sv_q, z_lo, z_hi)
         resident._add(z_lo, z_hi, rows)
-        resident.demand_scans += 1
-        resident.observed_entries += len(rows)
-        resident.observed_zv += z_hi - z_lo + 1
         return rows
 
-    def prefetch(
-        self,
-        bands: Iterable[BandRequest],
-        speculative: Iterable[BandRequest] = (),
-    ) -> None:
+    def prefetch(self, bands: Iterable[BandRequest]) -> None:
         """Scan the merged union of many plans' bands once, up front.
 
         Single-SV bands are grouped by ``(tid, sv_q)`` and their
@@ -469,34 +383,24 @@ class BandScanner:
         as they would in that loop.
 
         Args:
-            bands: firm band requests — static range plans whose bands
-                are known to be (an upper bound on) what replay asks.
-            speculative: probe hints (the kNN first-round squares) that
-                replay may never request.  Without a policy they join
-                the merge unconditionally, preserving the legacy
-                behavior; with one, the policy decides per stratum.
+            bands: the batch's band requests — the static range plans'
+                bands (an upper bound on what replay asks) and the kNN
+                first-round probe squares, which replay may never
+                request.
         """
         if not self._sv_major:
             return
-        # stratum -> (firm intervals, speculative intervals)
-        grouped: dict[tuple[int, int], tuple[list[ZInterval], list[ZInterval]]] = {}
-        for kind, requests in enumerate((bands, speculative)):
-            for tid, sv_q, sv_hi_q, z_lo, z_hi in requests:
-                if sv_q == sv_hi_q:
-                    group = grouped.get((tid, sv_q))
-                    if group is None:
-                        group = grouped[(tid, sv_q)] = ([], [])
-                    group[kind].append((z_lo, z_hi))
+        grouped: dict[tuple[int, int], list[ZInterval]] = {}
+        for tid, sv_q, sv_hi_q, z_lo, z_hi in bands:
+            if sv_q == sv_hi_q:
+                intervals = grouped.get((tid, sv_q))
+                if intervals is None:
+                    intervals = grouped[(tid, sv_q)] = []
+                intervals.append((z_lo, z_hi))
         strata: list[tuple[int, int, list[ZInterval]]] = []
-        for (tid, sv_q), (firm, spec) in grouped.items():
-            if self.policy is not None:
-                coverage = self.policy.decide(self.scope, tid, sv_q, firm, spec)
-                if coverage is None:
-                    continue
-            else:
-                coverage = firm + spec if spec else firm
-                if len(coverage) > 1:
-                    coverage = merge_intervals(sorted(coverage))
+        for (tid, sv_q), coverage in grouped.items():
+            if len(coverage) > 1:
+                coverage = merge_intervals(sorted(coverage))
             strata.append((tid, sv_q, coverage))
         runs = [
             (tid, sv_q, z_lo, z_hi)
@@ -511,45 +415,17 @@ class BandScanner:
         # retry of the job starts from.
         for tid, sv_q, coverage in strata:
             resident = self.residency(tid, sv_q)
-            prefetched = width = 0
+            prefetched = 0
             for z_lo, z_hi in coverage:
                 self.physical_scans += 1
                 rows = next(scans)
                 resident._add(z_lo, z_hi, rows)
                 prefetched += len(rows)
-                width += z_hi - z_lo + 1
             self.entries_prefetched += prefetched
-            resident.coverage_runs += len(coverage)
-            resident.coverage_zv += width
-            resident.prefetched_entries += prefetched
 
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-
-    def stratum_outcomes(self) -> dict[tuple[int, int], StratumOutcome]:
-        """Per-stratum accounting for this scanner's lifetime so far.
-
-        One :attr:`StratumResidency.outcome` per stratum the scanner
-        keeps a residency for.  Only policy feedback needs this much;
-        the batch total alone is :attr:`dead_entries`.  Call after the
-        batch's replay loop.
-        """
-        return {key: resident.outcome for key, resident in self._residency.items()}
-
-    def policy_outcomes(
-        self,
-    ) -> dict[tuple[int, int, int], StratumOutcome]:
-        """Finalized outcomes keyed for policy feedback: (scope, tid, sv_q).
-
-        The scatter/gather scanner exposes the same method aggregating
-        its per-shard scanners, so the executor feeds the policy one
-        uniform dict whatever the deployment shape.
-        """
-        return {
-            (self.scope, tid, sv_q): outcome
-            for (tid, sv_q), outcome in self.stratum_outcomes().items()
-        }
 
     @property
     def dead_entries(self) -> int:

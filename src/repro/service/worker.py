@@ -40,7 +40,6 @@ from repro.obs.trace import NULL_RECORDER, record_exemplars
 from repro.service.queue import BatchPolicy, DispatchedBatch, RequestQueue
 from repro.service.stats import ServiceStats, build_stats
 from repro.service.requests import ServiceRequest
-from repro.workloads.queries import KnnQuerySpec
 
 if TYPE_CHECKING:
     from repro.motion.objects import MovingObject
@@ -329,19 +328,10 @@ class SimulatedService:
             )
 
     def _serve(self, batch: DispatchedBatch, base: float) -> BatchOutcome:
-        """Apply one batch — updates first, then queries — and time it.
-
-        When the engine carries a prefetch policy, the batch's
-        service-level signal (time and physical reads per request,
-        update work included) is fed back after serving — the same
-        per-class quantity the SLO bench gates, closing the adaptive
-        loop at the layer users experience.
-        """
+        """Apply one batch — updates first, then queries — and time it."""
         clock = self.clock
         if clock is not None:
             clock.set_cursor(base + batch.dispatch_us)
-        stats = self.engine.tree.stats
-        reads_before = stats.physical_reads
 
         outcome = BatchOutcome(
             requests=list(batch.requests),
@@ -370,16 +360,6 @@ class SimulatedService:
 
         if clock is not None:
             outcome.finish_us = clock.cursor() - base
-        policy = getattr(self.engine, "prefetch_policy", None)
-        if policy is not None and query_specs:
-            n_knn = sum(1 for spec in query_specs if isinstance(spec, KnnQuerySpec))
-            policy.observe_service(
-                n_range=len(query_specs) - n_knn,
-                n_knn=n_knn,
-                n_updates=outcome.n_updates,
-                service_us=outcome.finish_us - outcome.dispatch_us,
-                physical_reads=stats.physical_reads - reads_before,
-            )
         return outcome
 
 

@@ -75,21 +75,11 @@ class ShardScatterScanner:
     sub-bands are dropped with accounting instead of failing the query.
     """
 
-    def __init__(
-        self,
-        sharded: ShardedPEBTree,
-        policy=None,
-    ):
+    def __init__(self, sharded: ShardedPEBTree):
         self.tree = sharded
         self.scheduler = sharded.io
         self.supervisor = getattr(sharded, "supervisor", None)
-        # Each per-shard scanner gets its shard index as the policy
-        # scope: concurrent prefetch jobs then touch disjoint stratum
-        # keys, so the shared policy's feedback never mixes shards.
-        self.scanners = [
-            BandScanner(tree, policy=policy, scope=i)
-            for i, tree in enumerate(sharded.trees)
-        ]
+        self.scanners = [BandScanner(tree) for tree in sharded.trees]
         self.scan_calls = 0
         self.dropped_subbands = 0
         self.shard_ends: dict[int, float] = {}
@@ -133,17 +123,6 @@ class ShardScatterScanner:
     @property
     def dead_entries(self) -> int:
         return sum(scanner.dead_entries for scanner in self.scanners)
-
-    def policy_outcomes(self) -> dict:
-        """Per-stratum accounting across every shard scanner.
-
-        Keys are ``(shard, tid, sv_q)`` — the per-shard scanners carry
-        their shard index as scope, so the merged dict never collides.
-        """
-        merged: dict = {}
-        for scanner in self.scanners:
-            merged.update(scanner.policy_outcomes())
-        return merged
 
     # ------------------------------------------------------------------
     # Scanning
@@ -203,17 +182,12 @@ class ShardScatterScanner:
         self.dropped_subbands += 1
         self.supervisor.note_dropped_band()
 
-    def prefetch(
-        self,
-        bands: Iterable[BandRequest],
-        speculative: Iterable[BandRequest] = (),
-    ) -> None:
+    def prefetch(self, bands: Iterable[BandRequest]) -> None:
         """Scatter the batch's merged bands; prefetch each shard once.
 
         Per-shard prefetching inherits all of
         :meth:`BandScanner.prefetch`'s semantics (single-SV grouping,
-        interval merging, the SV-major layout guard, the firm vs
-        speculative split the attached policy arbitrates).  The shard
+        interval merging, the SV-major layout guard).  The shard
         jobs run through the scheduler: they touch disjoint trees,
         pools, and counters, so the resulting stores and I/O counts are
         identical with or without virtual overlap.  On a timed
@@ -221,17 +195,10 @@ class ShardScatterScanner:
         :attr:`shard_ends` for the engine's verify pipelining.
         """
         per_shard: dict[int, list[BandRequest]] = {}
-        spec_shard: dict[int, list[BandRequest]] = {}
         for band in bands:
             for shard, sub in self._split(band):
                 per_shard.setdefault(shard, []).append(sub)
-        for band in speculative:
-            for shard, sub in self._split(band):
-                spec_shard.setdefault(shard, []).append(sub)
-        jobs = sorted(
-            (shard, per_shard.get(shard, []), spec_shard.get(shard, []))
-            for shard in per_shard.keys() | spec_shard.keys()
-        )
+        jobs = sorted(per_shard.items())
         if self.supervisor is not None:
             # admits() opens the half-open probe window: the first
             # prefetch after a cooldown *is* the probe, run under the
@@ -245,36 +212,28 @@ class ShardScatterScanner:
         self.prefetch_base = clock.cursor() if clock is not None else 0.0
         if self.supervisor is None:
             thunks = [
-                (
-                    lambda scanner=self.scanners[shard], subs=subs, spec=spec:
-                        scanner.prefetch(subs, speculative=spec)
-                )
-                for shard, subs, spec in jobs
+                (lambda scanner=self.scanners[shard], subs=subs: scanner.prefetch(subs))
+                for shard, subs in jobs
             ]
         else:
             thunks = [
                 (
-                    lambda shard=shard, subs=subs, spec=spec: self.supervisor.run(
-                        shard,
-                        lambda: self.scanners[shard].prefetch(
-                            subs, speculative=spec
-                        ),
+                    lambda shard=shard, subs=subs: self.supervisor.run(
+                        shard, lambda: self.scanners[shard].prefetch(subs)
                     )
                 )
-                for shard, subs, spec in jobs
+                for shard, subs in jobs
             ]
         recorder = getattr(self.tree, "trace_recorder", None)
         _, ends = self.scheduler.run_timed(
             thunks,
             recorder=recorder,
             span_name="scan.shard",
-            labels=[f"shard{shard}" for shard, _, _ in jobs],
+            labels=[f"shard{shard}" for shard, _ in jobs],
             category="device",
         )
         if clock is not None:
-            self.shard_ends = {
-                shard: end for (shard, _, _), end in zip(jobs, ends)
-            }
+            self.shard_ends = {shard: end for (shard, _), end in zip(jobs, ends)}
 
     def ready_time(self, bands: Iterable[BandRequest]) -> float | None:
         """The instant every given band's owning shards finished
@@ -307,24 +266,15 @@ class ShardedQueryEngine(QueryEngine):
         pipeline_verify: overlap verification CPU with shard scans in
             virtual time (timed deployments only; timing-neutral
             everywhere else).
-        prefetch_policy: forwarded to :class:`QueryEngine` — a
-            :class:`~repro.engine.policy.PrefetchPolicy`, a mode
-            string, or None; the scatter scanner hands it to every
-            per-shard scanner with the shard index as scope.
     """
 
-    def __init__(
-        self,
-        sharded: ShardedPEBTree,
-        pipeline_verify: bool = True,
-        prefetch_policy=None,
-    ):
-        super().__init__(sharded, prefetch_policy=prefetch_policy)
+    def __init__(self, sharded: ShardedPEBTree, pipeline_verify: bool = True):
+        super().__init__(sharded)
         self.pipeline_verify = pipeline_verify
         self._cpu_cursor: float | None = None
 
     def _batch_scanner(self) -> ShardScatterScanner:
-        return ShardScatterScanner(self.tree, policy=self.prefetch_policy)
+        return ShardScatterScanner(self.tree)
 
     def _batch_progress(self, scanner) -> ExecutionStats:
         # The per-shard and fault counters ride along, so a batch's

@@ -22,7 +22,8 @@ class Rect:
     y_hi: float
 
     def __post_init__(self):
-        if self.x_lo > self.x_hi or self.y_lo > self.y_hi:
+        # Written so a NaN bound fails the test instead of passing it.
+        if not (self.x_lo <= self.x_hi and self.y_lo <= self.y_hi):
             raise ValueError(f"degenerate rectangle bounds: {self}")
 
     @classmethod

@@ -69,21 +69,18 @@ class ReferenceScanner(BandScanner):
         return resident
 
 
-def reference_scatter(sharded, policy=None):
+def reference_scatter(sharded):
     """A scatter scanner whose per-shard scanners are the reference."""
-    scatter = ShardScatterScanner(sharded, policy=policy)
-    scatter.scanners = [
-        ReferenceScanner(tree, policy=policy, scope=shard)
-        for shard, tree in enumerate(sharded.trees)
-    ]
+    scatter = ShardScatterScanner(sharded)
+    scatter.scanners = [ReferenceScanner(tree) for tree in sharded.trees]
     return scatter
 
 
 class ReferenceEngine(QueryEngine):
     def _batch_scanner(self):
-        return ReferenceScanner(self.tree, policy=self.prefetch_policy)
+        return ReferenceScanner(self.tree)
 
 
 class ShardedReferenceEngine(ShardedQueryEngine):
     def _batch_scanner(self):
-        return reference_scatter(self.tree, self.prefetch_policy)
+        return reference_scatter(self.tree)

@@ -335,6 +335,14 @@ def test_parser_rejects_unknown_arrival_process():
         build_parser().parse_args(["serve-sim", "--arrival", "uniform"])
 
 
+@pytest.mark.parametrize("verb", ("batch-query", "serve-sim"))
+def test_parser_rejects_the_removed_prefetch_flag(verb, capsys):
+    # A batch prefetches the merged union of its bands; there is no mode.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([verb, "--prefetch", "auto"])
+    assert "unrecognized arguments: --prefetch auto" in capsys.readouterr().err
+
+
 def _hand_trace(busy_us=120.0, shard_reads=(3.0, 4.0), io_reads=7.0):
     """A minimal exported trace: one served batch, a two-shard registry."""
     metrics = {

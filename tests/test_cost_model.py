@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.cost_model import (
-    BandScanCostModel,
     CostModel,
     CostSample,
     base_cost,
@@ -102,88 +101,3 @@ def test_estimate_decreases_with_grouping():
     costs = [model.estimate(60_000, 50, theta / 10, 1000) for theta in range(11)]
     assert costs == sorted(costs, reverse=True)
     assert costs[-1] == pytest.approx(1.0)  # θ = 1 -> single-leaf minimum
-
-
-# ----------------------------------------------------------------------
-# BandScanCostModel: the per-scan merge-vs-exact pricing
-# ----------------------------------------------------------------------
-
-
-def test_band_scan_cost_basics():
-    model = BandScanCostModel(seek_us=60.0, read_us=10.0, entries_per_page=16.0)
-    assert model.scan_cost_us(0) == 0.0
-    assert model.scan_cost_us(100, runs=0) == 0.0
-    # One run, one page minimum: seek + one transfer.
-    assert model.scan_cost_us(1) == pytest.approx(70.0)
-    # 160 entries = 10 pages.
-    assert model.scan_cost_us(160) == pytest.approx(60.0 + 100.0)
-    # Fractional runs price an *expected* scan count.
-    assert model.scan_cost_us(160, runs=0.5) == pytest.approx(30.0 + 100.0)
-    with pytest.raises(ValueError):
-        model.scan_cost_us(10, runs=-1.0)
-
-
-def test_band_scan_validation():
-    with pytest.raises(ValueError):
-        BandScanCostModel(seek_us=-1.0)
-    with pytest.raises(ValueError):
-        BandScanCostModel(read_us=0.0)
-    with pytest.raises(ValueError):
-        BandScanCostModel(entries_per_page=0.0)
-
-
-def test_from_device_copies_the_profile_pricing():
-    from repro.simio import PROFILES
-
-    for name, profile in PROFILES.items():
-        model = BandScanCostModel.from_device(profile, entries_per_page=32.0)
-        assert model.seek_us == profile.seek_us
-        assert model.read_us == profile.read_us
-        assert model.entries_per_page == 32.0
-
-
-def test_prefer_merge_crossover_in_dead_fraction():
-    """Fixed demand (10 bands over 320 requested entries), growing
-    merged coverage: merging wins while dead pages stay cheaper than
-    the 9 seeks it saves, then flips exact past the crossover."""
-    model = BandScanCostModel(seek_us=60.0, read_us=10.0, entries_per_page=16.0)
-    exact_entries, exact_scans = 320.0, 10.0
-    verdicts = [
-        model.prefer_merge(merged_entries, 1.0, exact_entries, exact_scans)
-        for merged_entries in (320.0, 640.0, 1280.0, 2560.0, 5120.0)
-    ]
-    assert verdicts[0] is True  # no dead entries: strictly cheaper
-    assert verdicts[-1] is False  # 15x over-scan: seeks were cheaper
-    # Single crossover: True...True False...False.
-    assert verdicts == sorted(verdicts, reverse=True)
-
-
-def test_seek_heavy_devices_tolerate_more_over_scan():
-    """The same workload flips merge->exact at a larger dead fraction
-    on hdd (seeks expensive) than on nvme (seeks nearly free)."""
-    from repro.simio import PROFILES
-
-    def max_merged_still_preferred(model):
-        merged = 320.0
-        while model.prefer_merge(merged, 1.0, 320.0, 10.0):
-            merged *= 1.25
-            if merged > 1e9:
-                break
-        return merged
-
-    hdd = BandScanCostModel.from_device(PROFILES["hdd"])
-    nvme = BandScanCostModel.from_device(PROFILES["nvme"])
-    assert max_merged_still_preferred(hdd) > max_merged_still_preferred(nvme)
-    assert hdd.gap_entry_budget() > nvme.gap_entry_budget()
-
-
-def test_gap_entry_budget_breaks_even():
-    """Coalescing across exactly the budget gap costs the same as the
-    seek it saves: two runs vs one fused run with the gap read through."""
-    model = BandScanCostModel(seek_us=60.0, read_us=10.0, entries_per_page=16.0)
-    budget = model.gap_entry_budget()
-    assert budget == pytest.approx(96.0)
-    live = 320.0  # entries in the two runs themselves
-    split = model.scan_cost_us(live, runs=2.0)
-    fused = model.scan_cost_us(live + budget, runs=1.0)
-    assert fused == pytest.approx(split)

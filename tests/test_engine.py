@@ -9,11 +9,14 @@ from repro.bench.oracle import brute_force_pknn, brute_force_prq
 from repro.core.pknn import pknn
 from repro.core.prq import prq
 from repro.engine import BandScanner, QueryEngine
-from repro.engine.plan import BandRequest
+from repro.engine.plan import BandRequest, QueryPlanner
+from repro.shard import ShardedQueryEngine
+from repro.spatial.decompose import merge_intervals
 from repro.spatial.geometry import Rect
 from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
 
 from tests.conftest import build_world
+from tests.test_shard_property import build_sharded
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +299,7 @@ def test_batch_knn_first_round_joins_the_prefetch_set(small_world):
         )
     ]
     scanner = BandScanner(world.peb)
-    scanner.prefetch((), speculative=probe)
+    scanner.prefetch(probe)
     after_prefetch = scanner.physical_scans
     assert 0 < after_prefetch <= len(set(probe))
     for band in probe:
@@ -356,6 +359,25 @@ def test_batch_rejects_a_negative_k_before_any_read(small_world):
     zero = KnnQuerySpec(q_uid=world.uids[0], qx=500.0, qy=500.0, k=0, t_query=5.0)
     (result,) = engine.execute_batch([zero]).results
     assert result.neighbors == []
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("qx", float("nan")), ("qy", float("inf")), ("t_query", float("nan"))],
+)
+def test_batch_rejects_a_non_finite_knn_spec_before_any_read(
+    small_world, field, value
+):
+    world = small_world
+    engine = QueryEngine(world.peb)
+    good = RangeQuerySpec(world.uids[0], Rect(100, 400, 100, 400), 5.0)
+    arguments = dict(q_uid=world.uids[0], qx=500.0, qy=500.0, k=3, t_query=5.0)
+    arguments[field] = value
+    stats = world.peb.stats
+    before = (stats.logical_reads, stats.physical_reads)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        engine.execute_batch([good, KnnQuerySpec(**arguments)])
+    assert (stats.logical_reads, stats.physical_reads) == before
 
 
 def test_batch_without_prefetch_still_deduplicates(small_world):
@@ -427,3 +449,284 @@ def test_collect_friend_states_tracks_exactly_the_indexed_friends(small_world):
         assert set(tracked) == indexed_friends
         for uid, obj in tracked.items():
             assert obj.uid == uid
+
+
+# ----------------------------------------------------------------------
+# The prefetch rule: the merged union of the batch's single-SV bands
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def batch_world():
+    return build_world(n_users=220, n_policies=8, seed=29)
+
+
+def _batch_engine(world, n_shards):
+    """``(engine, shard trees)`` over the world's users, 1 or N shards."""
+    if n_shards == 1:
+        return QueryEngine(world.peb), [world.peb]
+    sharded = build_sharded(world, n_shards)
+    return ShardedQueryEngine(sharded), sharded.trees
+
+
+def _record_sweeps(trees):
+    """Log, per tree, the runs of every ``scan_bands_rows`` call that is
+    not the inside of a one-band on-demand ``scan_band_rows``."""
+    sweeps = [[] for _ in trees]
+    for tree, log in zip(trees, sweeps):
+        on_demand = []
+
+        def sweep(runs, inner=tree.scan_bands_rows, log=log, on_demand=on_demand):
+            runs = list(runs)
+            if not on_demand:
+                log.append(runs)
+            return inner(runs)
+
+        def one_band(*band, inner=tree.scan_band_rows, on_demand=on_demand):
+            on_demand.append(band)
+            try:
+                return inner(*band)
+            finally:
+                on_demand.pop()
+
+        tree.scan_bands_rows = sweep
+        tree.scan_band_rows = one_band
+    return sweeps
+
+
+@pytest.mark.parametrize("n_shards", (1, 4))
+def test_a_batch_prefetches_the_merged_union_of_its_single_sv_bands(
+    batch_world, n_shards
+):
+    """The one prefetch rule: per stratum, ``merge_intervals`` over every
+    single-SV plan band and kNN probe band of the batch; strata in
+    first-appearance order (range plans first, probes after), each run
+    handed to the tree once, in one sweep per tree."""
+    world = batch_world
+    engine, trees = _batch_engine(world, n_shards)
+    specs = world.query_generator().mixed_queries(world.states, 16, 300.0, 3, 5.0)
+    planner = engine.planner
+    bands = [
+        planned.band
+        for spec in specs
+        if isinstance(spec, RangeQuerySpec)
+        for planned in planner.plan_range(spec.q_uid, spec.window, spec.t_query).bands
+    ]
+    n_range_bands = len(bands)
+    bands += [
+        band
+        for spec in specs
+        if isinstance(spec, KnnQuerySpec)
+        for band in planner.plan_knn_probe(
+            spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query
+        )
+    ]
+    assert 0 < n_range_bands < len(bands)  # both kinds contribute
+    router = getattr(engine.tree, "router", None)  # a single tree has none
+    expected = [{} for _ in trees]  # per tree: stratum -> intervals, insertion-ordered
+    for band in bands:
+        if band.is_single_sv:
+            shard = router.shard_of(band.tid, band.sv_lo_q) if router else 0
+            expected[shard].setdefault((band.tid, band.sv_lo_q), []).append(
+                (band.z_lo, band.z_hi)
+            )
+    expected_runs = [
+        [
+            (tid, sv_q, z_lo, z_hi)
+            for (tid, sv_q), intervals in strata.items()
+            for z_lo, z_hi in merge_intervals(sorted(intervals))
+        ]
+        for strata in expected
+    ]
+    assert any(
+        len(intervals) > len(merge_intervals(sorted(intervals)))
+        for strata in expected
+        for intervals in strata.values()
+    )  # something really merged
+
+    sweeps = _record_sweeps(trees)
+    engine.execute_batch(specs)
+    assert sweeps == [[runs] if runs else [] for runs in expected_runs]
+    for runs in expected_runs:
+        assert len(set(runs)) == len(runs)
+
+    # Range plans are static: replay finds every band resident, so the
+    # prefetch runs are all the physical scans a range-only batch makes.
+    ranges = [spec for spec in specs if isinstance(spec, RangeQuerySpec)]
+    for log in sweeps:
+        log.clear()
+    report = engine.execute_batch(ranges)
+    assert all(len(log) <= 1 for log in sweeps)
+    assert report.stats.bands_scanned == sum(
+        len(runs) for log in sweeps for runs in log
+    )
+    assert report.stats.residency_hits == report.stats.bands_requested > 0
+
+
+# ----------------------------------------------------------------------
+# Bounded memo — eviction costs I/O, never answers
+# ----------------------------------------------------------------------
+
+
+def _stratum_bands(world, n_queries=12):
+    """Single-SV bands from real range plans, in plan order."""
+    planner = QueryPlanner(world.peb)
+    bands = []
+    for spec in world.query_generator().range_queries(
+        world.uids, n_queries, 320.0, 5.0
+    ):
+        plan = planner.plan_range(spec.q_uid, spec.window, spec.t_query)
+        bands.extend(p.band for p in plan.bands if p.band.is_single_sv)
+    return bands
+
+
+def _span_bands(world, n_queries=12):
+    """Multi-SV span bands — what the memo is kept for: stratum
+    residency answers every single-SV band of this SV-major tree, so
+    only spans (Figure 7's coarse friend-range scans) still enter it."""
+    planner = QueryPlanner(world.peb)
+    bands = []
+    for spec in world.query_generator().range_queries(
+        world.uids, n_queries, 320.0, 5.0
+    ):
+        plan = planner.plan_span_scan(spec.q_uid, spec.window, spec.t_query)
+        bands.extend(p.band for p in plan.bands if not p.band.is_single_sv)
+    return bands
+
+
+def _rows_signature(rows):
+    return [(zv, obj.uid) for zv, obj in rows]
+
+
+def test_memo_eviction_never_changes_scan_results(batch_world):
+    world = batch_world
+    bands = _span_bands(world)
+    assert bands
+    unbounded = BandScanner(world.peb)
+    tiny = BandScanner(world.peb, memo_entries=4)
+    # Two passes: the second pass hits the big scanner's memo but
+    # re-scans whatever the tiny scanner evicted.
+    for _ in range(2):
+        for band in bands:
+            assert _rows_signature(tiny.scan(band)) == _rows_signature(
+                unbounded.scan(band)
+            )
+    assert unbounded.memo_evictions == 0
+    assert tiny.memo_evictions > 0
+    assert tiny.physical_scans > unbounded.physical_scans
+
+
+def test_single_sv_bands_never_enter_the_memo(batch_world):
+    world = batch_world
+    scanner = BandScanner(world.peb, memo_entries=0)
+    bands = _stratum_bands(world)
+    for _ in range(2):
+        for band in bands:
+            scanner.scan(band)
+    assert not scanner._memo
+    assert scanner.memo_evictions == 0 and scanner.memo_hits == 0
+    # The second pass was answered entirely from residency.
+    assert scanner.residency_hits >= len(bands)
+
+
+def test_memo_always_keeps_the_newest_band(batch_world):
+    world = batch_world
+    scanner = BandScanner(world.peb, memo_entries=0)
+    for band in _span_bands(world):
+        rows = scanner.scan(band)
+        # The band that just populated the memo survives even a zero
+        # bound; eviction only reaches colder entries.
+        assert band.key in scanner._memo
+        if len(rows) > 0:
+            assert list(scanner._memo) == [band.key]
+
+
+# ----------------------------------------------------------------------
+# Over-scan accounting
+# ----------------------------------------------------------------------
+
+
+def _populated_stratum(world):
+    """A (band, full-width band, rows) triple with >= 2 distinct ZVs."""
+    probe = BandScanner(world.peb)
+    for band in _stratum_bands(world, n_queries=20):
+        full = BandRequest(
+            band.tid, band.sv_lo_q, band.sv_hi_q, 0, world.peb.grid.max_z
+        )
+        rows = probe.scan(full)
+        if len({zv for zv, _ in rows}) >= 2:
+            return band, full, _rows_signature(rows)
+    pytest.skip("no stratum with two distinct ZVs in this world")
+
+
+def test_dead_entries_count_unrequested_prefetched_rows(batch_world):
+    world = batch_world
+    band, full, rows = _populated_stratum(world)
+    first_zv = rows[0][0]
+    scanner = BandScanner(world.peb)
+    scanner.prefetch([full])
+    narrow = BandRequest(
+        band.tid, band.sv_lo_q, band.sv_hi_q, first_zv, first_zv
+    )
+    served = scanner.scan(narrow)
+    assert _rows_signature(served) == [r for r in rows if r[0] == first_zv]
+    assert scanner.residency_hits == 1
+    used = sum(1 for zv, _ in rows if zv == first_zv)
+    assert scanner.dead_entries == len(rows) - used
+    assert scanner.dead_entries > 0
+    assert scanner.entries_prefetched == len(rows)
+    resident = scanner.residency(band.tid, band.sv_lo_q)
+    assert resident.requested == [(first_zv, first_zv)]
+    assert resident.dead_entries() == scanner.dead_entries
+
+
+def test_execution_stats_surface_prefetch_accounting(batch_world):
+    world = batch_world
+    generator = world.query_generator()
+    specs = generator.mixed_queries(world.states, 16, 300.0, 3, 5.0)
+    report = QueryEngine(world.peb).execute_batch(specs)
+    stats = report.stats
+    assert stats.entries_prefetched > 0
+    assert 0 <= stats.dead_entries <= stats.entries_prefetched
+    assert stats.overscan_ratio == pytest.approx(
+        stats.dead_entries / stats.entries_prefetched
+    )
+    assert stats.memo_evictions == 0  # default bound never evicts here
+    assert stats.seeks == 0 and stats.sequential_hits == 0  # untimed tree
+
+
+@pytest.mark.parametrize("n_shards", (1, 4))
+def test_dead_entry_total_equals_the_rows_outside_every_request(
+    batch_world, n_shards
+):
+    """The executor's ``dead_entries`` (bisection over each stratum's
+    merged ``requested``) against the count done the slow way: every
+    resident row no requested interval of its stratum contains."""
+    world = batch_world
+    specs = world.query_generator().mixed_queries(world.states, 16, 300.0, 3, 5.0)
+    engine, _ = _batch_engine(world, n_shards)
+    # Whole-stratum prefetches ahead of the batch: guaranteed over-scan,
+    # so the totals compared below are not all zero.
+    full_strata = [
+        BandRequest(band.tid, band.sv_lo_q, band.sv_hi_q, 0, world.peb.grid.max_z)
+        for band in _stratum_bands(world, n_queries=20)
+    ]
+    captured = []
+    make_scanner = engine._batch_scanner
+
+    def capturing_scanner():
+        captured.append(make_scanner())
+        captured[-1].prefetch(full_strata)
+        return captured[-1]
+
+    engine._batch_scanner = capturing_scanner
+    report = engine.execute_batch(specs)
+    (scanner,) = captured
+    counted = sum(
+        not any(lo <= zv <= hi for lo, hi in resident.requested)
+        for shard_scanner in getattr(scanner, "scanners", [scanner])
+        for resident in shard_scanner._residency.values()
+        for zv in resident.rows.zvs
+    )
+    assert report.stats.dead_entries == scanner.dead_entries == counted
+    assert counted > 0

@@ -333,7 +333,7 @@ def _per_band_prefetch(scanner: BandScanner, bands) -> None:
 
     Same grouping, same order, same accounting points as
     ``BandScanner.prefetch`` — a scan is counted when it is issued, a
-    stratum's entries and coverage when its last run has landed.
+    stratum's entries when its last run has landed.
     """
     grouped: dict = {}
     for band in bands:
@@ -348,9 +348,6 @@ def _per_band_prefetch(scanner: BandScanner, bands) -> None:
             resident._add(z_lo, z_hi, rows)
             prefetched += len(rows)
         scanner.entries_prefetched += prefetched
-        resident.coverage_runs += len(coverage)
-        resident.coverage_zv += sum(hi - lo + 1 for lo, hi in coverage)
-        resident.prefetched_entries += prefetched
 
 
 def _scanner_state(scanner: BandScanner):
@@ -362,9 +359,6 @@ def _scanner_state(scanner: BandScanner):
                 key,
                 resident._edges,
                 list(zip(resident.rows.zvs, resident.rows.records)),
-                resident.coverage_runs,
-                resident.coverage_zv,
-                resident.prefetched_entries,
             )
             for key, resident in scanner._residency.items()
         ],

@@ -22,6 +22,23 @@ def test_degenerate_bounds_rejected():
         Rect(0, 1, 5, 4)
 
 
+@pytest.mark.parametrize("field", range(4))
+def test_nan_bound_rejected(field):
+    """NaN compares false both ways: the bounds test must fail closed."""
+    bounds = [0.0, 10.0, 0.0, 10.0]
+    bounds[field] = math.nan
+    with pytest.raises(ValueError):
+        Rect(*bounds)
+
+
+def test_infinite_bounds_are_valid():
+    """An unbounded window is meaningful; the grid clamps it."""
+    plane = Rect(-math.inf, math.inf, -math.inf, math.inf)
+    assert plane.contains(1e300, -1e300)
+    assert plane.intersection(rect()) == rect()
+    assert Rect(-math.inf, 5, 0, math.inf).contains(-1e9, 1e9)
+
+
 def test_zero_area_rect_is_valid():
     point = Rect(3, 3, 4, 4)
     assert point.area == 0

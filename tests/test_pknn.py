@@ -4,6 +4,11 @@ import pytest
 
 from repro.bench.oracle import brute_force_pknn
 from repro.core.pknn import pknn
+from repro.shard import ShardedQueryEngine
+from repro.workloads.queries import KnnQuerySpec
+
+from tests.test_residency_pin import T_QUERY, pin_world
+from tests.test_shard_property import build_sharded
 
 
 def _expected_distances(world, query):
@@ -133,3 +138,63 @@ def test_span_cache_stays_within_documented_bound(small_world):
         assert search._span_cache_capacity == max(1, len(search.contexts)) * (
             search.max_rounds + 1
         )
+
+
+# ----------------------------------------------------------------------
+# Query points outside the space
+# ----------------------------------------------------------------------
+
+
+def _points_outside(side, distance):
+    """One point ``distance`` beyond each side and each corner."""
+    mid, lo, hi = side / 2, -distance, side + distance
+    return [
+        (lo, mid), (hi, mid), (mid, lo), (mid, hi),
+        (lo, lo), (lo, hi), (hi, lo), (hi, hi),
+    ]
+
+
+@pytest.mark.parametrize("partitions", ("one-partition", "two-partitions"))
+def test_query_points_outside_the_space_match_the_oracle(partitions):
+    """Definition 3 has no "inside the grid" clause, and clients ask from
+    predicted positions: the walk must reach as far as the space lies
+    from the query point, not just across the space's own diagonal."""
+    world = pin_world(
+        seed=31,
+        reported_at=(lambda uid: 30.0 * (uid % 2))
+        if partitions == "two-partitions"
+        else None,
+    )
+    friendly = [uid for uid in world.uids if len(world.store.friend_list(uid)) >= 2]
+    specs = []
+    for issuer in friendly[:2]:
+        n_friends = len(world.store.friend_list(issuer))
+        for k in (1, n_friends, n_friends + 5):  # below, at, above the list
+            for distance in (0.0, 1.0, 500.0, 5000.0):
+                for qx, qy in _points_outside(world.space_side, distance):
+                    specs.append(KnnQuerySpec(issuer, qx, qy, k, T_QUERY))
+    expected = [_expected_distances(world, spec) for spec in specs]
+    assert any(expected)
+
+    single = [
+        pknn(world.peb, s.q_uid, s.qx, s.qy, s.k, s.t_query).neighbors for s in specs
+    ]
+    assert [[round(d, 9) for d, _ in found] for found in single] == expected
+
+    sharded = ShardedQueryEngine(build_sharded(world, 4)).execute_batch(specs)
+    assert [
+        [round(d, 9) for d, _ in result.neighbors] for result in sharded.results
+    ] == expected
+
+
+@pytest.mark.parametrize("field", ("qx", "qy", "t_query"))
+@pytest.mark.parametrize("value", (float("nan"), float("inf"), float("-inf")))
+def test_non_finite_arguments_raise_before_any_read(small_world, field, value):
+    world = small_world
+    arguments = dict(qx=500.0, qy=500.0, k=3, t_query=5.0)
+    arguments[field] = value
+    stats = world.peb.stats
+    before = (stats.logical_reads, stats.physical_reads)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        pknn(world.peb, world.uids[0], **arguments)
+    assert (stats.logical_reads, stats.physical_reads) == before

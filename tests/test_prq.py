@@ -1,5 +1,7 @@
 """Tests for the privacy-aware range query (Figure 7)."""
 
+import pytest
+
 from repro.bench.oracle import brute_force_prq
 from repro.core.prq import prq
 from repro.spatial.geometry import Rect
@@ -33,6 +35,16 @@ def test_no_friends_means_no_results_and_no_scanning(small_world):
     result = prq(world.peb, stranger, Rect(0, 1000, 0, 1000), 5.0)
     assert result.users == []
     assert result.candidates_examined == 0
+
+
+def test_nan_window_raises_and_reads_no_page(small_world):
+    """A NaN bound used to pass validation and answer "nobody"."""
+    world = small_world
+    stats = world.peb.stats
+    before = (stats.logical_reads, stats.physical_reads)
+    with pytest.raises(ValueError):
+        prq(world.peb, world.uids[0], Rect(float("nan"), 100, 0, 100), 5.0)
+    assert (stats.logical_reads, stats.physical_reads) == before
 
 
 def test_results_only_contain_friends(small_world):

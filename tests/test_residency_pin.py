@@ -271,7 +271,7 @@ def test_residency_serves_exactly_what_its_proofs_cover(zvs, proofs, probes):
         else:
             assert served is None
     assert tally.requests == tally.residency_hits == hits
-    assert len(resident.outcome.requested) == hits
+    assert len(resident.requested) == hits
 
 
 @settings(max_examples=200, deadline=None)
@@ -313,7 +313,7 @@ def test_quiet_interval_is_the_widest_with_nobody_left_to_find(
         # Maximal: one more Z on either side is unproven or loud.
         assert all(edge not in proven or edge in loud for edge in (lo - 1, hi + 1))
     assert tally.requests == tally.residency_hits == 0
-    assert not resident.outcome.requested
+    assert not resident.requested
 
 
 # ----------------------------------------------------------------------

@@ -120,13 +120,7 @@ def instances() -> dict:
             fault_stats=None,
         ),
         "OverlapCosts": filled(OverlapCosts, 500),
-        "ServiceCosts": filled(
-            ServiceCosts,
-            600,
-            stats=service_stats(),
-            prefetch="auto",
-            policy_state={"mode": "auto", "arm_scores": {"on": 1.5, "off": 2.5}},
-        ),
+        "ServiceCosts": filled(ServiceCosts, 600, stats=service_stats()),
     }
 
 
