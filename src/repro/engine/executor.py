@@ -226,9 +226,12 @@ class QueryEngine:
             if friend_uid is not None and friend_uid in located:
                 continue
             rows = scanner.scan(planned.band)
-            # Most bands come back empty: nothing to admit.
-            if rows.records and verifier.admit_rows(rows, plan.window, on_match):
-                stopped = True
+            if not rows.records:
+                continue  # most bands come back empty: nothing to admit
+            seen = verifier.candidates_examined
+            stopped = verifier.admit_rows(rows, plan.window, on_match)
+            scanner.book_verified(planned.band, verifier.candidates_examined - seen)
+            if stopped:
                 break
         stats = self._progress(scanner).delta_from(before)
         stats.candidates_examined = verifier.candidates_examined
@@ -364,7 +367,6 @@ class QueryEngine:
         report = BatchReport()
         if tracing:
             t_replay0 = clock.cursor() if clock is not None else 0.0
-        self._begin_replay(scanner)
         for spec, plan in zip(specs, plans):
             drops_before = self._drop_marker(scanner)
             if plan is not None:
@@ -451,9 +453,6 @@ class QueryEngine:
             return None, None
         return clock, model
 
-    def _begin_replay(self, scanner) -> None:
-        """Hook before the batch's replay loop (timing setup point)."""
-
     def _drop_marker(self, scanner) -> int:
         """Monotone drop counter read before/after each replayed query.
 
@@ -470,7 +469,7 @@ class QueryEngine:
         The base engine serializes verification after the scans: the
         context cursor (already past the prefetch) advances by
         ``candidates × verify_us``.  The sharded engine overrides this
-        to pipeline verification against still-running shard scans.
+        to leave what the scanner booked to its verify timeline.
         Verification is charged here — once per query of a batch — and
         nowhere else, so single-query adapters (which may be replayed
         *by* this loop via ``prq_from_plan``) never double-charge.

@@ -131,6 +131,9 @@ class StratumResidency:
         requested: every Z-interval put to the stratum, in request
             order — ``scan()`` calls and direct :meth:`serve` hits, not
             the pieces counted by :meth:`count_quiet`.
+        landed: the virtual instant, on the prefetching job's own
+            timeline, at which the stratum's last coverage run landed;
+            None when no timed prefetch covered it.
     """
 
     __slots__ = (
@@ -138,6 +141,7 @@ class StratumResidency:
         "sv_q",
         "rows",
         "requested",
+        "landed",
         "_tally",
         "_edges",
     )
@@ -147,6 +151,7 @@ class StratumResidency:
         self.sv_q = sv_q
         self.rows = NO_ROWS
         self.requested: list[ZInterval] = []
+        self.landed: float | None = None
         self._tally = tally
         # The proven intervals as one ascending list of half-open edges
         # [lo0, hi0 + 1, lo1, hi1 + 1, ...]: z is proven iff an odd
@@ -365,7 +370,11 @@ class BandScanner:
         resident._add(z_lo, z_hi, rows)
         return rows
 
-    def prefetch(self, bands: Iterable[BandRequest]) -> None:
+    def book_verified(self, band: BandRequest, examined: int) -> None:
+        """Told what verifying one band's rows cost.  Nothing to price
+        here; the scatter scanner puts it on its verify timeline."""
+
+    def prefetch(self, bands: Iterable[BandRequest], clock=None) -> None:
         """Scan the merged union of many plans' bands once, up front.
 
         Single-SV bands are grouped by ``(tid, sv_q)`` and their
@@ -387,6 +396,9 @@ class BandScanner:
                 bands (an upper bound on what replay asks) and the kNN
                 first-round probe squares, which replay may never
                 request.
+            clock: the virtual clock the sweep is charged on, when the
+                caller wants each stratum stamped with the instant it
+                landed (:attr:`StratumResidency.landed`).
         """
         if not self._sv_major:
             return
@@ -422,6 +434,8 @@ class BandScanner:
                 resident._add(z_lo, z_hi, rows)
                 prefetched += len(rows)
             self.entries_prefetched += prefetched
+            if clock is not None:
+                resident.landed = clock.cursor()
 
     # ------------------------------------------------------------------
     # Accounting

@@ -11,7 +11,10 @@ written by :mod:`repro.obs.export` and prints:
   serving I/O);
 * a cross-check that the worker's ``batch.serve`` spans sum to the
   ``ServiceStats.busy_us`` embedded in ``otherData`` — the trace and
-  the stats must tell one story;
+  the stats must tell one story — and beside it what the verify
+  pipeline left of that busy time per batch: its *tail* (verification
+  still running after the slowest shard landed) and its *idle* time
+  (the CPU waiting for a landing);
 * a cross-check that the per-shard ``shard.physical_*`` series of the
   embedded metrics sum to the merged ``io.physical_*`` counters — a
   breakdown published twice, or billed someone else's I/O, shows here.
@@ -72,6 +75,16 @@ def summarize_trace(trace: dict) -> dict:
             device_busy[track] = device_busy.get(track, 0.0) + dur
     horizon_us = (hi - lo) if spans else 0.0
 
+    pipelines = [  # a trace written before the span had args has none
+        span["args"] for span in spans
+        if span["name"] == "verify.pipeline" and "args" in span
+    ]
+    verify_pipeline = {
+        key: sum(args[key] for args in pipelines)
+        for key in ("items", "idle_us", "tail_us")
+    }
+    verify_pipeline["batches"] = len(pipelines)
+
     worker_busy = phases.get("batch.serve", {}).get("total_us", 0.0)
     for entry in phases.values():
         entry["share_of_busy"] = (
@@ -123,6 +136,7 @@ def summarize_trace(trace: dict) -> dict:
         "phases": {name: dict(entry) for name, entry in sorted(phases.items())},
         "devices": devices,
         "instants": dict(sorted(instants.items())),
+        "verify_pipeline": verify_pipeline,
         "busy_check": busy_check,
         "shard_check": shard_check,
         "consistent": all(
@@ -171,6 +185,15 @@ def render_trace_report(trace: dict) -> str:
         lines.append(
             f"  worker busy vs ServiceStats.busy_us: "
             f"{check['trace_us']:.1f} vs {check['stats_us']:.1f} -> {verdict}"
+        )
+    pipeline = summary["verify_pipeline"]
+    if pipeline["batches"]:
+        n = pipeline["batches"]
+        lines.append(
+            f"  verify pipeline over {n} batches: tail "
+            f"{pipeline['tail_us']:.1f} us ({pipeline['tail_us'] / n:.1f}/batch), "
+            f"idle {pipeline['idle_us']:.1f} us ({pipeline['idle_us'] / n:.1f}/batch), "
+            f"{pipeline['items']} items"
         )
     check = summary["shard_check"]
     if check is not None:

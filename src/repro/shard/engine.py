@@ -21,12 +21,13 @@ single-tree engine.  The substituted
   byte-identical to a single tree's scan.
 
 On a timed deployment the engine additionally **pipelines
-verification with scanning**: the scheduler reports each shard's
-prefetch finish instant, and a query's candidates are verified on a
-CPU timeline starting the moment the *last shard its bands needed*
-lands — while slower shards are still scanning — instead of after the
-global prefetch barrier.  Timing only: results, iteration order, and
-every I/O counter are identical to the sequential schedule.
+verification with scanning**: each shard job stamps a stratum with the
+instant its last coverage run landed, and a range query's candidates
+are verified on one CPU timeline band by band, each as soon as *its
+stratum* has landed — while the rest of that shard's sweep, and every
+slower shard, is still scanning — instead of after the fork/join
+barrier.  Timing only: results, iteration order, and every I/O counter
+are identical to the sequential schedule.
 
 Every query then flows through the inherited executor and the
 existing verifier; per-shard breakdowns land on
@@ -35,6 +36,7 @@ existing verifier; per-shard breakdowns land on
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable
 
 from repro.engine.executor import ExecutionStats, QueryEngine
@@ -60,8 +62,10 @@ class ShardScatterScanner:
             prefetch jobs (fork/join virtual time when the deployment
             is timed).
         shard_ends: per-shard virtual finish instants of the last
-            prefetch, when the deployment is timed (the pipelining
-            input); empty otherwise.
+            prefetch, when the deployment is timed; empty otherwise.
+        verify_items: ``(ready, examined)`` per verified band whose
+            stratum a timed prefetch stamped, in booking order — the
+            engine's verify pipeline (:meth:`book_verified`).
         dropped_subbands: sub-band requests served *without* their
             shard's entries because the shard was quarantined — the
             per-scanner degradation counter the engine turns into
@@ -83,7 +87,9 @@ class ShardScatterScanner:
         self.scan_calls = 0
         self.dropped_subbands = 0
         self.shard_ends: dict[int, float] = {}
-        self.prefetch_base = 0.0
+        self.verify_items: list[tuple[float, int]] = []
+        self._chain: dict[int, float] = {}  # sv_q -> ready, this query
+        self._chained = 0
         self._parts_memo: dict[tuple, list] = {}
 
     # ------------------------------------------------------------------
@@ -192,7 +198,8 @@ class ShardScatterScanner:
         pools, and counters, so the resulting stores and I/O counts are
         identical with or without virtual overlap.  On a timed
         deployment each shard's virtual finish instant is recorded in
-        :attr:`shard_ends` for the engine's verify pipelining.
+        :attr:`shard_ends`, and each stratum's landing on its residency
+        (the clock is handed down: the shard scanners know no clock).
         """
         per_shard: dict[int, list[BandRequest]] = {}
         for band in bands:
@@ -209,20 +216,14 @@ class ShardScatterScanner:
         if not jobs:
             return
         clock = self.scheduler.clock
-        self.prefetch_base = clock.cursor() if clock is not None else 0.0
-        if self.supervisor is None:
+        thunks = [
+            (lambda scanner=self.scanners[shard], subs=subs: scanner.prefetch(subs, clock))
+            for shard, subs in jobs
+        ]
+        if self.supervisor is not None:
             thunks = [
-                (lambda scanner=self.scanners[shard], subs=subs: scanner.prefetch(subs))
-                for shard, subs in jobs
-            ]
-        else:
-            thunks = [
-                (
-                    lambda shard=shard, subs=subs: self.supervisor.run(
-                        shard, lambda: self.scanners[shard].prefetch(subs)
-                    )
-                )
-                for shard, subs in jobs
+                (lambda shard=shard, job=job: self.supervisor.run(shard, job))
+                for (shard, _), job in zip(jobs, thunks)
             ]
         recorder = getattr(self.tree, "trace_recorder", None)
         _, ends = self.scheduler.run_timed(
@@ -235,21 +236,35 @@ class ShardScatterScanner:
         if clock is not None:
             self.shard_ends = {shard: end for (shard, _), end in zip(jobs, ends)}
 
-    def ready_time(self, bands: Iterable[BandRequest]) -> float | None:
-        """The instant every given band's owning shards finished
-        prefetching, or None when any shard is outside the prefetched
-        set (the caller then falls back to the serial schedule)."""
-        if not self.shard_ends:
-            return None
-        ready = self.prefetch_base
-        for band in bands:
-            for shard, _ in self._split(band):
-                end = self.shard_ends.get(shard)
-                if end is None:
-                    return None
-                if end > ready:
-                    ready = end
-        return ready
+    def book_verified(self, band: BandRequest, examined: int) -> None:
+        """Put one verified band on the verify timeline, if it landed.
+
+        Its rows can be verified once its stratum has landed and this
+        query's previous band of the same SV is done — the one order a
+        result depends on: a friend located in one partition is not
+        searched in the next, and rows of different SVs never locate
+        each other's friends.  A band with no stamp (on-demand scan,
+        un-prefetched shard, span band, ZV-first layout) is left to the
+        serial charge.
+        """
+        tid, sv_q, sv_hi_q, _, _ = band
+        if sv_q != sv_hi_q:
+            return
+        resident = self.scanners[self.tree.router.shard_of(tid, sv_q)].residency(
+            tid, sv_q
+        )
+        if resident is None or resident.landed is None:
+            return
+        ready = max(resident.landed, self._chain.get(sv_q, 0.0))
+        self._chain[sv_q] = ready
+        self._chained += examined
+        self.verify_items.append((ready, examined))
+
+    def end_query(self) -> int:
+        """Close one query's chains; the candidates it put on the timeline."""
+        chained, self._chained = self._chained, 0
+        self._chain.clear()
+        return chained
 
 
 class ShardedQueryEngine(QueryEngine):
@@ -271,7 +286,6 @@ class ShardedQueryEngine(QueryEngine):
     def __init__(self, sharded: ShardedPEBTree, pipeline_verify: bool = True):
         super().__init__(sharded)
         self.pipeline_verify = pipeline_verify
-        self._cpu_cursor: float | None = None
 
     def _batch_scanner(self) -> ShardScatterScanner:
         return ShardScatterScanner(self.tree)
@@ -294,53 +308,49 @@ class ShardedQueryEngine(QueryEngine):
     # Verify/scan pipelining (timed deployments)
     # ------------------------------------------------------------------
 
-    def _begin_replay(self, scanner) -> None:
-        self._cpu_cursor = None
-        clock, model = self._timing()
-        if clock is None or not self.pipeline_verify:
-            return
-        if getattr(scanner, "shard_ends", None):
-            # The CPU verification timeline forks where the prefetch
-            # forked: the verifier may start on the first-landed
-            # shard's candidates while later shards still scan.
-            self._cpu_cursor = scanner.prefetch_base
-
     def _charge_verify(self, result, plan, scanner) -> None:
         clock, model = self._timing()
         if clock is None:
             return
-        cost = result.candidates_examined * model.verify_us
-        ready = (
-            scanner.ready_time(planned.band for planned in plan.bands)
-            if self._cpu_cursor is not None and plan is not None
-            else None
-        )
-        if ready is None:
-            # kNN rounds interleave their own scans with verification,
-            # and unprefetched bands have no landing instant: keep the
-            # serial schedule for those.
-            clock.advance(cost)
-            return
-        start = self._cpu_cursor if self._cpu_cursor > ready else ready
-        self._cpu_cursor = start + cost
+        # What the scanner put on the verify timeline is priced in
+        # _end_replay; the rest — kNN rounds, which interleave their own
+        # scans with verification, and bands without a landing instant —
+        # keeps the serial schedule on the worker's cursor.
+        examined = result.candidates_examined
+        if self.pipeline_verify:
+            examined -= scanner.end_query()
+        clock.advance(examined * model.verify_us)
 
     def _end_replay(self, scanner) -> None:
-        clock, _ = self._timing()
-        if clock is not None and self._cpu_cursor is not None:
-            recorder = getattr(self.tree, "trace_recorder", None)
-            if recorder is not None and recorder.enabled:
-                # The CPU verification window: forked at the prefetch
-                # base, landing possibly before (or after) the slowest
-                # shard scan — the pipelining the paper's Section 5.3
-                # describes, made visible.
-                recorder.span(
-                    "engine/verify",
-                    "verify.pipeline",
-                    scanner.prefetch_base,
-                    self._cpu_cursor,
-                    category="engine",
-                )
-            clock.join([self._cpu_cursor])
+        clock, model = self._timing()
+        if clock is None or not self.pipeline_verify or not scanner.verify_items:
+            return
+        # One CPU takes the booked bands as they become ready (the sort
+        # is stable, so a query's chain keeps its order): it may verify
+        # the first-landed stratum while every shard still scans.
+        items = sorted(scanner.verify_items, key=itemgetter(0))
+        start = cursor = items[0][0]
+        idle = 0.0
+        for ready, examined in items:
+            if ready > cursor:
+                idle += ready - cursor
+                cursor = ready
+            cursor += examined * model.verify_us
+        recorder = getattr(self.tree, "trace_recorder", None)
+        if recorder is not None and recorder.enabled:
+            recorder.span(
+                "engine/verify",
+                "verify.pipeline",
+                start,
+                cursor,
+                category="engine",
+                args={
+                    "items": len(items),
+                    "idle_us": idle,
+                    "tail_us": max(0.0, cursor - max(scanner.shard_ends.values())),
+                },
+            )
+        clock.join([cursor])
 
 
 __all__ = ["ShardScatterScanner", "ShardedQueryEngine"]

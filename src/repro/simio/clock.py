@@ -39,6 +39,8 @@ threads would interleave their cursors.
 
 from __future__ import annotations
 
+from math import inf
+
 
 class SimClock:
     """Virtual time over any number of simulated devices."""
@@ -91,8 +93,8 @@ class SimClock:
         CPU time touches no device timeline — two forked contexts both
         advancing overlap fully.
         """
-        if dt < 0:
-            raise ValueError(f"dt must be >= 0, got {dt}")
+        if not 0 <= dt < inf:  # a NaN cursor never compares again
+            raise ValueError(f"dt must be finite and >= 0, got {dt}")
         t = self._cursor = self._cursor + dt
         if t > self._horizon:
             self._horizon = t

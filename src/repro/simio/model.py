@@ -32,6 +32,7 @@ without it, verification would be free and pipelining unmeasurable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 #: Default CPU cost of verifying one candidate (position_at +
 #: store.evaluate + window test), in virtual microseconds.
@@ -56,8 +57,9 @@ class DeviceProfile:
 
     def __post_init__(self):
         for field_name in ("seek_us", "read_us", "write_us"):
-            if getattr(self, field_name) < 0:
-                raise ValueError(f"{field_name} must be >= 0")
+            value = getattr(self, field_name)
+            if not 0 <= value < inf:  # NaN compares false: refused
+                raise ValueError(f"{field_name} must be finite and >= 0, got {value}")
 
 
 #: The built-in device classes.  A 4 KiB page on a ~130 MB/s spinning
@@ -82,8 +84,8 @@ class LatencyModel:
                     f"unknown latency profile {profile!r}; "
                     f"known: {', '.join(sorted(PROFILES))}"
                 ) from None
-        if verify_us < 0:
-            raise ValueError(f"verify_us must be >= 0, got {verify_us}")
+        if not 0 <= verify_us < inf:
+            raise ValueError(f"verify_us must be finite and >= 0, got {verify_us}")
         self.profile = profile
         self.verify_us = verify_us
 

@@ -72,11 +72,10 @@ class IOScheduler:
     ) -> tuple[list[T], list[float]]:
         """Run every job; returns ``(results, per-job virtual end times)``.
 
-        The end times let callers pipeline downstream work against
-        individual jobs (verify the candidates of the shard that
-        finished first while the slowest shard is still scanning)
-        instead of the join barrier.  Without a clock the end times are
-        all 0.0.
+        The end times say what each job added to the join (the scatter
+        scanner keeps them as ``shard_ends``: the verify pipeline, fed
+        by the landings inside each job, measures its tail against the
+        latest).  Without a clock the end times are all 0.0.
 
         When ``recorder`` (a :class:`repro.obs.trace.TraceRecorder`) is
         enabled and a clock is attached, each job emits one span

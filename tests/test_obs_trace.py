@@ -362,6 +362,35 @@ def test_trace_report_matches_service_stats(tmp_path):
     assert "-> OK" in text
 
 
+def test_verify_pipeline_spans_carry_items_idle_and_tail():
+    recorder = TraceRecorder()
+    _run(recorder=recorder)
+    pipelines = recorder.spans("verify.pipeline")
+    assert pipelines
+    scans = recorder.spans("scan.shard")
+    for span in pipelines:
+        assert span.args["items"] > 0
+        assert 0.0 <= span.args["idle_us"] <= span.dur_us
+        # The tail is what the span adds past the slowest shard job
+        # that ended inside or before it.
+        end = span.start_us + span.dur_us
+        landed = max(
+            scan.start_us + scan.dur_us
+            for scan in scans
+            if scan.start_us <= span.start_us
+        )
+        assert span.args["tail_us"] == pytest.approx(max(0.0, end - landed))
+
+    summary = summarize_trace(chrome_trace(recorder))["verify_pipeline"]
+    assert summary["batches"] == len(pipelines)
+    assert summary["items"] == sum(span.args["items"] for span in pipelines)
+    assert summary["tail_us"] == pytest.approx(
+        sum(span.args["tail_us"] for span in pipelines)
+    )
+    text = render_trace_report(chrome_trace(recorder))
+    assert f"verify pipeline over {len(pipelines)} batches: tail " in text
+
+
 def test_embedded_metrics_publish_each_run_level_series_once():
     """One registry rides in the trace: its per-shard series must sum
     to the merged ``io.*`` counters and its ``fault.*`` series must be

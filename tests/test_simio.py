@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro.simio import (
+    DeviceProfile,
     IOScheduler,
     LatencyModel,
     LatencyStats,
@@ -67,6 +68,20 @@ def test_model_rejects_unknown_profile_and_kind():
     assert make_latency_model(model) is model
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_model_rejects_non_finite_and_negative_costs(bad):
+    # `cost < 0` is false for NaN and for +inf: both used to be accepted.
+    with pytest.raises(ValueError, match="verify_us"):
+        LatencyModel("ssd", verify_us=bad)
+    with pytest.raises(ValueError, match="verify_us"):
+        make_latency_model("ssd", verify_us=bad)
+    for field in ("seek_us", "read_us", "write_us"):
+        costs = {"seek_us": 1.0, "read_us": 1.0, "write_us": 1.0, field: bad}
+        with pytest.raises(ValueError, match=field):
+            DeviceProfile("x", **costs)
+    assert LatencyModel(DeviceProfile("free", 0.0, 0.0, 0.0), verify_us=0.0).verify_us == 0.0
+
+
 # ----------------------------------------------------------------------
 # SimClock
 # ----------------------------------------------------------------------
@@ -115,6 +130,21 @@ def test_advance_is_cpu_only_and_horizon_is_monotonic():
     # Moving a context backwards never moves the horizon backwards.
     clock.set_cursor(0.0)
     assert clock.elapsed == 50.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_advance_refuses_a_non_finite_step_and_leaves_the_clock_alone(bad):
+    # advance(nan) used to leave cursor() at NaN for good with elapsed
+    # at 0.0: every later max/> compared false and the run reported no
+    # time at all.
+    clock = SimClock()
+    clock.advance(7.0)
+    with pytest.raises(ValueError, match="dt"):
+        clock.advance(bad)
+    assert clock.cursor() == 7.0
+    assert clock.elapsed == 7.0
+    assert clock.advance(0.0) == 7.0
+    assert clock.advance(3.0) == clock.elapsed == 10.0
 
 
 # ----------------------------------------------------------------------

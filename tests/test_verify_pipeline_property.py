@@ -1,0 +1,352 @@
+"""Property pin for the verify pipeline's priced schedule.
+
+On a timed deployment ``ShardedQueryEngine`` prices a range query's
+verification band by band on one CPU timeline: a band's rows may be
+verified once its *stratum* has landed (``StratumResidency.landed``,
+stamped by the shard job's prefetch sweep) and this query's previous
+band of the same SV is done.  Results never depended on that schedule,
+so before this file nothing pinned it.  Hypothesis draws 1/2/4 shards,
+``sv`` and ``tid`` routing, batches whose issuers differ in ``t_query``
+(so they walk the partitions in different order), range + kNN mixes,
+and a transient ``FaultWindowSchedule`` under a ``ShardSupervisor``;
+every example checks
+
+(a) **feasibility** — every item starts at or after the instant its
+    stratum's last coverage run really landed (read off the sweep by a
+    spy, not off the stamp) and after this query's previous same-SV
+    item; the CPU's intervals are disjoint; Σ item cost equals Σ
+    ``candidates_examined × verify_us`` of the range specs; and the
+    batch ends in ``[max(shard_ends), max(shard_ends) + Σ cost]`` — the
+    upper end is the serial-after-the-join schedule;
+(b) **the execution exists** — re-running each query's verification in
+    the priced order, over rows from ``tests/reference_scan.py``,
+    examines per band what was booked and yields the query's ``uids``
+    and ``candidates_examined``;
+(c) **timing only** — results, counters and physical reads equal
+    ``pipeline_verify=False`` and an untimed clone.
+
+Two mutants that must fail it (checked by hand when this was written):
+dropping the same-SV chain (``ready = resident.landed`` in
+``ShardScatterScanner.book_verified``) fails (a) — under ``tid``
+routing a query's partitions land on different shards, and under
+either routing a second issuer can make its strata land in the other
+order; stamping at job start (``clock.cursor()`` read before
+``BandScanner.prefetch``'s sweep loop instead of after each stratum)
+fails (a) everywhere.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.engine import BandScanner, UpdatePipeline
+from repro.engine.verify import CandidateVerifier
+from repro.fault import BreakerPolicy, RetryPolicy
+from repro.shard import ShardedPEBTree, ShardedQueryEngine
+from repro.shard.engine import ShardScatterScanner
+from repro.spatial.geometry import Rect
+from repro.storage.faults import FaultWindowSchedule, FaultyDisk
+from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
+
+from tests.conftest import build_world
+from tests.reference_scan import reference_scatter
+
+PAGE_SIZE = 1024
+WORLD = build_world(n_users=160, n_policies=8, seed=17)
+#: Crosses a partition rollover, so rows live in more than one partition.
+STREAM = WORLD.query_generator().update_stream(WORLD.states, 110, 3.0, 0.0, 130.0)
+#: Issuers at these instants walk the three partition ids in different order.
+T_QUERIES = (130.0, 190.0)
+#: Backoffs sum past any drawn window long before the attempts run out.
+RETRY = RetryPolicy(max_attempts=12, base_backoff_us=50.0)
+EPS = 1e-6
+
+
+def deploy(n_shards, policy, timed, supervised=False):
+    sharded = ShardedPEBTree.build(
+        n_shards,
+        WORLD.grid,
+        WORLD.partitioner,
+        WORLD.store,
+        uids=WORLD.uids,
+        policy=policy,
+        page_size=PAGE_SIZE,
+        buffer_pages=8,  # small: the prefetch sweeps do physical reads
+        latency="ssd" if timed else None,
+        disk_factory=(lambda shard: FaultyDisk(page_size=PAGE_SIZE))
+        if supervised
+        else None,
+        fault_policy=RETRY if supervised else None,
+        breaker_policy=BreakerPolicy() if supervised else None,
+    )
+    for uid in WORLD.uids:
+        sharded.insert(WORLD.states[uid])
+    with UpdatePipeline(sharded, capacity=64) as pipeline:
+        pipeline.extend(STREAM)
+    for pool in sharded.pools:
+        pool.clear()
+    return sharded
+
+
+def open_fault_window(sharded, offset_us, width_us):
+    """Every shard's reads fail while its job's cursor is in the window."""
+    clock = sharded.sim_clock
+    start = clock.cursor() + offset_us
+    schedule = FaultWindowSchedule(clock, start, start + width_us, kinds=("read",))
+    for tree in sharded.trees:
+        disk = tree.btree.pool.disk
+        while hasattr(disk, "inner"):
+            disk = disk.inner
+        disk.heal()
+        disk.schedule = schedule
+
+
+class SweepSpy:
+    """A shard tree whose prefetch sweep reports when each run landed."""
+
+    def __init__(self, tree, clock, landings):
+        self._tree = tree
+        self._clock = clock
+        self._landings = landings
+
+    def __getattr__(self, name):  # on-demand scans go straight through
+        return getattr(self._tree, name)
+
+    def scan_bands_rows(self, bands):
+        bands = list(bands)
+        for (tid, sv_q, _, _), rows in zip(bands, self._tree.scan_bands_rows(bands)):
+            self._landings[(tid, sv_q)] = self._clock.cursor()
+            yield rows
+
+
+class RecordingScatter(ShardScatterScanner):
+    """The shipped scatter scanner, remembering who booked what."""
+
+    def __init__(self, sharded):
+        super().__init__(sharded)
+        self.landings = {}
+        self.scanners = [
+            BandScanner(SweepSpy(tree, sharded.sim_clock, self.landings))
+            for tree in sharded.trees
+        ]
+        self.query = 0
+        self.bookings = []  # (query, band, examined, index in verify_items)
+
+    def book_verified(self, band, examined):
+        index = len(self.verify_items)
+        super().book_verified(band, examined)
+        booked = len(self.verify_items) > index
+        self.bookings.append((self.query, band, examined, index if booked else None))
+
+    def end_query(self):
+        self.query += 1
+        return super().end_query()
+
+
+class RecordingEngine(ShardedQueryEngine):
+    def _batch_scanner(self):
+        self.scatter = RecordingScatter(self.tree)
+        return self.scatter
+
+
+def price(items, verify_us):
+    """One CPU over ``(ready, examined)`` items in ready order.
+
+    Returns the processing order and each item's ``(start, end)``.
+    """
+    order = sorted(range(len(items)), key=lambda i: items[i][0])
+    spans = [None] * len(items)
+    cursor = float("-inf")
+    for i in order:
+        ready, examined = items[i]
+        start = max(cursor, ready)
+        cursor = start + examined * verify_us
+        spans[i] = (start, cursor)
+    return order, spans
+
+
+def answers(report):
+    return [
+        (
+            result.uids
+            if hasattr(result, "uids")
+            else [(round(d, 9), obj.uid) for d, obj in result.neighbors],
+            result.candidates_examined,
+        )
+        for result in report.results
+    ]
+
+
+def counters(report):
+    stats = report.stats
+    return (
+        stats.bands_requested,
+        stats.bands_scanned,
+        stats.bands_deduped,
+        stats.residency_hits,
+        stats.candidates_examined,
+        stats.physical_reads,
+        stats.entries_prefetched,
+        stats.dead_entries,
+    )
+
+
+QUERY = st.tuples(
+    st.sampled_from(("range", "range", "knn")),
+    st.integers(0, len(WORLD.uids) - 1),
+    st.sampled_from(T_QUERIES),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.sampled_from((180.0, 320.0, 520.0)),
+    st.integers(1, 4),
+)
+
+
+def make_spec(kind, issuer, t_query, fx, fy, side, k):
+    q_uid = WORLD.uids[issuer]
+    if kind == "knn":
+        return KnnQuerySpec(
+            q_uid=q_uid,
+            qx=fx * WORLD.space_side,
+            qy=fy * WORLD.space_side,
+            k=k,
+            t_query=t_query,
+        )
+    x_lo = fx * (WORLD.space_side - side)
+    y_lo = fy * (WORLD.space_side - side)
+    return RangeQuerySpec(
+        q_uid=q_uid, window=Rect(x_lo, x_lo + side, y_lo, y_lo + side), t_query=t_query
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_shards=st.sampled_from((1, 2, 4)),
+    policy=st.sampled_from(("sv", "tid")),
+    queries=st.lists(QUERY, min_size=1, max_size=8),
+    window=st.none() | st.tuples(st.floats(0.0, 600.0), st.floats(1.0, 400.0)),
+)
+def test_priced_schedule_is_feasible_and_describes_the_execution(
+    n_shards, policy, queries, window
+):
+    specs = [make_spec(*query) for query in queries]
+    ranges = [q for q, spec in enumerate(specs) if isinstance(spec, RangeQuerySpec)]
+    faulty = window is not None
+
+    pipelined = deploy(n_shards, policy, timed=True, supervised=faulty)
+    serial = deploy(n_shards, policy, timed=True, supervised=faulty)
+    untimed = deploy(n_shards, policy, timed=False)
+    if faulty:
+        open_fault_window(pipelined, *window)
+        open_fault_window(serial, *window)
+    clock = pipelined.sim_clock
+    verify_us = pipelined.latency_model.verify_us
+    t0 = clock.cursor()
+    assert serial.sim_clock.cursor() == t0
+
+    engine = RecordingEngine(pipelined)
+    report = engine.execute_batch(specs)
+    serial_report = ShardedQueryEngine(serial, pipeline_verify=False).execute_batch(specs)
+    untimed_report = ShardedQueryEngine(untimed).execute_batch(specs)
+    scatter = engine.scatter
+    items = scatter.verify_items
+    order, spans = price(items, verify_us)
+
+    # (c) Timing only.
+    assert answers(report) == answers(serial_report) == answers(untimed_report)
+    assert report.degraded == [False] * len(specs)
+    if faulty:
+        assert pipelined.supervisor.stats.exhausted == 0
+        assert serial.supervisor.stats.exhausted == 0
+    else:
+        assert counters(report) == counters(serial_report) == counters(untimed_report)
+
+    # (a) Every stratum a sweep covered carries the instant its last
+    # run landed — and nothing else carries a stamp.
+    for scanner in scatter.scanners:
+        for stratum, resident in scanner._residency.items():
+            assert resident.landed == scatter.landings.get(stratum), stratum
+    assert all(landing >= t0 for landing in scatter.landings.values())
+
+    # (a) Every verified band of a range query is an item; an item
+    # starts once its stratum has landed and its chain predecessor ended.
+    assert all(index is not None for _, _, _, index in scatter.bookings)
+    assert len(scatter.bookings) == len(items)
+    chain_end = {}
+    for query, band, examined, index in scatter.bookings:
+        tid, sv_q = band.tid, band.sv_lo_q
+        start, end = spans[index]
+        assert items[index][1] == examined
+        assert start >= scatter.landings[(tid, sv_q)], (query, band)
+        assert start >= chain_end.get((query, sv_q), t0), (query, band)
+        chain_end[(query, sv_q)] = end
+    assert {query for query, _, _, _ in scatter.bookings} <= set(ranges)
+
+    # (a) One CPU: intervals in processing order never overlap.
+    for before, after in zip(order, order[1:]):
+        assert spans[after][0] >= spans[before][1]
+
+    # (a) What the pipeline prices is the range specs' verification.
+    booked = sum(examined for _, examined in items)
+    assert booked == sum(report.results[q].candidates_examined for q in ranges)
+    cost = booked * verify_us
+
+    # (a) The batch ends between the fork/join and the serial schedule.
+    joined = max(scatter.shard_ends.values(), default=t0)
+    cpu_end = spans[order[-1]][1] if order else t0
+    end = clock.cursor()
+    serial_end = serial.sim_clock.cursor()
+    assert joined - EPS <= end <= serial_end + EPS
+    if len(ranges) == len(specs):
+        assert end == max(joined, cpu_end)
+        assert abs(serial_end - (joined + cost)) <= EPS
+    elif not faulty:
+        # kNN searches run on the worker's cursor in both schedules.
+        assert end >= serial_end - cost - EPS
+
+    # (b) The priced order is an execution: replayed band by band over
+    # the per-entry reference it examines what was booked and finds
+    # what the engine answered.
+    reference = reference_scatter(untimed)
+    by_item = {index: (query, band) for query, band, _, index in scatter.bookings}
+    for q in ranges:
+        spec = specs[q]
+        verifier = CandidateVerifier(untimed.store, spec.q_uid, spec.t_query)
+        found = set()
+
+        def collect(obj, x, y):
+            found.add(obj.uid)
+            return False
+
+        for index in order:
+            query, band = by_item[index]
+            if query != q:
+                continue
+            examined = verifier.candidates_examined
+            verifier.admit_rows(reference.scan(band), spec.window, collect)
+            assert verifier.candidates_examined - examined == items[index][1]
+        assert found == report.results[q].uids
+        assert verifier.candidates_examined == report.results[q].candidates_examined
+
+
+def test_pipeline_beats_the_join_barrier_and_serial_charges_the_rest():
+    """The effect itself, on one fixed batch: with several shards the
+    pipelined batch ends strictly before the serial one, and an
+    un-prefetched batch (nothing stamped) prices exactly the serial
+    schedule."""
+    specs = WORLD.query_generator().range_queries(WORLD.uids, 12, 420.0, 130.0)
+    ends = {}
+    for pipeline_verify in (True, False):
+        sharded = deploy(4, "sv", timed=True)
+        engine = ShardedQueryEngine(sharded, pipeline_verify=pipeline_verify)
+        report = engine.execute_batch(specs)
+        assert report.stats.candidates_examined > 0
+        ends[pipeline_verify] = sharded.sim_clock.cursor()
+    assert ends[True] < ends[False]
+
+    on_demand = {}
+    for pipeline_verify in (True, False):
+        sharded = deploy(4, "sv", timed=True)
+        engine = ShardedQueryEngine(sharded, pipeline_verify=pipeline_verify)
+        engine.execute_batch(specs, prefetch=False)
+        on_demand[pipeline_verify] = sharded.sim_clock.cursor()
+    assert on_demand[True] == on_demand[False]
