@@ -4,9 +4,10 @@ All node traffic flows through a :class:`repro.storage.BufferPool`, so the
 physical-read counter of the attached disk *is* the I/O cost the paper's
 experiments report.  The tree supports:
 
-* ``insert(key, uid, value)`` / ``delete(key, uid)`` with node splits,
-  borrows, and merges (moving-object workloads delete as often as they
-  insert, so structural shrinkage matters);
+* ``insert(key, uid, value)`` / ``delete(key, uid)`` with sheds (a full
+  leaf evens out with a sibling that has room before it splits), node
+  splits, borrows, and merges (moving-object workloads delete as often
+  as they insert, so structural shrinkage matters);
 * ``search(key, uid)`` point lookups;
 * ``scan_range(lo_key, hi_key)`` — the leaf-chain walk used by the Bx-tree
   and PEB-tree query algorithms (Figure 7, lines 11–18);
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from repro.btree.node import NO_PAGE, InternalNode, LeafNode, PackedValues
@@ -72,6 +74,7 @@ class BatchApplyStats:
     replaces: int = 0
     leaves_visited: int = 0
     leaf_splits: int = 0
+    sheds: int = 0
     internal_splits: int = 0
     merges: int = 0
     borrows: int = 0
@@ -96,7 +99,7 @@ class BTreeConfig:
     value_bytes: int = 28
     page_size: int = PAGE_SIZE
 
-    @property
+    @cached_property
     def leaf_capacity(self) -> int:
         """Maximum entries per leaf page."""
         entry = self.key_bytes + UID_SIZE + self.value_bytes
@@ -105,7 +108,7 @@ class BTreeConfig:
             raise ValueError("page too small for two leaf entries")
         return capacity
 
-    @property
+    @cached_property
     def internal_capacity(self) -> int:
         """Maximum separators per internal page (children = this + 1)."""
         entry = self.key_bytes + UID_SIZE + CHILD_SIZE
@@ -114,12 +117,12 @@ class BTreeConfig:
             raise ValueError("page too small for two separators")
         return capacity
 
-    @property
+    @cached_property
     def min_leaf_entries(self) -> int:
         """Underflow threshold for leaves (half full)."""
         return max(1, self.leaf_capacity // 2)
 
-    @property
+    @cached_property
     def min_children(self) -> int:
         """Underflow threshold for internal nodes (half the max children)."""
         return max(2, (self.internal_capacity + 2) // 2)
@@ -183,6 +186,7 @@ class BPlusTree:
     def insert(self, key: int, uid: int, value: bytes) -> None:
         """Insert one entry; duplicates of ``(key, uid)`` are rejected."""
         self._check_key(key)
+        self._check_value(value)
         ck = (key, uid)
         path = self._descend(ck)
         leaf_id = path[-1][0]
@@ -190,13 +194,20 @@ class BPlusTree:
         pos = bisect_left(leaf.keys, ck)
         if pos < len(leaf.keys) and leaf.keys[pos] == ck:
             raise KeyError(f"duplicate entry (key={key}, uid={uid})")
+        room = None
+        if len(leaf.keys) == self.config.leaf_capacity and len(path) > 1:
+            parent_id, idx = path[-2]
+            above = (parent_id, self.pool.get(parent_id), idx, True)
+            room = self._room_beside(above, len(leaf.keys) + 1)
         leaf.keys.insert(pos, ck)
         leaf.values.insert(pos, value)
         self.entry_count += 1
         if len(leaf.keys) <= self.config.leaf_capacity:
             self.pool.put(leaf_id, leaf)
-            return
-        self._split_leaf(path, leaf_id, leaf)
+        elif room is not None:
+            self._shed(leaf_id, leaf, room)
+        else:
+            self._split_leaf(path, leaf_id, leaf)
 
     def delete(self, key: int, uid: int) -> bool:
         """Remove the entry identified by ``(key, uid)``; True if found."""
@@ -384,16 +395,18 @@ class BPlusTree:
                 identity.  ``value`` is ignored for deletes.
 
         All ops landing in the same leaf are applied during a single
-        visit; a leaf that overflows is split into evenly filled chunks
-        once, a leaf that underflows is rebalanced once, and interior
-        nodes absorb their children's splits and merges in the same
-        single pass.  The final tree is observationally identical to
-        applying the ops one at a time (same entries, same invariants);
-        only the physical page layout may differ.
+        visit; a leaf that overflows sheds to a sibling or is split into
+        evenly filled chunks once, a leaf that underflows is rebalanced
+        once, and interior nodes absorb their children's splits and
+        merges in the same single pass.  The final tree is
+        observationally identical to applying the ops one at a time
+        (same entries, same invariants); only the physical page layout
+        may differ.
 
         Raises:
-            ValueError: ops unsorted, duplicated, or of unknown kind —
-                detected up front, before any page is modified.
+            ValueError: ops unsorted, duplicated, of unknown kind, or
+                carrying a value of the wrong width — detected up
+                front, before any page is modified.
             KeyError: duplicate insert, or delete/replace of a missing
                 entry.  Each leaf's group is validated against the leaf
                 before any of its ops apply, so the failing group is
@@ -406,10 +419,12 @@ class BPlusTree:
         if not ops:
             return stats
         previous: CompositeKey | None = None
-        for kind, key, uid, _ in ops:
+        for kind, key, uid, value in ops:
             if kind not in _BATCH_KINDS:
                 raise ValueError(f"unknown batch op kind {kind!r}")
             self._check_key(key)
+            if kind != "delete":
+                self._check_value(value)
             ck = (key, uid)
             if previous is not None and ck <= previous:
                 raise ValueError(
@@ -450,9 +465,19 @@ class BPlusTree:
         self._collapse_root()
 
     def _batch_rec(
-        self, page_id: int, ops: list[BatchOp], stats: BatchApplyStats
+        self,
+        page_id: int,
+        ops: list[BatchOp],
+        stats: BatchApplyStats,
+        above: tuple | None = None,
     ) -> tuple[list[tuple[CompositeKey, int]], bool]:
         """Apply ``ops`` under ``page_id``.
+
+        ``above`` is ``(parent_id, parent, child index, left_ok)`` for
+        every node but the root — what an overflowing leaf sheds by;
+        ``left_ok`` is False when the child to the left split earlier in
+        this sweep (the leaf's left neighbour is then a page the parent
+        does not list yet).
 
         Returns ``(splits, underflowed)``: ``(separator, new_page_id)``
         pairs, ascending, for sibling nodes split off to the right of
@@ -465,7 +490,7 @@ class BPlusTree:
         """
         node = self.pool.get(page_id)
         if node.is_leaf:
-            return self._batch_leaf(page_id, node, ops, stats)
+            return self._batch_leaf(page_id, node, ops, stats, above)
 
         # Partition the sorted ops among children; ops and separators
         # are both ascending, so one forward walk suffices.
@@ -489,13 +514,15 @@ class BPlusTree:
         # `node` stays authoritative across the child recursion: an
         # eviction may write it back and a re-read may install a second
         # object, but nothing mutates this page while its subtree is
-        # processed, so mutating the local object and re-putting it is
-        # sound — and saves a physical re-read per interior node.
+        # processed but a leaf's shed, which is handed this object —
+        # so mutating the local object and re-putting it is sound, and
+        # saves a physical re-read per interior node.
         pending: list[tuple[int, list[tuple[CompositeKey, int]]]] = []
         underfull: list[int] = []
         for idx, child_ops in groups:
+            left_ok = not (pending and pending[-1][0] == idx - 1)
             child_splits, child_underflowed = self._batch_rec(
-                children[idx], child_ops, stats
+                children[idx], child_ops, stats, (page_id, node, idx, left_ok)
             )
             if child_splits:
                 pending.append((idx, child_splits))
@@ -524,14 +551,21 @@ class BPlusTree:
         return result, len(node.children) < self.config.min_children
 
     def _batch_leaf(
-        self, page_id: int, leaf: LeafNode, ops: list[BatchOp], stats: BatchApplyStats
+        self,
+        page_id: int,
+        leaf: LeafNode,
+        ops: list[BatchOp],
+        stats: BatchApplyStats,
+        above: tuple | None,
     ) -> tuple[list[tuple[CompositeKey, int]], bool]:
-        """Apply one leaf's ops in a single visit; split once if needed.
+        """Apply one leaf's ops in a single visit; shed or split once.
 
         The group is validated against the leaf before the first
         mutation: ops have pairwise-distinct entry identities, so each
         op's present/absent status is independent of the others, and a
-        doomed group raises with the leaf untouched.
+        doomed group raises with the leaf untouched.  A grow sweep is
+        all inserts, so an overflow is known — and its sibling probed —
+        before the leaf is touched.
         """
         stats.leaves_visited += 1
         for kind, key, uid, _ in ops:
@@ -542,6 +576,10 @@ class BPlusTree:
                 raise KeyError(f"duplicate entry (key={key}, uid={uid})")
             if kind != "insert" and not present:
                 raise KeyError(f"no entry (key={key}, uid={uid}) to {kind}")
+        room = None
+        total = len(leaf.keys) + len(ops)
+        if above and ops[0][0] == "insert" and total > self.config.leaf_capacity:
+            room = self._room_beside(above, total)
         for kind, key, uid, value in ops:
             ck = (key, uid)
             pos = bisect_left(leaf.keys, ck)
@@ -562,6 +600,10 @@ class BPlusTree:
         if len(leaf.keys) <= self.config.leaf_capacity:
             self.pool.put(page_id, leaf)
             return [], len(leaf.keys) < self.config.min_leaf_entries
+        if room is not None:
+            self._shed(page_id, leaf, room)
+            stats.sheds += 1
+            return [], False
         return self._split_leaf_chunks(page_id, leaf, stats), False
 
     @staticmethod
@@ -671,34 +713,8 @@ class BPlusTree:
     def _fix_one_batch_underflow(
         self, parent: InternalNode, parent_id: int, idx: int, stats: BatchApplyStats
     ) -> int:
-        """One borrow or merge step; returns the index to re-examine.
-
-        Siblings are probed resident-first: the sweep just visited the
-        neighbours of an underfull node, so a hot sibling that can
-        spare saves the physical read a cold one would cost (checking
-        residency is free).  The single-op path has no such choice —
-        its one rebalance has no sweep context to exploit.
-        """
-        child_id = parent.children[idx]
-        child = self.pool.get(child_id)
-        sides = []
-        if idx > 0:
-            sides.append(idx - 1)
-        if idx < len(parent.children) - 1:
-            sides.append(idx + 1)
-        sides.sort(key=lambda side: parent.children[side] not in self.pool)
-        for side in sides:
-            sibling_id = parent.children[side]
-            sibling = self.pool.get(sibling_id)
-            if not self._can_spare(sibling):
-                continue
-            if side < idx:
-                self._borrow_from_left(parent, idx, sibling, child)
-            else:
-                self._borrow_from_right(parent, idx, child, sibling)
-            self.pool.put(sibling_id, sibling)
-            self.pool.put(child_id, child)
-            self.pool.put(parent_id, parent)
+        """One borrow or merge step; returns the index to re-examine."""
+        if self._borrow(parent, parent_id, idx):
             stats.borrows += 1
             return idx
         stats.merges += 1
@@ -735,6 +751,12 @@ class BPlusTree:
                 f"key {key} does not fit in {self.config.key_bytes} bytes"
             )
 
+    def _check_value(self, value: bytes) -> None:
+        if len(value) != self.config.value_bytes:
+            raise ValueError(
+                f"value is {len(value)} bytes, expected {self.config.value_bytes}"
+            )
+
     def _descend(self, ck: CompositeKey) -> list[tuple[int, int]]:
         """Root-to-leaf path as ``(page_id, child_index_taken)`` pairs.
 
@@ -765,6 +787,54 @@ class BPlusTree:
     # ------------------------------------------------------------------
     # Insert internals
     # ------------------------------------------------------------------
+
+    def _sibling_order(self, parent: InternalNode, idx: int) -> list[int]:
+        """Indices of the children beside ``idx``: resident first (a hot
+        sibling costs no physical read), the left one on a tie."""
+        sides = [s for s in (idx - 1, idx + 1) if 0 <= s < len(parent.children)]
+        sides.sort(key=lambda side: parent.children[side] not in self.pool)
+        return sides
+
+    def _room_beside(self, above: tuple, total: int) -> tuple | None:
+        """The overflow rule: where a leaf about to hold ``total`` entries
+        sheds to, as ``(parent_id, parent, idx, side, sibling)``, or None
+        to split.
+
+        ``above`` is the leaf's ``(parent_id, parent, idx, left_ok)``.
+        The leaf evens out with a same-parent sibling when that leaves
+        each of the two a free slot (a shed that filled either would
+        postpone the split by one insert).  Called *before* the leaf is
+        touched: every page a shed needs is fetched — and every eviction
+        those fetches cause is over — while all nodes are unmodified and
+        within capacity, so a fault here leaves the tree as it was.
+        """
+        parent_id, parent, idx, left_ok = above
+        for side in self._sibling_order(parent, idx):
+            if side > idx or left_ok:
+                sibling: LeafNode = self.pool.get(parent.children[side])
+                if len(sibling.keys) + total <= 2 * (self.config.leaf_capacity - 1):
+                    return parent_id, parent, idx, side, sibling
+        return None
+
+    def _shed(self, leaf_id: int, leaf: LeafNode, room: tuple) -> None:
+        """Even an overfull leaf out with the sibling :meth:`_room_beside`
+        found and move the one parent separator between them; all three
+        nodes are within capacity before the first ``put`` can evict."""
+        parent_id, parent, idx, side, sibling = room
+        move = (len(leaf.keys) - len(sibling.keys)) // 2  # entries handed over
+        if side < idx:
+            left, right, cut = sibling, leaf, len(sibling.keys) + move
+        else:
+            left, right, cut = leaf, sibling, len(leaf.keys) - move
+        keys = left.keys + right.keys
+        values = left.values[:]
+        values.extend(right.values)
+        left.keys, right.keys = keys[:cut], keys[cut:]
+        left.values, right.values = values[:cut], values[cut:]
+        parent.separators[min(side, idx)] = right.keys[0]
+        self.pool.put(leaf_id, leaf)
+        self.pool.put(parent.children[side], sibling)
+        self.pool.put(parent_id, parent)
 
     def _split_leaf(
         self, path: list[tuple[int, int]], leaf_id: int, leaf: LeafNode
@@ -848,30 +918,28 @@ class BPlusTree:
         return len(node.children) > self.config.min_children
 
     def _fix_underflow(self, parent: InternalNode, parent_id: int, idx: int) -> None:
+        if not self._borrow(parent, parent_id, idx):
+            self._merge_children(parent, parent_id, max(idx - 1, 0))
+
+    def _borrow(self, parent: InternalNode, parent_id: int, idx: int) -> bool:
+        """Refill child ``idx`` from the first sibling, resident ones
+        first, that can spare an entry; False when neither can."""
         child_id = parent.children[idx]
         child = self.pool.get(child_id)
-        if idx > 0:
-            left_id = parent.children[idx - 1]
-            left = self.pool.get(left_id)
-            if self._can_spare(left):
-                self._borrow_from_left(parent, idx, left, child)
-                self.pool.put(left_id, left)
-                self.pool.put(child_id, child)
-                self.pool.put(parent_id, parent)
-                return
-        if idx < len(parent.children) - 1:
-            right_id = parent.children[idx + 1]
-            right = self.pool.get(right_id)
-            if self._can_spare(right):
-                self._borrow_from_right(parent, idx, child, right)
-                self.pool.put(child_id, child)
-                self.pool.put(right_id, right)
-                self.pool.put(parent_id, parent)
-                return
-        if idx > 0:
-            self._merge_children(parent, parent_id, idx - 1)
-        else:
-            self._merge_children(parent, parent_id, idx)
+        for side in self._sibling_order(parent, idx):
+            sibling_id = parent.children[side]
+            sibling = self.pool.get(sibling_id)
+            if not self._can_spare(sibling):
+                continue
+            if side < idx:
+                self._borrow_from_left(parent, idx, sibling, child)
+            else:
+                self._borrow_from_right(parent, idx, child, sibling)
+            self.pool.put(sibling_id, sibling)
+            self.pool.put(child_id, child)
+            self.pool.put(parent_id, parent)
+            return True
+        return False
 
     def _borrow_from_left(
         self, parent: InternalNode, idx: int, left, child

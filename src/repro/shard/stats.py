@@ -33,18 +33,22 @@ class ShardStats(CounterSet, prefix="shard."):
         entries: indexed user entries per shard.
         physical_reads: physical page reads per shard's pool.
         physical_writes: physical page writes per shard's pool.
+        leaves: leaf pages per shard's B+-tree (empty when not taken).
+        leaf_capacity: entries one leaf page holds (0 when not taken).
     """
 
     entries: tuple[int, ...] = gauge()
     physical_reads: tuple[int, ...] = counter()
     physical_writes: tuple[int, ...] = counter()
+    leaves: tuple[int, ...] = gauge(())
+    leaf_capacity: int = gauge(0)
 
     def __post_init__(self):
         if not self.entries:
             raise ValueError("ShardStats needs at least one shard")
         if not (
             len(self.entries) == len(self.physical_reads) == len(self.physical_writes)
-        ):
+        ) or len(self.leaves) not in (0, len(self.entries)):
             raise ValueError("per-shard tuples must have equal length")
 
     @snapshot_only
@@ -75,6 +79,14 @@ class ShardStats(CounterSet, prefix="shard."):
         if total == 0:
             return 1.0
         return max(self.entries) / (total / self.n_shards)
+
+    @derived
+    def leaf_fill(self) -> float:
+        """Entries over leaf slots, deployment-wide: how full the leaf
+        pages a query reads are (split-only B+-trees settle near ln 2).
+        0.0 when the leaf counts were not taken."""
+        slots = sum(self.leaves) * self.leaf_capacity
+        return self.total_entries / slots if slots else 0.0
 
 
 __all__ = ["ShardStats"]

@@ -275,11 +275,13 @@ class ShardedPEBTree:
         return self._stats.latency
 
     def shard_stats(self) -> ShardStats:
-        """Point-in-time per-shard entry and I/O breakdown."""
+        """Point-in-time per-shard entry, leaf and I/O breakdown."""
         return ShardStats(
             entries=tuple(len(tree) for tree in self.trees),
             physical_reads=tuple(tree.stats.physical_reads for tree in self.trees),
             physical_writes=tuple(tree.stats.physical_writes for tree in self.trees),
+            leaves=tuple(tree.btree.leaf_count for tree in self.trees),
+            leaf_capacity=self.trees[0].btree.config.leaf_capacity,
         )
 
     # ------------------------------------------------------------------

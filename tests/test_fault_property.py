@@ -141,14 +141,22 @@ def test_transient_schedule_runs_bit_identical(fail_reads, fail_writes):
 def test_pipeline_fault_stats_exclude_faults_between_flushes():
     """Faults a query batch retried through between two flushes are the
     engine's, not the updater's: the pipeline's ``fault_stats`` is the
-    sum of what the supervisor counted *during* its flushes."""
+    sum of what the supervisor counted *during* its flushes.
+
+    The last read index is 110 (it was 70): leaves that shed before
+    they split lay the shards out differently, the first query batch
+    alone now reads past attempt 70 on every shard (66/68/95 attempts
+    before, 120/90/95 now), and the second one would meet no fault at
+    all.  Faults per phase: 6/25/10/1 on the split-only tree with 70,
+    6/24/9/1 here with 110.
+    """
     sharded = deploy(supervised=True)
     for pool in sharded.pools:
         pool.resize(2)  # smaller than a shard: the queries read too
     # Sparse enough that no retried job exhausts, spread so that both
     # flushes and both query batches run into some (asserted below).
     schedule = TransientFaultSchedule(
-        fail_reads={2, 12, 20, 27, 31, 36, 40, 45, 50, 70},
+        fail_reads={2, 12, 20, 27, 31, 36, 40, 45, 50, 110},
         fail_writes={3, 9, 12, 15},
     )
     for disk in shard_disks(sharded):

@@ -282,12 +282,22 @@ def test_btree_surfaces_corruption():
 
 
 def test_btree_intermittent_faults_never_corrupt_results():
-    """Reads that fail are retried by the caller; answers stay exact."""
-    disk = FaultyDisk(page_size=256, fail_every_nth_read=7)
+    """Reads that fail are retried by the caller; answers stay exact.
+
+    The every-7th-read schedule is armed after the build (attempts
+    counted from there): a full leaf now probes a sibling before it
+    splits, so the ascending build reads pages — it read none when
+    overflow meant split — and its 7th read would fault inside an
+    ``insert`` this test never meant to retry.  The scans below face
+    the same schedule as before.
+    """
+    disk = FaultyDisk(page_size=256)
     tree = build_tree(disk)
     for key in range(150):
         tree.insert(key, key, key.to_bytes(16, "big"))
     tree.pool.flush()
+    disk.heal()
+    disk.fail_every_nth_read = 7
 
     expected = list(range(150))
     for _ in range(10):
