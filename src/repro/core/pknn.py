@@ -258,14 +258,17 @@ class _MatrixSearch:
         interval is skipped; elsewhere a piece the stratum's residency
         has proven is answered from it (an empty one costs a
         bisection), only an unproven piece becomes a band request, and
-        the quiet interval is taken afresh.
+        the quiet interval is taken afresh.  The scanner is told before
+        a stratum is read and what each admitted row set cost to verify
+        (the sharded batch engine times a search with them).
         """
+        scanner = self.scanner
+        verifier = self.verifier
         strata = self._strata[row]
         if strata is None:
             sv_q = self.tree.codec.quantize_sv(self.friends[row][0])
-            residency = self.scanner.residency
             strata = self._strata[row] = [
-                residency(context.tid, sv_q) for context in self.contexts
+                scanner.residency(context.tid, sv_q) for context in self.contexts
             ]
         quiet = self._quiet[row]
         for context_index, tid, pieces, hull_lo, hull_hi in partitions:
@@ -274,19 +277,20 @@ class _MatrixSearch:
                 self._skipped[row][context_index] += len(pieces)
                 continue
             resident = strata[context_index]
+            scanner.wait_landed(resident)
             for z_lo, z_hi in pieces:
                 rows = resident.serve(z_lo, z_hi) if resident is not None else None
                 if rows is None:
-                    rows = self.scanner.scan(
+                    rows = scanner.scan(
                         self.planner.band(tid, self.friends[row][0], z_lo, z_hi)
                     )
                 if rows.records:
-                    self.verifier.admit_rows(
-                        rows, on_qualify=self._admit_qualifying
-                    )
+                    seen = verifier.candidates_examined
+                    verifier.admit_rows(rows, on_qualify=self._admit_qualifying)
+                    scanner.charge_verified(verifier.candidates_examined - seen)
             if resident is not None:
                 quiet[context_index] = resident.quiet_around(
-                    self._anchor, self.verifier.located
+                    self._anchor, verifier.located
                 )
 
     def scan_cell(self, row: int, round_index: int) -> None:

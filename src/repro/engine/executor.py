@@ -291,8 +291,16 @@ class QueryEngine:
         ``Dk``-estimate square around the query point — so its bands
         (:meth:`QueryPlanner.plan_knn_probe`) join the prefetch set and
         concurrent kNN queries share the batch's physical scans instead
-        of each scanning its first round on demand; later rounds still
-        run adaptively against the same shared scanner.
+        of each scanning its first round on demand; later rounds run
+        adaptively against the same shared scanner.
+
+        Replay takes the range specs first, then the kNN searches, each
+        kind in spec order; results and ``degraded`` flags come back in
+        spec order.  On a single tree every query's verification is
+        charged serially after the scans; the sharded engine verifies
+        the range specs' bands as their strata land and runs each kNN
+        search on the same CPU afterwards, waiting for a stratum's
+        landing before the search first reads it.
 
         A spec of an unsupported type, or a kNN spec with a negative
         ``k`` or a non-finite ``qx``/``qy``/``t_query``, raises before
@@ -364,28 +372,39 @@ class QueryEngine:
                     },
                 )
 
-        report = BatchReport()
+        report = BatchReport(results=[None] * len(specs), degraded=[False] * len(specs))
         if tracing:
             t_replay0 = clock.cursor() if clock is not None else 0.0
-        for spec, plan in zip(specs, plans):
+
+        def replay(index: int, run: Callable) -> None:
             drops_before = self._drop_marker(scanner)
-            if plan is not None:
-                result = prq_from_plan(self, plan, scanner)
-            else:
-                result = _MatrixSearch(
-                    self.tree,
-                    spec.q_uid,
-                    spec.qx,
-                    spec.qy,
-                    spec.k,
-                    spec.t_query,
-                    planner=self.planner,
-                    scanner=scanner,
-                ).run()
-            self._charge_verify(result, plan, scanner)
+            result = run()
+            self._charge_verify(result, plans[index], scanner)
             report.stats.candidates_examined += result.candidates_examined
-            report.results.append(result)
-            report.degraded.append(self._drop_marker(scanner) > drops_before)
+            report.results[index] = result
+            report.degraded[index] = self._drop_marker(scanner) > drops_before
+
+        # Range plans replay first — off a prefetched batch, without
+        # I/O — then the kNN searches, each kind in spec order.
+        for index, plan in enumerate(plans):
+            if plan is not None:
+                replay(index, lambda: prq_from_plan(self, plan, scanner))
+        self._begin_searches(scanner)
+        for index, (spec, plan) in enumerate(zip(specs, plans)):
+            if plan is None:
+                replay(
+                    index,
+                    _MatrixSearch(
+                        self.tree,
+                        spec.q_uid,
+                        spec.qx,
+                        spec.qy,
+                        spec.k,
+                        spec.t_query,
+                        planner=self.planner,
+                        scanner=scanner,
+                    ).run,
+                )
         self._end_replay(scanner)
         if tracing:
             recorder.span(
@@ -469,7 +488,8 @@ class QueryEngine:
         The base engine serializes verification after the scans: the
         context cursor (already past the prefetch) advances by
         ``candidates × verify_us``.  The sharded engine overrides this
-        to leave what the scanner booked to its verify timeline.
+        to leave what the scanner booked to its verify timeline, and
+        what a kNN search was charged as it ran.
         Verification is charged here — once per query of a batch — and
         nowhere else, so single-query adapters (which may be replayed
         *by* this loop via ``prq_from_plan``) never double-charge.
@@ -477,6 +497,10 @@ class QueryEngine:
         clock, model = self._timing()
         if clock is not None:
             clock.advance(result.candidates_examined * model.verify_us)
+
+    def _begin_searches(self, scanner) -> None:
+        """Hook between the range replays and the kNN searches (the
+        sharded engine puts the searches on its verify CPU here)."""
 
     def _end_replay(self, scanner) -> None:
         """Hook after the batch's replay loop (timing join point)."""

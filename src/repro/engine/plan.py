@@ -252,20 +252,27 @@ class QueryPlanner:
         its first round on demand.  A probe is a prefetch superset hint:
         bands the search never requests cost prefetch I/O but can
         never change results.
+
+        The bands come friend-major — one friend's partitions, then the
+        next friend's — so a prefetch lands each friend's strata
+        together, in the order the walk's rows read them.  That is the
+        order of a hint, not the paper's iteration order: range plans
+        stay partition-major.
         """
         friends = self.friends(q_uid)
         if not friends or k <= 0:
             return []
         square = Rect.from_center(qx, qy, self.knn_step(k))
-        bands: list[BandRequest] = []
+        spans = []
         for context in self.contexts(t_query):
             span = self.tree.grid.z_span(context.enlarged(square))
-            if span is None:
-                continue
-            z_lo, z_hi = span
-            for sv, _ in friends:
-                bands.append(self.band(context.tid, sv, z_lo, z_hi))
-        return bands
+            if span is not None:
+                spans.append((context.tid, span))
+        return [
+            self.band(tid, sv, z_lo, z_hi)
+            for sv, _ in friends
+            for tid, (z_lo, z_hi) in spans
+        ]
 
     def plan_seed(self, q_uid: int) -> QueryPlan:
         """Plan a whole-space sweep of every friend's SV band.

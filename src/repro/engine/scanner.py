@@ -374,6 +374,14 @@ class BandScanner:
         """Told what verifying one band's rows cost.  Nothing to price
         here; the scatter scanner puts it on its verify timeline."""
 
+    def wait_landed(self, resident: "StratumResidency | None") -> None:
+        """Told a search is about to read a stratum.  Nothing to wait
+        for here; the scatter scanner holds the search until it landed."""
+
+    def charge_verified(self, examined: int) -> None:
+        """Told what verifying rows a search admitted cost.  Nothing to
+        price here; the scatter scanner charges the search for it."""
+
     def prefetch(self, bands: Iterable[BandRequest], clock=None) -> None:
         """Scan the merged union of many plans' bands once, up front.
 

@@ -14,7 +14,9 @@ written by :mod:`repro.obs.export` and prints:
   the stats must tell one story — and beside it what the verify
   pipeline left of that busy time per batch: its *tail* (verification
   still running after the slowest shard landed) and its *idle* time
-  (the CPU waiting for a landing);
+  (the CPU waiting for a landing); then the same for the kNN searches
+  on that CPU: their tail past the join, and their time waiting for
+  landings, in on-demand scans and verifying;
 * a cross-check that the per-shard ``shard.physical_*`` series of the
   embedded metrics sum to the merged ``io.physical_*`` counters — a
   breakdown published twice, or billed someone else's I/O, shows here.
@@ -84,6 +86,15 @@ def summarize_trace(trace: dict) -> dict:
         for key in ("items", "idle_us", "tail_us")
     }
     verify_pipeline["batches"] = len(pipelines)
+    searches = [
+        span["args"] for span in spans
+        if span["name"] == "verify.knn" and "args" in span
+    ]
+    verify_knn = {
+        key: sum(args[key] for args in searches)
+        for key in ("wait_us", "scan_us", "verify_us", "tail_us")
+    }
+    verify_knn["searches"] = len(searches)
 
     worker_busy = phases.get("batch.serve", {}).get("total_us", 0.0)
     for entry in phases.values():
@@ -137,6 +148,7 @@ def summarize_trace(trace: dict) -> dict:
         "devices": devices,
         "instants": dict(sorted(instants.items())),
         "verify_pipeline": verify_pipeline,
+        "verify_knn": verify_knn,
         "busy_check": busy_check,
         "shard_check": shard_check,
         "consistent": all(
@@ -194,6 +206,15 @@ def render_trace_report(trace: dict) -> str:
             f"{pipeline['tail_us']:.1f} us ({pipeline['tail_us'] / n:.1f}/batch), "
             f"idle {pipeline['idle_us']:.1f} us ({pipeline['idle_us'] / n:.1f}/batch), "
             f"{pipeline['items']} items"
+        )
+    knn = summary["verify_knn"]
+    if knn["searches"]:
+        n = knn["searches"]
+        lines.append(
+            f"  verify knn over {n} searches: tail "
+            f"{knn['tail_us']:.1f} us ({knn['tail_us'] / n:.1f}/search), "
+            f"wait {knn['wait_us']:.1f} us, scan {knn['scan_us']:.1f} us, "
+            f"verify {knn['verify_us']:.1f} us"
         )
     check = summary["shard_check"]
     if check is not None:

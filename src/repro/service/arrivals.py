@@ -27,6 +27,7 @@ and queries are issued at ``t_start + duration``, the
 from __future__ import annotations
 
 import random
+from math import inf
 from typing import TYPE_CHECKING
 
 from repro.service.requests import ServiceRequest, query_request, update_request
@@ -37,6 +38,13 @@ if TYPE_CHECKING:
 
 #: Arrival process names accepted by :meth:`OpenLoopGenerator.generate`.
 ARRIVAL_PROCESSES = ("poisson", "burst")
+
+
+def _check_rate(rate_per_sec: float) -> None:
+    if not 0 < rate_per_sec < inf:  # NaN compares false: refused
+        raise ValueError(
+            f"rate_per_sec must be finite and positive, got {rate_per_sec}"
+        )
 
 
 class OpenLoopGenerator:
@@ -67,8 +75,7 @@ class OpenLoopGenerator:
 
     def poisson_stamps(self, count: int, rate_per_sec: float) -> list[float]:
         """``count`` ascending instants with exponential gaps (µs)."""
-        if rate_per_sec <= 0:
-            raise ValueError(f"rate_per_sec must be positive, got {rate_per_sec}")
+        _check_rate(rate_per_sec)
         mean_gap_us = 1e6 / rate_per_sec
         stamps = []
         now = 0.0
@@ -85,8 +92,7 @@ class OpenLoopGenerator:
         All members of a burst share one arrival instant; bursts are
         spaced so the long-run rate equals ``rate_per_sec``.
         """
-        if rate_per_sec <= 0:
-            raise ValueError(f"rate_per_sec must be positive, got {rate_per_sec}")
+        _check_rate(rate_per_sec)
         if burst_size < 1:
             raise ValueError(f"burst_size must be >= 1, got {burst_size}")
         period_us = burst_size * 1e6 / rate_per_sec

@@ -26,6 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from math import inf
 from typing import Sequence
 
 from repro.service.requests import ServiceRequest
@@ -61,11 +62,14 @@ class BatchPolicy:
     def __post_init__(self):
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_us < 0:
-            raise ValueError(f"max_wait_us must be >= 0, got {self.max_wait_us}")
-        if self.shed_after_us is not None and self.shed_after_us <= 0:
+        # NaN compares false, so each bound is written to refuse it.
+        if not 0 <= self.max_wait_us < inf:
             raise ValueError(
-                f"shed_after_us must be positive, got {self.shed_after_us}"
+                f"max_wait_us must be finite and >= 0, got {self.max_wait_us}"
+            )
+        if self.shed_after_us is not None and not 0 < self.shed_after_us < inf:
+            raise ValueError(
+                f"shed_after_us must be finite and positive, got {self.shed_after_us}"
             )
 
 
@@ -118,7 +122,7 @@ class RequestQueue:
     def __init__(self, requests: Sequence[ServiceRequest], policy: BatchPolicy):
         self._arrivals = list(requests)
         for earlier, later in zip(self._arrivals, self._arrivals[1:]):
-            if later.arrival_us < earlier.arrival_us:
+            if not earlier.arrival_us <= later.arrival_us:  # NaN is unsorted
                 raise ValueError(
                     "arrival stream must be sorted by arrival_us "
                     f"(request {later.seq} arrives before {earlier.seq})"

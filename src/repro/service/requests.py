@@ -17,6 +17,7 @@ separate axes; the open-loop generator decides how they co-advance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import TYPE_CHECKING
 
 from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
@@ -52,8 +53,10 @@ class ServiceRequest:
     def __post_init__(self):
         if self.kind not in REQUEST_KINDS:
             raise ValueError(f"unknown request kind {self.kind!r}")
-        if self.arrival_us < 0:
-            raise ValueError(f"arrival_us must be >= 0, got {self.arrival_us}")
+        if not 0 <= self.arrival_us < inf:
+            raise ValueError(
+                f"arrival_us must be finite and >= 0, got {self.arrival_us}"
+            )
         if self.kind == "update":
             if self.update is None or self.query is not None:
                 raise ValueError("update requests carry exactly an update state")

@@ -26,8 +26,13 @@ instant its last coverage run landed, and a range query's candidates
 are verified on one CPU timeline band by band, each as soon as *its
 stratum* has landed — while the rest of that shard's sweep, and every
 slower shard, is still scanning — instead of after the fork/join
-barrier.  Timing only: results, iteration order, and every I/O counter
-are identical to the sequential schedule.
+barrier.  The batch's kNN searches then run on the same CPU, in spec
+order from where the range pipeline left it (from the fork itself when
+it booked nothing): a search waits for a stratum's landing before it
+first reads it, pays its on-demand scans on their shard's device queue
+behind that shard's prefetch, and is charged each admitted row set's
+verification where it admits it.  Timing only: results, iteration
+order, and every I/O counter are identical to the sequential schedule.
 
 Every query then flows through the inherited executor and the
 existing verifier; per-shard breakdowns land on
@@ -71,6 +76,11 @@ class ShardScatterScanner:
             per-scanner degradation counter the engine turns into
             per-query ``degraded`` flags.
 
+    Between :meth:`start_searches` and :meth:`end_searches` the batch's
+    kNN searches run on the verify CPU: :meth:`wait_landed` and
+    :meth:`charge_verified` (no-ops on :class:`BandScanner`) move the
+    running search's cursor.
+
     When the deployment carries a
     :class:`repro.fault.supervisor.ShardSupervisor`, every per-shard
     job — a batch prefetch, a physical sub-band scan — runs under it:
@@ -91,6 +101,13 @@ class ShardScatterScanner:
         self._chain: dict[int, float] = {}  # sv_q -> ready, this query
         self._chained = 0
         self._parts_memo: dict[tuple, list] = {}
+        # The verify CPU: free from the fork of a timed prefetch (None
+        # before one); while the kNN searches run on it, where the
+        # running search started, the price of one candidate (None
+        # otherwise) and how long the search has waited for landings.
+        self._cpu: float | None = None
+        self._verify_us: float | None = None
+        self._waited = 0.0
 
     # ------------------------------------------------------------------
     # Aggregated counters (the executor's reporting surface)
@@ -150,6 +167,9 @@ class ShardScatterScanner:
         """
         if self.supervisor is not None:
             return None
+        return self._stratum(tid, sv_q)
+
+    def _stratum(self, tid: int, sv_q: int):
         return self.scanners[self.tree.router.shard_of(tid, sv_q)].residency(
             tid, sv_q
         )
@@ -160,10 +180,16 @@ class ShardScatterScanner:
         Under a supervisor, a quarantined shard's sub-band is dropped
         (counted in :attr:`dropped_subbands` and the supervisor's
         ``bands_dropped``) and the remaining shards' entries are
-        returned — a degraded, never wrong-by-inclusion result.
+        returned — a degraded, never wrong-by-inclusion result.  A kNN
+        search on the verify CPU first waits for the band's stratum to
+        land (:meth:`wait_landed`).
         """
         self.scan_calls += 1
         parts = self._split(band)
+        if self._verify_us is not None and band.sv_lo_q == band.sv_hi_q:
+            # A single-SV band routes whole to its stratum's shard.
+            resident = self.scanners[parts[0][0]].residency(band.tid, band.sv_lo_q)
+            self.wait_landed(resident)
         if self.supervisor is None:
             if len(parts) == 1:
                 shard, sub = parts[0]
@@ -226,6 +252,8 @@ class ShardScatterScanner:
                 for (shard, _), job in zip(jobs, thunks)
             ]
         recorder = getattr(self.tree, "trace_recorder", None)
+        if clock is not None:
+            self._cpu = clock.cursor()
         _, ends = self.scheduler.run_timed(
             thunks,
             recorder=recorder,
@@ -250,9 +278,7 @@ class ShardScatterScanner:
         tid, sv_q, sv_hi_q, _, _ = band
         if sv_q != sv_hi_q:
             return
-        resident = self.scanners[self.tree.router.shard_of(tid, sv_q)].residency(
-            tid, sv_q
-        )
+        resident = self._stratum(tid, sv_q)
         if resident is None or resident.landed is None:
             return
         ready = max(resident.landed, self._chain.get(sv_q, 0.0))
@@ -266,6 +292,66 @@ class ShardScatterScanner:
         self._chain.clear()
         return chained
 
+    # ------------------------------------------------------------------
+    # kNN searches on the verify CPU
+    # ------------------------------------------------------------------
+
+    def start_searches(self, pipeline_end: float | None, verify_us: float) -> None:
+        """Run the batch's kNN searches on the verify CPU.
+
+        The CPU is free once the range pipeline ends (``pipeline_end``),
+        or from the prefetch's fork when nothing was booked.  Serial
+        work on the worker's cursor since the join (a band without a
+        landing instant) holds it too; without a fork there is only
+        that.  Until :meth:`end_searches`, the clock's cursor is the
+        running search's: it waits in :meth:`wait_landed`, its
+        on-demand scans are charged at it, and :meth:`charge_verified`
+        advances it.
+        """
+        clock = self.scheduler.clock
+        cursor = clock.cursor()
+        start = self._cpu if pipeline_end is None else pipeline_end
+        if start is None or cursor > max(self.shard_ends.values()):
+            start = cursor if start is None else max(start, cursor)
+        clock.set_cursor(start)
+        self._cpu = start
+        self._verify_us = verify_us
+
+    def wait_landed(self, resident) -> None:
+        """Hold the running search until ``resident``'s stratum landed.
+
+        Called before each read of a stratum; the cursor only moves
+        forward, so only the first read of a stratum can wait.
+        """
+        if self._verify_us is None or resident is None or resident.landed is None:
+            return
+        clock = self.scheduler.clock
+        wait = resident.landed - clock.cursor()
+        if wait > 0:
+            self._waited += wait
+            clock.set_cursor(resident.landed)
+
+    def charge_verified(self, examined: int) -> None:
+        """Charge the running search for verifying ``examined`` rows."""
+        if self._verify_us is not None and examined:
+            self.scheduler.clock.advance(examined * self._verify_us)
+
+    def end_search(self) -> tuple[float, float]:
+        """Close one search; ``(its start, time it waited for landings)``.
+
+        The next search starts where this one ended.
+        """
+        start, waited = self._cpu, self._waited
+        self._cpu = self.scheduler.clock.cursor()
+        self._waited = 0.0
+        return start, waited
+
+    def end_searches(self) -> None:
+        """End the batch at the latest of the join, the range pipeline
+        and the last search (the cursor is past the pipeline's end)."""
+        self._verify_us = None
+        self.scheduler.clock.join(list(self.shard_ends.values()))
+
 
 class ShardedQueryEngine(QueryEngine):
     """The unified query engine over a sharded deployment.
@@ -274,13 +360,15 @@ class ShardedQueryEngine(QueryEngine):
     facade's ``scan_band_rows`` routes each band); batch execution
     swaps in the scatter scanner so prefetching happens per shard
     through the deployment's I/O scheduler, and — on timed devices —
-    verification pipelines against still-running shard scans.
+    verification and the kNN searches run on one CPU against
+    still-running shard scans.
 
     Args:
         sharded: the deployment to query.
-        pipeline_verify: overlap verification CPU with shard scans in
-            virtual time (timed deployments only; timing-neutral
-            everywhere else).
+        pipeline_verify: overlap verification CPU and kNN searches with
+            shard scans in virtual time (timed deployments only;
+            timing-neutral everywhere else); False is "serial, after
+            the join" for both kinds.
     """
 
     def __init__(self, sharded: ShardedPEBTree, pipeline_verify: bool = True):
@@ -312,19 +400,52 @@ class ShardedQueryEngine(QueryEngine):
         clock, model = self._timing()
         if clock is None:
             return
-        # What the scanner put on the verify timeline is priced in
-        # _end_replay; the rest — kNN rounds, which interleave their own
-        # scans with verification, and bands without a landing instant —
-        # keeps the serial schedule on the worker's cursor.
-        examined = result.candidates_examined
-        if self.pipeline_verify:
-            examined -= scanner.end_query()
-        clock.advance(examined * model.verify_us)
+        if not self.pipeline_verify:
+            clock.advance(result.candidates_examined * model.verify_us)
+        elif plan is None:
+            # A search on the verify CPU was charged as it ran.
+            start, waited = scanner.end_search()
+            recorder = getattr(self.tree, "trace_recorder", None)
+            if recorder is not None and recorder.enabled:
+                end = clock.cursor()
+                verify = result.candidates_examined * model.verify_us
+                joined = max(scanner.shard_ends.values(), default=start)
+                recorder.span(
+                    "engine/verify",
+                    "verify.knn",
+                    start,
+                    end,
+                    category="engine",
+                    args={
+                        "wait_us": waited,
+                        "scan_us": max(0.0, end - start - waited - verify),
+                        "verify_us": verify,
+                        "tail_us": max(0.0, end - joined),
+                    },
+                )
+        else:
+            # What the scanner put on the verify timeline is priced in
+            # _begin_searches; bands without a landing instant keep the
+            # serial schedule on the worker's cursor.
+            examined = result.candidates_examined - scanner.end_query()
+            clock.advance(examined * model.verify_us)
+
+    def _begin_searches(self, scanner) -> None:
+        clock, model = self._timing()
+        if clock is None or not self.pipeline_verify:
+            return
+        scanner.start_searches(self._price_pipeline(scanner, model), model.verify_us)
 
     def _end_replay(self, scanner) -> None:
-        clock, model = self._timing()
-        if clock is None or not self.pipeline_verify or not scanner.verify_items:
-            return
+        clock, _ = self._timing()
+        if clock is not None and self.pipeline_verify:
+            scanner.end_searches()
+
+    def _price_pipeline(self, scanner, model) -> float | None:
+        """The range queries' booked bands on the verify CPU; its end
+        (None when nothing was booked)."""
+        if not scanner.verify_items:
+            return None
         # One CPU takes the booked bands as they become ready (the sort
         # is stable, so a query's chain keeps its order): it may verify
         # the first-landed stratum while every shard still scans.
@@ -350,7 +471,7 @@ class ShardedQueryEngine(QueryEngine):
                     "tail_us": max(0.0, cursor - max(scanner.shard_ends.values())),
                 },
             )
-        clock.join([cursor])
+        return cursor
 
 
 __all__ = ["ShardScatterScanner", "ShardedQueryEngine"]

@@ -11,6 +11,7 @@ is identical to applying the same recorded batches directly through
 import gc
 import random
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -71,6 +72,40 @@ def test_policy_validation():
         BatchPolicy(max_batch=0)
     with pytest.raises(ValueError):
         BatchPolicy(max_wait_us=-1.0)
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("max_wait_us", lambda: BatchPolicy(max_wait_us=NAN)),
+        ("max_wait_us", lambda: BatchPolicy(max_wait_us=INF)),
+        ("shed_after_us", lambda: BatchPolicy(shed_after_us=NAN)),
+        ("shed_after_us", lambda: BatchPolicy(shed_after_us=INF)),
+        ("rate_per_sec", lambda: open_loop().poisson_stamps(3, rate_per_sec=NAN)),
+        ("rate_per_sec", lambda: open_loop().poisson_stamps(3, rate_per_sec=INF)),
+        ("rate_per_sec", lambda: open_loop().burst_stamps(3, NAN, burst_size=2)),
+        ("rate_per_sec", lambda: open_loop().burst_stamps(3, INF, burst_size=2)),
+        ("rate_per_sec", lambda: open_loop().generate(4, rate_per_sec=NAN)),
+        ("arrival_us", lambda: upd(0, NAN)),
+        ("arrival_us", lambda: upd(0, INF)),
+        (
+            "arrival_us",  # a stream that slipped a NaN stamp past its envelope
+            lambda: RequestQueue(
+                [upd(0, 0.0), SimpleNamespace(seq=1, arrival_us=NAN), upd(2, 5.0)],
+                BatchPolicy(),
+            ),
+        ),
+    ],
+)
+def test_service_inputs_refuse_non_finite_values(field, build):
+    """A NaN or infinite stamp, wait, deadline or rate never compares
+    again: each is refused up front, naming the field."""
+    with pytest.raises(ValueError, match=field):
+        build()
 
 
 # ----------------------------------------------------------------------

@@ -1,23 +1,31 @@
-"""Property pin for the verify pipeline's priced schedule.
+"""Property pin for the verify CPU's priced schedule.
 
 On a timed deployment ``ShardedQueryEngine`` prices a range query's
 verification band by band on one CPU timeline: a band's rows may be
 verified once its *stratum* has landed (``StratumResidency.landed``,
 stamped by the shard job's prefetch sweep) and this query's previous
-band of the same SV is done.  Results never depended on that schedule,
-so before this file nothing pinned it.  Hypothesis draws 1/2/4 shards,
-``sv`` and ``tid`` routing, batches whose issuers differ in ``t_query``
-(so they walk the partitions in different order), range + kNN mixes,
-and a transient ``FaultWindowSchedule`` under a ``ShardSupervisor``;
-every example checks
+band of the same SV is done.  The batch's kNN searches then run on the
+same CPU from where that pipeline ended (from the prefetch's fork when
+it booked nothing): a search waits for a stratum's landing before it
+first reads it, its on-demand scans queue on their shard's device, and
+each admitted row set is charged its verification where it is admitted.
+Results never depended on that schedule, so before this file nothing
+pinned it.  Hypothesis draws 1/2/4 shards, ``sv`` and ``tid`` routing,
+batches whose issuers differ in ``t_query`` (so they walk the
+partitions in different order), range + kNN mixes, and a transient
+``FaultWindowSchedule`` under a ``ShardSupervisor``; every example
+checks
 
-(a) **feasibility** — every item starts at or after the instant its
-    stratum's last coverage run really landed (read off the sweep by a
-    spy, not off the stamp) and after this query's previous same-SV
-    item; the CPU's intervals are disjoint; Σ item cost equals Σ
-    ``candidates_examined × verify_us`` of the range specs; and the
-    batch ends in ``[max(shard_ends), max(shard_ends) + Σ cost]`` — the
-    upper end is the serial-after-the-join schedule;
+(a) **feasibility** — every range item starts at or after the instant
+    its stratum's last coverage run really landed (read off the sweep
+    by a spy, not off the stamp) and after this query's previous
+    same-SV item; every kNN charge starts at or after the real landing
+    of the stratum it verifies and after the search's last on-demand
+    scan returned; range items and kNN charges never overlap on the
+    one CPU; Σ item cost equals Σ ``candidates_examined × verify_us``
+    of the range specs and Σ kNN charge that of the kNN specs; and the
+    batch ends in ``[max(shard_ends), serial_end]`` — the upper end is
+    the serial-after-the-join schedule;
 (b) **the execution exists** — re-running each query's verification in
     the priced order, over rows from ``tests/reference_scan.py``,
     examines per band what was booked and yields the query's ``uids``
@@ -25,14 +33,19 @@ every example checks
 (c) **timing only** — results, counters and physical reads equal
     ``pipeline_verify=False`` and an untimed clone.
 
-Two mutants that must fail it (checked by hand when this was written):
+Four mutants that must fail it (checked by hand when written):
 dropping the same-SV chain (``ready = resident.landed`` in
 ``ShardScatterScanner.book_verified``) fails (a) — under ``tid``
 routing a query's partitions land on different shards, and under
 either routing a second issuer can make its strata land in the other
 order; stamping at job start (``clock.cursor()`` read before
 ``BandScanner.prefetch``'s sweep loop instead of after each stratum)
-fails (a) everywhere.
+fails (a) everywhere; dropping the landing wait
+(``ShardScatterScanner.wait_landed`` returning at once) fails (a) on
+any batch whose search reads a probe stratum before it lands; and
+starting the searches at the fork base before the range pipeline
+(``start_searches`` ignoring ``pipeline_end``) fails (a) by
+double-booking the CPU in mixed batches.
 """
 
 from hypothesis import given, settings
@@ -119,17 +132,23 @@ class SweepSpy:
 
 
 class RecordingScatter(ShardScatterScanner):
-    """The shipped scatter scanner, remembering who booked what."""
+    """The shipped scatter scanner, remembering who booked what and
+    what each kNN search was charged, when and for which stratum."""
 
     def __init__(self, sharded):
         super().__init__(sharded)
+        self.clock = sharded.sim_clock
         self.landings = {}
         self.scanners = [
-            BandScanner(SweepSpy(tree, sharded.sim_clock, self.landings))
+            BandScanner(SweepSpy(tree, self.clock, self.landings))
             for tree in sharded.trees
         ]
-        self.query = 0
+        self.query = 0  # range queries closed so far, in replay order
         self.bookings = []  # (query, band, examined, index in verify_items)
+        self.stratum = None  # the stratum the running search reads
+        self.fetched = None  # when its last on-demand scan returned
+        self.charges = []  # (start, examined, stratum, fetched)
+        self.search_ends = []
 
     def book_verified(self, band, examined):
         index = len(self.verify_items)
@@ -140,6 +159,30 @@ class RecordingScatter(ShardScatterScanner):
     def end_query(self):
         self.query += 1
         return super().end_query()
+
+    def wait_landed(self, resident):
+        if resident is not None:
+            self.stratum = (resident.tid, resident.sv_q)
+        super().wait_landed(resident)
+
+    def scan(self, band):
+        self.stratum = (band.tid, band.sv_lo_q)
+        rows = super().scan(band)
+        if self._verify_us is not None:
+            self.fetched = self.clock.cursor()
+        return rows
+
+    def charge_verified(self, examined):
+        if self._verify_us is not None and examined:
+            self.charges.append(
+                (self.clock.cursor(), examined, self.stratum, self.fetched)
+            )
+        super().charge_verified(examined)
+
+    def end_search(self):
+        self.search_ends.append(self.clock.cursor())
+        self.fetched = None
+        return super().end_search()
 
 
 class RecordingEngine(ShardedQueryEngine):
@@ -230,6 +273,7 @@ def test_priced_schedule_is_feasible_and_describes_the_execution(
 ):
     specs = [make_spec(*query) for query in queries]
     ranges = [q for q, spec in enumerate(specs) if isinstance(spec, RangeQuerySpec)]
+    knns = [q for q, spec in enumerate(specs) if isinstance(spec, KnnQuerySpec)]
     faulty = window is not None
 
     pipelined = deploy(n_shards, policy, timed=True, supervised=faulty)
@@ -269,6 +313,7 @@ def test_priced_schedule_is_feasible_and_describes_the_execution(
 
     # (a) Every verified band of a range query is an item; an item
     # starts once its stratum has landed and its chain predecessor ended.
+    # Range queries replay first, in spec order.
     assert all(index is not None for _, _, _, index in scatter.bookings)
     assert len(scatter.bookings) == len(items)
     chain_end = {}
@@ -279,35 +324,46 @@ def test_priced_schedule_is_feasible_and_describes_the_execution(
         assert start >= scatter.landings[(tid, sv_q)], (query, band)
         assert start >= chain_end.get((query, sv_q), t0), (query, band)
         chain_end[(query, sv_q)] = end
-    assert {query for query, _, _, _ in scatter.bookings} <= set(ranges)
+    assert {query for query, _, _, _ in scatter.bookings} <= set(range(len(ranges)))
 
-    # (a) One CPU: intervals in processing order never overlap.
-    for before, after in zip(order, order[1:]):
-        assert spans[after][0] >= spans[before][1]
+    # (a) A kNN charge starts once the stratum it verifies has landed
+    # and the search's last on-demand scan has returned.
+    cells = []
+    for start, examined, stratum, fetched in scatter.charges:
+        assert start >= scatter.landings.get(stratum, t0) - EPS, stratum
+        assert fetched is None or start >= fetched
+        cells.append((start, start + examined * verify_us))
 
-    # (a) What the pipeline prices is the range specs' verification.
+    # (a) One CPU: range items and kNN charges never overlap.
+    intervals = sorted([spans[i] for i in order] + cells)
+    for before, after in zip(intervals, intervals[1:]):
+        assert after[0] >= before[1] - EPS, (before, after)
+
+    # (a) What the CPU prices is the specs' verification, by kind.
     booked = sum(examined for _, examined in items)
     assert booked == sum(report.results[q].candidates_examined for q in ranges)
-    cost = booked * verify_us
+    charged = sum(examined for _, examined, _, _ in scatter.charges)
+    assert charged == sum(report.results[q].candidates_examined for q in knns)
+    assert len(scatter.search_ends) == len(knns)
 
-    # (a) The batch ends between the fork/join and the serial schedule.
+    # (a) The batch ends between the fork/join and the serial schedule,
+    # at the latest of the join, the pipeline and the last search.
     joined = max(scatter.shard_ends.values(), default=t0)
     cpu_end = spans[order[-1]][1] if order else t0
     end = clock.cursor()
     serial_end = serial.sim_clock.cursor()
     assert joined - EPS <= end <= serial_end + EPS
-    if len(ranges) == len(specs):
-        assert end == max(joined, cpu_end)
-        assert abs(serial_end - (joined + cost)) <= EPS
-    elif not faulty:
-        # kNN searches run on the worker's cursor in both schedules.
-        assert end >= serial_end - cost - EPS
+    assert end == max(joined, cpu_end, *scatter.search_ends)
+    if not knns:
+        assert abs(serial_end - (joined + booked * verify_us)) <= EPS
 
     # (b) The priced order is an execution: replayed band by band over
     # the per-entry reference it examines what was booked and finds
     # what the engine answered.
     reference = reference_scatter(untimed)
-    by_item = {index: (query, band) for query, band, _, index in scatter.bookings}
+    by_item = {
+        index: (ranges[query], band) for query, band, _, index in scatter.bookings
+    }
     for q in ranges:
         spec = specs[q]
         verifier = CandidateVerifier(untimed.store, spec.q_uid, spec.t_query)
