@@ -801,25 +801,27 @@ class BPlusTree:
         to split.
 
         ``above`` is the leaf's ``(parent_id, parent, idx, left_ok)``.
-        The leaf evens out with a same-parent sibling when that leaves
-        each of the two a free slot (a shed that filled either would
-        postpone the split by one insert).  Called *before* the leaf is
-        touched: every page a shed needs is fetched — and every eviction
-        those fetches cause is over — while all nodes are unmodified and
-        within capacity, so a fault here leaves the tree as it was.
+        The leaf evens out with a same-parent sibling whenever the two
+        pages hold all their entries — the textbook B*-tree rule: a shed
+        may fill both.  Called *before* the leaf is touched: every page a
+        shed needs is fetched — and every eviction those fetches cause
+        is over — while all nodes are unmodified and within capacity, so
+        a fault here leaves the tree as it was.
         """
         parent_id, parent, idx, left_ok = above
         for side in self._sibling_order(parent, idx):
             if side > idx or left_ok:
                 sibling: LeafNode = self.pool.get(parent.children[side])
-                if len(sibling.keys) + total <= 2 * (self.config.leaf_capacity - 1):
+                if len(sibling.keys) + total <= 2 * self.config.leaf_capacity:
                     return parent_id, parent, idx, side, sibling
         return None
 
     def _shed(self, leaf_id: int, leaf: LeafNode, room: tuple) -> None:
         """Even an overfull leaf out with the sibling :meth:`_room_beside`
-        found and move the one parent separator between them; all three
-        nodes are within capacity before the first ``put`` can evict."""
+        found and move the one parent separator between them.  The two
+        hold at most ``2·capacity`` entries, so evened out each is at
+        most full: all three nodes are within capacity before the first
+        ``put`` can evict."""
         parent_id, parent, idx, side, sibling = room
         move = (len(leaf.keys) - len(sibling.keys)) // 2  # entries handed over
         if side < idx:

@@ -83,11 +83,10 @@ class WindowScanner:
     def _scan_strip(self, tid: int, strip: Rect) -> Iterator[MovingObject]:
         for z_lo, z_hi in self.tree.grid.decompose(strip, coarsen=True):
             lo, hi = self.tree.codec.search_range(tid, z_lo, z_hi)
-            for _, _, payload in self.tree.btree.scan_range(lo, hi):
-                obj, _ = self.tree.records.unpack(payload)
-                if obj.uid not in self._seen:
-                    self._seen.add(obj.uid)
-                    yield obj
+            for _, uid, payload in self.tree.btree.scan_range(lo, hi):
+                if uid not in self._seen:
+                    self._seen.add(uid)
+                    yield self.tree.records.unpack(uid, payload)[0]
 
 
 def _ring_strips(inner: Rect, outer: Rect) -> list[Rect]:

@@ -92,4 +92,5 @@ class BxTree:
 
     def fetch_all(self) -> list[MovingObject]:
         """Every indexed object state (diagnostic full scan)."""
-        return [self.records.unpack(value)[0] for _, _, value in self.btree.items()]
+        unpack = self.records.unpack
+        return [unpack(uid, value)[0] for _, uid, value in self.btree.items()]

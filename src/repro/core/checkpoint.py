@@ -37,7 +37,10 @@ from repro.storage.buffer import DEFAULT_BUFFER_PAGES, BufferPool
 from repro.storage.persistence import load_disk, save_pool
 
 FORMAT = "repro-peb-checkpoint"
-VERSION = 1
+#: Version 2: leaf payloads are the 44-byte record without the UID
+#: (version 1 stored it twice, in 48 bytes); a version-1 disk image
+#: would parse at the wrong stride, so it is refused like any other.
+VERSION = 2
 
 DISK_FILE = "disk.bin"
 META_FILE = "meta.json.gz"

@@ -233,8 +233,8 @@ class PEBTree:
         """Greatest |vx| and |vy| among the indexed entries."""
         max_vx = max_vy = 0.0
         unpack_records = self.records.unpack_records
-        for _, run in self.btree.leaf_runs():
-            for rec in unpack_records(run):
+        for keys, run in self.btree.leaf_runs():
+            for rec in unpack_records(keys, run):
                 vx = abs(rec[3])
                 vy = abs(rec[4])
                 if vx > max_vx:
@@ -265,7 +265,7 @@ class PEBTree:
         max_vx = max_vy = 0.0
         unpack_records = self.records.unpack_records
         for keys, run in self.btree.leaf_runs():
-            for (key, uid), rec in zip(keys, unpack_records(run)):
+            for (key, uid), rec in zip(keys, unpack_records(keys, run)):
                 seen[uid] = key
                 max_vx = max(max_vx, abs(rec[3]))
                 max_vy = max(max_vy, abs(rec[4]))
@@ -406,8 +406,8 @@ class PEBTree:
         """
         unpack_many = self.records.unpack_many
         out: list[MovingObject] = []
-        for _, run in self.btree.leaf_runs():
-            out.extend(obj for obj, _ in unpack_many(run))
+        for keys, run in self.btree.leaf_runs():
+            out.extend(obj for obj, _ in unpack_many(keys, run))
         return out
 
     # ------------------------------------------------------------------
@@ -429,8 +429,8 @@ class PEBTree:
         hi = self.codec.compose_quantized(tid, sv_hi_q, z_hi)
         unpack = self.records.unpack
         zv_of = self.codec.zv_of
-        for key, _, payload in self.btree.scan_range(lo, hi):
-            yield zv_of(key), unpack(payload)[0]
+        for key, uid, payload in self.btree.scan_range(lo, hi):
+            yield zv_of(key), unpack(uid, payload)[0]
 
     def scan_band_rows(
         self, tid: int, sv_lo_q: int, sv_hi_q: int, z_lo: int, z_hi: int
@@ -514,7 +514,7 @@ class PEBTree:
         records: list[tuple] = []
         for keys, run in chunks:
             zvs += zvs_of(keys)
-            records += unpack_records(run)
+            records += unpack_records(keys, run)
         return BandRows(zvs, records)
 
     def scan_sv_zrange(self, tid: int, sv: float, z_lo: int, z_hi: int):
@@ -529,6 +529,6 @@ class PEBTree:
         lo = self.codec.compose_quantized(tid, sv_q, z_lo)
         hi = self.codec.compose_quantized(tid, sv_q, z_hi)
         unpack_many = self.records.unpack_many
-        for _, run in self.btree.scan_chunks((lo, 0), (hi, MAX_UID)):
-            for obj, _ in unpack_many(run):
+        for keys, run in self.btree.scan_chunks((lo, 0), (hi, MAX_UID)):
+            for obj, _ in unpack_many(keys, run):
                 yield obj

@@ -636,7 +636,7 @@ class ShardedPEBTree:
         def shard_entries(tree):
             unpack_many = tree.records.unpack_many
             for keys, run in tree.btree.leaf_runs():
-                yield from zip(keys, (obj for obj, _ in unpack_many(run)))
+                yield from zip(keys, (obj for obj, _ in unpack_many(keys, run)))
 
         merged = heapq.merge(
             *(shard_entries(tree) for tree in self.trees),

@@ -12,9 +12,9 @@ Internal page::
 
     type:u8  count:u16  count * [child:i64 tpbr:9*f64]
 
-Leaf entries reuse the moving-object record of the other indexes (48
-bytes), so leaf fan-out matches; internal entries carry a full TPBR (80
-bytes incl. the child pointer), giving the realistically smaller
+A leaf entry is the other indexes' entry without its key — the UID and
+the moving-object record, 48 bytes; internal entries carry a full TPBR
+(80 bytes incl. the child pointer), giving the realistically smaller
 internal fan-out of R-tree-family structures.
 """
 

@@ -37,8 +37,8 @@ class EntryAtATimeTree:
         lo = self.codec.compose_quantized(tid, sv_lo_q, z_lo)
         hi = self.codec.compose_quantized(tid, sv_hi_q, z_hi)
         zvs, records, objects = [], [], []
-        for key, _, payload in self.btree.scan_range(lo, hi):
-            obj, pntp = self.unpack(payload)
+        for key, uid, payload in self.btree.scan_range(lo, hi):
+            obj, pntp = self.unpack(uid, payload)
             zvs.append(self.codec.zv_of(key))
             records.append((obj.uid, obj.x, obj.y, obj.vx, obj.vy, obj.t_update, pntp))
             objects.append(obj)

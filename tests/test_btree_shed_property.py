@@ -18,15 +18,14 @@ here, as a test-local subclass that overrides the one overflow rule.
   mutation, so a fault on *any* of them leaves the tree untouched and
   the insert retryable (a split cannot say that: its new page is
   admitted after the leaf was cut, ROADMAP open item 2(ii)).
-* **Fuller leaves** — at capacity 17 uniform inserts end ≥ 0.78 full and
-  stay ≥ 0.05 above the reference through update churn.
+* **Fuller leaves** — at capacity 17 uniform inserts end ≥ 0.83 full and
+  stay ≥ 0.72 full, ≥ 0.05 above the reference, through update churn.
 
 Not pinned, because it is not true: "the shipped tree never has more
 leaves than the reference".  A shed fills a sibling that later inserts
-may then split, so 20 of 1500 uniform insert-only histories at capacity
-8 end one or two leaves *above* the split-only tree, and ascending
-inserts followed by spread ones (a packed tree doubles) can be driven
-further.  The claim is statistical; the seeded tests at the bottom
+may then split, so 1 of 1500 uniform insert-only histories at capacity
+8 ends a leaf *above* the split-only tree, and ascending inserts
+followed by spread ones (a packed tree doubles) can be driven further.  The claim is statistical; the seeded tests at the bottom
 state it that way.
 """
 
@@ -346,8 +345,9 @@ def test_fill_at_capacity_17_after_a_build_and_under_churn(seed):
     for key in live:
         for tree in trees:
             tree.insert(key, 0, value)
-    # Measured 0.817–0.825 shipped, 0.684–0.717 split-only.
-    assert fill(shipped) >= 0.78 > fill(reference)
+    # Seeds 1, 2, 3 measure 0.840 / 0.857 / 0.857 shipped and 0.712 /
+    # 0.717 / 0.684 split-only.
+    assert fill(shipped) >= 0.83 > fill(reference)
 
     live = set(live)
     for _ in range(150):
@@ -363,9 +363,9 @@ def test_fill_at_capacity_17_after_a_build_and_under_churn(seed):
     for tree in trees:
         tree.check_invariants()
         assert tree.entry_count == len(live)
-    # Uniform churn erodes both (measured 0.700–0.717 and 0.604–0.617);
-    # the gap stays.
-    assert fill(shipped) >= 0.66
+    # Uniform churn erodes both (seeds 1, 2, 3: 0.754 / 0.767 / 0.742
+    # shipped, 0.617 / 0.617 / 0.604 split-only); the gap stays.
+    assert fill(shipped) >= 0.72
     assert fill(shipped) >= fill(reference) + 0.05
 
 

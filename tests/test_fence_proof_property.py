@@ -120,7 +120,10 @@ def test_range_starting_on_a_leaf_edge_claims_nothing_below():
 # PEB-tree layer: the proven interval against a fresh scan of all of it
 # ----------------------------------------------------------------------
 
-N_USERS = 48
+# 80 users: the mid-sweep fault test's capacity-4 tree is 21 leaves and
+# its prefetch reads 13 pages cold (48 users pack into 8 reads once a
+# shed may fill both pages, below that test's floor of 10).
+N_USERS = 80
 SPACE = 1000.0
 
 

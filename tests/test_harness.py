@@ -7,8 +7,10 @@ from repro.bench.harness import ExperimentConfig, ExperimentHarness
 
 
 def small_config(**overrides):
+    # 400 users: the Bx baseline's 26 leaves overflow the 20-frame query
+    # buffer (at 300 users its 18 leaves fit in it and read nothing).
     fields = dict(
-        n_users=300,
+        n_users=400,
         n_policies=8,
         n_queries=6,
         window_side=250.0,
@@ -28,8 +30,8 @@ def harness():
 
 
 def test_build_populates_both_indexes(harness):
-    assert len(harness.peb_tree) == 300
-    assert len(harness.bx_tree) == 300
+    assert len(harness.peb_tree) == 400
+    assert len(harness.bx_tree) == 400
     assert harness.peb_leaf_count > 1
 
 
@@ -102,7 +104,7 @@ def test_config_scaled_helper():
     bigger = config.scaled(n_users=500)
     assert bigger.n_users == 500
     assert bigger.n_policies == config.n_policies
-    assert config.n_users == 300  # original untouched
+    assert config.n_users == 400  # original untouched
 
 
 def test_run_sharded_measures_and_verifies(harness):
@@ -116,7 +118,7 @@ def test_run_sharded_measures_and_verifies(harness):
     assert costs.sharded_ops_per_write > 0
     # The harness's own indexes stay untouched.
     assert harness.now == 0.0
-    assert len(harness.peb_tree) == 300
+    assert len(harness.peb_tree) == 400
 
 
 def test_run_sharded_hotspot_workload(harness):

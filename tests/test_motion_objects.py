@@ -41,20 +41,30 @@ def test_record_codec_round_trip():
     obj = mover(x=123.456789, vy=-0.000123)
     payload = codec.pack(obj, pntp=99)
     assert len(payload) == ObjectRecordCodec.SIZE
-    restored, pntp = codec.unpack(payload)
+    # The uid is not in the payload: it comes from the leaf's uid column.
+    assert codec.pack(mover(uid=8, x=123.456789, vy=-0.000123), pntp=99) == payload
+    restored, pntp = codec.unpack(obj.uid, payload)
     assert restored == obj
     assert pntp == 99
+    keys = [(1000, obj.uid), (1001, 8)]
+    run = payload + codec.pack(mover(uid=8), pntp=5)
+    assert codec.unpack_many(keys, run) == [(obj, 99), (mover(uid=8), 5)]
+    assert codec.unpack_records(keys, run) == [
+        (7, 123.456789, 20.0, 1.0, -0.000123, 5.0, 99),
+        (8, 10.0, 20.0, 1.0, -2.0, 5.0, 5),
+    ]
 
 
-def test_record_size_is_48_bytes():
-    # uid u32 + five f64 + pntp u32.
-    assert ObjectRecordCodec.SIZE == 48
+def test_record_size_is_44_bytes():
+    # Five f64 + pntp u32: the paper's entry stores the UID once, in the
+    # B+-tree's uid column.
+    assert ObjectRecordCodec.SIZE == 44
 
 
 def test_full_double_precision_preserved():
     codec = ObjectRecordCodec()
     obj = mover(x=1.0 / 3.0, y=2.0 / 7.0, vx=1e-15)
-    restored, _ = codec.unpack(codec.pack(obj))
+    restored, _ = codec.unpack(obj.uid, codec.pack(obj))
     assert restored.x == obj.x
     assert restored.y == obj.y
     assert restored.vx == obj.vx
@@ -73,7 +83,7 @@ def test_full_double_precision_preserved():
 def test_codec_round_trip_property(uid, x, y, vx, vy, t, pntp):
     codec = ObjectRecordCodec()
     obj = MovingObject(uid=uid, x=x, y=y, vx=vx, vy=vy, t_update=t)
-    restored, restored_pntp = codec.unpack(codec.pack(obj, pntp))
+    restored, restored_pntp = codec.unpack(uid, codec.pack(obj, pntp))
     assert restored == obj
     assert restored_pntp == pntp
 

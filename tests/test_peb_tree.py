@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bxtree.tree import BxTree
 from repro.core.peb_tree import PEBTree
 from repro.core.sequencing import assign_sequence_values
 from repro.motion.objects import MovingObject
@@ -41,6 +42,31 @@ def make_peb(uids=range(10)):
 
 def mover(uid, x=100.0, y=100.0, vx=1.0, vy=0.0, t=0.0):
     return MovingObject(uid=uid, x=x, y=y, vx=vx, vy=vy, t_update=t)
+
+
+@pytest.mark.parametrize(
+    "page_size, peb_capacity, bx_capacity", [(1024, 18, 19), (4096, 74, 80)]
+)
+def test_leaf_geometry_of_the_peb_tree_and_the_bx_tree(
+    page_size, peb_capacity, bx_capacity
+):
+    """A leaf entry stores its UID once, in the B+-tree's uid column; both
+    indexes carry the same 44-byte payload, so they differ only by key
+    width (7 bytes for TID ⊕ SV ⊕ ZV, 3 for the Bx-tree's TID ⊕ ZV)."""
+    grid, partitioner = Grid(1000.0, 10), TimePartitioner(120.0, 2)
+    peb = PEBTree(
+        BufferPool(SimulatedDisk(page_size=page_size), capacity=8),
+        grid,
+        partitioner,
+        make_store(range(4)),
+    )
+    bx = BxTree(
+        BufferPool(SimulatedDisk(page_size=page_size), capacity=8), grid, partitioner
+    )
+    assert peb.btree.config.value_bytes == bx.btree.config.value_bytes == 44
+    assert (peb.btree.config.key_bytes, bx.btree.config.key_bytes) == (7, 3)
+    assert peb.btree.config.leaf_capacity == peb_capacity
+    assert bx.btree.config.leaf_capacity == bx_capacity
 
 
 def test_key_embeds_all_three_components():
@@ -123,7 +149,7 @@ def test_update_with_unchanged_key_rewrites_in_place():
     assert len(tree) == 10
     tree.btree.check_invariants()
     # The payload really was rewritten.
-    _, pntp = tree.records.unpack(tree.btree.search(tree._live_keys[3], 3))
+    _, pntp = tree.records.unpack(3, tree.btree.search(tree._live_keys[3], 3))
     assert pntp == 7
 
 

@@ -140,7 +140,8 @@ def test_sharded_updates_identical_to_single_tree(world, n_shards):
     assert sharded.live_keys() == world.peb._live_keys
     assert list(sharded.items()) == single_entries(world)
     assert sharded.fetch_all() == [
-        world.peb.records.unpack(payload)[0] for _, _, payload in single_entries(world)
+        world.peb.records.unpack(uid, payload)[0]
+        for _, uid, payload in single_entries(world)
     ]
     assert sharded.max_speed_x == world.peb.max_speed_x
     assert sharded.max_speed_y == world.peb.max_speed_y

@@ -308,7 +308,7 @@ def _pntp_by_uid(tree):
     return {
         obj.uid: pntp
         for obj, pntp in (
-            tree.records.unpack(payload) for _, _, payload in tree.btree.items()
+            tree.records.unpack(uid, payload) for _, uid, payload in tree.btree.items()
         )
     }
 
