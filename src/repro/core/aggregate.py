@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.peb_tree import PEBTree
+from repro.core.prq import check_range_arguments
 from repro.engine import QueryEngine
 from repro.spatial.geometry import Rect
 
@@ -60,9 +61,13 @@ def pcount(
         at_least: optional threshold; scanning stops as soon as this many
             qualifying users are confirmed.  ``at_least=1`` is the
             existential query.
+
+    A non-finite ``t_query`` raises :class:`ValueError` before anything
+    is planned or read.
     """
     if at_least is not None and at_least < 1:
         raise ValueError(f"at_least must be positive, got {at_least}")
+    check_range_arguments(t_query)
     result = CountResult()
 
     def tally(obj, x, y) -> bool:
@@ -109,11 +114,14 @@ def pdensity_grid(
 
     The scan is the PRQ search; each qualifying user increments exactly
     one bucket, determined by its *verified* position at query time.
+    A non-finite ``t_query`` raises :class:`ValueError` before anything
+    is planned or read.
     """
     if rows < 1 or columns < 1:
         raise ValueError(f"grid must be at least 1x1, got {rows}x{columns}")
     if window.width <= 0 or window.height <= 0:
         raise ValueError("density window must have positive area")
+    check_range_arguments(t_query)
     result = DensityResult(rows=rows, columns=columns)
     cell_width = window.width / columns
     cell_height = window.height / rows

@@ -1,7 +1,8 @@
 """The privacy-aware k-nearest-neighbour query (Section 5.4, Figures 8-10).
 
 The search space is a matrix: one row per friend (users holding a policy
-about the issuer, ascending by sequence value), one column per
+about the issuer that holds at the query time — nobody else can qualify
+— ascending by sequence value), one column per
 enlargement round.  Column ``j`` corresponds to the square of half-side
 ``j * rq`` around the query point, where ``rq = Dk / k`` and ``Dk`` is
 the estimated k-th-neighbour distance of Tao et al. [33].  Per the paper,
@@ -60,6 +61,7 @@ from dataclasses import dataclass, field
 
 from repro.core.peb_tree import PEBTree
 from repro.engine import BandScanner, CandidateVerifier, QueryPlanner
+from repro.engine.plan import BandRequest
 from repro.engine.scanner import NOT_QUIET
 from repro.motion.objects import MovingObject
 from repro.spatial.decompose import ZInterval, subtract_interval
@@ -141,17 +143,18 @@ class _MatrixSearch:
         self.qy = qy
         self.k = k
         self.t_query = t_query
-        self.friends = self.planner.friends(q_uid)
-        self.verifier = CandidateVerifier(tree.store, q_uid, t_query)
+        # One row per friend with a policy that holds at t_query: nobody
+        # else can qualify anywhere (see QueryPlanner.visible_friends).
+        visible = tree.store.visibility_map(q_uid, t_query)
+        self.friends = self.planner.visible_friends(q_uid, visible)
+        self.verifier = CandidateVerifier(tree.store, q_uid, t_query, visible)
         # Qualifying candidates as (distance, state), nearest first; a
         # user is verified once, so no entry is ever replaced.
         self.candidates: list[tuple[float, MovingObject]] = []
         self.result = PKNNResult()
         self.contexts = self.planner.contexts(t_query)
-        # Radius step rq = Dk / k, shared with the batch executor's
-        # prefetch probe (QueryPlanner.plan_knn_probe) so the probe's
-        # first-round bands are exactly the ones round one requests.
-        # (k <= 0 short-circuits in run() before the step is used.)
+        # Radius step rq = Dk / k.  (k <= 0 short-circuits in run() and
+        # probe() before the step is used.)
         self.rq = self.planner.knn_step(k) if k > 0 else tree.grid.cell_size
         # The walk ends once a round's square holds the whole space:
         # the space's diagonal, plus how far outside it the query point
@@ -224,6 +227,19 @@ class _MatrixSearch:
                             _partition(context_index, context.tid, pieces)
                         )
         return partitions
+
+    def probe(self) -> list[BandRequest]:
+        """The bands round one will request: every row's stratum over
+        the round's window, per live partition — the batch executor's
+        prefetch hint (:meth:`QueryPlanner.plan_knn_probe`)."""
+        if self.k <= 0:
+            return []
+        spans = [
+            (context.tid, span)
+            for context, span in zip(self.contexts, self._spans(1))
+            if span is not None
+        ]
+        return self.planner.plan_knn_probe(self.friends, spans)
 
     def _admit_qualifying(self, obj: MovingObject, x: float, y: float) -> bool:
         """admit_rows callback: rank one qualifying candidate, never stop."""

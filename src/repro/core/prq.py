@@ -5,7 +5,9 @@ Four steps, all implemented by :mod:`repro.engine`:
 1. Per live time partition, enlarge the query window (as in the Bx-tree)
    and convert it to a Z-value window — the planner.
 2. Fetch the query issuer's friend list — the users holding a policy
-   about the issuer — sorted ascending by sequence value.
+   about the issuer — sorted ascending by sequence value, keeping only
+   the friends with a policy that holds at the query time over a region
+   meeting the window (nobody else can qualify).
 3. Combine: for each friend SV and each partition, search the PEB-key
    range ``[TID ⊕ SV ⊕ ZV_lo ; TID ⊕ SV ⊕ ZV_hi]`` — the band scanner.
 4. Verify every candidate's actual location at query time and its policy
@@ -35,6 +37,7 @@ physical band scans across issuers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.core.peb_tree import PEBTree
@@ -61,6 +64,19 @@ class PRQResult:
         return {obj.uid for obj in self.users}
 
 
+def check_range_arguments(t_query: float) -> None:
+    """Refuse a range-shaped query no plan can answer, naming the field.
+
+    A NaN or infinite ``t_query`` folds to no instant of the policies'
+    time domain, so no policy would hold and the planner would drop
+    every friend: a silent empty answer instead of an error.  The
+    window needs no check here — :class:`Rect` refuses NaN bounds, and
+    an infinite bound is a window over the whole space.
+    """
+    if not math.isfinite(t_query):
+        raise ValueError(f"t_query must be finite, got {t_query}")
+
+
 def prq_from_plan(engine, plan, scanner=None) -> PRQResult:
     """Materialize a :class:`PRQResult` from one planned range scan.
 
@@ -81,6 +97,11 @@ def prq_from_plan(engine, plan, scanner=None) -> PRQResult:
 
 
 def prq(tree: PEBTree, q_uid: int, window: Rect, t_query: float) -> PRQResult:
-    """Run a PRQ ``(qID=q_uid, R=window, tq=t_query)`` on the PEB-tree."""
+    """Run a PRQ ``(qID=q_uid, R=window, tq=t_query)`` on the PEB-tree.
+
+    A non-finite ``t_query`` raises :class:`ValueError` before anything
+    is planned or read.
+    """
+    check_range_arguments(t_query)
     engine = QueryEngine(tree)
     return prq_from_plan(engine, engine.planner.plan_range(q_uid, window, t_query))

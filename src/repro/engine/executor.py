@@ -217,7 +217,9 @@ class QueryEngine:
         """
         if scanner is None:
             scanner = BandScanner(self.tree)
-        verifier = CandidateVerifier(self.tree.store, plan.q_uid, plan.t_query)
+        verifier = CandidateVerifier(
+            self.tree.store, plan.q_uid, plan.t_query, plan.visible
+        )
         before = self._progress(scanner)
         stopped = False
         located = verifier.located
@@ -288,11 +290,13 @@ class QueryEngine:
         prefetched; the skip rule can only *remove* bands, so the
         prefetched superset is always sufficient.  kNN searches are
         adaptive, but their *first* round is static too — the
-        ``Dk``-estimate square around the query point — so its bands
-        (:meth:`QueryPlanner.plan_knn_probe`) join the prefetch set and
-        concurrent kNN queries share the batch's physical scans instead
-        of each scanning its first round on demand; later rounds run
-        adaptively against the same shared scanner.
+        ``Dk``-estimate square around the query point — so each search
+        is built before the prefetch and its first round's bands
+        (:meth:`repro.core.pknn._MatrixSearch.probe`, over the search's
+        own friend rows) join the prefetch set: concurrent kNN queries
+        share the batch's physical scans instead of each scanning its
+        first round on demand, and later rounds run adaptively against
+        the same shared scanner.
 
         Replay takes the range specs first, then the kNN searches, each
         kind in spec order; results and ``degraded`` flags come back in
@@ -302,29 +306,21 @@ class QueryEngine:
         search on the same CPU afterwards, waiting for a stratum's
         landing before the search first reads it.
 
-        A spec of an unsupported type, or a kNN spec with a negative
-        ``k`` or a non-finite ``qx``/``qy``/``t_query``, raises before
-        anything is scanned or counted.
+        A spec of an unsupported type, a range spec with a non-finite
+        ``t_query``, or a kNN spec with a negative ``k`` or a non-finite
+        ``qx``/``qy``/``t_query``, raises before anything is planned,
+        scanned or counted.
         """
         # Imported here: repro.core.{prq,pknn} are adapters over this
         # module, so importing them at module scope would cycle.
         from repro.core.pknn import _MatrixSearch, check_knn_arguments
-        from repro.core.prq import prq_from_plan
+        from repro.core.prq import check_range_arguments, prq_from_plan
 
-        plans: list[QueryPlan | None] = []
-        probe_bands: list = []
         for spec in specs:
             if isinstance(spec, RangeQuerySpec):
-                plans.append(self.planner.plan_range(spec.q_uid, spec.window, spec.t_query))
+                check_range_arguments(spec.t_query)
             elif isinstance(spec, KnnQuerySpec):
                 check_knn_arguments(spec.k, spec.qx, spec.qy, spec.t_query)
-                plans.append(None)
-                if prefetch and spec.k > 0:
-                    probe_bands.extend(
-                        self.planner.plan_knn_probe(
-                            spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query
-                        )
-                    )
             else:
                 raise TypeError(
                     f"unsupported query spec {spec!r}; expected "
@@ -332,6 +328,30 @@ class QueryEngine:
                 )
 
         scanner = self._batch_scanner()
+        plans: list[QueryPlan | None] = []
+        searches: list[tuple[int, _MatrixSearch]] = []
+        for index, spec in enumerate(specs):
+            if isinstance(spec, RangeQuerySpec):
+                plans.append(self.planner.plan_range(spec.q_uid, spec.window, spec.t_query))
+            else:
+                plans.append(None)
+                search = _MatrixSearch(
+                    self.tree,
+                    spec.q_uid,
+                    spec.qx,
+                    spec.qy,
+                    spec.k,
+                    spec.t_query,
+                    planner=self.planner,
+                    scanner=scanner,
+                )
+                searches.append((index, search))
+        probe_bands = (
+            [band for _, search in searches for band in search.probe()]
+            if prefetch
+            else []
+        )
+
         clock = getattr(self.tree, "sim_clock", None)
         before = self._batch_progress(scanner)
         recorder = getattr(self.tree, "trace_recorder", None)
@@ -390,21 +410,8 @@ class QueryEngine:
             if plan is not None:
                 replay(index, lambda: prq_from_plan(self, plan, scanner))
         self._begin_searches(scanner)
-        for index, (spec, plan) in enumerate(zip(specs, plans)):
-            if plan is None:
-                replay(
-                    index,
-                    _MatrixSearch(
-                        self.tree,
-                        spec.q_uid,
-                        spec.qx,
-                        spec.qy,
-                        spec.k,
-                        spec.t_query,
-                        planner=self.planner,
-                        scanner=scanner,
-                    ).run,
-                )
+        for index, search in searches:
+            replay(index, search.run)
         self._end_replay(scanner)
         if tracing:
             recorder.span(

@@ -12,14 +12,29 @@ algorithm and ``SV_lo < SV_hi`` for the coarse whole-friend-list span of
 the Figure 7 ablation.
 
 A plan captures everything *static* about a query: the live partition
-contexts (per-partition window enlargements of Figure 2), the issuer's
-friend list sorted ascending by sequence value, and one band per
-(partition, friend).  The paper's skip rule — "once a candidate user is
-found, the remaining search intervals formed by this user's SV value
-are skipped ... a user has only one location" — depends on scan
-results, so it cannot be resolved at plan time; each planned band
-instead records the friend it serves and the executor
-(:mod:`repro.engine.executor`) applies the rule in exactly one place.
+contexts (per-partition window enlargements of Figure 2), the friends
+who can qualify sorted ascending by sequence value, and one band per
+(partition, friend).
+
+Under Definition 2 a friend is in an answer only if one of its policies
+toward the issuer holds at ``t_query`` and the friend stands inside that
+policy's ``locr``.  So a range plan bands only the friends of the
+issuer's visibility map at ``t_query``
+(:meth:`repro.policy.store.PolicyStore.visibility_map`) whose regions
+meet the window, and the PkNN search keeps a row only for a friend in
+the map (:meth:`QueryPlanner.visible_friends`): everyone else provably
+fails Definition 2 wherever they stand.  The map is computed once per
+query and handed on to the verifier.  The registration sweep
+(:meth:`QueryPlanner.plan_seed`) has no query time and the Figure 7
+ablation (:meth:`QueryPlanner.plan_span_scan`) is the literal procedure;
+both keep the whole friend list.
+
+The paper's skip rule — "once a candidate user is found, the remaining
+search intervals formed by this user's SV value are skipped ... a user
+has only one location" — depends on scan results, so it cannot be
+resolved at plan time; each planned band instead records the friend it
+serves and the executor (:mod:`repro.engine.executor`) applies the rule
+in exactly one place.
 
 Keeping plans declarative is what enables cross-query batching: the
 batch executor can collect the bands of many concurrent plans, merge
@@ -37,6 +52,10 @@ from repro.spatial.geometry import Rect
 
 if TYPE_CHECKING:
     from repro.core.peb_tree import PEBTree
+
+#: ``owner -> ((x_lo, x_hi, y_lo, y_hi), ...)``: where each owner with a
+#: time-admitting policy toward the issuer is visible to it at one instant.
+VisibilityMap = dict[int, tuple[tuple[float, float, float, float], ...]]
 
 
 class BandRequest(NamedTuple):
@@ -101,7 +120,9 @@ class QueryPlan:
 
     Bands are ordered partition-major, then friend-ascending-by-SV —
     the exact iteration order of the paper's Figure 7 procedure, which
-    the executor replays with the skip rule applied.
+    the executor replays with the skip rule applied.  ``visible`` is the
+    issuer's visibility map at ``t_query`` when the planner computed one
+    (the verifier computes it otherwise).
     """
 
     q_uid: int
@@ -110,6 +131,7 @@ class QueryPlan:
     contexts: list[PartitionContext]
     bands: list[PlannedBand]
     window: Rect | None = None
+    visible: VisibilityMap | None = None
 
 
 class QueryPlanner:
@@ -125,6 +147,30 @@ class QueryPlanner:
     def friends(self, q_uid: int) -> list[tuple[float, int]]:
         """The issuer's friend list: ``(sv, uid)`` ascending by SV."""
         return self.tree.store.friend_list(q_uid)
+
+    def visible_friends(
+        self, q_uid: int, visible: VisibilityMap, window: Rect | None = None
+    ) -> list[tuple[float, int]]:
+        """The friends who can qualify, ``(sv, uid)`` ascending by SV.
+
+        A friend can qualify when ``visible`` (the issuer's visibility
+        map at the query instant) holds a region for it and, given a
+        ``window``, one of those regions meets the window.  The test is
+        on closed intervals, because the verifier admits a point on the
+        edge of both rectangles.
+        """
+        friends = self.friends(q_uid)
+        if window is None:
+            return [friend for friend in friends if friend[1] in visible]
+        w_xlo, w_xhi, w_ylo, w_yhi = window.x_lo, window.x_hi, window.y_lo, window.y_hi
+        return [
+            friend
+            for friend in friends
+            if any(
+                x_lo <= w_xhi and w_xlo <= x_hi and y_lo <= w_yhi and w_ylo <= y_hi
+                for x_lo, x_hi, y_lo, y_hi in visible.get(friend[1], ())
+            )
+        ]
 
     def contexts(self, t_query: float) -> list[PartitionContext]:
         """Live partition contexts with their Figure 2 enlargements."""
@@ -151,11 +197,9 @@ class QueryPlanner:
 
         ``Dk`` is the estimated k-th-neighbour distance of Tao et
         al. [33]; the step is floored at one grid cell so the round
-        count stays finite when ``k / N`` is tiny.  Single source of
-        the value for the adaptive matrix search *and* the batch
-        prefetch probe below — the probe is only a prefetch hint, but
-        it must cover the bands round one will request or the prefetch
-        proves nothing the search asks for.
+        count stays finite when ``k / N`` is tiny.  The matrix search
+        takes its round width from here, and the batch prefetch probe
+        (:meth:`plan_knn_probe`) its first round from the search.
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
@@ -174,9 +218,11 @@ class QueryPlanner:
         Per live partition the window is enlarged and reduced to its
         single covering Z-span (see :mod:`repro.core.prq` for why one
         span per (partition, SV) matches the per-interval I/O); one band
-        is planned per (partition, friend).
+        is planned per (partition, friend who can qualify — see
+        :meth:`visible_friends`).
         """
-        friends = self.friends(q_uid)
+        visible = self.tree.store.visibility_map(q_uid, t_query)
+        friends = self.visible_friends(q_uid, visible, window)
         contexts = self.contexts(t_query)
         bands: list[PlannedBand] = []
         if friends:
@@ -201,6 +247,7 @@ class QueryPlanner:
             contexts=contexts,
             bands=bands,
             window=window,
+            visible=visible,
         )
 
     def plan_span_scan(self, q_uid: int, window: Rect, t_query: float) -> QueryPlan:
@@ -238,7 +285,9 @@ class QueryPlanner:
         )
 
     def plan_knn_probe(
-        self, q_uid: int, qx: float, qy: float, k: int, t_query: float
+        self,
+        friends: list[tuple[float, int]],
+        spans: list[tuple[int, tuple[int, int]]],
     ) -> list[BandRequest]:
         """The band requests of a PkNN search's *first* round.
 
@@ -246,8 +295,11 @@ class QueryPlanner:
         planned statically — later rounds depend on scan results — but
         its first column is: the square of half-side ``rq`` around the
         query point, enlarged per live partition, one band per
-        (partition, friend).  The batch executor adds these to the
-        cross-query prefetch set so concurrent kNN queries share
+        (partition, friend).  The search hands in its own rows and the
+        ``(tid, (z_lo, z_hi))`` round-one span of each live partition
+        (:meth:`repro.core.pknn._MatrixSearch.probe`), so the probe is
+        exactly what round one requests.  The batch executor adds these
+        to the cross-query prefetch set so concurrent kNN queries share
         physical scans with the whole batch instead of each scanning
         its first round on demand.  A probe is a prefetch superset hint:
         bands the search never requests cost prefetch I/O but can
@@ -259,15 +311,6 @@ class QueryPlanner:
         order of a hint, not the paper's iteration order: range plans
         stay partition-major.
         """
-        friends = self.friends(q_uid)
-        if not friends or k <= 0:
-            return []
-        square = Rect.from_center(qx, qy, self.knn_step(k))
-        spans = []
-        for context in self.contexts(t_query):
-            span = self.tree.grid.z_span(context.enlarged(square))
-            if span is not None:
-                spans.append((context.tid, span))
         return [
             self.band(tid, sv, z_lo, z_hi)
             for sv, _ in friends
@@ -304,4 +347,5 @@ __all__ = [
     "PlannedBand",
     "QueryPlan",
     "QueryPlanner",
+    "VisibilityMap",
 ]

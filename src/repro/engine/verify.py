@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
+    from repro.engine.plan import VisibilityMap
     from repro.motion.objects import MovingObject
     from repro.motion.rows import BandRows
     from repro.policy.store import PolicyStore
@@ -34,17 +35,28 @@ class CandidateVerifier:
         located: uids whose entry has been seen — never examined again,
             in later bands, partitions, or enlargement rounds.
         candidates_examined: entries located and policy-checked.
+
+    ``visible`` is the issuer's visibility map at ``t_query`` when the
+    caller already holds it (the planner and the PkNN search do); it is
+    computed on the first :meth:`admit_rows` otherwise.  Either way
+    every row is checked against it in full.
     """
 
-    def __init__(self, store: "PolicyStore", q_uid: int, t_query: float):
+    def __init__(
+        self,
+        store: "PolicyStore",
+        q_uid: int,
+        t_query: float,
+        visible: "VisibilityMap | None" = None,
+    ):
         self.store = store
         self.q_uid = q_uid
         self.t_query = t_query
         self.located: set[int] = set()
         self.candidates_examined = 0
-        # Lazily-built owner -> visible-region bounds for (q_uid, t_query),
-        # shared by every admit_rows call this query makes.
-        self._visible: "dict[int, tuple] | None" = None
+        # Owner -> visible-region bounds for (q_uid, t_query), shared by
+        # every admit_rows call this query makes.
+        self._visible = visible
 
     def seen(self, uid: int) -> bool:
         """True when the user was already located (skip-rule predicate)."""

@@ -6,7 +6,8 @@ import pytest
 
 from repro.bench.harness import ExperimentConfig, ExperimentHarness
 from repro.bench.oracle import brute_force_pknn, brute_force_prq
-from repro.core.pknn import pknn
+from repro.core.aggregate import pcount, pdensity_grid
+from repro.core.pknn import _MatrixSearch, pknn
 from repro.core.prq import prq
 from repro.engine import BandScanner, QueryEngine
 from repro.engine.plan import BandRequest, QueryPlanner
@@ -16,7 +17,16 @@ from repro.spatial.geometry import Rect
 from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
 
 from tests.conftest import build_world
+from tests.test_engine_property import admissible_friends
 from tests.test_shard_property import build_sharded
+
+
+def knn_search(engine, spec):
+    """The matrix search a batch builds for one kNN spec."""
+    return _MatrixSearch(
+        engine.tree, spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query,
+        planner=engine.planner,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -31,8 +41,11 @@ def test_plan_range_orders_bands_partition_major(small_world):
     window = Rect(100, 400, 100, 400)
     plan = engine.planner.plan_range(issuer, window, 5.0)
 
-    friends = world.store.friend_list(issuer)
+    # Only the friends a policy can admit in the window at t = 5.
+    friends = admissible_friends(world.store, issuer, window, 5.0)
+    assert 0 < len(friends) < len(world.store.friend_list(issuer))
     assert plan.friends == friends
+    assert plan.visible == world.store.visibility_map(issuer, 5.0)
     assert len(plan.contexts) == len(world.partitioner.live_labels(5.0))
     # One band per (live partition with a span, friend), partition-major,
     # friends ascending by SV inside each partition.
@@ -291,13 +304,7 @@ def test_batch_knn_first_round_joins_the_prefetch_set(small_world):
 
     # The probe's strata are resident after the prefetch: every first-
     # round band is answered without another physical scan.
-    probe = [
-        band
-        for spec in specs
-        for band in engine.planner.plan_knn_probe(
-            spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query
-        )
-    ]
+    probe = [band for spec in specs for band in knn_search(engine, spec).probe()]
     scanner = BandScanner(world.peb)
     scanner.prefetch(probe)
     after_prefetch = scanner.physical_scans
@@ -310,31 +317,27 @@ def test_batch_knn_first_round_joins_the_prefetch_set(small_world):
 
 def test_knn_probe_bands_match_first_round_requests(small_world):
     """The probe must name exactly the bands round one scans, or the
-    prefetch store could never serve them."""
+    prefetch store could never serve them: one per (friend with a
+    policy that holds at t_query, live partition), friend-major, over
+    the round-one square under that partition's enlargement."""
     world = small_world
     engine = QueryEngine(world.peb)
-    spec = world.query_generator().knn_queries(world.states, 1, 3, 5.0)[0]
-    probe = engine.planner.plan_knn_probe(
-        spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query
-    )
-    friends = engine.planner.friends(spec.q_uid)
-    contexts = engine.planner.contexts(spec.t_query)
-    if friends:
-        spans = sum(
-            1
-            for context in contexts
-            if world.grid.z_span(
-                context.enlarged(
-                    Rect.from_center(
-                        spec.qx, spec.qy, engine.planner.knn_step(spec.k)
-                    )
-                )
-            )
-            is not None
-        )
-        assert len(probe) == spans * len(friends)
-    for band in probe:
-        assert band.is_single_sv
+    planner = engine.planner
+    for spec in world.query_generator().knn_queries(world.states, 6, 3, 5.0):
+        probe = knn_search(engine, spec).probe()
+        friends = admissible_friends(world.store, spec.q_uid, None, 5.0)
+        square = Rect.from_center(spec.qx, spec.qy, planner.knn_step(spec.k))
+        spans = [
+            (context.tid, world.grid.z_span(context.enlarged(square)))
+            for context in planner.contexts(spec.t_query)
+        ]
+        assert probe == [
+            planner.band(tid, sv, *span)
+            for sv, _ in friends
+            for tid, span in spans
+            if span is not None
+        ]
+        assert all(band.is_single_sv for band in probe)
 
 
 def test_batch_rejects_unknown_spec_types(small_world):
@@ -377,6 +380,38 @@ def test_batch_rejects_a_non_finite_knn_spec_before_any_read(
     before = (stats.logical_reads, stats.physical_reads)
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         engine.execute_batch([good, KnnQuerySpec(**arguments)])
+    assert (stats.logical_reads, stats.physical_reads) == before
+
+
+RANGE_ENTRY_POINTS = {
+    "prq": lambda tree, uid, window, t: prq(tree, uid, window, t),
+    "pcount": lambda tree, uid, window, t: pcount(tree, uid, window, t),
+    "at_least": lambda tree, uid, window, t: pcount(tree, uid, window, t, 1),
+    "pdensity_grid": lambda tree, uid, window, t: pdensity_grid(tree, uid, window, t),
+    "execute_batch": lambda tree, uid, window, t: QueryEngine(tree).execute_batch(
+        [
+            RangeQuerySpec(uid, window, 5.0),
+            RangeQuerySpec(uid, window, t),
+        ]
+    ),
+}
+
+
+@pytest.mark.parametrize("t_query", (float("nan"), float("inf"), float("-inf")))
+@pytest.mark.parametrize("entry", sorted(RANGE_ENTRY_POINTS))
+def test_a_non_finite_range_t_query_is_refused_before_any_read(
+    small_world, entry, t_query
+):
+    """A NaN instant satisfies no policy, so a policy-aware plan would
+    drop every friend and answer empty: every range entry point names
+    the field instead, before anything is planned or read."""
+    world = small_world
+    stats = world.peb.stats
+    before = (stats.logical_reads, stats.physical_reads)
+    with pytest.raises(ValueError, match="t_query must be finite"):
+        RANGE_ENTRY_POINTS[entry](
+            world.peb, world.uids[0], Rect(100, 400, 100, 400), t_query
+        )
     assert (stats.logical_reads, stats.physical_reads) == before
 
 
@@ -517,9 +552,7 @@ def test_a_batch_prefetches_the_merged_union_of_its_single_sv_bands(
         band
         for spec in specs
         if isinstance(spec, KnnQuerySpec)
-        for band in planner.plan_knn_probe(
-            spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query
-        )
+        for band in knn_search(engine, spec).probe()
     ]
     assert 0 < n_range_bands < len(bands)  # both kinds contribute
     router = getattr(engine.tree, "router", None)  # a single tree has none

@@ -5,8 +5,11 @@ pipeline.  These tests pin the refactor: over randomized populations,
 policies, and seeds, the engine-based ``prq`` / ``pcount`` /
 ``pdensity_grid`` return *identical results and identical
 ``candidates_examined``* to the seed implementations (reproduced below,
-verbatim from the pre-engine code), ``pknn`` matches the brute-force
-oracle, and a batch of N queries matches N individual runs exactly.
+verbatim from the pre-engine code except for the friend list they loop
+over: the planner bands only the friends who can qualify, so the seed
+loops are handed the same list, derived here from the policies
+themselves), ``pknn`` matches the brute-force oracle, and a batch of N
+queries matches N individual runs exactly.
 """
 
 import random
@@ -21,6 +24,7 @@ from repro.core.prq import prq
 from repro.engine import QueryEngine
 
 from repro.bxtree.queries import enlargement_for_label
+from repro.policy.timeset import fold
 
 from tests.conftest import build_world
 
@@ -37,9 +41,25 @@ def world(request):
 # ----------------------------------------------------------------------
 
 
+def admissible_friends(store, q_uid, window, t_query):
+    """The friend list minus every friend no policy can admit: one must
+    hold at ``t_query`` over a ``locr`` that meets ``window`` (any
+    ``locr`` when ``window`` is None)."""
+    instant = fold(t_query, store.time_domain)
+    return [
+        (sv, uid)
+        for sv, uid in store.friend_list(q_uid)
+        if any(
+            policy.tint.contains(instant)
+            and (window is None or policy.locr.intersects(window))
+            for policy in store.policies_for(uid, q_uid)
+        )
+    ]
+
+
 def reference_prq(tree, q_uid, window, t_query):
     """The pre-engine PRQ loop; returns (uids, candidates_examined)."""
-    friends = tree.store.friend_list(q_uid)
+    friends = admissible_friends(tree.store, q_uid, window, t_query)
     users, candidates = set(), 0
     if not friends:
         return users, candidates
@@ -72,7 +92,7 @@ def reference_prq(tree, q_uid, window, t_query):
 
 def reference_pcount(tree, q_uid, window, t_query, at_least=None):
     """The pre-engine pcount loop; (count, candidates, terminated_early)."""
-    friends = tree.store.friend_list(q_uid)
+    friends = admissible_friends(tree.store, q_uid, window, t_query)
     count, candidates = 0, 0
     if not friends:
         return count, candidates, False

@@ -1,0 +1,440 @@
+"""Policy-aware planning against the planner that scans every friend.
+
+Under Definition 2 a friend is in an answer only if one of its policies
+toward the issuer holds at ``t_query`` and it stands inside that
+policy's ``locr``.  The shipped planner therefore plans a band only for
+a friend with a time-admitting policy whose region meets the window,
+and the PkNN search keeps a row only for a friend with a time-admitting
+policy.  The reference is a test-local subclass whose
+``visible_friends`` hands back the whole friend list — the planner as
+it was before.  Against it, over random single- and multi-policy stores
+on one tree and on 1 and 4 shards:
+
+* PRQ, ``pcount``, ``pdensity_grid``, ``at_least`` and PkNN answer
+  identically (PkNN: neighbours and their distances), and equal the
+  brute-force oracle;
+* ``candidates_examined`` is never higher;
+* the planned bands are the reference's, minus the pruned friends', in
+  the same order (the PkNN probe likewise);
+* a friend is pruned exactly when it provably fails Definition 2: no
+  policy admits it at the point of the window nearest its region.
+
+The draws lean on the edges: time windows that wrap midnight or end at
+``T``, ``t_query`` at 0, ``T``, ``k·T`` and just below ``T``, windows
+that touch a region's edge, windows and regions of zero width, and
+users standing on those edges.
+"""
+
+import contextlib
+import importlib
+import math
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bench.oracle import brute_force_pknn, brute_force_prq
+from repro.core.aggregate import pcount, pdensity_grid
+from repro.core.peb_tree import PEBTree
+from repro.core.pknn import _MatrixSearch, pknn
+from repro.core.prq import prq
+from repro.core.sequencing import assign_sequence_values
+from repro.engine import QueryEngine
+from repro.engine.plan import QueryPlanner
+from repro.motion import MovingObject, TimePartitioner
+from repro.policy.lpp import LocationPrivacyPolicy
+from repro.policy.multistore import MultiPolicyStore
+from repro.policy.store import PolicyStore
+from repro.policy.timeset import TimeInterval, TimeSet
+from repro.shard import ShardedPEBTree, ShardedQueryEngine
+from repro.spatial import Grid
+from repro.spatial.geometry import Rect
+from repro.storage import BufferPool, SimulatedDisk
+from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
+
+SIDE = 1000.0
+T = 1440.0
+N_USERS = 40
+
+REGIONS = [
+    Rect(0.0, SIDE, 0.0, SIDE),
+    Rect(0.0, 500.0, 0.0, SIDE),
+    Rect(500.0, SIDE, 0.0, 500.0),
+    Rect(620.0, 880.0, 620.0, 880.0),
+    Rect(250.0, 250.0, 100.0, 900.0),  # zero width
+    Rect(100.0, 400.0, 600.0, 600.0),  # zero height
+]
+WINDOWS = [
+    Rect(500.0, 700.0, 200.0, 400.0),  # touches Rect(0, 500, ...) at x = 500
+    Rect(880.0, SIDE, 0.0, SIDE),  # touches Rect(620, 880, ...) at x = 880
+    Rect(250.0, 250.0, 0.0, SIDE),  # zero width, on the zero-width region
+    Rect(0.0, SIDE, 600.0, 600.0),  # zero height, on the zero-height region
+    Rect(0.0, 249.9, 0.0, 599.9),  # misses both degenerate regions
+    Rect(300.0, 600.0, 300.0, 600.0),
+    Rect(0.0, 600.0, 100.0, SIDE),
+    Rect(250.0, SIDE, 0.0, 600.0),
+    Rect(0.0, SIDE, 0.0, SIDE),
+]
+TINTS = [
+    TimeInterval(0.0, T),
+    TimeInterval(287.3, 600.0),
+    TimeInterval(0.0, 1.0),  # holds at 0, T, k·T
+    TimeInterval(T - 1.0, T),  # holds just below T, not at T
+    TimeInterval(600.0, 600.0),  # zero duration: never holds
+    TimeSet([TimeInterval(1111.1, T), TimeInterval(0.0, 333.3)]),  # wraps
+    TimeSet([TimeInterval(1300.0, T), TimeInterval(0.0, 0.5)]),  # wraps
+]
+T_QUERIES = [0.0, T, 2 * T, 3 * T, T - 1e-6, math.nextafter(T, 0.0), 5.0, 600.0]
+#: Coordinates users stand on exactly: the regions' and windows' edges.
+EDGES = [0.0, 100.0, 250.0, 500.0, 600.0, 880.0, SIDE]
+
+POLICY_CALLS = st.lists(
+    st.tuples(
+        st.integers(0, N_USERS - 1),
+        st.lists(st.integers(0, N_USERS - 1), min_size=1, max_size=12),
+        st.sampled_from(REGIONS),
+        st.sampled_from(TINTS),
+    ),
+    min_size=30,
+    max_size=90,
+)
+
+
+# ----------------------------------------------------------------------
+# The reference: every friend gets a band and a matrix row
+# ----------------------------------------------------------------------
+
+
+class UnprunedPlanner(QueryPlanner):
+    def visible_friends(self, q_uid, visible, window=None):
+        return self.friends(q_uid)
+
+
+class UnprunedEngine(QueryEngine):
+    def __init__(self, tree):
+        super().__init__(tree)
+        self.planner = UnprunedPlanner(tree)
+
+
+class UnprunedShardedEngine(ShardedQueryEngine):
+    def __init__(self, tree):
+        super().__init__(tree)
+        self.planner = UnprunedPlanner(tree)
+
+
+@contextlib.contextmanager
+def unpruned():
+    """The public adapters, run on the reference planner."""
+    # By module: ``repro.core`` re-exports functions named like them.
+    module = importlib.import_module
+    with mock.patch.object(
+        module("repro.core.prq"), "QueryEngine", UnprunedEngine
+    ), mock.patch.object(
+        module("repro.core.aggregate"), "QueryEngine", UnprunedEngine
+    ), mock.patch.object(
+        module("repro.core.pknn"), "QueryPlanner", UnprunedPlanner
+    ):
+        yield
+
+
+# ----------------------------------------------------------------------
+# Worlds
+# ----------------------------------------------------------------------
+
+
+def build_store(store_type, calls):
+    store = store_type(time_domain=T)
+    for owner, members, locr, tint in calls:
+        policy = LocationPrivacyPolicy(owner=owner, role="friend", locr=locr, tint=tint)
+        try:
+            store.add_policy(policy, members)
+        except ValueError:
+            pass  # a self-policy or a duplicate pair: rejected whole
+    sequence = assign_sequence_values(list(range(N_USERS)), store, SIDE * SIDE)
+    store.set_sequence_values(sequence.sequence_values)
+    return store
+
+
+def build_states(seed, t_query):
+    """Users live at ``t_query``; about half stand on an edge in x or y
+    (never both, so no two users tie in distance from a query point)."""
+    rng = random.Random(seed)
+    states = {}
+    for uid in range(N_USERS):
+        x, y = rng.uniform(0.0, SIDE), rng.uniform(0.0, SIDE)
+        vx = vy = 0.0
+        roll = rng.random()
+        if roll < 0.25:
+            x = rng.choice(EDGES)
+        elif roll < 0.5:
+            y = rng.choice(EDGES)
+        else:
+            vx, vy = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        t_update = max(0.0, t_query - rng.uniform(0.0, 59.0))
+        x, y = x - vx * (t_query - t_update), y - vy * (t_query - t_update)
+        states[uid] = MovingObject(uid, x, y, vx, vy, t_update)
+    return states
+
+
+def build_tree(store, states, n_shards):
+    """The single tree (``n_shards is None``) or an N-shard deployment."""
+    grid = Grid(SIDE, 10)
+    partitioner = TimePartitioner(120.0, 2)
+    if n_shards is None:
+        tree = PEBTree(
+            BufferPool(SimulatedDisk(page_size=1024), capacity=64),
+            grid,
+            partitioner,
+            store,
+        )
+    else:
+        tree = ShardedPEBTree.build(
+            n_shards,
+            grid,
+            partitioner,
+            store,
+            uids=sorted(states),
+            page_size=1024,
+            buffer_pages=64,
+        )
+    for uid in sorted(states):
+        tree.insert(states[uid])
+    return tree
+
+
+def engines(tree, n_shards):
+    if n_shards is None:
+        return QueryEngine(tree), UnprunedEngine(tree)
+    return ShardedQueryEngine(tree), UnprunedShardedEngine(tree)
+
+
+# ----------------------------------------------------------------------
+# Definition 2, independently of the planner
+# ----------------------------------------------------------------------
+
+
+def clamp(value, lo, hi):
+    return min(max(value, lo), hi)
+
+
+def can_qualify(store, owner, viewer, t_query, window=None):
+    """True when some policy of ``owner`` toward ``viewer`` admits it at
+    one point of ``window`` (anywhere, without a window).
+
+    The witness is a corner of the policy's region clamped into the
+    window: it lies in the region exactly when region and window meet,
+    so if no policy admits its witness, no position in the window can
+    satisfy Definition 2 — the friend provably fails it.
+    """
+    for policy in store.policies_for(owner, viewer):
+        x, y = policy.locr.x_lo, policy.locr.y_lo
+        if window is not None:
+            x = clamp(x, window.x_lo, window.x_hi)
+            y = clamp(y, window.y_lo, window.y_hi)
+        if policy.admits(x, y, t_query, store.time_domain):
+            return True
+    return False
+
+
+def knn_answer(result):
+    return [(d, obj.uid) for d, obj in result.neighbors]
+
+
+# ----------------------------------------------------------------------
+# The property
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_shards", (None, 1, 4))
+@pytest.mark.parametrize("store_type", (PolicyStore, MultiPolicyStore))
+@settings(max_examples=25, deadline=None)
+@given(
+    calls=POLICY_CALLS,
+    seed=st.integers(0, 2**16),
+    t_query=st.sampled_from(T_QUERIES),
+    queries=st.lists(
+        st.tuples(
+            st.integers(0, N_USERS - 1),
+            st.sampled_from(WINDOWS),
+            st.sampled_from((1, 3, 8, 50)),
+            st.sampled_from((None, 1, 2)),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_pruned_planner_matches_the_unpruned_reference(
+    n_shards, store_type, calls, seed, t_query, queries
+):
+    store = build_store(store_type, calls)
+    states = build_states(seed, t_query)
+    tree = build_tree(store, states, n_shards)
+    rng = random.Random(seed + 1)
+    pruned_planner, full_planner = QueryPlanner(tree), UnprunedPlanner(tree)
+
+    specs = []
+    for q_uid, window, k, at_least in queries:
+        # -- the plan: exactly the friends who can qualify, bands ⊆ --
+        plan = pruned_planner.plan_range(q_uid, window, t_query)
+        full = full_planner.plan_range(q_uid, window, t_query)
+        kept = {uid for _, uid in plan.friends}
+        assert plan.friends == [
+            friend
+            for friend in full.friends
+            if can_qualify(store, friend[1], q_uid, t_query, window)
+        ]
+        assert plan.bands == [b for b in full.bands if b.friend_uid in kept]
+
+        # -- range-shaped answers: identical, never more candidates --
+        got = prq(tree, q_uid, window, t_query)
+        with unpruned():
+            expected = prq(tree, q_uid, window, t_query)
+        assert got.uids == expected.uids == brute_force_prq(
+            states, store, q_uid, window, t_query
+        )
+        assert got.uids <= kept
+        assert got.candidates_examined <= expected.candidates_examined
+
+        got = pcount(tree, q_uid, window, t_query, at_least)
+        with unpruned():
+            expected = pcount(tree, q_uid, window, t_query, at_least)
+        assert (got.count, got.terminated_early) == (
+            expected.count,
+            expected.terminated_early,
+        )
+        assert got.candidates_examined <= expected.candidates_examined
+
+        if window.width > 0 and window.height > 0:
+            got = pdensity_grid(tree, q_uid, window, t_query, rows=3, columns=2)
+            with unpruned():
+                expected = pdensity_grid(tree, q_uid, window, t_query, rows=3, columns=2)
+            assert (got.cells, got.total) == (expected.cells, expected.total)
+            assert got.candidates_examined <= expected.candidates_examined
+
+        # -- PkNN: rows are the friends with a time-admitting policy --
+        qx, qy = rng.uniform(0.0, SIDE), rng.uniform(0.0, SIDE)
+        search = _MatrixSearch(tree, q_uid, qx, qy, k, t_query)
+        reference = _MatrixSearch(
+            tree, q_uid, qx, qy, k, t_query, planner=full_planner
+        )
+        assert search.friends == [
+            friend
+            for friend in reference.friends
+            if can_qualify(store, friend[1], q_uid, t_query)
+        ]
+        probe = search.probe()
+        assert set(probe) <= set(reference.probe())
+        got, expected = search.run(), reference.run()
+        assert knn_answer(got) == knn_answer(expected)
+        assert got.candidates_examined <= expected.candidates_examined
+        assert [(round(d, 9), uid) for d, uid in knn_answer(got)] == [
+            (round(d, 9), uid)
+            for d, uid in brute_force_pknn(states, store, q_uid, qx, qy, k, t_query)
+        ]
+        with unpruned():
+            assert knn_answer(pknn(tree, q_uid, qx, qy, k, t_query)) == knn_answer(
+                expected
+            )
+
+        specs.append(RangeQuerySpec(q_uid, window, t_query))
+        specs.append(KnnQuerySpec(q_uid, qx, qy, k, t_query))
+
+    # -- a mixed batch through the deployment's own engine --
+    engine, reference_engine = engines(tree, n_shards)
+    got, expected = engine.execute_batch(specs), reference_engine.execute_batch(specs)
+    for spec, mine, theirs in zip(specs, got.results, expected.results):
+        if isinstance(spec, RangeQuerySpec):
+            assert mine.uids == theirs.uids
+        else:
+            assert knn_answer(mine) == knn_answer(theirs)
+    assert got.stats.bands_requested <= expected.stats.bands_requested
+
+
+# ----------------------------------------------------------------------
+# An issuer whose every friend is pruned
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_shards", (None, 1, 4))
+def test_an_issuer_whose_every_friend_is_pruned_scans_nothing(n_shards):
+    """Every friend of user 0 lets it look only between 600 and 700, or
+    only inside a region the window misses until 300: at t = 5 nothing
+    is planned and nothing is examined, while the reference scans and
+    examines."""
+    calls = [
+        (owner, [0], Rect(0.0, SIDE, 0.0, SIDE), TimeInterval(600.0, 700.0))
+        for owner in range(1, 11)
+    ] + [
+        (owner, [0], Rect(620.0, 880.0, 620.0, 880.0), TimeInterval(0.0, 300.0))
+        for owner in range(11, 21)
+    ]
+    store = build_store(PolicyStore, calls)
+    states = build_states(7, 5.0)
+    tree = build_tree(store, states, n_shards)
+    window = Rect(0.0, 500.0, 0.0, 500.0)
+
+    plan = QueryPlanner(tree).plan_range(0, window, 5.0)
+    assert plan.friends == [] and plan.bands == []
+    assert len(UnprunedPlanner(tree).plan_range(0, window, 5.0).bands) > 0
+
+    got = prq(tree, 0, window, 5.0)
+    with unpruned():
+        expected = prq(tree, 0, window, 5.0)
+    assert got.users == [] and expected.users == []
+    assert got.candidates_examined == 0 < expected.candidates_examined
+
+    # PkNN keeps the ten friends whose policy holds at t = 5.
+    search = _MatrixSearch(tree, 0, 500.0, 500.0, 3, 5.0)
+    assert {uid for _, uid in search.friends} == set(range(11, 21))
+    assert [uid for _, uid in knn_answer(search.run())] == [
+        uid for _, uid in brute_force_pknn(states, store, 0, 500.0, 500.0, 3, 5.0)
+    ]
+    # ... and none at t = 800, when no policy holds.
+    search = _MatrixSearch(tree, 0, 500.0, 500.0, 3, 800.0)
+    assert search.friends == [] and search.probe() == []
+    result = search.run()
+    assert result.neighbors == [] and result.candidates_examined == 0
+
+
+# ----------------------------------------------------------------------
+# One visibility map per query
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_shards", (None, 4))
+def test_one_visibility_map_per_query(n_shards):
+    """The planner's map reaches the verifier, and a PkNN's probe and
+    walk share its search's map: a mixed batch computes one per spec."""
+    calls = [
+        (
+            owner,
+            [(owner * 7 + j) % N_USERS for j in range(1, 6)],
+            REGIONS[owner % len(REGIONS)],
+            TINTS[owner % len(TINTS)],
+        )
+        for owner in range(N_USERS)
+    ]
+    store = build_store(MultiPolicyStore, calls)
+    states = build_states(3, 5.0)
+    tree = build_tree(store, states, n_shards)
+    engine, _ = engines(tree, n_shards)
+    specs = [
+        RangeQuerySpec(uid, WINDOWS[uid % len(WINDOWS)], 5.0) for uid in range(8)
+    ] + [KnnQuerySpec(uid, 400.0, 600.0, 3, 5.0) for uid in range(8, 12)]
+    calls_made = []
+    visibility_map = PolicyStore.visibility_map
+
+    def counted(self, viewer, t):
+        calls_made.append(viewer)
+        return visibility_map(self, viewer, t)
+
+    with mock.patch.object(PolicyStore, "visibility_map", counted):
+        engine.execute_batch(specs)
+        assert sorted(calls_made) == list(range(12))
+        calls_made.clear()
+        prq(tree, 0, WINDOWS[0], 5.0)
+        pcount(tree, 1, WINDOWS[1], 5.0)
+        pknn(tree, 2, 400.0, 600.0, 3, 5.0)
+        assert calls_made == [0, 1, 2]
