@@ -51,12 +51,19 @@ piece, and the skipped pieces, still requests a proof answered, reach
 the scanner's counters as one sum when the search finishes.  The
 within-search half of the *known region* of incremental kNN: remember
 where the answer is complete instead of re-deriving it per step.
+
+Since a search acts in a few dozen of its thousands of cells, the walk
+is built so that the rest cost next to nothing: an idle cell is a few
+integer comparisons of its row's quiet intervals against flat per-round
+hulls, a located row leaves the walk, a round's window is computed on
+bare bounds, and the walk begins at the first round whose window meets
+the space (:meth:`_MatrixSearch._walk`).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
 from repro.core.peb_tree import PEBTree
@@ -163,10 +170,10 @@ class _MatrixSearch:
         reach = grid.space_side * math.sqrt(2.0) + grid.bounds.min_distance(qx, qy)
         self.max_rounds = math.ceil(reach / self.rq) + 1
         # Per round, the square's Z window under each partition's
-        # enlargement.  Rounds never exceed max_rounds (enforced by
-        # _cell_order) and contexts is the fixed live-partition list, so
-        # the cache holds at most |contexts| * (max_rounds + 1) spans
-        # for the lifetime of this one query; it dies with the search.
+        # enlargement.  Rounds never exceed max_rounds (the walk's
+        # bound) and contexts is the fixed live-partition list, so the
+        # cache holds at most |contexts| * (max_rounds + 1) spans for
+        # the lifetime of this one query; it dies with the search.
         # ``_span_cache_capacity`` states the bound, and the tests
         # assert the cache never exceeds it.
         self._span_cache: dict[int, list[ZInterval | None]] = {}
@@ -177,12 +184,16 @@ class _MatrixSearch:
         # Per friend row: its strata's residencies, one per context
         # (None entries where the scanner keeps none), asked on first use.
         self._strata: list[list | None] = [None] * len(self.friends)
-        # Per friend row and context: the quiet interval of that
-        # stratum, as of the last cell that served or scanned it.  It
-        # is taken around the query point's Z-value, which every
-        # round's window holds.
+        # Per context, one column per bound: every friend row's quiet
+        # interval of that stratum, as of the last cell that served or
+        # scanned it.  It is taken around the query point's Z-value,
+        # which every round's window holds.
         self._anchor = tree.grid.z_value(qx, qy)
-        self._quiet = [[NOT_QUIET] * len(self.contexts) for _ in self.friends]
+        quiet_lo, quiet_hi = NOT_QUIET
+        self._quiet = [
+            ([quiet_lo] * len(self.friends), [quiet_hi] * len(self.friends))
+            for _ in self.contexts
+        ]
         # ... and the pieces skipped inside it, which the scanner is
         # told of when the search finishes.
         self._skipped = [[0] * len(self.contexts) for _ in self.friends]
@@ -191,16 +202,48 @@ class _MatrixSearch:
     # Scan plumbing
     # ------------------------------------------------------------------
 
+    def _window_spans(self, round_index: int) -> list[ZInterval | None]:
+        """Z window of the round's square under each partition's enlargement.
+
+        The float operations of ``Rect.from_center(qx, qy, round_index
+        * rq)`` grown by ``PartitionContext.enlarged``, on bare bounds:
+        a round allocates no rectangle.
+        """
+        half = round_index * self.rq
+        x_lo, x_hi = self.qx - half, self.qx + half
+        y_lo, y_hi = self.qy - half, self.qy + half
+        z_span_of = self.tree.grid.z_span_of
+        return [
+            z_span_of(x_lo - c.dx, x_hi + c.dx, y_lo - c.dy, y_hi + c.dy)
+            for c in self.contexts
+        ]
+
     def _spans(self, round_index: int) -> list[ZInterval | None]:
-        """Z window of the round's square under each partition's enlargement."""
+        """:meth:`_window_spans`, computed once per round."""
         spans = self._span_cache.get(round_index)
         if spans is None:
-            square = Rect.from_center(self.qx, self.qy, round_index * self.rq)
-            z_span = self.tree.grid.z_span
-            spans = self._span_cache[round_index] = [
-                z_span(context.enlarged(square)) for context in self.contexts
-            ]
+            spans = self._span_cache[round_index] = self._window_spans(round_index)
         return spans
+
+    def _first_round(self) -> int:
+        """The first round whose window meets the space in a live partition.
+
+        Every earlier cell has no piece to scan, tally or stop on, so
+        the walk starts here: a query point far outside the space costs
+        a bisection, not a diagonal per round between it and the space.
+        Windows only grow, so the predicate is monotone.  ``max_rounds``
+        when no window meets the space.
+        """
+        if any(span is not None for span in self._spans(1)):
+            return 1
+        lo, hi = 2, self.max_rounds
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if any(span is not None for span in self._window_spans(mid)):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
     def _round_pieces(self, round_index: int) -> list[_Partition]:
         """Per live partition with something to scan: the round's window
@@ -257,10 +300,10 @@ class _MatrixSearch:
         here relies on consecutive rounds' windows nesting, which the
         coarsened spans of a curve like Hilbert's do not promise.
         """
-        quiet = self._quiet[row]
+        quiet = self._quiet
         for context_index, _, _, z_lo, z_hi in partitions:
             q_lo, q_hi = quiet[context_index]
-            if z_lo < q_lo or q_hi < z_hi:
+            if z_lo < q_lo[row] or q_hi[row] < z_hi:
                 return False
         skipped = self._skipped[row]
         for context_index, _, pieces, _, _ in partitions:
@@ -286,10 +329,10 @@ class _MatrixSearch:
             strata = self._strata[row] = [
                 scanner.residency(context.tid, sv_q) for context in self.contexts
             ]
-        quiet = self._quiet[row]
+        quiet = self._quiet
         for context_index, tid, pieces, hull_lo, hull_hi in partitions:
             q_lo, q_hi = quiet[context_index]
-            if q_lo <= hull_lo and hull_hi <= q_hi:
+            if q_lo[row] <= hull_lo and hull_hi <= q_hi[row]:
                 self._skipped[row][context_index] += len(pieces)
                 continue
             resident = strata[context_index]
@@ -305,7 +348,7 @@ class _MatrixSearch:
                     verifier.admit_rows(rows, on_qualify=self._admit_qualifying)
                     scanner.charge_verified(verifier.candidates_examined - seen)
             if resident is not None:
-                quiet[context_index] = resident.quiet_around(
+                q_lo[row], q_hi[row] = resident.quiet_around(
                     self._anchor, verifier.located
                 )
 
@@ -335,60 +378,157 @@ class _MatrixSearch:
     # ------------------------------------------------------------------
 
     def run(self, order: str = "triangular") -> PKNNResult:
-        rows = len(self.friends)
-        if rows == 0 or self.k <= 0:
-            return self.result
-        friend_uids = {uid for _, uid in self.friends}
-        located = self.verifier.located
-        located_checked = 0  # len(located) when the friends were last checked
-        candidates = self.candidates
-        k = self.k
-        rounds = 0
-        friends = self.friends
-        for row, round_index in self._cell_order(rows, order):
-            # Only a cell that can do work is scanned: its friend is
-            # not located yet and some piece may hold somebody new.
-            if friends[row][1] not in located and not self._all_quiet(
-                row, self._round_pieces(round_index)
-            ):
-                self.scan_cell(row, round_index)
-            if round_index > rounds:
-                rounds = round_index
-            # k verified candidates inside the column's inscribed circle:
-            # the k-th nearest of all is then one of them.
-            if len(candidates) >= k:
-                kth_distance = candidates[k - 1][0]
-                if kth_distance <= round_index * self.rq:
-                    self.vertical_scan(row + 1, kth_distance)
-                    break
-            # The located set only grows, and only a cell that grew it
-            # can have completed the friend list.
-            if len(located) != located_checked:
-                located_checked = len(located)
-                if friend_uids <= located:
-                    break  # every friend located; no window can add more
-        self.result.rounds = rounds
-        return self._finish()
-
-    def _cell_order(self, rows: int, order: str):
-        """Matrix traversal orders.
+        """Walk the matrix in ``order`` and return the k nearest.
 
         ``triangular`` is the paper's Figure 9 anti-diagonal sweep;
         ``column`` is the naive alternative (finish every friend at one
         radius before enlarging) measured by the order ablation.
         """
+        rows = len(self.friends)
+        if rows == 0 or self.k <= 0:
+            return self.result
         if order == "triangular":
-            for diagonal in range(rows + self.max_rounds):
-                for row in range(min(diagonal + 1, rows)):
-                    round_index = diagonal - row + 1
-                    if round_index <= self.max_rounds:
-                        yield row, round_index
+            step = 1  # along an anti-diagonal a row's round falls by one
         elif order == "column":
-            for round_index in range(1, self.max_rounds + 1):
-                for row in range(rows):
-                    yield row, round_index
+            step = 0
         else:
             raise ValueError(f"unknown search order {order!r}")
+        self.result.rounds = self._walk(step)
+        return self._finish()
+
+    def _walk(self, step: int) -> int:
+        """Visit the matrix one *sweep* at a time; the rounds touched.
+
+        A sweep is an anti-diagonal or a column, named by its ``head``,
+        the round of row 0: row ``r``'s cell in it is round ``head -
+        step * r``, if that lies within ``[first, max_rounds]``.  The
+        walk starts with the sweep that reaches the first round whose
+        window meets the space (:meth:`_first_round`).
+
+        Only a cell that can act costs more than integer comparisons.
+        A row whose friend is located has left the sweep.  For the
+        others the walk keeps, per live partition and round, the hull
+        of the round's pieces, and a cell whose every hull lies inside
+        its row's quiet interval is idle: it would only be handed rows
+        it ignores.  An idle cell's pieces are still requests a proof
+        answered; they are tallied when the row's run of idle rounds
+        ends, from per-partition sums of pieces per round.  Every other
+        cell enters :meth:`scan_cell`.  A cell is compared with its own
+        round's hulls only, so nothing relies on consecutive windows
+        nesting, which a coarsened Hilbert span does not promise.
+        Candidates change only in a cell that acted, and within a sweep
+        no later cell has a larger round, so the k-th-distance stop
+        test runs after the first cell of each sweep and after each
+        cell that acted — everywhere else it would repeat the answer it
+        just gave.
+        """
+        uids = [uid for _, uid in self.friends]
+        rows = len(uids)
+        max_rounds, rq, k = self.max_rounds, self.rq, self.k
+        candidates = self.candidates
+        located = self.verifier.located
+        skipped = self._skipped
+        first = self._first_round()
+        # Per live partition, per round from ``first`` (offset j): the
+        # hull of the round's pieces, and the pieces of the rounds before.
+        hulls = [([], []) for _ in self.contexts]
+        pieces_before = [[0] for _ in self.contexts]
+        columns = [
+            (q_lo, q_hi, h_lo, h_hi)
+            for (q_lo, q_hi), (h_lo, h_hi) in zip(self._quiet, hulls)
+        ]
+        max_z = self.tree.grid.max_z
+        idle_from = [0] * rows  # per row: its first round not yet tallied
+        live = list(range(rows))
+        n_located = len(located)
+
+        def add_round(round_index: int) -> None:
+            # A partition without pieces gets a hull every quiet
+            # interval holds, NOT_QUIET included.
+            hull = {
+                ci: (lo, hi, len(pieces))
+                for ci, _, pieces, lo, hi in self._round_pieces(round_index)
+            }
+            for ci, ((h_lo, h_hi), before) in enumerate(zip(hulls, pieces_before)):
+                lo, hi, n = hull.get(ci, (max_z + 1, -1, 0))
+                h_lo.append(lo)
+                h_hi.append(hi)
+                before.append(before[-1] + n)
+
+        def tally_idle(row: int, j_end: int) -> None:
+            # The row's idle rounds, from idle_from[row] through j_end.
+            j_start = idle_from[row]
+            if j_end >= j_start:
+                row_skipped = skipped[row]
+                for ci, before in enumerate(pieces_before):
+                    row_skipped[ci] += before[j_end + 1] - before[j_start]
+
+        def close(rows_left: list[int], base: int, after: int) -> None:
+            # Tally each row through the last round it visited, the walk
+            # standing at row ``after`` of the sweep whose row 0 is at
+            # offset ``base``: this sweep up to it, the previous one past it.
+            j_max = max_rounds - first
+            for row in rows_left:
+                tally_idle(row, min(base - step * row - (row > after), j_max))
+
+        top = first - 1  # the last round added
+        last = rows + max_rounds - 1 if step else max_rounds
+        for head in range(first, last + 1):
+            head_round = min(head, max_rounds)  # the sweep's first cell's round
+            if step:
+                row_lo, row_hi = max(0, head - max_rounds), min(rows - 1, head - first)
+            else:
+                row_lo, row_hi = 0, rows - 1
+            base = head - first
+            i = bisect_left(live, row_lo)
+            if i < len(live):
+                # Rounds are added as far as the sweep's first live row
+                # reaches, the highest round any of its cells can ask.
+                while top < head - step * live[i]:
+                    top += 1
+                    add_round(top)
+            # k verified candidates inside the round's inscribed circle:
+            # the k-th nearest of all is then one of them.
+            stopping = len(candidates) >= k and candidates[k - 1][0] <= head_round * rq
+            if stopping:  # after the sweep's first cell
+                end = i + 1 if i < len(live) and live[i] == row_lo else i
+            else:
+                end = bisect_right(live, row_hi, i)
+            for row in live[i:end]:
+                j = base - step * row
+                for q_lo, q_hi, h_lo, h_hi in columns:
+                    if q_lo[row] > h_lo[j] or h_hi[j] > q_hi[row]:
+                        break
+                else:
+                    continue  # idle
+                tally_idle(row, j - 1)
+                round_index = first + j
+                self.scan_cell(row, round_index)
+                idle_from[row] = j + 1
+                if len(candidates) >= k:
+                    kth_distance = candidates[k - 1][0]
+                    if kth_distance <= round_index * rq:
+                        self.vertical_scan(row + 1, kth_distance)
+                        close(live, base, row)
+                        return head_round
+                # Only a cell that acted can have located somebody.
+                if len(located) != n_located:
+                    n_located = len(located)
+                    found = [r for r in live if uids[r] in located]
+                    close(found, base, row)
+                    for r in found:
+                        live.remove(r)
+                        # What is left of this sweep passes it as idle.
+                        for q_lo, q_hi in self._quiet:
+                            q_lo[r], q_hi[r] = -1, max_z + 1
+                    if not live:
+                        return head_round  # no window can add more
+            if stopping:
+                self.vertical_scan(row_lo + 1, candidates[k - 1][0])
+                close(live, base, row_lo)
+                return head_round
+        close(live, last - first, rows - 1)
+        return max_rounds
 
     def _finish(self) -> PKNNResult:
         for strata, skipped in zip(self._strata, self._skipped):

@@ -24,6 +24,15 @@ from repro.spatial.zcurve import z_decode, z_encode
 
 CurveInterval = tuple[int, int]
 
+#: Grids up to this many bits per axis encode by table lookup; a table
+#: holds one spread value per cell index, so at most 2**16 entries.
+SPREAD_TABLE_BITS = 16
+
+#: bits -> the spread value of every cell index of a ``2**bits`` grid
+#: (x's share of its Morton code), built on the first encode at that
+#: resolution; a memo of constants, never changed once built.
+_SPREAD_TABLES: dict[int, list[int]] = {}
+
 
 class ZOrderCurve:
     """The Morton curve of the paper (Section 5.2, component ZV)."""
@@ -34,21 +43,27 @@ class ZOrderCurve:
     corner_monotone = True
 
     def encode(self, ix: int, iy: int, bits: int) -> int:
-        """Curve value of cell ``(ix, iy)`` on a ``2**bits`` grid."""
-        self._check(ix, iy, bits)
-        return z_encode(ix, iy)
+        """Curve value of cell ``(ix, iy)`` on a ``2**bits`` grid.
+
+        Every location update and every PkNN round window encodes, so
+        grids of up to :data:`SPREAD_TABLE_BITS` bits look both spreads
+        up in a per-``bits`` table instead of computing them.
+        """
+        side = 1 << bits
+        if not (0 <= ix < side and 0 <= iy < side):
+            raise ValueError(f"cell ({ix}, {iy}) outside {side}x{side} grid")
+        if bits > SPREAD_TABLE_BITS:
+            return z_encode(ix, iy)
+        spread = _SPREAD_TABLES.get(bits)
+        if spread is None:
+            spread = _SPREAD_TABLES[bits] = [z_encode(v, 0) for v in range(side)]
+        return spread[ix] | spread[iy] << 1
 
     def decode(self, value: int, bits: int) -> tuple[int, int]:
         """Cell of a curve value on a ``2**bits`` grid."""
         if value < 0 or value >= 1 << (2 * bits):
             raise ValueError(f"value {value} out of range for {bits}-bit grid")
         return z_decode(value)
-
-    @staticmethod
-    def _check(ix: int, iy: int, bits: int) -> None:
-        side = 1 << bits
-        if not (0 <= ix < side and 0 <= iy < side):
-            raise ValueError(f"cell ({ix}, {iy}) outside {side}x{side} grid")
 
     def __repr__(self) -> str:
         return "ZOrderCurve()"

@@ -114,8 +114,32 @@ class Grid:
         coarsened decomposition and may over-cover slightly — candidates
         outside the rectangle are discarded by verification either way.
         """
-        clipped = rect.intersection(self.bounds)
-        if clipped is None:
+        return self.z_span_of(rect.x_lo, rect.x_hi, rect.y_lo, rect.y_hi)
+
+    def z_span_of(
+        self, x_lo: float, x_hi: float, y_lo: float, y_hi: float
+    ) -> ZInterval | None:
+        """:meth:`z_span` of the rectangle with these bounds, built from none.
+
+        The one implementation: the rectangle (``x_lo <= x_hi``, ``y_lo
+        <= y_hi``) is clipped to the space exactly as
+        ``Rect.intersection(self.bounds)`` clips it (closed sides; None
+        when the two are disjoint), so a caller that holds bounds — the
+        PkNN search computes a window per round — gets the same span
+        without allocating a ``Rect``.
+        """
+        side = self.space_side
+        if not (x_lo <= side and 0.0 <= x_hi and y_lo <= side and 0.0 <= y_hi):
             return None
-        ix_lo, ix_hi, iy_lo, iy_hi = self.cell_box(clipped)
+        # cell_of() of each clipped bound, spelled out: every round of a
+        # PkNN search computes one span per live partition.
+        size, last = self.cell_size, self.cells_per_axis - 1
+        ix_lo = int(x_lo / size) if x_lo > 0.0 else 0
+        ix_hi = int(x_hi / size) if x_hi < side else last
+        iy_lo = int(y_lo / size) if y_lo > 0.0 else 0
+        iy_hi = int(y_hi / size) if y_hi < side else last
+        if ix_lo > last or ix_hi > last or iy_lo > last or iy_hi > last:
+            # A bound within rounding of the far edge: cell_of's clamp.
+            ix_lo, ix_hi = min(ix_lo, last), min(ix_hi, last)
+            iy_lo, iy_hi = min(iy_lo, last), min(iy_hi, last)
         return curve_span(self.curve, ix_lo, ix_hi, iy_lo, iy_hi, self.bits)

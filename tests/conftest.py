@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import settings
 
 from repro.btree import BPlusTree, BTreeConfig
 from repro.bxtree import BxTree, SpatialFilterBaseline
@@ -21,6 +22,11 @@ from repro.policy.store import PolicyStore
 from repro.spatial import Grid
 from repro.storage import BufferPool, SimulatedDisk
 from repro.workloads import PolicyGenerator, QueryGenerator, UniformMovement
+
+#: ``pytest --hypothesis-profile=deep``: ten times hypothesis's default
+#: examples, for property suites that scale their draws with the loaded
+#: profile (``tests/test_pknn_walk_property.py``).
+settings.register_profile("deep", max_examples=1000)
 
 
 def make_tree(

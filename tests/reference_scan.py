@@ -16,8 +16,17 @@ of that, through override points the engine already has:
 
 Results, ``candidates_examined``, ``rounds`` and ``requests`` must equal
 the shipped scanner's; physical scans and reads may only be higher.
+
+The shipped PkNN walk decides an idle cell by comparing flat per-round
+hulls against its rows' quiet intervals, starts at the first round whose
+window meets the space, and runs its stop test only where the outcome can
+change.  :class:`PerCellSearch` is the walk it replaced: every cell of the
+traversal order, from round 1, asked in turn whether it can act, the stop
+test after each.  Same scanner, same cells entering ``scan_cell``: every
+counter must be equal.
 """
 
+from repro.core.pknn import _MatrixSearch
 from repro.engine import BandScanner, QueryEngine
 from repro.engine.scanner import NOT_QUIET, StratumResidency
 from repro.motion.rows import BandRows
@@ -84,3 +93,53 @@ class ReferenceEngine(QueryEngine):
 class ShardedReferenceEngine(ShardedQueryEngine):
     def _batch_scanner(self):
         return reference_scatter(self.tree)
+
+
+class PerCellSearch(_MatrixSearch):
+    """The PkNN matrix walk one cell at a time, in the traversal order."""
+
+    def run(self, order="triangular"):
+        rows = len(self.friends)
+        if rows == 0 or self.k <= 0:
+            return self.result
+        friend_uids = {uid for _, uid in self.friends}
+        located = self.verifier.located
+        located_checked = 0  # len(located) when the friends were last checked
+        candidates = self.candidates
+        k = self.k
+        rounds = 0
+        friends = self.friends
+        for row, round_index in self._cell_order(rows, order):
+            # Only a cell that can do work is scanned: its friend is
+            # not located yet and some piece may hold somebody new.
+            if friends[row][1] not in located and not self._all_quiet(
+                row, self._round_pieces(round_index)
+            ):
+                self.scan_cell(row, round_index)
+            if round_index > rounds:
+                rounds = round_index
+            if len(candidates) >= k:
+                kth_distance = candidates[k - 1][0]
+                if kth_distance <= round_index * self.rq:
+                    self.vertical_scan(row + 1, kth_distance)
+                    break
+            if len(located) != located_checked:
+                located_checked = len(located)
+                if friend_uids <= located:
+                    break  # every friend located; no window can add more
+        self.result.rounds = rounds
+        return self._finish()
+
+    def _cell_order(self, rows, order):
+        if order == "triangular":
+            for diagonal in range(rows + self.max_rounds):
+                for row in range(min(diagonal + 1, rows)):
+                    round_index = diagonal - row + 1
+                    if round_index <= self.max_rounds:
+                        yield row, round_index
+        elif order == "column":
+            for round_index in range(1, self.max_rounds + 1):
+                for row in range(rows):
+                    yield row, round_index
+        else:
+            raise ValueError(f"unknown search order {order!r}")

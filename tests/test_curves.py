@@ -72,6 +72,38 @@ def test_hilbert_agrees_with_hilbert_module():
         assert HILBERT.encode(ix, iy, BITS) == hilbert_encode(ix, iy, BITS)
 
 
+@pytest.mark.parametrize(
+    "ix, iy, bits, expected",
+    [
+        # The spread table (bits <= 16): its first and last entries.
+        (0, 0, 1, 0),
+        (1, 1, 1, 3),
+        (5, 3, 3, z_encode(5, 3)),
+        (1023, 0, 10, z_encode(1023, 0)),
+        ((1 << 16) - 1, (1 << 16) - 1, 16, (1 << 32) - 1),
+        # Past the table: the computed spread.
+        ((1 << 16) + 3, 12345, 17, z_encode((1 << 16) + 3, 12345)),
+        ((1 << 32) - 1, 0, 32, z_encode((1 << 32) - 1, 0)),
+        # Out of the grid, on either side of either axis, table or not.
+        (-1, 0, 10, ValueError),
+        (0, -1, 10, ValueError),
+        (1 << 10, 0, 10, ValueError),
+        (0, 1 << 10, 10, ValueError),
+        (-1, 0, 20, ValueError),
+        (1 << 20, 0, 20, ValueError),
+    ],
+)
+def test_zcurve_encode_table(ix, iy, bits, expected):
+    """A table lookup up to 16 bits, the spread beyond; a negative cell
+    or one at or past ``2**bits`` is refused either way (a negative
+    index would otherwise read the table from its end)."""
+    if expected is ValueError:
+        with pytest.raises(ValueError, match="outside"):
+            ZCURVE.encode(ix, iy, bits)
+    else:
+        assert ZCURVE.encode(ix, iy, bits) == expected
+
+
 @pytest.mark.parametrize("curve", [ZCURVE, HILBERT], ids=lambda c: c.name)
 def test_encode_rejects_out_of_grid(curve):
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.spatial import Grid, Rect
+from repro.spatial.curves import HILBERT, ZCURVE, curve_span
 from repro.spatial.zcurve import z_decode, z_encode
 
 
@@ -90,6 +91,42 @@ def test_z_span_contains_every_decomposed_interval(x0, y0, w, h):
     assert span is not None
     for lo, hi in intervals:
         assert span[0] <= lo and hi <= span[1]
+
+
+def rect_span(grid, rect):
+    """``z_span`` as the Rect operations spell it: clip, cell box, span."""
+    clipped = rect.intersection(grid.bounds)
+    if clipped is None:
+        return None
+    return curve_span(grid.curve, *grid.cell_box(clipped), grid.bits)
+
+
+#: Bounds on, inside, just outside and far outside a side-``side`` space.
+def bound(side):
+    return st.one_of(
+        st.sampled_from((0.0, -0.0, side, -1e-12, side + 1e-12, -1e7, side * 1e4)),
+        st.floats(min_value=-2 * side, max_value=3 * side),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    setup=st.sampled_from(
+        ((1000.0, 10, ZCURVE), (7.3, 3, ZCURVE), (1000.0, 10, HILBERT), (7.3, 3, HILBERT))
+    ),
+    data=st.data(),
+)
+def test_z_span_of_bounds_equals_the_rect_spelling(setup, data):
+    """One implementation behind ``z_span``: the bounds-taking primitive
+    clips and buckets exactly as ``Rect.intersection`` + ``cell_box`` do,
+    on a side that divides into cells exactly and on one that does not."""
+    side, bits, curve = setup
+    grid = Grid(side, bits, curve=curve)
+    x = sorted(data.draw(st.tuples(bound(side), bound(side))))
+    y = sorted(data.draw(st.tuples(bound(side), bound(side))))
+    rect = Rect(x[0], x[1], y[0], y[1])
+    assert grid.z_span_of(x[0], x[1], y[0], y[1]) == rect_span(grid, rect)
+    assert grid.z_span(rect) == rect_span(grid, rect)
 
 
 @settings(max_examples=120, deadline=None)
