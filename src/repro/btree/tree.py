@@ -707,37 +707,51 @@ class BPlusTree:
             child = self.pool.get(child_id)
             if not self._underflows(child) or len(parent.children) < 2:
                 continue
-            survivor = self._fix_one_batch_underflow(parent, parent_id, idx, stats)
+            survivor = self._fix_one_batch_underflow(
+                parent, parent_id, idx, child, stats
+            )
             pending.insert(0, parent.children[survivor])
 
     def _fix_one_batch_underflow(
-        self, parent: InternalNode, parent_id: int, idx: int, stats: BatchApplyStats
+        self,
+        parent: InternalNode,
+        parent_id: int,
+        idx: int,
+        child,
+        stats: BatchApplyStats,
     ) -> int:
-        """One borrow or merge step; returns the index to re-examine."""
+        """One borrow or merge step on ``child``, ``parent.children[idx]``;
+        returns the index to re-examine.
+
+        A borrow into an internal child, or a merge of two internal
+        nodes, makes a node that was its parent's only child a sibling
+        of another.  Having had no sibling to rebalance with, its
+        deficit may have gone unfixed; the step is the first chance to
+        fix it, one level below.  A node with two or more children
+        already had its children rebalanced, so only singletons need
+        the recheck.
+        """
+        only = None if child.is_leaf or len(child.children) != 1 else child.children[0]
         if self._borrow(parent, parent_id, idx):
             stats.borrows += 1
-            return idx
-        stats.merges += 1
-        left_of_seam = idx - 1 if idx > 0 else idx
-        left_partner = self.pool.get(parent.children[left_of_seam])
-        right_partner = self.pool.get(parent.children[left_of_seam + 1])
-        # Merging two internal nodes makes their children siblings of
-        # one another.  A child that was its parent's only one had no
-        # sibling to rebalance with, so its deficit may have gone
-        # unfixed; the merge is the first chance to fix it, one level
-        # below.  Any partner with two or more children already had its
-        # children rebalanced, so only singletons need the recheck.
-        recheck = [
-            partner.children[0]
-            for partner in (left_partner, right_partner)
-            if not partner.is_leaf and len(partner.children) == 1
-        ]
-        self._merge_children(parent, parent_id, left_of_seam)
+            survivor = idx
+            recheck = [] if only is None else [only]
+        else:
+            stats.merges += 1
+            survivor = idx - 1 if idx > 0 else idx
+            left_partner = self.pool.get(parent.children[survivor])
+            right_partner = self.pool.get(parent.children[survivor + 1])
+            recheck = [
+                partner.children[0]
+                for partner in (left_partner, right_partner)
+                if not partner.is_leaf and len(partner.children) == 1
+            ]
+            self._merge_children(parent, parent_id, survivor)
         if recheck:
-            survivor_id = parent.children[left_of_seam]
-            survivor = self.pool.get(survivor_id)
-            self._fix_batch_underflows(survivor_id, survivor, recheck, stats)
-        return left_of_seam
+            survivor_id = parent.children[survivor]
+            node = self.pool.get(survivor_id)
+            self._fix_batch_underflows(survivor_id, node, recheck, stats)
+        return survivor
 
     # ------------------------------------------------------------------
     # Descent

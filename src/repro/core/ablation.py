@@ -69,14 +69,18 @@ class ZVFirstKeyCodec(PEBKeyCodec):
         return [(key >> shift) & mask for key, _ in keys]
 
 
-def make_zv_first_tree(pool, grid, partitioner, store, sv_bits=32, sv_scale=128):
-    """A PEB-tree whose keys put location above policy proximity."""
+def make_zv_first_tree(pool, grid, partitioner, store, sv_bits=32, sv_scale=None):
+    """A PEB-tree whose keys put location above policy proximity.
+
+    The scale defaults as :class:`PEBTree`'s does, so the ablation
+    compares like with like.
+    """
     tree = PEBTree(pool, grid, partitioner, store, sv_bits=sv_bits, sv_scale=sv_scale)
     tree.codec = ZVFirstKeyCodec(
         tid_count=partitioner.num_partitions,
         sv_bits=sv_bits,
         zv_bits=grid.zv_bits,
-        sv_scale=sv_scale,
+        sv_scale=tree.codec.sv_scale,
     )
     return tree
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from repro.btree.tree import MAX_UID, BatchOp, BPlusTree, BTreeConfig
-from repro.core.peb_key import DEFAULT_SV_BITS, DEFAULT_SV_SCALE, PEBKeyCodec
+from repro.core.peb_key import DEFAULT_SV_BITS, PEBKeyCodec, derive_sv_scale
 from repro.motion.objects import MovingObject, ObjectRecordCodec
 from repro.motion.rows import BandRows
 from repro.motion.partitions import TimePartitioner
@@ -154,7 +154,9 @@ class PEBTree:
         partitioner: time partitioning (Δt_mu and n).
         store: policy directory; must already carry the sequence values
             produced by :func:`repro.core.sequencing.assign_sequence_values`.
-        sv_bits, sv_scale: sequence-value packing parameters.
+        sv_bits, sv_scale: sequence-value packing parameters; the scale
+            defaults to :func:`repro.core.peb_key.derive_sv_scale` of the
+            store's largest SV, so each raw SV is a stratum of its own.
     """
 
     def __init__(
@@ -164,8 +166,10 @@ class PEBTree:
         partitioner: TimePartitioner,
         store: PolicyStore,
         sv_bits: int = DEFAULT_SV_BITS,
-        sv_scale: int = DEFAULT_SV_SCALE,
+        sv_scale: int | None = None,
     ):
+        if sv_scale is None:
+            sv_scale = derive_sv_scale(store.max_sequence_value(), sv_bits)
         self.grid = grid
         self.partitioner = partitioner
         self.store = store

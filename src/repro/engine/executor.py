@@ -296,7 +296,10 @@ class QueryEngine:
         own friend rows) join the prefetch set: concurrent kNN queries
         share the batch's physical scans instead of each scanning its
         first round on demand, and later rounds run adaptively against
-        the same shared scanner.
+        the same shared scanner.  The range bands go to the prefetch in
+        key order, the probe bands after them: a stratum holds one raw
+        sequence value, so issuers share leaves rather than strata, and
+        a key-ordered sweep reads a shared leaf while it is resident.
 
         Replay takes the range specs first, then the kNN searches, each
         kind in spec order; results and ``degraded`` flags come back in
@@ -358,12 +361,14 @@ class QueryEngine:
         tracing = recorder is not None and recorder.enabled
         if prefetch:
             def batch_bands():
-                # Range plans first, kNN probes after: strata keep
-                # their first-appearance order in the sweep.
-                for plan in plans:
-                    if plan is not None:
-                        for planned in plan.bands:
-                            yield planned.band
+                # Range bands in key order, then the kNN probes, whose
+                # strata not named yet keep their first-appearance order.
+                yield from sorted(
+                    planned.band
+                    for plan in plans
+                    if plan is not None
+                    for planned in plan.bands
+                )
                 yield from probe_bands
 
             if tracing:

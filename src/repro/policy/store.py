@@ -226,6 +226,10 @@ class PolicyStore:
         """SV of a user (KeyError until the encoder ran)."""
         return self._sequence_values[uid]
 
+    def max_sequence_value(self) -> float | None:
+        """Largest SV assigned (None before the encoder ran)."""
+        return max(self._sequence_values.values(), default=None)
+
     def friend_list(self, viewer: int) -> list[tuple[float, int]]:
         """Users with a policy about ``viewer``, sorted ascending by SV.
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.core.peb_key import DEFAULT_SV_BITS, DEFAULT_SV_SCALE, PEBKeyCodec
+from repro.core.peb_key import DEFAULT_SV_BITS, PEBKeyCodec, derive_sv_scale
 from repro.core.peb_tree import (
     BatchUpdateResult,
     PEBTree,
@@ -148,7 +148,7 @@ class ShardedPEBTree:
         buffer_pages: int = DEFAULT_BUFFER_PAGES,
         buffer_policy: str = "lru",
         sv_bits: int = DEFAULT_SV_BITS,
-        sv_scale: int = DEFAULT_SV_SCALE,
+        sv_scale: int | None = None,
         latency: "LatencyModel | str | None" = None,
         parallel_io: bool = False,
         disk_factory=None,
@@ -182,7 +182,12 @@ class ShardedPEBTree:
         same timeline a ``disk_factory`` disk faults on); a fresh clock
         is created otherwise.  ``parallel_io`` is a no-op (see the
         class docstring).
+
+        ``sv_scale`` defaults to the one :class:`PEBTree` derives from
+        the store, derived once here for the router and every shard.
         """
+        if sv_scale is None:
+            sv_scale = derive_sv_scale(store.max_sequence_value(), sv_bits)
         codec = PEBKeyCodec(
             tid_count=partitioner.num_partitions,
             sv_bits=sv_bits,

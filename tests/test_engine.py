@@ -450,8 +450,11 @@ def test_batch_on_zv_first_tree_matches_individual_runs():
 
 def test_batch_of_32_reduces_physical_reads_per_query():
     """The acceptance headline: >= 32 concurrent PRQs batched perform
-    measurably fewer physical reads per query than one-at-a-time, with
-    identical result sets (checked inside run_batched_prq)."""
+    at most three quarters of the physical reads per query that
+    one-at-a-time does, with identical result sets (checked inside
+    run_batched_prq).  Sharing shows as reads, not as a dedup ratio:
+    once a stratum holds one user, issuers share leaves, not bands, and
+    the key-ordered prefetch sweep is what finds that."""
     harness = ExperimentHarness(
         ExperimentConfig(
             n_users=1500,
@@ -464,9 +467,7 @@ def test_batch_of_32_reduces_physical_reads_per_query():
     )
     costs = harness.run_batched_prq()
     assert costs.n_queries == 32
-    assert costs.batched_io < costs.sequential_io
-    # A real fraction of band requests were served from shared scans.
-    assert costs.dedup_ratio > 0.1
+    assert costs.batched_io <= 0.75 * costs.sequential_io
 
 
 # ----------------------------------------------------------------------
@@ -534,19 +535,20 @@ def test_a_batch_prefetches_the_merged_union_of_its_single_sv_bands(
     batch_world, n_shards
 ):
     """The one prefetch rule: per stratum, ``merge_intervals`` over every
-    single-SV plan band and kNN probe band of the batch; strata in
-    first-appearance order (range plans first, probes after), each run
-    handed to the tree once, in one sweep per tree."""
+    single-SV plan band and kNN probe band of the batch; the range
+    plans' strata ascending by key, then the strata only a probe names
+    in first-appearance order; each run handed to the tree once, in one
+    sweep per tree."""
     world = batch_world
     engine, trees = _batch_engine(world, n_shards)
     specs = world.query_generator().mixed_queries(world.states, 16, 300.0, 3, 5.0)
     planner = engine.planner
-    bands = [
+    bands = sorted(
         planned.band
         for spec in specs
         if isinstance(spec, RangeQuerySpec)
         for planned in planner.plan_range(spec.q_uid, spec.window, spec.t_query).bands
-    ]
+    )
     n_range_bands = len(bands)
     bands += [
         band

@@ -57,16 +57,10 @@ from tests.test_packed_leaf_property import OPS, WINDOWS, apply_ops
 # ----------------------------------------------------------------------
 
 
-@settings(max_examples=60, deadline=None)
-@given(ops=OPS, window=WINDOWS)
-def test_scan_fence_names_the_true_neighbours(ops, window):
-    tree = make_tree(page_size=512, buffer_pages=8)
-    model: dict = {}
-    apply_ops(tree, model, ops)
-    key_a, key_b, uid_a, uid_b = window
-    lo = min((key_a, uid_a), (key_b, uid_b))
-    hi = max((key_a, uid_a), (key_b, uid_b))
-
+def assert_fence_matches_model(tree: BPlusTree, model, lo, hi) -> None:
+    """``scan_fenced(lo, hi)`` returns the model's entries in range and
+    names their true neighbours (or admits it does not know the lower
+    one)."""
     chunks, below, above = tree.scan_fenced(lo, hi)
     scanned = [ck for keys, _ in chunks for ck in keys]
     assert scanned == sorted(ck for ck in model if lo <= ck <= hi)
@@ -85,6 +79,18 @@ def test_scan_fence_names_the_true_neighbours(ops, window):
     else:
         assert above is not None and all(above > ck for ck in model)
         assert above[0].bit_length() > 8 * tree.config.key_bytes
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=OPS, window=WINDOWS)
+def test_scan_fence_names_the_true_neighbours(ops, window):
+    tree = make_tree(page_size=512, buffer_pages=8)
+    model: dict = {}
+    apply_ops(tree, model, ops)
+    key_a, key_b, uid_a, uid_b = window
+    lo = min((key_a, uid_a), (key_b, uid_b))
+    hi = max((key_a, uid_a), (key_b, uid_b))
+    assert_fence_matches_model(tree, model, lo, hi)
 
 
 def test_empty_range_and_empty_tree_fences():

@@ -29,6 +29,7 @@ from repro.spatial.grid import Grid
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 from tests.conftest import make_tree
+from tests.test_fence_proof_property import assert_fence_matches_model
 
 # ----------------------------------------------------------------------
 # B+-tree layer
@@ -41,26 +42,10 @@ batch_op = st.tuples(
 )
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    seed_keys=st.sets(
-        st.tuples(
-            st.integers(min_value=0, max_value=150),
-            st.integers(min_value=0, max_value=3),
-        ),
-        max_size=120,
-    ),
-    batches=st.lists(st.lists(batch_op, max_size=80), min_size=1, max_size=4),
-    flush_between=st.booleans(),
-)
-def test_apply_sorted_batch_matches_dict_model(seed_keys, batches, flush_between):
-    tree = make_tree(page_size=512, buffer_pages=12)
-    model: dict[tuple[int, int], bytes] = {}
-    for key, uid in sorted(seed_keys):
-        value = bytes([key % 256, uid]) * 8
-        tree.insert(key, uid, value)
-        model[(key, uid)] = value
-
+def _apply_batches(tree, model, batches, flush_between, windows=()):
+    """Apply each drawn batch, made valid against ``model``, and check
+    the tree against the model after it: invariants, contents, point
+    lookups, and the fences of ``scan_fenced`` over ``windows``."""
     for batch in batches:
         # Make the drawn ops valid: at most one op per entry identity,
         # inserts of absent entries, deletes/replaces of present ones.
@@ -93,6 +78,104 @@ def test_apply_sorted_batch_matches_dict_model(seed_keys, batches, flush_between
         assert [(k, u) for k, u, _ in tree.items()] == sorted(model)
         for (key, uid), value in model.items():
             assert tree.search(key, uid) == value
+        for key_a, key_b, uid_a, uid_b in windows:
+            lo = min((key_a, uid_a), (key_b, uid_b))
+            hi = max((key_a, uid_a), (key_b, uid_b))
+            assert_fence_matches_model(tree, model, lo, hi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed_keys=st.sets(
+        st.tuples(
+            st.integers(min_value=0, max_value=150),
+            st.integers(min_value=0, max_value=3),
+        ),
+        max_size=120,
+    ),
+    batches=st.lists(st.lists(batch_op, max_size=80), min_size=1, max_size=4),
+    flush_between=st.booleans(),
+)
+def test_apply_sorted_batch_matches_dict_model(seed_keys, batches, flush_between):
+    tree = make_tree(page_size=512, buffer_pages=12)
+    model: dict[tuple[int, int], bytes] = {}
+    for key, uid in sorted(seed_keys):
+        value = bytes([key % 256, uid]) * 8
+        tree.insert(key, uid, value)
+        model[(key, uid)] = value
+    _apply_batches(tree, model, batches, flush_between)
+
+
+#: Keys of the height-3 draws: a seeded run of up to 600 keys and ops
+#: a little past its end.
+DEEP_KEYS = st.integers(min_value=0, max_value=700)
+#: One tier-1 example per five of the loaded profile's: 20 by default,
+#: 200 under ``--hypothesis-profile=deep``.
+DEEP_EXAMPLES = max(20, settings.default.max_examples // 5)
+
+
+@settings(max_examples=DEEP_EXAMPLES, deadline=None)
+@given(
+    seed_count=st.integers(min_value=150, max_value=600),
+    batches=st.lists(
+        st.tuples(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["insert", "delete", "replace"]),
+                    DEEP_KEYS,
+                    st.integers(min_value=0, max_value=3),
+                ),
+                max_size=60,
+            ),
+            DEEP_KEYS,
+            st.integers(min_value=0, max_value=300),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    flush_between=st.booleans(),
+    windows=st.lists(
+        st.tuples(DEEP_KEYS, DEEP_KEYS, st.integers(0, 3), st.integers(0, 3)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_apply_sorted_batch_matches_dict_model_at_height_3(
+    seed_count, batches, flush_between, windows
+):
+    """The dict model on height-3 trees (leaf capacity 8), where a batch
+    that drains a contiguous key range can leave an internal node with
+    one child: each drawn batch is scattered ops plus deletes of the
+    seeded keys in ``[lo, lo + span)`` (a key an earlier batch removed
+    is inserted again, as any drawn op on an absent entry is)."""
+    tree = make_tree(page_size=256, buffer_pages=12)
+    model: dict[tuple[int, int], bytes] = {}
+    for key in range(seed_count):
+        value = bytes([key % 256, 0]) * 8
+        tree.insert(key, 0, value)
+        model[(key, 0)] = value
+    assert tree.height == 3
+    drawn = [
+        [("delete", key, 0) for key in range(lo, min(lo + span, seed_count))]
+        + scattered
+        for scattered, lo, span in batches
+    ]
+    _apply_batches(tree, model, drawn, flush_between, windows)
+
+
+def test_a_borrow_rechecks_the_drained_only_child_of_an_internal_node():
+    """One batch drains every leaf under an internal node but one, and
+    that one too; the node then borrows a child from its neighbour.  The
+    drained leaf it kept had no sibling to be fixed with until then, and
+    must be rebalanced, not left empty (``leaf 25 underfull: 0``)."""
+    tree = make_tree(page_size=256, buffer_pages=12)
+    for key in range(300):
+        tree.insert(key, 0, b"v" * 16)
+    assert tree.height == 3
+    stats = tree.apply_sorted_batch([("delete", k, 0, None) for k in range(49, 225)])
+    assert stats.borrows > 0
+    tree.check_invariants()
+    assert [key for key, _, _ in tree.items()] == [*range(49), *range(225, 300)]
 
 
 def test_apply_sorted_batch_rejects_bad_input():
