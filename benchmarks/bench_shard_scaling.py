@@ -72,9 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--queries", type=int, default=64)
     parser.add_argument("--batch-size", dest="batch_size", type=int, default=256)
     parser.add_argument(
-        "--policy", choices=("sv", "tid"), default="sv", help="shard key policy"
-    )
-    parser.add_argument(
         "--gate-shards",
         dest="gate_shards",
         type=int,
@@ -149,7 +146,6 @@ def main(argv: list[str] | None = None) -> int:
                 n_updates=args.updates,
                 n_queries=args.queries,
                 batch_size=args.batch_size,
-                policy=args.policy,
             )
             rows.append(
                 {
@@ -221,7 +217,6 @@ def main(argv: list[str] | None = None) -> int:
                 "n_updates": args.updates,
                 "n_queries": args.queries,
                 "batch_size": args.batch_size,
-                "policy": args.policy,
             },
             "rows": rows,
             "gates": {

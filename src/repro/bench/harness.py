@@ -853,7 +853,6 @@ class ExperimentHarness:
         n_updates: int | None = None,
         n_queries: int | None = None,
         batch_size: int = 256,
-        policy: str = "sv",
         shard_buffer_pages: int | None = None,
         workload_seed: int = 0,
     ) -> ShardScalingCosts:
@@ -911,7 +910,6 @@ class ExperimentHarness:
             self.partitioner,
             self.store,
             uids=sorted(self.states),
-            policy=policy,
             page_size=self.config.page_size,
             buffer_pages=self.config.build_buffer_pages,
             buffer_policy=self.config.buffer_policy,
@@ -975,7 +973,6 @@ class ExperimentHarness:
         n_updates: int | None = None,
         n_queries: int | None = None,
         batch_size: int = 256,
-        policy: str = "sv",
         shard_buffer_pages: int | None = None,
         workload_seed: int = 0,
     ) -> OverlapCosts:
@@ -1030,7 +1027,6 @@ class ExperimentHarness:
                 self.partitioner,
                 self.store,
                 uids=sorted(self.states),
-                policy=policy,
                 page_size=self.config.page_size,
                 buffer_pages=self.config.build_buffer_pages,
                 buffer_policy=self.config.buffer_policy,
@@ -1120,7 +1116,6 @@ class ExperimentHarness:
         knn_fraction: float = 0.25,
         burst_size: int = 16,
         batch_size: int = 256,
-        policy: str = "sv",
         shard_buffer_pages: int | None = None,
         workload_seed: int = 0,
         pin: bool = True,
@@ -1208,7 +1203,6 @@ class ExperimentHarness:
             self.partitioner,
             self.store,
             uids=sorted(self.states),
-            policy=policy,
             page_size=self.config.page_size,
             buffer_pages=self.config.build_buffer_pages,
             buffer_policy=self.config.buffer_policy,
@@ -1266,7 +1260,6 @@ class ExperimentHarness:
                     "profile": latency if isinstance(latency, str) else latency.name,
                     "update_fraction": update_fraction,
                     "knn_fraction": knn_fraction,
-                    "policy": policy,
                     "workload_seed": workload_seed,
                 },
             )

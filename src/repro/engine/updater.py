@@ -179,9 +179,8 @@ class UpdatePipeline:
         capacity: flush when this many distinct users are buffered.
         flush_on_rollover: flush the buffer whenever an arriving
             update's time partition differs from the previous one's, so
-            every batch is partition-pure — the old partition's leaves
-            are swept while still hot, and each flushed run is exactly
-            the per-shard unit a TID-sharded multi-tree would route.
+            every batch is partition-pure and the old partition's leaves
+            are swept while still hot.
 
     Usable as a context manager; leaving the ``with`` block flushes.
     """

@@ -7,10 +7,9 @@ package partitions the ``TID ⊕ SV ⊕ ZV`` key space across N independent
 buffer pool and disk — and keeps every observable output identical to
 the single tree:
 
-* :class:`~repro.shard.router.ShardRouter` — pure key-space policy:
-  SV-range partitioning (default; a user's shard never changes) or
-  TID-range, band splitting at boundary keys, order-preserving
-  sorted-run splitting.
+* :class:`~repro.shard.router.ShardRouter` — pure key-space routing:
+  SV-range partitioning (a user's shard never changes), band splitting
+  at boundary keys, order-preserving sorted-run splitting.
 * :class:`~repro.shard.tree.ShardedPEBTree` — the deployment facade:
   duck-types the single tree for the engine and update pipeline,
   scatter-scans bands, cuts the updater's globally sorted sweeps into

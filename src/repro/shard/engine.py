@@ -170,7 +170,7 @@ class ShardScatterScanner:
         return self._stratum(tid, sv_q)
 
     def _stratum(self, tid: int, sv_q: int):
-        return self.scanners[self.tree.router.shard_of(tid, sv_q)].residency(
+        return self.scanners[self.tree.router.shard_of(sv_q)].residency(
             tid, sv_q
         )
 

@@ -1,26 +1,21 @@
 """Key-space partitioning for the sharded multi-tree (pure routing).
 
 The PEB-key packs ``[TID]2 ⊕ [SV]2 ⊕ [ZV]2`` (Equation 5).  A
-:class:`ShardRouter` partitions that key space across N shards by one
-of two policies:
+:class:`ShardRouter` partitions that key space across N shards by
+*sequence-value* range: each shard owns a contiguous run of quantized
+SVs.  Because SV sits above ZV, every single-SV band of the Section
+5.3 pipeline is key-contiguous inside exactly one shard, and a user's
+shard never changes (location updates move the ZV and TID fields,
+never the SV) — velocity/sequence partitioning in the spirit of
+"Boosting Moving Object Indexing through Velocity Partitioning".
+Boundaries are chosen at population quantiles of the store's assigned
+sequence values, so shards start balanced.
 
-* ``"sv"`` (default) — shards own contiguous *sequence-value* ranges.
-  Because SV sits above ZV, every single-SV band of the Section 5.3
-  pipeline is key-contiguous inside exactly one shard, and a user's
-  shard never changes (location updates move the ZV and TID fields,
-  never the SV) — velocity/sequence partitioning in the spirit of
-  "Boosting Moving Object Indexing through Velocity Partitioning".
-  Boundaries are chosen at population quantiles of the store's
-  assigned sequence values, so shards start balanced.
-* ``"tid"`` — shards own contiguous *time-partition* ranges; every
-  band has a single TID so bands never straddle shards, but an entry
-  migrates between shards when its time partition rolls over.
-
-The router is pure policy: it maps keys/bands/op-runs to shard
-indexes and never touches a tree.  Splitting is exact — the sub-bands
-of :meth:`split_band` cover the original band's key range with no
-overlap and no gap, in ascending key order, so concatenating per-shard
-scans reproduces a single tree's scan byte for byte.  Splitting a
+The router maps keys/bands/op-runs to shard indexes and never
+touches a tree.  Splitting is exact — the sub-bands of
+:meth:`split_band` cover the original band's key range with no overlap
+and no gap, in ascending key order, so concatenating per-shard scans
+reproduces a single tree's scan byte for byte.  Splitting a
 key-sorted op run (:meth:`split_sorted_run`) is a single stable pass,
 so each shard receives a still-sorted run ready for
 :meth:`repro.btree.BPlusTree.apply_sorted_batch` — no re-sorting.
@@ -37,30 +32,19 @@ if TYPE_CHECKING:
     from repro.core.peb_key import PEBKeyCodec
     from repro.policy.store import PolicyStore
 
-#: Supported partitioning policies.
-POLICIES = ("sv", "tid")
-
 
 class ShardRouter:
     """Maps PEB-key space onto shard indexes.
 
     Args:
         codec: the deployment's shared key codec (field geometry).
-        boundaries: ascending field values; ``boundaries[i]`` is the
-            first SV (or TID) owned by shard ``i + 1``.  ``n_shards ==
+        boundaries: ascending quantized SVs; ``boundaries[i]`` is the
+            first SV owned by shard ``i + 1``.  ``n_shards ==
             len(boundaries) + 1``.  Duplicate boundaries are legal and
             leave the squeezed-out shard empty.
-        policy: ``"sv"`` or ``"tid"``.
     """
 
-    def __init__(
-        self,
-        codec: "PEBKeyCodec",
-        boundaries: Sequence[int],
-        policy: str = "sv",
-    ):
-        if policy not in POLICIES:
-            raise ValueError(f"unknown shard policy {policy!r}; expected {POLICIES}")
+    def __init__(self, codec: "PEBKeyCodec", boundaries: Sequence[int]):
         bounds = tuple(boundaries)
         if any(b < 0 for b in bounds):
             raise ValueError("shard boundaries must be non-negative")
@@ -68,7 +52,6 @@ class ShardRouter:
             raise ValueError(f"shard boundaries must ascend, got {bounds}")
         self.codec = codec
         self.boundaries = bounds
-        self.policy = policy
         self._max_z = (1 << codec.zv_bits) - 1
 
     @property
@@ -82,48 +65,37 @@ class ShardRouter:
         codec: "PEBKeyCodec",
         store: "PolicyStore",
         uids: Iterable[int],
-        policy: str = "sv",
     ) -> "ShardRouter":
         """Boundaries balanced for one population.
 
-        ``"sv"`` cuts the uid population at SV quantiles (every user
-        weighs one entry, so equal slices of the sorted quantized SVs
-        start the shards equal); ``"tid"`` spreads the codec's
-        partition ids evenly.  Ties at a cut point are legal — the
-        squeezed shard simply starts empty and the skew statistic
-        reports it.
+        Cuts the uid population at SV quantiles (every user weighs one
+        entry, so equal slices of the sorted quantized SVs start the
+        shards equal).  Ties at a cut point are legal — the squeezed
+        shard simply starts empty and the skew statistic reports it.
         """
         if n_shards < 1:
             raise ValueError(f"n_shards must be positive, got {n_shards}")
-        if policy not in POLICIES:
-            raise ValueError(f"unknown shard policy {policy!r}; expected {POLICIES}")
-        if policy == "tid":
-            bounds = [
-                (index * codec.tid_count) // n_shards for index in range(1, n_shards)
-            ]
-            return cls(codec, bounds, policy)
         svs = sorted(codec.quantize_sv(store.sequence_value(uid)) for uid in uids)
         if not svs:
             raise ValueError("cannot place SV boundaries for an empty population")
         bounds = [svs[(index * len(svs)) // n_shards] for index in range(1, n_shards)]
-        return cls(codec, bounds, policy="sv")
+        return cls(codec, bounds)
 
     # ------------------------------------------------------------------
     # Point routing
     # ------------------------------------------------------------------
 
-    def shard_of(self, tid: int, sv_q: int) -> int:
-        """The shard owning keys with this partition id and quantized SV."""
-        field = sv_q if self.policy == "sv" else tid
-        return bisect_right(self.boundaries, field)
+    def shard_of(self, sv_q: int) -> int:
+        """The shard owning keys with this quantized SV."""
+        return bisect_right(self.boundaries, sv_q)
 
     def shard_of_key(self, key: int) -> int:
         """The shard owning one composed PEB-key."""
-        tid, sv_q, _ = self.codec.decompose(key)
-        return self.shard_of(tid, sv_q)
+        _, sv_q, _ = self.codec.decompose(key)
+        return self.shard_of(sv_q)
 
     def shard_field_range(self, shard: int) -> tuple[int, int]:
-        """Inclusive ``[lo, hi]`` of the shard's owned field values.
+        """Inclusive ``[lo, hi]`` of the shard's owned quantized SVs.
 
         ``hi < lo`` for a shard squeezed empty by duplicate boundaries.
         """
@@ -132,10 +104,8 @@ class ShardRouter:
         lo = self.boundaries[shard - 1] if shard > 0 else 0
         if shard < len(self.boundaries):
             hi = self.boundaries[shard] - 1
-        elif self.policy == "sv":
-            hi = (1 << self.codec.sv_bits) - 1
         else:
-            hi = self.codec.tid_count - 1
+            hi = (1 << self.codec.sv_bits) - 1
         return lo, hi
 
     # ------------------------------------------------------------------
@@ -146,18 +116,17 @@ class ShardRouter:
         """Scatter one band request to its owning shards.
 
         Returns ``(shard, sub_band)`` pairs in ascending shard — and
-        therefore ascending key — order.  Single-SV bands (and every
-        band under the TID policy, bands having one TID) route whole;
+        therefore ascending key — order.  Single-SV bands route whole;
         a multi-SV span band straddling an SV boundary is cut *at the
         boundary key*: the low fragment keeps the original ``z_lo`` and
         runs to the end of its SV range, interior fragments span their
         SVs fully, and the high fragment ends at the original ``z_hi``
         — exactly the key interval arithmetic of one contiguous scan.
         """
-        if self.policy == "tid" or band.is_single_sv:
-            return [(self.shard_of(band.tid, band.sv_lo_q), band)]
-        first = self.shard_of(band.tid, band.sv_lo_q)
-        last = self.shard_of(band.tid, band.sv_hi_q)
+        first = self.shard_of(band.sv_lo_q)
+        if band.is_single_sv:
+            return [(first, band)]
+        last = self.shard_of(band.sv_hi_q)
         if first == last:
             return [(first, band)]
         parts: list[tuple[int, BandRequest]] = []
@@ -198,4 +167,4 @@ class ShardRouter:
         return sorted(runs.items())
 
 
-__all__ = ["POLICIES", "ShardRouter"]
+__all__ = ["ShardRouter"]

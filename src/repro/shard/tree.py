@@ -68,10 +68,6 @@ class ShardedPEBTree:
             a key composed by one shard must mean the same thing in
             every other.
         router: the key-space partitioning.
-        parallel_io: accepted and ignored — per-shard jobs always run
-            inline on the virtual fork/join.  Present only because
-            ``perf/workloads.py`` still passes it; it goes when that
-            call does.
 
     When the shard disks are :class:`repro.simio.disk.TimedDisk`
     instances (see :meth:`build`'s ``latency``), the deployment also
@@ -86,7 +82,6 @@ class ShardedPEBTree:
         self,
         trees: Sequence[PEBTree],
         router: ShardRouter,
-        parallel_io: bool = False,
         fault_policy: RetryPolicy | None = None,
         breaker_policy: BreakerPolicy | None = None,
     ):
@@ -143,7 +138,6 @@ class ShardedPEBTree:
         partitioner: "TimePartitioner",
         store: "PolicyStore",
         uids: Iterable[int],
-        policy: str = "sv",
         page_size: int = 4096,
         buffer_pages: int = DEFAULT_BUFFER_PAGES,
         buffer_policy: str = "lru",
@@ -159,8 +153,7 @@ class ShardedPEBTree:
         """An empty deployment: N fresh trees, each on its own disk.
 
         ``uids`` seeds the router's balance-aware boundaries (SV
-        quantiles of the population under the ``"sv"`` policy); it does
-        *not* insert anything.
+        quantiles of the population); it does *not* insert anything.
 
         ``latency`` (a profile name — ``"hdd"`` / ``"ssd"`` /
         ``"nvme"`` — or a :class:`repro.simio.model.LatencyModel`)
@@ -180,8 +173,10 @@ class ShardedPEBTree:
         :class:`repro.simio.clock.SimClock` (so a
         :class:`repro.storage.faults.FaultWindowSchedule` can watch the
         same timeline a ``disk_factory`` disk faults on); a fresh clock
-        is created otherwise.  ``parallel_io`` is a no-op (see the
-        class docstring).
+        is created otherwise.  ``parallel_io`` is accepted and ignored —
+        per-shard jobs always run inline on the virtual fork/join; it
+        stays only because ``perf/workloads.py`` still passes it, and
+        goes when that call does.
 
         ``sv_scale`` defaults to the one :class:`PEBTree` derives from
         the store, derived once here for the router and every shard.
@@ -194,7 +189,7 @@ class ShardedPEBTree:
             zv_bits=grid.zv_bits,
             sv_scale=sv_scale,
         )
-        router = ShardRouter.for_store(n_shards, codec, store, uids, policy)
+        router = ShardRouter.for_store(n_shards, codec, store, uids)
         model = make_latency_model(latency) if latency is not None else None
         if model is not None and clock is None:
             clock = SimClock()
@@ -362,14 +357,17 @@ class ShardedPEBTree:
         old-key sweep runs before its new-key sweep (the ordering the
         single tree's two global sweeps guarantee within any one
         shard's key range), and different shards' jobs touch disjoint
-        trees and pools, so they overlap in virtual time.
-        Under the SV policy a user's shard never changes, so every
-        move stays shard-local; under the TID policy a rollover
-        migrates the entry — the delete lands in the old key's shard,
-        the insert in the new key's, and the memos move accordingly.
-        The merged result and the final ``fetch_all`` state are
-        observationally identical to a single tree applying the same
-        buffer.
+        trees and pools, so they overlap in virtual time.  The merged
+        result and the final ``fetch_all`` state are observationally
+        identical to a single tree applying the same buffer.
+
+        A user's shard is fixed by its sequence value, so every move is
+        shard-local and nothing ever migrates.  That is a checked
+        precondition: each user's shard is computed once per batch, and
+        if a moved user's new key routes to another shard than its live
+        key (its SV was re-assigned across a router boundary under the
+        live deployment) the batch raises :class:`ValueError` before
+        any shard is touched.
 
         With a :attr:`supervisor` attached, each shard's sweep becomes
         an independently retryable job: the sweep runs inside the
@@ -378,10 +376,6 @@ class ShardedPEBTree:
         shard that exhausts its retries is quarantined — its updates
         come back in :attr:`BatchUpdateResult.deferred` (for
         re-buffering) while every other shard's sweep lands normally.
-        Shard-granular deferral requires shard-*local* routing; a batch
-        containing a cross-shard migration (TID-policy rollover) falls
-        back to the all-or-nothing path, where any fault propagates and
-        the caller re-buffers the whole batch.
         """
         updates = list(updates)
         plan = plan_update_batch(
@@ -392,25 +386,35 @@ class ShardedPEBTree:
             self.max_speed_x,
             self.max_speed_y,
         )
+        shard_of_key = self.router.shard_of_key
+        shard_of_uid: dict[int, int] = {}
+        for uid, new_key in plan.new_keys.items():
+            shard = shard_of_uid[uid] = shard_of_key(new_key)
+            old_key = plan.old_keys[uid]
+            if old_key is not None and old_key != new_key:
+                live_shard = shard_of_key(old_key)
+                if live_shard != shard:
+                    raise ValueError(
+                        f"user {uid}'s new key routes to shard {shard} but its "
+                        f"live key to shard {live_shard}: a user's sequence "
+                        "value may not cross a shard boundary"
+                    )
         result = plan.result
         old_runs = dict(self.router.split_sorted_run(plan.sweep_old))
         new_runs = dict(self.router.split_sorted_run(plan.sweep_new))
 
-        if self.supervisor is None or self._has_cross_shard_move(plan):
+        if self.supervisor is None:
             self._apply_runs(result, old_runs, new_runs)
             dead: set[int] = set()
         else:
-            dead = self._apply_runs_supervised(updates, plan, result, old_runs, new_runs)
+            dead = self._apply_runs_supervised(
+                updates, plan, shard_of_uid, result, old_runs, new_runs
+            )
 
         for uid, new_key in plan.new_keys.items():
-            if self.router.shard_of_key(new_key) in dead:
-                continue  # deferred; the memo keeps the pre-batch state
-            old_key = plan.old_keys[uid]
-            if old_key == new_key:
-                continue  # in-place rewrite; the memo is already right
-            if old_key is not None:
-                del self.trees[self.router.shard_of_key(old_key)]._live_keys[uid]
-            self.trees[self.router.shard_of_key(new_key)]._live_keys[uid] = new_key
+            shard = shard_of_uid[uid]
+            if shard not in dead:  # a deferred user keeps its pre-batch key
+                self.trees[shard]._live_keys[uid] = new_key
         for tree in self.trees:
             # Raised to the deployment-wide bound so each shard stays
             # individually consistent (larger maxima are always safe).
@@ -418,20 +422,8 @@ class ShardedPEBTree:
             tree.max_speed_y = max(tree.max_speed_y, plan.max_vy)
         return result
 
-    def _has_cross_shard_move(self, plan) -> bool:
-        for uid, new_key in plan.new_keys.items():
-            old_key = plan.old_keys[uid]
-            if (
-                old_key is not None
-                and old_key != new_key
-                and self.router.shard_of_key(old_key)
-                != self.router.shard_of_key(new_key)
-            ):
-                return True
-        return False
-
     def _apply_runs(self, result, old_runs, new_runs) -> None:
-        """The all-or-nothing application path (no fault handling)."""
+        """The unsupervised application path (no fault handling)."""
 
         def sweep(shard: int) -> int:
             visited = 0
@@ -454,7 +446,7 @@ class ShardedPEBTree:
             result.leaves_visited += visited
 
     def _apply_runs_supervised(
-        self, updates, plan, result, old_runs, new_runs
+        self, updates, plan, shard_of_uid, result, old_runs, new_runs
     ) -> set[int]:
         """Per-shard guarded, retried sweeps; returns the dead shards.
 
@@ -546,7 +538,7 @@ class ShardedPEBTree:
                 obj = item[0] if isinstance(item, tuple) else item
                 last_item[obj.uid] = item
             for uid, new_key in plan.new_keys.items():
-                if self.router.shard_of_key(new_key) not in dead:
+                if shard_of_uid[uid] not in dead:
                     continue
                 result.deferred.append(last_item[uid])
                 result.ops -= 1
@@ -559,26 +551,14 @@ class ShardedPEBTree:
                     result.moved -= 1
             supervisor.note_deferred_updates(len(result.deferred))
         if self.checkpointer is not None:
-            for shard in shards:
-                if shard in dead:
-                    continue
-                run_uids = {
-                    uid
-                    for uid, new_key in plan.new_keys.items()
-                    if self.router.shard_of_key(new_key) == shard
-                }
-                if run_uids:
-                    self.checkpointer.log_applied(
-                        shard,
-                        [
-                            item
-                            for item in updates
-                            if (
-                                item[0].uid if isinstance(item, tuple) else item.uid
-                            )
-                            in run_uids
-                        ],
-                    )
+            applied: dict[int, list[UpdateItem]] = {}
+            for item in updates:
+                uid = (item[0] if isinstance(item, tuple) else item).uid
+                shard = shard_of_uid[uid]
+                if shard not in dead:
+                    applied.setdefault(shard, []).append(item)
+            for shard in sorted(applied):
+                self.checkpointer.log_applied(shard, applied[shard])
         return dead
 
     # ------------------------------------------------------------------
@@ -610,13 +590,12 @@ class ShardedPEBTree:
 
         Mirrors :meth:`repro.core.peb_tree.PEBTree.scan_bands_rows`:
         lazy, one :class:`BandRows` per ``(tid, sv_q, z_lo, z_hi)`` in
-        the order given.  A single-SV band lives whole in one shard
-        under either routing policy, so its fence proof is the owning
-        tree's, unchanged.
+        the order given.  A single-SV band lives whole in one shard, so
+        its fence proof is the owning tree's, unchanged.
         """
         shard_of = self.router.shard_of
         for band in bands:
-            yield from self.trees[shard_of(band[0], band[1])].scan_bands_rows((band,))
+            yield from self.trees[shard_of(band[1])].scan_bands_rows((band,))
 
     def scan_sv_zrange(self, tid: int, sv: float, z_lo: int, z_hi: int):
         """Single-SV convenience scan, mirroring the single tree's."""

@@ -561,7 +561,7 @@ def test_a_batch_prefetches_the_merged_union_of_its_single_sv_bands(
     expected = [{} for _ in trees]  # per tree: stratum -> intervals, insertion-ordered
     for band in bands:
         if band.is_single_sv:
-            shard = router.shard_of(band.tid, band.sv_lo_q) if router else 0
+            shard = router.shard_of(band.sv_lo_q) if router else 0
             expected[shard].setdefault((band.tid, band.sv_lo_q), []).append(
                 (band.z_lo, band.z_hi)
             )

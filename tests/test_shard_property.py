@@ -28,14 +28,13 @@ SEEDS = (5, 31)
 SHARD_COUNTS = (1, 2, 4)
 
 
-def build_sharded(world, n_shards, policy="sv", buffer_pages=512, **kwargs):
+def build_sharded(world, n_shards, buffer_pages=512, **kwargs):
     sharded = ShardedPEBTree.build(
         n_shards,
         world.grid,
         world.partitioner,
         world.store,
         uids=world.uids,
-        policy=policy,
         page_size=1024,
         buffer_pages=buffer_pages,
         **kwargs,
@@ -195,29 +194,6 @@ def test_pipeline_breakdown_excludes_io_between_flushes(world):
     assert stats.shard_stats.total_reads == stats.physical_reads
     assert stats.shard_stats.total_writes == stats.physical_writes
     assert stats.shard_stats.entries == sharded.shard_stats().entries
-
-
-def test_tid_policy_migrates_entries_between_shards(world):
-    """Under TID sharding a rollover moves an entry to another shard."""
-    sharded = build_sharded(world, 3, policy="tid")
-    generator = world.query_generator()
-    # A long stream: update times cross time-partition boundaries, so
-    # re-reported entries key into new TIDs and change shards.
-    stream = generator.update_stream(world.states, 400, 3.0, 0.0, 220.0)
-
-    before = sharded.shard_stats().entries
-    with UpdatePipeline(sharded, capacity=50) as sharded_pipeline:
-        sharded_pipeline.extend(stream)
-    with UpdatePipeline(world.peb, capacity=50) as single_pipeline:
-        single_pipeline.extend(stream)
-
-    after = sharded.shard_stats().entries
-    assert before != after  # entries migrated across TID shards
-    assert sum(after) == len(world.peb)
-    assert sharded_pipeline.stats.moved == single_pipeline.stats.moved
-    assert sharded.live_keys() == world.peb._live_keys
-    assert list(sharded.items()) == single_entries(world)
-    assert sharded.check_consistency() == []
 
 
 @pytest.mark.parametrize("n_shards", (2, 4))

@@ -16,8 +16,8 @@ CODEC = PEBKeyCodec(tid_count=3, sv_bits=8, zv_bits=6, sv_scale=1)
 MAX_Z = (1 << CODEC.zv_bits) - 1
 
 
-def make_router(boundaries=(64, 128, 192), policy="sv"):
-    return ShardRouter(CODEC, boundaries, policy=policy)
+def make_router(boundaries=(64, 128, 192)):
+    return ShardRouter(CODEC, boundaries)
 
 
 # ----------------------------------------------------------------------
@@ -28,11 +28,11 @@ def make_router(boundaries=(64, 128, 192), policy="sv"):
 def test_shard_of_respects_boundaries():
     router = make_router()
     assert router.n_shards == 4
-    assert router.shard_of(0, 0) == 0
-    assert router.shard_of(0, 63) == 0
-    assert router.shard_of(0, 64) == 1
-    assert router.shard_of(2, 191) == 2
-    assert router.shard_of(2, 255) == 3
+    assert router.shard_of(0) == 0
+    assert router.shard_of(63) == 0
+    assert router.shard_of(64) == 1
+    assert router.shard_of(191) == 2
+    assert router.shard_of(255) == 3
 
 
 def test_shard_of_key_roundtrips_compose():
@@ -40,23 +40,14 @@ def test_shard_of_key_roundtrips_compose():
     for tid in range(CODEC.tid_count):
         for sv_q in (0, 63, 64, 129, 255):
             key = CODEC.compose_quantized(tid, sv_q, 17)
-            assert router.shard_of_key(key) == router.shard_of(tid, sv_q)
+            assert router.shard_of_key(key) == router.shard_of(sv_q)
 
 
-def test_tid_policy_routes_by_partition():
-    router = make_router(boundaries=(1, 2), policy="tid")
-    assert router.shard_of(0, 200) == 0
-    assert router.shard_of(1, 0) == 1
-    assert router.shard_of(2, 50) == 2
-
-
-def test_rejects_bad_boundaries_and_policy():
+def test_rejects_bad_boundaries():
     with pytest.raises(ValueError):
         make_router(boundaries=(10, 5))
     with pytest.raises(ValueError):
         make_router(boundaries=(-1,))
-    with pytest.raises(ValueError):
-        ShardRouter(CODEC, (), policy="frob")
 
 
 def test_shard_field_range_covers_the_space():
@@ -120,12 +111,6 @@ def test_duplicate_boundary_leaves_shard_empty_but_cover_exact():
     assert covered == 256
 
 
-def test_tid_policy_never_splits_bands():
-    router = make_router(boundaries=(1, 2), policy="tid")
-    band = BandRequest(1, 0, 255, 3, 9)  # multi-SV but single TID
-    assert router.split_band(band) == [(1, band)]
-
-
 def test_split_sorted_run_preserves_order_per_shard():
     router = make_router()
     ops = []
@@ -146,11 +131,11 @@ def test_split_sorted_run_preserves_order_per_shard():
 def test_for_store_balances_population():
     world = build_world(n_users=120, n_policies=6, seed=4)
     codec = world.peb.codec
-    router = ShardRouter.for_store(4, codec, world.store, world.uids, policy="sv")
+    router = ShardRouter.for_store(4, codec, world.store, world.uids)
     counts = [0, 0, 0, 0]
     for uid in world.uids:
         sv_q = codec.quantize_sv(world.store.sequence_value(uid))
-        counts[router.shard_of(0, sv_q)] += 1
+        counts[router.shard_of(sv_q)] += 1
     assert sum(counts) == 120
     assert max(counts) <= 2 * (120 / 4)  # roughly balanced quantile cuts
 
@@ -250,9 +235,7 @@ def test_facade_rejects_mismatched_router():
     sharded = ShardedPEBTree.build(
         2, world.grid, world.partitioner, world.store, uids=world.uids
     )
-    other = ShardRouter.for_store(
-        3, sharded.codec, world.store, world.uids, policy="sv"
-    )
+    other = ShardRouter.for_store(3, sharded.codec, world.store, world.uids)
     with pytest.raises(ValueError):
         ShardedPEBTree(sharded.trees, other)
 

@@ -12,7 +12,8 @@ user's rows (ties of the raw SV itself aside).  Pinned here:
 * distinctness on random hypothesis worlds and on the benchmark
   population under Figure 5 and BFS;
 * an SV raised past the ceiling after the build is refused before the
-  tree is touched;
+  tree is touched, and one re-assigned across a shard boundary before
+  any shard is touched;
 * the scale survives checkpoints, clones and in-place restores, and the
   ZV-first ablation tree and every shard of a deployment share it.
 """
@@ -36,6 +37,7 @@ from repro.core.encoders import make_encoder
 from repro.core.peb_key import DEFAULT_SV_BITS, DEFAULT_SV_SCALE, derive_sv_scale
 from repro.core.peb_tree import PEBTree
 from repro.core.sequencing import assign_sequence_values
+from repro.fault import BreakerPolicy, RetryPolicy
 from repro.motion.partitions import TimePartitioner
 from repro.policy.store import PolicyStore
 from repro.shard import ShardedPEBTree
@@ -230,6 +232,49 @@ def test_a_deployment_refuses_an_sv_past_the_ceiling_before_any_shard():
     with pytest.raises(ValueError, match="does not fit"):
         sharded.insert(objs[-1])
     assert list(sharded.items()) == before
+
+
+@pytest.mark.parametrize("supervised", (False, True))
+@pytest.mark.parametrize("n_shards", (2, 4))
+def test_a_deployment_refuses_an_sv_moved_across_a_shard_boundary(
+    n_shards, supervised
+):
+    """A user's shard is fixed by its SV: re-assigning an indexed user's
+    SV into another shard's range is refused, supervised or not, and
+    no shard is touched."""
+    store, states = _indexed()
+    sharded = ShardedPEBTree.build(
+        n_shards,
+        GRID,
+        PARTITIONER,
+        store,
+        uids=sorted(states),
+        page_size=1024,
+        fault_policy=RetryPolicy() if supervised else None,
+        breaker_policy=BreakerPolicy() if supervised else None,
+    )
+    for obj in states.values():
+        sharded.insert(obj)
+    before = (list(sharded.items()), sharded.live_keys())
+
+    def shard_of(uid):
+        return sharded.router.shard_of(
+            sharded.codec.quantize_sv(store.sequence_value(uid))
+        )
+
+    indexed = states[min(states)]
+    home = shard_of(indexed.uid)
+    stranger = next(uid for uid in sorted(states) if shard_of(uid) != home)
+    reassigned = {uid: store.sequence_value(uid) for uid in states}
+    reassigned[indexed.uid] = reassigned[stranger]
+    store.set_sequence_values(reassigned)
+    moved = mover(indexed.uid, x=indexed.x + 50.0, y=indexed.y, t=1.0)
+    with pytest.raises(ValueError, match="shard boundary"):
+        sharded.update_batch([moved])
+    with pytest.raises(ValueError, match="shard boundary"):
+        sharded.update(moved)
+    assert (list(sharded.items()), sharded.live_keys()) == before
+    assert sharded.check_consistency() == []
 
 
 # ----------------------------------------------------------------------

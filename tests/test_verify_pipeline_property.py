@@ -10,9 +10,9 @@ it booked nothing): a search waits for a stratum's landing before it
 first reads it, its on-demand scans queue on their shard's device, and
 each admitted row set is charged its verification where it is admitted.
 Results never depended on that schedule, so before this file nothing
-pinned it.  Hypothesis draws 1/2/4 shards, ``sv`` and ``tid`` routing,
-batches whose issuers differ in ``t_query`` (so they walk the
-partitions in different order), range + kNN mixes, and a transient
+pinned it.  Hypothesis draws 1/2/4 shards, batches whose issuers
+differ in ``t_query`` (so they walk the partitions in different
+order), range + kNN mixes, and a transient
 ``FaultWindowSchedule`` under a ``ShardSupervisor``; every example
 checks
 
@@ -35,10 +35,9 @@ checks
 
 Four mutants that must fail it (checked by hand when written):
 dropping the same-SV chain (``ready = resident.landed`` in
-``ShardScatterScanner.book_verified``) fails (a) — under ``tid``
-routing a query's partitions land on different shards, and under
-either routing a second issuer can make its strata land in the other
-order; stamping at job start (``clock.cursor()`` read before
+``ShardScatterScanner.book_verified``) fails (a) even on one shard —
+an issuer with another ``t_query`` can make a query's strata of one SV
+land in another order than the query replays them; stamping at job start (``clock.cursor()`` read before
 ``BandScanner.prefetch``'s sweep loop instead of after each stratum)
 fails (a) everywhere; dropping the landing wait
 (``ShardScatterScanner.wait_landed`` returning at once) fails (a) on
@@ -74,14 +73,13 @@ RETRY = RetryPolicy(max_attempts=12, base_backoff_us=50.0)
 EPS = 1e-6
 
 
-def deploy(n_shards, policy, timed, supervised=False):
+def deploy(n_shards, timed, supervised=False):
     sharded = ShardedPEBTree.build(
         n_shards,
         WORLD.grid,
         WORLD.partitioner,
         WORLD.store,
         uids=WORLD.uids,
-        policy=policy,
         page_size=PAGE_SIZE,
         buffer_pages=8,  # small: the prefetch sweeps do physical reads
         latency="ssd" if timed else None,
@@ -264,21 +262,20 @@ def make_spec(kind, issuer, t_query, fx, fy, side, k):
 @settings(max_examples=30, deadline=None)
 @given(
     n_shards=st.sampled_from((1, 2, 4)),
-    policy=st.sampled_from(("sv", "tid")),
     queries=st.lists(QUERY, min_size=1, max_size=8),
     window=st.none() | st.tuples(st.floats(0.0, 600.0), st.floats(1.0, 400.0)),
 )
 def test_priced_schedule_is_feasible_and_describes_the_execution(
-    n_shards, policy, queries, window
+    n_shards, queries, window
 ):
     specs = [make_spec(*query) for query in queries]
     ranges = [q for q, spec in enumerate(specs) if isinstance(spec, RangeQuerySpec)]
     knns = [q for q, spec in enumerate(specs) if isinstance(spec, KnnQuerySpec)]
     faulty = window is not None
 
-    pipelined = deploy(n_shards, policy, timed=True, supervised=faulty)
-    serial = deploy(n_shards, policy, timed=True, supervised=faulty)
-    untimed = deploy(n_shards, policy, timed=False)
+    pipelined = deploy(n_shards, timed=True, supervised=faulty)
+    serial = deploy(n_shards, timed=True, supervised=faulty)
+    untimed = deploy(n_shards, timed=False)
     if faulty:
         open_fault_window(pipelined, *window)
         open_fault_window(serial, *window)
@@ -392,7 +389,7 @@ def test_pipeline_beats_the_join_barrier_and_serial_charges_the_rest():
     specs = WORLD.query_generator().range_queries(WORLD.uids, 12, 420.0, 130.0)
     ends = {}
     for pipeline_verify in (True, False):
-        sharded = deploy(4, "sv", timed=True)
+        sharded = deploy(4, timed=True)
         engine = ShardedQueryEngine(sharded, pipeline_verify=pipeline_verify)
         report = engine.execute_batch(specs)
         assert report.stats.candidates_examined > 0
@@ -401,7 +398,7 @@ def test_pipeline_beats_the_join_barrier_and_serial_charges_the_rest():
 
     on_demand = {}
     for pipeline_verify in (True, False):
-        sharded = deploy(4, "sv", timed=True)
+        sharded = deploy(4, timed=True)
         engine = ShardedQueryEngine(sharded, pipeline_verify=pipeline_verify)
         engine.execute_batch(specs, prefetch=False)
         on_demand[pipeline_verify] = sharded.sim_clock.cursor()
