@@ -7,8 +7,8 @@
 2. **Per-SV search ranges vs one SVmin..SVmax band** — Section 5.3 prose
    vs Figure 7's coarse pseudo-code.
 3. **Triangular vs column-major PkNN search order** — Figure 9.
-4. **Sequence-value encoder** — the Figure 5 assignment vs the BFS and
-   spectral alternatives of Section 8's "new encoding techniques".
+4. **Sequence-value encoder** — the Figure 5 assignment vs the BFS
+   alternative of Section 8's "new encoding techniques".
 5. **Space-filling curve** — the paper's Z-curve vs Hilbert [22].
 6. **Buffer management** — the paper's 50-page LRU vs FIFO/CLOCK/LFU,
    and the buffer-size sensitivity of the PEB-tree-vs-baseline gap.
@@ -175,7 +175,8 @@ def test_ablation_sequence_encoders(benchmark, preset):
     The same workload is re-encoded with each registered encoder, the
     PEB-tree rebuilt, and the PRQ batch replayed.  Results are identical
     by construction (tests/test_encoders.py); only the layout — and hence
-    the I/O — differs.
+    the I/O — differs.  BFS keeps second- and third-degree relations in
+    one SV neighbourhood, so it must never read more than Figure 5.
     """
     config, harness = _ablation_harness(preset)
     queries = harness.query_generator.range_queries(
@@ -219,6 +220,7 @@ def test_ablation_sequence_encoders(benchmark, preset):
     benchmark.extra_info.update(costs)
     assert set(costs) == set(ENCODERS)
     assert all(cost > 0 for cost in costs.values())
+    assert costs["bfs"] <= costs["figure5"]
 
 
 def test_ablation_space_filling_curve(benchmark, preset):

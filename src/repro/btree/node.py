@@ -66,12 +66,6 @@ class PackedValues:
                 raise ValueError("stride-0 column cannot hold payload bytes")
             self._count = count if count is not None else 0
 
-    @classmethod
-    def from_values(cls, stride: int, values: Iterable[bytes]) -> "PackedValues":
-        packed = cls(stride)
-        packed.extend(values)
-        return packed
-
     # ------------------------------------------------------------------
     # Batched access (the scan fast path)
     # ------------------------------------------------------------------
@@ -211,10 +205,6 @@ class LeafNode:
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def min_key(self) -> tuple[int, int]:
-        """Smallest composite key stored in this leaf."""
-        return self.keys[0]
 
     def payload_slice(self, start: int, stop: int) -> bytes:
         """Entries ``[start, stop)`` as one contiguous payload run."""

@@ -448,6 +448,7 @@ class BPlusTree:
 
     def _apply_sweep(self, ops: list[BatchOp], stats: BatchApplyStats) -> None:
         """One homogeneous (all-growing or all-shrinking) batch sweep."""
+        merges = stats.merges
         splits, _ = self._batch_rec(self.root_id, ops, stats)
         while splits:
             new_root = InternalNode(
@@ -462,7 +463,11 @@ class BPlusTree:
                 splits = self._split_internal_chunks(new_root_id, new_root, stats)
             else:
                 splits = []
-        self._collapse_root()
+        # Only a merge can leave the root one child.  A merge-free sweep
+        # must not touch the pool after its last mutation: a faulted
+        # eviction there would fail a sweep that has applied in full.
+        if stats.merges > merges:
+            self._collapse_root()
 
     def _batch_rec(
         self,

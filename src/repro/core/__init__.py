@@ -27,7 +27,6 @@ from repro.core.encoders import (
     ENCODERS,
     BFSEncoder,
     Figure5Encoder,
-    SpectralEncoder,
     make_encoder,
 )
 from repro.core.multipolicy import grant_volume, set_compatibility, simultaneous_volume
@@ -50,7 +49,6 @@ __all__ = [
     "ENCODERS",
     "EncodingReport",
     "Figure5Encoder",
-    "SpectralEncoder",
     "make_encoder",
     "PEBKeyCodec",
     "PEBTree",

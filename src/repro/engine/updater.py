@@ -261,20 +261,25 @@ class UpdatePipeline:
     def flush(self) -> int:
         """Apply everything buffered as one batch; returns ops applied.
 
-        A failing batch loses nothing: if ``tree.update_batch`` raises
-        (an injected :class:`repro.storage.faults.DiskFaultError`, a
-        torn page, ...), the drained states are restored to the buffer
-        before the exception propagates, so a retry after the fault
-        clears applies them exactly once.  No stats are recorded and no
-        monitor sees a state from a failed flush.
+        A failing batch keeps its states: if ``tree.update_batch``
+        raises (an injected :class:`repro.storage.faults.DiskFaultError`,
+        a torn page, ...), the drained states are restored to the buffer
+        before the exception propagates.  A retry after the fault clears
+        applies them exactly once only when the fault struck before the
+        batch's first page mutation, or inside a supervised deployment's
+        guarded shard sweep (below).  A fault after the first mutation
+        of an unsupervised batch leaves it partly applied, and every
+        retry then raises ``KeyError`` on an op that already applied.
+        No stats are recorded and no monitor sees a state from a failed
+        flush.
 
-        A fault-tolerant sharded deployment extends the invariant to
-        shard granularity: ``update_batch`` returns normally with the
-        quarantined shards' states in ``result.deferred``, which are
-        restored to the buffer (ahead of newer arrivals, same
-        last-write-wins merge) and excluded from stats and monitor
-        fan-out — they apply exactly once, on a flush after the shard
-        recovers.
+        A fault-tolerant sharded deployment guards every shard's sweep
+        and defers at shard granularity: ``update_batch`` returns
+        normally with the quarantined shards' states in
+        ``result.deferred``, which are restored to the buffer (ahead of
+        newer arrivals, same last-write-wins merge) and excluded from
+        stats and monitor fan-out — they apply exactly once, on a flush
+        after the shard recovers.
         """
         batch = self.buffer.drain()
         if not batch:

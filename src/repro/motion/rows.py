@@ -82,9 +82,6 @@ class BandRows:
     def uid_at(self, i: int) -> int:
         return self.records[i][0]
 
-    def pntp_at(self, i: int) -> int:
-        return self.records[i][6]
-
     def object_at(self, i: int) -> MovingObject:
         """Row ``i``'s object state, built on first access and cached."""
         obj = self._objects[i]

@@ -139,12 +139,6 @@ class ServiceStats(CounterSet, prefix="service."):
             return 0.0
         return self.physical_reads / self.n_requests
 
-    @property
-    def io_per_request(self) -> float:
-        if self.n_requests == 0:
-            return 0.0
-        return (self.physical_reads + self.physical_writes) / self.n_requests
-
     def publish(self, registry, **labels) -> None:
         """Publish this run into a ``MetricsRegistry`` as
         ``service.<field>``; per-class sojourn summaries become gauges

@@ -64,10 +64,6 @@ class SimClock:
         self._device_names.append(name if name is not None else f"dev{handle}")
         return handle
 
-    @property
-    def device_count(self) -> int:
-        return len(self._device_free)
-
     def device_name(self, device: int) -> str:
         return self._device_names[device]
 

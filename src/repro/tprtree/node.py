@@ -69,13 +69,6 @@ class TPRInternal:
         """Tightest TPBR over the child TPBRs."""
         return union_all([tpbr for _, tpbr in self.entries])
 
-    def child_index(self, page_id: int) -> int:
-        """Position of a child entry (ValueError when absent)."""
-        for index, (child, _) in enumerate(self.entries):
-            if child == page_id:
-                return index
-        raise ValueError(f"page {page_id} is not a child of this node")
-
     def __len__(self) -> int:
         return len(self.entries)
 

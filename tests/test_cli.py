@@ -82,7 +82,7 @@ def test_demo_accepts_hilbert_and_policies(capsys):
     assert "curve=hilbert" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("encoder", ["figure5", "bfs", "spectral"])
+@pytest.mark.parametrize("encoder", ["figure5", "bfs"])
 def test_encode_all_encoders(encoder, capsys):
     code = main(
         [

@@ -15,7 +15,6 @@ from repro.core.encoders import (
     ENCODERS,
     BFSEncoder,
     Figure5Encoder,
-    SpectralEncoder,
     make_encoder,
 )
 from repro.core.peb_tree import PEBTree
@@ -67,8 +66,8 @@ def encoder(request):
 # ----------------------------------------------------------------------
 
 
-def test_registry_contains_three_encoders():
-    assert set(ENCODERS) == {"figure5", "bfs", "spectral"}
+def test_registry_contains_two_encoders():
+    assert set(ENCODERS) == {"figure5", "bfs"}
 
 
 def test_make_encoder_unknown_name():
@@ -125,8 +124,8 @@ def test_report_counts(encoder):
     report = encoder.encode([0, 1, 2, 3], store, S)
     assert report.related_pair_count == 3
     # Group semantics differ: Figure 5 stars a leader's *direct*
-    # neighbours (a 4-chain needs 2 leaders); the graph traversals cover
-    # the whole connected component in one group.
+    # neighbours (a 4-chain needs 2 leaders); BFS covers the whole
+    # connected component in one group.
     expected_groups = 2 if isinstance(encoder, Figure5Encoder) else 1
     assert report.group_count == expected_groups
     assert report.elapsed_seconds >= 0.0
@@ -163,45 +162,6 @@ def test_bfs_rejects_bad_parameters():
         BFSEncoder(initial_sv=0.5)
     with pytest.raises(ValueError):
         BFSEncoder(delta=1.0)
-
-
-def test_spectral_orders_path_graph():
-    """Fiedler seriation recovers a path's order (up to reversal)."""
-    store = PolicyStore(time_domain=T)
-    # Path with *varying* region sizes so edge weights differ but remain
-    # strong along the path: u0-u1-u2-u3-u4.
-    side = [900, 800, 700, 600]
-    for u in range(4):
-        region = Rect(0, side[u], 0, side[u])
-        store.add_policy(policy(u, locr=region), [u + 1])
-        store.add_policy(policy(u + 1, locr=region), [u])
-    report = SpectralEncoder().encode(list(range(5)), store, S)
-    values = report.sequence_values
-    ordered = [uid for uid, _ in sorted(values.items(), key=lambda item: item[1])]
-    assert ordered in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0])
-
-
-def test_spectral_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        SpectralEncoder(initial_sv=1.0)
-    with pytest.raises(ValueError):
-        SpectralEncoder(delta=0.0)
-
-
-def test_spectral_handles_singletons_and_pairs():
-    store = PolicyStore(time_domain=T)
-    store.add_policy(policy(1), [2])
-    report = SpectralEncoder().encode([1, 2, 3], store, S)
-    assert set(report.sequence_values) == {1, 2, 3}
-
-
-def test_spectral_falls_back_to_bfs_on_huge_component(monkeypatch):
-    import repro.core.encoders as encoders_module
-
-    monkeypatch.setattr(encoders_module, "SPECTRAL_COMPONENT_LIMIT", 3)
-    store = chain_store(6)
-    report = SpectralEncoder().encode(list(range(6)), store, S)
-    assert set(report.sequence_values) == set(range(6))
 
 
 # ----------------------------------------------------------------------

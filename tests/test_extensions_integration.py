@@ -151,7 +151,7 @@ def test_stacked_extensions_hilbert_clock_multi_policy():
         assert prq(tree, query.q_uid, query.window, query.t_query).uids == expected
 
 
-@pytest.mark.parametrize("encoder_name", ["bfs", "spectral"])
+@pytest.mark.parametrize("encoder_name", ["bfs"])
 def test_alternative_encoders_on_multi_policy_store(encoder_name):
     """Alternative encoders accept the multi-policy compatibility hook."""
     states, store, _ = multi_policy_world(n_users=80, seed=88)

@@ -331,6 +331,27 @@ def test_buffer_cache_hit_masks_later_on_disk_corruption():
         pool.get(page)
 
 
+def tree_with_one_write_fault(writes_until_fault):
+    """200 ascending keys on 3 frames, flushed, with one write fault ahead."""
+    disk = FaultyDisk(page_size=256)
+    tree = build_tree(disk)
+    tree.pool.resize(3)
+    for key in range(200):
+        tree.insert(key, key, key.to_bytes(16, "big"))
+    tree.pool.flush()
+    disk.schedule = TransientFaultSchedule(
+        fail_writes=[disk._write_attempts + writes_until_fault]
+    )
+    return tree
+
+
+def assert_holds_exactly(tree, n_keys):
+    tree.pool.flush()
+    tree.check_invariants()
+    tree.pool.clear()
+    assert [key for key, _, _ in tree.items()] == list(range(n_keys))
+
+
 @pytest.mark.parametrize("writes_until_fault", [1, 2, 3])
 def test_write_fault_during_dirty_eviction_loses_nothing(writes_until_fault):
     """A dirty victim whose write-back faults stays resident and dirty.
@@ -341,15 +362,7 @@ def test_write_fault_during_dirty_eviction_loses_nothing(writes_until_fault):
     and the leaf chain broke.  The fault lands on a descent's miss, so
     the failed insert itself changed nothing and is simply retried.
     """
-    disk = FaultyDisk(page_size=256)
-    tree = build_tree(disk)
-    tree.pool.resize(3)
-    for key in range(200):
-        tree.insert(key, key, key.to_bytes(16, "big"))
-    tree.pool.flush()
-    disk.schedule = TransientFaultSchedule(
-        fail_writes=[disk._write_attempts + writes_until_fault]
-    )
+    tree = tree_with_one_write_fault(writes_until_fault)
     faults = 0
     for key in range(200, 230):
         try:
@@ -358,7 +371,38 @@ def test_write_fault_during_dirty_eviction_loses_nothing(writes_until_fault):
             faults += 1
             tree.insert(key, key, key.to_bytes(16, "big"))  # the fault cleared
     assert faults == 1
-    tree.pool.flush()
-    tree.check_invariants()
-    tree.pool.clear()
-    assert [key for key, _, _ in tree.items()] == list(range(230))
+    assert_holds_exactly(tree, 230)
+
+
+@pytest.mark.parametrize(
+    ("width", "writes_until_fault"),
+    [(1, 1), (1, 2), (1, 4), (5, 1), (5, 3), (5, 4)],
+)
+def test_write_fault_during_dirty_eviction_in_a_sweep_loses_nothing(
+    width, writes_until_fault
+):
+    """The same fault under ``apply_sorted_batch``: one retry applies it.
+
+    A sweep used to end by fetching the root to collapse it even when
+    nothing had merged.  That fetch could miss and evict a dirty page
+    after the sweep had applied in full; a faulted write-back then
+    raised from a finished sweep, and the retry failed with
+    ``KeyError`` on its first insert.  Only a merge fetches the root
+    now, so at these positions the fault lands on a descent's miss,
+    before the sweep's first mutation.  Other positions hit a split's
+    eviction mid-sweep and still lose entries (ROADMAP item 2(ii)).
+    """
+    tree = tree_with_one_write_fault(writes_until_fault)
+    faults = 0
+    for start in range(200, 230, width):
+        ops = [
+            ("insert", key, key, key.to_bytes(16, "big"))
+            for key in range(start, start + width)
+        ]
+        try:
+            tree.apply_sorted_batch(ops)
+        except DiskFaultError:
+            faults += 1
+            tree.apply_sorted_batch(ops)  # the fault cleared
+    assert faults == 1
+    assert_holds_exactly(tree, 230)
