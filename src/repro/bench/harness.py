@@ -32,7 +32,7 @@ from repro.service import (
     ServiceStats,
     SimulatedService,
 )
-from repro.shard import ShardedPEBTree, ShardedQueryEngine
+from repro.shard import ShardedPEBTree
 from repro.motion.objects import MovingObject
 from repro.motion.partitions import TimePartitioner
 from repro.spatial.curves import make_curve
@@ -264,16 +264,17 @@ class ShardScalingCosts:
 
 @dataclass
 class OverlapCosts(CounterSet):
-    """Simulated-latency comparison: overlapped N-shard vs serial 1-shard.
+    """Simulated-latency comparison: overlapped N-shard vs 1-shard.
 
     Both deployments run on :class:`repro.simio.disk.TimedDisk` devices
     under the same :class:`repro.simio.model.LatencyModel` profile and
     apply the identical workload (an update stream, then a range-query
     batch); results and end state are pinned to an *untimed* single-tree
     reference, so the only thing that differs is the virtual schedule.
-    The baseline serializes everything on one device; the sharded run
-    overlaps per-shard prefetch scans, per-shard update sweeps, and
-    verification (pipelined against still-running scans).
+    The baseline puts every scan and sweep on one device; the sharded
+    run overlaps per-shard prefetch scans and per-shard update sweeps.
+    Both pipeline verification against still-running scans, which on
+    one shard can only overlap the tail of its one sweep.
 
     Attributes:
         profile: latency profile name (``hdd`` / ``ssd`` / ``nvme``).
@@ -282,7 +283,7 @@ class OverlapCosts(CounterSet):
         ops_applied: distinct states applied (identical in all runs).
         n_queries: query batch size.
         baseline_update_us / baseline_query_us: virtual elapsed time of
-            each phase on the 1-shard serial deployment.
+            each phase on the 1-shard deployment.
         sharded_update_us / sharded_query_us: same on the N-shard
             overlapped deployment.
         baseline_reads / baseline_writes: physical I/O of the baseline
@@ -872,7 +873,8 @@ class ExperimentHarness:
           the same paper-sized buffer per shard — a shard models an
           added machine), updates through the same pipeline splitting
           sorted runs at shard boundaries, queries through
-          :class:`repro.shard.ShardedQueryEngine`.
+          the same :class:`repro.engine.QueryEngine`, reading through
+          the deployment's scatter scanner.
 
         ``"uniform"`` draws :meth:`QueryGenerator.update_stream` plus
         uniform windows; ``"hotspot"`` draws the Zipf-skewed
@@ -931,7 +933,7 @@ class ExperimentHarness:
             pool.flush()
         sharded_update_reads = sharded.stats.physical_reads
         sharded_update_writes = sharded.stats.physical_writes
-        sharded_report = ShardedQueryEngine(sharded).execute_batch(queries)
+        sharded_report = QueryEngine(sharded).execute_batch(queries)
 
         if single_pipeline.stats.ops != sharded_pipeline.stats.ops:
             raise AssertionError(
@@ -985,12 +987,13 @@ class ExperimentHarness:
           timed run's per-query results and final index contents are
           asserted identical to it, so latency simulation is proven to
           be timing-only;
-        * a **1-shard timed deployment** (``latency`` profile, serial
-          scheduling) — the virtual-time baseline;
-        * an **N-shard timed deployment** with overlapped scheduling
-          (per-shard prefetch scans and update sweeps fork/join on the
-          shared clock, verification pipelines against still-running
-          scans).
+        * a **1-shard timed deployment** (``latency`` profile, every
+          scan and sweep on one device) — the virtual-time baseline;
+        * an **N-shard timed deployment** (per-shard prefetch scans and
+          update sweeps fork/join on the shared clock).
+
+        Both verify as every timed batch does, pipelined against
+        still-running scans.
 
         Physical I/O counts stay comparable to :meth:`run_sharded`;
         what this method adds is the *time* axis: the virtual elapsed
@@ -1019,7 +1022,7 @@ class ExperimentHarness:
             else self.config.buffer_pages
         )
 
-        def timed_run(side: str, shards: int, overlapped: bool) -> dict:
+        def timed_run(side: str, shards: int) -> dict:
             """One timed deployment's ``<side>_*`` fields of the costs."""
             deployment = ShardedPEBTree.build(
                 shards,
@@ -1053,7 +1056,7 @@ class ExperimentHarness:
             update_us = clock.elapsed - phase_start
 
             phase_start = clock.elapsed
-            engine = ShardedQueryEngine(deployment, pipeline_verify=overlapped)
+            engine = QueryEngine(deployment)
             report = engine.execute_batch(queries)
             query_us = clock.elapsed - phase_start
             # Counters snapshot *before* the pin checks below: the
@@ -1095,8 +1098,8 @@ class ExperimentHarness:
             workload=workload,
             ops_applied=reference_pipeline.stats.ops,
             n_queries=len(queries),
-            **timed_run("baseline", 1, overlapped=False),
-            **timed_run("sharded", n_shards, overlapped=True),
+            **timed_run("baseline", 1),
+            **timed_run("sharded", n_shards),
         )
 
     # ------------------------------------------------------------------
@@ -1225,7 +1228,7 @@ class ExperimentHarness:
             max_wait_us=max_wait_us,
             shed_after_us=shed_after_us,
         )
-        engine = ShardedQueryEngine(deployment)
+        engine = QueryEngine(deployment)
         pipeline = UpdatePipeline(deployment, capacity=batch_size)
         service = SimulatedService(engine, pipeline, admission)
         disarm = arm_faults(deployment) if arm_faults is not None else None

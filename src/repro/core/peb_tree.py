@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Iterator
 
 from repro.btree.tree import MAX_UID, BatchOp, BPlusTree, BTreeConfig
 from repro.core.peb_key import DEFAULT_SV_BITS, PEBKeyCodec, derive_sv_scale
+from repro.engine.scanner import BandScanner
 from repro.motion.objects import MovingObject, ObjectRecordCodec
 from repro.motion.rows import BandRows
 from repro.motion.partitions import TimePartitioner
@@ -417,6 +418,10 @@ class PEBTree:
     # ------------------------------------------------------------------
     # Scan primitives shared by the query engine
     # ------------------------------------------------------------------
+
+    def new_scanner(self) -> BandScanner:
+        """The tree's reader: one :class:`BandScanner` deduplication scope."""
+        return BandScanner(self)
 
     def scan_band(self, tid: int, sv_lo_q: int, sv_hi_q: int, z_lo: int, z_hi: int):
         """Yield ``(zv, object)`` for one key-contiguous band.

@@ -68,6 +68,7 @@ from dataclasses import dataclass, field
 
 from repro.core.peb_tree import PEBTree
 from repro.engine import BandScanner, CandidateVerifier, QueryPlanner
+from repro.engine.executor import check_complete
 from repro.engine.plan import BandRequest
 from repro.engine.scanner import NOT_QUIET
 from repro.motion.objects import MovingObject
@@ -125,9 +126,11 @@ def _partition(context_index: int, tid: int, pieces: list[ZInterval]) -> _Partit
 class _MatrixSearch:
     """One PkNN execution; holds the per-query scan state.
 
-    ``planner`` and ``scanner`` default to fresh per-query instances;
-    the batch executor passes its shared planner and scanner so cell
-    scans are deduplicated across the whole batch.
+    ``planner`` and ``scanner`` default to fresh per-query instances
+    (the scanner is the one the tree hands out,
+    :meth:`repro.core.peb_tree.PEBTree.new_scanner`); the batch
+    executor passes its shared planner and scanner so cell scans are
+    deduplicated across the whole batch.
     """
 
     def __init__(
@@ -143,7 +146,7 @@ class _MatrixSearch:
     ):
         check_knn_arguments(k, qx, qy, t_query)
         self.tree = tree
-        self.scanner = scanner if scanner is not None else BandScanner(tree)
+        self.scanner = scanner if scanner is not None else tree.new_scanner()
         self.planner = planner if planner is not None else QueryPlanner(tree)
         self.q_uid = q_uid
         self.qx = qx
@@ -556,6 +559,10 @@ def pknn(
     the ablation benchmark.  ``k = 0`` is the empty answer; a negative
     ``k`` or a non-finite ``qx``/``qy``/``t_query`` raises
     :class:`ValueError` before anything is planned or read.  A finite
-    query point outside the space is answered like any other.
+    query point outside the space is answered like any other; one a
+    quarantined shard cut short raises (:func:`check_complete`).
     """
-    return _MatrixSearch(tree, q_uid, qx, qy, k, t_query).run(order)
+    search = _MatrixSearch(tree, q_uid, qx, qy, k, t_query)
+    result = search.run(order)
+    check_complete(search.scanner)
+    return result

@@ -21,6 +21,11 @@ running the queries one at a time — the replay applies the identical
 iteration order and skip rules — while the physical reads per query
 drop by the cross-query overlap, reported as
 :attr:`ExecutionStats.dedup_ratio`.
+
+One engine serves every deployment, which decides how it is read: every
+path takes its scanner from the tree (:meth:`QueryEngine.new_scanner`)
+— a :class:`BandScanner` on one PEB-tree, a scatter/gather scanner on a
+sharded deployment (:mod:`repro.shard.engine`).
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from repro.engine.plan import QueryPlan, QueryPlanner
 from repro.engine.scanner import BandScanner
 from repro.engine.verify import CandidateVerifier
 from repro.spatial.geometry import Rect
+from repro.storage.faults import DiskFaultError
 from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
 
 if TYPE_CHECKING:
@@ -131,6 +137,16 @@ class ExecutionStats(CounterSet, prefix="engine."):
         return self.dead_entries / self.entries_prefetched
 
 
+def check_complete(scanner) -> None:
+    """Refuse a single query's answer that a quarantined shard cut short:
+    its result carries no ``degraded`` flag, so raise instead."""
+    if scanner.dropped_subbands:
+        raise DiskFaultError(
+            f"{scanner.dropped_subbands} sub-band(s) dropped by a "
+            "quarantined shard; a single query does not answer degraded"
+        )
+
+
 @dataclass
 class RangeExecution:
     """Outcome of one range-shaped plan execution."""
@@ -163,15 +179,26 @@ class BatchReport:
 
 
 class QueryEngine:
-    """The unified privacy-aware query engine over one PEB-tree.
+    """The unified privacy-aware query engine over one deployment.
 
     Args:
-        tree: the index to query.
+        tree: the index to query: a :class:`PEBTree` or a sharded
+            deployment.
+
+    A single query given no scanner takes a fresh one and raises
+    :class:`DiskFaultError` when a quarantined shard dropped one of its
+    sub-bands (:func:`check_complete`); a batch flags it ``degraded``.
     """
 
     def __init__(self, tree: "PEBTree"):
         self.tree = tree
         self.planner = QueryPlanner(tree)
+
+    def new_scanner(self) -> BandScanner:
+        """A fresh scanner (one deduplication scope) from the deployment:
+        every path of this engine takes its scanner here, so a test
+        installs its equipment by overriding this one method."""
+        return self.tree.new_scanner()
 
     # ------------------------------------------------------------------
     # Single-query execution
@@ -215,8 +242,9 @@ class QueryEngine:
         ``on_match`` may stop the whole execution early by returning
         True (the ``at_least`` aggregate).
         """
-        if scanner is None:
-            scanner = BandScanner(self.tree)
+        owned = scanner is None
+        if owned:
+            scanner = self.new_scanner()
         verifier = CandidateVerifier(
             self.tree.store, plan.q_uid, plan.t_query, plan.visible
         )
@@ -235,6 +263,8 @@ class QueryEngine:
             scanner.book_verified(planned.band, verifier.candidates_examined - seen)
             if stopped:
                 break
+        if owned:
+            check_complete(scanner)
         stats = self._progress(scanner).delta_from(before)
         stats.candidates_examined = verifier.candidates_examined
         return RangeExecution(
@@ -253,8 +283,9 @@ class QueryEngine:
         Only users actually holding a policy about the issuer are
         returned — entries merely sharing a quantized SV are dropped.
         """
-        if scanner is None:
-            scanner = BandScanner(self.tree)
+        owned = scanner is None
+        if owned:
+            scanner = self.new_scanner()
         plan = self.planner.plan_seed(q_uid)
         store = self.tree.store
         tracked: dict[int, "MovingObject"] = {}
@@ -268,23 +299,20 @@ class QueryEngine:
                 uid = rec[0]
                 if uid not in tracked and store.policies_for(uid, q_uid):
                     tracked[uid] = rows.object_at(i)
+        if owned:
+            check_complete(scanner)
         return tracked
 
     # ------------------------------------------------------------------
     # Batch execution
     # ------------------------------------------------------------------
 
-    def execute_batch(
-        self, specs: Sequence, prefetch: bool = True
-    ) -> BatchReport:
+    def execute_batch(self, specs: Sequence) -> BatchReport:
         """Execute many concurrent query specs with shared band scans.
 
         Args:
             specs: ``RangeQuerySpec`` / ``KnnQuerySpec`` instances (the
                 :mod:`repro.workloads.queries` types), in any mix.
-            prefetch: merge and pre-scan the range plans' bands (the
-                cross-query dedup); disable to measure on-demand
-                scanning alone.
 
         Range plans are static, so their bands are known up front and
         prefetched; the skip rule can only *remove* bands, so the
@@ -303,11 +331,12 @@ class QueryEngine:
 
         Replay takes the range specs first, then the kNN searches, each
         kind in spec order; results and ``degraded`` flags come back in
-        spec order.  On a single tree every query's verification is
-        charged serially after the scans; the sharded engine verifies
-        the range specs' bands as their strata land and runs each kNN
-        search on the same CPU afterwards, waiting for a stratum's
-        landing before the search first reads it.
+        spec order.  The scanner is told each query's verification
+        (``charge_query``) and when the searches start and end: a
+        single tree has no clock to charge; a timed sharded deployment's
+        scatter scanner verifies the range specs' bands as their strata
+        land and runs each kNN search on the same CPU afterwards,
+        waiting for a stratum's landing before the search first reads it.
 
         A spec of an unsupported type, a range spec with a non-finite
         ``t_query``, or a kNN spec with a negative ``k`` or a non-finite
@@ -330,7 +359,7 @@ class QueryEngine:
                     "RangeQuerySpec or KnnQuerySpec"
                 )
 
-        scanner = self._batch_scanner()
+        scanner = self.new_scanner()
         plans: list[QueryPlan | None] = []
         searches: list[tuple[int, _MatrixSearch]] = []
         for index, spec in enumerate(specs):
@@ -349,75 +378,71 @@ class QueryEngine:
                     scanner=scanner,
                 )
                 searches.append((index, search))
-        probe_bands = (
-            [band for _, search in searches for band in search.probe()]
-            if prefetch
-            else []
-        )
+        probe_bands = [band for _, search in searches for band in search.probe()]
 
         clock = getattr(self.tree, "sim_clock", None)
-        before = self._batch_progress(scanner)
+        before = self._progress(scanner)
         recorder = getattr(self.tree, "trace_recorder", None)
         tracing = recorder is not None and recorder.enabled
-        if prefetch:
-            def batch_bands():
-                # Range bands in key order, then the kNN probes, whose
-                # strata not named yet keep their first-appearance order.
-                yield from sorted(
-                    planned.band
-                    for plan in plans
-                    if plan is not None
-                    for planned in plan.bands
-                )
-                yield from probe_bands
 
-            if tracing:
-                t_scan0 = clock.cursor() if clock is not None else 0.0
-                recorder.instant(
-                    "engine/scan",
-                    "plan",
-                    t_scan0,
-                    category="engine",
-                    args={
-                        "specs": len(specs),
-                        "knn_probe_bands": len(probe_bands),
-                    },
-                )
-            scanner.prefetch(batch_bands())
-            if tracing:
-                recorder.span(
-                    "engine/scan",
-                    "scan.prefetch",
-                    t_scan0,
-                    clock.cursor() if clock is not None else 0.0,
-                    category="engine",
-                    args={
-                        "entries_prefetched": scanner.entries_prefetched,
-                        "physical_scans": scanner.physical_scans,
-                    },
-                )
+        def batch_bands():
+            # Range bands in key order, then the kNN probes, whose
+            # strata not named yet keep their first-appearance order.
+            yield from sorted(
+                planned.band
+                for plan in plans
+                if plan is not None
+                for planned in plan.bands
+            )
+            yield from probe_bands
+
+        if tracing:
+            t_scan0 = clock.cursor() if clock is not None else 0.0
+            recorder.instant(
+                "engine/scan",
+                "plan",
+                t_scan0,
+                category="engine",
+                args={
+                    "specs": len(specs),
+                    "knn_probe_bands": len(probe_bands),
+                },
+            )
+        scanner.prefetch(batch_bands())
+        if tracing:
+            recorder.span(
+                "engine/scan",
+                "scan.prefetch",
+                t_scan0,
+                clock.cursor() if clock is not None else 0.0,
+                category="engine",
+                args={
+                    "entries_prefetched": scanner.entries_prefetched,
+                    "physical_scans": scanner.physical_scans,
+                },
+            )
 
         report = BatchReport(results=[None] * len(specs), degraded=[False] * len(specs))
         if tracing:
             t_replay0 = clock.cursor() if clock is not None else 0.0
 
         def replay(index: int, run: Callable) -> None:
-            drops_before = self._drop_marker(scanner)
+            drops_before = scanner.dropped_subbands
             result = run()
-            self._charge_verify(result, plans[index], scanner)
+            scanner.charge_query(result.candidates_examined, plans[index] is None)
             report.stats.candidates_examined += result.candidates_examined
             report.results[index] = result
-            report.degraded[index] = self._drop_marker(scanner) > drops_before
+            report.degraded[index] = scanner.dropped_subbands > drops_before
 
         # Range plans replay first — off a prefetched batch, without
         # I/O — then the kNN searches, each kind in spec order.
         for index, plan in enumerate(plans):
             if plan is not None:
                 replay(index, lambda: prq_from_plan(self, plan, scanner))
-        self._begin_searches(scanner)
+        scanner.start_searches()
         for index, search in searches:
             replay(index, search.run)
-        self._end_replay(scanner)
+        scanner.end_searches()
         if tracing:
             recorder.span(
                 "engine/replay",
@@ -432,23 +457,12 @@ class QueryEngine:
             )
 
         examined = report.stats.candidates_examined
-        report.stats = self._batch_progress(scanner).delta_from(before)
+        report.stats = self._progress(scanner).delta_from(before)
         report.stats.candidates_examined = examined
         report.stats.entries_prefetched = scanner.entries_prefetched
         report.stats.dead_entries = scanner.dead_entries
         report.stats.memo_evictions = scanner.memo_evictions
         return report
-
-    def _batch_scanner(self):
-        """The shared scanner one batch execution uses (override point).
-
-        The sharded engine substitutes a scatter/gather scanner that
-        routes each band to its owning shards; everything else about
-        batch execution — planning, replay order, skip rules — is
-        identical, which is what keeps sharded results pinned to the
-        single-tree path.
-        """
-        return BandScanner(self.tree)
 
     def _progress(self, scanner) -> ExecutionStats:
         """The cumulative counters an execution is measured between.
@@ -456,11 +470,12 @@ class QueryEngine:
         Two of these bracket a query or a batch; their
         :meth:`~ExecutionStats.delta_from` is what it cost.  Only
         counters that are plain reads belong here — this runs twice per
-        query.
+        query.  The scanner adds its deployment's per-shard and fault
+        breakdowns, so a delta's sum to the counters beside them.
         """
         clock = getattr(self.tree, "sim_clock", None)
         latency = getattr(self.tree.stats, "latency", None)
-        return ExecutionStats(
+        seen = ExecutionStats(
             bands_requested=scanner.requests,
             bands_scanned=scanner.physical_scans,
             bands_deduped=scanner.deduped,
@@ -470,52 +485,8 @@ class QueryEngine:
             seeks=latency.seeks if latency is not None else 0,
             sequential_hits=latency.sequential_hits if latency is not None else 0,
         )
-
-    def _batch_progress(self, scanner) -> ExecutionStats:
-        """:meth:`_progress` plus whatever breakdowns a deployment
-        attaches per batch (override point; none on a single tree)."""
-        return self._progress(scanner)
-
-    def _timing(self):
-        """``(clock, model)`` when the tree runs on timed devices."""
-        clock = getattr(self.tree, "sim_clock", None)
-        model = getattr(self.tree, "latency_model", None)
-        if clock is None or model is None:
-            return None, None
-        return clock, model
-
-    def _drop_marker(self, scanner) -> int:
-        """Monotone drop counter read before/after each replayed query.
-
-        A query whose replay advanced the marker was served degraded
-        (some sub-band dropped by a quarantined shard).  The base
-        engine never drops anything; the sharded engine reads its
-        scatter scanner's ``dropped_subbands``.
-        """
-        return 0
-
-    def _charge_verify(self, result, plan, scanner) -> None:
-        """Charge one replayed query's verification CPU in virtual time.
-
-        The base engine serializes verification after the scans: the
-        context cursor (already past the prefetch) advances by
-        ``candidates × verify_us``.  The sharded engine overrides this
-        to leave what the scanner booked to its verify timeline, and
-        what a kNN search was charged as it ran.
-        Verification is charged here — once per query of a batch — and
-        nowhere else, so single-query adapters (which may be replayed
-        *by* this loop via ``prq_from_plan``) never double-charge.
-        """
-        clock, model = self._timing()
-        if clock is not None:
-            clock.advance(result.candidates_examined * model.verify_us)
-
-    def _begin_searches(self, scanner) -> None:
-        """Hook between the range replays and the kNN searches (the
-        sharded engine puts the searches on its verify CPU here)."""
-
-    def _end_replay(self, scanner) -> None:
-        """Hook after the batch's replay loop (timing join point)."""
+        scanner.add_breakdowns(seen)
+        return seen
 
 
 __all__ = [
@@ -524,4 +495,5 @@ __all__ = [
     "OnMatch",
     "QueryEngine",
     "RangeExecution",
+    "check_complete",
 ]

@@ -27,6 +27,10 @@ from what it already knows before it goes to the tree:
    entries, LRU): eviction can only cost I/O, never change a result.
 3. **Physical scan** — anything else goes to the tree.
 
+A tree hands out its scanner (``PEBTree.new_scanner``); a sharded
+deployment hands out a scatter/gather one that keeps a
+:class:`BandScanner` per shard (:mod:`repro.shard.engine`).
+
 The scanner assumes the tree is not mutated while it is alive (queries
 and updates are phase-separated in all the harnesses), which is why
 residency needs no invalidation: it lives and dies with its scanner.
@@ -43,12 +47,13 @@ prefetch: one call per batch, or per shard job) or its one-band form
 :class:`repro.motion.rows.BandRows` — parallel (zv, record) columns
 whose ``MovingObject`` states materialize lazily, only for entries a
 verifier actually admits — in key order, exactly the sequence a direct
-``scan_sv_zrange`` would yield, so replaying a plan against the scanner
+``PEBTree.scan_band`` would yield, so replaying a plan against the scanner
 is observationally identical to scanning the tree.  There is no second
 mode: the object-at-a-time, per-band, per-piece reference the pins
 compare against is test equipment (``tests/reference_scan.py``, a
 subclass that decodes entry by entry and forgets what a scan proved
-beyond the interval it was asked).
+beyond the interval it was asked, installed through
+``QueryEngine.new_scanner``).
 
 Each residency keeps the intervals the replayed queries actually
 requested of its stratum; the executor reads the batch's over-scan off
@@ -294,7 +299,11 @@ class BandScanner:
         memo_hits: requests served from the exact-identity cache.
         memo_evictions: bands evicted from the memo by the LRU bound.
         entries_prefetched: entries transferred by prefetch scans.
+        dropped_subbands: requests answered without some shard's
+            entries — always 0 on one tree.
     """
+
+    dropped_subbands = 0
 
     def __init__(
         self,
@@ -370,18 +379,6 @@ class BandScanner:
         resident._add(z_lo, z_hi, rows)
         return rows
 
-    def book_verified(self, band: BandRequest, examined: int) -> None:
-        """Told what verifying one band's rows cost.  Nothing to price
-        here; the scatter scanner puts it on its verify timeline."""
-
-    def wait_landed(self, resident: "StratumResidency | None") -> None:
-        """Told a search is about to read a stratum.  Nothing to wait
-        for here; the scatter scanner holds the search until it landed."""
-
-    def charge_verified(self, examined: int) -> None:
-        """Told what verifying rows a search admitted cost.  Nothing to
-        price here; the scatter scanner charges the search for it."""
-
     def prefetch(self, bands: Iterable[BandRequest], clock=None) -> None:
         """Scan the merged union of many plans' bands once, up front.
 
@@ -444,6 +441,16 @@ class BandScanner:
             self.entries_prefetched += prefetched
             if clock is not None:
                 resident.landed = clock.cursor()
+
+    def _told(self, *args) -> None:
+        """What the executor tells a scanner — a band's or a query's
+        verification, a search's start, end or next stratum — and asks
+        of it (per-shard and fault breakdowns): one tree runs on no
+        clock and has no shards, so nothing happens here.  The scatter
+        scanner (:mod:`repro.shard.engine`) acts on each."""
+
+    book_verified = charge_query = start_searches = end_searches = _told
+    wait_landed = charge_verified = add_breakdowns = _told
 
     # ------------------------------------------------------------------
     # Accounting

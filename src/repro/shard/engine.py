@@ -1,10 +1,11 @@
-"""Scatter/gather query execution over a sharded deployment.
+"""Scatter/gather scanning over a sharded deployment.
 
-:class:`ShardedQueryEngine` is :class:`repro.engine.QueryEngine` with
-one substitution: the batch scanner.  Planning, replay order, skip
-rules, and verification are inherited unchanged — which is precisely
-what keeps sharded results (and ``candidates_examined``) pinned to the
-single-tree engine.  The substituted
+A sharded deployment is queried by the one
+:class:`repro.engine.QueryEngine`; what it changes is the scanner it
+hands out (:meth:`repro.shard.tree.ShardedPEBTree.new_scanner`).
+Planning, replay order, skip rules, and verification are the engine's,
+unchanged — which is precisely what keeps sharded results (and
+``candidates_examined``) pinned to the single tree.
 :class:`ShardScatterScanner` keeps one
 :class:`repro.engine.scanner.BandScanner` per shard and:
 
@@ -20,35 +21,37 @@ single-tree engine.  The substituted
   time partition is ascending key order, so a replayed band is
   byte-identical to a single tree's scan.
 
-On a timed deployment the engine additionally **pipelines
-verification with scanning**: each shard job stamps a stratum with the
-instant its last coverage run landed, and a range query's candidates
-are verified on one CPU timeline band by band, each as soon as *its
-stratum* has landed — while the rest of that shard's sweep, and every
-slower shard, is still scanning — instead of after the fork/join
-barrier.  The batch's kNN searches then run on the same CPU, in spec
-order from where the range pipeline left it (from the fork itself when
-it booked nothing): a search waits for a stratum's landing before it
-first reads it, pays its on-demand scans on their shard's device queue
-behind that shard's prefetch, and is charged each admitted row set's
-verification where it admits it.  Timing only: results, iteration
-order, and every I/O counter are identical to the sequential schedule.
-
-Every query then flows through the inherited executor and the
-existing verifier; per-shard breakdowns land on
-:attr:`repro.engine.executor.ExecutionStats.shard_stats`.
+It is the deployment's only reader, so a single query and a batch alike
+scan every shard under the deployment's supervisor.  On a timed
+deployment a batch additionally **pipelines verification with
+scanning**: each shard job stamps a stratum with the instant its last
+coverage run landed, and a range query's candidates are verified on one
+CPU timeline band by band, each as soon as *its stratum* has landed —
+while the rest of that shard's sweep, and every slower shard, is still
+scanning — instead of after the fork/join barrier.  The batch's kNN
+searches then run on the same CPU, in spec order from where the range
+pipeline left it (from the fork itself when it booked nothing): a
+search waits for a stratum's landing before it first reads it, pays its
+on-demand scans on their shard's device queue behind that shard's
+prefetch, and is charged each admitted row set's verification where it
+admits it.  Timing only: results, iteration order, and every
+I/O counter are identical to charging verification serially after the
+join.  The executor's calls that drive this schedule are no-ops on a
+:class:`BandScanner`.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from repro.engine.executor import ExecutionStats, QueryEngine
 from repro.engine.plan import BandRequest
 from repro.engine.scanner import BandScanner
 from repro.motion.rows import BandRows
-from repro.shard.tree import ShardedPEBTree
+
+if TYPE_CHECKING:
+    from repro.engine.executor import ExecutionStats
+    from repro.shard.tree import ShardedPEBTree
 
 
 class ShardScatterScanner:
@@ -86,10 +89,12 @@ class ShardScatterScanner:
     job — a batch prefetch, a physical sub-band scan — runs under it:
     retryable faults back off in virtual time and re-run, a shard that
     exhausts its retries is quarantined, and a quarantined shard's
-    sub-bands are dropped with accounting instead of failing the query.
+    sub-bands are dropped with accounting: a batch flags the query
+    ``degraded``, a single query raises
+    (:func:`repro.engine.executor.check_complete`).
     """
 
-    def __init__(self, sharded: ShardedPEBTree):
+    def __init__(self, sharded: "ShardedPEBTree"):
         self.tree = sharded
         self.scheduler = sharded.io
         self.supervisor = getattr(sharded, "supervisor", None)
@@ -292,23 +297,95 @@ class ShardScatterScanner:
         self._chain.clear()
         return chained
 
+    def charge_query(self, examined: int, knn: bool) -> None:
+        """Charge one replayed query's verification in virtual time.
+
+        A range query's bands booked on the verify timeline are priced
+        by :meth:`start_searches`; the rest of its ``examined`` — bands
+        without a landing instant — is charged serially on the worker's
+        cursor.  A kNN search on the verify CPU was charged as it ran,
+        so only its span is traced.  Charged here, once per query of a
+        batch, and nowhere else: single queries report device time alone.
+        """
+        clock = self.scheduler.clock
+        if clock is None:
+            return
+        verify_us = self.tree.latency_model.verify_us
+        if not knn:
+            clock.advance((examined - self.end_query()) * verify_us)
+            return
+        start, waited = self.end_search()
+        recorder = self.tree.trace_recorder
+        if recorder is not None and recorder.enabled:
+            end = clock.cursor()
+            verify = examined * verify_us
+            joined = max(self.shard_ends.values(), default=start)
+            recorder.span(
+                "engine/verify",
+                "verify.knn",
+                start,
+                end,
+                category="engine",
+                args={
+                    "wait_us": waited,
+                    "scan_us": max(0.0, end - start - waited - verify),
+                    "verify_us": verify,
+                    "tail_us": max(0.0, end - joined),
+                },
+            )
+
+    def _price_pipeline(self, verify_us: float) -> float | None:
+        """The range queries' booked bands on the verify CPU; its end
+        (None when nothing was booked)."""
+        if not self.verify_items:
+            return None
+        # One CPU takes the booked bands as they become ready (the sort
+        # is stable, so a query's chain keeps its order): it may verify
+        # the first-landed stratum while every shard still scans.
+        items = sorted(self.verify_items, key=itemgetter(0))
+        start = cursor = items[0][0]
+        idle = 0.0
+        for ready, examined in items:
+            if ready > cursor:
+                idle += ready - cursor
+                cursor = ready
+            cursor += examined * verify_us
+        recorder = self.tree.trace_recorder
+        if recorder is not None and recorder.enabled:
+            recorder.span(
+                "engine/verify",
+                "verify.pipeline",
+                start,
+                cursor,
+                category="engine",
+                args={
+                    "items": len(items),
+                    "idle_us": idle,
+                    "tail_us": max(0.0, cursor - max(self.shard_ends.values())),
+                },
+            )
+        return cursor
+
     # ------------------------------------------------------------------
     # kNN searches on the verify CPU
     # ------------------------------------------------------------------
 
-    def start_searches(self, pipeline_end: float | None, verify_us: float) -> None:
-        """Run the batch's kNN searches on the verify CPU.
+    def start_searches(self) -> None:
+        """Run the batch's kNN searches on the verify CPU (timed only).
 
-        The CPU is free once the range pipeline ends (``pipeline_end``),
-        or from the prefetch's fork when nothing was booked.  Serial
-        work on the worker's cursor since the join (a band without a
-        landing instant) holds it too; without a fork there is only
-        that.  Until :meth:`end_searches`, the clock's cursor is the
-        running search's: it waits in :meth:`wait_landed`, its
-        on-demand scans are charged at it, and :meth:`charge_verified`
-        advances it.
+        The CPU is free once the range pipeline ends, or from the
+        prefetch's fork when nothing was booked.  Serial work on the
+        worker's cursor since the join (a band without a landing
+        instant) holds it too; without a fork there is only that.
+        Until :meth:`end_searches`, the clock's cursor is the running
+        search's: it waits in :meth:`wait_landed`, its on-demand scans
+        are charged at it, and :meth:`charge_verified` advances it.
         """
         clock = self.scheduler.clock
+        if clock is None:
+            return
+        verify_us = self.tree.latency_model.verify_us
+        pipeline_end = self._price_pipeline(verify_us)
         cursor = clock.cursor()
         start = self._cpu if pipeline_end is None else pipeline_end
         if start is None or cursor > max(self.shard_ends.values()):
@@ -349,129 +426,21 @@ class ShardScatterScanner:
     def end_searches(self) -> None:
         """End the batch at the latest of the join, the range pipeline
         and the last search (the cursor is past the pipeline's end)."""
+        if self.scheduler.clock is None:
+            return
         self._verify_us = None
         self.scheduler.clock.join(list(self.shard_ends.values()))
 
+    # ------------------------------------------------------------------
+    # Breakdowns
+    # ------------------------------------------------------------------
 
-class ShardedQueryEngine(QueryEngine):
-    """The unified query engine over a sharded deployment.
-
-    Single-query execution works through the inherited paths (the
-    facade's ``scan_band_rows`` routes each band); batch execution
-    swaps in the scatter scanner so prefetching happens per shard
-    through the deployment's I/O scheduler, and — on timed devices —
-    verification and the kNN searches run on one CPU against
-    still-running shard scans.
-
-    Args:
-        sharded: the deployment to query.
-        pipeline_verify: overlap verification CPU and kNN searches with
-            shard scans in virtual time (timed deployments only;
-            timing-neutral everywhere else); False is "serial, after
-            the join" for both kinds.
-    """
-
-    def __init__(self, sharded: ShardedPEBTree, pipeline_verify: bool = True):
-        super().__init__(sharded)
-        self.pipeline_verify = pipeline_verify
-
-    def _batch_scanner(self) -> ShardScatterScanner:
-        return ShardScatterScanner(self.tree)
-
-    def _batch_progress(self, scanner) -> ExecutionStats:
-        # The per-shard and fault counters ride along, so a batch's
-        # delta carries breakdowns of *this* batch's I/O that sum to
-        # the counters they sit beside.
-        seen = self._progress(scanner)
+    def add_breakdowns(self, seen: "ExecutionStats") -> None:
+        """Attach the per-shard counters, and the fault counters when a
+        supervisor is attached, to ``seen``."""
         seen.shard_stats = self.tree.shard_stats()
-        supervisor = getattr(self.tree, "supervisor", None)
-        if supervisor is not None:
-            seen.fault_stats = supervisor.stats.copy()
-        return seen
-
-    def _drop_marker(self, scanner) -> int:
-        return getattr(scanner, "dropped_subbands", 0)
-
-    # ------------------------------------------------------------------
-    # Verify/scan pipelining (timed deployments)
-    # ------------------------------------------------------------------
-
-    def _charge_verify(self, result, plan, scanner) -> None:
-        clock, model = self._timing()
-        if clock is None:
-            return
-        if not self.pipeline_verify:
-            clock.advance(result.candidates_examined * model.verify_us)
-        elif plan is None:
-            # A search on the verify CPU was charged as it ran.
-            start, waited = scanner.end_search()
-            recorder = getattr(self.tree, "trace_recorder", None)
-            if recorder is not None and recorder.enabled:
-                end = clock.cursor()
-                verify = result.candidates_examined * model.verify_us
-                joined = max(scanner.shard_ends.values(), default=start)
-                recorder.span(
-                    "engine/verify",
-                    "verify.knn",
-                    start,
-                    end,
-                    category="engine",
-                    args={
-                        "wait_us": waited,
-                        "scan_us": max(0.0, end - start - waited - verify),
-                        "verify_us": verify,
-                        "tail_us": max(0.0, end - joined),
-                    },
-                )
-        else:
-            # What the scanner put on the verify timeline is priced in
-            # _begin_searches; bands without a landing instant keep the
-            # serial schedule on the worker's cursor.
-            examined = result.candidates_examined - scanner.end_query()
-            clock.advance(examined * model.verify_us)
-
-    def _begin_searches(self, scanner) -> None:
-        clock, model = self._timing()
-        if clock is None or not self.pipeline_verify:
-            return
-        scanner.start_searches(self._price_pipeline(scanner, model), model.verify_us)
-
-    def _end_replay(self, scanner) -> None:
-        clock, _ = self._timing()
-        if clock is not None and self.pipeline_verify:
-            scanner.end_searches()
-
-    def _price_pipeline(self, scanner, model) -> float | None:
-        """The range queries' booked bands on the verify CPU; its end
-        (None when nothing was booked)."""
-        if not scanner.verify_items:
-            return None
-        # One CPU takes the booked bands as they become ready (the sort
-        # is stable, so a query's chain keeps its order): it may verify
-        # the first-landed stratum while every shard still scans.
-        items = sorted(scanner.verify_items, key=itemgetter(0))
-        start = cursor = items[0][0]
-        idle = 0.0
-        for ready, examined in items:
-            if ready > cursor:
-                idle += ready - cursor
-                cursor = ready
-            cursor += examined * model.verify_us
-        recorder = getattr(self.tree, "trace_recorder", None)
-        if recorder is not None and recorder.enabled:
-            recorder.span(
-                "engine/verify",
-                "verify.pipeline",
-                start,
-                cursor,
-                category="engine",
-                args={
-                    "items": len(items),
-                    "idle_us": idle,
-                    "tail_us": max(0.0, cursor - max(scanner.shard_ends.values())),
-                },
-            )
-        return cursor
+        if self.supervisor is not None:
+            seen.fault_stats = self.supervisor.stats.copy()
 
 
-__all__ = ["ShardScatterScanner", "ShardedQueryEngine"]
+__all__ = ["ShardScatterScanner"]

@@ -4,24 +4,26 @@
 :class:`repro.core.peb_tree.PEBTree` instances, each with its own
 buffer pool and simulated disk, partitioned by a
 :class:`repro.shard.router.ShardRouter`.  The facade duck-types the
-single tree everywhere the engine touches one — ``scan_band_rows`` /
-``scan_bands_rows``, ``update_batch``, ``insert``, ``stats``, the
-planner's shared geometry (``grid`` / ``partitioner`` / ``store`` /
-``codec`` / speed maxima) —
-so :class:`repro.engine.QueryEngine`, the batch executor, and
+single tree everywhere the engine touches one — ``new_scanner``,
+``update_batch``, ``insert``, ``stats``, the planner's shared geometry
+(``grid`` / ``partitioner`` / ``store`` / ``codec`` / speed maxima) —
+so :class:`repro.engine.QueryEngine` and
 :class:`repro.engine.UpdatePipeline` run unchanged on a sharded
 deployment, observationally identical to a single tree.
 
-Read path: a band request is split at shard boundaries and the owning
-shards' scans concatenated in key order.  Write path: the facade plans
-a batch exactly as :meth:`PEBTree.update_batch` does — dedup, classify
-against the live-key memos, sort the two sweeps globally — then cuts
-each sorted run at shard-key boundaries (one stable pass, order
-preserved) and hands every shard a ready-to-apply sorted run for
+Read path: one reader, the scanner the facade hands the engine
+(:meth:`ShardedPEBTree.new_scanner`), splits a band request at shard
+boundaries, scans the owning shards under the supervisor, if any, and
+concatenates their rows in key order, for a single query and a batch
+alike.  Write path: the facade plans a batch exactly as
+:meth:`PEBTree.update_batch` does — dedup, classify against the
+live-key memos, sort the two sweeps globally — then cuts each sorted
+run at shard-key boundaries (one stable pass, order preserved) and
+hands every shard a ready-to-apply sorted run for
 :meth:`repro.btree.BPlusTree.apply_sorted_batch`.  No re-sorting, and
 each shard's sweep touches only its own pool, so per-shard application
 is embarrassingly parallel (the read side already exploits this; see
-:class:`repro.shard.engine.ShardedQueryEngine`).
+:class:`repro.shard.engine.ShardScatterScanner`).
 """
 
 from __future__ import annotations
@@ -36,12 +38,11 @@ from repro.core.peb_tree import (
     UpdateItem,
     plan_update_batch,
 )
-from repro.engine.plan import BandRequest
 from repro.fault.breaker import BreakerPolicy
 from repro.fault.retry import RetryPolicy
 from repro.fault.supervisor import ShardSupervisor
 from repro.motion.objects import MovingObject
-from repro.motion.rows import BandRows
+from repro.shard.engine import ShardScatterScanner
 from repro.shard.router import ShardRouter
 from repro.shard.stats import ShardStats
 from repro.simio.clock import SimClock
@@ -562,45 +563,12 @@ class ShardedPEBTree:
         return dead
 
     # ------------------------------------------------------------------
-    # Scan primitives (the engine's view)
+    # Reading
     # ------------------------------------------------------------------
 
-    def scan_band_rows(
-        self, tid: int, sv_lo_q: int, sv_hi_q: int, z_lo: int, z_hi: int
-    ) -> BandRows:
-        """One band as packed columns, gathered across shards.
-
-        Sub-scans run per shard and concatenate in ascending shard
-        order — inside one TID that is ascending key order, so the
-        result is row-identical to a single tree's
-        :meth:`repro.core.peb_tree.PEBTree.scan_band_rows`,
-        boundary-straddling bands included.
-        """
-        band = BandRequest(tid, sv_lo_q, sv_hi_q, z_lo, z_hi)
-        parts = [
-            self.trees[shard].scan_band_rows(
-                sub.tid, sub.sv_lo_q, sub.sv_hi_q, sub.z_lo, sub.z_hi
-            )
-            for shard, sub in self.router.split_band(band)
-        ]
-        return BandRows.concat(parts) if parts else BandRows.empty()
-
-    def scan_bands_rows(self, bands: Iterable[tuple[int, int, int, int]]):
-        """Sweep many single-SV bands, each routed to its owning shard.
-
-        Mirrors :meth:`repro.core.peb_tree.PEBTree.scan_bands_rows`:
-        lazy, one :class:`BandRows` per ``(tid, sv_q, z_lo, z_hi)`` in
-        the order given.  A single-SV band lives whole in one shard, so
-        its fence proof is the owning tree's, unchanged.
-        """
-        shard_of = self.router.shard_of
-        for band in bands:
-            yield from self.trees[shard_of(band[1])].scan_bands_rows((band,))
-
-    def scan_sv_zrange(self, tid: int, sv: float, z_lo: int, z_hi: int):
-        """Single-SV convenience scan, mirroring the single tree's."""
-        sv_q = self.codec.quantize_sv(sv)
-        yield from self.scan_band_rows(tid, sv_q, sv_q, z_lo, z_hi).objects()
+    def new_scanner(self) -> ShardScatterScanner:
+        """The deployment's reader: one scatter/gather deduplication scope."""
+        return ShardScatterScanner(self)
 
     def items(self):
         """Every ``(key, uid, payload)`` entry merged in global key order."""

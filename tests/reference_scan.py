@@ -3,7 +3,8 @@
 Test equipment, not a mode of the engine: the shipped scanner decodes a
 band per leaf run, keeps what the touched leaves *prove* around it and
 lets the PkNN walk skip what is proven quiet.  The reference does none
-of that, through override points the engine already has:
+of that, and installs through the engine's one scanner seam
+(``QueryEngine.new_scanner``):
 
 * every band is decoded one entry at a time off
   ``BPlusTree.scan_range`` + ``ObjectRecordCodec.unpack`` — one
@@ -30,7 +31,6 @@ from repro.core.pknn import _MatrixSearch
 from repro.engine import BandScanner, QueryEngine
 from repro.engine.scanner import NOT_QUIET, StratumResidency
 from repro.motion.rows import BandRows
-from repro.shard import ShardedQueryEngine
 from repro.shard.engine import ShardScatterScanner
 
 
@@ -86,12 +86,12 @@ def reference_scatter(sharded):
 
 
 class ReferenceEngine(QueryEngine):
-    def _batch_scanner(self):
+    def new_scanner(self):
         return ReferenceScanner(self.tree)
 
 
-class ShardedReferenceEngine(ShardedQueryEngine):
-    def _batch_scanner(self):
+class ShardedReferenceEngine(QueryEngine):
+    def new_scanner(self):
         return reference_scatter(self.tree)
 
 

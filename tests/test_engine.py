@@ -11,7 +11,6 @@ from repro.core.pknn import _MatrixSearch, pknn
 from repro.core.prq import prq
 from repro.engine import BandScanner, QueryEngine
 from repro.engine.plan import BandRequest, QueryPlanner
-from repro.shard import ShardedQueryEngine
 from repro.spatial.decompose import merge_intervals
 from repro.spatial.geometry import Rect
 from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
@@ -19,6 +18,18 @@ from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
 from tests.conftest import build_world
 from tests.test_engine_property import admissible_friends
 from tests.test_shard_property import build_sharded
+
+
+class OnDemandScanner(BandScanner):
+    """The shipped scanner with nothing prefetched: every band on demand."""
+
+    def prefetch(self, bands, clock=None):
+        pass
+
+
+class OnDemandEngine(QueryEngine):
+    def new_scanner(self):
+        return OnDemandScanner(self.tree)
 
 
 def knn_search(engine, spec):
@@ -281,8 +292,8 @@ def test_batch_knn_first_round_joins_the_prefetch_set(small_world):
     world = small_world
     specs = world.query_generator().knn_queries(world.states, 12, 4, 5.0)
     engine = QueryEngine(world.peb)
-    plain = engine.execute_batch(specs, prefetch=False)
-    prefetched = engine.execute_batch(specs, prefetch=True)
+    plain = OnDemandEngine(world.peb).execute_batch(specs)
+    prefetched = engine.execute_batch(specs)
     for expected, got in zip(plain.results, prefetched.results):
         assert [round(d, 9) for d, _ in got.neighbors] == [
             round(d, 9) for d, _ in expected.neighbors
@@ -418,8 +429,7 @@ def test_a_non_finite_range_t_query_is_refused_before_any_read(
 def test_batch_without_prefetch_still_deduplicates(small_world):
     world = small_world
     spec = world.query_generator().range_queries(world.uids, 1, 300.0, 5.0)[0]
-    engine = QueryEngine(world.peb)
-    report = engine.execute_batch([spec, spec, spec], prefetch=False)
+    report = OnDemandEngine(world.peb).execute_batch([spec, spec, spec])
     assert report.stats.bands_deduped > 0
     uids = {frozenset(result.uids) for result in report.results}
     assert len(uids) == 1
@@ -502,7 +512,7 @@ def _batch_engine(world, n_shards):
     if n_shards == 1:
         return QueryEngine(world.peb), [world.peb]
     sharded = build_sharded(world, n_shards)
-    return ShardedQueryEngine(sharded), sharded.trees
+    return QueryEngine(sharded), sharded.trees
 
 
 def _record_sweeps(trees):
@@ -747,14 +757,14 @@ def test_dead_entry_total_equals_the_rows_outside_every_request(
         for band in _stratum_bands(world, n_queries=20)
     ]
     captured = []
-    make_scanner = engine._batch_scanner
+    make_scanner = engine.new_scanner
 
     def capturing_scanner():
         captured.append(make_scanner())
         captured[-1].prefetch(full_strata)
         return captured[-1]
 
-    engine._batch_scanner = capturing_scanner
+    engine.new_scanner = capturing_scanner
     report = engine.execute_batch(specs)
     (scanner,) = captured
     counted = sum(

@@ -14,16 +14,27 @@ Two contracts, stated in :mod:`repro.fault`'s package docstring:
   (``bands_dropped``), updates bound for the shard are deferred — not
   lost, not half-applied — and the other shards end bit-identical to
   the fault-free run.
+
+Both hold for single queries too (``prq``, ``pknn``, ``pcount``,
+``ContinuousPRQ`` registration), which read through the same supervised
+scatter scanner as a batch: a transient fault is retried, and since a
+single query's result carries no ``degraded`` flag, a sub-band a
+quarantined shard dropped makes it raise rather than answer short.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from repro.engine import UpdatePipeline
+from repro.core.aggregate import pcount
+from repro.core.continuous import ContinuousPRQ
+from repro.core.pknn import pknn
+from repro.core.prq import prq
+from repro.engine import QueryEngine, UpdatePipeline
 from repro.fault import BreakerPolicy, RetryPolicy
-from repro.shard import ShardedPEBTree, ShardedQueryEngine
-from repro.storage.faults import FaultyDisk, TransientFaultSchedule
+from repro.shard import ShardedPEBTree
+from repro.storage.faults import DiskFaultError, FaultyDisk, TransientFaultSchedule
+from repro.workloads.queries import KnnQuerySpec
 
 from tests.conftest import build_world
 
@@ -74,7 +85,7 @@ def run_reference():
     sharded = deploy(supervised=False)
     before_items = list(sharded.items())
     result = sharded.update_batch(list(BATCH))
-    report = ShardedQueryEngine(sharded).execute_batch(SPECS)
+    report = QueryEngine(sharded).execute_batch(SPECS)
     return {
         "before_items": before_items,
         "result": result,
@@ -89,7 +100,7 @@ REFERENCE = run_reference()
 
 def run_fresh_reference():
     """Query results on a fresh (pre-update) fault-free deployment."""
-    report = ShardedQueryEngine(deploy(supervised=False)).execute_batch(SPECS)
+    report = QueryEngine(deploy(supervised=False)).execute_batch(SPECS)
     return [r.uids for r in report.results]
 
 
@@ -118,7 +129,7 @@ def test_transient_schedule_runs_bit_identical(fail_reads, fail_writes):
         disk.schedule = schedule
 
     result = sharded.update_batch(list(BATCH))
-    report = ShardedQueryEngine(sharded).execute_batch(SPECS)
+    report = QueryEngine(sharded).execute_batch(SPECS)
 
     supervisor = sharded.supervisor
     assert supervisor.stats.exhausted == 0  # impossible by construction
@@ -170,7 +181,7 @@ def test_pipeline_fault_stats_exclude_faults_between_flushes():
         pipeline.flush()
         during_flushes.append(supervisor.stats.delta_from(before))
         between = supervisor.stats.copy()
-        ShardedQueryEngine(sharded).execute_batch(SPECS)
+        QueryEngine(sharded).execute_batch(SPECS)
         assert supervisor.stats.delta_from(between).faults > 0
 
     assert supervisor.stats.exhausted == 0
@@ -186,7 +197,7 @@ def test_supervised_fault_free_run_is_identical_to_unsupervised():
     nothing observable changes."""
     sharded = deploy(supervised=True)
     result = sharded.update_batch(list(BATCH))
-    report = ShardedQueryEngine(sharded).execute_batch(SPECS)
+    report = QueryEngine(sharded).execute_batch(SPECS)
     assert sharded.supervisor.stats.faults == 0
     assert result.ops == REFERENCE["result"].ops
     assert result.deferred == []
@@ -206,7 +217,7 @@ def test_quarantined_shard_degrades_queries_to_exact_subset(dead):
     disks[dead].heal()
     disks[dead].fail_every_nth_read = 1  # every read fails, forever
 
-    engine = ShardedQueryEngine(sharded)
+    engine = QueryEngine(sharded)
     report = engine.execute_batch(SPECS)
     supervisor = sharded.supervisor
 
@@ -305,3 +316,65 @@ def test_deferred_updates_rebuffer_through_the_pipeline():
     pipeline.flush()
     assert pipeline.pending == 0
     assert list(sharded.items()) == REFERENCE["items"]
+
+
+# ----------------------------------------------------------------------
+# Single queries read under the supervisor too
+# ----------------------------------------------------------------------
+
+#: Issuer 49's window and issuer 11's kNN probe: both fault-free answers
+#: hold users routed to shard 0, and issuer 49's friends live on every
+#: shard, so each entry point below reads every shard it can.
+RANGE = SPECS[3]
+KNN = KnnQuerySpec(11, *WORLD.states[11].position_at(130.0), 4, 130.0)
+
+
+def single_query(entry, sharded):
+    """One single-query entry point's answer on ``sharded``."""
+    if entry == "prq":
+        result = prq(sharded, RANGE.q_uid, RANGE.window, RANGE.t_query)
+        return sorted(result.uids), result.candidates_examined
+    if entry == "pcount":
+        result = pcount(sharded, RANGE.q_uid, RANGE.window, RANGE.t_query)
+        return result.count, result.candidates_examined
+    if entry == "pknn":
+        result = pknn(sharded, KNN.q_uid, KNN.qx, KNN.qy, KNN.k, KNN.t_query)
+        return (
+            [(round(d, 9), obj.uid) for d, obj in result.neighbors],
+            result.candidates_examined,
+            result.rounds,
+        )
+    monitor = ContinuousPRQ(sharded, RANGE.q_uid, RANGE.window, RANGE.t_query)
+    return sorted(monitor._tracked), sorted(monitor.result_at(RANGE.t_query))
+
+
+SINGLE_ENTRIES = ("prq", "pknn", "pcount", "continuous")
+
+
+@pytest.mark.parametrize("fail_reads", ({1}, {1, 5}), ids=("1", "1,5"))
+@pytest.mark.parametrize("entry", SINGLE_ENTRIES)
+def test_single_query_retries_transient_faults(entry, fail_reads):
+    expected = single_query(entry, deploy(supervised=False))
+    sharded = deploy(supervised=True)
+    schedule = TransientFaultSchedule(fail_reads=fail_reads)
+    for disk in shard_disks(sharded):
+        disk.heal()  # counters restart at 0: the indices are live
+        disk.schedule = schedule
+
+    assert single_query(entry, sharded) == expected
+    supervisor = sharded.supervisor
+    assert supervisor.stats.retries > 0
+    assert supervisor.stats.exhausted == 0
+    assert supervisor.stats.bands_dropped == 0
+
+
+@pytest.mark.parametrize("entry", SINGLE_ENTRIES)
+def test_single_query_on_a_quarantined_shard_raises(entry):
+    sharded = deploy(supervised=True)
+    disks = shard_disks(sharded)
+    disks[0].heal()
+    disks[0].fail_every_nth_read = 1  # every read fails, forever
+
+    with pytest.raises(DiskFaultError, match="quarantined shard"):
+        single_query(entry, sharded)
+    assert sharded.supervisor.stats.bands_dropped > 0

@@ -37,12 +37,13 @@ from hypothesis import strategies as st
 from repro.btree.tree import CHAIN_START, MAX_UID, BPlusTree
 from repro.core.ablation import make_zv_first_tree
 from repro.core.peb_tree import PEBTree
+from repro.engine import QueryEngine
 from repro.engine.plan import BandRequest
 from repro.engine.scanner import BandScanner
 from repro.motion.objects import MovingObject
 from repro.motion.partitions import TimePartitioner
 from repro.policy.store import PolicyStore
-from repro.shard import ShardedPEBTree, ShardedQueryEngine
+from repro.shard import ShardedPEBTree
 from repro.spatial.decompose import merge_intervals
 from repro.spatial.grid import Grid
 from repro.storage.buffer import BufferPool
@@ -469,7 +470,7 @@ def test_prefetch_enters_the_tree_once_per_shard_job(monkeypatch):
 
     monkeypatch.setattr(BandScanner, "prefetch", prefetch)
 
-    report = ShardedQueryEngine(sharded).execute_batch(specs)
+    report = QueryEngine(sharded).execute_batch(specs)
     assert calls["shard jobs"] >= 2
     assert calls["scan_bands_rows"] == calls["shard jobs"]
     assert calls["scan_band_rows"] == 0 and calls["scan_chunks"] == 0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench.oracle import brute_force_pknn
 from repro.core.pknn import pknn
-from repro.shard import ShardedQueryEngine
+from repro.engine import QueryEngine
 from repro.workloads.queries import KnnQuerySpec
 
 from tests.test_residency_pin import T_QUERY, pin_world
@@ -181,7 +181,7 @@ def test_query_points_outside_the_space_match_the_oracle(partitions):
     ]
     assert [[round(d, 9) for d, _ in found] for found in single] == expected
 
-    sharded = ShardedQueryEngine(build_sharded(world, 4)).execute_batch(specs)
+    sharded = QueryEngine(build_sharded(world, 4)).execute_batch(specs)
     assert [
         [round(d, 9) for d, _ in result.neighbors] for result in sharded.results
     ] == expected

@@ -38,7 +38,7 @@ from repro.core.peb_tree import PEBTree
 from repro.core.pknn import _MatrixSearch, pknn
 from repro.engine import QueryEngine
 from repro.fault import BreakerPolicy, RetryPolicy
-from repro.shard import ShardedPEBTree, ShardedQueryEngine
+from repro.shard import ShardedPEBTree
 from repro.shard.engine import ShardScatterScanner
 from repro.spatial.curves import HILBERT
 from repro.spatial.geometry import Rect
@@ -129,13 +129,13 @@ class ChargeLog(ShardScatterScanner):
 
 
 class SingleEngine(QueryEngine):
-    def _batch_scanner(self):
-        self.scanner = super()._batch_scanner()
+    def new_scanner(self):
+        self.scanner = super().new_scanner()
         return self.scanner
 
 
-class ShardEngine(ShardedQueryEngine):
-    def _batch_scanner(self):
+class ShardEngine(QueryEngine):
+    def new_scanner(self):
         self.scanner = ChargeLog(self.tree)
         return self.scanner
 

@@ -48,7 +48,7 @@ from repro.policy.lpp import LocationPrivacyPolicy
 from repro.policy.multistore import MultiPolicyStore
 from repro.policy.store import PolicyStore
 from repro.policy.timeset import TimeInterval, TimeSet
-from repro.shard import ShardedPEBTree, ShardedQueryEngine
+from repro.shard import ShardedPEBTree
 from repro.spatial import Grid
 from repro.spatial.geometry import Rect
 from repro.storage import BufferPool, SimulatedDisk
@@ -113,12 +113,6 @@ class UnprunedPlanner(QueryPlanner):
 
 
 class UnprunedEngine(QueryEngine):
-    def __init__(self, tree):
-        super().__init__(tree)
-        self.planner = UnprunedPlanner(tree)
-
-
-class UnprunedShardedEngine(ShardedQueryEngine):
     def __init__(self, tree):
         super().__init__(tree)
         self.planner = UnprunedPlanner(tree)
@@ -204,10 +198,8 @@ def build_tree(store, states, n_shards):
     return tree
 
 
-def engines(tree, n_shards):
-    if n_shards is None:
-        return QueryEngine(tree), UnprunedEngine(tree)
-    return ShardedQueryEngine(tree), UnprunedShardedEngine(tree)
+def engines(tree):
+    return QueryEngine(tree), UnprunedEngine(tree)
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +334,7 @@ def test_pruned_planner_matches_the_unpruned_reference(
         specs.append(KnnQuerySpec(q_uid, qx, qy, k, t_query))
 
     # -- a mixed batch through the deployment's own engine --
-    engine, reference_engine = engines(tree, n_shards)
+    engine, reference_engine = engines(tree)
     got, expected = engine.execute_batch(specs), reference_engine.execute_batch(specs)
     for spec, mine, theirs in zip(specs, got.results, expected.results):
         if isinstance(spec, RangeQuerySpec):
@@ -419,7 +411,7 @@ def test_one_visibility_map_per_query(n_shards):
     store = build_store(MultiPolicyStore, calls)
     states = build_states(3, 5.0)
     tree = build_tree(store, states, n_shards)
-    engine, _ = engines(tree, n_shards)
+    engine = QueryEngine(tree)
     specs = [
         RangeQuerySpec(uid, WINDOWS[uid % len(WINDOWS)], 5.0) for uid in range(8)
     ] + [KnnQuerySpec(uid, 400.0, 600.0, 3, 5.0) for uid in range(8, 12)]

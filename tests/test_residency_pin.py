@@ -38,7 +38,7 @@ from repro.engine import BandScanner, QueryEngine
 from repro.engine.scanner import NOT_QUIET, StratumResidency, _Tally
 from repro.fault import BreakerPolicy, RetryPolicy
 from repro.motion.rows import BandRows
-from repro.shard import ShardedPEBTree, ShardedQueryEngine
+from repro.shard import ShardedPEBTree
 from repro.shard.engine import ShardScatterScanner
 from repro.spatial import Grid
 from repro.spatial.curves import HILBERT
@@ -195,7 +195,7 @@ def test_mixed_batch_matches_the_per_band_reference(world, n_shards):
     assert any(isinstance(s, RangeQuerySpec) for s in specs)
     if n_shards:
         tree = build_sharded(world, n_shards)
-        engine, reference = ShardedQueryEngine, ShardedReferenceEngine
+        engine, reference = QueryEngine, ShardedReferenceEngine
     else:
         tree = world.peb
         engine, reference = QueryEngine, ReferenceEngine
@@ -360,7 +360,7 @@ def test_quarantined_strata_are_never_served_from_residency(world, dead):
     specs = knn_specs(world, n=4, k=3)
     reports = []
     for engine, scatter in (
-        (ShardedQueryEngine, ShardScatterScanner),
+        (QueryEngine, ShardScatterScanner),
         (ShardedReferenceEngine, reference_scatter),
     ):
         sharded = deploy_supervised(world)

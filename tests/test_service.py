@@ -29,7 +29,7 @@ from repro.service import (
     query_request,
     update_request,
 )
-from repro.shard import ShardedPEBTree, ShardedQueryEngine
+from repro.shard import ShardedPEBTree
 from repro.spatial.geometry import Rect
 from repro.workloads.queries import KnnQuerySpec, QueryGenerator, RangeQuerySpec
 
@@ -418,7 +418,7 @@ def test_timed_sharded_run_pins_to_direct_replay(arrival):
     )
     policy = BatchPolicy(max_batch=8, max_wait_us=2000.0)
     service = SimulatedService(
-        ShardedQueryEngine(sharded), UpdatePipeline(sharded, capacity=256), policy
+        QueryEngine(sharded), UpdatePipeline(sharded, capacity=256), policy
     )
     report = service.run(requests)
 
@@ -433,7 +433,7 @@ def test_timed_sharded_run_pins_to_direct_replay(arrival):
     assert report.stats.physical_reads > 0
 
     # Replay pin: same batches, direct application, twin deployment.
-    twin_engine = ShardedQueryEngine(twin)
+    twin_engine = QueryEngine(twin)
     twin_pipeline = UpdatePipeline(twin, capacity=256)
     for batch in report.batches:
         if batch.updates:
@@ -483,7 +483,7 @@ def test_smaller_batches_trade_reads_for_latency():
         )
         requests = loop.generate(40, rate_per_sec=4000.0, update_fraction=0.5)
         service = SimulatedService(
-            ShardedQueryEngine(sharded), UpdatePipeline(sharded, capacity=256), policy
+            QueryEngine(sharded), UpdatePipeline(sharded, capacity=256), policy
         )
         return service.run(requests)
 
@@ -532,7 +532,7 @@ def test_serving_path_starts_no_thread(monkeypatch):
     monkeypatch.setattr(sharded.io, "run_timed", counting_run_timed)
     monkeypatch.setattr(threading.Thread, "start", no_threads)
     service = SimulatedService(
-        ShardedQueryEngine(sharded),
+        QueryEngine(sharded),
         UpdatePipeline(sharded, capacity=256),
         BatchPolicy(max_batch=16, max_wait_us=4000.0),
     )

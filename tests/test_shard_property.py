@@ -2,10 +2,10 @@
 
 The sharding layer is a *deployment* change, never a different index:
 over randomized populations and workloads, an N-shard
-:class:`repro.shard.ShardedPEBTree` driven by the scatter/gather
-:class:`repro.shard.ShardedQueryEngine` and the shared
-:class:`repro.engine.UpdatePipeline` must be observationally identical
-to one PEB-tree driven by the plain engine —
+:class:`repro.shard.ShardedPEBTree`, read through its scatter/gather
+scanner by the one :class:`repro.engine.QueryEngine` and written by the
+shared :class:`repro.engine.UpdatePipeline`, must be observationally
+identical to one PEB-tree driven by the same engine —
 
 * per-query results *and* ``candidates_examined`` for mixed
   range/kNN batches, for shards ∈ {1, 2, 4};
@@ -19,7 +19,9 @@ to one PEB-tree driven by the plain engine —
 import pytest
 
 from repro.engine import QueryEngine, UpdatePipeline
-from repro.shard import ShardedPEBTree, ShardedQueryEngine
+from repro.engine.plan import BandRequest
+from repro.shard import ShardedPEBTree
+from repro.shard.engine import ShardScatterScanner
 from repro.workloads.queries import RangeQuerySpec
 
 from tests.conftest import build_world
@@ -66,7 +68,7 @@ def test_sharded_batch_identical_to_single_tree(world, n_shards):
     specs = world.query_generator().mixed_queries(world.states, 30, 260.0, 4, 5.0)
 
     single = QueryEngine(world.peb).execute_batch(specs)
-    shard = ShardedQueryEngine(sharded).execute_batch(specs)
+    shard = QueryEngine(sharded).execute_batch(specs)
 
     assert len(shard.results) == len(specs)
     for spec, expected, got in zip(specs, single.results, shard.results):
@@ -99,9 +101,9 @@ def test_boundary_straddling_band_scans_identically(world, n_shards):
             (zv, obj.uid)
             for zv, obj in world.peb.scan_band(tid, sv_lo, sv_hi, 0, world.grid.max_z)
         ]
+        band = BandRequest(tid, sv_lo, sv_hi, 0, world.grid.max_z)
         sharded_rows = [
-            (zv, obj.uid)
-            for zv, obj in sharded.scan_band_rows(tid, sv_lo, sv_hi, 0, world.grid.max_z)
+            (zv, obj.uid) for zv, obj in ShardScatterScanner(sharded).scan(band)
         ]
         assert sharded_rows == single
         band_checked += len(single)
@@ -110,7 +112,7 @@ def test_boundary_straddling_band_scans_identically(world, n_shards):
     # And through the engine: the Figure 7 span-scan ablation plans
     # multi-SV bands over the friend list's [SV_min, SV_max] range.
     single_engine = QueryEngine(world.peb)
-    shard_engine = ShardedQueryEngine(sharded)
+    shard_engine = QueryEngine(sharded)
     for spec in world.query_generator().range_queries(world.uids, 10, 320.0, 5.0):
         expected = single_engine.execute_span_scan(spec.q_uid, spec.window, spec.t_query)
         got = shard_engine.execute_span_scan(spec.q_uid, spec.window, spec.t_query)
@@ -165,7 +167,7 @@ def test_sharded_updates_identical_to_single_tree(world, n_shards):
     # Queries after the churn still agree.
     specs = generator.range_queries(world.uids, 12, 240.0, 130.0)
     single_report = QueryEngine(world.peb).execute_batch(specs)
-    shard_report = ShardedQueryEngine(sharded).execute_batch(specs)
+    shard_report = QueryEngine(sharded).execute_batch(specs)
     for spec, expected, got in zip(specs, single_report.results, shard_report.results):
         assert got.uids == expected.uids, spec
         assert got.candidates_examined == expected.candidates_examined, spec
@@ -184,7 +186,7 @@ def test_pipeline_breakdown_excludes_io_between_flushes(world):
     pipeline.extend(stream[:100])
     pipeline.flush()
     specs = generator.range_queries(world.uids, 20, 240.0, 50.0)
-    report = ShardedQueryEngine(sharded).execute_batch(specs)
+    report = QueryEngine(sharded).execute_batch(specs)
     assert report.stats.physical_reads > 0  # the interloper did real I/O
     pipeline.extend(stream[100:])
     pipeline.flush()
@@ -253,8 +255,8 @@ def test_parallel_io_timed_identical_to_sequential(world, n_shards):
 
     specs = generator.mixed_queries(world.states, 24, 260.0, 4, 130.0)
     single_report = QueryEngine(world.peb).execute_batch(specs)
-    sequential_report = ShardedQueryEngine(sequential).execute_batch(specs)
-    overlapped_report = ShardedQueryEngine(overlapped).execute_batch(specs)
+    sequential_report = QueryEngine(sequential).execute_batch(specs)
+    overlapped_report = QueryEngine(overlapped).execute_batch(specs)
 
     for spec, expected, seq, par in zip(
         specs,

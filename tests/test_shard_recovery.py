@@ -7,8 +7,9 @@ the post-checkpoint updates replayed through the tree's own batch
 path, and its breaker closed — all without touching the other shards.
 """
 
+from repro.engine import QueryEngine
 from repro.fault import BreakerPolicy, RetryPolicy
-from repro.shard import ShardCheckpointer, ShardedPEBTree, ShardedQueryEngine
+from repro.shard import ShardCheckpointer, ShardedPEBTree
 from repro.storage.faults import FaultyDisk
 
 from tests.conftest import build_world
@@ -138,7 +139,7 @@ def test_recover_closes_the_breaker_and_requeues_deferred(tmp_path):
 
     # And the recovered shard serves queries again, un-degraded.
     specs = WORLD.query_generator().range_queries(WORLD.uids, 6, 240.0, 100.0)
-    report = ShardedQueryEngine(sharded).execute_batch(specs)
+    report = QueryEngine(sharded).execute_batch(specs)
     assert report.degraded == [False] * len(specs)
 
 

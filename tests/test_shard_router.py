@@ -3,10 +3,10 @@
 import pytest
 
 from repro.core.peb_key import PEBKeyCodec
-from repro.engine import UpdatePipeline
+from repro.engine import QueryEngine, UpdatePipeline
 from repro.engine.plan import BandRequest
 from repro.motion.objects import MovingObject
-from repro.shard import ShardRouter, ShardStats, ShardedPEBTree, ShardedQueryEngine
+from repro.shard import ShardRouter, ShardStats, ShardedPEBTree
 from repro.shard.engine import ShardScatterScanner
 from repro.storage import BufferPool, IOStats, SimulatedDisk, StatsView, merge_stats
 
@@ -271,7 +271,7 @@ def test_timed_prefetch_fork_join_matches_untimed_exactly():
     for tree in (untimed_tree, timed_tree):
         with UpdatePipeline(tree, capacity=64) as pipeline:
             pipeline.extend(stream)
-        reports.append(ShardedQueryEngine(tree).execute_batch(specs))
+        reports.append(QueryEngine(tree).execute_batch(specs))
     untimed_report, timed_report = reports
 
     for expected, got in zip(untimed_report.results, timed_report.results):

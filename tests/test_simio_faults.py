@@ -13,7 +13,7 @@ counts completed transfers, a failed access charges no virtual time.
 import pytest
 
 from repro.engine import QueryEngine
-from repro.shard import ShardedPEBTree, ShardedQueryEngine
+from repro.shard import ShardedPEBTree
 from repro.storage.faults import (
     ChecksummedDisk,
     CorruptPageError,
@@ -75,7 +75,7 @@ def test_injected_fault_surfaces_through_the_timed_parallel_stack(world):
     elapsed_before = clock.elapsed
     accesses_before = sharded.latency_stats.accesses
     reads_before = sharded.stats.physical_reads
-    engine = ShardedQueryEngine(sharded)
+    engine = QueryEngine(sharded)
     with pytest.raises(DiskFaultError):
         engine.execute_batch(specs)
     assert sum(disk.injected_faults for disk in faulty) > 0
@@ -88,7 +88,7 @@ def test_injected_fault_surfaces_through_the_timed_parallel_stack(world):
     # no partial state was kept anywhere in the stack.
     for disk in faulty:
         disk.heal()
-    report = ShardedQueryEngine(sharded).execute_batch(specs)
+    report = QueryEngine(sharded).execute_batch(specs)
     expected = QueryEngine(world.peb).execute_batch(specs)
     for spec, single, shard in zip(specs, expected.results, report.results):
         assert single.uids == shard.uids, spec
@@ -115,7 +115,7 @@ def test_corruption_surfaces_through_the_timed_parallel_stack(world):
         timed.inner.corrupt(tree.btree.root_id, bit=3)
 
     with pytest.raises(CorruptPageError):
-        ShardedQueryEngine(sharded).execute_batch(batch_specs(world))
+        QueryEngine(sharded).execute_batch(batch_specs(world))
     # The corrupted transfer was detected after the inner read, before
     # the timed layer charged it: no virtual time for a failed access.
     assert sharded.latency_stats.accesses == latency_before
@@ -125,7 +125,7 @@ def test_fault_free_timed_fault_stack_matches_the_single_tree(world):
     """The full composition (Timed over Faulty), healthy, is a no-op."""
     sharded = build_timed_sharded(world, lambda shard: FaultyDisk(page_size=1024))
     specs = batch_specs(world)
-    report = ShardedQueryEngine(sharded).execute_batch(specs)
+    report = QueryEngine(sharded).execute_batch(specs)
     expected = QueryEngine(world.peb).execute_batch(specs)
     for spec, single, shard in zip(specs, expected.results, report.results):
         assert single.uids == shard.uids, spec

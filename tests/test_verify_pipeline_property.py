@@ -1,6 +1,6 @@
 """Property pin for the verify CPU's priced schedule.
 
-On a timed deployment ``ShardedQueryEngine`` prices a range query's
+On a timed deployment the scatter scanner prices a range query's
 verification band by band on one CPU timeline: a band's rows may be
 verified once its *stratum* has landed (``StratumResidency.landed``,
 stamped by the shard job's prefetch sweep) and this query's previous
@@ -30,8 +30,9 @@ checks
     the priced order, over rows from ``tests/reference_scan.py``,
     examines per band what was booked and yields the query's ``uids``
     and ``candidates_examined``;
-(c) **timing only** — results, counters and physical reads equal
-    ``pipeline_verify=False`` and an untimed clone.
+(c) **timing only** — results, counters and physical reads equal the
+    serial-after-the-join schedule (:class:`SerialScatter`) and an
+    untimed clone.
 
 Four mutants that must fail it (checked by hand when written):
 dropping the same-SV chain (``ready = resident.landed`` in
@@ -50,10 +51,10 @@ double-booking the CPU in mixed batches.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import BandScanner, UpdatePipeline
+from repro.engine import BandScanner, QueryEngine, UpdatePipeline
 from repro.engine.verify import CandidateVerifier
 from repro.fault import BreakerPolicy, RetryPolicy
-from repro.shard import ShardedPEBTree, ShardedQueryEngine
+from repro.shard import ShardedPEBTree
 from repro.shard.engine import ShardScatterScanner
 from repro.spatial.geometry import Rect
 from repro.storage.faults import FaultWindowSchedule, FaultyDisk
@@ -183,9 +184,43 @@ class RecordingScatter(ShardScatterScanner):
         return super().end_search()
 
 
-class RecordingEngine(ShardedQueryEngine):
-    def _batch_scanner(self):
-        self.scatter = RecordingScatter(self.tree)
+class SerialScatter(ShardScatterScanner):
+    """Verification serial, after the join: each query's candidates are
+    charged on the worker's cursor as it replays, and the kNN searches
+    run there too, after the range queries — nothing is pipelined."""
+
+    def charge_query(self, examined, knn):
+        self.scheduler.clock.advance(examined * self.tree.latency_model.verify_us)
+
+    def start_searches(self):
+        pass
+
+    def end_searches(self):
+        pass
+
+
+class OnDemandScatter(ShardScatterScanner):
+    """Nothing prefetched, so no stratum is stamped: every band is
+    scanned on demand."""
+
+    def prefetch(self, bands):
+        pass
+
+
+class OnDemandSerialScatter(OnDemandScatter, SerialScatter):
+    pass
+
+
+class EngineOn(QueryEngine):
+    """The engine reading through a test-local scatter scanner class;
+    the last one it built is :attr:`scatter`."""
+
+    def __init__(self, tree, scatter_class):
+        super().__init__(tree)
+        self.scatter_class = scatter_class
+
+    def new_scanner(self):
+        self.scatter = self.scatter_class(self.tree)
         return self.scatter
 
 
@@ -284,10 +319,10 @@ def test_priced_schedule_is_feasible_and_describes_the_execution(
     t0 = clock.cursor()
     assert serial.sim_clock.cursor() == t0
 
-    engine = RecordingEngine(pipelined)
+    engine = EngineOn(pipelined, RecordingScatter)
     report = engine.execute_batch(specs)
-    serial_report = ShardedQueryEngine(serial, pipeline_verify=False).execute_batch(specs)
-    untimed_report = ShardedQueryEngine(untimed).execute_batch(specs)
+    serial_report = EngineOn(serial, SerialScatter).execute_batch(specs)
+    untimed_report = QueryEngine(untimed).execute_batch(specs)
     scatter = engine.scatter
     items = scatter.verify_items
     order, spans = price(items, verify_us)
@@ -387,19 +422,20 @@ def test_pipeline_beats_the_join_barrier_and_serial_charges_the_rest():
     un-prefetched batch (nothing stamped) prices exactly the serial
     schedule."""
     specs = WORLD.query_generator().range_queries(WORLD.uids, 12, 420.0, 130.0)
-    ends = {}
-    for pipeline_verify in (True, False):
+    ends = []
+    for scatter in (ShardScatterScanner, SerialScatter):
         sharded = deploy(4, timed=True)
-        engine = ShardedQueryEngine(sharded, pipeline_verify=pipeline_verify)
-        report = engine.execute_batch(specs)
+        report = EngineOn(sharded, scatter).execute_batch(specs)
         assert report.stats.candidates_examined > 0
-        ends[pipeline_verify] = sharded.sim_clock.cursor()
-    assert ends[True] < ends[False]
+        ends.append(sharded.sim_clock.cursor())
+    pipelined_end, serial_end = ends
+    assert pipelined_end < serial_end
 
-    on_demand = {}
-    for pipeline_verify in (True, False):
+    on_demand = []
+    for scatter in (OnDemandScatter, OnDemandSerialScatter):
         sharded = deploy(4, timed=True)
-        engine = ShardedQueryEngine(sharded, pipeline_verify=pipeline_verify)
-        engine.execute_batch(specs, prefetch=False)
-        on_demand[pipeline_verify] = sharded.sim_clock.cursor()
-    assert on_demand[True] == on_demand[False]
+        report = EngineOn(sharded, scatter).execute_batch(specs)
+        assert report.stats.entries_prefetched == 0
+        on_demand.append(sharded.sim_clock.cursor())
+    pipelined_end, serial_end = on_demand
+    assert pipelined_end == serial_end

@@ -11,7 +11,7 @@ pinned here rather than left to the oracle's end results:
   paper-literal ``PEBTree.scan_band``: the same ``(zv, object)`` pairs in
   the same order for the same page reads, on the SV-major layout and the
   ZV-first ablation layout, for single-SV bands and multi-SV spans.
-  (``ShardedPEBTree.scan_band_rows`` against the single tree's
+  (``ShardScatterScanner.scan`` against the single tree's
   ``scan_band`` on boundary-straddling bands:
   ``test_shard_property.test_boundary_straddling_band_scans_identically``.)
 """
