@@ -68,9 +68,17 @@ def compatibility(
 
 
 def check_domains(space_area: float, time_domain: float) -> None:
-    """Reject a normalization Equation 4 cannot divide by."""
-    if space_area <= 0 or time_domain <= 0:
-        raise ValueError("space_area and time_domain must be positive")
+    """Reject a normalization Equation 4 cannot divide by.
+
+    Both must be positive and finite: a NaN passes every ``<= 0`` test
+    and would make every degree NaN, and an infinite S or T rounds every
+    one-way weight to 0, silently unrelating every one-way pair.
+    """
+    if not (0.0 < space_area < math.inf and 0.0 < time_domain < math.inf):
+        raise ValueError(
+            "space_area and time_domain must be positive and finite, got "
+            f"{space_area} and {time_domain}"
+        )
 
 
 def one_way_weight(
@@ -99,6 +107,11 @@ def equation4(
     pass (:meth:`repro.policy.store.PolicyStore.compatibility_edges`),
     which validates S and T once and computes each weight once per policy
     instead of once per pair.
+
+    C is monotone in each weight and a mutual pair ranks above 0.5, so C
+    is 0 only when both one-way terms ``weight / 2`` are 0:
+    :meth:`repro.policy.store.PolicyStore.compatibility_peers` evaluates
+    this function only for such pairs.
     """
     if p12 is not None and p21 is not None:
         region_overlap = p12.locr.overlap_area(p21.locr)

@@ -3,7 +3,9 @@ techniques").
 
 The Figure 5 algorithm (:func:`repro.core.sequencing.assign_sequence_values`)
 is one way to linearize the *compatibility graph* — users as vertices,
-non-zero C(u, v) as weighted edges — into one real per user.  Any
+non-zero C(u, v) as weighted edges — into one real per user; it reads
+only the group sizes and one degree per member it places.  BFS walks
+the whole graph, built here by :func:`compatibility_graph`.  Any
 linearization that keeps related users close produces a working PEB-tree;
 what changes is how well each friend cluster lands on few leaf pages.
 
@@ -27,6 +29,7 @@ I/O costs differ (measured in ``benchmarks/bench_ablations.py``).
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from typing import Protocol
 
 from repro.core.sequencing import (
@@ -34,7 +37,6 @@ from repro.core.sequencing import (
     DEFAULT_INITIAL_SV,
     EncodingReport,
     assign_sequence_values,
-    compatibility_graph,
 )
 from repro.obs.timer import timer
 from repro.policy.store import PolicyStore
@@ -51,8 +53,24 @@ class SequenceEncoder(Protocol):
         ...
 
 
-def _edge(adjacency: dict[int, dict[int, float]], u: int, v: int) -> float:
-    return adjacency.get(u, {}).get(v, 0.0)
+def compatibility_graph(
+    store: PolicyStore, space_area: float
+) -> tuple[dict[int, dict[int, float]], int]:
+    """The compatibility graph as ``{u: {peer: C}}``, and its edge count.
+
+    Both directions of every edge of the store's pass
+    (:meth:`repro.policy.store.PolicyStore.compatibility_edges`).  The
+    pass dispatches on the store, so multi-policy directories (Section 8
+    future work) plug in their set semantics.  BFS reads a degree for
+    every edge it pushes; Figure 5 reads one per member it places and
+    does without the graph.
+    """
+    adjacency: dict[int, dict[int, float]] = defaultdict(dict)
+    pair_count = 0
+    for u, v, degree in store.compatibility_edges(space_area):
+        adjacency[u][v] = adjacency[v][u] = degree
+        pair_count += 1
+    return adjacency, pair_count
 
 
 class Figure5Encoder:
@@ -116,8 +134,8 @@ class BFSEncoder:
             values[seed] = cursor
             # Max-heap on compatibility; ties broken by uid for determinism.
             frontier = [
-                (-_edge(adjacency, seed, peer), peer)
-                for peer in adjacency.get(seed, ())
+                (-degree, peer)
+                for peer, degree in adjacency.get(seed, {}).items()
                 if peer not in values
             ]
             heapq.heapify(frontier)
@@ -127,11 +145,9 @@ class BFSEncoder:
                     continue
                 cursor = cursor + (1.0 + neg_compat)  # 1 - C to the parent
                 values[uid] = cursor
-                for peer in adjacency.get(uid, ()):
+                for peer, degree in adjacency[uid].items():
                     if peer not in values:
-                        heapq.heappush(
-                            frontier, (-_edge(adjacency, uid, peer), peer)
-                        )
+                        heapq.heappush(frontier, (-degree, peer))
 
         elapsed = watch.stop()
         return EncodingReport(

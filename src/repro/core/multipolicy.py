@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.compatibility import CompatibilityResult
+from repro.core.compatibility import CompatibilityResult, check_domains
 from repro.policy.lpp import LocationPrivacyPolicy
 from repro.policy.timeset import TimeInterval, TimeSet
 from repro.spatial.geometry import Rect
@@ -143,8 +143,7 @@ def set_compatibility(
     :func:`repro.core.compatibility.compatibility` produces; for
     one-element inputs the two functions agree exactly (property-tested).
     """
-    if space_area <= 0 or time_domain <= 0:
-        raise ValueError("space_area and time_domain must be positive")
+    check_domains(space_area, time_domain)
     if not granted_by_u1 and not granted_by_u2:
         return CompatibilityResult(alpha=0.0, degree=0.0, mutual=False)
 

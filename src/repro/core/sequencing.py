@@ -13,6 +13,12 @@ group:
   different groups of users as well as leaves adjustment space for future
   policy updates").
 
+The group sizes come from the policy directory
+(:meth:`repro.policy.store.PolicyStore.compatibility_peers`), and C is
+evaluated once per member placed, not once per related pair: a group's
+members are only those not yet placed, so most of the pairs Figure 5's
+lines 1-4 would compare are never read.
+
 The function reproduces the worked example of Section 5.1 exactly (see
 ``tests/test_sequencing.py``).
 
@@ -23,7 +29,6 @@ duration so the Figure 11 preprocessing experiment can be regenerated.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.obs.timer import timer
@@ -51,24 +56,6 @@ class EncodingReport:
     related_pair_count: int
 
 
-def compatibility_graph(
-    store: PolicyStore, space_area: float
-) -> tuple[dict[int, dict[int, float]], int]:
-    """Lines 1-4 of Figure 5: the groups ``G(u)`` as ``{u: {member: C}}``.
-
-    Adjacency of the compatibility graph — both directions of every edge
-    of the store's pass — and the number of edges.  The pass dispatches
-    on the store, so multi-policy directories (Section 8 future work)
-    plug in their set semantics.
-    """
-    groups: dict[int, dict[int, float]] = defaultdict(dict)
-    pair_count = 0
-    for u, v, degree in store.compatibility_edges(space_area):
-        groups[u][v] = groups[v][u] = degree
-        pair_count += 1
-    return groups, pair_count
-
-
 def assign_sequence_values(
     users: list[int],
     store: PolicyStore,
@@ -82,8 +69,9 @@ def assign_sequence_values(
         users: every uid in the system, in registration order (the sort is
             stable, so registration order breaks group-size ties exactly
             like the paper's worked example).
-        store: policy directory; only pairs connected by a policy are
-            compared, everything else has C = 0 by definition.
+        store: policy directory; only a leader and the members it places
+            are compared, everything else has C = 0 by definition or is
+            never read.
         space_area: S, the normalization area of the space domain.
         initial_sv: SV of the first user in the sorted list (sv > 1).
         delta: group separation gap (δ > 1).
@@ -98,7 +86,8 @@ def assign_sequence_values(
 
     watch = timer()
 
-    groups, pair_count = compatibility_graph(store, space_area)
+    # Lines 1-4: the groups G(u), without their degrees.
+    groups = store.compatibility_peers(space_area)
 
     # Line 5: sort users by group size, descending; Python's sort is
     # stable, so ties keep registration order.
@@ -113,8 +102,12 @@ def assign_sequence_values(
             leader_sv = previous_sv + delta
             sequence_values[uid] = leader_sv
             group_count += 1
-            for member, degree in groups.get(uid, {}).items():
+            for member in groups.get(uid, ()):
                 if member not in sequence_values:
+                    # C in the orientation of the store's edge pass
+                    # (smaller uid first), so the float is the pass's.
+                    pair = (uid, member) if uid < member else (member, uid)
+                    degree = store.pair_compatibility(*pair, space_area).degree
                     sequence_values[member] = leader_sv + (1.0 - degree)
         previous_sv = sequence_values[uid]
 
@@ -123,5 +116,5 @@ def assign_sequence_values(
         sequence_values=sequence_values,
         elapsed_seconds=elapsed,
         group_count=group_count,
-        related_pair_count=pair_count,
+        related_pair_count=sum(map(len, groups.values())) // 2,
     )

@@ -53,11 +53,25 @@ class MultiPolicyStore(PolicyStore):
         self, space_area: float
     ) -> Iterator[tuple[int, int, float]]:
         """The base store's edge pass under set-compatibility."""
+        from repro.core.compatibility import check_domains
         from repro.core.multipolicy import set_compatibility
 
+        check_domains(space_area, self.time_domain)
         for u, v, granted_by_u, granted_by_v in self._related():
             degree = set_compatibility(
                 granted_by_u, granted_by_v, space_area, self.time_domain
             ).degree
             if degree > 0.0:
                 yield u, v, degree
+
+    def compatibility_peers(self, space_area: float) -> dict[int, set[int]]:
+        """The edge pass folded into peer sets.
+
+        A stacked pair's degree is a volume sweep: no one policy's weight
+        decides whether it is 0, so every pair is compared.
+        """
+        peers: dict[int, set[int]] = {}
+        for u, v, _ in self.compatibility_edges(space_area):
+            peers.setdefault(u, set()).add(v)
+            peers.setdefault(v, set()).add(u)
+        return peers

@@ -16,6 +16,7 @@ silently double-count.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator
 
 from repro.policy.lpp import LocationPrivacyPolicy
@@ -42,6 +43,10 @@ class PolicyStore:
         time_domain: float = DEFAULT_TIME_DOMAIN,
         locations: SemanticLocationRegistry | None = None,
     ):
+        if not 0.0 < time_domain < math.inf:
+            raise ValueError(
+                f"time_domain must be positive and finite, got {time_domain}"
+            )
         self.time_domain = time_domain
         self.locations = locations if locations is not None else SemanticLocationRegistry()
         self.roles = RoleRegistry()
@@ -194,10 +199,10 @@ class PolicyStore:
     ) -> Iterator[tuple[int, int, float]]:
         """``(u, v, C(u, v))`` per related pair: once, ``u < v``, ``C > 0``.
 
-        The compatibility graph every sequence-value encoder linearizes,
-        in one pass over the directory: S and T are validated once and a
-        policy's one-way weight is computed once however many edges
-        share the policy.  Degrees equal :meth:`pair_compatibility`'s.
+        The compatibility graph the BFS encoder linearizes, in one pass
+        over the directory: S and T are validated once and a policy's
+        one-way weight is computed once however many edges share the
+        policy.  Degrees equal :meth:`pair_compatibility`'s.
         """
         from repro.core.compatibility import check_domains, equation4, one_way_weight
 
@@ -221,6 +226,52 @@ class PolicyStore:
             )[1]
             if degree > 0.0:
                 yield u, v, degree
+
+    def compatibility_peers(self, space_area: float) -> dict[int, set[int]]:
+        """``{u: {v : C(u, v) > 0}}``: each user's related peers, no degrees.
+
+        The pairs :meth:`compatibility_edges` yields, read off the
+        directory: a user's peers are the owners in its row and the
+        viewers it granted, less the pairs whose degree is 0.  Equation 4
+        is monotone in each one-way weight and ranks a mutual pair above
+        0.5, so only a pair none of whose policies has a positive one-way
+        term (``weight / 2``) can have degree 0, and only such a pair is
+        compared in full.
+        """
+        from repro.core.compatibility import check_domains, one_way_weight
+
+        time_domain = self.time_domain
+        check_domains(space_area, time_domain)
+
+        def weightless(policies: tuple[LocationPrivacyPolicy, ...]) -> bool:
+            return not (
+                policies
+                and one_way_weight(policies[0], space_area, time_domain) / 2.0 > 0.0
+            )
+
+        directory = self._directory
+        peers = {viewer: set(row) for viewer, row in directory.items()}
+        for owner, viewers in self._viewers_by_owner.items():
+            if owner in peers:
+                peers[owner] |= viewers
+            else:
+                peers[owner] = set(viewers)
+        # One policy tuple per install, shared by every row it entered.
+        grants: dict[int, tuple[LocationPrivacyPolicy, ...]] = {}
+        for row in directory.values():
+            grants.update(zip(map(id, row.values()), row.values()))
+        for policies in grants.values():
+            if not weightless(policies):
+                continue
+            owner = policies[0].owner
+            for viewer in self._viewers_by_owner[owner]:
+                reverse = directory.get(owner, {}).get(viewer, ())
+                if directory[viewer][owner] is policies and weightless(reverse):
+                    u, v = (owner, viewer) if owner < viewer else (viewer, owner)
+                    if not self.pair_compatibility(u, v, space_area).degree > 0.0:
+                        peers[u].discard(v)
+                        peers[v].discard(u)
+        return peers
 
     def sequence_value(self, uid: int) -> float:
         """SV of a user (KeyError until the encoder ran)."""

@@ -3,9 +3,12 @@
 ``PolicyStore.compatibility_edges`` walks the directory once, validates
 S and T once and computes a policy's one-way weight once per policy
 object; ``related_pairs()`` followed by ``pair_compatibility()`` per pair
-— what both encoder paths used to run — is the reference.  The degrees
-must be ``==``, not close: every sequence value, PEB-key and page image
-downstream is a function of them.
+is the reference.  The degrees must be ``==``, not close: the BFS
+encoder reads every one of them, and Figure 5 reads a placed member's
+degree through ``pair_compatibility`` in the pass's orientation, so
+every sequence value, PEB-key and page image downstream is a function
+of them.  ``compatibility_peers``, which Figure 5 sizes its groups by,
+must name exactly the pairs the pass yields.
 
 The stores are small and drawn from a handful of regions and windows on
 purpose: one-way and mutual pairs, time windows that wrap midnight,
@@ -93,6 +96,20 @@ def test_edge_pass_equals_pair_at_a_time(store_type, calls):
     edges = list(store.compatibility_edges(S))
     assert len(edges) == len(expected)
     assert {(u, v): degree for u, v, degree in edges} == expected
+
+
+@pytest.mark.parametrize("store_type", [PolicyStore, MultiPolicyStore])
+@settings(max_examples=150, deadline=None)
+@given(calls=POLICY_CALLS)
+def test_peers_are_the_pairs_of_the_edge_pass(store_type, calls):
+    store = build(store_type, calls)
+    expected = {user: set() for user in USERS}
+    for u, v, _ in store.compatibility_edges(S):
+        expected[u].add(v)
+        expected[v].add(u)
+    peers = store.compatibility_peers(S)
+    assert {user: peers.get(user, set()) for user in USERS} == expected
+    assert set(peers) <= set(USERS)
 
 
 @pytest.mark.parametrize("store_type", [PolicyStore, MultiPolicyStore])
