@@ -44,7 +44,6 @@ from repro.policy import (
     LocationPrivacyPolicy,
     MultiPolicyStore,
     PolicyStore,
-    RoleRegistry,
     SemanticLocationRegistry,
     TimeInterval,
     TimeSet,
@@ -89,7 +88,6 @@ __all__ = [
     "QueryCosts",
     "QueryGenerator",
     "Rect",
-    "RoleRegistry",
     "SemanticLocationRegistry",
     "SimClock",
     "SimulatedDisk",

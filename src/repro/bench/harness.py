@@ -25,7 +25,7 @@ from repro.core.prq import prq
 from repro.counters import CounterSet, derived
 from repro.engine import QueryEngine, UpdatePipeline
 from repro.core.sequencing import EncodingReport, assign_sequence_values
-from repro.obs import MetricsRegistry, attach_recorder
+from repro.obs import MetricsRegistry
 from repro.service import (
     BatchPolicy,
     OpenLoopGenerator,
@@ -636,20 +636,18 @@ class ExperimentHarness:
 
         self._start_measuring(self.peb_pool)
         self.peb_pool.clear()
-        if trace_recorder is not None:
-            # The harness tree runs on untimed storage, so these spans
-            # carry counters rather than durations; `serve-sim --trace`
-            # is the timed surface.
-            attach_recorder(self.peb_tree, trace_recorder)
+        # The harness tree runs on untimed storage, so these spans
+        # carry counters rather than durations; `serve-sim --trace` is
+        # the timed surface.
+        self.peb_tree.recorder = trace_recorder
         started = time.perf_counter()
         try:
             report = QueryEngine(self.peb_tree).execute_batch(specs)
         finally:
-            if trace_recorder is not None:
-                self.peb_tree.trace_recorder = None
+            self.peb_tree.recorder = None
         batched_seconds = time.perf_counter() - started
         batched_reads = self._stop_measuring(self.peb_pool)
-        if trace_recorder is not None and getattr(trace_recorder, "enabled", False):
+        if trace_recorder is not None and trace_recorder.enabled:
             registry = MetricsRegistry()
             report.stats.publish(registry)
             trace_recorder.metadata("metrics", registry.snapshot())
@@ -1220,8 +1218,7 @@ class ExperimentHarness:
             pool.clear()
             pool.resize(per_shard_pages)
         deployment.stats.reset()
-        if trace_recorder is not None:
-            attach_recorder(deployment, trace_recorder)
+        deployment.recorder = trace_recorder
 
         admission = BatchPolicy(
             max_batch=max_batch,
@@ -1236,7 +1233,7 @@ class ExperimentHarness:
         if callable(disarm):
             disarm()
 
-        if trace_recorder is not None and getattr(trace_recorder, "enabled", False):
+        if trace_recorder is not None and trace_recorder.enabled:
             # One queryable snapshot across every layer's stats dialect,
             # embedded in the trace (read before the pin's audit scan
             # touches the counters).  The run-level fault.* and shard.*

@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Iterator
 
 from repro.btree.tree import MAX_UID, BatchOp, BPlusTree, BTreeConfig
 from repro.core.peb_key import DEFAULT_SV_BITS, PEBKeyCodec, derive_sv_scale
+from repro.engine.deployment import Deployment
 from repro.engine.scanner import BandScanner
 from repro.motion.objects import MovingObject, ObjectRecordCodec
 from repro.motion.rows import BandRows
@@ -146,8 +147,9 @@ def plan_update_batch(
     return plan
 
 
-class PEBTree:
-    """Moving-object index over PEB-keys.
+class PEBTree(Deployment):
+    """Moving-object index over PEB-keys: the one-shard deployment
+    (no router, scheduler or supervisor).
 
     Args:
         pool: buffer pool (and disk) this index owns.
@@ -190,6 +192,7 @@ class PEBTree:
         self._live_keys: dict[int, int] = {}
         self.max_speed_x = 0.0
         self.max_speed_y = 0.0
+        self._time_on((pool.disk,))
 
     @classmethod
     def attach(
@@ -228,6 +231,7 @@ class PEBTree:
         tree._live_keys = dict(live_keys)
         tree.max_speed_x = max_speed_x
         tree.max_speed_y = max_speed_y
+        tree._time_on((btree.pool.disk,))
         if recompute_speeds:
             max_vx, max_vy = tree._scan_speed_maxima()
             tree.max_speed_x = max(tree.max_speed_x, max_vx)

@@ -320,11 +320,12 @@ class _MatrixSearch:
         interval is skipped; elsewhere a piece the stratum's residency
         has proven is answered from it (an empty one costs a
         bisection), only an unproven piece becomes a band request, and
-        the quiet interval is taken afresh.  The scanner is told before
-        a stratum is read and what each admitted row set cost to verify
-        (the sharded batch engine times a search with them).
+        the quiet interval is taken afresh.  A scanner's verify
+        timeline, if any, is told before a stratum is read and what each
+        admitted row set cost (a timed sharded batch times a search so).
         """
         scanner = self.scanner
+        timeline = scanner.timeline
         verifier = self.verifier
         strata = self._strata[row]
         if strata is None:
@@ -339,7 +340,8 @@ class _MatrixSearch:
                 self._skipped[row][context_index] += len(pieces)
                 continue
             resident = strata[context_index]
-            scanner.wait_landed(resident)
+            if timeline is not None:
+                timeline.wait_landed(resident)
             for z_lo, z_hi in pieces:
                 rows = resident.serve(z_lo, z_hi) if resident is not None else None
                 if rows is None:
@@ -349,7 +351,8 @@ class _MatrixSearch:
                 if rows.records:
                     seen = verifier.candidates_examined
                     verifier.admit_rows(rows, on_qualify=self._admit_qualifying)
-                    scanner.charge_verified(verifier.candidates_examined - seen)
+                    if timeline is not None:
+                        timeline.charge_verified(verifier.candidates_examined - seen)
             if resident is not None:
                 q_lo[row], q_hi[row] = resident.quiet_around(
                     self._anchor, verifier.located
@@ -562,7 +565,7 @@ def pknn(
     query point outside the space is answered like any other; one a
     quarantined shard cut short raises (:func:`check_complete`).
     """
-    search = _MatrixSearch(tree, q_uid, qx, qy, k, t_query)
-    result = search.run(order)
-    check_complete(search.scanner)
+    dropped = tree.bands_dropped
+    result = _MatrixSearch(tree, q_uid, qx, qy, k, t_query).run(order)
+    check_complete(tree, dropped)
     return result

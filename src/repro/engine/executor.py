@@ -22,10 +22,11 @@ iteration order and skip rules — while the physical reads per query
 drop by the cross-query overlap, reported as
 :attr:`ExecutionStats.dedup_ratio`.
 
-One engine serves every deployment, which decides how it is read: every
-path takes its scanner from the tree (:meth:`QueryEngine.new_scanner`)
+One engine serves every deployment (:mod:`repro.engine.deployment`):
+every path takes its scanner from it (:meth:`QueryEngine.new_scanner`)
 — a :class:`BandScanner` on one PEB-tree, a scatter/gather scanner on a
-sharded deployment (:mod:`repro.shard.engine`).
+sharded deployment (:mod:`repro.shard.engine`) — and the rest from
+its fields.
 """
 
 from __future__ import annotations
@@ -137,13 +138,15 @@ class ExecutionStats(CounterSet, prefix="engine."):
         return self.dead_entries / self.entries_prefetched
 
 
-def check_complete(scanner) -> None:
-    """Refuse a single query's answer that a quarantined shard cut short:
-    its result carries no ``degraded`` flag, so raise instead."""
-    if scanner.dropped_subbands:
+def check_complete(tree: "PEBTree", dropped: int) -> None:
+    """Refuse a single query's answer that a quarantined shard cut short
+    since ``tree.bands_dropped`` read ``dropped``: its result carries no
+    ``degraded`` flag, so raise instead."""
+    cut = tree.bands_dropped - dropped
+    if cut:
         raise DiskFaultError(
-            f"{scanner.dropped_subbands} sub-band(s) dropped by a "
-            "quarantined shard; a single query does not answer degraded"
+            f"{cut} sub-band(s) dropped by a quarantined shard; "
+            "a single query does not answer degraded"
         )
 
 
@@ -182,8 +185,8 @@ class QueryEngine:
     """The unified privacy-aware query engine over one deployment.
 
     Args:
-        tree: the index to query: a :class:`PEBTree` or a sharded
-            deployment.
+        tree: the deployment to query: a :class:`PEBTree` or a
+            :class:`repro.shard.tree.ShardedPEBTree`.
 
     A single query given no scanner takes a fresh one and raises
     :class:`DiskFaultError` when a quarantined shard dropped one of its
@@ -245,6 +248,8 @@ class QueryEngine:
         owned = scanner is None
         if owned:
             scanner = self.new_scanner()
+            dropped = self.tree.bands_dropped
+        timeline = scanner.timeline
         verifier = CandidateVerifier(
             self.tree.store, plan.q_uid, plan.t_query, plan.visible
         )
@@ -260,11 +265,12 @@ class QueryEngine:
                 continue  # most bands come back empty: nothing to admit
             seen = verifier.candidates_examined
             stopped = verifier.admit_rows(rows, plan.window, on_match)
-            scanner.book_verified(planned.band, verifier.candidates_examined - seen)
+            if timeline is not None:
+                timeline.book_verified(planned.band, verifier.candidates_examined - seen)
             if stopped:
                 break
         if owned:
-            check_complete(scanner)
+            check_complete(self.tree, dropped)
         stats = self._progress(scanner).delta_from(before)
         stats.candidates_examined = verifier.candidates_examined
         return RangeExecution(
@@ -286,6 +292,7 @@ class QueryEngine:
         owned = scanner is None
         if owned:
             scanner = self.new_scanner()
+            dropped = self.tree.bands_dropped
         plan = self.planner.plan_seed(q_uid)
         store = self.tree.store
         tracked: dict[int, "MovingObject"] = {}
@@ -300,7 +307,7 @@ class QueryEngine:
                 if uid not in tracked and store.policies_for(uid, q_uid):
                     tracked[uid] = rows.object_at(i)
         if owned:
-            check_complete(scanner)
+            check_complete(self.tree, dropped)
         return tracked
 
     # ------------------------------------------------------------------
@@ -331,12 +338,12 @@ class QueryEngine:
 
         Replay takes the range specs first, then the kNN searches, each
         kind in spec order; results and ``degraded`` flags come back in
-        spec order.  The scanner is told each query's verification
-        (``charge_query``) and when the searches start and end: a
-        single tree has no clock to charge; a timed sharded deployment's
-        scatter scanner verifies the range specs' bands as their strata
-        land and runs each kNN search on the same CPU afterwards,
-        waiting for a stratum's landing before the search first reads it.
+        spec order.  When the scanner has a verify timeline (a timed
+        sharded deployment's), it is told each query's verification
+        (``charge_query``) and when the searches start and end: it
+        verifies the range specs' bands as their strata land and runs
+        each kNN search on the same CPU afterwards, waiting for a
+        stratum's landing before the search first reads it.
 
         A spec of an unsupported type, a range spec with a non-finite
         ``t_query``, or a kNN spec with a negative ``k`` or a non-finite
@@ -380,9 +387,9 @@ class QueryEngine:
                 searches.append((index, search))
         probe_bands = [band for _, search in searches for band in search.probe()]
 
-        clock = getattr(self.tree, "sim_clock", None)
+        clock = self.tree.sim_clock
         before = self._progress(scanner)
-        recorder = getattr(self.tree, "trace_recorder", None)
+        recorder = self.tree.recorder
         tracing = recorder is not None and recorder.enabled
 
         def batch_bands():
@@ -426,23 +433,28 @@ class QueryEngine:
         if tracing:
             t_replay0 = clock.cursor() if clock is not None else 0.0
 
+        timeline = scanner.timeline
+
         def replay(index: int, run: Callable) -> None:
-            drops_before = scanner.dropped_subbands
+            dropped = self.tree.bands_dropped
             result = run()
-            scanner.charge_query(result.candidates_examined, plans[index] is None)
+            if timeline is not None:
+                timeline.charge_query(result.candidates_examined, plans[index] is None)
             report.stats.candidates_examined += result.candidates_examined
             report.results[index] = result
-            report.degraded[index] = scanner.dropped_subbands > drops_before
+            report.degraded[index] = self.tree.bands_dropped > dropped
 
         # Range plans replay first — off a prefetched batch, without
         # I/O — then the kNN searches, each kind in spec order.
         for index, plan in enumerate(plans):
             if plan is not None:
                 replay(index, lambda: prq_from_plan(self, plan, scanner))
-        scanner.start_searches()
+        if timeline is not None:
+            timeline.start_searches()
         for index, search in searches:
             replay(index, search.run)
-        scanner.end_searches()
+        if timeline is not None:
+            timeline.end_searches()
         if tracing:
             recorder.span(
                 "engine/replay",
@@ -470,22 +482,26 @@ class QueryEngine:
         Two of these bracket a query or a batch; their
         :meth:`~ExecutionStats.delta_from` is what it cost.  Only
         counters that are plain reads belong here — this runs twice per
-        query.  The scanner adds its deployment's per-shard and fault
-        breakdowns, so a delta's sum to the counters beside them.
+        query.  Shards add their breakdown and a supervisor its fault
+        counters, so a delta's sum to the counters beside them.
         """
-        clock = getattr(self.tree, "sim_clock", None)
-        latency = getattr(self.tree.stats, "latency", None)
+        tree = self.tree
+        clock = tree.sim_clock
+        latency = tree.latency_stats
         seen = ExecutionStats(
             bands_requested=scanner.requests,
             bands_scanned=scanner.physical_scans,
             bands_deduped=scanner.deduped,
             residency_hits=scanner.residency_hits,
-            physical_reads=self.tree.stats.physical_reads,
+            physical_reads=tree.stats.physical_reads,
             virtual_time_us=clock.elapsed if clock is not None else 0.0,
             seeks=latency.seeks if latency is not None else 0,
             sequential_hits=latency.sequential_hits if latency is not None else 0,
         )
-        scanner.add_breakdowns(seen)
+        if tree.router is not None:
+            seen.shard_stats = tree.shard_stats()
+        if tree.supervisor is not None:
+            seen.fault_stats = tree.supervisor.stats.copy()
         return seen
 
 

@@ -299,11 +299,9 @@ class BandScanner:
         memo_hits: requests served from the exact-identity cache.
         memo_evictions: bands evicted from the memo by the LRU bound.
         entries_prefetched: entries transferred by prefetch scans.
-        dropped_subbands: requests answered without some shard's
-            entries — always 0 on one tree.
+        timeline: None: a timed scatter scanner's verify CPU
+            (:class:`repro.shard.engine.VerifyTimeline`) has no twin here.
     """
-
-    dropped_subbands = 0
 
     def __init__(
         self,
@@ -317,8 +315,9 @@ class BandScanner:
         self.memo_hits = 0
         self.memo_evictions = 0
         self.entries_prefetched = 0
+        self.timeline = None
         # Residency needs a key-contiguous, ZV-ordered stratum.
-        self._sv_major = bool(getattr(tree.codec, "sv_major", False))
+        self._sv_major = tree.codec.sv_major
         self._tally = _Tally()
         self._residency: dict[tuple[int, int], StratumResidency] = {}
         self._memo: "OrderedDict[tuple, BandRows]" = OrderedDict()
@@ -441,16 +440,6 @@ class BandScanner:
             self.entries_prefetched += prefetched
             if clock is not None:
                 resident.landed = clock.cursor()
-
-    def _told(self, *args) -> None:
-        """What the executor tells a scanner — a band's or a query's
-        verification, a search's start, end or next stratum — and asks
-        of it (per-shard and fault breakdowns): one tree runs on no
-        clock and has no shards, so nothing happens here.  The scatter
-        scanner (:mod:`repro.shard.engine`) acts on each."""
-
-    book_verified = charge_query = start_searches = end_searches = _told
-    wait_landed = charge_verified = add_breakdowns = _told
 
     # ------------------------------------------------------------------
     # Accounting

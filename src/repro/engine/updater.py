@@ -175,7 +175,7 @@ class UpdatePipeline:
     """Buffered, leaf-ordered application of updates to one PEB-tree.
 
     Args:
-        tree: the index the pipeline writes to.
+        tree: the deployment (one tree or a sharded one) it writes to.
         capacity: flush when this many distinct users are buffered.
         flush_on_rollover: flush the buffer whenever an arriving
             update's time partition differs from the previous one's, so
@@ -284,23 +284,23 @@ class UpdatePipeline:
         batch = self.buffer.drain()
         if not batch:
             return 0
-        stats = self.tree.stats
+        tree = self.tree
+        stats = tree.stats
         reads_before = stats.physical_reads
         writes_before = stats.physical_writes
-        clock = getattr(self.tree, "sim_clock", None)
+        clock = tree.sim_clock
         elapsed_before = clock.elapsed if clock is not None else 0.0
         # Baselined at every flush: whatever runs between two flushes
         # (a served stream's query batches) is not this pipeline's I/O.
-        shard_stats = getattr(self.tree, "shard_stats", None)
-        shards_before = shard_stats() if callable(shard_stats) else None
-        supervisor = getattr(self.tree, "supervisor", None)
+        shards_before = tree.shard_stats() if tree.router is not None else None
+        supervisor = tree.supervisor
         faults_before = supervisor.stats.copy() if supervisor is not None else None
-        recorder = getattr(self.tree, "trace_recorder", None)
+        recorder = tree.recorder
         tracing = recorder is not None and recorder.enabled
         if tracing:
             t_flush0 = clock.cursor() if clock is not None else 0.0
         try:
-            result = self.tree.update_batch(batch)
+            result = tree.update_batch(batch)
         except BaseException:
             self.buffer.restore(batch)
             raise
@@ -314,11 +314,11 @@ class UpdatePipeline:
                 args={
                     "ops": result.ops,
                     "batch": len(batch),
-                    "deferred": len(getattr(result, "deferred", None) or ()),
+                    "deferred": len(result.deferred),
                 },
             )
         deferred_uids: set[int] = set()
-        deferred = getattr(result, "deferred", None)
+        deferred = result.deferred
         if deferred:
             pairs = [
                 item if isinstance(item, tuple) else (item, 0) for item in deferred
@@ -340,7 +340,7 @@ class UpdatePipeline:
         if shards_before is not None:
             # Delta on the left: its entries are the current ones.
             self.stats.shard_stats = _accrued(
-                shard_stats().delta_from(shards_before), self.stats.shard_stats
+                tree.shard_stats().delta_from(shards_before), self.stats.shard_stats
             )
         if faults_before is not None:
             self.stats.fault_stats = _accrued(

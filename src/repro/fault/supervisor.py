@@ -56,10 +56,11 @@ class ShardSupervisor:
         self.stats = FaultStats()
         self._breakers = [CircuitBreaker(self.breaker_policy) for _ in range(n_shards)]
         self._ticks = 0
-        #: A :class:`repro.obs.trace.TraceRecorder` (set via
-        #: ``attach_recorder``); retries and breaker transitions then
-        #: land on the trace's fault track as instants.  Tracing only
-        #: reads the clock's cursor — never the retry RNG.
+        #: A :class:`repro.obs.trace.TraceRecorder`, handed over when
+        #: the deployment's ``recorder`` field is set; retries and
+        #: breaker transitions then land on the trace's fault track as
+        #: instants.  Tracing only reads the clock's cursor — never the
+        #: retry RNG.
         self.recorder = None
 
     def _mark(self, name: str, shard: int, **extra) -> None:

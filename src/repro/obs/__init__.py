@@ -21,7 +21,6 @@ from repro.obs.trace import (
     NULL_RECORDER,
     NullRecorder,
     TraceRecorder,
-    attach_recorder,
     record_exemplars,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "Stopwatch",
     "TraceRecorder",
     "VirtualStopwatch",
-    "attach_recorder",
     "chrome_trace",
     "load_trace",
     "record_exemplars",

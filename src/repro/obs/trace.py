@@ -18,13 +18,12 @@ per worker.  Track names are free-form: instrumentation sites invent
 them on first use and the exporter assigns stable pid/tid pairs in
 first-seen order (deterministic, because the instrumented run is).
 
-Instrumented layers discover their recorder through the tree —
-``getattr(tree, "trace_recorder", None)`` — the same duck-typed
-channel already used for ``sim_clock`` and ``supervisor``; use
-:func:`attach_recorder` to wire one onto a deployment and its
-supervisor in one call.  When no recorder is attached (or
+Instrumented layers read their recorder from the deployment's
+``recorder`` field (:class:`repro.engine.deployment.Deployment`), beside
+its ``sim_clock`` and ``supervisor``; setting the field hands the
+recorder to the supervisor too.  When no recorder is set (or
 ``enabled`` is False) every site skips even its argument
-construction, so the disabled path costs one attribute probe.
+construction, so the disabled path costs one field read.
 """
 
 from __future__ import annotations
@@ -215,19 +214,6 @@ def _default_group(track: str) -> str:
     return "service"
 
 
-def attach_recorder(tree, recorder) -> None:
-    """Wire ``recorder`` onto a deployment and its supervisor.
-
-    Layers discover it via ``getattr(tree, "trace_recorder", None)``;
-    the fault supervisor keeps its own reference because its retry
-    loop runs inside scheduler jobs, away from the tree.
-    """
-    tree.trace_recorder = recorder
-    supervisor = getattr(tree, "supervisor", None)
-    if supervisor is not None:
-        supervisor.recorder = recorder
-
-
 def record_exemplars(
     recorder,
     records: Sequence,
@@ -244,7 +230,7 @@ def record_exemplars(
     ``service`` span (dispatch → finish), so a tail request's latency
     decomposes visually instead of being a bare percentile number.
     """
-    if not getattr(recorder, "enabled", False) or not records:
+    if not recorder.enabled or not records:
         return
     by_sojourn = sorted(records, key=lambda rec: rec[2] - rec[0].arrival_us)
     n = len(by_sojourn)
@@ -288,6 +274,5 @@ __all__ = [
     "NullRecorder",
     "SpanEvent",
     "TraceRecorder",
-    "attach_recorder",
     "record_exemplars",
 ]

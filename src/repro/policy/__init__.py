@@ -6,20 +6,19 @@ states that if ``u2`` is related to ``u1`` by ``role`` then ``u2`` may see
 interval ``tint``.
 
 * :mod:`repro.policy.lpp` — the policy record and its runtime evaluation;
-* :mod:`repro.policy.roles` — role-based access (inspired by RBAC [7]);
 * :mod:`repro.policy.timeset` — time intervals and unions of intervals on
   a cyclic time-of-day domain;
 * :mod:`repro.policy.translation` — semantic-location -> Euclidean-region
   translation ("policy translation", Section 5.1);
 * :mod:`repro.policy.store` — the server's policy directory, including
-  the per-user sorted SV friend lists the query algorithms consume;
+  the per-user sorted SV friend lists the query algorithms consume and
+  the role membership (inspired by RBAC [7]) its edges carry;
 * :mod:`repro.policy.multistore` — directory variant with multiple
   policies per (owner, viewer) pair (Section 8 future work).
 """
 
 from repro.policy.lpp import LocationPrivacyPolicy
 from repro.policy.multistore import MultiPolicyStore
-from repro.policy.roles import RoleRegistry
 from repro.policy.store import PolicyStore
 from repro.policy.timeset import TimeInterval, TimeSet
 from repro.policy.translation import SemanticLocationRegistry
@@ -28,7 +27,6 @@ __all__ = [
     "LocationPrivacyPolicy",
     "MultiPolicyStore",
     "PolicyStore",
-    "RoleRegistry",
     "SemanticLocationRegistry",
     "TimeInterval",
     "TimeSet",

@@ -7,7 +7,10 @@ once, in the viewer-major directory ``{viewer: {owner: (policy, ...)}}``
 written by :meth:`PolicyStore._install`; the per-user *friend lists* of
 Section 5.3 ("a list for each user that stores the SV values of users
 who have policies with respect to the list owner") are derived from a
-viewer's row of it and sorted ascending by SV on each call.
+viewer's row of it and sorted ascending by SV on each call, and so is
+role membership: a viewer is in an owner's role exactly when
+:meth:`PolicyStore.policies_for` holds a policy of that role, so no
+second copy of who may see whom exists to fall out of step.
 
 Following Section 7.4 we assume at most one policy per (owner, viewer)
 pair; :meth:`add_policy` rejects duplicates so experiments cannot
@@ -20,13 +23,12 @@ import math
 from typing import Iterable, Iterator
 
 from repro.policy.lpp import LocationPrivacyPolicy
-from repro.policy.roles import RoleRegistry
 from repro.policy.timeset import DEFAULT_TIME_DOMAIN, fold
 from repro.policy.translation import SemanticLocationRegistry
 
 
 class PolicyStore:
-    """All users' policies, role definitions, and SV friend lists.
+    """All users' policies, their roles, and SV friend lists.
 
     Args:
         time_domain: length of the cyclic time domain policies live on.
@@ -49,7 +51,6 @@ class PolicyStore:
             )
         self.time_domain = time_domain
         self.locations = locations if locations is not None else SemanticLocationRegistry()
-        self.roles = RoleRegistry()
         # The one policy table, viewer-major: a verifier resolves one
         # viewer's visibility over thousands of candidates, so it probes
         # that viewer's small row instead of hashing an (owner, viewer)
@@ -100,7 +101,6 @@ class PolicyStore:
                         f"policy for viewer {viewer}"
                     )
                 taken.add(viewer)
-        self.roles.assign_all(owner, policy.role, viewers)
         self._viewers_by_owner.setdefault(owner, set()).update(viewers)
         edge = (policy,)  # one tuple shared by every row it enters
         for viewer in viewers:

@@ -4,9 +4,9 @@
 subsystems: a :class:`repro.service.queue.RequestQueue` decides *when*
 a batch dispatches, an :class:`repro.engine.updater.UpdatePipeline`
 applies the batch's location updates, a
-:class:`repro.engine.executor.QueryEngine` (usually the sharded
-scatter/gather subclass) executes its queries, and the shared
-:class:`repro.simio.clock.SimClock` prices all of it — so a request's
+:class:`repro.engine.executor.QueryEngine` executes its queries, and
+the deployment's :class:`repro.simio.clock.SimClock` prices all of it
+— so a request's
 *sojourn* (batch finish instant minus arrival instant) emerges from
 the same virtual-time machinery the storage stack already runs on,
 with no real threads.
@@ -129,15 +129,13 @@ class SimulatedService:
     """A single-worker service front-end over one deployment.
 
     Args:
-        engine: the query engine (sharded or single-tree).
-        pipeline: the update pipeline; must write to the engine's tree.
+        engine: the query engine over the deployment.
+        pipeline: the update pipeline; must write to the same deployment.
         policy: the admission/batching policy.
-        clock: the virtual clock; defaults to the tree's ``sim_clock``
-            (None on untimed storage — admission-only timing).
-        recorder: a :class:`repro.obs.trace.TraceRecorder`; defaults
-            to the tree's ``trace_recorder`` when attached, else the
-            no-op recorder.  Tracing only reads the clock — a traced
-            run is bit-identical to an untraced one.
+
+    Time and tracing come from the deployment's ``sim_clock`` (None:
+    admission-only timing) and ``recorder``.  Tracing only reads the
+    clock — a traced run is bit-identical to an untraced one.
     """
 
     def __init__(
@@ -145,18 +143,13 @@ class SimulatedService:
         engine: QueryEngine,
         pipeline: UpdatePipeline,
         policy: BatchPolicy | None = None,
-        clock=None,
-        recorder=None,
     ):
         if pipeline.tree is not engine.tree:
             raise ValueError("pipeline and engine must share one tree")
         self.engine = engine
         self.pipeline = pipeline
         self.policy = policy if policy is not None else BatchPolicy()
-        self.clock = (
-            clock if clock is not None else getattr(engine.tree, "sim_clock", None)
-        )
-        self.recorder = recorder
+        self.clock = engine.tree.sim_clock
 
     def run(self, requests: Sequence[ServiceRequest]) -> ServiceReport:
         """Serve one stamped open-loop stream to completion.
@@ -192,20 +185,15 @@ class SimulatedService:
         queue = RequestQueue(requests, self.policy)
         clock = self.clock
         base = clock.elapsed if clock is not None else 0.0
-        recorder = (
-            self.recorder
-            if self.recorder is not None
-            else getattr(self.engine.tree, "trace_recorder", None)
-        )
-        if recorder is None:
-            recorder = NULL_RECORDER
+        tree = self.engine.tree
+        recorder = tree.recorder if tree.recorder is not None else NULL_RECORDER
         if recorder.enabled:
             recorder.set_origin(base)
-        stats = self.engine.tree.stats
+        stats = tree.stats
         reads_before = stats.physical_reads
         writes_before = stats.physical_writes
 
-        supervisor = getattr(self.engine.tree, "supervisor", None)
+        supervisor = tree.supervisor
         faults_before = supervisor.stats.copy() if supervisor is not None else None
 
         report = ServiceReport()
@@ -356,7 +344,7 @@ class SimulatedService:
         if query_specs:
             engine_report = self.engine.execute_batch(query_specs)
             outcome.query_results = list(engine_report.results)
-            outcome.degraded = list(getattr(engine_report, "degraded", []))
+            outcome.degraded = list(engine_report.degraded)
 
         if clock is not None:
             outcome.finish_us = clock.cursor() - base

@@ -10,16 +10,16 @@ the single tree:
 * :class:`~repro.shard.router.ShardRouter` — pure key-space routing:
   SV-range partitioning (a user's shard never changes), band splitting
   at boundary keys, order-preserving sorted-run splitting.
-* :class:`~repro.shard.tree.ShardedPEBTree` — the deployment facade:
-  duck-types the single tree for the engine and update pipeline,
-  hands the engine its scatter scanner, cuts the updater's globally
-  sorted sweeps into per-shard ready-to-apply runs, merges I/O
-  counters into one live :class:`repro.storage.stats.StatsView`.
+* :class:`~repro.shard.tree.ShardedPEBTree` — the N-shard
+  :class:`repro.engine.deployment.Deployment`: hands the engine its
+  scatter scanner, cuts the updater's globally sorted sweeps into
+  per-shard ready-to-apply runs, merges I/O counters into one live
+  :class:`repro.storage.stats.StatsView`.
 * :class:`~repro.shard.engine.ShardScatterScanner` — the deployment's
   one reader: scatter/gather scans under the shard supervisor, batch
   prefetching per shard, plus verification pipelined against
-  still-running shard scans when the deployment runs on
-  simulated-latency devices (:mod:`repro.simio`).  The one
+  still-running shard scans (its ``VerifyTimeline``) on simulated-latency
+  devices (:mod:`repro.simio`).  The one
   :class:`repro.engine.QueryEngine` runs on it.
 * :class:`~repro.shard.stats.ShardStats` — per-shard entry/I/O
   breakdown and balance skew, surfaced on ``ExecutionStats`` /

@@ -36,8 +36,9 @@ on-demand scans on their shard's device queue behind that shard's
 prefetch, and is charged each admitted row set's verification where it
 admits it.  Timing only: results, iteration order, and every
 I/O counter are identical to charging verification serially after the
-join.  The executor's calls that drive this schedule are no-ops on a
-:class:`BandScanner`.
+join.  That schedule is one optional object, the scanner's
+:class:`VerifyTimeline`: an untimed deployment has none, and neither
+has a single tree, whose :class:`BandScanner` runs on no scheduler.
 """
 
 from __future__ import annotations
@@ -50,8 +51,12 @@ from repro.engine.scanner import BandScanner
 from repro.motion.rows import BandRows
 
 if TYPE_CHECKING:
-    from repro.engine.executor import ExecutionStats
     from repro.shard.tree import ShardedPEBTree
+
+
+def stratum_residency(scanners, router, tid: int, sv_q: int):
+    """The residency of one stratum in its owning shard's scanner."""
+    return scanners[router.shard_of(sv_q)].residency(tid, sv_q)
 
 
 class ShardScatterScanner:
@@ -69,50 +74,27 @@ class ShardScatterScanner:
         scheduler: the deployment's scheduler; runs the per-shard
             prefetch jobs (fork/join virtual time when the deployment
             is timed).
-        shard_ends: per-shard virtual finish instants of the last
-            prefetch, when the deployment is timed; empty otherwise.
-        verify_items: ``(ready, examined)`` per verified band whose
-            stratum a timed prefetch stamped, in booking order — the
-            engine's verify pipeline (:meth:`book_verified`).
-        dropped_subbands: sub-band requests served *without* their
-            shard's entries because the shard was quarantined — the
-            per-scanner degradation counter the engine turns into
-            per-query ``degraded`` flags.
-
-    Between :meth:`start_searches` and :meth:`end_searches` the batch's
-    kNN searches run on the verify CPU: :meth:`wait_landed` and
-    :meth:`charge_verified` (no-ops on :class:`BandScanner`) move the
-    running search's cursor.
+        timeline: the batch's verify CPU (:class:`VerifyTimeline`)
+            when the deployment is timed; None otherwise.
 
     When the deployment carries a
     :class:`repro.fault.supervisor.ShardSupervisor`, every per-shard
     job — a batch prefetch, a physical sub-band scan — runs under it:
     retryable faults back off in virtual time and re-run, a shard that
     exhausts its retries is quarantined, and a quarantined shard's
-    sub-bands are dropped with accounting: a batch flags the query
-    ``degraded``, a single query raises
-    (:func:`repro.engine.executor.check_complete`).
+    sub-bands are dropped with accounting (the supervisor's
+    ``bands_dropped``): a batch flags the query ``degraded``, a single
+    query raises (:func:`repro.engine.executor.check_complete`).
     """
 
     def __init__(self, sharded: "ShardedPEBTree"):
         self.tree = sharded
         self.scheduler = sharded.io
-        self.supervisor = getattr(sharded, "supervisor", None)
+        self.supervisor = sharded.supervisor
         self.scanners = [BandScanner(tree) for tree in sharded.trees]
         self.scan_calls = 0
-        self.dropped_subbands = 0
-        self.shard_ends: dict[int, float] = {}
-        self.verify_items: list[tuple[float, int]] = []
-        self._chain: dict[int, float] = {}  # sv_q -> ready, this query
-        self._chained = 0
         self._parts_memo: dict[tuple, list] = {}
-        # The verify CPU: free from the fork of a timed prefetch (None
-        # before one); while the kNN searches run on it, where the
-        # running search started, the price of one candidate (None
-        # otherwise) and how long the search has waited for landings.
-        self._cpu: float | None = None
-        self._verify_us: float | None = None
-        self._waited = 0.0
+        self.timeline = VerifyTimeline(self) if sharded.sim_clock is not None else None
 
     # ------------------------------------------------------------------
     # Aggregated counters (the executor's reporting surface)
@@ -172,29 +154,25 @@ class ShardScatterScanner:
         """
         if self.supervisor is not None:
             return None
-        return self._stratum(tid, sv_q)
-
-    def _stratum(self, tid: int, sv_q: int):
-        return self.scanners[self.tree.router.shard_of(sv_q)].residency(
-            tid, sv_q
-        )
+        return stratum_residency(self.scanners, self.tree.router, tid, sv_q)
 
     def scan(self, band: BandRequest) -> BandRows:
         """All entries of one band, gathered across shards in key order.
 
         Under a supervisor, a quarantined shard's sub-band is dropped
-        (counted in :attr:`dropped_subbands` and the supervisor's
-        ``bands_dropped``) and the remaining shards' entries are
-        returned — a degraded, never wrong-by-inclusion result.  A kNN
-        search on the verify CPU first waits for the band's stratum to
-        land (:meth:`wait_landed`).
+        (counted in the supervisor's ``bands_dropped``) and the
+        remaining shards' entries are returned — a degraded, never
+        wrong-by-inclusion result.  A kNN search on the verify CPU first
+        waits for the band's stratum to land
+        (:meth:`VerifyTimeline.wait_landed`).
         """
         self.scan_calls += 1
         parts = self._split(band)
-        if self._verify_us is not None and band.sv_lo_q == band.sv_hi_q:
+        timeline = self.timeline
+        if timeline is not None and timeline.searching and band.sv_lo_q == band.sv_hi_q:
             # A single-SV band routes whole to its stratum's shard.
             resident = self.scanners[parts[0][0]].residency(band.tid, band.sv_lo_q)
-            self.wait_landed(resident)
+            timeline.wait_landed(resident)
         if self.supervisor is None:
             if len(parts) == 1:
                 shard, sub = parts[0]
@@ -204,7 +182,7 @@ class ShardScatterScanner:
             results = []
             for shard, sub in parts:
                 if self.supervisor.is_quarantined(shard):
-                    self._drop(shard)
+                    self.supervisor.note_dropped_band()
                     continue
                 ok, rows = self.supervisor.run(
                     shard, lambda s=shard, b=sub: self.scanners[s].scan(b)
@@ -212,12 +190,8 @@ class ShardScatterScanner:
                 if ok:
                     results.append(rows)
                 else:
-                    self._drop(shard)
+                    self.supervisor.note_dropped_band()
         return BandRows.concat(results)  # no rows when every shard dropped
-
-    def _drop(self, shard: int) -> None:
-        self.dropped_subbands += 1
-        self.supervisor.note_dropped_band()
 
     def prefetch(self, bands: Iterable[BandRequest]) -> None:
         """Scatter the batch's merged bands; prefetch each shard once.
@@ -228,9 +202,10 @@ class ShardScatterScanner:
         jobs run through the scheduler: they touch disjoint trees,
         pools, and counters, so the resulting stores and I/O counts are
         identical with or without virtual overlap.  On a timed
-        deployment each shard's virtual finish instant is recorded in
-        :attr:`shard_ends`, and each stratum's landing on its residency
-        (the clock is handed down: the shard scanners know no clock).
+        deployment the timeline records the fork and each shard's
+        virtual finish instant (:attr:`VerifyTimeline.shard_ends`), and
+        each stratum's landing is stamped on its residency (the clock
+        is handed down: the shard scanners know no clock).
         """
         per_shard: dict[int, list[BandRequest]] = {}
         for band in bands:
@@ -256,18 +231,57 @@ class ShardScatterScanner:
                 (lambda shard=shard, job=job: self.supervisor.run(shard, job))
                 for (shard, _), job in zip(jobs, thunks)
             ]
-        recorder = getattr(self.tree, "trace_recorder", None)
-        if clock is not None:
-            self._cpu = clock.cursor()
+        timeline = self.timeline
+        if timeline is not None:
+            timeline.cpu = clock.cursor()
         _, ends = self.scheduler.run_timed(
             thunks,
-            recorder=recorder,
+            recorder=self.tree.recorder,
             span_name="scan.shard",
             labels=[f"shard{shard}" for shard, _ in jobs],
             category="device",
         )
-        if clock is not None:
-            self.shard_ends = {shard: end for (shard, _), end in zip(jobs, ends)}
+        if timeline is not None:
+            timeline.shard_ends = {shard: end for (shard, _), end in zip(jobs, ends)}
+
+
+class VerifyTimeline:
+    """The verify CPU of one batch on a timed sharded deployment.
+
+    The engine tells it each band's and query's verification and when
+    the kNN searches start and end; a running search, each stratum it
+    reads and each row set it verifies.
+
+    Attributes:
+        cpu: where the CPU is free: the fork of the last prefetch (None
+            before one); while the searches run, where the running one
+            started.
+        shard_ends: per-shard finish instants of the last prefetch.
+        verify_items: ``(ready, examined)`` per verified band whose
+            stratum a prefetch stamped, in booking order.
+    """
+
+    def __init__(self, scatter: ShardScatterScanner):
+        # The scatter's parts, not the scatter: a cycle through it would
+        # keep a whole batch's resident rows alive until a full collection.
+        # So a scatter that replaces its scanners builds a new timeline.
+        self.tree = scatter.tree
+        self.scanners = scatter.scanners
+        self.clock = scatter.scheduler.clock
+        self.cpu: float | None = None
+        self.shard_ends: dict[int, float] = {}
+        self.verify_items: list[tuple[float, int]] = []
+        self._chain: dict[int, float] = {}  # sv_q -> ready, this query
+        self._chained = 0
+        # The price of one candidate while the searches run (None
+        # otherwise), and how long the running search has waited.
+        self._verify_us: float | None = None
+        self._waited = 0.0
+
+    @property
+    def searching(self) -> bool:
+        """Between :meth:`start_searches` and :meth:`end_searches`."""
+        return self._verify_us is not None
 
     def book_verified(self, band: BandRequest, examined: int) -> None:
         """Put one verified band on the verify timeline, if it landed.
@@ -283,7 +297,7 @@ class ShardScatterScanner:
         tid, sv_q, sv_hi_q, _, _ = band
         if sv_q != sv_hi_q:
             return
-        resident = self._stratum(tid, sv_q)
+        resident = stratum_residency(self.scanners, self.tree.router, tid, sv_q)
         if resident is None or resident.landed is None:
             return
         ready = max(resident.landed, self._chain.get(sv_q, 0.0))
@@ -307,15 +321,13 @@ class ShardScatterScanner:
         so only its span is traced.  Charged here, once per query of a
         batch, and nowhere else: single queries report device time alone.
         """
-        clock = self.scheduler.clock
-        if clock is None:
-            return
+        clock = self.clock
         verify_us = self.tree.latency_model.verify_us
         if not knn:
             clock.advance((examined - self.end_query()) * verify_us)
             return
         start, waited = self.end_search()
-        recorder = self.tree.trace_recorder
+        recorder = self.tree.recorder
         if recorder is not None and recorder.enabled:
             end = clock.cursor()
             verify = examined * verify_us
@@ -350,7 +362,7 @@ class ShardScatterScanner:
                 idle += ready - cursor
                 cursor = ready
             cursor += examined * verify_us
-        recorder = self.tree.trace_recorder
+        recorder = self.tree.recorder
         if recorder is not None and recorder.enabled:
             recorder.span(
                 "engine/verify",
@@ -371,7 +383,7 @@ class ShardScatterScanner:
     # ------------------------------------------------------------------
 
     def start_searches(self) -> None:
-        """Run the batch's kNN searches on the verify CPU (timed only).
+        """Run the batch's kNN searches on the verify CPU.
 
         The CPU is free once the range pipeline ends, or from the
         prefetch's fork when nothing was booked.  Serial work on the
@@ -381,17 +393,15 @@ class ShardScatterScanner:
         search's: it waits in :meth:`wait_landed`, its on-demand scans
         are charged at it, and :meth:`charge_verified` advances it.
         """
-        clock = self.scheduler.clock
-        if clock is None:
-            return
+        clock = self.clock
         verify_us = self.tree.latency_model.verify_us
         pipeline_end = self._price_pipeline(verify_us)
         cursor = clock.cursor()
-        start = self._cpu if pipeline_end is None else pipeline_end
+        start = self.cpu if pipeline_end is None else pipeline_end
         if start is None or cursor > max(self.shard_ends.values()):
             start = cursor if start is None else max(start, cursor)
         clock.set_cursor(start)
-        self._cpu = start
+        self.cpu = start
         self._verify_us = verify_us
 
     def wait_landed(self, resident) -> None:
@@ -402,45 +412,31 @@ class ShardScatterScanner:
         """
         if self._verify_us is None or resident is None or resident.landed is None:
             return
-        clock = self.scheduler.clock
-        wait = resident.landed - clock.cursor()
+        wait = resident.landed - self.clock.cursor()
         if wait > 0:
             self._waited += wait
-            clock.set_cursor(resident.landed)
+            self.clock.set_cursor(resident.landed)
 
     def charge_verified(self, examined: int) -> None:
         """Charge the running search for verifying ``examined`` rows."""
         if self._verify_us is not None and examined:
-            self.scheduler.clock.advance(examined * self._verify_us)
+            self.clock.advance(examined * self._verify_us)
 
     def end_search(self) -> tuple[float, float]:
         """Close one search; ``(its start, time it waited for landings)``.
 
         The next search starts where this one ended.
         """
-        start, waited = self._cpu, self._waited
-        self._cpu = self.scheduler.clock.cursor()
+        start, waited = self.cpu, self._waited
+        self.cpu = self.clock.cursor()
         self._waited = 0.0
         return start, waited
 
     def end_searches(self) -> None:
         """End the batch at the latest of the join, the range pipeline
         and the last search (the cursor is past the pipeline's end)."""
-        if self.scheduler.clock is None:
-            return
         self._verify_us = None
-        self.scheduler.clock.join(list(self.shard_ends.values()))
-
-    # ------------------------------------------------------------------
-    # Breakdowns
-    # ------------------------------------------------------------------
-
-    def add_breakdowns(self, seen: "ExecutionStats") -> None:
-        """Attach the per-shard counters, and the fault counters when a
-        supervisor is attached, to ``seen``."""
-        seen.shard_stats = self.tree.shard_stats()
-        if self.supervisor is not None:
-            seen.fault_stats = self.supervisor.stats.copy()
+        self.clock.join(list(self.shard_ends.values()))
 
 
-__all__ = ["ShardScatterScanner"]
+__all__ = ["ShardScatterScanner", "VerifyTimeline"]

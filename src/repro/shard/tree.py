@@ -1,21 +1,20 @@
-"""The sharded multi-tree deployment: N PEB-trees behind one facade.
+"""The sharded multi-tree deployment: N PEB-trees as one deployment.
 
 :class:`ShardedPEBTree` spreads one logical index across several
 :class:`repro.core.peb_tree.PEBTree` instances, each with its own
 buffer pool and simulated disk, partitioned by a
-:class:`repro.shard.router.ShardRouter`.  The facade duck-types the
-single tree everywhere the engine touches one — ``new_scanner``,
-``update_batch``, ``insert``, ``stats``, the planner's shared geometry
-(``grid`` / ``partitioner`` / ``store`` / ``codec`` / speed maxima) —
-so :class:`repro.engine.QueryEngine` and
-:class:`repro.engine.UpdatePipeline` run unchanged on a sharded
-deployment, observationally identical to a single tree.
+:class:`repro.shard.router.ShardRouter`.  It is a
+:class:`repro.engine.deployment.Deployment`, as a single tree is, and
+holds the shared geometry (``grid`` / ``partitioner`` / ``store`` /
+``codec`` / speed maxima) once, so :class:`repro.engine.QueryEngine`
+and :class:`repro.engine.UpdatePipeline` run unchanged on it,
+observationally identical to a single tree.
 
-Read path: one reader, the scanner the facade hands the engine
+Read path: one reader, the scanner the deployment hands the engine
 (:meth:`ShardedPEBTree.new_scanner`), splits a band request at shard
 boundaries, scans the owning shards under the supervisor, if any, and
 concatenates their rows in key order, for a single query and a batch
-alike.  Write path: the facade plans a batch exactly as
+alike.  Write path: the deployment plans a batch exactly as
 :meth:`PEBTree.update_batch` does — dedup, classify against the
 live-key memos, sort the two sweeps globally — then cuts each sorted
 run at shard-key boundaries (one stable pass, order preserved) and
@@ -38,6 +37,7 @@ from repro.core.peb_tree import (
     UpdateItem,
     plan_update_batch,
 )
+from repro.engine.deployment import Deployment
 from repro.fault.breaker import BreakerPolicy
 from repro.fault.retry import RetryPolicy
 from repro.fault.supervisor import ShardSupervisor
@@ -49,7 +49,6 @@ from repro.simio.clock import SimClock
 from repro.simio.disk import TimedDisk
 from repro.simio.model import LatencyModel, make_latency_model
 from repro.simio.scheduler import IOScheduler
-from repro.simio.stats import LatencyView
 from repro.storage.buffer import DEFAULT_BUFFER_PAGES, BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.stats import StatsView, merge_stats
@@ -60,7 +59,7 @@ if TYPE_CHECKING:
     from repro.spatial.grid import Grid
 
 
-class ShardedPEBTree:
+class ShardedPEBTree(Deployment):
     """One logical PEB-tree index over N physical shard trees.
 
     Args:
@@ -70,13 +69,11 @@ class ShardedPEBTree:
             every other.
         router: the key-space partitioning.
 
-    When the shard disks are :class:`repro.simio.disk.TimedDisk`
-    instances (see :meth:`build`'s ``latency``), the deployment also
-    surfaces the shared virtual clock (:attr:`sim_clock`), the pricing
-    model (:attr:`latency_model`), and a merged
-    :class:`repro.simio.stats.LatencyView` riding on :attr:`stats` —
-    and independent per-shard work (scatter prefetch, update sweeps)
-    *overlaps in virtual time*.
+    It holds the shared geometry once (``grid``, ``partitioner``,
+    ``store``, ``codec``, ``records``, the speed maxima) and the
+    scheduler :attr:`io`.  On :class:`repro.simio.disk.TimedDisk`
+    shards (see :meth:`build`'s ``latency``), independent per-shard
+    work (scatter prefetch, update sweeps) *overlaps in virtual time*.
     """
 
     def __init__(
@@ -105,14 +102,18 @@ class ShardedPEBTree:
             raise ValueError("router codec differs from the shard trees' codec")
         self.trees = tuple(trees)
         self.router = router
-        disks = [tree.btree.pool.disk for tree in self.trees]
-        timed = [disk for disk in disks if isinstance(disk, TimedDisk)]
-        self.sim_clock: SimClock | None = timed[0].clock if timed else None
-        self.latency_model: LatencyModel | None = timed[0].model if timed else None
+        self.grid = first.grid
+        self.partitioner = first.partitioner
+        self.store = first.store
+        self.codec = first.codec
+        self.records = first.records
+        #: Greatest |vx| and |vy| the deployment has seen (Figure 2 input).
+        self.max_speed_x = max(tree.max_speed_x for tree in self.trees)
+        self.max_speed_y = max(tree.max_speed_y for tree in self.trees)
+        self._time_on(tree.btree.pool.disk for tree in self.trees)
         self.io = IOScheduler(self.sim_clock)
         self._stats = merge_stats(
-            (tree.btree.pool.stats for tree in self.trees),
-            latency=LatencyView([disk.latency for disk in timed]) if timed else None,
+            (tree.btree.pool.stats for tree in self.trees), latency=self.latency_stats
         )
         # Fault tolerance is opt-in: without a supervisor every path —
         # including physical I/O patterns — is byte-identical to the
@@ -127,9 +128,6 @@ class ShardedPEBTree:
             )
         #: Attached by :class:`repro.shard.recovery.ShardCheckpointer`.
         self.checkpointer = None
-        #: Attached via :func:`repro.obs.trace.attach_recorder`; layers
-        #: discover it with ``getattr(tree, "trace_recorder", None)``.
-        self.trace_recorder = None
 
     @classmethod
     def build(
@@ -228,37 +226,8 @@ class ShardedPEBTree:
         )
 
     # ------------------------------------------------------------------
-    # Shared geometry (the planner's and scanner's view of "the tree")
+    # Counters
     # ------------------------------------------------------------------
-
-    @property
-    def grid(self):
-        return self.trees[0].grid
-
-    @property
-    def partitioner(self):
-        return self.trees[0].partitioner
-
-    @property
-    def store(self):
-        return self.trees[0].store
-
-    @property
-    def codec(self):
-        return self.trees[0].codec
-
-    @property
-    def records(self):
-        return self.trees[0].records
-
-    @property
-    def max_speed_x(self) -> float:
-        """Greatest |vx| the deployment has seen (Figure 2 input)."""
-        return max(tree.max_speed_x for tree in self.trees)
-
-    @property
-    def max_speed_y(self) -> float:
-        return max(tree.max_speed_y for tree in self.trees)
 
     @property
     def pools(self) -> tuple[BufferPool, ...]:
@@ -269,11 +238,6 @@ class ShardedPEBTree:
     def stats(self) -> StatsView:
         """One live merged I/O counter view over every shard's pool."""
         return self._stats
-
-    @property
-    def latency_stats(self) -> LatencyView | None:
-        """Merged virtual-time counters, when the shard disks are timed."""
-        return self._stats.latency
 
     def shard_stats(self) -> ShardStats:
         """Point-in-time per-shard entry, leaf and I/O breakdown."""
@@ -332,6 +296,8 @@ class ShardedPEBTree:
             raise KeyError(f"user {obj.uid} is already indexed; use update()")
         shard = self.router.shard_of_key(self.key_for(obj))
         self.trees[shard].insert(obj, pntp)
+        self.max_speed_x = max(self.max_speed_x, abs(obj.vx))
+        self.max_speed_y = max(self.max_speed_y, abs(obj.vy))
 
     def delete(self, uid: int) -> bool:
         """Remove a user's entry; True if the user was indexed."""
@@ -416,6 +382,8 @@ class ShardedPEBTree:
             shard = shard_of_uid[uid]
             if shard not in dead:  # a deferred user keeps its pre-batch key
                 self.trees[shard]._live_keys[uid] = new_key
+        self.max_speed_x = plan.max_vx
+        self.max_speed_y = plan.max_vy
         for tree in self.trees:
             # Raised to the deployment-wide bound so each shard stays
             # individually consistent (larger maxima are always safe).
@@ -438,7 +406,7 @@ class ShardedPEBTree:
         jobs = [(lambda shard=shard: sweep(shard)) for shard in shards]
         visits, _ = self.io.run_timed(
             jobs,
-            recorder=self.trace_recorder,
+            recorder=self.recorder,
             span_name="update.sweep",
             labels=[f"shard{shard}" for shard in shards],
             category="device",
@@ -516,7 +484,7 @@ class ShardedPEBTree:
         dead = set(denied)
         outcomes, _ = self.io.run_timed(
             jobs,
-            recorder=self.trace_recorder,
+            recorder=self.recorder,
             span_name="update.sweep",
             labels=[f"shard{shard}" for shard in active],
             category="device",

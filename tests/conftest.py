@@ -116,3 +116,24 @@ def build_world(
 @pytest.fixture(scope="session")
 def small_world() -> World:
     return build_world()
+
+
+def role_members(store, owner: int, role: str) -> frozenset[int]:
+    """The viewers ``owner`` placed in ``role`` (Definition 2's
+    ``qID in role``), read off the store's directory."""
+    return frozenset(
+        viewer
+        for viewer in store.viewers_of(owner)
+        if any(policy.role == role for policy in store.policies_for(owner, viewer))
+    )
+
+
+def roles_of(store, owner: int) -> list[str]:
+    """The role names ``owner``'s policies use, sorted."""
+    return sorted(
+        {
+            policy.role
+            for viewer in store.viewers_of(owner)
+            for policy in store.policies_for(owner, viewer)
+        }
+    )

@@ -31,7 +31,7 @@ from repro.core.pknn import _MatrixSearch
 from repro.engine import BandScanner, QueryEngine
 from repro.engine.scanner import NOT_QUIET, StratumResidency
 from repro.motion.rows import BandRows
-from repro.shard.engine import ShardScatterScanner
+from repro.shard.engine import ShardScatterScanner, VerifyTimeline
 
 
 class EntryAtATimeTree:
@@ -82,6 +82,8 @@ def reference_scatter(sharded):
     """A scatter scanner whose per-shard scanners are the reference."""
     scatter = ShardScatterScanner(sharded)
     scatter.scanners = [ReferenceScanner(tree) for tree in sharded.trees]
+    if scatter.timeline is not None:  # it reads residency off the scanners
+        scatter.timeline = VerifyTimeline(scatter)
     return scatter
 
 

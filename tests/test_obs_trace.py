@@ -24,7 +24,6 @@ from repro.obs import (
     MetricsRegistry,
     NULL_RECORDER,
     TraceRecorder,
-    attach_recorder,
     chrome_trace,
     load_trace,
     record_exemplars,
@@ -498,15 +497,6 @@ def test_trace_report_renders_loaded_file(tmp_path):
     path = tmp_path / "trace.json"
     write_trace(recorder, str(path))
     assert "-> OK" in render_trace_report(load_trace(str(path)))
-
-
-def test_attach_recorder_reaches_tree_and_supervisor():
-    harness = ExperimentHarness(TINY)
-    recorder = TraceRecorder()
-    _run(harness=harness, recorder=recorder)
-    # The harness detaches after the run: tracing one sweep point must
-    # not leak into the next.
-    assert any(event.track == "worker" for event in recorder.spans())
 
 
 def test_batched_prq_traced_identical_and_counter_spans():

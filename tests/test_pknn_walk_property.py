@@ -39,7 +39,7 @@ from repro.core.pknn import _MatrixSearch, pknn
 from repro.engine import QueryEngine
 from repro.fault import BreakerPolicy, RetryPolicy
 from repro.shard import ShardedPEBTree
-from repro.shard.engine import ShardScatterScanner
+from repro.shard.engine import ShardScatterScanner, VerifyTimeline
 from repro.spatial.curves import HILBERT
 from repro.spatial.geometry import Rect
 from repro.storage import BufferPool, SimulatedDisk
@@ -110,21 +110,21 @@ def deploy(world, kind, n_shards, timed):
     return sharded
 
 
-class ChargeLog(ShardScatterScanner):
-    """The shipped scatter scanner, logging the verify CPU's moves."""
+class ChargeLog(VerifyTimeline):
+    """The shipped verify timeline, logging the verify CPU's moves."""
 
-    def __init__(self, sharded):
-        super().__init__(sharded)
+    def __init__(self, scatter):
+        super().__init__(scatter)
         self.log = []
 
     def wait_landed(self, resident):
-        if self._verify_us is not None:
-            self.log.append(("wait", self.scheduler.clock.cursor()))
+        if self.searching:
+            self.log.append(("wait", self.clock.cursor()))
         super().wait_landed(resident)
 
     def charge_verified(self, examined):
-        if self._verify_us is not None and examined:
-            self.log.append(("charge", self.scheduler.clock.cursor(), examined))
+        if self.searching and examined:
+            self.log.append(("charge", self.clock.cursor(), examined))
         super().charge_verified(examined)
 
 
@@ -136,7 +136,9 @@ class SingleEngine(QueryEngine):
 
 class ShardEngine(QueryEngine):
     def new_scanner(self):
-        self.scanner = ChargeLog(self.tree)
+        self.scanner = ShardScatterScanner(self.tree)
+        if self.scanner.timeline is not None:
+            self.scanner.timeline = ChargeLog(self.scanner)
         return self.scanner
 
 
@@ -166,7 +168,7 @@ def observe(world, deployment, walk, order, specs):
     tree = deploy(world, kind, n_shards, timed)
     engine = (SingleEngine if kind == "single" else ShardEngine)(tree)
     reads = tree.stats.physical_reads
-    clock = getattr(tree, "sim_clock", None)
+    clock = tree.sim_clock
     searches = []
     with walking(walk, order, searches):
         report = engine.execute_batch(specs)
@@ -190,7 +192,7 @@ def observe(world, deployment, walk, order, specs):
         ),
         "reads": tree.stats.physical_reads - reads,
         "clock": None if clock is None else clock.cursor(),
-        "verify_cpu": getattr(scanner, "log", None),
+        "verify_cpu": None if scanner.timeline is None else scanner.timeline.log,
         "degraded": report.degraded,
     }
 

@@ -23,6 +23,8 @@ from repro.policy.store import PolicyStore
 from repro.policy.timeset import TimeInterval, TimeSet
 from repro.spatial.geometry import Rect
 
+from tests.conftest import role_members, roles_of
+
 T = 1440.0
 USERS = range(5)
 ROLES = ("family", "friend", "colleague")
@@ -98,11 +100,14 @@ def assert_agrees(store, model):
             assert store.visibility_map(viewer, t) == expected
     for owner in USERS:
         for role in ROLES:
-            assert store.roles.members(owner, role) == {
+            assert role_members(store, owner, role) == {
                 viewer
                 for (o, viewer), held in model.items()
                 if o == owner and any(policy.role == role for policy in held)
             }
+        assert roles_of(store, owner) == sorted(
+            {policy.role for (o, _), held in model.items() if o == owner for policy in held}
+        )
 
     payload = store_to_dict(store)
     assert payload["store"] == ("single" if single else "multi")

@@ -9,6 +9,8 @@ from repro.policy.store import PolicyStore
 from repro.policy.timeset import TimeInterval
 from repro.spatial.geometry import Rect
 
+from tests.conftest import role_members, roles_of
+
 EVERYWHERE = Rect(0, 1000, 0, 1000)
 ALWAYS = TimeInterval(0, 1440)
 
@@ -30,7 +32,29 @@ def test_add_and_lookup():
 def test_role_membership_registered():
     store = PolicyStore()
     store.add_policy(policy(1, role="colleague"), members=[2])
-    assert store.roles.is_in_role(1, "colleague", 2)
+    store.add_policy(policy(1, role="family"), members=[3])
+    store.add_policy(policy(4, role="colleague"), members=[1])
+    assert role_members(store, 1, "colleague") == {2}
+    assert role_members(store, 1, "family") == {3}
+    assert role_members(store, 1, "friend") == frozenset()
+    assert role_members(store, 2, "colleague") == frozenset()  # roles are per-owner
+    assert roles_of(store, 1) == ["colleague", "family"]
+
+
+def test_role_membership_cannot_diverge_from_what_queries_see():
+    """Defect twenty-three: ``PolicyStore.roles`` was a registry that
+    ``_install`` wrote and no query read, so after
+    ``store.roles.revoke(1, "friend", 2)`` user 2 was out of the role
+    while ``evaluate``, ``visibility_map`` and ``viewers_of`` still
+    showed user 1 to user 2.  Role membership is read off the
+    directory (``viewers_of`` and ``policies_for``): there is no second
+    copy to revoke from."""
+    store = PolicyStore()
+    store.add_policy(policy(1, role="friend"), members=[2, 3])
+    assert not hasattr(store, "roles")
+    assert role_members(store, 1, "friend") == {2, 3} == store.viewers_of(1)
+    assert store.evaluate(1, 2, 5, 5, 10)
+    assert 1 in store.visibility_map(2, 10)
 
 
 def test_duplicate_pair_rejected():
@@ -127,7 +151,7 @@ def snapshot(store, users=range(1, 9), roles=("friend", "family")):
         "viewers_of": {uid: store.viewers_of(uid) for uid in users},
         "friend_list": {uid: store.friend_list(uid) for uid in users},
         "members": {
-            (uid, role): store.roles.members(uid, role)
+            (uid, role): role_members(store, uid, role)
             for uid in users
             for role in roles
         },
@@ -160,7 +184,7 @@ def test_empty_member_list_installs_nothing():
     store.add_policy(policy(1), members=[])
     assert store.policy_count() == 0
     assert store.all_users() == frozenset()
-    assert store.roles.roles_of(1) == []
+    assert roles_of(store, 1) == []
 
 
 def valid_payload(kind="single"):

@@ -1,49 +1,16 @@
-"""Tests for role membership, semantic translation, and LPP evaluation."""
+"""Tests for semantic translation and LPP evaluation.
+
+Role membership is read off the policy directory; its tests live with
+the directory's (``tests/test_policy_store.py``,
+``tests/test_policy_directory_model.py``).
+"""
 
 import pytest
 
 from repro.policy.lpp import LocationPrivacyPolicy
-from repro.policy.roles import RoleRegistry
 from repro.policy.timeset import TimeInterval, TimeSet
 from repro.policy.translation import SemanticLocationRegistry, UnknownLocationError
 from repro.spatial.geometry import Rect
-
-
-# ----------------------------------------------------------------------
-# RoleRegistry
-# ----------------------------------------------------------------------
-
-def test_role_assignment_and_check():
-    roles = RoleRegistry()
-    roles.assign(owner=1, role="colleague", member=2)
-    assert roles.is_in_role(1, "colleague", 2)
-    assert not roles.is_in_role(1, "colleague", 3)
-    assert not roles.is_in_role(2, "colleague", 1)  # roles are per-owner
-
-
-def test_role_membership_listing():
-    roles = RoleRegistry()
-    roles.assign(1, "friend", 5)
-    roles.assign(1, "friend", 6)
-    assert roles.members(1, "friend") == frozenset({5, 6})
-    assert roles.members(1, "family") == frozenset()
-
-
-def test_revoke():
-    roles = RoleRegistry()
-    roles.assign(1, "friend", 5)
-    roles.revoke(1, "friend", 5)
-    assert not roles.is_in_role(1, "friend", 5)
-    roles.revoke(1, "friend", 99)  # absent member: no-op
-    roles.revoke(9, "ghost", 1)  # undefined role: no-op
-
-
-def test_roles_of_owner():
-    roles = RoleRegistry()
-    roles.assign(3, "family", 1)
-    roles.assign(3, "colleague", 2)
-    roles.assign(4, "friend", 1)
-    assert roles.roles_of(3) == ["colleague", "family"]
 
 
 # ----------------------------------------------------------------------

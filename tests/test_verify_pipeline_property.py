@@ -36,12 +36,12 @@ checks
 
 Four mutants that must fail it (checked by hand when written):
 dropping the same-SV chain (``ready = resident.landed`` in
-``ShardScatterScanner.book_verified``) fails (a) even on one shard —
+``VerifyTimeline.book_verified``) fails (a) even on one shard —
 an issuer with another ``t_query`` can make a query's strata of one SV
 land in another order than the query replays them; stamping at job start (``clock.cursor()`` read before
 ``BandScanner.prefetch``'s sweep loop instead of after each stratum)
 fails (a) everywhere; dropping the landing wait
-(``ShardScatterScanner.wait_landed`` returning at once) fails (a) on
+(``VerifyTimeline.wait_landed`` returning at once) fails (a) on
 any batch whose search reads a probe stratum before it lands; and
 starting the searches at the fork base before the range pipeline
 (``start_searches`` ignoring ``pipeline_end``) fails (a) by
@@ -55,7 +55,7 @@ from repro.engine import BandScanner, QueryEngine, UpdatePipeline
 from repro.engine.verify import CandidateVerifier
 from repro.fault import BreakerPolicy, RetryPolicy
 from repro.shard import ShardedPEBTree
-from repro.shard.engine import ShardScatterScanner
+from repro.shard.engine import ShardScatterScanner, VerifyTimeline
 from repro.spatial.geometry import Rect
 from repro.storage.faults import FaultWindowSchedule, FaultyDisk
 from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
@@ -130,18 +130,12 @@ class SweepSpy:
             yield rows
 
 
-class RecordingScatter(ShardScatterScanner):
-    """The shipped scatter scanner, remembering who booked what and
+class RecordingTimeline(VerifyTimeline):
+    """The shipped verify timeline, remembering who booked what and
     what each kNN search was charged, when and for which stratum."""
 
-    def __init__(self, sharded):
-        super().__init__(sharded)
-        self.clock = sharded.sim_clock
-        self.landings = {}
-        self.scanners = [
-            BandScanner(SweepSpy(tree, self.clock, self.landings))
-            for tree in sharded.trees
-        ]
+    def __init__(self, scatter):
+        super().__init__(scatter)
         self.query = 0  # range queries closed so far, in replay order
         self.bookings = []  # (query, band, examined, index in verify_items)
         self.stratum = None  # the stratum the running search reads
@@ -164,15 +158,8 @@ class RecordingScatter(ShardScatterScanner):
             self.stratum = (resident.tid, resident.sv_q)
         super().wait_landed(resident)
 
-    def scan(self, band):
-        self.stratum = (band.tid, band.sv_lo_q)
-        rows = super().scan(band)
-        if self._verify_us is not None:
-            self.fetched = self.clock.cursor()
-        return rows
-
     def charge_verified(self, examined):
-        if self._verify_us is not None and examined:
+        if self.searching and examined:
             self.charges.append(
                 (self.clock.cursor(), examined, self.stratum, self.fetched)
             )
@@ -184,19 +171,49 @@ class RecordingScatter(ShardScatterScanner):
         return super().end_search()
 
 
-class SerialScatter(ShardScatterScanner):
+class RecordingScatter(ShardScatterScanner):
+    """The shipped scatter scanner over spied shard trees, pricing on a
+    :class:`RecordingTimeline`."""
+
+    def __init__(self, sharded):
+        super().__init__(sharded)
+        self.clock = sharded.sim_clock
+        self.landings = {}
+        self.scanners = [
+            BandScanner(SweepSpy(tree, self.clock, self.landings))
+            for tree in sharded.trees
+        ]
+        self.timeline = RecordingTimeline(self)
+
+    def scan(self, band):
+        self.timeline.stratum = (band.tid, band.sv_lo_q)
+        rows = super().scan(band)
+        if self.timeline.searching:
+            self.timeline.fetched = self.clock.cursor()
+        return rows
+
+
+class SerialTimeline(VerifyTimeline):
     """Verification serial, after the join: each query's candidates are
     charged on the worker's cursor as it replays, and the kNN searches
     run there too, after the range queries — nothing is pipelined."""
 
     def charge_query(self, examined, knn):
-        self.scheduler.clock.advance(examined * self.tree.latency_model.verify_us)
+        self.clock.advance(examined * self.tree.latency_model.verify_us)
 
     def start_searches(self):
         pass
 
     def end_searches(self):
         pass
+
+
+class SerialScatter(ShardScatterScanner):
+    """The shipped scatter scanner pricing on a :class:`SerialTimeline`."""
+
+    def __init__(self, sharded):
+        super().__init__(sharded)
+        self.timeline = SerialTimeline(self)
 
 
 class OnDemandScatter(ShardScatterScanner):
@@ -324,7 +341,8 @@ def test_priced_schedule_is_feasible_and_describes_the_execution(
     serial_report = EngineOn(serial, SerialScatter).execute_batch(specs)
     untimed_report = QueryEngine(untimed).execute_batch(specs)
     scatter = engine.scatter
-    items = scatter.verify_items
+    timeline = scatter.timeline
+    items = timeline.verify_items
     order, spans = price(items, verify_us)
 
     # (c) Timing only.
@@ -346,22 +364,22 @@ def test_priced_schedule_is_feasible_and_describes_the_execution(
     # (a) Every verified band of a range query is an item; an item
     # starts once its stratum has landed and its chain predecessor ended.
     # Range queries replay first, in spec order.
-    assert all(index is not None for _, _, _, index in scatter.bookings)
-    assert len(scatter.bookings) == len(items)
+    assert all(index is not None for _, _, _, index in timeline.bookings)
+    assert len(timeline.bookings) == len(items)
     chain_end = {}
-    for query, band, examined, index in scatter.bookings:
+    for query, band, examined, index in timeline.bookings:
         tid, sv_q = band.tid, band.sv_lo_q
         start, end = spans[index]
         assert items[index][1] == examined
         assert start >= scatter.landings[(tid, sv_q)], (query, band)
         assert start >= chain_end.get((query, sv_q), t0), (query, band)
         chain_end[(query, sv_q)] = end
-    assert {query for query, _, _, _ in scatter.bookings} <= set(range(len(ranges)))
+    assert {query for query, _, _, _ in timeline.bookings} <= set(range(len(ranges)))
 
     # (a) A kNN charge starts once the stratum it verifies has landed
     # and the search's last on-demand scan has returned.
     cells = []
-    for start, examined, stratum, fetched in scatter.charges:
+    for start, examined, stratum, fetched in timeline.charges:
         assert start >= scatter.landings.get(stratum, t0) - EPS, stratum
         assert fetched is None or start >= fetched
         cells.append((start, start + examined * verify_us))
@@ -374,18 +392,18 @@ def test_priced_schedule_is_feasible_and_describes_the_execution(
     # (a) What the CPU prices is the specs' verification, by kind.
     booked = sum(examined for _, examined in items)
     assert booked == sum(report.results[q].candidates_examined for q in ranges)
-    charged = sum(examined for _, examined, _, _ in scatter.charges)
+    charged = sum(examined for _, examined, _, _ in timeline.charges)
     assert charged == sum(report.results[q].candidates_examined for q in knns)
-    assert len(scatter.search_ends) == len(knns)
+    assert len(timeline.search_ends) == len(knns)
 
     # (a) The batch ends between the fork/join and the serial schedule,
     # at the latest of the join, the pipeline and the last search.
-    joined = max(scatter.shard_ends.values(), default=t0)
+    joined = max(timeline.shard_ends.values(), default=t0)
     cpu_end = spans[order[-1]][1] if order else t0
     end = clock.cursor()
     serial_end = serial.sim_clock.cursor()
     assert joined - EPS <= end <= serial_end + EPS
-    assert end == max(joined, cpu_end, *scatter.search_ends)
+    assert end == max(joined, cpu_end, *timeline.search_ends)
     if not knns:
         assert abs(serial_end - (joined + booked * verify_us)) <= EPS
 
@@ -394,7 +412,7 @@ def test_priced_schedule_is_feasible_and_describes_the_execution(
     # what the engine answered.
     reference = reference_scatter(untimed)
     by_item = {
-        index: (ranges[query], band) for query, band, _, index in scatter.bookings
+        index: (ranges[query], band) for query, band, _, index in timeline.bookings
     }
     for q in ranges:
         spec = specs[q]

@@ -9,6 +9,8 @@ import pytest
 from repro.core.sequencing import assign_sequence_values
 from repro.workloads.policies import PolicyGenerator
 
+from tests.conftest import roles_of
+
 GOLDEN = Path(__file__).with_name("policy_generator_golden.json")
 
 
@@ -117,7 +119,7 @@ def test_roles_are_used():
     store = generator.generate(list(range(50)), 6, 0.5)
     roles_seen = set()
     for uid in range(50):
-        roles_seen.update(store.roles.roles_of(uid))
+        roles_seen.update(roles_of(store, uid))
     assert roles_seen == {"family", "friend", "colleague"}
 
 
