@@ -198,10 +198,7 @@ class LeafNode:
     keys: list[tuple[int, int]] = field(default_factory=list)
     values: "PackedValues | list[bytes]" = field(default_factory=list)
     next_leaf: int = NO_PAGE
-
-    @property
-    def is_leaf(self) -> bool:
-        return True
+    is_leaf = True  # a plain class attribute: every descent level reads it
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -225,10 +222,7 @@ class InternalNode:
 
     separators: list[tuple[int, int]] = field(default_factory=list)
     children: list[int] = field(default_factory=list)
-
-    @property
-    def is_leaf(self) -> bool:
-        return False
+    is_leaf = False
 
     def __len__(self) -> int:
         return len(self.separators)

@@ -75,15 +75,15 @@ class BatchUpdatePlan:
     """The classified, key-sorted schedule of one update buffer.
 
     Produced by :func:`plan_update_batch` and consumed by
-    :meth:`PEBTree.update_batch` (two sweeps over one tree) and the
-    sharded facade (the same sweeps cut at shard-key boundaries) —
+    :meth:`PEBTree.update_batch` (one sorted run over one tree) and the
+    sharded facade (the same run cut at shard-key boundaries) —
     classification lives in exactly one place so the two application
     paths cannot drift.
     """
 
     result: BatchUpdateResult
-    sweep_old: list[BatchOp] = field(default_factory=list)
-    sweep_new: list[BatchOp] = field(default_factory=list)
+    #: Every op of the flush, strictly ascending by ``(key, uid)``.
+    ops: list[BatchOp] = field(default_factory=list)
     #: uid -> key the user's entry ends at.
     new_keys: dict[int, int] = field(default_factory=dict)
     #: uid -> key the user's entry started at (None for first inserts).
@@ -100,17 +100,20 @@ def plan_update_batch(
     max_vx: float,
     max_vy: float,
 ) -> BatchUpdatePlan:
-    """Classify and sort one update buffer into two leaf-ordered sweeps.
+    """Classify and sort one update buffer into one key-sorted op run.
 
     The buffer is deduplicated last-write-wins per user, then each
     surviving state is partitioned against the live-key ``lookup_key``:
     same-key re-reports become in-place leaf rewrites, moved entries a
     delete at the old key plus an insert at the new one, unindexed
-    users plain inserts.  Rewrites and deletes are sorted by old key,
-    inserts by new key.  The speed maxima (seeded with the caller's
-    current bounds) are monotone safety bounds for the Figure 2
-    enlargements: even a state superseded within the batch raises
-    them, exactly as sequential application would.
+    users plain inserts.  The ops are sorted by ``(key, uid)``, and no
+    two share that pair: a moved user's delete and insert sit at
+    different keys.  :meth:`repro.btree.BPlusTree.apply_sorted_batch`
+    runs the rewrites and deletes before the inserts.  The speed maxima
+    (seeded with the caller's current bounds) are monotone safety
+    bounds for the Figure 2 enlargements: even a state superseded
+    within the batch raises them, exactly as sequential application
+    would.
     """
     latest: dict[int, tuple[MovingObject, int]] = {}
     for item in updates:
@@ -130,20 +133,19 @@ def plan_update_batch(
         new_key = key_for(obj)
         payload = pack(obj, pntp)
         if old_key is None:
-            plan.sweep_new.append(("insert", new_key, uid, payload))
+            plan.ops.append(("insert", new_key, uid, payload))
             plan.result.inserted += 1
         elif new_key == old_key:
-            plan.sweep_old.append(("replace", old_key, uid, payload))
+            plan.ops.append(("replace", old_key, uid, payload))
             plan.result.in_place += 1
         else:
-            plan.sweep_old.append(("delete", old_key, uid, None))
-            plan.sweep_new.append(("insert", new_key, uid, payload))
+            plan.ops.append(("delete", old_key, uid, None))
+            plan.ops.append(("insert", new_key, uid, payload))
             plan.result.moved += 1
         plan.new_keys[uid] = new_key
         plan.old_keys[uid] = old_key
 
-    plan.sweep_old.sort(key=lambda op: (op[1], op[2]))
-    plan.sweep_new.sort(key=lambda op: (op[1], op[2]))
+    plan.ops.sort(key=lambda op: (op[1], op[2]))
     return plan
 
 
@@ -350,7 +352,7 @@ class PEBTree(Deployment):
         self.insert(obj, pntp)
 
     def update_batch(self, updates: Iterable[UpdateItem]) -> BatchUpdateResult:
-        """Apply a buffer of updates in two leaf-ordered tree sweeps.
+        """Apply a buffer of updates as one key-sorted run of tree ops.
 
         Args:
             updates: object states, or ``(state, pntp)`` pairs.  When a
@@ -360,14 +362,14 @@ class PEBTree(Deployment):
         The schedule comes from :func:`plan_update_batch` (shared with
         the sharded facade): same-key re-reports become in-place leaf
         rewrites, moved entries a delete at the old key plus an insert
-        at the new one, unindexed users plain inserts; rewrites and
-        deletes sorted by old key, inserts by new key.  Each sorted run
-        feeds :meth:`repro.btree.BPlusTree.apply_sorted_batch`, which
-        applies every op landing in the same leaf during a single visit
-        — one descent and at most one split or rebalance per *leaf*
-        instead of per *op*.  The final index is observationally
-        identical to calling :meth:`update` once per buffered state, in
-        any order.
+        at the new one, unindexed users plain inserts, all sorted by key.
+        The run feeds :meth:`repro.btree.BPlusTree.apply_sorted_batch`,
+        which validates it whole, then sweeps the rewrites and deletes
+        and then the inserts, applying every op landing in the same
+        leaf during a single visit — one descent and at most one split
+        or rebalance per *leaf* instead of per *op*.  The final index
+        is observationally identical to calling :meth:`update` once per
+        buffered state, in any order.
         """
         plan = plan_update_batch(
             updates,
@@ -377,11 +379,9 @@ class PEBTree(Deployment):
             self.max_speed_x,
             self.max_speed_y,
         )
-        stats_old = self.btree.apply_sorted_batch(plan.sweep_old)
-        stats_new = self.btree.apply_sorted_batch(plan.sweep_new)
-        plan.result.leaves_visited = (
-            stats_old.leaves_visited + stats_new.leaves_visited
-        )
+        plan.result.leaves_visited = self.btree.apply_sorted_batch(
+            plan.ops
+        ).leaves_visited
         self._live_keys.update(plan.new_keys)
         self.max_speed_x = plan.max_vx
         self.max_speed_y = plan.max_vy

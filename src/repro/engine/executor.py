@@ -55,7 +55,7 @@ OnMatch = Callable[["MovingObject", float, float], bool]
 
 @dataclass
 class ExecutionStats(CounterSet, prefix="engine."):
-    """Scan-level accounting of one execution (query or whole batch).
+    """Scan-level accounting of one batch execution.
 
     Attributes:
         bands_requested: band requests actually issued to the scanner —
@@ -85,9 +85,7 @@ class ExecutionStats(CounterSet, prefix="engine."):
             above unchanged — which is exactly why it exists.
             Verification CPU (``verify_us`` per candidate) is priced
             only by batch execution, the simio subsystem's consumer
-            surface; single-query executions report device time alone,
-            so their virtual times are not directly comparable to a
-            batch-of-one's.
+            surface.
         entries_prefetched: index entries transferred by batch prefetch
             scans (0 when prefetching was off or skipped).
         dead_entries: prefetched entries outside every band actually
@@ -122,9 +120,7 @@ class ExecutionStats(CounterSet, prefix="engine."):
 
         ``1 - bands_scanned / bands_requested``: 0 when every request
         needed its own scan, approaching 1 when a few physical scans
-        (batch prefetch merges included) served many requests.  For a
-        single query on a fresh scanner this equals
-        ``bands_deduped / bands_requested``.
+        (batch prefetch merges included) served many requests.
         """
         if self.bands_requested == 0:
             return 0.0
@@ -156,7 +152,6 @@ class RangeExecution:
 
     candidates_examined: int
     stopped_early: bool
-    stats: ExecutionStats
 
 
 @dataclass
@@ -253,7 +248,6 @@ class QueryEngine:
         verifier = CandidateVerifier(
             self.tree.store, plan.q_uid, plan.t_query, plan.visible
         )
-        before = self._progress(scanner)
         stopped = False
         located = verifier.located
         for planned in plan.bands:
@@ -271,12 +265,9 @@ class QueryEngine:
                 break
         if owned:
             check_complete(self.tree, dropped)
-        stats = self._progress(scanner).delta_from(before)
-        stats.candidates_examined = verifier.candidates_examined
         return RangeExecution(
             candidates_examined=verifier.candidates_examined,
             stopped_early=stopped,
-            stats=stats,
         )
 
     def collect_friend_states(
@@ -479,10 +470,8 @@ class QueryEngine:
     def _progress(self, scanner) -> ExecutionStats:
         """The cumulative counters an execution is measured between.
 
-        Two of these bracket a query or a batch; their
-        :meth:`~ExecutionStats.delta_from` is what it cost.  Only
-        counters that are plain reads belong here — this runs twice per
-        query.  Shards add their breakdown and a supervisor its fault
+        Two of these bracket a batch; their
+        :meth:`~ExecutionStats.delta_from` is what it cost.  Shards add their breakdown and a supervisor its fault
         counters, so a delta's sum to the counters beside them.
         """
         tree = self.tree

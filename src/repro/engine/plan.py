@@ -18,13 +18,16 @@ who can qualify sorted ascending by sequence value, and one band per
 
 Under Definition 2 a friend is in an answer only if one of its policies
 toward the issuer holds at ``t_query`` and the friend stands inside that
-policy's ``locr``.  So a range plan bands only the friends of the
-issuer's visibility map at ``t_query``
-(:meth:`repro.policy.store.PolicyStore.visibility_map`) whose regions
-meet the window, and the PkNN search keeps a row only for a friend in
-the map (:meth:`QueryPlanner.visible_friends`): everyone else provably
-fails Definition 2 wherever they stand.  The map is computed once per
-query and handed on to the verifier.  The registration sweep
+policy's ``locr``.  So a range plan bands only the owners of the
+issuer's visibility map at ``t_query`` over the window
+(:meth:`repro.policy.store.PolicyStore.visibility_map`, which keeps
+only regions that meet it; :meth:`QueryPlanner.range_friends`), and the
+PkNN search keeps a row only for a friend in the unwindowed map
+(:meth:`QueryPlanner.visible_friends`): everyone else provably fails
+Definition 2 wherever they stand.  The map is computed once per query
+and handed on to the verifier, which tests the window before the map —
+so a region that misses the window, holding no point in it, changes no
+verdict.  The registration sweep
 (:meth:`QueryPlanner.plan_seed`) has no query time and the Figure 7
 ablation (:meth:`QueryPlanner.plan_span_scan`) is the literal procedure;
 both keep the whole friend list.
@@ -82,11 +85,6 @@ class BandRequest(NamedTuple):
         """True for the per-friend bands the batch store can subdivide."""
         return self.sv_lo_q == self.sv_hi_q
 
-    @property
-    def key(self) -> "BandRequest":
-        """Hashable identity used for scan memoization (the tuple itself)."""
-        return self
-
 
 @dataclass(frozen=True)
 class PartitionContext:
@@ -121,8 +119,8 @@ class QueryPlan:
     Bands are ordered partition-major, then friend-ascending-by-SV —
     the exact iteration order of the paper's Figure 7 procedure, which
     the executor replays with the skip rule applied.  ``visible`` is the
-    issuer's visibility map at ``t_query`` when the planner computed one
-    (the verifier computes it otherwise).
+    issuer's visibility map at ``t_query`` over ``window`` when the
+    planner computed one (the verifier computes it otherwise).
     """
 
     q_uid: int
@@ -149,28 +147,28 @@ class QueryPlanner:
         return self.tree.store.friend_list(q_uid)
 
     def visible_friends(
-        self, q_uid: int, visible: VisibilityMap, window: Rect | None = None
+        self, q_uid: int, visible: VisibilityMap
     ) -> list[tuple[float, int]]:
-        """The friends who can qualify, ``(sv, uid)`` ascending by SV.
+        """The friends ``visible`` (the issuer's visibility map at the
+        query instant) holds a region for, ``(sv, uid)`` ascending by SV."""
+        return [friend for friend in self.friends(q_uid) if friend[1] in visible]
 
-        A friend can qualify when ``visible`` (the issuer's visibility
-        map at the query instant) holds a region for it and, given a
-        ``window``, one of those regions meets the window.  The test is
-        on closed intervals, because the verifier admits a point on the
-        edge of both rectangles.
+    def range_friends(
+        self, q_uid: int, window: Rect, t_query: float
+    ) -> tuple[VisibilityMap, list[tuple[float, int]]]:
+        """The issuer's visibility map at ``t_query`` over ``window``, and
+        the friends who can qualify: its owners, ``(sv, uid)`` ascending.
+
+        The map keeps only regions that meet the window
+        (:meth:`repro.policy.store.PolicyStore.visibility_map`), so its
+        owners are exactly the :meth:`friends` one of whose policies
+        holds over a region that meets the window, and the issuer's
+        policy row is read once.
         """
-        friends = self.friends(q_uid)
-        if window is None:
-            return [friend for friend in friends if friend[1] in visible]
-        w_xlo, w_xhi, w_ylo, w_yhi = window.x_lo, window.x_hi, window.y_lo, window.y_hi
-        return [
-            friend
-            for friend in friends
-            if any(
-                x_lo <= w_xhi and w_xlo <= x_hi and y_lo <= w_yhi and w_ylo <= y_hi
-                for x_lo, x_hi, y_lo, y_hi in visible.get(friend[1], ())
-            )
-        ]
+        store = self.tree.store
+        visible = store.visibility_map(q_uid, t_query, window)
+        sequence_value = store.sequence_value
+        return visible, sorted([(sequence_value(owner), owner) for owner in visible])
 
     def contexts(self, t_query: float) -> list[PartitionContext]:
         """Live partition contexts with their Figure 2 enlargements."""
@@ -219,10 +217,9 @@ class QueryPlanner:
         single covering Z-span (see :mod:`repro.core.prq` for why one
         span per (partition, SV) matches the per-interval I/O); one band
         is planned per (partition, friend who can qualify — see
-        :meth:`visible_friends`).
+        :meth:`range_friends`).
         """
-        visible = self.tree.store.visibility_map(q_uid, t_query)
-        friends = self.visible_friends(q_uid, visible, window)
+        visible, friends = self.range_friends(q_uid, window, t_query)
         contexts = self.contexts(t_query)
         bands: list[PlannedBand] = []
         if friends:

@@ -39,7 +39,9 @@ class CandidateVerifier:
     ``visible`` is the issuer's visibility map at ``t_query`` when the
     caller already holds it (the planner and the PkNN search do); it is
     computed on the first :meth:`admit_rows` otherwise.  Either way
-    every row is checked against it in full.
+    every row is checked against it in full.  A range plan's map holds
+    only the regions that meet its window, which is sound only because
+    :meth:`admit_rows` tests ``within`` before the map.
     """
 
     def __init__(

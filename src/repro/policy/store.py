@@ -20,11 +20,14 @@ silently double-count.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.policy.lpp import LocationPrivacyPolicy
 from repro.policy.timeset import DEFAULT_TIME_DOMAIN, fold
 from repro.policy.translation import SemanticLocationRegistry
+
+if TYPE_CHECKING:
+    from repro.spatial.geometry import Rect
 
 
 class PolicyStore:
@@ -151,7 +154,7 @@ class PolicyStore:
         return False
 
     def visibility_map(
-        self, viewer: int, t: float
+        self, viewer: int, t: float, window: "Rect | None" = None
     ) -> dict[int, tuple[tuple[float, float, float, float], ...]]:
         """Regions where each owner is visible to ``viewer`` at instant ``t``.
 
@@ -163,17 +166,29 @@ class PolicyStore:
         regions.  A candidate at ``(x, y)`` then passes
         :meth:`evaluate` exactly when its owner maps to a bounds tuple
         containing the point — the batched verifier's per-row check.
+        Given a ``window``, only regions that meet it are kept (closed
+        intervals, as the verifier admits a point on both edges), and an
+        owner none of whose regions meets it is left out: a verifier that
+        tests the window first reaches the same verdict on every point.
         Dispatches through :meth:`policies_for`, so multi-policy stores
         inherit the any-policy-admits semantics unchanged.
         """
         folded = fold(t, self.time_domain)
+        if window is None:
+            w_xlo = w_ylo = -math.inf
+            w_xhi = w_yhi = math.inf
+        else:
+            w_xlo, w_xhi = window.x_lo, window.x_hi
+            w_ylo, w_yhi = window.y_lo, window.y_hi
         visible: dict[int, tuple[tuple[float, float, float, float], ...]] = {}
         for owner, policies in self._directory.get(viewer, {}).items():
             bounds = []
             for policy in policies:
                 if policy.tint.contains(folded):
                     locr = policy.locr
-                    bounds.append((locr.x_lo, locr.x_hi, locr.y_lo, locr.y_hi))
+                    x_lo, x_hi, y_lo, y_hi = locr.x_lo, locr.x_hi, locr.y_lo, locr.y_hi
+                    if x_lo <= w_xhi and w_xlo <= x_hi and y_lo <= w_yhi and w_ylo <= y_hi:
+                        bounds.append((x_lo, x_hi, y_lo, y_hi))
             if bounds:
                 visible[owner] = tuple(bounds)
         return visible

@@ -90,7 +90,10 @@ class TimeSet:
         return sum(iv.duration for iv in self.intervals)
 
     def contains(self, t: float) -> bool:
-        return any(iv.contains(t) for iv in self.intervals)
+        for piece in self.intervals:
+            if piece.start <= t < piece.end:
+                return True
+        return False
 
     def overlap(self, other: TimeInterval | TimeSet) -> float:
         other_pieces = other.intervals if isinstance(other, TimeSet) else [other]

@@ -139,10 +139,10 @@ class ShardScatterScanner:
     # ------------------------------------------------------------------
 
     def _split(self, band: BandRequest) -> list:
-        parts = self._parts_memo.get(band.key)
+        parts = self._parts_memo.get(band)
         if parts is None:
             parts = self.tree.router.split_band(band)
-            self._parts_memo[band.key] = parts
+            self._parts_memo[band] = parts
         return parts
 
     def residency(self, tid: int, sv_q: int):

@@ -16,7 +16,7 @@ boundaries, scans the owning shards under the supervisor, if any, and
 concatenates their rows in key order, for a single query and a batch
 alike.  Write path: the deployment plans a batch exactly as
 :meth:`PEBTree.update_batch` does — dedup, classify against the
-live-key memos, sort the two sweeps globally — then cuts each sorted
+live-key memos, sort one op run globally — then cuts the sorted
 run at shard-key boundaries (one stable pass, order preserved) and
 hands every shard a ready-to-apply sorted run for
 :meth:`repro.btree.BPlusTree.apply_sorted_batch`.  No re-sorting, and
@@ -313,18 +313,18 @@ class ShardedPEBTree(Deployment):
     def update_batch(self, updates: Iterable[UpdateItem]) -> BatchUpdateResult:
         """Apply a buffer of updates as per-shard leaf-ordered sweeps.
 
-        The classification and the two-sweep schedule come from the
-        same :func:`repro.core.peb_tree.plan_update_batch` the single
-        tree uses — only the live-key lookup spans shards.  The final
-        hop differs: each globally sorted run is cut at shard-key
-        boundaries (:meth:`ShardRouter.split_sorted_run`, order
-        preserved, no re-sort) and applied per shard, one job per
-        involved shard through the deployment's
-        :class:`repro.simio.scheduler.IOScheduler` — a shard's
-        old-key sweep runs before its new-key sweep (the ordering the
-        single tree's two global sweeps guarantee within any one
-        shard's key range), and different shards' jobs touch disjoint
-        trees and pools, so they overlap in virtual time.  The merged
+        The classification and the sorted op run come from the same
+        :func:`repro.core.peb_tree.plan_update_batch` the single tree
+        uses — only the live-key lookup spans shards.  The final hop
+        differs: the globally sorted run is cut at shard-key boundaries
+        (:meth:`ShardRouter.split_sorted_run`, order preserved, no
+        re-sort) and each cut is applied by one
+        :meth:`repro.btree.BPlusTree.apply_sorted_batch` call, one job
+        per involved shard through the deployment's
+        :class:`repro.simio.scheduler.IOScheduler` — within a shard the
+        rewrites and deletes sweep before the inserts, as on the single
+        tree, and different shards' jobs touch disjoint trees and pools,
+        so they overlap in virtual time.  The merged
         result and the final ``fetch_all`` state are observationally
         identical to a single tree applying the same buffer.
 
@@ -367,15 +367,14 @@ class ShardedPEBTree(Deployment):
                         "value may not cross a shard boundary"
                     )
         result = plan.result
-        old_runs = dict(self.router.split_sorted_run(plan.sweep_old))
-        new_runs = dict(self.router.split_sorted_run(plan.sweep_new))
+        runs = dict(self.router.split_sorted_run(plan.ops))
 
         if self.supervisor is None:
-            self._apply_runs(result, old_runs, new_runs)
+            self._apply_runs(result, runs)
             dead: set[int] = set()
         else:
             dead = self._apply_runs_supervised(
-                updates, plan, shard_of_uid, result, old_runs, new_runs
+                updates, plan, shard_of_uid, result, runs
             )
 
         for uid, new_key in plan.new_keys.items():
@@ -391,18 +390,13 @@ class ShardedPEBTree(Deployment):
             tree.max_speed_y = max(tree.max_speed_y, plan.max_vy)
         return result
 
-    def _apply_runs(self, result, old_runs, new_runs) -> None:
+    def _apply_runs(self, result, runs) -> None:
         """The unsupervised application path (no fault handling)."""
 
         def sweep(shard: int) -> int:
-            visited = 0
-            for run in (old_runs.get(shard), new_runs.get(shard)):
-                if run:
-                    batch_stats = self.trees[shard].btree.apply_sorted_batch(run)
-                    visited += batch_stats.leaves_visited
-            return visited
+            return self.trees[shard].btree.apply_sorted_batch(runs[shard]).leaves_visited
 
-        shards = sorted(set(old_runs) | set(new_runs))
+        shards = sorted(runs)
         jobs = [(lambda shard=shard: sweep(shard)) for shard in shards]
         visits, _ = self.io.run_timed(
             jobs,
@@ -415,7 +409,7 @@ class ShardedPEBTree(Deployment):
             result.leaves_visited += visited
 
     def _apply_runs_supervised(
-        self, updates, plan, shard_of_uid, result, old_runs, new_runs
+        self, updates, plan, shard_of_uid, result, runs
     ) -> set[int]:
         """Per-shard guarded, retried sweeps; returns the dead shards.
 
@@ -454,10 +448,7 @@ class ShardedPEBTree(Deployment):
                     tree.leaf_count,
                 )
                 try:
-                    visited = 0
-                    for run in (old_runs.get(shard), new_runs.get(shard)):
-                        if run:
-                            visited += tree.apply_sorted_batch(run).leaves_visited
+                    visited = tree.apply_sorted_batch(runs[shard]).leaves_visited
                 except BaseException:
                     pool.rollback_sweep_guard()
                     (
@@ -474,7 +465,7 @@ class ShardedPEBTree(Deployment):
 
             return job
 
-        shards = sorted(set(old_runs) | set(new_runs))
+        shards = sorted(runs)
         denied = {shard for shard in shards if not supervisor.admits(shard)}
         active = [shard for shard in shards if shard not in denied]
         jobs = [

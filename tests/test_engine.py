@@ -9,7 +9,7 @@ from repro.bench.oracle import brute_force_pknn, brute_force_prq
 from repro.core.aggregate import pcount, pdensity_grid
 from repro.core.pknn import _MatrixSearch, pknn
 from repro.core.prq import prq
-from repro.engine import BandScanner, QueryEngine
+from repro.engine import BandScanner, ExecutionStats, QueryEngine
 from repro.engine.plan import BandRequest, QueryPlanner
 from repro.spatial.decompose import merge_intervals
 from repro.spatial.geometry import Rect
@@ -56,7 +56,7 @@ def test_plan_range_orders_bands_partition_major(small_world):
     friends = admissible_friends(world.store, issuer, window, 5.0)
     assert 0 < len(friends) < len(world.store.friend_list(issuer))
     assert plan.friends == friends
-    assert plan.visible == world.store.visibility_map(issuer, 5.0)
+    assert plan.visible == world.store.visibility_map(issuer, 5.0, window)
     assert len(plan.contexts) == len(world.partitioner.live_labels(5.0))
     # One band per (live partition with a span, friend), partition-major,
     # friends ascending by SV inside each partition.
@@ -221,8 +221,16 @@ def test_execution_stats_account_bands(small_world):
     world = small_world
     engine = QueryEngine(world.peb)
     issuer = world.uids[11]
-    execution = engine.execute_range(issuer, Rect(0, 1000, 0, 1000), 5.0)
-    stats = execution.stats
+    scanner = engine.new_scanner()
+    execution = engine.execute_range(
+        issuer, Rect(0, 1000, 0, 1000), 5.0, scanner=scanner
+    )
+    stats = ExecutionStats(
+        bands_requested=scanner.requests,
+        bands_scanned=scanner.physical_scans,
+        bands_deduped=scanner.deduped,
+        candidates_examined=execution.candidates_examined,
+    )
     # Requests are the planned bands minus those the skip rule dropped.
     assert 0 < stats.bands_requested <= len(
         engine.planner.plan_range(issuer, Rect(0, 1000, 0, 1000), 5.0).bands
@@ -681,9 +689,9 @@ def test_memo_always_keeps_the_newest_band(batch_world):
         rows = scanner.scan(band)
         # The band that just populated the memo survives even a zero
         # bound; eviction only reaches colder entries.
-        assert band.key in scanner._memo
+        assert band in scanner._memo
         if len(rows) > 0:
-            assert list(scanner._memo) == [band.key]
+            assert list(scanner._memo) == [band]
 
 
 # ----------------------------------------------------------------------

@@ -6,9 +6,10 @@ policy's ``locr``.  The shipped planner therefore plans a band only for
 a friend with a time-admitting policy whose region meets the window,
 and the PkNN search keeps a row only for a friend with a time-admitting
 policy.  The reference is a test-local subclass whose
-``visible_friends`` hands back the whole friend list — the planner as
-it was before.  Against it, over random single- and multi-policy stores
-on one tree and on 1 and 4 shards:
+``range_friends`` and ``visible_friends`` hand back the unwindowed
+visibility map and the whole friend list — the planner as it was
+before.  Against it, over random single- and multi-policy stores on one
+tree and on 1 and 4 shards:
 
 * PRQ, ``pcount``, ``pdensity_grid``, ``at_least`` and PkNN answer
   identically (PkNN: neighbours and their distances), and equal the
@@ -108,7 +109,10 @@ POLICY_CALLS = st.lists(
 
 
 class UnprunedPlanner(QueryPlanner):
-    def visible_friends(self, q_uid, visible, window=None):
+    def range_friends(self, q_uid, window, t_query):
+        return self.tree.store.visibility_map(q_uid, t_query), self.friends(q_uid)
+
+    def visible_friends(self, q_uid, visible):
         return self.friends(q_uid)
 
 
@@ -271,6 +275,11 @@ def test_pruned_planner_matches_the_unpruned_reference(
         # -- the plan: exactly the friends who can qualify, bands ⊆ --
         plan = pruned_planner.plan_range(q_uid, window, t_query)
         full = full_planner.plan_range(q_uid, window, t_query)
+        # The reference really plans unpruned: one band per friend per
+        # live context, from the map without the window.
+        assert full.friends == store.friend_list(q_uid)
+        assert len(full.bands) == len(full.friends) * len(full.contexts)
+        assert full.visible == store.visibility_map(q_uid, t_query)
         kept = {uid for _, uid in plan.friends}
         assert plan.friends == [
             friend
@@ -398,7 +407,8 @@ def test_an_issuer_whose_every_friend_is_pruned_scans_nothing(n_shards):
 @pytest.mark.parametrize("n_shards", (None, 4))
 def test_one_visibility_map_per_query(n_shards):
     """The planner's map reaches the verifier, and a PkNN's probe and
-    walk share its search's map: a mixed batch computes one per spec."""
+    walk share its search's map: a mixed batch computes one per spec,
+    over the window for a range spec and without one for a kNN spec."""
     calls = [
         (
             owner,
@@ -418,15 +428,18 @@ def test_one_visibility_map_per_query(n_shards):
     calls_made = []
     visibility_map = PolicyStore.visibility_map
 
-    def counted(self, viewer, t):
-        calls_made.append(viewer)
-        return visibility_map(self, viewer, t)
+    def counted(self, viewer, t, window=None):
+        calls_made.append((viewer, window))
+        return visibility_map(self, viewer, t, window)
 
     with mock.patch.object(PolicyStore, "visibility_map", counted):
         engine.execute_batch(specs)
-        assert sorted(calls_made) == list(range(12))
+        assert sorted(calls_made, key=lambda call: call[0]) == [
+            (spec.q_uid, spec.window if isinstance(spec, RangeQuerySpec) else None)
+            for spec in specs
+        ]
         calls_made.clear()
         prq(tree, 0, WINDOWS[0], 5.0)
         pcount(tree, 1, WINDOWS[1], 5.0)
         pknn(tree, 2, 400.0, 600.0, 3, 5.0)
-        assert calls_made == [0, 1, 2]
+        assert calls_made == [(0, WINDOWS[0]), (1, WINDOWS[1]), (2, None)]

@@ -35,6 +35,13 @@ WINDOWS = (
     TimeSet([TimeInterval(1320, T), TimeInterval(0, 360)]),
 )
 PROBES = ((200.0, 200.0, 100.0), (350.0, 350.0, 700.0), (950.0, 50.0, T + 1400.0))
+#: Query windows for the windowed map: clear of the third region, on
+#: the edges of the second and third, and clear of all three.
+QUERY_WINDOWS = (
+    Rect(50, 150, 50, 150),
+    Rect(400, 450, 0, 300),
+    Rect(1001, 1100, 0, 1000),
+)
 SEQUENCE_VALUES = {uid: 2.0 + ((uid * 7) % 5) / 4 for uid in USERS}
 
 CALLS = st.lists(
@@ -98,6 +105,13 @@ def assert_agrees(store, model):
                 if bounds:
                     expected[owner] = bounds
             assert store.visibility_map(viewer, t) == expected
+            for window in QUERY_WINDOWS:
+                windowed = {}
+                for owner, bounds in expected.items():
+                    kept = tuple(b for b in bounds if Rect(*b).intersects(window))
+                    if kept:
+                        windowed[owner] = kept
+                assert store.visibility_map(viewer, t, window) == windowed
     for owner in USERS:
         for role in ROLES:
             assert role_members(store, owner, role) == {

@@ -292,7 +292,7 @@ def test_parallel_io_timed_identical_to_sequential(world, n_shards):
 
 
 def test_sharded_update_batch_matches_single_update_batch(world):
-    """The facade's run splitting vs the single tree's two sweeps."""
+    """The facade's run splitting vs the single tree's one sorted run."""
     sharded = build_sharded(world, 4)
     generator = world.query_generator()
     stream = generator.update_stream(world.states, 300, 3.0, 0.0, 90.0)

@@ -1,5 +1,7 @@
 """Tests for time intervals and interval unions."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,3 +103,27 @@ def test_timeset_duration_never_exceeds_piece_sum(pieces):
     # Normalized pieces are sorted and disjoint.
     for first, second in zip(ts.intervals, ts.intervals[1:]):
         assert first.end < second.start
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pieces=st.lists(
+        st.tuples(times, st.floats(0, 200)), min_size=0, max_size=6
+    )
+)
+def test_timeset_contains_equals_any_piece_contains(pieces):
+    """The one-loop membership test agrees with each piece's own test at
+    every piece boundary, at 0 and just below the domain's end."""
+    intervals = [TimeInterval(start, start + width) for start, width in pieces]
+    ts = TimeSet(intervals)
+    instants = {0.0, math.nextafter(DEFAULT_TIME_DOMAIN, 0.0), DEFAULT_TIME_DOMAIN}
+    for piece in ts.intervals + intervals:
+        for edge in (piece.start, piece.end):
+            instants.update(
+                (edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf))
+            )
+    for t in instants:
+        expected = any(piece.contains(t) for piece in ts.intervals)
+        assert ts.contains(t) == expected
+        # ... and normalizing kept the union of the pieces it was given.
+        assert expected == any(piece.contains(t) for piece in intervals)
