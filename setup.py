@@ -1,13 +1,19 @@
-"""Legacy setup shim.
+"""Packaging for the ``repro`` library, which lives under ``src/``.
 
-The offline environment carries setuptools 65 without the ``wheel``
-package, so PEP 660 editable installs (``pip install -e .``) cannot build a
-wheel.  This shim lets both ``pip install -e . --no-build-isolation`` (which
-falls back to this file via ``setup.py develop``) and a plain
-``python setup.py develop`` work without network access.  All real
-metadata lives in ``pyproject.toml``.
+This file is the only packaging metadata in the repository; the library
+has no runtime dependencies.  It declares the ``src`` layout explicitly
+rather than relying on setuptools' automatic discovery.
+
+Install for development with ``python setup.py develop``, which needs
+only setuptools and works offline.  ``pip install -e .
+--no-build-isolation`` does the same, but pip builds editable installs
+as wheels, so it also needs the ``wheel`` package.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+)

@@ -51,7 +51,6 @@ from repro.policy import (
 from repro.simio import IOScheduler, LatencyModel, SimClock, TimedDisk
 from repro.spatial import Grid, Rect
 from repro.storage import BufferPool, IOStats, SimulatedDisk
-from repro.tprtree import TPBR, TPRFilterBaseline, TPRTree
 from repro.workloads import (
     NetworkMovement,
     PolicyGenerator,
@@ -92,9 +91,6 @@ __all__ = [
     "SimClock",
     "SimulatedDisk",
     "SpatialFilterBaseline",
-    "TPBR",
-    "TPRFilterBaseline",
-    "TPRTree",
     "TimeInterval",
     "TimePartitioner",
     "TimeSet",

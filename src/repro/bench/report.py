@@ -531,12 +531,9 @@ Across all automatic shape checks: {holds} HOLDS, {mostly} MOSTLY HOLDS,
 Beyond the paper's figures, `benchmarks/bench_ablations.py` measures the
 design-choice ablations (key field order, PRQ range strategy, PkNN
 traversal order, sequence-value encoder, space-filling curve, buffer
-policy and size), `benchmarks/bench_tpr_baseline.py` re-instantiates the
-Section 4 filtering baseline on the TPR-tree (reproducing the Section 6
-cost model's crossover prediction), and
-`benchmarks/bench_continuous.py` measures the continuous-PRQ extension
-against repeated snapshot queries — run `pytest benchmarks/
---benchmark-only -s` to regenerate those tables.
+policy and size), and `benchmarks/bench_continuous.py` measures the
+continuous-PRQ extension against repeated snapshot queries — run
+`pytest benchmarks/ --benchmark-only -s` to regenerate those tables.
 """
     return header + body + summary
 

@@ -177,25 +177,19 @@ class UpdatePipeline:
     Args:
         tree: the deployment (one tree or a sharded one) it writes to.
         capacity: flush when this many distinct users are buffered.
-        flush_on_rollover: flush the buffer whenever an arriving
-            update's time partition differs from the previous one's, so
-            every batch is partition-pure and the old partition's leaves
-            are swept while still hot.
+
+    The buffer also flushes whenever an arriving update's time partition
+    differs from the previous one's, so every batch is partition-pure and
+    the old partition's leaves are swept while still hot.
 
     Usable as a context manager; leaving the ``with`` block flushes.
     """
 
-    def __init__(
-        self,
-        tree: "PEBTree",
-        capacity: int = 256,
-        flush_on_rollover: bool = True,
-    ):
+    def __init__(self, tree: "PEBTree", capacity: int = 256):
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.tree = tree
         self.capacity = capacity
-        self.flush_on_rollover = flush_on_rollover
         self.buffer = UpdateBuffer()
         self.stats = UpdateStats()
         self._monitors: list[UpdateMonitor] = []
@@ -224,13 +218,10 @@ class UpdatePipeline:
                         f"update for user {obj.uid} rejected: "
                         f"{name}={getattr(obj, name)!r} is not finite"
                     )
-        if self.flush_on_rollover:
-            tid = self.tree.partitioner.partition(obj.t_update)
-            if self._last_tid is not None and tid != self._last_tid and len(
-                self.buffer
-            ):
-                self.flush()
-            self._last_tid = tid
+        tid = self.tree.partitioner.partition(obj.t_update)
+        if self._last_tid is not None and tid != self._last_tid and len(self.buffer):
+            self.flush()
+        self._last_tid = tid
         self.buffer.add(obj, pntp)
         if len(self.buffer) >= self.capacity:
             self.flush()

@@ -8,15 +8,17 @@ consecutive curve-value intervals.  This package provides:
 * :mod:`repro.spatial.geometry` — points, rectangles, overlap areas;
 * :mod:`repro.spatial.zcurve` — Morton encode/decode;
 * :mod:`repro.spatial.hilbert` — Hilbert encode/decode (ablation extension);
-* :mod:`repro.spatial.decompose` — exact rectangle -> maximal-interval
-  decomposition via quadtree descent;
+* :mod:`repro.spatial.curves` — the pluggable curve, and the one
+  rectangle -> maximal-interval decomposition (a quadtree descent that
+  serves every curve);
+* :mod:`repro.spatial.decompose` — the interval type and interval-list
+  merge and difference;
 * :mod:`repro.spatial.grid` — continuous space <-> integer cell mapping;
 * :mod:`repro.spatial.union` — exact measure of rectangle unions (used by
   the multi-policy compatibility extension).
 """
 
 from repro.spatial.curves import CURVES, HILBERT, ZCURVE, make_curve
-from repro.spatial.decompose import decompose_rect
 from repro.spatial.geometry import Rect
 from repro.spatial.grid import Grid
 from repro.spatial.hilbert import hilbert_decode, hilbert_encode
@@ -29,7 +31,6 @@ __all__ = [
     "HILBERT",
     "Rect",
     "ZCURVE",
-    "decompose_rect",
     "make_curve",
     "hilbert_decode",
     "hilbert_encode",

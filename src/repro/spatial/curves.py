@@ -12,17 +12,17 @@ PEB-tree run unmodified on either curve because they only consume the
 Both supported curves are quadrant-recursive: every quadtree-aligned
 ``s x s`` cell block maps to one contiguous curve-value range of length
 ``s²`` (the fine curve fills a coarse cell completely before leaving
-it).  That shared property drives the generic rectangle decomposition
-:func:`curve_decompose` — descend the quadtree, emit the whole range of
-any block fully inside the query, recurse into partial blocks.
+it).  That shared property drives the one rectangle decomposition,
+:func:`curve_decompose`, for every curve — descend the quadtree, emit the
+whole range of any block fully inside the query, recurse into partial
+blocks.
 """
 
 from __future__ import annotations
 
+from repro.spatial.decompose import ZInterval, merge_intervals
 from repro.spatial.hilbert import hilbert_decode, hilbert_encode
 from repro.spatial.zcurve import z_decode, z_encode
-
-CurveInterval = tuple[int, int]
 
 #: Grids up to this many bits per axis encode by table lookup; a table
 #: holds one spread value per cell index, so at most 2**16 entries.
@@ -111,18 +111,22 @@ def curve_decompose(
     iy_hi: int,
     bits: int,
     min_quad_side: int = 1,
-) -> list[CurveInterval]:
+) -> list[ZInterval]:
     """Sorted maximal curve-value intervals covering the inclusive cell box.
 
     Works for any quadrant-recursive curve.  A quadtree block of side
-    ``s`` at cell ``(qx, qy)`` covers curve values
-    ``[encode(qx/s, qy/s, bits - log2 s) * s², ... + s² - 1]``; blocks
-    fully inside the box emit their range, partial blocks recurse down to
-    ``min_quad_side`` (which then over-covers, exactly like the Z-only
-    :func:`repro.spatial.decompose.decompose_rect`).
+    ``s`` covers the ``s²``-aligned run of curve values that holds the
+    value of any of its cells, so its first value is its corner's value
+    rounded down to a multiple of ``s²``; blocks fully inside the box
+    emit their range, partial blocks recurse down to
+    ``min_quad_side``.  1 (the default) gives the exact decomposition; a
+    larger power of two stops refining at quadrants of that side and
+    emits any intersecting one whole, trading a bounded number of
+    false-positive cells for far fewer intervals (see
+    :func:`coarse_quad_side`).
 
-    Unlike the Z-only decomposition the visit order is not output order
-    for every curve, so intervals are sorted and merged at the end.
+    The visit order is output order on the Z-curve but not on every
+    curve, so intervals are sorted and merged at the end.
     """
     if bits <= 0 or bits > 32:
         raise ValueError(f"bits must be in 1..32, got {bits}")
@@ -134,7 +138,8 @@ def curve_decompose(
     if ix_lo > ix_hi or iy_lo > iy_hi:
         return []
 
-    intervals: list[CurveInterval] = []
+    encode = curve.encode
+    intervals: list[ZInterval] = []
     stack = [(0, 0, side)]
     while stack:
         qx, qy, size = stack.pop()
@@ -147,8 +152,9 @@ def curve_decompose(
             and qy + size - 1 <= iy_hi
         )
         if fully_inside or size <= min_quad_side:
-            base = _block_base(curve, qx, qy, size, bits)
-            intervals.append((base, base + size * size - 1))
+            area = size * size
+            base = encode(qx, qy, bits) & -area
+            intervals.append((base, base + area - 1))
             continue
         half = size // 2
         stack.append((qx + half, qy + half, half))
@@ -157,13 +163,21 @@ def curve_decompose(
         stack.append((qx, qy, half))
 
     intervals.sort()
-    merged: list[CurveInterval] = []
-    for lo, hi in intervals:
-        if merged and lo <= merged[-1][1] + 1:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
+    return merge_intervals(intervals)
+
+
+def coarse_quad_side(ix_lo: int, ix_hi: int, iy_lo: int, iy_hi: int) -> int:
+    """The descent floor of a coarsened decomposition of the cell box.
+
+    The largest power of two no more than 1/8 of the box's longer side
+    (1 for a box under 16 cells across), so the interval count stays
+    bounded whatever the grid resolution.
+    """
+    extent = max(ix_hi - ix_lo + 1, iy_hi - iy_lo + 1)
+    min_quad = 1
+    while min_quad * 16 <= extent:
+        min_quad *= 2
+    return min_quad
 
 
 def curve_span(
@@ -173,7 +187,7 @@ def curve_span(
     iy_lo: int,
     iy_hi: int,
     bits: int,
-) -> CurveInterval | None:
+) -> ZInterval | None:
     """The single covering ``(min, max)`` curve window of a cell box.
 
     For corner-monotone curves (Z) this is the two-corner lookup.  For
@@ -189,17 +203,6 @@ def curve_span(
         return None
     if curve.corner_monotone:
         return curve.encode(ix_lo, iy_lo, bits), curve.encode(ix_hi, iy_hi, bits)
-    extent = max(ix_hi - ix_lo + 1, iy_hi - iy_lo + 1)
-    min_quad = 1
-    while min_quad * 16 <= extent:
-        min_quad *= 2
+    min_quad = coarse_quad_side(ix_lo, ix_hi, iy_lo, iy_hi)
     intervals = curve_decompose(curve, ix_lo, ix_hi, iy_lo, iy_hi, bits, min_quad)
     return intervals[0][0], intervals[-1][1]
-
-
-def _block_base(curve, qx: int, qy: int, size: int, bits: int) -> int:
-    """First curve value inside the aligned ``size x size`` block."""
-    if size >= 1 << bits:
-        return 0
-    level_bits = bits - (size.bit_length() - 1)
-    return curve.encode(qx // size, qy // size, level_bits) * size * size

@@ -1,88 +1,16 @@
-"""Exact decomposition of a cell rectangle into maximal Z-intervals.
+"""Curve-value intervals: the 1-D ranges every index scan is issued over.
 
 "The enlarged query range is then converted into intervals of consecutive
 space-filling curve values.  As a result, a sequence of range queries are
-issued to the Bx-tree" (Section 2.1).  The standard way to obtain those
-intervals is a quadtree descent over Z-space: a quadrant fully covered by
-the query contributes one interval covering its whole Z-range, a disjoint
-quadrant contributes nothing, and a partially covered quadrant is split
-into its four children (visited in Z-order so the output comes out
-sorted).  Adjacent output intervals are merged.
-
-The decomposition is exact — the union of the produced intervals equals
-the set of Z-values of cells inside the rectangle, which the tests verify
-cell by cell.
+issued to the Bx-tree" (Section 2.1).  The conversion itself is
+:func:`repro.spatial.curves.curve_decompose`; this module holds the
+interval type and the set operations on sorted interval lists that the
+decomposition, the band scanner and the PkNN search share.
 """
 
 from __future__ import annotations
 
 ZInterval = tuple[int, int]
-
-
-def decompose_rect(
-    ix_lo: int,
-    ix_hi: int,
-    iy_lo: int,
-    iy_hi: int,
-    bits: int,
-    min_quad_side: int = 1,
-) -> list[ZInterval]:
-    """Maximal sorted Z-intervals covering cells in the inclusive box.
-
-    Args:
-        ix_lo, ix_hi, iy_lo, iy_hi: inclusive cell-coordinate bounds.
-        bits: grid resolution; cells range over ``[0, 2**bits)`` per axis.
-        min_quad_side: descent granularity.  1 (the default) produces the
-            exact decomposition.  A larger power of two stops refining at
-            quadrants of that side — any intersecting quadrant at the
-            floor is emitted whole.  This trades a bounded number of
-            false-positive cells for far fewer intervals, the standard
-            engineering compromise in Bx-tree implementations.
-
-    Returns:
-        Sorted, non-overlapping, non-adjacent ``(z_lo, z_hi)`` intervals
-        whose union covers (at least) every cell inside the box.
-    """
-    if bits <= 0 or bits > 32:
-        raise ValueError(f"bits must be in 1..32, got {bits}")
-    if min_quad_side < 1:
-        raise ValueError(f"min_quad_side must be at least 1, got {min_quad_side}")
-    side = 1 << bits
-    if ix_lo > ix_hi or iy_lo > iy_hi:
-        return []
-    # Clip to the grid; a rectangle fully outside decomposes to nothing.
-    ix_lo, ix_hi = max(ix_lo, 0), min(ix_hi, side - 1)
-    iy_lo, iy_hi = max(iy_lo, 0), min(iy_hi, side - 1)
-    if ix_lo > ix_hi or iy_lo > iy_hi:
-        return []
-
-    intervals: list[ZInterval] = []
-
-    # Explicit stack; quadrants pushed in reverse Z-order so they pop in
-    # Z-order and the output is already sorted.
-    stack = [(0, 0, side, 0)]  # (cell_x, cell_y, quadrant side, z of origin)
-    while stack:
-        qx, qy, size, z_base = stack.pop()
-        if qx > ix_hi or qx + size - 1 < ix_lo or qy > iy_hi or qy + size - 1 < iy_lo:
-            continue
-        fully_inside = (
-            ix_lo <= qx
-            and qx + size - 1 <= ix_hi
-            and iy_lo <= qy
-            and qy + size - 1 <= iy_hi
-        )
-        if fully_inside or size <= min_quad_side:
-            _push_interval(intervals, z_base, z_base + size * size - 1)
-            continue
-        half = size // 2
-        quad = half * half
-        # Z-order of children: (lo-x, lo-y), (hi-x, lo-y), (lo-x, hi-y),
-        # (hi-x, hi-y); push reversed.
-        stack.append((qx + half, qy + half, half, z_base + 3 * quad))
-        stack.append((qx, qy + half, half, z_base + 2 * quad))
-        stack.append((qx + half, qy, half, z_base + quad))
-        stack.append((qx, qy, half, z_base))
-    return intervals
 
 
 def merge_intervals(intervals: list[ZInterval]) -> list[ZInterval]:
@@ -113,10 +41,3 @@ def subtract_interval(outer: ZInterval, inner: ZInterval) -> list[ZInterval]:
     if in_hi < out_hi:
         pieces.append((in_hi + 1, out_hi))
     return pieces
-
-
-def _push_interval(intervals: list[ZInterval], lo: int, hi: int) -> None:
-    if intervals and lo == intervals[-1][1] + 1:
-        intervals[-1] = (intervals[-1][0], hi)
-    else:
-        intervals.append((lo, hi))

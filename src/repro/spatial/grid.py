@@ -10,8 +10,8 @@ intervals, clipping to the space first.
 
 from __future__ import annotations
 
-from repro.spatial.curves import ZCURVE, curve_decompose, curve_span
-from repro.spatial.decompose import ZInterval, decompose_rect
+from repro.spatial.curves import ZCURVE, coarse_quad_side, curve_decompose, curve_span
+from repro.spatial.decompose import ZInterval
 from repro.spatial.geometry import Rect
 
 #: Default grid resolution; 2**10 cells per axis over a side-1000 space
@@ -89,18 +89,9 @@ class Grid:
         clipped = rect.intersection(self.bounds)
         if clipped is None:
             return []
-        ix_lo, ix_hi, iy_lo, iy_hi = self.cell_box(clipped)
-        min_quad = 1
-        if coarsen:
-            extent = max(ix_hi - ix_lo + 1, iy_hi - iy_lo + 1)
-            while min_quad * 16 <= extent:
-                min_quad *= 2
-        if self.curve is ZCURVE:
-            # Fast path: the Z descent emits in curve order, no final sort.
-            return decompose_rect(ix_lo, ix_hi, iy_lo, iy_hi, self.bits, min_quad)
-        return curve_decompose(
-            self.curve, ix_lo, ix_hi, iy_lo, iy_hi, self.bits, min_quad
-        )
+        box = self.cell_box(clipped)
+        min_quad = coarse_quad_side(*box) if coarsen else 1
+        return curve_decompose(self.curve, *box, self.bits, min_quad)
 
     def z_span(self, rect: Rect) -> ZInterval | None:
         """The single ``(min, max)`` curve window of a rectangle.

@@ -3,6 +3,7 @@
 The ``small_world`` fixture builds one complete system (movement, policy
 store, sequence values, PEB-tree, Bx-tree baseline) per test session;
 query-correctness tests reuse it instead of paying the build repeatedly.
+``curve_world`` is the same system on each space-filling curve in turn.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.core.sequencing import assign_sequence_values
 from repro.motion import MovingObject, TimePartitioner
 from repro.policy.store import PolicyStore
 from repro.spatial import Grid
+from repro.spatial.curves import HILBERT, ZCURVE
 from repro.storage import BufferPool, SimulatedDisk
 from repro.workloads import PolicyGenerator, QueryGenerator, UniformMovement
 
@@ -78,10 +80,11 @@ def build_world(
     seed: int = 11,
     page_size: int = 1024,
     max_speed: float = 3.0,
+    curve=ZCURVE,
 ) -> World:
     space_side = 1000.0
     rng = random.Random(seed)
-    grid = Grid(space_side, 10)
+    grid = Grid(space_side, 10, curve=curve)
     partitioner = TimePartitioner(120.0, 2)
     movement = UniformMovement(space_side, max_speed, rng)
     objects = movement.initial_objects(n_users, t=0.0)
@@ -116,6 +119,14 @@ def build_world(
 @pytest.fixture(scope="session")
 def small_world() -> World:
     return build_world()
+
+
+@pytest.fixture(scope="session", params=[ZCURVE, HILBERT], ids=lambda c: c.name)
+def curve_world(request, small_world) -> World:
+    """``small_world``, then the same world built on the Hilbert curve."""
+    if request.param is ZCURVE:
+        return small_world
+    return build_world(curve=request.param)
 
 
 def role_members(store, owner: int, role: str) -> frozenset[int]:

@@ -1,5 +1,6 @@
 """Tests for Bx-tree range and kNN queries, including the Figure 2
-scenario of objects moving into the query window by query time."""
+scenario of objects moving into the query window by query time; the
+brute-force checks run on the paper's Z-curve and on Hilbert."""
 
 import random
 
@@ -14,14 +15,18 @@ from repro.bxtree.queries import (
 from repro.bxtree.tree import BxTree
 from repro.motion.objects import MovingObject
 from repro.motion.partitions import TimePartitioner
+from repro.spatial.curves import HILBERT, ZCURVE
 from repro.spatial.geometry import Rect, euclidean
 from repro.spatial.grid import Grid
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 
 
-def make_bx():
-    grid = Grid(1000.0, 10)
+BOTH_CURVES = pytest.mark.parametrize("curve", [ZCURVE, HILBERT], ids=lambda c: c.name)
+
+
+def make_bx(curve=ZCURVE):
+    grid = Grid(1000.0, 10, curve=curve)
     partitioner = TimePartitioner(120.0, 2)
     pool = BufferPool(SimulatedDisk(page_size=1024), capacity=256)
     return BxTree(pool, grid, partitioner)
@@ -45,10 +50,11 @@ def test_knn_distance_estimator():
         estimate_knn_distance(1, 0, 1000.0)
 
 
-def test_figure2_moving_objects_found_by_enlargement():
+@BOTH_CURVES
+def test_figure2_moving_objects_found_by_enlargement(curve):
     """Objects outside the window as stored, but inside at query time,
     must be found; objects moving away must be excluded."""
-    tree = make_bx()
+    tree = make_bx(curve)
     # Stored as of label 60; query at t=70 with window [400,600]^2.
     incoming = MovingObject(uid=1, x=390.0, y=500.0, vx=2.0, vy=0.0, t_update=0.0)
     # At t=70: x = 390 + 2*70 = 530 -> inside.
@@ -61,8 +67,9 @@ def test_figure2_moving_objects_found_by_enlargement():
     assert found == {1, 3}
 
 
-def test_range_query_matches_brute_force_random():
-    tree = make_bx()
+@BOTH_CURVES
+def test_range_query_matches_brute_force_random(curve):
+    tree = make_bx(curve)
     rng = random.Random(9)
     objects = []
     for uid in range(300):
@@ -88,8 +95,9 @@ def test_range_query_matches_brute_force_random():
         assert found == expected
 
 
-def test_knn_matches_brute_force_random():
-    tree = make_bx()
+@BOTH_CURVES
+def test_knn_matches_brute_force_random(curve):
+    tree = make_bx(curve)
     rng = random.Random(10)
     objects = []
     for uid in range(250):
@@ -121,15 +129,17 @@ def test_knn_on_empty_tree():
     assert bx_knn(tree, 500, 500, 5, 0.0) == []
 
 
-def test_knn_with_k_exceeding_population():
-    tree = make_bx()
+@BOTH_CURVES
+def test_knn_with_k_exceeding_population(curve):
+    tree = make_bx(curve)
     for uid in range(3):
         tree.insert(MovingObject(uid=uid, x=uid * 100.0, y=0, vx=0, vy=0, t_update=0))
     found = bx_knn(tree, 0, 0, 10, 0.0)
     assert len(found) == 3
 
 
-def test_range_query_empty_window():
-    tree = make_bx()
+@BOTH_CURVES
+def test_range_query_empty_window(curve):
+    tree = make_bx(curve)
     tree.insert(MovingObject(uid=1, x=500, y=500, vx=0, vy=0, t_update=0))
     assert bx_range_query(tree, Rect(0, 10, 0, 10), 0.0) == []

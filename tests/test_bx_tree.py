@@ -5,13 +5,17 @@ import pytest
 from repro.bxtree.tree import BxTree
 from repro.motion.objects import MovingObject
 from repro.motion.partitions import TimePartitioner
+from repro.spatial.curves import HILBERT, ZCURVE
 from repro.spatial.grid import Grid
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 
 
-def make_bx(page_size=1024):
-    grid = Grid(1000.0, 10)
+BOTH_CURVES = pytest.mark.parametrize("curve", [ZCURVE, HILBERT], ids=lambda c: c.name)
+
+
+def make_bx(page_size=1024, curve=ZCURVE):
+    grid = Grid(1000.0, 10, curve=curve)
     partitioner = TimePartitioner(120.0, 2)
     pool = BufferPool(SimulatedDisk(page_size=page_size), capacity=64)
     return BxTree(pool, grid, partitioner)
@@ -21,8 +25,9 @@ def mover(uid=1, x=100.0, y=200.0, vx=1.0, vy=-1.0, t=0.0):
     return MovingObject(uid=uid, x=x, y=y, vx=vx, vy=vy, t_update=t)
 
 
-def test_key_for_uses_label_timestamp_position():
-    tree = make_bx()
+@BOTH_CURVES
+def test_key_for_uses_label_timestamp_position(curve):
+    tree = make_bx(curve=curve)
     obj = mover(x=100.0, y=200.0, vx=2.0, vy=0.0, t=0.0)
     # label(0.0) = 60 -> position as of 60 is (220, 200), partition 0.
     key = tree.key_for(obj)
@@ -76,8 +81,9 @@ def test_max_speed_tracking():
     assert tree.max_speed_y == 3.0
 
 
-def test_many_updates_keep_structure_sound():
-    tree = make_bx()
+@BOTH_CURVES
+def test_many_updates_keep_structure_sound(curve):
+    tree = make_bx(curve=curve)
     for uid in range(200):
         tree.insert(mover(uid=uid, x=uid * 4.0, y=uid * 3.0, t=0.0))
     for round_index in range(1, 4):

@@ -1,8 +1,9 @@
 """Tests for the space-filling-curve abstraction (``repro.spatial.curves``).
 
 Core invariants: encode/decode bijectivity, agreement with the dedicated
-Z/Hilbert modules, exactness of the generic decomposition on both
-curves, span covering, and full PEB-tree query equivalence on a
+Z/Hilbert modules, exactness of the decomposition on Hilbert (the
+brute-force checks of ``tests/test_decompose.py`` run it on both
+curves), span covering, and full PEB-tree query equivalence on a
 Hilbert-backed grid.
 """
 
@@ -26,7 +27,6 @@ from repro.spatial.curves import (
     curve_span,
     make_curve,
 )
-from repro.spatial.decompose import decompose_rect
 from repro.spatial.geometry import Rect
 from repro.spatial.grid import Grid
 from repro.spatial.hilbert import hilbert_encode
@@ -164,39 +164,33 @@ def test_curve_decompose_exact_on_hilbert(box):
         assert hi1 + 1 < lo2
 
 
-@settings(max_examples=60)
-@given(box_strategy())
-def test_curve_decompose_matches_z_module(box):
-    ix_lo, ix_hi, iy_lo, iy_hi = box
-    generic = curve_decompose(ZCURVE, ix_lo, ix_hi, iy_lo, iy_hi, BITS)
-    dedicated = decompose_rect(ix_lo, ix_hi, iy_lo, iy_hi, BITS)
-    assert generic == dedicated
-
-
+@pytest.mark.parametrize("curve", [ZCURVE, HILBERT], ids=lambda c: c.name)
 @settings(max_examples=40)
 @given(box_strategy())
-def test_coarsened_decompose_over_covers(box):
+def test_coarsened_decompose_over_covers(curve, box):
     ix_lo, ix_hi, iy_lo, iy_hi = box
-    exact = curve_decompose(HILBERT, ix_lo, ix_hi, iy_lo, iy_hi, BITS)
-    coarse = curve_decompose(HILBERT, ix_lo, ix_hi, iy_lo, iy_hi, BITS, 4)
-    exact_cells = cells_of_intervals(HILBERT, exact, BITS)
-    coarse_cells = cells_of_intervals(HILBERT, coarse, BITS)
+    exact = curve_decompose(curve, ix_lo, ix_hi, iy_lo, iy_hi, BITS)
+    coarse = curve_decompose(curve, ix_lo, ix_hi, iy_lo, iy_hi, BITS, 4)
+    exact_cells = cells_of_intervals(curve, exact, BITS)
+    coarse_cells = cells_of_intervals(curve, coarse, BITS)
     assert exact_cells <= coarse_cells
     assert len(coarse) <= len(exact) or len(exact) <= 1
 
 
-def test_curve_decompose_full_grid_single_interval():
-    intervals = curve_decompose(HILBERT, 0, SIDE - 1, 0, SIDE - 1, BITS)
+@pytest.mark.parametrize("curve", [ZCURVE, HILBERT], ids=lambda c: c.name)
+def test_curve_decompose_full_grid_single_interval(curve):
+    intervals = curve_decompose(curve, 0, SIDE - 1, 0, SIDE - 1, BITS)
     assert intervals == [(0, SIDE * SIDE - 1)]
 
 
-def test_curve_decompose_clips_and_rejects():
-    assert curve_decompose(HILBERT, -5, -1, 0, 3, BITS) == []
-    assert curve_decompose(HILBERT, SIDE, SIDE + 3, 0, 3, BITS) == []
+@pytest.mark.parametrize("curve", [ZCURVE, HILBERT], ids=lambda c: c.name)
+def test_curve_decompose_clips_and_rejects(curve):
+    assert curve_decompose(curve, -5, -1, 0, 3, BITS) == []
+    assert curve_decompose(curve, SIDE, SIDE + 3, 0, 3, BITS) == []
     with pytest.raises(ValueError):
-        curve_decompose(HILBERT, 0, 1, 0, 1, 0)
+        curve_decompose(curve, 0, 1, 0, 1, 0)
     with pytest.raises(ValueError):
-        curve_decompose(HILBERT, 0, 1, 0, 1, BITS, 0)
+        curve_decompose(curve, 0, 1, 0, 1, BITS, 0)
 
 
 @settings(max_examples=60)
@@ -213,8 +207,10 @@ def test_curve_span_covers_box(box):
                 assert lo <= curve.encode(ix, iy, BITS) <= hi
 
 
-def test_curve_span_empty_box():
-    assert curve_span(HILBERT, 5, 4, 0, 3, BITS) is None
+@pytest.mark.parametrize("curve", [ZCURVE, HILBERT], ids=lambda c: c.name)
+def test_curve_span_empty_box(curve):
+    assert curve_span(curve, 5, 4, 0, 3, BITS) is None
+    assert curve_span(curve, SIDE, SIDE + 3, 0, 3, BITS) is None
 
 
 # ----------------------------------------------------------------------

@@ -157,7 +157,9 @@ def test_pipeline_fault_stats_exclude_faults_between_flushes():
     The read indices are spread so that every phase meets a fault:
     6/4/13/14 faults for flush, query, flush, query.  Which attempts
     each phase makes depends on the page layout and the prefetch
-    order, so re-spread them when either moves.
+    order, so re-spread them when either moves.  Each half of the
+    stream crosses a partition rollover, so it is put in the buffer
+    directly: one flush per half, each spanning both partitions.
     """
     sharded = deploy(supervised=True)
     for pool in sharded.pools:
@@ -172,11 +174,12 @@ def test_pipeline_fault_stats_exclude_faults_between_flushes():
         disk.heal()
         disk.schedule = schedule
     supervisor = sharded.supervisor
-    pipeline = UpdatePipeline(sharded, capacity=1000, flush_on_rollover=False)
+    pipeline = UpdatePipeline(sharded, capacity=1000)
     during_flushes = []
 
     for part in (BATCH[:60], BATCH[60:]):
-        pipeline.extend(list(part))
+        for obj, pntp in part:
+            pipeline.buffer.add(obj, pntp)
         before = supervisor.stats.copy()
         pipeline.flush()
         during_flushes.append(supervisor.stats.delta_from(before))

@@ -4,8 +4,8 @@ from repro.bench.oracle import brute_force_pknn, brute_force_prq
 from repro.spatial.geometry import Rect
 
 
-def test_range_query_filters_by_policy(small_world):
-    world = small_world
+def test_range_query_filters_by_policy(curve_world):
+    world = curve_world
     generator = world.query_generator()
     for query in generator.range_queries(world.uids, 10, 250.0, 5.0):
         expected = brute_force_prq(
@@ -20,8 +20,8 @@ def test_range_query_filters_by_policy(small_world):
         assert found == expected
 
 
-def test_knn_query_filters_by_policy(small_world):
-    world = small_world
+def test_knn_query_filters_by_policy(curve_world):
+    world = curve_world
     generator = world.query_generator()
     for query in generator.knn_queries(world.states, 8, 4, 5.0):
         expected = brute_force_pknn(

@@ -5,8 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.spatial import Grid, Rect
-from repro.spatial.curves import HILBERT, ZCURVE, curve_span
-from repro.spatial.zcurve import z_decode, z_encode
+from repro.spatial.curves import (
+    HILBERT,
+    ZCURVE,
+    coarse_quad_side,
+    curve_decompose,
+    curve_span,
+)
+from repro.spatial.zcurve import z_encode
 
 
 def test_cell_size():
@@ -35,24 +41,56 @@ def test_cell_box():
     assert grid.cell_box(Rect(1.2, 3.8, 0.0, 2.0)) == (1, 3, 0, 2)
 
 
-def test_decompose_covers_exactly_intersecting_cells():
-    grid = Grid(8.0, 3)
+BOTH_CURVES = pytest.mark.parametrize("curve", [ZCURVE, HILBERT], ids=lambda c: c.name)
+
+
+def decoded_cells(grid, intervals):
+    return {
+        grid.curve.decode(value, grid.bits)
+        for lo, hi in intervals
+        for value in range(lo, hi + 1)
+    }
+
+
+@BOTH_CURVES
+def test_decompose_covers_exactly_intersecting_cells(curve):
+    grid = Grid(8.0, 3, curve=curve)
     intervals = grid.decompose(Rect(1.2, 3.8, 0.0, 2.0))
-    cells = set()
-    for lo, hi in intervals:
-        for z in range(lo, hi + 1):
-            cells.add(z_decode(z))
+    cells = decoded_cells(grid, intervals)
     assert cells == {(x, y) for x in range(1, 4) for y in range(0, 3)}
 
 
-def test_decompose_clips_overhanging_windows():
-    grid = Grid(8.0, 3)
+@BOTH_CURVES
+def test_decompose_clips_overhanging_windows(curve):
+    grid = Grid(8.0, 3, curve=curve)
     assert grid.decompose(Rect(-100, 100, -100, 100)) == [(0, 63)]
 
 
-def test_decompose_outside_space_is_empty():
-    grid = Grid(8.0, 3)
+@BOTH_CURVES
+def test_decompose_outside_space_is_empty(curve):
+    grid = Grid(8.0, 3, curve=curve)
     assert grid.decompose(Rect(10, 20, 0, 5)) == []
+    assert grid.decompose(Rect(10, 20, 0, 5), coarsen=True) == []
+
+
+@BOTH_CURVES
+def test_coarsened_decompose_descends_to_an_eighth_of_the_window(curve):
+    """``coarsen=True`` stops at quads of the side ``coarse_quad_side``
+    picks for the window's cell box: 8 for a box 64 cells wide."""
+    grid = Grid(1024.0, 10, curve=curve)  # cell size 1
+    window = Rect(100.5, 163.5, 300.5, 320.5)
+    box = grid.cell_box(window)
+    assert box == (100, 163, 300, 320)
+    assert coarse_quad_side(*box) == 8
+    coarse = grid.decompose(window, coarsen=True)
+    assert coarse == curve_decompose(curve, *box, 10, 8)
+    exact_cells = decoded_cells(grid, grid.decompose(window))
+    assert exact_cells == {
+        (x, y) for x in range(100, 164) for y in range(300, 321)
+    }
+    coarse_cells = decoded_cells(grid, coarse)
+    assert exact_cells <= coarse_cells
+    assert coarse_cells <= {(x, y) for x in range(96, 168) for y in range(296, 328)}
 
 
 def test_z_span_is_corner_codes():
@@ -75,6 +113,7 @@ def test_invalid_parameters():
         Grid(10, 40)
 
 
+@BOTH_CURVES
 @settings(max_examples=120, deadline=None)
 @given(
     x0=st.floats(min_value=0, max_value=7.9),
@@ -82,9 +121,10 @@ def test_invalid_parameters():
     w=st.floats(min_value=0, max_value=8),
     h=st.floats(min_value=0, max_value=8),
 )
-def test_z_span_contains_every_decomposed_interval(x0, y0, w, h):
-    """The single-span window is always a superset of the exact cover."""
-    grid = Grid(8.0, 3)
+def test_z_span_contains_every_decomposed_interval(curve, x0, y0, w, h):
+    """The single-span window is always a superset of the exact cover
+    (on Hilbert the span is itself read off a coarsened decomposition)."""
+    grid = Grid(8.0, 3, curve=curve)
     window = Rect(x0, x0 + w, y0, y0 + h)
     span = grid.z_span(window)
     intervals = grid.decompose(window)
@@ -129,13 +169,14 @@ def test_z_span_of_bounds_equals_the_rect_spelling(setup, data):
     assert grid.z_span(rect) == rect_span(grid, rect)
 
 
+@BOTH_CURVES
 @settings(max_examples=120, deadline=None)
 @given(
     x=st.floats(min_value=0, max_value=999.999),
     y=st.floats(min_value=0, max_value=999.999),
 )
-def test_point_z_value_inside_own_window_span(x, y):
-    grid = Grid(1000.0, 8)
+def test_point_z_value_inside_own_window_span(curve, x, y):
+    grid = Grid(1000.0, 8, curve=curve)
     z = grid.z_value(x, y)
     span = grid.z_span(Rect(x, x, y, y))
     assert span == (z, z)

@@ -60,6 +60,24 @@ def test_k_override(harness):
     assert costs.n_queries == 6
 
 
+#: curve -> the Bx-tree baseline's physical reads over a whole batch of
+#: 12 PRQs and 12 PkNNs.  The baseline turns each query strip into
+#: curve intervals through ``Grid.decompose``, so these numbers move
+#: when the decomposition does; recorded while Z had its own descent.
+BASELINE_READS = {"z": (73, 299), "hilbert": (19, 128)}
+
+
+@pytest.mark.parametrize("curve", sorted(BASELINE_READS))
+def test_baseline_io_golden(curve):
+    harness = ExperimentHarness(small_config(curve=curve, n_queries=12))
+    prq_costs = harness.run_prq_batch(check_results=True)
+    knn_costs = harness.run_pknn_batch(check_results=True)
+    assert (
+        prq_costs.baseline_io * prq_costs.n_queries,
+        knn_costs.baseline_io * knn_costs.n_queries,
+    ) == BASELINE_READS[curve]
+
+
 def test_measurement_resets_counters(harness):
     harness.run_prq_batch()
     first = harness.peb_pool.stats.physical_reads

@@ -324,7 +324,7 @@ def test_build_stats_aggregates_sojourns_and_batches():
 
 def make_service(tree, policy):
     engine = QueryEngine(tree)
-    pipeline = UpdatePipeline(tree, capacity=256, flush_on_rollover=True)
+    pipeline = UpdatePipeline(tree, capacity=256)
     return SimulatedService(engine, pipeline, policy)
 
 

@@ -181,7 +181,7 @@ def test_pipeline_breakdown_excludes_io_between_flushes(world):
         pool.clear()
     generator = world.query_generator()
     stream = generator.update_stream(world.states, 200, 3.0, 0.0, 50.0)
-    pipeline = UpdatePipeline(sharded, capacity=1000, flush_on_rollover=False)
+    pipeline = UpdatePipeline(sharded, capacity=1000)
 
     pipeline.extend(stream[:100])
     pipeline.flush()

@@ -80,7 +80,7 @@ def test_buffer_restore_reenters_at_head_without_clobbering_newer():
 
 def test_pipeline_flushes_at_capacity():
     tree = make_peb(range(10))
-    pipeline = UpdatePipeline(tree, capacity=4, flush_on_rollover=False)
+    pipeline = UpdatePipeline(tree, capacity=4)
     for uid in range(3):
         pipeline.submit(mover(uid, x=uid * 100.0))
     assert pipeline.pending == 3
@@ -108,13 +108,21 @@ def test_pipeline_flushes_on_partition_rollover():
     assert len(tree) == 3
 
 
-def test_pipeline_rollover_trigger_can_be_disabled():
-    tree = make_peb(range(10))
-    pipeline = UpdatePipeline(tree, capacity=100, flush_on_rollover=False)
-    pipeline.submit(mover(0, t=10.0))
-    pipeline.submit(mover(1, t=70.0))
-    assert pipeline.stats.flushes == 0
-    assert pipeline.pending == 2
+def test_flush_applies_a_buffer_that_spans_partitions():
+    """``submit`` never buffers two partitions together, but a buffer
+    filled directly (as the fault tests do) still flushes as one batch."""
+    tree = make_peb(range(10))  # phase = 60
+    pipeline = UpdatePipeline(tree, capacity=100)
+    states = [mover(0, x=50.0, t=10.0), mover(1, x=60.0, t=70.0), mover(2, t=130.0)]
+    for obj in states:
+        pipeline.buffer.add(obj)
+    assert len({tree.partitioner.partition(obj.t_update) for obj in states}) == 3
+    assert pipeline.flush() == 3
+    assert pipeline.stats.flushes == 1 and pipeline.pending == 0
+    by_uid = {obj.uid: obj for obj in tree.fetch_all()}
+    assert all(by_uid[obj.uid] == obj for obj in states)
+    assert tree.check_consistency() == []
+    tree.btree.check_invariants()
 
 
 def test_pipeline_rejects_bad_capacity():
@@ -283,7 +291,7 @@ def test_flush_failure_during_capacity_trigger_surfaces_and_retries():
     tree.btree.pool.clear()
     disk.fail_read_pages.update(range(disk.allocated_count))
 
-    pipeline = UpdatePipeline(tree, capacity=4, flush_on_rollover=False)
+    pipeline = UpdatePipeline(tree, capacity=4)
     for uid in range(3):
         pipeline.submit(mover(uid, x=700.0, t=5.0))
     with pytest.raises(DiskFaultError):
@@ -315,7 +323,7 @@ def _pntp_by_uid(tree):
 
 def test_extend_accepts_pairs_and_parallel_pntps():
     tree = make_peb(range(10))
-    pipeline = UpdatePipeline(tree, capacity=100, flush_on_rollover=False)
+    pipeline = UpdatePipeline(tree, capacity=100)
     pipeline.extend([(mover(0), 3), mover(1), (mover(2), 5)])
     pipeline.extend([mover(3), mover(4)], pntps=[7, 0])
     pipeline.flush()
@@ -324,7 +332,7 @@ def test_extend_accepts_pairs_and_parallel_pntps():
 
 def test_extend_rejects_mismatched_pntps():
     tree = make_peb(range(4))
-    pipeline = UpdatePipeline(tree, capacity=100, flush_on_rollover=False)
+    pipeline = UpdatePipeline(tree, capacity=100)
     with pytest.raises(ValueError):
         pipeline.extend([mover(0), mover(1)], pntps=[1])
 
@@ -333,7 +341,7 @@ def test_monitor_fanout_follows_last_arrival_order():
     """A superseded state's slot moves to the end of the batch: the
     fan-out order monitors see is the order states actually arrived."""
     tree = make_peb(range(10))
-    pipeline = UpdatePipeline(tree, capacity=100, flush_on_rollover=False)
+    pipeline = UpdatePipeline(tree, capacity=100)
     monitor = RecordingMonitor()
     pipeline.attach_monitor(monitor)
     pipeline.submit(mover(1, x=10.0))
@@ -412,22 +420,32 @@ def _poison_world():
     return world, good
 
 
-@pytest.mark.parametrize("field,value", NON_FINITE)
-@pytest.mark.parametrize("flush_on_rollover", (True, False))
-def test_submit_rejects_a_non_finite_state_and_keeps_working(
-    field, value, flush_on_rollover
-):
+#: The poison's update time: in the buffered state's partition, or one
+#: phase (60 time units with ``build_world``'s partitioner) later, where a
+#: finite state would trigger a rollover flush.  A non-finite
+#: ``t_update`` has no phase, so it gets the first case only.
+POISON_CASES = [
+    pytest.param(field, value, shift, id=f"{field}-{value}-{phase}")
+    for field, value in NON_FINITE
+    for phase, shift in (("same_phase", 0.0), ("next_phase", 60.0))
+    if not (field == "t_update" and shift)
+]
+
+
+@pytest.mark.parametrize("field,value,shift", POISON_CASES)
+def test_submit_rejects_a_non_finite_state_and_keeps_working(field, value, shift):
     """One poison state used to wedge the pipeline for good: buffered
     unseen, it killed every flush in key planning, was restored with
     the batch, and every later submit raised while the buffer grew."""
     world, good = _poison_world()
-    pipeline = UpdatePipeline(
-        world.peb, capacity=4, flush_on_rollover=flush_on_rollover
-    )
+    pipeline = UpdatePipeline(world.peb, capacity=4)
     monitor = RecordingMonitor()
     pipeline.attach_monitor(monitor)
     pipeline.submit(good[0])
-    poison = replace(good[1], **{field: value})
+    poison = replace(good[1], **{"t_update": good[1].t_update + shift, field: value})
+    partition = world.peb.partitioner.partition
+    if shift:
+        assert partition(poison.t_update) != partition(good[0].t_update)
     with pytest.raises(ValueError, match=rf"user {poison.uid}\b.*\b{field}\b"):
         pipeline.submit(poison)
     # Rejected before the rollover test, the buffer and any flush.
