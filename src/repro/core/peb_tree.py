@@ -503,13 +503,14 @@ class PEBTree(Deployment):
         compose = codec.compose_quantized
         scan_fenced = self.btree.scan_fenced
         decode = self._decode
+        empty = BandRows.empty
         prove = codec.sv_major
         stratum_size = 1 << codec.zv_bits
         for tid, sv_q, z_lo, z_hi in bands:
             lo = compose(tid, sv_q, z_lo)
             hi = compose(tid, sv_q, z_hi)
             chunks, below, above = scan_fenced((lo, 0), (hi, MAX_UID))
-            rows = decode(chunks) if chunks else BandRows([], [])
+            rows = decode(chunks) if chunks else empty()
             if prove and above is not None:
                 stratum_lo = lo - z_lo
                 stratum_end = stratum_lo + stratum_size

@@ -225,18 +225,23 @@ class QueryPlanner:
         if friends:
             quantize_sv = self.tree.codec.quantize_sv
             quantized = [(quantize_sv(sv), uid) for sv, uid in friends]
+            # One band per (partition, friend), ~58 a query: built as
+            # plain tuples of the two NamedTuple types, without their
+            # Python-level __new__ (what NamedTuple._make does too).
+            new = tuple.__new__
             for context in contexts:
                 span = self.tree.grid.z_span(context.enlarged(window))
                 if span is None:
                     continue
                 z_lo, z_hi = span
                 tid = context.tid
-                bands.extend(
-                    PlannedBand(
-                        friend_uid, BandRequest(tid, sv_q, sv_q, z_lo, z_hi)
+                bands += [
+                    new(
+                        PlannedBand,
+                        (friend_uid, new(BandRequest, (tid, sv_q, sv_q, z_lo, z_hi))),
                     )
                     for sv_q, friend_uid in quantized
-                )
+                ]
         return QueryPlan(
             q_uid=q_uid,
             t_query=t_query,

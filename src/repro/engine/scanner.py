@@ -121,9 +121,12 @@ class StratumResidency:
     (:attr:`BandRows.proven`: the band widened to the keys the touched
     leaves showed around it) with its rows; any later request that
     falls inside one proven interval is answered by bisection, an
-    empty one without allocating.  The residency lives and dies with
-    its scanner, which assumes an unmutated tree, so there is nothing
-    to invalidate.
+    empty one without allocating.  A prefetch creates a stratum's
+    residency holding its first coverage run's proof (``z_lo``,
+    ``z_hi`` and ``rows``: the run and what it returned); a handle
+    taken before any scan (:meth:`BandScanner.residency`) starts with
+    none.  The residency lives and dies with its scanner, which assumes
+    an unmutated tree, so there is nothing to invalidate.
 
     Searches that revisit a stratum many times (the PkNN matrix walk)
     hold the residency itself and call :meth:`serve` directly; a hit
@@ -132,7 +135,8 @@ class StratumResidency:
     Attributes:
         tid, sv_q: the stratum.
         rows: the resident rows in key order.  Never mutated: a new
-            proof builds a new container.
+            proof builds a new container, or adopts its own rows when
+            they hold every resident one.
         requested: every Z-interval put to the stratum, in request
             order — ``scan()`` calls and direct :meth:`serve` hits, not
             the pieces counted by :meth:`count_quiet`.
@@ -151,17 +155,32 @@ class StratumResidency:
         "_edges",
     )
 
-    def __init__(self, tally: _Tally, tid: int, sv_q: int):
+    def __init__(
+        self,
+        tally: _Tally,
+        tid: int,
+        sv_q: int,
+        z_lo: int | None = None,
+        z_hi: int = 0,
+        rows: BandRows = NO_ROWS,
+    ):
         self.tid = tid
         self.sv_q = sv_q
-        self.rows = NO_ROWS
+        self.rows = rows
         self.requested: list[ZInterval] = []
         self.landed: float | None = None
         self._tally = tally
         # The proven intervals as one ascending list of half-open edges
         # [lo0, hi0 + 1, lo1, hi1 + 1, ...]: z is proven iff an odd
-        # number of edges lie at or below it.
-        self._edges: list[int] = []
+        # number of edges lie at or below it.  Born holding the first
+        # scan's proof when one is given (a prefetch run), else empty (a
+        # handle taken before any scan of the stratum).
+        if z_lo is None:
+            self._edges: list[int] = []
+        else:
+            if rows.proven is not None:
+                z_lo, z_hi = rows.proven
+            self._edges = [z_lo, z_hi + 1]
 
     def serve(self, z_lo: int, z_hi: int) -> "BandRows | None":
         """Rows of ``[z_lo, z_hi]`` if a proof covers it, else None.
@@ -246,33 +265,32 @@ class StratumResidency:
         )
 
     def _add(self, z_lo: int, z_hi: int, rows: BandRows) -> None:
-        """Record what a scan of ``[z_lo, z_hi]`` that returned ``rows`` proved.
+        """Merge what a scan of ``[z_lo, z_hi]`` that returned ``rows`` proved.
 
         The interval the rows report (:attr:`BandRows.proven`) when a
         fence was read, else just the interval asked.  Rows already
         resident inside the interval are a subset of ``rows`` (same
-        tree, unmutated), so they are replaced; touching or overlapping
-        proven intervals fuse.  The first proof's rows are adopted as
-        they are.
+        tree, unmutated), so they are replaced — and when that is every
+        resident row (a handle's first proof among them), ``rows`` is
+        adopted as it is.  Touching or overlapping proven intervals
+        fuse.
         """
         if rows.proven is not None:
             z_lo, z_hi = rows.proven
-        edges = self._edges
-        if edges:
-            old = self.rows
-            zvs = old.zvs
-            lo = bisect_left(zvs, z_lo)
-            hi = bisect_right(zvs, z_hi, lo)
+        old = self.rows
+        zvs = old.zvs
+        lo = bisect_left(zvs, z_lo)
+        hi = bisect_right(zvs, z_hi, lo)
+        if lo or hi < len(zvs):
             rows = BandRows.concat(
                 (old.slice(0, lo), rows, old.slice(hi, len(zvs)))
             )
-            # Edges inside or touching the new interval vanish; an end
-            # of it that lands outside every proven interval is new.
-            i = bisect_left(edges, z_lo)
-            j = bisect_right(edges, z_hi + 1)
-            edges[i:j] = ([] if i & 1 else [z_lo]) + ([] if j & 1 else [z_hi + 1])
-        else:
-            edges += (z_lo, z_hi + 1)
+        # Edges inside or touching the new interval vanish; an end of it
+        # that lands outside every proven interval is new.
+        edges = self._edges
+        i = bisect_left(edges, z_lo)
+        j = bisect_right(edges, z_hi + 1)
+        edges[i:j] = ([] if i & 1 else [z_lo]) + ([] if j & 1 else [z_hi + 1])
         self.rows = rows
 
 
@@ -406,37 +424,46 @@ class BandScanner:
         """
         if not self._sv_major:
             return
+        # One pass groups the single-SV bands by stratum, in first
+        # appearance order; a stratum named more than once has its
+        # intervals merged when its runs are laid out.
         grouped: dict[tuple[int, int], list[ZInterval]] = {}
         for tid, sv_q, sv_hi_q, z_lo, z_hi in bands:
             if sv_q == sv_hi_q:
-                intervals = grouped.get((tid, sv_q))
-                if intervals is None:
-                    intervals = grouped[(tid, sv_q)] = []
-                intervals.append((z_lo, z_hi))
-        strata: list[tuple[int, int, list[ZInterval]]] = []
-        for (tid, sv_q), coverage in grouped.items():
+                coverage = grouped.get((tid, sv_q))
+                if coverage is None:
+                    grouped[(tid, sv_q)] = [(z_lo, z_hi)]
+                else:
+                    coverage.append((z_lo, z_hi))
+        runs = []
+        for stratum, coverage in grouped.items():
             if len(coverage) > 1:
-                coverage = merge_intervals(sorted(coverage))
-            strata.append((tid, sv_q, coverage))
-        runs = [
-            (tid, sv_q, z_lo, z_hi)
-            for tid, sv_q, coverage in strata
-            for z_lo, z_hi in coverage
-        ]
+                coverage = grouped[stratum] = merge_intervals(sorted(coverage))
+                runs += [stratum + interval for interval in coverage]
+            else:
+                runs.append(stratum + coverage[0])
         scans = self.tree.scan_bands_rows(runs)
         # The sweep scans a run only when its result is pulled.  A
         # scan is counted as it is issued, a stratum's entries once its
         # last run has landed: a disk fault mid-sweep leaves the earlier
         # runs resident and counted, which is what the supervisor's
-        # retry of the job starts from.
-        for tid, sv_q, coverage in strata:
-            resident = self.residency(tid, sv_q)
+        # retry of the job starts from.  A stratum no earlier scan
+        # proved is born holding its first run's proof.
+        residencies = self._residency
+        tally = self._tally
+        for stratum, coverage in grouped.items():
+            resident = residencies.get(stratum)
             prefetched = 0
             for z_lo, z_hi in coverage:
                 self.physical_scans += 1
                 rows = next(scans)
-                resident._add(z_lo, z_hi, rows)
-                prefetched += len(rows)
+                if resident is None:
+                    resident = residencies[stratum] = StratumResidency(
+                        tally, stratum[0], stratum[1], z_lo, z_hi, rows
+                    )
+                else:
+                    resident._add(z_lo, z_hi, rows)
+                prefetched += len(rows.records)
             self.entries_prefetched += prefetched
             if clock is not None:
                 resident.landed = clock.cursor()

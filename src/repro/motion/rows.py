@@ -23,6 +23,10 @@ from typing import Iterable, Iterator
 from repro.motion.objects import MovingObject
 
 
+#: The column of every :meth:`BandRows.empty` result.
+_NO_COLUMN: list = []
+
+
 class BandRows:
     """One band's scan result as parallel packed columns.
 
@@ -54,7 +58,13 @@ class BandRows:
 
     @classmethod
     def empty(cls) -> "BandRows":
-        return cls([], [])
+        """No rows, and no per-row columns: every empty result shares
+        one empty list, which nothing appends to (rows are never
+        mutated in place, and an empty row set caches no object)."""
+        rows = cls.__new__(cls)
+        rows.zvs = rows.records = rows._objects = _NO_COLUMN
+        rows.proven = None
+        return rows
 
     @classmethod
     def concat(cls, parts: "Iterable[BandRows]") -> "BandRows":

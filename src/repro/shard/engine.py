@@ -9,9 +9,11 @@ unchanged — which is precisely what keeps sharded results (and
 :class:`ShardScatterScanner` keeps one
 :class:`repro.engine.scanner.BandScanner` per shard and:
 
-* **scatters** every band request to its owning shards
-  (:meth:`repro.shard.router.ShardRouter.split_band`, cutting
-  boundary-straddling bands at the boundary key),
+* **scatters** every band request to its owning shards: a single-SV
+  band — every band a served query plans — whole to its SV's shard
+  (:meth:`repro.shard.router.ShardRouter.shard_of`), a multi-SV span
+  band through :meth:`repro.shard.router.ShardRouter.split_band`,
+  which cuts it at the boundary keys it straddles,
 * runs each shard's **prefetch** against that shard's own tree and
   pool as one job of a :class:`repro.simio.scheduler.IOScheduler` —
   shards share no mutable state (separate trees, pools, disks, and
@@ -93,7 +95,6 @@ class ShardScatterScanner:
         self.supervisor = sharded.supervisor
         self.scanners = [BandScanner(tree) for tree in sharded.trees]
         self.scan_calls = 0
-        self._parts_memo: dict[tuple, list] = {}
         self.timeline = VerifyTimeline(self) if sharded.sim_clock is not None else None
 
     # ------------------------------------------------------------------
@@ -138,12 +139,14 @@ class ShardScatterScanner:
     # Scanning
     # ------------------------------------------------------------------
 
-    def _split(self, band: BandRequest) -> list:
-        parts = self._parts_memo.get(band)
-        if parts is None:
-            parts = self.tree.router.split_band(band)
-            self._parts_memo[band] = parts
-        return parts
+    def _parts(self, band: BandRequest):
+        """A band's ``(shard, sub_band)`` parts: a single-SV band whole
+        to its SV's shard, a span band cut where it straddles a
+        boundary (:meth:`repro.shard.router.ShardRouter.split_band`)."""
+        router = self.tree.router
+        if band.sv_lo_q == band.sv_hi_q:
+            return ((router.shard_of(band.sv_lo_q), band),)
+        return router.split_band(band)
 
     def residency(self, tid: int, sv_q: int):
         """The owning shard scanner's live residency of one stratum.
@@ -167,7 +170,7 @@ class ShardScatterScanner:
         (:meth:`VerifyTimeline.wait_landed`).
         """
         self.scan_calls += 1
-        parts = self._split(band)
+        parts = self._parts(band)
         timeline = self.timeline
         if timeline is not None and timeline.searching and band.sv_lo_q == band.sv_hi_q:
             # A single-SV band routes whole to its stratum's shard.
@@ -177,26 +180,26 @@ class ShardScatterScanner:
             if len(parts) == 1:
                 shard, sub = parts[0]
                 return self.scanners[shard].scan(sub)
-            results = [self.scanners[shard].scan(sub) for shard, sub in parts]
-        else:
-            results = []
-            for shard, sub in parts:
-                if self.supervisor.is_quarantined(shard):
-                    self.supervisor.note_dropped_band()
-                    continue
-                ok, rows = self.supervisor.run(
-                    shard, lambda s=shard, b=sub: self.scanners[s].scan(b)
-                )
-                if ok:
-                    results.append(rows)
-                else:
-                    self.supervisor.note_dropped_band()
+            return BandRows.concat([self.scanners[shard].scan(sub) for shard, sub in parts])
+        results = []
+        for shard, sub in parts:
+            if self.supervisor.is_quarantined(shard):
+                self.supervisor.note_dropped_band()
+                continue
+            ok, rows = self.supervisor.run(
+                shard, lambda s=shard, b=sub: self.scanners[s].scan(b)
+            )
+            if ok:
+                results.append(rows)
+            else:
+                self.supervisor.note_dropped_band()
         return BandRows.concat(results)  # no rows when every shard dropped
 
     def prefetch(self, bands: Iterable[BandRequest]) -> None:
         """Scatter the batch's merged bands; prefetch each shard once.
 
-        Per-shard prefetching inherits all of
+        A single-SV band joins its SV's shard job whole; a span band's
+        parts join theirs.  Per-shard prefetching inherits all of
         :meth:`BandScanner.prefetch`'s semantics (single-SV grouping,
         interval merging, the SV-major layout guard).  The shard
         jobs run through the scheduler: they touch disjoint trees,
@@ -209,7 +212,7 @@ class ShardScatterScanner:
         """
         per_shard: dict[int, list[BandRequest]] = {}
         for band in bands:
-            for shard, sub in self._split(band):
+            for shard, sub in self._parts(band):
                 per_shard.setdefault(shard, []).append(sub)
         jobs = sorted(per_shard.items())
         if self.supervisor is not None:

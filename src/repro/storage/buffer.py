@@ -60,7 +60,12 @@ class BufferPool:
         serializer: packs/parses node objects; may be swapped per tree if
             several trees share one pool (each ``get`` names its serializer).
         policy: replacement policy instance or registered name
-            (default ``"lru"``, the paper's configuration).
+            (default ``"lru"``, the paper's configuration).  It may be
+            swapped later by assigning :attr:`policy`.
+
+    The disk's ``stats`` bundle is bound at construction (every page
+    access counts into it), so neither ``disk`` nor ``disk.stats`` may
+    be replaced afterwards.
     """
 
     def __init__(
@@ -76,6 +81,10 @@ class BufferPool:
         self.capacity = capacity
         self.serializer = serializer
         self.policy = make_policy(policy) if isinstance(policy, str) else policy
+        # The disk's counter bundle, bound once (a wrapper's is its
+        # inner disk's, for the disk's lifetime).
+        self._io = disk.stats
+        # page id -> resident node; a node is never None.
         self._frames: dict[int, Any] = {}
         self._dirty: set[int] = set()
         self._guard_base: int | None = None
@@ -86,7 +95,7 @@ class BufferPool:
     @property
     def stats(self):
         """The disk's shared I/O counter bundle."""
-        return self.disk.stats
+        return self._io
 
     @staticmethod
     def merged_stats(pools: "Iterable[BufferPool]") -> StatsView:
@@ -110,10 +119,11 @@ class BufferPool:
         A miss always pays the physical read; it parses only when the
         image read is not the one this pool last exchanged for the page.
         """
-        self.stats.logical_reads += 1
-        if page_id in self._frames:
+        self._io.logical_reads += 1
+        obj = self._frames.get(page_id)
+        if obj is not None:
             self.policy.on_access(page_id)
-            return self._frames[page_id]
+            return obj
         codec = serializer if serializer is not None else self.serializer
         if codec is None:
             raise RuntimeError("BufferPool has no serializer configured")
@@ -141,7 +151,7 @@ class BufferPool:
         """Record that the cached object diverges from its disk image."""
         if page_id not in self._frames:
             raise KeyError(f"page {page_id} is not resident")
-        self.stats.logical_writes += 1
+        self._io.logical_writes += 1
         self._dirty.add(page_id)
 
     def discard(self, page_id: int) -> None:

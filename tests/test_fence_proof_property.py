@@ -343,19 +343,19 @@ def _per_band_prefetch(scanner: BandScanner, bands) -> None:
 
     Same grouping, same order, same accounting points as
     ``BandScanner.prefetch`` — a scan is counted when it is issued, a
-    stratum's entries when its last run has landed.
+    stratum's entries when its last run has landed, and a stratum's
+    residency exists once its first run has landed.
     """
     grouped: dict = {}
     for band in bands:
         grouped.setdefault((band.tid, band.sv_lo_q), []).append((band.z_lo, band.z_hi))
     for (tid, sv_q), intervals in grouped.items():
         coverage = merge_intervals(sorted(intervals))
-        resident = scanner.residency(tid, sv_q)
         prefetched = 0
         for z_lo, z_hi in coverage:
             scanner.physical_scans += 1
             rows = scanner.tree.scan_band_rows(tid, sv_q, sv_q, z_lo, z_hi)
-            resident._add(z_lo, z_hi, rows)
+            scanner.residency(tid, sv_q)._add(z_lo, z_hi, rows)
             prefetched += len(rows)
         scanner.entries_prefetched += prefetched
 
