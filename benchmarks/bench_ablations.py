@@ -56,15 +56,15 @@ def test_ablation_key_field_order(benchmark, preset):
     )
     for obj in harness.states.values():
         swapped.insert(obj)
-    queries = harness.query_generator.range_queries(
+    queries = harness.query_generator().range_queries(
         sorted(harness.states), config.n_queries, config.window_side, harness.now
     )
 
     def run():
         sv_first = _measured(
-            harness.peb_pool,
+            harness.peb.btree.pool,
             config.buffer_pages,
-            lambda: [prq(harness.peb_tree, q.q_uid, q.window, q.t_query) for q in queries],
+            lambda: [prq(harness.peb, q.q_uid, q.window, q.t_query) for q in queries],
         )
         zv_first = _measured(
             swapped_pool,
@@ -88,21 +88,21 @@ def test_ablation_key_field_order(benchmark, preset):
 
 def test_ablation_per_sv_ranges_vs_span_scan(benchmark, preset):
     config, harness = _ablation_harness(preset)
-    queries = harness.query_generator.range_queries(
+    queries = harness.query_generator().range_queries(
         sorted(harness.states), config.n_queries, config.window_side, harness.now
     )
 
     def run():
         per_sv = _measured(
-            harness.peb_pool,
+            harness.peb.btree.pool,
             config.buffer_pages,
-            lambda: [prq(harness.peb_tree, q.q_uid, q.window, q.t_query) for q in queries],
+            lambda: [prq(harness.peb, q.q_uid, q.window, q.t_query) for q in queries],
         )
         span = _measured(
-            harness.peb_pool,
+            harness.peb.btree.pool,
             config.buffer_pages,
             lambda: [
-                prq_span_scan(harness.peb_tree, q.q_uid, q.window, q.t_query)
+                prq_span_scan(harness.peb, q.q_uid, q.window, q.t_query)
                 for q in queries
             ],
         )
@@ -123,25 +123,25 @@ def test_ablation_per_sv_ranges_vs_span_scan(benchmark, preset):
 
 def test_ablation_pknn_search_order(benchmark, preset):
     config, harness = _ablation_harness(preset)
-    queries = harness.query_generator.knn_queries(
+    queries = harness.query_generator().knn_queries(
         harness.states, config.n_queries, config.k, harness.now
     )
 
     def run():
         triangular = _measured(
-            harness.peb_pool,
+            harness.peb.btree.pool,
             config.buffer_pages,
             lambda: [
-                pknn(harness.peb_tree, q.q_uid, q.qx, q.qy, q.k, q.t_query)
+                pknn(harness.peb, q.q_uid, q.qx, q.qy, q.k, q.t_query)
                 for q in queries
             ],
         )
         column = _measured(
-            harness.peb_pool,
+            harness.peb.btree.pool,
             config.buffer_pages,
             lambda: [
                 pknn(
-                    harness.peb_tree,
+                    harness.peb,
                     q.q_uid,
                     q.qx,
                     q.qy,
@@ -179,7 +179,7 @@ def test_ablation_sequence_encoders(benchmark, preset):
     one SV neighbourhood, so it must never read more than Figure 5.
     """
     config, harness = _ablation_harness(preset)
-    queries = harness.query_generator.range_queries(
+    queries = harness.query_generator().range_queries(
         sorted(harness.states), config.n_queries, config.window_side, harness.now
     )
     users = sorted(harness.states)
@@ -263,21 +263,21 @@ def test_ablation_space_filling_curve(benchmark, preset):
 def test_ablation_buffer_policy(benchmark, preset):
     """The paper pins LRU; how sensitive are the numbers to that choice?"""
     config, harness = _ablation_harness(preset)
-    queries = harness.query_generator.range_queries(
+    queries = harness.query_generator().range_queries(
         sorted(harness.states), config.n_queries, config.window_side, harness.now
     )
 
     def measure_policy(name):
         from repro.storage.replacement import make_policy
 
-        pool = harness.peb_pool
+        pool = harness.peb.btree.pool
         pool.flush()
         pool.clear()
         pool.policy = make_policy(name)
         pool.resize(config.buffer_pages)
         pool.stats.reset()
         for query in queries:
-            prq(harness.peb_tree, query.q_uid, query.window, query.t_query)
+            prq(harness.peb, query.q_uid, query.window, query.t_query)
         reads = pool.stats.physical_reads
         pool.resize(config.build_buffer_pages)
         return reads / len(queries)
@@ -306,7 +306,7 @@ def test_ablation_buffer_size(benchmark, preset):
     artifact).
     """
     config, harness = _ablation_harness(preset)
-    queries = harness.query_generator.range_queries(
+    queries = harness.query_generator().range_queries(
         sorted(harness.states), config.n_queries, config.window_side, harness.now
     )
     sizes = (10, 25, 50, 100, 200)
@@ -325,15 +325,15 @@ def test_ablation_buffer_size(benchmark, preset):
         rows = []
         for pages in sizes:
             peb = _measure_at(
-                harness.peb_pool,
+                harness.peb.btree.pool,
                 pages,
                 lambda: [
-                    prq(harness.peb_tree, q.q_uid, q.window, q.t_query)
+                    prq(harness.peb, q.q_uid, q.window, q.t_query)
                     for q in queries
                 ],
             )
             base = _measure_at(
-                harness.baseline_pool,
+                harness.bx.btree.pool,
                 pages,
                 lambda: [
                     harness.baseline.range_query(q.q_uid, q.window, q.t_query)
@@ -368,14 +368,14 @@ def test_update_performance_parity(benchmark, preset):
 
     def run():
         peb = _measured(
-            harness.peb_pool,
+            harness.peb.btree.pool,
             config.buffer_pages,
-            lambda: [harness.peb_tree.update(state) for state in moved],
+            lambda: [harness.peb.update(state) for state in moved],
         )
         bx = _measured(
-            harness.baseline_pool,
+            harness.bx.btree.pool,
             config.buffer_pages,
-            lambda: [harness.bx_tree.update(state) for state in moved],
+            lambda: [harness.bx.update(state) for state in moved],
         )
         return peb / len(moved), bx / len(moved)
 

@@ -35,7 +35,7 @@ def test_continuous_vs_snapshots(benchmark, preset):
     times = [tick * TICK_MINUTES for tick in range(TICKS)]
 
     def measure(func):
-        pool = harness.peb_pool
+        pool = harness.peb.btree.pool
         pool.flush()
         pool.resize(config.buffer_pages)
         pool.stats.reset()
@@ -55,7 +55,7 @@ def test_continuous_vs_snapshots(benchmark, preset):
             for t in times:
                 for q_uid in issuers:
                     snapshot_answers[q_uid].append(
-                        prq(harness.peb_tree, q_uid, window, t).uids
+                        prq(harness.peb, q_uid, window, t).uids
                     )
 
         snapshot_io = measure(snapshots)
@@ -64,7 +64,7 @@ def test_continuous_vs_snapshots(benchmark, preset):
 
         def monitored():
             for q_uid in issuers:
-                monitor = ContinuousPRQ(harness.peb_tree, q_uid, window, times[0])
+                monitor = ContinuousPRQ(harness.peb, q_uid, window, times[0])
                 monitor_answers[q_uid] = [monitor.result_at(t) for t in times]
 
         monitor_io = measure(monitored)

@@ -13,56 +13,27 @@ Run with::
 """
 
 import os
-import random
 import tempfile
 import time
 
-from repro import (
-    BufferPool,
-    Grid,
-    PEBTree,
-    PolicyGenerator,
-    SimulatedDisk,
-    TimePartitioner,
-    UniformMovement,
-    assign_sequence_values,
-    prq,
-)
+from repro import prq
+from repro.bench import ExperimentConfig, build_world
 from repro.core.checkpoint import load_peb_tree, save_peb_tree
 from repro.spatial.geometry import Rect
 
-SPACE_SIDE = 1000.0
-N_USERS = 20_000
-POLICIES_PER_USER = 10
-
-
-def build_world(seed=31):
-    rng = random.Random(seed)
-    movement = UniformMovement(SPACE_SIDE, max_speed=3.0, rng=rng)
-    users = movement.initial_objects(N_USERS, t=0.0)
-    states = {user.uid: user for user in users}
-
-    policy_gen = PolicyGenerator(SPACE_SIDE, 1440.0, random.Random(seed + 1))
-    store = policy_gen.generate(
-        sorted(states), POLICIES_PER_USER, grouping_factor=0.7
-    )
-    report = assign_sequence_values(sorted(states), store, SPACE_SIDE**2)
-    store.set_sequence_values(report.sequence_values)
-
-    pool = BufferPool(SimulatedDisk(page_size=4096), capacity=1024)
-    tree = PEBTree(pool, Grid(SPACE_SIDE, 10), TimePartitioner(120.0, 2), store)
-    for user in users:
-        tree.insert(user)
-    return states, tree
+CONFIG = ExperimentConfig(
+    n_users=20_000, n_policies=10, build_buffer_pages=1024, seed=31
+)
 
 
 def main():
     started = time.perf_counter()
-    states, tree = build_world()
+    world = build_world(CONFIG)
+    states, tree = world.states, world.peb
     build_seconds = time.perf_counter() - started
     print(
         f"Built the deployment from scratch in {build_seconds:.1f}s "
-        f"({N_USERS} users, {POLICIES_PER_USER} policies each)."
+        f"({CONFIG.n_users} users, {CONFIG.n_policies} policies each)."
     )
 
     issuer = sorted(states)[0]

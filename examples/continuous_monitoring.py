@@ -21,48 +21,13 @@ Run with::
     python examples/continuous_monitoring.py
 """
 
-import random
-
-from repro import (
-    BufferPool,
-    Grid,
-    PEBTree,
-    PolicyGenerator,
-    Rect,
-    SimulatedDisk,
-    TimePartitioner,
-    UniformMovement,
-    assign_sequence_values,
-)
+from repro import Rect
+from repro.bench import ExperimentConfig, build_world
 from repro.core.continuous import ContinuousPRQ
 
-SPACE_SIDE = 1000.0
-N_USERS = 2000
-POLICIES_PER_USER = 30
+CONFIG = ExperimentConfig(n_users=2000, n_policies=30, build_buffer_pages=256, seed=11)
 HARBOUR = Rect(350.0, 650.0, 350.0, 650.0)
 HORIZON_MINUTES = 240.0
-
-
-def build_world(seed=11):
-    rng = random.Random(seed)
-    movement = UniformMovement(SPACE_SIDE, max_speed=3.0, rng=rng)
-    users = movement.initial_objects(N_USERS, t=0.0)
-    states = {user.uid: user for user in users}
-
-    policy_gen = PolicyGenerator(SPACE_SIDE, 1440.0, random.Random(seed + 1))
-    store = policy_gen.generate(
-        sorted(states), POLICIES_PER_USER, grouping_factor=0.7
-    )
-    report = assign_sequence_values(sorted(states), store, SPACE_SIDE**2)
-    store.set_sequence_values(report.sequence_values)
-
-    grid = Grid(SPACE_SIDE, 10)
-    partitioner = TimePartitioner(120.0, 2)
-    pool = BufferPool(SimulatedDisk(page_size=4096), capacity=256)
-    tree = PEBTree(pool, grid, partitioner, store)
-    for user in users:
-        tree.insert(user)
-    return movement, states, store, tree
 
 
 def pick_busy_issuer(store, states):
@@ -71,10 +36,11 @@ def pick_busy_issuer(store, states):
 
 
 def main():
-    movement, states, store, tree = build_world()
+    world = build_world(CONFIG)
+    states, store, tree = world.states, world.store, world.peb
     issuer = pick_busy_issuer(store, states)
     friends = len(store.friend_list(issuer))
-    print(f"Issuer u{issuer} has {friends} friends among {N_USERS} users.")
+    print(f"Issuer u{issuer} has {friends} friends among {CONFIG.n_users} users.")
     print(f"Monitoring {HARBOUR} for the next {HORIZON_MINUTES:.0f} minutes.\n")
 
     # Register: one index scan bounded by the friend count.

@@ -37,7 +37,7 @@ def measure(n_users: int) -> CostSample:
         n_users=n_users,
         n_policies=BASE.n_policies,
         theta=BASE.grouping_factor,
-        n_leaves=harness.peb_leaf_count,
+        n_leaves=harness.peb.btree.leaf_count,
         measured_io=costs.peb_io,
     )
 

@@ -17,53 +17,21 @@ Run with::
 
 import random
 
-from repro import (
-    BufferPool,
-    BxTree,
-    Grid,
-    PEBTree,
-    PolicyGenerator,
-    SimulatedDisk,
-    SpatialFilterBaseline,
-    TimePartitioner,
-    UniformMovement,
-    assign_sequence_values,
-    pknn,
+from repro import pknn
+from repro.bench import ExperimentConfig, build_world
+
+#: 3 000 users with 25 policies each, on 1 KiB pages (the benchmark's
+#: page size): at 4 KiB both indexes fit in the 50-page query buffer
+#: and read nothing.
+CONFIG = ExperimentConfig(
+    n_users=3000, n_policies=25, page_size=1024, build_buffer_pages=4096, seed=3
 )
-
-SPACE_SIDE = 1000.0
-N_USERS = 3000
-POLICIES_PER_USER = 25
-QUERY_BUFFER_PAGES = 50  # the paper's LRU buffer
-
-
-def build_population(seed=3):
-    rng = random.Random(seed)
-    movement = UniformMovement(SPACE_SIDE, max_speed=3.0, rng=rng)
-    users = movement.initial_objects(N_USERS, t=0.0)
-    states = {user.uid: user for user in users}
-
-    policy_gen = PolicyGenerator(SPACE_SIDE, 1440.0, random.Random(seed + 1))
-    store = policy_gen.generate(sorted(states), POLICIES_PER_USER, grouping_factor=0.7)
-    report = assign_sequence_values(sorted(states), store, SPACE_SIDE**2)
-    store.set_sequence_values(report.sequence_values)
-    return users, states, store
 
 
 def main():
-    users, states, store = build_population()
-    grid = Grid(SPACE_SIDE, bits=10)
-    partitioner = TimePartitioner(120.0, 2)
-
-    peb_pool = BufferPool(SimulatedDisk(), capacity=4096)
-    peb = PEBTree(peb_pool, grid, partitioner, store)
-    bx_pool = BufferPool(SimulatedDisk(), capacity=4096)
-    bx = BxTree(bx_pool, grid, partitioner)
-    baseline = SpatialFilterBaseline(bx, store)
-    for user in users:
-        peb.insert(user)
-        bx.insert(user)
-    print(f"indexed {N_USERS} users in both structures")
+    world = build_world(CONFIG)
+    states, peb, baseline = world.states, world.peb, world.baseline
+    print(f"indexed {CONFIG.n_users} users in both structures")
 
     # Measure a batch of friend-finder queries under the paper's buffer.
     rng = random.Random(42)
@@ -71,9 +39,10 @@ def main():
     t_query = 5.0
     k = 3
 
-    for pool in (peb_pool, bx_pool):
+    for index in (peb, world.bx):
+        pool = index.btree.pool
         pool.flush()
-        pool.resize(QUERY_BUFFER_PAGES)
+        pool.resize(CONFIG.buffer_pages)  # the paper's 50-page LRU buffer
         pool.stats.reset()
 
     print(f"\nfinding each user's {k} nearest visible friends at t={t_query}:\n")
@@ -96,8 +65,8 @@ def main():
         )
         print(f"{issuer:>6} {len(answer.neighbors):>14} {nearest:>22}")
 
-    peb_io = peb_pool.stats.physical_reads / len(issuers)
-    base_io = bx_pool.stats.physical_reads / len(issuers)
+    peb_io = peb.stats.physical_reads / len(issuers)
+    base_io = world.bx.stats.physical_reads / len(issuers)
     print(
         f"\naverage I/O per query: PEB-tree {peb_io:.1f} pages, "
         f"spatial index + filter {base_io:.1f} pages "

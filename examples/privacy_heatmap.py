@@ -18,46 +18,13 @@ Run with::
     python examples/privacy_heatmap.py
 """
 
-import random
-
-from repro import (
-    BufferPool,
-    Grid,
-    PEBTree,
-    PolicyGenerator,
-    Rect,
-    SimulatedDisk,
-    TimePartitioner,
-    UniformMovement,
-    assign_sequence_values,
-)
+from repro import Rect
+from repro.bench import ExperimentConfig, build_world
 from repro.core.aggregate import pcount, pdensity_grid
 
-SPACE_SIDE = 1000.0
-N_USERS = 3000
-POLICIES_PER_USER = 40
+CONFIG = ExperimentConfig(n_users=3000, n_policies=40, build_buffer_pages=256, seed=23)
 FAIRGROUNDS = Rect(200.0, 800.0, 200.0, 800.0)
 ROWS = COLUMNS = 6
-
-
-def build_world(seed=23):
-    rng = random.Random(seed)
-    movement = UniformMovement(SPACE_SIDE, max_speed=3.0, rng=rng)
-    users = movement.initial_objects(N_USERS, t=0.0)
-    states = {user.uid: user for user in users}
-
-    policy_gen = PolicyGenerator(SPACE_SIDE, 1440.0, random.Random(seed + 1))
-    store = policy_gen.generate(
-        sorted(states), POLICIES_PER_USER, grouping_factor=0.7
-    )
-    report = assign_sequence_values(sorted(states), store, SPACE_SIDE**2)
-    store.set_sequence_values(report.sequence_values)
-
-    pool = BufferPool(SimulatedDisk(page_size=4096), capacity=256)
-    tree = PEBTree(pool, Grid(SPACE_SIDE, 10), TimePartitioner(120.0, 2), store)
-    for user in users:
-        tree.insert(user)
-    return states, store, tree
 
 
 def render(density):
@@ -79,11 +46,12 @@ def render(density):
 
 
 def main():
-    states, store, tree = build_world()
+    world = build_world(CONFIG)
+    states, store, tree = world.states, world.store, world.peb
     issuer = max(sorted(states), key=lambda uid: len(store.friend_list(uid)))
     print(
         f"Issuer u{issuer} ({len(store.friend_list(issuer))} friends among "
-        f"{N_USERS} users) asks for a {ROWS}x{COLUMNS} density grid over "
+        f"{CONFIG.n_users} users) asks for a {ROWS}x{COLUMNS} density grid over "
         f"{FAIRGROUNDS}.\n"
     )
 

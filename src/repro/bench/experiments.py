@@ -168,7 +168,7 @@ def _measure(harness: ExperimentHarness) -> dict:
         "prq_base": prq_costs.baseline_io,
         "knn_peb": knn_costs.peb_io,
         "knn_base": knn_costs.baseline_io,
-        "peb_leaves": harness.peb_leaf_count,
+        "peb_leaves": harness.peb.btree.leaf_count,
     }
 
 

@@ -1,22 +1,24 @@
 """Experiment harness (Section 7.1 settings).
 
-One harness instance owns a complete experiment: a movement workload, a
-policy store with encoded sequence values, a PEB-tree, and the Bx-tree +
-filter baseline — each index on its own simulated disk.  Indexes are
-built with a generous build buffer (builds are not part of the reported
-numbers); before each query batch the pools are flushed and resized to
-the paper's 50-page LRU buffer and the physical-read counters zeroed, so
-the reported figure is the paper's "average I/O cost of N queries".
+One harness instance is a :class:`repro.bench.world.World` — a movement
+workload, a policy store with encoded sequence values, a PEB-tree, and
+the Bx-tree + filter baseline, each index on its own simulated disk —
+plus the measurements run on it.  Indexes are built with a generous
+build buffer (builds are not part of the reported numbers); before each
+query batch the pools are flushed and resized to the paper's 50-page
+LRU buffer and the physical-read counters zeroed, so the reported
+figure is the paper's "average I/O cost of N queries".
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from repro.bench.oracle import brute_force_pknn, brute_force_prq
-from repro.bxtree.filter_baseline import SpatialFilterBaseline
+from repro.bench.world import ExperimentConfig, World, build_world
 from repro.bxtree.tree import BxTree
 from repro.core.checkpoint import clone_peb_tree
 from repro.core.peb_tree import PEBTree
@@ -24,7 +26,6 @@ from repro.core.pknn import pknn
 from repro.core.prq import prq
 from repro.counters import CounterSet, derived
 from repro.engine import QueryEngine, UpdatePipeline
-from repro.core.sequencing import EncodingReport, assign_sequence_values
 from repro.obs import MetricsRegistry
 from repro.service import (
     BatchPolicy,
@@ -34,51 +35,7 @@ from repro.service import (
 )
 from repro.shard import ShardedPEBTree
 from repro.motion.objects import MovingObject
-from repro.motion.partitions import TimePartitioner
-from repro.spatial.curves import make_curve
-from repro.spatial.grid import Grid
-from repro.storage.buffer import BufferPool
-from repro.storage.disk import SimulatedDisk
-from repro.workloads.network import NetworkMovement
-from repro.workloads.policies import PolicyGenerator
 from repro.workloads.queries import QueryGenerator
-from repro.workloads.uniform import UniformMovement
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """All knobs of one experiment; defaults follow Table 1.
-
-    The paper-scale defaults (60 K users, 50 policies, 200 queries) are
-    expensive in pure Python; the benchmark suite scales them down
-    proportionally unless ``REPRO_SCALE=paper`` (see benchmarks/).
-    """
-
-    n_users: int = 60_000
-    n_policies: int = 50
-    grouping_factor: float = 0.7
-    group_size: int | None = None
-    space_side: float = 1000.0
-    max_speed: float = 3.0
-    distribution: str = "uniform"  # "uniform" | "network"
-    n_destinations: int = 100
-    grid_bits: int = 10
-    curve: str = "z"  # "z" (paper) | "hilbert" (ablation)
-    max_update_interval: float = 120.0
-    n_phases: int = 2
-    page_size: int = 4096
-    buffer_pages: int = 50
-    buffer_policy: str = "lru"  # "lru" (paper) | "fifo" | "clock" | "lfu"
-    build_buffer_pages: int = 8192
-    n_queries: int = 200
-    window_side: float = 200.0
-    k: int = 5
-    time_domain: float = 1440.0
-    seed: int = 7
-
-    def scaled(self, **overrides) -> "ExperimentConfig":
-        """A copy with some fields replaced (sweep helper)."""
-        return replace(self, **overrides)
 
 
 @dataclass
@@ -418,81 +375,38 @@ class ServiceCosts(CounterSet):
         return self.stats.throughput_per_sec
 
 
-class ExperimentHarness:
-    """Builds the full system for one configuration and measures queries."""
+def _check_same_uids(label: str, specs, expected, got) -> None:
+    """Raise unless every answer in ``got`` has ``expected``'s users (a
+    kNN answer's in rank order)."""
+    for spec, want, have in zip(specs, expected, got):
+        if want.uids != have.uids:
+            raise AssertionError(
+                f"{label} result mismatch for {spec}: "
+                f"expected={sorted(want.uids)} got={sorted(have.uids)}"
+            )
+
+
+class ExperimentHarness(World):
+    """A :class:`World` plus the measurements of Section 7."""
 
     def __init__(self, config: ExperimentConfig):
-        self.config = config
-        # Independent random streams so e.g. changing the query count
-        # never perturbs the dataset.
-        self._movement_rng = random.Random(config.seed)
-        self._policy_rng = random.Random(config.seed + 1)
-        self._query_rng = random.Random(config.seed + 2)
-
-        self.grid = Grid(config.space_side, config.grid_bits, make_curve(config.curve))
-        self.partitioner = TimePartitioner(config.max_update_interval, config.n_phases)
-
-        if config.distribution == "uniform":
-            self.movement = UniformMovement(
-                config.space_side, config.max_speed, self._movement_rng
-            )
-        elif config.distribution == "network":
-            self.movement = NetworkMovement(
-                config.space_side, config.n_destinations, self._movement_rng
-            )
-        else:
-            raise ValueError(f"unknown distribution {config.distribution!r}")
-
-        objects = self.movement.initial_objects(config.n_users, t=0.0)
-        self.states: dict[int, MovingObject] = {obj.uid: obj for obj in objects}
+        super().__init__(**vars(build_world(config)))
         self.now = 0.0
-
-        policy_generator = PolicyGenerator(
-            config.space_side, config.time_domain, self._policy_rng
-        )
-        self.store = policy_generator.generate(
-            sorted(self.states),
-            config.n_policies,
-            config.grouping_factor,
-            config.group_size,
-        )
-        self.encoding_report: EncodingReport = assign_sequence_values(
-            sorted(self.states), self.store, config.space_side**2
-        )
-        self.store.set_sequence_values(self.encoding_report.sequence_values)
-
-        self.peb_pool = self._make_pool()
-        self.peb_tree = PEBTree(self.peb_pool, self.grid, self.partitioner, self.store)
-        self.baseline_pool = self._make_pool()
-        self.bx_tree = BxTree(self.baseline_pool, self.grid, self.partitioner)
-        self.baseline = SpatialFilterBaseline(self.bx_tree, self.store)
-        for obj in objects:
-            self.peb_tree.insert(obj)
-            self.bx_tree.insert(obj)
-
-        self.query_generator = QueryGenerator(config.space_side, self._query_rng)
-
-    def _make_pool(self) -> BufferPool:
-        disk = SimulatedDisk(page_size=self.config.page_size)
-        return BufferPool(
-            disk,
-            capacity=self.config.build_buffer_pages,
-            policy=self.config.buffer_policy,
-        )
 
     # ------------------------------------------------------------------
     # Measurement
     # ------------------------------------------------------------------
 
-    def _start_measuring(self, pool: BufferPool) -> None:
+    def _start_measuring(self, index: PEBTree | BxTree) -> None:
         """Flush, shrink to the paper's query buffer, zero the counters."""
+        pool = index.btree.pool
         pool.flush()
         pool.resize(self.config.buffer_pages)
         pool.stats.reset()
 
-    def _stop_measuring(self, pool: BufferPool) -> int:
-        reads = pool.stats.physical_reads
-        pool.resize(self.config.build_buffer_pages)
+    def _stop_measuring(self, index: PEBTree | BxTree) -> int:
+        reads = index.stats.physical_reads
+        index.btree.pool.resize(self.config.build_buffer_pages)
         return reads
 
     def run_prq_batch(
@@ -504,25 +418,25 @@ class ExperimentHarness:
         only (the Figure 15(a) sweep varies it on one built harness).
         """
         side = window_side if window_side is not None else self.config.window_side
-        queries = self.query_generator.range_queries(
-            sorted(self.states), self.config.n_queries, side, self.now
+        queries = self.query_generator().range_queries(
+            self.uids, self.config.n_queries, side, self.now
         )
         result_sizes: list[int] = []
 
-        self._start_measuring(self.peb_pool)
+        self._start_measuring(self.peb)
         peb_answers = []
         for query in queries:
-            answer = prq(self.peb_tree, query.q_uid, query.window, query.t_query)
+            answer = prq(self.peb, query.q_uid, query.window, query.t_query)
             peb_answers.append(answer.uids)
             result_sizes.append(len(answer.users))
-        peb_reads = self._stop_measuring(self.peb_pool)
+        peb_reads = self._stop_measuring(self.peb)
 
-        self._start_measuring(self.baseline_pool)
+        self._start_measuring(self.bx)
         base_answers = []
         for query in queries:
             found = self.baseline.range_query(query.q_uid, query.window, query.t_query)
             base_answers.append({obj.uid for obj in found})
-        base_reads = self._stop_measuring(self.baseline_pool)
+        base_reads = self._stop_measuring(self.bx)
 
         if check_results:
             for query, peb_set, base_set in zip(queries, peb_answers, base_answers):
@@ -552,27 +466,27 @@ class ExperimentHarness:
         only (the Figure 15(b) sweep varies it on one built harness).
         """
         k_value = k if k is not None else self.config.k
-        queries = self.query_generator.knn_queries(
+        queries = self.query_generator().knn_queries(
             self.states, self.config.n_queries, k_value, self.now
         )
 
-        self._start_measuring(self.peb_pool)
+        self._start_measuring(self.peb)
         peb_answers = []
         for query in queries:
             answer = pknn(
-                self.peb_tree, query.q_uid, query.qx, query.qy, query.k, query.t_query
+                self.peb, query.q_uid, query.qx, query.qy, query.k, query.t_query
             )
             peb_answers.append([round(d, 9) for d, _ in answer.neighbors])
-        peb_reads = self._stop_measuring(self.peb_pool)
+        peb_reads = self._stop_measuring(self.peb)
 
-        self._start_measuring(self.baseline_pool)
+        self._start_measuring(self.bx)
         base_answers = []
         for query in queries:
             found = self.baseline.knn_query(
                 query.q_uid, query.qx, query.qy, query.k, query.t_query
             )
             base_answers.append([round(d, 9) for d, _ in found])
-        base_reads = self._stop_measuring(self.baseline_pool)
+        base_reads = self._stop_measuring(self.bx)
 
         if check_results:
             for query, peb_dists, base_dists in zip(queries, peb_answers, base_answers):
@@ -620,33 +534,33 @@ class ExperimentHarness:
         if count < 1:
             raise ValueError(f"n_queries must be positive, got {count}")
         side = window_side if window_side is not None else self.config.window_side
-        specs = self.query_generator.range_queries(
-            sorted(self.states), count, side, self.now
+        specs = self.query_generator().range_queries(
+            self.uids, count, side, self.now
         )
 
-        self._start_measuring(self.peb_pool)
-        self.peb_pool.clear()
+        self._start_measuring(self.peb)
+        self.peb.btree.pool.clear()
         started = time.perf_counter()
         sequential = [
-            prq(self.peb_tree, spec.q_uid, spec.window, spec.t_query)
+            prq(self.peb, spec.q_uid, spec.window, spec.t_query)
             for spec in specs
         ]
         sequential_seconds = time.perf_counter() - started
-        sequential_reads = self._stop_measuring(self.peb_pool)
+        sequential_reads = self._stop_measuring(self.peb)
 
-        self._start_measuring(self.peb_pool)
-        self.peb_pool.clear()
+        self._start_measuring(self.peb)
+        self.peb.btree.pool.clear()
         # The harness tree runs on untimed storage, so these spans
         # carry counters rather than durations; `serve-sim --trace` is
         # the timed surface.
-        self.peb_tree.recorder = trace_recorder
+        self.peb.recorder = trace_recorder
         started = time.perf_counter()
         try:
-            report = QueryEngine(self.peb_tree).execute_batch(specs)
+            report = QueryEngine(self.peb).execute_batch(specs)
         finally:
-            self.peb_tree.recorder = None
+            self.peb.recorder = None
         batched_seconds = time.perf_counter() - started
-        batched_reads = self._stop_measuring(self.peb_pool)
+        batched_reads = self._stop_measuring(self.peb)
         if trace_recorder is not None and trace_recorder.enabled:
             registry = MetricsRegistry()
             report.stats.publish(registry)
@@ -656,12 +570,7 @@ class ExperimentHarness:
                 {"verb": "batch-query", "n_queries": count},
             )
 
-        for spec, single, batched in zip(specs, sequential, report.results):
-            if single.uids != batched.uids:
-                raise AssertionError(
-                    f"batch mismatch for {spec}: sequential={sorted(single.uids)} "
-                    f"batched={sorted(batched.uids)}"
-                )
+        _check_same_uids("batched", specs, sequential, report.results)
 
         return BatchQueryCosts(
             sequential_io=sequential_reads / count,
@@ -716,14 +625,14 @@ class ExperimentHarness:
         moved_objects = self._generate_update_round(fraction)
         if pipeline is None:
             for moved in moved_objects:
-                self.peb_tree.update(moved)
+                self.peb.update(moved)
         else:
-            if pipeline.tree is not self.peb_tree:
+            if pipeline.tree is not self.peb:
                 raise ValueError("pipeline is bound to a different tree")
             pipeline.extend(moved_objects)
             pipeline.flush()
         for moved in moved_objects:
-            self.bx_tree.update(moved)
+            self.bx.update(moved)
 
     def run_batched_updates(
         self, batch_size: int = 256, fraction: float = 0.25
@@ -748,7 +657,7 @@ class ExperimentHarness:
         if count == 0:
             raise ValueError("update round produced no states to apply")
 
-        clone = clone_peb_tree(self.peb_tree, buffer_pages=self.config.buffer_pages)
+        clone = clone_peb_tree(self.peb, buffer_pages=self.config.buffer_pages)
         clone.stats.reset()
         started = time.perf_counter()
         for moved in moved_objects:
@@ -757,28 +666,26 @@ class ExperimentHarness:
         sequential_seconds = time.perf_counter() - started
         sequential_io = clone.stats.physical_reads + clone.stats.physical_writes
 
-        self._start_measuring(self.peb_pool)
-        self.peb_pool.clear()
-        pipeline = UpdatePipeline(self.peb_tree, capacity=batch_size)
+        self._start_measuring(self.peb)
+        self.peb.btree.pool.clear()
+        pipeline = UpdatePipeline(self.peb, capacity=batch_size)
         started = time.perf_counter()
         pipeline.extend(moved_objects)
         pipeline.flush()
-        self.peb_pool.flush()
+        self.peb.btree.pool.flush()
         batched_seconds = time.perf_counter() - started
-        batched_io = (
-            self.peb_pool.stats.physical_reads + self.peb_pool.stats.physical_writes
-        )
-        self._stop_measuring(self.peb_pool)
+        batched_io = self.peb.stats.physical_reads + self.peb.stats.physical_writes
+        self._stop_measuring(self.peb)
 
         for moved in moved_objects:
-            self.bx_tree.update(moved)
+            self.bx.update(moved)
 
         clone.btree.check_invariants()
-        self.peb_tree.btree.check_invariants()
-        if clone._live_keys != self.peb_tree._live_keys:
+        self.peb.btree.check_invariants()
+        if clone._live_keys != self.peb._live_keys:
             raise AssertionError("batched update memo diverged from sequential")
         sequential_entries = list(clone.btree.items())
-        batched_entries = list(self.peb_tree.btree.items())
+        batched_entries = list(self.peb.btree.items())
         if sequential_entries != batched_entries:
             raise AssertionError(
                 "batched update contents diverged from sequential "
@@ -826,7 +733,7 @@ class ExperimentHarness:
                 self.states, count_updates, self.config.max_speed, self.now, duration
             )
             queries = generator.range_queries(
-                sorted(self.states),
+                self.uids,
                 count_queries,
                 self.config.window_side,
                 self.now + duration,
@@ -844,6 +751,43 @@ class ExperimentHarness:
         else:
             raise ValueError(f"unknown workload {workload!r}")
         return updates, queries
+
+    def _reference_clone(
+        self, batch_size: int, updates: Iterable[MovingObject] = ()
+    ) -> tuple[PEBTree, UpdatePipeline]:
+        """A physically identical clone of the PEB-tree on the paper's
+        buffer, counters zeroed, with ``updates`` flushed through the
+        returned pipeline."""
+        clone = clone_peb_tree(self.peb, buffer_pages=self.config.buffer_pages)
+        clone.stats.reset()
+        pipeline = UpdatePipeline(clone, capacity=batch_size)
+        pipeline.extend(updates)
+        pipeline.flush()
+        clone.btree.pool.flush()
+        return clone, pipeline
+
+    def _cold_deployment(
+        self, n_shards: int, shard_buffer_pages: int | None, **build_kwargs
+    ) -> ShardedPEBTree:
+        """:meth:`deploy` built warm, then emptied — cold like the clone
+        references, or build-time residency flatters its reads — and
+        shrunk to ``shard_buffer_pages`` per shard (default: the paper's
+        buffer; a shard models an added machine), counters zeroed."""
+        deployment = self.deploy(
+            n_shards,
+            buffer_pages=self.config.build_buffer_pages,
+            buffer_policy=self.config.buffer_policy,
+            **build_kwargs,
+        )
+        for pool in deployment.pools:
+            pool.clear()
+            pool.resize(
+                shard_buffer_pages
+                if shard_buffer_pages is not None
+                else self.config.buffer_pages
+            )
+        deployment.stats.reset()
+        return deployment
 
     def run_sharded(
         self,
@@ -886,43 +830,12 @@ class ExperimentHarness:
             workload, n_updates, n_queries, workload_seed
         )
 
-        # Single-tree reference: a physically identical clone.
-        clone = clone_peb_tree(self.peb_tree, buffer_pages=self.config.buffer_pages)
-        clone.stats.reset()
-        single_pipeline = UpdatePipeline(clone, capacity=batch_size)
-        single_pipeline.extend(updates)
-        single_pipeline.flush()
-        clone.btree.pool.flush()
+        clone, single_pipeline = self._reference_clone(batch_size, updates)
         single_update_reads = clone.stats.physical_reads
         single_update_writes = clone.stats.physical_writes
         single_report = QueryEngine(clone).execute_batch(queries)
 
-        # Sharded deployment over the same population, built warm then
-        # shrunk to its per-shard query/update buffers.
-        per_shard_pages = (
-            shard_buffer_pages
-            if shard_buffer_pages is not None
-            else self.config.buffer_pages
-        )
-        sharded = ShardedPEBTree.build(
-            n_shards,
-            self.grid,
-            self.partitioner,
-            self.store,
-            uids=sorted(self.states),
-            page_size=self.config.page_size,
-            buffer_pages=self.config.build_buffer_pages,
-            buffer_policy=self.config.buffer_policy,
-        )
-        for uid in sorted(self.states):
-            sharded.insert(self.states[uid])
-        for pool in sharded.pools:
-            # clear(), not just flush(): the clone reference starts
-            # with a cold pool, so the sharded side must too or its
-            # read counts are flattered by build-time residency.
-            pool.clear()
-            pool.resize(per_shard_pages)
-        sharded.stats.reset()
+        sharded = self._cold_deployment(n_shards, shard_buffer_pages)
 
         sharded_pipeline = UpdatePipeline(sharded, capacity=batch_size)
         sharded_pipeline.extend(updates)
@@ -938,14 +851,9 @@ class ExperimentHarness:
                 "sharded pipeline applied a different op count "
                 f"({sharded_pipeline.stats.ops} vs {single_pipeline.stats.ops})"
             )
-        for spec, single, shard in zip(
-            queries, single_report.results, sharded_report.results
-        ):
-            if single.uids != shard.uids:
-                raise AssertionError(
-                    f"sharded result mismatch for {spec}: "
-                    f"single={sorted(single.uids)} sharded={sorted(shard.uids)}"
-                )
+        _check_same_uids(
+            "sharded", queries, single_report.results, sharded_report.results
+        )
 
         return ShardScalingCosts(
             n_shards=n_shards,
@@ -1005,40 +913,15 @@ class ExperimentHarness:
         )
 
         # Untimed single-tree reference: pins results and end state.
-        clone = clone_peb_tree(self.peb_tree, buffer_pages=self.config.buffer_pages)
-        clone.stats.reset()
-        reference_pipeline = UpdatePipeline(clone, capacity=batch_size)
-        reference_pipeline.extend(updates)
-        reference_pipeline.flush()
-        clone.btree.pool.flush()
+        clone, reference_pipeline = self._reference_clone(batch_size, updates)
         reference_report = QueryEngine(clone).execute_batch(queries)
         reference_entries = list(clone.btree.items())
 
-        per_shard_pages = (
-            shard_buffer_pages
-            if shard_buffer_pages is not None
-            else self.config.buffer_pages
-        )
-
         def timed_run(side: str, shards: int) -> dict:
             """One timed deployment's ``<side>_*`` fields of the costs."""
-            deployment = ShardedPEBTree.build(
-                shards,
-                self.grid,
-                self.partitioner,
-                self.store,
-                uids=sorted(self.states),
-                page_size=self.config.page_size,
-                buffer_pages=self.config.build_buffer_pages,
-                buffer_policy=self.config.buffer_policy,
-                latency=latency,
+            deployment = self._cold_deployment(
+                shards, shard_buffer_pages, latency=latency
             )
-            for uid in sorted(self.states):
-                deployment.insert(self.states[uid])
-            for pool in deployment.pools:
-                pool.clear()
-                pool.resize(per_shard_pages)
-            deployment.stats.reset()
             clock = deployment.sim_clock
 
             phase_start = clock.elapsed
@@ -1076,14 +959,7 @@ class ExperimentHarness:
                     "timed pipeline applied a different op count "
                     f"({pipeline.stats.ops} vs {reference_pipeline.stats.ops})"
                 )
-            for spec, expected, got in zip(
-                queries, reference_report.results, report.results
-            ):
-                if expected.uids != got.uids:
-                    raise AssertionError(
-                        f"timed result mismatch for {spec}: "
-                        f"expected={sorted(expected.uids)} got={sorted(got.uids)}"
-                    )
+            _check_same_uids("timed", queries, reference_report.results, report.results)
             if list(deployment.items()) != reference_entries:
                 raise AssertionError(
                     "timed deployment end state diverged from the reference"
@@ -1193,31 +1069,14 @@ class ExperimentHarness:
             burst_size=burst_size,
         )
 
-        per_shard_pages = (
-            shard_buffer_pages
-            if shard_buffer_pages is not None
-            else self.config.buffer_pages
-        )
-        deployment = ShardedPEBTree.build(
+        deployment = self._cold_deployment(
             n_shards,
-            self.grid,
-            self.partitioner,
-            self.store,
-            uids=sorted(self.states),
-            page_size=self.config.page_size,
-            buffer_pages=self.config.build_buffer_pages,
-            buffer_policy=self.config.buffer_policy,
+            shard_buffer_pages,
             latency=latency,
             disk_factory=disk_factory,
             fault_policy=fault_policy,
             breaker_policy=breaker_policy,
         )
-        for uid in sorted(self.states):
-            deployment.insert(self.states[uid])
-        for pool in deployment.pools:
-            pool.clear()
-            pool.resize(per_shard_pages)
-        deployment.stats.reset()
         deployment.recorder = trace_recorder
 
         admission = BatchPolicy(
@@ -1265,35 +1124,20 @@ class ExperimentHarness:
             )
 
         if pin:
-            clone = clone_peb_tree(
-                self.peb_tree, buffer_pages=self.config.buffer_pages
-            )
-            clone.stats.reset()
-            reference_pipeline = UpdatePipeline(clone, capacity=batch_size)
+            clone, reference_pipeline = self._reference_clone(batch_size)
             reference_engine = QueryEngine(clone)
             for batch in report.batches:
-                updates = batch.updates
-                if updates:
-                    reference_pipeline.extend(updates)
+                if batch.updates:
+                    reference_pipeline.extend(batch.updates)
                     reference_pipeline.flush()
-                specs = batch.query_specs
-                if not specs:
-                    continue
-                reference = reference_engine.execute_batch(specs).results
-                for spec, served, expected in zip(
-                    specs, batch.query_results, reference
-                ):
-                    if hasattr(expected, "uids"):
-                        matches = served.uids == expected.uids
-                    else:
-                        matches = [
-                            (round(d, 9), o.uid) for d, o in served.neighbors
-                        ] == [(round(d, 9), o.uid) for d, o in expected.neighbors]
-                    if not matches:
-                        raise AssertionError(
-                            f"service result mismatch for {spec}: "
-                            f"served={served} expected={expected}"
-                        )
+                if batch.query_specs:
+                    reference = reference_engine.execute_batch(batch.query_specs)
+                    _check_same_uids(
+                        "service",
+                        batch.query_specs,
+                        reference.results,
+                        batch.query_results,
+                    )
             clone.btree.pool.flush()
             if list(deployment.items()) != list(clone.btree.items()):
                 raise AssertionError(
@@ -1312,12 +1156,3 @@ class ExperimentHarness:
             stats=report.stats,
             pinned=pin,
         )
-
-    # ------------------------------------------------------------------
-    # Derived quantities for the cost model (Section 6)
-    # ------------------------------------------------------------------
-
-    @property
-    def peb_leaf_count(self) -> int:
-        """Nl — leaves in the PEB-tree."""
-        return self.peb_tree.btree.leaf_count

@@ -253,14 +253,6 @@ class ShardedPEBTree(Deployment):
     # Membership
     # ------------------------------------------------------------------
 
-    def _locate(self, uid: int) -> tuple[int, int] | tuple[None, None]:
-        """``(shard, live_key)`` of an indexed user, or ``(None, None)``."""
-        for shard, tree in enumerate(self.trees):
-            key = tree._live_keys.get(uid)
-            if key is not None:
-                return shard, key
-        return None, None
-
     def _lookup_key(self, uid: int) -> int | None:
         """The user's current key wherever it lives (the merged memo)."""
         for tree in self.trees:
@@ -270,7 +262,7 @@ class ShardedPEBTree(Deployment):
         return None
 
     def contains(self, uid: int) -> bool:
-        return any(uid in tree._live_keys for tree in self.trees)
+        return self._lookup_key(uid) is not None
 
     def __len__(self) -> int:
         return sum(len(tree) for tree in self.trees)
@@ -301,10 +293,10 @@ class ShardedPEBTree(Deployment):
 
     def delete(self, uid: int) -> bool:
         """Remove a user's entry; True if the user was indexed."""
-        shard, _ = self._locate(uid)
-        if shard is None:
+        key = self._lookup_key(uid)
+        if key is None:
             return False
-        return self.trees[shard].delete(uid)
+        return self.trees[self.router.shard_of_key(key)].delete(uid)
 
     def update(self, obj: MovingObject, pntp: int = 0) -> None:
         """Replace a user's entry (single-state batch; same semantics)."""

@@ -4,26 +4,19 @@ The ``small_world`` fixture builds one complete system (movement, policy
 store, sequence values, PEB-tree, Bx-tree baseline) per test session;
 query-correctness tests reuse it instead of paying the build repeatedly.
 ``curve_world`` is the same system on each space-filling curve in turn.
+``build_world`` is the library's builder at test-sized defaults.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-
 import pytest
 from hypothesis import settings
 
+from repro.bench.world import ExperimentConfig, World
+from repro.bench.world import build_world as world_of
 from repro.btree import BPlusTree, BTreeConfig
-from repro.bxtree import BxTree, SpatialFilterBaseline
-from repro.core.peb_tree import PEBTree
-from repro.core.sequencing import assign_sequence_values
-from repro.motion import MovingObject, TimePartitioner
-from repro.policy.store import PolicyStore
-from repro.spatial import Grid
 from repro.spatial.curves import HILBERT, ZCURVE
 from repro.storage import BufferPool, SimulatedDisk
-from repro.workloads import PolicyGenerator, QueryGenerator, UniformMovement
 
 #: ``pytest --hypothesis-profile=deep``: ten times hypothesis's default
 #: examples, for property suites that scale their draws with the loaded
@@ -51,69 +44,17 @@ def tiny_tree() -> BPlusTree:
     return make_tree()
 
 
-@dataclass
-class World:
-    """A complete small system shared by query tests."""
-
-    space_side: float
-    grid: Grid
-    partitioner: TimePartitioner
-    states: dict[int, MovingObject]
-    store: PolicyStore
-    peb: PEBTree
-    bx: BxTree
-    baseline: SpatialFilterBaseline
-    query_rng: random.Random
-
-    @property
-    def uids(self) -> list[int]:
-        return sorted(self.states)
-
-    def query_generator(self) -> QueryGenerator:
-        return QueryGenerator(self.space_side, self.query_rng)
+#: The test-sized world: 400 users, 10 policies, 1 KiB pages and 512
+#: build frames, seed 11 (Table 1 for everything else).
+TEST_CONFIG = ExperimentConfig(
+    n_users=400, n_policies=10, page_size=1024, build_buffer_pages=512, seed=11
+)
 
 
-def build_world(
-    n_users: int = 400,
-    n_policies: int = 10,
-    theta: float = 0.7,
-    seed: int = 11,
-    page_size: int = 1024,
-    max_speed: float = 3.0,
-    curve=ZCURVE,
-) -> World:
-    space_side = 1000.0
-    rng = random.Random(seed)
-    grid = Grid(space_side, 10, curve=curve)
-    partitioner = TimePartitioner(120.0, 2)
-    movement = UniformMovement(space_side, max_speed, rng)
-    objects = movement.initial_objects(n_users, t=0.0)
-    states = {obj.uid: obj for obj in objects}
-
-    generator = PolicyGenerator(space_side, 1440.0, random.Random(seed + 1))
-    store = generator.generate(sorted(states), n_policies, theta)
-    report = assign_sequence_values(sorted(states), store, space_side**2)
-    store.set_sequence_values(report.sequence_values)
-
-    peb_pool = BufferPool(SimulatedDisk(page_size=page_size), capacity=512)
-    peb = PEBTree(peb_pool, grid, partitioner, store)
-    bx_pool = BufferPool(SimulatedDisk(page_size=page_size), capacity=512)
-    bx = BxTree(bx_pool, grid, partitioner)
-    for obj in objects:
-        peb.insert(obj)
-        bx.insert(obj)
-
-    return World(
-        space_side=space_side,
-        grid=grid,
-        partitioner=partitioner,
-        states=states,
-        store=store,
-        peb=peb,
-        bx=bx,
-        baseline=SpatialFilterBaseline(bx, store),
-        query_rng=random.Random(seed + 2),
-    )
+def build_world(**overrides) -> World:
+    """:func:`repro.bench.world.build_world` over ``TEST_CONFIG`` with
+    ``overrides`` (any :class:`ExperimentConfig` field) replaced."""
+    return world_of(TEST_CONFIG.scaled(**overrides))
 
 
 @pytest.fixture(scope="session")
@@ -126,7 +67,7 @@ def curve_world(request, small_world) -> World:
     """``small_world``, then the same world built on the Hilbert curve."""
     if request.param is ZCURVE:
         return small_world
-    return build_world(curve=request.param)
+    return build_world(curve=request.param.name)
 
 
 def role_members(store, owner: int, role: str) -> frozenset[int]:

@@ -6,38 +6,15 @@ import pytest
 
 from repro.bench.oracle import brute_force_prq
 from repro.core.aggregate import pcount, pdensity_grid
-from repro.core.peb_tree import PEBTree
-from repro.core.sequencing import assign_sequence_values
-from repro.motion.partitions import TimePartitioner
 from repro.spatial.geometry import Rect
-from repro.spatial.grid import Grid
-from repro.storage.buffer import BufferPool
-from repro.storage.disk import SimulatedDisk
-from repro.workloads.policies import PolicyGenerator
 from repro.workloads.queries import QueryGenerator
-from repro.workloads.uniform import UniformMovement
-
-
-def build_world(n_users=150, n_policies=8, seed=17):
-    space = 1000.0
-    movement = UniformMovement(space, 3.0, random.Random(seed))
-    states = {obj.uid: obj for obj in movement.initial_objects(n_users, t=0.0)}
-    store = PolicyGenerator(space, 1440.0, random.Random(seed + 1)).generate(
-        sorted(states), n_policies, 0.7
-    )
-    report = assign_sequence_values(sorted(states), store, space**2)
-    store.set_sequence_values(report.sequence_values)
-    grid = Grid(space, 10)
-    pool = BufferPool(SimulatedDisk(page_size=1024), capacity=512)
-    tree = PEBTree(pool, grid, TimePartitioner(120.0, 2), store)
-    for obj in states.values():
-        tree.insert(obj)
-    return states, store, tree
+from tests.conftest import build_world
 
 
 @pytest.fixture(scope="module")
 def world():
-    return build_world()
+    world = build_world(n_users=150, n_policies=8, seed=17)
+    return world.states, world.store, world.peb
 
 
 # ----------------------------------------------------------------------

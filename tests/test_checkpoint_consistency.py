@@ -296,7 +296,7 @@ def test_a_bit_flipped_disk_snapshot_never_loads(tmp_path):
     """Byte 6010 sits inside user 47's ``vx``: flipped, the checkpoint
     used to load, pass ``check_consistency()`` with ``[]`` and move the
     user — and every policy decision about them — ever after."""
-    world = build_world(120, 6, seed=5)
+    world = build_world(n_users=120, n_policies=6, seed=5)
     save_peb_tree(world.peb, str(tmp_path))
     path = os.path.join(str(tmp_path), DISK_FILE)
     for _ in bit_flips(path, also=(6010,)):
@@ -311,7 +311,7 @@ def test_a_bit_flipped_metadata_file_never_loads_a_different_tree(tmp_path):
     that carries no data (mtime, OS) may load — the identical tree — and
     so may a deflate bit that does not change what the stream decodes
     to (the CRC then has nothing to catch)."""
-    world = build_world(120, 6, seed=5)
+    world = build_world(n_users=120, n_policies=6, seed=5)
     save_peb_tree(world.peb, str(tmp_path))
     saved = _whole_tree(world.peb)
     path = os.path.join(str(tmp_path), META_FILE)
@@ -344,7 +344,7 @@ def test_a_failed_restore_leaves_the_live_tree_untouched(tmp_path, damaged):
     """Recovery must not launder corruption: ``restore_peb_tree_state``
     used to accept a flipped ``disk.bin`` and rewrite it *through* the
     checksumming disk, which stamped the damage with a valid CRC."""
-    world = build_world(120, 6, seed=5)
+    world = build_world(n_users=120, n_policies=6, seed=5)
     disk = ChecksummedDisk(page_size=1024)
     live = PEBTree(
         BufferPool(disk, capacity=64), world.grid, world.partitioner, world.store

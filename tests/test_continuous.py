@@ -30,8 +30,8 @@ from repro.spatial.geometry import Rect
 from repro.spatial.grid import Grid
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
-from repro.workloads.policies import PolicyGenerator
-from repro.workloads.uniform import UniformMovement
+
+from tests.conftest import build_world
 
 T = 1440.0
 EVERYWHERE = Rect(0, 1000, 0, 1000)
@@ -248,19 +248,9 @@ def test_tint_reentry_across_cycles():
 # ----------------------------------------------------------------------
 
 
-def random_world(n_users=120, seed=21):
-    movement = UniformMovement(1000.0, 3.0, random.Random(seed))
-    states = {obj.uid: obj for obj in movement.initial_objects(n_users, t=0.0)}
-    store = PolicyGenerator(1000.0, T, random.Random(seed + 1)).generate(
-        sorted(states), 8, 0.7
-    )
-    report = assign_sequence_values(sorted(states), store, 1000.0**2)
-    store.set_sequence_values(report.sequence_values)
-    return states, store, build_tree(states, store)
-
-
 def test_monitor_matches_brute_force_over_time():
-    states, store, tree = random_world()
+    world = build_world(n_users=120, n_policies=8, seed=21)
+    states, store, tree = world.states, world.store, world.peb
     rng = random.Random(33)
     issuers = rng.sample(sorted(states), 5)
     window = Rect(300, 700, 300, 700)
@@ -272,7 +262,8 @@ def test_monitor_matches_brute_force_over_time():
 
 
 def test_result_constant_between_events():
-    states, store, tree = random_world(n_users=80, seed=5)
+    world = build_world(n_users=80, n_policies=8, seed=5)
+    states, store, tree = world.states, world.store, world.peb
     q_uid = sorted(states)[0]
     window = Rect(200, 800, 200, 800)
     monitor = ContinuousPRQ(tree, q_uid, window, t_start=0.0)
@@ -290,7 +281,8 @@ def test_result_constant_between_events():
 
 
 def test_events_sorted_and_well_formed():
-    states, _, tree = random_world(n_users=60, seed=8)
+    world = build_world(n_users=60, n_policies=8, seed=8)
+    states, tree = world.states, world.peb
     q_uid = sorted(states)[1]
     monitor = ContinuousPRQ(tree, q_uid, Rect(100, 900, 100, 900), t_start=0.0)
     events = monitor.events_between(0.0, 500.0)
@@ -323,7 +315,8 @@ def test_monitor_exact_under_update_stream(seed):
     """Interleaved updates + probes: the monitor must always agree with a
     brute-force evaluation over the *current* server state."""
     rng = random.Random(seed)
-    states, store, tree = random_world(n_users=60, seed=seed % 1000)
+    world = build_world(n_users=60, n_policies=8, seed=seed % 1000)
+    states, store, tree = world.states, world.store, world.peb
     q_uid = rng.choice(sorted(states))
     window = Rect(
         *(sorted((rng.uniform(0, 1000), rng.uniform(0, 1000)))),

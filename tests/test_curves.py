@@ -14,11 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.oracle import brute_force_pknn, brute_force_prq
-from repro.core.peb_tree import PEBTree
 from repro.core.pknn import pknn
 from repro.core.prq import prq
-from repro.core.sequencing import assign_sequence_values
-from repro.motion.partitions import TimePartitioner
 from repro.spatial.curves import (
     CURVES,
     HILBERT,
@@ -31,11 +28,8 @@ from repro.spatial.geometry import Rect
 from repro.spatial.grid import Grid
 from repro.spatial.hilbert import hilbert_encode
 from repro.spatial.zcurve import z_encode
-from repro.storage.buffer import BufferPool
-from repro.storage.disk import SimulatedDisk
-from repro.workloads.policies import PolicyGenerator
 from repro.workloads.queries import QueryGenerator
-from repro.workloads.uniform import UniformMovement
+from tests.conftest import build_world
 
 BITS = 6
 SIDE = 1 << BITS
@@ -230,26 +224,10 @@ def test_grid_accepts_hilbert_curve():
     assert span[1] >= intervals[-1][1]
 
 
-def build_world_on_curve(curve, n_users=150, seed=9):
-    space = 1000.0
-    movement = UniformMovement(space, 3.0, random.Random(seed))
-    states = {obj.uid: obj for obj in movement.initial_objects(n_users, t=0.0)}
-    store = PolicyGenerator(space, 1440.0, random.Random(seed + 1)).generate(
-        sorted(states), 8, 0.7
-    )
-    report = assign_sequence_values(sorted(states), store, space**2)
-    store.set_sequence_values(report.sequence_values)
-    grid = Grid(space, 10, curve=curve)
-    pool = BufferPool(SimulatedDisk(page_size=1024), capacity=512)
-    tree = PEBTree(pool, grid, TimePartitioner(120.0, 2), store)
-    for obj in states.values():
-        tree.insert(obj)
-    return states, store, tree
-
-
 @pytest.mark.parametrize("curve", [ZCURVE, HILBERT], ids=lambda c: c.name)
 def test_prq_equivalence_on_curve(curve):
-    states, store, tree = build_world_on_curve(curve)
+    world = build_world(n_users=150, n_policies=8, seed=9, curve=curve.name)
+    states, store, tree = world.states, world.store, world.peb
     queries = QueryGenerator(1000.0, random.Random(13)).range_queries(
         sorted(states), 10, 250.0, 0.0
     )
@@ -262,7 +240,8 @@ def test_prq_equivalence_on_curve(curve):
 
 @pytest.mark.parametrize("curve", [ZCURVE, HILBERT], ids=lambda c: c.name)
 def test_pknn_equivalence_on_curve(curve):
-    states, store, tree = build_world_on_curve(curve)
+    world = build_world(n_users=150, n_policies=8, seed=9, curve=curve.name)
+    states, store, tree = world.states, world.store, world.peb
     queries = QueryGenerator(1000.0, random.Random(14)).knn_queries(
         states, 10, 3, 0.0
     )

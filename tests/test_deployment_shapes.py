@@ -51,21 +51,16 @@ def deploy(shape):
             disk = TimedDisk(disk, SimClock(), make_latency_model("ssd"), name="bare")
         pool = BufferPool(disk, capacity=FRAMES)
         deployment = PEBTree(pool, WORLD.grid, WORLD.partitioner, WORLD.store)
+        for uid in WORLD.uids:
+            deployment.insert(WORLD.states[uid])
     else:
-        deployment = ShardedPEBTree.build(
+        deployment = WORLD.deploy(
             n_shards,
-            WORLD.grid,
-            WORLD.partitioner,
-            WORLD.store,
-            uids=WORLD.uids,
-            page_size=PAGE_SIZE,
             buffer_pages=FRAMES,
             latency="ssd" if timed else None,
             fault_policy=RetryPolicy() if watched else None,
             breaker_policy=BreakerPolicy() if watched else None,
         )
-    for uid in WORLD.uids:
-        deployment.insert(WORLD.states[uid])
     if watched:
         deployment.recorder = TraceRecorder()
     return deployment

@@ -32,7 +32,6 @@ from repro.core.pknn import pknn
 from repro.core.prq import prq
 from repro.engine import QueryEngine, UpdatePipeline
 from repro.fault import BreakerPolicy, RetryPolicy
-from repro.shard import ShardedPEBTree
 from repro.storage.faults import DiskFaultError, FaultyDisk, TransientFaultSchedule
 from repro.workloads.queries import KnnQuerySpec
 
@@ -52,20 +51,13 @@ SPECS = WORLD.query_generator().range_queries(WORLD.uids, 10, 280.0, 130.0)
 
 
 def deploy(supervised: bool):
-    sharded = ShardedPEBTree.build(
+    sharded = WORLD.deploy(
         N_SHARDS,
-        WORLD.grid,
-        WORLD.partitioner,
-        WORLD.store,
-        uids=WORLD.uids,
-        page_size=PAGE_SIZE,
         buffer_pages=8,  # small: queries and sweeps do physical reads
         disk_factory=lambda shard: FaultyDisk(page_size=PAGE_SIZE),
         fault_policy=RETRY if supervised else None,
         breaker_policy=BreakerPolicy() if supervised else None,
     )
-    for uid in WORLD.uids:
-        sharded.insert(WORLD.states[uid])
     for pool in sharded.pools:
         pool.clear()
     return sharded

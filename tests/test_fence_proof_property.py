@@ -43,7 +43,6 @@ from repro.engine.scanner import BandScanner
 from repro.motion.objects import MovingObject
 from repro.motion.partitions import TimePartitioner
 from repro.policy.store import PolicyStore
-from repro.shard import ShardedPEBTree
 from repro.spatial.decompose import merge_intervals
 from repro.spatial.grid import Grid
 from repro.storage.buffer import BufferPool
@@ -435,11 +434,7 @@ def test_a_fault_mid_sweep_leaves_what_the_per_band_loop_leaves():
 def test_prefetch_enters_the_tree_once_per_shard_job(monkeypatch):
     """Not once per band: the batch's bands ride one sweep per shard."""
     world = build_world(n_users=220, n_policies=8, seed=29)
-    sharded = ShardedPEBTree.build(
-        4, world.grid, world.partitioner, world.store, uids=world.uids, page_size=1024
-    )
-    for uid in world.uids:
-        sharded.insert(world.states[uid])
+    sharded = world.deploy(4)
     specs = world.query_generator().range_queries(world.uids, 12, 300.0, 5.0)
 
     calls: Counter = Counter()

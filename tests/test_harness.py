@@ -30,9 +30,9 @@ def harness():
 
 
 def test_build_populates_both_indexes(harness):
-    assert len(harness.peb_tree) == 400
-    assert len(harness.bx_tree) == 400
-    assert harness.peb_leaf_count > 1
+    assert len(harness.peb) == 400
+    assert len(harness.bx) == 400
+    assert harness.peb.btree.leaf_count > 1
 
 
 def test_prq_batch_measures_and_verifies(harness):
@@ -80,10 +80,10 @@ def test_baseline_io_golden(curve):
 
 def test_measurement_resets_counters(harness):
     harness.run_prq_batch()
-    first = harness.peb_pool.stats.physical_reads
+    first = harness.peb.stats.physical_reads
     harness.run_prq_batch()
     # The second batch starts from zero — counters do not accumulate.
-    assert harness.peb_pool.stats.physical_reads <= first * 2 + 10
+    assert harness.peb.stats.physical_reads <= first * 2 + 10
 
 
 def test_network_distribution_builds():
@@ -136,7 +136,7 @@ def test_run_sharded_measures_and_verifies(harness):
     assert costs.sharded_ops_per_write > 0
     # The harness's own indexes stay untouched.
     assert harness.now == 0.0
-    assert len(harness.peb_tree) == 400
+    assert len(harness.peb) == 400
 
 
 def test_run_sharded_hotspot_workload(harness):

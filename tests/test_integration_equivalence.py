@@ -31,7 +31,7 @@ from tests.conftest import build_world
     t_query=st.floats(min_value=0.0, max_value=100.0),
 )
 def test_prq_equivalence_randomized(seed, theta, t_query):
-    world = build_world(n_users=150, n_policies=6, theta=theta, seed=seed)
+    world = build_world(n_users=150, n_policies=6, grouping_factor=theta, seed=seed)
     generator = world.query_generator()
     for query in generator.range_queries(world.uids, 4, 300.0, t_query):
         expected = brute_force_prq(

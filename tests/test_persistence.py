@@ -8,24 +8,21 @@ import struct
 import pytest
 
 from repro.core.checkpoint import load_peb_tree, save_peb_tree
-from repro.core.peb_tree import PEBTree
 from repro.core.pknn import pknn
 from repro.core.prq import prq
 from repro.core.sequencing import assign_sequence_values
-from repro.motion.partitions import TimePartitioner
 from repro.policy.lpp import LocationPrivacyPolicy
 from repro.policy.multistore import MultiPolicyStore
 from repro.policy.serialization import store_from_dict, store_to_dict
 from repro.policy.store import PolicyStore
 from repro.policy.timeset import TimeInterval, TimeSet
 from repro.spatial.geometry import Rect
-from repro.spatial.grid import Grid
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.persistence import SnapshotError, load_disk, save_disk, save_pool
 from repro.workloads.policies import MultiPolicyGenerator, PolicyGenerator
 from repro.workloads.queries import QueryGenerator
-from repro.workloads.uniform import UniformMovement
+from tests.conftest import build_world
 from tests.test_checkpoint_consistency import bit_flips
 
 
@@ -206,23 +203,9 @@ def test_store_payload_rejects_bad_format():
 # ----------------------------------------------------------------------
 
 
-def build_world(n_users=200, seed=9, page_size=1024):
-    movement = UniformMovement(1000.0, 3.0, random.Random(seed))
-    states = {obj.uid: obj for obj in movement.initial_objects(n_users, t=0.0)}
-    store = PolicyGenerator(1000.0, 1440.0, random.Random(seed + 1)).generate(
-        sorted(states), 8, 0.7
-    )
-    report = assign_sequence_values(sorted(states), store, 1000.0**2)
-    store.set_sequence_values(report.sequence_values)
-    pool = BufferPool(SimulatedDisk(page_size=page_size), capacity=512)
-    tree = PEBTree(pool, Grid(1000.0, 10), TimePartitioner(120.0, 2), store)
-    for obj in states.values():
-        tree.insert(obj)
-    return states, store, tree
-
-
 def test_checkpoint_roundtrip_queries_identical(tmp_path):
-    states, store, tree = build_world()
+    world = build_world(n_users=200, n_policies=8, seed=9)
+    states, tree = world.states, world.peb
     directory = str(tmp_path / "ckpt")
     save_peb_tree(tree, directory)
     restored = load_peb_tree(directory, buffer_pages=512)
@@ -253,7 +236,8 @@ def test_checkpoint_roundtrip_queries_identical(tmp_path):
 
 
 def test_restored_tree_accepts_updates(tmp_path):
-    states, _, tree = build_world(n_users=120)
+    world = build_world(n_users=120, n_policies=8, seed=9)
+    states, tree = world.states, world.peb
     directory = str(tmp_path / "ckpt")
     save_peb_tree(tree, directory)
     restored = load_peb_tree(directory, buffer_pages=256)
@@ -280,7 +264,7 @@ def test_restored_tree_accepts_updates(tmp_path):
 
 
 def test_restored_tree_starts_cold(tmp_path):
-    _, _, tree = build_world(n_users=150)
+    tree = build_world(n_users=150, n_policies=8, seed=9).peb
     directory = str(tmp_path / "ckpt")
     save_peb_tree(tree, directory)
     restored = load_peb_tree(directory, buffer_pages=64)
@@ -293,7 +277,7 @@ def test_restored_tree_starts_cold(tmp_path):
 def test_checkpoint_rejects_foreign_meta(tmp_path):
     import gzip
 
-    _, _, tree = build_world(n_users=50)
+    tree = build_world(n_users=50, n_policies=8, seed=9).peb
     directory = tmp_path / "ckpt"
     save_peb_tree(tree, str(directory))
     meta_path = directory / "meta.json.gz"
@@ -307,21 +291,10 @@ def test_checkpoint_rejects_foreign_meta(tmp_path):
 
 
 def test_checkpoint_preserves_hilbert_curve(tmp_path):
-    from repro.spatial.curves import HILBERT
-
-    movement = UniformMovement(1000.0, 3.0, random.Random(17))
-    states = {obj.uid: obj for obj in movement.initial_objects(80, t=0.0)}
-    store = PolicyGenerator(1000.0, 1440.0, random.Random(18)).generate(
-        sorted(states), 5, 0.7
+    world = build_world(
+        n_users=80, n_policies=5, seed=17, curve="hilbert", build_buffer_pages=256
     )
-    report = assign_sequence_values(sorted(states), store, 1000.0**2)
-    store.set_sequence_values(report.sequence_values)
-    pool = BufferPool(SimulatedDisk(page_size=1024), capacity=256)
-    tree = PEBTree(
-        pool, Grid(1000.0, 10, curve=HILBERT), TimePartitioner(120.0, 2), store
-    )
-    for obj in states.values():
-        tree.insert(obj)
+    states, tree = world.states, world.peb
 
     directory = str(tmp_path / "ckpt")
     save_peb_tree(tree, directory)

@@ -38,9 +38,7 @@ from repro.core.peb_tree import PEBTree
 from repro.core.pknn import _MatrixSearch, pknn
 from repro.engine import QueryEngine
 from repro.fault import BreakerPolicy, RetryPolicy
-from repro.shard import ShardedPEBTree
 from repro.shard.engine import ShardScatterScanner, VerifyTimeline
-from repro.spatial.curves import HILBERT
 from repro.spatial.geometry import Rect
 from repro.storage import BufferPool, SimulatedDisk
 from repro.storage.faults import FaultyDisk
@@ -59,7 +57,7 @@ EXAMPLES = max(20, settings.default.max_examples // 5)
 
 WORLDS = {
     "z": pin_world(seed=5),
-    "hilbert": pin_world(seed=5, curve=HILBERT),
+    "hilbert": pin_world(seed=5, curve="hilbert"),
     # Reported at t = 100: label 180, partition 2 — not live at T_QUERY.
     "expired-entry": pin_world(
         seed=31, reported_at=lambda uid: 0.0 if uid % 7 else 100.0
@@ -86,13 +84,8 @@ def deploy(world, kind, n_shards, timed):
         pool.clear()
         return tree
     supervised = kind == "supervised"
-    sharded = ShardedPEBTree.build(
+    sharded = world.deploy(
         n_shards,
-        world.grid,
-        world.partitioner,
-        world.store,
-        uids=world.uids,
-        page_size=PAGE_SIZE,
         buffer_pages=BUFFER_PAGES,
         latency="ssd" if timed else None,
         disk_factory=(lambda shard: FaultyDisk(page_size=PAGE_SIZE))
@@ -103,8 +96,6 @@ def deploy(world, kind, n_shards, timed):
         else None,
         breaker_policy=BreakerPolicy() if supervised else None,
     )
-    for uid in world.uids:
-        sharded.insert(world.states[uid])
     for pool in sharded.pools:
         pool.clear()
     return sharded

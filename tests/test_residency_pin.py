@@ -38,9 +38,7 @@ from repro.engine import BandScanner, QueryEngine
 from repro.engine.scanner import NOT_QUIET, StratumResidency, _Tally
 from repro.fault import BreakerPolicy, RetryPolicy
 from repro.motion.rows import BandRows
-from repro.shard import ShardedPEBTree
 from repro.shard.engine import ShardScatterScanner
-from repro.spatial import Grid
 from repro.spatial.curves import HILBERT
 from repro.spatial.decompose import merge_intervals
 from repro.storage import BufferPool, SimulatedDisk
@@ -68,20 +66,18 @@ class PinWorld(World):
     k: int = 4
 
 
-def pin_world(seed, k=4, curve=None, reported_at=None):
-    """``build_world``'s population, optionally on another curve's grid
-    and with each user's state re-stamped as reported at
-    ``reported_at(uid)`` (which moves it to that instant's partition)."""
-    world = PinWorld(**vars(build_world(n_users=260, n_policies=8, seed=seed)), k=k)
-    if curve is None and reported_at is None:
+def pin_world(seed, k=4, curve="z", reported_at=None):
+    """``build_world``'s population on ``curve``'s grid, optionally with
+    each user's state re-stamped as reported at ``reported_at(uid)``
+    (which moves it to that instant's partition)."""
+    world = build_world(n_users=260, n_policies=8, seed=seed, curve=curve)
+    world = PinWorld(**vars(world), k=k)
+    if reported_at is None:
         return world
-    if curve is not None:
-        world.grid = Grid(world.space_side, world.grid.bits, curve=curve)
-    if reported_at is not None:
-        world.states = {
-            uid: replace(obj, t_update=reported_at(uid))
-            for uid, obj in world.states.items()
-        }
+    world.states = {
+        uid: replace(obj, t_update=reported_at(uid))
+        for uid, obj in world.states.items()
+    }
     pool = BufferPool(SimulatedDisk(page_size=1024), capacity=512)
     world.peb = PEBTree(pool, world.grid, world.partitioner, world.store)
     for uid in world.uids:
@@ -92,7 +88,7 @@ def pin_world(seed, k=4, curve=None, reported_at=None):
 PIN_WORLDS = {
     "5": dict(seed=5),
     "31": dict(seed=31),
-    "hilbert": dict(seed=5, curve=HILBERT),
+    "hilbert": dict(seed=5, curve="hilbert"),
     "two-partitions": dict(seed=31, reported_at=lambda uid: 30.0 * (uid % 2)),
     "k-above-friends": dict(seed=5, k=20),
     # Reported at t = 100: label 180, partition 2 — not live at T_QUERY.
@@ -328,20 +324,13 @@ PAGE_SIZE = 1024
 
 
 def deploy_supervised(world):
-    sharded = ShardedPEBTree.build(
+    sharded = world.deploy(
         N_SHARDS,
-        world.grid,
-        world.partitioner,
-        world.store,
-        uids=world.uids,
-        page_size=PAGE_SIZE,
         buffer_pages=8,
         disk_factory=lambda shard: FaultyDisk(page_size=PAGE_SIZE),
         fault_policy=RetryPolicy(max_attempts=3, base_backoff_us=0.0),
         breaker_policy=BreakerPolicy(),
     )
-    for uid in world.uids:
-        sharded.insert(world.states[uid])
     for pool in sharded.pools:
         pool.clear()
     return sharded

@@ -29,7 +29,6 @@ from repro.service import (
     query_request,
     update_request,
 )
-from repro.shard import ShardedPEBTree
 from repro.spatial.geometry import Rect
 from repro.workloads.queries import KnnQuerySpec, QueryGenerator, RangeQuerySpec
 
@@ -389,18 +388,7 @@ def test_timed_sharded_run_pins_to_direct_replay(arrival):
     twin_world = build_world(n_users=120, n_policies=8, seed=33)
 
     def deploy(w):
-        sharded = ShardedPEBTree.build(
-            2,
-            w.grid,
-            w.partitioner,
-            w.store,
-            uids=w.uids,
-            page_size=1024,
-            buffer_pages=256,
-            latency="ssd",
-        )
-        for uid in w.uids:
-            sharded.insert(w.states[uid])
+        sharded = w.deploy(2, buffer_pages=256, latency="ssd")
         for pool in sharded.pools:
             pool.clear()
         return sharded
@@ -464,18 +452,7 @@ def test_smaller_batches_trade_reads_for_latency():
     world = build_world(n_users=100, n_policies=6, seed=44)
 
     def run(policy):
-        sharded = ShardedPEBTree.build(
-            2,
-            world.grid,
-            world.partitioner,
-            world.store,
-            uids=world.uids,
-            page_size=1024,
-            buffer_pages=256,
-            latency="ssd",
-        )
-        for uid in world.uids:
-            sharded.insert(world.states[uid])
+        sharded = world.deploy(2, buffer_pages=256, latency="ssd")
         for pool in sharded.pools:
             pool.clear()
         loop = OpenLoopGenerator(
@@ -499,19 +476,7 @@ def test_serving_path_starts_no_thread(monkeypatch):
     mixed stream — on a deployment built the way the benchmark builds
     its, ``parallel_io=True`` included — never starts an OS thread."""
     world = build_world(n_users=200, n_policies=8, seed=52)
-    sharded = ShardedPEBTree.build(
-        4,
-        world.grid,
-        world.partitioner,
-        world.store,
-        uids=world.uids,
-        page_size=1024,
-        buffer_pages=64,
-        latency="ssd",
-        parallel_io=True,
-    )
-    for uid in world.uids:
-        sharded.insert(world.states[uid])
+    sharded = world.deploy(4, buffer_pages=64, latency="ssd", parallel_io=True)
     for pool in sharded.pools:
         pool.clear()
     requests = OpenLoopGenerator(world.query_generator(), world.states).generate(
@@ -614,7 +579,7 @@ def test_harness_run_service_pins_and_reports():
     assert snapshot["stats"]["n_requests"] == 40
     assert snapshot["rate_per_sec"] == 2500.0
     # The harness's own indexes are untouched by a service run.
-    assert len(harness.peb_tree) == TINY.n_users
+    assert len(harness.peb) == TINY.n_users
 
 
 def test_harness_run_service_same_seed_is_deterministic():

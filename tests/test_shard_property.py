@@ -31,19 +31,7 @@ SHARD_COUNTS = (1, 2, 4)
 
 
 def build_sharded(world, n_shards, buffer_pages=512, **kwargs):
-    sharded = ShardedPEBTree.build(
-        n_shards,
-        world.grid,
-        world.partitioner,
-        world.store,
-        uids=world.uids,
-        page_size=1024,
-        buffer_pages=buffer_pages,
-        **kwargs,
-    )
-    for uid in world.uids:
-        sharded.insert(world.states[uid])
-    return sharded
+    return world.deploy(n_shards, buffer_pages=buffer_pages, **kwargs)
 
 
 def single_entries(world):

@@ -9,7 +9,7 @@ path, and its breaker closed — all without touching the other shards.
 
 from repro.engine import QueryEngine
 from repro.fault import BreakerPolicy, RetryPolicy
-from repro.shard import ShardCheckpointer, ShardedPEBTree
+from repro.shard import ShardCheckpointer
 from repro.storage.faults import FaultyDisk
 
 from tests.conftest import build_world
@@ -23,20 +23,13 @@ BATCH = [(obj, obj.uid % 3) for obj in STREAM]
 
 
 def deploy():
-    sharded = ShardedPEBTree.build(
+    sharded = WORLD.deploy(
         N_SHARDS,
-        WORLD.grid,
-        WORLD.partitioner,
-        WORLD.store,
-        uids=WORLD.uids,
-        page_size=PAGE_SIZE,
         buffer_pages=16,
         disk_factory=lambda shard: FaultyDisk(page_size=PAGE_SIZE),
         fault_policy=RetryPolicy(max_attempts=2, base_backoff_us=0.0),
         breaker_policy=BreakerPolicy(),
     )
-    for uid in WORLD.uids:
-        sharded.insert(WORLD.states[uid])
     for pool in sharded.pools:
         pool.clear()
     return sharded

@@ -211,11 +211,7 @@ def test_shard_stats_skew_and_snapshot():
 
 def test_facade_insert_delete_contains():
     world = build_world(n_users=80, n_policies=6, seed=8)
-    sharded = ShardedPEBTree.build(
-        3, world.grid, world.partitioner, world.store, uids=world.uids, page_size=1024
-    )
-    for uid in world.uids:
-        sharded.insert(world.states[uid])
+    sharded = world.deploy(3)
     assert len(sharded) == 80
     assert sharded.contains(world.uids[0])
     with pytest.raises(KeyError):
@@ -247,18 +243,7 @@ def test_timed_prefetch_fork_join_matches_untimed_exactly():
     world = build_world(n_users=220, n_policies=8, seed=13)
 
     def deployment(latency):
-        sharded = ShardedPEBTree.build(
-            4,
-            world.grid,
-            world.partitioner,
-            world.store,
-            uids=world.uids,
-            page_size=1024,
-            buffer_pages=64,
-            latency=latency,
-        )
-        for uid in world.uids:
-            sharded.insert(world.states[uid])
+        sharded = world.deploy(4, buffer_pages=64, latency=latency)
         for pool in sharded.pools:
             pool.clear()
         return sharded
@@ -287,11 +272,7 @@ def test_timed_prefetch_fork_join_matches_untimed_exactly():
 
 def test_scatter_scanner_memoizes_band_splits():
     world = build_world(n_users=100, n_policies=6, seed=2)
-    sharded = ShardedPEBTree.build(
-        2, world.grid, world.partitioner, world.store, uids=world.uids
-    )
-    for uid in world.uids:
-        sharded.insert(world.states[uid])
+    sharded = world.deploy(2)
     scanner = ShardScatterScanner(sharded)
     band = BandRequest(0, 0, (1 << sharded.codec.sv_bits) - 1, 0, world.grid.max_z)
     first = scanner.scan(band)

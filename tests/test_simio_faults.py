@@ -13,7 +13,6 @@ counts completed transfers, a failed access charges no virtual time.
 import pytest
 
 from repro.engine import QueryEngine
-from repro.shard import ShardedPEBTree
 from repro.storage.faults import (
     ChecksummedDisk,
     CorruptPageError,
@@ -32,19 +31,12 @@ def world():
 
 
 def build_timed_sharded(world, disk_factory, buffer_pages=64):
-    sharded = ShardedPEBTree.build(
+    sharded = world.deploy(
         N_SHARDS,
-        world.grid,
-        world.partitioner,
-        world.store,
-        uids=world.uids,
-        page_size=1024,
         buffer_pages=512,
         latency="ssd",
         disk_factory=disk_factory,
     )
-    for uid in world.uids:
-        sharded.insert(world.states[uid])
     for pool in sharded.pools:
         # Cold pools: the next scan must physically read, so injected
         # faults and corrupted pages are actually hit.

@@ -364,19 +364,19 @@ TINY = ExperimentConfig(
 def test_apply_update_round_via_pipeline_matches_plain():
     plain = ExperimentHarness(TINY)
     piped = ExperimentHarness(TINY)
-    pipeline = UpdatePipeline(piped.peb_tree, capacity=64)
+    pipeline = UpdatePipeline(piped.peb, capacity=64)
     for _ in range(2):
         plain.apply_update_round(0.25)
         piped.apply_update_round(0.25, pipeline=pipeline)
-    assert plain.peb_tree._live_keys == piped.peb_tree._live_keys
-    assert list(plain.peb_tree.btree.items()) == list(piped.peb_tree.btree.items())
-    piped.peb_tree.btree.check_invariants()
+    assert plain.peb._live_keys == piped.peb._live_keys
+    assert list(plain.peb.btree.items()) == list(piped.peb.btree.items())
+    piped.peb.btree.check_invariants()
 
 
 def test_apply_update_round_rejects_foreign_pipeline():
     harness = ExperimentHarness(TINY)
     other = ExperimentHarness(TINY)
-    pipeline = UpdatePipeline(other.peb_tree)
+    pipeline = UpdatePipeline(other.peb)
     with pytest.raises(ValueError):
         harness.apply_update_round(0.25, pipeline=pipeline)
 
@@ -393,7 +393,7 @@ def test_run_batched_updates_reports_and_preserves_contents():
     # The measured round really advanced the harness.
     second = harness.run_batched_updates(batch_size=64)
     assert second.n_updates == 100
-    harness.peb_tree.btree.check_invariants()
+    harness.peb.btree.check_invariants()
 
 
 def test_run_batched_updates_rejects_bad_batch_size():
@@ -414,7 +414,7 @@ NON_FINITE = [
 
 
 def _poison_world():
-    world = build_world(120, 6, seed=5)
+    world = build_world(n_users=120, n_policies=6, seed=5)
     uids = sorted(world.states)
     good = [replace(world.states[uid], x=500.0, y=400.0 + uid) for uid in uids[:10]]
     return world, good

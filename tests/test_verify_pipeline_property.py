@@ -54,7 +54,6 @@ from hypothesis import strategies as st
 from repro.engine import BandScanner, QueryEngine, UpdatePipeline
 from repro.engine.verify import CandidateVerifier
 from repro.fault import BreakerPolicy, RetryPolicy
-from repro.shard import ShardedPEBTree
 from repro.shard.engine import ShardScatterScanner, VerifyTimeline
 from repro.spatial.geometry import Rect
 from repro.storage.faults import FaultWindowSchedule, FaultyDisk
@@ -75,13 +74,8 @@ EPS = 1e-6
 
 
 def deploy(n_shards, timed, supervised=False):
-    sharded = ShardedPEBTree.build(
+    sharded = WORLD.deploy(
         n_shards,
-        WORLD.grid,
-        WORLD.partitioner,
-        WORLD.store,
-        uids=WORLD.uids,
-        page_size=PAGE_SIZE,
         buffer_pages=8,  # small: the prefetch sweeps do physical reads
         latency="ssd" if timed else None,
         disk_factory=(lambda shard: FaultyDisk(page_size=PAGE_SIZE))
@@ -90,8 +84,6 @@ def deploy(n_shards, timed, supervised=False):
         fault_policy=RETRY if supervised else None,
         breaker_policy=BreakerPolicy() if supervised else None,
     )
-    for uid in WORLD.uids:
-        sharded.insert(WORLD.states[uid])
     with UpdatePipeline(sharded, capacity=64) as pipeline:
         pipeline.extend(STREAM)
     for pool in sharded.pools:
