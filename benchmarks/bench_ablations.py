@@ -23,7 +23,7 @@ from repro.bench.reporting import SeriesTable
 from repro.core.ablation import make_zv_first_tree, prq_span_scan
 from repro.core.encoders import ENCODERS, make_encoder
 from repro.core.peb_tree import PEBTree
-from repro.core.pknn import pknn
+from repro.core.pknn import pknn_walk
 from repro.core.prq import prq
 from repro.storage import BufferPool, SimulatedDisk
 
@@ -132,7 +132,7 @@ def test_ablation_pknn_search_order(benchmark, preset):
             harness.peb.btree.pool,
             config.buffer_pages,
             lambda: [
-                pknn(harness.peb, q.q_uid, q.qx, q.qy, q.k, q.t_query)
+                pknn_walk(harness.peb, q.q_uid, q.qx, q.qy, q.k, q.t_query)
                 for q in queries
             ],
         )
@@ -140,7 +140,7 @@ def test_ablation_pknn_search_order(benchmark, preset):
             harness.peb.btree.pool,
             config.buffer_pages,
             lambda: [
-                pknn(
+                pknn_walk(
                     harness.peb,
                     q.q_uid,
                     q.qx,

@@ -22,7 +22,7 @@ from repro.bench.world import ExperimentConfig, World, build_world
 from repro.bxtree.tree import BxTree
 from repro.core.checkpoint import clone_peb_tree
 from repro.core.peb_tree import PEBTree
-from repro.core.pknn import pknn
+from repro.core.pknn import pknn_walk
 from repro.core.prq import prq
 from repro.counters import CounterSet, derived
 from repro.engine import QueryEngine, UpdatePipeline
@@ -462,7 +462,9 @@ class ExperimentHarness(World):
     ) -> QueryCosts:
         """Average PkNN I/O over ``n_queries`` issuers at their locations.
 
-        ``k`` overrides the configured neighbour count for this batch
+        The PEB-tree side runs the Section 5.4 matrix walk
+        (:func:`repro.core.pknn.pknn_walk`), the algorithm the PkNN
+        figures reproduce, not the served fetch.  ``k`` overrides the configured neighbour count for this batch
         only (the Figure 15(b) sweep varies it on one built harness).
         """
         k_value = k if k is not None else self.config.k
@@ -473,7 +475,7 @@ class ExperimentHarness(World):
         self._start_measuring(self.peb)
         peb_answers = []
         for query in queries:
-            answer = pknn(
+            answer = pknn_walk(
                 self.peb, query.q_uid, query.qx, query.qy, query.k, query.t_query
             )
             peb_answers.append([round(d, 9) for d, _ in answer.neighbors])

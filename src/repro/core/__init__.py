@@ -32,7 +32,7 @@ from repro.core.encoders import (
 from repro.core.multipolicy import grant_volume, set_compatibility, simultaneous_volume
 from repro.core.peb_key import PEBKeyCodec
 from repro.core.peb_tree import PEBTree
-from repro.core.pknn import PKNNResult, pknn
+from repro.core.pknn import PKNNResult, pknn, pknn_walk
 from repro.core.prq import PRQResult, prq
 from repro.core.sequencing import EncodingReport, assign_sequence_values
 
@@ -59,6 +59,7 @@ __all__ = [
     "grant_volume",
     "load_peb_tree",
     "pknn",
+    "pknn_walk",
     "prq",
     "save_peb_tree",
     "set_compatibility",

@@ -396,6 +396,10 @@ class PEBTree(Deployment):
         sv = self.store.sequence_value(obj.uid)
         return self.codec.compose(tid, sv, zv)
 
+    def live_key(self, uid: int) -> int | None:
+        """The user's live key from the update memo, or None."""
+        return self._live_keys.get(uid)
+
     def contains(self, uid: int) -> bool:
         return uid in self._live_keys
 

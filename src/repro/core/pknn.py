@@ -1,5 +1,22 @@
 """The privacy-aware k-nearest-neighbour query (Section 5.4, Figures 8-10).
 
+Definition 3 ranks only the users Definition 2 admits, and only the
+issuer's friends with a policy that holds at the query time can be
+admitted.  The served query (:func:`pknn`, and every kNN spec of
+:meth:`repro.engine.QueryEngine.execute_batch`) therefore reads each
+such friend where the update memo says it is: one point band per
+visible friend at its live key
+(:meth:`repro.engine.plan.QueryPlanner.plan_knn_probe`), every returned
+row verified, and the k nearest kept, ranked by ``(distance, uid)``.
+On the benchmark population (~29 friends a viewer) that reads fewer
+pages than the walk below and costs a fraction of its CPU; the walk
+pays off only for friend lists long enough that a ring search which
+stops at k reads less than every friend's row.
+
+The rest of this module is the paper's own algorithm, kept as the
+reproduced Section 5.4 search behind :func:`pknn_walk` (what the PkNN
+figures and the Figure 9 search-order ablation measure).
+
 The search space is a matrix: one row per friend (users holding a policy
 about the issuer that holds at the query time — nobody else can qualify
 — ascending by sequence value), one column per
@@ -33,9 +50,10 @@ centralizes locate + policy evaluation + the once-per-user skip rule.
 A friend's row revisits one ``(tid, sv_q)`` stratum per live partition
 round after round, and almost every annulus piece is empty.  The search
 therefore asks the scanner once per (friend, partition) for that
-stratum's *residency* — the Z-intervals earlier scans (this query's, or
-the batch's prefetch) proved, with their rows — and answers a piece a
-proof covers from it; only an unproven piece becomes a band request.
+stratum's *residency* — the Z-intervals earlier scans (this search's,
+or another's on a shared scanner) proved, with their rows — and answers
+a piece a proof covers from it; only an unproven piece becomes a band
+request.
 
 Nor does it poll what is already settled.  After a cell has served or
 scanned a stratum, the search keeps that stratum's *quiet interval*
@@ -65,11 +83,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.core.peb_tree import PEBTree
-from repro.engine import BandScanner, CandidateVerifier, QueryPlanner
+from repro.engine import BandScanner, CandidateVerifier, QueryEngine, QueryPlanner
 from repro.engine.executor import check_complete
-from repro.engine.plan import BandRequest
+from repro.engine.plan import PlannedBand, QueryPlan, VisibilityMap
 from repro.engine.scanner import NOT_QUIET
 from repro.motion.objects import MovingObject
 from repro.spatial.decompose import ZInterval, subtract_interval
@@ -124,13 +143,13 @@ def _partition(context_index: int, tid: int, pieces: list[ZInterval]) -> _Partit
 
 
 class _MatrixSearch:
-    """One PkNN execution; holds the per-query scan state.
+    """One Section 5.4 walk; holds the per-query scan state.
 
     ``planner`` and ``scanner`` default to fresh per-query instances
     (the scanner is the one the tree hands out,
-    :meth:`repro.core.peb_tree.PEBTree.new_scanner`); the batch
-    executor passes its shared planner and scanner so cell scans are
-    deduplicated across the whole batch.
+    :meth:`repro.core.peb_tree.PEBTree.new_scanner`), as
+    :func:`pknn_walk` runs it; searches handed one shared scanner
+    deduplicate their cell scans across each other.
     """
 
     def __init__(
@@ -163,8 +182,8 @@ class _MatrixSearch:
         self.candidates: list[tuple[float, MovingObject]] = []
         self.result = PKNNResult()
         self.contexts = self.planner.contexts(t_query)
-        # Radius step rq = Dk / k.  (k <= 0 short-circuits in run() and
-        # probe() before the step is used.)
+        # Radius step rq = Dk / k.  (k <= 0 short-circuits in run()
+        # before the step is used.)
         self.rq = self.planner.knn_step(k) if k > 0 else tree.grid.cell_size
         # The walk ends once a round's square holds the whole space:
         # the space's diagonal, plus how far outside it the query point
@@ -273,19 +292,6 @@ class _MatrixSearch:
                             _partition(context_index, context.tid, pieces)
                         )
         return partitions
-
-    def probe(self) -> list[BandRequest]:
-        """The bands round one will request: every row's stratum over
-        the round's window, per live partition — the batch executor's
-        prefetch hint (:meth:`QueryPlanner.plan_knn_probe`)."""
-        if self.k <= 0:
-            return []
-        spans = [
-            (context.tid, span)
-            for context, span in zip(self.contexts, self._spans(1))
-            if span is not None
-        ]
-        return self.planner.plan_knn_probe(self.friends, spans)
 
     def _admit_qualifying(self, obj: MovingObject, x: float, y: float) -> bool:
         """admit_rows callback: rank one qualifying candidate, never stop."""
@@ -546,7 +552,75 @@ class _MatrixSearch:
         return self.result
 
 
+def plan_pknn(planner: QueryPlanner, q_uid: int, k: int, t_query: float) -> QueryPlan:
+    """The served plan of one PkNN: the issuer's visibility map at
+    ``t_query`` and one point band per visible friend
+    (:meth:`QueryPlanner.plan_knn_probe`); nothing at all for ``k = 0``."""
+    if k <= 0:
+        visible: VisibilityMap = {}
+        bands: list[PlannedBand] = []
+    else:
+        visible = planner.tree.store.visibility_map(q_uid, t_query)
+        bands = planner.plan_knn_probe(q_uid, visible, t_query)
+    return QueryPlan(
+        q_uid=q_uid,
+        t_query=t_query,
+        friends=[],
+        contexts=[],
+        bands=bands,
+        visible=visible,
+    )
+
+
+def pknn_from_plan(
+    engine, plan: QueryPlan, qx: float, qy: float, k: int, scanner=None
+) -> PKNNResult:
+    """Materialize a :class:`PKNNResult` from one planned PkNN fetch.
+
+    Every row the plan's bands return is verified (the engine's replay
+    of a planned scan, :meth:`repro.engine.QueryEngine.run_range_plan`,
+    without a window) and the k nearest qualifying users are kept,
+    ranked by ``(distance, uid)`` as the oracle ranks them.
+    :func:`pknn` runs it with a fresh scanner, and the batch executor
+    replays it per kNN spec against the batch's shared scanner.
+    """
+    ranked: list[tuple[float, int, MovingObject]] = []
+
+    def rank(obj: MovingObject, x: float, y: float) -> bool:
+        ranked.append((euclidean(qx, qy, x, y), obj.uid, obj))
+        return False
+
+    execution = engine.run_range_plan(plan, rank, scanner)
+    ranked.sort(key=itemgetter(0, 1))  # (distance, uid): never the object
+    return PKNNResult(
+        neighbors=[(distance, obj) for distance, _, obj in ranked[:k]],
+        candidates_examined=execution.candidates_examined,
+    )
+
+
 def pknn(
+    tree: PEBTree,
+    q_uid: int,
+    qx: float,
+    qy: float,
+    k: int,
+    t_query: float,
+) -> PKNNResult:
+    """Run a PkNN ``(qID, qLoc=(qx, qy), k, tq)`` on the PEB-tree.
+
+    Served as a fetch of every visible friend's row at its live key
+    (:func:`plan_pknn`), on a fresh scanner.  ``k = 0`` is the empty
+    answer; a negative ``k`` or a non-finite ``qx``/``qy``/``t_query``
+    raises :class:`ValueError` before anything is planned or read.  A
+    finite query point outside the space is answered like any other;
+    one a quarantined shard cut short raises (:func:`check_complete`).
+    """
+    check_knn_arguments(k, qx, qy, t_query)
+    engine = QueryEngine(tree)
+    return pknn_from_plan(engine, plan_pknn(engine.planner, q_uid, k, t_query), qx, qy, k)
+
+
+def pknn_walk(
     tree: PEBTree,
     q_uid: int,
     qx: float,
@@ -555,15 +629,15 @@ def pknn(
     t_query: float,
     order: str = "triangular",
 ) -> PKNNResult:
-    """Run a PkNN ``(qID, qLoc=(qx, qy), k, tq)`` on the PEB-tree.
+    """The Section 5.4 matrix walk for one PkNN, on a fresh scanner.
 
-    ``order`` selects the search-matrix traversal: the paper's
-    ``"triangular"`` (Figure 9) or the naive ``"column"`` sweep kept for
-    the ablation benchmark.  ``k = 0`` is the empty answer; a negative
-    ``k`` or a non-finite ``qx``/``qy``/``t_query`` raises
-    :class:`ValueError` before anything is planned or read.  A finite
-    query point outside the space is answered like any other; one a
-    quarantined shard cut short raises (:func:`check_complete`).
+    The reproduced algorithm, not the served one: the PkNN figures
+    (:meth:`repro.bench.harness.ExperimentHarness.run_pknn_batch`) and
+    the Figure 9 search-order ablation measure it.  ``order`` selects
+    the traversal: the paper's ``"triangular"`` (Figure 9) or the naive
+    ``"column"`` sweep.  Arguments are checked as :func:`pknn` checks
+    them; the answer equals :func:`pknn`'s up to the order of users at
+    one distance.
     """
     dropped = tree.bands_dropped
     result = _MatrixSearch(tree, q_uid, qx, qy, k, t_query).run(order)

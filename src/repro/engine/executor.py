@@ -4,12 +4,13 @@
 pipeline.  Every privacy-aware query path in the repository — PRQ
 (:mod:`repro.core.prq`), the aggregates (:mod:`repro.core.aggregate`),
 the Figure 7 span-scan ablation (:mod:`repro.core.ablation`), the
-continuous-query registration scan (:mod:`repro.core.continuous`), and
-the adaptive PkNN matrix search (:mod:`repro.core.pknn`) — is a thin
-adapter over this engine: the planner decides *what* to scan, the
-scanner decides *how* (from a proven interval, or physically), the verifier
-decides *who qualifies*, and this module drives the three in the
-paper's iteration order with the skip rule applied in one place.
+continuous-query registration scan (:mod:`repro.core.continuous`), the
+served PkNN fetch and the Section 5.4 matrix walk
+(:mod:`repro.core.pknn`) — is a thin adapter over this engine: the
+planner decides *what* to scan, the scanner decides *how* (from a
+proven interval, or physically), the verifier decides *who qualifies*,
+and this module drives the three in the paper's iteration order with
+the skip rule applied in one place.
 
 Batching (:meth:`QueryEngine.execute_batch`) is the throughput path the
 ROADMAP's north star asks for: many concurrent query specs are planned
@@ -236,9 +237,12 @@ class QueryEngine:
 
         Bands are visited in plan order; a band whose friend is already
         located is skipped ("a user has only one location").  Each newly
-        located candidate is policy-checked and window-tested, and
-        ``on_match`` may stop the whole execution early by returning
-        True (the ``at_least`` aggregate).
+        located candidate is policy-checked and window-tested (a PkNN
+        plan has no window), and ``on_match`` may stop the whole
+        execution early by returning True (the ``at_least`` aggregate).
+        On a verify timeline a range plan's bands are booked on the
+        pipeline; a kNN plan's, replayed while the searches run, are
+        charged to the running search.
         """
         owned = scanner is None
         if owned:
@@ -260,7 +264,11 @@ class QueryEngine:
             seen = verifier.candidates_examined
             stopped = verifier.admit_rows(rows, plan.window, on_match)
             if timeline is not None:
-                timeline.book_verified(planned.band, verifier.candidates_examined - seen)
+                examined = verifier.candidates_examined - seen
+                if timeline.searching:  # a kNN spec, on the search CPU
+                    timeline.charge_verified(examined)
+                else:
+                    timeline.book_verified(planned.band, examined)
             if stopped:
                 break
         if owned:
@@ -312,29 +320,25 @@ class QueryEngine:
             specs: ``RangeQuerySpec`` / ``KnnQuerySpec`` instances (the
                 :mod:`repro.workloads.queries` types), in any mix.
 
-        Range plans are static, so their bands are known up front and
-        prefetched; the skip rule can only *remove* bands, so the
-        prefetched superset is always sufficient.  kNN searches are
-        adaptive, but their *first* round is static too — the
-        ``Dk``-estimate square around the query point — so each search
-        is built before the prefetch and its first round's bands
-        (:meth:`repro.core.pknn._MatrixSearch.probe`, over the search's
-        own friend rows) join the prefetch set: concurrent kNN queries
-        share the batch's physical scans instead of each scanning its
-        first round on demand, and later rounds run adaptively against
-        the same shared scanner.  The range bands go to the prefetch in
-        key order, the probe bands after them: a stratum holds one raw
-        sequence value, so issuers share leaves rather than strata, and
-        a key-ordered sweep reads a shared leaf while it is resident.
+        Every spec is planned up front and every planned band joins one
+        prefetch, sorted into key order: a range plan's bands (the skip
+        rule can only *remove* bands, so the prefetched superset is
+        always sufficient) and a kNN spec's point bands, one per visible
+        friend at its live key (:func:`repro.core.pknn.plan_pknn`).  A
+        stratum holds one raw sequence value, so issuers share leaves
+        rather than strata, and a key-ordered sweep reads a shared leaf
+        while it is resident.
 
-        Replay takes the range specs first, then the kNN searches, each
+        Replay takes the range specs first, then the kNN specs, each
         kind in spec order; results and ``degraded`` flags come back in
-        spec order.  When the scanner has a verify timeline (a timed
-        sharded deployment's), it is told each query's verification
-        (``charge_query``) and when the searches start and end: it
-        verifies the range specs' bands as their strata land and runs
-        each kNN search on the same CPU afterwards, waiting for a
-        stratum's landing before the search first reads it.
+        spec order.  A kNN spec admits its bands' rows through the
+        verifier and keeps the k nearest
+        (:func:`repro.core.pknn.pknn_from_plan`).  When the scanner has
+        a verify timeline (a timed sharded deployment's), it is told
+        each query's verification (``charge_query``) and when the kNN
+        specs start and end: it verifies the range specs' bands as their
+        strata land and runs each kNN spec on the same CPU afterwards,
+        waiting for a stratum's landing before the spec first reads it.
 
         A spec of an unsupported type, a range spec with a non-finite
         ``t_query``, or a kNN spec with a negative ``k`` or a non-finite
@@ -343,7 +347,7 @@ class QueryEngine:
         """
         # Imported here: repro.core.{prq,pknn} are adapters over this
         # module, so importing them at module scope would cycle.
-        from repro.core.pknn import _MatrixSearch, check_knn_arguments
+        from repro.core.pknn import check_knn_arguments, plan_pknn, pknn_from_plan
         from repro.core.prq import check_range_arguments, prq_from_plan
 
         for spec in specs:
@@ -358,42 +362,18 @@ class QueryEngine:
                 )
 
         scanner = self.new_scanner()
-        plans: list[QueryPlan | None] = []
-        searches: list[tuple[int, _MatrixSearch]] = []
-        for index, spec in enumerate(specs):
-            if isinstance(spec, RangeQuerySpec):
-                plans.append(self.planner.plan_range(spec.q_uid, spec.window, spec.t_query))
-            else:
-                plans.append(None)
-                search = _MatrixSearch(
-                    self.tree,
-                    spec.q_uid,
-                    spec.qx,
-                    spec.qy,
-                    spec.k,
-                    spec.t_query,
-                    planner=self.planner,
-                    scanner=scanner,
-                )
-                searches.append((index, search))
-        probe_bands = [band for _, search in searches for band in search.probe()]
+        planner = self.planner
+        plans = [
+            planner.plan_range(spec.q_uid, spec.window, spec.t_query)
+            if isinstance(spec, RangeQuerySpec)
+            else plan_pknn(planner, spec.q_uid, spec.k, spec.t_query)
+            for spec in specs
+        ]
 
         clock = self.tree.sim_clock
         before = self._progress(scanner)
         recorder = self.tree.recorder
         tracing = recorder is not None and recorder.enabled
-
-        def batch_bands():
-            # Range bands in key order, then the kNN probes, whose
-            # strata not named yet keep their first-appearance order.
-            yield from sorted(
-                planned.band
-                for plan in plans
-                if plan is not None
-                for planned in plan.bands
-            )
-            yield from probe_bands
-
         if tracing:
             t_scan0 = clock.cursor() if clock is not None else 0.0
             recorder.instant(
@@ -403,10 +383,14 @@ class QueryEngine:
                 category="engine",
                 args={
                     "specs": len(specs),
-                    "knn_probe_bands": len(probe_bands),
+                    "knn_bands": sum(
+                        len(plan.bands)
+                        for spec, plan in zip(specs, plans)
+                        if isinstance(spec, KnnQuerySpec)
+                    ),
                 },
             )
-        scanner.prefetch(batch_bands())
+        scanner.prefetch(sorted(planned.band for plan in plans for planned in plan.bands))
         if tracing:
             recorder.span(
                 "engine/scan",
@@ -426,24 +410,29 @@ class QueryEngine:
 
         timeline = scanner.timeline
 
-        def replay(index: int, run: Callable) -> None:
+        def replay(index: int, knn: bool, run: Callable) -> None:
             dropped = self.tree.bands_dropped
             result = run()
             if timeline is not None:
-                timeline.charge_query(result.candidates_examined, plans[index] is None)
+                timeline.charge_query(result.candidates_examined, knn)
             report.stats.candidates_examined += result.candidates_examined
             report.results[index] = result
             report.degraded[index] = self.tree.bands_dropped > dropped
 
         # Range plans replay first — off a prefetched batch, without
-        # I/O — then the kNN searches, each kind in spec order.
-        for index, plan in enumerate(plans):
-            if plan is not None:
-                replay(index, lambda: prq_from_plan(self, plan, scanner))
+        # I/O — then the kNN specs, each kind in spec order.
+        for index, (spec, plan) in enumerate(zip(specs, plans)):
+            if isinstance(spec, RangeQuerySpec):
+                replay(index, False, lambda: prq_from_plan(self, plan, scanner))
         if timeline is not None:
             timeline.start_searches()
-        for index, search in searches:
-            replay(index, search.run)
+        for index, (spec, plan) in enumerate(zip(specs, plans)):
+            if isinstance(spec, KnnQuerySpec):
+                replay(
+                    index,
+                    True,
+                    lambda: pknn_from_plan(self, plan, spec.qx, spec.qy, spec.k, scanner),
+                )
         if timeline is not None:
             timeline.end_searches()
         if tracing:

@@ -14,15 +14,18 @@ the Figure 7 ablation.
 A plan captures everything *static* about a query: the live partition
 contexts (per-partition window enlargements of Figure 2), the friends
 who can qualify sorted ascending by sequence value, and one band per
-(partition, friend).
+(partition, friend).  A PkNN is static too: one point band per visible
+friend at the live key the update memo holds
+(:meth:`QueryPlanner.plan_knn_probe`), whose rows the executor verifies
+like a range plan's, without a window.
 
 Under Definition 2 a friend is in an answer only if one of its policies
 toward the issuer holds at ``t_query`` and the friend stands inside that
 policy's ``locr``.  So a range plan bands only the owners of the
 issuer's visibility map at ``t_query`` over the window
 (:meth:`repro.policy.store.PolicyStore.visibility_map`, which keeps
-only regions that meet it; :meth:`QueryPlanner.range_friends`), and the
-PkNN search keeps a row only for a friend in the unwindowed map
+only regions that meet it; :meth:`QueryPlanner.range_friends`), and a
+PkNN reads only a friend in the unwindowed map
 (:meth:`QueryPlanner.visible_friends`): everyone else provably fails
 Definition 2 wherever they stand.  The map is computed once per query
 and handed on to the verifier, which tests the window before the map —
@@ -48,6 +51,7 @@ the overlapping ones, and serve every issuer from one physical scan
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.bxtree.queries import enlargement_for_label, estimate_knn_distance
@@ -139,7 +143,7 @@ class QueryPlanner:
         self.tree = tree
 
     # ------------------------------------------------------------------
-    # Shared building blocks (also used by the adaptive PkNN search)
+    # Shared building blocks (also used by the Section 5.4 PkNN walk)
     # ------------------------------------------------------------------
 
     def friends(self, q_uid: int) -> list[tuple[float, int]]:
@@ -195,9 +199,9 @@ class QueryPlanner:
 
         ``Dk`` is the estimated k-th-neighbour distance of Tao et
         al. [33]; the step is floored at one grid cell so the round
-        count stays finite when ``k / N`` is tiny.  The matrix search
-        takes its round width from here, and the batch prefetch probe
-        (:meth:`plan_knn_probe`) its first round from the search.
+        count stays finite when ``k / N`` is tiny.  The matrix walk
+        (:func:`repro.core.pknn.pknn_walk`) takes its round width from
+        here.
         """
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
@@ -287,37 +291,47 @@ class QueryPlanner:
         )
 
     def plan_knn_probe(
-        self,
-        friends: list[tuple[float, int]],
-        spans: list[tuple[int, tuple[int, int]]],
-    ) -> list[BandRequest]:
-        """The band requests of a PkNN search's *first* round.
+        self, q_uid: int, visible: VisibilityMap, t_query: float
+    ) -> list[PlannedBand]:
+        """The whole plan of one PkNN: where each visible friend is.
 
-        The adaptive matrix search (:mod:`repro.core.pknn`) cannot be
-        planned statically — later rounds depend on scan results — but
-        its first column is: the square of half-side ``rq`` around the
-        query point, enlarged per live partition, one band per
-        (partition, friend).  The search hands in its own rows and the
-        ``(tid, (z_lo, z_hi))`` round-one span of each live partition
-        (:meth:`repro.core.pknn._MatrixSearch.probe`), so the probe is
-        exactly what round one requests.  The batch executor adds these
-        to the cross-query prefetch set so concurrent kNN queries share
-        physical scans with the whole batch instead of each scanning
-        its first round on demand.  A probe is a prefetch superset hint:
-        bands the search never requests cost prefetch I/O but can
-        never change results.
+        Definition 3 ranks only users Definition 2 admits, and only the
+        friends the issuer's visibility map at ``t_query`` holds
+        (:meth:`visible_friends`) can be admitted.  The update memo
+        names each one's live key exactly (``tree.live_key``), so the
+        plan is one point band ``[TID ⊕ SV ⊕ ZV ; TID ⊕ SV ⊕ ZV]`` per
+        visible friend whose key lies in a live partition, in key
+        order: the friend's own row, plus any raw-tie stratum-mate
+        standing on the same cell, which the verifier then checks like
+        any other row.  A friend with no live key, or one in a
+        partition no query at ``t_query`` may read, gets no band — the
+        Section 5.4 walk would not reach it either.
 
-        The bands come friend-major — one friend's partitions, then the
-        next friend's — so a prefetch lands each friend's strata
-        together, in the order the walk's rows read them.  That is the
-        order of a hint, not the paper's iteration order: range plans
-        stay partition-major.
+        The batch executor sorts these bands into one key-ordered
+        prefetch with the range plans'; the served search keeps the k
+        nearest of what they return (:func:`repro.core.pknn.pknn`).
+        The walk over the Section 5.4 search matrix
+        (:func:`repro.core.pknn.pknn_walk`) plans round by round
+        instead and never calls this.
         """
-        return [
-            self.band(tid, sv, z_lo, z_hi)
-            for sv, _ in friends
-            for tid, (z_lo, z_hi) in spans
-        ]
+        tree = self.tree
+        partitioner = tree.partitioner
+        live = {
+            partitioner.partition_of_label(label)
+            for label in partitioner.live_labels(t_query)
+        }
+        decompose = tree.codec.decompose
+        bands: list[PlannedBand] = []
+        for _, friend_uid in self.visible_friends(q_uid, visible):
+            key = tree.live_key(friend_uid)
+            if key is None:
+                continue
+            tid, sv_q, zv = decompose(key)
+            if tid in live:
+                band = BandRequest(tid, sv_q, sv_q, zv, zv)
+                bands.append(PlannedBand(friend_uid, band))
+        bands.sort(key=itemgetter(1))
+        return bands
 
     def plan_seed(self, q_uid: int) -> QueryPlan:
         """Plan a whole-space sweep of every friend's SV band.

@@ -416,8 +416,7 @@ class BandScanner:
         Args:
             bands: the batch's band requests — the static range plans'
                 bands (an upper bound on what replay asks) and the kNN
-                first-round probe squares, which replay may never
-                request.
+                specs' point bands, in key order.
             clock: the virtual clock the sweep is charged on, when the
                 caller wants each stratum stamped with the instant it
                 landed (:attr:`StratumResidency.landed`).

@@ -253,16 +253,34 @@ class ShardedPEBTree(Deployment):
     # Membership
     # ------------------------------------------------------------------
 
-    def _lookup_key(self, uid: int) -> int | None:
-        """The user's current key wherever it lives (the merged memo)."""
-        for tree in self.trees:
-            key = tree._live_keys.get(uid)
-            if key is not None:
-                return key
-        return None
+    def _home(self, uid: int) -> PEBTree | None:
+        """The shard tree a user's sequence value routes to (None for a
+        user without one, who cannot be indexed)."""
+        try:
+            sv = self.store.sequence_value(uid)
+        except KeyError:
+            return None
+        return self.trees[self.router.shard_of(self.codec.quantize_sv(sv))]
+
+    def live_key(self, uid: int) -> int | None:
+        """The user's live key from the update memo, or None.
+
+        A user's shard is fixed by its sequence value, so one probe of
+        that shard's memo answers: no other shard can hold the user.
+        """
+        home = self._home(uid)
+        return home._live_keys.get(uid) if home is not None else None
+
+    def _held_elsewhere(self, uid: int) -> bool:
+        """True when a shard other than the user's home memoizes it: its
+        sequence value was re-assigned across a router boundary under
+        the live deployment, which the routed :meth:`live_key` cannot
+        see."""
+        home = self._home(uid)
+        return any(uid in tree._live_keys for tree in self.trees if tree is not home)
 
     def contains(self, uid: int) -> bool:
-        return self._lookup_key(uid) is not None
+        return self.live_key(uid) is not None
 
     def __len__(self) -> int:
         return sum(len(tree) for tree in self.trees)
@@ -284,7 +302,7 @@ class ShardedPEBTree(Deployment):
 
     def insert(self, obj: MovingObject, pntp: int = 0) -> None:
         """Index a user's state in its key's owning shard."""
-        if self.contains(obj.uid):
+        if self.contains(obj.uid) or self._held_elsewhere(obj.uid):
             raise KeyError(f"user {obj.uid} is already indexed; use update()")
         shard = self.router.shard_of_key(self.key_for(obj))
         self.trees[shard].insert(obj, pntp)
@@ -293,10 +311,8 @@ class ShardedPEBTree(Deployment):
 
     def delete(self, uid: int) -> bool:
         """Remove a user's entry; True if the user was indexed."""
-        key = self._lookup_key(uid)
-        if key is None:
-            return False
-        return self.trees[self.router.shard_of_key(key)].delete(uid)
+        home = self._home(uid)
+        return home is not None and home.delete(uid)
 
     def update(self, obj: MovingObject, pntp: int = 0) -> None:
         """Replace a user's entry (single-state batch; same semantics)."""
@@ -339,7 +355,7 @@ class ShardedPEBTree(Deployment):
         updates = list(updates)
         plan = plan_update_batch(
             updates,
-            self._lookup_key,
+            self.live_key,
             self.key_for,
             self.records.pack,
             self.max_speed_x,
@@ -349,15 +365,15 @@ class ShardedPEBTree(Deployment):
         shard_of_uid: dict[int, int] = {}
         for uid, new_key in plan.new_keys.items():
             shard = shard_of_uid[uid] = shard_of_key(new_key)
-            old_key = plan.old_keys[uid]
-            if old_key is not None and old_key != new_key:
-                live_shard = shard_of_key(old_key)
-                if live_shard != shard:
-                    raise ValueError(
-                        f"user {uid}'s new key routes to shard {shard} but its "
-                        f"live key to shard {live_shard}: a user's sequence "
-                        "value may not cross a shard boundary"
-                    )
+            # The routed probe looks in the shard the user's current SV
+            # names, so a user it misses is new — unless another shard
+            # still holds it under an SV re-assigned across a boundary.
+            if plan.old_keys[uid] is None and self._held_elsewhere(uid):
+                raise ValueError(
+                    f"user {uid}'s new key routes to shard {shard} but its "
+                    "live key lives in another shard: a user's sequence "
+                    "value may not cross a shard boundary"
+                )
         result = plan.result
         runs = dict(self.router.split_sorted_run(plan.ops))
 

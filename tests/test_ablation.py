@@ -5,7 +5,7 @@ import pytest
 
 from repro.bench.oracle import brute_force_pknn, brute_force_prq
 from repro.core.ablation import ZVFirstKeyCodec, make_zv_first_tree, prq_span_scan
-from repro.core.pknn import pknn
+from repro.core.pknn import pknn, pknn_walk
 from repro.core.prq import prq
 from repro.storage import BufferPool, SimulatedDisk
 
@@ -99,10 +99,10 @@ def test_span_scan_examines_more_candidates(small_world):
 def test_column_order_pknn_equivalent(small_world):
     world = small_world
     for query in world.query_generator().knn_queries(world.states, 8, 5, 5.0):
-        triangular = pknn(
+        triangular = pknn_walk(
             world.peb, query.q_uid, query.qx, query.qy, query.k, query.t_query
         )
-        column = pknn(
+        column = pknn_walk(
             world.peb,
             query.q_uid,
             query.qx,
@@ -119,4 +119,4 @@ def test_column_order_pknn_equivalent(small_world):
 def test_unknown_order_rejected(small_world):
     world = small_world
     with pytest.raises(ValueError):
-        pknn(world.peb, world.uids[0], 500.0, 500.0, 3, 5.0, order="spiral")
+        pknn_walk(world.peb, world.uids[0], 500.0, 500.0, 3, 5.0, order="spiral")

@@ -7,7 +7,7 @@ import pytest
 from repro.bench.harness import ExperimentConfig, ExperimentHarness
 from repro.bench.oracle import brute_force_pknn, brute_force_prq
 from repro.core.aggregate import pcount, pdensity_grid
-from repro.core.pknn import _MatrixSearch, pknn
+from repro.core.pknn import plan_pknn, pknn
 from repro.core.prq import prq
 from repro.engine import BandScanner, ExecutionStats, QueryEngine
 from repro.engine.plan import BandRequest, QueryPlanner
@@ -32,12 +32,10 @@ class OnDemandEngine(QueryEngine):
         return OnDemandScanner(self.tree)
 
 
-def knn_search(engine, spec):
-    """The matrix search a batch builds for one kNN spec."""
-    return _MatrixSearch(
-        engine.tree, spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query,
-        planner=engine.planner,
-    )
+def knn_bands(engine, spec):
+    """The point bands a batch plans for one kNN spec."""
+    plan = plan_pknn(engine.planner, spec.q_uid, spec.k, spec.t_query)
+    return [planned.band for planned in plan.bands]
 
 
 # ----------------------------------------------------------------------
@@ -293,70 +291,55 @@ def test_batch_knn_matches_brute_force(small_world):
         ]
 
 
-def test_batch_knn_first_round_joins_the_prefetch_set(small_world):
-    """Batch-aware kNN: the Dk-estimate probe bands are prefetched, so
-    kNN queries share the batch's physical scans instead of each
-    scanning its first round on demand — with identical results."""
+def test_batch_knn_bands_join_the_prefetch_set(small_world):
+    """A kNN spec's point bands are prefetched with the batch, so its
+    replay reads no page: every request is a residency hit, with the
+    results, candidates and requests of on-demand scanning."""
     world = small_world
     specs = world.query_generator().knn_queries(world.states, 12, 4, 5.0)
     engine = QueryEngine(world.peb)
     plain = OnDemandEngine(world.peb).execute_batch(specs)
     prefetched = engine.execute_batch(specs)
     for expected, got in zip(plain.results, prefetched.results):
-        assert [round(d, 9) for d, _ in got.neighbors] == [
-            round(d, 9) for d, _ in expected.neighbors
+        assert [(d, obj.uid) for d, obj in got.neighbors] == [
+            (d, obj.uid) for d, obj in expected.neighbors
         ]
         assert got.candidates_examined == expected.candidates_examined
-    # The searches ask for the same bands either way; without the probe
-    # every request is an on-demand scan or a residency hit.
-    assert prefetched.stats.bands_requested == plain.stats.bands_requested
+    assert prefetched.stats.bands_requested == plain.stats.bands_requested > 0
     assert plain.stats.entries_prefetched == 0
     assert (
         plain.stats.bands_scanned + plain.stats.bands_deduped
         == plain.stats.bands_requested
     )
-    # (Stratum residency turned the old strict "fewer scans with the
-    # probe" into a near-equality: one on-demand scan proves as much of
-    # a sparse stratum as the probe's prefetch scan does.)
     assert prefetched.stats.entries_prefetched > 0
-    assert prefetched.stats.bands_deduped > plain.stats.bands_deduped
-
-    # The probe's strata are resident after the prefetch: every first-
-    # round band is answered without another physical scan.
-    probe = [band for spec in specs for band in knn_search(engine, spec).probe()]
-    scanner = BandScanner(world.peb)
-    scanner.prefetch(probe)
-    after_prefetch = scanner.physical_scans
-    assert 0 < after_prefetch <= len(set(probe))
-    for band in probe:
-        scanner.scan(band)
-    assert scanner.physical_scans == after_prefetch
-    assert scanner.residency_hits == len(probe)
+    assert prefetched.stats.residency_hits == prefetched.stats.bands_requested
 
 
-def test_knn_probe_bands_match_first_round_requests(small_world):
-    """The probe must name exactly the bands round one scans, or the
-    prefetch store could never serve them: one per (friend with a
-    policy that holds at t_query, live partition), friend-major, over
-    the round-one square under that partition's enlargement."""
+def test_knn_plan_names_each_visible_friend_at_its_live_key(small_world):
+    """One point band per friend with a policy that holds at t_query,
+    at the key the update memo holds for it, in key order; every band
+    returns its friend's row."""
     world = small_world
     engine = QueryEngine(world.peb)
-    planner = engine.planner
+    codec = world.peb.codec
     for spec in world.query_generator().knn_queries(world.states, 6, 3, 5.0):
-        probe = knn_search(engine, spec).probe()
+        bands = knn_bands(engine, spec)
         friends = admissible_friends(world.store, spec.q_uid, None, 5.0)
-        square = Rect.from_center(spec.qx, spec.qy, planner.knn_step(spec.k))
-        spans = [
-            (context.tid, world.grid.z_span(context.enlarged(square)))
-            for context in planner.contexts(spec.t_query)
-        ]
-        assert probe == [
-            planner.band(tid, sv, *span)
-            for sv, _ in friends
-            for tid, span in spans
-            if span is not None
-        ]
-        assert all(band.is_single_sv for band in probe)
+        expected = []
+        for _, uid in friends:
+            tid, sv_q, zv = codec.decompose(world.peb._live_keys[uid])
+            expected.append(BandRequest(tid, sv_q, sv_q, zv, zv))
+        assert bands == sorted(expected)
+        scanner = BandScanner(world.peb)
+        for band in bands:
+            assert any(
+                codec.compose_quantized(band.tid, band.sv_lo_q, band.z_lo)
+                == world.peb._live_keys[rec[0]]
+                for rec in scanner.scan(band).records
+            )
+    # k = 0 plans nothing.
+    zero = KnnQuerySpec(q_uid=world.uids[0], qx=500.0, qy=500.0, k=0, t_query=5.0)
+    assert knn_bands(engine, zero) == []
 
 
 def test_batch_rejects_unknown_spec_types(small_world):
@@ -553,28 +536,27 @@ def test_a_batch_prefetches_the_merged_union_of_its_single_sv_bands(
     batch_world, n_shards
 ):
     """The one prefetch rule: per stratum, ``merge_intervals`` over every
-    single-SV plan band and kNN probe band of the batch; the range
-    plans' strata ascending by key, then the strata only a probe names
-    in first-appearance order; each run handed to the tree once, in one
-    sweep per tree."""
+    single-SV range-plan band and kNN point band of the batch; strata
+    ascending by key; each run handed to the tree once, in one sweep
+    per tree."""
     world = batch_world
     engine, trees = _batch_engine(world, n_shards)
     specs = world.query_generator().mixed_queries(world.states, 16, 300.0, 3, 5.0)
     planner = engine.planner
-    bands = sorted(
+    range_bands = [
         planned.band
         for spec in specs
         if isinstance(spec, RangeQuerySpec)
         for planned in planner.plan_range(spec.q_uid, spec.window, spec.t_query).bands
-    )
-    n_range_bands = len(bands)
-    bands += [
+    ]
+    point_bands = [
         band
         for spec in specs
         if isinstance(spec, KnnQuerySpec)
-        for band in knn_search(engine, spec).probe()
+        for band in knn_bands(engine, spec)
     ]
-    assert 0 < n_range_bands < len(bands)  # both kinds contribute
+    assert range_bands and point_bands  # both kinds contribute
+    bands = sorted(range_bands + point_bands)
     router = getattr(engine.tree, "router", None)  # a single tree has none
     expected = [{} for _ in trees]  # per tree: stratum -> intervals, insertion-ordered
     for band in bands:

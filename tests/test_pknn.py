@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.oracle import brute_force_pknn
-from repro.core.pknn import pknn
+from repro.core.pknn import pknn, pknn_walk
 from repro.engine import QueryEngine
 from repro.workloads.queries import KnnQuerySpec
 
@@ -97,10 +97,15 @@ def test_neighbors_are_policy_qualified(small_world):
 
 
 def test_rounds_reported(small_world):
+    """The walk reports the rounds it touched; the served fetch has none."""
     world = small_world
     query = world.query_generator().knn_queries(world.states, 1, 3, 5.0)[0]
+    walked = pknn_walk(
+        world.peb, query.q_uid, query.qx, query.qy, query.k, query.t_query
+    )
+    assert walked.rounds >= 1
     result = pknn(world.peb, query.q_uid, query.qx, query.qy, query.k, query.t_query)
-    assert result.rounds >= 1
+    assert result.rounds == 0
 
 
 def test_distance_ties_resolve_to_same_multiset(small_world):

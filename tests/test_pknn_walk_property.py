@@ -1,18 +1,21 @@
 """Property pin: the PkNN matrix walk against the per-cell reference.
 
-The shipped walk (:meth:`repro.core.pknn._MatrixSearch._walk`) decides an
-idle cell by integer comparisons against per-round hulls, drops located
-rows, tallies idle pieces from per-round sums, runs the stop test only
-where its outcome can change and starts at the first round whose window
-meets the space.  :class:`tests.reference_scan.PerCellSearch` is the walk
-it replaced: every cell from round 1, one at a time.  Both run the same
-cells through ``scan_cell`` against the same scanner, so everything a
-search leaves behind must be identical:
+The Section 5.4 walk (:func:`repro.core.pknn.pknn_walk`, whose search is
+:meth:`repro.core.pknn._MatrixSearch._walk`) decides an idle cell by
+integer comparisons against per-round hulls, drops located rows,
+tallies idle pieces from per-round sums, runs the stop test only where
+its outcome can change and starts at the first round whose window meets
+the space.  :class:`tests.reference_scan.PerCellSearch` is the walk it
+replaced: every cell from round 1, one at a time.  Several searches
+share one scanner here, and on a timed deployment run on its verify CPU
+(``start_searches`` ... ``end_searches``); both walks run the same cells
+through ``scan_cell`` against the same scanner, so everything a search
+leaves behind must be identical:
 
 * neighbours (uids and distances), ``candidates_examined``, ``rounds``;
 * the scanner's ``requests``, ``residency_hits``, ``scan_calls`` and
   ``physical_scans``;
-* physical reads, and the virtual clock after the batch;
+* physical reads, and the virtual clock after the searches;
 * on a timed deployment, every verify-CPU charge of the scatter scanner
   (its instant and its candidates) and every landing wait.
 
@@ -25,9 +28,7 @@ points inside the space, on its edge and outside it.  Tier-1 draws a few
 dozen examples; CI's property step loads the ``deep`` profile.
 """
 
-import importlib
 import time
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +36,7 @@ from hypothesis import strategies as st
 
 from repro.bench.oracle import brute_force_pknn
 from repro.core.peb_tree import PEBTree
-from repro.core.pknn import _MatrixSearch, pknn
+from repro.core.pknn import _MatrixSearch, pknn_walk
 from repro.engine import QueryEngine
 from repro.fault import BreakerPolicy, RetryPolicy
 from repro.shard.engine import ShardScatterScanner, VerifyTimeline
@@ -47,9 +48,6 @@ from repro.workloads.queries import KnnQuerySpec
 from tests.reference_scan import PerCellSearch
 from tests.test_residency_pin import T_QUERY, pin_world
 
-#: The module whose ``_MatrixSearch`` the batch executor looks up per
-#: call: swapping it there swaps the walk of every search a batch builds.
-PKNN = importlib.import_module("repro.core.pknn")
 PAGE_SIZE = 1024
 BUFFER_PAGES = 8  # small: searches read pages, so reads can differ
 #: One tier-1 example per five of the loaded profile's: 20 by default.
@@ -133,48 +131,41 @@ class ShardEngine(QueryEngine):
         return self.scanner
 
 
-@contextmanager
-def walking(walk, order, searches):
-    """Every search a batch builds walks with ``walk`` in ``order``."""
-
-    class Walk(walk):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            searches.append(self)
-
-        def run(self, _order="triangular"):
-            return super().run(order)
-
-    saved = PKNN._MatrixSearch
-    PKNN._MatrixSearch = Walk
-    try:
-        yield
-    finally:
-        PKNN._MatrixSearch = saved
-
-
 def observe(world, deployment, walk, order, specs):
-    """Everything a batch of ``specs`` leaves behind under one walk."""
+    """Everything ``walk`` leaves behind running ``specs`` in ``order``
+    on one shared scanner, as a batch of searches."""
     kind, n_shards, timed = deployment
     tree = deploy(world, kind, n_shards, timed)
     engine = (SingleEngine if kind == "single" else ShardEngine)(tree)
     reads = tree.stats.physical_reads
     clock = tree.sim_clock
-    searches = []
-    with walking(walk, order, searches):
-        report = engine.execute_batch(specs)
-    for search in searches:
+    scanner = engine.new_scanner()
+    timeline = scanner.timeline
+    if timeline is not None:
+        timeline.start_searches()
+    results, degraded = [], []
+    for spec in specs:
+        dropped = tree.bands_dropped
+        search = walk(
+            tree, spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query,
+            planner=engine.planner, scanner=scanner,
+        )
+        result = search.run(order)
+        if timeline is not None:
+            timeline.charge_query(result.candidates_examined, True)
         assert len(search._span_cache) <= search._span_cache_capacity
-    scanner = engine.scanner
-    return {
-        "results": [
+        results.append(
             (
                 [(d, obj.uid) for d, obj in result.neighbors],
                 result.candidates_examined,
                 result.rounds,
             )
-            for result in report.results
-        ],
+        )
+        degraded.append(tree.bands_dropped > dropped)
+    if timeline is not None:
+        timeline.end_searches()
+    return {
+        "results": results,
         "scanner": (
             scanner.requests,
             scanner.residency_hits,
@@ -183,8 +174,8 @@ def observe(world, deployment, walk, order, specs):
         ),
         "reads": tree.stats.physical_reads - reads,
         "clock": None if clock is None else clock.cursor(),
-        "verify_cpu": None if scanner.timeline is None else scanner.timeline.log,
-        "degraded": report.degraded,
+        "verify_cpu": None if timeline is None else timeline.log,
+        "degraded": degraded,
     }
 
 
@@ -282,7 +273,7 @@ def test_far_outside_query_starts_where_the_space_begins():
     }
     issuer = max(answers, key=lambda uid: len(answers[uid]))
     start = time.perf_counter()
-    result = pknn(world.peb, issuer, 1e7, 1e7, 5, T_QUERY)
+    result = pknn_walk(world.peb, issuer, 1e7, 1e7, 5, T_QUERY)
     assert time.perf_counter() - start < 1.0
     assert [round(d, 9) for d, _ in result.neighbors] == [
         round(d, 9) for d, _ in answers[issuer]

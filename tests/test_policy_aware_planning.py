@@ -4,19 +4,19 @@ Under Definition 2 a friend is in an answer only if one of its policies
 toward the issuer holds at ``t_query`` and it stands inside that
 policy's ``locr``.  The shipped planner therefore plans a band only for
 a friend with a time-admitting policy whose region meets the window,
-and the PkNN search keeps a row only for a friend with a time-admitting
-policy.  The reference is a test-local subclass whose
-``range_friends`` and ``visible_friends`` hand back the unwindowed
-visibility map and the whole friend list — the planner as it was
-before.  Against it, over random single- and multi-policy stores on one
-tree and on 1 and 4 shards:
+and a PkNN — the served fetch and the Section 5.4 walk alike — reads
+only a friend with a time-admitting policy.  The reference is a
+test-local subclass whose ``range_friends`` and ``visible_friends``
+hand back the unwindowed visibility map and the whole friend list — the
+planner as it was before.  Against it, over random single- and
+multi-policy stores on one tree and on 1 and 4 shards:
 
 * PRQ, ``pcount``, ``pdensity_grid``, ``at_least`` and PkNN answer
-  identically (PkNN: neighbours and their distances), and equal the
-  brute-force oracle;
+  identically (PkNN: neighbours and their distances, fetch and walk),
+  and equal the brute-force oracle;
 * ``candidates_examined`` is never higher;
 * the planned bands are the reference's, minus the pruned friends', in
-  the same order (the PkNN probe likewise);
+  the same order (the PkNN fetch's point bands likewise);
 * a friend is pruned exactly when it provably fails Definition 2: no
   policy admits it at the point of the window nearest its region.
 
@@ -33,13 +33,13 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.oracle import brute_force_pknn, brute_force_prq
 from repro.core.aggregate import pcount, pdensity_grid
 from repro.core.peb_tree import PEBTree
-from repro.core.pknn import _MatrixSearch, pknn
+from repro.core.pknn import _MatrixSearch, pknn, pknn_walk
 from repro.core.prq import prq
 from repro.core.sequencing import assign_sequence_values
 from repro.engine import QueryEngine
@@ -131,6 +131,8 @@ def unpruned():
         module("repro.core.prq"), "QueryEngine", UnprunedEngine
     ), mock.patch.object(
         module("repro.core.aggregate"), "QueryEngine", UnprunedEngine
+    ), mock.patch.object(
+        module("repro.core.pknn"), "QueryEngine", UnprunedEngine
     ), mock.patch.object(
         module("repro.core.pknn"), "QueryPlanner", UnprunedPlanner
     ):
@@ -314,8 +316,16 @@ def test_pruned_planner_matches_the_unpruned_reference(
             assert (got.cells, got.total) == (expected.cells, expected.total)
             assert got.candidates_examined <= expected.candidates_examined
 
-        # -- PkNN: rows are the friends with a time-admitting policy --
+        # -- PkNN: the fetch bands, and the walk's rows are, the friends
+        # with a time-admitting policy --
         qx, qy = rng.uniform(0.0, SIDE), rng.uniform(0.0, SIDE)
+        visible = store.visibility_map(q_uid, t_query)
+        bands = pruned_planner.plan_knn_probe(q_uid, visible, t_query)
+        full_bands = full_planner.plan_knn_probe(q_uid, visible, t_query)
+        assert len(full_bands) == len(store.friend_list(q_uid))
+        assert bands == [
+            b for b in full_bands if can_qualify(store, b.friend_uid, q_uid, t_query)
+        ]
         search = _MatrixSearch(tree, q_uid, qx, qy, k, t_query)
         reference = _MatrixSearch(
             tree, q_uid, qx, qy, k, t_query, planner=full_planner
@@ -325,8 +335,6 @@ def test_pruned_planner_matches_the_unpruned_reference(
             for friend in reference.friends
             if can_qualify(store, friend[1], q_uid, t_query)
         ]
-        probe = search.probe()
-        assert set(probe) <= set(reference.probe())
         got, expected = search.run(), reference.run()
         assert knn_answer(got) == knn_answer(expected)
         assert got.candidates_examined <= expected.candidates_examined
@@ -334,10 +342,14 @@ def test_pruned_planner_matches_the_unpruned_reference(
             (round(d, 9), uid)
             for d, uid in brute_force_pknn(states, store, q_uid, qx, qy, k, t_query)
         ]
+        served = pknn(tree, q_uid, qx, qy, k, t_query)
         with unpruned():
-            assert knn_answer(pknn(tree, q_uid, qx, qy, k, t_query)) == knn_answer(
+            assert knn_answer(pknn_walk(tree, q_uid, qx, qy, k, t_query)) == knn_answer(
                 expected
             )
+            unpruned_served = pknn(tree, q_uid, qx, qy, k, t_query)
+        assert knn_answer(served) == knn_answer(unpruned_served) == knn_answer(got)
+        assert served.candidates_examined <= unpruned_served.candidates_examined
 
         specs.append(RangeQuerySpec(q_uid, window, t_query))
         specs.append(KnnQuerySpec(q_uid, qx, qy, k, t_query))
@@ -350,6 +362,108 @@ def test_pruned_planner_matches_the_unpruned_reference(
             assert mine.uids == theirs.uids
         else:
             assert knn_answer(mine) == knn_answer(theirs)
+    assert got.stats.bands_requested <= expected.stats.bands_requested
+
+
+# ----------------------------------------------------------------------
+# The served fetch: never more than the unpruned one (defect twenty-five)
+# ----------------------------------------------------------------------
+
+def encoded_calls(encoded):
+    """Policy calls from ``(owner, members, region index, tint index)``."""
+    return [(owner, list(members), REGIONS[r], TINTS[t]) for owner, members, r, t in encoded]
+
+
+#: ROADMAP item 17's draws: the recorded ``seed``, ``t_query`` and query
+#: (issuer, window, ``k``), with policy calls found (and minimised) for
+#: them on a ``MultiPolicyStore``, under which the matrix walk, while it
+#: served PkNN, broke a pruned <= unpruned bound: the 1-shard and the
+#: 4-shard batch requested more bands, and the third walk examined more
+#: candidates.
+ITEM_17_DRAWS = [
+    dict(
+        calls=encoded_calls(
+            [(39, (34, 27), 1, 0), (34, (17,), 3, 3), (27, (17,), 0, 2),
+             (23, (17,), 4, 2), (39, (22, 3), 2, 0), (21, (17,), 0, 5)]
+        ),
+        seed=8656, t_query=0.0, queries=[(17, WINDOWS[0], 1, None)],
+    ),
+    dict(
+        calls=encoded_calls(
+            [(3, (25,), 2, 3), (11, (25,), 4, 2), (29, (25,), 2, 4),
+             (17, (3, 29, 2), 0, 3), (9, (25,), 2, 0), (22, (25,), 0, 6),
+             (22, (29, 35), 2, 3)]
+        ),
+        seed=3389, t_query=0.0, queries=[(25, WINDOWS[0], 1, None)],
+    ),
+    dict(
+        calls=encoded_calls(
+            [(11, (7, 4, 20, 35, 21, 24), 3, 6), (29, (11, 17), 1, 6),
+             (21, (15,), 0, 5), (20, (17, 11), 0, 2), (15, (37,), 1, 2),
+             (15, (33, 1, 39, 8, 6), 0, 0), (4, (17, 15), 1, 2),
+             (1, (17, 8, 32, 29, 12), 2, 1), (19, (33, 34, 8, 17, 0, 3), 1, 2),
+             (33, (17,), 4, 5)]
+        ),
+        seed=8656, t_query=0.0, queries=[(17, WINDOWS[0], 1, None)],
+    ),
+]
+
+
+@pytest.mark.parametrize("n_shards", (None, 1, 4))
+@pytest.mark.parametrize("store_type", (PolicyStore, MultiPolicyStore))
+@settings(max_examples=25, deadline=None)
+@given(
+    calls=POLICY_CALLS,
+    seed=st.integers(0, 2**16),
+    t_query=st.sampled_from(T_QUERIES),
+    queries=st.lists(
+        st.tuples(
+            st.integers(0, N_USERS - 1),
+            st.sampled_from(WINDOWS),
+            st.sampled_from((1, 3, 8, 50)),
+            st.sampled_from((None, 1, 2)),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@example(**ITEM_17_DRAWS[0])
+@example(**ITEM_17_DRAWS[1])
+@example(**ITEM_17_DRAWS[2])
+def test_the_served_fetch_never_reads_more_than_the_unpruned_one(
+    n_shards, store_type, calls, seed, t_query, queries
+):
+    """The served PkNN bands a friend only where its live key is, so
+    pruning a friend removes exactly its one band: single PkNNs answer
+    as the unpruned planner's and examine no more candidates, and a
+    mixed batch requests no more bands — the bounds the matrix walk
+    broke on item 17's draws."""
+    store = build_store(store_type, calls)
+    states = build_states(seed, t_query)
+    tree = build_tree(store, states, n_shards)
+    rng = random.Random(seed + 1)  # the query points the property above draws
+    specs = []
+    for q_uid, window, k, _ in queries:
+        qx, qy = rng.uniform(0.0, SIDE), rng.uniform(0.0, SIDE)
+        got = pknn(tree, q_uid, qx, qy, k, t_query)
+        with unpruned():
+            expected = pknn(tree, q_uid, qx, qy, k, t_query)
+        assert knn_answer(got) == knn_answer(expected)
+        assert [(round(d, 9), uid) for d, uid in knn_answer(got)] == [
+            (round(d, 9), uid)
+            for d, uid in brute_force_pknn(states, store, q_uid, qx, qy, k, t_query)
+        ]
+        assert got.candidates_examined <= expected.candidates_examined
+        specs.append(RangeQuerySpec(q_uid, window, t_query))
+        specs.append(KnnQuerySpec(q_uid, qx, qy, k, t_query))
+    engine, reference_engine = engines(tree)
+    got, expected = engine.execute_batch(specs), reference_engine.execute_batch(specs)
+    for spec, mine, theirs in zip(specs, got.results, expected.results):
+        if isinstance(spec, RangeQuerySpec):
+            assert mine.uids == theirs.uids
+        else:
+            assert knn_answer(mine) == knn_answer(theirs)
+            assert mine.candidates_examined <= theirs.candidates_examined
     assert got.stats.bands_requested <= expected.stats.bands_requested
 
 
@@ -392,10 +506,14 @@ def test_an_issuer_whose_every_friend_is_pruned_scans_nothing(n_shards):
     assert [uid for _, uid in knn_answer(search.run())] == [
         uid for _, uid in brute_force_pknn(states, store, 0, 500.0, 500.0, 3, 5.0)
     ]
-    # ... and none at t = 800, when no policy holds.
+    # ... and none at t = 800, when no policy holds: no row, no band.
     search = _MatrixSearch(tree, 0, 500.0, 500.0, 3, 800.0)
-    assert search.friends == [] and search.probe() == []
+    assert search.friends == []
     result = search.run()
+    assert result.neighbors == [] and result.candidates_examined == 0
+    planner = QueryPlanner(tree)
+    assert planner.plan_knn_probe(0, store.visibility_map(0, 800.0), 800.0) == []
+    result = pknn(tree, 0, 500.0, 500.0, 3, 800.0)
     assert result.neighbors == [] and result.candidates_examined == 0
 
 
@@ -406,8 +524,8 @@ def test_an_issuer_whose_every_friend_is_pruned_scans_nothing(n_shards):
 
 @pytest.mark.parametrize("n_shards", (None, 4))
 def test_one_visibility_map_per_query(n_shards):
-    """The planner's map reaches the verifier, and a PkNN's probe and
-    walk share its search's map: a mixed batch computes one per spec,
+    """The planner's map reaches the verifier, and a PkNN's plan and
+    replay share one map: a mixed batch computes one per spec,
     over the window for a range spec and without one for a kNN spec."""
     calls = [
         (

@@ -1,15 +1,17 @@
 """Observational pin for PkNN through stratum residency.
 
-The matrix search holds each friend stratum's residency and answers
-every annulus piece a fence proof covers without going back to the
-scanner (:mod:`repro.core.pknn`, :mod:`repro.engine.scanner`).  The
-per-band reference is the test-local scanner of
-:mod:`tests.reference_scan`, which decodes entry by entry, records only
-the interval it asked for as proven and therefore keeps scanning band
-by band.  Against it, on a single tree and on
-1/2/4 shards, in both traversal orders and inside ``execute_batch``
-with mixed range+kNN specs: neighbours, ``candidates_examined`` and
-``rounds`` are identical and physical reads are never higher.
+The Section 5.4 matrix walk (:func:`repro.core.pknn.pknn_walk`; here its
+``_MatrixSearch`` on a scanner shared by several searches) holds each
+friend stratum's residency and answers every annulus piece a fence
+proof covers without going back to the scanner (:mod:`repro.core.pknn`,
+:mod:`repro.engine.scanner`).  The per-band reference is the test-local
+scanner of :mod:`tests.reference_scan`, which decodes entry by entry,
+records only the interval it asked for as proven and therefore keeps
+scanning band by band.  Against it, on a single tree and on 1/2/4
+shards, in both traversal orders: neighbours, ``candidates_examined``
+and ``rounds`` are identical and physical reads are never higher.  The
+same holds for ``execute_batch`` with mixed range+kNN specs, whose kNN
+specs are served by the point-band fetch.
 
 The search also keeps, per (friend, partition), the stratum's *quiet
 interval* — proven, and holding nobody it has not located — and skips
@@ -21,9 +23,10 @@ rounds nest), with users in one live partition or two, with ``k`` above
 the friend-list length, and with a friend whose only entry sits in a
 partition no query scans (the row that walks to ``max_rounds``).
 
-With a shard supervisor attached the search gets no residency handle at
+With a shard supervisor attached a search gets no residency handle at
 all — a quarantined shard's strata must be dropped and counted request
-by request — so degraded runs stay exactly what they were.
+by request — so a degraded batch drops and counts exactly what the
+reference does.
 """
 
 from dataclasses import dataclass, replace
@@ -211,8 +214,8 @@ def test_mixed_batch_matches_the_per_band_reference(world, n_shards):
 
 
 def test_quiet_cells_are_counted_without_being_served(world, monkeypatch):
-    """Almost every request of a PkNN batch is a piece inside a quiet
-    interval: counted, but never put to the residency."""
+    """Almost every request of a batch of walks is a piece inside a
+    quiet interval: counted, but never put to the residency."""
     served = []
     serve = StratumResidency.serve
 
@@ -221,14 +224,28 @@ def test_quiet_cells_are_counted_without_being_served(world, monkeypatch):
         return serve(self, z_lo, z_hi)
 
     monkeypatch.setattr(StratumResidency, "serve", counted_serve)
-    report = QueryEngine(world.peb).execute_batch(knn_specs(world, n=12))
+    # As a batch of walks shares one scanner: every search's round-one
+    # bands prefetched first, friend-major, then the searches in order.
+    scanner = BandScanner(world.peb)
+    searches = [
+        _MatrixSearch(world.peb, s.q_uid, s.qx, s.qy, s.k, s.t_query, scanner=scanner)
+        for s in knn_specs(world, n=12)
+    ]
+    scanner.prefetch(
+        search.planner.band(tid, sv, *pieces[0])
+        for search in searches
+        for sv, _ in search.friends
+        for _, tid, pieces, _, _ in search._round_pieces(1)
+    )
+    for search in searches:
+        search.run()
     # A coarsened Hilbert window often repeats the previous round's, and
     # such a round asks nothing: the same few served cells weigh more.
-    # Measured in this file's order: 280 served of 782 requested (0.358)
-    # on the Hilbert grid once rows without a policy that holds at
-    # T_QUERY left the matrix — those rows were almost all quiet cells.
+    # Measured in this file's order: 253 served of 855 requests (0.296)
+    # on the Hilbert grid; 280 of 782 (0.358) when rows without a
+    # policy that holds at T_QUERY had just left the matrix.
     share = 0.37 if world.grid.curve is HILBERT else 0.25
-    assert 0 < len(served) <= share * report.stats.bands_requested
+    assert 0 < len(served) <= share * scanner.requests
 
 
 # ----------------------------------------------------------------------
