@@ -55,33 +55,18 @@ or another's on a shared scanner) proved, with their rows — and answers
 a piece a proof covers from it; only an unproven piece becomes a band
 request.
 
-Nor does it poll what is already settled.  After a cell has served or
-scanned a stratum, the search keeps that stratum's *quiet interval*
-(:meth:`repro.engine.scanner.StratumResidency.quiet_around`): the widest
-proven interval around the query point that holds nobody it has not
-located.  Proofs and the located set only grow, so the interval stays
-true for the rest of the search, and a later cell whose pieces all fall
-inside it — in a sparse stratum every cell until the window reaches the
-friend — could only be handed rows it would ignore.  The walk skips
-such a cell before entering :meth:`_MatrixSearch.scan_cell`; the same
-cells admit the same rows in the same order as a walk that polled every
-piece, and the skipped pieces, still requests a proof answered, reach
-the scanner's counters as one sum when the search finishes.  The
-within-search half of the *known region* of incremental kNN: remember
-where the answer is complete instead of re-deriving it per step.
-
-Since a search acts in a few dozen of its thousands of cells, the walk
-is built so that the rest cost next to nothing: an idle cell is a few
-integer comparisons of its row's quiet intervals against flat per-round
-hulls, a located row leaves the walk, a round's window is computed on
-bare bounds, and the walk begins at the first round whose window meets
-the space (:meth:`_MatrixSearch._walk`).
+The walk is the paper's, one cell at a time (:meth:`_MatrixSearch.run`):
+it visits the cells in traversal order, skips a located friend's cell,
+runs the k-th-distance stop test after every cell, and begins at the
+first round whose window meets the space
+(:meth:`_MatrixSearch._first_round`), so a query point far outside the
+space costs a bisection, not a diagonal per empty round.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import insort
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -89,7 +74,6 @@ from repro.core.peb_tree import PEBTree
 from repro.engine import BandScanner, CandidateVerifier, QueryEngine, QueryPlanner
 from repro.engine.executor import check_complete
 from repro.engine.plan import PlannedBand, QueryPlan, VisibilityMap
-from repro.engine.scanner import NOT_QUIET
 from repro.motion.objects import MovingObject
 from repro.spatial.decompose import ZInterval, subtract_interval
 from repro.spatial.geometry import Rect, euclidean
@@ -134,12 +118,8 @@ def check_knn_arguments(k: int, qx: float, qy: float, t_query: float) -> None:
 
 
 #: One live partition's share of a cell: ``(context index, tid, Z pieces
-#: in ascending order, hull lo, hull hi)``.
-_Partition = tuple[int, int, list[ZInterval], int, int]
-
-
-def _partition(context_index: int, tid: int, pieces: list[ZInterval]) -> _Partition:
-    return context_index, tid, pieces, pieces[0][0], pieces[-1][1]
+#: in ascending order)``.
+_Partition = tuple[int, int, list[ZInterval]]
 
 
 class _MatrixSearch:
@@ -206,19 +186,6 @@ class _MatrixSearch:
         # Per friend row: its strata's residencies, one per context
         # (None entries where the scanner keeps none), asked on first use.
         self._strata: list[list | None] = [None] * len(self.friends)
-        # Per context, one column per bound: every friend row's quiet
-        # interval of that stratum, as of the last cell that served or
-        # scanned it.  It is taken around the query point's Z-value,
-        # which every round's window holds.
-        self._anchor = tree.grid.z_value(qx, qy)
-        quiet_lo, quiet_hi = NOT_QUIET
-        self._quiet = [
-            ([quiet_lo] * len(self.friends), [quiet_hi] * len(self.friends))
-            for _ in self.contexts
-        ]
-        # ... and the pieces skipped inside it, which the scanner is
-        # told of when the search finishes.
-        self._skipped = [[0] * len(self.contexts) for _ in self.friends]
 
     # ------------------------------------------------------------------
     # Scan plumbing
@@ -250,9 +217,10 @@ class _MatrixSearch:
     def _first_round(self) -> int:
         """The first round whose window meets the space in a live partition.
 
-        Every earlier cell has no piece to scan, tally or stop on, so
-        the walk starts here: a query point far outside the space costs
-        a bisection, not a diagonal per round between it and the space.
+        Every earlier cell has no piece to scan and no candidate to stop
+        on, so the walk starts here: a query point far outside the space
+        costs a bisection, not a diagonal per round between it and the
+        space.
         Windows only grow, so the predicate is monotone.  ``max_rounds``
         when no window meets the space.
         """
@@ -270,7 +238,7 @@ class _MatrixSearch:
     def _round_pieces(self, round_index: int) -> list[_Partition]:
         """Per live partition with something to scan: the round's window
         minus the previous round's ("the region R'q2 - R'q1 is
-        searched"), with the pieces' hull."""
+        searched")."""
         partitions = self._pieces.get(round_index)
         if partitions is None:
             partitions = self._pieces[round_index] = []
@@ -288,9 +256,7 @@ class _MatrixSearch:
                         [span] if before is None else subtract_interval(span, before)
                     )
                     if pieces:
-                        partitions.append(
-                            _partition(context_index, context.tid, pieces)
-                        )
+                        partitions.append((context_index, context.tid, pieces))
         return partitions
 
     def _admit_qualifying(self, obj: MovingObject, x: float, y: float) -> bool:
@@ -299,39 +265,14 @@ class _MatrixSearch:
         insort(self.candidates, (distance, obj), key=_distance_of)
         return False
 
-    def _all_quiet(self, row: int, partitions: list[_Partition]) -> bool:
-        """True when every piece lies inside its stratum's quiet interval.
-
-        Such a cell can do no work — each piece would be served from a
-        proof and hold only users already located — so its pieces are
-        tallied as the served requests they are and nothing is asked.
-        Only the hull of the round's own pieces is compared: nothing
-        here relies on consecutive rounds' windows nesting, which the
-        coarsened spans of a curve like Hilbert's do not promise.
-        """
-        quiet = self._quiet
-        for context_index, _, _, z_lo, z_hi in partitions:
-            q_lo, q_hi = quiet[context_index]
-            if z_lo < q_lo[row] or q_hi[row] < z_hi:
-                return False
-        skipped = self._skipped[row]
-        for context_index, _, pieces, _, _ in partitions:
-            skipped[context_index] += len(pieces)
-        return True
-
     def _scan_row(self, row: int, partitions: list[_Partition]) -> None:
         """Scan one friend's stratum in each given partition's Z pieces.
 
-        A partition whose pieces all lie inside the stratum's quiet
-        interval is skipped; elsewhere a piece the stratum's residency
-        has proven is answered from it (an empty one costs a
-        bisection), only an unproven piece becomes a band request, and
-        the quiet interval is taken afresh.  A scanner's verify
-        timeline, if any, is told before a stratum is read and what each
-        admitted row set cost (a timed sharded batch times a search so).
+        A piece the stratum's residency has proven is answered from it
+        (an empty one costs a bisection); only an unproven piece becomes
+        a band request.
         """
         scanner = self.scanner
-        timeline = scanner.timeline
         verifier = self.verifier
         strata = self._strata[row]
         if strata is None:
@@ -339,15 +280,8 @@ class _MatrixSearch:
             strata = self._strata[row] = [
                 scanner.residency(context.tid, sv_q) for context in self.contexts
             ]
-        quiet = self._quiet
-        for context_index, tid, pieces, hull_lo, hull_hi in partitions:
-            q_lo, q_hi = quiet[context_index]
-            if q_lo[row] <= hull_lo and hull_hi <= q_hi[row]:
-                self._skipped[row][context_index] += len(pieces)
-                continue
+        for context_index, tid, pieces in partitions:
             resident = strata[context_index]
-            if timeline is not None:
-                timeline.wait_landed(resident)
             for z_lo, z_hi in pieces:
                 rows = resident.serve(z_lo, z_hi) if resident is not None else None
                 if rows is None:
@@ -355,14 +289,7 @@ class _MatrixSearch:
                         self.planner.band(tid, self.friends[row][0], z_lo, z_hi)
                     )
                 if rows.records:
-                    seen = verifier.candidates_examined
                     verifier.admit_rows(rows, on_qualify=self._admit_qualifying)
-                    if timeline is not None:
-                        timeline.charge_verified(verifier.candidates_examined - seen)
-            if resident is not None:
-                q_lo[row], q_hi[row] = resident.quiet_around(
-                    self._anchor, verifier.located
-                )
 
     def scan_cell(self, row: int, round_index: int) -> None:
         """Scan matrix cell (friend ``row``, column ``round_index``)."""
@@ -377,17 +304,31 @@ class _MatrixSearch:
         for context_index, context in enumerate(self.contexts):
             span = self.tree.grid.z_span(context.enlarged(square))
             if span is not None:
-                spans.append(_partition(context_index, context.tid, [span]))
+                spans.append((context_index, context.tid, [span]))
         located = self.verifier.located
         for row in range(start_row, len(self.friends)):
-            if self.friends[row][1] not in located and not self._all_quiet(
-                row, spans
-            ):
+            if self.friends[row][1] not in located:
                 self._scan_row(row, spans)
 
     # ------------------------------------------------------------------
     # Control flow
     # ------------------------------------------------------------------
+
+    def _cells(self, order: str):
+        """The matrix cells ``(row, round)`` in ``order``, from the
+        first round whose window meets the space."""
+        rows, first, last = len(self.friends), self._first_round(), self.max_rounds
+        if order == "triangular":
+            # Anti-diagonal ``head``: row ``r`` at round ``head - r``.
+            for head in range(first, rows + last):
+                for row in range(max(0, head - last), min(rows, head - first + 1)):
+                    yield row, head - row
+        elif order == "column":
+            for round_index in range(first, last + 1):
+                for row in range(rows):
+                    yield row, round_index
+        else:
+            raise ValueError(f"unknown search order {order!r}")
 
     def run(self, order: str = "triangular") -> PKNNResult:
         """Walk the matrix in ``order`` and return the k nearest.
@@ -396,158 +337,31 @@ class _MatrixSearch:
         ``column`` is the naive alternative (finish every friend at one
         radius before enlarging) measured by the order ablation.
         """
-        rows = len(self.friends)
-        if rows == 0 or self.k <= 0:
+        friends = self.friends
+        if not friends or self.k <= 0:
             return self.result
-        if order == "triangular":
-            step = 1  # along an anti-diagonal a row's round falls by one
-        elif order == "column":
-            step = 0
-        else:
-            raise ValueError(f"unknown search order {order!r}")
-        self.result.rounds = self._walk(step)
-        return self._finish()
-
-    def _walk(self, step: int) -> int:
-        """Visit the matrix one *sweep* at a time; the rounds touched.
-
-        A sweep is an anti-diagonal or a column, named by its ``head``,
-        the round of row 0: row ``r``'s cell in it is round ``head -
-        step * r``, if that lies within ``[first, max_rounds]``.  The
-        walk starts with the sweep that reaches the first round whose
-        window meets the space (:meth:`_first_round`).
-
-        Only a cell that can act costs more than integer comparisons.
-        A row whose friend is located has left the sweep.  For the
-        others the walk keeps, per live partition and round, the hull
-        of the round's pieces, and a cell whose every hull lies inside
-        its row's quiet interval is idle: it would only be handed rows
-        it ignores.  An idle cell's pieces are still requests a proof
-        answered; they are tallied when the row's run of idle rounds
-        ends, from per-partition sums of pieces per round.  Every other
-        cell enters :meth:`scan_cell`.  A cell is compared with its own
-        round's hulls only, so nothing relies on consecutive windows
-        nesting, which a coarsened Hilbert span does not promise.
-        Candidates change only in a cell that acted, and within a sweep
-        no later cell has a larger round, so the k-th-distance stop
-        test runs after the first cell of each sweep and after each
-        cell that acted — everywhere else it would repeat the answer it
-        just gave.
-        """
-        uids = [uid for _, uid in self.friends]
-        rows = len(uids)
-        max_rounds, rq, k = self.max_rounds, self.rq, self.k
-        candidates = self.candidates
+        friend_uids = {uid for _, uid in friends}
         located = self.verifier.located
-        skipped = self._skipped
-        first = self._first_round()
-        # Per live partition, per round from ``first`` (offset j): the
-        # hull of the round's pieces, and the pieces of the rounds before.
-        hulls = [([], []) for _ in self.contexts]
-        pieces_before = [[0] for _ in self.contexts]
-        columns = [
-            (q_lo, q_hi, h_lo, h_hi)
-            for (q_lo, q_hi), (h_lo, h_hi) in zip(self._quiet, hulls)
-        ]
-        max_z = self.tree.grid.max_z
-        idle_from = [0] * rows  # per row: its first round not yet tallied
-        live = list(range(rows))
-        n_located = len(located)
-
-        def add_round(round_index: int) -> None:
-            # A partition without pieces gets a hull every quiet
-            # interval holds, NOT_QUIET included.
-            hull = {
-                ci: (lo, hi, len(pieces))
-                for ci, _, pieces, lo, hi in self._round_pieces(round_index)
-            }
-            for ci, ((h_lo, h_hi), before) in enumerate(zip(hulls, pieces_before)):
-                lo, hi, n = hull.get(ci, (max_z + 1, -1, 0))
-                h_lo.append(lo)
-                h_hi.append(hi)
-                before.append(before[-1] + n)
-
-        def tally_idle(row: int, j_end: int) -> None:
-            # The row's idle rounds, from idle_from[row] through j_end.
-            j_start = idle_from[row]
-            if j_end >= j_start:
-                row_skipped = skipped[row]
-                for ci, before in enumerate(pieces_before):
-                    row_skipped[ci] += before[j_end + 1] - before[j_start]
-
-        def close(rows_left: list[int], base: int, after: int) -> None:
-            # Tally each row through the last round it visited, the walk
-            # standing at row ``after`` of the sweep whose row 0 is at
-            # offset ``base``: this sweep up to it, the previous one past it.
-            j_max = max_rounds - first
-            for row in rows_left:
-                tally_idle(row, min(base - step * row - (row > after), j_max))
-
-        top = first - 1  # the last round added
-        last = rows + max_rounds - 1 if step else max_rounds
-        for head in range(first, last + 1):
-            head_round = min(head, max_rounds)  # the sweep's first cell's round
-            if step:
-                row_lo, row_hi = max(0, head - max_rounds), min(rows - 1, head - first)
-            else:
-                row_lo, row_hi = 0, rows - 1
-            base = head - first
-            i = bisect_left(live, row_lo)
-            if i < len(live):
-                # Rounds are added as far as the sweep's first live row
-                # reaches, the highest round any of its cells can ask.
-                while top < head - step * live[i]:
-                    top += 1
-                    add_round(top)
+        located_checked = 0  # len(located) when the friends were last checked
+        candidates, k, rq = self.candidates, self.k, self.rq
+        rounds = 0
+        for row, round_index in self._cells(order):
+            if friends[row][1] not in located:
+                self.scan_cell(row, round_index)
+            rounds = max(rounds, round_index)
             # k verified candidates inside the round's inscribed circle:
             # the k-th nearest of all is then one of them.
-            stopping = len(candidates) >= k and candidates[k - 1][0] <= head_round * rq
-            if stopping:  # after the sweep's first cell
-                end = i + 1 if i < len(live) and live[i] == row_lo else i
-            else:
-                end = bisect_right(live, row_hi, i)
-            for row in live[i:end]:
-                j = base - step * row
-                for q_lo, q_hi, h_lo, h_hi in columns:
-                    if q_lo[row] > h_lo[j] or h_hi[j] > q_hi[row]:
-                        break
-                else:
-                    continue  # idle
-                tally_idle(row, j - 1)
-                round_index = first + j
-                self.scan_cell(row, round_index)
-                idle_from[row] = j + 1
-                if len(candidates) >= k:
-                    kth_distance = candidates[k - 1][0]
-                    if kth_distance <= round_index * rq:
-                        self.vertical_scan(row + 1, kth_distance)
-                        close(live, base, row)
-                        return head_round
-                # Only a cell that acted can have located somebody.
-                if len(located) != n_located:
-                    n_located = len(located)
-                    found = [r for r in live if uids[r] in located]
-                    close(found, base, row)
-                    for r in found:
-                        live.remove(r)
-                        # What is left of this sweep passes it as idle.
-                        for q_lo, q_hi in self._quiet:
-                            q_lo[r], q_hi[r] = -1, max_z + 1
-                    if not live:
-                        return head_round  # no window can add more
-            if stopping:
-                self.vertical_scan(row_lo + 1, candidates[k - 1][0])
-                close(live, base, row_lo)
-                return head_round
-        close(live, last - first, rows - 1)
-        return max_rounds
-
-    def _finish(self) -> PKNNResult:
-        for strata, skipped in zip(self._strata, self._skipped):
-            for resident, pieces in zip(strata or (), skipped):
-                if pieces:
-                    resident.count_quiet(pieces)
-        self.result.neighbors = self.candidates[: self.k]
+            if len(candidates) >= k:
+                kth_distance = candidates[k - 1][0]
+                if kth_distance <= round_index * rq:
+                    self.vertical_scan(row + 1, kth_distance)
+                    break
+            if len(located) != located_checked:
+                located_checked = len(located)
+                if friend_uids <= located:
+                    break  # every friend located; no window can add more
+        self.result.rounds = rounds
+        self.result.neighbors = candidates[:k]
         self.result.candidates_examined = self.verifier.candidates_examined
         return self.result
 

@@ -60,15 +60,6 @@ requested of its stratum; the executor reads the batch's over-scan off
 them (:class:`~repro.engine.executor.ExecutionStats`, with
 :attr:`BandScanner.dead_entries` — transferred entries outside every
 requested interval).
-
-A residency also answers one question without serving anything:
-:meth:`StratumResidency.quiet_around` — how far around a point its
-proofs reach before a row of somebody the asking search has not located
-yet.  The PkNN matrix walk skips the requests that fall inside that
-*quiet interval* and reports them in bulk
-(:meth:`StratumResidency.count_quiet`): they count as ``requests`` and
-``residency_hits`` like the served ones, but a stratum's ``requested``
-list holds only the intervals that were really put to it.
 """
 
 from __future__ import annotations
@@ -92,11 +83,6 @@ DEFAULT_MEMO_ENTRIES = 262_144
 #: What :meth:`StratumResidency.serve` returns for a provably empty
 #: interval: shared, so an empty answer allocates nothing.
 NO_ROWS = BandRows.empty()
-
-#: What :meth:`StratumResidency.quiet_around` returns for an unproven
-#: point: the empty interval, which contains no request.
-NOT_QUIET: ZInterval = (1, 0)
-
 
 class _Tally:
     """The request counters a scanner shares with its residencies.
@@ -138,8 +124,7 @@ class StratumResidency:
             proof builds a new container, or adopts its own rows when
             they hold every resident one.
         requested: every Z-interval put to the stratum, in request
-            order — ``scan()`` calls and direct :meth:`serve` hits, not
-            the pieces counted by :meth:`count_quiet`.
+            order — ``scan()`` calls and direct :meth:`serve` hits.
         landed: the virtual instant, on the prefetching job's own
             timeline, at which the stratum's last coverage run landed;
             None when no timed prefetch covered it.
@@ -203,51 +188,6 @@ class StratumResidency:
         hi = bisect_right(zvs, z_hi, lo)
         return rows.slice(lo, hi) if lo < hi else NO_ROWS
 
-    def quiet_around(self, z: int, located: "set[int]") -> ZInterval:
-        """The widest proven interval around ``z`` with nobody left to find.
-
-        Every row inside it belongs to a user in ``located``, so a
-        search that has located those users learns nothing from any
-        request inside it — and never will: proofs and ``located`` only
-        grow, so the interval stays valid for the search's lifetime.
-        :data:`NOT_QUIET` when ``z`` is unproven or an un-located row
-        sits on it.  Read-only; nothing is counted.
-        """
-        edges = self._edges
-        i = bisect_right(edges, z)
-        if not i & 1:
-            return NOT_QUIET
-        z_lo = edges[i - 1]
-        z_hi = edges[i] - 1
-        zvs = self.rows.zvs
-        records = self.rows.records
-        above = bisect_left(zvs, z)
-        for row in range(above, len(zvs)):
-            if zvs[row] > z_hi:
-                break
-            if records[row][0] not in located:
-                z_hi = zvs[row] - 1
-                break
-        for row in range(above - 1, -1, -1):
-            if zvs[row] < z_lo:
-                break
-            if records[row][0] not in located:
-                z_lo = zvs[row] + 1
-                break
-        return (z_lo, z_hi) if z <= z_hi else NOT_QUIET
-
-    def count_quiet(self, pieces: int) -> None:
-        """Account ``pieces`` requests a quiet interval answered.
-
-        They are requests a proof served, counted on the scanner like
-        :meth:`serve` hits; they are not listed in :attr:`requested` —
-        each row inside them already sits in the recorded request that
-        located it, so no entry turns dead.
-        """
-        tally = self._tally
-        tally.requests += pieces
-        tally.residency_hits += pieces
-
     def dead_entries(self) -> int:
         """Resident rows outside every requested interval.
 
@@ -308,12 +248,12 @@ class BandScanner:
 
     Attributes:
         requests: band requests answered — :meth:`scan` calls plus
-            requests a residency handle served directly or proved quiet.
+            requests a residency handle served directly.
         scan_calls: the requests that arrived through :meth:`scan`.
         physical_scans: scans that reached the tree (including prefetch
             coverage runs).
         residency_hits: requests answered from a stratum's proven
-            intervals without touching the tree (quiet ones included).
+            intervals without touching the tree.
         memo_hits: requests served from the exact-identity cache.
         memo_evictions: bands evicted from the memo by the LRU bound.
         entries_prefetched: entries transferred by prefetch scans.
@@ -357,8 +297,7 @@ class BandScanner:
     @property
     def direct_hits(self) -> int:
         """Requests a residency handle answered without a :meth:`scan`
-        call (:meth:`StratumResidency.serve` by a search holding it,
-        or a piece inside a quiet interval it never had to serve)."""
+        call (:meth:`StratumResidency.serve` by a search holding it)."""
         return self.requests - self.scan_calls
 
     # ------------------------------------------------------------------
@@ -522,6 +461,5 @@ __all__ = [
     "BandScanner",
     "DEFAULT_MEMO_ENTRIES",
     "NO_ROWS",
-    "NOT_QUIET",
     "StratumResidency",
 ]

@@ -71,8 +71,7 @@ class ShardScatterScanner:
     Attributes:
         requests: band requests answered (the scatter-level count the
             executor reports): :meth:`scan` calls plus the requests the
-            shard scanners' residency handles served directly or
-            proved quiet.
+            shard scanners' residency handles served directly.
         scheduler: the deployment's scheduler; runs the per-shard
             prefetch jobs (fork/join virtual time when the deployment
             is timed).

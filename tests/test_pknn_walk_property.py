@@ -1,23 +1,21 @@
-"""Property pin: the PkNN matrix walk against the per-cell reference.
+"""Property pin: the PkNN matrix walk against the oracle and the per-band
+reference scanner.
 
 The Section 5.4 walk (:func:`repro.core.pknn.pknn_walk`, whose search is
-:meth:`repro.core.pknn._MatrixSearch._walk`) decides an idle cell by
-integer comparisons against per-round hulls, drops located rows,
-tallies idle pieces from per-round sums, runs the stop test only where
-its outcome can change and starts at the first round whose window meets
-the space.  :class:`tests.reference_scan.PerCellSearch` is the walk it
-replaced: every cell from round 1, one at a time.  Several searches
-share one scanner here, and on a timed deployment run on its verify CPU
-(``start_searches`` ... ``end_searches``); both walks run the same cells
-through ``scan_cell`` against the same scanner, so everything a search
-leaves behind must be identical:
+:meth:`repro.core.pknn._MatrixSearch.run`) visits the matrix one cell
+at a time, from the first round whose window meets the space, answering
+each annulus piece from its stratum's residency where a fence proof
+covers it.  Several searches share one scanner here, which is either
+the shipped one or :class:`tests.reference_scan.ReferenceScanner` (per
+shard, :func:`tests.reference_scan.reference_scatter`): entry-at-a-time
+decoding, no proofs beyond the interval asked.  For every search:
 
-* neighbours (uids and distances), ``candidates_examined``, ``rounds``;
-* the scanner's ``requests``, ``residency_hits``, ``scan_calls`` and
-  ``physical_scans``;
-* physical reads, and the virtual clock after the searches;
-* on a timed deployment, every verify-CPU charge of the scatter scanner
-  (its instant and its candidates) and every landing wait.
+* the neighbours' ``(round(d, 9), uid)`` list equals
+  :func:`repro.bench.oracle.brute_force_pknn`'s;
+* neighbours, ``candidates_examined`` and ``rounds`` equal the
+  reference's, and so does the scanner's ``requests``;
+* the reference reaches the tree at least as often
+  (``physical_scans``).
 
 Hypothesis draws the world (Z grid, Hilbert grid, a friend whose only
 entry sits in a partition no query scans, so its row walks to
@@ -37,19 +35,17 @@ from hypothesis import strategies as st
 from repro.bench.oracle import brute_force_pknn
 from repro.core.peb_tree import PEBTree
 from repro.core.pknn import _MatrixSearch, pknn_walk
-from repro.engine import QueryEngine
 from repro.fault import BreakerPolicy, RetryPolicy
-from repro.shard.engine import ShardScatterScanner, VerifyTimeline
 from repro.spatial.geometry import Rect
 from repro.storage import BufferPool, SimulatedDisk
 from repro.storage.faults import FaultyDisk
 from repro.workloads.queries import KnnQuerySpec
 
-from tests.reference_scan import PerCellSearch
+from tests.reference_scan import ReferenceScanner, reference_scatter
 from tests.test_residency_pin import T_QUERY, pin_world
 
 PAGE_SIZE = 1024
-BUFFER_PAGES = 8  # small: searches read pages, so reads can differ
+BUFFER_PAGES = 8  # small: the searches read pages
 #: One tier-1 example per five of the loaded profile's: 20 by default.
 EXAMPLES = max(20, settings.default.max_examples // 5)
 
@@ -99,83 +95,68 @@ def deploy(world, kind, n_shards, timed):
     return sharded
 
 
-class ChargeLog(VerifyTimeline):
-    """The shipped verify timeline, logging the verify CPU's moves."""
-
-    def __init__(self, scatter):
-        super().__init__(scatter)
-        self.log = []
-
-    def wait_landed(self, resident):
-        if self.searching:
-            self.log.append(("wait", self.clock.cursor()))
-        super().wait_landed(resident)
-
-    def charge_verified(self, examined):
-        if self.searching and examined:
-            self.log.append(("charge", self.clock.cursor(), examined))
-        super().charge_verified(examined)
+def new_scanner(tree, reference):
+    if not reference:
+        return tree.new_scanner()
+    return ReferenceScanner(tree) if isinstance(tree, PEBTree) else reference_scatter(tree)
 
 
-class SingleEngine(QueryEngine):
-    def new_scanner(self):
-        self.scanner = super().new_scanner()
-        return self.scanner
-
-
-class ShardEngine(QueryEngine):
-    def new_scanner(self):
-        self.scanner = ShardScatterScanner(self.tree)
-        if self.scanner.timeline is not None:
-            self.scanner.timeline = ChargeLog(self.scanner)
-        return self.scanner
-
-
-def observe(world, deployment, walk, order, specs):
-    """Everything ``walk`` leaves behind running ``specs`` in ``order``
-    on one shared scanner, as a batch of searches."""
+def observe(world, deployment, order, specs, reference=False):
+    """What the walk leaves behind running ``specs`` in ``order`` on one
+    shared scanner: per search its signature, then the scanner's
+    ``requests`` and ``physical_scans``."""
     kind, n_shards, timed = deployment
     tree = deploy(world, kind, n_shards, timed)
-    engine = (SingleEngine if kind == "single" else ShardEngine)(tree)
-    reads = tree.stats.physical_reads
-    clock = tree.sim_clock
-    scanner = engine.new_scanner()
-    timeline = scanner.timeline
-    if timeline is not None:
-        timeline.start_searches()
-    results, degraded = [], []
+    scanner = new_scanner(tree, reference)
+    results = []
     for spec in specs:
-        dropped = tree.bands_dropped
-        search = walk(
-            tree, spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query,
-            planner=engine.planner, scanner=scanner,
+        search = _MatrixSearch(
+            tree, spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query, scanner=scanner
         )
         result = search.run(order)
-        if timeline is not None:
-            timeline.charge_query(result.candidates_examined, True)
         assert len(search._span_cache) <= search._span_cache_capacity
         results.append(
             (
-                [(d, obj.uid) for d, obj in result.neighbors],
+                [(round(d, 9), obj.uid) for d, obj in result.neighbors],
                 result.candidates_examined,
                 result.rounds,
             )
         )
-        degraded.append(tree.bands_dropped > dropped)
-    if timeline is not None:
-        timeline.end_searches()
+    return results, scanner.requests, scanner.physical_scans
+
+
+def check_walk(world, deployment, order, specs):
+    """The shipped walk answers the oracle and counts as the reference."""
+    got, requests, scans = observe(world, deployment, order, specs)
+    expected, reference_requests, reference_scans = observe(
+        world, deployment, order, specs, reference=True
+    )
+    assert got == expected
+    assert requests == reference_requests
+    assert scans <= reference_scans
+    for spec, (neighbors, _, _) in zip(specs, got):
+        oracle = brute_force_pknn(
+            indexed_states(world, spec.t_query),
+            world.store,
+            spec.q_uid,
+            spec.qx,
+            spec.qy,
+            spec.k,
+            spec.t_query,
+        )
+        assert sorted(neighbors) == [(round(d, 9), uid) for d, uid in oracle], spec
+
+
+def indexed_states(world, t_query):
+    """The states whose entry sits in a partition live at ``t_query``
+    (the expired-entry world parks a seventh of its users in one that
+    is not, where no search looks)."""
+    partitioner = world.partitioner
+    live = set(partitioner.live_labels(t_query))
     return {
-        "results": results,
-        "scanner": (
-            scanner.requests,
-            scanner.residency_hits,
-            scanner.scan_calls,
-            scanner.physical_scans,
-        ),
-        "reads": tree.stats.physical_reads - reads,
-        "clock": None if clock is None else clock.cursor(),
-        "verify_cpu": None if timeline is None else timeline.log,
-        "degraded": degraded,
+        uid: obj
+        for uid, obj in world.states.items()
+        if partitioner.label_timestamp(obj.t_update) in live
     }
 
 
@@ -208,7 +189,9 @@ SPEC = st.tuples(
     order=st.sampled_from(("triangular", "column")),
     drawn=st.lists(SPEC, min_size=1, max_size=3),
 )
-def test_walk_equals_the_per_cell_reference(world_name, deployment, order, drawn):
+def test_walk_answers_the_oracle_and_counts_as_the_reference(
+    world_name, deployment, order, drawn
+):
     world = WORLDS[world_name]
     specs = []
     for issuer, where, fx, fy, far, k in drawn:
@@ -217,21 +200,19 @@ def test_walk_equals_the_per_cell_reference(world_name, deployment, order, drawn
             k = len(world.store.friend_list(q_uid)) + 3
         qx, qy = query_point(world, where, fx, fy, far)
         specs.append(KnnQuerySpec(q_uid, qx, qy, k, T_QUERY))
-    got = observe(world, deployment, _MatrixSearch, order, specs)
-    expected = observe(world, deployment, PerCellSearch, order, specs)
-    assert got == expected
+    check_walk(world, deployment, order, specs)
 
 
 @pytest.mark.parametrize("deployment", [DEPLOYMENTS[0], DEPLOYMENTS[6]])
 @pytest.mark.parametrize("order", ("triangular", "column"))
 @pytest.mark.parametrize("world_name", sorted(WORLDS))
-def test_walk_equals_the_per_cell_reference_on_query_streams(
+def test_walk_answers_the_oracle_and_counts_as_the_reference_on_query_streams(
     world_name, order, deployment
 ):
     """Where most searches are asked: issuers' own positions inside the
     space, ``k`` 1 to 6, a batch of them sharing one scanner — so the
-    stop test fires at a sweep's first cell and after later ones, and
-    rows are left idle, acting and located in every mix."""
+    stop test fires at an anti-diagonal's first cell and after later
+    ones, and rows are left empty, scanned and located in every mix."""
     world = WORLDS[world_name]
     generator = world.query_generator()
     specs = [
@@ -239,8 +220,7 @@ def test_walk_equals_the_per_cell_reference_on_query_streams(
         for k in (1, 2, 4, 6)
         for spec in generator.knn_queries(world.states, 6, k, T_QUERY)
     ]
-    got = observe(world, deployment, _MatrixSearch, order, specs)
-    assert got == observe(world, deployment, PerCellSearch, order, specs)
+    check_walk(world, deployment, order, specs)
 
 
 def test_a_row_walks_to_max_rounds():
@@ -283,13 +263,12 @@ def test_far_outside_query_starts_where_the_space_begins():
 
 @pytest.mark.parametrize("deployment", [DEPLOYMENTS[0], DEPLOYMENTS[6]])
 @pytest.mark.parametrize("order", ("triangular", "column"))
-def test_far_outside_query_matches_the_per_cell_reference(deployment, order):
-    """From (1e4, 500) the reference walks 533 rounds of empty cells
-    first; the shipped walk skips them with every counter unchanged."""
+def test_far_outside_query_matches_the_reference(deployment, order):
+    """From (1e4, 500) the first 533 rounds' windows miss the space; the
+    walk starts at round 534 and answers as the oracle does."""
     world = WORLDS["z"]
     specs = [KnnQuerySpec(uid, 1e4, 500.0, 5, T_QUERY) for uid in world.uids[:3]]
-    got = observe(world, deployment, _MatrixSearch, order, specs)
-    assert got == observe(world, deployment, PerCellSearch, order, specs)
+    check_walk(world, deployment, order, specs)
     search = _MatrixSearch(world.peb, specs[0].q_uid, 1e4, 500.0, 5, T_QUERY)
     assert search._first_round() == 534
 

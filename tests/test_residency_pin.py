@@ -11,17 +11,14 @@ scanning band by band.  Against it, on a single tree and on 1/2/4
 shards, in both traversal orders: neighbours, ``candidates_examined``
 and ``rounds`` are identical and physical reads are never higher.  The
 same holds for ``execute_batch`` with mixed range+kNN specs, whose kNN
-specs are served by the point-band fetch.
-
-The search also keeps, per (friend, partition), the stratum's *quiet
-interval* — proven, and holding nobody it has not located — and skips
-the cells that fall inside it, counting their pieces in bulk.  The
-reference never reports a quiet interval, so it is also the per-piece
-walk the skipping one is pinned to: same requests counted, on a Z-curve
-and a Hilbert grid (coarsened windows; the quiet test never assumes that
-rounds nest), with users in one live partition or two, with ``k`` above
-the friend-list length, and with a friend whose only entry sits in a
-partition no query scans (the row that walks to ``max_rounds``).
+specs are served by the point-band fetch.  Requests are counted alike
+on a Z-curve and a Hilbert grid, with users in one live partition or
+two, with ``k`` above the friend-list length, and with a friend whose
+only entry sits in a partition no query scans (the row that walks to
+``max_rounds``).  On the same worlds the walk is pinned cell by cell:
+a located friend's cell is never scanned, and the walk stops after the
+first cell whose k-th distance fits the round or that leaves every
+friend located.
 
 With a shard supervisor attached a search gets no residency handle at
 all — a quarantined shard's strata must be dropped and counted request
@@ -38,7 +35,7 @@ from hypothesis import strategies as st
 from repro.core.peb_tree import PEBTree
 from repro.core.pknn import _MatrixSearch
 from repro.engine import BandScanner, QueryEngine
-from repro.engine.scanner import NOT_QUIET, StratumResidency, _Tally
+from repro.engine.scanner import StratumResidency, _Tally
 from repro.fault import BreakerPolicy, RetryPolicy
 from repro.motion.rows import BandRows
 from repro.shard.engine import ShardScatterScanner
@@ -213,39 +210,70 @@ def test_mixed_batch_matches_the_per_band_reference(world, n_shards):
             assert knn_signature(mine) == knn_signature(theirs), spec
 
 
-def test_quiet_cells_are_counted_without_being_served(world, monkeypatch):
-    """Almost every request of a batch of walks is a piece inside a
-    quiet interval: counted, but never put to the residency."""
-    served = []
-    serve = StratumResidency.serve
+# ----------------------------------------------------------------------
+# The walk itself: cell by cell
+# ----------------------------------------------------------------------
 
-    def counted_serve(self, z_lo, z_hi):
-        served.append((z_lo, z_hi))
-        return serve(self, z_lo, z_hi)
 
-    monkeypatch.setattr(StratumResidency, "serve", counted_serve)
-    # As a batch of walks shares one scanner: every search's round-one
-    # bands prefetched first, friend-major, then the searches in order.
+@pytest.mark.parametrize("order", ORDERS)
+def test_the_walk_skips_located_friends_and_stops_at_the_first_cell_it_may(
+    world, order, monkeypatch
+):
+    """Each cell the walk visits is scanned unless its friend is already
+    located; after every cell the walk stops if the k-th distance fits
+    the round's inscribed circle or every friend is located, and never
+    sooner."""
+    scanned = []
+    scan_cell = _MatrixSearch.scan_cell
+
+    def recorded_scan_cell(self, row, round_index):
+        scanned.append((row, round_index))
+        return scan_cell(self, row, round_index)
+
+    monkeypatch.setattr(_MatrixSearch, "scan_cell", recorded_scan_cell)
     scanner = BandScanner(world.peb)
-    searches = [
-        _MatrixSearch(world.peb, s.q_uid, s.qx, s.qy, s.k, s.t_query, scanner=scanner)
-        for s in knn_specs(world, n=12)
-    ]
-    scanner.prefetch(
-        search.planner.band(tid, sv, *pieces[0])
-        for search in searches
-        for sv, _ in search.friends
-        for _, tid, pieces, _, _ in search._round_pieces(1)
-    )
-    for search in searches:
-        search.run()
-    # A coarsened Hilbert window often repeats the previous round's, and
-    # such a round asks nothing: the same few served cells weigh more.
-    # Measured in this file's order: 253 served of 855 requests (0.296)
-    # on the Hilbert grid; 280 of 782 (0.358) when rows without a
-    # policy that holds at T_QUERY had just left the matrix.
-    share = 0.37 if world.grid.curve is HILBERT else 0.25
-    assert 0 < len(served) <= share * scanner.requests
+    for spec in knn_specs(world, n=12):
+        search = _MatrixSearch(
+            world.peb, spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query,
+            scanner=scanner,
+        )
+        friend_uids = {uid for _, uid in search.friends}
+        located, candidates = search.verifier.located, search.candidates
+        every_cell = list(search._cells(order))
+
+        def may_stop(round_index):
+            return (
+                len(candidates) >= search.k
+                and candidates[search.k - 1][0] <= round_index * search.rq
+            ) or friend_uids <= located
+
+        # Per visited cell: the cell and the located set before it.
+        visited = []
+        walk_cells = search._cells
+
+        def tracked_cells(walk_order):
+            for cell in walk_cells(walk_order):
+                if visited:
+                    # The previous cell is done and the walk went on.
+                    assert not may_stop(visited[-1][0][1]), spec
+                visited.append((cell, frozenset(located)))
+                yield cell
+
+        search._cells = tracked_cells
+        scanned.clear()
+        result = search.run(order)
+        if not search.friends:
+            assert not visited and not result.neighbors
+            continue
+        cells = [cell for cell, _ in visited]
+        assert cells == every_cell[: len(cells)], spec
+        assert len(cells) == len(every_cell) or may_stop(cells[-1][1]), spec
+        assert scanned == [
+            (row, round_index)
+            for (row, round_index), before in visited
+            if search.friends[row][1] not in before
+        ], spec
+        assert result.rounds == max(round_index for _, round_index in cells)
 
 
 # ----------------------------------------------------------------------
@@ -288,48 +316,6 @@ def test_residency_serves_exactly_what_its_proofs_cover(zvs, proofs, probes):
             assert served is None
     assert tally.requests == tally.residency_hits == hits
     assert len(resident.requested) == hits
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    zvs=st.lists(Z, max_size=30),
-    proofs=INTERVALS,
-    located=st.sets(st.integers(min_value=0, max_value=29)),
-    probes=st.lists(Z, min_size=1, max_size=12),
-)
-def test_quiet_interval_is_the_widest_with_nobody_left_to_find(
-    zvs, proofs, located, probes
-):
-    stratum = sorted(zvs)  # row i belongs to user i
-
-    def rows_of(lo, hi):
-        inside = [(uid, zv) for uid, zv in enumerate(stratum) if lo <= zv <= hi]
-        return BandRows(
-            [zv for _, zv in inside],
-            [(uid, 0.0, 0.0, 0.0, 0.0, 0.0, 0) for uid, _ in inside],
-        )
-
-    tally = _Tally()
-    resident = StratumResidency(tally, tid=0, sv_q=0)
-    proven = set()
-    for a, b in proofs:
-        lo, hi = min(a, b), max(a, b)
-        resident._add(lo, hi, rows_of(lo, hi))
-        proven.update(range(lo, hi + 1))
-    # Where a search that has located ``located`` can still learn something.
-    loud = {zv for uid, zv in enumerate(stratum) if uid not in located}
-    for z in probes:
-        lo, hi = resident.quiet_around(z, located)
-        if z not in proven or z in loud:
-            assert (lo, hi) == NOT_QUIET
-            continue
-        assert lo <= z <= hi
-        inside = set(range(lo, hi + 1))
-        assert inside <= proven and not inside & loud
-        # Maximal: one more Z on either side is unproven or loud.
-        assert all(edge not in proven or edge in loud for edge in (lo - 1, hi + 1))
-    assert tally.requests == tally.residency_hits == 0
-    assert not resident.requested
 
 
 # ----------------------------------------------------------------------
