@@ -13,8 +13,11 @@ experiments report.  The tree supports:
   and PEB-tree query algorithms (Figure 7, lines 11–18);
 * ``scan_chunks(lo, hi)`` / ``scan_fenced(lo, hi)`` — the same walk as
   per-leaf packed runs: lazily, or whole and together with the keys the
-  touched leaves hold just below and just above the range (the *fence*
-  the PEB-tree's band sweep turns into stratum proofs);
+  touched leaves and the descent hold just below and just above the
+  range (the *fence* the PEB-tree's band sweep turns into stratum
+  proofs).  Both stop on the landing leaf when the descent's separator
+  right of it already lies above the range, so no leaf is read only to
+  learn that it starts past ``hi``;
 * ``check_invariants()`` — a structural validator used heavily by the
   property-based tests.
 
@@ -267,28 +270,33 @@ class BPlusTree:
         pair is one leaf's in-range ``(composite keys, payload run)``
         where the payload run is ``len(keys) * value_bytes`` contiguous
         bytes in key order, ready for a batched decode
-        (``struct.iter_unpack``) with no per-entry slicing.  Page
-        traffic is identical to the per-entry scan: same descent, same
-        leaf-chain walk, same stopping leaf.  Lazy per leaf — a consumer
-        that stops early never reads the leaves it did not reach;
-        :meth:`scan_fenced` is the eager form that also reports what
-        lies around the range.
+        (``struct.iter_unpack``) with no per-entry slicing.  The walk
+        stops on the first leaf holding an entry ``> hi`` — or on the
+        landing leaf itself when the separator right of the descent
+        path lies above ``hi``: every key right of that separator is at
+        least it, so the next leaf is never read just to find it empty
+        of the range.  Lazy per leaf — a consumer that stops early
+        never reads the leaves it did not reach; :meth:`scan_fenced` is
+        the eager form that also reports what lies around the range.
         """
         if lo > hi:
             return
-        leaf_id = self._descend_low(lo)
-        first = True
-        while leaf_id != NO_PAGE:
-            leaf: LeafNode = self.pool.get(leaf_id)
-            keys = leaf.keys
-            start = bisect_left(keys, lo) if first else 0
-            first = False
+        leaf_id, upper = self._descend_low(lo)
+        leaf: LeafNode = self.pool.get(leaf_id)
+        keys = leaf.keys
+        start = bisect_left(keys, lo)
+        while True:
             stop = bisect_right(keys, hi, start)
             if stop > start:
                 yield keys[start:stop], leaf.payload_slice(start, stop)
-            if stop < len(keys):
+            if stop < len(keys) or leaf.next_leaf == NO_PAGE:
                 return
-            leaf_id = leaf.next_leaf
+            if upper is not None and hi < upper:
+                return  # the descent's separator fences the range
+            upper = None
+            leaf = self.pool.get(leaf.next_leaf)
+            keys = leaf.keys
+            start = 0
 
     def scan_fenced(
         self, lo: CompositeKey, hi: CompositeKey
@@ -302,16 +310,21 @@ class BPlusTree:
         Returns ``(chunks, below, above)``: the per-leaf runs
         :meth:`scan_chunks` would yield, as a list, and the *fence* — a
         scan of ``[lo, hi]`` lands on the leaf holding the first entry
-        ``>= lo`` and stops on the first entry ``> hi``; both leaves are
-        in hand, so the entries bracketing the range are known for free,
-        and with them a proof that the tree holds nothing between the
-        brackets except what the scan returned.
+        ``>= lo`` and stops on the first entry ``> hi`` or on the
+        descent's separator above ``hi``; what brackets the range is in
+        hand, so it is known for free, and with it a proof that the tree
+        holds nothing between the brackets except what the scan
+        returned.
 
         * ``below``: greatest entry ``< lo``; :data:`CHAIN_START` when
           the chain has none; None when ``lo`` fell on a leaf edge (the
           predecessor lives in a leaf the scan never read).
-        * ``above``: least entry ``> hi``, or a key past every
-          representable one when the scan ran off the end of the chain;
+        * ``above``: least entry ``> hi`` when a leaf the scan read
+          holds one; else the landing leaf's upper separator when it
+          lies above ``hi`` — no entry is, but every entry right of it
+          is at least it, which is all a proof needs (it may be stale,
+          below the true successor); else a key past every
+          representable one when the scan ran off the end of the chain.
           None only for an empty ``lo > hi`` range, which touches no
           page.
 
@@ -320,14 +333,15 @@ class BPlusTree:
         once per band of a shard job.  The page touches are those of
         :meth:`scan_chunks` run to exhaustion, in the same order — the
         descent's root, interior nodes and landing leaf, the landing
-        leaf again as the walk's first, then each next leaf — so buffer
-        order, logical and physical reads cannot tell the two apart, and
-        the fence never reads a page of its own.
+        leaf again as the walk's first, then each next leaf the range
+        reaches — so buffer order, logical and physical reads cannot
+        tell the two apart, and the fence never reads a page of its own:
+        neither scan reads a leaf the descent ruled out.
         """
         if lo > hi:
             return [], None, None
         get = self.pool.get
-        leaf_id = self._descend_low(lo)
+        leaf_id, upper = self._descend_low(lo)
         leaf: LeafNode = get(leaf_id)
         keys = leaf.keys
         start = bisect_left(keys, lo)
@@ -344,6 +358,9 @@ class BPlusTree:
                 return chunks, below, keys[stop]
             if leaf.next_leaf == NO_PAGE:
                 return chunks, below, (1 << (8 * self.config.key_bytes), 0)
+            if upper is not None and hi < upper:
+                return chunks, below, upper
+            upper = None
             leaf = get(leaf.next_leaf)
             keys = leaf.keys
             start = 0
@@ -792,15 +809,22 @@ class BPlusTree:
             path.append((page_id, idx))
             page_id = node.children[idx]
 
-    def _descend_low(self, lo: CompositeKey) -> int:
-        """Leaf that may contain the first entry >= ``lo``."""
+    def _descend_low(self, lo: CompositeKey) -> tuple[int, CompositeKey | None]:
+        """Leaf that may contain the first entry >= ``lo``, with its upper
+        bound: the tightest separator right of the descent path (every
+        key in the leaf is below it, every key right of the leaf at or
+        above it), or None for the last leaf."""
         sentinel = (lo[0], lo[1] - 1) if lo[1] > 0 else (lo[0] - 1, MAX_UID)
         page_id = self.root_id
+        upper = None
         while True:
             node = self.pool.get(page_id)
             if node.is_leaf:
-                return page_id
-            idx = bisect_right(node.separators, sentinel)
+                return page_id, upper
+            separators = node.separators
+            idx = bisect_right(separators, sentinel)
+            if idx < len(separators):
+                upper = separators[idx]
             page_id = node.children[idx]
 
     # ------------------------------------------------------------------

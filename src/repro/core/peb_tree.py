@@ -496,8 +496,13 @@ class PEBTree(Deployment):
         (:attr:`BandRows.proven`): the stratum is key-contiguous and
         ordered by ZV, so the entries the touched leaves hold just
         below and just above the band bound an interval that contains
-        exactly the returned rows.  A bracket in another stratum (or
-        past either end of the leaf chain) extends the proof to the
+        exactly the returned rows.  The upper bracket may instead be
+        the landing leaf's upper separator (the scan stops there rather
+        than read the next leaf): no entry lies between the band and
+        it, and every entry right of it is at least it, so a proof
+        ending just below it is sound, if shorter than the true
+        successor would allow.  A bracket in another stratum (or past
+        either end of the leaf chain) extends the proof to the
         stratum's edge; a band that starts on a leaf edge proves
         nothing below what was asked, and an empty ``z_lo > z_hi`` band
         proves nothing.  On the ZV-first ablation layout a stratum is

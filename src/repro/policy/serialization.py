@@ -89,15 +89,22 @@ def store_from_dict(payload: dict) -> PolicyStore:
     # One install per record, not a replay of add_policy: the payload
     # holds resolved policies already bucketed per pair, so only the
     # edge checks (self-policy, duplicate pair) are paid on restore.
+    # A policy granted to many viewers is one record per viewer; the
+    # records share one (immutable) policy object, as the store built
+    # by add_policy did.
+    policies: dict[tuple, LocationPrivacyPolicy] = {}
     for owner, viewer, role, x_lo, x_hi, y_lo, y_hi, tint_flat in payload[
         "policies"
     ]:
-        policy = LocationPrivacyPolicy(
-            owner=owner,
-            role=role,
-            locr=Rect(x_lo, x_hi, y_lo, y_hi),
-            tint=_tint_from_flat(tint_flat),
-        )
+        key = (owner, role, x_lo, x_hi, y_lo, y_hi, *tint_flat)
+        policy = policies.get(key)
+        if policy is None:
+            policy = policies[key] = LocationPrivacyPolicy(
+                owner=owner,
+                role=role,
+                locr=Rect(x_lo, x_hi, y_lo, y_hi),
+                tint=_tint_from_flat(tint_flat),
+            )
         store._install(policy, [viewer])
 
     store.set_sequence_values(

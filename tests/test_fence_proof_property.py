@@ -13,7 +13,9 @@ random histories that split and merge leaves:
 
 * B+-tree: the fence names the true neighbours of the range in a dict
   model (or admits it does not know the lower one: a range that starts
-  on a leaf edge).
+  on a leaf edge), except that the upper one may be the landing leaf's
+  upper separator when that lies between ``hi`` and the true successor
+  (the scan stops there instead of reading the next leaf).
 * PEB-tree: every reported interval contains the requested band, and a
   fresh scan of the *whole* reported interval returns exactly the same
   rows — over strata that share a leaf, strata that straddle leaves,
@@ -31,9 +33,10 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.btree.node import NO_PAGE
 from repro.btree.tree import CHAIN_START, MAX_UID, BPlusTree
 from repro.core.ablation import make_zv_first_tree
 from repro.core.peb_tree import PEBTree
@@ -57,10 +60,37 @@ from tests.test_packed_leaf_property import OPS, WINDOWS, apply_ops
 # ----------------------------------------------------------------------
 
 
+def landing_upper(tree: BPlusTree, lo):
+    """The upper separator of the leaf a scan from ``lo`` lands on, found
+    by walking the internal nodes: each leaf owns ``[lower, upper)`` of
+    the key space, and the landing leaf is the one with ``lower < lo <=
+    upper`` (the descent takes the child left of a separator equal to
+    ``lo``).  None for the last leaf."""
+    bounds = []
+
+    def walk(page_id, lower, upper, depth):
+        if depth == tree.height:
+            bounds.append((lower, upper))
+            return
+        node = tree.pool.get(page_id)
+        edges = [lower, *node.separators, upper]
+        for i, child in enumerate(node.children):
+            walk(child, edges[i], edges[i + 1], depth + 1)
+
+    walk(tree.root_id, None, None, 1)
+    (upper,) = [
+        upper
+        for lower, upper in bounds
+        if (lower is None or lower < lo) and (upper is None or lo <= upper)
+    ]
+    return upper
+
+
 def assert_fence_matches_model(tree: BPlusTree, model, lo, hi) -> None:
     """``scan_fenced(lo, hi)`` returns the model's entries in range and
     names their true neighbours (or admits it does not know the lower
-    one)."""
+    one); the upper one is the least of the entries above ``hi`` and,
+    when it lies above ``hi``, the landing leaf's upper separator."""
     chunks, below, above = tree.scan_fenced(lo, hi)
     scanned = [ck for keys, _ in chunks for ck in keys]
     assert scanned == sorted(ck for ck in model if lo <= ck <= hi)
@@ -74,19 +104,32 @@ def assert_fence_matches_model(tree: BPlusTree, model, lo, hi) -> None:
     else:
         assert below == max(smaller)
     larger = [ck for ck in model if ck > hi]
-    if larger:
-        assert above == min(larger)
-    else:
-        assert above is not None and all(above > ck for ck in model)
-        assert above[0].bit_length() > 8 * tree.config.key_bytes
+    expected = min(larger, default=(1 << (8 * tree.config.key_bytes), 0))
+    upper = landing_upper(tree, lo)
+    if upper is not None and upper > hi:
+        expected = min(expected, upper)
+    assert above == expected
+
+
+#: Leaves [12..25], [26..39], [40..53]; deleting (40, 0) leaves the
+#: separator (40, 0) stale above the true successor (41, 0), and a range
+#: ending on the middle leaf's last entry is fenced by the separator.
+STALE_SEPARATOR_OPS = [
+    ("batch", [(key, 0) for key in range(12, 54)]),
+    ("delete", (40, 0)),
+]
 
 
 @settings(max_examples=60, deadline=None)
 @given(ops=OPS, window=WINDOWS)
+@example(ops=STALE_SEPARATOR_OPS, window=(30, 39, 0, 15))
 def test_scan_fence_names_the_true_neighbours(ops, window):
     tree = make_tree(page_size=512, buffer_pages=8)
     model: dict = {}
     apply_ops(tree, model, ops)
+    # Every key right of a separator is at least it: the bound that
+    # makes a separator a sound fence.
+    tree.check_invariants()
     key_a, key_b, uid_a, uid_b = window
     lo = min((key_a, uid_a), (key_b, uid_b))
     hi = max((key_a, uid_a), (key_b, uid_b))
@@ -120,6 +163,61 @@ def test_range_starting_on_a_leaf_edge_claims_nothing_below():
     assert chunks == []
     assert below is None
     assert above == leaves[1][1]
+
+
+def test_range_ending_below_a_stale_separator_reads_one_leaf():
+    tree = make_tree(page_size=512)
+    model: dict = {}
+    apply_ops(tree, model, STALE_SEPARATOR_OPS)
+    assert [keys[-1] for keys, _ in tree.leaf_runs()][:2] == [(25, 0), (39, 0)]
+    assert (40, 0) not in model and (41, 0) in model
+    reads = tree.pool.stats.logical_reads
+    chunks, below, above = tree.scan_fenced((30, 0), (39, MAX_UID))
+    # The descent and the landing leaf once more, and no next leaf: the
+    # separator (40, 0) already says nothing there is <= hi.
+    assert tree.pool.stats.logical_reads - reads == tree.height + 1
+    assert [ck for keys, _ in chunks for ck in keys] == [
+        (key, 0) for key in range(30, 40)
+    ]
+    assert below == (29, 0)
+    assert above == (40, 0)  # the separator, below the true successor (41, 0)
+
+
+def test_point_band_on_a_leafs_last_entry_reads_no_next_leaf(monkeypatch):
+    tree = make_tree(page_size=512)
+    for key in range(0, 400, 2):
+        tree.insert(key, 0, bytes(16))
+    leaf_ids, leaves = [], []
+    leaf_id = tree.first_leaf_id
+    while leaf_id != NO_PAGE:
+        leaf = tree.pool.get(leaf_id)
+        leaf_ids.append(leaf_id)
+        leaves.append(leaf.keys)
+        leaf_id = leaf.next_leaf
+    assert len(leaves) > 2
+    last_key = leaves[1][-1][0]
+    lo, hi = (last_key, 0), (last_key, MAX_UID)
+    descent = [page_id for page_id, _ in tree._descend(lo)]
+    assert descent[-1] == leaf_ids[1]
+    got: list = []
+    get = tree.pool.get
+
+    def recorded(page_id):
+        got.append(page_id)
+        return get(page_id)
+
+    monkeypatch.setattr(tree.pool, "get", recorded)
+    for scan in (
+        lambda: tree.scan_fenced(lo, hi)[0],
+        lambda: list(tree.scan_chunks(lo, hi)),
+    ):
+        got.clear()
+        chunks = scan()
+        assert [keys for keys, _ in chunks] == [[(last_key, 0)]]
+        # Exactly the descent (root to the landing leaf) and the landing
+        # leaf again as the walk's first: the next leaf is never got.
+        assert got == [*descent, leaf_ids[1]]
+    assert tree.scan_fenced(lo, hi)[2] == leaves[2][0]  # the separator
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,10 @@ figures and the Figure 9 ablation measure, so what it reads and counts
 is part of what it reproduces.  ``pknn_walk_golden.json`` was dumped
 from :func:`observed` (``json.dumps(observed(), sort_keys=True)``) at
 ``2a7d39e``, and a rewrite of the walk's bookkeeping must leave it
-unchanged:
+unchanged.  Its physical reads were re-recorded once, lower, when a
+band scan learnt to stop at its landing leaf's upper separator (the
+single-tree streams, e.g. Hilbert ``single/column/fresh`` 139 -> 124);
+every other field stayed as dumped:
 
 * per query: the ``(round(d, 9), uid)`` list, ``candidates_examined``
   and ``rounds``;
