@@ -19,6 +19,7 @@ and compress ~15x.
 
 from __future__ import annotations
 
+import gc
 import gzip
 import json
 import os
@@ -143,7 +144,17 @@ def load_peb_tree(
     meta = _read_meta(directory)
     disk = load_disk(os.path.join(directory, DISK_FILE))
     pool = BufferPool(disk, capacity=buffer_pages)
-    store = store_from_dict(meta["store"])
+    # Rebuilding the store allocates objects by the hundred thousand and
+    # keeps every one, so the collections those allocations trigger
+    # free nothing: the cyclic collector is paused for the rebuild and
+    # left as it was found.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        store = store_from_dict(meta["store"])
+    finally:
+        if collecting:
+            gc.enable()
     grid = Grid(
         meta["grid"]["space_side"],
         meta["grid"]["bits"],

@@ -21,7 +21,10 @@ additional index I/O*.  Per-query results are bit-identical to
 running the queries one at a time — the replay applies the identical
 iteration order and skip rules — while the physical reads per query
 drop by the cross-query overlap, reported as
-:attr:`ExecutionStats.dedup_ratio`.
+:attr:`ExecutionStats.dedup_ratio`.  Replay is one loop in spec order:
+a kNN spec's point bands replay as a range plan's do, and on a timed
+sharded deployment every verified band of every spec is booked on the
+scanner's one verify timeline (:class:`repro.shard.engine.VerifyTimeline`).
 
 One engine serves every deployment (:mod:`repro.engine.deployment`):
 every path takes its scanner from it (:meth:`QueryEngine.new_scanner`)
@@ -240,9 +243,8 @@ class QueryEngine:
         located candidate is policy-checked and window-tested (a PkNN
         plan has no window), and ``on_match`` may stop the whole
         execution early by returning True (the ``at_least`` aggregate).
-        On a verify timeline a range plan's bands are booked on the
-        pipeline; a kNN plan's, replayed while the searches run, are
-        charged to the running search.
+        On a verify timeline every verified band is booked on the
+        pipeline, a kNN spec's point bands as a range plan's.
         """
         owned = scanner is None
         if owned:
@@ -264,11 +266,7 @@ class QueryEngine:
             seen = verifier.candidates_examined
             stopped = verifier.admit_rows(rows, plan.window, on_match)
             if timeline is not None:
-                examined = verifier.candidates_examined - seen
-                if timeline.searching:  # a kNN spec, on the search CPU
-                    timeline.charge_verified(examined)
-                else:
-                    timeline.book_verified(planned.band, examined)
+                timeline.book_verified(planned.band, verifier.candidates_examined - seen)
             if stopped:
                 break
         if owned:
@@ -329,16 +327,15 @@ class QueryEngine:
         rather than strata, and a key-ordered sweep reads a shared leaf
         while it is resident.
 
-        Replay takes the range specs first, then the kNN specs, each
-        kind in spec order; results and ``degraded`` flags come back in
-        spec order.  A kNN spec admits its bands' rows through the
-        verifier and keeps the k nearest
-        (:func:`repro.core.pknn.pknn_from_plan`).  When the scanner has
-        a verify timeline (a timed sharded deployment's), it is told
-        each query's verification (``charge_query``) and when the kNN
-        specs start and end: it verifies the range specs' bands as their
-        strata land and runs each kNN spec on the same CPU afterwards,
-        waiting for a stratum's landing before the spec first reads it.
+        Replay is one loop in spec order; results and ``degraded``
+        flags come back in spec order.  A kNN spec is a range plan
+        without a window: it admits its bands' rows through the verifier
+        and keeps the k nearest (:func:`repro.core.pknn.pknn_from_plan`).
+        When the scanner has a verify timeline (a timed sharded
+        deployment's), every spec's verified bands are booked on it as
+        they replay, each query's verification is closed there
+        (``charge_query``), and ``end_batch`` prices the one verify CPU
+        — each band as its stratum lands — and joins the shards.
 
         A spec of an unsupported type, a range spec with a non-finite
         ``t_query``, or a kNN spec with a negative ``k`` or a non-finite
@@ -409,32 +406,20 @@ class QueryEngine:
             t_replay0 = clock.cursor() if clock is not None else 0.0
 
         timeline = scanner.timeline
-
-        def replay(index: int, knn: bool, run: Callable) -> None:
+        # Every plan replays off the prefetched batch, in spec order.
+        for index, (spec, plan) in enumerate(zip(specs, plans)):
             dropped = self.tree.bands_dropped
-            result = run()
+            if isinstance(spec, RangeQuerySpec):
+                result = prq_from_plan(self, plan, scanner)
+            else:
+                result = pknn_from_plan(self, plan, spec.qx, spec.qy, spec.k, scanner)
             if timeline is not None:
-                timeline.charge_query(result.candidates_examined, knn)
+                timeline.charge_query(result.candidates_examined)
             report.stats.candidates_examined += result.candidates_examined
             report.results[index] = result
             report.degraded[index] = self.tree.bands_dropped > dropped
-
-        # Range plans replay first — off a prefetched batch, without
-        # I/O — then the kNN specs, each kind in spec order.
-        for index, (spec, plan) in enumerate(zip(specs, plans)):
-            if isinstance(spec, RangeQuerySpec):
-                replay(index, False, lambda: prq_from_plan(self, plan, scanner))
         if timeline is not None:
-            timeline.start_searches()
-        for index, (spec, plan) in enumerate(zip(specs, plans)):
-            if isinstance(spec, KnnQuerySpec):
-                replay(
-                    index,
-                    True,
-                    lambda: pknn_from_plan(self, plan, spec.qx, spec.qy, spec.k, scanner),
-                )
-        if timeline is not None:
-            timeline.end_searches()
+            timeline.end_batch()
         if tracing:
             recorder.span(
                 "engine/replay",

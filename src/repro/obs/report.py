@@ -86,15 +86,6 @@ def summarize_trace(trace: dict) -> dict:
         for key in ("items", "idle_us", "tail_us")
     }
     verify_pipeline["batches"] = len(pipelines)
-    searches = [
-        span["args"] for span in spans
-        if span["name"] == "verify.knn" and "args" in span
-    ]
-    verify_knn = {
-        key: sum(args[key] for args in searches)
-        for key in ("wait_us", "scan_us", "verify_us", "tail_us")
-    }
-    verify_knn["searches"] = len(searches)
 
     worker_busy = phases.get("batch.serve", {}).get("total_us", 0.0)
     for entry in phases.values():
@@ -148,7 +139,6 @@ def summarize_trace(trace: dict) -> dict:
         "devices": devices,
         "instants": dict(sorted(instants.items())),
         "verify_pipeline": verify_pipeline,
-        "verify_knn": verify_knn,
         "busy_check": busy_check,
         "shard_check": shard_check,
         "consistent": all(
@@ -206,15 +196,6 @@ def render_trace_report(trace: dict) -> str:
             f"{pipeline['tail_us']:.1f} us ({pipeline['tail_us'] / n:.1f}/batch), "
             f"idle {pipeline['idle_us']:.1f} us ({pipeline['idle_us'] / n:.1f}/batch), "
             f"{pipeline['items']} items"
-        )
-    knn = summary["verify_knn"]
-    if knn["searches"]:
-        n = knn["searches"]
-        lines.append(
-            f"  verify knn over {n} searches: tail "
-            f"{knn['tail_us']:.1f} us ({knn['tail_us'] / n:.1f}/search), "
-            f"wait {knn['wait_us']:.1f} us, scan {knn['scan_us']:.1f} us, "
-            f"verify {knn['verify_us']:.1f} us"
         )
     check = summary["shard_check"]
     if check is not None:

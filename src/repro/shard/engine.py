@@ -27,18 +27,13 @@ It is the deployment's only reader, so a single query and a batch alike
 scan every shard under the deployment's supervisor.  On a timed
 deployment a batch additionally **pipelines verification with
 scanning**: each shard job stamps a stratum with the instant its last
-coverage run landed, and a range query's candidates are verified on one
-CPU timeline band by band, each as soon as *its stratum* has landed —
-while the rest of that shard's sweep, and every slower shard, is still
-scanning — instead of after the fork/join barrier.  The batch's kNN
-searches then run on the same CPU, in spec order from where the range
-pipeline left it (from the fork itself when it booked nothing): a
-search waits for a stratum's landing before it first reads it, pays its
-on-demand scans on their shard's device queue behind that shard's
-prefetch, and is charged each admitted row set's verification where it
-admits it.  Timing only: results, iteration order, and every
-I/O counter are identical to charging verification serially after the
-join.  That schedule is one optional object, the scanner's
+coverage run landed, and every query's candidates — a range plan's and
+a kNN spec's point bands alike — are verified on one CPU timeline band
+by band, each as soon as *its stratum* has landed — while the rest of
+that shard's sweep, and every slower shard, is still scanning — instead
+of after the fork/join barrier.  Timing only: results, iteration order,
+and every I/O counter are identical to charging verification serially
+after the join.  That schedule is one optional object, the scanner's
 :class:`VerifyTimeline`: an untimed deployment has none, and neither
 has a single tree, whose :class:`BandScanner` runs on no scheduler.
 """
@@ -164,17 +159,10 @@ class ShardScatterScanner:
         Under a supervisor, a quarantined shard's sub-band is dropped
         (counted in the supervisor's ``bands_dropped``) and the
         remaining shards' entries are returned — a degraded, never
-        wrong-by-inclusion result.  A kNN search on the verify CPU first
-        waits for the band's stratum to land
-        (:meth:`VerifyTimeline.wait_landed`).
+        wrong-by-inclusion result.
         """
         self.scan_calls += 1
         parts = self._parts(band)
-        timeline = self.timeline
-        if timeline is not None and timeline.searching and band.sv_lo_q == band.sv_hi_q:
-            # A single-SV band routes whole to its stratum's shard.
-            resident = self.scanners[parts[0][0]].residency(band.tid, band.sv_lo_q)
-            timeline.wait_landed(resident)
         if self.supervisor is None:
             if len(parts) == 1:
                 shard, sub = parts[0]
@@ -204,7 +192,7 @@ class ShardScatterScanner:
         jobs run through the scheduler: they touch disjoint trees,
         pools, and counters, so the resulting stores and I/O counts are
         identical with or without virtual overlap.  On a timed
-        deployment the timeline records the fork and each shard's
+        deployment the timeline records each shard's
         virtual finish instant (:attr:`VerifyTimeline.shard_ends`), and
         each stratum's landing is stamped on its residency (the clock
         is handed down: the shard scanners know no clock).
@@ -233,9 +221,6 @@ class ShardScatterScanner:
                 (lambda shard=shard, job=job: self.supervisor.run(shard, job))
                 for (shard, _), job in zip(jobs, thunks)
             ]
-        timeline = self.timeline
-        if timeline is not None:
-            timeline.cpu = clock.cursor()
         _, ends = self.scheduler.run_timed(
             thunks,
             recorder=self.tree.recorder,
@@ -243,21 +228,18 @@ class ShardScatterScanner:
             labels=[f"shard{shard}" for shard, _ in jobs],
             category="device",
         )
-        if timeline is not None:
-            timeline.shard_ends = {shard: end for (shard, _), end in zip(jobs, ends)}
+        if self.timeline is not None:
+            self.timeline.shard_ends = {shard: end for (shard, _), end in zip(jobs, ends)}
 
 
 class VerifyTimeline:
     """The verify CPU of one batch on a timed sharded deployment.
 
-    The engine tells it each band's and query's verification and when
-    the kNN searches start and end; a running search, each stratum it
-    reads and each row set it verifies.
+    The engine books each verified band (:meth:`book_verified`), closes
+    each query (:meth:`charge_query`) and ends the batch
+    (:meth:`end_batch`).
 
     Attributes:
-        cpu: where the CPU is free: the fork of the last prefetch (None
-            before one); while the searches run, where the running one
-            started.
         shard_ends: per-shard finish instants of the last prefetch.
         verify_items: ``(ready, examined)`` per verified band whose
             stratum a prefetch stamped, in booking order.
@@ -270,20 +252,10 @@ class VerifyTimeline:
         self.tree = scatter.tree
         self.scanners = scatter.scanners
         self.clock = scatter.scheduler.clock
-        self.cpu: float | None = None
         self.shard_ends: dict[int, float] = {}
         self.verify_items: list[tuple[float, int]] = []
         self._chain: dict[int, float] = {}  # sv_q -> ready, this query
         self._chained = 0
-        # The price of one candidate while the searches run (None
-        # otherwise), and how long the running search has waited.
-        self._verify_us: float | None = None
-        self._waited = 0.0
-
-    @property
-    def searching(self) -> bool:
-        """Between :meth:`start_searches` and :meth:`end_searches`."""
-        return self._verify_us is not None
 
     def book_verified(self, band: BandRequest, examined: int) -> None:
         """Put one verified band on the verify timeline, if it landed.
@@ -313,50 +285,28 @@ class VerifyTimeline:
         self._chain.clear()
         return chained
 
-    def charge_query(self, examined: int, knn: bool) -> None:
+    def charge_query(self, examined: int) -> None:
         """Charge one replayed query's verification in virtual time.
 
-        A range query's bands booked on the verify timeline are priced
-        by :meth:`start_searches`; the rest of its ``examined`` — bands
-        without a landing instant — is charged serially on the worker's
-        cursor.  A kNN search on the verify CPU was charged as it ran,
-        so only its span is traced.  Charged here, once per query of a
-        batch, and nowhere else: single queries report device time alone.
+        Its bands booked on the verify timeline are priced by
+        :meth:`end_batch`; the rest of its ``examined`` — bands without
+        a landing instant — is charged serially on the worker's cursor.
+        Charged here, once per query of a batch, and nowhere else:
+        single queries report device time alone.
         """
-        clock = self.clock
-        verify_us = self.tree.latency_model.verify_us
-        if not knn:
-            clock.advance((examined - self.end_query()) * verify_us)
-            return
-        start, waited = self.end_search()
-        recorder = self.tree.recorder
-        if recorder is not None and recorder.enabled:
-            end = clock.cursor()
-            verify = examined * verify_us
-            joined = max(self.shard_ends.values(), default=start)
-            recorder.span(
-                "engine/verify",
-                "verify.knn",
-                start,
-                end,
-                category="engine",
-                args={
-                    "wait_us": waited,
-                    "scan_us": max(0.0, end - start - waited - verify),
-                    "verify_us": verify,
-                    "tail_us": max(0.0, end - joined),
-                },
-            )
+        unbooked = examined - self.end_query()
+        self.clock.advance(unbooked * self.tree.latency_model.verify_us)
 
-    def _price_pipeline(self, verify_us: float) -> float | None:
-        """The range queries' booked bands on the verify CPU; its end
-        (None when nothing was booked)."""
+    def _price_pipeline(self) -> float | None:
+        """The booked bands on the verify CPU; its end (None when
+        nothing was booked)."""
         if not self.verify_items:
             return None
         # One CPU takes the booked bands as they become ready (the sort
         # is stable, so a query's chain keeps its order): it may verify
         # the first-landed stratum while every shard still scans.
         items = sorted(self.verify_items, key=itemgetter(0))
+        verify_us = self.tree.latency_model.verify_us
         start = cursor = items[0][0]
         idle = 0.0
         for ready, examined in items:
@@ -380,65 +330,15 @@ class VerifyTimeline:
             )
         return cursor
 
-    # ------------------------------------------------------------------
-    # kNN searches on the verify CPU
-    # ------------------------------------------------------------------
-
-    def start_searches(self) -> None:
-        """Run the batch's kNN searches on the verify CPU.
-
-        The CPU is free once the range pipeline ends, or from the
-        prefetch's fork when nothing was booked.  Serial work on the
-        worker's cursor since the join (a band without a landing
-        instant) holds it too; without a fork there is only that.
-        Until :meth:`end_searches`, the clock's cursor is the running
-        search's: it waits in :meth:`wait_landed`, its on-demand scans
-        are charged at it, and :meth:`charge_verified` advances it.
-        """
-        clock = self.clock
-        verify_us = self.tree.latency_model.verify_us
-        pipeline_end = self._price_pipeline(verify_us)
-        cursor = clock.cursor()
-        start = self.cpu if pipeline_end is None else pipeline_end
-        if start is None or cursor > max(self.shard_ends.values()):
-            start = cursor if start is None else max(start, cursor)
-        clock.set_cursor(start)
-        self.cpu = start
-        self._verify_us = verify_us
-
-    def wait_landed(self, resident) -> None:
-        """Hold the running search until ``resident``'s stratum landed.
-
-        Called before each read of a stratum; the cursor only moves
-        forward, so only the first read of a stratum can wait.
-        """
-        if self._verify_us is None or resident is None or resident.landed is None:
-            return
-        wait = resident.landed - self.clock.cursor()
-        if wait > 0:
-            self._waited += wait
-            self.clock.set_cursor(resident.landed)
-
-    def charge_verified(self, examined: int) -> None:
-        """Charge the running search for verifying ``examined`` rows."""
-        if self._verify_us is not None and examined:
-            self.clock.advance(examined * self._verify_us)
-
-    def end_search(self) -> tuple[float, float]:
-        """Close one search; ``(its start, time it waited for landings)``.
-
-        The next search starts where this one ended.
-        """
-        start, waited = self.cpu, self._waited
-        self.cpu = self.clock.cursor()
-        self._waited = 0.0
-        return start, waited
-
-    def end_searches(self) -> None:
-        """End the batch at the latest of the join, the range pipeline
-        and the last search (the cursor is past the pipeline's end)."""
-        self._verify_us = None
-        self.clock.join(list(self.shard_ends.values()))
+    def end_batch(self) -> None:
+        """End the batch at the latest of the join, the verify CPU and
+        the worker's cursor, which the prefetch left at the join and
+        :meth:`charge_query` moved past it by any serial charge."""
+        ends = list(self.shard_ends.values())
+        pipeline_end = self._price_pipeline()
+        if pipeline_end is not None:
+            ends.append(pipeline_end)
+        self.clock.join(ends)
 
 
 __all__ = ["ShardScatterScanner", "VerifyTimeline"]

@@ -11,6 +11,7 @@ recompute_speeds=True)`` heal it, and a faithful round-trip through
 :mod:`repro.core.checkpoint` is clean.
 """
 
+import gc
 import gzip
 import json
 import os
@@ -63,6 +64,40 @@ def test_faithful_round_trip_is_consistent(tmp_path):
     assert restored.max_speed_x == tree.max_speed_x
     assert restored.max_speed_y == tree.max_speed_y
     assert list(restored.btree.items()) == list(tree.btree.items())
+
+
+def test_load_pauses_the_cyclic_collector_only_for_the_store(tmp_path, monkeypatch):
+    """The store rebuild runs with the collector paused; afterwards, and
+    after a rebuild that raises, the collector is as it was found."""
+    import repro.core.checkpoint as checkpoint
+
+    save_peb_tree(populated_tree(), str(tmp_path))
+    seen = []
+    rebuild = checkpoint.store_from_dict
+
+    def spy(payload):
+        seen.append(gc.isenabled())
+        return rebuild(payload)
+
+    monkeypatch.setattr(checkpoint, "store_from_dict", spy)
+    was = gc.isenabled()
+    try:
+        for collecting in (True, False):
+            (gc.enable if collecting else gc.disable)()
+            assert load_peb_tree(str(tmp_path)).check_consistency() == []
+            assert gc.isenabled() == collecting
+
+        def broken(payload):
+            raise ValueError("corrupt store")
+
+        monkeypatch.setattr(checkpoint, "store_from_dict", broken)
+        gc.enable()
+        with pytest.raises(ValueError, match="corrupt store"):
+            load_peb_tree(str(tmp_path))
+        assert gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
 
 
 def test_stale_speed_checkpoint_is_detected_and_recomputable(tmp_path):

@@ -141,7 +141,7 @@ def test_every_shape_answers_alike_and_reports_what_it_has(shape):
     if watched:
         names = {event.name for event in deployment.recorder.spans()}
         assert {"update.flush", "update.sweep", "scan.prefetch", "scan.shard"} <= names
-        assert {"query.replay", "verify.pipeline", "verify.knn"} <= names
+        assert {"query.replay", "verify.pipeline"} <= names
 
 
 def test_setting_the_recorder_field_reaches_the_supervisor():

@@ -390,42 +390,32 @@ def test_verify_pipeline_spans_carry_items_idle_and_tail():
     assert f"verify pipeline over {len(pipelines)} batches: tail " in text
 
 
-def test_verify_knn_spans_split_each_search_into_wait_scan_and_verify():
+def test_verify_pipeline_carries_the_knn_bands_and_starts_before_the_join():
     recorder = TraceRecorder()
     _run(recorder=recorder, knn_fraction=0.5)
-    searches = recorder.spans("verify.knn")
-    assert searches
+    pipelines = recorder.spans("verify.pipeline")
     batches = recorder.spans("batch.serve")
     scans = recorder.spans("scan.shard")
+    plans = recorder.instants("plan")
+    assert sum(plan.args["knn_bands"] for plan in plans) > 0
     early = 0
-    for span in searches:
-        args = span.args
-        assert min(args.values()) >= 0.0
-        parts = args["wait_us"] + args["scan_us"] + args["verify_us"]
-        assert parts == pytest.approx(span.dur_us)
-        # The tail is measured against the slowest shard job of the
-        # search's own batch.
-        end = span.start_us + span.dur_us
+    for plan in plans:
         lo, hi = next(
             (b.start_us, b.start_us + b.dur_us)
             for b in batches
-            if b.start_us <= span.start_us and end <= b.start_us + b.dur_us
+            if b.start_us <= plan.ts_us <= b.start_us + b.dur_us
         )
-        joined = max(
-            (s.start_us + s.dur_us for s in scans if lo <= s.start_us <= hi),
-            default=span.start_us,
-        )
-        assert args["tail_us"] == pytest.approx(max(0.0, end - joined))
+        mine = [span for span in pipelines if lo <= span.start_us <= hi]
+        if not plan.args["knn_bands"] and not mine:
+            continue
+        # Every kNN point band returns its friend's row, so each is an
+        # item of its batch's one pipeline.
+        (span,) = mine
+        assert span.args["items"] >= plan.args["knn_bands"]
+        joined = max(s.start_us + s.dur_us for s in scans if lo <= s.start_us <= hi)
         early += span.start_us < joined
-    # The point of the timeline: a search starts before its batch joins.
+    # The point of the timeline: verification starts before its batch joins.
     assert early
-
-    summary = summarize_trace(chrome_trace(recorder))["verify_knn"]
-    assert summary["searches"] == len(searches)
-    for key in ("wait_us", "scan_us", "verify_us", "tail_us"):
-        assert summary[key] == pytest.approx(sum(span.args[key] for span in searches))
-    text = render_trace_report(chrome_trace(recorder))
-    assert f"verify knn over {len(searches)} searches: tail " in text
 
 
 def test_embedded_metrics_publish_each_run_level_series_once():

@@ -1,51 +1,43 @@
 """Property pin for the verify CPU's priced schedule.
 
-On a timed deployment the scatter scanner prices a range query's
-verification band by band on one CPU timeline: a band's rows may be
-verified once its *stratum* has landed (``StratumResidency.landed``,
-stamped by the shard job's prefetch sweep) and this query's previous
-band of the same SV is done.  The batch's kNN searches then run on the
-same CPU from where that pipeline ended (from the prefetch's fork when
-it booked nothing): a search waits for a stratum's landing before it
-first reads it, its on-demand scans queue on their shard's device, and
-each admitted row set is charged its verification where it is admitted.
-Results never depended on that schedule, so before this file nothing
-pinned it.  Hypothesis draws 1/2/4 shards, batches whose issuers
-differ in ``t_query`` (so they walk the partitions in different
-order), range + kNN mixes, and a transient
-``FaultWindowSchedule`` under a ``ShardSupervisor``; every example
-checks
+On a timed deployment the scatter scanner prices every query's
+verification band by band on one CPU timeline — a range plan's bands
+and a kNN spec's point bands alike: a band's rows may be verified once
+its *stratum* has landed (``StratumResidency.landed``, stamped by the
+shard job's prefetch sweep) and this query's previous band of the same
+SV is done.  Results never depended on that schedule, so before this
+file nothing pinned it.  Hypothesis draws 1/2/4 shards, batches whose
+issuers differ in ``t_query`` (so they walk the partitions in different
+order), range + kNN mixes, and a transient ``FaultWindowSchedule`` under
+a ``ShardSupervisor``; every example checks
 
-(a) **feasibility** — every range item starts at or after the instant
-    its stratum's last coverage run really landed (read off the sweep
-    by a spy, not off the stamp) and after this query's previous
-    same-SV item; every kNN charge starts at or after the real landing
-    of the stratum it verifies and after the search's last on-demand
-    scan returned; range items and kNN charges never overlap on the
-    one CPU; Σ item cost equals Σ ``candidates_examined × verify_us``
-    of the range specs and Σ kNN charge that of the kNN specs; and the
-    batch ends in ``[max(shard_ends), serial_end]`` — the upper end is
-    the serial-after-the-join schedule;
+(a) **feasibility** — every verified band of every spec is an item;
+    every item starts at or after the instant its stratum's last
+    coverage run really landed (read off the sweep by a spy, not off the
+    stamp) and after this query's previous same-SV item; Σ item cost
+    equals Σ ``candidates_examined × verify_us`` over all specs; and the
+    batch ends at ``max(join, pipeline end)``, inside
+    ``[max(shard_ends), serial_end]`` — the upper end is the
+    serial-after-the-join schedule;
 (b) **the execution exists** — re-running each query's verification in
     the priced order, over rows from ``tests/reference_scan.py``,
     examines per band what was booked and yields the query's ``uids``
-    and ``candidates_examined``;
+    (a range spec) or k nearest (a kNN spec) and
+    ``candidates_examined``;
 (c) **timing only** — results, counters and physical reads equal the
     serial-after-the-join schedule (:class:`SerialScatter`) and an
     untimed clone.
 
-Four mutants that must fail it (checked by hand when written):
+Three mutants that must fail it (checked by hand when written):
 dropping the same-SV chain (``ready = resident.landed`` in
 ``VerifyTimeline.book_verified``) fails (a) even on one shard —
 an issuer with another ``t_query`` can make a query's strata of one SV
-land in another order than the query replays them; stamping at job start (``clock.cursor()`` read before
-``BandScanner.prefetch``'s sweep loop instead of after each stratum)
-fails (a) everywhere; dropping the landing wait
-(``VerifyTimeline.wait_landed`` returning at once) fails (a) on
-any batch whose search reads a probe stratum before it lands; and
-starting the searches at the fork base before the range pipeline
-(``start_searches`` ignoring ``pipeline_end``) fails (a) by
-double-booking the CPU in mixed batches.
+land in another order than the query replays them; stamping at job
+start (``clock.cursor()`` read before ``BandScanner.prefetch``'s sweep
+loop instead of after each stratum) fails (a) everywhere; and leaving a
+kNN spec's bands unbooked (``run_range_plan`` booking only plans with a
+window) fails (a)'s Σ-cost clause on any batch with a kNN spec that
+verifies a candidate.
 """
 
 from hypothesis import given, settings
@@ -55,7 +47,7 @@ from repro.engine import BandScanner, QueryEngine, UpdatePipeline
 from repro.engine.verify import CandidateVerifier
 from repro.fault import BreakerPolicy, RetryPolicy
 from repro.shard.engine import ShardScatterScanner, VerifyTimeline
-from repro.spatial.geometry import Rect
+from repro.spatial.geometry import Rect, euclidean
 from repro.storage.faults import FaultWindowSchedule, FaultyDisk
 from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
 
@@ -123,17 +115,12 @@ class SweepSpy:
 
 
 class RecordingTimeline(VerifyTimeline):
-    """The shipped verify timeline, remembering who booked what and
-    what each kNN search was charged, when and for which stratum."""
+    """The shipped verify timeline, remembering who booked what."""
 
     def __init__(self, scatter):
         super().__init__(scatter)
-        self.query = 0  # range queries closed so far, in replay order
+        self.query = 0  # queries closed so far, in replay order
         self.bookings = []  # (query, band, examined, index in verify_items)
-        self.stratum = None  # the stratum the running search reads
-        self.fetched = None  # when its last on-demand scan returned
-        self.charges = []  # (start, examined, stratum, fetched)
-        self.search_ends = []
 
     def book_verified(self, band, examined):
         index = len(self.verify_items)
@@ -145,23 +132,6 @@ class RecordingTimeline(VerifyTimeline):
         self.query += 1
         return super().end_query()
 
-    def wait_landed(self, resident):
-        if resident is not None:
-            self.stratum = (resident.tid, resident.sv_q)
-        super().wait_landed(resident)
-
-    def charge_verified(self, examined):
-        if self.searching and examined:
-            self.charges.append(
-                (self.clock.cursor(), examined, self.stratum, self.fetched)
-            )
-        super().charge_verified(examined)
-
-    def end_search(self):
-        self.search_ends.append(self.clock.cursor())
-        self.fetched = None
-        return super().end_search()
-
 
 class RecordingScatter(ShardScatterScanner):
     """The shipped scatter scanner over spied shard trees, pricing on a
@@ -169,34 +139,19 @@ class RecordingScatter(ShardScatterScanner):
 
     def __init__(self, sharded):
         super().__init__(sharded)
-        self.clock = sharded.sim_clock
         self.landings = {}
         self.scanners = [
-            BandScanner(SweepSpy(tree, self.clock, self.landings))
+            BandScanner(SweepSpy(tree, sharded.sim_clock, self.landings))
             for tree in sharded.trees
         ]
         self.timeline = RecordingTimeline(self)
 
-    def scan(self, band):
-        self.timeline.stratum = (band.tid, band.sv_lo_q)
-        rows = super().scan(band)
-        if self.timeline.searching:
-            self.timeline.fetched = self.clock.cursor()
-        return rows
-
 
 class SerialTimeline(VerifyTimeline):
-    """Verification serial, after the join: each query's candidates are
-    charged on the worker's cursor as it replays, and the kNN searches
-    run there too, after the range queries — nothing is pipelined."""
+    """Verification serial, after the join: nothing is booked, so each
+    query's candidates are charged on the worker's cursor as it replays."""
 
-    def charge_query(self, examined, knn):
-        self.clock.advance(examined * self.tree.latency_model.verify_us)
-
-    def start_searches(self):
-        pass
-
-    def end_searches(self):
+    def book_verified(self, band, examined):
         pass
 
 
@@ -252,9 +207,9 @@ def price(items, verify_us):
 def answers(report):
     return [
         (
-            result.uids
-            if hasattr(result, "uids")
-            else [(round(d, 9), obj.uid) for d, obj in result.neighbors],
+            [(round(d, 9), obj.uid) for d, obj in result.neighbors]
+            if hasattr(result, "neighbors")
+            else result.uids,
             result.candidates_examined,
         )
         for result in report.results
@@ -313,8 +268,6 @@ def test_priced_schedule_is_feasible_and_describes_the_execution(
     n_shards, queries, window
 ):
     specs = [make_spec(*query) for query in queries]
-    ranges = [q for q, spec in enumerate(specs) if isinstance(spec, RangeQuerySpec)]
-    knns = [q for q, spec in enumerate(specs) if isinstance(spec, KnnQuerySpec)]
     faulty = window is not None
 
     pipelined = deploy(n_shards, timed=True, supervised=faulty)
@@ -330,7 +283,8 @@ def test_priced_schedule_is_feasible_and_describes_the_execution(
 
     engine = EngineOn(pipelined, RecordingScatter)
     report = engine.execute_batch(specs)
-    serial_report = EngineOn(serial, SerialScatter).execute_batch(specs)
+    serial_engine = EngineOn(serial, SerialScatter)
+    serial_report = serial_engine.execute_batch(specs)
     untimed_report = QueryEngine(untimed).execute_batch(specs)
     scatter = engine.scatter
     timeline = scatter.timeline
@@ -353,9 +307,9 @@ def test_priced_schedule_is_feasible_and_describes_the_execution(
             assert resident.landed == scatter.landings.get(stratum), stratum
     assert all(landing >= t0 for landing in scatter.landings.values())
 
-    # (a) Every verified band of a range query is an item; an item
-    # starts once its stratum has landed and its chain predecessor ended.
-    # Range queries replay first, in spec order.
+    # (a) Every verified band of every spec is an item; an item starts
+    # once its stratum has landed and its chain predecessor ended.
+    # Specs replay in spec order.
     assert all(index is not None for _, _, _, index in timeline.bookings)
     assert len(timeline.bookings) == len(items)
     chain_end = {}
@@ -366,53 +320,38 @@ def test_priced_schedule_is_feasible_and_describes_the_execution(
         assert start >= scatter.landings[(tid, sv_q)], (query, band)
         assert start >= chain_end.get((query, sv_q), t0), (query, band)
         chain_end[(query, sv_q)] = end
-    assert {query for query, _, _, _ in timeline.bookings} <= set(range(len(ranges)))
+    assert {query for query, _, _, _ in timeline.bookings} <= set(range(len(specs)))
 
-    # (a) A kNN charge starts once the stratum it verifies has landed
-    # and the search's last on-demand scan has returned.
-    cells = []
-    for start, examined, stratum, fetched in timeline.charges:
-        assert start >= scatter.landings.get(stratum, t0) - EPS, stratum
-        assert fetched is None or start >= fetched
-        cells.append((start, start + examined * verify_us))
-
-    # (a) One CPU: range items and kNN charges never overlap.
-    intervals = sorted([spans[i] for i in order] + cells)
-    for before, after in zip(intervals, intervals[1:]):
-        assert after[0] >= before[1] - EPS, (before, after)
-
-    # (a) What the CPU prices is the specs' verification, by kind.
+    # (a) What the CPU prices is every spec's verification.
     booked = sum(examined for _, examined in items)
-    assert booked == sum(report.results[q].candidates_examined for q in ranges)
-    charged = sum(examined for _, examined, _, _ in timeline.charges)
-    assert charged == sum(report.results[q].candidates_examined for q in knns)
-    assert len(timeline.search_ends) == len(knns)
+    assert booked == sum(result.candidates_examined for result in report.results)
 
-    # (a) The batch ends between the fork/join and the serial schedule,
-    # at the latest of the join, the pipeline and the last search.
+    # (a) The batch ends at the latest of the join and the pipeline,
+    # between the fork/join and the serial schedule.
     joined = max(timeline.shard_ends.values(), default=t0)
     cpu_end = spans[order[-1]][1] if order else t0
     end = clock.cursor()
     serial_end = serial.sim_clock.cursor()
+    assert end == max(joined, cpu_end)
     assert joined - EPS <= end <= serial_end + EPS
-    assert end == max(joined, cpu_end, *timeline.search_ends)
-    if not knns:
-        assert abs(serial_end - (joined + booked * verify_us)) <= EPS
+    serial_joined = max(serial_engine.scatter.timeline.shard_ends.values(), default=t0)
+    assert abs(serial_end - (serial_joined + booked * verify_us)) <= EPS
 
     # (b) The priced order is an execution: replayed band by band over
     # the per-entry reference it examines what was booked and finds
     # what the engine answered.
     reference = reference_scatter(untimed)
-    by_item = {
-        index: (ranges[query], band) for query, band, _, index in timeline.bookings
-    }
-    for q in ranges:
-        spec = specs[q]
+    by_item = {index: (query, band) for query, band, _, index in timeline.bookings}
+    for q, spec in enumerate(specs):
         verifier = CandidateVerifier(untimed.store, spec.q_uid, spec.t_query)
-        found = set()
+        found = []
+        knn = isinstance(spec, KnnQuerySpec)
 
         def collect(obj, x, y):
-            found.add(obj.uid)
+            if knn:
+                found.append((euclidean(spec.qx, spec.qy, x, y), obj.uid))
+            else:
+                found.append(obj.uid)
             return False
 
         for index in order:
@@ -420,27 +359,39 @@ def test_priced_schedule_is_feasible_and_describes_the_execution(
             if query != q:
                 continue
             examined = verifier.candidates_examined
-            verifier.admit_rows(reference.scan(band), spec.window, collect)
+            verifier.admit_rows(reference.scan(band), None if knn else spec.window, collect)
             assert verifier.candidates_examined - examined == items[index][1]
-        assert found == report.results[q].uids
-        assert verifier.candidates_examined == report.results[q].candidates_examined
+        result = report.results[q]
+        if knn:
+            nearest = [(d, obj.uid) for d, obj in result.neighbors]
+            assert sorted(found)[: spec.k] == nearest
+        else:
+            assert set(found) == result.uids
+        assert verifier.candidates_examined == result.candidates_examined
 
 
 def test_pipeline_beats_the_join_barrier_and_serial_charges_the_rest():
-    """The effect itself, on one fixed batch: with several shards the
-    pipelined batch ends strictly before the serial one, and an
-    un-prefetched batch (nothing stamped) prices exactly the serial
-    schedule."""
-    specs = WORLD.query_generator().range_queries(WORLD.uids, 12, 420.0, 130.0)
-    ends = []
-    for scatter in (ShardScatterScanner, SerialScatter):
-        sharded = deploy(4, timed=True)
-        report = EngineOn(sharded, scatter).execute_batch(specs)
-        assert report.stats.candidates_examined > 0
-        ends.append(sharded.sim_clock.cursor())
-    pipelined_end, serial_end = ends
-    assert pipelined_end < serial_end
+    """The effect itself, on fixed batches — range-only, kNN-only and
+    mixed: with several shards the pipelined batch ends strictly before
+    the serial one, and an un-prefetched batch (nothing stamped) prices
+    exactly the serial schedule."""
+    generator = WORLD.query_generator()
+    batches = {
+        "range": generator.range_queries(WORLD.uids, 12, 420.0, 130.0),
+        "knn": generator.knn_queries(WORLD.states, 12, 4, 130.0),
+        "mixed": generator.mixed_queries(WORLD.states, 12, 420.0, 4, 130.0),
+    }
+    for kind, specs in batches.items():
+        ends = []
+        for scatter in (ShardScatterScanner, SerialScatter):
+            sharded = deploy(4, timed=True)
+            report = EngineOn(sharded, scatter).execute_batch(specs)
+            assert report.stats.candidates_examined > 0, kind
+            ends.append(sharded.sim_clock.cursor())
+        pipelined_end, serial_end = ends
+        assert pipelined_end < serial_end, kind
 
+    specs = batches["range"]
     on_demand = []
     for scatter in (OnDemandScatter, OnDemandSerialScatter):
         sharded = deploy(4, timed=True)
