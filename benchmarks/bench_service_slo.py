@@ -30,9 +30,13 @@ Exit gates:
 * **p99 monotone** — under the no-batching policy, p99 sojourn must be
   monotonically non-decreasing in arrival rate (the same request
   stream compressed in time can only queue more, never less).
-* **batching wins** — at the gated (highest) rate, the ``B=64`` policy
-  must beat ``B=1`` on physical reads per request while keeping p99
-  sojourn under ``--max-p99-ms``.
+* **batching reads no more** — at the gated (highest) rate, the
+  ``B=64`` policy must read no more physical pages per request than
+  ``B=1`` — and, under ``--smoke``, at most
+  :data:`SMOKE_MAX_BATCHED_READS` — while keeping p99 sojourn under
+  ``--max-p99-ms``.  A range plan fetches each friend whose cell can
+  reach the window at its live key, so one request at a time may
+  already read the floor; the gate asks batching not to lose it.
 
 Usage::
 
@@ -52,6 +56,12 @@ import sys
 from repro.bench.harness import ExperimentConfig, ExperimentHarness
 from repro.bench.reporting import SeriesTable
 
+
+#: Reads per request ``B=64`` may not exceed at the gated rate under
+#: ``--smoke``: 0.50 with point bands at each friend's live key (``B=1``
+#: reads 0.50 too), 2.56 (against 3.29 for ``B=1``) while a range plan
+#: banded every friend over the window's span.
+SMOKE_MAX_BATCHED_READS = 1.0
 
 #: (label, max_batch, max_wait_us) — the admission policies swept.
 POLICIES = (
@@ -148,8 +158,8 @@ def main(argv: list[str] | None = None) -> int:
         # Small enough for CI, but still ≥3 rates × 2 policies so the
         # knee curve and both gates stay meaningful.
         # Buffer deliberately smaller than the query working set: with
-        # everything cached, B=1 amortizes through the buffer exactly
-        # as well as batching and the reads-per-request gate is a wash.
+        # everything cached, neither policy reads and the
+        # reads-per-request gate measures nothing.
         args.users = 1200
         args.policies = 10
         args.requests = 96
@@ -242,19 +252,24 @@ def main(argv: list[str] | None = None) -> int:
             )
             break
 
-    # Gate 2: at the gated (highest) rate, batching must pay for its
-    # delay — fewer reads per request than B=1, p99 still bounded.
+    # Gate 2: at the gated (highest) rate, batching must not read more
+    # than B=1, nor (smoke) more than the bound, with p99 still bounded.
     batched_label = policies[-1][0]
     solo_gate = solo_rows[-1]
     batched_gate = by_policy[batched_label][-1]
     solo_reads = solo_gate["stats"]["reads_per_request"]
     batched_reads = batched_gate["stats"]["reads_per_request"]
     batched_p99_ms = batched_gate["stats"]["overall"]["p99_us"] / 1000
-    if batched_reads >= solo_reads:
+    if batched_reads > solo_reads:
         failures.append(
-            f"{batched_label} did not amortize I/O at rate {rates[-1]:.0f}: "
-            f"{batched_reads:.2f} reads/request vs {solo_reads:.2f} "
-            f"for {solo_label}"
+            f"{batched_label} read more than {solo_label} at rate "
+            f"{rates[-1]:.0f}: {batched_reads:.2f} reads/request vs "
+            f"{solo_reads:.2f}"
+        )
+    if args.smoke and batched_reads > SMOKE_MAX_BATCHED_READS:
+        failures.append(
+            f"{batched_label} read {batched_reads:.2f} pages a request at rate "
+            f"{rates[-1]:.0f} (> {SMOKE_MAX_BATCHED_READS})"
         )
     if batched_p99_ms > args.max_p99_ms:
         failures.append(

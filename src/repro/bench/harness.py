@@ -68,6 +68,10 @@ class BatchQueryCosts:
         dedup_ratio: fraction of band requests the batch served without
             touching the tree (:attr:`repro.engine.ExecutionStats.dedup_ratio`).
         sequential_seconds, batched_seconds: wall-clock of each mode.
+        distinct_io: distinct pages the batch touches, per query — the
+            floor no schedule of its scans can read below: the same
+            batch on a cold pool that holds the whole tree reads each
+            touched page once.
     """
 
     sequential_io: float
@@ -76,6 +80,7 @@ class BatchQueryCosts:
     dedup_ratio: float
     sequential_seconds: float
     batched_seconds: float
+    distinct_io: float
 
     @property
     def io_reduction(self) -> float:
@@ -574,6 +579,13 @@ class ExperimentHarness(World):
 
         _check_same_uids("batched", specs, sequential, report.results)
 
+        self._start_measuring(self.peb)
+        pool = self.peb.btree.pool
+        pool.clear()
+        pool.resize(max(pool.disk.page_count, 1))
+        QueryEngine(self.peb).execute_batch(specs)
+        distinct_reads = self._stop_measuring(self.peb)
+
         return BatchQueryCosts(
             sequential_io=sequential_reads / count,
             batched_io=batched_reads / count,
@@ -581,6 +593,7 @@ class ExperimentHarness(World):
             dedup_ratio=report.stats.dedup_ratio,
             sequential_seconds=sequential_seconds,
             batched_seconds=batched_seconds,
+            distinct_io=distinct_reads / count,
         )
 
     # ------------------------------------------------------------------

@@ -3,13 +3,20 @@
 Four steps, all implemented by :mod:`repro.engine`:
 
 1. Per live time partition, enlarge the query window (as in the Bx-tree)
-   and convert it to a Z-value window — the planner.
+   — the planner.
 2. Fetch the query issuer's friend list — the users holding a policy
    about the issuer — sorted ascending by sequence value, keeping only
    the friends with a policy that holds at the query time over a region
    meeting the window (nobody else can qualify).
-3. Combine: for each friend SV and each partition, search the PEB-key
-   range ``[TID ⊕ SV ⊕ ZV_lo ; TID ⊕ SV ⊕ ZV_hi]`` — the band scanner.
+3. Combine: the paper searches, for each friend SV and each partition,
+   the PEB-key range ``[TID ⊕ SV ⊕ ZV_lo ; TID ⊕ SV ⊕ ZV_hi]`` of the
+   enlarged window.  The update memo names each friend's live key, and
+   with it the one partition and cell that range could find the friend
+   in, so the planner applies the enlargement to the friend instead: a
+   friend whose cell lies inside its partition's enlarged window gets
+   the point range ``[TID ⊕ SV ⊕ ZV ; TID ⊕ SV ⊕ ZV]`` at that key, and
+   every other friend provably stands outside the window at the query
+   time — the band scanner.
 4. Verify every candidate's actual location at query time and its policy
    — the verifier.
 
@@ -20,13 +27,9 @@ and a friend already located is never searched again — in later
 Z-intervals *or* later partitions.  The executor applies the rule once
 for every query type.
 
-Because the SV occupies the bits above the ZV, all search ranges of one
-(partition, SV) pair are at most a few entries apart on disk; the plan
-scans the single covering range ``[SV ⊕ ZV_min ; SV ⊕ ZV_max]`` (the same
-single-interval treatment the paper itself applies in the PkNN algorithm)
-and verifies candidates.  The leaves touched are identical to scanning the
-per-interval subranges with the paper's skip rules, so the I/O counts
-match the Figure 7 procedure while avoiding per-interval descents.
+The Figure 7 procedure itself — coarse Z-intervals of the enlarged
+window over the whole ``[SV_min ; SV_max]`` friend range — is the span
+scan ablation (:func:`repro.core.ablation.prq_span_scan`).
 
 This module is a thin adapter: it owns the public :func:`prq` signature
 and the :class:`PRQResult` type, and delegates execution to

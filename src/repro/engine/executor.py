@@ -319,13 +319,15 @@ class QueryEngine:
                 :mod:`repro.workloads.queries` types), in any mix.
 
         Every spec is planned up front and every planned band joins one
-        prefetch, sorted into key order: a range plan's bands (the skip
-        rule can only *remove* bands, so the prefetched superset is
-        always sufficient) and a kNN spec's point bands, one per visible
-        friend at its live key (:func:`repro.core.pknn.plan_pknn`).  A
-        stratum holds one raw sequence value, so issuers share leaves
-        rather than strata, and a key-ordered sweep reads a shared leaf
-        while it is resident.
+        prefetch, sorted into key order: a range plan's point bands, one
+        per friend whose cell can reach the window
+        (:meth:`repro.engine.plan.QueryPlanner.plan_range`), and a kNN
+        spec's, one per visible friend (:func:`repro.core.pknn.plan_pknn`),
+        each at the friend's live key.  Replay asks for no band outside
+        the prefetch (the skip rule can only *remove* bands).  A stratum
+        holds one raw sequence value, so issuers share leaves rather
+        than strata, and a key-ordered sweep reads a shared leaf while
+        it is resident.
 
         Replay is one loop in spec order; results and ``degraded``
         flags come back in spec order.  A kNN spec is a range plan

@@ -7,17 +7,20 @@ stretch of the PEB-tree,
 
     ``[TID ⊕ SV_lo ⊕ ZV_lo ; TID ⊕ SV_hi ⊕ ZV_hi]``,
 
-with ``SV_lo == SV_hi`` for the per-friend bands of the default
-algorithm and ``SV_lo < SV_hi`` for the coarse whole-friend-list span of
-the Figure 7 ablation.
+with ``SV_lo == SV_hi`` for the per-friend bands of the served plans
+and ``SV_lo < SV_hi`` for the coarse whole-friend-list span of the
+Figure 7 ablation.
 
 A plan captures everything *static* about a query: the live partition
 contexts (per-partition window enlargements of Figure 2), the friends
-who can qualify sorted ascending by sequence value, and one band per
-(partition, friend).  A PkNN is static too: one point band per visible
-friend at the live key the update memo holds
-(:meth:`QueryPlanner.plan_knn_probe`), whose rows the executor verifies
-like a range plan's, without a window.
+who can qualify sorted ascending by sequence value, and the bands.  The
+update memo names each friend's live key, so both served plans fetch a
+friend where it is: a PRQ plans one point band
+``[TID ⊕ SV ⊕ ZV ; TID ⊕ SV ⊕ ZV]`` per friend whose cell, at its
+partition's label, lies inside the window enlarged for that partition
+(:meth:`QueryPlanner.plan_range`), and a PkNN one per visible friend
+(:meth:`QueryPlanner.plan_knn_probe`), whose rows the executor
+verifies like a range plan's, without a window.
 
 Under Definition 2 a friend is in an answer only if one of its policies
 toward the issuer holds at ``t_query`` and the friend stands inside that
@@ -69,7 +72,7 @@ class BandRequest(NamedTuple):
     """One key-contiguous scan request against the PEB-tree.
 
     A NamedTuple rather than a dataclass: plans allocate one per
-    (partition, friend), so construction cost is on the per-query path.
+    banded friend, so construction cost is on the per-query path.
 
     Attributes:
         tid: time-partition id the band lives in.
@@ -120,11 +123,12 @@ class PlannedBand(NamedTuple):
 class QueryPlan:
     """The static scan schedule of one range-shaped query.
 
-    Bands are ordered partition-major, then friend-ascending-by-SV —
-    the exact iteration order of the paper's Figure 7 procedure, which
-    the executor replays with the skip rule applied.  ``visible`` is the
-    issuer's visibility map at ``t_query`` over ``window`` when the
-    planner computed one (the verifier computes it otherwise).
+    Bands are ordered partition-major, then ascending by SV — the
+    iteration order of the paper's Figure 7 procedure (key order for
+    the served plans' point bands), which the executor replays with the
+    skip rule applied.  ``visible`` is the issuer's visibility map at
+    ``t_query`` over ``window`` when the planner computed one (the
+    verifier computes it otherwise).
     """
 
     q_uid: int
@@ -217,35 +221,50 @@ class QueryPlanner:
     def plan_range(self, q_uid: int, window: Rect, t_query: float) -> QueryPlan:
         """Plan a PRQ-shaped scan (also serves the aggregates).
 
-        Per live partition the window is enlarged and reduced to its
-        single covering Z-span (see :mod:`repro.core.prq` for why one
-        span per (partition, SV) matches the per-interval I/O); one band
-        is planned per (partition, friend who can qualify — see
-        :meth:`range_friends`).
+        Figure 2 enlarges the window per live partition because an
+        indexed position is known only as of its partition's label:
+        at ``t_query`` a user stands within ``max_speed · |t_query −
+        label|`` of it.  The update memo names each friend's live key
+        (``tree.live_key``), and with it the partition and the grid
+        cell the friend stood in at that label, so the enlargement is
+        tested per friend instead of scanned per window: one point band
+        ``[TID ⊕ SV ⊕ ZV ; TID ⊕ SV ⊕ ZV]`` is planned per friend who
+        can qualify (see :meth:`range_friends`) whose key lies in a
+        live partition and whose cell lies inside
+        ``grid.cell_box(context.enlarged(window))`` of that partition's
+        context.  Every other friend's rows provably miss the window at
+        ``t_query``.  ``Grid.cell_of`` clamps a position outside the
+        space into an edge cell, and the box clamps the same way, so a
+        friend who left the space still meets its box.  Bands come in
+        key order, partition-major and SV-ascending, as
+        :meth:`plan_knn_probe`'s do.
         """
         visible, friends = self.range_friends(q_uid, window, t_query)
         contexts = self.contexts(t_query)
         bands: list[PlannedBand] = []
         if friends:
-            quantize_sv = self.tree.codec.quantize_sv
-            quantized = [(quantize_sv(sv), uid) for sv, uid in friends]
-            # One band per (partition, friend), ~58 a query: built as
-            # plain tuples of the two NamedTuple types, without their
-            # Python-level __new__ (what NamedTuple._make does too).
-            new = tuple.__new__
-            for context in contexts:
-                span = self.tree.grid.z_span(context.enlarged(window))
-                if span is None:
+            tree = self.tree
+            grid = tree.grid
+            boxes = {
+                context.tid: grid.cell_box(context.enlarged(window))
+                for context in contexts
+            }
+            live_key = tree.live_key
+            decompose = tree.codec.decompose
+            decode, bits = grid.curve.decode, grid.bits
+            for _, friend_uid in friends:
+                key = live_key(friend_uid)
+                if key is None:
                     continue
-                z_lo, z_hi = span
-                tid = context.tid
-                bands += [
-                    new(
-                        PlannedBand,
-                        (friend_uid, new(BandRequest, (tid, sv_q, sv_q, z_lo, z_hi))),
-                    )
-                    for sv_q, friend_uid in quantized
-                ]
+                tid, sv_q, zv = decompose(key)
+                box = boxes.get(tid)
+                if box is None:
+                    continue
+                ix, iy = decode(zv, bits)
+                if box[0] <= ix <= box[1] and box[2] <= iy <= box[3]:
+                    band = BandRequest(tid, sv_q, sv_q, zv, zv)
+                    bands.append(PlannedBand(friend_uid, band))
+            bands.sort(key=itemgetter(1))
         return QueryPlan(
             q_uid=q_uid,
             t_query=t_query,

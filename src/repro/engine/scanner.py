@@ -353,9 +353,9 @@ class BandScanner:
         as they would in that loop.
 
         Args:
-            bands: the batch's band requests — the static range plans'
-                bands (an upper bound on what replay asks) and the kNN
-                specs' point bands, in key order.
+            bands: the batch's band requests — the range plans' and
+                the kNN specs' point bands (every band replay asks
+                for), in key order.
             clock: the virtual clock the sweep is charged on, when the
                 caller wants each stratum stamped with the instant it
                 landed (:attr:`StratumResidency.landed`).

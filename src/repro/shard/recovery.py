@@ -82,17 +82,22 @@ class ShardCheckpointer:
 
         Restores the checkpointed page images and metadata in place,
         replays the shard's post-checkpoint log through the shard
-        tree's own batch path, and closes the shard's breaker.  The
-        shard's disk must be healthy enough to serve the restore writes
-        and the replay — faults here propagate (heal or clear the
-        injected schedule first).
+        tree's own batch path, reloads the deployment's merged update
+        memo, and closes the shard's breaker.  The shard's disk must be
+        healthy enough to serve the restore writes and the replay —
+        faults here propagate (heal or clear the injected schedule
+        first).
         """
         tree = self.tree.trees[shard]
-        restore_peb_tree_state(self.shard_dir(shard), tree)
         replay = list(self._logs[shard])
-        if replay:
-            tree.update_batch(replay)
-            tree.btree.pool.flush()
+        try:
+            restore_peb_tree_state(self.shard_dir(shard), tree)
+            if replay:
+                tree.update_batch(replay)
+                tree.btree.pool.flush()
+        finally:
+            # The shard's memo was rewritten behind the deployment.
+            self.tree.reload_live_keys()
         if self.tree.supervisor is not None:
             self.tree.supervisor.reset(shard)
         return len(replay)

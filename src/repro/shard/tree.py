@@ -16,7 +16,7 @@ boundaries, scans the owning shards under the supervisor, if any, and
 concatenates their rows in key order, for a single query and a batch
 alike.  Write path: the deployment plans a batch exactly as
 :meth:`PEBTree.update_batch` does — dedup, classify against the
-live-key memos, sort one op run globally — then cuts the sorted
+merged live-key memo, sort one op run globally — then cuts the sorted
 run at shard-key boundaries (one stable pass, order preserved) and
 hands every shard a ready-to-apply sorted run for
 :meth:`repro.btree.BPlusTree.apply_sorted_batch`.  No re-sorting, and
@@ -128,6 +128,13 @@ class ShardedPEBTree(Deployment):
             )
         #: Attached by :class:`repro.shard.recovery.ShardCheckpointer`.
         self.checkpointer = None
+        #: The merged update memo: uid -> live key, whichever shard holds
+        #: it.  Written wherever a shard's memo is (:meth:`insert`,
+        #: :meth:`delete`, :meth:`update_batch`, and
+        #: :meth:`reload_live_keys` after a shard is restored), so a
+        #: lookup is one probe, not a route.
+        self._live_keys: dict[int, int] = {}
+        self.reload_live_keys()
 
     @classmethod
     def build(
@@ -253,44 +260,27 @@ class ShardedPEBTree(Deployment):
     # Membership
     # ------------------------------------------------------------------
 
-    def _home(self, uid: int) -> PEBTree | None:
-        """The shard tree a user's sequence value routes to (None for a
-        user without one, who cannot be indexed)."""
-        try:
-            sv = self.store.sequence_value(uid)
-        except KeyError:
-            return None
-        return self.trees[self.router.shard_of(self.codec.quantize_sv(sv))]
-
     def live_key(self, uid: int) -> int | None:
-        """The user's live key from the update memo, or None.
-
-        A user's shard is fixed by its sequence value, so one probe of
-        that shard's memo answers: no other shard can hold the user.
-        """
-        home = self._home(uid)
-        return home._live_keys.get(uid) if home is not None else None
-
-    def _held_elsewhere(self, uid: int) -> bool:
-        """True when a shard other than the user's home memoizes it: its
-        sequence value was re-assigned across a router boundary under
-        the live deployment, which the routed :meth:`live_key` cannot
-        see."""
-        home = self._home(uid)
-        return any(uid in tree._live_keys for tree in self.trees if tree is not home)
+        """The user's live key from the merged update memo, or None."""
+        return self._live_keys.get(uid)
 
     def contains(self, uid: int) -> bool:
-        return self.live_key(uid) is not None
+        return uid in self._live_keys
 
     def __len__(self) -> int:
         return sum(len(tree) for tree in self.trees)
 
     def live_keys(self) -> dict[int, int]:
-        """The merged update memo (uid -> current key) across shards."""
-        merged: dict[int, int] = {}
+        """A copy of the merged update memo (uid -> current key)."""
+        return dict(self._live_keys)
+
+    def reload_live_keys(self) -> None:
+        """Rebuild the merged memo from the shards' memos: for a shard
+        whose memo was written behind the facade (a checkpoint restore,
+        a replay through the shard tree itself)."""
+        self._live_keys.clear()
         for tree in self.trees:
-            merged.update(tree._live_keys)
-        return merged
+            self._live_keys.update(tree._live_keys)
 
     def key_for(self, obj: MovingObject) -> int:
         """The PEB-key for the object's current state (Equation 5)."""
@@ -302,17 +292,18 @@ class ShardedPEBTree(Deployment):
 
     def insert(self, obj: MovingObject, pntp: int = 0) -> None:
         """Index a user's state in its key's owning shard."""
-        if self.contains(obj.uid) or self._held_elsewhere(obj.uid):
+        if obj.uid in self._live_keys:
             raise KeyError(f"user {obj.uid} is already indexed; use update()")
-        shard = self.router.shard_of_key(self.key_for(obj))
-        self.trees[shard].insert(obj, pntp)
+        key = self.key_for(obj)
+        self.trees[self.router.shard_of_key(key)].insert(obj, pntp)
+        self._live_keys[obj.uid] = key
         self.max_speed_x = max(self.max_speed_x, abs(obj.vx))
         self.max_speed_y = max(self.max_speed_y, abs(obj.vy))
 
     def delete(self, uid: int) -> bool:
         """Remove a user's entry; True if the user was indexed."""
-        home = self._home(uid)
-        return home is not None and home.delete(uid)
+        key = self._live_keys.pop(uid, None)
+        return key is not None and self.trees[self.router.shard_of_key(key)].delete(uid)
 
     def update(self, obj: MovingObject, pntp: int = 0) -> None:
         """Replace a user's entry (single-state batch; same semantics)."""
@@ -323,7 +314,7 @@ class ShardedPEBTree(Deployment):
 
         The classification and the sorted op run come from the same
         :func:`repro.core.peb_tree.plan_update_batch` the single tree
-        uses — only the live-key lookup spans shards.  The final hop
+        uses, over the deployment's merged live-key memo.  The final hop
         differs: the globally sorted run is cut at shard-key boundaries
         (:meth:`ShardRouter.split_sorted_run`, order preserved, no
         re-sort) and each cut is applied by one
@@ -353,9 +344,10 @@ class ShardedPEBTree(Deployment):
         re-buffering) while every other shard's sweep lands normally.
         """
         updates = list(updates)
+        live_keys = self._live_keys
         plan = plan_update_batch(
             updates,
-            self.live_key,
+            live_keys.get,
             self.key_for,
             self.records.pack,
             self.max_speed_x,
@@ -363,12 +355,17 @@ class ShardedPEBTree(Deployment):
         )
         shard_of_key = self.router.shard_of_key
         shard_of_uid: dict[int, int] = {}
+        old_keys = plan.old_keys
         for uid, new_key in plan.new_keys.items():
             shard = shard_of_uid[uid] = shard_of_key(new_key)
-            # The routed probe looks in the shard the user's current SV
-            # names, so a user it misses is new — unless another shard
-            # still holds it under an SV re-assigned across a boundary.
-            if plan.old_keys[uid] is None and self._held_elsewhere(uid):
+            # The shard is the current SV's; a live key in another shard
+            # was composed under an SV re-assigned across a boundary.
+            old_key = old_keys[uid]
+            if (
+                old_key is not None
+                and old_key != new_key
+                and shard_of_key(old_key) != shard
+            ):
                 raise ValueError(
                     f"user {uid}'s new key routes to shard {shard} but its "
                     "live key lives in another shard: a user's sequence "
@@ -389,6 +386,7 @@ class ShardedPEBTree(Deployment):
             shard = shard_of_uid[uid]
             if shard not in dead:  # a deferred user keeps its pre-batch key
                 self.trees[shard]._live_keys[uid] = new_key
+                live_keys[uid] = new_key
         self.max_speed_x = plan.max_vx
         self.max_speed_y = plan.max_vy
         for tree in self.trees:
@@ -568,13 +566,19 @@ class ShardedPEBTree(Deployment):
     # ------------------------------------------------------------------
 
     def check_consistency(self, repair: bool = False) -> list[str]:
-        """Per-shard audits plus cross-shard ownership checks."""
+        """Per-shard audits plus cross-shard ownership checks, and the
+        merged memo against the shards' memos."""
         problems: list[str] = []
         for shard, tree in enumerate(self.trees):
             problems.extend(
                 f"shard {shard}: {problem}"
                 for problem in tree.check_consistency(repair=repair)
             )
+        if repair:
+            # The planner reads the deployment's maxima, not a shard's.
+            for tree in self.trees:
+                self.max_speed_x = max(self.max_speed_x, tree.max_speed_x)
+                self.max_speed_y = max(self.max_speed_y, tree.max_speed_y)
         seen: dict[int, int] = {}
         for shard, tree in enumerate(self.trees):
             for uid, key in tree._live_keys.items():
@@ -588,6 +592,16 @@ class ShardedPEBTree(Deployment):
                         f"routes to shard {self.router.shard_of_key(key)}"
                     )
                 seen[uid] = shard
+        for uid, shard in seen.items():
+            key = self.trees[shard]._live_keys[uid]
+            merged = self._live_keys.get(uid)
+            if merged != key:
+                problems.append(
+                    f"user {uid} memoized as {key} in shard {shard} "
+                    f"but as {merged} by the deployment"
+                )
+        for uid in self._live_keys.keys() - seen.keys():
+            problems.append(f"user {uid} memoized by the deployment but by no shard")
         return problems
 
     def check_invariants(self) -> None:

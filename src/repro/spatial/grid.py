@@ -57,9 +57,14 @@ class Grid:
         return (1 << self.zv_bits) - 1
 
     def cell_of(self, coordinate: float) -> int:
-        """Cell index of one axis coordinate, clamped into the grid."""
-        cell = int(coordinate / self.cell_size)
-        return min(max(cell, 0), self.cells_per_axis - 1)
+        """Cell index of one axis coordinate, clamped into the grid
+        (an infinite coordinate included: a window over the whole space
+        may have infinite bounds)."""
+        if coordinate <= 0.0:
+            return 0
+        if coordinate >= self.space_side:
+            return self.cells_per_axis - 1
+        return min(int(coordinate / self.cell_size), self.cells_per_axis - 1)
 
     def z_value(self, x: float, y: float) -> int:
         """Curve value of the cell containing ``(x, y)`` (clamped into space)."""

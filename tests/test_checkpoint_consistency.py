@@ -414,3 +414,23 @@ def test_a_failed_restore_leaves_the_live_tree_untouched(tmp_path, damaged):
     # Intact again, the same checkpoint does restore.
     restore_peb_tree_state(str(tmp_path), live)
     assert _whole_tree(live) == _whole_tree(world.peb)
+
+
+def test_repair_raises_a_deployments_speed_maxima_with_its_shards():
+    """Shards with stale maxima assembled into a deployment: the planner
+    enlarges windows by the deployment's maxima, so ``repair=True``
+    raises those as well as the shards'."""
+    from repro.shard import ShardedPEBTree
+
+    world = build_world(n_users=60, n_policies=4, seed=5)
+    trees = world.deploy(2).trees
+    for tree in trees:
+        tree.max_speed_x = tree.max_speed_y = 0.0
+    stale = ShardedPEBTree(trees, world.deploy(2).router)
+    assert stale.max_speed_x == 0.0
+    assert any("max_speed_x" in problem for problem in stale.check_consistency())
+
+    stale.check_consistency(repair=True)
+    assert stale.check_consistency() == []
+    assert stale.max_speed_x == max(abs(obj.vx) for obj in world.states.values())
+    assert stale.max_speed_y == max(abs(obj.vy) for obj in world.states.values())

@@ -2,13 +2,17 @@
 
 The unified engine replaced five hand-rolled copies of the Section 5.3
 pipeline.  These tests pin the refactor: over randomized populations,
-policies, and seeds, the engine-based ``prq`` / ``pcount`` /
-``pdensity_grid`` return *identical results and identical
-``candidates_examined``* to the seed implementations (reproduced below,
-verbatim from the pre-engine code except for the friend list they loop
-over: the planner bands only the friends who can qualify, so the seed
-loops are handed the same list, derived here from the policies
-themselves), ``pknn`` matches the brute-force oracle, and a batch of N
+policies, and seeds, the engine-based ``prq`` / ``pcount`` return
+*identical results and identical ``candidates_examined``* to the seed
+implementations (reproduced below, verbatim from the pre-engine code
+except for the friend list they loop over: the planner bands only the
+friends who can qualify, so the seed loops are handed the same list,
+derived here from the policies themselves) when the engine runs the
+seed's plan, the window-span plan of ``tests/reference_plan.py``.  The
+served plan bands a friend only at its live key, when that key's cell
+can reach the window: it answers exactly as the window-span plan does
+and never examines more candidates.  ``pdensity_grid`` agrees with
+``prq``, ``pknn`` matches the brute-force oracle, and a batch of N
 queries matches N individual runs exactly.
 """
 
@@ -27,6 +31,7 @@ from repro.bxtree.queries import enlargement_for_label
 from repro.policy.timeset import fold
 
 from tests.conftest import build_world
+from tests.reference_plan import window_span
 
 SEEDS = (3, 23, 59)
 
@@ -151,7 +156,8 @@ def test_prq_identical_to_seed_implementation(world):
         expected_uids, expected_candidates = reference_prq(
             world.peb, query.q_uid, query.window, query.t_query
         )
-        result = prq(world.peb, query.q_uid, query.window, query.t_query)
+        with window_span():
+            result = prq(world.peb, query.q_uid, query.window, query.t_query)
         assert result.uids == expected_uids
         assert result.candidates_examined == expected_candidates
 
@@ -163,12 +169,38 @@ def test_pcount_identical_to_seed_implementation(world):
         count, candidates, early = reference_pcount(
             world.peb, query.q_uid, query.window, query.t_query, at_least
         )
-        result = pcount(
-            world.peb, query.q_uid, query.window, query.t_query, at_least
-        )
+        with window_span():
+            result = pcount(
+                world.peb, query.q_uid, query.window, query.t_query, at_least
+            )
         assert result.count == count
         assert result.candidates_examined == candidates
         assert result.terminated_early == early
+
+
+def test_served_prq_answers_as_the_window_span_plan(world):
+    for query in world.query_generator().range_queries(world.uids, 20, 280.0, 5.0):
+        args = (world.peb, query.q_uid, query.window, query.t_query)
+        with window_span():
+            expected = prq(*args)
+        result = prq(*args)
+        assert result.uids == expected.uids
+        assert result.candidates_examined <= expected.candidates_examined
+
+
+def test_served_pcount_answers_as_the_window_span_plan(world):
+    rng = random.Random(101)
+    for query in world.query_generator().range_queries(world.uids, 12, 350.0, 5.0):
+        args = (world.peb, query.q_uid, query.window, query.t_query)
+        at_least = rng.choice((None, 1, 2, 5))
+        with window_span():
+            expected = pcount(*args, at_least)
+        result = pcount(*args, at_least)
+        assert (result.count, result.terminated_early) == (
+            expected.count,
+            expected.terminated_early,
+        )
+        assert result.candidates_examined <= expected.candidates_examined
 
 
 def test_pdensity_consistent_with_prq(world):

@@ -147,9 +147,11 @@ def test_pipeline_fault_stats_exclude_faults_between_flushes():
     sum of what the supervisor counted *during* its flushes.
 
     The read indices are spread so that every phase meets a fault:
-    6/4/13/14 faults for flush, query, flush, query.  Which attempts
-    each phase makes depends on the page layout and the prefetch
-    order, so re-spread them when either moves.  Each half of the
+    6/3/10/2 faults for flush, query, flush, query.  Which attempts
+    each phase makes depends on the page layout, the prefetch order and
+    how many pages a query batch reads, so re-spread them when any of
+    these moves (read 7 was read 9 while a range plan banded every
+    friend over the window's span, and the query batches read more).  Each half of the
     stream crosses a partition rollover, so it is put in the buffer
     directly: one flush per half, each spanning both partitions.
     """
@@ -159,7 +161,7 @@ def test_pipeline_fault_stats_exclude_faults_between_flushes():
     # Sparse enough that no retried job exhausts, spread so that both
     # flushes and both query batches run into some (asserted below).
     schedule = TransientFaultSchedule(
-        fail_reads={2, 9, 12, 20, 27, 31, 36, 40, 45, 50},
+        fail_reads={2, 7, 12, 20, 27, 31, 36, 40, 45, 50},
         fail_writes={3, 9, 12, 15},
     )
     for disk in shard_disks(sharded):

@@ -530,10 +530,14 @@ def test_a_fault_mid_sweep_leaves_what_the_per_band_loop_leaves():
 
 
 def test_prefetch_enters_the_tree_once_per_shard_job(monkeypatch):
-    """Not once per band: the batch's bands ride one sweep per shard."""
+    """Not once per band: the batch's bands ride one sweep per shard.
+
+    A range plan holds about two point bands a query (one per friend
+    whose cell can reach the window), so the batch takes 60 queries for
+    its bands to outnumber the shard jobs tenfold."""
     world = build_world(n_users=220, n_policies=8, seed=29)
     sharded = world.deploy(4)
-    specs = world.query_generator().range_queries(world.uids, 12, 300.0, 5.0)
+    specs = world.query_generator().range_queries(world.uids, 60, 300.0, 5.0)
 
     calls: Counter = Counter()
     prefetching = []

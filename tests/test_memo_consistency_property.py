@@ -8,8 +8,9 @@ disagrees with the entries silently drops a friend from an answer.
 So after every step of a random history on a supervised 1- and 4-shard
 deployment, ``check_consistency()`` must be empty — no entry the memo
 does not know or knows under another key, no memoized user without an
-entry, no user owned by two shards — and the routed ``live_key`` must
-answer what the merged memo holds.  The steps:
+entry, no user owned by two shards, no user the deployment's merged
+memo (what ``live_key`` reads) holds otherwise than its shard's memo —
+and ``live_key`` must answer what the merged memo holds.  The steps:
 
 * buffered updates through an :class:`UpdatePipeline` (small capacity,
   so some flush on their own) and explicit flushes;

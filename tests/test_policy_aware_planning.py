@@ -9,7 +9,10 @@ only a friend with a time-admitting policy.  The reference is a
 test-local subclass whose ``range_friends`` and ``visible_friends``
 hand back the unwindowed visibility map and the whole friend list — the
 planner as it was before.  Against it, over random single- and
-multi-policy stores on one tree and on 1 and 4 shards:
+multi-policy stores on one tree and on 1 and 4 shards (its range plan
+is the window-span plan of ``tests/reference_plan.py``, every kept
+friend banded over the enlarged window's Z-span in every live
+partition, so the reference stays unpruned in space as well):
 
 * PRQ, ``pcount``, ``pdensity_grid``, ``at_least`` and PkNN answer
   identically (PkNN: neighbours and their distances, fetch and walk),
@@ -17,8 +20,10 @@ multi-policy stores on one tree and on 1 and 4 shards:
 * ``candidates_examined`` is never higher, except the Section 5.4
   walk's: it reads only the kept friends' strata, but pruning shifts
   its Figure 9 schedule, so it can examine more (ROADMAP item 17);
-* the planned bands are the reference's, minus the pruned friends', in
-  the same order (the PkNN fetch's point bands likewise);
+* a range plan holds at most one point band per kept friend, at the
+  live key the memo names, in a live partition, in key order, and every
+  user in the answer has one; the PkNN fetch's point bands are the
+  reference's minus the pruned friends', in the same order;
 * a friend is pruned exactly when it provably fails Definition 2: no
   policy admits it at the point of the window nearest its region.
 
@@ -56,6 +61,8 @@ from repro.spatial import Grid
 from repro.spatial.geometry import Rect
 from repro.storage import BufferPool, SimulatedDisk
 from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
+
+from tests.reference_plan import WindowSpanPlanner
 
 SIDE = 1000.0
 T = 1440.0
@@ -110,7 +117,7 @@ POLICY_CALLS = st.lists(
 # ----------------------------------------------------------------------
 
 
-class UnprunedPlanner(QueryPlanner):
+class UnprunedPlanner(WindowSpanPlanner):
     def range_friends(self, q_uid, window, t_query):
         return self.tree.store.visibility_map(q_uid, t_query), self.friends(q_uid)
 
@@ -336,7 +343,13 @@ def test_pruned_planner_matches_the_unpruned_reference(
             for friend in full.friends
             if can_qualify(store, friend[1], q_uid, t_query, window)
         ]
-        assert plan.bands == [b for b in full.bands if b.friend_uid in kept]
+        live = {context.tid for context in plan.contexts}
+        banded = [b.friend_uid for b in plan.bands]
+        assert set(banded) <= kept and len(set(banded)) == len(banded)
+        for planned in plan.bands:
+            tid, sv_q, zv = tree.codec.decompose(tree.live_key(planned.friend_uid))
+            assert planned.band == (tid, sv_q, sv_q, zv, zv) and tid in live
+        assert [b.band for b in plan.bands] == sorted(b.band for b in plan.bands)
 
         # -- range-shaped answers: identical, never more candidates --
         got = prq(tree, q_uid, window, t_query)
@@ -345,7 +358,7 @@ def test_pruned_planner_matches_the_unpruned_reference(
         assert got.uids == expected.uids == brute_force_prq(
             states, store, q_uid, window, t_query
         )
-        assert got.uids <= kept
+        assert got.uids <= set(banded) <= kept
         assert got.candidates_examined <= expected.candidates_examined
 
         got = pcount(tree, q_uid, window, t_query, at_least)

@@ -383,12 +383,17 @@ def test_timed_sharded_run_pins_to_direct_replay(arrival):
     """The tentpole property: a service run is an *orchestration* of
     the engine.  Replaying the recorded batches directly through a twin
     deployment's UpdatePipeline + execute_batch reproduces every query
-    result, and the final trees match entry for entry."""
-    world = build_world(n_users=120, n_policies=8, seed=33)
-    twin_world = build_world(n_users=120, n_policies=8, seed=33)
+    result, and the final trees match entry for entry.
+
+    The shards are larger than their pools (400 users, 8 frames a
+    shard), so every batch reads: a range plan bands only the friends
+    whose cell can reach the window, and on a tree its pools held whole
+    a batch of such plans could find every page resident."""
+    world = build_world(n_users=400, n_policies=8, seed=33)
+    twin_world = build_world(n_users=400, n_policies=8, seed=33)
 
     def deploy(w):
-        sharded = w.deploy(2, buffer_pages=256, latency="ssd")
+        sharded = w.deploy(2, buffer_pages=8, latency="ssd")
         for pool in sharded.pools:
             pool.clear()
         return sharded

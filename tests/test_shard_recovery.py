@@ -154,3 +154,20 @@ def test_recovered_shard_checkpoints_again(tmp_path):
     expected = list(sharded.items())
     assert checkpointer.recover(0) == second_tail
     assert list(sharded.items()) == expected
+
+
+def test_recovery_reloads_the_deployments_memo(tmp_path):
+    """A restore rewrites the shard's memo behind the deployment: a user
+    deleted after the checkpoint (deletes are not logged) is back in the
+    shard, and the deployment's merged memo, which ``live_key`` reads,
+    follows it."""
+    sharded = deploy()
+    checkpointer = ShardCheckpointer(sharded, str(tmp_path))
+    checkpointer.checkpoint()
+    uid = next(uid for uid in WORLD.uids if uid in sharded.trees[1]._live_keys)
+    key = sharded.live_key(uid)
+    assert sharded.delete(uid) and sharded.live_key(uid) is None
+
+    checkpointer.recover(1)
+    assert sharded.live_key(uid) == key == sharded.trees[1]._live_keys[uid]
+    assert sharded.check_consistency() == []

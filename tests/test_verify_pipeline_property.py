@@ -8,8 +8,11 @@ shard job's prefetch sweep) and this query's previous band of the same
 SV is done.  Results never depended on that schedule, so before this
 file nothing pinned it.  Hypothesis draws 1/2/4 shards, batches whose
 issuers differ in ``t_query`` (so they walk the partitions in different
-order), range + kNN mixes, and a transient ``FaultWindowSchedule`` under
-a ``ShardSupervisor``; every example checks
+order), range + kNN mixes, the served range plan or the window-span
+plan of ``tests/reference_plan.py`` (whose bands come partition-major
+in each issuer's own partition order, not in key order), and a
+transient ``FaultWindowSchedule`` under a ``ShardSupervisor``; every
+example checks
 
 (a) **feasibility** — every verified band of every spec is an item;
     every item starts at or after the instant its stratum's last
@@ -28,22 +31,35 @@ a ``ShardSupervisor``; every example checks
     serial-after-the-join schedule (:class:`SerialScatter`) and an
     untimed clone.
 
-Three mutants that must fail it (checked by hand when written):
-dropping the same-SV chain (``ready = resident.landed`` in
-``VerifyTimeline.book_verified``) fails (a) even on one shard —
-an issuer with another ``t_query`` can make a query's strata of one SV
-land in another order than the query replays them; stamping at job
-start (``clock.cursor()`` read before ``BandScanner.prefetch``'s sweep
-loop instead of after each stratum) fails (a) everywhere; and leaving a
-kNN spec's bands unbooked (``run_range_plan`` booking only plans with a
-window) fails (a)'s Σ-cost clause on any batch with a kNN spec that
-verifies a candidate.
+Three mutants that must fail it (each checked on a scratch copy, each
+failing within 30 s under ``pytest -x``): dropping the same-SV chain
+(``ready = resident.landed`` in ``VerifyTimeline.book_verified``) fails
+(a) even on one shard on a window-span draw — an issuer with another
+``t_query`` can make a query's strata of one SV land in another order
+than the query replays them (the served plan holds one point band per
+friend, in key order, which is the order its strata land in, so the
+chain never binds for it); stamping at job start (``clock.cursor()``
+read before ``BandScanner.prefetch``'s sweep loop instead of after each
+stratum) fails (a) everywhere; and leaving a kNN spec's bands unbooked
+(``run_range_plan`` booking only plans with a window) fails (a)'s
+Σ-cost clause on any batch with a kNN spec that verifies a candidate.
+
+Each drawn deployment shape is built once (:func:`deploy` keeps its
+pickled image) and every example gets a fresh copy, so a failing example
+shrinks in seconds rather than re-deploying three worlds per step; and
+the explain phase, which re-runs a shrunk failure hundreds of times only
+to annotate which of its arguments could vary, is skipped.  Generation
+and shrinking are hypothesis's own.
 """
 
-from hypothesis import given, settings
+import io
+import pickle
+
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import BandScanner, QueryEngine, UpdatePipeline
+from repro.engine.plan import QueryPlanner
 from repro.engine.verify import CandidateVerifier
 from repro.fault import BreakerPolicy, RetryPolicy
 from repro.shard.engine import ShardScatterScanner, VerifyTimeline
@@ -52,6 +68,7 @@ from repro.storage.faults import FaultWindowSchedule, FaultyDisk
 from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
 
 from tests.conftest import build_world
+from tests.reference_plan import WindowSpanPlanner
 from tests.reference_scan import reference_scatter
 
 PAGE_SIZE = 1024
@@ -65,7 +82,37 @@ RETRY = RetryPolicy(max_attempts=12, base_backoff_us=50.0)
 EPS = 1e-6
 
 
+PLANNERS = {"served": QueryPlanner, "window span": WindowSpanPlanner}
+#: What every copy shares with the world instead of copying.
+SHARED = (WORLD.store, WORLD.grid, WORLD.partitioner)
+#: Pickled images of the built deployments, by shape.
+BUILT = {}
+
+
+class SharingPickler(pickle.Pickler):
+    def persistent_id(self, obj):
+        for index, part in enumerate(SHARED):
+            if obj is part:
+                return index
+        return None
+
+
+class SharingUnpickler(pickle.Unpickler):
+    def persistent_load(self, index):
+        return SHARED[index]
+
+
 def deploy(n_shards, timed, supervised=False):
+    """A fresh copy of the shape's deployment, built on first use."""
+    shape = (n_shards, timed, supervised)
+    if shape not in BUILT:
+        image = io.BytesIO()
+        SharingPickler(image).dump(build(*shape))
+        BUILT[shape] = image.getvalue()
+    return SharingUnpickler(io.BytesIO(BUILT[shape])).load()
+
+
+def build(n_shards, timed, supervised):
     sharded = WORLD.deploy(
         n_shards,
         buffer_pages=8,  # small: the prefetch sweeps do physical reads
@@ -176,14 +223,18 @@ class OnDemandSerialScatter(OnDemandScatter, SerialScatter):
 
 
 class EngineOn(QueryEngine):
-    """The engine reading through a test-local scatter scanner class;
+    """The engine planning with ``planner_class`` and reading through a
+    test-local scatter scanner class (the deployment's own without one);
     the last one it built is :attr:`scatter`."""
 
-    def __init__(self, tree, scatter_class):
+    def __init__(self, tree, scatter_class=None, planner_class=QueryPlanner):
         super().__init__(tree)
+        self.planner = planner_class(tree)
         self.scatter_class = scatter_class
 
     def new_scanner(self):
+        if self.scatter_class is None:
+            return super().new_scanner()
         self.scatter = self.scatter_class(self.tree)
         return self.scatter
 
@@ -258,17 +309,23 @@ def make_spec(kind, issuer, t_query, fx, fy, side, k):
     )
 
 
-@settings(max_examples=30, deadline=None)
+@settings(
+    max_examples=30,
+    deadline=None,
+    phases=[phase for phase in Phase if phase is not Phase.explain],
+)
 @given(
     n_shards=st.sampled_from((1, 2, 4)),
     queries=st.lists(QUERY, min_size=1, max_size=8),
     window=st.none() | st.tuples(st.floats(0.0, 600.0), st.floats(1.0, 400.0)),
+    planner=st.sampled_from(sorted(PLANNERS)),
 )
 def test_priced_schedule_is_feasible_and_describes_the_execution(
-    n_shards, queries, window
+    n_shards, queries, window, planner
 ):
     specs = [make_spec(*query) for query in queries]
     faulty = window is not None
+    planner_class = PLANNERS[planner]
 
     pipelined = deploy(n_shards, timed=True, supervised=faulty)
     serial = deploy(n_shards, timed=True, supervised=faulty)
@@ -281,11 +338,11 @@ def test_priced_schedule_is_feasible_and_describes_the_execution(
     t0 = clock.cursor()
     assert serial.sim_clock.cursor() == t0
 
-    engine = EngineOn(pipelined, RecordingScatter)
+    engine = EngineOn(pipelined, RecordingScatter, planner_class)
     report = engine.execute_batch(specs)
-    serial_engine = EngineOn(serial, SerialScatter)
+    serial_engine = EngineOn(serial, SerialScatter, planner_class)
     serial_report = serial_engine.execute_batch(specs)
-    untimed_report = QueryEngine(untimed).execute_batch(specs)
+    untimed_report = EngineOn(untimed, planner_class=planner_class).execute_batch(specs)
     scatter = engine.scatter
     timeline = scatter.timeline
     items = timeline.verify_items
