@@ -403,9 +403,11 @@ class ExperimentHarness(World):
     # ------------------------------------------------------------------
 
     def _start_measuring(self, index: PEBTree | BxTree) -> None:
-        """Flush, shrink to the paper's query buffer, zero the counters."""
+        """Flush and empty the pool, shrink it to the paper's query
+        buffer, zero the counters: every measured phase starts cold,
+        whatever the phase before it left resident."""
         pool = index.btree.pool
-        pool.flush()
+        pool.clear()
         pool.resize(self.config.buffer_pages)
         pool.stats.reset()
 
@@ -546,7 +548,6 @@ class ExperimentHarness(World):
         )
 
         self._start_measuring(self.peb)
-        self.peb.btree.pool.clear()
         started = time.perf_counter()
         sequential = [
             prq(self.peb, spec.q_uid, spec.window, spec.t_query)
@@ -556,7 +557,6 @@ class ExperimentHarness(World):
         sequential_reads = self._stop_measuring(self.peb)
 
         self._start_measuring(self.peb)
-        self.peb.btree.pool.clear()
         # The harness tree runs on untimed storage, so these spans
         # carry counters rather than durations; `serve-sim --trace` is
         # the timed surface.
@@ -581,7 +581,6 @@ class ExperimentHarness(World):
 
         self._start_measuring(self.peb)
         pool = self.peb.btree.pool
-        pool.clear()
         pool.resize(max(pool.disk.page_count, 1))
         QueryEngine(self.peb).execute_batch(specs)
         distinct_reads = self._stop_measuring(self.peb)
@@ -682,7 +681,6 @@ class ExperimentHarness(World):
         sequential_io = clone.stats.physical_reads + clone.stats.physical_writes
 
         self._start_measuring(self.peb)
-        self.peb.btree.pool.clear()
         pipeline = UpdatePipeline(self.peb, capacity=batch_size)
         started = time.perf_counter()
         pipeline.extend(moved_objects)

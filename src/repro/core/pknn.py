@@ -3,15 +3,19 @@
 Definition 3 ranks only the users Definition 2 admits, and only the
 issuer's friends with a policy that holds at the query time can be
 admitted.  The served query (:func:`pknn`, and every kNN spec of
-:meth:`repro.engine.QueryEngine.execute_batch`) therefore reads each
-such friend where the update memo says it is: one point band per
-visible friend at its live key
-(:meth:`repro.engine.plan.QueryPlanner.plan_knn_probe`), every returned
-row verified, and the k nearest kept, ranked by ``(distance, uid)``.
-On the benchmark population (~29 friends a viewer) that reads fewer
-pages than the walk below and costs a fraction of its CPU; the walk
-pays off only for friend lists long enough that a ring search which
-stops at k reads less than every friend's row.
+:meth:`repro.engine.QueryEngine.execute_batch`) therefore reads, in one
+round, only the visible friends that can be among the k nearest, each
+where the update memo says it is
+(:meth:`repro.engine.plan.QueryPlanner.plan_knn_probe`): the live key's
+cell, grown by its partition's enlargement and clipped to the friend's
+visible regions, bounds the friend's distance from below, and a friend
+whose grown cell lies inside one region is sure to qualify within the
+distance of the cell's far corner, so a friend whose lower bound
+exceeds the k-th such upper bound is never fetched.  Every returned row
+is verified and the k nearest are kept, ranked by ``(distance, uid)``.
+On the benchmark population (~37 visible friends a query) that plans
+about 12 point bands a query and reads fewer pages than the walk below
+at a fraction of its CPU.
 
 The rest of this module is the paper's own algorithm, kept as the
 reproduced Section 5.4 search behind :func:`pknn_walk` (what the PkNN
@@ -366,16 +370,19 @@ class _MatrixSearch:
         return self.result
 
 
-def plan_pknn(planner: QueryPlanner, q_uid: int, k: int, t_query: float) -> QueryPlan:
+def plan_pknn(
+    planner: QueryPlanner, q_uid: int, qx: float, qy: float, k: int, t_query: float
+) -> QueryPlan:
     """The served plan of one PkNN: the issuer's visibility map at
-    ``t_query`` and one point band per visible friend
-    (:meth:`QueryPlanner.plan_knn_probe`); nothing at all for ``k = 0``."""
+    ``t_query`` and one point band per friend that can be among the k
+    nearest of ``(qx, qy)`` (:meth:`QueryPlanner.plan_knn_probe`);
+    nothing at all for ``k = 0``."""
     if k <= 0:
         visible: VisibilityMap = {}
         bands: list[PlannedBand] = []
     else:
         visible = planner.tree.store.visibility_map(q_uid, t_query)
-        bands = planner.plan_knn_probe(q_uid, visible, t_query)
+        bands = planner.plan_knn_probe(q_uid, visible, qx, qy, k, t_query)
     return QueryPlan(
         q_uid=q_uid,
         t_query=t_query,
@@ -422,8 +429,9 @@ def pknn(
 ) -> PKNNResult:
     """Run a PkNN ``(qID, qLoc=(qx, qy), k, tq)`` on the PEB-tree.
 
-    Served as a fetch of every visible friend's row at its live key
-    (:func:`plan_pknn`), on a fresh scanner.  ``k = 0`` is the empty
+    Served as a fetch, at its live key, of the row of every visible
+    friend that can be among the k nearest (:func:`plan_pknn`), on a
+    fresh scanner.  ``k = 0`` is the empty
     answer; a negative ``k`` or a non-finite ``qx``/``qy``/``t_query``
     raises :class:`ValueError` before anything is planned or read.  A
     finite query point outside the space is answered like any other;
@@ -431,7 +439,8 @@ def pknn(
     """
     check_knn_arguments(k, qx, qy, t_query)
     engine = QueryEngine(tree)
-    return pknn_from_plan(engine, plan_pknn(engine.planner, q_uid, k, t_query), qx, qy, k)
+    plan = plan_pknn(engine.planner, q_uid, qx, qy, k, t_query)
+    return pknn_from_plan(engine, plan, qx, qy, k)
 
 
 def pknn_walk(

@@ -322,8 +322,9 @@ class QueryEngine:
         prefetch, sorted into key order: a range plan's point bands, one
         per friend whose cell can reach the window
         (:meth:`repro.engine.plan.QueryPlanner.plan_range`), and a kNN
-        spec's, one per visible friend (:func:`repro.core.pknn.plan_pknn`),
-        each at the friend's live key.  Replay asks for no band outside
+        spec's, one per visible friend that can be among its k nearest
+        (:func:`repro.core.pknn.plan_pknn`), each at the friend's live
+        key.  Replay asks for no band outside
         the prefetch (the skip rule can only *remove* bands).  A stratum
         holds one raw sequence value, so issuers share leaves rather
         than strata, and a key-ordered sweep reads a shared leaf while
@@ -365,7 +366,7 @@ class QueryEngine:
         plans = [
             planner.plan_range(spec.q_uid, spec.window, spec.t_query)
             if isinstance(spec, RangeQuerySpec)
-            else plan_pknn(planner, spec.q_uid, spec.k, spec.t_query)
+            else plan_pknn(planner, spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query)
             for spec in specs
         ]
 

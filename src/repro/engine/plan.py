@@ -19,6 +19,9 @@ friend where it is: a PRQ plans one point band
 ``[TID ⊕ SV ⊕ ZV ; TID ⊕ SV ⊕ ZV]`` per friend whose cell, at its
 partition's label, lies inside the window enlarged for that partition
 (:meth:`QueryPlanner.plan_range`), and a PkNN one per visible friend
+whose distance lower bound — from that cell, grown by the partition's
+enlargement and clipped to the friend's visible regions — is at most
+the k-th smallest upper bound among the friends sure to qualify
 (:meth:`QueryPlanner.plan_knn_probe`), whose rows the executor
 verifies like a range plan's, without a window.
 
@@ -28,8 +31,9 @@ policy's ``locr``.  So a range plan bands only the owners of the
 issuer's visibility map at ``t_query`` over the window
 (:meth:`repro.policy.store.PolicyStore.visibility_map`, which keeps
 only regions that meet it; :meth:`QueryPlanner.range_friends`), and a
-PkNN reads only a friend in the unwindowed map
-(:meth:`QueryPlanner.visible_friends`): everyone else provably fails
+PkNN reads only an owner of the unwindowed map (the served plan
+iterates its owners; the Section 5.4 walk keeps a matrix row per
+:meth:`QueryPlanner.visible_friends`): everyone else provably fails
 Definition 2 wherever they stand.  The map is computed once per query
 and handed on to the verifier, which tests the window before the map —
 so a region that misses the window, holding no point in it, changes no
@@ -53,6 +57,7 @@ the overlapping ones, and serve every issuer from one physical scan
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
@@ -310,46 +315,120 @@ class QueryPlanner:
         )
 
     def plan_knn_probe(
-        self, q_uid: int, visible: VisibilityMap, t_query: float
+        self,
+        q_uid: int,
+        visible: VisibilityMap,
+        qx: float,
+        qy: float,
+        k: int,
+        t_query: float,
     ) -> list[PlannedBand]:
-        """The whole plan of one PkNN: where each visible friend is.
+        """The whole plan of one PkNN: the friends that can be among the
+        k nearest of ``(qx, qy)``, each fetched where it is.
 
         Definition 3 ranks only users Definition 2 admits, and only the
-        friends the issuer's visibility map at ``t_query`` holds
-        (:meth:`visible_friends`) can be admitted.  The update memo
-        names each one's live key exactly (``tree.live_key``), so the
-        plan is one point band ``[TID ⊕ SV ⊕ ZV ; TID ⊕ SV ⊕ ZV]`` per
-        visible friend whose key lies in a live partition, in key
-        order: the friend's own row, plus any raw-tie stratum-mate
-        standing on the same cell, which the verifier then checks like
-        any other row.  A friend with no live key, or one in a
+        owners of the issuer's visibility map at ``t_query`` can be
+        admitted.  The update memo names each one's live key exactly
+        (``tree.live_key``): a friend with no live key, or one in a
         partition no query at ``t_query`` may read, gets no band — the
-        Section 5.4 walk would not reach it either.
+        Section 5.4 walk would not reach it either.  The key's cell, at
+        its partition's label, grown by that partition's enlargement
+        (Figure 2), holds the friend at ``t_query``: the *grown cell*
+        (widened by one cell on every side, so a coordinate
+        ``Grid.cell_of`` rounds into the cell is inside it, and unbounded
+        outward at the space's edge, where ``cell_of`` clamps).
 
-        The batch executor sorts these bands into one key-ordered
-        prefetch with the range plans'; the served search keeps the k
-        nearest of what they return (:func:`repro.core.pknn.pknn`).
-        The walk over the Section 5.4 search matrix
-        (:func:`repro.core.pknn.pknn_walk`) plans round by round
-        instead and never calls this.
+        Clipped to the friend's visible regions (closed intervals), the
+        grown cell bounds where the friend can qualify:
+
+        * a friend whose grown cell meets none of its regions fails
+          Definition 2 wherever it stands, and is dropped;
+        * its *lower bound* is the least distance from ``(qx, qy)`` to a
+          clipped piece;
+        * a grown cell inside one region makes the friend *sure* to
+          qualify, within the distance of the cell's farthest corner;
+        * ``τ`` is the k-th smallest of the sure friends' upper bounds
+          (infinite while fewer than k are sure): k users qualify within
+          ``τ``, so a friend whose lower bound exceeds it cannot be among
+          the k nearest.
+
+        The plan is one point band ``[TID ⊕ SV ⊕ ZV ; TID ⊕ SV ⊕ ZV]``
+        per friend whose lower bound is at most ``τ`` (``≤``, so a tie at
+        the k-th distance still ranks by uid), in key order: the
+        friend's own row, plus any raw-tie stratum-mate standing on the
+        same cell, which the verifier then checks like any other row.
+        One round, no on-demand scan: the batch executor sorts these
+        bands into one key-ordered prefetch with the range plans', and
+        the served search keeps the k nearest of what they return
+        (:func:`repro.core.pknn.pknn`).  The walk over the Section 5.4
+        search matrix (:func:`repro.core.pknn.pknn_walk`) plans round by
+        round instead and never calls this.
         """
+        if k <= 0:
+            return []
         tree = self.tree
-        partitioner = tree.partitioner
-        live = {
-            partitioner.partition_of_label(label)
-            for label in partitioner.live_labels(t_query)
-        }
+        grid = tree.grid
+        contexts = {context.tid: context for context in self.contexts(t_query)}
+        live_key = tree.live_key
         decompose = tree.codec.decompose
-        bands: list[PlannedBand] = []
-        for _, friend_uid in self.visible_friends(q_uid, visible):
-            key = tree.live_key(friend_uid)
+        decode, bits = grid.curve.decode, grid.bits
+        size, last = grid.cell_size, grid.cells_per_axis - 1
+        hypot, inf = math.hypot, math.inf
+        # (lower bound, uid, TID, sv_q, ZV) per friend whose grown cell
+        # meets a region; the upper bound of each sure friend.
+        candidates: list[tuple[float, int, int, int, int]] = []
+        sure: list[float] = []
+        for friend_uid, regions in visible.items():
+            key = live_key(friend_uid)
             if key is None:
                 continue
             tid, sv_q, zv = decompose(key)
-            if tid in live:
-                band = BandRequest(tid, sv_q, sv_q, zv, zv)
-                bands.append(PlannedBand(friend_uid, band))
-        bands.sort(key=itemgetter(1))
+            context = contexts.get(tid)
+            if context is None:
+                continue
+            ix, iy = decode(zv, bits)
+            # The grown cell: a cell wider on every side, unbounded past
+            # an edge cell.
+            x_lo = (ix - 1) * size - context.dx if ix > 0 else -inf
+            x_hi = (ix + 2) * size + context.dx if ix < last else inf
+            y_lo = (iy - 1) * size - context.dy if iy > 0 else -inf
+            y_hi = (iy + 2) * size + context.dy if iy < last else inf
+            lower = inf
+            meets = inside = False
+            for r_x_lo, r_x_hi, r_y_lo, r_y_hi in regions:
+                # The piece of the grown cell inside this region, if any.
+                lo_x = x_lo if x_lo > r_x_lo else r_x_lo
+                hi_x = x_hi if x_hi < r_x_hi else r_x_hi
+                lo_y = y_lo if y_lo > r_y_lo else r_y_lo
+                hi_y = y_hi if y_hi < r_y_hi else r_y_hi
+                if lo_x > hi_x or lo_y > hi_y:
+                    continue
+                meets = True
+                near = hypot(
+                    lo_x - qx if qx < lo_x else (qx - hi_x if qx > hi_x else 0.0),
+                    lo_y - qy if qy < lo_y else (qy - hi_y if qy > hi_y else 0.0),
+                )
+                if near < lower:
+                    lower = near
+                if lo_x == x_lo and hi_x == x_hi and lo_y == y_lo and hi_y == y_hi:
+                    inside = True
+            if not meets:
+                continue
+            if inside:
+                sure.append(  # the grown cell's farthest corner
+                    hypot(
+                        qx - x_lo if qx - x_lo > x_hi - qx else x_hi - qx,
+                        qy - y_lo if qy - y_lo > y_hi - qy else y_hi - qy,
+                    )
+                )
+            candidates.append((lower, friend_uid, tid, sv_q, zv))
+        tau = sorted(sure)[k - 1] if len(sure) >= k else inf
+        bands = [
+            PlannedBand(friend_uid, BandRequest(tid, sv_q, sv_q, zv, zv))
+            for lower, friend_uid, tid, sv_q, zv in candidates
+            if lower <= tau
+        ]
+        bands.sort(key=itemgetter(1, 0))
         return bands
 
     def plan_seed(self, q_uid: int) -> QueryPlan:

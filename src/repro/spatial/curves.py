@@ -33,6 +33,27 @@ SPREAD_TABLE_BITS = 16
 #: resolution; a memo of constants, never changed once built.
 _SPREAD_TABLES: dict[int, list[int]] = {}
 
+#: The x and y cell bits of every 16-bit Morton chunk (8 bits of each
+#: axis), built on the first decode of a grid of up to
+#: :data:`SPREAD_TABLE_BITS` bits; a memo of constants, never changed
+#: once built.  Two 64 KiB byte strings serve every such resolution.
+_COMPACT_CHUNKS: tuple[bytes, bytes] | None = None
+
+
+def _compact_chunks() -> tuple[bytes, bytes]:
+    """:data:`_COMPACT_CHUNKS`, built by encoding each 8-bit cell pair."""
+    global _COMPACT_CHUNKS
+    if _COMPACT_CHUNKS is None:
+        spread = [z_encode(v, 0) for v in range(256)]
+        xs, ys = bytearray(1 << 16), bytearray(1 << 16)
+        for ix in range(256):
+            x_bits = spread[ix]
+            for iy in range(256):
+                chunk = x_bits | spread[iy] << 1
+                xs[chunk], ys[chunk] = ix, iy
+        _COMPACT_CHUNKS = bytes(xs), bytes(ys)
+    return _COMPACT_CHUNKS
+
 
 class ZOrderCurve:
     """The Morton curve of the paper (Section 5.2, component ZV)."""
@@ -60,10 +81,20 @@ class ZOrderCurve:
         return spread[ix] | spread[iy] << 1
 
     def decode(self, value: int, bits: int) -> tuple[int, int]:
-        """Cell of a curve value on a ``2**bits`` grid."""
+        """Cell of a curve value on a ``2**bits`` grid.
+
+        Both served plans decode a friend's live key to test its cell,
+        so grids of up to :data:`SPREAD_TABLE_BITS` bits look each
+        16-bit chunk of the value up (:func:`_compact_chunks`) instead
+        of compacting its bits.
+        """
         if value < 0 or value >= 1 << (2 * bits):
             raise ValueError(f"value {value} out of range for {bits}-bit grid")
-        return z_decode(value)
+        if bits > SPREAD_TABLE_BITS:
+            return z_decode(value)
+        xs, ys = _COMPACT_CHUNKS or _compact_chunks()
+        low, high = value & 0xFFFF, value >> 16
+        return xs[low] | xs[high] << 8, ys[low] | ys[high] << 8
 
     def __repr__(self) -> str:
         return "ZOrderCurve()"

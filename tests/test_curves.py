@@ -27,7 +27,7 @@ from repro.spatial.curves import (
 from repro.spatial.geometry import Rect
 from repro.spatial.grid import Grid
 from repro.spatial.hilbert import hilbert_encode
-from repro.spatial.zcurve import z_encode
+from repro.spatial.zcurve import z_decode, z_encode
 from repro.workloads.queries import QueryGenerator
 from tests.conftest import build_world
 
@@ -96,6 +96,30 @@ def test_zcurve_encode_table(ix, iy, bits, expected):
             ZCURVE.encode(ix, iy, bits)
     else:
         assert ZCURVE.encode(ix, iy, bits) == expected
+
+
+@pytest.mark.parametrize("bits", (1, 3, 8, 9, 10, 15, 16, 17, 24, 32))
+def test_zcurve_decode_table_round_trips(bits):
+    """``decode(encode(ix, iy)) == (ix, iy)`` on sampled cells, the grid's
+    corners included: chunk lookups up to 16 bits, the computed
+    compaction beyond."""
+    rng = random.Random(bits)
+    last = (1 << bits) - 1
+    cells = [(0, 0), (last, 0), (0, last), (last, last)] + [
+        (rng.randint(0, last), rng.randint(0, last)) for _ in range(300)
+    ]
+    for ix, iy in cells:
+        value = ZCURVE.encode(ix, iy, bits)
+        assert ZCURVE.decode(value, bits) == (ix, iy) == z_decode(value)
+
+
+@pytest.mark.parametrize("value, bits", [(-1, 10), (1 << 20, 10), (-1, 20), (1 << 40, 20)])
+def test_zcurve_decode_refuses_a_value_outside_the_grid(value, bits):
+    """A negative value, or one at or past ``4**bits``, is refused, table
+    or not (a negative value would otherwise read the table from its
+    end)."""
+    with pytest.raises(ValueError, match="out of range"):
+        ZCURVE.decode(value, bits)
 
 
 @pytest.mark.parametrize("curve", [ZCURVE, HILBERT], ids=lambda c: c.name)

@@ -34,7 +34,7 @@ class OnDemandEngine(QueryEngine):
 
 def knn_bands(engine, spec):
     """The point bands a batch plans for one kNN spec."""
-    plan = plan_pknn(engine.planner, spec.q_uid, spec.k, spec.t_query)
+    plan = plan_pknn(engine.planner, spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query)
     return [planned.band for planned in plan.bands]
 
 
@@ -323,20 +323,31 @@ def test_batch_knn_bands_join_the_prefetch_set(small_world):
 
 
 def test_knn_plan_names_each_visible_friend_at_its_live_key(small_world):
-    """One point band per friend with a policy that holds at t_query,
-    at the key the update memo holds for it, in key order; every band
-    returns its friend's row."""
+    """At most one point band per friend with a policy that holds at
+    t_query, at the key the update memo holds for it, in key order; the
+    oracle's k nearest are all banded, some visible friend is not, and
+    every band returns its friend's row."""
     world = small_world
     engine = QueryEngine(world.peb)
     codec = world.peb.codec
+    pruned = 0
     for spec in world.query_generator().knn_queries(world.states, 6, 3, 5.0):
-        bands = knn_bands(engine, spec)
+        plan = plan_pknn(
+            engine.planner, spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query
+        )
+        bands = [planned.band for planned in plan.bands]
         friends = admissible_friends(world.store, spec.q_uid, None, 5.0)
-        expected = []
+        at_live_key = {}
         for _, uid in friends:
             tid, sv_q, zv = codec.decompose(world.peb._live_keys[uid])
-            expected.append(BandRequest(tid, sv_q, sv_q, zv, zv))
-        assert bands == sorted(expected)
+            at_live_key[uid] = BandRequest(tid, sv_q, sv_q, zv, zv)
+        assert all(at_live_key[p.friend_uid] == p.band for p in plan.bands)
+        assert bands == sorted(bands)
+        nearest = brute_force_pknn(
+            world.states, world.store, spec.q_uid, spec.qx, spec.qy, spec.k, 5.0
+        )
+        assert {uid for _, uid in nearest} <= {p.friend_uid for p in plan.bands}
+        pruned += len(friends) - len(bands)
         scanner = BandScanner(world.peb)
         for band in bands:
             assert any(
@@ -344,6 +355,7 @@ def test_knn_plan_names_each_visible_friend_at_its_live_key(small_world):
                 == world.peb._live_keys[rec[0]]
                 for rec in scanner.scan(band).records
             )
+    assert pruned > 0
     # k = 0 plans nothing.
     zero = KnnQuerySpec(q_uid=world.uids[0], qx=500.0, qy=500.0, k=0, t_query=5.0)
     assert knn_bands(engine, zero) == []

@@ -2,7 +2,7 @@
 
 Every tree keeps the update memo ``_live_keys`` (uid -> live PEB-key).
 The write path reads it to find a user's stale entry, and a served PkNN
-reads it to find every visible friend
+reads it to find and bound every visible friend
 (:meth:`repro.engine.plan.QueryPlanner.plan_knn_probe`): a memo that
 disagrees with the entries silently drops a friend from an answer.
 So after every step of a random history on a supervised 1- and 4-shard

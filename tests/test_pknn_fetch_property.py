@@ -1,15 +1,18 @@
 """Property pin: the served PkNN fetch against the oracle and the walk.
 
 A served PkNN (:func:`repro.core.pknn.pknn`, and each kNN spec of
-:meth:`repro.engine.QueryEngine.execute_batch`) plans one point band per
-visible friend at the live key the update memo holds, verifies what the
-bands return and keeps the k nearest, ranked by ``(distance, uid)``.
-Hypothesis draws the world, the deployment (one tree; 1 and 4 shards,
-untimed and on ssd) and a batch of specs; every spec must:
+:meth:`repro.engine.QueryEngine.execute_batch`) plans one point band at
+the live key the update memo holds per visible friend that can be among
+the k nearest, verifies what the bands return and keeps the k nearest,
+ranked by ``(distance, uid)``.  Hypothesis draws the world, the
+deployment (one tree; 1 and 4 shards, untimed and on ssd) and a batch
+of specs; every spec must:
 
-* plan exactly one band per friend in the issuer's visibility map whose
+* plan at most one band per friend in the issuer's visibility map whose
   live key lies in a partition live at ``t_query``, that key's point
-  ``[TID ⊕ SV ⊕ ZV ; TID ⊕ SV ⊕ ZV]``, in key order;
+  ``[TID ⊕ SV ⊕ ZV ; TID ⊕ SV ⊕ ZV]``, in key order, and one for every
+  user of the oracle's answer (the pruning's soundness on its own
+  worlds is ``tests/test_knn_plan_soundness_property.py``);
 * answer ``brute_force_pknn``'s ``(round(d, 9), uid)`` list over the
   users whose entries are live, served alone and in the batch;
 * answer the k-distance list of the Section 5.4 walk
@@ -100,18 +103,17 @@ def live_tids(world, t_query):
     return {partitioner.partition_of_label(t) for t in partitioner.live_labels(t_query)}
 
 
-def expected_bands(world, spec):
-    """One point band per visible friend at its live key, if live."""
-    if spec.k <= 0:
-        return []
+def allowed_bands(world, spec):
+    """uid -> its point band at its live key, per visible friend whose
+    live key lies in a live partition: the bands a plan may hold."""
     codec = world.peb.codec
     live = live_tids(world, spec.t_query)
-    bands = []
+    bands = {}
     for uid in world.store.visibility_map(spec.q_uid, spec.t_query):
         tid, sv_q, zv = codec.decompose(world.peb._live_keys[uid])
         if tid in live:
-            bands.append(BandRequest(tid, sv_q, sv_q, zv, zv))
-    return sorted(bands)
+            bands[uid] = BandRequest(tid, sv_q, sv_q, zv, zv)
+    return bands
 
 
 def oracle(world, spec):
@@ -141,10 +143,16 @@ def check(world, deployment, specs):
     engine = QueryEngine(tree)
     batch = engine.execute_batch(specs)
     for spec, batched in zip(specs, batch.results):
-        plan = plan_pknn(engine.planner, spec.q_uid, spec.k, spec.t_query)
-        assert [planned.band for planned in plan.bands] == expected_bands(world, spec)
+        plan = plan_pknn(
+            engine.planner, spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query
+        )
+        allowed = allowed_bands(world, spec)
+        assert all(allowed.get(p.friend_uid) == p.band for p in plan.bands)
+        bands = [planned.band for planned in plan.bands]
+        assert bands == sorted(bands)
         assert len({planned.friend_uid for planned in plan.bands}) == len(plan.bands)
         expected = oracle(world, spec)
+        assert {uid for _, uid in expected} <= {p.friend_uid for p in plan.bands}
         assert ranked(batched) == expected
         assert ranked(pknn(tree, spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query)) == (
             expected

@@ -22,8 +22,10 @@ partition, so the reference stays unpruned in space as well):
   its Figure 9 schedule, so it can examine more (ROADMAP item 17);
 * a range plan holds at most one point band per kept friend, at the
   live key the memo names, in a live partition, in key order, and every
-  user in the answer has one; the PkNN fetch's point bands are the
-  reference's minus the pruned friends', in the same order;
+  user in the answer has one; the PkNN fetch's point bands are some of
+  the reference's bands of the friends it keeps, in the same order, and
+  every user in the answer has one (the reference fetch bands every
+  friend on the list, without the map or the distance bound);
 * a friend is pruned exactly when it provably fails Definition 2: no
   policy admits it at the point of the window nearest its region.
 
@@ -50,7 +52,7 @@ from repro.core.pknn import _MatrixSearch, pknn, pknn_walk
 from repro.core.prq import prq
 from repro.core.sequencing import assign_sequence_values
 from repro.engine import QueryEngine
-from repro.engine.plan import QueryPlanner
+from repro.engine.plan import BandRequest, PlannedBand, QueryPlanner
 from repro.motion import MovingObject, TimePartitioner
 from repro.policy.lpp import LocationPrivacyPolicy
 from repro.policy.multistore import MultiPolicyStore
@@ -123,6 +125,21 @@ class UnprunedPlanner(WindowSpanPlanner):
 
     def visible_friends(self, q_uid, visible):
         return self.friends(q_uid)
+
+    def plan_knn_probe(self, q_uid, visible, qx, qy, k, t_query):
+        """One point band per friend on the list whose live key lies in
+        a live partition, in key order: neither the map nor the
+        distance bound prunes anyone."""
+        live = {context.tid for context in self.contexts(t_query)}
+        bands = []
+        for _, uid in self.visible_friends(q_uid, visible):
+            key = self.tree.live_key(uid)
+            if key is None:
+                continue
+            tid, sv_q, zv = self.tree.codec.decompose(key)
+            if tid in live:
+                bands.append(PlannedBand(uid, BandRequest(tid, sv_q, sv_q, zv, zv)))
+        return sorted(bands, key=lambda planned: planned.band)
 
 
 class UnprunedEngine(QueryEngine):
@@ -377,16 +394,20 @@ def test_pruned_planner_matches_the_unpruned_reference(
             assert (got.cells, got.total) == (expected.cells, expected.total)
             assert got.candidates_examined <= expected.candidates_examined
 
-        # -- PkNN: the fetch bands, and the walk's rows are, the friends
-        # with a time-admitting policy --
+        # -- PkNN: the fetch bands only, and the walk's rows are, the
+        # friends with a time-admitting policy; the fetch bands every
+        # user of the answer --
         qx, qy = rng.uniform(0.0, SIDE), rng.uniform(0.0, SIDE)
         visible = store.visibility_map(q_uid, t_query)
-        bands = pruned_planner.plan_knn_probe(q_uid, visible, t_query)
-        full_bands = full_planner.plan_knn_probe(q_uid, visible, t_query)
+        bands = pruned_planner.plan_knn_probe(q_uid, visible, qx, qy, k, t_query)
+        full_bands = full_planner.plan_knn_probe(q_uid, visible, qx, qy, k, t_query)
         assert len(full_bands) == len(store.friend_list(q_uid))
-        assert bands == [
+        admissible = [
             b for b in full_bands if can_qualify(store, b.friend_uid, q_uid, t_query)
         ]
+        assert bands == [b for b in admissible if b in bands]
+        nearest = brute_force_pknn(states, store, q_uid, qx, qy, k, t_query)
+        assert {uid for _, uid in nearest} <= {b.friend_uid for b in bands}
         search = _MatrixSearch(tree, q_uid, qx, qy, k, t_query)
         reference = _MatrixSearch(
             tree, q_uid, qx, qy, k, t_query, planner=full_planner
@@ -545,7 +566,8 @@ def test_an_issuer_whose_every_friend_is_pruned_scans_nothing(n_shards):
     result = search.run()
     assert result.neighbors == [] and result.candidates_examined == 0
     planner = QueryPlanner(tree)
-    assert planner.plan_knn_probe(0, store.visibility_map(0, 800.0), 800.0) == []
+    visible = store.visibility_map(0, 800.0)
+    assert planner.plan_knn_probe(0, visible, 500.0, 500.0, 3, 800.0) == []
     result = pknn(tree, 0, 500.0, 500.0, 3, 800.0)
     assert result.neighbors == [] and result.candidates_examined == 0
 
