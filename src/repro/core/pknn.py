@@ -103,8 +103,9 @@ class PKNNResult:
         return [obj.uid for _, obj in self.neighbors]
 
 
-def _distance_of(candidate: tuple[float, MovingObject]) -> float:
-    return candidate[0]
+def _distance_of(candidate: tuple[float, MovingObject]) -> tuple[float, int]:
+    """A candidate's rank: ``(distance, uid)``, as the oracle ranks it."""
+    return candidate[0], candidate[1].uid
 
 
 def check_knn_arguments(k: int, qx: float, qy: float, t_query: float) -> None:
@@ -459,8 +460,8 @@ def pknn_walk(
     the Figure 9 search-order ablation measure it.  ``order`` selects
     the traversal: the paper's ``"triangular"`` (Figure 9) or the naive
     ``"column"`` sweep.  Arguments are checked as :func:`pknn` checks
-    them; the answer equals :func:`pknn`'s up to the order of users at
-    one distance.
+    them; the answer equals :func:`pknn`'s, users at one distance
+    ranked by uid.
     """
     dropped = tree.bands_dropped
     result = _MatrixSearch(tree, q_uid, qx, qy, k, t_query).run(order)

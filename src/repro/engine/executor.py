@@ -68,11 +68,8 @@ class ExecutionStats(CounterSet, prefix="engine."):
             rounds), so the dedup ratio compares like with like.
         bands_scanned: physical scans that reached the tree, including
             batch prefetch merges.
-        bands_deduped: requests served from the scanner's stratum
-            residency or its memo instead of the tree.
-        residency_hits: the deduped requests a proven stratum interval
-            answered (the rest were memo hits: multi-SV spans and
-            ZV-first layouts, which keep no residency).
+        bands_deduped: requests a proven stratum interval of the
+            scanner's residency answered instead of the tree.
         candidates_examined: entries located and verified.
         physical_reads: page-level reads the buffer pool could not
             serve, measured across the execution.
@@ -92,11 +89,12 @@ class ExecutionStats(CounterSet, prefix="engine."):
             surface.
         entries_prefetched: index entries transferred by batch prefetch
             scans (0 when prefetching was off or skipped).
-        dead_entries: prefetched entries outside every band actually
-            requested during replay — the merged prefetch's over-scan,
-            measurable even on untimed storage.
-        memo_evictions: bands dropped from the scanner's exact-identity
-            memo by its LRU entry bound (0 unless a batch outgrew it).
+        dead_entries: always 0: a point band has no over-scan, and
+            nothing counts one.  Declared only because
+            ``perf/trace.py``'s ``HARVEST`` reads it; ROADMAP item 1(a)
+            removes it with that ledger.
+        memo_evictions: always 0: the scanner has no band memo.
+            Declared for ``HARVEST`` only, like :attr:`dead_entries`.
         seeks: device positionings charged during the execution, when
             the tree runs on timed devices; 0 on untimed storage.
         sequential_hits: accesses that rode a sequential run instead of
@@ -106,7 +104,6 @@ class ExecutionStats(CounterSet, prefix="engine."):
     bands_requested: int = 0
     bands_scanned: int = 0
     bands_deduped: int = 0
-    residency_hits: int = 0
     candidates_examined: int = 0
     physical_reads: int = 0
     shard_stats: "ShardStats | None" = nested()
@@ -129,13 +126,6 @@ class ExecutionStats(CounterSet, prefix="engine."):
         if self.bands_requested == 0:
             return 0.0
         return max(0.0, 1.0 - self.bands_scanned / self.bands_requested)
-
-    @derived
-    def overscan_ratio(self) -> float:
-        """Fraction of prefetched entries that no request consumed."""
-        if self.entries_prefetched == 0:
-            return 0.0
-        return self.dead_entries / self.entries_prefetched
 
 
 def check_complete(tree: "PEBTree", dropped: int) -> None:
@@ -440,8 +430,6 @@ class QueryEngine:
         report.stats = self._progress(scanner).delta_from(before)
         report.stats.candidates_examined = examined
         report.stats.entries_prefetched = scanner.entries_prefetched
-        report.stats.dead_entries = scanner.dead_entries
-        report.stats.memo_evictions = scanner.memo_evictions
         return report
 
     def _progress(self, scanner) -> ExecutionStats:
@@ -457,8 +445,7 @@ class QueryEngine:
         seen = ExecutionStats(
             bands_requested=scanner.requests,
             bands_scanned=scanner.physical_scans,
-            bands_deduped=scanner.deduped,
-            residency_hits=scanner.residency_hits,
+            bands_deduped=scanner.residency_hits,
             physical_reads=tree.stats.physical_reads,
             virtual_time_us=clock.elapsed if clock is not None else 0.0,
             seeks=latency.seeks if latency is not None else 0,

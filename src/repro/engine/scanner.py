@@ -19,13 +19,12 @@ from what it already knows before it goes to the tree:
    cross-query sharing that makes batch execution cheap) — all of them
    in one call into the tree, ``scan_bands_rows``, whose results it
    makes resident one by one as the sweep yields them; on-demand
-   scans add what they prove as replay goes.
-2. **Memo** — an exact-identity cache for the bands residency cannot
-   serve: multi-SV spans (the Figure 7 ablation) and every band of the
-   ZV-first ablation layout, where a stratum is not key-contiguous and
-   no proof may be recorded.  Bounded (:data:`DEFAULT_MEMO_ENTRIES`
-   entries, LRU): eviction can only cost I/O, never change a result.
-3. **Physical scan** — anything else goes to the tree.
+   scans add what they prove as replay goes.  Every served plan's band
+   is single-SV (a point band at a friend's live key).
+2. **Physical scan** — anything else goes to the tree: a multi-SV span
+   (the Figure 7 ablation) and every band of the ZV-first ablation
+   layout, where a stratum is not key-contiguous and no proof may be
+   recorded.
 
 A tree hands out its scanner (``PEBTree.new_scanner``); a sharded
 deployment hands out a scatter/gather one that keeps a
@@ -37,13 +36,13 @@ residency needs no invalidation: it lives and dies with its scanner.
 Residency additionally requires the SV-major key layout of Equation 5
 (all entries of one quantized SV key-contiguous, ordered by ZV); the
 scanner checks the codec's ``sv_major`` marker, and on the ZV-first
-layout :meth:`BandScanner.prefetch` is a no-op and every band goes
-through the layout-agnostic memo, so batch results stay identical to
-sequential on any codec.
+layout :meth:`BandScanner.prefetch` is a no-op and every band is a
+physical scan, so batch results stay identical to sequential on any
+codec.
 
 Physical scans go through the tree's ``scan_bands_rows`` sweep (a
 prefetch: one call per batch, or per shard job) or its one-band form
-``scan_band_rows`` (on demand), and residency and memo store and serve
+``scan_band_rows`` (on demand), and residency stores and serves
 :class:`repro.motion.rows.BandRows` — parallel (zv, record) columns
 whose ``MovingObject`` states materialize lazily, only for entries a
 verifier actually admits — in key order, exactly the sequence a direct
@@ -54,18 +53,11 @@ compare against is test equipment (``tests/reference_scan.py``, a
 subclass that decodes entry by entry and forgets what a scan proved
 beyond the interval it was asked, installed through
 ``QueryEngine.new_scanner``).
-
-Each residency keeps the intervals the replayed queries actually
-requested of its stratum; the executor reads the batch's over-scan off
-them (:class:`~repro.engine.executor.ExecutionStats`, with
-:attr:`BandScanner.dead_entries` — transferred entries outside every
-requested interval).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Iterable
 
 from repro.engine.plan import BandRequest
@@ -75,14 +67,10 @@ from repro.spatial.decompose import ZInterval, merge_intervals
 if TYPE_CHECKING:
     from repro.core.peb_tree import PEBTree
 
-#: Default bound on the exact-identity memo, in stored entries.  Large
-#: enough that no in-repo workload evicts (the pins stay exact-cost),
-#: small enough that a pathological span cannot hold the whole dataset.
-DEFAULT_MEMO_ENTRIES = 262_144
-
 #: What :meth:`StratumResidency.serve` returns for a provably empty
 #: interval: shared, so an empty answer allocates nothing.
 NO_ROWS = BandRows.empty()
+
 
 class _Tally:
     """The request counters a scanner shares with its residencies.
@@ -107,12 +95,10 @@ class StratumResidency:
     (:attr:`BandRows.proven`: the band widened to the keys the touched
     leaves showed around it) with its rows; any later request that
     falls inside one proven interval is answered by bisection, an
-    empty one without allocating.  A prefetch creates a stratum's
-    residency holding its first coverage run's proof (``z_lo``,
-    ``z_hi`` and ``rows``: the run and what it returned); a handle
-    taken before any scan (:meth:`BandScanner.residency`) starts with
-    none.  The residency lives and dies with its scanner, which assumes
-    an unmutated tree, so there is nothing to invalidate.
+    empty one without allocating.  A residency starts with no proof
+    (:meth:`BandScanner.residency`); the residency lives and dies with
+    its scanner, which assumes an unmutated tree, so there is nothing
+    to invalidate.
 
     Searches that revisit a stratum many times (the PkNN matrix walk)
     hold the residency itself and call :meth:`serve` directly; a hit
@@ -123,8 +109,6 @@ class StratumResidency:
         rows: the resident rows in key order.  Never mutated: a new
             proof builds a new container, or adopts its own rows when
             they hold every resident one.
-        requested: every Z-interval put to the stratum, in request
-            order — ``scan()`` calls and direct :meth:`serve` hits.
         landed: the virtual instant, on the prefetching job's own
             timeline, at which the stratum's last coverage run landed;
             None when no timed prefetch covered it.
@@ -134,45 +118,28 @@ class StratumResidency:
         "tid",
         "sv_q",
         "rows",
-        "requested",
         "landed",
         "_tally",
         "_edges",
     )
 
-    def __init__(
-        self,
-        tally: _Tally,
-        tid: int,
-        sv_q: int,
-        z_lo: int | None = None,
-        z_hi: int = 0,
-        rows: BandRows = NO_ROWS,
-    ):
+    def __init__(self, tally: _Tally, tid: int, sv_q: int):
         self.tid = tid
         self.sv_q = sv_q
-        self.rows = rows
-        self.requested: list[ZInterval] = []
+        self.rows = NO_ROWS
         self.landed: float | None = None
         self._tally = tally
         # The proven intervals as one ascending list of half-open edges
         # [lo0, hi0 + 1, lo1, hi1 + 1, ...]: z is proven iff an odd
-        # number of edges lie at or below it.  Born holding the first
-        # scan's proof when one is given (a prefetch run), else empty (a
-        # handle taken before any scan of the stratum).
-        if z_lo is None:
-            self._edges: list[int] = []
-        else:
-            if rows.proven is not None:
-                z_lo, z_hi = rows.proven
-            self._edges = [z_lo, z_hi + 1]
+        # number of edges lie at or below it.
+        self._edges: list[int] = []
 
     def serve(self, z_lo: int, z_hi: int) -> "BandRows | None":
         """Rows of ``[z_lo, z_hi]`` if a proof covers it, else None.
 
-        A hit is a served request: it is counted on the scanner and
-        listed in :attr:`requested`.  A miss counts nothing — the caller
-        falls back to :meth:`BandScanner.scan`, which does.
+        A hit is a served request, counted on the scanner.  A miss
+        counts nothing — the caller falls back to
+        :meth:`BandScanner.scan`, which does.
         """
         edges = self._edges
         i = bisect_right(edges, z_lo)
@@ -181,28 +148,11 @@ class StratumResidency:
         tally = self._tally
         tally.requests += 1
         tally.residency_hits += 1
-        self.requested.append((z_lo, z_hi))
         rows = self.rows
         zvs = rows.zvs
         lo = bisect_left(zvs, z_lo)
         hi = bisect_right(zvs, z_hi, lo)
         return rows.slice(lo, hi) if lo < hi else NO_ROWS
-
-    def dead_entries(self) -> int:
-        """Resident rows outside every requested interval.
-
-        On-demand scans only bring in rows of the band they were asked
-        for, so the dead ones are all prefetch over-scan.
-        """
-        zvs = self.rows.zvs
-        if not zvs:
-            return 0
-        requested = self.requested
-        if len(requested) > 1:  # the rule: one band per stratum and batch
-            requested = merge_intervals(sorted(requested))
-        return len(zvs) - sum(
-            bisect_right(zvs, hi) - bisect_left(zvs, lo) for lo, hi in requested
-        )
 
     def _add(self, z_lo: int, z_hi: int, rows: BandRows) -> None:
         """Merge what a scan of ``[z_lo, z_hi]`` that returned ``rows`` proved.
@@ -211,8 +161,8 @@ class StratumResidency:
         fence was read, else just the interval asked.  Rows already
         resident inside the interval are a subset of ``rows`` (same
         tree, unmutated), so they are replaced — and when that is every
-        resident row (a handle's first proof among them), ``rows`` is
-        adopted as it is.  Touching or overlapping proven intervals
+        resident row (a first proof among them), ``rows`` is adopted as
+        it is.  Touching or overlapping proven intervals
         fuse.
         """
         if rows.proven is not None:
@@ -243,8 +193,6 @@ class BandScanner:
 
     Args:
         tree: the index to scan.
-        memo_entries: LRU bound on the exact-identity memo, counted in
-            stored entries (not bands).
 
     Attributes:
         requests: band requests answered — :meth:`scan` calls plus
@@ -254,32 +202,21 @@ class BandScanner:
             coverage runs).
         residency_hits: requests answered from a stratum's proven
             intervals without touching the tree.
-        memo_hits: requests served from the exact-identity cache.
-        memo_evictions: bands evicted from the memo by the LRU bound.
         entries_prefetched: entries transferred by prefetch scans.
         timeline: None: a timed scatter scanner's verify CPU
             (:class:`repro.shard.engine.VerifyTimeline`) has no twin here.
     """
 
-    def __init__(
-        self,
-        tree: "PEBTree",
-        memo_entries: int = DEFAULT_MEMO_ENTRIES,
-    ):
+    def __init__(self, tree: "PEBTree"):
         self.tree = tree
-        self.memo_entries = memo_entries
         self.physical_scans = 0
         self.scan_calls = 0
-        self.memo_hits = 0
-        self.memo_evictions = 0
         self.entries_prefetched = 0
         self.timeline = None
         # Residency needs a key-contiguous, ZV-ordered stratum.
         self._sv_major = tree.codec.sv_major
         self._tally = _Tally()
         self._residency: dict[tuple[int, int], StratumResidency] = {}
-        self._memo: "OrderedDict[tuple, BandRows]" = OrderedDict()
-        self._memo_size = 0
 
     @property
     def requests(self) -> int:
@@ -288,11 +225,6 @@ class BandScanner:
     @property
     def residency_hits(self) -> int:
         return self._tally.residency_hits
-
-    @property
-    def deduped(self) -> int:
-        """Requests served without a physical scan."""
-        return self.memo_hits + self.residency_hits
 
     @property
     def direct_hits(self) -> int:
@@ -307,7 +239,8 @@ class BandScanner:
     def residency(self, tid: int, sv_q: int) -> "StratumResidency | None":
         """The live residency of one stratum, or None where none can exist.
 
-        The handle stays current for the scanner's lifetime: later
+        Created, holding no proof, the first time it is asked for.  The
+        handle stays current for the scanner's lifetime: later
         prefetches and on-demand scans of the stratum extend it.
         """
         if not self._sv_major:
@@ -324,13 +257,13 @@ class BandScanner:
         self.scan_calls += 1
         tid, sv_q, sv_hi_q, z_lo, z_hi = band
         if sv_q != sv_hi_q or not self._sv_major:
-            return self._scan_memoized(band)
+            self._tally.requests += 1
+            return self._physical_scan(*band)
         resident = self.residency(tid, sv_q)
         rows = resident.serve(z_lo, z_hi)
         if rows is not None:
             return rows
         self._tally.requests += 1
-        resident.requested.append((z_lo, z_hi))
         rows = self._physical_scan(tid, sv_q, sv_q, z_lo, z_hi)
         resident._add(z_lo, z_hi, rows)
         return rows
@@ -340,10 +273,10 @@ class BandScanner:
 
         Single-SV bands are grouped by ``(tid, sv_q)`` and their
         Z-intervals merged, so overlapping requests from different
-        issuers share one physical scan.  Multi-SV bands are left to the
-        memo, and non-SV-major key layouts skip prefetching entirely
-        (subdividing their scans by ZV would return entries a direct
-        scan excludes).
+        issuers share one physical scan.  Multi-SV bands are left to
+        on-demand scans, and non-SV-major key layouts skip prefetching
+        entirely (subdividing their scans by ZV would return entries a
+        direct scan excludes).
 
         The coverage runs of every stratum go to the tree in one call
         (``scan_bands_rows``), in the order a loop over the strata
@@ -385,70 +318,24 @@ class BandScanner:
         # scan is counted as it is issued, a stratum's entries once its
         # last run has landed: a disk fault mid-sweep leaves the earlier
         # runs resident and counted, which is what the supervisor's
-        # retry of the job starts from.  A stratum no earlier scan
-        # proved is born holding its first run's proof.
-        residencies = self._residency
-        tally = self._tally
-        for stratum, coverage in grouped.items():
-            resident = residencies.get(stratum)
+        # retry of the job starts from.  A stratum's residency is taken
+        # only once a run of it has landed, so a fault leaves none
+        # behind for a stratum it never reached.
+        for (tid, sv_q), coverage in grouped.items():
             prefetched = 0
             for z_lo, z_hi in coverage:
                 self.physical_scans += 1
                 rows = next(scans)
-                if resident is None:
-                    resident = residencies[stratum] = StratumResidency(
-                        tally, stratum[0], stratum[1], z_lo, z_hi, rows
-                    )
-                else:
-                    resident._add(z_lo, z_hi, rows)
+                resident = self.residency(tid, sv_q)
+                resident._add(z_lo, z_hi, rows)
                 prefetched += len(rows.records)
             self.entries_prefetched += prefetched
             if clock is not None:
                 resident.landed = clock.cursor()
 
     # ------------------------------------------------------------------
-    # Accounting
-    # ------------------------------------------------------------------
-
-    @property
-    def dead_entries(self) -> int:
-        """Prefetched entries no replayed request asked for."""
-        return sum(
-            resident.dead_entries()
-            for resident in self._residency.values()
-            if resident.rows.zvs  # most strata hold no row, so none is dead
-        )
-
-    # ------------------------------------------------------------------
     # Physical scans
     # ------------------------------------------------------------------
-
-    def _scan_memoized(self, band: BandRequest) -> BandRows:
-        """Exact-identity memo for the bands residency cannot serve:
-        multi-SV spans, and every band of a ZV-first layout."""
-        self._tally.requests += 1
-        cached = self._memo.get(band)
-        if cached is not None:
-            self.memo_hits += 1
-            self._memo.move_to_end(band)
-            return cached
-        rows = self._physical_scan(*band)
-        self._memo_put(band, rows)
-        return rows
-
-    def _memo_put(self, key: tuple, rows: BandRows) -> None:
-        """Insert into the memo, evicting LRU bands past the entry bound.
-
-        The newest band is always kept, even when it alone exceeds the
-        bound — evicting it would make the memo useless for the very
-        request that populated it.
-        """
-        self._memo[key] = rows
-        self._memo_size += len(rows)
-        while self._memo_size > self.memo_entries and len(self._memo) > 1:
-            _, evicted = self._memo.popitem(last=False)
-            self._memo_size -= len(evicted)
-            self.memo_evictions += 1
 
     def _physical_scan(
         self, tid: int, sv_lo_q: int, sv_hi_q: int, z_lo: int, z_hi: int
@@ -459,7 +346,6 @@ class BandScanner:
 
 __all__ = [
     "BandScanner",
-    "DEFAULT_MEMO_ENTRIES",
     "NO_ROWS",
     "StratumResidency",
 ]

@@ -12,8 +12,9 @@ unchanged — which is precisely what keeps sharded results (and
 * **scatters** every band request to its owning shards: a single-SV
   band — every band a served query plans — whole to its SV's shard
   (:meth:`repro.shard.router.ShardRouter.shard_of`), a multi-SV span
-  band through :meth:`repro.shard.router.ShardRouter.split_band`,
-  which cuts it at the boundary keys it straddles,
+  band (the Figure 7 ablation) through
+  :meth:`repro.shard.router.ShardRouter.split_band`, which cuts it at
+  the boundary keys it straddles,
 * runs each shard's **prefetch** against that shard's own tree and
   pool as one job of a :class:`repro.simio.scheduler.IOScheduler` —
   shards share no mutable state (separate trees, pools, disks, and
@@ -28,12 +29,12 @@ scan every shard under the deployment's supervisor.  On a timed
 deployment a batch additionally **pipelines verification with
 scanning**: each shard job stamps a stratum with the instant its last
 coverage run landed, and every query's candidates — a range plan's and
-a kNN spec's point bands alike — are verified on one CPU timeline band
-by band, each as soon as *its stratum* has landed — while the rest of
-that shard's sweep, and every slower shard, is still scanning — instead
-of after the fork/join barrier.  Timing only: results, iteration order,
-and every I/O counter are identical to charging verification serially
-after the join.  That schedule is one optional object, the scanner's
+a kNN spec's point bands alike, at most one per friend, in key order —
+are verified on one CPU timeline band by band, each as soon as *its
+stratum* has landed — while the rest of that shard's sweep, and every
+slower shard, is still scanning — instead of after the fork/join
+barrier.  Timing only: results, iteration order, and every I/O counter
+are identical to charging verification serially after the join.  That schedule is one optional object, the scanner's
 :class:`VerifyTimeline`: an untimed deployment has none, and neither
 has a single tree, whose :class:`BandScanner` runs on no scheduler.
 """
@@ -105,29 +106,13 @@ class ShardScatterScanner:
         return self.scan_calls + sum(scanner.direct_hits for scanner in self.scanners)
 
     @property
-    def memo_hits(self) -> int:
-        return sum(scanner.memo_hits for scanner in self.scanners)
-
-    @property
     def residency_hits(self) -> int:
-        return sum(scanner.residency_hits for scanner in self.scanners)
-
-    @property
-    def deduped(self) -> int:
         """Sub-requests served without a physical scan."""
-        return self.memo_hits + self.residency_hits
+        return sum(scanner.residency_hits for scanner in self.scanners)
 
     @property
     def entries_prefetched(self) -> int:
         return sum(scanner.entries_prefetched for scanner in self.scanners)
-
-    @property
-    def memo_evictions(self) -> int:
-        return sum(scanner.memo_evictions for scanner in self.scanners)
-
-    @property
-    def dead_entries(self) -> int:
-        return sum(scanner.dead_entries for scanner in self.scanners)
 
     # ------------------------------------------------------------------
     # Scanning
@@ -254,19 +239,16 @@ class VerifyTimeline:
         self.clock = scatter.scheduler.clock
         self.shard_ends: dict[int, float] = {}
         self.verify_items: list[tuple[float, int]] = []
-        self._chain: dict[int, float] = {}  # sv_q -> ready, this query
-        self._chained = 0
+        self._chained = 0  # candidates this query booked
 
     def book_verified(self, band: BandRequest, examined: int) -> None:
         """Put one verified band on the verify timeline, if it landed.
 
-        Its rows can be verified once its stratum has landed and this
-        query's previous band of the same SV is done — the one order a
-        result depends on: a friend located in one partition is not
-        searched in the next, and rows of different SVs never locate
-        each other's friends.  A band with no stamp (on-demand scan,
-        un-prefetched shard, span band, ZV-first layout) is left to the
-        serial charge.
+        Its rows can be verified once its stratum has landed: a served
+        plan holds at most one band per friend, in key order, so no
+        band of a query waits for another.  A band with no stamp
+        (on-demand scan, un-prefetched shard, span band, ZV-first
+        layout) is left to the serial charge.
         """
         tid, sv_q, sv_hi_q, _, _ = band
         if sv_q != sv_hi_q:
@@ -274,15 +256,12 @@ class VerifyTimeline:
         resident = stratum_residency(self.scanners, self.tree.router, tid, sv_q)
         if resident is None or resident.landed is None:
             return
-        ready = max(resident.landed, self._chain.get(sv_q, 0.0))
-        self._chain[sv_q] = ready
         self._chained += examined
-        self.verify_items.append((ready, examined))
+        self.verify_items.append((resident.landed, examined))
 
     def end_query(self) -> int:
-        """Close one query's chains; the candidates it put on the timeline."""
+        """Close one query; the candidates it put on the timeline."""
         chained, self._chained = self._chained, 0
-        self._chain.clear()
         return chained
 
     def charge_query(self, examined: int) -> None:
@@ -302,9 +281,8 @@ class VerifyTimeline:
         nothing was booked)."""
         if not self.verify_items:
             return None
-        # One CPU takes the booked bands as they become ready (the sort
-        # is stable, so a query's chain keeps its order): it may verify
-        # the first-landed stratum while every shard still scans.
+        # One CPU takes the booked bands as they become ready: it may
+        # verify the first-landed stratum while every shard still scans.
         items = sorted(self.verify_items, key=itemgetter(0))
         verify_us = self.tree.latency_model.verify_us
         start = cursor = items[0][0]

@@ -48,8 +48,8 @@ class EntryAtATimeTree:
 class ReferenceScanner(BandScanner):
     """A :class:`BandScanner` that scans per entry and forgets proofs."""
 
-    def __init__(self, tree, **kwargs):
-        super().__init__(EntryAtATimeTree(tree), **kwargs)
+    def __init__(self, tree):
+        super().__init__(EntryAtATimeTree(tree))
 
 
 def reference_scatter(sharded):

@@ -10,7 +10,7 @@ from repro.core.aggregate import pcount, pdensity_grid
 from repro.core.pknn import plan_pknn, pknn
 from repro.core.prq import prq
 from repro.engine import BandScanner, ExecutionStats, QueryEngine
-from repro.engine.plan import BandRequest, QueryPlanner
+from repro.engine.plan import BandRequest
 from repro.spatial.decompose import merge_intervals
 from repro.spatial.geometry import Rect
 from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
@@ -105,7 +105,7 @@ def test_plan_seed_covers_all_partitions(small_world):
 # ----------------------------------------------------------------------
 
 
-def test_scanner_memoizes_identical_bands(small_world):
+def test_scanner_serves_identical_bands_from_residency(small_world):
     world = small_world
     engine = QueryEngine(world.peb)
     issuer = world.uids[2]
@@ -118,15 +118,14 @@ def test_scanner_memoizes_identical_bands(small_world):
     assert first == second
     assert scanner.physical_scans == 1
     # A single-SV band is answered from its stratum's residency ...
-    assert scanner.residency_hits == 1 and scanner.memo_hits == 0
+    assert scanner.residency_hits == 1
     assert scanner.requests == 2
 
-    # ... a multi-SV span, which no residency can serve, from the memo.
+    # ... a multi-SV span, which no residency can serve, from the tree.
     span = BandRequest(0, band.sv_lo_q, band.sv_lo_q + 1, 0, world.grid.max_z)
     assert scanner.scan(span) == scanner.scan(span)
-    assert scanner.physical_scans == 2
-    assert scanner.memo_hits == 1 and scanner.residency_hits == 1
-    assert scanner.deduped == 2 and scanner.requests == 4
+    assert scanner.physical_scans == 3
+    assert scanner.residency_hits == 1 and scanner.requests == 4
 
 
 def test_scanner_entries_match_direct_tree_scan(small_world):
@@ -233,7 +232,7 @@ def test_execution_stats_account_bands(small_world):
     stats = ExecutionStats(
         bands_requested=scanner.requests,
         bands_scanned=scanner.physical_scans,
-        bands_deduped=scanner.deduped,
+        bands_deduped=scanner.residency_hits,
         candidates_examined=execution.candidates_examined,
     )
     # Requests are the planned bands minus those the skip rule dropped.
@@ -319,7 +318,7 @@ def test_batch_knn_bands_join_the_prefetch_set(small_world):
         == plain.stats.bands_requested
     )
     assert prefetched.stats.entries_prefetched > 0
-    assert prefetched.stats.residency_hits == prefetched.stats.bands_requested
+    assert prefetched.stats.bands_deduped == prefetched.stats.bands_requested
 
 
 def test_knn_plan_names_each_visible_friend_at_its_live_key(small_world):
@@ -627,124 +626,12 @@ def test_a_batch_prefetches_the_merged_union_of_its_single_sv_bands(
     assert report.stats.bands_scanned == sum(
         len(runs) for log in sweeps for runs in log
     )
-    assert report.stats.residency_hits == report.stats.bands_requested > 0
+    assert report.stats.bands_deduped == report.stats.bands_requested > 0
 
 
 # ----------------------------------------------------------------------
-# Bounded memo — eviction costs I/O, never answers
+# Prefetch accounting
 # ----------------------------------------------------------------------
-
-
-def _stratum_bands(world, n_queries=12):
-    """Single-SV bands from real range plans, in plan order."""
-    planner = QueryPlanner(world.peb)
-    bands = []
-    for spec in world.query_generator().range_queries(
-        world.uids, n_queries, 320.0, 5.0
-    ):
-        plan = planner.plan_range(spec.q_uid, spec.window, spec.t_query)
-        bands.extend(p.band for p in plan.bands if p.band.is_single_sv)
-    return bands
-
-
-def _span_bands(world, n_queries=12):
-    """Multi-SV span bands — what the memo is kept for: stratum
-    residency answers every single-SV band of this SV-major tree, so
-    only spans (Figure 7's coarse friend-range scans) still enter it."""
-    planner = QueryPlanner(world.peb)
-    bands = []
-    for spec in world.query_generator().range_queries(
-        world.uids, n_queries, 320.0, 5.0
-    ):
-        plan = planner.plan_span_scan(spec.q_uid, spec.window, spec.t_query)
-        bands.extend(p.band for p in plan.bands if not p.band.is_single_sv)
-    return bands
-
-
-def _rows_signature(rows):
-    return [(zv, obj.uid) for zv, obj in rows]
-
-
-def test_memo_eviction_never_changes_scan_results(batch_world):
-    world = batch_world
-    bands = _span_bands(world)
-    assert bands
-    unbounded = BandScanner(world.peb)
-    tiny = BandScanner(world.peb, memo_entries=4)
-    # Two passes: the second pass hits the big scanner's memo but
-    # re-scans whatever the tiny scanner evicted.
-    for _ in range(2):
-        for band in bands:
-            assert _rows_signature(tiny.scan(band)) == _rows_signature(
-                unbounded.scan(band)
-            )
-    assert unbounded.memo_evictions == 0
-    assert tiny.memo_evictions > 0
-    assert tiny.physical_scans > unbounded.physical_scans
-
-
-def test_single_sv_bands_never_enter_the_memo(batch_world):
-    world = batch_world
-    scanner = BandScanner(world.peb, memo_entries=0)
-    bands = _stratum_bands(world)
-    for _ in range(2):
-        for band in bands:
-            scanner.scan(band)
-    assert not scanner._memo
-    assert scanner.memo_evictions == 0 and scanner.memo_hits == 0
-    # The second pass was answered entirely from residency.
-    assert scanner.residency_hits >= len(bands)
-
-
-def test_memo_always_keeps_the_newest_band(batch_world):
-    world = batch_world
-    scanner = BandScanner(world.peb, memo_entries=0)
-    for band in _span_bands(world):
-        rows = scanner.scan(band)
-        # The band that just populated the memo survives even a zero
-        # bound; eviction only reaches colder entries.
-        assert band in scanner._memo
-        if len(rows) > 0:
-            assert list(scanner._memo) == [band]
-
-
-# ----------------------------------------------------------------------
-# Over-scan accounting
-# ----------------------------------------------------------------------
-
-
-def _populated_stratum(world):
-    """A (band, full-width band, rows) triple with >= 2 distinct ZVs."""
-    probe = BandScanner(world.peb)
-    for band in _stratum_bands(world, n_queries=20):
-        full = BandRequest(
-            band.tid, band.sv_lo_q, band.sv_hi_q, 0, world.peb.grid.max_z
-        )
-        rows = probe.scan(full)
-        if len({zv for zv, _ in rows}) >= 2:
-            return band, full, _rows_signature(rows)
-    pytest.skip("no stratum with two distinct ZVs in this world")
-
-
-def test_dead_entries_count_unrequested_prefetched_rows(batch_world):
-    world = batch_world
-    band, full, rows = _populated_stratum(world)
-    first_zv = rows[0][0]
-    scanner = BandScanner(world.peb)
-    scanner.prefetch([full])
-    narrow = BandRequest(
-        band.tid, band.sv_lo_q, band.sv_hi_q, first_zv, first_zv
-    )
-    served = scanner.scan(narrow)
-    assert _rows_signature(served) == [r for r in rows if r[0] == first_zv]
-    assert scanner.residency_hits == 1
-    used = sum(1 for zv, _ in rows if zv == first_zv)
-    assert scanner.dead_entries == len(rows) - used
-    assert scanner.dead_entries > 0
-    assert scanner.entries_prefetched == len(rows)
-    resident = scanner.residency(band.tid, band.sv_lo_q)
-    assert resident.requested == [(first_zv, first_zv)]
-    assert resident.dead_entries() == scanner.dead_entries
 
 
 def test_execution_stats_surface_prefetch_accounting(batch_world):
@@ -754,46 +641,6 @@ def test_execution_stats_surface_prefetch_accounting(batch_world):
     report = QueryEngine(world.peb).execute_batch(specs)
     stats = report.stats
     assert stats.entries_prefetched > 0
-    assert 0 <= stats.dead_entries <= stats.entries_prefetched
-    assert stats.overscan_ratio == pytest.approx(
-        stats.dead_entries / stats.entries_prefetched
-    )
-    assert stats.memo_evictions == 0  # default bound never evicts here
+    # Declared for the perf ledger only: no scanner counts either.
+    assert stats.dead_entries == stats.memo_evictions == 0
     assert stats.seeks == 0 and stats.sequential_hits == 0  # untimed tree
-
-
-@pytest.mark.parametrize("n_shards", (1, 4))
-def test_dead_entry_total_equals_the_rows_outside_every_request(
-    batch_world, n_shards
-):
-    """The executor's ``dead_entries`` (bisection over each stratum's
-    merged ``requested``) against the count done the slow way: every
-    resident row no requested interval of its stratum contains."""
-    world = batch_world
-    specs = world.query_generator().mixed_queries(world.states, 16, 300.0, 3, 5.0)
-    engine, _ = _batch_engine(world, n_shards)
-    # Whole-stratum prefetches ahead of the batch: guaranteed over-scan,
-    # so the totals compared below are not all zero.
-    full_strata = [
-        BandRequest(band.tid, band.sv_lo_q, band.sv_hi_q, 0, world.peb.grid.max_z)
-        for band in _stratum_bands(world, n_queries=20)
-    ]
-    captured = []
-    make_scanner = engine.new_scanner
-
-    def capturing_scanner():
-        captured.append(make_scanner())
-        captured[-1].prefetch(full_strata)
-        return captured[-1]
-
-    engine.new_scanner = capturing_scanner
-    report = engine.execute_batch(specs)
-    (scanner,) = captured
-    counted = sum(
-        not any(lo <= zv <= hi for lo, hi in resident.requested)
-        for shard_scanner in getattr(scanner, "scanners", [scanner])
-        for resident in shard_scanner._residency.values()
-        for zv in resident.rows.zvs
-    )
-    assert report.stats.dead_entries == scanner.dead_entries == counted
-    assert counted > 0

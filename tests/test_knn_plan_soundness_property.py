@@ -10,9 +10,9 @@ inside one region.  Stated against the brute-force oracle
 (``repro.bench.oracle.brute_force_pknn``), not against that rule: after
 a random history, every user of the oracle's k nearest has a point band
 in the plan, and ``pknn`` answers the oracle's ``(round(d, 9), uid)``
-list, on one tree and on four shards.  So does the Section 5.4 walk
-(``pknn_walk``) up to the users at the k-th distance: it ranks users at
-one distance in the order it finds them, not by uid.
+list, on one tree and on four shards; so does the Section 5.4 walk
+(``pknn_walk``), which ranks users at one distance by uid as the oracle
+does.  Every plan holds at most one band per friend, in key order.
 
 The worlds lean on what the rule must survive:
 
@@ -62,6 +62,10 @@ from repro.shard import ShardedPEBTree
 from repro.spatial import Grid
 from repro.spatial.geometry import Rect
 from repro.storage import BufferPool, SimulatedDisk
+
+from tests.test_range_plan_soundness_property import (
+    assert_one_band_per_friend_in_key_order,
+)
 
 SIDE = 1000.0
 T = 1440.0
@@ -325,15 +329,8 @@ def test_every_user_of_the_k_nearest_has_a_point_band(n_shards, steps, queries):
         for planned in plan.bands:
             tid, sv_q, zv = tree.codec.decompose(tree.live_key(planned.friend_uid))
             assert planned.band == (tid, sv_q, sv_q, zv, zv)
+        assert_one_band_per_friend_in_key_order(plan)
         expected = rounded(expected)
         assert ranked(pknn(tree, q_uid, qx, qy, k, t_query)) == expected
-        # The walk ranks users at one distance in the order it finds
-        # them, so at the k-th distance it may keep a twin the oracle
-        # ranks after its original by uid: nearer than that, the lists
-        # are identical.
         walked = ranked(pknn_walk(tree, q_uid, qx, qy, k, t_query))
-        assert [d for d, _ in walked] == [d for d, _ in expected]
-        kth = expected[-1][0] if expected else None
-        assert sorted(p for p in walked if p[0] != kth) == [
-            p for p in expected if p[0] != kth
-        ]
+        assert walked == expected

@@ -1,15 +1,16 @@
-"""A prefetched stratum is born holding its first proof: a property test.
+"""A prefetch makes its runs resident as on-demand scans do: a property test.
 
 :meth:`repro.engine.scanner.BandScanner.prefetch` groups the single-SV
-bands by stratum in one pass and creates the residency of a stratum no
-earlier scan proved with its first coverage run's proof already in it;
-:meth:`StratumResidency._add` merges every later proof the same way —
-rows resident inside the proven interval are replaced, and when that
-is all of them the new rows are adopted as they are.  The reference,
+bands by stratum in one pass and puts every coverage run into its
+stratum's residency through :meth:`StratumResidency._add`, exactly as an
+on-demand scan does; ``_add`` merges every proof the same way — rows
+resident inside the proven interval are replaced, and when that is all
+of them the new rows are adopted as they are.  The reference,
 :class:`FormerScanner`, keeps the prefetch and the ``_add`` these
 replaced: a stratum list built in a second pass, every residency taken
-as an empty handle first and every run put in through an ``_add`` that
-adopts a first proof and concatenates every later one.
+as an empty handle before its first run is pulled, and every run put in
+through an ``_add`` that adopts a first proof and concatenates every
+later one.
 
 Histories over a few random strata mix prefetches (one run per
 stratum, overlapping runs that merge, disjoint runs, a stratum a kNN
@@ -17,9 +18,8 @@ probe names again after other strata's runs, span bands a prefetch
 passes over), on-demand scans, residency handles taken before any scan
 and hits served through them.  After every step both scanners must
 have answered alike and hold the same strata with the same ``_edges``,
-rows, ``requested`` and ``landed``, and agree on
-``entries_prefetched``, ``physical_scans``, ``requests`` and
-``residency_hits``.
+rows and ``landed``, and agree on ``entries_prefetched``,
+``physical_scans``, ``requests`` and ``residency_hits``.
 """
 
 from bisect import bisect_left, bisect_right
@@ -93,7 +93,7 @@ class FormerResidency(StratumResidency):
 
 class FormerScanner(BandScanner):
     """The scanner with the prefetch and residencies the one-pass
-    grouping, the born-proven residency and the one-way merge replaced."""
+    grouping and the one-way merge replaced."""
 
     def residency(self, tid, sv_q):
         resident = self._residency.get((tid, sv_q))
@@ -148,7 +148,6 @@ def state(scanner):
                 resident._edges,
                 resident.rows.zvs,
                 resident.rows.records,
-                resident.requested,
                 resident.landed,
             )
             for key, resident in scanner._residency.items()
@@ -202,7 +201,7 @@ def run(scanner, step):
     ),
     steps=st.lists(STEP, min_size=1, max_size=8),
 )
-def test_born_proven_residency_is_the_former_residency(strata, steps):
+def test_prefetch_residency_is_the_former_residency(strata, steps):
     tree = StrataTree(strata)
     shipped, reference = BandScanner(tree), FormerScanner(tree)
     for step in steps:

@@ -181,6 +181,16 @@ def window_of(seed):
     return Rect(*bounds)
 
 
+def assert_one_band_per_friend_in_key_order(plan):
+    """At most one band per friend, in key order: what lets the verify
+    pipeline verify a band as soon as its stratum lands
+    (``VerifyTimeline.book_verified``)."""
+    friends = [planned.friend_uid for planned in plan.bands]
+    assert len(set(friends)) == len(friends)
+    bands = [planned.band for planned in plan.bands]
+    assert bands == sorted(bands)
+
+
 @pytest.mark.parametrize("n_shards", (None, 4))
 @settings(max_examples=50, deadline=None)
 @given(
@@ -213,6 +223,7 @@ def test_every_user_definition_2_admits_has_a_point_band(n_shards, steps, querie
         for planned in plan.bands:
             tid, sv_q, zv = tree.codec.decompose(tree.live_key(planned.friend_uid))
             assert planned.band == (tid, sv_q, sv_q, zv, zv)
+        assert_one_band_per_friend_in_key_order(plan)
         assert prq(tree, q_uid, window, t_query).uids == expected
 
 

@@ -158,7 +158,7 @@ def test_single_tree_search_matches_the_per_band_reference(world, order):
     # Same requests, truthfully counted; far fewer of them reach the tree.
     assert resident.requests == reference.requests
     assert resident.physical_scans < reference.physical_scans
-    assert resident.direct_hits > 0 and not resident._memo
+    assert resident.direct_hits > 0
 
 
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
@@ -201,7 +201,7 @@ def test_mixed_batch_matches_the_per_band_reference(world, n_shards):
     )
     assert got_reads <= expected_reads
     assert got.stats.bands_requested == expected.stats.bands_requested
-    assert got.stats.residency_hits >= expected.stats.residency_hits
+    assert got.stats.bands_deduped >= expected.stats.bands_deduped
     for spec, mine, theirs in zip(specs, got.results, expected.results):
         assert mine.candidates_examined == theirs.candidates_examined, spec
         if isinstance(spec, RangeQuerySpec):
@@ -315,7 +315,6 @@ def test_residency_serves_exactly_what_its_proofs_cover(zvs, proofs, probes):
         else:
             assert served is None
     assert tally.requests == tally.residency_hits == hits
-    assert len(resident.requested) == hits
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,6 @@ from repro.engine import QueryEngine, UpdatePipeline
 from repro.engine.plan import BandRequest
 from repro.motion.objects import MovingObject
 from repro.shard import ShardRouter, ShardStats, ShardedPEBTree
-from repro.shard.engine import ShardScatterScanner
 from repro.storage import BufferPool, IOStats, SimulatedDisk, StatsView, merge_stats
 
 from tests.conftest import build_world
@@ -268,17 +267,3 @@ def test_timed_prefetch_fork_join_matches_untimed_exactly():
     assert list(timed_tree.items()) == list(untimed_tree.items())
     assert timed_report.stats.virtual_time_us > 0
     assert untimed_report.stats.virtual_time_us == 0
-
-
-def test_scatter_scanner_memoizes_band_splits():
-    world = build_world(n_users=100, n_policies=6, seed=2)
-    sharded = world.deploy(2)
-    scanner = ShardScatterScanner(sharded)
-    band = BandRequest(0, 0, (1 << sharded.codec.sv_bits) - 1, 0, world.grid.max_z)
-    first = scanner.scan(band)
-    scans_after_first = scanner.physical_scans
-    second = scanner.scan(band)
-    assert second == first
-    assert scanner.physical_scans == scans_after_first  # served from memos
-    assert scanner.requests == 2
-    assert scanner.deduped >= 1

@@ -4,23 +4,22 @@ On a timed deployment the scatter scanner prices every query's
 verification band by band on one CPU timeline — a range plan's bands
 and a kNN spec's point bands alike: a band's rows may be verified once
 its *stratum* has landed (``StratumResidency.landed``, stamped by the
-shard job's prefetch sweep) and this query's previous band of the same
-SV is done.  Results never depended on that schedule, so before this
-file nothing pinned it.  Hypothesis draws 1/2/4 shards, batches whose
-issuers differ in ``t_query`` (so they walk the partitions in different
-order), range + kNN mixes, the served range plan or the window-span
-plan of ``tests/reference_plan.py`` (whose bands come partition-major
-in each issuer's own partition order, not in key order), and a
-transient ``FaultWindowSchedule`` under a ``ShardSupervisor``; every
-example checks
+shard job's prefetch sweep).  A served plan holds at most one band per
+friend, in key order (pinned by ``test_range_plan_soundness_property.py``
+and ``test_knn_plan_soundness_property.py``), so no band of a query
+waits for another.  Results never depended on that schedule, so before
+this file nothing pinned it.  Hypothesis draws 1/2/4 shards, batches
+whose issuers differ in ``t_query`` (so they walk the partitions in
+different order), range + kNN mixes, and a transient
+``FaultWindowSchedule`` under a ``ShardSupervisor``; every example
+checks
 
 (a) **feasibility** — every verified band of every spec is an item;
     every item starts at or after the instant its stratum's last
     coverage run really landed (read off the sweep by a spy, not off the
-    stamp) and after this query's previous same-SV item; Σ item cost
-    equals Σ ``candidates_examined × verify_us`` over all specs; and the
-    batch ends at ``max(join, pipeline end)``, inside
-    ``[max(shard_ends), serial_end]`` — the upper end is the
+    stamp); Σ item cost equals Σ ``candidates_examined × verify_us``
+    over all specs; and the batch ends at ``max(join, pipeline end)``,
+    inside ``[max(shard_ends), serial_end]`` — the upper end is the
     serial-after-the-join schedule;
 (b) **the execution exists** — re-running each query's verification in
     the priced order, over rows from ``tests/reference_scan.py``,
@@ -31,18 +30,13 @@ example checks
     serial-after-the-join schedule (:class:`SerialScatter`) and an
     untimed clone.
 
-Three mutants that must fail it (each checked on a scratch copy, each
-failing within 30 s under ``pytest -x``): dropping the same-SV chain
-(``ready = resident.landed`` in ``VerifyTimeline.book_verified``) fails
-(a) even on one shard on a window-span draw — an issuer with another
-``t_query`` can make a query's strata of one SV land in another order
-than the query replays them (the served plan holds one point band per
-friend, in key order, which is the order its strata land in, so the
-chain never binds for it); stamping at job start (``clock.cursor()``
-read before ``BandScanner.prefetch``'s sweep loop instead of after each
-stratum) fails (a) everywhere; and leaving a kNN spec's bands unbooked
-(``run_range_plan`` booking only plans with a window) fails (a)'s
-Σ-cost clause on any batch with a kNN spec that verifies a candidate.
+Two mutants must fail it (each checked on a scratch copy, each failing
+within 30 s under ``pytest -x``): stamping at job start
+(``clock.cursor()`` read before ``BandScanner.prefetch``'s sweep loop
+instead of after each stratum) fails (a) everywhere; and leaving a kNN
+spec's bands unbooked (``run_range_plan`` booking only plans with a
+window) fails (a)'s Σ-cost clause on any batch with a kNN spec that
+verifies a candidate.
 
 Each drawn deployment shape is built once (:func:`deploy` keeps its
 pickled image) and every example gets a fresh copy, so a failing example
@@ -59,7 +53,6 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import BandScanner, QueryEngine, UpdatePipeline
-from repro.engine.plan import QueryPlanner
 from repro.engine.verify import CandidateVerifier
 from repro.fault import BreakerPolicy, RetryPolicy
 from repro.shard.engine import ShardScatterScanner, VerifyTimeline
@@ -68,7 +61,6 @@ from repro.storage.faults import FaultWindowSchedule, FaultyDisk
 from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
 
 from tests.conftest import build_world
-from tests.reference_plan import WindowSpanPlanner
 from tests.reference_scan import reference_scatter
 
 PAGE_SIZE = 1024
@@ -82,7 +74,6 @@ RETRY = RetryPolicy(max_attempts=12, base_backoff_us=50.0)
 EPS = 1e-6
 
 
-PLANNERS = {"served": QueryPlanner, "window span": WindowSpanPlanner}
 #: What every copy shares with the world instead of copying.
 SHARED = (WORLD.store, WORLD.grid, WORLD.partitioner)
 #: Pickled images of the built deployments, by shape.
@@ -223,13 +214,12 @@ class OnDemandSerialScatter(OnDemandScatter, SerialScatter):
 
 
 class EngineOn(QueryEngine):
-    """The engine planning with ``planner_class`` and reading through a
-    test-local scatter scanner class (the deployment's own without one);
-    the last one it built is :attr:`scatter`."""
+    """The engine reading through a test-local scatter scanner class
+    (the deployment's own without one); the last one it built is
+    :attr:`scatter`."""
 
-    def __init__(self, tree, scatter_class=None, planner_class=QueryPlanner):
+    def __init__(self, tree, scatter_class=None):
         super().__init__(tree)
-        self.planner = planner_class(tree)
         self.scatter_class = scatter_class
 
     def new_scanner(self):
@@ -273,11 +263,9 @@ def counters(report):
         stats.bands_requested,
         stats.bands_scanned,
         stats.bands_deduped,
-        stats.residency_hits,
         stats.candidates_examined,
         stats.physical_reads,
         stats.entries_prefetched,
-        stats.dead_entries,
     )
 
 
@@ -318,14 +306,12 @@ def make_spec(kind, issuer, t_query, fx, fy, side, k):
     n_shards=st.sampled_from((1, 2, 4)),
     queries=st.lists(QUERY, min_size=1, max_size=8),
     window=st.none() | st.tuples(st.floats(0.0, 600.0), st.floats(1.0, 400.0)),
-    planner=st.sampled_from(sorted(PLANNERS)),
 )
 def test_priced_schedule_is_feasible_and_describes_the_execution(
-    n_shards, queries, window, planner
+    n_shards, queries, window
 ):
     specs = [make_spec(*query) for query in queries]
     faulty = window is not None
-    planner_class = PLANNERS[planner]
 
     pipelined = deploy(n_shards, timed=True, supervised=faulty)
     serial = deploy(n_shards, timed=True, supervised=faulty)
@@ -338,11 +324,11 @@ def test_priced_schedule_is_feasible_and_describes_the_execution(
     t0 = clock.cursor()
     assert serial.sim_clock.cursor() == t0
 
-    engine = EngineOn(pipelined, RecordingScatter, planner_class)
+    engine = EngineOn(pipelined, RecordingScatter)
     report = engine.execute_batch(specs)
-    serial_engine = EngineOn(serial, SerialScatter, planner_class)
+    serial_engine = EngineOn(serial, SerialScatter)
     serial_report = serial_engine.execute_batch(specs)
-    untimed_report = EngineOn(untimed, planner_class=planner_class).execute_batch(specs)
+    untimed_report = EngineOn(untimed).execute_batch(specs)
     scatter = engine.scatter
     timeline = scatter.timeline
     items = timeline.verify_items
@@ -365,18 +351,13 @@ def test_priced_schedule_is_feasible_and_describes_the_execution(
     assert all(landing >= t0 for landing in scatter.landings.values())
 
     # (a) Every verified band of every spec is an item; an item starts
-    # once its stratum has landed and its chain predecessor ended.
-    # Specs replay in spec order.
+    # once its stratum has landed.  Specs replay in spec order.
     assert all(index is not None for _, _, _, index in timeline.bookings)
     assert len(timeline.bookings) == len(items)
-    chain_end = {}
     for query, band, examined, index in timeline.bookings:
-        tid, sv_q = band.tid, band.sv_lo_q
-        start, end = spans[index]
+        start, _ = spans[index]
         assert items[index][1] == examined
-        assert start >= scatter.landings[(tid, sv_q)], (query, band)
-        assert start >= chain_end.get((query, sv_q), t0), (query, band)
-        chain_end[(query, sv_q)] = end
+        assert start >= scatter.landings[(band.tid, band.sv_lo_q)], (query, band)
     assert {query for query, _, _, _ in timeline.bookings} <= set(range(len(specs)))
 
     # (a) What the CPU prices is every spec's verification.
