@@ -10,7 +10,7 @@ from repro.core.aggregate import pcount, pdensity_grid
 from repro.core.pknn import plan_pknn, pknn
 from repro.core.prq import prq
 from repro.engine import BandScanner, ExecutionStats, QueryEngine
-from repro.engine.plan import BandRequest
+from repro.engine.plan import BandRequest, QueryPlanner
 from repro.spatial.decompose import merge_intervals
 from repro.spatial.geometry import Rect
 from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
@@ -627,6 +627,144 @@ def test_a_batch_prefetches_the_merged_union_of_its_single_sv_bands(
         len(runs) for log in sweeps for runs in log
     )
     assert report.stats.bands_deduped == report.stats.bands_requested > 0
+
+
+# ----------------------------------------------------------------------
+# Residency serves single-SV bands; every other band is a plain scan
+# ----------------------------------------------------------------------
+
+
+def _stratum_bands(world, n_queries=12):
+    """Single-SV bands from real range plans, in plan order."""
+    planner = QueryPlanner(world.peb)
+    bands = []
+    for spec in world.query_generator().range_queries(
+        world.uids, n_queries, 320.0, 5.0
+    ):
+        plan = planner.plan_range(spec.q_uid, spec.window, spec.t_query)
+        bands.extend(p.band for p in plan.bands if p.band.is_single_sv)
+    return bands
+
+
+def _span_bands(world, n_queries=12):
+    """Multi-SV span bands (Figure 7's coarse friend-range scans), which
+    no stratum residency can serve."""
+    planner = QueryPlanner(world.peb)
+    bands = []
+    for spec in world.query_generator().range_queries(
+        world.uids, n_queries, 320.0, 5.0
+    ):
+        plan = planner.plan_span_scan(spec.q_uid, spec.window, spec.t_query)
+        bands.extend(p.band for p in plan.bands if not p.band.is_single_sv)
+    return bands
+
+
+def _rows_signature(rows):
+    return [(zv, obj.uid) for zv, obj in rows]
+
+
+def test_span_bands_are_plain_scans_that_match_the_tree(batch_world):
+    world = batch_world
+    bands = _span_bands(world)
+    assert bands
+    scanner = BandScanner(world.peb)
+    # Two passes: a repeated span reaches the tree again, and answers
+    # exactly what the tree's own band scan answers.
+    for _ in range(2):
+        for band in bands:
+            assert _rows_signature(scanner.scan(band)) == [
+                (zv, obj.uid) for zv, obj in world.peb.scan_band(*band)
+            ]
+    assert scanner.physical_scans == scanner.requests == 2 * len(bands)
+    assert scanner.residency_hits == 0
+
+
+def test_repeated_single_sv_bands_are_served_from_residency(batch_world):
+    world = batch_world
+    bands = _stratum_bands(world)
+    assert bands
+    scanner = BandScanner(world.peb)
+    first = [_rows_signature(scanner.scan(band)) for band in bands]
+    scans_after_first = scanner.physical_scans
+    hits_after_first = scanner.residency_hits
+    second = [_rows_signature(scanner.scan(band)) for band in bands]
+    assert second == first
+    # The second pass was answered entirely from residency.
+    assert scanner.physical_scans == scans_after_first
+    assert scanner.residency_hits == hits_after_first + len(bands)
+    assert scanner.requests == 2 * len(bands)
+
+
+def _populated_stratum(world):
+    """A (band, full-width band, rows) triple with >= 2 distinct ZVs."""
+    probe = BandScanner(world.peb)
+    for band in _stratum_bands(world, n_queries=20):
+        full = BandRequest(
+            band.tid, band.sv_lo_q, band.sv_hi_q, 0, world.peb.grid.max_z
+        )
+        rows = probe.scan(full)
+        if len({zv for zv, _ in rows}) >= 2:
+            return band, full, _rows_signature(rows)
+    pytest.skip("no stratum with two distinct ZVs in this world")
+
+
+def test_a_narrow_band_over_a_prefetched_stratum_serves_only_its_rows(
+    batch_world,
+):
+    world = batch_world
+    band, full, rows = _populated_stratum(world)
+    first_zv = rows[0][0]
+    scanner = BandScanner(world.peb)
+    scanner.prefetch([full])
+    assert scanner.physical_scans == 1
+    assert scanner.entries_prefetched == len(rows)
+    narrow = BandRequest(
+        band.tid, band.sv_lo_q, band.sv_hi_q, first_zv, first_zv
+    )
+    served = scanner.scan(narrow)
+    assert _rows_signature(served) == [r for r in rows if r[0] == first_zv]
+    assert scanner.residency_hits == 1
+    assert scanner.physical_scans == 1  # the prefetch run proved it
+
+
+def _answers(specs, report):
+    """Each result's answer and candidate count, in spec order."""
+    answers = []
+    for spec, result in zip(specs, report.results):
+        if isinstance(spec, RangeQuerySpec):
+            answer = sorted(result.uids)
+        else:
+            answer = [(round(d, 9), obj.uid) for d, obj in result.neighbors]
+        answers.append((answer, result.candidates_examined))
+    return answers
+
+
+@pytest.mark.parametrize("n_shards", (1, 4))
+def test_whole_stratum_prefetch_never_changes_a_batch(batch_world, n_shards):
+    """Strata prefetched whole ahead of a batch hold rows no band asks
+    for; residency serves each band only the rows inside its interval,
+    so every answer and candidate count is the cold scanner's."""
+    world = batch_world
+    specs = world.query_generator().mixed_queries(world.states, 16, 300.0, 3, 5.0)
+    cold_engine, _ = _batch_engine(world, n_shards)
+    cold = cold_engine.execute_batch(specs)
+
+    engine, _ = _batch_engine(world, n_shards)
+    full_strata = [
+        BandRequest(band.tid, band.sv_lo_q, band.sv_hi_q, 0, world.peb.grid.max_z)
+        for band in _stratum_bands(world, n_queries=20)
+    ]
+    make_scanner = engine.new_scanner
+
+    def warmed_scanner():
+        scanner = make_scanner()
+        scanner.prefetch(full_strata)
+        return scanner
+
+    engine.new_scanner = warmed_scanner
+    warmed = engine.execute_batch(specs)
+    assert _answers(specs, warmed) == _answers(specs, cold)
+    assert warmed.stats.entries_prefetched > cold.stats.entries_prefetched
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.engine import QueryEngine, UpdatePipeline
 from repro.engine.plan import BandRequest
 from repro.motion.objects import MovingObject
 from repro.shard import ShardRouter, ShardStats, ShardedPEBTree
+from repro.shard.engine import ShardScatterScanner
 from repro.storage import BufferPool, IOStats, SimulatedDisk, StatsView, merge_stats
 
 from tests.conftest import build_world
@@ -267,3 +268,38 @@ def test_timed_prefetch_fork_join_matches_untimed_exactly():
     assert list(timed_tree.items()) == list(untimed_tree.items())
     assert timed_report.stats.virtual_time_us > 0
     assert untimed_report.stats.virtual_time_us == 0
+
+
+def test_scatter_scanner_span_scan_is_a_plain_scan_of_every_shard():
+    world = build_world(n_users=100, n_policies=6, seed=2)
+    sharded = world.deploy(2)
+    scanner = ShardScatterScanner(sharded)
+    band = BandRequest(0, 0, (1 << sharded.codec.sv_bits) - 1, 0, world.grid.max_z)
+    expected = [(zv, obj.uid) for zv, obj in world.peb.scan_band(*band)]
+    assert expected
+    first = scanner.scan(band)
+    scans_after_first = scanner.physical_scans
+    assert scans_after_first == len(sharded.router.split_band(band))
+    second = scanner.scan(band)
+    for rows in (first, second):
+        assert [(zv, obj.uid) for zv, obj in rows] == expected
+    # No residency serves a span: the repeat reads every shard again.
+    assert scanner.physical_scans == 2 * scans_after_first
+    assert scanner.residency_hits == 0
+    assert scanner.requests == 2
+
+
+def test_scatter_scanner_serves_a_repeated_point_band_from_residency():
+    world = build_world(n_users=100, n_policies=6, seed=2)
+    sharded = world.deploy(2)
+    scanner = ShardScatterScanner(sharded)
+    key = world.peb.live_key(world.uids[3])
+    tid, sv_q, zv = world.peb.codec.decompose(key)
+    band = BandRequest(tid, sv_q, sv_q, zv, zv)
+    first = scanner.scan(band)
+    assert world.uids[3] in {obj.uid for _, obj in first}
+    assert scanner.physical_scans == 1
+    assert scanner.scan(band) == first
+    assert scanner.physical_scans == 1
+    assert scanner.residency_hits == 1
+    assert scanner.requests == 2
