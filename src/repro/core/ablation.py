@@ -58,6 +58,17 @@ class ZVFirstKeyCodec(PEBKeyCodec):
         tid = rest >> self.zv_bits
         return tid, sv_q, zv
 
+    @property
+    def layout(self) -> tuple[int, int, int, int, int]:
+        """SV in the low bits, ZV shifted past it."""
+        return (
+            self.sv_bits + self.zv_bits,
+            0,
+            (1 << self.sv_bits) - 1,
+            self.sv_bits,
+            self._zv_mask,
+        )
+
     def zv_of(self, key: int) -> int:
         """ZV sits in the middle of this layout: shift past SV, mask."""
         return (key >> self.sv_bits) & self._zv_mask

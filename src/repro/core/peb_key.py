@@ -129,6 +129,24 @@ class PEBKeyCodec:
             raise ValueError("key components must be non-negative")
         return ((tid << self.sv_bits) | sv_q) << self.zv_bits | zv
 
+    @property
+    def layout(self) -> tuple[int, int, int, int, int]:
+        """``(tid_shift, sv_shift, sv_mask, zv_shift, zv_mask)``.
+
+        A key's TID is ``key >> tid_shift``, its quantized SV ``key >>
+        sv_shift & sv_mask`` and its ZV ``key >> zv_shift & zv_mask``:
+        a loop over many keys splits them inline instead of calling
+        :meth:`decompose` per key.  Layout variants override this in
+        step with :meth:`decompose`.
+        """
+        return (
+            self.sv_bits + self.zv_bits,
+            self.zv_bits,
+            (1 << self.sv_bits) - 1,
+            0,
+            self._zv_mask,
+        )
+
     def decompose(self, key: int) -> tuple[int, int, int]:
         """Split a key into ``(tid, quantized_sv, zv)``."""
         zv = key & ((1 << self.zv_bits) - 1)

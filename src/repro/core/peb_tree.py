@@ -400,6 +400,11 @@ class PEBTree(Deployment):
         """The user's live key from the update memo, or None."""
         return self._live_keys.get(uid)
 
+    def live_keys_of(self, uids: Iterable[int]) -> Iterator[int | None]:
+        """:meth:`live_key` of each uid in turn: one memo probe each, and
+        no Python call per uid (a plan probes a whole policy row)."""
+        return map(self._live_keys.get, uids)
+
     def contains(self, uid: int) -> bool:
         return uid in self._live_keys
 

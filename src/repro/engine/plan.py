@@ -15,29 +15,34 @@ A plan captures everything *static* about a query: the live partition
 contexts (per-partition window enlargements of Figure 2), the friends
 who can qualify sorted ascending by sequence value, and the bands.  The
 update memo names each friend's live key, so both served plans fetch a
-friend where it is: a PRQ plans one point band
-``[TID ⊕ SV ⊕ ZV ; TID ⊕ SV ⊕ ZV]`` per friend whose cell, at its
-partition's label, lies inside the window enlarged for that partition
-(:meth:`QueryPlanner.plan_range`), and a PkNN one per visible friend
-whose distance lower bound — from that cell, grown by the partition's
-enlargement and clipped to the friend's visible regions — is at most
-the k-th smallest upper bound among the friends sure to qualify
-(:meth:`QueryPlanner.plan_knn_probe`), whose rows the executor
-verifies like a range plan's, without a window.
+friend where it is (:meth:`QueryPlanner.live_cells` reads the key, for
+both): a PRQ plans one point band ``[TID ⊕ SV ⊕ ZV ; TID ⊕ SV ⊕ ZV]``
+per friend whose cell, at its partition's label, lies inside the window
+enlarged for that partition (:meth:`QueryPlanner.plan_range`), and a
+PkNN one per visible friend whose distance lower bound — from that
+cell, grown by the partition's enlargement and clipped to the friend's
+visible regions — is at most the k-th smallest upper bound among the
+friends sure to qualify (:meth:`QueryPlanner.plan_knn_probe`), whose
+rows the executor verifies like a range plan's, without a window.
 
 Under Definition 2 a friend is in an answer only if one of its policies
 toward the issuer holds at ``t_query`` and the friend stands inside that
-policy's ``locr``.  So a range plan bands only the owners of the
-issuer's visibility map at ``t_query`` over the window
+policy's ``locr``.  A range plan tests the cell first, over every owner
+of the issuer's policy row, since it is the cheaper test and rejects
+most of them, and then asks for the issuer's visibility map at
+``t_query`` over the window restricted to the owners that passed
 (:meth:`repro.policy.store.PolicyStore.visibility_map`, which keeps
-only regions that meet it; :meth:`QueryPlanner.range_friends`), and a
-PkNN reads only an owner of the unwindowed map (the served plan
-iterates its owners; the Section 5.4 walk keeps a matrix row per
-:meth:`QueryPlanner.visible_friends`): everyone else provably fails
-Definition 2 wherever they stand.  The map is computed once per query
-and handed on to the verifier, which tests the window before the map —
-so a region that misses the window, holding no point in it, changes no
-verdict.  The registration sweep
+only regions that meet the window): it bands the map's owners.  A PkNN
+reads only an owner of the unwindowed map (the served plan iterates its
+owners; the Section 5.4 walk keeps a matrix row per
+:meth:`QueryPlanner.visible_friends`).  Everyone else provably fails
+Definition 2 wherever they stand, or stands outside the window.  The
+map is computed once per query and handed on to the verifier, which
+tests the window before the map — so a region that misses the window,
+holding no point in it, changes no verdict, and an owner left out of a
+range plan's map has no row in its bands: a band returns the rows at
+one live key, and every owner living there passed the cell test with
+the banded friend.  The registration sweep
 (:meth:`QueryPlanner.plan_seed`) has no query time and the Figure 7
 ablation (:meth:`QueryPlanner.plan_span_scan`) is the literal procedure;
 both keep the whole friend list.
@@ -60,9 +65,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Collection, NamedTuple
 
 from repro.bxtree.queries import enlargement_for_label, estimate_knn_distance
+from repro.spatial.curves import ZOrderCurve
 from repro.spatial.geometry import Rect
 
 if TYPE_CHECKING:
@@ -133,7 +139,9 @@ class QueryPlan:
     the served plans' point bands), which the executor replays with the
     skip rule applied.  ``visible`` is the issuer's visibility map at
     ``t_query`` over ``window`` when the planner computed one (the
-    verifier computes it otherwise).
+    verifier computes it otherwise); a served range plan computes it
+    only over the owners whose live cell reaches the window, so its
+    owners, and ``friends``, are exactly the friends it bands.
     """
 
     q_uid: int
@@ -165,23 +173,6 @@ class QueryPlanner:
         """The friends ``visible`` (the issuer's visibility map at the
         query instant) holds a region for, ``(sv, uid)`` ascending by SV."""
         return [friend for friend in self.friends(q_uid) if friend[1] in visible]
-
-    def range_friends(
-        self, q_uid: int, window: Rect, t_query: float
-    ) -> tuple[VisibilityMap, list[tuple[float, int]]]:
-        """The issuer's visibility map at ``t_query`` over ``window``, and
-        the friends who can qualify: its owners, ``(sv, uid)`` ascending.
-
-        The map keeps only regions that meet the window
-        (:meth:`repro.policy.store.PolicyStore.visibility_map`), so its
-        owners are exactly the :meth:`friends` one of whose policies
-        holds over a region that meets the window, and the issuer's
-        policy row is read once.
-        """
-        store = self.tree.store
-        visible = store.visibility_map(q_uid, t_query, window)
-        sequence_value = store.sequence_value
-        return visible, sorted([(sequence_value(owner), owner) for owner in visible])
 
     def contexts(self, t_query: float) -> list[PartitionContext]:
         """Live partition contexts with their Figure 2 enlargements."""
@@ -223,53 +214,109 @@ class QueryPlanner:
     # Plans
     # ------------------------------------------------------------------
 
+    def live_cells(
+        self, owners: Collection[int], boxes: dict[int, tuple[int, int, int, int]]
+    ) -> dict[int, tuple[int, int, int, int, int]]:
+        """Where the update memo puts each owner that ``boxes`` admits:
+        ``uid -> (TID, sv_q, ZV, ix, iy)``, in ``owners`` order.
+
+        ``boxes`` maps a partition id to an inclusive cell box ``(ix_lo,
+        ix_hi, iy_lo, iy_hi)``.  An owner is kept when it has a live key
+        (``tree.live_keys_of``) whose partition has a box and whose cell
+        lies inside it.  This is the one place a served plan reads a
+        live key.  The fields come out of the key by shift and mask (the
+        codec's ``layout``), and on the Z-curve the cell test is integer
+        arithmetic as well: Morton interleaving is monotone in each axis,
+        so the ZV's x bits lie between the box's x bounds interleaved
+        the same way exactly when the cell's column lies between the
+        bounds, and likewise for y.  An owner the box rejects then costs
+        no decode, and one it keeps is decoded once.  Another curve
+        decodes every owner's cell.
+        """
+        tree = self.tree
+        grid = tree.grid
+        curve, bits = grid.curve, grid.bits
+        decode = curve.decode
+        tid_shift, sv_shift, sv_mask, zv_shift, zv_mask = tree.codec.layout
+        morton = isinstance(curve, ZOrderCurve)
+        if morton:
+            encode, last = curve.encode, grid.cells_per_axis - 1
+            x_bits, y_bits = encode(last, 0, bits), encode(0, last, bits)
+            boxes = {
+                tid: (
+                    encode(ix_lo, 0, bits),
+                    encode(ix_hi, 0, bits),
+                    encode(0, iy_lo, bits),
+                    encode(0, iy_hi, bits),
+                )
+                for tid, (ix_lo, ix_hi, iy_lo, iy_hi) in boxes.items()
+            }
+        box_of = boxes.get
+        cells: dict[int, tuple[int, int, int, int, int]] = {}
+        for uid, key in zip(owners, tree.live_keys_of(owners)):
+            if key is None:
+                continue
+            box = box_of(key >> tid_shift)
+            if box is None:
+                continue
+            zv = key >> zv_shift & zv_mask
+            if morton:
+                x = zv & x_bits
+                y = zv & y_bits
+            else:
+                x, y = decode(zv, bits)
+            x_lo, x_hi, y_lo, y_hi = box
+            if x_lo <= x <= x_hi and y_lo <= y <= y_hi:
+                ix, iy = decode(zv, bits) if morton else (x, y)
+                cells[uid] = (key >> tid_shift, key >> sv_shift & sv_mask, zv, ix, iy)
+        return cells
+
     def plan_range(self, q_uid: int, window: Rect, t_query: float) -> QueryPlan:
         """Plan a PRQ-shaped scan (also serves the aggregates).
 
         Figure 2 enlarges the window per live partition because an
         indexed position is known only as of its partition's label:
         at ``t_query`` a user stands within ``max_speed · |t_query −
-        label|`` of it.  The update memo names each friend's live key
-        (``tree.live_key``), and with it the partition and the grid
-        cell the friend stood in at that label, so the enlargement is
-        tested per friend instead of scanned per window: one point band
-        ``[TID ⊕ SV ⊕ ZV ; TID ⊕ SV ⊕ ZV]`` is planned per friend who
-        can qualify (see :meth:`range_friends`) whose key lies in a
-        live partition and whose cell lies inside
+        label|`` of it.  The update memo names each friend's live key,
+        and with it the partition and the grid cell the friend stood in
+        at that label, so the enlargement is tested per friend instead
+        of scanned per window.  Every owner of the issuer's policy row
+        is tested there first (:meth:`live_cells`): it can qualify only
+        if its key lies in a live partition and its cell inside
         ``grid.cell_box(context.enlarged(window))`` of that partition's
-        context.  Every other friend's rows provably miss the window at
+        context.  Every other owner's row provably misses the window at
         ``t_query``.  ``Grid.cell_of`` clamps a position outside the
         space into an edge cell, and the box clamps the same way, so a
-        friend who left the space still meets its box.  Bands come in
-        key order, partition-major and SV-ascending, as
+        friend who left the space still meets its box.
+
+        Only the owners that pass have their policies resolved: the
+        issuer's visibility map at ``t_query`` over the window,
+        restricted to them
+        (:meth:`repro.policy.store.PolicyStore.visibility_map`), keeps
+        those one of whose policies holds over a region that meets the
+        window.  They are the plan's ``friends``, ``(sv, uid)``
+        ascending, and each gets one point band ``[TID ⊕ SV ⊕ ZV ; TID ⊕
+        SV ⊕ ZV]`` at its live key.  Both tests are exact, so the bands
+        are those of testing the policies first; the cell comes first
+        because it is the cheaper test and rejects most owners.  Bands
+        come in key order, partition-major and SV-ascending, as
         :meth:`plan_knn_probe`'s do.
         """
-        visible, friends = self.range_friends(q_uid, window, t_query)
+        tree = self.tree
+        store, grid = tree.store, tree.grid
         contexts = self.contexts(t_query)
+        cells = self.live_cells(
+            store.owners_granting(q_uid),
+            {context.tid: grid.cell_box(context.enlarged(window)) for context in contexts},
+        )
+        visible = store.visibility_map(q_uid, t_query, window, cells)
+        sequence_value = store.sequence_value
+        friends = sorted([(sequence_value(owner), owner) for owner in visible])
         bands: list[PlannedBand] = []
-        if friends:
-            tree = self.tree
-            grid = tree.grid
-            boxes = {
-                context.tid: grid.cell_box(context.enlarged(window))
-                for context in contexts
-            }
-            live_key = tree.live_key
-            decompose = tree.codec.decompose
-            decode, bits = grid.curve.decode, grid.bits
-            for _, friend_uid in friends:
-                key = live_key(friend_uid)
-                if key is None:
-                    continue
-                tid, sv_q, zv = decompose(key)
-                box = boxes.get(tid)
-                if box is None:
-                    continue
-                ix, iy = decode(zv, bits)
-                if box[0] <= ix <= box[1] and box[2] <= iy <= box[3]:
-                    band = BandRequest(tid, sv_q, sv_q, zv, zv)
-                    bands.append(PlannedBand(friend_uid, band))
-            bands.sort(key=itemgetter(1))
+        for _, friend_uid in friends:
+            tid, sv_q, zv, _, _ = cells[friend_uid]
+            bands.append(PlannedBand(friend_uid, BandRequest(tid, sv_q, sv_q, zv, zv)))
+        bands.sort(key=itemgetter(1))
         return QueryPlan(
             q_uid=q_uid,
             t_query=t_query,
@@ -329,7 +376,7 @@ class QueryPlanner:
         Definition 3 ranks only users Definition 2 admits, and only the
         owners of the issuer's visibility map at ``t_query`` can be
         admitted.  The update memo names each one's live key exactly
-        (``tree.live_key``): a friend with no live key, or one in a
+        (:meth:`live_cells`): a friend with no live key, or one in a
         partition no query at ``t_query`` may read, gets no band — the
         Section 5.4 walk would not reach it either.  The key's cell, at
         its partition's label, grown by that partition's enlargement
@@ -366,27 +413,17 @@ class QueryPlanner:
         """
         if k <= 0:
             return []
-        tree = self.tree
-        grid = tree.grid
+        grid = self.tree.grid
         contexts = {context.tid: context for context in self.contexts(t_query)}
-        live_key = tree.live_key
-        decompose = tree.codec.decompose
-        decode, bits = grid.curve.decode, grid.bits
         size, last = grid.cell_size, grid.cells_per_axis - 1
+        cells = self.live_cells(visible, dict.fromkeys(contexts, (0, last, 0, last)))
         hypot, inf = math.hypot, math.inf
         # (lower bound, uid, TID, sv_q, ZV) per friend whose grown cell
         # meets a region; the upper bound of each sure friend.
         candidates: list[tuple[float, int, int, int, int]] = []
         sure: list[float] = []
-        for friend_uid, regions in visible.items():
-            key = live_key(friend_uid)
-            if key is None:
-                continue
-            tid, sv_q, zv = decompose(key)
-            context = contexts.get(tid)
-            if context is None:
-                continue
-            ix, iy = decode(zv, bits)
+        for friend_uid, (tid, sv_q, zv, ix, iy) in cells.items():
+            context, regions = contexts[tid], visible[friend_uid]
             # The grown cell: a cell wider on every side, unbounded past
             # an edge cell.
             x_lo = (ix - 1) * size - context.dx if ix > 0 else -inf

@@ -20,7 +20,7 @@ silently double-count.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, KeysView
 
 from repro.policy.lpp import LocationPrivacyPolicy
 from repro.policy.timeset import DEFAULT_TIME_DOMAIN, fold
@@ -154,7 +154,11 @@ class PolicyStore:
         return False
 
     def visibility_map(
-        self, viewer: int, t: float, window: "Rect | None" = None
+        self,
+        viewer: int,
+        t: float,
+        window: "Rect | None" = None,
+        owners: Iterable[int] | None = None,
     ) -> dict[int, tuple[tuple[float, float, float, float], ...]]:
         """Regions where each owner is visible to ``viewer`` at instant ``t``.
 
@@ -170,8 +174,12 @@ class PolicyStore:
         intervals, as the verifier admits a point on both edges), and an
         owner none of whose regions meets it is left out: a verifier that
         tests the window first reaches the same verdict on every point.
-        Dispatches through :meth:`policies_for`, so multi-policy stores
-        inherit the any-policy-admits semantics unchanged.
+        Given ``owners``, only those owners are resolved (one outside the
+        viewer's row is skipped), so the map is the full one restricted
+        to them — a range plan resolves only the friends whose cell can
+        reach its window.  Reads the viewer's row of the directory, the
+        table :meth:`policies_for` reads, so the multi-policy store
+        inherits the any-policy-admits semantics unchanged.
         """
         folded = fold(t, self.time_domain)
         if window is None:
@@ -180,8 +188,13 @@ class PolicyStore:
         else:
             w_xlo, w_xhi = window.x_lo, window.x_hi
             w_ylo, w_yhi = window.y_lo, window.y_hi
+        row = self._directory.get(viewer, {})
+        if owners is None:
+            granted = row.items()
+        else:
+            granted = [(owner, row[owner]) for owner in owners if owner in row]
         visible: dict[int, tuple[tuple[float, float, float, float], ...]] = {}
-        for owner, policies in self._directory.get(viewer, {}).items():
+        for owner, policies in granted:
             bounds = []
             for policy in policies:
                 if policy.tint.contains(folded):
@@ -307,9 +320,14 @@ class PolicyStore:
         pairs.sort()
         return pairs
 
-    def owners_granting(self, viewer: int) -> frozenset[int]:
-        """Uids holding a policy about ``viewer`` (unsorted, no SVs)."""
-        return frozenset(self._directory.get(viewer, ()))
+    def owners_granting(self, viewer: int) -> KeysView[int]:
+        """Uids holding a policy about ``viewer`` (unsorted, no SVs).
+
+        A read-only view of the viewer's row, not a copy: a range plan
+        walks one per query.  Do not hold it across an install; take a
+        ``frozenset`` of it to keep a snapshot.
+        """
+        return self._directory.get(viewer, {}).keys()
 
     def viewers_of(self, owner: int) -> frozenset[int]:
         """Uids the owner has granted (possibly conditional) visibility."""

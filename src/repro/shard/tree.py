@@ -28,7 +28,7 @@ is embarrassingly parallel (the read side already exploits this; see
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.core.peb_key import DEFAULT_SV_BITS, PEBKeyCodec, derive_sv_scale
 from repro.core.peb_tree import (
@@ -263,6 +263,11 @@ class ShardedPEBTree(Deployment):
     def live_key(self, uid: int) -> int | None:
         """The user's live key from the merged update memo, or None."""
         return self._live_keys.get(uid)
+
+    def live_keys_of(self, uids: Iterable[int]) -> Iterator[int | None]:
+        """:meth:`live_key` of each uid in turn: one merged-memo probe
+        each, and no Python call per uid."""
+        return map(self._live_keys.get, uids)
 
     def contains(self, uid: int) -> bool:
         return uid in self._live_keys

@@ -11,6 +11,7 @@ from repro.core.pknn import plan_pknn, pknn
 from repro.core.prq import prq
 from repro.engine import BandScanner, ExecutionStats, QueryEngine
 from repro.engine.plan import BandRequest, QueryPlanner
+from repro.policy.timeset import fold
 from repro.spatial.decompose import merge_intervals
 from repro.spatial.geometry import Rect
 from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
@@ -51,27 +52,39 @@ def test_plan_range_orders_bands_partition_major(small_world):
     window = Rect(100, 400, 100, 400)
     plan = engine.planner.plan_range(issuer, window, 5.0)
 
-    # Only the friends a policy can admit in the window at t = 5.
-    friends = admissible_friends(world.store, issuer, window, 5.0)
-    assert 0 < len(friends) < len(world.store.friend_list(issuer))
-    assert plan.friends == friends
-    assert plan.visible == world.store.visibility_map(issuer, 5.0, window)
+    # The friends a policy can admit in the window at t = 5 ...
+    admissible = admissible_friends(world.store, issuer, window, 5.0)
+    assert 0 < len(admissible) < len(world.store.friend_list(issuer))
     assert len(plan.contexts) == len(world.partitioner.live_labels(5.0))
-    # One point band at its live key per friend whose key lies in a live
-    # partition, on a cell inside that partition's enlarged window (and
-    # no band for any other friend), partition-major, SV-ascending.
+    # ... of whom the plan keeps those whose live key lies in a live
+    # partition, on a cell inside that partition's enlarged window, and
+    # gives each one point band at its live key (and no band to anyone
+    # else), partition-major, SV-ascending.
     boxes = {
         context.tid: world.grid.cell_box(context.enlarged(window))
         for context in plan.contexts
     }
-    expected = []
-    for _, uid in friends:
+    friends, expected = [], []
+    for sv, uid in admissible:
         tid, sv_q, zv = tree.codec.decompose(tree.live_key(uid))
         ix, iy = world.grid.curve.decode(zv, world.grid.bits)
         box = boxes.get(tid)
         if box and box[0] <= ix <= box[1] and box[2] <= iy <= box[3]:
+            friends.append((sv, uid))
             expected.append((uid, BandRequest(tid, sv_q, sv_q, zv, zv)))
-    assert 0 < len(expected) < len(friends)
+    assert 0 < len(friends) < len(admissible)
+    assert plan.friends == friends
+    # The map holds only those friends, with the regions that meet the
+    # window of their time-admitting policies.
+    instant = fold(5.0, world.store.time_domain)
+    assert plan.visible == {
+        uid: tuple(
+            (p.locr.x_lo, p.locr.x_hi, p.locr.y_lo, p.locr.y_hi)
+            for p in world.store.policies_for(uid, issuer)
+            if p.tint.contains(instant) and p.locr.intersects(window)
+        )
+        for _, uid in friends
+    }
     assert [tuple(planned) for planned in plan.bands] == sorted(
         expected, key=lambda banded: banded[1]
     )

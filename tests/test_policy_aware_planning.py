@@ -20,9 +20,11 @@ partition, so the reference stays unpruned in space as well):
 * ``candidates_examined`` is never higher, except the Section 5.4
   walk's: it reads only the kept friends' strata, but pruning shifts
   its Figure 9 schedule, so it can examine more (ROADMAP item 17);
-* a range plan holds at most one point band per kept friend, at the
-  live key the memo names, in a live partition, in key order, and every
-  user in the answer has one; the PkNN fetch's point bands are some of
+* a range plan keeps exactly the friends a policy can admit in the
+  window whose live cell lies inside the window enlarged for its
+  partition, and holds one point band per kept friend, at the live key
+  the memo names, in a live partition, in key order, and every user in
+  the answer has one; the PkNN fetch's point bands are some of
   the reference's bands of the friends it keeps, in the same order, and
   every user in the answer has one (the reference fetch bands every
   friend on the list, without the map or the distance bound);
@@ -262,6 +264,22 @@ def can_qualify(store, owner, viewer, t_query, window=None):
     return False
 
 
+def cell_reaches(tree, uid, contexts, window):
+    """True when ``uid``'s live key lies in one of ``contexts``' partitions
+    on a cell inside the window enlarged for that partition (Figure 2):
+    the key decomposed and its cell decoded, one friend at a time."""
+    key = tree.live_key(uid)
+    if key is None:
+        return False
+    tid, _, zv = tree.codec.decompose(key)
+    ix, iy = tree.grid.curve.decode(zv, tree.grid.bits)
+    for context in contexts:
+        if context.tid == tid:
+            x_lo, x_hi, y_lo, y_hi = tree.grid.cell_box(context.enlarged(window))
+            return x_lo <= ix <= x_hi and y_lo <= iy <= y_hi
+    return False
+
+
 def knn_answer(result):
     return [(d, obj.uid) for d, obj in result.neighbors]
 
@@ -359,10 +377,11 @@ def test_pruned_planner_matches_the_unpruned_reference(
             friend
             for friend in full.friends
             if can_qualify(store, friend[1], q_uid, t_query, window)
+            and cell_reaches(tree, friend[1], plan.contexts, window)
         ]
         live = {context.tid for context in plan.contexts}
         banded = [b.friend_uid for b in plan.bands]
-        assert set(banded) <= kept and len(set(banded)) == len(banded)
+        assert set(banded) == kept and len(set(banded)) == len(banded)
         for planned in plan.bands:
             tid, sv_q, zv = tree.codec.decompose(tree.live_key(planned.friend_uid))
             assert planned.band == (tid, sv_q, sv_q, zv, zv) and tid in live
@@ -601,9 +620,9 @@ def test_one_visibility_map_per_query(n_shards):
     calls_made = []
     visibility_map = PolicyStore.visibility_map
 
-    def counted(self, viewer, t, window=None):
+    def counted(self, viewer, t, window=None, owners=None):
         calls_made.append((viewer, window))
-        return visibility_map(self, viewer, t, window)
+        return visibility_map(self, viewer, t, window, owners)
 
     with mock.patch.object(PolicyStore, "visibility_map", counted):
         engine.execute_batch(specs)

@@ -1,12 +1,15 @@
 """The stats dialects' reporting contract, pinned to a recorded golden.
 
 Every stats class is built with each field set to a distinct non-zero
-value; its ``snapshot()`` and the registry contents after ``publish()``
-(metric names, counter-vs-gauge kinds, label sets, values) must equal
-``stats_contract_golden.json``, recorded at commit ``b61a23b`` — when
-all of it was still written out by hand, class by class — by dumping
-:func:`observed`.  The golden cases use nothing the hand-written
-classes lacked, so they pass on both sides of the port.
+value derived from the field's name; its ``snapshot()`` and the
+registry contents after ``publish()`` (metric names, counter-vs-gauge
+kinds, label sets, values) must equal ``stats_contract_golden.json``,
+first recorded at commit ``b61a23b`` — when all of it was still written
+out by hand, class by class — and re-recorded once when the values
+stopped following declaration order, by dumping :func:`observed`
+(``PYTHONPATH=src:. python -m tests.test_stats_contract``).  Because a
+value follows its field's name, removing a field changes only the
+golden entries that name it.
 
 The properties below the golden pin the arithmetic every counter set
 derives from its declaration: ``a.delta_from(b) + b == a`` and
@@ -16,6 +19,7 @@ derives from its declaration: ``a.delta_from(b) + b == a`` and
 import dataclasses
 import json
 import random
+import zlib
 from pathlib import Path
 
 import pytest
@@ -33,27 +37,38 @@ from repro.storage.stats import IOStats, StatsView
 GOLDEN = Path(__file__).with_name("stats_contract_golden.json")
 
 
-def filled(cls, start: int, **given):
-    """An instance whose numeric fields hold ``start + 2, start + 4, ...``.
+def field_value(name: str) -> int:
+    """The even number in ``2 .. 20 000`` a field named ``name`` is
+    filled with: a CRC of the name, so a field's value does not move
+    when another field is added, removed or reordered."""
+    return 2 + 2 * (zlib.crc32(name.encode()) % 10_000)
 
-    Floats get a ``.5`` so a counter published through the wrong field
-    cannot collide with its neighbour; ``given`` supplies whatever a
-    number cannot stand in for (nested sets, tuples, dicts).
+
+def filled(cls, start: int, **given):
+    """An instance whose numeric fields hold ``start + field_value(name)``.
+
+    Values are distinct within the class (asserted here), and floats get
+    a ``.5``, so a counter published through the wrong field cannot
+    collide with another; ``given`` supplies whatever a number cannot
+    stand in for (nested sets, tuples, dicts).
     """
     values = dict(given)
+    numbers: dict[int, str] = {}
     for spec in dataclasses.fields(cls):
         if spec.name in values or spec.name.startswith("_"):
             continue
-        start += 2
+        number = start + field_value(spec.name)
+        clash = numbers.setdefault(number, spec.name)
+        assert clash == spec.name, f"{cls.__name__}: {clash} and {spec.name} tie"
         kind = str(spec.type)
         if kind == "int":
-            values[spec.name] = start
+            values[spec.name] = number
         elif kind == "float":
-            values[spec.name] = start + 0.5
+            values[spec.name] = number + 0.5
         elif kind == "bool":
             values[spec.name] = True
         elif kind.startswith("str"):
-            values[spec.name] = f"{spec.name}-{start}"
+            values[spec.name] = f"{spec.name}-{number}"
         else:
             raise AssertionError(f"{cls.__name__}.{spec.name}: give a value")
     return cls(**values)
@@ -254,3 +269,7 @@ def test_every_published_name_is_documented():
         published |= set(names)
     missing = sorted(name for name in published if f"`{name}`" not in section)
     assert not missing, f"undocumented metric names: {missing}"
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(observed(), indent=1, sort_keys=True) + "\n")
