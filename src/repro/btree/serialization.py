@@ -25,11 +25,20 @@ into batch operations — one ``struct.unpack`` for the whole uid column,
 one contiguous payload run handed to the record codec's
 ``struct.iter_unpack`` — and a parsed leaf keeps its payloads packed in a
 :class:`repro.btree.node.PackedValues` column, never as per-entry tuples.
+Packing runs the other way, column by column, each in one C-level call:
+the key column is one join over ``map(int.to_bytes, ...)``, the uid
+column one ``struct.pack``, and a packed value column is joined as it
+is, without a copy.  The checks stay in that order: a key/value count
+mismatch raises ``ValueError``, a negative or too-wide key
+``OverflowError``, an out-of-range uid ``struct.error`` and a value of
+the wrong width ``ValueError``.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import repeat
+from operator import itemgetter
 
 from repro.btree.node import (
     INTERNAL_TYPE,
@@ -43,6 +52,8 @@ _LEAF_HEADER = struct.Struct(">BHq")  # type, count, next_leaf
 _INTERNAL_HEADER = struct.Struct(">BH")  # type, count
 _UID = struct.Struct(">I")
 _CHILD = struct.Struct(">q")
+_KEY_OF = itemgetter(0)
+_UID_OF = itemgetter(1)
 
 #: Leaf header bytes (1 + 2 + 8).
 LEAF_HEADER_SIZE = _LEAF_HEADER.size
@@ -103,23 +114,22 @@ class BTreeNodeSerializer:
             )
         kb = self.key_bytes
         vb = self.value_bytes
-        parts = [
-            _LEAF_HEADER.pack(LEAF_TYPE, count, node.next_leaf),
-            b"".join(key.to_bytes(kb, "big") for key, _ in keys),
-            struct.pack(f">{count}I", *(uid for _, uid in keys)),
-        ]
+        header = _LEAF_HEADER.pack(LEAF_TYPE, count, node.next_leaf)
+        # One C-level call per column.  A negative or too-wide key
+        # raises OverflowError, an out-of-range uid struct.error, in
+        # that order and before any value is checked.
+        key_col = b"".join(
+            map(int.to_bytes, map(_KEY_OF, keys), repeat(kb), repeat("big"))
+        )
+        uid_col = struct.pack(f">{count}I", *map(_UID_OF, keys))
         if isinstance(values, PackedValues) and values.stride == vb:
-            parts.append(values.to_bytes())
-        else:
-            chunks = []
-            for value in values:
-                if len(value) != vb:
-                    raise ValueError(
-                        f"leaf value is {len(value)} bytes, expected {vb}"
-                    )
-                chunks.append(value)
-            parts.append(b"".join(chunks))
-        return b"".join(parts)
+            return b"".join((header, key_col, uid_col, values.data))
+        for value in values:
+            if len(value) != vb:
+                raise ValueError(
+                    f"leaf value is {len(value)} bytes, expected {vb}"
+                )
+        return b"".join((header, key_col, uid_col, *values))
 
     def _parse_leaf(self, image: bytes) -> LeafNode:
         _, count, next_leaf = _LEAF_HEADER.unpack_from(image, 0)

@@ -311,7 +311,12 @@ class PEBTree(Deployment):
         """Index a user's state as of its label timestamp."""
         if obj.uid in self._live_keys:
             raise KeyError(f"user {obj.uid} is already indexed; use update()")
-        key = self.key_for(obj)
+        self._insert_at(self.key_for(obj), obj, pntp)
+
+    def _insert_at(self, key: int, obj: MovingObject, pntp: int) -> None:
+        """Index an unindexed user's state under its already computed
+        key: the one insert path of :meth:`insert`, :meth:`update` and
+        the sharded facade's ``insert``, none of which keys it twice."""
         self.btree.insert(key, obj.uid, self.records.pack(obj, pntp))
         self._live_keys[obj.uid] = key
         self.max_speed_x = max(self.max_speed_x, abs(obj.vx))
@@ -330,17 +335,15 @@ class PEBTree(Deployment):
     def update(self, obj: MovingObject, pntp: int = 0) -> None:
         """Replace a user's entry with a new state.
 
-        When the new PEB-key equals the memoized live key — the user
-        re-reported from the same grid cell within the same time
-        partition, a common case for slow or stationary users — the
-        leaf payload is rewritten in place: one descent, no structural
-        delete/reinsert, no rebalancing.  Otherwise the entry moves via
-        the usual delete + insert.
+        The new PEB-key is computed once.  When it equals the memoized
+        live key — the user re-reported from the same grid cell within
+        the same time partition, a common case for slow or stationary
+        users — the leaf payload is rewritten in place: one descent, no
+        structural delete/reinsert, no rebalancing.  Otherwise the entry
+        moves: a delete at the live key and an insert at the new one
+        (an unindexed user is only inserted).
         """
         old_key = self._live_keys.get(obj.uid)
-        if old_key is None:
-            self.insert(obj, pntp)
-            return
         new_key = self.key_for(obj)
         if new_key == old_key:
             if not self.btree.replace(old_key, obj.uid, self.records.pack(obj, pntp)):
@@ -348,8 +351,9 @@ class PEBTree(Deployment):
             self.max_speed_x = max(self.max_speed_x, abs(obj.vx))
             self.max_speed_y = max(self.max_speed_y, abs(obj.vy))
             return
-        self.delete(obj.uid)
-        self.insert(obj, pntp)
+        if old_key is not None:
+            self.delete(obj.uid)
+        self._insert_at(new_key, obj, pntp)
 
     def update_batch(self, updates: Iterable[UpdateItem]) -> BatchUpdateResult:
         """Apply a buffer of updates as one key-sorted run of tree ops.

@@ -158,6 +158,9 @@ class QueryPlanner:
 
     def __init__(self, tree: "PEBTree"):
         self.tree = tree
+        #: ``((t_query, max_speed_x, max_speed_y), contexts)`` of the
+        #: last :meth:`contexts` call.
+        self._contexts_memo: tuple[tuple, tuple[PartitionContext, ...]] | None = None
 
     # ------------------------------------------------------------------
     # Shared building blocks (also used by the Section 5.4 PkNN walk)
@@ -175,8 +178,18 @@ class QueryPlanner:
         return [friend for friend in self.friends(q_uid) if friend[1] in visible]
 
     def contexts(self, t_query: float) -> list[PartitionContext]:
-        """Live partition contexts with their Figure 2 enlargements."""
+        """Live partition contexts with their Figure 2 enlargements.
+
+        The last result is kept, keyed on ``t_query`` and the tree's
+        speed maxima (an update may raise them, and the enlargements
+        grow with them): the specs of one batch share a query time.
+        Every call returns a list of its own.
+        """
         tree = self.tree
+        memo_key = (t_query, tree.max_speed_x, tree.max_speed_y)
+        memo = self._contexts_memo
+        if memo is not None and memo[0] == memo_key:
+            return list(memo[1])
         out = []
         for label in tree.partitioner.live_labels(t_query):
             out.append(
@@ -187,6 +200,7 @@ class QueryPlanner:
                     dy=enlargement_for_label(label, t_query, tree.max_speed_y),
                 )
             )
+        self._contexts_memo = (memo_key, tuple(out))
         return out
 
     def band(self, tid: int, sv: float, z_lo: int, z_hi: int) -> BandRequest:

@@ -16,14 +16,17 @@ touches a tree.  Splitting is exact — the sub-bands of
 :meth:`split_band` cover the original band's key range with no overlap
 and no gap, in ascending key order, so concatenating per-shard scans
 reproduces a single tree's scan byte for byte.  Splitting a
-key-sorted op run (:meth:`split_sorted_run`) is a single stable pass,
-so each shard receives a still-sorted run ready for
-:meth:`repro.btree.BPlusTree.apply_sorted_batch` — no re-sorting.
+key-sorted op run (:meth:`split_sorted_run`) bisects it at the
+boundary keys of each TID block and keeps every slice in order, so each
+shard receives a still-sorted run ready for
+:meth:`repro.btree.BPlusTree.apply_sorted_batch` — no re-sorting and no
+per-op routing.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.engine.plan import BandRequest
@@ -31,6 +34,9 @@ from repro.engine.plan import BandRequest
 if TYPE_CHECKING:
     from repro.core.peb_key import PEBKeyCodec
     from repro.policy.store import PolicyStore
+
+
+_KEY_OF_OP = itemgetter(1)
 
 
 class ShardRouter:
@@ -50,9 +56,17 @@ class ShardRouter:
             raise ValueError("shard boundaries must be non-negative")
         if any(b > a for b, a in zip(bounds, bounds[1:])):
             raise ValueError(f"shard boundaries must ascend, got {bounds}")
+        if not codec.sv_major:
+            raise ValueError("a router cuts an SV-major key space (SV above ZV)")
         self.codec = codec
         self.boundaries = bounds
         self._max_z = (1 << codec.zv_bits) - 1
+        tid_shift, sv_shift, _, _, _ = codec.layout
+        self._tid_shift = tid_shift
+        # Where each boundary's shard starts inside one TID block: the
+        # key offset of ``boundary ⊕ 0`` (one past the block for a
+        # boundary past every SV, which the cut's bisection caps).
+        self._cut_offsets = tuple(bound << sv_shift for bound in bounds)
 
     @property
     def n_shards(self) -> int:
@@ -153,17 +167,35 @@ class ShardRouter:
     def split_sorted_run(self, ops: Sequence[tuple]) -> list[tuple[int, list[tuple]]]:
         """Cut one key-sorted batch-op run at shard-key boundaries.
 
-        One stable pass: each op ``(kind, key, uid, payload)`` joins its
-        key's shard, preserving relative order, so every returned run is
-        itself key-sorted and feeds
+        A key-sorted run is TID-major and, within one TID, SV-ascending,
+        so each shard's ops inside one TID block are one contiguous
+        slice: the run is cut by bisecting its keys at each block's
+        boundary keys ``TID ⊕ boundary ⊕ 0``, with no per-op routing.
+        Each op ``(kind, key, uid, payload)`` joins its key's shard,
+        preserving relative order, so every returned run is itself
+        key-sorted and feeds
         :meth:`repro.btree.BPlusTree.apply_sorted_batch` directly — the
         whole point of letting the update pipeline sort once globally.
         Returns ``(shard, run)`` pairs in ascending shard order,
         non-empty runs only.
         """
+        keys = list(map(_KEY_OF_OP, ops))
+        tid_shift = self._tid_shift
+        offsets = self._cut_offsets
+        last = len(offsets)
         runs: dict[int, list[tuple]] = {}
-        for op in ops:
-            runs.setdefault(self.shard_of_key(op[1]), []).append(op)
+        start, stop = 0, len(keys)
+        while start < stop:
+            block = keys[start] >> tid_shift << tid_shift
+            block_end = bisect_left(keys, block + (1 << tid_shift), start)
+            for shard, offset in enumerate(offsets):
+                cut = bisect_left(keys, block + offset, start, block_end)
+                if cut > start:
+                    runs.setdefault(shard, []).extend(ops[start:cut])
+                    start = cut
+            if block_end > start:
+                runs.setdefault(last, []).extend(ops[start:block_end])
+                start = block_end
         return sorted(runs.items())
 
 

@@ -28,6 +28,7 @@ is embarrassingly parallel (the read side already exploits this; see
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.core.peb_key import DEFAULT_SV_BITS, PEBKeyCodec, derive_sv_scale
@@ -300,7 +301,7 @@ class ShardedPEBTree(Deployment):
         if obj.uid in self._live_keys:
             raise KeyError(f"user {obj.uid} is already indexed; use update()")
         key = self.key_for(obj)
-        self.trees[self.router.shard_of_key(key)].insert(obj, pntp)
+        self.trees[self.router.shard_of_key(key)]._insert_at(key, obj, pntp)
         self._live_keys[obj.uid] = key
         self.max_speed_x = max(self.max_speed_x, abs(obj.vx))
         self.max_speed_y = max(self.max_speed_y, abs(obj.vy))
@@ -334,11 +335,11 @@ class ShardedPEBTree(Deployment):
 
         A user's shard is fixed by its sequence value, so every move is
         shard-local and nothing ever migrates.  That is a checked
-        precondition: each user's shard is computed once per batch, and
-        if a moved user's new key routes to another shard than its live
-        key (its SV was re-assigned across a router boundary under the
-        live deployment) the batch raises :class:`ValueError` before
-        any shard is touched.
+        precondition: each user's shard is read off the cut run (every
+        op is routed once), and if a moved user's new key routes to
+        another shard than its live key (its SV was re-assigned across
+        a router boundary under the live deployment) the batch raises
+        :class:`ValueError` before any shard is touched.
 
         With a :attr:`supervisor` attached, each shard's sweep becomes
         an independently retryable job: the sweep runs inside the
@@ -358,26 +359,23 @@ class ShardedPEBTree(Deployment):
             self.max_speed_x,
             self.max_speed_y,
         )
-        shard_of_key = self.router.shard_of_key
-        shard_of_uid: dict[int, int] = {}
-        old_keys = plan.old_keys
-        for uid, new_key in plan.new_keys.items():
-            shard = shard_of_uid[uid] = shard_of_key(new_key)
-            # The shard is the current SV's; a live key in another shard
-            # was composed under an SV re-assigned across a boundary.
-            old_key = old_keys[uid]
-            if (
-                old_key is not None
-                and old_key != new_key
-                and shard_of_key(old_key) != shard
-            ):
-                raise ValueError(
-                    f"user {uid}'s new key routes to shard {shard} but its "
-                    "live key lives in another shard: a user's sequence "
-                    "value may not cross a shard boundary"
-                )
         result = plan.result
-        runs = dict(self.router.split_sorted_run(plan.ops))
+        runs = self.router.split_sorted_run(plan.ops)
+        # The cut routes every op once.  A user whose ops land in two
+        # shards moved across a boundary: its live key was composed
+        # under an SV since re-assigned into another shard's range.
+        shard_of_uid: dict[int, int] = {}
+        for shard, run in runs:
+            uids = dict.fromkeys(map(itemgetter(2), run), shard)
+            if not shard_of_uid.keys().isdisjoint(uids):
+                uid = min(shard_of_uid.keys() & uids.keys())
+                raise ValueError(
+                    f"user {uid}'s live key and new key route to two "
+                    f"shards ({shard_of_uid[uid]} and {shard}): a user's "
+                    "sequence value may not cross a shard boundary"
+                )
+            shard_of_uid.update(uids)
+        runs = dict(runs)
 
         if self.supervisor is None:
             self._apply_runs(result, runs)

@@ -101,6 +101,47 @@ def test_plan_range_without_friends_is_empty(small_world):
     assert plan.friends == []
 
 
+def test_contexts_are_kept_per_query_time_and_speed_maxima(small_world):
+    """The planner keeps its last contexts, keyed on the query time and
+    both speed maxima (an update raises them), and every call and plan
+    gets a list of its own."""
+    tree = small_world.peb
+    planner = QueryPlanner(tree)
+
+    def expected(t_query):
+        return [
+            (
+                tree.partitioner.partition_of_label(label),
+                label,
+                tree.max_speed_x * abs(label - t_query),
+                tree.max_speed_y * abs(label - t_query),
+            )
+            for label in tree.partitioner.live_labels(t_query)
+        ]
+
+    def fields(contexts):
+        return [(c.tid, c.label, c.dx, c.dy) for c in contexts]
+
+    first = planner.contexts(5.0)
+    again = planner.contexts(5.0)
+    assert fields(first) == fields(again) == expected(5.0)
+    assert first is not again
+    first.clear()
+    assert fields(planner.contexts(5.0)) == expected(5.0)
+    window = Rect(100, 400, 100, 400)
+    plans = [planner.plan_range(small_world.uids[5], window, 5.0) for _ in range(2)]
+    assert plans[0].contexts is not plans[1].contexts
+    assert fields(planner.contexts(65.0)) == expected(65.0)
+    speeds = tree.max_speed_x, tree.max_speed_y
+    try:
+        for raised in ((speeds[0] + 1.0, speeds[1]), (speeds[0] + 1.0, speeds[1] + 2.0)):
+            tree.max_speed_x, tree.max_speed_y = raised
+            assert fields(planner.contexts(65.0)) == expected(65.0)
+    finally:
+        tree.max_speed_x, tree.max_speed_y = speeds
+    assert fields(planner.contexts(65.0)) == expected(65.0)
+
+
 def test_plan_seed_covers_all_partitions(small_world):
     world = small_world
     engine = QueryEngine(world.peb)
