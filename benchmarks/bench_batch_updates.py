@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 def micro_bench_zv(harness: ExperimentHarness, repeats: int = 5) -> dict:
     """Time the scan hot loop's key-to-ZV extraction both ways."""
     codec = harness.peb.codec
-    keys = list(harness.peb._live_keys.values())
+    keys = list(harness.peb.live_keys().values())
     best_decompose = best_zv_of = float("inf")
     for _ in range(repeats):
         started = time.perf_counter()

@@ -695,7 +695,7 @@ class ExperimentHarness(World):
 
         clone.btree.check_invariants()
         self.peb.btree.check_invariants()
-        if clone._live_keys != self.peb._live_keys:
+        if clone.live_keys() != self.peb.live_keys():
             raise AssertionError("batched update memo diverged from sequential")
         sequential_entries = list(clone.btree.items())
         batched_entries = list(self.peb.btree.items())

@@ -3,11 +3,11 @@
 A deployment is three artefacts: the page images (the index), the policy
 directory (with its sequence values), and the structural metadata tying
 them together (B+-tree root and counters, key-codec geometry, grid,
-time partitioning, the update memo).  :func:`save_peb_tree` writes them
-as two files in a directory::
+time partitioning, the update memo, the speed maxima).
+:func:`save_peb_tree` writes them as two files in a directory::
 
-    <dir>/disk.bin   — binary page snapshot (repro.storage.persistence)
-    <dir>/meta.json  — everything else, JSON
+    <dir>/disk.bin      — binary page snapshot (repro.storage.persistence)
+    <dir>/meta.json.gz  — everything else, gzip-compressed JSON
 
 :func:`load_peb_tree` reassembles a fully operational tree: queries,
 updates, and I/O accounting continue exactly where they left off (the
@@ -82,13 +82,20 @@ def _read_meta(directory: str) -> dict:
     return meta
 
 
-def save_peb_tree(tree: PEBTree, directory: str) -> None:
+def save_peb_tree(
+    tree: PEBTree, directory: str, live_keys: dict[int, int] | None = None
+) -> None:
     """Write a restorable checkpoint of ``tree`` into ``directory``.
 
     The directory is created if missing; existing checkpoint files in it
     are overwritten.  The tree's buffer pool is flushed (its cached
-    state is unaffected otherwise).
+    state is unaffected otherwise).  ``live_keys`` are the memo entries
+    recorded: the tree's whole memo by default; a shard of a deployment
+    records only its own users' (:class:`repro.shard.recovery.ShardCheckpointer`),
+    with the deployment's speed maxima.
     """
+    if live_keys is None:
+        live_keys = tree.live.keys
     os.makedirs(directory, exist_ok=True)
     save_pool(tree.btree.pool, os.path.join(directory, DISK_FILE))
     meta = {
@@ -116,8 +123,8 @@ def save_peb_tree(tree: PEBTree, directory: str) -> None:
             "max_update_interval": tree.partitioner.max_update_interval,
             "n": tree.partitioner.n,
         },
-        "max_speed": {"x": tree.max_speed_x, "y": tree.max_speed_y},
-        "live_keys": {str(uid): key for uid, key in sorted(tree._live_keys.items())},
+        "max_speed": {"x": tree.live.max_speed_x, "y": tree.live.max_speed_y},
+        "live_keys": {str(uid): key for uid, key in sorted(live_keys.items())},
         "store": store_to_dict(tree.store),
     }
     blob = gzip.compress(json.dumps(meta).encode("utf-8"), compresslevel=1)
@@ -198,7 +205,9 @@ def load_peb_tree(
     )
 
 
-def restore_peb_tree_state(directory: str, tree: PEBTree) -> None:
+def restore_peb_tree_state(
+    directory: str, tree: PEBTree, live_keys: dict[int, int] | None = None
+) -> None:
     """Restore a *live* tree in place from a checkpoint of itself.
 
     Unlike :func:`load_peb_tree`, nothing is rebuilt: the tree keeps
@@ -210,8 +219,13 @@ def restore_peb_tree_state(directory: str, tree: PEBTree) -> None:
     stack (so checksums refresh and the recovery I/O is honestly
     priced), pages allocated after the checkpoint are freed, the pool
     is invalidated (its cached frames describe the abandoned state),
-    and the B+-tree metadata, update memo, and speed maxima roll back
-    to the checkpointed values.
+    and the B+-tree metadata rolls back to the checkpointed values.
+    In the update memo, the entries ``live_keys`` names — the whole
+    memo by default; on a shard, the users whose keys route to it, so
+    a user inserted after the checkpoint goes too — are replaced by the
+    checkpoint's.  The speed maxima are raised to the checkpoint's and
+    never lowered: a larger maximum only enlarges a query, and a
+    shard's deployment has other users that rely on its maxima.
 
     This is the quarantined-shard recovery primitive
     (:class:`repro.shard.recovery.ShardCheckpointer`): a shard whose
@@ -256,12 +270,15 @@ def restore_peb_tree_state(directory: str, tree: PEBTree) -> None:
     tree.btree.height = btree_meta["height"]
     tree.btree.entry_count = btree_meta["entry_count"]
     tree.btree.leaf_count = btree_meta["leaf_count"]
-    tree._live_keys.clear()
-    tree._live_keys.update(
-        {int(uid): key for uid, key in meta["live_keys"].items()}
-    )
-    tree.max_speed_x = meta["max_speed"]["x"]
-    tree.max_speed_y = meta["max_speed"]["y"]
+    live = tree.live
+    if live_keys is None:
+        live.keys.clear()
+    else:
+        for uid in live_keys:
+            del live.keys[uid]
+    live.keys.update({int(uid): key for uid, key in meta["live_keys"].items()})
+    live.max_speed_x = max(live.max_speed_x, meta["max_speed"]["x"])
+    live.max_speed_y = max(live.max_speed_y, meta["max_speed"]["y"])
 
 
 def clone_peb_tree(

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator
 
 from repro.btree.tree import MAX_UID, BatchOp, BPlusTree, BTreeConfig
 from repro.core.peb_key import DEFAULT_SV_BITS, PEBKeyCodec, derive_sv_scale
-from repro.engine.deployment import Deployment
+from repro.engine.deployment import Deployment, LiveState
 from repro.engine.scanner import BandScanner
 from repro.motion.objects import MovingObject, ObjectRecordCodec
 from repro.motion.rows import BandRows
@@ -94,27 +94,27 @@ class BatchUpdatePlan:
 
 def plan_update_batch(
     updates: Iterable[UpdateItem],
-    lookup_key: Callable[[int], "int | None"],
+    live: LiveState,
     key_for: Callable[[MovingObject], int],
     pack: Callable[[MovingObject, int], bytes],
-    max_vx: float,
-    max_vy: float,
 ) -> BatchUpdatePlan:
     """Classify and sort one update buffer into one key-sorted op run.
 
     The buffer is deduplicated last-write-wins per user, then each
-    surviving state is partitioned against the live-key ``lookup_key``:
+    surviving state is partitioned against the update memo ``live.keys``:
     same-key re-reports become in-place leaf rewrites, moved entries a
     delete at the old key plus an insert at the new one, unindexed
     users plain inserts.  The ops are sorted by ``(key, uid)``, and no
     two share that pair: a moved user's delete and insert sit at
     different keys.  :meth:`repro.btree.BPlusTree.apply_sorted_batch`
     runs the rewrites and deletes before the inserts.  The speed maxima
-    (seeded with the caller's current bounds) are monotone safety
+    (seeded with ``live``'s current bounds) are monotone safety
     bounds for the Figure 2 enlargements: even a state superseded
     within the batch raises them, exactly as sequential application
     would.
     """
+    lookup_key = live.keys.get
+    max_vx, max_vy = live.max_speed_x, live.max_speed_y
     latest: dict[int, tuple[MovingObject, int]] = {}
     for item in updates:
         if isinstance(item, MovingObject):
@@ -191,9 +191,7 @@ class PEBTree(Deployment):
             page_size=pool.disk.page_size,
         )
         self.btree = BPlusTree(pool, config)
-        self._live_keys: dict[int, int] = {}
-        self.max_speed_x = 0.0
-        self.max_speed_y = 0.0
+        self.live = LiveState()
         self._time_on((pool.disk,))
 
     @classmethod
@@ -217,11 +215,10 @@ class PEBTree(Deployment):
         The supplied speed maxima are a *correctness* input, not a mere
         statistic: query planning enlarges windows by them (Figure 2),
         so maxima smaller than any indexed velocity silently drop
-        results.  Pass ``recompute_speeds=True`` to rescan the indexed
-        entries and derive the maxima from them instead of trusting the
-        caller's values (one full leaf-chain read), or run
-        :meth:`check_consistency` afterwards to audit without the scan
-        cost being mandatory.
+        results.  Pass ``recompute_speeds=True`` to raise them to the
+        indexed velocities (:meth:`check_consistency` with ``repair``,
+        one full leaf-chain read), or run that audit afterwards without
+        the scan cost being mandatory.
         """
         tree = cls.__new__(cls)
         tree.grid = grid
@@ -230,78 +227,11 @@ class PEBTree(Deployment):
         tree.codec = codec
         tree.records = ObjectRecordCodec()
         tree.btree = btree
-        tree._live_keys = dict(live_keys)
-        tree.max_speed_x = max_speed_x
-        tree.max_speed_y = max_speed_y
+        tree.live = LiveState(dict(live_keys), max_speed_x, max_speed_y)
         tree._time_on((btree.pool.disk,))
         if recompute_speeds:
-            max_vx, max_vy = tree._scan_speed_maxima()
-            tree.max_speed_x = max(tree.max_speed_x, max_vx)
-            tree.max_speed_y = max(tree.max_speed_y, max_vy)
+            tree.check_consistency(repair=True)
         return tree
-
-    def _scan_speed_maxima(self) -> tuple[float, float]:
-        """Greatest |vx| and |vy| among the indexed entries."""
-        max_vx = max_vy = 0.0
-        unpack_records = self.records.unpack_records
-        for keys, run in self.btree.leaf_runs():
-            for rec in unpack_records(keys, run):
-                vx = abs(rec[3])
-                vy = abs(rec[4])
-                if vx > max_vx:
-                    max_vx = vx
-                if vy > max_vy:
-                    max_vy = vy
-        return max_vx, max_vy
-
-    def check_consistency(self, repair: bool = False) -> list[str]:
-        """Audit the memo and speed maxima against the index itself.
-
-        Walks every leaf entry once and reports (as human-readable
-        problem strings; empty list means consistent):
-
-        * entries the ``_live_keys`` memo does not know, or knows under
-          a different key;
-        * memoized users with no entry in the tree;
-        * speed maxima smaller than an indexed velocity — the stale-
-          checkpoint hazard that silently shrinks the Figure 2 window
-          enlargements and drops query results.
-
-        With ``repair=True`` the speed maxima are raised to cover the
-        indexed velocities (memo divergence is never auto-repaired —
-        it means the index and its metadata are from different worlds).
-        """
-        problems: list[str] = []
-        seen: dict[int, int] = {}
-        max_vx = max_vy = 0.0
-        unpack_records = self.records.unpack_records
-        for keys, run in self.btree.leaf_runs():
-            for (key, uid), rec in zip(keys, unpack_records(keys, run)):
-                seen[uid] = key
-                max_vx = max(max_vx, abs(rec[3]))
-                max_vy = max(max_vy, abs(rec[4]))
-        for uid, key in seen.items():
-            memo_key = self._live_keys.get(uid)
-            if memo_key is None:
-                problems.append(f"entry for user {uid} missing from the memo")
-            elif memo_key != key:
-                problems.append(
-                    f"user {uid} indexed under key {key} but memoized as {memo_key}"
-                )
-        for uid in self._live_keys.keys() - seen.keys():
-            problems.append(f"memoized user {uid} has no index entry")
-        if max_vx > self.max_speed_x:
-            problems.append(
-                f"max_speed_x={self.max_speed_x} below indexed |vx|={max_vx}"
-            )
-        if max_vy > self.max_speed_y:
-            problems.append(
-                f"max_speed_y={self.max_speed_y} below indexed |vy|={max_vy}"
-            )
-        if repair:
-            self.max_speed_x = max(self.max_speed_x, max_vx)
-            self.max_speed_y = max(self.max_speed_y, max_vy)
-        return problems
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -309,7 +239,7 @@ class PEBTree(Deployment):
 
     def insert(self, obj: MovingObject, pntp: int = 0) -> None:
         """Index a user's state as of its label timestamp."""
-        if obj.uid in self._live_keys:
+        if obj.uid in self.live.keys:
             raise KeyError(f"user {obj.uid} is already indexed; use update()")
         self._insert_at(self.key_for(obj), obj, pntp)
 
@@ -318,13 +248,14 @@ class PEBTree(Deployment):
         key: the one insert path of :meth:`insert`, :meth:`update` and
         the sharded facade's ``insert``, none of which keys it twice."""
         self.btree.insert(key, obj.uid, self.records.pack(obj, pntp))
-        self._live_keys[obj.uid] = key
-        self.max_speed_x = max(self.max_speed_x, abs(obj.vx))
-        self.max_speed_y = max(self.max_speed_y, abs(obj.vy))
+        live = self.live
+        live.keys[obj.uid] = key
+        live.max_speed_x = max(live.max_speed_x, abs(obj.vx))
+        live.max_speed_y = max(live.max_speed_y, abs(obj.vy))
 
     def delete(self, uid: int) -> bool:
         """Remove a user's entry; True if the user was indexed."""
-        key = self._live_keys.pop(uid, None)
+        key = self.live.keys.pop(uid, None)
         if key is None:
             return False
         removed = self.btree.delete(key, uid)
@@ -343,13 +274,14 @@ class PEBTree(Deployment):
         moves: a delete at the live key and an insert at the new one
         (an unindexed user is only inserted).
         """
-        old_key = self._live_keys.get(obj.uid)
+        live = self.live
+        old_key = live.keys.get(obj.uid)
         new_key = self.key_for(obj)
         if new_key == old_key:
             if not self.btree.replace(old_key, obj.uid, self.records.pack(obj, pntp)):
                 raise RuntimeError(f"update memo out of sync for user {obj.uid}")
-            self.max_speed_x = max(self.max_speed_x, abs(obj.vx))
-            self.max_speed_y = max(self.max_speed_y, abs(obj.vy))
+            live.max_speed_x = max(live.max_speed_x, abs(obj.vx))
+            live.max_speed_y = max(live.max_speed_y, abs(obj.vy))
             return
         if old_key is not None:
             self.delete(obj.uid)
@@ -375,20 +307,14 @@ class PEBTree(Deployment):
         is observationally identical to calling :meth:`update` once per
         buffered state, in any order.
         """
-        plan = plan_update_batch(
-            updates,
-            self._live_keys.get,
-            self.key_for,
-            self.records.pack,
-            self.max_speed_x,
-            self.max_speed_y,
-        )
+        live = self.live
+        plan = plan_update_batch(updates, live, self.key_for, self.records.pack)
         plan.result.leaves_visited = self.btree.apply_sorted_batch(
             plan.ops
         ).leaves_visited
-        self._live_keys.update(plan.new_keys)
-        self.max_speed_x = plan.max_vx
-        self.max_speed_y = plan.max_vy
+        live.keys.update(plan.new_keys)
+        live.max_speed_x = plan.max_vx
+        live.max_speed_y = plan.max_vy
         return plan.result
 
     def key_for(self, obj: MovingObject) -> int:
@@ -400,20 +326,10 @@ class PEBTree(Deployment):
         sv = self.store.sequence_value(obj.uid)
         return self.codec.compose(tid, sv, zv)
 
-    def live_key(self, uid: int) -> int | None:
-        """The user's live key from the update memo, or None."""
-        return self._live_keys.get(uid)
-
-    def live_keys_of(self, uids: Iterable[int]) -> Iterator[int | None]:
-        """:meth:`live_key` of each uid in turn: one memo probe each, and
-        no Python call per uid (a plan probes a whole policy row)."""
-        return map(self._live_keys.get, uids)
-
-    def contains(self, uid: int) -> bool:
-        return uid in self._live_keys
-
-    def __len__(self) -> int:
-        return len(self._live_keys)
+    @property
+    def trees(self) -> tuple["PEBTree"]:
+        """A lone tree is its own single shard."""
+        return (self,)
 
     @property
     def stats(self):

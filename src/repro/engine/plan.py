@@ -186,7 +186,8 @@ class QueryPlanner:
         Every call returns a list of its own.
         """
         tree = self.tree
-        memo_key = (t_query, tree.max_speed_x, tree.max_speed_y)
+        live = tree.live
+        memo_key = (t_query, live.max_speed_x, live.max_speed_y)
         memo = self._contexts_memo
         if memo is not None and memo[0] == memo_key:
             return list(memo[1])
@@ -196,8 +197,8 @@ class QueryPlanner:
                 PartitionContext(
                     tid=tree.partitioner.partition_of_label(label),
                     label=label,
-                    dx=enlargement_for_label(label, t_query, tree.max_speed_x),
-                    dy=enlargement_for_label(label, t_query, tree.max_speed_y),
+                    dx=enlargement_for_label(label, t_query, live.max_speed_x),
+                    dy=enlargement_for_label(label, t_query, live.max_speed_y),
                 )
             )
         self._contexts_memo = (memo_key, tuple(out))

@@ -6,10 +6,12 @@ class — faults that outlast the quarantine too, because the shard's
 on-disk state is actually damaged (a corrupted page keeps failing its
 checksum however often it is re-read).  The recovery primitive is the
 checkpoint the repository already has: each shard tree is checkpointed
-to its own directory (:func:`repro.core.checkpoint.save_peb_tree`),
-updates applied after the checkpoint are kept in a per-shard replay
-log, and :meth:`ShardCheckpointer.recover` rebuilds a shard *in place*
-— page images rewritten through the live wrapper stack
+to its own directory (:func:`repro.core.checkpoint.save_peb_tree`) with
+the memo entries of the users whose keys route to it, updates applied
+after the checkpoint are kept in a per-shard replay log, and
+:meth:`ShardCheckpointer.recover` rebuilds a shard *in place* — page
+images rewritten through the live wrapper stack and the shard's users
+in the deployment's one memo replaced by the checkpoint's
 (:func:`repro.core.checkpoint.restore_peb_tree_state`), the log
 replayed through the shard tree's own batch path, the breaker reset.
 
@@ -67,8 +69,18 @@ class ShardCheckpointer:
         """Checkpoint one shard (or all) and truncate its replay log."""
         shards = range(len(self.tree.trees)) if shard is None else (shard,)
         for s in shards:
-            save_peb_tree(self.tree.trees[s], self.shard_dir(s))
+            tree = self.tree.trees[s]
+            save_peb_tree(tree, self.shard_dir(s), self.shard_live_keys(s))
             self._logs[s].clear()
+
+    def shard_live_keys(self, shard: int) -> dict[int, int]:
+        """The deployment's memo entries whose keys route to ``shard``."""
+        shard_of_key = self.tree.router.shard_of_key
+        return {
+            uid: key
+            for uid, key in self.tree.live.keys.items()
+            if shard_of_key(key) == shard
+        }
 
     def log_applied(self, shard: int, items: "Iterable[UpdateItem]") -> None:
         """Record updates a flush applied to ``shard`` (facade callback)."""
@@ -80,24 +92,23 @@ class ShardCheckpointer:
     def recover(self, shard: int) -> int:
         """Rebuild one shard from its checkpoint; returns replayed ops.
 
-        Restores the checkpointed page images and metadata in place,
-        replays the shard's post-checkpoint log through the shard
-        tree's own batch path, reloads the deployment's merged update
-        memo, and closes the shard's breaker.  The shard's disk must be
-        healthy enough to serve the restore writes and the replay —
-        faults here propagate (heal or clear the injected schedule
-        first).
+        Restores the checkpointed page images and metadata in place —
+        the shard's users leave the deployment's memo and the
+        checkpoint's come back; the deployment's speed maxima are never
+        lowered, since other shards' users rely on them — then replays
+        the shard's post-checkpoint log through the shard tree's own
+        batch path, which writes the deployment's memo, and closes the
+        shard's breaker.  The shard's disk must be healthy enough to
+        serve the restore writes and the replay — faults here propagate
+        (heal or clear the injected schedule first).
         """
         tree = self.tree.trees[shard]
         replay = list(self._logs[shard])
-        try:
-            restore_peb_tree_state(self.shard_dir(shard), tree)
-            if replay:
-                tree.update_batch(replay)
-                tree.btree.pool.flush()
-        finally:
-            # The shard's memo was rewritten behind the deployment.
-            self.tree.reload_live_keys()
+        own = self.shard_live_keys(shard)
+        restore_peb_tree_state(self.shard_dir(shard), tree, own)
+        if replay:
+            tree.update_batch(replay)
+            tree.btree.pool.flush()
         if self.tree.supervisor is not None:
             self.tree.supervisor.reset(shard)
         return len(replay)

@@ -6,8 +6,10 @@ buffer pool and simulated disk, partitioned by a
 :class:`repro.shard.router.ShardRouter`.  It is a
 :class:`repro.engine.deployment.Deployment`, as a single tree is, and
 holds the shared geometry (``grid`` / ``partitioner`` / ``store`` /
-``codec`` / speed maxima) once, so :class:`repro.engine.QueryEngine`
-and :class:`repro.engine.UpdatePipeline` run unchanged on it,
+``codec``) once, and one :class:`repro.engine.deployment.LiveState` —
+the update memo and the speed maxima — that every shard tree is bound
+to and writes, so :class:`repro.engine.QueryEngine` and
+:class:`repro.engine.UpdatePipeline` run unchanged on it,
 observationally identical to a single tree.
 
 Read path: one reader, the scanner the deployment hands the engine
@@ -16,7 +18,7 @@ boundaries, scans the owning shards under the supervisor, if any, and
 concatenates their rows in key order, for a single query and a batch
 alike.  Write path: the deployment plans a batch exactly as
 :meth:`PEBTree.update_batch` does — dedup, classify against the
-merged live-key memo, sort one op run globally — then cuts the sorted
+deployment's one update memo, sort one op run globally — then cuts the sorted
 run at shard-key boundaries (one stable pass, order preserved) and
 hands every shard a ready-to-apply sorted run for
 :meth:`repro.btree.BPlusTree.apply_sorted_batch`.  No re-sorting, and
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.peb_key import DEFAULT_SV_BITS, PEBKeyCodec, derive_sv_scale
 from repro.core.peb_tree import (
@@ -38,7 +40,7 @@ from repro.core.peb_tree import (
     UpdateItem,
     plan_update_batch,
 )
-from repro.engine.deployment import Deployment
+from repro.engine.deployment import Deployment, LiveState
 from repro.fault.breaker import BreakerPolicy
 from repro.fault.retry import RetryPolicy
 from repro.fault.supervisor import ShardSupervisor
@@ -71,10 +73,11 @@ class ShardedPEBTree(Deployment):
         router: the key-space partitioning.
 
     It holds the shared geometry once (``grid``, ``partitioner``,
-    ``store``, ``codec``, ``records``, the speed maxima) and the
-    scheduler :attr:`io`.  On :class:`repro.simio.disk.TimedDisk`
-    shards (see :meth:`build`'s ``latency``), independent per-shard
-    work (scatter prefetch, update sweeps) *overlaps in virtual time*.
+    ``store``, ``codec``, ``records``), the one :attr:`live` state its
+    shard trees write, and the scheduler :attr:`io`.  On
+    :class:`repro.simio.disk.TimedDisk` shards (see :meth:`build`'s
+    ``latency``), independent per-shard work (scatter prefetch, update
+    sweeps) *overlaps in virtual time*.
     """
 
     def __init__(
@@ -108,9 +111,14 @@ class ShardedPEBTree(Deployment):
         self.store = first.store
         self.codec = first.codec
         self.records = first.records
-        #: Greatest |vx| and |vy| the deployment has seen (Figure 2 input).
-        self.max_speed_x = max(tree.max_speed_x for tree in self.trees)
-        self.max_speed_y = max(tree.max_speed_y for tree in self.trees)
+        # The shards' memos and maxima merge once; from then on every
+        # shard tree reads and writes the deployment's.
+        live = self.live = LiveState()
+        for tree in self.trees:
+            live.keys.update(tree.live.keys)
+            live.max_speed_x = max(live.max_speed_x, tree.live.max_speed_x)
+            live.max_speed_y = max(live.max_speed_y, tree.live.max_speed_y)
+            tree.live = live
         self._time_on(tree.btree.pool.disk for tree in self.trees)
         self.io = IOScheduler(self.sim_clock)
         self._stats = merge_stats(
@@ -129,13 +137,6 @@ class ShardedPEBTree(Deployment):
             )
         #: Attached by :class:`repro.shard.recovery.ShardCheckpointer`.
         self.checkpointer = None
-        #: The merged update memo: uid -> live key, whichever shard holds
-        #: it.  Written wherever a shard's memo is (:meth:`insert`,
-        #: :meth:`delete`, :meth:`update_batch`, and
-        #: :meth:`reload_live_keys` after a shard is restored), so a
-        #: lookup is one probe, not a route.
-        self._live_keys: dict[int, int] = {}
-        self.reload_live_keys()
 
     @classmethod
     def build(
@@ -257,37 +258,6 @@ class ShardedPEBTree(Deployment):
             leaf_capacity=self.trees[0].btree.config.leaf_capacity,
         )
 
-    # ------------------------------------------------------------------
-    # Membership
-    # ------------------------------------------------------------------
-
-    def live_key(self, uid: int) -> int | None:
-        """The user's live key from the merged update memo, or None."""
-        return self._live_keys.get(uid)
-
-    def live_keys_of(self, uids: Iterable[int]) -> Iterator[int | None]:
-        """:meth:`live_key` of each uid in turn: one merged-memo probe
-        each, and no Python call per uid."""
-        return map(self._live_keys.get, uids)
-
-    def contains(self, uid: int) -> bool:
-        return uid in self._live_keys
-
-    def __len__(self) -> int:
-        return sum(len(tree) for tree in self.trees)
-
-    def live_keys(self) -> dict[int, int]:
-        """A copy of the merged update memo (uid -> current key)."""
-        return dict(self._live_keys)
-
-    def reload_live_keys(self) -> None:
-        """Rebuild the merged memo from the shards' memos: for a shard
-        whose memo was written behind the facade (a checkpoint restore,
-        a replay through the shard tree itself)."""
-        self._live_keys.clear()
-        for tree in self.trees:
-            self._live_keys.update(tree._live_keys)
-
     def key_for(self, obj: MovingObject) -> int:
         """The PEB-key for the object's current state (Equation 5)."""
         return self.trees[0].key_for(obj)
@@ -298,17 +268,14 @@ class ShardedPEBTree(Deployment):
 
     def insert(self, obj: MovingObject, pntp: int = 0) -> None:
         """Index a user's state in its key's owning shard."""
-        if obj.uid in self._live_keys:
+        if obj.uid in self.live.keys:
             raise KeyError(f"user {obj.uid} is already indexed; use update()")
         key = self.key_for(obj)
         self.trees[self.router.shard_of_key(key)]._insert_at(key, obj, pntp)
-        self._live_keys[obj.uid] = key
-        self.max_speed_x = max(self.max_speed_x, abs(obj.vx))
-        self.max_speed_y = max(self.max_speed_y, abs(obj.vy))
 
     def delete(self, uid: int) -> bool:
         """Remove a user's entry; True if the user was indexed."""
-        key = self._live_keys.pop(uid, None)
+        key = self.live.keys.get(uid)
         return key is not None and self.trees[self.router.shard_of_key(key)].delete(uid)
 
     def update(self, obj: MovingObject, pntp: int = 0) -> None:
@@ -320,7 +287,7 @@ class ShardedPEBTree(Deployment):
 
         The classification and the sorted op run come from the same
         :func:`repro.core.peb_tree.plan_update_batch` the single tree
-        uses, over the deployment's merged live-key memo.  The final hop
+        uses, over the deployment's update memo.  The final hop
         differs: the globally sorted run is cut at shard-key boundaries
         (:meth:`ShardRouter.split_sorted_run`, order preserved, no
         re-sort) and each cut is applied by one
@@ -350,15 +317,8 @@ class ShardedPEBTree(Deployment):
         re-buffering) while every other shard's sweep lands normally.
         """
         updates = list(updates)
-        live_keys = self._live_keys
-        plan = plan_update_batch(
-            updates,
-            live_keys.get,
-            self.key_for,
-            self.records.pack,
-            self.max_speed_x,
-            self.max_speed_y,
-        )
+        live = self.live
+        plan = plan_update_batch(updates, live, self.key_for, self.records.pack)
         result = plan.result
         runs = self.router.split_sorted_run(plan.ops)
         # The cut routes every op once.  A user whose ops land in two
@@ -386,17 +346,10 @@ class ShardedPEBTree(Deployment):
             )
 
         for uid, new_key in plan.new_keys.items():
-            shard = shard_of_uid[uid]
-            if shard not in dead:  # a deferred user keeps its pre-batch key
-                self.trees[shard]._live_keys[uid] = new_key
-                live_keys[uid] = new_key
-        self.max_speed_x = plan.max_vx
-        self.max_speed_y = plan.max_vy
-        for tree in self.trees:
-            # Raised to the deployment-wide bound so each shard stays
-            # individually consistent (larger maxima are always safe).
-            tree.max_speed_x = max(tree.max_speed_x, plan.max_vx)
-            tree.max_speed_y = max(tree.max_speed_y, plan.max_vy)
+            if shard_of_uid[uid] not in dead:  # a deferred user keeps its old key
+                live.keys[uid] = new_key
+        live.max_speed_x = plan.max_vx
+        live.max_speed_y = plan.max_vy
         return result
 
     def _apply_runs(self, result, runs) -> None:
@@ -567,45 +520,6 @@ class ShardedPEBTree(Deployment):
     # ------------------------------------------------------------------
     # Audits
     # ------------------------------------------------------------------
-
-    def check_consistency(self, repair: bool = False) -> list[str]:
-        """Per-shard audits plus cross-shard ownership checks, and the
-        merged memo against the shards' memos."""
-        problems: list[str] = []
-        for shard, tree in enumerate(self.trees):
-            problems.extend(
-                f"shard {shard}: {problem}"
-                for problem in tree.check_consistency(repair=repair)
-            )
-        if repair:
-            # The planner reads the deployment's maxima, not a shard's.
-            for tree in self.trees:
-                self.max_speed_x = max(self.max_speed_x, tree.max_speed_x)
-                self.max_speed_y = max(self.max_speed_y, tree.max_speed_y)
-        seen: dict[int, int] = {}
-        for shard, tree in enumerate(self.trees):
-            for uid, key in tree._live_keys.items():
-                if uid in seen:
-                    problems.append(
-                        f"user {uid} owned by shards {seen[uid]} and {shard}"
-                    )
-                elif self.router.shard_of_key(key) != shard:
-                    problems.append(
-                        f"user {uid} lives in shard {shard} but key {key} "
-                        f"routes to shard {self.router.shard_of_key(key)}"
-                    )
-                seen[uid] = shard
-        for uid, shard in seen.items():
-            key = self.trees[shard]._live_keys[uid]
-            merged = self._live_keys.get(uid)
-            if merged != key:
-                problems.append(
-                    f"user {uid} memoized as {key} in shard {shard} "
-                    f"but as {merged} by the deployment"
-                )
-        for uid in self._live_keys.keys() - seen.keys():
-            problems.append(f"user {uid} memoized by the deployment but by no shard")
-        return problems
 
     def check_invariants(self) -> None:
         """Structural B+-tree invariants, every shard."""

@@ -61,8 +61,8 @@ def test_faithful_round_trip_is_consistent(tmp_path):
     save_peb_tree(tree, str(tmp_path))
     restored = load_peb_tree(str(tmp_path), buffer_pages=50)
     assert restored.check_consistency() == []
-    assert restored.max_speed_x == tree.max_speed_x
-    assert restored.max_speed_y == tree.max_speed_y
+    assert restored.live.max_speed_x == tree.live.max_speed_x
+    assert restored.live.max_speed_y == tree.live.max_speed_y
     assert list(restored.btree.items()) == list(tree.btree.items())
 
 
@@ -121,13 +121,13 @@ def test_stale_speed_checkpoint_is_detected_and_recomputable(tmp_path):
     # repair=True raises the maxima to cover the indexed velocities.
     stale.check_consistency(repair=True)
     assert stale.check_consistency() == []
-    assert stale.max_speed_x == pytest.approx(2.5)
-    assert stale.max_speed_y == pytest.approx(2.5)
+    assert stale.live.max_speed_x == pytest.approx(2.5)
+    assert stale.live.max_speed_y == pytest.approx(2.5)
 
     # The recompute option heals at load time instead.
     healed = load_peb_tree(str(tmp_path), buffer_pages=50, recompute_speeds=True)
     assert healed.check_consistency() == []
-    assert healed.max_speed_x == pytest.approx(2.5)
+    assert healed.live.max_speed_x == pytest.approx(2.5)
 
 
 def test_stale_speeds_change_query_results_and_recompute_restores_them(tmp_path):
@@ -175,7 +175,7 @@ def test_check_consistency_flags_memo_divergence():
     tree = populated_tree(n=8)
     # Remove an entry behind the memo's back (index/metadata mismatch).
     victim = 5
-    key = tree._live_keys[victim]
+    key = tree.live.keys[victim]
     tree.btree.delete(key, victim)
     problems = tree.check_consistency()
     assert any(f"memoized user {victim}" in problem for problem in problems)
@@ -187,7 +187,7 @@ def test_clone_is_independent_and_identical():
     tree = populated_tree()
     twin = clone_peb_tree(tree, buffer_pages=50)
     assert list(twin.btree.items()) == list(tree.btree.items())
-    assert twin._live_keys == tree._live_keys
+    assert twin.live.keys == tree.live.keys
     assert twin.check_consistency() == []
     # Divergence after cloning stays local to each copy.
     twin.update(mover(0, x=999.0, y=999.0, vx=0.0, vy=0.0, t=30.0))
@@ -294,8 +294,8 @@ def _whole_tree(tree):
     """Everything a checkpoint carries, comparably."""
     return (
         list(tree.btree.items()),
-        dict(tree._live_keys),
-        (tree.max_speed_x, tree.max_speed_y),
+        dict(tree.live.keys),
+        (tree.live.max_speed_x, tree.live.max_speed_y),
         store_to_dict(tree.store),
         tree.check_consistency(),
     )
@@ -416,21 +416,18 @@ def test_a_failed_restore_leaves_the_live_tree_untouched(tmp_path, damaged):
     assert _whole_tree(live) == _whole_tree(world.peb)
 
 
-def test_repair_raises_a_deployments_speed_maxima_with_its_shards():
-    """Shards with stale maxima assembled into a deployment: the planner
-    enlarges windows by the deployment's maxima, so ``repair=True``
-    raises those as well as the shards'."""
-    from repro.shard import ShardedPEBTree
-
+def test_repair_raises_a_deployments_one_pair_of_speed_maxima():
+    """A sharded deployment keeps one pair of speed maxima, which every
+    shard tree writes and the planner enlarges windows by: a stale pair
+    is flagged once, and ``repair=True`` raises that pair."""
     world = build_world(n_users=60, n_policies=4, seed=5)
-    trees = world.deploy(2).trees
-    for tree in trees:
-        tree.max_speed_x = tree.max_speed_y = 0.0
-    stale = ShardedPEBTree(trees, world.deploy(2).router)
-    assert stale.max_speed_x == 0.0
-    assert any("max_speed_x" in problem for problem in stale.check_consistency())
+    stale = world.deploy(2)
+    stale.live.max_speed_x = stale.live.max_speed_y = 0.0
+    assert all(tree.live is stale.live for tree in stale.trees)
+    problems = stale.check_consistency()
+    assert [p.split("=")[0] for p in problems] == ["max_speed_x", "max_speed_y"]
 
     stale.check_consistency(repair=True)
     assert stale.check_consistency() == []
-    assert stale.max_speed_x == max(abs(obj.vx) for obj in world.states.values())
-    assert stale.max_speed_y == max(abs(obj.vy) for obj in world.states.values())
+    assert stale.live.max_speed_x == max(abs(obj.vx) for obj in world.states.values())
+    assert stale.live.max_speed_y == max(abs(obj.vy) for obj in world.states.values())

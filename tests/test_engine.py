@@ -113,8 +113,8 @@ def test_contexts_are_kept_per_query_time_and_speed_maxima(small_world):
             (
                 tree.partitioner.partition_of_label(label),
                 label,
-                tree.max_speed_x * abs(label - t_query),
-                tree.max_speed_y * abs(label - t_query),
+                tree.live.max_speed_x * abs(label - t_query),
+                tree.live.max_speed_y * abs(label - t_query),
             )
             for label in tree.partitioner.live_labels(t_query)
         ]
@@ -132,13 +132,13 @@ def test_contexts_are_kept_per_query_time_and_speed_maxima(small_world):
     plans = [planner.plan_range(small_world.uids[5], window, 5.0) for _ in range(2)]
     assert plans[0].contexts is not plans[1].contexts
     assert fields(planner.contexts(65.0)) == expected(65.0)
-    speeds = tree.max_speed_x, tree.max_speed_y
+    speeds = tree.live.max_speed_x, tree.live.max_speed_y
     try:
         for raised in ((speeds[0] + 1.0, speeds[1]), (speeds[0] + 1.0, speeds[1] + 2.0)):
-            tree.max_speed_x, tree.max_speed_y = raised
+            tree.live.max_speed_x, tree.live.max_speed_y = raised
             assert fields(planner.contexts(65.0)) == expected(65.0)
     finally:
-        tree.max_speed_x, tree.max_speed_y = speeds
+        tree.live.max_speed_x, tree.live.max_speed_y = speeds
     assert fields(planner.contexts(65.0)) == expected(65.0)
 
 
@@ -392,7 +392,7 @@ def test_knn_plan_names_each_visible_friend_at_its_live_key(small_world):
         friends = admissible_friends(world.store, spec.q_uid, None, 5.0)
         at_live_key = {}
         for _, uid in friends:
-            tid, sv_q, zv = codec.decompose(world.peb._live_keys[uid])
+            tid, sv_q, zv = codec.decompose(world.peb.live.keys[uid])
             at_live_key[uid] = BandRequest(tid, sv_q, sv_q, zv, zv)
         assert all(at_live_key[p.friend_uid] == p.band for p in plan.bands)
         assert bands == sorted(bands)
@@ -405,7 +405,7 @@ def test_knn_plan_names_each_visible_friend_at_its_live_key(small_world):
         for band in bands:
             assert any(
                 codec.compose_quantized(band.tid, band.sv_lo_q, band.z_lo)
-                == world.peb._live_keys[rec[0]]
+                == world.peb.live.keys[rec[0]]
                 for rec in scanner.scan(band).records
             )
     assert pruned > 0

@@ -72,8 +72,8 @@ def reference_prq(tree, q_uid, window, t_query):
     for label in tree.partitioner.live_labels(t_query):
         tid = tree.partitioner.partition_of_label(label)
         enlarged = window.expanded(
-            enlargement_for_label(label, t_query, tree.max_speed_x),
-            enlargement_for_label(label, t_query, tree.max_speed_y),
+            enlargement_for_label(label, t_query, tree.live.max_speed_x),
+            enlargement_for_label(label, t_query, tree.live.max_speed_y),
         )
         span = tree.grid.z_span(enlarged)
         if span is None:
@@ -105,8 +105,8 @@ def reference_pcount(tree, q_uid, window, t_query, at_least=None):
     for label in tree.partitioner.live_labels(t_query):
         tid = tree.partitioner.partition_of_label(label)
         enlarged = window.expanded(
-            enlargement_for_label(label, t_query, tree.max_speed_x),
-            enlargement_for_label(label, t_query, tree.max_speed_y),
+            enlargement_for_label(label, t_query, tree.live.max_speed_x),
+            enlargement_for_label(label, t_query, tree.live.max_speed_y),
         )
         span = tree.grid.z_span(enlarged)
         if span is None:

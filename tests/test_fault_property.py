@@ -5,9 +5,9 @@ Two contracts, stated in :mod:`repro.fault`'s package docstring:
 * **Transient-identical** — under any finite fault schedule that
   eventually clears (strictly fewer failing indices than the retry
   policy has attempts, so exhaustion is impossible by construction),
-  a supervised deployment's update results, query results, and final
-  tree contents are *bit-identical* to the fault-free run.  Hypothesis
-  generates the schedules.
+  a supervised deployment's update results, query results (range and
+  PkNN specs in one batch), and final tree contents are *bit-identical*
+  to the fault-free run.  Hypothesis generates the schedules.
 * **Quarantine-subset** — with one shard permanently failing, queries
   return exactly the fault-free results minus entries routed to the
   quarantined shard, every loss is flagged (``degraded``) and counted
@@ -21,6 +21,8 @@ scatter scanner as a batch: a transient fault is retried, and since a
 single query's result carries no ``degraded`` flag, a sub-band a
 quarantined shard dropped makes it raise rather than answer short.
 """
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,7 +49,22 @@ RETRY = RetryPolicy(max_attempts=10, base_backoff_us=0.0)
 WORLD = build_world(n_users=140, n_policies=6, seed=13)
 STREAM = WORLD.query_generator().update_stream(WORLD.states, 120, 3.0, 0.0, 130.0)
 BATCH = [(obj, obj.uid % 3) for obj in STREAM]
-SPECS = WORLD.query_generator().range_queries(WORLD.uids, 10, 280.0, 130.0)
+RANGE_SPECS = WORLD.query_generator().range_queries(WORLD.uids, 10, 280.0, 130.0)
+_POINTS = random.Random(29)
+KNN_SPECS = [
+    KnnQuerySpec(
+        _POINTS.choice(WORLD.uids),
+        _POINTS.uniform(0.0, WORLD.space_side),
+        _POINTS.uniform(0.0, WORLD.space_side),
+        4,
+        130.0,
+    )
+    for _ in range(12)
+]
+#: What the transient-identical pins serve.  The quarantine-subset pin
+#: serves ``RANGE_SPECS`` only: a degraded PkNN has no stated contract
+#: yet (it may answer a user outside the fault-free k nearest).
+SPECS = RANGE_SPECS + KNN_SPECS
 
 
 def deploy(supervised: bool):
@@ -91,14 +108,14 @@ REFERENCE = run_reference()
 
 
 def run_fresh_reference():
-    """Query results on a fresh (pre-update) fault-free deployment."""
-    report = QueryEngine(deploy(supervised=False)).execute_batch(SPECS)
+    """Range results on a fresh (pre-update) fault-free deployment."""
+    report = QueryEngine(deploy(supervised=False)).execute_batch(RANGE_SPECS)
     return [r.uids for r in report.results]
 
 
 FRESH_UIDS = run_fresh_reference()
 #: Pre-update live keys (a user's routing key; fixed under SV sharding).
-FRESH_KEYS = dict(WORLD.peb._live_keys)
+FRESH_KEYS = dict(WORLD.peb.live.keys)
 
 
 # ----------------------------------------------------------------------
@@ -132,6 +149,7 @@ def test_transient_schedule_runs_bit_identical(fail_reads, fail_writes):
     assert result.moved == REFERENCE["result"].moved
     assert result.inserted == REFERENCE["result"].inserted
     assert [r.uids for r in report.results] == REFERENCE["uids"]
+    assert any(REFERENCE["uids"][len(RANGE_SPECS):])  # PkNN answers too
     assert report.degraded == [False] * len(SPECS)
     for disk in shard_disks(sharded):
         disk.heal()  # the end-state audit must read clean
@@ -178,7 +196,7 @@ def test_pipeline_fault_stats_exclude_faults_between_flushes():
         pipeline.flush()
         during_flushes.append(supervisor.stats.delta_from(before))
         between = supervisor.stats.copy()
-        QueryEngine(sharded).execute_batch(SPECS)
+        QueryEngine(sharded).execute_batch(RANGE_SPECS)
         assert supervisor.stats.delta_from(between).faults > 0
 
     assert supervisor.stats.exhausted == 0
@@ -215,7 +233,7 @@ def test_quarantined_shard_degrades_queries_to_exact_subset(dead):
     disks[dead].fail_every_nth_read = 1  # every read fails, forever
 
     engine = QueryEngine(sharded)
-    report = engine.execute_batch(SPECS)
+    report = engine.execute_batch(RANGE_SPECS)
     supervisor = sharded.supervisor
 
     assert supervisor.is_quarantined(dead)
@@ -223,13 +241,13 @@ def test_quarantined_shard_degrades_queries_to_exact_subset(dead):
     assert supervisor.stats.bands_dropped > 0
     assert report.stats.fault_stats is not None
     assert report.stats.fault_stats.bands_dropped > 0
-    assert len(report.degraded) == len(SPECS)
+    assert len(report.degraded) == len(RANGE_SPECS)
 
     # Queries ran before any update: compare against the pre-update
     # fault-free reference.
     router = sharded.router
     for spec, served, expected, flagged in zip(
-        SPECS, report.results, FRESH_UIDS, report.degraded
+        RANGE_SPECS, report.results, FRESH_UIDS, report.degraded
     ):
         assert served.uids <= expected, spec  # never an invented result
         for uid in expected - served.uids:  # every loss routes to dead
@@ -322,7 +340,7 @@ def test_deferred_updates_rebuffer_through_the_pipeline():
 #: Issuer 49's window and issuer 11's kNN probe: both fault-free answers
 #: hold users routed to shard 0, and issuer 49's friends live on every
 #: shard, so each entry point below reads every shard it can.
-RANGE = SPECS[3]
+RANGE = RANGE_SPECS[3]
 KNN = KnnQuerySpec(11, *WORLD.states[11].position_at(130.0), 4, 130.0)
 
 

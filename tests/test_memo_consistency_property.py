@@ -1,16 +1,16 @@
 """Property pin: the update memo equals the index after every step.
 
-Every tree keeps the update memo ``_live_keys`` (uid -> live PEB-key).
-The write path reads it to find a user's stale entry, and a served PkNN
-reads it to find and bound every visible friend
-(:meth:`repro.engine.plan.QueryPlanner.plan_knn_probe`): a memo that
-disagrees with the entries silently drops a friend from an answer.
-So after every step of a random history on a supervised 1- and 4-shard
-deployment, ``check_consistency()`` must be empty — no entry the memo
-does not know or knows under another key, no memoized user without an
-entry, no user owned by two shards, no user the deployment's merged
-memo (what ``live_key`` reads) holds otherwise than its shard's memo —
-and ``live_key`` must answer what the merged memo holds.  The steps:
+Every deployment keeps one update memo, ``live.keys`` (uid -> live
+PEB-key), which each of its shard trees writes.  The write path reads
+it to find a user's stale entry, and both served plans read it to find
+every friend (:meth:`repro.engine.plan.QueryPlanner.plan_knn_probe`,
+``live_cells``): a memo that disagrees with the entries silently drops
+a friend from an answer.  So after every step of a random history on a
+supervised 1- and 4-shard deployment, ``check_consistency()`` must be
+empty — no entry the memo does not know or knows under another key, no
+entry in a shard its key does not route to, no memoized user without an
+entry, no speed maximum below an indexed velocity — and ``live_key``
+must answer what the memo holds.  The steps:
 
 * buffered updates through an :class:`UpdatePipeline` (small capacity,
   so some flush on their own) and explicit flushes;
@@ -117,9 +117,9 @@ def moved_states(now, count, seed):
 def assert_memo_is_the_index(sharded):
     heal(sharded)  # the audit reads every leaf
     assert sharded.check_consistency() == []
-    merged = sharded.live_keys()
-    assert len(merged) == len(WORLD.uids)
-    assert all(sharded.live_key(uid) == key for uid, key in merged.items())
+    memo = sharded.live_keys()
+    assert len(memo) == len(WORLD.uids)
+    assert all(sharded.live_key(uid) == key for uid, key in memo.items())
 
 
 @pytest.mark.parametrize("n_shards", (1, 4))

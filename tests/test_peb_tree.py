@@ -141,7 +141,7 @@ def test_update_with_unchanged_key_rewrites_in_place():
     for uid in range(10):
         tree.insert(mover(uid, x=uid * 90.0, y=uid * 90.0, vx=0.0, vy=0.0))
     target = mover(3, x=270.0, y=270.0, vx=0.0, vy=0.0, t=0.0)
-    assert tree.key_for(target) == tree._live_keys[3]
+    assert tree.key_for(target) == tree.live.keys[3]
 
     leaves_before = tree.btree.leaf_count
     tree.update(target, pntp=7)
@@ -149,7 +149,7 @@ def test_update_with_unchanged_key_rewrites_in_place():
     assert len(tree) == 10
     tree.btree.check_invariants()
     # The payload really was rewritten.
-    _, pntp = tree.records.unpack(3, tree.btree.search(tree._live_keys[3], 3))
+    _, pntp = tree.records.unpack(3, tree.btree.search(tree.live.keys[3], 3))
     assert pntp == 7
 
 
@@ -180,15 +180,15 @@ def test_update_in_place_saves_io_versus_delete_insert():
     assert in_place_io < churn_io
     # Both paths leave identical visible state behind.
     assert in_place.fetch_all()[3].x == churned.fetch_all()[3].x
-    assert in_place._live_keys == churned._live_keys
+    assert in_place.live.keys == churned.live.keys
 
 
 def test_update_with_changed_key_still_moves_entry():
     tree = make_peb()
     tree.insert(mover(0, x=100.0, y=100.0, vx=0.0, vy=0.0))
-    old_key = tree._live_keys[0]
+    old_key = tree.live.keys[0]
     tree.update(mover(0, x=900.0, y=900.0, vx=0.0, vy=0.0, t=0.0))
-    assert tree._live_keys[0] != old_key
+    assert tree.live.keys[0] != old_key
     assert tree.btree.search(old_key, 0) is None
     assert tree.fetch_all()[0].x == 900.0
     tree.btree.check_invariants()

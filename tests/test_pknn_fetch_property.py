@@ -110,7 +110,7 @@ def allowed_bands(world, spec):
     live = live_tids(world, spec.t_query)
     bands = {}
     for uid in world.store.visibility_map(spec.q_uid, spec.t_query):
-        tid, sv_q, zv = codec.decompose(world.peb._live_keys[uid])
+        tid, sv_q, zv = codec.decompose(world.peb.live.keys[uid])
         if tid in live:
             bands[uid] = BandRequest(tid, sv_q, sv_q, zv, zv)
     return bands
@@ -124,7 +124,7 @@ def oracle(world, spec):
     states = {
         uid: obj
         for uid, obj in world.states.items()
-        if codec.decompose(world.peb._live_keys[uid])[0] in live
+        if codec.decompose(world.peb.live.keys[uid])[0] in live
     }
     return [
         (round(d, 9), uid)
@@ -206,7 +206,7 @@ def test_raw_ties_on_one_cell_are_verified_like_any_row(deployment):
     sees both get the oracle's answer."""
     world = WORLDS["raw-ties"]
     codec = world.peb.codec
-    assert world.peb._live_keys[3] == world.peb._live_keys[98]
+    assert world.peb.live.keys[3] == world.peb.live.keys[98]
     store = world.store
     sees = {
         q_uid: {3, 98} & set(store.visibility_map(q_uid, T_QUERY))
@@ -218,6 +218,6 @@ def test_raw_ties_on_one_cell_are_verified_like_any_row(deployment):
     x, y = world.states[3].position_at(T_QUERY)
     specs = [KnnQuerySpec(q, x, y, k, T_QUERY) for q in both[:2] + one[:2] for k in (1, 3)]
     check(world, deployment, specs)
-    assert codec.decompose(world.peb._live_keys[3])[1] == codec.quantize_sv(
+    assert codec.decompose(world.peb.live.keys[3])[1] == codec.quantize_sv(
         store.sequence_value(98)
     )

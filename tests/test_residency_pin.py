@@ -373,7 +373,7 @@ def test_quarantined_strata_are_never_served_from_residency(world, dead):
         == expected.stats.fault_stats.bands_dropped
     )
     router = sharded.router
-    live_keys = world.peb._live_keys
+    live_keys = world.peb.live.keys
     for mine, theirs in zip(got.results, expected.results):
         assert knn_signature(mine) == knn_signature(theirs)
         for _, obj in mine.neighbors:  # never a row of the dead shard

@@ -126,14 +126,14 @@ def test_sharded_updates_identical_to_single_tree(world, n_shards):
     with UpdatePipeline(world.peb, capacity=64) as single_pipeline:
         single_pipeline.extend(stream)
 
-    assert sharded.live_keys() == world.peb._live_keys
+    assert sharded.live_keys() == world.peb.live.keys
     assert list(sharded.items()) == single_entries(world)
     assert sharded.fetch_all() == [
         world.peb.records.unpack(uid, payload)[0]
         for _, uid, payload in single_entries(world)
     ]
-    assert sharded.max_speed_x == world.peb.max_speed_x
-    assert sharded.max_speed_y == world.peb.max_speed_y
+    assert sharded.live.max_speed_x == world.peb.live.max_speed_x
+    assert sharded.live.max_speed_y == world.peb.live.max_speed_y
     assert sharded.check_consistency() == []
     sharded.check_invariants()
 
@@ -211,11 +211,11 @@ def test_parallel_io_timed_identical_to_sequential(world, n_shards):
         overlapped_pipeline.extend(stream)
 
     # Post-update state: identical across all three deployments.
-    assert overlapped.live_keys() == world.peb._live_keys
+    assert overlapped.live_keys() == world.peb.live.keys
     assert list(overlapped.items()) == single_entries(world)
     assert list(overlapped.items()) == list(sequential.items())
-    assert overlapped.max_speed_x == world.peb.max_speed_x
-    assert overlapped.max_speed_y == world.peb.max_speed_y
+    assert overlapped.live.max_speed_x == world.peb.live.max_speed_x
+    assert overlapped.live.max_speed_y == world.peb.live.max_speed_y
     assert overlapped.check_consistency() == []
     overlapped.check_invariants()
     assert overlapped_pipeline.stats.ops == sequential_pipeline.stats.ops
@@ -293,7 +293,7 @@ def test_sharded_update_batch_matches_single_update_batch(world):
     assert sharded_result.in_place == single_result.in_place
     assert sharded_result.moved == single_result.moved
     assert sharded_result.inserted == single_result.inserted
-    assert sharded.live_keys() == world.peb._live_keys
+    assert sharded.live_keys() == world.peb.live.keys
     assert list(sharded.items()) == single_entries(world)
-    assert sharded.max_speed_x == world.peb.max_speed_x
-    assert sharded.max_speed_y == world.peb.max_speed_y
+    assert sharded.live.max_speed_x == world.peb.live.max_speed_x
+    assert sharded.live.max_speed_y == world.peb.live.max_speed_y

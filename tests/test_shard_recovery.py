@@ -7,6 +7,9 @@ the post-checkpoint updates replayed through the tree's own batch
 path, and its breaker closed — all without touching the other shards.
 """
 
+import pickle
+
+from repro.core.checkpoint import load_peb_tree
 from repro.engine import QueryEngine
 from repro.fault import BreakerPolicy, RetryPolicy
 from repro.shard import ShardCheckpointer
@@ -157,17 +160,50 @@ def test_recovered_shard_checkpoints_again(tmp_path):
 
 
 def test_recovery_reloads_the_deployments_memo(tmp_path):
-    """A restore rewrites the shard's memo behind the deployment: a user
-    deleted after the checkpoint (deletes are not logged) is back in the
-    shard, and the deployment's merged memo, which ``live_key`` reads,
-    follows it."""
+    """A restore replaces the shard's users in the deployment's one memo
+    with its checkpoint's: a user of that shard deleted after the
+    checkpoint (deletes are not logged) is back, and ``live_key``, which
+    reads the memo, names its checkpointed key."""
     sharded = deploy()
     checkpointer = ShardCheckpointer(sharded, str(tmp_path))
     checkpointer.checkpoint()
-    uid = next(uid for uid in WORLD.uids if uid in sharded.trees[1]._live_keys)
+    shard_of_key = sharded.router.shard_of_key
+    uid = next(uid for uid in WORLD.uids if shard_of_key(sharded.live_key(uid)) == 1)
     key = sharded.live_key(uid)
     assert sharded.delete(uid) and sharded.live_key(uid) is None
 
     checkpointer.recover(1)
-    assert sharded.live_key(uid) == key == sharded.trees[1]._live_keys[uid]
+    assert sharded.live_key(uid) == key
     assert sharded.check_consistency() == []
+
+
+def test_every_shard_tree_writes_the_deployments_one_memo_and_maxima(tmp_path):
+    """A sharded deployment holds one update memo and one pair of speed
+    maxima: every shard tree's ``live`` is the deployment's object after
+    ``build``, after a pickle round trip and after ``recover``.  A shard
+    checkpoint records exactly the users whose keys route to its shard,
+    so it loads as a lone tree that passes its own audit."""
+
+    def shared(sharded):
+        return all(tree.live is sharded.live for tree in sharded.trees)
+
+    sharded = deploy()
+    assert shared(sharded)
+    twin = pickle.loads(pickle.dumps(sharded))
+    assert shared(twin) and twin.live is not sharded.live
+    assert twin.live_keys() == sharded.live_keys()
+
+    checkpointer = ShardCheckpointer(sharded, str(tmp_path))
+    checkpointer.checkpoint()
+    own = [checkpointer.shard_live_keys(shard) for shard in range(N_SHARDS)]
+    assert sum(map(len, own)) == len(sharded.live.keys)
+    for shard in range(N_SHARDS):
+        restored = load_peb_tree(checkpointer.shard_dir(shard))
+        assert restored.live_keys() == own[shard] != {}
+        assert restored.check_consistency() == []
+
+    sharded.update_batch(list(BATCH))
+    checkpointer.recover(1)
+    assert shared(sharded)
+    assert sharded.check_consistency() == []
+    assert list(sharded.items()) == REFERENCE_ITEMS

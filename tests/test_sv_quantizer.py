@@ -202,7 +202,7 @@ def test_an_sv_raised_past_the_ceiling_after_the_build_is_refused():
     tree = peb_over(store)
     for obj in list(states.values())[:-1]:
         tree.insert(obj)
-    snapshot = (list(tree.btree.items()), dict(tree._live_keys), len(tree))
+    snapshot = (list(tree.btree.items()), dict(tree.live.keys), len(tree))
     newcomer = list(states.values())[-1]
     indexed = list(states.values())[0]
     _over_the_ceiling(store, states, newcomer.uid, tree.codec.sv_scale)
@@ -214,7 +214,7 @@ def test_an_sv_raised_past_the_ceiling_after_the_build_is_refused():
         tree.update(moved)
     with pytest.raises(ValueError, match="does not fit"):
         tree.update_batch([moved])
-    assert (list(tree.btree.items()), dict(tree._live_keys), len(tree)) == snapshot
+    assert (list(tree.btree.items()), dict(tree.live.keys), len(tree)) == snapshot
     tree.btree.check_invariants()
     assert tree.check_consistency() == []
 

@@ -324,10 +324,10 @@ def test_update_batch_observationally_equals_sequential(rounds):
 
         sequential.btree.check_invariants()
         batched.btree.check_invariants()
-        assert sequential._live_keys == batched._live_keys
+        assert sequential.live.keys == batched.live.keys
         assert list(sequential.btree.items()) == list(batched.btree.items())
-        assert sequential.max_speed_x == batched.max_speed_x
-        assert sequential.max_speed_y == batched.max_speed_y
+        assert sequential.live.max_speed_x == batched.live.max_speed_x
+        assert sequential.live.max_speed_y == batched.live.max_speed_y
         assert batched.check_consistency() == []
         distinct = len({obj.uid for obj, _ in batch})
         assert result.ops == distinct
@@ -343,8 +343,8 @@ def test_update_batch_crossing_rollover_lands_in_both_partitions():
         MovingObject(uid=uid_b, x=10.0, y=10.0, vx=0.0, vy=0.0, t_update=70.0),
     ]
     tree.update_batch(batch)
-    tid_a = tree.codec.decompose(tree._live_keys[uid_a])[0]
-    tid_b = tree.codec.decompose(tree._live_keys[uid_b])[0]
+    tid_a = tree.codec.decompose(tree.live.keys[uid_a])[0]
+    tid_b = tree.codec.decompose(tree.live.keys[uid_b])[0]
     assert tid_a != tid_b
     assert tree.partitioner.partition(10.0) == tid_a
     assert tree.partitioner.partition(70.0) == tid_b

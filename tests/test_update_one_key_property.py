@@ -30,7 +30,7 @@ class DeleteInsertTree(PEBTree):
     an :meth:`insert` that computes the key a second time."""
 
     def update(self, obj, pntp=0):
-        old_key = self._live_keys.get(obj.uid)
+        old_key = self.live.keys.get(obj.uid)
         if old_key is None:
             self.insert(obj, pntp)
             return
@@ -38,8 +38,8 @@ class DeleteInsertTree(PEBTree):
         if new_key == old_key:
             if not self.btree.replace(old_key, obj.uid, self.records.pack(obj, pntp)):
                 raise RuntimeError(f"update memo out of sync for user {obj.uid}")
-            self.max_speed_x = max(self.max_speed_x, abs(obj.vx))
-            self.max_speed_y = max(self.max_speed_y, abs(obj.vy))
+            self.live.max_speed_x = max(self.live.max_speed_x, abs(obj.vx))
+            self.live.max_speed_y = max(self.live.max_speed_y, abs(obj.vy))
             return
         self.delete(obj.uid)
         self.insert(obj, pntp)
@@ -67,8 +67,8 @@ def observed(tree):
     pool = tree.btree.pool
     return (
         list(tree.btree.items()),
-        dict(tree._live_keys),
-        (tree.max_speed_x, tree.max_speed_y),
+        dict(tree.live.keys),
+        (tree.live.max_speed_x, tree.live.max_speed_y),
         pool.stats.snapshot(),
         pool.resident_pages,
         pool.dirty_pages,

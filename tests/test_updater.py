@@ -163,7 +163,7 @@ def test_pipeline_equals_sequential_on_update_stream():
     pipeline.extend(stream)
     pipeline.flush()
     assert pipeline.stats.flushes >= 2
-    assert sequential._live_keys == batched._live_keys
+    assert sequential.live.keys == batched.live.keys
     assert list(sequential.btree.items()) == list(batched.btree.items())
     sequential.btree.check_invariants()
     batched.btree.check_invariants()
@@ -368,7 +368,7 @@ def test_apply_update_round_via_pipeline_matches_plain():
     for _ in range(2):
         plain.apply_update_round(0.25)
         piped.apply_update_round(0.25, pipeline=pipeline)
-    assert plain.peb._live_keys == piped.peb._live_keys
+    assert plain.peb.live.keys == piped.peb.live.keys
     assert list(plain.peb.btree.items()) == list(piped.peb.btree.items())
     piped.peb.btree.check_invariants()
 
