@@ -123,6 +123,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--update-fraction", dest="update_fraction", type=float, default=0.25
     )
+    parser.add_argument(
+        "--knn-fraction",
+        dest="knn_fraction",
+        type=float,
+        default=0.25,
+        help="fraction of queries that are PkNN (default 0.25, the "
+        "serve_mixed share), so retried kNN fetches are pinned too",
+    )
     parser.add_argument("--max-batch", dest="max_batch", type=int, default=32)
     parser.add_argument(
         "--max-wait-us", dest="max_wait_us", type=float, default=1000.0
@@ -210,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
             n_shards=args.shards,
             latency=args.latency,
             update_fraction=args.update_fraction,
-            knn_fraction=0.0,
+            knn_fraction=args.knn_fraction,
             shard_buffer_pages=args.shard_buffer_pages,
             pin=pin,
             disk_factory=page_factory,
@@ -306,6 +314,7 @@ def main(argv: list[str] | None = None) -> int:
                 "n_shards": args.shards,
                 "latency": args.latency,
                 "update_fraction": args.update_fraction,
+                "knn_fraction": args.knn_fraction,
                 "max_batch": args.max_batch,
                 "max_wait_us": args.max_wait_us,
                 "shard_buffer_pages": args.shard_buffer_pages,

@@ -106,10 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
         dest="knn_fraction",
         type=float,
         default=0.0,
-        help="fraction of queries that are kNN (default 0: the batched "
-        "kNN path trades extra reads for fewer descents, so the "
-        "reads-per-request gate is only meaningful on range-dominant "
-        "streams; the serve-sim CLI and unit tests exercise kNN)",
+        help="fraction of queries that are PkNN (default 0: a PkNN "
+        "fetches ~12 friends' rows where a PRQ fetches ~2, and at high "
+        "rates batching cannot pay for those extra reads, so the B=64 "
+        "vs B=1 reads-per-request gate holds on range-only streams; the "
+        "fault benchmark and the unit tests serve kNN)",
     )
     parser.add_argument(
         "--shard-buffer-pages",
