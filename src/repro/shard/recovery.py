@@ -7,13 +7,14 @@ on-disk state is actually damaged (a corrupted page keeps failing its
 checksum however often it is re-read).  The recovery primitive is the
 checkpoint the repository already has: each shard tree is checkpointed
 to its own directory (:func:`repro.core.checkpoint.save_peb_tree`) with
-the memo entries of the users whose keys route to it, updates applied
-after the checkpoint are kept in a per-shard replay log, and
+the memo entries of the users whose keys route to it, the updates,
+inserts and deletes applied after the checkpoint are kept in order in a
+per-shard replay log, and
 :meth:`ShardCheckpointer.recover` rebuilds a shard *in place* — page
 images rewritten through the live wrapper stack and the shard's users
 in the deployment's one memo replaced by the checkpoint's
 (:func:`repro.core.checkpoint.restore_peb_tree_state`), the log
-replayed through the shard tree's own batch path, the breaker reset.
+replayed through the shard tree's own verbs, the breaker reset.
 
 The replay log is cleared only at the next :meth:`checkpoint`, never
 by :meth:`recover`: replay is idempotent *from the checkpoint* (it
@@ -26,6 +27,8 @@ and re-arrive through the update buffer they were restored to.
 from __future__ import annotations
 
 import os
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable
 
 from repro.core.checkpoint import restore_peb_tree_state, save_peb_tree
@@ -39,17 +42,16 @@ class ShardCheckpointer:
     """Per-shard checkpoints plus replay logs for one deployment.
 
     Constructing one attaches it to the deployment
-    (``sharded.checkpointer = self``), which turns on replay logging in
-    the supervised ``update_batch`` path: every shard-local run that
-    applies is appended to that shard's log.
+    (``sharded.checkpointer = self``), which turns on replay logging:
+    every shard-local ``update_batch`` run that applies, and every
+    ``insert`` and ``delete``, is appended to its shard's log.
 
     Args:
         sharded: the deployment to protect.
         directory: root folder; shard ``i`` checkpoints into
             ``<directory>/shard<i>``.
 
-    Call :meth:`checkpoint` after bulk load (states inserted outside
-    ``update_batch`` are invisible to the log) and periodically after —
+    Call :meth:`checkpoint` after bulk load and periodically after —
     each checkpoint truncates the logs, bounding both replay time and
     log memory.
     """
@@ -84,7 +86,11 @@ class ShardCheckpointer:
 
     def log_applied(self, shard: int, items: "Iterable[UpdateItem]") -> None:
         """Record updates a flush applied to ``shard`` (facade callback)."""
-        self._logs[shard].extend(items)
+        self._logs[shard].extend(("update_batch", item) for item in items)
+
+    def log(self, shard: int, verb: str, *args) -> None:
+        """Record one ``insert``/``delete`` the facade applied to ``shard``."""
+        self._logs[shard].append((verb, args))
 
     def log_length(self, shard: int) -> int:
         return len(self._logs[shard])
@@ -96,9 +102,9 @@ class ShardCheckpointer:
         the shard's users leave the deployment's memo and the
         checkpoint's come back; the deployment's speed maxima are never
         lowered, since other shards' users rely on them — then replays
-        the shard's post-checkpoint log through the shard tree's own
-        batch path, which writes the deployment's memo, and closes the
-        shard's breaker.  The shard's disk must be healthy enough to
+        the shard's post-checkpoint log in order through the shard
+        tree's own verbs (a run of updates as one batch), which write
+        the deployment's memo, and closes the shard's breaker.  The shard's disk must be healthy enough to
         serve the restore writes and the replay — faults here propagate
         (heal or clear the injected schedule first).
         """
@@ -106,8 +112,13 @@ class ShardCheckpointer:
         replay = list(self._logs[shard])
         own = self.shard_live_keys(shard)
         restore_peb_tree_state(self.shard_dir(shard), tree, own)
+        for verb, run in groupby(replay, key=itemgetter(0)):
+            if verb == "update_batch":
+                tree.update_batch([item for _, item in run])
+            else:
+                for _, args in run:
+                    getattr(tree, verb)(*args)
         if replay:
-            tree.update_batch(replay)
             tree.btree.pool.flush()
         if self.tree.supervisor is not None:
             self.tree.supervisor.reset(shard)

@@ -271,12 +271,21 @@ class ShardedPEBTree(Deployment):
         if obj.uid in self.live.keys:
             raise KeyError(f"user {obj.uid} is already indexed; use update()")
         key = self.key_for(obj)
-        self.trees[self.router.shard_of_key(key)]._insert_at(key, obj, pntp)
+        shard = self.router.shard_of_key(key)
+        self.trees[shard]._insert_at(key, obj, pntp)
+        if self.checkpointer is not None:
+            self.checkpointer.log(shard, "insert", obj, pntp)
 
     def delete(self, uid: int) -> bool:
         """Remove a user's entry; True if the user was indexed."""
         key = self.live.keys.get(uid)
-        return key is not None and self.trees[self.router.shard_of_key(key)].delete(uid)
+        if key is None:
+            return False
+        shard = self.router.shard_of_key(key)
+        self.trees[shard].delete(uid)
+        if self.checkpointer is not None:
+            self.checkpointer.log(shard, "delete", uid)
+        return True
 
     def update(self, obj: MovingObject, pntp: int = 0) -> None:
         """Replace a user's entry (single-state batch; same semantics)."""
@@ -350,6 +359,14 @@ class ShardedPEBTree(Deployment):
                 live.keys[uid] = new_key
         live.max_speed_x = plan.max_vx
         live.max_speed_y = plan.max_vy
+        if self.checkpointer is not None:
+            applied: dict[int, list[UpdateItem]] = {}
+            for item in updates:
+                uid = (item[0] if isinstance(item, tuple) else item).uid
+                if shard_of_uid[uid] not in dead:
+                    applied.setdefault(shard_of_uid[uid], []).append(item)
+            for shard in sorted(applied):
+                self.checkpointer.log_applied(shard, applied[shard])
         return result
 
     def _apply_runs(self, result, runs) -> None:
@@ -472,15 +489,6 @@ class ShardedPEBTree(Deployment):
                 else:
                     result.moved -= 1
             supervisor.note_deferred_updates(len(result.deferred))
-        if self.checkpointer is not None:
-            applied: dict[int, list[UpdateItem]] = {}
-            for item in updates:
-                uid = (item[0] if isinstance(item, tuple) else item).uid
-                shard = shard_of_uid[uid]
-                if shard not in dead:
-                    applied.setdefault(shard, []).append(item)
-            for shard in sorted(applied):
-                self.checkpointer.log_applied(shard, applied[shard])
         return dead
 
     # ------------------------------------------------------------------

@@ -117,7 +117,7 @@ def run(harness, *, pin, arm=None, fault_policy=None, breaker_policy=None,
         n_shards=2,
         latency="ssd",
         update_fraction=0.5,
-        knn_fraction=0.0,
+        knn_fraction=0.25,  # serve_mixed's share: retried PkNN fetches pin too
         shard_buffer_pages=12,  # small: reads go physical, faults fire
         pin=pin,
         disk_factory=lambda shard: FaultyDisk(page_size=CONFIG.page_size),
@@ -160,8 +160,8 @@ def test_service_retries_through_transient_faults_and_still_pins():
         return disarm
 
     # 3 failing indices < 4 attempts: exhaustion impossible, and the
-    # pin (pin=True) checks the retried run is bit-identical to an
-    # untimed fault-free replay.
+    # pin (pin=True) checks the retried run, PkNN answers included, is
+    # bit-identical to an untimed fault-free replay.
     costs = run(
         harness,
         pin=True,
@@ -172,6 +172,7 @@ def test_service_retries_through_transient_faults_and_still_pins():
     stats = costs.stats
     faults = stats.fault_stats
     assert costs.pinned
+    assert "knn" in stats.per_class  # the stream served PkNNs
     assert faults is not None and faults.faults > 0
     assert faults.exhausted == 0 and faults.quarantines == 0
     assert stats.availability == 1.0

@@ -161,19 +161,46 @@ def test_recovered_shard_checkpoints_again(tmp_path):
 
 def test_recovery_reloads_the_deployments_memo(tmp_path):
     """A restore replaces the shard's users in the deployment's one memo
-    with its checkpoint's: a user of that shard deleted after the
-    checkpoint (deletes are not logged) is back, and ``live_key``, which
-    reads the memo, names its checkpointed key."""
+    with its checkpoint's, then replays the logged deletes and inserts
+    in order: a user of that shard deleted after the checkpoint stays
+    deleted, and one inserted after it keeps the key ``live_key``, which
+    reads the memo, named before the recovery."""
     sharded = deploy()
     checkpointer = ShardCheckpointer(sharded, str(tmp_path))
-    checkpointer.checkpoint()
     shard_of_key = sharded.router.shard_of_key
-    uid = next(uid for uid in WORLD.uids if shard_of_key(sharded.live_key(uid)) == 1)
-    key = sharded.live_key(uid)
-    assert sharded.delete(uid) and sharded.live_key(uid) is None
+    gone, back = [
+        uid for uid in WORLD.uids if shard_of_key(sharded.live_key(uid)) == 1
+    ][:2]
+    assert sharded.delete(back)
+    checkpointer.checkpoint()  # ``back`` is not in the checkpoint
+    assert sharded.delete(gone) and sharded.live_key(gone) is None
+    sharded.insert(WORLD.states[back])
+    key = sharded.live_key(back)
+    assert checkpointer.log_length(1) == 2
+    items = list(sharded.items())
 
-    checkpointer.recover(1)
-    assert sharded.live_key(uid) == key
+    assert checkpointer.recover(1) == 2
+    assert sharded.live_key(gone) is None
+    assert sharded.live_key(back) == key
+    assert list(sharded.items()) == items
+    assert sharded.check_consistency() == []
+
+
+def test_an_unsupervised_batch_is_logged_and_replayed(tmp_path):
+    """Without a supervisor the batch applies through the plain sweep,
+    and its runs are still logged: a recovery after it replays them
+    instead of rolling the shard back to its checkpoint."""
+    sharded = WORLD.deploy(N_SHARDS, buffer_pages=16)
+    assert sharded.supervisor is None
+    checkpointer = ShardCheckpointer(sharded, str(tmp_path))
+    checkpointer.checkpoint()
+    sharded.update_batch(list(BATCH))
+    assert sum(checkpointer.log_length(shard) for shard in range(N_SHARDS)) == len(BATCH)
+    assert checkpointer.log_length(1) > 0
+    items = list(sharded.items())
+
+    assert checkpointer.recover(1) == checkpointer.log_length(1)
+    assert list(sharded.items()) == items
     assert sharded.check_consistency() == []
 
 
