@@ -328,9 +328,9 @@ class BPlusTree:
           None only for an empty ``lo > hi`` range, which touches no
           page.
 
-        A plain function, not a generator: the band sweep
-        (:meth:`repro.core.peb_tree.PEBTree.scan_bands_rows`) calls it
-        once per band of a shard job.  The page touches are those of
+        A plain function, not a generator: the key multi-get
+        (:meth:`repro.core.peb_tree.PEBTree.get_many`) calls it once per
+        key of a shard job.  The page touches are those of
         :meth:`scan_chunks` run to exhaustion, in the same order — the
         descent's root, interior nodes and landing leaf, the landing
         leaf again as the walk's first, then each next leaf the range

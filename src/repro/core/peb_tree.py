@@ -10,14 +10,15 @@ similarly efficient update performance as the B+-tree" — with the same
 in-memory update memo the Bx-tree keeps (uid -> current key) so an update
 deletes exactly the stale entry.
 
-Queries read the tree through :meth:`PEBTree.scan_bands_rows`, a lazy
-sweep that answers many single-SV search ranges
-``[TID ⊕ SV ⊕ ZV_lo ; TID ⊕ SV ⊕ ZV_hi]`` in one call — a batch prefetch
-hands it every band of a shard job — returning each as packed columns
-together with the Z-interval of the stratum the scan proved
-(:meth:`PEBTree.scan_band_rows` is its one-band form).  The per-entry
-:meth:`PEBTree.scan_band` is the paper-literal primitive: no engine
-path calls it, the tests pin the rows to it.
+Every served search range is a point ``[TID ⊕ SV ⊕ ZV ; TID ⊕ SV ⊕
+ZV]`` at a friend's live key, so a batch reads the tree through
+:meth:`PEBTree.get_many`, a lazy key multi-get: one descent per key, in
+the order given, each result as packed columns.  A single query, the
+Section 5.4 walk and the span ablation scan one search range at a time
+(:meth:`PEBTree.scan_band_rows`), which also reports the Z-interval of
+its stratum the scan proved.  The per-entry :meth:`PEBTree.scan_band`
+is the paper-literal primitive: no engine path calls it, the tests pin
+the rows to it.
 """
 
 from __future__ import annotations
@@ -386,73 +387,60 @@ class PEBTree(Deployment):
         — and the returned rows materialize :class:`MovingObject`
         states lazily, only for entries a consumer actually touches.
 
-        A single-SV band is :meth:`scan_bands_rows` over that one band,
-        fence proof included — what the engine's on-demand scans call;
-        a batch prefetch hands the sweep a whole shard job instead.  A
-        multi-SV span (the Figure 7 ablation) is not one stratum and
-        reports no proof.
-        """
-        if sv_lo_q == sv_hi_q:
-            return next(self.scan_bands_rows(((tid, sv_lo_q, z_lo, z_hi),)))
-        lo = self.codec.compose_quantized(tid, sv_lo_q, z_lo)
-        hi = self.codec.compose_quantized(tid, sv_hi_q, z_hi)
-        return self._decode(self.btree.scan_chunks((lo, 0), (hi, MAX_UID)))
-
-    def scan_bands_rows(
-        self, bands: Iterable[tuple[int, int, int, int]]
-    ) -> Iterator[BandRows]:
-        """Sweep many single-SV bands: one :class:`BandRows` per band.
-
-        ``bands`` are ``(tid, sv_q, z_lo, z_hi)`` — one search range
-        ``[TID ⊕ SV ⊕ ZV_lo ; TID ⊕ SV ⊕ ZV_hi]`` of Section 5.3 each —
-        and are scanned in the order given, each from the root through
-        :meth:`repro.btree.BPlusTree.scan_fenced`: the rows, the page
-        touches and their order are those of one :meth:`scan_band_rows`
-        call per band.  What the sweep saves is the call chain — a
-        shard job's hundred bands are one loop here instead of a
-        hundred trips down from the scanner.
-
-        Lazy: a band is scanned when its result is pulled, so the
-        consumer accounts for each result as it arrives and a disk
-        fault at band *k* leaves exactly bands ``< k`` scanned.
-
-        On the SV-major layout each result also reports how much of its
-        ``(tid, sv_q)`` stratum the scan *proved*
+        A single-SV band on the SV-major layout also reports how much
+        of its ``(tid, sv_q)`` stratum the scan *proved*
         (:attr:`BandRows.proven`): the stratum is key-contiguous and
         ordered by ZV, so the entries the touched leaves hold just
-        below and just above the band bound an interval that contains
-        exactly the returned rows.  The upper bracket may instead be
-        the landing leaf's upper separator (the scan stops there rather
-        than read the next leaf): no entry lies between the band and
-        it, and every entry right of it is at least it, so a proof
-        ending just below it is sound, if shorter than the true
+        below and just above the band
+        (:meth:`repro.btree.BPlusTree.scan_fenced`) bound an interval
+        that contains exactly the returned rows.  The upper bracket may
+        instead be the landing leaf's upper separator (the scan stops
+        there rather than read the next leaf): no entry lies between
+        the band and it, and every entry right of it is at least it, so
+        a proof ending just below it is sound, if shorter than the true
         successor would allow.  A bracket in another stratum (or past
         either end of the leaf chain) extends the proof to the
         stratum's edge; a band that starts on a leaf edge proves
         nothing below what was asked, and an empty ``z_lo > z_hi`` band
-        proves nothing.  On the ZV-first ablation layout a stratum is
-        not key-contiguous and no proof is reported.
+        proves nothing.  A multi-SV span (the Figure 7 ablation) is not
+        one stratum, and on the ZV-first ablation layout a stratum is
+        not key-contiguous: neither reports a proof.
         """
-        codec = self.codec
-        compose = codec.compose_quantized
+        compose = self.codec.compose_quantized
+        lo = compose(tid, sv_lo_q, z_lo)
+        hi = compose(tid, sv_hi_q, z_hi)
+        if sv_lo_q != sv_hi_q:
+            return self._decode(self.btree.scan_chunks((lo, 0), (hi, MAX_UID)))
+        chunks, below, above = self.btree.scan_fenced((lo, 0), (hi, MAX_UID))
+        rows = self._decode(chunks) if chunks else BandRows.empty()
+        if self.codec.sv_major and above is not None:
+            stratum_lo = lo - z_lo
+            stratum_end = stratum_lo + (1 << self.codec.zv_bits)
+            if below is not None:
+                z_lo = below[0] - stratum_lo + 1 if below[0] >= stratum_lo else 0
+            end = above[0] if above[0] < stratum_end else stratum_end
+            rows.proven = (z_lo, end - stratum_lo - 1)
+        return rows
+
+    def get_many(self, keys: Iterable[int]) -> Iterator[BandRows]:
+        """The entries at each of many keys: one :class:`BandRows` per key.
+
+        Each key is one point search range ``[TID ⊕ SV ⊕ ZV ; TID ⊕ SV ⊕
+        ZV]`` (raw-tie twins share one), fetched in the order given from
+        the root: the page touches and their order are those of one
+        :meth:`scan_band_rows` call per key — one descent, and the next
+        leaf only where :meth:`repro.btree.BPlusTree.scan_fenced` reads
+        it — but no fence proof is derived.  Lazy: a key is fetched when
+        its result is pulled, so the consumer keeps each result as it
+        arrives and a disk fault at key *k* leaves exactly keys ``< k``
+        fetched.
+        """
         scan_fenced = self.btree.scan_fenced
         decode = self._decode
         empty = BandRows.empty
-        prove = codec.sv_major
-        stratum_size = 1 << codec.zv_bits
-        for tid, sv_q, z_lo, z_hi in bands:
-            lo = compose(tid, sv_q, z_lo)
-            hi = compose(tid, sv_q, z_hi)
-            chunks, below, above = scan_fenced((lo, 0), (hi, MAX_UID))
-            rows = decode(chunks) if chunks else empty()
-            if prove and above is not None:
-                stratum_lo = lo - z_lo
-                stratum_end = stratum_lo + stratum_size
-                if below is not None:
-                    z_lo = below[0] - stratum_lo + 1 if below[0] >= stratum_lo else 0
-                end = above[0] if above[0] < stratum_end else stratum_end
-                rows.proven = (z_lo, end - stratum_lo - 1)
-            yield rows
+        for key in keys:
+            chunks = scan_fenced((key, 0), (key, MAX_UID))[0]
+            yield decode(chunks) if chunks else empty()
 
     def _decode(self, chunks: Iterable[tuple[list, bytes]]) -> BandRows:
         """Per-leaf ``(keys, payload run)`` chunks as one :class:`BandRows`."""

@@ -14,17 +14,19 @@ the skip rule applied in one place.
 
 Batching (:meth:`QueryEngine.execute_batch`) is the throughput path the
 ROADMAP's north star asks for: many concurrent query specs are planned
-up front, their band requests are merged across issuers, each merged
-band is physically scanned once (:meth:`BandScanner.prefetch`), and
-every query is then replayed against the resident rows with *zero
-additional index I/O*.  Per-query results are bit-identical to
-running the queries one at a time — the replay applies the identical
-iteration order and skip rules — while the physical reads per query
-drop by the cross-query overlap, reported as
-:attr:`ExecutionStats.dedup_ratio`.  Replay is one loop in spec order:
-a kNN spec's point bands replay as a range plan's do, and on a timed
-sharded deployment every verified band of every spec is booked on the
-scanner's one verify timeline (:class:`repro.shard.engine.VerifyTimeline`).
+up front; every served band is a point at a friend's live key, so the
+batch's prefetch is a key multi-get — its distinct keys
+(:func:`repro.engine.scanner.point_keys`), fetched once each in key
+order (:meth:`BandScanner.prefetch`) — and every query is then replayed
+against the fetched rows, one lookup a band, with *zero additional
+index I/O*.  Per-query results are bit-identical to running the queries
+one at a time — the replay applies the identical iteration order and
+skip rules — while two issuers naming one friend share one descent,
+reported as :attr:`ExecutionStats.dedup_ratio`.  Replay is one loop in
+spec order: a kNN spec's point bands replay as a range plan's do, and
+on a timed sharded deployment every verified band of every spec is
+booked on the scanner's one verify timeline
+(:class:`repro.shard.engine.VerifyTimeline`).
 
 One engine serves every deployment (:mod:`repro.engine.deployment`):
 every path takes its scanner from it (:meth:`QueryEngine.new_scanner`)
@@ -40,7 +42,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.counters import CounterSet, counter, derived, nested
 from repro.engine.plan import QueryPlan, QueryPlanner
-from repro.engine.scanner import BandScanner
+from repro.engine.scanner import BandScanner, point_keys
 from repro.engine.verify import CandidateVerifier
 from repro.spatial.geometry import Rect
 from repro.storage.faults import DiskFaultError
@@ -66,10 +68,11 @@ class ExecutionStats(CounterSet, prefix="engine."):
             after the skip rule dropped the bands of already-located
             friends — whether static (range plans) or adaptive (PkNN
             rounds), so the dedup ratio compares like with like.
-        bands_scanned: physical scans that reached the tree, including
-            batch prefetch merges.
-        bands_deduped: requests a proven stratum interval of the
-            scanner's residency answered instead of the tree.
+        bands_scanned: physical scans that reached the tree, the batch
+            prefetch's key fetches included.
+        bands_deduped: requests the scanner answered from what it held
+            — a fetched key, or a proven stratum interval of its
+            residency — instead of the tree.
         candidates_examined: entries located and verified.
         physical_reads: page-level reads the buffer pool could not
             serve, measured across the execution.
@@ -87,8 +90,8 @@ class ExecutionStats(CounterSet, prefix="engine."):
             Verification CPU (``verify_us`` per candidate) is priced
             only by batch execution, the simio subsystem's consumer
             surface.
-        entries_prefetched: index entries transferred by batch prefetch
-            scans (0 when prefetching was off or skipped).
+        entries_prefetched: index entries the batch prefetch's keys
+            returned (0 for a batch that fetched nothing).
         dead_entries: always 0: a point band has no over-scan, and
             nothing counts one.  Declared only because
             ``perf/trace.py``'s ``HARVEST`` reads it; ROADMAP item 1(a)
@@ -121,7 +124,7 @@ class ExecutionStats(CounterSet, prefix="engine."):
 
         ``1 - bands_scanned / bands_requested``: 0 when every request
         needed its own scan, approaching 1 when a few physical scans
-        (batch prefetch merges included) served many requests.
+        (a key two issuers name fetched once, say) served many requests.
         """
         if self.bands_requested == 0:
             return 0.0
@@ -256,7 +259,7 @@ class QueryEngine:
             seen = verifier.candidates_examined
             stopped = verifier.admit_rows(rows, plan.window, on_match)
             if timeline is not None:
-                timeline.book_verified(planned.band, verifier.candidates_examined - seen)
+                timeline.book_verified(rows, verifier.candidates_examined - seen)
             if stopped:
                 break
         if owned:
@@ -308,17 +311,18 @@ class QueryEngine:
             specs: ``RangeQuerySpec`` / ``KnnQuerySpec`` instances (the
                 :mod:`repro.workloads.queries` types), in any mix.
 
-        Every spec is planned up front and every planned band joins one
-        prefetch, sorted into key order: a range plan's point bands, one
+        Every spec is planned up front and the keys of every planned
+        point band join one key multi-get, distinct and in key order
+        (:func:`repro.engine.scanner.point_keys`): a range plan's, one
         per friend whose cell can reach the window
         (:meth:`repro.engine.plan.QueryPlanner.plan_range`), and a kNN
         spec's, one per visible friend that can be among its k nearest
         (:func:`repro.core.pknn.plan_pknn`), each at the friend's live
-        key.  Replay asks for no band outside
-        the prefetch (the skip rule can only *remove* bands).  A stratum
-        holds one raw sequence value, so issuers share leaves rather
-        than strata, and a key-ordered sweep reads a shared leaf while
-        it is resident.
+        key.  Replay asks for no band outside the prefetch (the skip
+        rule can only *remove* bands) and reads each band's rows with
+        one lookup.  A stratum holds one raw sequence value, so issuers
+        share leaves rather than strata, and key-ordered descents read
+        a shared leaf while it is resident.
 
         Replay is one loop in spec order; results and ``degraded``
         flags come back in spec order.  A kNN spec is a range plan
@@ -328,7 +332,7 @@ class QueryEngine:
         deployment's), every spec's verified bands are booked on it as
         they replay, each query's verification is closed there
         (``charge_query``), and ``end_batch`` prices the one verify CPU
-        — each band as its stratum lands — and joins the shards.
+        — each band as its key's stratum lands — and joins the shards.
 
         A spec of an unsupported type, a range spec with a non-finite
         ``t_query``, or a kNN spec with a negative ``k`` or a non-finite
@@ -380,7 +384,8 @@ class QueryEngine:
                     ),
                 },
             )
-        scanner.prefetch(sorted(planned.band for plan in plans for planned in plan.bands))
+        bands = (planned.band for plan in plans for planned in plan.bands)
+        scanner.prefetch(point_keys(bands, self.tree.codec))
         if tracing:
             recorder.span(
                 "engine/scan",

@@ -37,11 +37,15 @@ class BandRows:
         proven: set by a single-SV tree scan only — the widest Z-interval
             ``(z_lo, z_hi)`` of the scanned ``(tid, sv_q)`` stratum that
             the scan proved to hold exactly these rows (it contains the
-            requested band; see ``PEBTree.scan_bands_rows``).  None on
+            requested band; see ``PEBTree.scan_band_rows``).  None on
             slices, concatenations, and scans that prove nothing.
+        landed: set by a timed batch prefetch only — the virtual
+            instant, on the fetching shard job's timeline, at which the
+            last fetched key of these rows' ``(tid, sv_q)`` stratum
+            landed; None otherwise.
     """
 
-    __slots__ = ("zvs", "records", "_objects", "proven")
+    __slots__ = ("zvs", "records", "_objects", "proven", "landed")
 
     def __init__(
         self,
@@ -55,6 +59,7 @@ class BandRows:
             _objects if _objects is not None else [None] * len(records)
         )
         self.proven: "tuple[int, int] | None" = None
+        self.landed: "float | None" = None
 
     @classmethod
     def empty(cls) -> "BandRows":
@@ -63,7 +68,7 @@ class BandRows:
         mutated in place, and an empty row set caches no object)."""
         rows = cls.__new__(cls)
         rows.zvs = rows.records = rows._objects = _NO_COLUMN
-        rows.proven = None
+        rows.proven = rows.landed = None
         return rows
 
     @classmethod

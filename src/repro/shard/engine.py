@@ -15,11 +15,14 @@ unchanged — which is precisely what keeps sharded results (and
   band (the Figure 7 ablation) through
   :meth:`repro.shard.router.ShardRouter.split_band`, which cuts it at
   the boundary keys it straddles,
-* runs each shard's **prefetch** against that shard's own tree and
-  pool as one job of a :class:`repro.simio.scheduler.IOScheduler` —
-  shards share no mutable state (separate trees, pools, disks, and
-  counter bundles; the shared store/grid/codec are read-only during
-  queries), so on timed devices the jobs *overlap in virtual time*,
+* runs each shard's share of a batch's **key multi-get** (the batch's
+  point keys cut at the shard boundaries,
+  :meth:`repro.shard.router.ShardRouter.split_sorted_keys`) against
+  that shard's own tree and pool as one job of a
+  :class:`repro.simio.scheduler.IOScheduler` — shards share no mutable
+  state (separate trees, pools, disks, and counter bundles; the shared
+  store/grid/codec are read-only during queries), so on timed devices
+  the jobs *overlap in virtual time*,
 * **gathers** sub-scans back in ascending shard order, which inside a
   time partition is ascending key order, so a replayed band is
   byte-identical to a single tree's scan.
@@ -27,22 +30,24 @@ unchanged — which is precisely what keeps sharded results (and
 It is the deployment's only reader, so a single query and a batch alike
 scan every shard under the deployment's supervisor.  On a timed
 deployment a batch additionally **pipelines verification with
-scanning**: each shard job stamps a stratum with the instant its last
-coverage run landed, and every query's candidates — a range plan's and
-a kNN spec's point bands alike, at most one per friend, in key order —
-are verified on one CPU timeline band by band, each as soon as *its
-stratum* has landed — while the rest of that shard's sweep, and every
-slower shard, is still scanning — instead of after the fork/join
-barrier.  Timing only: results, iteration order, and every I/O counter
-are identical to charging verification serially after the join.  That schedule is one optional object, the scanner's
-:class:`VerifyTimeline`: an untimed deployment has none, and neither
-has a single tree, whose :class:`BandScanner` runs on no scheduler.
+scanning**: each shard job stamps every fetched key's rows with the
+instant the last key of its stratum landed (:attr:`BandRows.landed`),
+and every query's candidates — a range plan's and a kNN spec's point
+bands alike, at most one per friend, in key order — are verified on one
+CPU timeline band by band, each as soon as its rows have landed — while
+the rest of that shard's multi-get, and every slower shard, is still
+fetching — instead of after the fork/join barrier.  Timing only:
+results, iteration order, and every I/O counter are identical to
+charging verification serially after the join.  That schedule is one
+optional object, the scanner's :class:`VerifyTimeline`: an untimed
+deployment has none, and neither has a single tree, whose
+:class:`BandScanner` runs on no scheduler.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Sequence
 
 from repro.engine.plan import BandRequest
 from repro.engine.scanner import BandScanner
@@ -50,11 +55,6 @@ from repro.motion.rows import BandRows
 
 if TYPE_CHECKING:
     from repro.shard.tree import ShardedPEBTree
-
-
-def stratum_residency(scanners, router, tid: int, sv_q: int):
-    """The residency of one stratum in its owning shard's scanner."""
-    return scanners[router.shard_of(sv_q)].residency(tid, sv_q)
 
 
 class ShardScatterScanner:
@@ -76,7 +76,7 @@ class ShardScatterScanner:
 
     When the deployment carries a
     :class:`repro.fault.supervisor.ShardSupervisor`, every per-shard
-    job — a batch prefetch, a physical sub-band scan — runs under it:
+    job — a shard's multi-get, a sub-band request — runs under it:
     retryable faults back off in virtual time and re-run, a shard that
     exhausts its retries is quarantined, and a quarantined shard's
     sub-bands are dropped with accounting (the supervisor's
@@ -98,7 +98,7 @@ class ShardScatterScanner:
 
     @property
     def physical_scans(self) -> int:
-        """Scans that reached any shard tree (prefetch merges included)."""
+        """Scans that reached any shard tree (prefetched keys included)."""
         return sum(scanner.physical_scans for scanner in self.scanners)
 
     @property
@@ -118,15 +118,6 @@ class ShardScatterScanner:
     # Scanning
     # ------------------------------------------------------------------
 
-    def _parts(self, band: BandRequest):
-        """A band's ``(shard, sub_band)`` parts: a single-SV band whole
-        to its SV's shard, a span band cut where it straddles a
-        boundary (:meth:`repro.shard.router.ShardRouter.split_band`)."""
-        router = self.tree.router
-        if band.sv_lo_q == band.sv_hi_q:
-            return ((router.shard_of(band.sv_lo_q), band),)
-        return router.split_band(band)
-
     def residency(self, tid: int, sv_q: int):
         """The owning shard scanner's live residency of one stratum.
 
@@ -136,7 +127,7 @@ class ShardScatterScanner:
         """
         if self.supervisor is not None:
             return None
-        return stratum_residency(self.scanners, self.tree.router, tid, sv_q)
+        return self.scanners[self.tree.router.shard_of(sv_q)].residency(tid, sv_q)
 
     def scan(self, band: BandRequest) -> BandRows:
         """All entries of one band, gathered across shards in key order.
@@ -147,11 +138,11 @@ class ShardScatterScanner:
         wrong-by-inclusion result.
         """
         self.scan_calls += 1
-        parts = self._parts(band)
+        router = self.tree.router
+        if self.supervisor is None and band.sv_lo_q == band.sv_hi_q:
+            return self.scanners[router.shard_of(band.sv_lo_q)].scan(band)
+        parts = router.split_band(band)  # a span band is cut at boundaries
         if self.supervisor is None:
-            if len(parts) == 1:
-                shard, sub = parts[0]
-                return self.scanners[shard].scan(sub)
             return BandRows.concat([self.scanners[shard].scan(sub) for shard, sub in parts])
         results = []
         for shard, sub in parts:
@@ -167,39 +158,34 @@ class ShardScatterScanner:
                 self.supervisor.note_dropped_band()
         return BandRows.concat(results)  # no rows when every shard dropped
 
-    def prefetch(self, bands: Iterable[BandRequest]) -> None:
-        """Scatter the batch's merged bands; prefetch each shard once.
+    def prefetch(self, keys: Sequence[int]) -> None:
+        """Cut the batch's point keys at the shard boundaries; fetch each
+        shard's share in one job.
 
-        A single-SV band joins its SV's shard job whole; a span band's
-        parts join theirs.  Per-shard prefetching inherits all of
-        :meth:`BandScanner.prefetch`'s semantics (single-SV grouping,
-        interval merging, the SV-major layout guard).  The shard
-        jobs run through the scheduler: they touch disjoint trees,
-        pools, and counters, so the resulting stores and I/O counts are
+        Each job is :meth:`BandScanner.prefetch` on the shard's scanner.
+        The jobs run through the scheduler: they touch disjoint trees,
+        pools, and counters, so the fetched rows and I/O counts are
         identical with or without virtual overlap.  On a timed
-        deployment the timeline records each shard's
-        virtual finish instant (:attr:`VerifyTimeline.shard_ends`), and
-        each stratum's landing is stamped on its residency (the clock
-        is handed down: the shard scanners know no clock).
+        deployment the timeline records each shard's virtual finish
+        instant (:attr:`VerifyTimeline.shard_ends`), and each job stamps
+        its rows' landings (the clock is handed down: the shard
+        scanners know no clock).
         """
-        per_shard: dict[int, list[BandRequest]] = {}
-        for band in bands:
-            for shard, sub in self._parts(band):
-                per_shard.setdefault(shard, []).append(sub)
-        jobs = sorted(per_shard.items())
+        jobs = self.tree.router.split_sorted_keys(keys)
         if self.supervisor is not None:
             # admits() opens the half-open probe window: the first
             # prefetch after a cooldown *is* the probe, run under the
             # retry policy like any other shard job.  A shard whose
-            # prefetch fails (or stays quarantined) simply has nothing
-            # in its scanner's store; scan() drops it with accounting.
+            # multi-get fails (or stays quarantined) keeps at most the
+            # keys fetched before the fault; scan() drops a quarantined
+            # shard's bands with accounting.
             jobs = [job for job in jobs if self.supervisor.admits(job[0])]
         if not jobs:
             return
         clock = self.scheduler.clock
         thunks = [
-            (lambda scanner=self.scanners[shard], subs=subs: scanner.prefetch(subs, clock))
-            for shard, subs in jobs
+            (lambda scanner=self.scanners[shard], keys=keys: scanner.prefetch(keys, clock))
+            for shard, keys in jobs
         ]
         if self.supervisor is not None:
             thunks = [
@@ -227,37 +213,34 @@ class VerifyTimeline:
     Attributes:
         shard_ends: per-shard finish instants of the last prefetch.
         verify_items: ``(ready, examined)`` per verified band whose
-            stratum a prefetch stamped, in booking order.
+            rows a prefetch stamped, in booking order.
     """
 
     def __init__(self, scatter: ShardScatterScanner):
         # The scatter's parts, not the scatter: a cycle through it would
-        # keep a whole batch's resident rows alive until a full collection.
-        # So a scatter that replaces its scanners builds a new timeline.
+        # keep a whole batch's fetched rows alive until a full collection.
         self.tree = scatter.tree
-        self.scanners = scatter.scanners
         self.clock = scatter.scheduler.clock
         self.shard_ends: dict[int, float] = {}
         self.verify_items: list[tuple[float, int]] = []
         self._chained = 0  # candidates this query booked
 
-    def book_verified(self, band: BandRequest, examined: int) -> None:
-        """Put one verified band on the verify timeline, if it landed.
+    def book_verified(self, rows: BandRows, examined: int) -> None:
+        """Put one verified band's rows on the verify timeline, if they
+        landed.
 
-        Its rows can be verified once its stratum has landed: a served
+        They can be verified once they have landed
+        (:attr:`BandRows.landed`, stamped by the prefetch): a served
         plan holds at most one band per friend, in key order, so no
-        band of a query waits for another.  A band with no stamp
-        (on-demand scan, un-prefetched shard, span band, ZV-first
-        layout) is left to the serial charge.
+        band of a query waits for another.  Rows with no stamp
+        (on-demand scan, un-prefetched shard, span band) are left to
+        the serial charge.
         """
-        tid, sv_q, sv_hi_q, _, _ = band
-        if sv_q != sv_hi_q:
-            return
-        resident = stratum_residency(self.scanners, self.tree.router, tid, sv_q)
-        if resident is None or resident.landed is None:
+        landed = rows.landed
+        if landed is None:
             return
         self._chained += examined
-        self.verify_items.append((resident.landed, examined))
+        self.verify_items.append((landed, examined))
 
     def end_query(self) -> int:
         """Close one query; the candidates it put on the timeline."""

@@ -179,11 +179,17 @@ class ShardRouter:
         Returns ``(shard, run)`` pairs in ascending shard order,
         non-empty runs only.
         """
-        keys = list(map(_KEY_OF_OP, ops))
+        return self._cut(list(map(_KEY_OF_OP, ops)), ops)
+
+    def split_sorted_keys(self, keys: Sequence[int]) -> list[tuple[int, list[int]]]:
+        """An ascending key list cut as :meth:`split_sorted_run` cuts a run."""
+        return self._cut(keys, keys)
+
+    def _cut(self, keys: Sequence[int], items: Sequence) -> list[tuple[int, list]]:
         tid_shift = self._tid_shift
         offsets = self._cut_offsets
         last = len(offsets)
-        runs: dict[int, list[tuple]] = {}
+        runs: dict[int, list] = {}
         start, stop = 0, len(keys)
         while start < stop:
             block = keys[start] >> tid_shift << tid_shift
@@ -191,10 +197,10 @@ class ShardRouter:
             for shard, offset in enumerate(offsets):
                 cut = bisect_left(keys, block + offset, start, block_end)
                 if cut > start:
-                    runs.setdefault(shard, []).extend(ops[start:cut])
+                    runs.setdefault(shard, []).extend(items[start:cut])
                     start = cut
             if block_end > start:
-                runs.setdefault(last, []).extend(ops[start:block_end])
+                runs.setdefault(last, []).extend(items[start:block_end])
                 start = block_end
         return sorted(runs.items())
 

@@ -10,7 +10,7 @@ scanner seam (``QueryEngine.new_scanner``):
   ``struct.unpack`` and one ``MovingObject`` per row, no fence read;
 * so its rows carry no proof (``rows.proven is None``): a residency
   learns only the interval that was asked, and I/O stays per band;
-* its prefetch pulls the same merged coverage runs, one band at a time.
+* its prefetch fetches the same keys, each as the band ``[key; key]``.
 
 Results, ``candidates_examined``, ``rounds`` and ``requests`` must equal
 the shipped scanner's; physical scans and reads may only be higher.
@@ -18,7 +18,7 @@ the shipped scanner's; physical scans and reads may only be higher.
 
 from repro.engine import BandScanner, QueryEngine
 from repro.motion.rows import BandRows
-from repro.shard.engine import ShardScatterScanner, VerifyTimeline
+from repro.shard.engine import ShardScatterScanner
 
 
 class EntryAtATimeTree:
@@ -32,6 +32,13 @@ class EntryAtATimeTree:
     def scan_band_rows(self, tid, sv_lo_q, sv_hi_q, z_lo, z_hi):
         lo = self.codec.compose_quantized(tid, sv_lo_q, z_lo)
         hi = self.codec.compose_quantized(tid, sv_hi_q, z_hi)
+        return self._rows(lo, hi)
+
+    def get_many(self, keys):
+        for key in keys:
+            yield self._rows(key, key)
+
+    def _rows(self, lo, hi):
         zvs, records, objects = [], [], []
         for key, uid, payload in self.btree.scan_range(lo, hi):
             obj, pntp = self.unpack(uid, payload)
@@ -39,10 +46,6 @@ class EntryAtATimeTree:
             records.append((obj.uid, obj.x, obj.y, obj.vx, obj.vy, obj.t_update, pntp))
             objects.append(obj)
         return BandRows(zvs, records, objects)
-
-    def scan_bands_rows(self, bands):
-        for tid, sv_q, z_lo, z_hi in bands:
-            yield self.scan_band_rows(tid, sv_q, sv_q, z_lo, z_hi)
 
 
 class ReferenceScanner(BandScanner):
@@ -56,8 +59,6 @@ def reference_scatter(sharded):
     """A scatter scanner whose per-shard scanners are the reference."""
     scatter = ShardScatterScanner(sharded)
     scatter.scanners = [ReferenceScanner(tree) for tree in sharded.trees]
-    if scatter.timeline is not None:  # it reads residency off the scanners
-        scatter.timeline = VerifyTimeline(scatter)
     return scatter
 
 

@@ -337,7 +337,7 @@ def test_parser_rejects_unknown_arrival_process():
 
 @pytest.mark.parametrize("verb", ("batch-query", "serve-sim"))
 def test_parser_rejects_the_removed_prefetch_flag(verb, capsys):
-    # A batch prefetches the merged union of its bands; there is no mode.
+    # A batch fetches the distinct keys of its point bands; there is no mode.
     with pytest.raises(SystemExit):
         build_parser().parse_args([verb, "--prefetch", "auto"])
     assert "unrecognized arguments: --prefetch auto" in capsys.readouterr().err

@@ -11,8 +11,8 @@ from repro.core.pknn import plan_pknn, pknn
 from repro.core.prq import prq
 from repro.engine import BandScanner, ExecutionStats, QueryEngine
 from repro.engine.plan import BandRequest, QueryPlanner
+from repro.engine.scanner import point_keys
 from repro.policy.timeset import fold
-from repro.spatial.decompose import merge_intervals
 from repro.spatial.geometry import Rect
 from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
 
@@ -208,7 +208,10 @@ def test_prefetch_serves_contained_requests_without_new_scans(small_world):
 
     scanner = BandScanner(world.peb)
     scanner.prefetch(
-        planned.band for plan in (plan_a, plan_b) for planned in plan.bands
+        point_keys(
+            (planned.band for plan in (plan_a, plan_b) for planned in plan.bands),
+            world.peb.codec,
+        )
     )
     after_prefetch = scanner.physical_scans
     assert after_prefetch > 0
@@ -227,7 +230,7 @@ def test_prefetch_store_returns_exact_band_contents(small_world):
     plan = engine.planner.plan_range(issuer, window, 5.0)
 
     prefetched = BandScanner(world.peb)
-    prefetched.prefetch(planned.band for planned in plan.bands)
+    prefetched.prefetch(point_keys((planned.band for planned in plan.bands), world.peb.codec))
     fresh = BandScanner(world.peb)
     for planned in plan.bands:
         served = prefetched.scan(planned.band)
@@ -574,7 +577,7 @@ def test_collect_friend_states_tracks_exactly_the_indexed_friends(small_world):
 
 
 # ----------------------------------------------------------------------
-# The prefetch rule: the merged union of the batch's single-SV bands
+# The prefetch rule: the distinct keys of the batch's point bands
 # ----------------------------------------------------------------------
 
 
@@ -591,39 +594,35 @@ def _batch_engine(world, n_shards):
     return QueryEngine(sharded), sharded.trees
 
 
-def _record_sweeps(trees):
-    """Log, per tree, the runs of every ``scan_bands_rows`` call that is
-    not the inside of a one-band on-demand ``scan_band_rows``."""
-    sweeps = [[] for _ in trees]
-    for tree, log in zip(trees, sweeps):
-        on_demand = []
+def _record_fetches(trees):
+    """Log, per tree, the keys of every ``get_many`` call, and count the
+    on-demand ``scan_band_rows`` calls."""
+    fetches = [[] for _ in trees]
+    on_demand = []
+    for tree, log in zip(trees, fetches):
 
-        def sweep(runs, inner=tree.scan_bands_rows, log=log, on_demand=on_demand):
-            runs = list(runs)
-            if not on_demand:
-                log.append(runs)
-            return inner(runs)
+        def get_many(keys, inner=tree.get_many, log=log):
+            keys = list(keys)
+            log.append(keys)
+            return inner(keys)
 
-        def one_band(*band, inner=tree.scan_band_rows, on_demand=on_demand):
+        def one_band(*band, inner=tree.scan_band_rows):
             on_demand.append(band)
-            try:
-                return inner(*band)
-            finally:
-                on_demand.pop()
+            return inner(*band)
 
-        tree.scan_bands_rows = sweep
+        tree.get_many = get_many
         tree.scan_band_rows = one_band
-    return sweeps
+    return fetches, on_demand
 
 
 @pytest.mark.parametrize("n_shards", (1, 4))
-def test_a_batch_prefetches_the_merged_union_of_its_single_sv_bands(
+def test_a_batch_fetches_each_distinct_point_key_once_in_key_order(
     batch_world, n_shards
 ):
-    """The one prefetch rule: per stratum, ``merge_intervals`` over every
-    single-SV range-plan band and kNN point band of the batch; strata
-    ascending by key; each run handed to the tree once, in one sweep
-    per tree."""
+    """The one prefetch rule: the distinct keys of every range-plan and
+    kNN point band of the batch, ascending, one ``get_many`` call per
+    tree (its shard's share on a deployment), and replay reads each
+    band's rows from what was fetched."""
     world = batch_world
     engine, trees = _batch_engine(world, n_shards)
     specs = world.query_generator().mixed_queries(world.states, 16, 300.0, 3, 5.0)
@@ -641,46 +640,27 @@ def test_a_batch_prefetches_the_merged_union_of_its_single_sv_bands(
         for band in knn_bands(engine, spec)
     ]
     assert range_bands and point_bands  # both kinds contribute
-    bands = sorted(range_bands + point_bands)
+    bands = range_bands + point_bands
+    assert all(b.z_lo == b.z_hi and b.is_single_sv for b in bands)
+    codec = world.peb.codec
+    keys = [codec.compose_quantized(b.tid, b.sv_lo_q, b.z_lo) for b in bands]
+    assert len(set(keys)) < len(keys)  # two specs really name one key
     router = getattr(engine.tree, "router", None)  # a single tree has none
-    expected = [{} for _ in trees]  # per tree: stratum -> intervals, insertion-ordered
-    for band in bands:
-        if band.is_single_sv:
-            shard = router.shard_of(band.sv_lo_q) if router else 0
-            expected[shard].setdefault((band.tid, band.sv_lo_q), []).append(
-                (band.z_lo, band.z_hi)
-            )
-    expected_runs = [
-        [
-            (tid, sv_q, z_lo, z_hi)
-            for (tid, sv_q), intervals in strata.items()
-            for z_lo, z_hi in merge_intervals(sorted(intervals))
-        ]
-        for strata in expected
-    ]
-    assert any(
-        len(intervals) > len(merge_intervals(sorted(intervals)))
-        for strata in expected
-        for intervals in strata.values()
-    )  # something really merged
+    expected = [[] for _ in trees]  # per tree: its keys, ascending
+    for key in sorted(set(keys)):
+        expected[router.shard_of_key(key) if router else 0].append(key)
 
-    sweeps = _record_sweeps(trees)
-    engine.execute_batch(specs)
-    assert sweeps == [[runs] if runs else [] for runs in expected_runs]
-    for runs in expected_runs:
-        assert len(set(runs)) == len(runs)
-
-    # Range plans are static: replay finds every band resident, so the
-    # prefetch runs are all the physical scans a range-only batch makes.
-    ranges = [spec for spec in specs if isinstance(spec, RangeQuerySpec)]
-    for log in sweeps:
-        log.clear()
-    report = engine.execute_batch(ranges)
-    assert all(len(log) <= 1 for log in sweeps)
-    assert report.stats.bands_scanned == sum(
-        len(runs) for log in sweeps for runs in log
+    fetches, on_demand = _record_fetches(trees)
+    report = engine.execute_batch(specs)
+    assert fetches == [[share] if share else [] for share in expected]
+    assert on_demand == []  # replay reads no band from the tree
+    assert report.stats.bands_scanned == len(set(keys))
+    assert report.stats.bands_requested == len(bands)
+    assert report.stats.bands_deduped == report.stats.bands_requested
+    assert report.stats.entries_prefetched == sum(
+        len(world.peb.scan_band_rows(b.tid, b.sv_lo_q, b.sv_hi_q, b.z_lo, b.z_hi))
+        for b in {band: None for band in bands}
     )
-    assert report.stats.bands_deduped == report.stats.bands_requested > 0
 
 
 # ----------------------------------------------------------------------
@@ -762,23 +742,27 @@ def _populated_stratum(world):
     pytest.skip("no stratum with two distinct ZVs in this world")
 
 
-def test_a_narrow_band_over_a_prefetched_stratum_serves_only_its_rows(
-    batch_world,
-):
+def test_a_fetched_key_serves_only_its_own_point_band(batch_world):
+    """Fetched rows answer the point band at their key and nothing
+    else: a band over the rest of the stratum, or at a key nobody
+    fetched, goes to the tree and returns exactly its own rows."""
     world = batch_world
     band, full, rows = _populated_stratum(world)
-    first_zv = rows[0][0]
+    first_zv, last_zv = rows[0][0], rows[-1][0]
+    assert first_zv != last_zv
+    key = world.peb.codec.compose_quantized(band.tid, band.sv_lo_q, first_zv)
     scanner = BandScanner(world.peb)
-    scanner.prefetch([full])
+    scanner.prefetch([key])
     assert scanner.physical_scans == 1
-    assert scanner.entries_prefetched == len(rows)
-    narrow = BandRequest(
-        band.tid, band.sv_lo_q, band.sv_hi_q, first_zv, first_zv
-    )
-    served = scanner.scan(narrow)
-    assert _rows_signature(served) == [r for r in rows if r[0] == first_zv]
-    assert scanner.residency_hits == 1
-    assert scanner.physical_scans == 1  # the prefetch run proved it
+    first = [r for r in rows if r[0] == first_zv]
+    assert scanner.entries_prefetched == len(first)
+    point = BandRequest(band.tid, band.sv_lo_q, band.sv_hi_q, first_zv, first_zv)
+    assert _rows_signature(scanner.scan(point)) == first
+    assert scanner.residency_hits == 1 and scanner.physical_scans == 1
+    last = BandRequest(band.tid, band.sv_lo_q, band.sv_hi_q, last_zv, last_zv)
+    assert _rows_signature(scanner.scan(last)) == [r for r in rows if r[0] == last_zv]
+    assert _rows_signature(scanner.scan(full)) == rows
+    assert scanner.residency_hits == 1 and scanner.physical_scans == 3
 
 
 def _answers(specs, report):
@@ -794,10 +778,11 @@ def _answers(specs, report):
 
 
 @pytest.mark.parametrize("n_shards", (1, 4))
-def test_whole_stratum_prefetch_never_changes_a_batch(batch_world, n_shards):
-    """Strata prefetched whole ahead of a batch hold rows no band asks
-    for; residency serves each band only the rows inside its interval,
-    so every answer and candidate count is the cold scanner's."""
+def test_a_warm_residency_never_changes_a_batch(batch_world, n_shards):
+    """Strata scanned whole ahead of a batch hold rows no band asks for;
+    the batch's point bands are answered from its own fetched keys, so
+    every answer, candidate count and fetched entry is the cold
+    scanner's."""
     world = batch_world
     specs = world.query_generator().mixed_queries(world.states, 16, 300.0, 3, 5.0)
     cold_engine, _ = _batch_engine(world, n_shards)
@@ -812,13 +797,14 @@ def test_whole_stratum_prefetch_never_changes_a_batch(batch_world, n_shards):
 
     def warmed_scanner():
         scanner = make_scanner()
-        scanner.prefetch(full_strata)
+        for band in full_strata:
+            scanner.scan(band)
         return scanner
 
     engine.new_scanner = warmed_scanner
     warmed = engine.execute_batch(specs)
     assert _answers(specs, warmed) == _answers(specs, cold)
-    assert warmed.stats.entries_prefetched > cold.stats.entries_prefetched
+    assert warmed.stats.entries_prefetched == cold.stats.entries_prefetched > 0
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 A scan of ``[lo, hi]`` sees, in the leaves it touches anyway, the entry
 just below and just above its range
 (:meth:`repro.btree.tree.BPlusTree.scan_fenced`).
-:meth:`repro.core.peb_tree.PEBTree.scan_bands_rows` turns that into the
+:meth:`repro.core.peb_tree.PEBTree.scan_band_rows` turns that into the
 widest Z-interval of the scanned ``(tid, sv_q)`` stratum that provably
 holds exactly the returned rows (:attr:`BandRows.proven`), and the
 engine's stratum residency answers later bands from it without going
@@ -21,11 +21,11 @@ random histories that split and merge leaves:
   rows — over strata that share a leaf, strata that straddle leaves,
   the first and last leaf, and the empty tree.  Multi-SV spans and the
   ZV-first ablation layout report no proof.
-* The sweep: a batch prefetch hands the tree a whole shard job
-  (``scan_bands_rows(bands)``).  It must be indistinguishable from one
-  ``scan_band_rows`` call per band — rows, proofs, buffer traffic and
-  LRU order — stop where a disk fault stops it with the earlier bands
-  accounted for, and be entered once per (shard, batch).
+* The key multi-get: a batch prefetch hands the tree a whole shard
+  job's keys (``get_many(keys)``).  It must be indistinguishable from
+  one ``scan_band_rows`` call per key's point band — rows, buffer
+  traffic and LRU order — stop where a disk fault stops it with exactly
+  the earlier keys fetched, and be entered once per (shard, batch).
 """
 
 from __future__ import annotations
@@ -41,12 +41,10 @@ from repro.btree.tree import CHAIN_START, MAX_UID, BPlusTree
 from repro.core.ablation import make_zv_first_tree
 from repro.core.peb_tree import PEBTree
 from repro.engine import QueryEngine
-from repro.engine.plan import BandRequest
 from repro.engine.scanner import BandScanner
 from repro.motion.objects import MovingObject
 from repro.motion.partitions import TimePartitioner
 from repro.policy.store import PolicyStore
-from repro.spatial.decompose import merge_intervals
 from repro.spatial.grid import Grid
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
@@ -360,14 +358,14 @@ def test_spans_and_the_zv_first_layout_report_no_proof(history, probes):
 
 
 # ----------------------------------------------------------------------
-# The sweep: many bands in one call, indistinguishable from one at a time
+# The key multi-get: many keys in one call, indistinguishable from one at a time
 # ----------------------------------------------------------------------
 
 # Stratum slots: a user's own stratum, or (past N_USERS) one above every
-# user's — a band there runs off the end of its partition, and in the
-# last partition off the end of the leaf chain.
-BANDS = st.lists(
-    st.tuples(st.integers(0, 2), st.integers(0, N_USERS + 3), Z, Z),
+# user's — a key there lies past its partition's last entry, and in the
+# last partition past the end of the leaf chain.
+KEYS = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, N_USERS + 3), Z),
     min_size=1,
     max_size=8,
 )
@@ -379,13 +377,13 @@ def _sv_q(tree: PEBTree, slot: int) -> int:
     return tree.codec.quantize_sv(sv)
 
 
-def _leaf_edge_bands(tree: PEBTree) -> list:
-    """One band starting exactly on each leaf's first key."""
-    bands = []
-    for keys, _ in tree.btree.leaf_runs():
-        tid, sv_q, zv = tree.codec.decompose(keys[0][0])
-        bands.append((tid, sv_q, zv, min(zv + 40, tree.grid.max_z)))
-    return bands
+def _leaf_edge_keys(tree: PEBTree) -> list:
+    """Each leaf's first and last key: a point band on a leaf's last
+    entry is fenced by the separator, not by reading the next leaf."""
+    keys = []
+    for leaf_keys, _ in tree.btree.leaf_runs():
+        keys += [leaf_keys[0][0], leaf_keys[-1][0]]
+    return keys
 
 
 def _buffer_state(tree: PEBTree):
@@ -399,81 +397,60 @@ def _buffer_state(tree: PEBTree):
 
 
 @settings(max_examples=60, deadline=None)
-@given(history=HISTORY, drawn=BANDS, picks=PICKS)
-def test_sweep_equals_one_scan_per_band_in_rows_proofs_and_page_touches(
+@given(history=HISTORY, drawn=KEYS, picks=PICKS)
+def test_multi_get_equals_one_point_scan_per_key_in_rows_and_page_touches(
     history, drawn, picks
 ):
     # Three clones of one tree behind equal pools too small to hold it.
-    swept, single, walked = (_peb(capacity=6) for _ in range(3))
-    for tree in (swept, single, walked):
+    fetched, single, walked = (_peb(capacity=6) for _ in range(3))
+    for tree in (fetched, single, walked):
         _apply(tree, {}, history)
-        edges = _leaf_edge_bands(tree)  # reads the chain: on every clone alike
-    # Random bands (z_lo > z_hi among them, and partitions that hold
-    # nothing whenever the history left one empty) plus every leaf
-    # edge; picking with replacement makes duplicates the rule.
+        edges = _leaf_edge_keys(tree)  # reads the chain: on every clone alike
+    # Random keys (in partitions and strata that hold nothing among
+    # them) plus every leaf's edge keys, picked with replacement and
+    # sorted as a batch's keys are; a repeat is fetched again.
+    compose = fetched.codec.compose_quantized
     candidates = [
-        (tid, _sv_q(swept, slot), z_a, z_b) for tid, slot, z_a, z_b in drawn
+        compose(tid, _sv_q(fetched, slot), z) for tid, slot, z in drawn
     ] + edges
-    bands = [candidates[pick % len(candidates)] for pick in picks]
+    keys = sorted(candidates[pick % len(candidates)] for pick in picks)
 
-    got = list(swept.scan_bands_rows(bands))
-    want = [
-        single.scan_band_rows(tid, sv_q, sv_q, z_lo, z_hi)
-        for tid, sv_q, z_lo, z_hi in bands
-    ]
-    assert len(got) == len(bands)
-    for rows, reference in zip(got, want):
-        assert rows == reference
-        assert rows.proven == reference.proven
-    # The third clone walks each range with the lazy per-leaf scan: no
-    # fence, no sweep — the page touches a band scan has always made.
-    compose = walked.codec.compose_quantized
-    for tid, sv_q, z_lo, z_hi in bands:
-        lo, hi = compose(tid, sv_q, z_lo), compose(tid, sv_q, z_hi)
-        for _ in walked.btree.scan_chunks((lo, 0), (hi, MAX_UID)):
+    got = list(fetched.get_many(keys))
+    decompose = single.codec.decompose
+    want = []
+    for key in keys:
+        tid, sv_q, zv = decompose(key)
+        want.append(single.scan_band_rows(tid, sv_q, sv_q, zv, zv))
+    assert got == want
+    # The third clone walks each key with the lazy per-leaf scan: no
+    # fence, no multi-get — the page touches a band scan has always made.
+    for key in keys:
+        for _ in walked.btree.scan_chunks((key, 0), (key, MAX_UID)):
             pass
-    assert _buffer_state(swept) == _buffer_state(single) == _buffer_state(walked)
+    assert _buffer_state(fetched) == _buffer_state(single) == _buffer_state(walked)
 
 
-def _per_band_prefetch(scanner: BandScanner, bands) -> None:
-    """The reference: prefetch as a loop of single-band tree scans.
-
-    Same grouping, same order, same accounting points as
-    ``BandScanner.prefetch`` — a scan is counted when it is issued, a
-    stratum's entries when its last run has landed, and a stratum's
-    residency exists once its first run has landed.
-    """
-    grouped: dict = {}
-    for band in bands:
-        grouped.setdefault((band.tid, band.sv_lo_q), []).append((band.z_lo, band.z_hi))
-    for (tid, sv_q), intervals in grouped.items():
-        coverage = merge_intervals(sorted(intervals))
-        prefetched = 0
-        for z_lo, z_hi in coverage:
-            scanner.physical_scans += 1
-            rows = scanner.tree.scan_band_rows(tid, sv_q, sv_q, z_lo, z_hi)
-            scanner.residency(tid, sv_q)._add(z_lo, z_hi, rows)
-            prefetched += len(rows)
-        scanner.entries_prefetched += prefetched
+def _per_key_prefetch(scanner: BandScanner, keys) -> None:
+    """The reference: prefetch as a loop of single-band tree scans,
+    counted when issued and kept when it lands."""
+    decompose = scanner.tree.codec.decompose
+    for key in keys:
+        scanner.physical_scans += 1
+        tid, sv_q, zv = decompose(key)
+        rows = scanner.fetched[key] = scanner.tree.scan_band_rows(tid, sv_q, sv_q, zv, zv)
+        scanner.entries_prefetched += len(rows)
 
 
 def _scanner_state(scanner: BandScanner):
     return (
         scanner.physical_scans,
         scanner.entries_prefetched,
-        [
-            (
-                key,
-                resident._edges,
-                list(zip(resident.rows.zvs, resident.rows.records)),
-            )
-            for key, resident in scanner._residency.items()
-        ],
+        {key: list(zip(rows.zvs, rows.records)) for key, rows in scanner.fetched.items()},
         _buffer_state(scanner.tree),
     )
 
 
-def test_a_fault_mid_sweep_leaves_what_the_per_band_loop_leaves():
+def test_a_fault_at_key_k_leaves_exactly_the_keys_below_it_fetched():
     population = [
         ("update", (uid, 37.0 * uid % SPACE, 91.0 * uid % SPACE, (0.0, 70.0)[uid % 2]))
         for uid in range(N_USERS)
@@ -486,55 +463,49 @@ def test_a_fault_mid_sweep_leaves_what_the_per_band_loop_leaves():
         tree.btree.pool.disk.heal()  # read attempts count from here
         return tree
 
-    # Every stratum of both live partitions, in two disjoint pieces:
-    # each stratum is two coverage runs, so a fault can land between
-    # the runs of one stratum as well as between strata.
+    # Every user's live key in both live partitions, and a key nobody
+    # holds beside each: crowded strata straddle leaves, so faults land
+    # both between one stratum's keys and between strata.
     probe = cold_tree()
-    max_z = probe.grid.max_z
-    bands = [
-        BandRequest(tid, sv_q, sv_q, z_lo, z_hi)
-        for tid in (0, 1)
-        for sv_q in sorted({_sv_q(probe, uid) for uid in range(N_USERS)})
-        for z_lo, z_hi in ((0, max_z // 3), (max_z // 2, max_z))
-    ]
+    live = sorted(probe.live.keys.values())
+    keys = sorted(set(live) | {key + 1 for key in live})
     clean = BandScanner(probe)
     built = probe.stats.physical_reads
-    clean.prefetch(bands)
+    clean.prefetch(keys)
     reads = probe.stats.physical_reads - built
     assert reads >= 10
 
-    mid_stratum = 0
+    cut_points = set()
     for failing_read in range(1, reads + 1):
-        swept, looped = BandScanner(cold_tree()), BandScanner(cold_tree())
-        for scanner in (swept, looped):
+        fetched, looped = BandScanner(cold_tree()), BandScanner(cold_tree())
+        for scanner in (fetched, looped):
             scanner.tree.btree.pool.disk.schedule = TransientFaultSchedule(
                 fail_reads=[failing_read]
             )
         with pytest.raises(DiskFaultError):
-            swept.prefetch(bands)
+            fetched.prefetch(keys)
         with pytest.raises(DiskFaultError):
-            _per_band_prefetch(looped, bands)
-        assert _scanner_state(swept) == _scanner_state(looped)
-        assert swept.physical_scans <= clean.physical_scans
-        # The failing scan was counted when issued; its stratum's
-        # entries are not booked until the stratum completes.
-        mid_stratum += swept.physical_scans % 2 == 0
-        # The supervisor's retry: the same call again, fault cleared.
-        swept.prefetch(bands)
-        _per_band_prefetch(looped, bands)
-        assert _scanner_state(swept) == _scanner_state(looped)
-        assert [r.rows for r in swept._residency.values()] == [
-            r.rows for r in clean._residency.values()
-        ]
-    assert mid_stratum  # some fault did land between one stratum's runs
+            _per_key_prefetch(looped, keys)
+        assert _scanner_state(fetched) == _scanner_state(looped)
+        # The failing fetch was counted when issued; exactly the keys
+        # below it were kept.
+        k = fetched.physical_scans - 1
+        assert list(fetched.fetched) == keys[:k]
+        cut_points.add(k)
+        # The supervisor's retry: the whole key list again, fault cleared.
+        fetched.prefetch(keys)
+        _per_key_prefetch(looped, keys)
+        assert _scanner_state(fetched) == _scanner_state(looped)
+        assert fetched.fetched == clean.fetched
+    assert len(cut_points) > 1  # faults landed at different keys
 
 
 def test_prefetch_enters_the_tree_once_per_shard_job(monkeypatch):
-    """Not once per band: the batch's bands ride one sweep per shard.
+    """Not once per band: the batch's keys ride one multi-get per shard.
 
     A range plan holds about two point bands a query (one per friend
     whose cell can reach the window), so the batch takes 60 queries for
-    its bands to outnumber the shard jobs tenfold."""
+    its keys to outnumber the shard jobs tenfold."""
     world = build_world(n_users=220, n_policies=8, seed=29)
     sharded = world.deploy(4)
     specs = world.query_generator().range_queries(world.uids, 60, 300.0, 5.0)
@@ -553,7 +524,7 @@ def test_prefetch_enters_the_tree_once_per_shard_job(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(PEBTree, "scan_band_rows")
-    counted(PEBTree, "scan_bands_rows")
+    counted(PEBTree, "get_many")
     counted(BPlusTree, "scan_chunks")
     shard_prefetch = BandScanner.prefetch
 
@@ -569,7 +540,7 @@ def test_prefetch_enters_the_tree_once_per_shard_job(monkeypatch):
 
     report = QueryEngine(sharded).execute_batch(specs)
     assert calls["shard jobs"] >= 2
-    assert calls["scan_bands_rows"] == calls["shard jobs"]
+    assert calls["get_many"] == calls["shard jobs"]
     assert calls["scan_band_rows"] == 0 and calls["scan_chunks"] == 0
-    # ... for many times as many bands.
+    # ... for many times as many keys.
     assert report.stats.bands_scanned > 10 * calls["shard jobs"]

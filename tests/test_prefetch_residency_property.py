@@ -1,71 +1,79 @@
-"""A prefetch makes its runs resident as on-demand scans do: a property test.
+"""A prefetch is a key multi-get beside the residency: a property test.
 
-:meth:`repro.engine.scanner.BandScanner.prefetch` groups the single-SV
-bands by stratum in one pass and puts every coverage run into its
-stratum's residency through :meth:`StratumResidency._add`, exactly as an
-on-demand scan does; ``_add`` merges every proof the same way — rows
-resident inside the proven interval are replaced, and when that is all
-of them the new rows are adopted as they are.  The reference,
-:class:`FormerScanner`, keeps the prefetch and the ``_add`` these
-replaced: a stratum list built in a second pass, every residency taken
-as an empty handle before its first run is pulled, and every run put in
-through an ``_add`` that adopts a first proof and concatenates every
-later one.
+:meth:`repro.engine.scanner.BandScanner.prefetch` fetches the keys it is
+handed (a batch's :func:`repro.engine.scanner.point_keys`) in one
+``get_many`` call, keeps each key's rows in ``fetched`` and — given a
+clock — stamps them with the instant the last key of their stratum
+landed; :meth:`BandScanner.scan` answers a point band at a fetched key
+with one lookup.  On-demand scans of every other band put what they
+prove into their stratum's residency through
+:meth:`StratumResidency._add`, whose one merge replaces the rows
+resident inside the proven interval and adopts the new rows as they are
+when that is all of them.  The reference, :class:`FormerScanner`, keeps
+a prefetch written as a loop of single-band tree scans whose stamps are
+laid on after the loop, stratum by stratum, and the ``_add`` the one-way
+merge replaced, which adopts a first proof and concatenates every later
+one.
 
-Histories over a few random strata mix prefetches (one run per
-stratum, overlapping runs that merge, disjoint runs, a stratum a kNN
-probe names again after other strata's runs, span bands a prefetch
-passes over), on-demand scans, residency handles taken before any scan
-and hits served through them.  After every step both scanners must
-have answered alike and hold the same strata with the same ``_edges``,
-rows and ``landed``, and agree on ``entries_prefetched``,
+Histories over a few random strata mix prefetches (point bands at
+occupied and empty keys, a key named twice, range and span bands a
+prefetch passes over, with and without a clock), on-demand scans,
+residency handles taken before any scan and hits served through them.
+After every step both scanners must have answered alike and hold the
+same fetched keys with the same rows and stamps, the same strata with
+the same ``_edges`` and rows, and agree on ``entries_prefetched``,
 ``physical_scans``, ``requests`` and ``residency_hits``.
 """
 
 from bisect import bisect_left, bisect_right
-from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.peb_key import PEBKeyCodec
 from repro.engine.plan import BandRequest
-from repro.engine.scanner import BandScanner, StratumResidency
+from repro.engine.scanner import BandScanner, StratumResidency, point_keys
 from repro.motion.rows import BandRows
-from repro.spatial.decompose import merge_intervals
 
 MAX_Z = 63
 STRATA = [(tid, sv_q) for tid in (0, 1) for sv_q in (0, 1, 2)]
+CODEC = PEBKeyCodec(tid_count=2, sv_bits=2, zv_bits=6, sv_scale=1)
 
 
 class StrataTree:
-    """Rows of a few ``(tid, sv_q)`` strata, scanned the way the PEB-tree's
-    sweep reports them: the rows inside each run, and — unless the run
+    """Rows of a few ``(tid, sv_q)`` strata, scanned the way the PEB-tree
+    reports them: the rows inside each band, and — unless the band
     starts on a leaf edge, here every third — the widest interval of its
-    stratum that holds exactly them."""
+    stratum that holds exactly them; a key's rows, without a proof."""
 
-    codec = SimpleNamespace(sv_major=True)
+    codec = CODEC
 
     def __init__(self, strata):
         self.strata = strata  # (tid, sv_q) -> ascending ZVs
 
-    def scan_bands_rows(self, runs):
-        for tid, sv_q, z_lo, z_hi in runs:
-            zvs = self.strata.get((tid, sv_q), [])
-            lo = bisect_left(zvs, z_lo)
-            hi = bisect_right(zvs, z_hi)
-            rows = BandRows(
-                zvs[lo:hi], [(sv_q * 100 + zv, 0.0, 0.0, 0.0, 0.0, 0.0, tid) for zv in zvs[lo:hi]]
-            )
-            if z_lo % 3:
-                rows.proven = (
-                    zvs[lo - 1] + 1 if lo else 0,
-                    zvs[hi] - 1 if hi < len(zvs) else MAX_Z,
-                )
-            yield rows
+    def _rows(self, tid, sv_q, z_lo, z_hi):
+        zvs = self.strata.get((tid, sv_q), [])
+        lo = bisect_left(zvs, z_lo)
+        hi = bisect_right(zvs, z_hi)
+        rows = BandRows(
+            zvs[lo:hi], [(sv_q * 100 + zv, 0.0, 0.0, 0.0, 0.0, 0.0, tid) for zv in zvs[lo:hi]]
+        )
+        return rows, lo, hi, zvs
 
     def scan_band_rows(self, tid, sv_lo_q, sv_hi_q, z_lo, z_hi):
         assert sv_lo_q == sv_hi_q
-        return next(self.scan_bands_rows([(tid, sv_lo_q, z_lo, z_hi)]))
+        rows, lo, hi, zvs = self._rows(tid, sv_lo_q, z_lo, z_hi)
+        if z_lo % 3:
+            rows.proven = (
+                zvs[lo - 1] + 1 if lo else 0,
+                zvs[hi] - 1 if hi < len(zvs) else MAX_Z,
+            )
+        return rows
+
+    def get_many(self, keys):
+        for key in keys:
+            tid, sv_q, zv = CODEC.decompose(key)
+            yield self._rows(tid, sv_q, zv, zv)[0]
 
 
 class FormerResidency(StratumResidency):
@@ -92,8 +100,8 @@ class FormerResidency(StratumResidency):
 
 
 class FormerScanner(BandScanner):
-    """The scanner with the prefetch and residencies the one-pass
-    grouping and the one-way merge replaced."""
+    """The scanner with a per-key prefetch loop and the two-branch
+    ``_add``."""
 
     def residency(self, tid, sv_q):
         resident = self._residency.get((tid, sv_q))
@@ -101,33 +109,19 @@ class FormerScanner(BandScanner):
             resident = self._residency[(tid, sv_q)] = FormerResidency(self._tally, tid, sv_q)
         return resident
 
-    def prefetch(self, bands, clock=None):
-        grouped = {}
-        for tid, sv_q, sv_hi_q, z_lo, z_hi in bands:
-            if sv_q == sv_hi_q:
-                intervals = grouped.get((tid, sv_q))
-                if intervals is None:
-                    intervals = grouped[(tid, sv_q)] = []
-                intervals.append((z_lo, z_hi))
-        strata = []
-        for (tid, sv_q), coverage in grouped.items():
-            if len(coverage) > 1:
-                coverage = merge_intervals(sorted(coverage))
-            strata.append((tid, sv_q, coverage))
-        scans = self.tree.scan_bands_rows(
-            [(tid, sv_q, z_lo, z_hi) for tid, sv_q, coverage in strata for z_lo, z_hi in coverage]
-        )
-        for tid, sv_q, coverage in strata:
-            resident = self.residency(tid, sv_q)
-            prefetched = 0
-            for z_lo, z_hi in coverage:
-                self.physical_scans += 1
-                rows = next(scans)
-                resident._add(z_lo, z_hi, rows)
-                prefetched += len(rows)
-            self.entries_prefetched += prefetched
+    def prefetch(self, keys, clock=None):
+        landed = {}  # stratum -> the cursor read after its last key
+        for key in keys:
+            self.physical_scans += 1
+            tid, sv_q, zv = CODEC.decompose(key)
+            rows = self.tree.scan_band_rows(tid, sv_q, sv_q, zv, zv)
+            self.fetched[key] = BandRows(rows.zvs, rows.records)
+            self.entries_prefetched += len(rows)
             if clock is not None:
-                resident.landed = clock.cursor()
+                landed[(tid, sv_q)] = clock.cursor()
+        for key in keys:
+            if clock is not None:
+                self.fetched[key].landed = landed[CODEC.decompose(key)[:2]]
 
 
 class Cursor:
@@ -144,12 +138,11 @@ class Cursor:
 def state(scanner):
     return (
         {
-            key: (
-                resident._edges,
-                resident.rows.zvs,
-                resident.rows.records,
-                resident.landed,
-            )
+            key: (rows.zvs, rows.records, rows.landed)
+            for key, rows in scanner.fetched.items()
+        },
+        {
+            key: (resident._edges, resident.rows.zvs, resident.rows.records)
             for key, resident in scanner._residency.items()
         },
         scanner.entries_prefetched,
@@ -163,29 +156,45 @@ Z = st.integers(0, MAX_Z)
 
 
 @st.composite
-def band(draw, single=True):
+def band(draw, single=True, point=False):
     tid, sv_q = draw(st.sampled_from(STRATA))
     z_lo, z_hi = sorted((draw(Z), draw(Z)))
+    if point:
+        z_hi = z_lo
     sv_hi_q = sv_q if single else sv_q + draw(st.integers(1, 2))
     return BandRequest(tid, sv_q, sv_hi_q, z_lo, z_hi)
 
 
-STEP = st.one_of(
-    st.tuples(
-        st.just("prefetch"),
-        st.lists(st.one_of(band(), band(), band(), band(single=False)), max_size=10),
-        st.booleans(),
-    ),
-    st.tuples(st.just("scan"), band()),
-    st.tuples(st.just("handle"), st.sampled_from(STRATA)),
-    st.tuples(st.just("serve"), band()),
-)
+def occupied_point(strata):
+    """A point band at an occupied key of ``strata``, when there is one."""
+    occupied = [(stratum, zv) for stratum, zvs in strata.items() for zv in zvs]
+    return st.sampled_from(occupied).map(
+        lambda pick: BandRequest(pick[0][0], pick[0][1], pick[0][1], pick[1], pick[1])
+    ) if occupied else band(point=True)
+
+
+def steps(strata):
+    points = st.one_of(occupied_point(strata), band(point=True))
+    return st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("prefetch"),
+                st.lists(st.one_of(points, points, band(), band(single=False)), max_size=10),
+                st.booleans(),
+            ),
+            st.tuples(st.just("scan"), st.one_of(points, band())),
+            st.tuples(st.just("handle"), st.sampled_from(STRATA)),
+            st.tuples(st.just("serve"), band()),
+        ),
+        min_size=1,
+        max_size=8,
+    )
 
 
 def run(scanner, step):
     kind = step[0]
     if kind == "prefetch":
-        return scanner.prefetch(step[1], Cursor() if step[2] else None)
+        return scanner.prefetch(point_keys(step[1], CODEC), Cursor() if step[2] else None)
     if kind == "scan":
         return scanner.scan(step[1])
     if kind == "handle":
@@ -195,36 +204,39 @@ def run(scanner, step):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    strata=st.fixed_dictionaries(
-        {key: st.lists(Z, max_size=6, unique=True).map(sorted) for key in STRATA}
-    ),
-    steps=st.lists(STEP, min_size=1, max_size=8),
-)
-def test_prefetch_residency_is_the_former_residency(strata, steps):
+@given(data=st.data())
+def test_prefetch_and_residency_equal_the_reference(data):
+    strata = data.draw(
+        st.fixed_dictionaries(
+            {key: st.lists(Z, max_size=6, unique=True).map(sorted) for key in STRATA}
+        )
+    )
     tree = StrataTree(strata)
     shipped, reference = BandScanner(tree), FormerScanner(tree)
-    for step in steps:
+    for step in data.draw(steps(strata)):
         assert run(shipped, step) == run(reference, step), step
         assert state(shipped) == state(reference), step
 
 
-def test_a_probe_naming_a_stratum_again_joins_its_runs():
+def test_a_key_two_bands_name_is_fetched_once():
     tree = StrataTree({(0, 0): [5, 20, 40], (0, 1): [7], (1, 0): [30]})
     bands = [
-        BandRequest(0, 0, 0, 1, 10),  # range run of stratum (0, 0)
-        BandRequest(0, 1, 1, 4, 9),
-        BandRequest(1, 0, 0, 28, 33),
-        BandRequest(0, 0, 0, 8, 22),  # overlaps the first: one merged run
-        BandRequest(0, 0, 0, 38, 50),  # the probe's disjoint run of it
+        BandRequest(1, 0, 0, 30, 30),
+        BandRequest(0, 0, 0, 20, 20),  # two issuers name one friend ...
+        BandRequest(0, 1, 1, 4, 9),  # ... a range band is left to scan()
+        BandRequest(0, 0, 0, 20, 20),  # ... the same key again
+        BandRequest(0, 0, 0, 21, 21),  # an empty key
     ]
+    keys = point_keys(bands, CODEC)
+    assert [CODEC.decompose(key) for key in keys] == [(0, 0, 20), (0, 0, 21), (1, 0, 30)]
     shipped, reference = BandScanner(tree), FormerScanner(tree)
-    shipped.prefetch(bands)
-    reference.prefetch(bands)
+    shipped.prefetch(keys, Cursor())
+    reference.prefetch(keys, Cursor())
     assert state(shipped) == state(reference)
-    assert list(shipped._residency) == [(0, 0), (0, 1), (1, 0)]
+    assert shipped.physical_scans == 3 and shipped.entries_prefetched == 2
+    # Both keys of stratum (0, 0) land when its second key does.
+    assert [rows.landed for rows in shipped.fetched.values()] == [2.0, 2.0, 3.0]
+    assert shipped.scan(bands[1]).zvs == [20]
+    assert shipped.residency_hits == 1 and shipped.physical_scans == 3
+    assert shipped.scan(bands[2]).zvs == [7]  # on demand
     assert shipped.physical_scans == 4
-    resident = shipped._residency[(0, 0)]
-    assert isinstance(resident, StratumResidency)
-    assert resident.rows.zvs == [5, 20, 40]
-    assert shipped.entries_prefetched == 5

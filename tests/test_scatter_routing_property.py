@@ -11,8 +11,9 @@ boundaries, and batches that mix single-SV and span bands.
 The shard scanners are stand-ins that record each prefetch job and
 answer a scan with one row naming the shard and the sub-band it was
 handed, so the comparison sees routing and gather order and nothing
-else.  Per shard, the prefetch job must be ``split_band``'s parts for
-that shard, band for band and in batch order; ``scan()`` must equal
+else.  Per shard, the prefetch job must be the batch's distinct point
+keys that ``split_band`` sends there, ascending (the key multi-get's
+share, cut by ``split_sorted_keys``); ``scan()`` must equal
 ``BandRows.concat`` over ``split_band``'s parts — with and without a
 :class:`repro.fault.supervisor.ShardSupervisor`.
 """
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core.peb_key import PEBKeyCodec
 from repro.engine.plan import BandRequest
+from repro.engine.scanner import point_keys
 from repro.fault.retry import RetryPolicy
 from repro.fault.supervisor import ShardSupervisor
 from repro.motion.rows import BandRows
@@ -48,8 +50,8 @@ class JobRecorder:
         self.shard = shard
         self.jobs = []
 
-    def prefetch(self, bands, clock=None):
-        self.jobs.append(list(bands))
+    def prefetch(self, keys, clock=None):
+        self.jobs.append(list(keys))
 
     def scan(self, band):
         return rows_naming(self.shard, band)
@@ -111,17 +113,19 @@ def routed_batches(draw):
 def expected_jobs(router, bands):
     jobs = {}
     for band in bands:
-        for shard, sub in router.split_band(band):
-            jobs.setdefault(shard, []).append(sub)
-    return jobs
+        if band.is_single_sv and band.z_lo == band.z_hi:
+            ((shard, _),) = router.split_band(band)
+            key = CODEC.compose_quantized(band.tid, band.sv_lo_q, band.z_lo)
+            jobs.setdefault(shard, set()).add(key)
+    return {shard: sorted(keys) for shard, keys in jobs.items()}
 
 
 @settings(max_examples=300, deadline=None)
 @given(batch=routed_batches(), supervised=st.booleans())
-def test_prefetch_jobs_are_split_bands_parts(batch, supervised):
+def test_prefetch_jobs_are_the_point_keys_split_band_routes(batch, supervised):
     router, bands = batch
     scatter = scatter_over(router, supervised)
-    scatter.prefetch(bands)
+    scatter.prefetch(point_keys(bands, CODEC))
     handed = {
         scanner.shard: scanner.jobs for scanner in scatter.scanners if scanner.jobs
     }
@@ -146,14 +150,16 @@ def test_single_sv_bands_on_a_squeezed_boundary_route_past_it():
     router = ShardRouter(CODEC, (8, 8))
     scatter = scatter_over(router, supervised=False)
     bands = [
-        BandRequest(0, 7, 7, 0, MAX_Z),
-        BandRequest(1, 8, 8, 2, 5),
+        BandRequest(0, 7, 7, 5, 5),
+        BandRequest(1, 8, 8, 2, 2),
         BandRequest(0, 7, 9, 3, 4),
+        BandRequest(0, 8, 8, 0, MAX_Z),
     ]
-    scatter.prefetch(bands)
+    key = CODEC.compose_quantized
+    scatter.prefetch(point_keys(bands, CODEC))
     assert [scanner.jobs for scanner in scatter.scanners] == [
-        [[bands[0], BandRequest(0, 7, 7, 3, MAX_Z)]],
+        [[key(0, 7, 5)]],
         [],
-        [[bands[1], BandRequest(0, 8, 9, 0, 4)]],
+        [[key(1, 8, 2)]],
     ]
     assert scatter.scan(bands[1]) == rows_naming(2, bands[1])

@@ -3,8 +3,8 @@
 On a timed deployment the scatter scanner prices every query's
 verification band by band on one CPU timeline — a range plan's bands
 and a kNN spec's point bands alike: a band's rows may be verified once
-its *stratum* has landed (``StratumResidency.landed``, stamped by the
-shard job's prefetch sweep).  A served plan holds at most one band per
+the last fetched key of its *stratum* has landed (``BandRows.landed``,
+stamped by the shard job's key multi-get).  A served plan holds at most one band per
 friend, in key order (pinned by ``test_range_plan_soundness_property.py``
 and ``test_knn_plan_soundness_property.py``), so no band of a query
 waits for another.  Results never depended on that schedule, so before
@@ -16,8 +16,8 @@ checks
 
 (a) **feasibility** — every verified band of every spec is an item;
     every item starts at or after the instant its stratum's last
-    coverage run really landed (read off the sweep by a spy, not off the
-    stamp); Σ item cost equals Σ ``candidates_examined × verify_us``
+    fetched key really landed (read off the multi-get by a spy, not off
+    the stamp); Σ item cost equals Σ ``candidates_examined × verify_us``
     over all specs; and the batch ends at ``max(join, pipeline end)``,
     inside ``[max(shard_ends), serial_end]`` — the upper end is the
     serial-after-the-join schedule;
@@ -32,8 +32,8 @@ checks
 
 Two mutants must fail it (each checked on a scratch copy, each failing
 within 30 s under ``pytest -x``): stamping at job start
-(``clock.cursor()`` read before ``BandScanner.prefetch``'s sweep loop
-instead of after each stratum) fails (a) everywhere; and leaving a kNN
+(``clock.cursor()`` read before ``BandScanner.prefetch``'s fetch loop
+instead of after each key) fails (a) everywhere; and leaving a kNN
 spec's bands unbooked (``run_range_plan`` booking only plans with a
 window) fails (a)'s Σ-cost clause on any batch with a kNN spec that
 verifies a candidate.
@@ -134,8 +134,9 @@ def open_fault_window(sharded, offset_us, width_us):
         disk.schedule = schedule
 
 
-class SweepSpy:
-    """A shard tree whose prefetch sweep reports when each run landed."""
+class FetchSpy:
+    """A shard tree whose key multi-get reports when each stratum's
+    last fetched key landed."""
 
     def __init__(self, tree, clock, landings):
         self._tree = tree
@@ -145,10 +146,11 @@ class SweepSpy:
     def __getattr__(self, name):  # on-demand scans go straight through
         return getattr(self._tree, name)
 
-    def scan_bands_rows(self, bands):
-        bands = list(bands)
-        for (tid, sv_q, _, _), rows in zip(bands, self._tree.scan_bands_rows(bands)):
-            self._landings[(tid, sv_q)] = self._clock.cursor()
+    def get_many(self, keys):
+        keys = list(keys)
+        decompose = self._tree.codec.decompose
+        for key, rows in zip(keys, self._tree.get_many(keys)):
+            self._landings[decompose(key)[:2]] = self._clock.cursor()
             yield rows
 
 
@@ -157,13 +159,15 @@ class RecordingTimeline(VerifyTimeline):
 
     def __init__(self, scatter):
         super().__init__(scatter)
+        self.scatter = scatter
         self.query = 0  # queries closed so far, in replay order
         self.bookings = []  # (query, band, examined, index in verify_items)
 
-    def book_verified(self, band, examined):
+    def book_verified(self, rows, examined):
         index = len(self.verify_items)
-        super().book_verified(band, examined)
+        super().book_verified(rows, examined)
         booked = len(self.verify_items) > index
+        band = self.scatter.last_band  # the band replay just scanned
         self.bookings.append((self.query, band, examined, index if booked else None))
 
     def end_query(self):
@@ -179,17 +183,21 @@ class RecordingScatter(ShardScatterScanner):
         super().__init__(sharded)
         self.landings = {}
         self.scanners = [
-            BandScanner(SweepSpy(tree, sharded.sim_clock, self.landings))
+            BandScanner(FetchSpy(tree, sharded.sim_clock, self.landings))
             for tree in sharded.trees
         ]
         self.timeline = RecordingTimeline(self)
+
+    def scan(self, band):
+        self.last_band = band
+        return super().scan(band)
 
 
 class SerialTimeline(VerifyTimeline):
     """Verification serial, after the join: nothing is booked, so each
     query's candidates are charged on the worker's cursor as it replays."""
 
-    def book_verified(self, band, examined):
+    def book_verified(self, rows, examined):
         pass
 
 
@@ -202,10 +210,10 @@ class SerialScatter(ShardScatterScanner):
 
 
 class OnDemandScatter(ShardScatterScanner):
-    """Nothing prefetched, so no stratum is stamped: every band is
+    """Nothing prefetched, so no rows are stamped: every band is
     scanned on demand."""
 
-    def prefetch(self, bands):
+    def prefetch(self, keys):
         pass
 
 
@@ -343,11 +351,14 @@ def test_priced_schedule_is_feasible_and_describes_the_execution(
     else:
         assert counters(report) == counters(serial_report) == counters(untimed_report)
 
-    # (a) Every stratum a sweep covered carries the instant its last
-    # run landed — and nothing else carries a stamp.
+    # (a) Every fetched key's rows carry the instant the last key of its
+    # stratum landed — and no residency row carries a stamp.
+    decompose = pipelined.codec.decompose
     for scanner in scatter.scanners:
-        for stratum, resident in scanner._residency.items():
-            assert resident.landed == scatter.landings.get(stratum), stratum
+        for key, rows in scanner.fetched.items():
+            assert rows.landed == scatter.landings[decompose(key)[:2]], key
+        for resident in scanner._residency.values():
+            assert resident.rows.landed is None
     assert all(landing >= t0 for landing in scatter.landings.values())
 
     # (a) Every verified band of every spec is an item; an item starts

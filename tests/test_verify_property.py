@@ -7,10 +7,11 @@ pinned here rather than left to the oracle's end results:
   ``CandidateVerifier.admit`` (Definition 2, one entry at a time): same
   ``located`` set, same ``candidates_examined``, the same qualifying
   ``(uid, x, y)`` sequence handed to the callback, the same stopping row.
-* ``PEBTree.scan_band_rows`` / ``scan_bands_rows`` against the
-  paper-literal ``PEBTree.scan_band``: the same ``(zv, object)`` pairs in
-  the same order for the same page reads, on the SV-major layout and the
-  ZV-first ablation layout, for single-SV bands and multi-SV spans.
+* ``PEBTree.scan_band_rows`` / ``get_many`` against the paper-literal
+  ``PEBTree.scan_band``: the same ``(zv, object)`` pairs in the same
+  order for the same page reads, on the SV-major layout and the
+  ZV-first ablation layout, for single-SV bands, multi-SV spans and
+  point bands (``get_many``'s keys).
   (``ShardScatterScanner.scan`` against the single tree's
   ``scan_band`` on boundary-straddling bands:
   ``test_shard_property.test_boundary_straddling_band_scans_identically``.)
@@ -55,7 +56,6 @@ Z = st.integers(min_value=0, max_value=(1 << 20) - 1)  # its 10-bit grid
 #: ``(tid, a user, another user or None, z, z)``: the band between the
 #: two users' quantized SVs (a single-SV band of the first's when None).
 BANDS = st.tuples(st.integers(0, 1), UID, st.one_of(st.none(), UID), Z, Z)
-SINGLE_SV_BANDS = st.tuples(st.integers(0, 1), UID, st.none(), Z, Z)
 
 
 def band_of(world, tid, uid_a, uid_b, z_a, z_b):
@@ -149,7 +149,7 @@ def test_admit_rows_equals_the_per_entry_loop(
 
 
 # ----------------------------------------------------------------------
-# scan_band_rows / scan_bands_rows == scan_band
+# scan_band_rows / get_many == scan_band
 # ----------------------------------------------------------------------
 
 
@@ -171,25 +171,30 @@ def test_band_rows_equal_the_per_entry_scan(layout, band):
         assert rows.proven is None  # only a contiguous stratum is proven
 
 
+#: ``(a user, its live key or None, tid, z)``: a point band at the
+#: user's live key, or at ``(tid, its quantized SV, z)`` when None.
+POINTS = st.tuples(UID, st.booleans(), st.integers(0, 1), Z)
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    layout=st.sampled_from(LAYOUTS),
-    bands=st.lists(SINGLE_SV_BANDS, max_size=8),
-)
-def test_a_sweep_equals_one_per_entry_scan_per_band(layout, bands):
+@given(layout=st.sampled_from(LAYOUTS), points=st.lists(POINTS, max_size=8))
+def test_a_multi_get_equals_one_per_entry_point_scan_per_key(layout, points):
     world = _world()
     tree = world.trees[layout]
-    bands = [band_of(world, *band) for band in bands]
-    sweep, sweep_reads = cold_reads(
-        tree,
-        lambda: list(
-            tree.scan_bands_rows(
-                (tid, sv_q, z_lo, z_hi) for tid, sv_q, _, z_lo, z_hi in bands
-            )
-        ),
+    codec = tree.codec
+    keys = sorted(
+        tree.live.keys[uid]
+        if live
+        else codec.compose_quantized(
+            tid, codec.quantize_sv(world.store.sequence_value(uid)), z
+        )
+        for uid, live, tid, z in points
     )
+    fetched, fetched_reads = cold_reads(tree, lambda: list(tree.get_many(keys)))
+    bands = [(tid, sv_q, sv_q, zv, zv) for tid, sv_q, zv in map(codec.decompose, keys)]
     singly, single_reads = cold_reads(
         tree, lambda: [list(tree.scan_band(*band)) for band in bands]
     )
-    assert [list(rows) for rows in sweep] == singly
-    assert sweep_reads == single_reads
+    assert [list(rows) for rows in fetched] == singly
+    assert any(singly) or not any(live for _, live, _, _ in points)
+    assert fetched_reads == single_reads
