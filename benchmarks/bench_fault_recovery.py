@@ -60,6 +60,10 @@ TRANSIENT_FAIL_READS = (5, 977, 1800)
 TRANSIENT_FAIL_WRITES = (7,)
 TRANSIENT_RETRY = RetryPolicy(max_attempts=5)
 
+#: Share of queries served as PkNN (``serve_mixed``'s share), so the
+#: snapshot pins retried kNN fetches as well as range ones.
+KNN_FRACTION = 0.25
+
 
 def _shard_disks(deployment) -> list:
     """Each shard's innermost (faulty) disk, unwrapping timed layers."""
@@ -122,14 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--update-fraction", dest="update_fraction", type=float, default=0.25
-    )
-    parser.add_argument(
-        "--knn-fraction",
-        dest="knn_fraction",
-        type=float,
-        default=0.25,
-        help="fraction of queries that are PkNN (default 0.25, the "
-        "serve_mixed share), so retried kNN fetches are pinned too",
     )
     parser.add_argument("--max-batch", dest="max_batch", type=int, default=32)
     parser.add_argument(
@@ -218,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
             n_shards=args.shards,
             latency=args.latency,
             update_fraction=args.update_fraction,
-            knn_fraction=args.knn_fraction,
+            knn_fraction=KNN_FRACTION,
             shard_buffer_pages=args.shard_buffer_pages,
             pin=pin,
             disk_factory=page_factory,
@@ -314,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
                 "n_shards": args.shards,
                 "latency": args.latency,
                 "update_fraction": args.update_fraction,
-                "knn_fraction": args.knn_fraction,
+                "knn_fraction": KNN_FRACTION,
                 "max_batch": args.max_batch,
                 "max_wait_us": args.max_wait_us,
                 "shard_buffer_pages": args.shard_buffer_pages,
