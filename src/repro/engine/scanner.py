@@ -292,26 +292,28 @@ class BandScanner:
                 (:attr:`BandRows.landed`) with the instant the last
                 fetched key of its ``(tid, sv_q)`` stratum landed — a
                 stratum's keys are adjacent in key order, and a stratum
-                a fault cut short stays unstamped.
+                a fault cut short stays unstamped.  On a ZV-first
+                layout a stratum's keys are not adjacent, so no row is
+                stamped there and its verification is charged serially.
         """
         fetched = self.fetched
         fetches = self.tree.get_many(keys)
+        if not self._sv_major:
+            clock = None
         sv_shift = self.tree.codec.layout[1]
-        stratum = landed = None
+        last = len(keys) - 1
         pending: list[BandRows] = []
-        for key in keys:
+        for i, key in enumerate(keys):
             self.physical_scans += 1
             rows = fetched[key] = next(fetches)
             self.entries_prefetched += len(rows.records)
             if clock is not None:
-                if key >> sv_shift != stratum:
-                    for done in pending:
-                        done.landed = landed
-                    stratum, pending = key >> sv_shift, []
                 pending.append(rows)
                 landed = clock.cursor()
-        for done in pending:
-            done.landed = landed
+                if i == last or keys[i + 1] >> sv_shift != key >> sv_shift:
+                    for done in pending:
+                        done.landed = landed
+                    pending = []
 
     # ------------------------------------------------------------------
     # Physical scans

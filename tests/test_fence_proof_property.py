@@ -52,6 +52,7 @@ from repro.storage.faults import DiskFaultError, FaultyDisk, TransientFaultSched
 
 from tests.conftest import build_world, make_tree
 from tests.test_packed_leaf_property import OPS, WINDOWS, apply_ops
+from tests.test_prefetch_residency_property import Cursor
 
 # ----------------------------------------------------------------------
 # B+-tree layer: the fence against a dict model
@@ -475,7 +476,8 @@ def test_a_fault_at_key_k_leaves_exactly_the_keys_below_it_fetched():
     reads = probe.stats.physical_reads - built
     assert reads >= 10
 
-    cut_points = set()
+    stratum = [probe.codec.decompose(key)[:2] for key in keys]
+    cut_points, mid_stratum = set(), 0
     for failing_read in range(1, reads + 1):
         fetched, looped = BandScanner(cold_tree()), BandScanner(cold_tree())
         for scanner in (fetched, looped):
@@ -483,7 +485,7 @@ def test_a_fault_at_key_k_leaves_exactly_the_keys_below_it_fetched():
                 fail_reads=[failing_read]
             )
         with pytest.raises(DiskFaultError):
-            fetched.prefetch(keys)
+            fetched.prefetch(keys, Cursor())
         with pytest.raises(DiskFaultError):
             _per_key_prefetch(looped, keys)
         assert _scanner_state(fetched) == _scanner_state(looped)
@@ -492,12 +494,42 @@ def test_a_fault_at_key_k_leaves_exactly_the_keys_below_it_fetched():
         k = fetched.physical_scans - 1
         assert list(fetched.fetched) == keys[:k]
         cut_points.add(k)
+        # The cursor is read once per kept key: a stratum completed
+        # before the fault is stamped with the read after its last key,
+        # and the keys already kept of the stratum the fault cut short
+        # stay unstamped.
+        for i, key in enumerate(keys[:k]):
+            if stratum[i] == stratum[k]:
+                assert fetched.fetched[key].landed is None
+            else:
+                last = max(j for j in range(k) if stratum[j] == stratum[i])
+                assert fetched.fetched[key].landed == float(last + 1)
+        mid_stratum += k > 0 and stratum[k - 1] == stratum[k]
         # The supervisor's retry: the whole key list again, fault cleared.
-        fetched.prefetch(keys)
+        fetched.prefetch(keys, Cursor())
         _per_key_prefetch(looped, keys)
         assert _scanner_state(fetched) == _scanner_state(looped)
         assert fetched.fetched == clean.fetched
+        assert all(rows.landed is not None for rows in fetched.fetched.values())
     assert len(cut_points) > 1  # faults landed at different keys
+    assert mid_stratum  # some fault landed between two keys of one stratum
+
+
+def test_a_zv_first_prefetch_stamps_no_rows():
+    """A ZV-first stratum's keys are not adjacent in key order, so the
+    prefetch books none of them on the verify timeline: their
+    verification is charged serially, as before the multi-get."""
+    tree = _peb(make_zv_first_tree)
+    _apply(tree, {}, [
+        ("update", (uid, 37.0 * uid % SPACE, 91.0 * uid % SPACE, 0.0))
+        for uid in range(N_USERS)
+    ])
+    keys = sorted(tree.live.keys.values())
+    scanner = BandScanner(tree)
+    scanner.prefetch(keys, Cursor())
+    assert list(scanner.fetched) == keys
+    assert sum(len(rows) for rows in scanner.fetched.values()) == N_USERS
+    assert all(rows.landed is None for rows in scanner.fetched.values())
 
 
 def test_prefetch_enters_the_tree_once_per_shard_job(monkeypatch):
