@@ -21,9 +21,10 @@ from what it already holds before it goes to the tree:
    (:attr:`BandRows.proven`), and a later band inside a proof is
    answered by bisection, an empty one without allocating.
 3. **Physical scan** — anything else goes to the tree: a multi-SV span
-   (the Figure 7 ablation) and every band of the ZV-first ablation
-   layout, where a stratum is not key-contiguous and no proof may be
-   recorded.
+   (the Figure 7 ablation) and every unfetched band of the ZV-first
+   ablation layout, where a stratum is not key-contiguous and no proof
+   may be recorded (nor a fetched key stamped with its stratum's
+   landing).
 
 A tree hands out its scanner (``PEBTree.new_scanner``); a sharded
 deployment hands out a scatter/gather one that keeps a
