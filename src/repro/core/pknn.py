@@ -77,7 +77,7 @@ from operator import itemgetter
 from repro.core.peb_tree import PEBTree
 from repro.engine import BandScanner, CandidateVerifier, QueryEngine, QueryPlanner
 from repro.engine.executor import check_complete
-from repro.engine.plan import PlannedBand, QueryPlan, VisibilityMap
+from repro.engine.plan import QueryPlan, VisibilityMap
 from repro.motion.objects import MovingObject
 from repro.spatial.decompose import ZInterval, subtract_interval
 from repro.spatial.geometry import Rect, euclidean
@@ -375,23 +375,16 @@ def plan_pknn(
     planner: QueryPlanner, q_uid: int, qx: float, qy: float, k: int, t_query: float
 ) -> QueryPlan:
     """The served plan of one PkNN: the issuer's visibility map at
-    ``t_query`` and one point band per friend that can be among the k
-    nearest of ``(qx, qy)`` (:meth:`QueryPlanner.plan_knn_probe`);
+    ``t_query`` and the live key of every friend that can be among the
+    k nearest of ``(qx, qy)`` (:meth:`QueryPlanner.plan_knn_probe`);
     nothing at all for ``k = 0``."""
     if k <= 0:
         visible: VisibilityMap = {}
-        bands: list[PlannedBand] = []
+        bands: list[tuple[int, int]] = []
     else:
         visible = planner.tree.store.visibility_map(q_uid, t_query)
         bands = planner.plan_knn_probe(q_uid, visible, qx, qy, k, t_query)
-    return QueryPlan(
-        q_uid=q_uid,
-        t_query=t_query,
-        friends=[],
-        contexts=[],
-        bands=bands,
-        visible=visible,
-    )
+    return QueryPlan(q_uid=q_uid, t_query=t_query, bands=bands, visible=visible)
 
 
 def pknn_from_plan(
@@ -399,7 +392,7 @@ def pknn_from_plan(
 ) -> PKNNResult:
     """Materialize a :class:`PKNNResult` from one planned PkNN fetch.
 
-    Every row the plan's bands return is verified (the engine's replay
+    Every row at the plan's keys is verified (the engine's replay
     of a planned scan, :meth:`repro.engine.QueryEngine.run_range_plan`,
     without a window) and the k nearest qualifying users are kept,
     ranked by ``(distance, uid)`` as the oracle ranks them.

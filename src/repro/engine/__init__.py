@@ -8,18 +8,20 @@ each candidate against the policy store.  This package implements that
 pipeline exactly once, in four layers (plus the write-path twin):
 
 1. :mod:`repro.engine.plan` — the **planner**: query spec in,
-   :class:`~repro.engine.plan.QueryPlan` of band requests out, with the
-   paper's skip rules expressed once as plan metadata.
-2. :mod:`repro.engine.scanner` — the **band scanner**: executes band
-   requests against the tree, keeping per ``(tid, sv_q)`` stratum what
-   its scans have *proven* (the Z-intervals they covered, widened to
-   the keys the touched leaves showed around them, with their rows) so
-   later requests inside a proof never reach the tree — whether the
-   proof came from a batch prefetch that merged overlapping requests
-   across issuers or from an earlier on-demand scan.
+   :class:`~repro.engine.plan.QueryPlan` of ``(live key, friend)``
+   pairs out, read off the update memo, with the paper's skip rules
+   expressed once as plan metadata.
+2. :mod:`repro.engine.scanner` — the **scanner**: fetches a served
+   plan's keys (one lookup when a batch's key multi-get already fetched
+   them, one descent otherwise), and scans the bands the Section 5.4
+   walk, registration and the span ablation request on demand, keeping
+   per ``(tid, sv_q)`` stratum what those scans have *proven* (the
+   Z-intervals they covered, widened to the keys the touched leaves
+   showed around them, with their rows) so later bands inside a proof
+   never reach the tree.
 3. :mod:`repro.engine.executor` — the **executor**: drives plans in the
    paper's iteration order, and batches many concurrent query specs so
-   one physical scan serves every query that needs it, returning
+   one fetch of a key serves every query that names it, returning
    per-query results plus :class:`~repro.engine.executor.ExecutionStats`.
 4. :mod:`repro.engine.verify` — the **verifier**: centralizes
    ``position_at`` + ``store.evaluate`` + once-per-user deduplication.
@@ -44,7 +46,6 @@ from repro.engine.executor import (
 from repro.engine.plan import (
     BandRequest,
     PartitionContext,
-    PlannedBand,
     QueryPlan,
     QueryPlanner,
 )
@@ -59,7 +60,6 @@ __all__ = [
     "CandidateVerifier",
     "ExecutionStats",
     "PartitionContext",
-    "PlannedBand",
     "QueryPlan",
     "QueryPlanner",
     "QueryEngine",

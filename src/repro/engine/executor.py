@@ -7,26 +7,26 @@ the Figure 7 span-scan ablation (:mod:`repro.core.ablation`), the
 continuous-query registration scan (:mod:`repro.core.continuous`), the
 served PkNN fetch and the Section 5.4 matrix walk
 (:mod:`repro.core.pknn`) — is a thin adapter over this engine: the
-planner decides *what* to scan, the scanner decides *how* (from a
-proven interval, or physically), the verifier decides *who qualifies*,
-and this module drives the three in the paper's iteration order with
-the skip rule applied in one place.
+planner decides *what* to read, the scanner decides *how* (from what it
+fetched or proved, or physically), the verifier decides *who
+qualifies*, and this module drives the three in the paper's iteration
+order with the skip rule applied in one place.
 
-Batching (:meth:`QueryEngine.execute_batch`) is the throughput path the
-ROADMAP's north star asks for: many concurrent query specs are planned
-up front; every served band is a point at a friend's live key, so the
-batch's prefetch is a key multi-get — its distinct keys
-(:func:`repro.engine.scanner.point_keys`), fetched once each in key
-order (:meth:`BandScanner.prefetch`) — and every query is then replayed
-against the fetched rows, one lookup a band, with *zero additional
-index I/O*.  Per-query results are bit-identical to running the queries
-one at a time — the replay applies the identical iteration order and
-skip rules — while two issuers naming one friend share one descent,
-reported as :attr:`ExecutionStats.dedup_ratio`.  Replay is one loop in
-spec order: a kNN spec's point bands replay as a range plan's do, and
-on a timed sharded deployment every verified band of every spec is
-booked on the scanner's one verify timeline
-(:class:`repro.shard.engine.VerifyTimeline`).
+A served plan is its ``(live key, friend)`` pairs, and every served
+query, single or batched, reads them through one scanner method,
+:meth:`BandScanner.fetch`.  Batching (:meth:`QueryEngine.execute_batch`)
+is the throughput path the ROADMAP's north star asks for: many
+concurrent query specs are planned up front, the batch's distinct keys
+are fetched once each in key order (:meth:`BandScanner.prefetch`, a key
+multi-get), and every query is then replayed against the fetched rows,
+one lookup a key, with *zero additional index I/O*.  Per-query results
+are bit-identical to running the queries one at a time — the replay
+applies the identical iteration order and skip rules — while two
+issuers naming one friend share one descent, reported as
+:attr:`ExecutionStats.dedup_ratio`.  Replay is one loop in spec order:
+a kNN spec's keys replay as a range plan's do, and on a timed sharded
+deployment every verified key of every spec is booked on the scanner's
+one verify timeline (:class:`repro.shard.engine.VerifyTimeline`).
 
 One engine serves every deployment (:mod:`repro.engine.deployment`):
 every path takes its scanner from it (:meth:`QueryEngine.new_scanner`)
@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.counters import CounterSet, counter, derived, nested
 from repro.engine.plan import QueryPlan, QueryPlanner
-from repro.engine.scanner import BandScanner, point_keys
+from repro.engine.scanner import BandScanner
 from repro.engine.verify import CandidateVerifier
 from repro.spatial.geometry import Rect
 from repro.storage.faults import DiskFaultError
@@ -64,12 +64,12 @@ class ExecutionStats(CounterSet, prefix="engine."):
     """Scan-level accounting of one batch execution.
 
     Attributes:
-        bands_requested: band requests actually issued to the scanner —
-            after the skip rule dropped the bands of already-located
-            friends — whether static (range plans) or adaptive (PkNN
-            rounds), so the dedup ratio compares like with like.
-        bands_scanned: physical scans that reached the tree, the batch
-            prefetch's key fetches included.
+        bands_requested: requests actually issued to the scanner — a
+            plan's keys after the skip rule dropped those of
+            already-located friends — so the dedup ratio compares like
+            with like.
+        bands_scanned: key fetches and scans that reached the tree, the
+            batch prefetch's included.
         bands_deduped: requests the scanner answered from what it held
             — a fetched key, or a proven stratum interval of its
             residency — instead of the tree.
@@ -219,9 +219,22 @@ class QueryEngine:
         on_match: OnMatch | None = None,
         scanner: BandScanner | None = None,
     ) -> RangeExecution:
-        """Run the literal Figure 7 span-scan procedure (ablation)."""
-        plan = self.planner.plan_span_scan(q_uid, window, t_query)
-        return self.run_range_plan(plan, on_match, scanner)
+        """Run the literal Figure 7 span-scan procedure (ablation): every
+        band scanned on demand, with no skip rule, since a span band
+        serves no one friend."""
+        owned = scanner is None
+        if owned:
+            scanner = self.new_scanner()
+            dropped = self.tree.bands_dropped
+        verifier = CandidateVerifier(self.tree.store, q_uid, t_query)
+        bands = self.planner.plan_span_scan(q_uid, window, t_query)
+        stopped = any(  # the first band whose rows stop it ends the scan
+            rows.records and verifier.admit_rows(rows, window, on_match)
+            for rows in map(scanner.scan, bands)
+        )
+        if owned:
+            check_complete(self.tree, dropped)
+        return RangeExecution(verifier.candidates_examined, stopped)
 
     def run_range_plan(
         self,
@@ -229,15 +242,16 @@ class QueryEngine:
         on_match: OnMatch | None = None,
         scanner: BandScanner | None = None,
     ) -> RangeExecution:
-        """Execute a planned scan schedule with the skip rule applied.
+        """Execute a served plan with the skip rule applied.
 
-        Bands are visited in plan order; a band whose friend is already
-        located is skipped ("a user has only one location").  Each newly
-        located candidate is policy-checked and window-tested (a PkNN
-        plan has no window), and ``on_match`` may stop the whole
-        execution early by returning True (the ``at_least`` aggregate).
-        On a verify timeline every verified band is booked on the
-        pipeline, a kNN spec's point bands as a range plan's.
+        Keys are fetched in plan order (:meth:`BandScanner.fetch`); a
+        key whose friend is already located is skipped ("a user has
+        only one location").  Each newly located candidate is
+        policy-checked and window-tested (a PkNN plan has no window),
+        and ``on_match`` may stop the whole execution early by
+        returning True (the ``at_least`` aggregate).  On a verify
+        timeline every verified key is booked on the pipeline, a kNN
+        spec's as a range plan's.
         """
         owned = scanner is None
         if owned:
@@ -249,13 +263,13 @@ class QueryEngine:
         )
         stopped = False
         located = verifier.located
-        for planned in plan.bands:
-            friend_uid = planned.friend_uid
-            if friend_uid is not None and friend_uid in located:
+        fetch = scanner.fetch
+        for key, friend_uid in plan.bands:
+            if friend_uid in located:
                 continue
-            rows = scanner.scan(planned.band)
+            rows = fetch(key)
             if not rows.records:
-                continue  # most bands come back empty: nothing to admit
+                continue  # nothing to admit
             seen = verifier.candidates_examined
             stopped = verifier.admit_rows(rows, plan.window, on_match)
             if timeline is not None:
@@ -283,13 +297,12 @@ class QueryEngine:
         if owned:
             scanner = self.new_scanner()
             dropped = self.tree.bands_dropped
-        plan = self.planner.plan_seed(q_uid)
         store = self.tree.store
         tracked: dict[int, "MovingObject"] = {}
-        for planned in plan.bands:
-            if planned.friend_uid in tracked:
+        for friend_uid, band in self.planner.plan_seed(q_uid):
+            if friend_uid in tracked:
                 continue
-            rows = scanner.scan(planned.band)
+            rows = scanner.scan(band)
             # The policy probe needs only the uid, so states
             # materialize just for tracked friends.
             for i, rec in enumerate(rows.records):
@@ -311,28 +324,27 @@ class QueryEngine:
             specs: ``RangeQuerySpec`` / ``KnnQuerySpec`` instances (the
                 :mod:`repro.workloads.queries` types), in any mix.
 
-        Every spec is planned up front and the keys of every planned
-        point band join one key multi-get, distinct and in key order
-        (:func:`repro.engine.scanner.point_keys`): a range plan's, one
+        Every spec is planned up front and every planned key joins one
+        key multi-get, distinct and in key order: a range plan's, one
         per friend whose cell can reach the window
         (:meth:`repro.engine.plan.QueryPlanner.plan_range`), and a kNN
         spec's, one per visible friend that can be among its k nearest
-        (:func:`repro.core.pknn.plan_pknn`), each at the friend's live
-        key.  Replay asks for no band outside the prefetch (the skip
-        rule can only *remove* bands) and reads each band's rows with
-        one lookup.  A stratum holds one raw sequence value, so issuers
+        (:func:`repro.core.pknn.plan_pknn`), each the friend's live
+        key.  Replay asks for no key outside the prefetch (the skip
+        rule can only *remove* keys) and reads each key's rows with one
+        lookup.  A stratum holds one raw sequence value, so issuers
         share leaves rather than strata, and key-ordered descents read
         a shared leaf while it is resident.
 
         Replay is one loop in spec order; results and ``degraded``
         flags come back in spec order.  A kNN spec is a range plan
-        without a window: it admits its bands' rows through the verifier
+        without a window: it admits its keys' rows through the verifier
         and keeps the k nearest (:func:`repro.core.pknn.pknn_from_plan`).
         When the scanner has a verify timeline (a timed sharded
-        deployment's), every spec's verified bands are booked on it as
+        deployment's), every spec's verified keys are booked on it as
         they replay, each query's verification is closed there
         (``charge_query``), and ``end_batch`` prices the one verify CPU
-        — each band as its key's stratum lands — and joins the shards.
+        — each key as its stratum lands — and joins the shards.
 
         A spec of an unsupported type, a range spec with a non-finite
         ``t_query``, or a kNN spec with a negative ``k`` or a non-finite
@@ -384,8 +396,7 @@ class QueryEngine:
                     ),
                 },
             )
-        bands = (planned.band for plan in plans for planned in plan.bands)
-        scanner.prefetch(point_keys(bands, self.tree.codec))
+        scanner.prefetch(sorted({key for plan in plans for key, _ in plan.bands}))
         if tracing:
             recorder.span(
                 "engine/scan",

@@ -1,29 +1,24 @@
-"""Query planning: band requests and query plans (engine layer 1).
+"""Query planning: served plans and on-demand bands (engine layer 1).
 
 The planner turns a query specification — issuer, window, query time —
-into a :class:`QueryPlan`: the ordered list of *band requests* the
-Section 5.3 pipeline scans.  A band request is one key-contiguous
-stretch of the PEB-tree,
-
-    ``[TID ⊕ SV_lo ⊕ ZV_lo ; TID ⊕ SV_hi ⊕ ZV_hi]``,
-
-with ``SV_lo == SV_hi`` for the per-friend bands of the served plans
-and ``SV_lo < SV_hi`` for the coarse whole-friend-list span of the
-Figure 7 ablation.
-
-A plan captures everything *static* about a query: the live partition
-contexts (per-partition window enlargements of Figure 2), the friends
-who can qualify sorted ascending by sequence value, and the bands.  The
-update memo names each friend's live key, so both served plans fetch a
-friend where it is (:meth:`QueryPlanner.live_cells` reads the key, for
-both): a PRQ plans one point band ``[TID ⊕ SV ⊕ ZV ; TID ⊕ SV ⊕ ZV]``
-per friend whose cell, at its partition's label, lies inside the window
-enlarged for that partition (:meth:`QueryPlanner.plan_range`), and a
-PkNN one per visible friend whose distance lower bound — from that
-cell, grown by the partition's enlargement and clipped to the friend's
-visible regions — is at most the k-th smallest upper bound among the
-friends sure to qualify (:meth:`QueryPlanner.plan_knn_probe`), whose
-rows the executor verifies like a range plan's, without a window.
+into a :class:`QueryPlan`.  The paper's search range is a *band*
+``[TID ⊕ SV_lo ⊕ ZV_lo ; TID ⊕ SV_hi ⊕ ZV_hi]``, but the update memo
+names each friend's live key ``K``, so every band a served plan would
+hold is the point ``[K ; K]``, and the plan carries ``K`` itself:
+key-ordered ``(live key, friend uid)`` pairs read straight off the memo
+(:meth:`QueryPlanner.live_cells`, for both plans).  A PRQ plans one
+key per friend whose cell, at its partition's label, lies inside the
+window enlarged for that partition (:meth:`QueryPlanner.plan_range`),
+and a PkNN one per visible friend whose distance lower bound — from
+that cell, grown by the partition's enlargement and clipped to the
+friend's visible regions — is at most the k-th smallest upper bound
+among the friends sure to qualify (:meth:`QueryPlanner.plan_knn_probe`),
+whose rows the executor verifies like a range plan's, without a window.
+:class:`BandRequest` is left to the scans made on demand: the Section
+5.4 walk's annulus pieces, the registration sweep
+(:meth:`QueryPlanner.plan_seed`) and the Figure 7 ablation
+(:meth:`QueryPlanner.plan_span_scan`, whose bands span ``SV_lo <
+SV_hi``).
 
 Under Definition 2 a friend is in an answer only if one of its policies
 toward the issuer holds at ``t_query`` and the friend stands inside that
@@ -32,7 +27,7 @@ of the issuer's policy row, since it is the cheaper test and rejects
 most of them, and then asks for the issuer's visibility map at
 ``t_query`` over the window restricted to the owners that passed
 (:meth:`repro.policy.store.PolicyStore.visibility_map`, which keeps
-only regions that meet the window): it bands the map's owners.  A PkNN
+only regions that meet the window): it plans the map's owners.  A PkNN
 reads only an owner of the unwindowed map (the served plan iterates its
 owners; the Section 5.4 walk keeps a matrix row per
 :meth:`QueryPlanner.visible_friends`).  Everyone else provably fails
@@ -40,23 +35,22 @@ Definition 2 wherever they stand, or stands outside the window.  The
 map is computed once per query and handed on to the verifier, which
 tests the window before the map — so a region that misses the window,
 holding no point in it, changes no verdict, and an owner left out of a
-range plan's map has no row in its bands: a band returns the rows at
-one live key, and every owner living there passed the cell test with
-the banded friend.  The registration sweep
-(:meth:`QueryPlanner.plan_seed`) has no query time and the Figure 7
-ablation (:meth:`QueryPlanner.plan_span_scan`) is the literal procedure;
-both keep the whole friend list.
+range plan's map has no row at its keys: a key's rows are the users
+living there, and every owner living there passed the cell test with
+the planned friend.  The registration sweep has no query time and the
+Figure 7 ablation is the literal procedure; both keep the whole friend
+list.
 
 The paper's skip rule — "once a candidate user is found, the remaining
 search intervals formed by this user's SV value are skipped ... a user
 has only one location" — depends on scan results, so it cannot be
-resolved at plan time; each planned band instead records the friend it
+resolved at plan time; each planned key instead records the friend it
 serves and the executor (:mod:`repro.engine.executor`) applies the rule
 in exactly one place.
 
 Keeping plans declarative is what enables cross-query batching: the
-batch executor can collect the bands of many concurrent plans, merge
-the overlapping ones, and serve every issuer from one physical scan
+batch executor collects the keys of many concurrent plans and fetches
+each distinct one once, for every issuer that names it
 (:meth:`repro.engine.scanner.BandScanner.prefetch`).
 """
 
@@ -64,7 +58,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import TYPE_CHECKING, Collection, NamedTuple
 
 from repro.bxtree.queries import enlargement_for_label, estimate_knn_distance
@@ -80,10 +73,11 @@ VisibilityMap = dict[int, tuple[tuple[float, float, float, float], ...]]
 
 
 class BandRequest(NamedTuple):
-    """One key-contiguous scan request against the PEB-tree.
+    """One key-contiguous scan request against the PEB-tree, made on
+    demand (the Section 5.4 walk, registration, the Figure 7 ablation).
 
-    A NamedTuple rather than a dataclass: plans allocate one per
-    banded friend, so construction cost is on the per-query path.
+    A NamedTuple rather than a dataclass: the walk allocates one per
+    unproven annulus piece, so construction cost is on its path.
 
     Attributes:
         tid: time-partition id the band lives in.
@@ -100,7 +94,8 @@ class BandRequest(NamedTuple):
 
     @property
     def is_single_sv(self) -> bool:
-        """True for the per-friend bands the batch store can subdivide."""
+        """True for a band inside one ``(tid, sv_q)`` stratum: a stratum
+        residency can serve it, and it routes whole to one shard."""
         return self.sv_lo_q == self.sv_hi_q
 
 
@@ -118,37 +113,22 @@ class PartitionContext:
         return rect.expanded(self.dx, self.dy)
 
 
-class PlannedBand(NamedTuple):
-    """A band request annotated with the friend it serves.
-
-    ``friend_uid`` is None for bands not tied to a single friend (the
-    span-scan ablation); the executor's skip rule only applies when a
-    friend is recorded.
-    """
-
-    friend_uid: int | None
-    band: BandRequest
-
-
 @dataclass
 class QueryPlan:
-    """The static scan schedule of one range-shaped query.
+    """The static fetch schedule of one served query.
 
-    Bands are ordered partition-major, then ascending by SV — the
-    iteration order of the paper's Figure 7 procedure (key order for
-    the served plans' point bands), which the executor replays with the
-    skip rule applied.  ``visible`` is the issuer's visibility map at
-    ``t_query`` over ``window`` when the planner computed one (the
-    verifier computes it otherwise); a served range plan computes it
+    ``bands`` are ``(live key, friend uid)`` pairs in key order — the
+    point ``[K ; K]`` the paper's band shrinks to at a friend's live
+    key, and the iteration order the executor replays with the skip
+    rule applied.  ``visible`` is the issuer's visibility map at
+    ``t_query`` (over ``window`` for a range plan, which computes it
     only over the owners whose live cell reaches the window, so its
-    owners, and ``friends``, are exactly the friends it bands.
+    owners are exactly the friends it plans).
     """
 
     q_uid: int
     t_query: float
-    friends: list[tuple[float, int]]
-    contexts: list[PartitionContext]
-    bands: list[PlannedBand]
+    bands: list[tuple[int, int]]
     window: Rect | None = None
     visible: VisibilityMap | None = None
 
@@ -231,16 +211,16 @@ class QueryPlanner:
 
     def live_cells(
         self, owners: Collection[int], boxes: dict[int, tuple[int, int, int, int]]
-    ) -> dict[int, tuple[int, int, int, int, int]]:
+    ) -> dict[int, tuple[int, int, int, int]]:
         """Where the update memo puts each owner that ``boxes`` admits:
-        ``uid -> (TID, sv_q, ZV, ix, iy)``, in ``owners`` order.
+        ``uid -> (live key, TID, ix, iy)``, in ``owners`` order.
 
         ``boxes`` maps a partition id to an inclusive cell box ``(ix_lo,
         ix_hi, iy_lo, iy_hi)``.  An owner is kept when it has a live key
         (``tree.live_keys_of``) whose partition has a box and whose cell
         lies inside it.  This is the one place a served plan reads a
-        live key.  The fields come out of the key by shift and mask (the
-        codec's ``layout``), and on the Z-curve the cell test is integer
+        live key, and the key is kept as read.  Its TID and ZV come out
+        by shift and mask (the codec's ``layout``), and on the Z-curve the cell test is integer
         arithmetic as well: Morton interleaving is monotone in each axis,
         so the ZV's x bits lie between the box's x bounds interleaved
         the same way exactly when the cell's column lies between the
@@ -252,7 +232,7 @@ class QueryPlanner:
         grid = tree.grid
         curve, bits = grid.curve, grid.bits
         decode = curve.decode
-        tid_shift, sv_shift, sv_mask, zv_shift, zv_mask = tree.codec.layout
+        tid_shift, _, _, zv_shift, zv_mask = tree.codec.layout
         morton = isinstance(curve, ZOrderCurve)
         if morton:
             encode, last = curve.encode, grid.cells_per_axis - 1
@@ -267,11 +247,12 @@ class QueryPlanner:
                 for tid, (ix_lo, ix_hi, iy_lo, iy_hi) in boxes.items()
             }
         box_of = boxes.get
-        cells: dict[int, tuple[int, int, int, int, int]] = {}
+        cells: dict[int, tuple[int, int, int, int]] = {}
         for uid, key in zip(owners, tree.live_keys_of(owners)):
             if key is None:
                 continue
-            box = box_of(key >> tid_shift)
+            tid = key >> tid_shift
+            box = box_of(tid)
             if box is None:
                 continue
             zv = key >> zv_shift & zv_mask
@@ -283,7 +264,7 @@ class QueryPlanner:
             x_lo, x_hi, y_lo, y_hi = box
             if x_lo <= x <= x_hi and y_lo <= y <= y_hi:
                 ix, iy = decode(zv, bits) if morton else (x, y)
-                cells[uid] = (key >> tid_shift, key >> sv_shift & sv_mask, zv, ix, iy)
+                cells[uid] = (key, tid, ix, iy)
         return cells
 
     def plan_range(self, q_uid: int, window: Rect, t_query: float) -> QueryPlan:
@@ -309,72 +290,55 @@ class QueryPlanner:
         restricted to them
         (:meth:`repro.policy.store.PolicyStore.visibility_map`), keeps
         those one of whose policies holds over a region that meets the
-        window.  They are the plan's ``friends``, ``(sv, uid)``
-        ascending, and each gets one point band ``[TID ⊕ SV ⊕ ZV ; TID ⊕
-        SV ⊕ ZV]`` at its live key.  Both tests are exact, so the bands
-        are those of testing the policies first; the cell comes first
-        because it is the cheaper test and rejects most owners.  Bands
-        come in key order, partition-major and SV-ascending, as
-        :meth:`plan_knn_probe`'s do.
+        window, and the plan is their ``(live key, uid)`` pairs: the
+        point ``[TID ⊕ SV ⊕ ZV ; TID ⊕ SV ⊕ ZV]`` each one's band
+        shrinks to.  Both tests are exact, so the plan is that of
+        testing the policies first; the cell comes first because it is
+        the cheaper test and rejects most owners.  Pairs come in key
+        order, as :meth:`plan_knn_probe`'s do.
         """
         tree = self.tree
         store, grid = tree.store, tree.grid
-        contexts = self.contexts(t_query)
         cells = self.live_cells(
             store.owners_granting(q_uid),
-            {context.tid: grid.cell_box(context.enlarged(window)) for context in contexts},
+            {
+                context.tid: grid.cell_box(context.enlarged(window))
+                for context in self.contexts(t_query)
+            },
         )
         visible = store.visibility_map(q_uid, t_query, window, cells)
-        sequence_value = store.sequence_value
-        friends = sorted([(sequence_value(owner), owner) for owner in visible])
-        bands: list[PlannedBand] = []
-        for _, friend_uid in friends:
-            tid, sv_q, zv, _, _ = cells[friend_uid]
-            bands.append(PlannedBand(friend_uid, BandRequest(tid, sv_q, sv_q, zv, zv)))
-        bands.sort(key=itemgetter(1))
         return QueryPlan(
             q_uid=q_uid,
             t_query=t_query,
-            friends=friends,
-            contexts=contexts,
-            bands=bands,
+            bands=sorted([(cells[owner][0], owner) for owner in visible]),
             window=window,
             visible=visible,
         )
 
-    def plan_span_scan(self, q_uid: int, window: Rect, t_query: float) -> QueryPlan:
-        """Plan the literal Figure 7 procedure (the ablation variant).
+    def plan_span_scan(
+        self, q_uid: int, window: Rect, t_query: float
+    ) -> list[BandRequest]:
+        """The bands of the literal Figure 7 procedure (the ablation
+        variant), scanned on demand.
 
         Per (partition, Z-interval) one coarse band spans the issuer's
         whole ``[SV_min ; SV_max]`` friend range; the Z-intervals come
         from the coarsened exact decomposition rather than one covering
-        span, as in the seed ablation.
+        span, as in the seed ablation.  A band serves no one friend.
         """
         friends = self.friends(q_uid)
-        contexts = self.contexts(t_query)
-        bands: list[PlannedBand] = []
-        if friends:
-            codec = self.tree.codec
-            sv_lo_q = codec.quantize_sv(friends[0][0])
-            sv_hi_q = codec.quantize_sv(friends[-1][0])
-            for context in contexts:
-                for z_lo, z_hi in self.tree.grid.decompose(
-                    context.enlarged(window), coarsen=True
-                ):
-                    bands.append(
-                        PlannedBand(
-                            None,
-                            BandRequest(context.tid, sv_lo_q, sv_hi_q, z_lo, z_hi),
-                        )
-                    )
-        return QueryPlan(
-            q_uid=q_uid,
-            t_query=t_query,
-            friends=friends,
-            contexts=contexts,
-            bands=bands,
-            window=window,
-        )
+        if not friends:
+            return []
+        codec = self.tree.codec
+        sv_lo_q = codec.quantize_sv(friends[0][0])
+        sv_hi_q = codec.quantize_sv(friends[-1][0])
+        return [
+            BandRequest(context.tid, sv_lo_q, sv_hi_q, z_lo, z_hi)
+            for context in self.contexts(t_query)
+            for z_lo, z_hi in self.tree.grid.decompose(
+                context.enlarged(window), coarsen=True
+            )
+        ]
 
     def plan_knn_probe(
         self,
@@ -384,7 +348,7 @@ class QueryPlanner:
         qy: float,
         k: int,
         t_query: float,
-    ) -> list[PlannedBand]:
+    ) -> list[tuple[int, int]]:
         """The whole plan of one PkNN: the friends that can be among the
         k nearest of ``(qx, qy)``, each fetched where it is.
 
@@ -392,7 +356,7 @@ class QueryPlanner:
         owners of the issuer's visibility map at ``t_query`` can be
         admitted.  The update memo names each one's live key exactly
         (:meth:`live_cells`): a friend with no live key, or one in a
-        partition no query at ``t_query`` may read, gets no band — the
+        partition no query at ``t_query`` may read, is not planned — the
         Section 5.4 walk would not reach it either.  The key's cell, at
         its partition's label, grown by that partition's enlargement
         (Figure 2), holds the friend at ``t_query``: the *grown cell*
@@ -414,13 +378,13 @@ class QueryPlanner:
           ``τ``, so a friend whose lower bound exceeds it cannot be among
           the k nearest.
 
-        The plan is one point band ``[TID ⊕ SV ⊕ ZV ; TID ⊕ SV ⊕ ZV]``
-        per friend whose lower bound is at most ``τ`` (``≤``, so a tie at
-        the k-th distance still ranks by uid), in key order: the
-        friend's own row, plus any raw-tie stratum-mate standing on the
-        same cell, which the verifier then checks like any other row.
-        One round, no on-demand scan: the batch executor sorts these
-        bands into one key-ordered prefetch with the range plans', and
+        The plan is one ``(live key, uid)`` pair per friend whose lower
+        bound is at most ``τ`` (``≤``, so a tie at the k-th distance
+        still ranks by uid), in key order: the key holds the friend's
+        own row, plus any raw-tie stratum-mate standing on the same
+        cell, which the verifier then checks like any other row.  One
+        round, no scan: the batch executor fetches these keys in one
+        key-ordered multi-get with the range plans', and
         the served search keeps the k nearest of what they return
         (:func:`repro.core.pknn.pknn`).  The walk over the Section 5.4
         search matrix (:func:`repro.core.pknn.pknn_walk`) plans round by
@@ -433,11 +397,11 @@ class QueryPlanner:
         size, last = grid.cell_size, grid.cells_per_axis - 1
         cells = self.live_cells(visible, dict.fromkeys(contexts, (0, last, 0, last)))
         hypot, inf = math.hypot, math.inf
-        # (lower bound, uid, TID, sv_q, ZV) per friend whose grown cell
-        # meets a region; the upper bound of each sure friend.
-        candidates: list[tuple[float, int, int, int, int]] = []
+        # (lower bound, live key, uid) per friend whose grown cell meets
+        # a region; the upper bound of each sure friend.
+        candidates: list[tuple[float, int, int]] = []
         sure: list[float] = []
-        for friend_uid, (tid, sv_q, zv, ix, iy) in cells.items():
+        for friend_uid, (key, tid, ix, iy) in cells.items():
             context, regions = contexts[tid], visible[friend_uid]
             # The grown cell: a cell wider on every side, unbounded past
             # an edge cell.
@@ -473,18 +437,13 @@ class QueryPlanner:
                         qy - y_lo if qy - y_lo > y_hi - qy else y_hi - qy,
                     )
                 )
-            candidates.append((lower, friend_uid, tid, sv_q, zv))
+            candidates.append((lower, key, friend_uid))
         tau = sorted(sure)[k - 1] if len(sure) >= k else inf
-        bands = [
-            PlannedBand(friend_uid, BandRequest(tid, sv_q, sv_q, zv, zv))
-            for lower, friend_uid, tid, sv_q, zv in candidates
-            if lower <= tau
-        ]
-        bands.sort(key=itemgetter(1, 0))
-        return bands
+        return sorted([(key, uid) for lower, key, uid in candidates if lower <= tau])
 
-    def plan_seed(self, q_uid: int) -> QueryPlan:
-        """Plan a whole-space sweep of every friend's SV band.
+    def plan_seed(self, q_uid: int) -> list[tuple[int, BandRequest]]:
+        """A whole-space sweep of every friend's SV band, scanned on
+        demand: ``(friend uid, band)`` pairs.
 
         The continuous-query registration scan: one full-Z-range band
         per (partition, friend), over *all* partitions — registration
@@ -492,25 +451,16 @@ class QueryPlanner:
         """
         friends = self.friends(q_uid)
         max_z = self.tree.grid.max_z
-        bands = [
-            PlannedBand(friend_uid, self.band(tid, sv, 0, max_z))
+        return [
+            (friend_uid, self.band(tid, sv, 0, max_z))
             for tid in range(self.tree.partitioner.num_partitions)
             for sv, friend_uid in friends
         ]
-        return QueryPlan(
-            q_uid=q_uid,
-            t_query=0.0,
-            friends=friends,
-            contexts=[],
-            bands=bands,
-            window=None,
-        )
 
 
 __all__ = [
     "BandRequest",
     "PartitionContext",
-    "PlannedBand",
     "QueryPlan",
     "QueryPlanner",
     "VisibilityMap",

@@ -1,30 +1,29 @@
-"""Band scanning: the batch's key multi-get and the stratum residency
-(engine layer 2).
+"""Key fetches and band scans (engine layer 2).
 
 The scanner is the only component that touches the index during query
-execution.  It answers :class:`repro.engine.plan.BandRequest` objects
-from what it already holds before it goes to the tree:
+execution.  It reads it two ways:
 
-1. **Fetched keys** — every band a served plan holds is a point
-   ``[TID ⊕ SV ⊕ ZV ; TID ⊕ SV ⊕ ZV]`` at a friend's live key, so a
-   batch's prefetch is a key multi-get: :meth:`BandScanner.prefetch`
-   fetches the batch's distinct keys (:func:`point_keys`) in one call
-   into the tree (``get_many``), one descent each in key order, into
-   one ``key -> rows`` map (:attr:`BandScanner.fetched`) that replay
-   reads with one lookup.  Two issuers naming one friend share a descent.
-2. **Stratum residency** — per ``(tid, sv_q)`` stratum, the Z-intervals
-   this scanner has *proven* and every row inside them
-   (:class:`StratumResidency`): equipment of the single queries, the
-   Section 5.4 walk and the span ablation, which scan on demand.  A
-   single-SV band scan sees, in the leaves it touched, the entries just
-   below and above the band, so it proves more than it was asked
+1. **Keys** — a served plan is its ``(live key, friend)`` pairs, so
+   every served read is one key's rows, by one method,
+   :meth:`BandScanner.fetch`: a lookup in the ``key -> rows`` map
+   (:attr:`BandScanner.fetched`), or else a one-key multi-get.  A
+   batch fills the map up front: :meth:`BandScanner.prefetch` fetches
+   the batch's distinct keys in one call into the tree
+   (``get_many``), one descent each in key order, so two issuers
+   naming one friend share a descent.
+2. **Bands** — :class:`repro.engine.plan.BandRequest` objects, scanned
+   on demand by the Section 5.4 walk, the registration sweep and the
+   span ablation (:meth:`BandScanner.scan`).  Per ``(tid, sv_q)``
+   stratum the scanner keeps the Z-intervals it has *proven* and every
+   row inside them (:class:`StratumResidency`): a single-SV band scan
+   sees, in the leaves it touched, the entries just below and above
+   the band, so it proves more than it was asked
    (:attr:`BandRows.proven`), and a later band inside a proof is
-   answered by bisection, an empty one without allocating.
-3. **Physical scan** — anything else goes to the tree: a multi-SV span
-   (the Figure 7 ablation) and every unfetched band of the ZV-first
-   ablation layout, where a stratum is not key-contiguous and no proof
-   may be recorded (nor a fetched key stamped with its stratum's
-   landing).
+   answered by bisection, an empty one without allocating.  Anything
+   else goes to the tree: a multi-SV span (the Figure 7 ablation) and
+   every band of the ZV-first ablation layout, where a stratum is not
+   key-contiguous and no proof may be recorded (nor a fetched key
+   stamped with its stratum's landing).
 
 A tree hands out its scanner (``PEBTree.new_scanner``); a sharded
 deployment hands out a scatter/gather one that keeps a
@@ -35,10 +34,10 @@ fetched keys nor the residency need invalidation.
 
 Rows are :class:`repro.motion.rows.BandRows` — parallel (zv, record)
 columns whose ``MovingObject`` states materialize lazily — in key
-order, exactly the sequence a direct ``PEBTree.scan_band`` would yield,
-so replaying a plan against the scanner is observationally identical to
-scanning the tree.  The object-at-a-time, per-band reference the pins
-compare against is test equipment (``tests/reference_scan.py``, a
+order, exactly the sequence a direct ``PEBTree.scan_band`` of the
+key's point band would yield, so replaying a plan against the scanner
+is observationally identical to scanning the tree.  The
+object-at-a-time, per-band reference the pins compare against is test equipment (``tests/reference_scan.py``, a
 subclass that decodes entry by entry and keeps no proof, installed
 through ``QueryEngine.new_scanner``).
 """
@@ -46,32 +45,17 @@ through ``QueryEngine.new_scanner``).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.engine.plan import BandRequest
 from repro.motion.rows import BandRows
 
 if TYPE_CHECKING:
-    from repro.core.peb_key import PEBKeyCodec
     from repro.core.peb_tree import PEBTree
 
 #: What :meth:`StratumResidency.serve` returns for a provably empty
 #: interval: shared, so an empty answer allocates nothing.
 NO_ROWS = BandRows.empty()
-
-
-def point_keys(bands: Iterable[BandRequest], codec: "PEBKeyCodec") -> list[int]:
-    """The distinct keys the point bands among ``bands`` name, ascending.
-
-    A point band ``[TID ⊕ SV ⊕ ZV ; TID ⊕ SV ⊕ ZV]`` names one key on
-    any layout; every other band is left to on-demand scans.
-    """
-    compose = codec.compose_quantized
-    return sorted({
-        compose(tid, sv_q, z_lo)
-        for tid, sv_q, sv_hi_q, z_lo, z_hi in bands
-        if sv_q == sv_hi_q and z_lo == z_hi
-    })
 
 
 class _Tally:
@@ -176,7 +160,7 @@ class StratumResidency:
 
 
 class BandScanner:
-    """Executes band requests from fetched keys, residency or the tree.
+    """Fetches keys and scans bands, from what it holds or the tree.
 
     One scanner instance defines one deduplication scope: the single
     query adapters create a fresh scanner per query, the batch executor
@@ -186,12 +170,13 @@ class BandScanner:
         tree: the index to scan.
 
     Attributes:
-        fetched: ``key -> rows`` of every key :meth:`prefetch` fetched.
-        requests: band requests answered — :meth:`scan` calls plus
-            requests a residency handle served directly.
-        scan_calls: the requests that arrived through :meth:`scan`.
-        physical_scans: scans that reached the tree, a prefetch's key
-            fetches included.
+        fetched: ``key -> rows`` of every key this scanner fetched.
+        requests: requests answered — :meth:`fetch` and :meth:`scan`
+            calls plus requests a residency handle served directly.
+        scan_calls: the requests that arrived through :meth:`fetch` or
+            :meth:`scan`.
+        physical_scans: key fetches and band scans that reached the
+            tree, a prefetch's included.
         residency_hits: requests answered from what the scanner held —
             a fetched key, or a stratum's proven intervals — without
             touching the tree.
@@ -209,7 +194,6 @@ class BandScanner:
         self.timeline = None
         # Residency needs a key-contiguous, ZV-ordered stratum.
         self._sv_major = tree.codec.sv_major
-        self._compose = tree.codec.compose_quantized
         self._tally = _Tally()
         self._residency: dict[tuple[int, int], StratumResidency] = {}
 
@@ -247,21 +231,29 @@ class BandScanner:
             )
         return resident
 
-    def scan(self, band: BandRequest) -> BandRows:
-        """All entries of one band, in key order.
+    def fetch(self, key: int) -> BandRows:
+        """The entries at one key, in key order: a lookup in
+        :attr:`fetched`, or else a one-key multi-get, kept there."""
+        self.scan_calls += 1
+        tally = self._tally
+        tally.requests += 1
+        rows = self.fetched.get(key)
+        if rows is not None:
+            tally.residency_hits += 1
+            return rows
+        self.physical_scans += 1
+        rows = self.fetched[key] = next(self.tree.get_many((key,)))
+        return rows
 
-        A point band whose key was fetched is one lookup; any other
-        band is served by its stratum's residency or scanned.
+    def scan(self, band: BandRequest) -> BandRows:
+        """All entries of one band, in key order, scanned on demand.
+
+        A single-SV band is served by its stratum's residency when a
+        proof covers it; any other band is scanned.
         """
         self.scan_calls += 1
         tid, sv_q, sv_hi_q, z_lo, z_hi = band
         tally = self._tally
-        if self.fetched and z_lo == z_hi and sv_q == sv_hi_q:
-            rows = self.fetched.get(self._compose(tid, sv_q, z_lo))
-            if rows is not None:
-                tally.requests += 1
-                tally.residency_hits += 1
-                return rows
         if sv_q != sv_hi_q or not self._sv_major:
             tally.requests += 1
             return self._physical_scan(*band)
@@ -277,8 +269,8 @@ class BandScanner:
     def prefetch(self, keys: Sequence[int], clock=None) -> None:
         """Fetch many keys' rows once, up front: a key multi-get.
 
-        ``keys`` — a batch's :func:`point_keys`, or one shard job's share
-        of them — go to the tree in one call (``get_many``), one
+        ``keys`` — the distinct keys of a batch's plans, or one shard
+        job's share of them — go to the tree in one call (``get_many``), one
         descent each in the order given, and each key's rows land in
         :attr:`fetched`.  The multi-get is lazy, so a fetch is counted
         as it is issued and its rows are kept as they arrive: a disk
@@ -331,5 +323,4 @@ __all__ = [
     "BandScanner",
     "NO_ROWS",
     "StratumResidency",
-    "point_keys",
 ]

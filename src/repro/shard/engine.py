@@ -9,22 +9,24 @@ unchanged — which is precisely what keeps sharded results (and
 :class:`ShardScatterScanner` keeps one
 :class:`repro.engine.scanner.BandScanner` per shard and:
 
-* **scatters** every band request to its owning shards: a single-SV
-  band — every band a served query plans — whole to its SV's shard
+* **routes** every key a served query fetches to its owning shard
+  (:meth:`repro.shard.router.ShardRouter.shard_of_key`),
+* **scatters** every band requested on demand to its owning shards: a
+  single-SV band whole to its SV's shard
   (:meth:`repro.shard.router.ShardRouter.shard_of`), a multi-SV span
   band (the Figure 7 ablation) through
   :meth:`repro.shard.router.ShardRouter.split_band`, which cuts it at
   the boundary keys it straddles,
 * runs each shard's share of a batch's **key multi-get** (the batch's
-  point keys cut at the shard boundaries,
+  keys cut at the shard boundaries,
   :meth:`repro.shard.router.ShardRouter.split_sorted_keys`) against
   that shard's own tree and pool as one job of a
   :class:`repro.simio.scheduler.IOScheduler` — shards share no mutable
   state (separate trees, pools, disks, and counter bundles; the shared
   store/grid/codec are read-only during queries), so on timed devices
   the jobs *overlap in virtual time*,
-* **gathers** sub-scans back in ascending shard order, which inside a
-  time partition is ascending key order, so a replayed band is
+* **gathers** a span band's sub-scans back in ascending shard order,
+  which inside a time partition is ascending key order, so it is
   byte-identical to a single tree's scan.
 
 It is the deployment's only reader, so a single query and a batch alike
@@ -32,9 +34,9 @@ scan every shard under the deployment's supervisor.  On a timed
 deployment a batch additionally **pipelines verification with
 scanning**: each shard job stamps every fetched key's rows with the
 instant the last key of its stratum landed (:attr:`BandRows.landed`),
-and every query's candidates — a range plan's and a kNN spec's point
-bands alike, at most one per friend, in key order — are verified on one
-CPU timeline band by band, each as soon as its rows have landed — while
+and every query's candidates — a range plan's and a kNN spec's keys
+alike, at most one per friend, in key order — are verified on one
+CPU timeline key by key, each as soon as its rows have landed — while
 the rest of that shard's multi-get, and every slower shard, is still
 fetching — instead of after the fork/join barrier.  Timing only:
 results, iteration order, and every I/O counter are identical to
@@ -58,16 +60,17 @@ if TYPE_CHECKING:
 
 
 class ShardScatterScanner:
-    """Routes band requests to per-shard scanners; duck-types one scanner.
+    """Routes keys and bands to per-shard scanners; duck-types one scanner.
 
     One instance defines one deduplication scope, exactly like a
     :class:`BandScanner`: the single-query paths create one per query,
     the batch executor shares one across the whole batch.
 
     Attributes:
-        requests: band requests answered (the scatter-level count the
-            executor reports): :meth:`scan` calls plus the requests the
-            shard scanners' residency handles served directly.
+        requests: requests answered (the scatter-level count the
+            executor reports): :meth:`fetch` and :meth:`scan` calls plus
+            the requests the shard scanners' residency handles served
+            directly.
         scheduler: the deployment's scheduler; runs the per-shard
             prefetch jobs (fork/join virtual time when the deployment
             is timed).
@@ -76,12 +79,13 @@ class ShardScatterScanner:
 
     When the deployment carries a
     :class:`repro.fault.supervisor.ShardSupervisor`, every per-shard
-    job — a shard's multi-get, a sub-band request — runs under it:
-    retryable faults back off in virtual time and re-run, a shard that
-    exhausts its retries is quarantined, and a quarantined shard's
-    sub-bands are dropped with accounting (the supervisor's
-    ``bands_dropped``): a batch flags the query ``degraded``, a single
-    query raises (:func:`repro.engine.executor.check_complete`).
+    job — a shard's multi-get, a key fetch, a sub-band request — runs
+    under it: retryable faults back off in virtual time and re-run, a
+    shard that exhausts its retries is quarantined, and a quarantined
+    shard's keys and sub-bands are dropped with accounting (the
+    supervisor's ``bands_dropped``): a batch flags the query
+    ``degraded``, a single query raises
+    (:func:`repro.engine.executor.check_complete`).
     """
 
     def __init__(self, sharded: "ShardedPEBTree"):
@@ -98,7 +102,8 @@ class ShardScatterScanner:
 
     @property
     def physical_scans(self) -> int:
-        """Scans that reached any shard tree (prefetched keys included)."""
+        """Fetches and scans that reached any shard tree (prefetched keys
+        included)."""
         return sum(scanner.physical_scans for scanner in self.scanners)
 
     @property
@@ -128,6 +133,23 @@ class ShardScatterScanner:
         if self.supervisor is not None:
             return None
         return self.scanners[self.tree.router.shard_of(sv_q)].residency(tid, sv_q)
+
+    def fetch(self, key: int) -> BandRows:
+        """The entries at one key, from its owning shard's scanner; under
+        a supervisor, no rows when that shard drops it, as :meth:`scan`
+        drops a sub-band."""
+        self.scan_calls += 1
+        shard = self.tree.router.shard_of_key(key)
+        fetch = self.scanners[shard].fetch
+        supervisor = self.supervisor
+        if supervisor is None:
+            return fetch(key)
+        if not supervisor.is_quarantined(shard):
+            ok, rows = supervisor.run(shard, lambda: fetch(key))
+            if ok:
+                return rows
+        supervisor.note_dropped_band()
+        return BandRows.empty()
 
     def scan(self, band: BandRequest) -> BandRows:
         """All entries of one band, gathered across shards in key order.
@@ -159,7 +181,7 @@ class ShardScatterScanner:
         return BandRows.concat(results)  # no rows when every shard dropped
 
     def prefetch(self, keys: Sequence[int]) -> None:
-        """Cut the batch's point keys at the shard boundaries; fetch each
+        """Cut the batch's keys at the shard boundaries; fetch each
         shard's share in one job.
 
         Each job is :meth:`BandScanner.prefetch` on the shard's scanner.
@@ -177,8 +199,8 @@ class ShardScatterScanner:
             # prefetch after a cooldown *is* the probe, run under the
             # retry policy like any other shard job.  A shard whose
             # multi-get fails (or stays quarantined) keeps at most the
-            # keys fetched before the fault; scan() drops a quarantined
-            # shard's bands with accounting.
+            # keys fetched before the fault; fetch() drops a quarantined
+            # shard's keys with accounting.
             jobs = [job for job in jobs if self.supervisor.admits(job[0])]
         if not jobs:
             return

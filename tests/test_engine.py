@@ -1,17 +1,19 @@
 """Tests for the unified query engine: planner, scanner, batch executor."""
 
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
 from repro.bench.harness import ExperimentConfig, ExperimentHarness
 from repro.bench.oracle import brute_force_pknn, brute_force_prq
 from repro.core.aggregate import pcount, pdensity_grid
+from repro.core.peb_key import PEBKeyCodec
 from repro.core.pknn import plan_pknn, pknn
 from repro.core.prq import prq
 from repro.engine import BandScanner, ExecutionStats, QueryEngine
 from repro.engine.plan import BandRequest, QueryPlanner
-from repro.engine.scanner import point_keys
 from repro.policy.timeset import fold
 from repro.spatial.geometry import Rect
 from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
@@ -22,9 +24,9 @@ from tests.test_shard_property import build_sharded
 
 
 class OnDemandScanner(BandScanner):
-    """The shipped scanner with nothing prefetched: every band on demand."""
+    """The shipped scanner with nothing prefetched: every key on demand."""
 
-    def prefetch(self, bands, clock=None):
+    def prefetch(self, keys, clock=None):
         pass
 
 
@@ -34,9 +36,15 @@ class OnDemandEngine(QueryEngine):
 
 
 def knn_bands(engine, spec):
-    """The point bands a batch plans for one kNN spec."""
-    plan = plan_pknn(engine.planner, spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query)
-    return [planned.band for planned in plan.bands]
+    """The ``(live key, uid)`` pairs a batch plans for one kNN spec."""
+    return plan_pknn(
+        engine.planner, spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query
+    ).bands
+
+
+def plan_keys(plans):
+    """The distinct keys of ``plans``, ascending: a batch's multi-get."""
+    return sorted({key for plan in plans for key, _ in plan.bands})
 
 
 # ----------------------------------------------------------------------
@@ -55,25 +63,26 @@ def test_plan_range_orders_bands_partition_major(small_world):
     # The friends a policy can admit in the window at t = 5 ...
     admissible = admissible_friends(world.store, issuer, window, 5.0)
     assert 0 < len(admissible) < len(world.store.friend_list(issuer))
-    assert len(plan.contexts) == len(world.partitioner.live_labels(5.0))
+    contexts = engine.planner.contexts(5.0)
+    assert len(contexts) == len(world.partitioner.live_labels(5.0))
     # ... of whom the plan keeps those whose live key lies in a live
     # partition, on a cell inside that partition's enlarged window, and
-    # gives each one point band at its live key (and no band to anyone
-    # else), partition-major, SV-ascending.
+    # plans each at its live key (and no one else), in key order:
+    # partition-major, SV-ascending.
     boxes = {
         context.tid: world.grid.cell_box(context.enlarged(window))
-        for context in plan.contexts
+        for context in contexts
     }
     friends, expected = [], []
     for sv, uid in admissible:
-        tid, sv_q, zv = tree.codec.decompose(tree.live_key(uid))
+        key = tree.live_key(uid)
+        tid, sv_q, zv = tree.codec.decompose(key)
         ix, iy = world.grid.curve.decode(zv, world.grid.bits)
         box = boxes.get(tid)
         if box and box[0] <= ix <= box[1] and box[2] <= iy <= box[3]:
             friends.append((sv, uid))
-            expected.append((uid, BandRequest(tid, sv_q, sv_q, zv, zv)))
+            expected.append(((tid, sv_q, zv), key, uid))
     assert 0 < len(friends) < len(admissible)
-    assert plan.friends == friends
     # The map holds only those friends, with the regions that meet the
     # window of their time-admitting policies.
     instant = fold(5.0, world.store.time_domain)
@@ -85,11 +94,7 @@ def test_plan_range_orders_bands_partition_major(small_world):
         )
         for _, uid in friends
     }
-    assert [tuple(planned) for planned in plan.bands] == sorted(
-        expected, key=lambda banded: banded[1]
-    )
-    keys = [(b.band.tid, b.band.sv_lo_q) for b in plan.bands]
-    assert keys == sorted(keys)
+    assert plan.bands == [(key, uid) for _, key, uid in sorted(expected)]
 
 
 def test_plan_range_without_friends_is_empty(small_world):
@@ -98,13 +103,13 @@ def test_plan_range_without_friends_is_empty(small_world):
     stranger = max(world.uids) + 1000
     plan = engine.planner.plan_range(stranger, Rect(0, 1000, 0, 1000), 5.0)
     assert plan.bands == []
-    assert plan.friends == []
+    assert plan.visible == {}
 
 
 def test_contexts_are_kept_per_query_time_and_speed_maxima(small_world):
     """The planner keeps its last contexts, keyed on the query time and
-    both speed maxima (an update raises them), and every call and plan
-    gets a list of its own."""
+    both speed maxima (an update raises them), and every call gets a
+    list of its own."""
     tree = small_world.peb
     planner = QueryPlanner(tree)
 
@@ -128,9 +133,6 @@ def test_contexts_are_kept_per_query_time_and_speed_maxima(small_world):
     assert first is not again
     first.clear()
     assert fields(planner.contexts(5.0)) == expected(5.0)
-    window = Rect(100, 400, 100, 400)
-    plans = [planner.plan_range(small_world.uids[5], window, 5.0) for _ in range(2)]
-    assert plans[0].contexts is not plans[1].contexts
     assert fields(planner.contexts(65.0)) == expected(65.0)
     speeds = tree.live.max_speed_x, tree.live.max_speed_y
     try:
@@ -148,10 +150,14 @@ def test_plan_seed_covers_all_partitions(small_world):
     issuer = world.uids[0]
     plan = engine.planner.plan_seed(issuer)
     friends = world.store.friend_list(issuer)
-    assert len(plan.bands) == world.partitioner.num_partitions * len(friends)
-    for planned in plan.bands:
-        assert planned.band.z_lo == 0
-        assert planned.band.z_hi == world.grid.max_z
+    assert len(plan) == world.partitioner.num_partitions * len(friends)
+    assert [uid for uid, _ in plan] == [
+        uid for _ in range(world.partitioner.num_partitions) for _, uid in friends
+    ]
+    for _, band in plan:
+        assert band.is_single_sv
+        assert band.z_lo == 0
+        assert band.z_hi == world.grid.max_z
 
 
 # ----------------------------------------------------------------------
@@ -207,19 +213,35 @@ def test_prefetch_serves_contained_requests_without_new_scans(small_world):
     plan_b = engine.planner.plan_range(issuer, window_b, 5.0)
 
     scanner = BandScanner(world.peb)
-    scanner.prefetch(
-        point_keys(
-            (planned.band for plan in (plan_a, plan_b) for planned in plan.bands),
-            world.peb.codec,
-        )
-    )
+    scanner.prefetch(plan_keys((plan_a, plan_b)))
     after_prefetch = scanner.physical_scans
     assert after_prefetch > 0
+    fetches = 0
     for plan in (plan_a, plan_b):
-        for planned in plan.bands:
-            scanner.scan(planned.band)
+        for key, _ in plan.bands:
+            scanner.fetch(key)
+            fetches += 1
     assert scanner.physical_scans == after_prefetch
-    assert scanner.residency_hits > 0
+    assert scanner.residency_hits == scanner.requests == fetches > 0
+
+
+def test_an_unfetched_key_is_fetched_once_then_held(small_world):
+    """A key no prefetch fetched costs one physical fetch, with the rows
+    of its point band; asked again, it is answered from what was held."""
+    world = small_world
+    plan = QueryPlanner(world.peb).plan_range(world.uids[9], Rect(50, 650, 50, 650), 5.0)
+    assert plan.bands
+    scanner = BandScanner(world.peb)
+    for key, _ in plan.bands:
+        tid, sv_q, zv = world.peb.codec.decompose(key)
+        rows = scanner.fetch(key)
+        assert rows == world.peb.scan_band_rows(tid, sv_q, sv_q, zv, zv)
+        assert scanner.fetch(key) is rows
+    distinct = len({key for key, _ in plan.bands})
+    assert scanner.physical_scans == distinct
+    assert scanner.requests == 2 * len(plan.bands)
+    assert scanner.residency_hits == 2 * len(plan.bands) - distinct
+    assert scanner.entries_prefetched == 0
 
 
 def test_prefetch_store_returns_exact_band_contents(small_world):
@@ -230,11 +252,12 @@ def test_prefetch_store_returns_exact_band_contents(small_world):
     plan = engine.planner.plan_range(issuer, window, 5.0)
 
     prefetched = BandScanner(world.peb)
-    prefetched.prefetch(point_keys((planned.band for planned in plan.bands), world.peb.codec))
+    prefetched.prefetch(plan_keys((plan,)))
     fresh = BandScanner(world.peb)
-    for planned in plan.bands:
-        served = prefetched.scan(planned.band)
-        scanned = fresh.scan(planned.band)
+    for key, _ in plan.bands:
+        tid, sv_q, zv = world.peb.codec.decompose(key)
+        served = prefetched.fetch(key)
+        scanned = fresh.scan(BandRequest(tid, sv_q, sv_q, zv, zv))
         assert [(zv, obj.uid) for zv, obj in served] == [
             (zv, obj.uid) for zv, obj in scanned
         ]
@@ -292,7 +315,7 @@ def test_execution_stats_account_bands(small_world):
         bands_deduped=scanner.residency_hits,
         candidates_examined=execution.candidates_examined,
     )
-    # Requests are the planned bands minus those the skip rule dropped.
+    # Requests are the planned keys minus those the skip rule dropped.
     assert 0 < stats.bands_requested <= len(
         engine.planner.plan_range(issuer, Rect(0, 1000, 0, 1000), 5.0).bands
     )
@@ -355,9 +378,9 @@ def test_batch_knn_matches_brute_force(small_world):
 
 
 def test_batch_knn_bands_join_the_prefetch_set(small_world):
-    """A kNN spec's point bands are prefetched with the batch, so its
-    replay reads no page: every request is a residency hit, with the
-    results, candidates and requests of on-demand scanning."""
+    """A kNN spec's keys are prefetched with the batch, so its replay
+    reads no page: every request is answered from what was fetched,
+    with the results, candidates and requests of on-demand fetching."""
     world = small_world
     specs = world.query_generator().knn_queries(world.states, 12, 4, 5.0)
     engine = QueryEngine(world.peb)
@@ -379,38 +402,30 @@ def test_batch_knn_bands_join_the_prefetch_set(small_world):
 
 
 def test_knn_plan_names_each_visible_friend_at_its_live_key(small_world):
-    """At most one point band per friend with a policy that holds at
-    t_query, at the key the update memo holds for it, in key order; the
-    oracle's k nearest are all banded, some visible friend is not, and
-    every band returns its friend's row."""
+    """At most one key per friend with a policy that holds at t_query,
+    the key the update memo holds for it, in key order; the oracle's k
+    nearest are all planned, some visible friend is not, and every key
+    returns its friend's row."""
     world = small_world
     engine = QueryEngine(world.peb)
-    codec = world.peb.codec
     pruned = 0
     for spec in world.query_generator().knn_queries(world.states, 6, 3, 5.0):
         plan = plan_pknn(
             engine.planner, spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query
         )
-        bands = [planned.band for planned in plan.bands]
         friends = admissible_friends(world.store, spec.q_uid, None, 5.0)
-        at_live_key = {}
-        for _, uid in friends:
-            tid, sv_q, zv = codec.decompose(world.peb.live.keys[uid])
-            at_live_key[uid] = BandRequest(tid, sv_q, sv_q, zv, zv)
-        assert all(at_live_key[p.friend_uid] == p.band for p in plan.bands)
-        assert bands == sorted(bands)
+        at_live_key = {uid: world.peb.live.keys[uid] for _, uid in friends}
+        assert all(at_live_key[uid] == key for key, uid in plan.bands)
+        assert plan.bands == sorted(plan.bands)
+        assert len({uid for _, uid in plan.bands}) == len(plan.bands)
         nearest = brute_force_pknn(
             world.states, world.store, spec.q_uid, spec.qx, spec.qy, spec.k, 5.0
         )
-        assert {uid for _, uid in nearest} <= {p.friend_uid for p in plan.bands}
-        pruned += len(friends) - len(bands)
+        assert {uid for _, uid in nearest} <= {uid for _, uid in plan.bands}
+        pruned += len(friends) - len(plan.bands)
         scanner = BandScanner(world.peb)
-        for band in bands:
-            assert any(
-                codec.compose_quantized(band.tid, band.sv_lo_q, band.z_lo)
-                == world.peb.live.keys[rec[0]]
-                for rec in scanner.scan(band).records
-            )
+        for key, uid in plan.bands:
+            assert uid in [rec[0] for rec in scanner.fetch(key).records]
     assert pruned > 0
     # k = 0 plans nothing.
     zero = KnnQuerySpec(q_uid=world.uids[0], qx=500.0, qy=500.0, k=0, t_query=5.0)
@@ -511,10 +526,9 @@ def test_batch_without_prefetch_still_deduplicates(small_world):
 
 
 def test_batch_on_zv_first_tree_matches_individual_runs():
-    """Prefetch must no-op on non-SV-major layouts: subdividing a
-    ZV-first scan by ZV would return entries a direct scan excludes.
-    Batch results (and candidate counts) must match sequential runs on
-    the ablation codec too."""
+    """A live key is one key on any layout, so the ZV-first ablation
+    codec batches as the served layout does: batch results (and
+    candidate counts) must match sequential runs there too."""
     from repro.core.ablation import make_zv_first_tree
     from repro.storage.buffer import BufferPool
     from repro.storage.disk import SimulatedDisk
@@ -577,7 +591,7 @@ def test_collect_friend_states_tracks_exactly_the_indexed_friends(small_world):
 
 
 # ----------------------------------------------------------------------
-# The prefetch rule: the distinct keys of the batch's point bands
+# The prefetch rule: the distinct keys of the batch's plans
 # ----------------------------------------------------------------------
 
 
@@ -615,35 +629,58 @@ def _record_fetches(trees):
     return fetches, on_demand
 
 
+@contextmanager
+def _no_band_spy():
+    """Record every :class:`BandRequest` built and every
+    ``compose_quantized`` call while the block runs."""
+    made = []
+    new_band, compose = BandRequest.__new__, PEBKeyCodec.compose_quantized
+
+    def counted_band(cls, *args, **kwargs):
+        made.append(("BandRequest", args))
+        return new_band(cls, *args, **kwargs)
+
+    def counted_compose(self, *args):
+        made.append(("compose_quantized", args))
+        return compose(self, *args)
+
+    with mock.patch.object(BandRequest, "__new__", counted_band), mock.patch.object(
+        PEBKeyCodec, "compose_quantized", counted_compose
+    ):
+        yield made
+
+
 @pytest.mark.parametrize("n_shards", (1, 4))
 def test_a_batch_fetches_each_distinct_point_key_once_in_key_order(
     batch_world, n_shards
 ):
-    """The one prefetch rule: the distinct keys of every range-plan and
-    kNN point band of the batch, ascending, one ``get_many`` call per
-    tree (its shard's share on a deployment), and replay reads each
-    band's rows from what was fetched."""
+    """The one prefetch rule: the distinct keys of every range plan and
+    kNN plan of the batch, ascending, one ``get_many`` call per tree
+    (its shard's share on a deployment), and replay reads each key's
+    rows from what was fetched.  No band is on the served path: the
+    batch, and ``prq``, ``pcount`` and ``pknn`` served alone, build no
+    :class:`BandRequest` and compose no key."""
     world = batch_world
     engine, trees = _batch_engine(world, n_shards)
     specs = world.query_generator().mixed_queries(world.states, 16, 300.0, 3, 5.0)
     planner = engine.planner
-    range_bands = [
-        planned.band
+    range_pairs = [
+        pair
         for spec in specs
         if isinstance(spec, RangeQuerySpec)
-        for planned in planner.plan_range(spec.q_uid, spec.window, spec.t_query).bands
+        for pair in planner.plan_range(spec.q_uid, spec.window, spec.t_query).bands
     ]
-    point_bands = [
-        band
+    knn_pairs = [
+        pair
         for spec in specs
         if isinstance(spec, KnnQuerySpec)
-        for band in knn_bands(engine, spec)
+        for pair in knn_bands(engine, spec)
     ]
-    assert range_bands and point_bands  # both kinds contribute
-    bands = range_bands + point_bands
-    assert all(b.z_lo == b.z_hi and b.is_single_sv for b in bands)
-    codec = world.peb.codec
-    keys = [codec.compose_quantized(b.tid, b.sv_lo_q, b.z_lo) for b in bands]
+    assert range_pairs and knn_pairs  # both kinds contribute
+    pairs = range_pairs + knn_pairs
+    live = world.peb.live.keys
+    assert all(live[uid] == key for key, uid in pairs)
+    keys = [key for key, _ in pairs]
     assert len(set(keys)) < len(keys)  # two specs really name one key
     router = getattr(engine.tree, "router", None)  # a single tree has none
     expected = [[] for _ in trees]  # per tree: its keys, ascending
@@ -651,16 +688,33 @@ def test_a_batch_fetches_each_distinct_point_key_once_in_key_order(
         expected[router.shard_of_key(key) if router else 0].append(key)
 
     fetches, on_demand = _record_fetches(trees)
-    report = engine.execute_batch(specs)
+    with _no_band_spy() as made:
+        report = engine.execute_batch(specs)
+    assert made == []
     assert fetches == [[share] if share else [] for share in expected]
     assert on_demand == []  # replay reads no band from the tree
     assert report.stats.bands_scanned == len(set(keys))
-    assert report.stats.bands_requested == len(bands)
+    assert report.stats.bands_requested == len(pairs)
     assert report.stats.bands_deduped == report.stats.bands_requested
+    decompose = world.peb.codec.decompose
     assert report.stats.entries_prefetched == sum(
-        len(world.peb.scan_band_rows(b.tid, b.sv_lo_q, b.sv_hi_q, b.z_lo, b.z_hi))
-        for b in {band: None for band in bands}
+        len(world.peb.scan_band_rows(tid, sv_q, sv_q, zv, zv))
+        for tid, sv_q, zv in map(decompose, set(keys))
     )
+
+    for log in fetches:
+        log.clear()
+    on_demand.clear()
+    with _no_band_spy() as made:
+        for spec in specs:
+            if isinstance(spec, RangeQuerySpec):
+                prq(engine.tree, spec.q_uid, spec.window, spec.t_query)
+                pcount(engine.tree, spec.q_uid, spec.window, spec.t_query)
+            else:
+                pknn(engine.tree, spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query)
+    assert made == []
+    assert on_demand == []  # a single query fetches keys, one at a time
+    assert all(len(call) == 1 for log in fetches for call in log)
 
 
 # ----------------------------------------------------------------------
@@ -669,14 +723,17 @@ def test_a_batch_fetches_each_distinct_point_key_once_in_key_order(
 
 
 def _stratum_bands(world, n_queries=12):
-    """Single-SV bands from real range plans, in plan order."""
+    """The point bands at real range plans' keys, in plan order."""
     planner = QueryPlanner(world.peb)
+    decompose = world.peb.codec.decompose
     bands = []
     for spec in world.query_generator().range_queries(
         world.uids, n_queries, 320.0, 5.0
     ):
         plan = planner.plan_range(spec.q_uid, spec.window, spec.t_query)
-        bands.extend(p.band for p in plan.bands if p.band.is_single_sv)
+        for key, _ in plan.bands:
+            tid, sv_q, zv = decompose(key)
+            bands.append(BandRequest(tid, sv_q, sv_q, zv, zv))
     return bands
 
 
@@ -688,8 +745,11 @@ def _span_bands(world, n_queries=12):
     for spec in world.query_generator().range_queries(
         world.uids, n_queries, 320.0, 5.0
     ):
-        plan = planner.plan_span_scan(spec.q_uid, spec.window, spec.t_query)
-        bands.extend(p.band for p in plan.bands if not p.band.is_single_sv)
+        bands.extend(
+            band
+            for band in planner.plan_span_scan(spec.q_uid, spec.window, spec.t_query)
+            if not band.is_single_sv
+        )
     return bands
 
 
@@ -743,9 +803,10 @@ def _populated_stratum(world):
 
 
 def test_a_fetched_key_serves_only_its_own_point_band(batch_world):
-    """Fetched rows answer the point band at their key and nothing
-    else: a band over the rest of the stratum, or at a key nobody
-    fetched, goes to the tree and returns exactly its own rows."""
+    """Fetched rows answer ``fetch`` at their key and nothing else: a
+    band is not a key, so even the point band at the fetched key goes
+    to the tree, and a band over the rest of the stratum, or at a key
+    nobody fetched, returns exactly its own rows."""
     world = batch_world
     band, full, rows = _populated_stratum(world)
     first_zv, last_zv = rows[0][0], rows[-1][0]
@@ -756,13 +817,15 @@ def test_a_fetched_key_serves_only_its_own_point_band(batch_world):
     assert scanner.physical_scans == 1
     first = [r for r in rows if r[0] == first_zv]
     assert scanner.entries_prefetched == len(first)
+    assert _rows_signature(scanner.fetch(key)) == first
+    assert scanner.residency_hits == 1 and scanner.physical_scans == 1
     point = BandRequest(band.tid, band.sv_lo_q, band.sv_hi_q, first_zv, first_zv)
     assert _rows_signature(scanner.scan(point)) == first
-    assert scanner.residency_hits == 1 and scanner.physical_scans == 1
+    assert scanner.residency_hits == 1 and scanner.physical_scans == 2
     last = BandRequest(band.tid, band.sv_lo_q, band.sv_hi_q, last_zv, last_zv)
     assert _rows_signature(scanner.scan(last)) == [r for r in rows if r[0] == last_zv]
-    assert _rows_signature(scanner.scan(full)) == rows
     assert scanner.residency_hits == 1 and scanner.physical_scans == 3
+    assert _rows_signature(scanner.scan(full)) == rows
 
 
 def _answers(specs, report):
@@ -779,8 +842,8 @@ def _answers(specs, report):
 
 @pytest.mark.parametrize("n_shards", (1, 4))
 def test_a_warm_residency_never_changes_a_batch(batch_world, n_shards):
-    """Strata scanned whole ahead of a batch hold rows no band asks for;
-    the batch's point bands are answered from its own fetched keys, so
+    """Strata scanned whole ahead of a batch hold rows no key asks for;
+    the batch's keys are answered from its own fetched keys, so
     every answer, candidate count and fetched entry is the cold
     scanner's."""
     world = batch_world

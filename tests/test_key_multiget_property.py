@@ -1,28 +1,39 @@
-"""A batch's prefetch is a key multi-get: a property test.
+"""Served queries fetch keys: a property test.
 
-Every band a served plan holds is a point at a friend's live key, so a
-batch fetches the distinct keys of its plans' bands, once each and in
-key order, one ``get_many`` call per tree (a shard's share on a sharded
-deployment), and replay reads each band's rows from what was fetched.
-Over random mixed range/kNN batches on a single tree and on 4 shards:
+A served plan is its ``(live key, friend)`` pairs, so a batch fetches
+the distinct keys of its plans, once each and in key order, one
+``get_many`` call per tree (a shard's share on a sharded deployment),
+and replay reads each key's rows from what was fetched; a single
+``prq``, ``pcount`` or ``pknn`` fetches them one at a time, one
+one-key ``get_many`` call each.  Over random mixed range/kNN batches on
+a single tree and on 4 shards:
 
 * each tree's ``get_many`` is called once, with exactly the batch's
   distinct keys routed to it, ascending;
+* a single query's one-key calls name each distinct planned key once,
+  in key order, each on the tree that owns it;
 * every fetched key's rows equal the object-at-a-time per-band scan of
   ``tests/reference_scan.py`` over the point band ``[key; key]``;
-* the batch's logical and physical pool reads equal the reference
-  engine's, which fetches the same keys entry by entry;
+* the logical and physical pool reads and ``candidates_examined`` of a
+  batch, and of every single query, equal the reference engine's,
+  which fetches the same keys entry by entry;
 * a disk fault at key *k* of a tree's share leaves exactly the keys
   below *k* fetched there.
 """
 
 from __future__ import annotations
 
+import contextlib
+import importlib
+from unittest import mock
+
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from repro.core.aggregate import pcount
+from repro.core.pknn import plan_pknn, pknn
+from repro.core.prq import prq
 from repro.engine import QueryEngine
-from repro.engine.scanner import point_keys
 from repro.spatial.geometry import Rect
 from repro.storage.faults import DiskFaultError, FaultyDisk, TransientFaultSchedule
 from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
@@ -90,20 +101,15 @@ def make_spec(knn, issuer, fx, fy, side, k):
     return RangeQuerySpec(q_uid, Rect(x, x + side, y, y + side), T_QUERY)
 
 
-def batch_keys(engine, specs):
-    """The distinct keys of the batch's point bands, ascending."""
-    from repro.core.pknn import plan_pknn
+def plan_of(planner, spec):
+    if isinstance(spec, RangeQuerySpec):
+        return planner.plan_range(spec.q_uid, spec.window, spec.t_query)
+    return plan_pknn(planner, spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query)
 
-    planner = engine.planner
-    bands = []
-    for spec in specs:
-        if isinstance(spec, RangeQuerySpec):
-            plan = planner.plan_range(spec.q_uid, spec.window, spec.t_query)
-        else:
-            plan = plan_pknn(planner, spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query)
-        bands += [planned.band for planned in plan.bands]
-    assert all(band.is_single_sv and band.z_lo == band.z_hi for band in bands)
-    return point_keys(bands, WORLD.peb.codec)
+
+def batch_keys(engine, specs):
+    """The distinct keys of the batch's plans, ascending."""
+    return sorted({key for spec in specs for key, _ in plan_of(engine.planner, spec).bands})
 
 
 @SETTINGS
@@ -193,3 +199,91 @@ def test_a_fault_at_key_k_leaves_exactly_the_keys_below_it(
             assert fetched == share[:k] and k < len(share)
         else:
             assert fetched == share
+
+
+@contextlib.contextmanager
+def adapters_on(engine_type):
+    """``prq``, ``pcount`` and ``pknn`` run on ``engine_type``."""
+    module = importlib.import_module
+    with mock.patch.object(
+        module("repro.core.prq"), "QueryEngine", engine_type
+    ), mock.patch.object(
+        module("repro.core.aggregate"), "QueryEngine", engine_type
+    ), mock.patch.object(module("repro.core.pknn"), "QueryEngine", engine_type):
+        yield
+
+
+def single_queries(tree, spec):
+    """The single served queries of one spec: ``(name, thunk)`` pairs,
+    each thunk returning ``(answer, candidates_examined)``."""
+    if isinstance(spec, KnnQuerySpec):
+
+        def run_pknn():
+            found = pknn(tree, spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query)
+            ranked = [(round(d, 9), obj.uid) for d, obj in found.neighbors]
+            return ranked, found.candidates_examined
+
+        return [("pknn", run_pknn)]
+
+    def run_prq():
+        found = prq(tree, spec.q_uid, spec.window, spec.t_query)
+        return found.uids, found.candidates_examined
+
+    def run_pcount():
+        found = pcount(tree, spec.q_uid, spec.window, spec.t_query)
+        return found.count, found.candidates_examined
+
+    return [("prq", run_prq), ("pcount", run_pcount)]
+
+
+@SETTINGS
+@given(n_shards=st.sampled_from((1, 4)), drawn=st.lists(SPEC, min_size=1, max_size=4))
+def test_a_single_query_fetches_each_distinct_planned_key_once_in_key_order(
+    n_shards, drawn
+):
+    tree = deploy(n_shards)
+    router = getattr(tree, "router", None)
+    reference_engine = ShardedReferenceEngine if router else ReferenceEngine
+    planner = QueryEngine(tree).planner
+    for spec in (make_spec(*spec) for spec in drawn):
+        keys = sorted({key for key, _ in plan_of(planner, spec).bands})
+        for name, run in single_queries(tree, spec):
+            calls = []  # (tree index, keys, rows) per get_many call
+            for index, shard in enumerate(tree.trees):
+
+                def get_many(keys, inner=shard.get_many, index=index):
+                    keys = list(keys)
+                    rows = []
+                    calls.append((index, keys, rows))
+                    for fetched in inner(keys):
+                        rows.append(fetched)
+                        yield fetched
+
+                shard.get_many = get_many
+            for pool in pools(tree):
+                pool.clear()
+            before = reads(tree)
+            try:
+                got = run()
+            finally:
+                for shard in tree.trees:
+                    del shard.get_many
+            got_reads = [(a - c, b - d) for (a, b), (c, d) in zip(reads(tree), before)]
+
+            assert [called for _, called, _ in calls] == [[key] for key in keys], name
+            decompose = WORLD.peb.codec.decompose
+            for index, (key,), (rows,) in calls:
+                assert index == (router.shard_of_key(key) if router else 0)
+                tid, sv_q, zv = decompose(key)
+                reference = EntryAtATimeTree(tree.trees[index])
+                assert rows == reference.scan_band_rows(tid, sv_q, sv_q, zv, zv), key
+
+            for pool in pools(tree):
+                pool.clear()
+            before = reads(tree)
+            with adapters_on(reference_engine):
+                want = run()
+            assert got == want, name
+            assert got_reads == [
+                (a - c, b - d) for (a, b), (c, d) in zip(reads(tree), before)
+            ], name

@@ -8,11 +8,12 @@ visible regions bounds where it can qualify, and ``τ`` is the k-th
 smallest distance upper bound among the friends whose grown cell lies
 inside one region.  Stated against the brute-force oracle
 (``repro.bench.oracle.brute_force_pknn``), not against that rule: after
-a random history, every user of the oracle's k nearest has a point band
-in the plan, and ``pknn`` answers the oracle's ``(round(d, 9), uid)``
+a random history, every user of the oracle's k nearest is planned at
+its live key, and ``pknn`` answers the oracle's ``(round(d, 9), uid)``
 list, on one tree and on four shards; so does the Section 5.4 walk
 (``pknn_walk``), which ranks users at one distance by uid as the oracle
-does.  Every plan holds at most one band per friend, in key order.
+does.  Every plan holds at most one ``(live key, uid)`` pair per
+friend, in key order.
 
 The worlds lean on what the rule must survive:
 
@@ -64,7 +65,7 @@ from repro.spatial.geometry import Rect
 from repro.storage import BufferPool, SimulatedDisk
 
 from tests.test_range_plan_soundness_property import (
-    assert_one_band_per_friend_in_key_order,
+    assert_one_key_per_friend_in_key_order,
 )
 
 SIDE = 1000.0
@@ -320,16 +321,15 @@ def test_every_user_of_the_k_nearest_has_a_point_band(n_shards, steps, queries):
             k = ties[0] if ties else 1
         expected = brute_force_pknn(states, STORE, q_uid, qx, qy, k, t_query)
         plan = plan_pknn(planner, q_uid, qx, qy, k, t_query)
-        banded = {planned.friend_uid for planned in plan.bands}
+        banded = {uid for _, uid in plan.bands}
         missing = {uid for _, uid in expected} - banded
         assert not missing, (
             f"users {sorted(missing)} are among the {k} nearest of "
-            f"({qx}, {qy}) at t={t_query} but have no band"
+            f"({qx}, {qy}) at t={t_query} but are not planned"
         )
-        for planned in plan.bands:
-            tid, sv_q, zv = tree.codec.decompose(tree.live_key(planned.friend_uid))
-            assert planned.band == (tid, sv_q, sv_q, zv, zv)
-        assert_one_band_per_friend_in_key_order(plan)
+        for key, uid in plan.bands:
+            assert key == tree.live_key(uid)
+        assert_one_key_per_friend_in_key_order(plan)
         expected = rounded(expected)
         assert ranked(pknn(tree, q_uid, qx, qy, k, t_query)) == expected
         walked = ranked(pknn_walk(tree, q_uid, qx, qy, k, t_query))

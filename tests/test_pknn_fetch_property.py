@@ -1,17 +1,17 @@
 """Property pin: the served PkNN fetch against the oracle and the walk.
 
 A served PkNN (:func:`repro.core.pknn.pknn`, and each kNN spec of
-:meth:`repro.engine.QueryEngine.execute_batch`) plans one point band at
-the live key the update memo holds per visible friend that can be among
-the k nearest, verifies what the bands return and keeps the k nearest,
+:meth:`repro.engine.QueryEngine.execute_batch`) plans the live key the
+update memo holds of each visible friend that can be among the k
+nearest, verifies the rows at those keys and keeps the k nearest,
 ranked by ``(distance, uid)``.  Hypothesis draws the world, the
 deployment (one tree; 1 and 4 shards, untimed and on ssd) and a batch
 of specs; every spec must:
 
-* plan at most one band per friend in the issuer's visibility map whose
-  live key lies in a partition live at ``t_query``, that key's point
-  ``[TID ⊕ SV ⊕ ZV ; TID ⊕ SV ⊕ ZV]``, in key order, and one for every
-  user of the oracle's answer (the pruning's soundness on its own
+* plan at most one ``(live key, uid)`` pair per friend in the issuer's
+  visibility map whose live key lies in a partition live at
+  ``t_query``, in key order, and one for every user of the oracle's
+  answer (the pruning's soundness on its own
   worlds is ``tests/test_knn_plan_soundness_property.py``);
 * answer ``brute_force_pknn``'s ``(round(d, 9), uid)`` list over the
   users whose entries are live, served alone and in the batch;
@@ -21,7 +21,7 @@ of specs; every spec must:
 The worlds: users in two live partitions (half of them reported before
 a rollover), the raw-SV ties of defect twenty-six (``n_users=144,
 n_policies=6, seed=6``: ten pairs of users share a stratum, one pair
-also a cell, so a friend's point band returns its stratum-mate), and
+also a cell, so a friend's key returns its stratum-mate), and
 plain Z and Hilbert worlds; ``k`` is 0, 1, 5 or above the visible
 friends, and query points lie inside the space, on its edge or far
 outside it.
@@ -38,7 +38,6 @@ from repro.bench.oracle import brute_force_pknn
 from repro.core.peb_tree import PEBTree
 from repro.core.pknn import plan_pknn, pknn, pknn_walk
 from repro.engine import QueryEngine
-from repro.engine.plan import BandRequest
 from repro.motion import MovingObject
 from repro.shard import ShardedPEBTree
 from repro.storage import BufferPool, SimulatedDisk
@@ -103,17 +102,17 @@ def live_tids(world, t_query):
     return {partitioner.partition_of_label(t) for t in partitioner.live_labels(t_query)}
 
 
-def allowed_bands(world, spec):
-    """uid -> its point band at its live key, per visible friend whose
-    live key lies in a live partition: the bands a plan may hold."""
+def allowed_keys(world, spec):
+    """uid -> its live key, per visible friend whose live key lies in a
+    live partition: the pairs a plan may hold."""
     codec = world.peb.codec
     live = live_tids(world, spec.t_query)
-    bands = {}
+    keys = {}
     for uid in world.store.visibility_map(spec.q_uid, spec.t_query):
-        tid, sv_q, zv = codec.decompose(world.peb.live.keys[uid])
-        if tid in live:
-            bands[uid] = BandRequest(tid, sv_q, sv_q, zv, zv)
-    return bands
+        key = world.peb.live.keys[uid]
+        if codec.decompose(key)[0] in live:
+            keys[uid] = key
+    return keys
 
 
 def oracle(world, spec):
@@ -146,13 +145,12 @@ def check(world, deployment, specs):
         plan = plan_pknn(
             engine.planner, spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query
         )
-        allowed = allowed_bands(world, spec)
-        assert all(allowed.get(p.friend_uid) == p.band for p in plan.bands)
-        bands = [planned.band for planned in plan.bands]
-        assert bands == sorted(bands)
-        assert len({planned.friend_uid for planned in plan.bands}) == len(plan.bands)
+        allowed = allowed_keys(world, spec)
+        assert all(allowed.get(uid) == key for key, uid in plan.bands)
+        assert plan.bands == sorted(plan.bands)
+        assert len({uid for _, uid in plan.bands}) == len(plan.bands)
         expected = oracle(world, spec)
-        assert {uid for _, uid in expected} <= {p.friend_uid for p in plan.bands}
+        assert {uid for _, uid in expected} <= {uid for _, uid in plan.bands}
         assert ranked(batched) == expected
         assert ranked(pknn(tree, spec.q_uid, spec.qx, spec.qy, spec.k, spec.t_query)) == (
             expected

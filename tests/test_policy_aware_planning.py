@@ -54,7 +54,7 @@ from repro.core.pknn import _MatrixSearch, pknn, pknn_walk
 from repro.core.prq import prq
 from repro.core.sequencing import assign_sequence_values
 from repro.engine import QueryEngine
-from repro.engine.plan import BandRequest, PlannedBand, QueryPlanner
+from repro.engine.plan import QueryPlanner
 from repro.motion import MovingObject, TimePartitioner
 from repro.policy.lpp import LocationPrivacyPolicy
 from repro.policy.multistore import MultiPolicyStore
@@ -66,7 +66,7 @@ from repro.spatial.geometry import Rect
 from repro.storage import BufferPool, SimulatedDisk
 from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
 
-from tests.reference_plan import WindowSpanPlanner
+from tests.reference_plan import WindowSpanEngine, WindowSpanPlanner
 
 SIDE = 1000.0
 T = 1440.0
@@ -129,22 +129,19 @@ class UnprunedPlanner(WindowSpanPlanner):
         return self.friends(q_uid)
 
     def plan_knn_probe(self, q_uid, visible, qx, qy, k, t_query):
-        """One point band per friend on the list whose live key lies in
-        a live partition, in key order: neither the map nor the
-        distance bound prunes anyone."""
+        """The live key of every friend on the list whose key lies in a
+        live partition, ``(key, uid)`` in key order: neither the map nor
+        the distance bound prunes anyone."""
         live = {context.tid for context in self.contexts(t_query)}
         bands = []
         for _, uid in self.visible_friends(q_uid, visible):
             key = self.tree.live_key(uid)
-            if key is None:
-                continue
-            tid, sv_q, zv = self.tree.codec.decompose(key)
-            if tid in live:
-                bands.append(PlannedBand(uid, BandRequest(tid, sv_q, sv_q, zv, zv)))
-        return sorted(bands, key=lambda planned: planned.band)
+            if key is not None and self.tree.codec.decompose(key)[0] in live:
+                bands.append((key, uid))
+        return sorted(bands)
 
 
-class UnprunedEngine(QueryEngine):
+class UnprunedEngine(WindowSpanEngine):
     def __init__(self, tree):
         super().__init__(tree)
         self.planner = UnprunedPlanner(tree)
@@ -364,28 +361,29 @@ def test_pruned_planner_matches_the_unpruned_reference(
 
     specs = []
     for q_uid, window, k, at_least in queries:
-        # -- the plan: exactly the friends who can qualify, bands ⊆ --
+        # -- the plan: exactly the friends who can qualify, each once,
+        # at its live key, in key order --
         plan = pruned_planner.plan_range(q_uid, window, t_query)
         full = full_planner.plan_range(q_uid, window, t_query)
         # The reference really plans unpruned: one band per friend per
         # live context, from the map without the window.
         assert full.friends == store.friend_list(q_uid)
-        assert len(full.bands) == len(full.friends) * len(full.contexts)
+        assert len(full.spans) == len(full.friends) * len(full.contexts)
         assert full.visible == store.visibility_map(q_uid, t_query)
-        kept = {uid for _, uid in plan.friends}
-        assert plan.friends == [
-            friend
-            for friend in full.friends
-            if can_qualify(store, friend[1], q_uid, t_query, window)
-            and cell_reaches(tree, friend[1], plan.contexts, window)
+        contexts = pruned_planner.contexts(t_query)
+        kept = [
+            uid
+            for _, uid in full.friends
+            if can_qualify(store, uid, q_uid, t_query, window)
+            and cell_reaches(tree, uid, contexts, window)
         ]
-        live = {context.tid for context in plan.contexts}
-        banded = [b.friend_uid for b in plan.bands]
-        assert set(banded) == kept and len(set(banded)) == len(banded)
-        for planned in plan.bands:
-            tid, sv_q, zv = tree.codec.decompose(tree.live_key(planned.friend_uid))
-            assert planned.band == (tid, sv_q, sv_q, zv, zv) and tid in live
-        assert [b.band for b in plan.bands] == sorted(b.band for b in plan.bands)
+        live = {context.tid for context in contexts}
+        banded = [uid for _, uid in plan.bands]
+        assert sorted(banded) == sorted(kept) and len(set(banded)) == len(banded)
+        for key, uid in plan.bands:
+            assert key == tree.live_key(uid) and tree.codec.decompose(key)[0] in live
+        assert plan.bands == sorted(plan.bands)
+        kept = set(kept)
 
         # -- range-shaped answers: identical, never more candidates --
         got = prq(tree, q_uid, window, t_query)
@@ -422,11 +420,11 @@ def test_pruned_planner_matches_the_unpruned_reference(
         full_bands = full_planner.plan_knn_probe(q_uid, visible, qx, qy, k, t_query)
         assert len(full_bands) == len(store.friend_list(q_uid))
         admissible = [
-            b for b in full_bands if can_qualify(store, b.friend_uid, q_uid, t_query)
+            b for b in full_bands if can_qualify(store, b[1], q_uid, t_query)
         ]
         assert bands == [b for b in admissible if b in bands]
         nearest = brute_force_pknn(states, store, q_uid, qx, qy, k, t_query)
-        assert {uid for _, uid in nearest} <= {b.friend_uid for b in bands}
+        assert {uid for _, uid in nearest} <= {uid for _, uid in bands}
         search = _MatrixSearch(tree, q_uid, qx, qy, k, t_query)
         reference = _MatrixSearch(
             tree, q_uid, qx, qy, k, t_query, planner=full_planner
@@ -564,8 +562,8 @@ def test_an_issuer_whose_every_friend_is_pruned_scans_nothing(n_shards):
     window = Rect(0.0, 500.0, 0.0, 500.0)
 
     plan = QueryPlanner(tree).plan_range(0, window, 5.0)
-    assert plan.friends == [] and plan.bands == []
-    assert len(UnprunedPlanner(tree).plan_range(0, window, 5.0).bands) > 0
+    assert plan.bands == [] and plan.visible == {}
+    assert len(UnprunedPlanner(tree).plan_range(0, window, 5.0).spans) > 0
 
     got = prq(tree, 0, window, 5.0)
     with unpruned():

@@ -1,24 +1,24 @@
-"""A prefetch is a key multi-get beside the residency: a property test.
+"""Key fetches beside the residency: a property test.
 
 :meth:`repro.engine.scanner.BandScanner.prefetch` fetches the keys it is
-handed (a batch's :func:`repro.engine.scanner.point_keys`) in one
-``get_many`` call, keeps each key's rows in ``fetched`` and — given a
-clock — stamps them with the instant the last key of their stratum
-landed; :meth:`BandScanner.scan` answers a point band at a fetched key
-with one lookup.  On-demand scans of every other band put what they
-prove into their stratum's residency through
+handed (a batch's distinct planned keys) in one ``get_many`` call, keeps
+each key's rows in ``fetched`` and — given a clock — stamps them with
+the instant the last key of their stratum landed;
+:meth:`BandScanner.fetch` answers a fetched key with one lookup and
+any other key with a one-key multi-get, kept in ``fetched``.  On-demand
+band scans put what they prove into their stratum's residency through
 :meth:`StratumResidency._add`, whose one merge replaces the rows
 resident inside the proven interval and adopts the new rows as they are
 when that is all of them.  The reference, :class:`FormerScanner`, keeps
-a prefetch written as a loop of single-band tree scans whose stamps are
-laid on after the loop, stratum by stratum, and the ``_add`` the one-way
-merge replaced, which adopts a first proof and concatenates every later
-one.
+a prefetch and a fetch written as single-band tree scans of each key's
+point band, the prefetch's stamps laid on after its loop, stratum by
+stratum, and the ``_add`` the one-way merge replaced, which adopts a
+first proof and concatenates every later one.
 
-Histories over a few random strata mix prefetches (point bands at
-occupied and empty keys, a key named twice, range and span bands a
-prefetch passes over, with and without a clock), on-demand scans,
-residency handles taken before any scan and hits served through them.
+Histories over a few random strata mix prefetches (keys at occupied and
+empty points, a key named twice, with and without a clock), key
+fetches, on-demand scans, residency handles taken before any scan and
+hits served through them.
 After every step both scanners must have answered alike and hold the
 same fetched keys with the same rows and stamps, the same strata with
 the same ``_edges`` and rows, and agree on ``entries_prefetched``,
@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from repro.core.peb_key import PEBKeyCodec
 from repro.engine.plan import BandRequest
-from repro.engine.scanner import BandScanner, StratumResidency, point_keys
+from repro.engine.scanner import BandScanner, StratumResidency
 from repro.motion.rows import BandRows
 
 MAX_Z = 63
@@ -100,14 +100,26 @@ class FormerResidency(StratumResidency):
 
 
 class FormerScanner(BandScanner):
-    """The scanner with a per-key prefetch loop and the two-branch
-    ``_add``."""
+    """The scanner with a per-key prefetch loop, a fetch by point-band
+    scan, and the two-branch ``_add``."""
 
     def residency(self, tid, sv_q):
         resident = self._residency.get((tid, sv_q))
         if resident is None:
             resident = self._residency[(tid, sv_q)] = FormerResidency(self._tally, tid, sv_q)
         return resident
+
+    def fetch(self, key):
+        self.scan_calls += 1
+        self._tally.requests += 1
+        if key in self.fetched:
+            self._tally.residency_hits += 1
+            return self.fetched[key]
+        self.physical_scans += 1
+        tid, sv_q, zv = CODEC.decompose(key)
+        rows = self.tree.scan_band_rows(tid, sv_q, sv_q, zv, zv)
+        self.fetched[key] = BandRows(rows.zvs, rows.records)
+        return self.fetched[key]
 
     def prefetch(self, keys, clock=None):
         landed = {}  # stratum -> the cursor read after its last key
@@ -156,13 +168,12 @@ Z = st.integers(0, MAX_Z)
 
 
 @st.composite
-def band(draw, single=True, point=False):
+def band(draw, point=False):
     tid, sv_q = draw(st.sampled_from(STRATA))
     z_lo, z_hi = sorted((draw(Z), draw(Z)))
     if point:
         z_hi = z_lo
-    sv_hi_q = sv_q if single else sv_q + draw(st.integers(1, 2))
-    return BandRequest(tid, sv_q, sv_hi_q, z_lo, z_hi)
+    return BandRequest(tid, sv_q, sv_q, z_lo, z_hi)
 
 
 def occupied_point(strata):
@@ -173,15 +184,21 @@ def occupied_point(strata):
     ) if occupied else band(point=True)
 
 
+def key_of(point):
+    return CODEC.compose_quantized(point.tid, point.sv_lo_q, point.z_lo)
+
+
 def steps(strata):
     points = st.one_of(occupied_point(strata), band(point=True))
+    keys = points.map(key_of)
     return st.lists(
         st.one_of(
             st.tuples(
                 st.just("prefetch"),
-                st.lists(st.one_of(points, points, band(), band(single=False)), max_size=10),
+                st.lists(keys, max_size=10).map(lambda drawn: sorted(set(drawn))),
                 st.booleans(),
             ),
+            st.tuples(st.just("fetch"), keys),
             st.tuples(st.just("scan"), st.one_of(points, band())),
             st.tuples(st.just("handle"), st.sampled_from(STRATA)),
             st.tuples(st.just("serve"), band()),
@@ -194,7 +211,9 @@ def steps(strata):
 def run(scanner, step):
     kind = step[0]
     if kind == "prefetch":
-        return scanner.prefetch(point_keys(step[1], CODEC), Cursor() if step[2] else None)
+        return scanner.prefetch(step[1], Cursor() if step[2] else None)
+    if kind == "fetch":
+        return scanner.fetch(step[1])
     if kind == "scan":
         return scanner.scan(step[1])
     if kind == "handle":
@@ -220,14 +239,13 @@ def test_prefetch_and_residency_equal_the_reference(data):
 
 def test_a_key_two_bands_name_is_fetched_once():
     tree = StrataTree({(0, 0): [5, 20, 40], (0, 1): [7], (1, 0): [30]})
-    bands = [
-        BandRequest(1, 0, 0, 30, 30),
-        BandRequest(0, 0, 0, 20, 20),  # two issuers name one friend ...
-        BandRequest(0, 1, 1, 4, 9),  # ... a range band is left to scan()
-        BandRequest(0, 0, 0, 20, 20),  # ... the same key again
-        BandRequest(0, 0, 0, 21, 21),  # an empty key
+    named = [
+        CODEC.compose_quantized(1, 0, 30),
+        CODEC.compose_quantized(0, 0, 20),  # two issuers name one friend ...
+        CODEC.compose_quantized(0, 0, 20),  # ... the same key again
+        CODEC.compose_quantized(0, 0, 21),  # an empty key
     ]
-    keys = point_keys(bands, CODEC)
+    keys = sorted(set(named))
     assert [CODEC.decompose(key) for key in keys] == [(0, 0, 20), (0, 0, 21), (1, 0, 30)]
     shipped, reference = BandScanner(tree), FormerScanner(tree)
     shipped.prefetch(keys, Cursor())
@@ -236,7 +254,10 @@ def test_a_key_two_bands_name_is_fetched_once():
     assert shipped.physical_scans == 3 and shipped.entries_prefetched == 2
     # Both keys of stratum (0, 0) land when its second key does.
     assert [rows.landed for rows in shipped.fetched.values()] == [2.0, 2.0, 3.0]
-    assert shipped.scan(bands[1]).zvs == [20]
-    assert shipped.residency_hits == 1 and shipped.physical_scans == 3
-    assert shipped.scan(bands[2]).zvs == [7]  # on demand
+    for key in named:
+        assert shipped.fetch(key) is shipped.fetched[key]
+    assert shipped.residency_hits == shipped.requests == 4
+    assert shipped.physical_scans == 3
+    band = BandRequest(0, 1, 1, 4, 9)  # a band is left to scan()
+    assert shipped.scan(band).zvs == [7]  # on demand
     assert shipped.physical_scans == 4

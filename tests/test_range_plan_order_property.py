@@ -5,10 +5,10 @@ against its live cell first and resolves the policies of only the
 owners whose cell can reach the window.  Both tests are exact, so the
 plan must be the one the policy-first order builds
 (``tests/reference_plan.py``'s ``PolicyFirstPlanner``: the whole
-visibility map over the window, then each owner's live key decomposed
-and its cell decoded): the same bands, band for band and in the same
-order, the same contexts, and the friends and map of the policy-first
-plan restricted to the owners it bands.  Through the public adapters
+visibility map over the window, then each owner's live key decomposed,
+its cell decoded and the key composed again): the same ``(live key,
+uid)`` pairs, pair for pair and in the same order, and the map of the
+policy-first plan restricted to the owners it plans.  Through the public adapters
 (``prq``, ``pcount``) and a batch (``execute_batch``), the answers and
 ``candidates_examined`` must be equal, and the answers the oracle's
 (``repro.bench.oracle.brute_force_prq``), on one tree and on 1 and 4
@@ -195,9 +195,7 @@ def test_cell_first_plan_equals_the_policy_first_plan(
         plan = shipped.plan_range(q_uid, window, t_query)
         expected = reference.plan_range(q_uid, window, t_query)
         assert plan.bands == expected.bands
-        assert plan.contexts == expected.contexts
-        banded = {planned.friend_uid for planned in expected.bands}
-        assert plan.friends == [f for f in expected.friends if f[1] in banded]
+        banded = {uid for _, uid in expected.bands}
         assert plan.visible == {
             uid: regions for uid, regions in expected.visible.items() if uid in banded
         }

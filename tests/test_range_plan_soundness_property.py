@@ -1,12 +1,12 @@
-"""Property pin: a range plan bands every user Definition 2 admits.
+"""Property pin: a range plan plans every user Definition 2 admits.
 
-A range plan holds one point band per friend at its live key, and only
+A range plan holds one ``(live key, uid)`` pair per friend, and only
 for a friend whose cell, at its partition's label, lies inside the
 window enlarged for that partition (Figure 2 applied per friend,
 ``QueryPlanner.plan_range``).  Stated against the brute-force oracle
 (``repro.bench.oracle.brute_force_prq``), not against that rule: after
 a random history, every user who satisfies Definition 2 in the window
-at ``t_query`` has a point band in the plan, and ``prq`` answers the
+at ``t_query`` is planned at its live key, and ``prq`` answers the
 oracle, on one tree and on four shards.
 
 The histories lean on what the rule must survive:
@@ -181,14 +181,13 @@ def window_of(seed):
     return Rect(*bounds)
 
 
-def assert_one_band_per_friend_in_key_order(plan):
-    """At most one band per friend, in key order: what lets the verify
-    pipeline verify a band as soon as its stratum lands
+def assert_one_key_per_friend_in_key_order(plan):
+    """At most one key per friend, in key order: what lets the verify
+    pipeline verify a key's rows as soon as its stratum lands
     (``VerifyTimeline.book_verified``)."""
-    friends = [planned.friend_uid for planned in plan.bands]
+    friends = [uid for _, uid in plan.bands]
     assert len(set(friends)) == len(friends)
-    bands = [planned.band for planned in plan.bands]
-    assert bands == sorted(bands)
+    assert plan.bands == sorted(plan.bands)
 
 
 @pytest.mark.parametrize("n_shards", (None, 4))
@@ -214,23 +213,22 @@ def test_every_user_definition_2_admits_has_a_point_band(n_shards, steps, querie
         window = window_of(seed)
         t_query = now + late * PHASE
         plan = planner.plan_range(q_uid, window, t_query)
-        banded = {planned.friend_uid for planned in plan.bands}
+        banded = {uid for _, uid in plan.bands}
         expected = brute_force_prq(states, STORE, q_uid, window, t_query)
         assert expected <= banded, (
             f"users {sorted(expected - banded)} satisfy Definition 2 at "
-            f"t={t_query} in {window} but have no band"
+            f"t={t_query} in {window} but are not planned"
         )
-        for planned in plan.bands:
-            tid, sv_q, zv = tree.codec.decompose(tree.live_key(planned.friend_uid))
-            assert planned.band == (tid, sv_q, sv_q, zv, zv)
-        assert_one_band_per_friend_in_key_order(plan)
+        for key, uid in plan.bands:
+            assert key == tree.live_key(uid)
+        assert_one_key_per_friend_in_key_order(plan)
         assert prq(tree, q_uid, window, t_query).uids == expected
 
 
 @pytest.mark.parametrize("n_shards", (None, 4))
 def test_a_window_with_infinite_bounds_is_the_whole_space(n_shards):
     """An infinite bound reaches across the whole space: over the whole
-    plane every kept friend is banded, and over a half plane the answer
+    plane every kept friend is planned, and over a half plane the answer
     is the oracle's."""
     tree = deploy(n_shards)
     planner = QueryPlanner(tree)
@@ -238,7 +236,7 @@ def test_a_window_with_infinite_bounds_is_the_whole_space(n_shards):
     half = Rect(-math.inf, math.inf, -math.inf, 0.5 * SIDE)
     for q_uid in range(0, N_USERS, 7):
         plan = planner.plan_range(q_uid, plane, 30.0)
-        assert {b.friend_uid for b in plan.bands} == {uid for _, uid in plan.friends}
+        assert {uid for _, uid in plan.bands} == set(plan.visible)
         for window in (plane, half):
             expected = brute_force_prq(START, STORE, q_uid, window, 30.0)
             assert prq(tree, q_uid, window, 30.0).uids == expected

@@ -1,21 +1,25 @@
-"""Routing pin: the scatter scanner sends each band where ``split_band`` does.
+"""Routing pin: the scatter scanner sends each key and band where
+``split_band`` does.
 
-:class:`repro.shard.engine.ShardScatterScanner` routes a single-SV band
-whole to ``router.shard_of(sv_q)`` and keeps
+:class:`repro.shard.engine.ShardScatterScanner` routes a key to
+``router.shard_of_key(key)``, a single-SV band whole to
+``router.shard_of(sv_q)``, and keeps
 :meth:`repro.shard.router.ShardRouter.split_band` for multi-SV span
 bands.  That is only sound if it is exactly what ``split_band`` gives a
-single-SV band, on every router: random boundary lists (duplicates that
-squeeze a shard empty included), SVs drawn on, beside and between the
-boundaries, and batches that mix single-SV and span bands.
+single-SV band (a key's, the point band at it), on every router: random
+boundary lists (duplicates that squeeze a shard empty included), SVs
+drawn on, beside and between the boundaries, and batches that mix
+single-SV and span bands.
 
 The shard scanners are stand-ins that record each prefetch job and
-answer a scan with one row naming the shard and the sub-band it was
-handed, so the comparison sees routing and gather order and nothing
-else.  Per shard, the prefetch job must be the batch's distinct point
-keys that ``split_band`` sends there, ascending (the key multi-get's
-share, cut by ``split_sorted_keys``); ``scan()`` must equal
-``BandRows.concat`` over ``split_band``'s parts — with and without a
-:class:`repro.fault.supervisor.ShardSupervisor`.
+answer a fetch or a scan with one row naming the shard and the key or
+sub-band it was handed, so the comparison sees routing and gather order
+and nothing else.  Per shard, the prefetch job must be the batch's
+distinct keys that ``split_band`` sends there, ascending (the key
+multi-get's share, cut by ``split_sorted_keys``); ``fetch()`` must
+answer from the shard ``split_band`` sends the key's point band to, and
+``scan()`` must equal ``BandRows.concat`` over ``split_band``'s parts —
+with and without a :class:`repro.fault.supervisor.ShardSupervisor`.
 """
 
 from types import SimpleNamespace
@@ -25,7 +29,6 @@ from hypothesis import strategies as st
 
 from repro.core.peb_key import PEBKeyCodec
 from repro.engine.plan import BandRequest
-from repro.engine.scanner import point_keys
 from repro.fault.retry import RetryPolicy
 from repro.fault.supervisor import ShardSupervisor
 from repro.motion.rows import BandRows
@@ -43,8 +46,21 @@ def rows_naming(shard, band):
     return BandRows([band.z_lo], [(shard, *band)])
 
 
+def key_of(band):
+    """The key of a point band."""
+    return CODEC.compose_quantized(band.tid, band.sv_lo_q, band.z_lo)
+
+
+def point_keys(bands):
+    """The distinct keys of the point bands among ``bands``, ascending."""
+    return sorted(
+        {key_of(band) for band in bands if band.is_single_sv and band.z_lo == band.z_hi}
+    )
+
+
 class JobRecorder:
-    """A shard scanner that records its prefetch jobs and names its scans."""
+    """A shard scanner that records its prefetch jobs and names its
+    fetches and scans."""
 
     def __init__(self, shard):
         self.shard = shard
@@ -52,6 +68,9 @@ class JobRecorder:
 
     def prefetch(self, keys, clock=None):
         self.jobs.append(list(keys))
+
+    def fetch(self, key):
+        return BandRows([key], [(self.shard, key)])
 
     def scan(self, band):
         return rows_naming(self.shard, band)
@@ -115,8 +134,7 @@ def expected_jobs(router, bands):
     for band in bands:
         if band.is_single_sv and band.z_lo == band.z_hi:
             ((shard, _),) = router.split_band(band)
-            key = CODEC.compose_quantized(band.tid, band.sv_lo_q, band.z_lo)
-            jobs.setdefault(shard, set()).add(key)
+            jobs.setdefault(shard, set()).add(key_of(band))
     return {shard: sorted(keys) for shard, keys in jobs.items()}
 
 
@@ -125,11 +143,24 @@ def expected_jobs(router, bands):
 def test_prefetch_jobs_are_the_point_keys_split_band_routes(batch, supervised):
     router, bands = batch
     scatter = scatter_over(router, supervised)
-    scatter.prefetch(point_keys(bands, CODEC))
+    scatter.prefetch(point_keys(bands))
     handed = {
         scanner.shard: scanner.jobs for scanner in scatter.scanners if scanner.jobs
     }
     assert handed == {shard: [job] for shard, job in expected_jobs(router, bands).items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=routed_batches(), supervised=st.booleans())
+def test_fetch_answers_from_the_shard_split_band_routes_the_key_to(batch, supervised):
+    router, bands = batch
+    scatter = scatter_over(router, supervised)
+    keys = point_keys(bands)
+    for key in keys:
+        tid, sv_q, zv = CODEC.decompose(key)
+        ((shard, _),) = router.split_band(BandRequest(tid, sv_q, sv_q, zv, zv))
+        assert scatter.fetch(key).records == [(shard, key)]
+    assert scatter.scan_calls == len(keys)
 
 
 @settings(max_examples=300, deadline=None)
@@ -156,10 +187,11 @@ def test_single_sv_bands_on_a_squeezed_boundary_route_past_it():
         BandRequest(0, 8, 8, 0, MAX_Z),
     ]
     key = CODEC.compose_quantized
-    scatter.prefetch(point_keys(bands, CODEC))
+    scatter.prefetch(point_keys(bands))
     assert [scanner.jobs for scanner in scatter.scanners] == [
         [[key(0, 7, 5)]],
         [],
         [[key(1, 8, 2)]],
     ]
+    assert scatter.fetch(key(1, 8, 2)).records == [(2, key(1, 8, 2))]
     assert scatter.scan(bands[1]) == rows_naming(2, bands[1])

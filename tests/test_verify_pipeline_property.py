@@ -1,12 +1,12 @@
 """Property pin for the verify CPU's priced schedule.
 
 On a timed deployment the scatter scanner prices every query's
-verification band by band on one CPU timeline — a range plan's bands
-and a kNN spec's point bands alike: a band's rows may be verified once
-the last fetched key of its *stratum* has landed (``BandRows.landed``,
-stamped by the shard job's key multi-get).  A served plan holds at most one band per
+verification key by key on one CPU timeline — a range plan's keys and
+a kNN spec's alike: a key's rows may be verified once the last fetched
+key of its *stratum* has landed (``BandRows.landed``, stamped by the
+shard job's key multi-get).  A served plan holds at most one key per
 friend, in key order (pinned by ``test_range_plan_soundness_property.py``
-and ``test_knn_plan_soundness_property.py``), so no band of a query
+and ``test_knn_plan_soundness_property.py``), so no key of a query
 waits for another.  Results never depended on that schedule, so before
 this file nothing pinned it.  Hypothesis draws 1/2/4 shards, batches
 whose issuers differ in ``t_query`` (so they walk the partitions in
@@ -14,7 +14,7 @@ different order), range + kNN mixes, and a transient
 ``FaultWindowSchedule`` under a ``ShardSupervisor``; every example
 checks
 
-(a) **feasibility** — every verified band of every spec is an item;
+(a) **feasibility** — every verified key of every spec is an item;
     every item starts at or after the instant its stratum's last
     fetched key really landed (read off the multi-get by a spy, not off
     the stamp); Σ item cost equals Σ ``candidates_examined × verify_us``
@@ -23,7 +23,7 @@ checks
     serial-after-the-join schedule;
 (b) **the execution exists** — re-running each query's verification in
     the priced order, over rows from ``tests/reference_scan.py``,
-    examines per band what was booked and yields the query's ``uids``
+    examines per key what was booked and yields the query's ``uids``
     (a range spec) or k nearest (a kNN spec) and
     ``candidates_examined``;
 (c) **timing only** — results, counters and physical reads equal the
@@ -34,7 +34,7 @@ Two mutants must fail it (each checked on a scratch copy, each failing
 within 30 s under ``pytest -x``): stamping at job start
 (``clock.cursor()`` read before ``BandScanner.prefetch``'s fetch loop
 instead of after each key) fails (a) everywhere; and leaving a kNN
-spec's bands unbooked (``run_range_plan`` booking only plans with a
+spec's keys unbooked (``run_range_plan`` booking only plans with a
 window) fails (a)'s Σ-cost clause on any batch with a kNN spec that
 verifies a candidate.
 
@@ -161,14 +161,14 @@ class RecordingTimeline(VerifyTimeline):
         super().__init__(scatter)
         self.scatter = scatter
         self.query = 0  # queries closed so far, in replay order
-        self.bookings = []  # (query, band, examined, index in verify_items)
+        self.bookings = []  # (query, key, examined, index in verify_items)
 
     def book_verified(self, rows, examined):
         index = len(self.verify_items)
         super().book_verified(rows, examined)
         booked = len(self.verify_items) > index
-        band = self.scatter.last_band  # the band replay just scanned
-        self.bookings.append((self.query, band, examined, index if booked else None))
+        key = self.scatter.last_key  # the key replay just fetched
+        self.bookings.append((self.query, key, examined, index if booked else None))
 
     def end_query(self):
         self.query += 1
@@ -188,9 +188,9 @@ class RecordingScatter(ShardScatterScanner):
         ]
         self.timeline = RecordingTimeline(self)
 
-    def scan(self, band):
-        self.last_band = band
-        return super().scan(band)
+    def fetch(self, key):
+        self.last_key = key
+        return super().fetch(key)
 
 
 class SerialTimeline(VerifyTimeline):
@@ -210,8 +210,8 @@ class SerialScatter(ShardScatterScanner):
 
 
 class OnDemandScatter(ShardScatterScanner):
-    """Nothing prefetched, so no rows are stamped: every band is
-    scanned on demand."""
+    """Nothing prefetched, so no rows are stamped: every key is
+    fetched on demand."""
 
     def prefetch(self, keys):
         pass
@@ -361,14 +361,14 @@ def test_priced_schedule_is_feasible_and_describes_the_execution(
             assert resident.rows.landed is None
     assert all(landing >= t0 for landing in scatter.landings.values())
 
-    # (a) Every verified band of every spec is an item; an item starts
+    # (a) Every verified key of every spec is an item; an item starts
     # once its stratum has landed.  Specs replay in spec order.
     assert all(index is not None for _, _, _, index in timeline.bookings)
     assert len(timeline.bookings) == len(items)
-    for query, band, examined, index in timeline.bookings:
+    for query, key, examined, index in timeline.bookings:
         start, _ = spans[index]
         assert items[index][1] == examined
-        assert start >= scatter.landings[(band.tid, band.sv_lo_q)], (query, band)
+        assert start >= scatter.landings[decompose(key)[:2]], (query, key)
     assert {query for query, _, _, _ in timeline.bookings} <= set(range(len(specs)))
 
     # (a) What the CPU prices is every spec's verification.
@@ -386,11 +386,11 @@ def test_priced_schedule_is_feasible_and_describes_the_execution(
     serial_joined = max(serial_engine.scatter.timeline.shard_ends.values(), default=t0)
     assert abs(serial_end - (serial_joined + booked * verify_us)) <= EPS
 
-    # (b) The priced order is an execution: replayed band by band over
+    # (b) The priced order is an execution: replayed key by key over
     # the per-entry reference it examines what was booked and finds
     # what the engine answered.
     reference = reference_scatter(untimed)
-    by_item = {index: (query, band) for query, band, _, index in timeline.bookings}
+    by_item = {index: (query, key) for query, key, _, index in timeline.bookings}
     for q, spec in enumerate(specs):
         verifier = CandidateVerifier(untimed.store, spec.q_uid, spec.t_query)
         found = []
@@ -404,11 +404,11 @@ def test_priced_schedule_is_feasible_and_describes_the_execution(
             return False
 
         for index in order:
-            query, band = by_item[index]
+            query, key = by_item[index]
             if query != q:
                 continue
             examined = verifier.candidates_examined
-            verifier.admit_rows(reference.scan(band), None if knn else spec.window, collect)
+            verifier.admit_rows(reference.fetch(key), None if knn else spec.window, collect)
             assert verifier.candidates_examined - examined == items[index][1]
         result = report.results[q]
         if knn:
