@@ -65,7 +65,7 @@ class BatchQueryCosts:
         batched_io: physical reads per query through
             :meth:`repro.engine.QueryEngine.execute_batch`.
         n_queries: batch size.
-        dedup_ratio: fraction of band requests the batch served without
+        dedup_ratio: fraction of key requests the batch served without
             touching the tree (:attr:`repro.engine.ExecutionStats.dedup_ratio`).
         sequential_seconds, batched_seconds: wall-clock of each mode.
         distinct_io: distinct pages the batch touches, per query — the
@@ -530,9 +530,8 @@ class ExperimentHarness(World):
 
         The same fresh random query specs run twice on the paper's
         query buffer: first sequentially through :func:`prq`, then
-        through the engine's batch executor, which merges overlapping
-        band requests across issuers so one physical scan serves every
-        query that needs it.  Both phases start from a *cold* buffer —
+        through the engine's batch executor, which fetches each key
+        the issuers' plans name once, for every query that needs it.  Both phases start from a *cold* buffer —
         otherwise the batched phase would inherit the pages the
         sequential phase just heated and the comparison would credit
         cache warming to batching.  Result sets are asserted identical

@@ -14,7 +14,7 @@ distance of the cell's far corner, so a friend whose lower bound
 exceeds the k-th such upper bound is never fetched.  Every returned row
 is verified and the k nearest are kept, ranked by ``(distance, uid)``.
 On the benchmark population (~37 visible friends a query) that plans
-about 12 point bands a query and reads fewer pages than the walk below
+about 12 keys a query and reads fewer pages than the walk below
 at a fraction of its CPU.
 
 The rest of this module is the paper's own algorithm, kept as the

@@ -92,7 +92,7 @@ class ExecutionStats(CounterSet, prefix="engine."):
             surface.
         entries_prefetched: index entries the batch prefetch's keys
             returned (0 for a batch that fetched nothing).
-        dead_entries: always 0: a point band has no over-scan, and
+        dead_entries: always 0: a key fetch has no over-scan, and
             nothing counts one.  Declared only because
             ``perf/trace.py``'s ``HARVEST`` reads it; ROADMAP item 1(a)
             removes it with that ledger.
@@ -120,7 +120,7 @@ class ExecutionStats(CounterSet, prefix="engine."):
 
     @derived
     def dedup_ratio(self) -> float:
-        """Fraction of band requests that did not cost a physical scan.
+        """Fraction of requests that did not cost a physical fetch or scan.
 
         ``1 - bands_scanned / bands_requested``: 0 when every request
         needed its own scan, approaching 1 when a few physical scans

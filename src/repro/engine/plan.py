@@ -220,13 +220,13 @@ class QueryPlanner:
         (``tree.live_keys_of``) whose partition has a box and whose cell
         lies inside it.  This is the one place a served plan reads a
         live key, and the key is kept as read.  Its TID and ZV come out
-        by shift and mask (the codec's ``layout``), and on the Z-curve the cell test is integer
-        arithmetic as well: Morton interleaving is monotone in each axis,
-        so the ZV's x bits lie between the box's x bounds interleaved
-        the same way exactly when the cell's column lies between the
-        bounds, and likewise for y.  An owner the box rejects then costs
-        no decode, and one it keeps is decoded once.  Another curve
-        decodes every owner's cell.
+        by shift and mask (the codec's ``layout``), and on the Z-curve
+        the cell test is integer arithmetic as well: Morton interleaving
+        is monotone in each axis, so the ZV's x bits lie between the
+        box's x bounds interleaved the same way exactly when the cell's
+        column lies between the bounds, and likewise for y.  An owner
+        the box rejects then costs no decode, and one it keeps is
+        decoded once.  Another curve decodes every owner's cell.
         """
         tree = self.tree
         grid = tree.grid

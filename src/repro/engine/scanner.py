@@ -37,9 +37,10 @@ columns whose ``MovingObject`` states materialize lazily — in key
 order, exactly the sequence a direct ``PEBTree.scan_band`` of the
 key's point band would yield, so replaying a plan against the scanner
 is observationally identical to scanning the tree.  The
-object-at-a-time, per-band reference the pins compare against is test equipment (``tests/reference_scan.py``, a
-subclass that decodes entry by entry and keeps no proof, installed
-through ``QueryEngine.new_scanner``).
+object-at-a-time, per-band reference the pins compare against is test
+equipment (``tests/reference_scan.py``, a subclass that decodes entry
+by entry and keeps no proof, installed through
+``QueryEngine.new_scanner``).
 """
 
 from __future__ import annotations
@@ -270,13 +271,13 @@ class BandScanner:
         """Fetch many keys' rows once, up front: a key multi-get.
 
         ``keys`` — the distinct keys of a batch's plans, or one shard
-        job's share of them — go to the tree in one call (``get_many``), one
-        descent each in the order given, and each key's rows land in
-        :attr:`fetched`.  The multi-get is lazy, so a fetch is counted
-        as it is issued and its rows are kept as they arrive: a disk
-        fault at key *k* leaves exactly keys ``< k`` fetched, which is
-        what the supervisor's retry of the job (the whole key list
-        again) starts from.
+        job's share of them — go to the tree in one call
+        (``get_many``), one descent each in the order given, and each
+        key's rows land in :attr:`fetched`.  The multi-get is lazy, so
+        a fetch is counted as it is issued and its rows are kept as
+        they arrive: a disk fault at key *k* leaves exactly keys ``< k``
+        fetched, which is what the supervisor's retry of the job (the
+        whole key list again) starts from.
 
         Args:
             keys: distinct keys, ascending.

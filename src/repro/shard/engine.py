@@ -228,13 +228,13 @@ class ShardScatterScanner:
 class VerifyTimeline:
     """The verify CPU of one batch on a timed sharded deployment.
 
-    The engine books each verified band (:meth:`book_verified`), closes
+    The engine books each verified key (:meth:`book_verified`), closes
     each query (:meth:`charge_query`) and ends the batch
     (:meth:`end_batch`).
 
     Attributes:
         shard_ends: per-shard finish instants of the last prefetch.
-        verify_items: ``(ready, examined)`` per verified band whose
+        verify_items: ``(ready, examined)`` per verified key whose
             rows a prefetch stamped, in booking order.
     """
 
@@ -248,15 +248,15 @@ class VerifyTimeline:
         self._chained = 0  # candidates this query booked
 
     def book_verified(self, rows: BandRows, examined: int) -> None:
-        """Put one verified band's rows on the verify timeline, if they
+        """Put one verified key's rows on the verify timeline, if they
         landed.
 
         They can be verified once they have landed
         (:attr:`BandRows.landed`, stamped by the prefetch): a served
-        plan holds at most one band per friend, in key order, so no
-        band of a query waits for another.  Rows with no stamp
-        (on-demand scan, un-prefetched shard, span band) are left to
-        the serial charge.
+        plan holds at most one key per friend, in key order, so no key
+        of a query waits for another.  Rows with no stamp (a key
+        fetched on demand, an un-prefetched shard's) are left to the
+        serial charge.
         """
         landed = rows.landed
         if landed is None:

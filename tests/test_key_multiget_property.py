@@ -251,11 +251,11 @@ def test_a_single_query_fetches_each_distinct_planned_key_once_in_key_order(
             calls = []  # (tree index, keys, rows) per get_many call
             for index, shard in enumerate(tree.trees):
 
-                def get_many(keys, inner=shard.get_many, index=index):
-                    keys = list(keys)
+                def get_many(asked, inner=shard.get_many, index=index):
+                    asked = list(asked)
                     rows = []
-                    calls.append((index, keys, rows))
-                    for fetched in inner(keys):
+                    calls.append((index, asked, rows))
+                    for fetched in inner(asked):
                         rows.append(fetched)
                         yield fetched
 
