@@ -37,20 +37,21 @@ its fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter, sub
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.counters import CounterSet, counter, derived, nested
 from repro.engine.plan import QueryPlan, QueryPlanner
 from repro.engine.scanner import BandScanner
 from repro.engine.verify import CandidateVerifier
+from repro.fault.stats import FaultStats
 from repro.spatial.geometry import Rect
 from repro.storage.faults import DiskFaultError
 from repro.workloads.queries import KnnQuerySpec, RangeQuerySpec
 
 if TYPE_CHECKING:
     from repro.core.peb_tree import PEBTree
-    from repro.fault.stats import FaultStats
     from repro.motion.objects import MovingObject
     from repro.shard.stats import ShardStats
 
@@ -129,6 +130,51 @@ class ExecutionStats(CounterSet, prefix="engine."):
         if self.bands_requested == 0:
             return 0.0
         return max(0.0, 1.0 - self.bands_scanned / self.bands_requested)
+
+
+#: A supervisor's fault counters as plain numbers, in field order
+#: (every :class:`FaultStats` field is a counter, so ``FaultStats(*d)``
+#: of a difference ``d`` of two of these is what happened between them).
+fault_mark = attrgetter(*(f.name for f in fields(FaultStats)))
+
+
+def mark(tree: "PEBTree") -> list:
+    """The cumulative counters a batch or a flush is measured between,
+    as plain numbers: the virtual clock, the timed devices' seeks and
+    sequential hits, each shard pool's physical reads, then each one's
+    physical writes (router order; a lone tree is its one shard), and a
+    supervisor's :data:`fault_mark`."""
+    clock = tree.sim_clock
+    seeks = sequential = 0
+    latency = tree.latency_stats
+    if latency is not None:
+        for device in latency._parts:  # the view's own per-device sums, inlined
+            seeks += device.seeks
+            sequential += device.sequential_hits
+    pools = [shard.stats for shard in tree.trees]
+    out = [clock.elapsed if clock is not None else 0.0, seeks, sequential]
+    out += [io.physical_reads for io in pools]
+    out += [io.physical_writes for io in pools]
+    if tree.supervisor is not None:
+        out += fault_mark(tree.supervisor.stats)
+    return out
+
+
+def since_mark(tree: "PEBTree", before: list) -> tuple:
+    """What accrued since ``before`` (a :func:`mark`): ``(elapsed,
+    seeks, sequential_hits, reads, writes, faults)``, the last three
+    lists — per shard pool, and the fault counters (empty without a
+    supervisor)."""
+    delta = list(map(sub, mark(tree), before))
+    shards = len(tree.trees)
+    return (
+        delta[0],
+        delta[1],
+        delta[2],
+        delta[3 : 3 + shards],
+        delta[3 + shards : 3 + 2 * shards],
+        delta[3 + 2 * shards :],
+    )
 
 
 def check_complete(tree: "PEBTree", dropped: int) -> None:
@@ -346,6 +392,14 @@ class QueryEngine:
         (``charge_query``), and ``end_batch`` prices the one verify CPU
         — each key as its stratum lands — and joins the shards.
 
+        The report's :class:`ExecutionStats` is what the batch cost:
+        the fresh scanner's own counters, and the deployment's counters
+        differenced between two plain marks (:func:`mark`), one after
+        planning and one after replay (a sharded deployment's
+        ``shard_stats`` with entries and leaves as they are at the end,
+        a supervisor's ``fault_stats``); no counter set is snapshotted
+        or differenced on the way.
+
         A spec of an unsupported type, a range spec with a non-finite
         ``t_query``, or a kNN spec with a negative ``k`` or a non-finite
         ``qx``/``qy``/``t_query``, raises before anything is planned,
@@ -376,9 +430,10 @@ class QueryEngine:
             for spec in specs
         ]
 
-        clock = self.tree.sim_clock
-        before = self._progress(scanner)
-        recorder = self.tree.recorder
+        tree = self.tree
+        clock = tree.sim_clock
+        before = mark(tree)
+        recorder = tree.recorder
         tracing = recorder is not None and recorder.enabled
         if tracing:
             t_scan0 = clock.cursor() if clock is not None else 0.0
@@ -411,22 +466,23 @@ class QueryEngine:
             )
 
         report = BatchReport(results=[None] * len(specs), degraded=[False] * len(specs))
+        candidates = 0
         if tracing:
             t_replay0 = clock.cursor() if clock is not None else 0.0
 
         timeline = scanner.timeline
         # Every plan replays off the prefetched batch, in spec order.
         for index, (spec, plan) in enumerate(zip(specs, plans)):
-            dropped = self.tree.bands_dropped
+            dropped = tree.bands_dropped
             if isinstance(spec, RangeQuerySpec):
                 result = prq_from_plan(self, plan, scanner)
             else:
                 result = pknn_from_plan(self, plan, spec.qx, spec.qy, spec.k, scanner)
             if timeline is not None:
                 timeline.charge_query(result.candidates_examined)
-            report.stats.candidates_examined += result.candidates_examined
+            candidates += result.candidates_examined
             report.results[index] = result
-            report.degraded[index] = self.tree.bands_dropped > dropped
+            report.degraded[index] = tree.bands_dropped > dropped
         if timeline is not None:
             timeline.end_batch()
         if tracing:
@@ -438,40 +494,29 @@ class QueryEngine:
                 category="engine",
                 args={
                     "queries": len(specs),
-                    "candidates": report.stats.candidates_examined,
+                    "candidates": candidates,
                 },
             )
 
-        examined = report.stats.candidates_examined
-        report.stats = self._progress(scanner).delta_from(before)
-        report.stats.candidates_examined = examined
-        report.stats.entries_prefetched = scanner.entries_prefetched
-        return report
-
-    def _progress(self, scanner) -> ExecutionStats:
-        """The cumulative counters an execution is measured between.
-
-        Two of these bracket a batch; their
-        :meth:`~ExecutionStats.delta_from` is what it cost.  Shards add their breakdown and a supervisor its fault
-        counters, so a delta's sum to the counters beside them.
-        """
-        tree = self.tree
-        clock = tree.sim_clock
-        latency = tree.latency_stats
-        seen = ExecutionStats(
+        # The batch's scanner is fresh (new_scanner), so its counters
+        # are the batch's; the deployment's are measured since the mark.
+        elapsed, seeks, sequential, reads, writes, faults = since_mark(tree, before)
+        stats = report.stats = ExecutionStats(
             bands_requested=scanner.requests,
             bands_scanned=scanner.physical_scans,
             bands_deduped=scanner.residency_hits,
-            physical_reads=tree.stats.physical_reads,
-            virtual_time_us=clock.elapsed if clock is not None else 0.0,
-            seeks=latency.seeks if latency is not None else 0,
-            sequential_hits=latency.sequential_hits if latency is not None else 0,
+            candidates_examined=candidates,
+            physical_reads=sum(reads),
+            virtual_time_us=elapsed,
+            entries_prefetched=scanner.entries_prefetched,
+            seeks=seeks,
+            sequential_hits=sequential,
         )
         if tree.router is not None:
-            seen.shard_stats = tree.shard_stats()
+            stats.shard_stats = tree.shard_breakdown(tuple(reads), tuple(writes))
         if tree.supervisor is not None:
-            seen.fault_stats = tree.supervisor.stats.copy()
-        return seen
+            stats.fault_stats = FaultStats(*faults)
+        return report
 
 
 __all__ = [

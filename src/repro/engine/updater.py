@@ -32,15 +32,17 @@ schedule changes.  Queries and updates remain phase-separated: flush
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isfinite
+from operator import add
 from typing import TYPE_CHECKING, Iterable, Protocol
 
 from repro.counters import CounterSet, counter, derived, nested
+from repro.engine.executor import fault_mark, mark, since_mark
+from repro.fault.stats import FaultStats
 
 if TYPE_CHECKING:
     from repro.core.peb_tree import PEBTree
-    from repro.fault.stats import FaultStats
     from repro.motion.objects import MovingObject
     from repro.shard.stats import ShardStats
 
@@ -117,11 +119,6 @@ class UpdateStats(CounterSet, prefix="update."):
         if self.ops == 0:
             return 0.0
         return self.in_place_hits / self.ops
-
-
-def _accrued(delta, so_far):
-    """One flush's breakdown added onto the earlier flushes'."""
-    return delta if so_far is None else delta + so_far
 
 
 class UpdateBuffer:
@@ -271,21 +268,22 @@ class UpdatePipeline:
         newer arrivals, same last-write-wins merge) and excluded from
         stats and monitor fan-out — they apply exactly once, on a flush
         after the shard recovers.
+
+        A flush's I/O, virtual time and fault events are the difference
+        of two plain marks (:func:`repro.engine.executor.mark`), taken
+        around ``update_batch``, added onto the earlier flushes'; a
+        sharded deployment's ``shard_stats`` is rebuilt from the accrued
+        per-shard reads and writes with entries and leaves as they are
+        now.
         """
         batch = self.buffer.drain()
         if not batch:
             return 0
         tree = self.tree
-        stats = tree.stats
-        reads_before = stats.physical_reads
-        writes_before = stats.physical_writes
+        # Marked at every flush: whatever runs between two flushes (a
+        # served stream's query batches) is not this pipeline's I/O.
+        before = mark(tree)
         clock = tree.sim_clock
-        elapsed_before = clock.elapsed if clock is not None else 0.0
-        # Baselined at every flush: whatever runs between two flushes
-        # (a served stream's query batches) is not this pipeline's I/O.
-        shards_before = tree.shard_stats() if tree.router is not None else None
-        supervisor = tree.supervisor
-        faults_before = supervisor.stats.copy() if supervisor is not None else None
         recorder = tree.recorder
         tracing = recorder is not None and recorder.enabled
         if tracing:
@@ -324,19 +322,22 @@ class UpdatePipeline:
         self.stats.inserted += result.inserted
         self.stats.leaves_visited += result.leaves_visited
         self.stats.descents_saved += result.descents_saved
-        self.stats.physical_reads += stats.physical_reads - reads_before
-        self.stats.physical_writes += stats.physical_writes - writes_before
+        elapsed, _, _, reads, writes, faults = since_mark(tree, before)
+        self.stats.physical_reads += sum(reads)
+        self.stats.physical_writes += sum(writes)
         if clock is not None:
-            self.stats.virtual_time_us += clock.elapsed - elapsed_before
-        if shards_before is not None:
-            # Delta on the left: its entries are the current ones.
-            self.stats.shard_stats = _accrued(
-                tree.shard_stats().delta_from(shards_before), self.stats.shard_stats
-            )
-        if faults_before is not None:
-            self.stats.fault_stats = _accrued(
-                supervisor.stats.delta_from(faults_before), self.stats.fault_stats
-            )
+            self.stats.virtual_time_us += elapsed
+        if tree.router is not None:
+            so_far = self.stats.shard_stats
+            if so_far is not None:
+                reads = map(add, reads, so_far.physical_reads)
+                writes = map(add, writes, so_far.physical_writes)
+            self.stats.shard_stats = tree.shard_breakdown(tuple(reads), tuple(writes))
+        if tree.supervisor is not None:
+            so_far = self.stats.fault_stats
+            if so_far is not None:
+                faults = map(add, faults, fault_mark(so_far))
+            self.stats.fault_stats = FaultStats(*faults)
         for obj, _ in batch:
             if obj.uid in deferred_uids:
                 continue  # not applied; the monitor sees it post-recovery

@@ -250,12 +250,23 @@ class ShardedPEBTree(Deployment):
 
     def shard_stats(self) -> ShardStats:
         """Point-in-time per-shard entry, leaf and I/O breakdown."""
+        return self.shard_breakdown(
+            tuple(tree.stats.physical_reads for tree in self.trees),
+            tuple(tree.stats.physical_writes for tree in self.trees),
+        )
+
+    def shard_breakdown(
+        self, physical_reads: tuple[int, ...], physical_writes: tuple[int, ...]
+    ) -> ShardStats:
+        """The given per-shard I/O (cumulative, or a measured span's)
+        beside each shard's entries and leaves now."""
+        trees = self.trees
         return ShardStats(
-            entries=tuple(len(tree) for tree in self.trees),
-            physical_reads=tuple(tree.stats.physical_reads for tree in self.trees),
-            physical_writes=tuple(tree.stats.physical_writes for tree in self.trees),
-            leaves=tuple(tree.btree.leaf_count for tree in self.trees),
-            leaf_capacity=self.trees[0].btree.config.leaf_capacity,
+            entries=tuple(tree.btree.entry_count for tree in trees),
+            physical_reads=physical_reads,
+            physical_writes=physical_writes,
+            leaves=tuple(tree.btree.leaf_count for tree in trees),
+            leaf_capacity=trees[0].btree.config.leaf_capacity,
         )
 
     def key_for(self, obj: MovingObject) -> int:
