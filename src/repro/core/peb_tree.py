@@ -32,7 +32,7 @@ from repro.engine.deployment import Deployment, LiveState
 from repro.engine.scanner import BandScanner
 from repro.motion.objects import MovingObject, ObjectRecordCodec
 from repro.motion.rows import BandRows
-from repro.motion.partitions import TimePartitioner
+from repro.motion.partitions import LABEL_EPS, TimePartitioner
 from repro.policy.store import PolicyStore
 from repro.spatial.grid import Grid
 from repro.storage.buffer import BufferPool
@@ -319,13 +319,61 @@ class PEBTree(Deployment):
         return plan.result
 
     def key_for(self, obj: MovingObject) -> int:
-        """The PEB-key for the object's current state (Equation 5)."""
-        label = self.partitioner.label_timestamp(obj.t_update)
-        tid = self.partitioner.partition_of_label(label)
-        x, y = obj.position_at(label)
-        zv = self.grid.z_value(x, y)
+        """The PEB-key for the object's current state (Equation 5).
+
+        One function, run once per indexed state: the label timestamp
+        and its TID (Equation 2), the position at the label, its cell
+        clamped into the grid and the cell's curve value, the quantized
+        SV with the codec's range checks, and the three fields shifted
+        into place per ``codec.layout`` (so the ZV-first ablation codec
+        keys alike).  Equal, and refusing alike, to composing
+        ``partitioner.label_timestamp``, ``partition_of_label``,
+        ``obj.position_at``, ``grid.z_value``, ``store.sequence_value``
+        and ``codec.compose``.
+        """
+        partitioner = self.partitioner
+        phase = partitioner.max_update_interval / partitioner.n
+        shifted = obj.t_update / phase + 1.0
+        index = int(shifted)
+        if shifted - index > LABEL_EPS:
+            index += 1
+        label = index * phase
+        tid = (round(label / phase) - 1) % (partitioner.n + 1)
+        dt = label - obj.t_update
+        x = obj.x + obj.vx * dt
+        y = obj.y + obj.vy * dt
+        grid = self.grid
+        side = grid.space_side
+        top = grid.cells_per_axis - 1
+        if x <= 0.0:
+            ix = 0
+        elif x >= side:
+            ix = top
+        else:
+            ix = min(int(x / grid.cell_size), top)
+        if y <= 0.0:
+            iy = 0
+        elif y >= side:
+            iy = top
+        else:
+            iy = min(int(y / grid.cell_size), top)
+        zv = grid.curve.encode(ix, iy, grid.bits)
         sv = self.store.sequence_value(obj.uid)
-        return self.codec.compose(tid, sv, zv)
+        codec = self.codec
+        if sv < 0:
+            raise ValueError(f"sequence values must be non-negative, got {sv}")
+        sv_q = round(sv * codec.sv_scale)
+        if sv_q.bit_length() > codec.sv_bits:
+            raise ValueError(
+                f"sequence value {sv} does not fit in {codec.sv_bits} bits "
+                f"at scale {codec.sv_scale}"
+            )
+        if tid >= codec.tid_count or zv.bit_length() > codec.zv_bits:
+            # A codec narrower than the partitioner or the grid: let
+            # compose name the field.
+            return codec.compose_quantized(tid, sv_q, zv)
+        tid_shift, sv_shift, _, zv_shift, _ = codec.layout
+        return tid << tid_shift | sv_q << sv_shift | zv << zv_shift
 
     @property
     def trees(self) -> tuple["PEBTree"]:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 #: Tolerance when deciding whether a timestamp sits exactly on a label.
-_EPS = 1e-9
+LABEL_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class TimePartitioner:
         """
         shifted = t_update / self.phase + 1.0
         index = int(shifted)
-        if shifted - index > _EPS:
+        if shifted - index > LABEL_EPS:
             index += 1
         return index * self.phase
 
@@ -83,5 +83,5 @@ class TimePartitioner:
         processing iterates ("The search stops after all n time
         partitions are checked", Figure 7).
         """
-        k_min = math.ceil(now / self.phase - (self.n - 1) - _EPS)
+        k_min = math.ceil(now / self.phase - (self.n - 1) - LABEL_EPS)
         return [k * self.phase for k in range(max(k_min, 1), k_min + self.n + 1)]

@@ -338,7 +338,7 @@ class ShardedPEBTree(Deployment):
         """
         updates = list(updates)
         live = self.live
-        plan = plan_update_batch(updates, live, self.key_for, self.records.pack)
+        plan = plan_update_batch(updates, live, self.trees[0].key_for, self.records.pack)
         result = plan.result
         runs = self.router.split_sorted_run(plan.ops)
         # The cut routes every op once.  A user whose ops land in two
