@@ -20,18 +20,24 @@ hexdumps of pages).
 
 Leaves store their three fields as parallel packed columns rather than
 interleaved entries: a page holds exactly the same bytes either way (same
-capacity, same splits, same I/O), but the columnar form decodes straight
-into batch operations — one ``struct.unpack`` for the whole uid column,
-one contiguous payload run handed to the record codec's
-``struct.iter_unpack`` — and a parsed leaf keeps its payloads packed in a
-:class:`repro.btree.node.PackedValues` column, never as per-entry tuples.
-Packing runs the other way, column by column, each in one C-level call:
-the key column is one join over ``map(int.to_bytes, ...)``, the uid
-column one ``struct.pack``, and a packed value column is joined as it
-is, without a copy.  The checks stay in that order: a key/value count
-mismatch raises ``ValueError``, a negative or too-wide key
-``OverflowError``, an out-of-range uid ``struct.error`` and a value of
-the wrong width ``ValueError``.
+capacity, same splits, same I/O), but a :class:`repro.btree.node.LeafNode`
+carries the three columns itself, edited in step with its ``keys`` list.
+Packing a leaf is therefore one join of the header and the three
+columns, and parsing one is three slices of the image plus the ``keys``
+list (one ``struct.unpack`` for the uid column).  A parsed leaf keeps
+its payloads packed in a :class:`repro.btree.node.PackedValues` column,
+never as per-entry tuples, so a band scan hands a contiguous payload run
+to the record codec's ``struct.iter_unpack``.
+
+Only a leaf built without columns (a hand-made fixture) is encoded from
+its ``keys``, column by column, each in one C-level call
+(:func:`key_column`, :func:`uid_column`; a packed value column is joined
+as it is).  Its checks stay in that order: a key/value count mismatch
+raises ``ValueError``, a negative or too-wide key ``OverflowError``, an
+out-of-range uid ``struct.error`` and a value of the wrong width
+``ValueError``.  The same two encoders are what
+:meth:`repro.btree.tree.BPlusTree.check_invariants` holds a leaf's
+columns to.
 """
 
 from __future__ import annotations
@@ -43,6 +49,8 @@ from operator import itemgetter
 from repro.btree.node import (
     INTERNAL_TYPE,
     LEAF_TYPE,
+    UID_FIELD,
+    UID_SIZE,
     InternalNode,
     LeafNode,
     PackedValues,
@@ -50,7 +58,6 @@ from repro.btree.node import (
 
 _LEAF_HEADER = struct.Struct(">BHq")  # type, count, next_leaf
 _INTERNAL_HEADER = struct.Struct(">BH")  # type, count
-_UID = struct.Struct(">I")
 _CHILD = struct.Struct(">q")
 _KEY_OF = itemgetter(0)
 _UID_OF = itemgetter(1)
@@ -59,10 +66,27 @@ _UID_OF = itemgetter(1)
 LEAF_HEADER_SIZE = _LEAF_HEADER.size
 #: Internal header bytes (1 + 2).
 INTERNAL_HEADER_SIZE = _INTERNAL_HEADER.size
-#: Bytes per uid field.
-UID_SIZE = _UID.size
 #: Bytes per child-pointer field.
 CHILD_SIZE = _CHILD.size
+
+
+def key_column(keys, key_bytes: int) -> bytes:
+    """The packed key column of ``(key, uid)`` pairs, in one join.
+
+    A negative key, or one too wide for ``key_bytes``, raises
+    ``OverflowError``.
+    """
+    return b"".join(
+        map(int.to_bytes, map(_KEY_OF, keys), repeat(key_bytes), repeat("big"))
+    )
+
+
+def uid_column(keys) -> bytes:
+    """The packed uid column of ``(key, uid)`` pairs, in one ``struct.pack``.
+
+    A uid outside ``[0, 2**32)`` raises ``struct.error``.
+    """
+    return struct.pack(f">{len(keys)}I", *map(_UID_OF, keys))
 
 
 class BTreeNodeSerializer:
@@ -108,20 +132,23 @@ class BTreeNodeSerializer:
         keys = node.keys
         values = node.values
         count = len(keys)
+        kb = self.key_bytes
+        vb = self.value_bytes
+        key_col = node.key_col
+        if key_col is not None and node.key_bytes == kb and values.stride == vb:
+            header = _LEAF_HEADER.pack(LEAF_TYPE, count, node.next_leaf)
+            return b"".join((header, key_col, node.uid_col, values.data))
         if len(values) != count:
             raise ValueError(
                 f"leaf has {count} keys but {len(values)} values"
             )
-        kb = self.key_bytes
-        vb = self.value_bytes
         header = _LEAF_HEADER.pack(LEAF_TYPE, count, node.next_leaf)
-        # One C-level call per column.  A negative or too-wide key
-        # raises OverflowError, an out-of-range uid struct.error, in
-        # that order and before any value is checked.
-        key_col = b"".join(
-            map(int.to_bytes, map(_KEY_OF, keys), repeat(kb), repeat("big"))
-        )
-        uid_col = struct.pack(f">{count}I", *map(_UID_OF, keys))
+        # A leaf without columns: one C-level call per column.  A
+        # negative or too-wide key raises OverflowError, an out-of-range
+        # uid struct.error, in that order and before any value is
+        # checked.
+        key_col = key_column(keys, kb)
+        uid_col = uid_column(keys)
         if isinstance(values, PackedValues) and values.stride == vb:
             return b"".join((header, key_col, uid_col, values.data))
         for value in values:
@@ -136,9 +163,10 @@ class BTreeNodeSerializer:
         kb = self.key_bytes
         vb = self.value_bytes
         offset = LEAF_HEADER_SIZE
-        key_col = image[offset : offset + count * kb]
+        key_col = bytearray(image[offset : offset + count * kb])
         offset += count * kb
         uids = struct.unpack_from(f">{count}I", image, offset)
+        uid_col = bytearray(image[offset : offset + count * UID_SIZE])
         offset += count * UID_SIZE
         from_bytes = int.from_bytes
         keys = [
@@ -146,7 +174,14 @@ class BTreeNodeSerializer:
             for pos, uid in zip(range(0, count * kb, kb), uids)
         ]
         values = PackedValues(vb, image[offset : offset + count * vb], count=count)
-        return LeafNode(keys=keys, values=values, next_leaf=next_leaf)
+        return LeafNode(
+            keys=keys,
+            values=values,
+            next_leaf=next_leaf,
+            key_col=key_col,
+            uid_col=uid_col,
+            key_bytes=kb,
+        )
 
     # ------------------------------------------------------------------
     # Internal layout
@@ -161,7 +196,7 @@ class BTreeNodeSerializer:
         parts = [_INTERNAL_HEADER.pack(INTERNAL_TYPE, len(node.separators))]
         for key, uid in node.separators:
             parts.append(key.to_bytes(self.key_bytes, "big"))
-            parts.append(_UID.pack(uid))
+            parts.append(UID_FIELD.pack(uid))
         for child in node.children:
             parts.append(_CHILD.pack(child))
         return b"".join(parts)
@@ -173,7 +208,7 @@ class BTreeNodeSerializer:
         offset = INTERNAL_HEADER_SIZE
         sep_end = offset + count * stride
         from_bytes = int.from_bytes
-        uid_at = _UID.unpack_from
+        uid_at = UID_FIELD.unpack_from
         separators = [
             (from_bytes(image[pos : pos + kb], "big"), uid_at(image, pos + kb)[0])
             for pos in range(offset, sep_end, stride)

@@ -31,15 +31,18 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterator
 
-from repro.btree.node import NO_PAGE, InternalNode, LeafNode, PackedValues
+from repro.btree.node import NO_PAGE, InternalNode, LeafNode
 from repro.btree.serialization import (
     CHILD_SIZE,
     INTERNAL_HEADER_SIZE,
     LEAF_HEADER_SIZE,
     UID_SIZE,
     BTreeNodeSerializer,
+    key_column,
+    uid_column,
 )
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import PAGE_SIZE
@@ -146,7 +149,7 @@ class BPlusTree:
         self.first_leaf_id = self.root_id
         pool.put(
             self.root_id,
-            LeafNode(values=PackedValues(self.config.value_bytes)),
+            LeafNode.empty(self.config.key_bytes, self.config.value_bytes),
         )
         self.height = 1
         self.entry_count = 0
@@ -187,8 +190,11 @@ class BPlusTree:
     # ------------------------------------------------------------------
 
     def insert(self, key: int, uid: int, value: bytes) -> None:
-        """Insert one entry; duplicates of ``(key, uid)`` are rejected."""
+        """Insert one entry; duplicates of ``(key, uid)`` are rejected,
+        and a key, uid or value the page cannot store raises
+        ``ValueError`` before any page changes."""
         self._check_key(key)
+        self._check_uid(uid)
         self._check_value(value)
         ck = (key, uid)
         path = self._descend(ck)
@@ -202,8 +208,7 @@ class BPlusTree:
             parent_id, idx = path[-2]
             above = (parent_id, self.pool.get(parent_id), idx, True)
             room = self._room_beside(above, len(leaf.keys) + 1)
-        leaf.keys.insert(pos, ck)
-        leaf.values.insert(pos, value)
+        leaf.insert_entry(pos, ck, value)
         self.entry_count += 1
         if len(leaf.keys) <= self.config.leaf_capacity:
             self.pool.put(leaf_id, leaf)
@@ -234,7 +239,7 @@ class BPlusTree:
         pos = bisect_left(leaf.keys, ck)
         if pos == len(leaf.keys) or leaf.keys[pos] != ck:
             return False
-        leaf.values[pos] = value
+        leaf.set_value(pos, value)
         self.pool.put(leaf_id, leaf)
         return True
 
@@ -422,8 +427,9 @@ class BPlusTree:
 
         Raises:
             ValueError: ops unsorted, duplicated, of unknown kind, or
-                carrying a value of the wrong width — detected up
-                front, before any page is modified.
+                carrying a key or uid too wide for the page or a value
+                of the wrong width — detected up front, before any page
+                is modified.
             KeyError: duplicate insert, or delete/replace of a missing
                 entry.  Each leaf's group is validated against the leaf
                 before any of its ops apply, so the failing group is
@@ -440,6 +446,7 @@ class BPlusTree:
             if kind not in _BATCH_KINDS:
                 raise ValueError(f"unknown batch op kind {kind!r}")
             self._check_key(key)
+            self._check_uid(uid)
             if kind != "delete":
                 self._check_value(value)
             ck = (key, uid)
@@ -606,17 +613,15 @@ class BPlusTree:
             ck = (key, uid)
             pos = bisect_left(leaf.keys, ck)
             if kind == "insert":
-                leaf.keys.insert(pos, ck)
-                leaf.values.insert(pos, value)
+                leaf.insert_entry(pos, ck, value)
                 self.entry_count += 1
                 stats.inserts += 1
             elif kind == "delete":
-                del leaf.keys[pos]
-                del leaf.values[pos]
+                leaf.delete_entry(pos)
                 self.entry_count -= 1
                 stats.deletes += 1
             else:  # replace
-                leaf.values[pos] = value
+                leaf.set_value(pos, value)
                 stats.replaces += 1
             stats.ops += 1
         if len(leaf.keys) <= self.config.leaf_capacity:
@@ -649,29 +654,21 @@ class BPlusTree:
         new page enters the pool, so no eviction can ever write back an
         overfull image.
         """
-        all_keys = leaf.keys
-        all_values = leaf.values
-        old_next = leaf.next_leaf
-        sizes = self._chunk_sizes(len(all_keys), self.config.leaf_capacity)
-        bounds = []
-        start = sizes[0]
-        for size in sizes[1:]:
-            bounds.append((start, start + size))
-            start += size
-        new_ids = [self.pool.disk.allocate() for _ in bounds]
-        leaf.keys = all_keys[: sizes[0]]
-        leaf.values = all_values[: sizes[0]]
+        sizes = self._chunk_sizes(len(leaf.keys), self.config.leaf_capacity)
+        starts = list(accumulate(sizes[:-1]))
+        new_ids = [self.pool.disk.allocate() for _ in starts]
+        # Cut from the far end: each cut leaves the leaf holding the
+        # chunks before it, and the last chunk keeps the old next_leaf.
+        rights = [leaf.split_off(start) for start in reversed(starts)]
+        rights.reverse()
+        for right, next_id in zip(rights, new_ids[1:]):
+            right.next_leaf = next_id
         leaf.next_leaf = new_ids[0]
         self.pool.put(leaf_id, leaf)
         splits: list[tuple[CompositeKey, int]] = []
-        for i, (lo, hi) in enumerate(bounds):
-            right = LeafNode(
-                keys=all_keys[lo:hi],
-                values=all_values[lo:hi],
-                next_leaf=new_ids[i + 1] if i + 1 < len(new_ids) else old_next,
-            )
-            self.pool.put(new_ids[i], right)
-            splits.append((right.keys[0], new_ids[i]))
+        for right, right_id in zip(rights, new_ids):
+            self.pool.put(right_id, right)
+            splits.append((right.keys[0], right_id))
         self.leaf_count += len(new_ids)
         stats.leaf_splits += len(new_ids)
         return splits
@@ -787,6 +784,10 @@ class BPlusTree:
                 f"key {key} does not fit in {self.config.key_bytes} bytes"
             )
 
+    def _check_uid(self, uid: int) -> None:
+        if not 0 <= uid <= MAX_UID:
+            raise ValueError(f"uid {uid} does not fit in {UID_SIZE} bytes")
+
     def _check_value(self, value: bytes) -> None:
         if len(value) != self.config.value_bytes:
             raise ValueError(
@@ -868,14 +869,11 @@ class BPlusTree:
         parent_id, parent, idx, side, sibling = room
         move = (len(leaf.keys) - len(sibling.keys)) // 2  # entries handed over
         if side < idx:
-            left, right, cut = sibling, leaf, len(sibling.keys) + move
+            sibling.take_from_right(leaf, move)
+            right = leaf
         else:
-            left, right, cut = leaf, sibling, len(leaf.keys) - move
-        keys = left.keys + right.keys
-        values = left.values[:]
-        values.extend(right.values)
-        left.keys, right.keys = keys[:cut], keys[cut:]
-        left.values, right.values = values[:cut], values[cut:]
+            sibling.take_from_left(leaf, move)
+            right = sibling
         parent.separators[min(side, idx)] = right.keys[0]
         self.pool.put(leaf_id, leaf)
         self.pool.put(parent.children[side], sibling)
@@ -884,12 +882,7 @@ class BPlusTree:
     def _split_leaf(
         self, path: list[tuple[int, int]], leaf_id: int, leaf: LeafNode
     ) -> None:
-        mid = len(leaf.keys) // 2
-        right = LeafNode(
-            keys=leaf.keys[mid:], values=leaf.values[mid:], next_leaf=leaf.next_leaf
-        )
-        leaf.keys = leaf.keys[:mid]
-        leaf.values = leaf.values[:mid]
+        right = leaf.split_off(len(leaf.keys) // 2)
         right_id = self.pool.disk.allocate()
         leaf.next_leaf = right_id
         self.pool.put(leaf_id, leaf)
@@ -936,8 +929,7 @@ class BPlusTree:
         if node.is_leaf:
             pos = bisect_left(node.keys, ck)
             if pos < len(node.keys) and node.keys[pos] == ck:
-                del node.keys[pos]
-                del node.values[pos]
+                node.delete_entry(pos)
                 self.pool.put(page_id, node)
                 return True
             return False
@@ -990,8 +982,7 @@ class BPlusTree:
         self, parent: InternalNode, idx: int, left, child
     ) -> None:
         if child.is_leaf:
-            child.keys.insert(0, left.keys.pop())
-            child.values.insert(0, left.values.pop())
+            child.take_from_left(left, 1)
             parent.separators[idx - 1] = child.keys[0]
         else:
             child.separators.insert(0, parent.separators[idx - 1])
@@ -1002,8 +993,7 @@ class BPlusTree:
         self, parent: InternalNode, idx: int, child, right
     ) -> None:
         if child.is_leaf:
-            child.keys.append(right.keys.pop(0))
-            child.values.append(right.values.pop(0))
+            child.take_from_right(right, 1)
             parent.separators[idx] = right.keys[0]
         else:
             child.separators.append(parent.separators[idx])
@@ -1017,8 +1007,7 @@ class BPlusTree:
         left = self.pool.get(left_id)
         right = self.pool.get(right_id)
         if left.is_leaf:
-            left.keys.extend(right.keys)
-            left.values.extend(right.values)
+            left.take_from_right(right, len(right.keys))
             left.next_leaf = right.next_leaf
             self.leaf_count -= 1
         else:
@@ -1080,6 +1069,15 @@ class BPlusTree:
             assert node.keys == sorted(node.keys), f"leaf {page_id} unsorted"
             assert len(set(node.keys)) == len(node.keys), f"leaf {page_id} dup keys"
             assert len(node.keys) == len(node.values)
+            assert len(node.values.data) == len(node.keys) * node.values.stride, (
+                f"leaf {page_id} value column holds {len(node.values.data)} bytes"
+            )
+            assert node.key_col == key_column(node.keys, self.config.key_bytes), (
+                f"leaf {page_id} key column drifted from its keys"
+            )
+            assert node.uid_col == uid_column(node.keys), (
+                f"leaf {page_id} uid column drifted from its keys"
+            )
             assert len(node.keys) <= self.config.leaf_capacity
             if page_id != self.root_id:
                 assert len(node.keys) >= self.config.min_leaf_entries, (

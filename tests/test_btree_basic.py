@@ -68,6 +68,46 @@ def test_oversized_key_rejected():
         tree.insert(1 << 17, 0, b"x" * 16)
 
 
+@pytest.mark.parametrize("uid", [-1, 1 << 32])
+def test_out_of_range_uid_rejected_before_any_page_changes(uid):
+    # The page stores a uid in 4 bytes.  Accepted, the entry would be
+    # found by search and fail only at the next write-back, leaving
+    # its page dirty.
+    tree = make_tree()
+    for key in range(40):
+        tree.insert(key, 0, b"a" * 16)
+    tree.pool.flush()
+    before = list(tree.items())
+    with pytest.raises(ValueError, match="does not fit"):
+        tree.insert(5, uid, b"v" * 16)
+    assert tree.search(5, uid) is None
+    assert list(tree.items()) == before
+    assert tree.pool.dirty_pages == set()
+    tree.pool.flush()
+    tree.check_invariants()
+
+
+@pytest.mark.parametrize("uid", [-1, 1 << 32])
+@pytest.mark.parametrize("kind", ["insert", "delete", "replace"])
+def test_a_batch_with_an_out_of_range_uid_is_rejected_up_front(uid, kind):
+    tree = make_tree()
+    for key in range(40):
+        tree.insert(key, 0, b"a" * 16)
+    tree.pool.flush()
+    before = list(tree.items())
+    ops = [
+        ("insert", 3, 1, b"n" * 16),
+        ("delete", 4, 0, None),
+        (kind, 30, uid, b"v" * 16),
+        ("replace", 31, 0, b"r" * 16),
+    ]
+    with pytest.raises(ValueError, match="does not fit"):
+        tree.apply_sorted_batch(ops)
+    assert list(tree.items()) == before
+    assert tree.pool.dirty_pages == set()
+    tree.check_invariants()
+
+
 def test_ordered_iteration():
     tree = make_tree()
     keys = [(3, 0), (1, 5), (2, 2), (1, 1), (3, 1)]

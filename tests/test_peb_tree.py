@@ -135,6 +135,26 @@ def test_scan_sv_zrange_returns_matching_entries():
         assert entry_sv == sv_q
 
 
+def test_a_uid_outside_four_bytes_is_refused_with_the_memo_untouched():
+    wide = 1 << 32
+    tree = make_peb([0, 1, 2, wide])
+    tree.insert(mover(0))
+    tree.insert(mover(1, x=500.0))
+    tree.btree.pool.flush()
+    memo = dict(tree.live.keys)
+    speeds = (tree.live.max_speed_x, tree.live.max_speed_y)
+    entries = list(tree.btree.items())
+    with pytest.raises(ValueError, match="does not fit"):
+        tree.insert(mover(wide, vx=9.0))
+    with pytest.raises(ValueError, match="does not fit"):
+        tree.update_batch([mover(0, x=900.0, y=900.0, t=1.0), mover(wide, vx=9.0)])
+    assert tree.live.keys == memo
+    assert (tree.live.max_speed_x, tree.live.max_speed_y) == speeds
+    assert list(tree.btree.items()) == entries
+    assert tree.btree.pool.dirty_pages == set()
+    tree.btree.check_invariants()
+
+
 def test_update_with_unchanged_key_rewrites_in_place():
     """A same-key update must not structurally delete and reinsert."""
     tree = make_peb()
